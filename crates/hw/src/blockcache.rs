@@ -1,0 +1,442 @@
+//! The CPU's predecoded-block cache.
+//!
+//! Decoding is the expensive half of interpreting an instruction, and
+//! guest code is executed far more often than it changes. The cache
+//! keeps straight-line runs of decoded instructions ("blocks"), keyed
+//! by the host-physical address of their first instruction, so the
+//! interpreter decodes a block once and replays it.
+//!
+//! **Shape.** Direct-mapped, [`SETS`] blocks of at most
+//! [`MAX_BLOCK_INSNS`] instructions, all storage allocated at
+//! construction: neither a hit nor a miss allocates. A block never
+//! leaves the 4 KB frame it starts in, so one frame's contents decide
+//! whether it is still good.
+//!
+//! **Coherence.** A block records the write generation
+//! ([`PhysMem::frame_gen`]) of its frame at decode time and is used
+//! only while the generation still matches. Every RAM mutator bumps the
+//! generation, so guest stores, device DMA, kernel copies (image load,
+//! checkpoint restore, cold reboot) and frame reuse by a new protection
+//! domain all invalidate through that one counter — there is nothing to
+//! flush by hand. An instruction that straddles a page boundary is
+//! never cached (its second half lives in a frame the key does not
+//! name, reachable through a translation that may change): `lookup`
+//! reports it as [`DecodeError::Truncated`] and the CPU fetches it
+//! through both translations every time.
+//!
+//! **Where a block ends** is decided by `flow`: after a control
+//! transfer or a `rep` string instruction (`BlockEnd::Chain`: the
+//! next instruction is somewhere else, or the same one again), after
+//! anything that can change IF, a control register or the TLB, or that
+//! a VMCS intercept can match (`BlockEnd::Outer`: the CPU's outer
+//! loop has to look at the machine again), before an instruction that
+//! does not decode inside the frame, and at [`MAX_BLOCK_INSNS`].
+
+use nova_x86::decode::{decode, DecodeError, MAX_INSN_LEN};
+use nova_x86::insn::{Insn, Op, OpSize, Operand};
+
+use crate::mem::PhysMem;
+use crate::PAddr;
+
+/// Number of blocks the cache holds (direct-mapped).
+pub const SETS: usize = 1024;
+/// Longest block, in instructions.
+pub const MAX_BLOCK_INSNS: usize = 8;
+
+/// Decoded-block cache statistics, per block lookup.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DecodeCacheStats {
+    /// Lookups served by a cached, still-coherent block.
+    pub hits: u64,
+    /// Lookups that had to decode (including uncacheable page
+    /// straddlers and undecodable bytes).
+    pub misses: u64,
+    /// Cached blocks dropped because their frame was written since
+    /// they were decoded.
+    pub invalidations: u64,
+    /// Cached blocks displaced by a block of another address.
+    pub evictions: u64,
+}
+
+/// What the CPU may do after a block's last instruction.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum BlockEnd {
+    /// Carry on with the block at the new EIP: nothing the outer loop
+    /// looks at can have changed.
+    Chain,
+    /// Return to the outer loop: the last instruction can change IF, a
+    /// control register or the TLB, halt, or be intercepted.
+    Outer,
+}
+
+/// How one instruction continues a block under construction.
+enum Flow {
+    /// Falls through to the next instruction.
+    Next,
+    /// Ends the block with the given verdict.
+    End(BlockEnd),
+}
+
+/// Classifies an instruction for block construction. Exhaustive on
+/// purpose: a new `Op` has to be placed before this compiles.
+fn flow(insn: &Insn) -> Flow {
+    match insn.op {
+        Op::Jmp | Op::Jcc(_) | Op::Call | Op::Ret => Flow::End(BlockEnd::Chain),
+        // One iteration per execution, EIP unchanged until the last.
+        Op::Movs | Op::Stos | Op::Lods if insn.rep => Flow::End(BlockEnd::Chain),
+        // IF: CLI/STI/POPF/IRET/INT. CRs and TLB: MOV CR, INVLPG.
+        // Intercept candidates: everything `cpu::intercept` matches.
+        Op::Int(_)
+        | Op::Iret
+        | Op::Popf
+        | Op::Cli
+        | Op::Sti
+        | Op::Hlt
+        | Op::In
+        | Op::Out
+        | Op::Cpuid
+        | Op::Rdtsc
+        | Op::MovFromCr
+        | Op::MovToCr
+        | Op::Invlpg
+        | Op::Vmcall => Flow::End(BlockEnd::Outer),
+        Op::Mov
+        | Op::Movzx
+        | Op::Movsx
+        | Op::Xchg
+        | Op::Alu(_)
+        | Op::Test
+        | Op::Inc
+        | Op::Dec
+        | Op::Neg
+        | Op::Not
+        | Op::Mul
+        | Op::Imul2
+        | Op::Div
+        | Op::Shift(_)
+        | Op::Lea
+        | Op::Push
+        | Op::Pop
+        | Op::Pushf
+        | Op::Cld
+        | Op::Std
+        | Op::Lidt
+        | Op::Movs
+        | Op::Stos
+        | Op::Lods
+        | Op::Nop => Flow::Next,
+    }
+}
+
+/// Bookkeeping of one cache slot; its instructions live in the shared
+/// arena at `slot * MAX_BLOCK_INSNS`.
+#[derive(Clone, Copy)]
+struct Slot {
+    /// Host-physical address of the first instruction.
+    key: PAddr,
+    /// Write generation of the frame when the block was decoded.
+    gen: u64,
+    /// Instructions in the block; 0 marks the slot empty.
+    len: u8,
+    end: BlockEnd,
+}
+
+/// A coherent block handed out by [`BlockCache::lookup`].
+pub(crate) struct Block<'a> {
+    /// The decoded instructions, in address order; never empty.
+    pub insns: &'a [Insn],
+    /// What may follow the last one.
+    pub end: BlockEnd,
+    /// The frame generation the block is good for.
+    pub gen: u64,
+}
+
+/// The cache itself. One per CPU core.
+pub(crate) struct BlockCache {
+    slots: Vec<Slot>,
+    insns: Vec<Insn>,
+    pub stats: DecodeCacheStats,
+}
+
+impl BlockCache {
+    /// Allocates the whole cache, empty.
+    pub fn new() -> BlockCache {
+        let nop = Insn {
+            op: Op::Nop,
+            dst: Operand::None,
+            src: Operand::None,
+            size: OpSize::Dword,
+            rep: false,
+            len: 1,
+        };
+        BlockCache {
+            slots: vec![
+                Slot {
+                    key: 0,
+                    gen: 0,
+                    len: 0,
+                    end: BlockEnd::Chain,
+                };
+                SETS
+            ],
+            insns: vec![nop; SETS * MAX_BLOCK_INSNS],
+            stats: DecodeCacheStats::default(),
+        }
+    }
+
+    fn slot_of(hpa: PAddr) -> usize {
+        // Fibonacci hashing: block starts are byte-granular and
+        // clustered, the top bits of the product spread them.
+        (hpa.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - SETS.trailing_zeros())) as usize
+    }
+
+    /// The block starting at host-physical address `hpa`, decoded from
+    /// `mem` unless a coherent copy is cached.
+    ///
+    /// # Errors
+    ///
+    /// The first instruction does not decode from the bytes left in
+    /// its frame: [`DecodeError::Truncated`] if it runs past them (a
+    /// page straddler), [`DecodeError::InvalidOpcode`] if it is outside
+    /// the subset. Nothing is cached for it.
+    pub fn lookup(&mut self, mem: &PhysMem, hpa: PAddr) -> Result<Block<'_>, DecodeError> {
+        let slot = Self::slot_of(hpa);
+        let gen = mem.frame_gen(hpa);
+        let s = &mut self.slots[slot];
+        if s.len != 0 && s.key == hpa {
+            if s.gen == gen {
+                self.stats.hits += 1;
+                return Ok(self.block(slot));
+            }
+            s.len = 0;
+            self.stats.invalidations += 1;
+        }
+        self.stats.misses += 1;
+        self.fill(slot, mem, hpa, gen)?;
+        Ok(self.block(slot))
+    }
+
+    fn block(&self, slot: usize) -> Block<'_> {
+        let s = &self.slots[slot];
+        let base = slot * MAX_BLOCK_INSNS;
+        Block {
+            insns: &self.insns[base..base + s.len as usize],
+            end: s.end,
+            gen: s.gen,
+        }
+    }
+
+    /// Decodes the block at `hpa` into `slot`, displacing its occupant.
+    fn fill(
+        &mut self,
+        slot: usize,
+        mem: &PhysMem,
+        hpa: PAddr,
+        gen: u64,
+    ) -> Result<(), DecodeError> {
+        let base = slot * MAX_BLOCK_INSNS;
+        let frame = hpa & !0xfff;
+        let mut off = (hpa & 0xfff) as usize;
+        let mut len = 0;
+        let mut end = BlockEnd::Chain;
+        let mut bytes = [0u8; MAX_INSN_LEN];
+        while len < MAX_BLOCK_INSNS && off < 4096 {
+            // At most what is left of the frame: the bytes beyond
+            // belong to whatever the *next* page translates to.
+            let avail = (4096 - off).min(MAX_INSN_LEN);
+            mem.read_into(frame + off as u64, &mut bytes[..avail]);
+            let insn = match decode(&bytes[..avail]) {
+                Ok(insn) => insn,
+                Err(e) if len == 0 => return Err(e),
+                // Reached on its own, it is the first of a lookup and
+                // reported above.
+                Err(_) => break,
+            };
+            if len == 0 && self.slots[slot].len != 0 {
+                self.stats.evictions += 1;
+            }
+            self.insns[base + len] = insn;
+            len += 1;
+            off += insn.len as usize;
+            if let Flow::End(e) = flow(&insn) {
+                end = e;
+                break;
+            }
+        }
+        self.slots[slot] = Slot {
+            key: hpa,
+            gen,
+            len: len as u8,
+            end,
+        };
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nova_x86::reg::Reg;
+    use nova_x86::Asm;
+
+    fn mem_with(addr: PAddr, code: &[u8]) -> PhysMem {
+        let mut m = PhysMem::new(1 << 20);
+        m.write_bytes(addr, code);
+        m
+    }
+
+    #[test]
+    fn block_ends_after_branch_and_hits_second_time() {
+        let mut a = Asm::new(0x1000);
+        a.mov_ri(Reg::Eax, 1);
+        a.add_ri(Reg::Eax, 2);
+        let l = a.here_label();
+        a.jmp(l);
+        a.nop(); // not part of the block
+        let mem = mem_with(0x1000, &a.finish());
+        let mut c = BlockCache::new();
+        let b = c.lookup(&mem, 0x1000).unwrap();
+        assert_eq!(b.insns.len(), 3);
+        assert_eq!(b.insns[2].op, Op::Jmp);
+        assert_eq!(b.end, BlockEnd::Chain);
+        c.lookup(&mem, 0x1000).unwrap();
+        assert_eq!(
+            c.stats,
+            DecodeCacheStats {
+                hits: 1,
+                misses: 1,
+                ..Default::default()
+            }
+        );
+    }
+
+    #[test]
+    fn sensitive_and_if_changing_instructions_end_with_outer() {
+        for emit in [
+            Asm::cpuid as fn(&mut Asm),
+            Asm::cli,
+            Asm::sti,
+            Asm::popf,
+            Asm::iret,
+            Asm::hlt,
+            Asm::rdtsc,
+            Asm::vmcall,
+            Asm::out_dx_al,
+            Asm::in_al_dx,
+        ] {
+            let mut a = Asm::new(0);
+            a.nop();
+            emit(&mut a);
+            a.nop();
+            let mem = mem_with(0, &a.finish());
+            let mut c = BlockCache::new();
+            let b = c.lookup(&mem, 0).unwrap();
+            assert_eq!(b.insns.len(), 2);
+            assert_eq!(b.end, BlockEnd::Outer);
+        }
+    }
+
+    #[test]
+    fn rep_string_ends_block_plain_string_does_not() {
+        let mut a = Asm::new(0);
+        a.stosd();
+        a.rep_stosd();
+        a.nop();
+        let mem = mem_with(0, &a.finish());
+        let mut c = BlockCache::new();
+        let b = c.lookup(&mem, 0).unwrap();
+        assert_eq!(b.insns.len(), 2);
+        assert!(b.insns[1].rep);
+        assert_eq!(b.end, BlockEnd::Chain);
+    }
+
+    #[test]
+    fn write_to_the_frame_invalidates() {
+        let mut a = Asm::new(0x2000);
+        a.mov_ri(Reg::Eax, 1);
+        a.ret();
+        let mut mem = mem_with(0x2000, &a.finish());
+        let mut c = BlockCache::new();
+        assert_eq!(
+            c.lookup(&mem, 0x2000).unwrap().insns[0].src,
+            Operand::Imm(1)
+        );
+        mem.write_u8(0x2001, 9);
+        assert_eq!(
+            c.lookup(&mem, 0x2000).unwrap().insns[0].src,
+            Operand::Imm(9)
+        );
+        assert_eq!(c.stats.invalidations, 1);
+        assert_eq!(c.stats.misses, 2);
+        // A write to another frame does not.
+        mem.write_u8(0x3000, 9);
+        c.lookup(&mem, 0x2000).unwrap();
+        assert_eq!(c.stats.hits, 1);
+    }
+
+    #[test]
+    fn block_stops_at_frame_end_and_straddler_is_not_cached() {
+        // Three NOPs, then `mov eax, imm32` with two bytes in this
+        // frame and three in the next.
+        let mut mem = PhysMem::new(1 << 20);
+        mem.write_bytes(0x1ffb, &[0x90, 0x90, 0x90, 0xb8, 0x11, 0x22, 0x33, 0x44]);
+        let mut c = BlockCache::new();
+        let b = c.lookup(&mem, 0x1ffb).unwrap();
+        assert_eq!(b.insns.len(), 3, "ends before the straddler");
+        assert_eq!(b.end, BlockEnd::Chain);
+        assert_eq!(c.lookup(&mem, 0x1ffe).err(), Some(DecodeError::Truncated));
+        assert_eq!(c.lookup(&mem, 0x1ffe).err(), Some(DecodeError::Truncated));
+        assert_eq!(c.stats.hits, 0);
+        assert_eq!(c.stats.misses, 3);
+        // A block that fits exactly ends at the boundary.
+        mem.write_bytes(0x2ffe, &[0x90, 0x90, 0x90]);
+        assert_eq!(c.lookup(&mem, 0x2ffe).unwrap().insns.len(), 2);
+    }
+
+    #[test]
+    fn long_runs_split_at_the_block_limit() {
+        let mem = mem_with(0x4000, &[0x90; 64]);
+        let mut c = BlockCache::new();
+        let b = c.lookup(&mem, 0x4000).unwrap();
+        assert_eq!(b.insns.len(), MAX_BLOCK_INSNS);
+        assert_eq!(b.end, BlockEnd::Chain);
+    }
+
+    #[test]
+    fn invalid_first_opcode_is_reported_and_later_one_ends_the_block() {
+        // 0x0f 0xff is outside the subset.
+        let mem = mem_with(0x5000, &[0x90, 0x0f, 0xff]);
+        let mut c = BlockCache::new();
+        assert_eq!(c.lookup(&mem, 0x5000).unwrap().insns.len(), 1);
+        assert_eq!(
+            c.lookup(&mem, 0x5001).err(),
+            Some(DecodeError::InvalidOpcode)
+        );
+    }
+
+    #[test]
+    fn conflicting_block_evicts() {
+        let mem = mem_with(0, &[0xc3; 0x10000]); // RETs everywhere
+        let mut c = BlockCache::new();
+        let first = 0x100;
+        let other = (first + 1..0x10000)
+            .find(|a| BlockCache::slot_of(*a) == BlockCache::slot_of(first))
+            .expect("some address shares the slot");
+        c.lookup(&mem, first).unwrap();
+        c.lookup(&mem, other).unwrap();
+        assert_eq!(c.stats.evictions, 1);
+        c.lookup(&mem, first).unwrap();
+        assert_eq!(c.stats.evictions, 2);
+        assert_eq!(c.stats.hits, 0);
+    }
+
+    #[test]
+    fn frames_outside_ram_decode_as_zeros_and_stay_valid() {
+        let mem = PhysMem::new(4096);
+        let mut c = BlockCache::new();
+        let b = c.lookup(&mem, 0xfeb0_0000).unwrap();
+        assert_eq!(b.insns.len(), MAX_BLOCK_INSNS, "00 00 = add [eax], al");
+        c.lookup(&mem, 0xfeb0_0000).unwrap();
+        assert_eq!(c.stats.hits, 1);
+    }
+}

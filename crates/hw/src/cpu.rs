@@ -12,21 +12,23 @@
 //! the TLB is tagged with the VPID (or flushed on every transition when
 //! tagging is disabled — the "w/o VPID" configuration of Figure 5).
 
-use std::collections::HashMap;
-
 use nova_x86::decode::{decode, DecodeError, MAX_INSN_LEN};
 use nova_x86::exec::{deliver_event, execute, Env, Exec, Fault};
 use nova_x86::insn::{Insn, Op, OpSize, Operand};
 use nova_x86::paging::Access;
 use nova_x86::reg::{Reg, Regs};
 
+use crate::blockcache::{BlockCache, BlockEnd, DecodeCacheStats};
 use crate::cost::CostModel;
 use crate::device::DeviceBus;
 use crate::mem::PhysMem;
-use crate::mmu::{self, GuestXlate, MmuRegs};
+use crate::mmu::{self, GuestXlate, MmuRegs, PfInfo};
 use crate::tlb::{Tlb, TlbEntry};
-use crate::vmx::{ExitReason, PagingVirt, Vmcs};
+use crate::vmx::{io_bitmap_intercepts, ExitReason, Injection, PagingVirt, Vmcs};
 use crate::{Cycles, PAddr};
+
+#[cfg(test)]
+mod oracle;
 
 /// Cycles charged for a device-register (MMIO or port) access — the
 /// uncached bus round trip.
@@ -64,7 +66,7 @@ pub struct Cpu {
     pub instret: u64,
     /// Cycles spent idle (halted waiting for events).
     pub idle_cycles: Cycles,
-    icache: HashMap<PAddr, Insn>,
+    blocks: BlockCache,
 }
 
 impl Cpu {
@@ -78,14 +80,13 @@ impl Cpu {
             tlb: Tlb::new(),
             instret: 0,
             idle_cycles: 0,
-            icache: HashMap::new(),
+            blocks: BlockCache::new(),
         }
     }
 
-    /// Drops all cached decoded instructions (call after loading a new
-    /// program image over old code).
-    pub fn flush_icache(&mut self) {
-        self.icache.clear();
+    /// Statistics of the predecoded-block cache since construction.
+    pub fn decode_cache_stats(&self) -> DecodeCacheStats {
+        self.blocks.stats
     }
 }
 
@@ -104,13 +105,28 @@ impl From<Fault> for CpuErr {
     }
 }
 
-/// Guest-mode translation/intercept context (copies of VMCS fields that
-/// the per-instruction environment needs).
+impl From<PfInfo> for Fault {
+    fn from(pf: PfInfo) -> Fault {
+        Fault::Page {
+            addr: pf.addr,
+            write: pf.write,
+            fetch: pf.fetch,
+            present: pf.present,
+        }
+    }
+}
+
+/// Guest-mode translation/intercept context: the VMCS controls that
+/// stay fixed for one `run_guest` call.
 #[derive(Clone, Copy)]
-struct GuestCtx {
+struct GuestCtx<'a> {
     vpid: u16,
     paging: PagingVirt,
     intercept_pf: bool,
+    intercept_hlt: bool,
+    intercept_rdtsc: bool,
+    intercept_cr: bool,
+    io_passthrough: &'a [u64],
     tsc_offset: u64,
 }
 
@@ -122,34 +138,48 @@ struct CpuEnv<'a> {
     cost: &'a CostModel,
     clock: &'a mut Cycles,
     mmu: MmuRegs,
-    guest: Option<GuestCtx>,
+    guest: Option<GuestCtx<'a>>,
+    /// Set by every device-register access (MMIO or port). A device may
+    /// then have scheduled an event, moved an interrupt line or
+    /// requested shutdown, so the block executor clears it before an
+    /// instruction and leaves its fast loop when it finds it set.
+    bus_touched: bool,
 }
 
 impl CpuEnv<'_> {
     fn vpid(&self) -> u16 {
-        self.guest.map_or(0, |g| g.vpid)
+        self.guest.as_ref().map_or(0, |g| g.vpid)
+    }
+
+    /// `true` if linear addresses go through the TLB at all (unpaged
+    /// native mode has no translation and no TLB traffic).
+    fn translates(&self) -> bool {
+        self.guest.is_some() || self.mmu.paging()
     }
 
     /// Translates a linear address, consulting the TLB first.
+    #[inline]
     fn translate(&mut self, addr: u32, access: Access) -> Result<PAddr, CpuErr> {
-        let vpid = self.vpid();
-
-        // Unpaged native mode has no translation (and no TLB traffic).
-        if self.guest.is_none() && !self.mmu.paging() {
+        if !self.translates() {
             return Ok(addr as u64);
         }
-
-        if let Some(e) = self.tlb.lookup_for(vpid, addr as u64, access.fetch) {
+        if let Some(e) = self.tlb.lookup_for(self.vpid(), addr as u64, access.fetch) {
             if !access.write || e.write {
                 return Ok(e.hpa + (addr as u64 & (e.page_size - 1)));
             }
             // Write to a read-only entry: fall through to the walk,
             // which classifies the fault.
         }
-        // TLB miss: attribute the fill walk to the VPID in the metrics
-        // registry (free when tracing is off; replaces the old
-        // `tlb-debug` stderr scaffolding and its process-global
-        // counter).
+        self.tlb_fill(addr, access)
+    }
+
+    /// TLB miss: walks the tables of the current mode, charging the
+    /// walk to the clock, and caches the leaf.
+    #[cold]
+    fn tlb_fill(&mut self, addr: u32, access: Access) -> Result<PAddr, CpuErr> {
+        let vpid = self.vpid();
+        // Attribute the fill walk to the VPID in the metrics registry
+        // (free when tracing is off).
         if self.bus.trace.active() {
             self.bus
                 .trace
@@ -167,25 +197,13 @@ impl CpuEnv<'_> {
                 self.cost,
                 self.clock,
             )
-            .map_err(|pf| {
-                CpuErr::Fault(Fault::Page {
-                    addr: pf.addr,
-                    write: pf.write,
-                    fetch: pf.fetch,
-                    present: pf.present,
-                })
-            })?,
+            .map_err(|pf| CpuErr::Fault(pf.into()))?,
             Some(g) => match g.paging {
                 PagingVirt::Nested { root, fmt } => mmu::translate_nested_guest(
                     self.mem, &self.mmu, root, fmt, addr, access, self.cost, self.clock,
                 )
                 .map_err(|e| match e {
-                    GuestXlate::GuestFault(pf) => CpuErr::Fault(Fault::Page {
-                        addr: pf.addr,
-                        write: pf.write,
-                        fetch: pf.fetch,
-                        present: pf.present,
-                    }),
+                    GuestXlate::GuestFault(pf) => CpuErr::Fault(pf.into()),
                     GuestXlate::Nested(v) => CpuErr::Exit(ExitReason::EptViolation {
                         gpa: v.gpa,
                         access: v.access,
@@ -201,12 +219,7 @@ impl CpuEnv<'_> {
                     self.clock,
                 )
                 .map_err(|pf| {
-                    let fault = Fault::Page {
-                        addr: pf.addr,
-                        write: pf.write,
-                        fetch: pf.fetch,
-                        present: pf.present,
-                    };
+                    let fault = Fault::from(pf);
                     if g.intercept_pf {
                         CpuErr::Exit(ExitReason::PageFault {
                             addr: pf.addr,
@@ -241,6 +254,7 @@ impl Env for CpuEnv<'_> {
         *self.clock += self.cost.mem_access;
         if self.bus.mmio_owner(hpa).is_some() {
             *self.clock += DEVICE_ACCESS_CYCLES;
+            self.bus_touched = true;
             return Ok(self.bus.mmio_read(self.mem, *self.clock, hpa, size));
         }
         Ok(self.mem.read_sized(hpa, size))
@@ -251,6 +265,7 @@ impl Env for CpuEnv<'_> {
         *self.clock += self.cost.mem_access;
         if self.bus.mmio_owner(hpa).is_some() {
             *self.clock += DEVICE_ACCESS_CYCLES;
+            self.bus_touched = true;
             self.bus.mmio_write(self.mem, *self.clock, hpa, size, val);
             return Ok(());
         }
@@ -260,11 +275,13 @@ impl Env for CpuEnv<'_> {
 
     fn io_in(&mut self, port: u16, size: OpSize) -> Result<u32, CpuErr> {
         *self.clock += DEVICE_ACCESS_CYCLES;
+        self.bus_touched = true;
         Ok(self.bus.io_read(self.mem, *self.clock, port, size))
     }
 
     fn io_out(&mut self, port: u16, size: OpSize, val: u32) -> Result<(), CpuErr> {
         *self.clock += DEVICE_ACCESS_CYCLES;
+        self.bus_touched = true;
         self.bus.io_write(self.mem, *self.clock, port, size, val);
         Ok(())
     }
@@ -274,7 +291,7 @@ impl Env for CpuEnv<'_> {
     }
 
     fn rdtsc(&mut self) -> u64 {
-        *self.clock + self.guest.map_or(0, |g| g.tsc_offset)
+        *self.clock + self.guest.as_ref().map_or(0, |g| g.tsc_offset)
     }
 
     fn write_cr(&mut self, regs: &mut Regs, n: u8, val: u32) -> Result<(), CpuErr> {
@@ -293,29 +310,18 @@ impl Env for CpuEnv<'_> {
     }
 }
 
-/// Fetches and decodes the instruction at `regs.eip`, using the decoded
-/// instruction cache.
-fn fetch(env: &mut CpuEnv, icache: &mut HashMap<PAddr, Insn>, eip: u32) -> Result<Insn, CpuErr> {
-    let hpa = env.translate(eip, Access::FETCH)?;
-    if let Some(i) = icache.get(&hpa) {
-        return Ok(*i);
-    }
+/// Fetches and decodes the instruction at `eip` that does not fit in
+/// the bytes left of its page (`hpa` is where `eip` translated to):
+/// the rest comes through the next page's own translation. Never
+/// cached, so a remap of either page is seen on the next execution.
+fn fetch_straddler(env: &mut CpuEnv, eip: u32, hpa: PAddr) -> Result<Insn, CpuErr> {
     let in_page = (4096 - (eip as usize & 0xfff)).min(MAX_INSN_LEN);
-    let mut bytes = env.mem.read_bytes(hpa, in_page);
-    let insn = match decode(&bytes) {
-        Ok(i) => i,
-        Err(DecodeError::Truncated) => {
-            // Instruction straddles a page: translate the next page too.
-            let next = (eip & !0xfff).wrapping_add(0x1000);
-            let hpa2 = env.translate(next, Access::FETCH)?;
-            let more = env.mem.read_bytes(hpa2, MAX_INSN_LEN - in_page);
-            bytes.extend_from_slice(&more);
-            decode(&bytes).map_err(|_| CpuErr::Fault(Fault::InvalidOpcode))?
-        }
-        Err(DecodeError::InvalidOpcode) => return Err(CpuErr::Fault(Fault::InvalidOpcode)),
-    };
-    icache.insert(hpa, insn);
-    Ok(insn)
+    let mut bytes = [0u8; MAX_INSN_LEN];
+    env.mem.read_into(hpa, &mut bytes[..in_page]);
+    let next = (eip & !0xfff).wrapping_add(0x1000);
+    let hpa2 = env.translate(next, Access::FETCH)?;
+    env.mem.read_into(hpa2, &mut bytes[in_page..]);
+    decode(&bytes).map_err(|_| CpuErr::Fault(Fault::InvalidOpcode))
 }
 
 /// Outcome of delivering an event into the running context.
@@ -349,15 +355,17 @@ fn deliver(regs: &mut Regs, env: &mut CpuEnv, vector: u8, err: Option<u32>) -> D
 }
 
 /// Checks whether a sensitive instruction must exit under the given
-/// VMCS, returning the exit reason.
-fn intercept(insn: &Insn, regs: &Regs, vmcs: &Vmcs) -> Option<ExitReason> {
+/// VMCS controls, returning the exit reason. Every `Op` matched here
+/// ends its block with [`BlockEnd::Outer`], which is what lets the
+/// executor skip this check for all other instructions.
+fn intercept(insn: &Insn, regs: &Regs, ctl: &GuestCtx) -> Option<ExitReason> {
     let len = insn.len;
     match insn.op {
         Op::Cpuid => Some(ExitReason::Cpuid { len }),
         Op::Vmcall => Some(ExitReason::Vmcall { len }),
-        Op::Hlt if vmcs.intercept_hlt => Some(ExitReason::Hlt { len }),
-        Op::Rdtsc if vmcs.intercept_rdtsc => Some(ExitReason::Rdtsc { len }),
-        Op::MovToCr | Op::MovFromCr if vmcs.intercept_cr => {
+        Op::Hlt if ctl.intercept_hlt => Some(ExitReason::Hlt { len }),
+        Op::Rdtsc if ctl.intercept_rdtsc => Some(ExitReason::Rdtsc { len }),
+        Op::MovToCr | Op::MovFromCr if ctl.intercept_cr => {
             let (cr, write, gpr) = match (insn.op, insn.dst, insn.src) {
                 (Op::MovToCr, Operand::Cr(c), Operand::Reg(r)) => (c, true, r),
                 (Op::MovFromCr, Operand::Reg(r), Operand::Cr(c)) => (c, false, r),
@@ -370,7 +378,7 @@ fn intercept(insn: &Insn, regs: &Regs, vmcs: &Vmcs) -> Option<ExitReason> {
                 len,
             })
         }
-        Op::Invlpg if vmcs.intercept_cr => {
+        Op::Invlpg if ctl.intercept_cr => {
             let addr = match insn.dst {
                 Operand::Mem(m) => nova_x86::exec::effective_address(&m, regs),
                 _ => 0,
@@ -388,7 +396,7 @@ fn intercept(insn: &Insn, regs: &Regs, vmcs: &Vmcs) -> Option<ExitReason> {
                 Operand::Reg(Reg::Edx) => regs.get(Reg::Edx) as u16,
                 _ => 0,
             };
-            if vmcs.io_intercepted(port) {
+            if io_bitmap_intercepts(ctl.io_passthrough, port) {
                 Some(ExitReason::IoPort {
                     port,
                     size: insn.size,
@@ -403,6 +411,222 @@ fn intercept(insn: &Insn, regs: &Regs, vmcs: &Vmcs) -> Option<ExitReason> {
     }
 }
 
+/// Executes one instruction that an intercept may claim first.
+fn execute_sensitive(insn: &Insn, regs: &mut Regs, env: &mut CpuEnv) -> Result<Exec, CpuErr> {
+    if let Some(reason) = env.guest.as_ref().and_then(|g| intercept(insn, regs, g)) {
+        return Err(CpuErr::Exit(reason));
+    }
+    execute(insn, regs, env)
+}
+
+/// Why [`run_blocks`] handed control back to the outer loop.
+enum Stop {
+    /// The outer loop's checks are due: the event horizon was reached,
+    /// or the last instruction may have changed something they read
+    /// (IF, a control register, a device, the frame being executed) or
+    /// raised an exception that has been delivered.
+    Outer,
+    /// HLT executed.
+    Halt,
+    /// STI opened a one-instruction interrupt shadow.
+    StiShadow,
+    /// VM exit (guest mode only).
+    Exit(ExitReason),
+    /// An exception could not be delivered.
+    TripleFault,
+}
+
+/// The earliest cycle at which the outer loop has work: the next
+/// device event or the caller's deadline.
+fn event_horizon(bus: &DeviceBus, deadline: Option<Cycles>) -> Cycles {
+    let event = bus.next_event_due().unwrap_or(Cycles::MAX);
+    event.min(deadline.unwrap_or(Cycles::MAX))
+}
+
+/// Accounts for one retired instruction and sorts its outcome: `Ok`
+/// carries [`Exec::Normal`] or [`Exec::RepContinue`], everything else —
+/// including an exception, which is delivered here — is a [`Stop`].
+fn retire(
+    step: Result<Exec, CpuErr>,
+    regs: &mut Regs,
+    env: &mut CpuEnv,
+    instret: &mut u64,
+) -> Result<Exec, Stop> {
+    // Faulting and intercepted instructions cost their cycle too.
+    *env.clock += 1;
+    *instret += 1;
+    match step {
+        Ok(Exec::Halt) => Err(Stop::Halt),
+        Ok(Exec::StiShadow) => Err(Stop::StiShadow),
+        Ok(done) => Ok(done),
+        Err(CpuErr::Exit(reason)) => Err(Stop::Exit(reason)),
+        Err(CpuErr::Fault(f)) => {
+            if let Fault::Page { addr, .. } = f {
+                regs.cr2 = addr;
+            }
+            Err(match deliver(regs, env, f.vector(), f.error_code()) {
+                Delivery::Done => Stop::Outer,
+                // The faulting instruction will re-execute and re-raise
+                // the exception after the hypervisor's fill.
+                Delivery::Exit(reason) => Stop::Exit(reason),
+                Delivery::Fatal => Stop::TripleFault,
+            })
+        }
+    }
+}
+
+/// Retires an instruction that ran outside any block (or could not be
+/// fetched at all); whatever came of it, the outer loop goes next.
+fn retire_alone(
+    step: Result<Exec, CpuErr>,
+    regs: &mut Regs,
+    env: &mut CpuEnv,
+    instret: &mut u64,
+) -> Stop {
+    retire(step, regs, env, instret)
+        .err()
+        .unwrap_or(Stop::Outer)
+}
+
+/// The block executor shared by [`run_native`] and [`run_guest`]:
+/// runs instructions from `regs.eip` until the outer loop is needed.
+///
+/// The outer loops call this only when an instruction is due (no
+/// pending event, shutdown, deadline, deliverable interrupt or halt),
+/// and per retired instruction they would re-check exactly those
+/// conditions, rebuild the environment and translate the fetch. The
+/// executor skips all of that for as long as it can prove the checks
+/// would come out the same (the *event horizon* argument, written out
+/// in DESIGN.md §6i): the event queue, the PIC and the shutdown latch
+/// only change through a device access (`bus_touched`), IF and the
+/// control registers only through instructions that end their block
+/// with [`BlockEnd::Outer`], the STI shadow only through
+/// [`Stop::StiShadow`], nothing inside a run sets the recall pin, and
+/// the clock is compared against `horizon` after every instruction.
+/// `single` (the caller is inside an STI shadow, so its interrupt
+/// checks change after one instruction) limits the call to one
+/// instruction.
+///
+/// On the simulated machine this is invisible: every instruction costs
+/// the same cycles and counts the same `instret`, and the fetch lookups
+/// skipped inside a block are counted as the I-TLB hits they would have
+/// been.
+fn run_blocks(
+    blocks: &mut BlockCache,
+    instret: &mut u64,
+    regs: &mut Regs,
+    env: &mut CpuEnv,
+    horizon: Cycles,
+    single: bool,
+) -> Stop {
+    loop {
+        // Entering a block takes the real fetch translation: TLB
+        // lookup, fill walk, fault or exit.
+        let eip = regs.eip;
+        let hpa = match env.translate(eip, Access::FETCH) {
+            Ok(hpa) => hpa,
+            Err(e) => return retire_alone(Err(e), regs, env, instret),
+        };
+        let block = match blocks.lookup(env.mem, hpa) {
+            Ok(block) => block,
+            Err(e) => {
+                // One uncached instruction, then back out: a page
+                // straddler or undecodable bytes.
+                let step = match e {
+                    DecodeError::Truncated => fetch_straddler(env, eip, hpa),
+                    DecodeError::InvalidOpcode => Err(CpuErr::Fault(Fault::InvalidOpcode)),
+                }
+                .and_then(|insn| execute_sensitive(&insn, regs, env));
+                return retire_alone(step, regs, env, instret);
+            }
+        };
+
+        let last = block.insns.len() - 1;
+        // Fixed for the block: CR writes end it.
+        let through_tlb = env.translates();
+        let mut i = 0;
+        loop {
+            let insn = &block.insns[i];
+            let at = regs.eip;
+            env.bus_touched = false;
+            // Only the last instruction of an `Outer` block can match
+            // an intercept.
+            let step = if i == last && block.end == BlockEnd::Outer {
+                execute_sensitive(insn, regs, env)
+            } else {
+                debug_assert!(env
+                    .guest
+                    .as_ref()
+                    .is_none_or(|g| intercept(insn, regs, g).is_none()));
+                execute(insn, regs, env)
+            };
+            match retire(step, regs, env, instret) {
+                Err(stop) => return stop,
+                Ok(Exec::RepContinue) => debug_assert_eq!(regs.eip, at),
+                Ok(_) => {
+                    debug_assert!(i == last || regs.eip == at.wrapping_add(insn.len as u32));
+                    i += 1;
+                }
+            }
+            // A store into the frame being executed (this block or a
+            // later one) must be seen by the very next fetch.
+            if single
+                || env.bus_touched
+                || *env.clock >= horizon
+                || env.mem.frame_gen(hpa) != block.gen
+            {
+                return Stop::Outer;
+            }
+            if i > last {
+                match block.end {
+                    BlockEnd::Chain => break,
+                    BlockEnd::Outer => return Stop::Outer,
+                }
+            }
+            // The next instruction lies in the same page, and the
+            // I-side TLB arrays are written only by fetch fills,
+            // INVLPG and flushes — none of which happen inside a
+            // block — so its fetch lookup would hit the entry the
+            // block was entered through. Count it, skip it.
+            if through_tlb {
+                env.tlb.stats.hits += 1;
+            }
+        }
+    }
+}
+
+/// Mirrors what the block cache counted during one `run_*` call into
+/// the tracer's metrics registry, keyed by the TLB tag like
+/// [`nova_trace::names::TLB_FILLS`].
+fn publish_decode_stats(
+    bus: &mut DeviceBus,
+    vpid: u16,
+    before: DecodeCacheStats,
+    blocks: &BlockCache,
+) {
+    if !bus.trace.active() {
+        return;
+    }
+    use nova_trace::names;
+    let now = blocks.stats;
+    for (name, delta) in [
+        (names::DECODE_CACHE_HITS, now.hits - before.hits),
+        (names::DECODE_CACHE_MISSES, now.misses - before.misses),
+        (
+            names::DECODE_CACHE_INVALIDATIONS,
+            now.invalidations - before.invalidations,
+        ),
+        (
+            names::DECODE_CACHE_EVICTIONS,
+            now.evictions - before.evictions,
+        ),
+    ] {
+        if delta != 0 {
+            bus.trace.metrics.add(name, vpid as u64, delta);
+        }
+    }
+}
+
 /// Runs the core natively until shutdown, triple fault, idle deadlock,
 /// or the optional cycle budget elapses.
 pub fn run_native(
@@ -413,35 +637,52 @@ pub fn run_native(
     clock: &mut Cycles,
     budget: Option<Cycles>,
 ) -> NativeStop {
+    let before = cpu.blocks.stats;
+    let stop = native_loop(cpu, mem, bus, cost, clock, budget);
+    publish_decode_stats(bus, 0, before, &cpu.blocks);
+    stop
+}
+
+fn native_loop(
+    cpu: &mut Cpu,
+    mem: &mut PhysMem,
+    bus: &mut DeviceBus,
+    cost: &CostModel,
+    clock: &mut Cycles,
+    budget: Option<Cycles>,
+) -> NativeStop {
     let deadline = budget.map(|b| *clock + b);
+    // One environment for the whole call: `mmu` follows the register
+    // file because every CR write goes through `Env::write_cr`.
+    let mut env = CpuEnv {
+        tlb: &mut cpu.tlb,
+        mem,
+        bus,
+        cost,
+        clock,
+        mmu: MmuRegs::from_regs(&cpu.regs),
+        guest: None,
+        bus_touched: false,
+    };
     loop {
         // Device events and shutdown.
-        if bus.next_event_due().is_some_and(|d| d <= *clock) {
-            bus.process_events(mem, *clock);
+        if env.bus.next_event_due().is_some_and(|d| d <= *env.clock) {
+            env.bus.process_events(env.mem, *env.clock);
         }
-        if let Some(code) = bus.ctl.shutdown.take() {
+        if let Some(code) = env.bus.ctl.shutdown.take() {
             return NativeStop::Shutdown(code);
         }
-        if deadline.is_some_and(|d| *clock >= d) {
+        if deadline.is_some_and(|d| *env.clock >= d) {
             return NativeStop::Budget;
         }
 
         // Interrupts.
         let shadow_was = cpu.sti_shadow;
         cpu.sti_shadow = false;
-        if !shadow_was && cpu.regs.if_set() && bus.pic.intr() {
-            if let Some(vec) = bus.pic.ack() {
+        if !shadow_was && cpu.regs.if_set() && env.bus.pic.intr() {
+            if let Some(vec) = env.bus.pic.ack() {
                 cpu.halted = false;
-                *clock += IRQ_DELIVERY_CYCLES;
-                let mut env = CpuEnv {
-                    tlb: &mut cpu.tlb,
-                    mem,
-                    bus,
-                    cost,
-                    clock,
-                    mmu: MmuRegs::from_regs(&cpu.regs),
-                    guest: None,
-                };
+                *env.clock += IRQ_DELIVERY_CYCLES;
                 match deliver(&mut cpu.regs, &mut env, vec, None) {
                     Delivery::Done => {}
                     _ => return NativeStop::TripleFault,
@@ -451,55 +692,31 @@ pub fn run_native(
 
         // Halted: fast-forward to the next event.
         if cpu.halted {
-            match bus.next_event_due() {
+            match env.bus.next_event_due() {
                 Some(due) => {
-                    let skip = due.saturating_sub(*clock);
+                    let skip = due.saturating_sub(*env.clock);
                     cpu.idle_cycles += skip;
-                    *clock = due;
+                    *env.clock = due;
                     continue;
                 }
                 None => return NativeStop::IdleForever,
             }
         }
 
-        // Fetch, decode, execute.
-        let mut env = CpuEnv {
-            tlb: &mut cpu.tlb,
-            mem,
-            bus,
-            cost,
-            clock,
-            mmu: MmuRegs::from_regs(&cpu.regs),
-            guest: None,
-        };
-        let step = fetch(&mut env, &mut cpu.icache, cpu.regs.eip)
-            .and_then(|insn| execute(&insn, &mut cpu.regs, &mut env));
-        *clock += 1;
-        cpu.instret += 1;
-
-        match step {
-            Ok(Exec::Normal) | Ok(Exec::RepContinue) => {}
-            Ok(Exec::Halt) => cpu.halted = true,
-            Ok(Exec::StiShadow) => cpu.sti_shadow = true,
-            Err(CpuErr::Fault(f)) => {
-                if let Fault::Page { addr, .. } = f {
-                    cpu.regs.cr2 = addr;
-                }
-                let mut env = CpuEnv {
-                    tlb: &mut cpu.tlb,
-                    mem,
-                    bus,
-                    cost,
-                    clock,
-                    mmu: MmuRegs::from_regs(&cpu.regs),
-                    guest: None,
-                };
-                match deliver(&mut cpu.regs, &mut env, f.vector(), f.error_code()) {
-                    Delivery::Done => {}
-                    _ => return NativeStop::TripleFault,
-                }
-            }
-            Err(CpuErr::Exit(_)) => unreachable!("no VM exits in native mode"),
+        let horizon = event_horizon(env.bus, deadline);
+        match run_blocks(
+            &mut cpu.blocks,
+            &mut cpu.instret,
+            &mut cpu.regs,
+            &mut env,
+            horizon,
+            shadow_was,
+        ) {
+            Stop::Outer => {}
+            Stop::Halt => cpu.halted = true,
+            Stop::StiShadow => cpu.sti_shadow = true,
+            Stop::TripleFault => return NativeStop::TripleFault,
+            Stop::Exit(_) => unreachable!("no VM exits in native mode"),
         }
     }
 }
@@ -520,94 +737,107 @@ pub fn run_guest(
     vmcs: &mut Vmcs,
     quantum: Option<Cycles>,
 ) -> ExitReason {
-    // Untagged TLB: entry flushes everything.
-    if vmcs.vpid == 0 {
+    let vpid = vmcs.vpid;
+    let before = cpu.blocks.stats;
+    // Untagged TLB: entry and exit flush everything.
+    if vpid == 0 {
         cpu.tlb.flush_all();
     }
+    let reason = guest_loop(cpu, mem, bus, cost, clock, vmcs, quantum);
+    if vpid == 0 {
+        cpu.tlb.flush_all();
+    }
+    publish_decode_stats(bus, vpid, before, &cpu.blocks);
+    reason
+}
 
-    let guest_ctx = GuestCtx {
-        vpid: vmcs.vpid,
-        paging: vmcs.paging,
-        intercept_pf: vmcs.intercept_pf,
-        tsc_offset: vmcs.tsc_offset,
+fn guest_loop(
+    cpu: &mut Cpu,
+    mem: &mut PhysMem,
+    bus: &mut DeviceBus,
+    cost: &CostModel,
+    clock: &mut Cycles,
+    vmcs: &mut Vmcs,
+    quantum: Option<Cycles>,
+) -> ExitReason {
+    let mut env = CpuEnv {
+        tlb: &mut cpu.tlb,
+        mem,
+        bus,
+        cost,
+        clock,
+        mmu: MmuRegs::from_regs(&vmcs.guest),
+        guest: Some(GuestCtx {
+            vpid: vmcs.vpid,
+            paging: vmcs.paging,
+            intercept_pf: vmcs.intercept_pf,
+            intercept_hlt: vmcs.intercept_hlt,
+            intercept_rdtsc: vmcs.intercept_rdtsc,
+            intercept_cr: vmcs.intercept_cr,
+            io_passthrough: &vmcs.io_passthrough,
+            tsc_offset: vmcs.tsc_offset,
+        }),
+        bus_touched: false,
     };
 
     // Event injection on entry.
     if let Some(inj) = vmcs.injection.take() {
         vmcs.halted = false;
-        let mut env = CpuEnv {
-            tlb: &mut cpu.tlb,
-            mem,
-            bus,
-            cost,
-            clock,
-            mmu: MmuRegs::from_regs(&vmcs.guest),
-            guest: Some(guest_ctx),
-        };
         match deliver(&mut vmcs.guest, &mut env, inj.vector, inj.error_code) {
             Delivery::Done => {}
             Delivery::Exit(reason) => {
                 // Retry the injection after the hypervisor services
                 // the fault (a shadow-table fill, typically).
                 vmcs.injection = Some(inj);
-                return exit_guest(cpu, vmcs, reason);
+                return reason;
             }
-            Delivery::Fatal => return exit_guest(cpu, vmcs, ExitReason::TripleFault),
+            Delivery::Fatal => return ExitReason::TripleFault,
         }
     }
 
-    let deadline = quantum.map(|q| *clock + q);
+    let deadline = quantum.map(|q| *env.clock + q);
 
     loop {
-        if bus.next_event_due().is_some_and(|d| d <= *clock) {
-            bus.process_events(mem, *clock);
+        if env.bus.next_event_due().is_some_and(|d| d <= *env.clock) {
+            env.bus.process_events(env.mem, *env.clock);
         }
         // The debug-exit device stops the machine; hand control back
         // (the caller observes `bus.ctl.shutdown`).
-        if bus.ctl.shutdown.is_some() {
-            return exit_guest(cpu, vmcs, ExitReason::Preempt);
+        if env.bus.ctl.shutdown.is_some() {
+            return ExitReason::Preempt;
         }
 
         if vmcs.recall_pending {
             vmcs.recall_pending = false;
-            return exit_guest(cpu, vmcs, ExitReason::Recall);
+            return ExitReason::Recall;
         }
-        if deadline.is_some_and(|d| *clock >= d) {
-            return exit_guest(cpu, vmcs, ExitReason::Preempt);
+        if deadline.is_some_and(|d| *env.clock >= d) {
+            return ExitReason::Preempt;
         }
 
         // Physical interrupts: exit (full virtualization) or deliver
         // straight into the guest (direct assignment).
         let shadow_was = vmcs.sti_shadow;
         vmcs.sti_shadow = false;
-        if bus.pic.intr() {
+        if env.bus.pic.intr() {
             if vmcs.intercept_extint {
-                if let Some(vec) = bus.pic.ack() {
-                    return exit_guest(cpu, vmcs, ExitReason::ExtInt { vector: vec });
+                if let Some(vec) = env.bus.pic.ack() {
+                    return ExitReason::ExtInt { vector: vec };
                 }
             } else if !shadow_was && vmcs.guest.if_set() {
-                if let Some(vec) = bus.pic.ack() {
+                if let Some(vec) = env.bus.pic.ack() {
                     vmcs.halted = false;
-                    *clock += IRQ_DELIVERY_CYCLES;
-                    let mut env = CpuEnv {
-                        tlb: &mut cpu.tlb,
-                        mem,
-                        bus,
-                        cost,
-                        clock,
-                        mmu: MmuRegs::from_regs(&vmcs.guest),
-                        guest: Some(guest_ctx),
-                    };
+                    *env.clock += IRQ_DELIVERY_CYCLES;
                     match deliver(&mut vmcs.guest, &mut env, vec, None) {
                         Delivery::Done => {}
                         Delivery::Exit(reason) => {
-                            vmcs.injection = Some(crate::vmx::Injection {
+                            vmcs.injection = Some(Injection {
                                 vector: vec,
                                 error_code: None,
                             });
-                            return exit_guest(cpu, vmcs, reason);
+                            return reason;
                         }
-                        Delivery::Fatal => return exit_guest(cpu, vmcs, ExitReason::TripleFault),
+                        Delivery::Fatal => return ExitReason::TripleFault,
                     }
                 }
             }
@@ -616,79 +846,38 @@ pub fn run_guest(
         // Interrupt-window exiting.
         if vmcs.intwin_exit && !shadow_was && vmcs.guest.if_set() {
             vmcs.intwin_exit = false;
-            return exit_guest(cpu, vmcs, ExitReason::IntWindow);
+            return ExitReason::IntWindow;
         }
 
         // Halted guest (HLT not intercepted): idle until an event.
         if vmcs.halted {
-            match bus.next_event_due() {
+            match env.bus.next_event_due() {
                 Some(due) => {
-                    let skip = due.saturating_sub(*clock);
+                    let skip = due.saturating_sub(*env.clock);
                     cpu.idle_cycles += skip;
-                    *clock = due;
+                    *env.clock = due;
                     continue;
                 }
-                None => return exit_guest(cpu, vmcs, ExitReason::TripleFault),
+                None => return ExitReason::TripleFault,
             }
         }
 
-        let mut env = CpuEnv {
-            tlb: &mut cpu.tlb,
-            mem,
-            bus,
-            cost,
-            clock,
-            mmu: MmuRegs::from_regs(&vmcs.guest),
-            guest: Some(guest_ctx),
-        };
-
-        // Fetch and check intercepts before executing.
-        let step = fetch(&mut env, &mut cpu.icache, vmcs.guest.eip).and_then(|insn| {
-            if let Some(reason) = intercept(&insn, &vmcs.guest, vmcs) {
-                return Err(CpuErr::Exit(reason));
-            }
-            execute(&insn, &mut vmcs.guest, &mut env)
-        });
-        *clock += 1;
-        cpu.instret += 1;
-
-        match step {
-            Ok(Exec::Normal) | Ok(Exec::RepContinue) => {}
-            Ok(Exec::Halt) => vmcs.halted = true,
-            Ok(Exec::StiShadow) => vmcs.sti_shadow = true,
-            Err(CpuErr::Exit(reason)) => return exit_guest(cpu, vmcs, reason),
-            Err(CpuErr::Fault(f)) => {
-                if let Fault::Page { addr, .. } = f {
-                    vmcs.guest.cr2 = addr;
-                }
-                let mut env = CpuEnv {
-                    tlb: &mut cpu.tlb,
-                    mem,
-                    bus,
-                    cost,
-                    clock,
-                    mmu: MmuRegs::from_regs(&vmcs.guest),
-                    guest: Some(guest_ctx),
-                };
-                match deliver(&mut vmcs.guest, &mut env, f.vector(), f.error_code()) {
-                    Delivery::Done => {}
-                    Delivery::Exit(reason) => {
-                        // The faulting instruction will re-execute and
-                        // re-raise the exception after the fill.
-                        return exit_guest(cpu, vmcs, reason);
-                    }
-                    Delivery::Fatal => return exit_guest(cpu, vmcs, ExitReason::TripleFault),
-                }
-            }
+        let horizon = event_horizon(env.bus, deadline);
+        match run_blocks(
+            &mut cpu.blocks,
+            &mut cpu.instret,
+            &mut vmcs.guest,
+            &mut env,
+            horizon,
+            shadow_was,
+        ) {
+            Stop::Outer => {}
+            Stop::Halt => vmcs.halted = true,
+            Stop::StiShadow => vmcs.sti_shadow = true,
+            Stop::Exit(reason) => return reason,
+            Stop::TripleFault => return ExitReason::TripleFault,
         }
     }
-}
-
-fn exit_guest(cpu: &mut Cpu, vmcs: &Vmcs, reason: ExitReason) -> ExitReason {
-    if vmcs.vpid == 0 {
-        cpu.tlb.flush_all();
-    }
-    reason
 }
 
 #[cfg(test)]
@@ -706,7 +895,7 @@ mod tests {
 
     /// Builds an identity EPT over the first `mb` megabytes with
     /// 4 KB pages, tables placed from 1 MB of a scratch region.
-    fn ident_ept(m: &mut Machine, mb: u64) -> u64 {
+    pub(super) fn ident_ept(m: &mut Machine, mb: u64) -> u64 {
         let root = 24 << 20;
         let l2 = root + 0x1000;
         let l1 = root + 0x2000;

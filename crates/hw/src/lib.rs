@@ -17,6 +17,7 @@
 #![forbid(unsafe_code)]
 
 pub mod ahci;
+pub mod blockcache;
 pub mod cost;
 pub mod cpu;
 pub mod device;

@@ -195,9 +195,6 @@ impl Machine {
     /// Loads a program image at a physical address.
     pub fn load_image(&mut self, addr: PAddr, image: &[u8]) {
         self.mem.write_bytes(addr, image);
-        for c in &mut self.cpus {
-            c.flush_icache();
-        }
     }
 
     /// Runs CPU 0 natively (no virtualization) until it stops.

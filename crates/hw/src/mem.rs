@@ -6,14 +6,26 @@
 //! commodity chipsets; writes outside RAM are dropped. Accessors exist
 //! in byte, u32 and u64 granularity because page-table walkers, DMA
 //! engines and the CPU all touch memory here.
+//!
+//! Every mutator bumps a **write generation** of each 4 KB frame it
+//! touches. Caches of anything derived from RAM contents (the CPU's
+//! predecoded-block cache) record the generation they were filled at
+//! and are stale once it moved — guest stores, device DMA, kernel
+//! copies and frame reuse all pass through this one chokepoint.
 
 use nova_x86::insn::OpSize;
 
 use crate::PAddr;
 
+/// log2 of the granule the write generations are kept at.
+const FRAME_SHIFT: u32 = 12;
+
 /// Byte-addressable RAM.
 pub struct PhysMem {
     bytes: Vec<u8>,
+    /// Write generation of each 4 KB frame. 64 bits wide so it never
+    /// wraps back onto a value a cache still holds.
+    gens: Vec<u64>,
 }
 
 impl PhysMem {
@@ -21,6 +33,28 @@ impl PhysMem {
     pub fn new(size: usize) -> PhysMem {
         PhysMem {
             bytes: vec![0; size],
+            gens: vec![0; size.div_ceil(1 << FRAME_SHIFT)],
+        }
+    }
+
+    /// Write generation of the 4 KB frame containing `addr`: moves on
+    /// every write that touches the frame. Frames outside RAM never
+    /// change (writes there are dropped) and report 0.
+    pub fn frame_gen(&self, addr: PAddr) -> u64 {
+        self.gens
+            .get((addr >> FRAME_SHIFT) as usize)
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Bumps the generation of every frame overlapping the in-RAM
+    /// range `a..a + len`.
+    fn touch(&mut self, a: usize, len: usize) {
+        if len == 0 {
+            return;
+        }
+        for g in &mut self.gens[a >> FRAME_SHIFT..=(a + len - 1) >> FRAME_SHIFT] {
+            *g += 1;
         }
     }
 
@@ -45,6 +79,7 @@ impl PhysMem {
     pub fn write_u8(&mut self, addr: PAddr, val: u8) {
         if let Some(b) = self.bytes.get_mut(addr as usize) {
             *b = val;
+            self.gens[(addr >> FRAME_SHIFT) as usize] += 1;
         }
     }
 
@@ -68,6 +103,7 @@ impl PhysMem {
         let a = addr as usize;
         if let Some(s) = self.bytes.get_mut(a..a + 4) {
             s.copy_from_slice(&val.to_le_bytes());
+            self.touch(a, 4);
         } else {
             for i in 0..4 {
                 self.write_u8(addr + i, (val >> (8 * i)) as u8);
@@ -107,6 +143,7 @@ impl PhysMem {
         let a = addr as usize;
         if let Some(s) = self.bytes.get_mut(a..a + data.len()) {
             s.copy_from_slice(data);
+            self.touch(a, data.len());
         } else {
             for (i, b) in data.iter().enumerate() {
                 self.write_u8(addr + i as u64, *b);
@@ -145,10 +182,17 @@ impl PhysMem {
     }
 
     /// Borrows `len` bytes of RAM mutably in place (zero-copy write
-    /// access); `None` if the range is not fully RAM-backed.
+    /// access); `None` if the range is not fully RAM-backed. The
+    /// frames count as written when the borrow is handed out: nothing
+    /// can read a generation while it is live.
     pub fn slice_mut(&mut self, addr: PAddr, len: usize) -> Option<&mut [u8]> {
         let a = addr as usize;
-        self.bytes.get_mut(a..a.checked_add(len)?)
+        let end = a.checked_add(len)?;
+        if end > self.bytes.len() {
+            return None;
+        }
+        self.touch(a, len);
+        self.bytes.get_mut(a..end)
     }
 
     /// Fills a region with a byte value.
@@ -156,6 +200,7 @@ impl PhysMem {
         let a = addr as usize;
         if let Some(s) = self.bytes.get_mut(a..a + len) {
             s.fill(val);
+            self.touch(a, len);
         }
     }
 }
@@ -196,6 +241,43 @@ mod tests {
         assert_eq!(m.read_bytes(0x10, 5), vec![1, 2, 3, 4, 5]);
         m.fill(0x20, 8, 0xaa);
         assert_eq!(m.read_u32(0x20), 0xaaaa_aaaa);
+    }
+
+    #[test]
+    fn every_mutator_bumps_exactly_the_frames_it_touches() {
+        let mut m = PhysMem::new(4 * 4096 + 16);
+        let gens = |m: &PhysMem| [0u64, 1, 2, 3, 4].map(|f| m.frame_gen(f * 4096));
+        let mut before = gens(&m);
+        let mut moved = |m: &PhysMem| {
+            let now = gens(m);
+            let d = [0, 1, 2, 3, 4].map(|i| now[i] != before[i]);
+            before = now;
+            d
+        };
+        m.write_u8(0x1005, 1);
+        assert_eq!(moved(&m), [false, true, false, false, false]);
+        m.write_u32(0x1ffe, 1); // straddles frames 1 and 2
+        assert_eq!(moved(&m), [false, true, true, false, false]);
+        m.write_u64(0x2ffc, 1); // one dword in frame 2, one in frame 3
+        assert_eq!(moved(&m), [false, false, true, true, false]);
+        m.write_sized(0x0, OpSize::Byte, 1);
+        assert_eq!(moved(&m), [true, false, false, false, false]);
+        m.write_bytes(0x0fff, &[0; 4098]); // frames 0, 1 and 2
+        assert_eq!(moved(&m), [true, true, true, false, false]);
+        m.fill(0x3000, 4096, 7);
+        assert_eq!(moved(&m), [false, false, false, true, false]);
+        m.slice_mut(0x3fff, 2).expect("in RAM")[0] = 1;
+        assert_eq!(moved(&m), [false, false, false, true, true]);
+        // Straddling the end of RAM: the in-RAM bytes still count.
+        m.write_bytes(0x4000 + 14, &[1, 2, 3, 4]);
+        assert_eq!(moved(&m), [false, false, false, false, true]);
+        // Reads, empty writes and writes outside RAM move nothing.
+        m.read_u32(0x1000);
+        m.write_bytes(0x1000, &[]);
+        m.write_u32(0x10_0000, 1);
+        assert!(m.slice_mut(0x4000, 4096).is_none());
+        assert_eq!(moved(&m), [false; 5]);
+        assert_eq!(m.frame_gen(0x10_0000), 0);
     }
 
     #[test]

@@ -33,6 +33,19 @@ pub struct TlbEntry {
     pub write: bool,
 }
 
+impl TlbEntry {
+    /// log2 of the page size. Page sizes are powers of two, so the
+    /// per-access compares shift instead of issuing a 64-bit divide.
+    fn page_shift(&self) -> u32 {
+        self.page_size.trailing_zeros()
+    }
+
+    /// `true` if linear address `addr` lies in the page this entry maps.
+    fn covers(&self, addr: u64) -> bool {
+        addr >> self.page_shift() == self.vpn
+    }
+}
+
 /// TLB hit/miss/flush statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TlbStats {
@@ -87,7 +100,7 @@ impl Tlb {
         // Large pages first: a hit there covers the small lookup.
         let lset = Self::large_set(addr);
         if let Some(e) = self.large[side][lset] {
-            if e.vpid == vpid && addr / e.page_size == e.vpn {
+            if e.vpid == vpid && e.covers(addr) {
                 self.stats.hits += 1;
                 return Some(e);
             }
@@ -114,7 +127,7 @@ impl Tlb {
     pub fn insert_for(&mut self, e: TlbEntry, fetch: bool) {
         let side = fetch as usize;
         if e.page_size > 4096 {
-            let set = Self::large_set(e.vpn * e.page_size);
+            let set = Self::large_set(e.vpn << e.page_shift());
             self.large[side][set] = Some(e);
         } else {
             let set = (e.vpn as usize) % SMALL_SETS;
@@ -140,7 +153,7 @@ impl Tlb {
             }
             let lset = Self::large_set(addr);
             if let Some(e) = self.large[side][lset] {
-                if e.vpid == vpid && addr / e.page_size == e.vpn {
+                if e.vpid == vpid && e.covers(addr) {
                     self.large[side][lset] = None;
                 }
             }

@@ -299,8 +299,14 @@ impl Vmcs {
 
     /// `true` if accessing `port` exits.
     pub fn io_intercepted(&self, port: u16) -> bool {
-        self.io_passthrough[port as usize / 64] & (1 << (port % 64)) == 0
+        io_bitmap_intercepts(&self.io_passthrough, port)
     }
+}
+
+/// `true` if `port`'s bit is clear in a [`Vmcs::io_passthrough`]
+/// bitmap, i.e. the access exits.
+pub(crate) fn io_bitmap_intercepts(passthrough: &[u64], port: u16) -> bool {
+    passthrough[port as usize / 64] & (1 << (port % 64)) == 0
 }
 
 #[cfg(test)]

@@ -30,6 +30,16 @@ pub mod names {
     /// TLB fill walks performed for a guest (count metric) — the
     /// successor of the old `tlb-debug` stderr scaffolding.
     pub const TLB_FILLS: &str = "tlb_fills";
+    /// Predecoded-block cache lookups served from the cache (count
+    /// metric; domain = TLB tag, like `TLB_FILLS`). With the three
+    /// below, a mirror of `nova_hw::blockcache::DecodeCacheStats`.
+    pub const DECODE_CACHE_HITS: &str = "decode_cache_hits";
+    /// Predecoded-block cache lookups that had to decode.
+    pub const DECODE_CACHE_MISSES: &str = "decode_cache_misses";
+    /// Cached blocks dropped because their frame was written.
+    pub const DECODE_CACHE_INVALIDATIONS: &str = "decode_cache_invalidations";
+    /// Cached blocks displaced by a block of another address.
+    pub const DECODE_CACHE_EVICTIONS: &str = "decode_cache_evictions";
     /// Malformed guest inputs rejected by a validator without killing
     /// the VM (count metric; domain = guest surface discriminant).
     pub const GUEST_FAULT_REJECTED: &str = "guest_fault_rejected";

@@ -60,6 +60,22 @@ fn main() {
         tracer.dropped()
     );
 
+    // The interpreter's two caches, from the CPU's own counters (the
+    // metrics registry below mirrors the second per TLB tag).
+    let cpu = &sys.k.machine.cpus[0];
+    let (tlb, blocks) = (cpu.tlb.stats, cpu.decode_cache_stats());
+    let pct = |hits: u64, misses: u64| 100.0 * hits as f64 / (hits + misses).max(1) as f64;
+    println!(
+        "TLB hit rate {:.2}% ({} lookups); decoded-block cache hit rate {:.2}% \
+         ({} lookups, {} invalidations, {} evictions)",
+        pct(tlb.hits, tlb.misses),
+        tlb.hits + tlb.misses,
+        pct(blocks.hits, blocks.misses),
+        blocks.hits + blocks.misses,
+        blocks.invalidations,
+        blocks.evictions
+    );
+
     // Export for chrome://tracing / Perfetto.
     let json = chrome::export(tracer);
     std::fs::write("trace_profile.json", &json).expect("write trace_profile.json");

@@ -16,7 +16,7 @@ use nova_guest::rt::layout;
 use nova_hw::fault::{FaultKind, FaultPlan};
 use nova_trace::{cat, names, Tracer};
 use nova_user::root::{RootPm, LEVEL_FAILED, LEVEL_RESUME};
-use nova_vmm::{GuestImage, LaunchOptions, System, Vmm, VmmConfig};
+use nova_vmm::{GuestImage, LaunchOptions, MicrorebootRecipe, System, Vmm, VmmConfig};
 use nova_x86::insn::{AluOp, Cond};
 use nova_x86::reg::Reg;
 use nova_x86::MemRef;
@@ -280,6 +280,69 @@ fn second_crash_inside_stability_window_escalates_to_cold_reboot() {
     let sectors = (BLOCK / 512) as u64;
     let expect = sys.k.machine.ahci().sector(31 * sectors);
     assert_eq!(got, expect[..16].to_vec(), "data correct after cold reboot");
+}
+
+/// A cold reboot loads whatever image the recipe holds *now*, over
+/// frames whose previous code has already executed. The guest image is
+/// replaced between the first boot and the cold reboot by a build that
+/// differs in one immediate; the rebooted guest must run the new one.
+/// (The interpreter's decoded-instruction cache used to be keyed by
+/// host-physical address and never invalidated, so it replayed the old
+/// instructions out of the rewritten frames.)
+#[test]
+fn cold_reboot_over_a_different_image_runs_the_new_code() {
+    // Reports `value` through the mark port, forever.
+    let reporter = |value: u32| {
+        image(build_os(OsParams::minimal(), |a, _| {
+            let top = a.here_label();
+            a.mov_ri(Reg::Eax, value);
+            a.mov_ri(Reg::Edx, 0xf5);
+            a.out_dx_eax();
+            a.mov_ri(Reg::Ecx, 20_000);
+            let spin = a.here_label();
+            a.dec_r(Reg::Ecx);
+            a.jcc(Cond::Ne, spin);
+            a.jmp(top);
+        }))
+    };
+    let mut opts = LaunchOptions::microrebootable(VmmConfig::full_virt(reporter(0xa), 1024));
+    opts.microreboot = Some(CKPT_PERIOD);
+    let mut sys = System::build(opts);
+    run_until(&mut sys, |s| {
+        s.k.machine.marks().len() >= 2 && with_sup(s, |sup| sup.last_checkpoint.is_some())
+    });
+
+    let (root, slot) = (sys.root, sys.microreboot.expect("slot"));
+    let rp = sys.k.component_mut::<RootPm>(root).expect("root pm");
+    let sup = rp.vmm_supervision[slot].as_mut().expect("supervised vm");
+    let recipe = sup.recipe.as_any().downcast_mut::<MicrorebootRecipe>();
+    recipe.expect("microreboot recipe").cfg.image = reporter(0xb);
+
+    // Two crashes inside the stability window: resume from the
+    // checkpoint (still the old code), then cold reboot.
+    for restarts in 1..=2 {
+        let (_, pd) = sys.microreboot_vmm().expect("supervised vmm");
+        sys.k.pd_fault(pd, VMM_CRASH_CODE);
+        run_until(&mut sys, |s| with_sup(s, |sup| sup.restarts == restarts));
+    }
+    assert_eq!(
+        sys.k.counters.escalations, 1,
+        "second revive was a cold boot"
+    );
+
+    let before = sys.k.machine.marks().len();
+    run_until(&mut sys, |s| s.k.machine.marks().len() >= before + 3);
+    let marks: Vec<u32> = sys.k.machine.marks().iter().map(|&(_, v)| v).collect();
+    let rebooted = marks.iter().position(|&v| v != 0xa).expect("new marks");
+    assert!(
+        rebooted >= 2,
+        "the first boot and the resume ran the old image"
+    );
+    assert!(
+        marks[rebooted..].iter().all(|&v| v == 0xb),
+        "the rebooted guest runs the image that was loaded, not the one that ran before: {:x?}",
+        &marks[rebooted..]
+    );
 }
 
 /// Revives that keep failing at every rung exhaust the ladder: the VM
