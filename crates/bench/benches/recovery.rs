@@ -3,8 +3,13 @@
 //! VMM mid-flight, and reports what the recovery cost — restore
 //! latency in cycles, checkpoint size in bytes, and the VM exits spent
 //! between the crash and the completed restore — alongside the
-//! steady-state checkpoint cadence overhead. Deterministic: the same
-//! build produces the same JSON byte for byte.
+//! steady-state checkpoint cadence overhead: how many guest pages the
+//! captures copied (`checkpoint_pages_copied`) of the pages a full copy
+//! per tick would have (`checkpoint_pages_total`), and the mean and
+//! largest number a capture copied when it had an image to refresh
+//! (`dirty_pages_per_checkpoint_*`; the first capture and the one after
+//! the restore copy every page and are left out of those two).
+//! Deterministic: the same build produces the same JSON byte for byte.
 
 use nova_bench::report::{banner, fmt_count, write_json, Table};
 use nova_core::kernel::VMM_CRASH_CODE;
@@ -20,6 +25,10 @@ const BUDGET: u64 = 200_000_000_000;
 const REQUESTS: u32 = 32;
 const BATCH: u32 = 8;
 const CKPT_PERIOD: u64 = 500_000;
+const GUEST_PAGES: u64 = 4096;
+/// Run slice: shorter than the cadence, so at most one checkpoint
+/// lands in each and its page count can be read off the counter.
+const SLICE: u64 = 100_000;
 
 fn image(prog: nova_guest::os::Program) -> GuestImage {
     GuestImage {
@@ -36,7 +45,7 @@ fn system() -> System {
         block_bytes: 4096,
         batch: BATCH,
     });
-    let mut cfg = VmmConfig::full_virt(image(prog), 4096);
+    let mut cfg = VmmConfig::full_virt(image(prog), GUEST_PAGES);
     cfg.pv_disk = true;
     let mut opts = LaunchOptions::microrebootable(cfg);
     opts.microreboot = Some(CKPT_PERIOD);
@@ -62,9 +71,29 @@ fn pv_completions(sys: &mut System) -> u64 {
         .unwrap_or(0)
 }
 
-fn run_until(sys: &mut System, mut done: impl FnMut(&mut System) -> bool) {
+/// Runs one slice; if a checkpoint was taken in it, logs the pages it
+/// copied.
+fn run_slice(sys: &mut System, pages_per_capture: &mut Vec<u64>) -> RunOutcome {
+    let (taken, copied) = (
+        sys.k.counters.checkpoints_taken,
+        sys.k.counters.checkpoint_pages_copied,
+    );
+    let out = sys.run(Some(SLICE));
+    match sys.k.counters.checkpoints_taken - taken {
+        0 => {}
+        1 => pages_per_capture.push(sys.k.counters.checkpoint_pages_copied - copied),
+        n => panic!("{n} checkpoints in one slice"),
+    }
+    out
+}
+
+fn run_until(
+    sys: &mut System,
+    pages_per_capture: &mut Vec<u64>,
+    mut done: impl FnMut(&mut System) -> bool,
+) {
     loop {
-        let out = sys.run(Some(100_000));
+        let out = run_slice(sys, pages_per_capture);
         assert_ne!(out, RunOutcome::Shutdown(0), "guest finished prematurely");
         if done(sys) {
             return;
@@ -79,6 +108,9 @@ struct Recovery {
     exits_during_recovery: u64,
     total_cycles: u64,
     crash_free_cycles: u64,
+    pages_copied: u64,
+    /// Pages copied by each capture that refreshed an existing image.
+    refreshes: Vec<u64>,
 }
 
 fn measure() -> Recovery {
@@ -88,17 +120,27 @@ fn measure() -> Recovery {
     let crash_free_cycles = base.k.now();
 
     let mut sys = system();
-    run_until(&mut sys, |s| {
+    let mut captures = Vec::new();
+    run_until(&mut sys, &mut captures, |s| {
         pv_completions(s) >= 8 && with_sup(s, |sup| sup.last_checkpoint.is_some())
     });
     let exits_at_crash = sys.k.counters.total_exits();
     let (_, vmm_pd) = sys.microreboot_vmm().expect("supervised vmm");
     sys.k.pd_fault(vmm_pd, VMM_CRASH_CODE);
-    run_until(&mut sys, |s| with_sup(s, |sup| sup.restarts == 1));
+    run_until(&mut sys, &mut captures, |s| {
+        with_sup(s, |sup| sup.restarts == 1)
+    });
     let exits_during_recovery = sys.k.counters.total_exits() - exits_at_crash;
 
-    assert_eq!(sys.run(Some(BUDGET)), RunOutcome::Shutdown(0));
+    while run_slice(&mut sys, &mut captures) != RunOutcome::Shutdown(0) {
+        assert!(sys.k.now() < BUDGET, "guest never finished");
+    }
     assert_eq!(sys.k.counters.vmm_restarts, 1);
+    assert_eq!(captures.len() as u64, sys.k.counters.checkpoints_taken);
+    assert_eq!(
+        captures.iter().sum::<u64>(),
+        sys.k.counters.checkpoint_pages_copied
+    );
 
     let slot = sys.microreboot.expect("slot") as u64;
     let m = &sys.k.machine.bus.trace.metrics;
@@ -111,12 +153,17 @@ fn measure() -> Recovery {
         exits_during_recovery,
         total_cycles: sys.k.now(),
         crash_free_cycles,
+        pages_copied: sys.k.counters.checkpoint_pages_copied,
+        refreshes: captures.into_iter().filter(|&c| c < GUEST_PAGES).collect(),
     }
 }
 
 fn main() {
     banner("Recovery: VMM microreboot latency and checkpoint cost");
     let r = measure();
+    let pages_total = r.checkpoints_taken * GUEST_PAGES;
+    let dirty_mean = r.refreshes.iter().sum::<u64>() as f64 / r.refreshes.len().max(1) as f64;
+    let dirty_max = r.refreshes.iter().copied().max().unwrap_or(0);
 
     let mut t = Table::new(&["metric", "value"]);
     t.row(vec![
@@ -130,6 +177,14 @@ fn main() {
     t.row(vec![
         "checkpoints taken".into(),
         fmt_count(r.checkpoints_taken),
+    ]);
+    t.row(vec![
+        "guest pages copied / a full copy per tick".into(),
+        format!("{} / {}", fmt_count(r.pages_copied), fmt_count(pages_total)),
+    ]);
+    t.row(vec![
+        "dirty pages per refresh (mean / max)".into(),
+        format!("{dirty_mean:.2} / {dirty_max}"),
     ]);
     t.row(vec![
         "exits during recovery".into(),
@@ -163,6 +218,16 @@ fn main() {
             ),
             ("crashed_run_cycles".into(), Json::U64(r.total_cycles)),
             ("crash_free_cycles".into(), Json::U64(r.crash_free_cycles)),
+            ("checkpoint_pages_copied".into(), Json::U64(r.pages_copied)),
+            ("checkpoint_pages_total".into(), Json::U64(pages_total)),
+            (
+                "dirty_pages_per_checkpoint_mean".into(),
+                Json::F64(dirty_mean),
+            ),
+            (
+                "dirty_pages_per_checkpoint_max".into(),
+                Json::U64(dirty_max),
+            ),
         ],
     );
     println!("wrote {path}");

@@ -60,6 +60,9 @@ pub struct Counters {
     pub quota_rejections: u64,
     /// VMM checkpoints captured by the supervisor.
     pub checkpoints_taken: u64,
+    /// 4 KB guest pages those checkpoints copied: only the pages
+    /// written since the previous capture are.
+    pub checkpoint_pages_copied: u64,
     /// VMM incarnations started beyond the first (microreboots).
     pub vmm_restarts: u64,
     /// Escalation-ladder transitions (resume → cold reboot → failed).
@@ -161,6 +164,9 @@ impl Counters {
         d.checkpoints_taken = d
             .checkpoints_taken
             .saturating_sub(earlier.checkpoints_taken);
+        d.checkpoint_pages_copied = d
+            .checkpoint_pages_copied
+            .saturating_sub(earlier.checkpoint_pages_copied);
         d.vmm_restarts = d.vmm_restarts.saturating_sub(earlier.vmm_restarts);
         d.escalations = d.escalations.saturating_sub(earlier.escalations);
         d.cycles_transition = d

@@ -13,6 +13,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use nova_hw::cpu::run_guest;
 use nova_hw::fault::FaultKind;
 use nova_hw::machine::Machine;
+use nova_hw::mem::PhysMem;
 use nova_hw::vmx::{mtd, ExitReason, Injection, PagingVirt, Vmcs};
 use nova_hw::Cycles;
 use nova_trace::{Kind as TraceKind, PD_NONE};
@@ -260,6 +261,13 @@ impl VcpuSnapshot {
     /// Deterministic little-endian serialization.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(Self::BYTES);
+        self.write_to(&mut out);
+        out
+    }
+
+    /// Appends the [`VcpuSnapshot::BYTES`]-byte serialization to `out`.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        let start = out.len();
         let r = &self.regs;
         for gpr in 0..8 {
             out.extend_from_slice(&r.gpr[gpr].to_le_bytes());
@@ -293,8 +301,7 @@ impl VcpuSnapshot {
                 ..
             })
         ) as u8);
-        debug_assert_eq!(out.len(), Self::BYTES);
-        out
+        debug_assert_eq!(out.len() - start, Self::BYTES);
     }
 
     /// Inverse of [`VcpuSnapshot::to_bytes`]; `None` on a short
@@ -1871,6 +1878,44 @@ impl Kernel {
         Some(())
     }
 
+    /// Brings `image`, a copy of the page-aligned window at `addr` of
+    /// the component's address space, up to date in place: page `i` is
+    /// copied only if its frame's write generation
+    /// ([`nova_hw::mem::PhysMem::frame_gen`]) is not `seen[i]`, and
+    /// the generation copied at is recorded there. `u64::MAX` means
+    /// "never captured" — generations start at 0 and only rise.
+    /// Returns the number of pages copied, or `None` — with `image`
+    /// and `seen` untouched — if `addr` is not page-aligned, `image`
+    /// is not `seen.len()` pages long, or any page is unmapped.
+    pub fn mem_refresh(
+        &self,
+        ctx: CompCtx,
+        addr: u64,
+        image: &mut [u8],
+        seen: &mut [u64],
+    ) -> Option<usize> {
+        let page = PAGE_SIZE as usize;
+        if addr & 0xfff != 0 || Some(image.len()) != seen.len().checked_mul(page) {
+            return None;
+        }
+        let ms = &self.obj.pd(ctx.pd).mem;
+        let page_addr = |i: usize| addr + (i * page) as u64;
+        for i in 0..seen.len() {
+            ms.translate(page_addr(i))?;
+        }
+        let mut copied = 0;
+        for (i, (dst, seen)) in image.chunks_exact_mut(page).zip(seen).enumerate() {
+            let hpa = ms.translate(page_addr(i))?;
+            let gen = self.machine.mem.frame_gen(hpa);
+            if gen != *seen {
+                self.machine.mem.read_into(hpa, dst);
+                *seen = gen;
+                copied += 1;
+            }
+        }
+        Some(copied)
+    }
+
     /// Borrows `len` bytes of the component's address space in place
     /// (zero-copy). The range must lie within one page (contiguity of
     /// host frames across page boundaries is not guaranteed) and be
@@ -1906,23 +1951,43 @@ impl Kernel {
         self.machine.mem.slice_mut(m.hpa + (addr & 0xfff), len)
     }
 
-    /// Writes bytes into the component's address space (write rights
-    /// required on every page).
-    pub fn mem_write(&mut self, ctx: CompCtx, addr: u64, data: &[u8]) -> bool {
+    /// Walks `addr..addr + len` of the component's address space page
+    /// by page, handing `write` the host address, the offset into the
+    /// range and the length of each piece; stops with `false` at the
+    /// first page that is unmapped or not writable.
+    fn for_writable_chunks(
+        &mut self,
+        ctx: CompCtx,
+        addr: u64,
+        len: usize,
+        mut write: impl FnMut(&mut PhysMem, u64, usize, usize),
+    ) -> bool {
         let mut off = 0;
-        while off < data.len() {
+        while off < len {
             let a = addr + off as u64;
-            let chunk = ((PAGE_SIZE as u64 - (a & 0xfff)) as usize).min(data.len() - off);
+            let chunk = ((PAGE_SIZE as u64 - (a & 0xfff)) as usize).min(len - off);
             let m = match self.obj.pd(ctx.pd).mem.lookup(a >> 12) {
                 Some(m) if m.rights.write => m,
                 _ => return false,
             };
-            self.machine
-                .mem
-                .write_bytes(m.hpa + (a & 0xfff), &data[off..off + chunk]);
+            write(&mut self.machine.mem, m.hpa + (a & 0xfff), off, chunk);
             off += chunk;
         }
         true
+    }
+
+    /// Writes bytes into the component's address space (write rights
+    /// required on every page).
+    pub fn mem_write(&mut self, ctx: CompCtx, addr: u64, data: &[u8]) -> bool {
+        self.for_writable_chunks(ctx, addr, data.len(), |mem, hpa, off, n| {
+            mem.write_bytes(hpa, &data[off..off + n])
+        })
+    }
+
+    /// Fills `len` bytes of the component's address space with `val`
+    /// (write rights required on every page).
+    pub fn mem_fill(&mut self, ctx: CompCtx, addr: u64, len: usize, val: u8) -> bool {
+        self.for_writable_chunks(ctx, addr, len, |mem, hpa, _, n| mem.fill(hpa, n, val))
     }
 
     /// Reads one byte from the component's address space.
@@ -3168,6 +3233,61 @@ mod tests {
         let hv = (32 << 20) as u64 - 4096;
         assert!(!k.mem_write_u32(ctx, hv, 1));
         assert_eq!(k.mem_read_u32(ctx, hv), None);
+    }
+
+    #[test]
+    fn mem_refresh_copies_exactly_the_pages_written_since() {
+        let mut k = kernel();
+        let (comp, ec) = k.load_component(k.root_pd, 0, Box::<Doubler>::default());
+        let ctx = root_ctx(&k, ec, comp);
+        let base = 0x8000u64;
+        let mut image = vec![0xffu8; 3 * 4096];
+        let mut seen = vec![u64::MAX; 3];
+        assert!(k.mem_write(ctx, base + 4096, &[7; 16]));
+        assert_eq!(k.mem_refresh(ctx, base, &mut image, &mut seen), Some(3));
+        assert_eq!(image, k.mem_read(ctx, base, 3 * 4096).unwrap());
+        assert_eq!(k.mem_refresh(ctx, base, &mut image, &mut seen), Some(0));
+
+        // Each kind of kernel-side writer moves its page, and only it.
+        assert!(k.mem_write_u32(ctx, base + 8, 1));
+        assert_eq!(k.mem_refresh(ctx, base, &mut image, &mut seen), Some(1));
+        assert!(k.mem_fill(ctx, base + 4096 + 100, 4096, 9)); // pages 1 and 2
+        assert_eq!(k.mem_refresh(ctx, base, &mut image, &mut seen), Some(2));
+        k.mem_slice_mut(ctx, base + 2 * 4096, 4).unwrap()[0] = 3;
+        assert_eq!(k.mem_refresh(ctx, base, &mut image, &mut seen), Some(1));
+        assert_eq!(image, k.mem_read(ctx, base, 3 * 4096).unwrap());
+
+        // A refused call writes nothing: misaligned, wrong table
+        // length, or a window that runs into unmapped (hypervisor)
+        // memory behind two mapped, dirty pages.
+        assert!(k.mem_fill(ctx, base, 3 * 4096, 0x55));
+        let (image0, seen0) = (image.clone(), seen.clone());
+        assert_eq!(k.mem_refresh(ctx, base + 1, &mut image, &mut seen), None);
+        assert_eq!(k.mem_refresh(ctx, base, &mut image, &mut seen[..2]), None);
+        let hv = (32 << 20) as u64 - k.config.hv_mem;
+        assert!(k.mem_fill(ctx, hv - 2 * 4096, 2 * 4096, 0x66));
+        let mut seen_hv = vec![u64::MAX; 3];
+        let window = hv - 2 * 4096;
+        assert_eq!(k.mem_refresh(ctx, window, &mut image, &mut seen_hv), None);
+        assert_eq!((image, seen), (image0, seen0));
+        assert_eq!(seen_hv, [u64::MAX; 3]);
+    }
+
+    #[test]
+    fn mem_fill_respects_rights_and_page_boundaries() {
+        let mut k = kernel();
+        let (comp, ec) = k.load_component(k.root_pd, 0, Box::<Doubler>::default());
+        let ctx = root_ctx(&k, ec, comp);
+        assert!(k.mem_write(ctx, 0x5000, &[1; 3 * 4096]));
+        assert!(k.mem_fill(ctx, 0x5ffe, 4096 + 4, 0));
+        assert_eq!(k.mem_read(ctx, 0x5ffc, 4).unwrap(), [1, 1, 0, 0]);
+        assert_eq!(k.mem_read(ctx, 0x7000, 4).unwrap(), [0, 0, 1, 1]);
+        assert!(k.mem_fill(ctx, 0x5000, 0, 9), "empty fill");
+        let hv = (32 << 20) as u64 - 4096;
+        assert!(
+            !k.mem_fill(ctx, hv, 16, 0),
+            "hypervisor memory is not mapped"
+        );
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!
 //! Every mutator bumps a **write generation** of each 4 KB frame it
 //! touches. Caches of anything derived from RAM contents (the CPU's
-//! predecoded-block cache) record the generation they were filled at
-//! and are stale once it moved — guest stores, device DMA, kernel
-//! copies and frame reuse all pass through this one chokepoint.
+//! predecoded-block cache, the supervisor's checkpoint image of guest
+//! RAM) record the generation they were filled at and are stale once
+//! it moved — guest stores, device DMA, kernel copies and frame reuse
+//! all pass through this one chokepoint.
 
 use nova_x86::insn::OpSize;
 

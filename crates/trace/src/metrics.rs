@@ -52,6 +52,10 @@ pub mod names {
     /// Serialized checkpoint size in bytes, observed on every capture
     /// (domain = supervised VM index).
     pub const CHECKPOINT_BYTES: &str = "checkpoint_bytes";
+    /// Guest pages a capture had to copy — those written since the
+    /// previous capture — observed beside `CHECKPOINT_BYTES` (domain =
+    /// supervised VM index).
+    pub const CHECKPOINT_DIRTY_PAGES: &str = "checkpoint_dirty_pages";
     /// Cycles from crash detection to guest resume, observed per
     /// restore (domain = supervised VM index).
     pub const RESTORE_LATENCY_CYCLES: &str = "restore_latency_cycles";

@@ -114,13 +114,18 @@ pub struct DiskRetry {
 /// when to climb the escalation ladder.
 pub trait VmRecipe {
     /// Serializes a consistent checkpoint of the running VM (vCPU
-    /// state, guest memory, virtual-device state) tagged with `seq`.
+    /// state, guest memory, virtual-device state) tagged with `seq`
+    /// into `blob`. The supervisor passes the previous checkpoint (or
+    /// an empty `Vec`) so the recipe can reuse whatever of it is still
+    /// current. On `Ok`, `blob` is exactly what a capture into an
+    /// empty `Vec` would have produced; on `Err`, `blob` is untouched.
     fn checkpoint(
         &mut self,
         k: &mut Kernel,
         ctx: CompCtx,
         seq: u64,
-    ) -> Result<Vec<u8>, RespawnError>;
+        blob: &mut Vec<u8>,
+    ) -> Result<(), RespawnError>;
 
     /// Tears down the dead incarnation (VM and VMM protection
     /// domains), provisions a fresh VMM, and either restores
@@ -559,7 +564,9 @@ impl RootPm {
 
     /// Climbs one rung of the escalation ladder and serializes an
     /// escalation postmortem: the black-box tail explains *why* the
-    /// rung below did not hold.
+    /// rung below did not hold. Every rung above resume has given up
+    /// on the checkpoint, so it is dropped — once the postmortem has
+    /// named it.
     fn escalate(&mut self, k: &mut Kernel, sup: &mut VmmSupervision) {
         sup.level = sup.level.saturating_add(1);
         sup.attempts = 0;
@@ -574,6 +581,7 @@ impl RootPm {
             );
         }
         self.record_postmortem(k, sup, flight::Trigger::Escalation, sup.level as u64);
+        sup.last_checkpoint = None;
     }
 
     /// Retires the VM: stop its timers, let the recipe tear down any
@@ -789,34 +797,37 @@ impl RootPm {
             return;
         }
         let seq = sup.seq + 1;
-        match sup.recipe.checkpoint(k, ctx, seq) {
-            Ok(blob) => {
-                sup.seq = seq;
-                k.counters.checkpoints_taken += 1;
-                let at = k.now();
-                k.machine.bus.trace.emit(
-                    0,
-                    ctx.pd.0 as u16,
-                    TraceKind::Checkpoint,
-                    blob.len() as u64,
-                    at,
+        let mut blob = sup.last_checkpoint.take().unwrap_or_default();
+        let pages_before = k.counters.checkpoint_pages_copied;
+        let captured = sup.recipe.checkpoint(k, ctx, seq, &mut blob);
+        // A failed capture leaves `blob` as it was: the previous
+        // checkpoint (or none) is kept and the cadence tries again.
+        if captured.is_ok() {
+            sup.seq = seq;
+            k.counters.checkpoints_taken += 1;
+            let at = k.now();
+            k.machine.bus.trace.emit(
+                0,
+                ctx.pd.0 as u16,
+                TraceKind::Checkpoint,
+                blob.len() as u64,
+                at,
+            );
+            if k.machine.bus.trace.active() {
+                let dom = sup.slot as u64;
+                let metrics = &mut k.machine.bus.trace.metrics;
+                metrics.observe(nova_trace::names::CHECKPOINT_BYTES, dom, blob.len() as u64);
+                metrics.observe(
+                    nova_trace::names::CHECKPOINT_DIRTY_PAGES,
+                    dom,
+                    k.counters.checkpoint_pages_copied - pages_before,
                 );
-                if k.machine.bus.trace.active() {
-                    k.machine.bus.trace.metrics.observe(
-                        nova_trace::names::CHECKPOINT_BYTES,
-                        sup.slot as u64,
-                        blob.len() as u64,
-                    );
-                }
-                sup.last_checkpoint = Some(blob);
-                sup.level = LEVEL_RESUME;
-                sup.attempts = 0;
-                sup.backoff = RETRY_BACKOFF;
             }
-            // A failed capture keeps the previous checkpoint; the
-            // cadence will try again.
-            Err(_e) => {}
+            sup.level = LEVEL_RESUME;
+            sup.attempts = 0;
+            sup.backoff = RETRY_BACKOFF;
         }
+        sup.last_checkpoint = (!blob.is_empty()).then_some(blob);
         self.store_vm(idx, sup);
     }
 }

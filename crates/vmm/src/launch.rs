@@ -515,6 +515,7 @@ impl System {
                 disk: disk_wiring,
                 // Disjoint from RootPm's allocator (see the field doc).
                 next_sel: 0x10_000,
+                image: Default::default(),
             };
             microreboot_slot = Some(
                 microreboot::install(

@@ -38,7 +38,7 @@ use nova_user::root::{
     RespawnError, RootPm, VmRecipe, VmmSupervision, FLIGHT_CAPACITY, LEVEL_RESUME, RETRY_BACKOFF,
 };
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{self, View};
 use crate::vmm::{sel, Vmm, VmmConfig, SEL_RESTART_SM};
 
 /// Watchdog deadline for a supervised VMM. The VMM's maintenance
@@ -65,6 +65,19 @@ pub struct DiskWiring {
     pub restart_sel: CapSel,
 }
 
+/// What the recipe knows about the guest image inside the one
+/// checkpoint blob it last wrote. The blob itself stays with root; a
+/// blob that is not that one — none yet, dropped by a cold reboot,
+/// swapped or cut short — is recaptured in full.
+#[derive(Default)]
+pub(crate) struct CapturedImage {
+    /// Write generation of each guest frame when its page of the image
+    /// was copied (`u64::MAX`: never).
+    seen: Vec<u64>,
+    /// Sequence number and length of the blob `seen` describes.
+    blob: Option<(u64, usize)>,
+}
+
 /// The microreboot recipe for one VM: everything root needs to capture
 /// its state and to rebuild the VMM from scratch.
 pub struct MicrorebootRecipe {
@@ -87,6 +100,8 @@ pub struct MicrorebootRecipe {
     /// unreachable while root executes (its component is checked out),
     /// so the recipe brings its own disjoint range.
     pub next_sel: CapSel,
+    /// Bookkeeping for the in-place checkpoint refresh; starts empty.
+    pub(crate) image: CapturedImage,
 }
 
 impl MicrorebootRecipe {
@@ -133,15 +148,19 @@ impl MicrorebootRecipe {
 impl VmRecipe for MicrorebootRecipe {
     /// Captures vCPU state through the kernel's export path, device
     /// and ring bookkeeping through [`Vmm::save_state`], and guest
-    /// memory through root's identity view of the backing frames. The
+    /// memory through root's identity view of the backing frames —
+    /// into `blob`, in place: only the pages whose frame was written
+    /// since `blob` was last brought up to date are copied. The
     /// serialization is deterministic: identical machine state yields
-    /// byte-identical checkpoints.
+    /// byte-identical checkpoints, whatever `blob` held before.
     fn checkpoint(
         &mut self,
         k: &mut Kernel,
         ctx: CompCtx,
         seq: u64,
-    ) -> Result<Vec<u8>, RespawnError> {
+        blob: &mut Vec<u8>,
+    ) -> Result<(), RespawnError> {
+        // Everything that can fail runs before `blob` is touched.
         let mut vcpus = Vec::with_capacity(self.cfg.vcpus);
         for i in 0..self.cfg.vcpus {
             let snap = k
@@ -153,16 +172,23 @@ impl VmRecipe for MicrorebootRecipe {
             .component_mut::<Vmm>(self.vmm)
             .ok_or(RespawnError::State("vmm component missing"))?
             .save_state();
-        let mut guest_mem = vec![0u8; (self.cfg.guest_pages * 4096) as usize];
-        k.mem_read_into(ctx, self.frames * 4096, &mut guest_mem)
-            .ok_or(RespawnError::State("guest memory window unreadable"))?;
-        Ok(Checkpoint {
-            seq,
-            vcpus,
-            vmm_state,
-            guest_mem,
+        let pages = self.cfg.guest_pages as usize;
+        let mem_len = pages * 4096;
+        let ours = self.image.blob.is_some_and(|(seq, len)| {
+            len == blob.len() && checkpoint::image_header(blob) == Some((seq, mem_len))
+        });
+        if !ours {
+            self.image.seen.clear();
+            self.image.seen.resize(pages, u64::MAX);
         }
-        .to_bytes())
+        let (window, seen) = (self.frames * 4096, &mut self.image.seen);
+        let copied = checkpoint::refresh(blob, seq, mem_len, &vcpus, &vmm_state, |image| {
+            k.mem_refresh(ctx, window, image, seen)
+        })
+        .ok_or(RespawnError::State("guest memory window unreadable"))?;
+        self.image.blob = Some((seq, blob.len()));
+        k.counters.checkpoint_pages_copied += copied as u64;
+        Ok(())
     }
 
     /// Tears down the dead incarnation, provisions a fresh VMM with the
@@ -196,8 +222,7 @@ impl VmRecipe for MicrorebootRecipe {
         // not cost us the current (possibly still debuggable) wreck.
         let parsed = match checkpoint {
             Some(bytes) => {
-                let ck = Checkpoint::from_bytes(bytes)
-                    .ok_or(RespawnError::State("corrupt checkpoint"))?;
+                let ck = View::parse(bytes).ok_or(RespawnError::State("corrupt checkpoint"))?;
                 if ck.vcpus.len() != self.cfg.vcpus {
                     return Err(RespawnError::State("checkpoint vcpu count mismatch"));
                 }
@@ -288,8 +313,8 @@ impl VmRecipe for MicrorebootRecipe {
         // incarnation of the same image is byte-identical; a restore
         // overwrites memory from the checkpoint below instead.
         if parsed.is_none() {
-            let zero = vec![0u8; ((self.cfg.guest_pages + 2) * 4096) as usize];
-            if !k.mem_write(ctx, self.frames * 4096, &zero) {
+            let len = ((self.cfg.guest_pages + 2) * 4096) as usize;
+            if !k.mem_fill(ctx, self.frames * 4096, len, 0) {
                 return Err(RespawnError::State("guest memory window unwritable"));
             }
         }
@@ -347,7 +372,7 @@ impl VmRecipe for MicrorebootRecipe {
         if let Some(ck) = parsed {
             // Guest memory first: the device resubmit protocol reads
             // request buffers out of the restored image.
-            if !k.mem_write(ctx, self.frames * 4096, &ck.guest_mem) {
+            if !k.mem_write(ctx, self.frames * 4096, ck.guest_mem) {
                 return Err(RespawnError::State("guest memory restore failed"));
             }
             for (i, snap) in ck.vcpus.iter().enumerate() {
@@ -355,7 +380,7 @@ impl VmRecipe for MicrorebootRecipe {
                     .map_err(step("vcpu import"))?;
             }
             let ok = k
-                .invoke_component::<Vmm, _>(comp, |v, k| v.restore_state(k, &ck.vmm_state))
+                .invoke_component::<Vmm, _>(comp, |v, k| v.restore_state(k, ck.vmm_state))
                 .unwrap_or(false);
             if !ok {
                 return Err(RespawnError::State("vmm device-state restore failed"));

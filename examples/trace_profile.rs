@@ -16,7 +16,7 @@ use nova::guest::diskload::{self, DiskLoadParams};
 use nova::guest::pvdiskload::{self, PvDiskLoadParams};
 use nova::hw::fault::{FaultKind, FaultPlan};
 use nova::hypervisor::RunOutcome;
-use nova::trace::{cat, causal, chrome, query, Kind};
+use nova::trace::{cat, causal, chrome, names, query, Kind};
 use nova::vmm::{GuestImage, LaunchOptions, System, VmmConfig};
 
 fn main() {
@@ -142,7 +142,9 @@ fn main() {
     // A second run with the paravirtual ring: every descriptor gets a
     // 64-bit trace context at the doorbell, carried through the batch
     // IPC into the disk server and back, so each request reconstructs
-    // as one cross-PD span tree with per-layer attribution.
+    // as one cross-PD span tree with per-layer attribution. The VM runs
+    // under root's checkpoint cadence, which costs the requests nothing
+    // on this clock and shows what standing ready to recover copies.
     let pv_prog = pvdiskload::build(PvDiskLoadParams {
         requests: 32,
         block_bytes: 4096,
@@ -156,7 +158,7 @@ fn main() {
     };
     let mut cfg = VmmConfig::full_virt(pv_image, 4096);
     cfg.pv_disk = true;
-    let mut pv = System::build(LaunchOptions::standard(cfg));
+    let mut pv = System::build(LaunchOptions::microrebootable(cfg));
     pv.k.machine.enable_tracing(cat::ALL);
     let outcome = pv.run(Some(60_000_000_000));
     assert_eq!(outcome, RunOutcome::Shutdown(0), "PV workload completed");
@@ -188,6 +190,23 @@ fn main() {
             s.p90,
             s.p99
         );
+    }
+
+    let slot = pv.microreboot.expect("supervised") as u64;
+    let metrics = &pv.k.machine.tracer().metrics;
+    if let (Some(bytes), Some(dirty)) = (
+        metrics.get(names::CHECKPOINT_BYTES, slot),
+        metrics.get(names::CHECKPOINT_DIRTY_PAGES, slot),
+    ) {
+        println!(
+            "\nCheckpoints: {} of {:.0} bytes, refreshed in place; guest pages copied per capture:",
+            bytes.count,
+            bytes.mean()
+        );
+        for (bucket, &n) in dirty.hist.iter().enumerate().filter(|&(_, &n)| n > 0) {
+            let (lo, hi) = (1u64 << bucket, (2u64 << bucket) - 1);
+            println!("  {:>5}..={hi:<5} {n}", if bucket == 0 { 0 } else { lo });
+        }
     }
 
     // Full export: events, cross-PD flow arrows, metric counters.

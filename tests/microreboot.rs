@@ -6,7 +6,11 @@
 //! co-resident VM never notices. The remaining tests walk the
 //! escalation ladder (resume → cold reboot → mark failed), cross the
 //! recovery with a simultaneous disk-server crash, and pin checkpoint
-//! determinism (same seed ⇒ byte-identical checkpoints).
+//! determinism (same seed ⇒ byte-identical checkpoints). The last
+//! three try to break the coherence rule of the checkpoint image
+//! (DESIGN.md §6i): root's blob is refreshed in place from the frames
+//! whose write generation moved, and must always equal a from-scratch
+//! capture.
 
 use nova_core::kernel::VMM_CRASH_CODE;
 use nova_core::RunOutcome;
@@ -15,8 +19,9 @@ use nova_guest::pvdiskload::{self, PvDiskLoadParams};
 use nova_guest::rt::layout;
 use nova_hw::fault::{FaultKind, FaultPlan};
 use nova_trace::{cat, names, Tracer};
-use nova_user::root::{RootPm, LEVEL_FAILED, LEVEL_RESUME};
-use nova_vmm::{GuestImage, LaunchOptions, MicrorebootRecipe, System, Vmm, VmmConfig};
+use nova_user::root::{RootPm, LEVEL_COLD, LEVEL_FAILED, LEVEL_RESUME};
+use nova_vmm::vmm::sel;
+use nova_vmm::{Checkpoint, GuestImage, LaunchOptions, MicrorebootRecipe, System, Vmm, VmmConfig};
 use nova_x86::insn::{AluOp, Cond};
 use nova_x86::reg::Reg;
 use nova_x86::MemRef;
@@ -40,15 +45,21 @@ fn image(prog: nova_guest::os::Program) -> GuestImage {
 
 /// The microrebootable PV-disk system under test.
 fn microreboot_system() -> System {
+    pv_system(4096, CKPT_PERIOD)
+}
+
+/// The PV-disk workload in a guest of `guest_pages` under root's
+/// supervision, checkpointed every `period` cycles.
+fn pv_system(guest_pages: u64, period: u64) -> System {
     let prog = pvdiskload::build(PvDiskLoadParams {
         requests: REQUESTS,
         block_bytes: BLOCK,
         batch: BATCH,
     });
-    let mut cfg = VmmConfig::full_virt(image(prog), 4096);
+    let mut cfg = VmmConfig::full_virt(image(prog), guest_pages);
     cfg.pv_disk = true;
     let mut opts = LaunchOptions::microrebootable(cfg);
-    opts.microreboot = Some(CKPT_PERIOD);
+    opts.microreboot = Some(period);
     System::build(opts)
 }
 
@@ -260,7 +271,20 @@ fn second_crash_inside_stability_window_escalates_to_cold_reboot() {
     // after the restore): the resume rung does not hold.
     let (_, pd2) = sys.microreboot_vmm().expect("supervised vmm");
     assert_ne!(pd1, pd2, "revive built a fresh protection domain");
+    let seq = with_sup(&mut sys, |sup| sup.seq);
     sys.k.pd_fault(pd2, VMM_CRASH_CODE);
+
+    // The cold-reboot rung discards the checkpoint that did not hold:
+    // right after the revive, before the cadence takes a new one, root
+    // holds none.
+    while with_sup(&mut sys, |sup| sup.restarts) < 2 {
+        sys.run(Some(10_000));
+    }
+    with_sup(&mut sys, |sup| {
+        assert_eq!(sup.level, LEVEL_COLD);
+        assert_eq!(sup.seq, seq, "no capture since the crash");
+        assert!(sup.last_checkpoint.is_none(), "checkpoint discarded");
+    });
 
     let out = sys.run(Some(BUDGET));
     assert_eq!(out, RunOutcome::Shutdown(0), "cold reboot completed");
@@ -385,6 +409,10 @@ fn ladder_exhaustion_marks_vm_failed_while_sibling_runs() {
         assert_eq!(sup.level, LEVEL_FAILED);
         assert_eq!(sup.restarts, 0, "no revive ever succeeded");
         assert!(!sup.reviving, "no retry left pending after failure");
+        assert!(
+            sup.last_checkpoint.is_none(),
+            "the checkpoint went when the ladder left the resume rung"
+        );
     });
     assert_eq!(
         sys.k.counters.escalations, 2,
@@ -536,4 +564,293 @@ fn crash_matrix_sweep() {
             "byte-identical data (crash at {completions_before_crash})"
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Checkpoint-image coherence
+// ---------------------------------------------------------------------
+
+/// Pages of the small guest the coherence tests run (the PV workload
+/// fits in 4 MB; a quarter of the copying per oracle comparison).
+const SMALL_GUEST: u64 = 1024;
+
+fn with_recipe<R>(sys: &mut System, f: impl FnOnce(&mut MicrorebootRecipe) -> R) -> R {
+    let (root, slot) = (sys.root, sys.microreboot.expect("slot"));
+    let rp = sys.k.component_mut::<RootPm>(root).expect("root pm");
+    let sup = rp.vmm_supervision[slot].as_mut().expect("supervised vm");
+    let recipe = sup.recipe.as_any().downcast_mut::<MicrorebootRecipe>();
+    f(recipe.expect("microreboot recipe"))
+}
+
+/// Host-physical address of guest-physical `gpa` of the supervised VM.
+fn guest_host(sys: &mut System, gpa: u64) -> u64 {
+    with_recipe(sys, |r| r.frames * 4096) + gpa
+}
+
+/// The oracle: what a from-scratch capture of the supervised VM
+/// serializes at this instant — every vCPU exported, the device state
+/// saved, and all of guest RAM read, with nothing reused.
+fn full_capture(sys: &mut System, seq: u64) -> Vec<u8> {
+    let (vmm, vmm_sel, frames, vcpus, pages) = with_recipe(sys, |r| {
+        (r.vmm, r.vmm_sel, r.frames, r.cfg.vcpus, r.cfg.guest_pages)
+    });
+    let root_ctx = sys.root_ctx;
+    let vcpus = (0..vcpus)
+        .map(|i| sys.k.export_vcpu(root_ctx.pd, vmm_sel, sel::vcpu(i)))
+        .collect::<Result<Vec<_>, _>>()
+        .expect("vcpu export");
+    let vmm_state = sys.k.component_mut::<Vmm>(vmm).expect("vmm").save_state();
+    let guest_mem = sys
+        .k
+        .mem_read(root_ctx, frames * 4096, (pages * 4096) as usize)
+        .expect("guest window");
+    Checkpoint {
+        seq,
+        vcpus,
+        vmm_state,
+        guest_mem,
+    }
+    .to_bytes()
+}
+
+/// One cadence tick, now, through root's own handler. Returns the
+/// pages the capture copied — `None` if root took no checkpoint (the
+/// VM is being revived) — after checking the blob root holds against
+/// the oracle.
+fn tick(sys: &mut System) -> Option<u64> {
+    let (root, root_ctx, slot) = (sys.root, sys.root_ctx, sys.microreboot.expect("slot"));
+    let seq = with_sup(sys, |sup| sup.seq);
+    let copied = sys.k.counters.checkpoint_pages_copied;
+    sys.k
+        .invoke_component::<RootPm, _>(root, |rp, k| rp.checkpoint_vm(k, root_ctx, slot));
+    if with_sup(sys, |sup| sup.seq) == seq {
+        return None;
+    }
+    let expect = full_capture(sys, seq + 1);
+    with_sup(sys, |sup| {
+        let blob = sup.last_checkpoint.as_ref().expect("checkpoint");
+        assert!(
+            *blob == expect,
+            "checkpoint {} differs from a from-scratch capture",
+            seq + 1
+        );
+    });
+    Some(sys.k.counters.checkpoint_pages_copied - copied)
+}
+
+/// Differential test of the in-place refresh: the PV disk workload
+/// (device DMA into guest buffers, guest stores, VMM writes) under a
+/// 100 k-cycle cadence, and after every slice one more tick whose
+/// result is compared with a from-scratch capture — across a crash and
+/// restore, and across an escalation to a cold reboot. Steady-state
+/// ticks copy a handful of pages into the same allocation; the first
+/// capture, the one after the restore and the one after the cold
+/// reboot copy every page.
+#[test]
+fn checkpoint_image_equals_full_capture_at_every_tick() {
+    let mut sys = pv_system(SMALL_GUEST, 100_000);
+    let place = |sys: &mut System| {
+        with_sup(sys, |sup| {
+            let b = sup.last_checkpoint.as_ref().expect("checkpoint");
+            (b.as_ptr(), b.capacity())
+        })
+    };
+    // Per slice with a checked tick: (restarts so far, pages copied by
+    // the slice's timer ticks and the checked one together).
+    let mut slices = Vec::new();
+    let mut home = None;
+    let mut crashes = 0;
+    loop {
+        let copied = sys.k.counters.checkpoint_pages_copied;
+        let out = sys.run(Some(100_000));
+        let restarts = with_sup(&mut sys, |sup| sup.restarts);
+        if tick(&mut sys).is_some() {
+            slices.push((restarts, sys.k.counters.checkpoint_pages_copied - copied));
+            if restarts < 2 {
+                // One allocation from the first capture until the cold
+                // reboot discards it, the restore included.
+                assert_eq!(*home.get_or_insert(place(&mut sys)), place(&mut sys));
+            }
+        }
+        if out == RunOutcome::Shutdown(0) {
+            break;
+        }
+        assert_eq!(out, RunOutcome::Budget);
+        // Crash once mid-workload, and again right after the restore
+        // (inside the stability window: the ladder climbs).
+        let progressed = pv_completions(&mut sys) >= 8 && slices.len() >= 12;
+        if (crashes == 0 && progressed) || (crashes == 1 && restarts == 1) {
+            let (_, pd) = sys.microreboot_vmm().expect("supervised vmm");
+            sys.k.pd_fault(pd, VMM_CRASH_CODE);
+            crashes += 1;
+        }
+    }
+    assert_eq!(sys.k.counters.vmm_restarts, 2);
+    assert_eq!(
+        sys.k.counters.escalations, 1,
+        "second revive was a cold boot"
+    );
+
+    // Each incarnation's first capture is whole; no other one is.
+    for incarnation in 0..=2 {
+        let mut of = slices.iter().filter(|&&(r, _)| r == incarnation);
+        let &(_, first) = of.next().expect("a checked tick per incarnation");
+        assert!(
+            (SMALL_GUEST..SMALL_GUEST + 64).contains(&first),
+            "incarnation {incarnation} starts with one whole capture, not {first} pages"
+        );
+        for &(_, copied) in of {
+            assert!(copied <= 64, "a steady-state slice copied {copied} pages");
+        }
+    }
+    let steady = slices.iter().filter(|&&(r, _)| r != 1).count();
+    assert!(steady >= 24, "only {steady} steady-state slices checked");
+}
+
+/// Writer matrix: between two ticks one distinct page each is touched
+/// by every kind of writer — guest stores and AHCI DMA (the workload
+/// itself), `Kernel::mem_write`, `mem_write_u32`, `mem_slice_mut` and
+/// `mem_fill` — and the tick recopies exactly the touched pages. All of
+/// them come back after a crash that scribbles over guest RAM.
+#[test]
+fn every_writer_reaches_the_checkpoint_image() {
+    // No timer ticks (the period outlasts the run): every capture here
+    // is one this test asks for.
+    let mut sys = pv_system(SMALL_GUEST, 1 << 40);
+    let root_ctx = sys.root_ctx;
+    run_until(&mut sys, |s| pv_completions(s) >= 4);
+    assert_eq!(tick(&mut sys), Some(SMALL_GUEST), "first capture is whole");
+    assert_eq!(tick(&mut sys), Some(0), "nothing ran, nothing to copy");
+
+    // Host-side writers, on four pages the guest never uses.
+    let spare = guest_host(&mut sys, 0x30_0000);
+    assert!(sys.k.mem_write(root_ctx, spare + 0x10, b"mem_write"));
+    assert!(sys.k.mem_write_u32(root_ctx, spare + 0x1000, 0x5eed_0001));
+    sys.k
+        .mem_slice_mut(root_ctx, spare + 0x2ff0, 8)
+        .expect("mapped")
+        .copy_from_slice(b"slicemut");
+    assert!(sys.k.mem_fill(root_ctx, spare + 0x3800, 0x800, 0xf1));
+    assert_eq!(tick(&mut sys), Some(4), "exactly the four written pages");
+
+    // Guest-side writers: one more batch of the workload. The frames
+    // that moved are found here from the generations, independently of
+    // the recipe's table.
+    let base = guest_host(&mut sys, 0);
+    let gens = |sys: &System| -> Vec<u64> {
+        let mem = &sys.k.machine.mem;
+        (0..SMALL_GUEST)
+            .map(|p| mem.frame_gen(base + p * 4096))
+            .collect()
+    };
+    let before = gens(&sys);
+    let done = pv_completions(&mut sys);
+    run_until(&mut sys, |s| pv_completions(s) >= done + BATCH as u64);
+    let after = gens(&sys);
+    let moved: Vec<u64> = (0..SMALL_GUEST)
+        .filter(|&p| before[p as usize] != after[p as usize])
+        .collect();
+    let buf = layout::PV_DISK_BUF as u64 / 4096;
+    let dma: Vec<u64> = (buf..buf + BATCH as u64).collect();
+    assert!(
+        dma.iter().all(|p| moved.contains(p)),
+        "device DMA moved the request buffers: {moved:x?}"
+    );
+    assert!(
+        moved.contains(&(layout::PV_DISK_RING as u64 / 4096)),
+        "guest stores moved the descriptor ring: {moved:x?}"
+    );
+    assert!(moved.len() < 32, "a batch touches few pages: {moved:x?}");
+    assert_eq!(tick(&mut sys), Some(moved.len() as u64));
+
+    // The VMM dies and takes guest RAM with it: the spare pages and
+    // the request buffers are overwritten before root gets to run.
+    let (_, pd) = sys.microreboot_vmm().expect("supervised vmm");
+    sys.k.pd_fault(pd, VMM_CRASH_CODE);
+    sys.k.machine.mem.fill(spare, 4 * 4096, 0xee);
+    sys.k.machine.mem.fill(base + buf * 4096, 8 * 4096, 0xee);
+    while with_sup(&mut sys, |sup| sup.restarts) < 1 {
+        sys.run(Some(10_000));
+    }
+    let read = |sys: &System, at: u64, n: usize| sys.k.machine.mem.read_bytes(at, n);
+    assert_eq!(read(&sys, spare + 0x10, 9), b"mem_write");
+    assert_eq!(sys.k.machine.mem.read_u32(spare + 0x1000), 0x5eed_0001);
+    assert_eq!(read(&sys, spare + 0x2ff0, 8), b"slicemut");
+    assert_eq!(read(&sys, spare + 0x3800, 0x800), vec![0xf1; 0x800]);
+    assert_eq!(read(&sys, spare + 0x3000, 0x800), vec![0; 0x800]);
+    assert_eq!(
+        tick(&mut sys),
+        Some(SMALL_GUEST),
+        "the restore rewrote every frame"
+    );
+
+    assert_eq!(sys.run(Some(BUDGET)), RunOutcome::Shutdown(0));
+    let got = sys.k.machine.mem.read_bytes(base + buf * 4096, 8 * 4096);
+    let sectors = (BLOCK / 512) as u64;
+    let mut expect = Vec::new();
+    for req in 24..32u64 {
+        for s in 0..sectors {
+            expect.extend_from_slice(&sys.k.machine.ahci().sector(req * sectors + s));
+        }
+    }
+    assert!(got == expect, "contents match the backing store");
+}
+
+/// The generation table describes one blob — the one the recipe last
+/// wrote. Whatever else root hands it (another run's checkpoint of the
+/// same size, a truncated one, none at all) is recaptured in full and
+/// comes out exact; a capture that fails leaves the blob alone.
+#[test]
+fn foreign_or_missing_blob_is_recaptured_in_full() {
+    let mut sys = pv_system(SMALL_GUEST, 1 << 40);
+    run_until(&mut sys, |s| pv_completions(s) >= 4);
+    assert_eq!(tick(&mut sys), Some(SMALL_GUEST));
+    run_until(&mut sys, |s| pv_completions(s) >= 8);
+    assert!(tick(&mut sys).expect("capture") < 32);
+    let ours = with_sup(&mut sys, |sup| sup.last_checkpoint.clone()).expect("checkpoint");
+
+    // Another run of the same system, further along: same size, valid,
+    // and describing different memory.
+    let foreign = {
+        let mut other = pv_system(SMALL_GUEST, 1 << 40);
+        run_until(&mut other, |s| pv_completions(s) >= 16);
+        for _ in 0..3 {
+            tick(&mut other).expect("capture");
+        }
+        with_sup(&mut other, |sup| sup.last_checkpoint.clone()).expect("checkpoint")
+    };
+    assert_eq!(foreign.len(), ours.len());
+    assert!(foreign != ours);
+    let mut truncated = ours.clone();
+    truncated.truncate(ours.len() / 2);
+
+    let swap_in = |sys: &mut System, blob: Option<Vec<u8>>| {
+        let (root, slot) = (sys.root, sys.microreboot.expect("slot"));
+        let rp = sys.k.component_mut::<RootPm>(root).expect("root pm");
+        let sup = rp.vmm_supervision[slot].as_mut().expect("supervised vm");
+        sup.last_checkpoint = blob;
+    };
+    for blob in [Some(foreign), Some(truncated), None, Some(ours)] {
+        swap_in(&mut sys, blob);
+        // `ours` went stale when the recipe wrote the blobs after it.
+        assert_eq!(tick(&mut sys), Some(SMALL_GUEST));
+        assert_eq!(tick(&mut sys), Some(0), "and is then the recipe's own");
+    }
+
+    // A capture that cannot finish — a vCPU that cannot be exported, a
+    // window that is not mapped — leaves root's checkpoint byte for
+    // byte, although guest RAM and the sequence number have moved on.
+    let before = with_sup(&mut sys, |sup| sup.last_checkpoint.clone());
+    let base = guest_host(&mut sys, 0);
+    sys.k.machine.mem.fill(base + 0x30_0000, 4096, 0xee);
+    let (vmm_sel, frames) = with_recipe(&mut sys, |r| (r.vmm_sel, r.frames));
+    with_recipe(&mut sys, |r| r.vmm_sel = 0xdead);
+    assert_eq!(tick(&mut sys), None, "vCPU export refused");
+    with_recipe(&mut sys, |r| {
+        (r.vmm_sel, r.frames) = (vmm_sel, u64::MAX >> 16)
+    });
+    assert_eq!(tick(&mut sys), None, "guest window unmapped");
+    assert!(with_sup(&mut sys, |sup| sup.last_checkpoint.clone()) == before);
+    with_recipe(&mut sys, |r| r.frames = frames);
+    assert_eq!(tick(&mut sys), Some(1), "and the table still describes it");
 }
