@@ -3,11 +3,15 @@
 //! Counts the lines of this reproduction's components and prints them
 //! next to the paper's published sizes for NOVA and the contemporary
 //! virtualization stacks (which cannot be rebuilt here; their numbers
-//! are the paper's).
+//! are the paper's). Writes `BENCH_fig1.json`, so the size of the
+//! privileged layer has a committed trajectory like every other number.
 
 use nova_bench::loc;
 use nova_bench::paper::FIG1_TCB_KLOC;
-use nova_bench::report::{banner, Table};
+use nova_bench::report::{banner, write_json, Table};
+use nova_trace::json::Json;
+
+const REPO_ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
 
 fn main() {
     banner("Figure 1: TCB size of virtual environments");
@@ -27,6 +31,7 @@ fn main() {
             if priv_ { "yes".into() } else { "no".into() },
         ]);
     }
+    let components = t.to_json();
     t.row(vec![
         "TOTAL (per-VM TCB)".into(),
         total.to_string(),
@@ -34,10 +39,8 @@ fn main() {
     ]);
     t.print();
 
-    println!(
-        "\nPrivileged (hypervisor) share: {hv} LoC — {:.0}% of the stack",
-        100.0 * hv as f64 / total as f64
-    );
+    let share = 100.0 * hv as f64 / total as f64;
+    println!("\nPrivileged (hypervisor) share: {hv} LoC — {share:.0}% of the stack");
 
     println!("\nPaper's Figure 1 (KLOC):\n");
     let mut t = Table::new(&["system", "privileged", "total stack"]);
@@ -45,6 +48,22 @@ fn main() {
         t.row(vec![name.into(), format!("{p}K"), format!("{tot}K")]);
     }
     t.print();
+
+    let path = write_json(
+        REPO_ROOT,
+        "fig1",
+        vec![
+            ("components".into(), components),
+            ("privileged_loc".into(), Json::U64(hv as u64)),
+            ("total_loc".into(), Json::U64(total as u64)),
+            (
+                "privileged_share_pct".into(),
+                Json::F64((share * 10.0).round() / 10.0),
+            ),
+            ("paper_kloc".into(), t.to_json()),
+        ],
+    );
+    println!("\nwrote {path}");
 
     let nova_paper_total = 36.0;
     let smallest_other = FIG1_TCB_KLOC[1..]

@@ -27,8 +27,8 @@ use crate::hostpt::{FrameAllocator, NestedTable};
 use crate::hypercall::{HcErr, HcReply, Hypercall};
 use crate::mdb::MapDb;
 use crate::obj::{
-    Ec, EcId, EcKind, MemMapping, MemRights, MemSpace, ObjRef, Objects, Pd, PdId, Portal, PtId, Sc,
-    ScId, Semaphore, SmId, VmPaging,
+    Ec, EcId, EcKind, MemMapping, MemRights, ObjRef, Objects, Pd, PdId, Portal, PtId, Sc, ScId,
+    Semaphore, SmId, VmPaging,
 };
 use crate::sched::Scheduler;
 use crate::utcb::{Utcb, VmExitMsg, XferItem};
@@ -98,11 +98,6 @@ pub struct KernelConfig {
     /// a CR3 reload that hits the cache switches shadow roots instead
     /// of rebuilding (1 reproduces flush-per-switch behaviour).
     pub vtlb_cache_slots: usize,
-    /// Use the pre-radix `BTreeMap` memory spaces ([`MemSpace::legacy`])
-    /// and the allocating guest-memory accessors for every domain.
-    /// Purely a wall-clock A/B knob for the bench harness: simulated
-    /// cycle charges, traces and counters are identical either way.
-    pub legacy_memspace: bool,
 }
 
 impl Default for KernelConfig {
@@ -115,7 +110,6 @@ impl Default for KernelConfig {
             scheduler_timer_hz: None,
             obj_quota: 4096,
             vtlb_cache_slots: 8,
-            legacy_memspace: false,
         }
     }
 }
@@ -389,9 +383,6 @@ impl Kernel {
 
         let mut obj = Objects::default();
         let mut root = Pd::new("root");
-        if config.legacy_memspace {
-            root.mem = MemSpace::legacy();
-        }
 
         // Root owns all I/O ports except the interrupt controllers
         // (PIC) and the scheduling timer (PIT).
@@ -712,9 +703,6 @@ impl Kernel {
             Hypercall::CreatePd { name, vm, dst } => {
                 self.charge_quota(caller)?;
                 let mut pd = Pd::new(name);
-                if self.config.legacy_memspace {
-                    pd.mem = MemSpace::legacy();
-                }
                 pd.vm_paging = vm;
                 pd.large_pages = self.config.host_large_pages;
                 let id = self.obj.add_pd(pd);
@@ -1836,25 +1824,11 @@ impl Kernel {
 
     /// Reads bytes from the component's address space.
     ///
-    /// Allocates the result; hot paths should prefer
-    /// [`Kernel::mem_read_into`] or [`Kernel::mem_slice`]. Under
-    /// [`KernelConfig::legacy_memspace`] this reproduces the original
-    /// per-chunk-allocating copy loop so wall-clock A/B benchmarks
-    /// compare against the true pre-fast-path behaviour.
+    /// Allocates the result: a convenience for tests and cold paths.
+    /// Anything that runs per request or per packet uses
+    /// [`Kernel::mem_read_into`], [`Kernel::mem_slice`] or the
+    /// fixed-width readers.
     pub fn mem_read(&self, ctx: CompCtx, addr: u64, len: usize) -> Option<Vec<u8>> {
-        if self.config.legacy_memspace {
-            let ms = &self.obj.pd(ctx.pd).mem;
-            let mut out = Vec::with_capacity(len);
-            let mut off = 0;
-            while off < len {
-                let a = addr + off as u64;
-                let chunk = ((PAGE_SIZE as u64 - (a & 0xfff)) as usize).min(len - off);
-                let hpa = ms.translate(a)?;
-                out.extend_from_slice(&self.machine.mem.read_bytes(hpa, chunk));
-                off += chunk;
-            }
-            return Some(out);
-        }
         let mut out = vec![0u8; len];
         self.mem_read_into(ctx, addr, &mut out)?;
         Some(out)
@@ -1992,22 +1966,13 @@ impl Kernel {
 
     /// Reads one byte from the component's address space.
     pub fn mem_read_u8(&self, ctx: CompCtx, addr: u64) -> Option<u8> {
-        if self.config.legacy_memspace {
-            return self.mem_read(ctx, addr, 1).map(|b| b[0]);
-        }
         let hpa = self.obj.pd(ctx.pd).mem.translate(addr)?;
         Some(self.machine.mem.read_u8(hpa))
     }
 
-    /// Reads a u32 from the component's address space (direct load; no
-    /// heap round trip unless the read crosses a page boundary onto the
-    /// legacy path).
+    /// Reads a u32 from the component's address space: one direct load,
+    /// or four byte loads when the read crosses a page boundary.
     pub fn mem_read_u32(&self, ctx: CompCtx, addr: u64) -> Option<u32> {
-        if self.config.legacy_memspace {
-            return self
-                .mem_read(ctx, addr, 4)
-                .and_then(|b| Some(u32::from_le_bytes(b.try_into().ok()?)));
-        }
         let ms = &self.obj.pd(ctx.pd).mem;
         if addr & 0xfff <= 0xffc {
             let hpa = ms.translate(addr)?;
@@ -2025,13 +1990,6 @@ impl Kernel {
 
     /// Reads a u64 from the component's address space (direct load).
     pub fn mem_read_u64(&self, ctx: CompCtx, addr: u64) -> Option<u64> {
-        if self.config.legacy_memspace {
-            // The pre-fast-path idiom: two u32 loads, each through the
-            // allocating byte path.
-            let lo = self.mem_read_u32(ctx, addr)? as u64;
-            let hi = self.mem_read_u32(ctx, addr + 4)? as u64;
-            return Some(lo | hi << 32);
-        }
         let ms = &self.obj.pd(ctx.pd).mem;
         if addr & 0xfff <= 0xff8 {
             let hpa = ms.translate(addr)?;
@@ -2048,9 +2006,6 @@ impl Kernel {
 
     /// Writes a u32 into the component's address space.
     pub fn mem_write_u32(&mut self, ctx: CompCtx, addr: u64, val: u32) -> bool {
-        if self.config.legacy_memspace {
-            return self.mem_write(ctx, addr, &val.to_le_bytes());
-        }
         if addr & 0xfff <= 0xffc {
             let Some(m) = self.obj.pd(ctx.pd).mem.lookup(addr >> 12) else {
                 return false;

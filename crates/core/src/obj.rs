@@ -136,33 +136,24 @@ struct TcEntry {
     gen: u64,
 }
 
-/// Storage backend of a [`MemSpace`].
-enum Backend {
-    /// Two-level radix table: a flat directory of 512-entry leaves
-    /// (O(1) lookup), with a sorted overflow map for page numbers
-    /// beyond the directory span. `iter()` stays page-ordered because
-    /// every overflow page number sorts after every directory page.
-    Radix {
-        dir: Vec<Option<Box<Leaf>>>,
-        overflow: BTreeMap<u64, MemMapping>,
-        count: usize,
-    },
-    /// The original `BTreeMap` implementation, kept for in-process A/B
-    /// benchmarking (same precedent as `ShadowCache::legacy`).
-    Legacy { pages: BTreeMap<u64, MemMapping> },
-}
-
 /// The memory space of a protection domain: its "host page table",
 /// mapping domain-virtual (or guest-physical, for VMs) page numbers to
 /// host-physical frames. For VM domains the kernel mirrors this table
 /// into real EPT/NPT/shadow structures in hypervisor memory.
 ///
-/// Lookups go through a small direct-mapped software translation cache
-/// invalidated wholesale by a generation counter that every mutation
-/// bumps; the backing store is a two-level radix table (or, for
-/// benchmarking, the legacy `BTreeMap` via [`MemSpace::legacy`]).
+/// The backing store is a two-level radix table: a flat directory of
+/// 512-entry leaves (O(1) lookup), with a sorted overflow map for page
+/// numbers beyond the directory span. Lookups go through a small
+/// direct-mapped software translation cache invalidated wholesale by a
+/// generation counter that every mutation bumps.
 pub struct MemSpace {
-    backend: Backend,
+    dir: Vec<Option<Box<Leaf>>>,
+    /// Pages at or above `DIR_MAX_LEAVES << LEAF_BITS`. `iter()` stays
+    /// page-ordered because every overflow page number sorts after
+    /// every directory page.
+    overflow: BTreeMap<u64, MemMapping>,
+    /// Number of mapped pages, directory and overflow together.
+    count: usize,
     /// Generation stamp: bumped on every `map`/`unmap` (which covers
     /// `delegate_mem`, revocation and PD teardown — they all mutate
     /// through those two entry points) and on explicit invalidation.
@@ -174,11 +165,9 @@ pub struct MemSpace {
 impl Default for MemSpace {
     fn default() -> Self {
         MemSpace {
-            backend: Backend::Radix {
-                dir: Vec::new(),
-                overflow: BTreeMap::new(),
-                count: 0,
-            },
+            dir: Vec::new(),
+            overflow: BTreeMap::new(),
+            count: 0,
             gen: 0,
             tc: std::array::from_fn(|_| Cell::new(None)),
         }
@@ -186,51 +175,28 @@ impl Default for MemSpace {
 }
 
 impl MemSpace {
-    /// The pre-radix `BTreeMap` implementation, kept so benchmarks can
-    /// A/B the fast path against the original in one process. The
-    /// translation cache is bypassed in this mode.
-    pub fn legacy() -> MemSpace {
-        MemSpace {
-            backend: Backend::Legacy {
-                pages: BTreeMap::new(),
-            },
-            gen: 0,
-            tc: std::array::from_fn(|_| Cell::new(None)),
-        }
-    }
-
-    /// `true` if this space uses the legacy `BTreeMap` backend.
-    pub fn is_legacy(&self) -> bool {
-        matches!(self.backend, Backend::Legacy { .. })
-    }
-
     /// Looks up the mapping covering page number `page`.
     pub fn lookup(&self, page: u64) -> Option<MemMapping> {
-        match &self.backend {
-            Backend::Radix { dir, overflow, .. } => {
-                let slot = &self.tc[(page as usize) & (TC_SLOTS - 1)];
-                if let Some(e) = slot.get() {
-                    if e.page == page && e.gen == self.gen {
-                        return Some(e.m);
-                    }
-                }
-                let leaf = (page >> LEAF_BITS) as usize;
-                let found = if leaf < DIR_MAX_LEAVES {
-                    dir.get(leaf)?.as_ref()?.slots[page as usize & (LEAF_ENTRIES - 1)]
-                } else {
-                    overflow.get(&page).copied()
-                };
-                if let Some(m) = found {
-                    slot.set(Some(TcEntry {
-                        page,
-                        m,
-                        gen: self.gen,
-                    }));
-                }
-                found
+        let slot = &self.tc[(page as usize) & (TC_SLOTS - 1)];
+        if let Some(e) = slot.get() {
+            if e.page == page && e.gen == self.gen {
+                return Some(e.m);
             }
-            Backend::Legacy { pages } => pages.get(&page).copied(),
         }
+        let leaf = (page >> LEAF_BITS) as usize;
+        let found = if leaf < DIR_MAX_LEAVES {
+            self.dir.get(leaf)?.as_ref()?.slots[page as usize & (LEAF_ENTRIES - 1)]
+        } else {
+            self.overflow.get(&page).copied()
+        };
+        if let Some(m) = found {
+            slot.set(Some(TcEntry {
+                page,
+                m,
+                gen: self.gen,
+            }));
+        }
+        found
     }
 
     /// Translates a byte address through the space.
@@ -241,64 +207,44 @@ impl MemSpace {
     /// Installs a mapping.
     pub fn map(&mut self, page: u64, m: MemMapping) {
         self.gen = self.gen.wrapping_add(1);
-        match &mut self.backend {
-            Backend::Radix {
-                dir,
-                overflow,
-                count,
-            } => {
-                let leaf = (page >> LEAF_BITS) as usize;
-                if leaf < DIR_MAX_LEAVES {
-                    if dir.len() <= leaf {
-                        dir.resize_with(leaf + 1, || None);
-                    }
-                    let l = dir[leaf].get_or_insert_with(Leaf::new);
-                    let slot = &mut l.slots[page as usize & (LEAF_ENTRIES - 1)];
-                    if slot.is_none() {
-                        l.used += 1;
-                        *count += 1;
-                    }
-                    *slot = Some(m);
-                } else if overflow.insert(page, m).is_none() {
-                    *count += 1;
-                }
+        let leaf = (page >> LEAF_BITS) as usize;
+        if leaf < DIR_MAX_LEAVES {
+            if self.dir.len() <= leaf {
+                self.dir.resize_with(leaf + 1, || None);
             }
-            Backend::Legacy { pages } => {
-                pages.insert(page, m);
+            let l = self.dir[leaf].get_or_insert_with(Leaf::new);
+            let slot = &mut l.slots[page as usize & (LEAF_ENTRIES - 1)];
+            if slot.is_none() {
+                l.used += 1;
+                self.count += 1;
             }
+            *slot = Some(m);
+        } else if self.overflow.insert(page, m).is_none() {
+            self.count += 1;
         }
     }
 
     /// Removes a mapping.
     pub fn unmap(&mut self, page: u64) -> Option<MemMapping> {
         self.gen = self.gen.wrapping_add(1);
-        match &mut self.backend {
-            Backend::Radix {
-                dir,
-                overflow,
-                count,
-            } => {
-                let leaf = (page >> LEAF_BITS) as usize;
-                let old = if leaf < DIR_MAX_LEAVES {
-                    let l = dir.get_mut(leaf)?.as_mut()?;
-                    let old = l.slots[page as usize & (LEAF_ENTRIES - 1)].take();
-                    if old.is_some() {
-                        l.used -= 1;
-                        if l.used == 0 {
-                            dir[leaf] = None; // return the leaf's memory
-                        }
-                    }
-                    old
-                } else {
-                    overflow.remove(&page)
-                };
-                if old.is_some() {
-                    *count -= 1;
+        let leaf = (page >> LEAF_BITS) as usize;
+        let old = if leaf < DIR_MAX_LEAVES {
+            let l = self.dir.get_mut(leaf)?.as_mut()?;
+            let old = l.slots[page as usize & (LEAF_ENTRIES - 1)].take();
+            if old.is_some() {
+                l.used -= 1;
+                if l.used == 0 {
+                    self.dir[leaf] = None; // return the leaf's memory
                 }
-                old
             }
-            Backend::Legacy { pages } => pages.remove(&page),
+            old
+        } else {
+            self.overflow.remove(&page)
+        };
+        if old.is_some() {
+            self.count -= 1;
         }
+        old
     }
 
     /// Drops every translation-cache entry without touching the
@@ -310,29 +256,22 @@ impl MemSpace {
 
     /// Number of mapped pages.
     pub fn count(&self) -> usize {
-        match &self.backend {
-            Backend::Radix { count, .. } => *count,
-            Backend::Legacy { pages } => pages.len(),
-        }
+        self.count
     }
 
     /// Iterates over `(page, mapping)` in page order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, MemMapping)> + '_ {
-        let it: Box<dyn Iterator<Item = (u64, MemMapping)> + '_> = match &self.backend {
-            Backend::Radix { dir, overflow, .. } => Box::new(
-                dir.iter()
+        self.dir
+            .iter()
+            .enumerate()
+            .filter_map(|(li, l)| l.as_deref().map(|l| (li, l)))
+            .flat_map(|(li, l)| {
+                l.slots
+                    .iter()
                     .enumerate()
-                    .filter_map(|(li, l)| l.as_deref().map(|l| (li, l)))
-                    .flat_map(|(li, l)| {
-                        l.slots.iter().enumerate().filter_map(move |(si, s)| {
-                            s.map(|m| ((((li << LEAF_BITS) | si) as u64), m))
-                        })
-                    })
-                    .chain(overflow.iter().map(|(p, m)| (*p, *m))),
-            ),
-            Backend::Legacy { pages } => Box::new(pages.iter().map(|(p, m)| (*p, *m))),
-        };
-        it
+                    .filter_map(move |(si, s)| s.map(|m| ((((li << LEAF_BITS) | si) as u64), m)))
+            })
+            .chain(self.overflow.iter().map(|(p, m)| (*p, *m)))
     }
 }
 
@@ -632,20 +571,29 @@ mod tests {
 
     #[test]
     fn memspace_translate() {
-        for mut ms in [MemSpace::default(), MemSpace::legacy()] {
-            ms.map(
-                0x40,
-                MemMapping {
-                    hpa: 0x123000,
-                    rights: MemRights::RW,
-                },
-            );
-            assert_eq!(ms.translate(0x40_abc), Some(0x123abc));
-            assert_eq!(ms.translate(0x41_000), None);
-            assert_eq!(ms.count(), 1);
-            ms.unmap(0x40);
-            assert_eq!(ms.translate(0x40_abc), None);
-        }
+        // Every answer is checked against a `BTreeMap` holding the
+        // same mappings, the oracle for what a memory space means.
+        let mut ms = MemSpace::default();
+        let mut oracle: BTreeMap<u64, MemMapping> = BTreeMap::new();
+        let agree = |ms: &MemSpace, oracle: &BTreeMap<u64, MemMapping>| {
+            for addr in [0x40_abc, 0x41_000, (0x40 + TC_SLOTS as u64) << 12] {
+                let want = oracle.get(&(addr >> 12)).map(|m| m.hpa + (addr & 0xfff));
+                assert_eq!(ms.translate(addr), want, "translate({addr:#x})");
+            }
+            assert_eq!(ms.count(), oracle.len());
+            assert!(ms.iter().eq(oracle.iter().map(|(p, m)| (*p, *m))));
+        };
+        let m = MemMapping {
+            hpa: 0x123000,
+            rights: MemRights::RW,
+        };
+        ms.map(0x40, m);
+        oracle.insert(0x40, m);
+        assert_eq!(ms.translate(0x40_abc), Some(0x123abc));
+        agree(&ms, &oracle);
+        assert_eq!(ms.unmap(0x40), oracle.remove(&0x40));
+        assert_eq!(ms.translate(0x40_abc), None);
+        agree(&ms, &oracle);
     }
 
     #[test]

@@ -175,28 +175,25 @@ impl Component for NetDriver {
         // Drain completed descriptors.
         loop {
             let desc = self.cfg.ring_va + (self.head as u64) * DESC_SIZE;
-            let status = k.mem_read(ctx, desc + 12, 1).map(|b| b[0]).unwrap_or(0);
+            let status = k.mem_read_u8(ctx, desc + 12).unwrap_or(0);
             if status & RXD_STAT_DD == 0 {
                 break;
             }
+            let mut raw = [0u8; 2];
             let len = k
-                .mem_read(ctx, desc + 8, 2)
-                .map(|b| u16::from_le_bytes(b.try_into().unwrap()))
-                .unwrap_or(0) as u64;
+                .mem_read_into(ctx, desc + 8, &mut raw)
+                .map_or(0, |()| u16::from_le_bytes(raw) as u64);
             // Check the generator's sequence number (first 8 bytes).
             let buf = self.cfg.buf_va + (self.head as u64) * 0x4000;
             if len >= 8 {
-                let seq = k
-                    .mem_read(ctx, buf, 8)
-                    .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-                    .unwrap_or(0);
+                let seq = k.mem_read_u64(ctx, buf).unwrap_or(0);
                 if seq != self.next_seq {
                     self.stats.seq_errors += 1;
                 }
                 if len > 8 {
                     // The generator fills the payload with the low
                     // sequence byte; anything else is corruption.
-                    let fill = k.mem_read(ctx, buf + 8, 1).map(|b| b[0]).unwrap_or(0);
+                    let fill = k.mem_read_u8(ctx, buf + 8).unwrap_or(0);
                     if fill != (seq & 0xff) as u8 {
                         self.stats.corrupt_errors += 1;
                     }

@@ -129,21 +129,6 @@ impl Env for EmuEnv<'_> {
         let gpa = self.gva_to_gpa(addr, false, false)?;
         if self.in_ram(gpa) {
             let a = self.view.base_page * 4096 + gpa;
-            if self.k.config.legacy_memspace {
-                // Seed-faithful allocating read path, kept for the
-                // wall-clock A/B baseline.
-                return self
-                    .k
-                    .mem_read(self.ctx, a, size.bytes() as usize)
-                    .map(|b| {
-                        let mut v = 0u32;
-                        for (i, byte) in b.iter().enumerate() {
-                            v |= (*byte as u32) << (8 * i);
-                        }
-                        v
-                    })
-                    .ok_or(EmuErr::Fault(Fault::Gp));
-            }
             match size {
                 OpSize::Byte => self.k.mem_read_u8(self.ctx, a).map(|b| b as u32),
                 OpSize::Dword => self.k.mem_read_u32(self.ctx, a),
@@ -228,13 +213,8 @@ pub fn virtual_cpuid(ident: &nova_x86::cpuid::CpuIdent, leaf: u32) -> [u32; 4] {
 /// Faults from the fetch translation, or [`EmuErr::Unsupported`] for
 /// encodings outside the subset.
 pub fn fetch_insn(env: &mut EmuEnv, regs: &Regs) -> Result<Insn, EmuErr> {
-    if env.k.config.legacy_memspace {
-        return fetch_insn_legacy(env, regs);
-    }
     // Opcode bytes accumulate on the stack; each guest page on the
-    // fetch path is translated once and its bytes borrowed in place
-    // (zero-copy) instead of fetched through byte-wise allocating
-    // reads.
+    // fetch path is translated once and its bytes borrowed in place.
     let mut buf = [0u8; MAX_INSN_LEN];
     let mut len = 0usize;
     'fetch: while len < MAX_INSN_LEN {
@@ -278,51 +258,6 @@ pub fn fetch_insn(env: &mut EmuEnv, regs: &Regs) -> Result<Insn, EmuErr> {
         }
     }
     match decode(buf.get(..len).unwrap_or(&buf)) {
-        Ok(insn) => Ok(insn),
-        Err(_) => Err(EmuErr::Unsupported),
-    }
-}
-
-/// Seed-faithful byte-wise fetch — one allocating read and one
-/// address-space translation per opcode byte. Used only under
-/// [`nova_core::KernelConfig::legacy_memspace`] as the honest
-/// baseline for the wall-clock A/B comparison.
-fn fetch_insn_legacy(env: &mut EmuEnv, regs: &Regs) -> Result<Insn, EmuErr> {
-    let mut bytes = Vec::with_capacity(MAX_INSN_LEN);
-    // Fetch conservatively byte-wise across possible page boundaries.
-    for i in 0..MAX_INSN_LEN as u32 {
-        let gva = regs.eip.wrapping_add(i);
-        let gpa = match env.gva_to_gpa(gva, false, true) {
-            Ok(g) => g,
-            Err(f) => {
-                if i == 0 {
-                    return Err(EmuErr::Fault(f));
-                }
-                break;
-            }
-        };
-        if !env.in_ram(gpa) {
-            break;
-        }
-        match env
-            .k
-            .mem_read(env.ctx, env.view.base_page * 4096 + gpa, 1)
-            .and_then(|b| b.first().copied())
-        {
-            Some(b) => bytes.push(b),
-            None => break,
-        }
-        // Try decoding as soon as plausible to avoid reading past the
-        // instruction (cheap for short encodings).
-        if i >= 1 {
-            match decode(&bytes) {
-                Ok(insn) => return Ok(insn),
-                Err(DecodeError::Truncated) => continue,
-                Err(DecodeError::InvalidOpcode) => return Err(EmuErr::Unsupported),
-            }
-        }
-    }
-    match decode(&bytes) {
         Ok(insn) => Ok(insn),
         Err(_) => Err(EmuErr::Unsupported),
     }

@@ -1,19 +1,17 @@
-//! Memory fast-path acceptance tests: the radix `MemSpace` must be
-//! observationally identical to the legacy `BTreeMap` backend under
-//! random map/unmap/delegate/revoke sequences, the per-PD translation
-//! cache must never serve a stale entry through any kernel mutation
-//! path, page-crossing u32/u64 accessors must agree with byte-wise
-//! composition on both backends, and a traced end-to-end run must
-//! export a byte-identical trace regardless of backend — the
-//! behaviour-invariance contract of the wall-clock optimization.
+//! Memory-space acceptance tests: the radix `MemSpace` must answer
+//! exactly like a sorted map of the same mappings under random
+//! map/unmap sequences, the per-PD translation cache must never serve
+//! a stale entry through any kernel mutation path, delegation and
+//! revocation must leave every space well-formed and every child
+//! mapping backed by its parent's, and page-crossing u32/u64 accessors
+//! must agree with byte-wise composition.
+
+use std::collections::BTreeMap;
 
 use nova_core::obj::{MemMapping, MemRights, MemSpace, PdId};
-use nova_core::{Hypercall, Kernel, KernelConfig, RunOutcome};
-use nova_guest::diskload::{self, DiskLoadParams};
+use nova_core::{Hypercall, Kernel, KernelConfig};
 use nova_hw::machine::{Machine, MachineConfig};
-use nova_trace::{cat, chrome, Tracer};
 use nova_user::RootPm;
-use nova_vmm::{GuestImage, LaunchOptions, System, VmmConfig};
 
 /// Deterministic xorshift64* generator (same idiom as `tests/props.rs`).
 struct Rng(u64);
@@ -55,118 +53,147 @@ fn random_page(rng: &mut Rng) -> u64 {
     }
 }
 
+/// Slots in `MemSpace`'s direct-mapped translation cache: pages that
+/// differ by a multiple of this share a slot.
+const TC_SLOTS: u64 = 64;
+
+/// A page in the translation-cache slot `page` occupies: `page` itself
+/// or `page ± 64·k`.
+fn slot_alias(rng: &mut Rng, page: u64) -> u64 {
+    let d = TC_SLOTS * rng.below(4);
+    match rng.below(2) {
+        0 => page.checked_sub(d).unwrap_or(page + d),
+        _ => page + d,
+    }
+}
+
 /// Property: after any sequence of maps (delegations install mappings
 /// with masked rights — same entry point) and unmaps (revocations),
-/// the radix and legacy backends agree on lookup, translate, unmap
-/// results, count, and full page-ordered iteration.
+/// `MemSpace` and a `BTreeMap` of the same mappings agree on lookup
+/// (cold and through the translation cache), translate, unmap results,
+/// count, and full ascending iteration. A quarter of the mutations hit
+/// the page probed last, whose translation is cached, and a quarter of
+/// the probes land in the cache slot the last probe filled, so an
+/// entry that outlives its mapping (generation check) or answers for a
+/// page it aliases (tag check) is asked for directly.
 #[test]
-fn radix_equals_legacy_under_random_sequences() {
+fn memspace_equals_btreemap_oracle_under_random_sequences() {
     for seed in [0x11, 0x22, 0x33, 0x44] {
         let mut rng = Rng::new(seed);
-        let mut radix = MemSpace::default();
-        let mut legacy = MemSpace::legacy();
+        let mut ms = MemSpace::default();
+        let mut oracle: BTreeMap<u64, MemMapping> = BTreeMap::new();
+        let mut prev = 0;
         for _ in 0..4000 {
-            let page = random_page(&mut rng);
-            if rng.below(100) < 55 {
-                let m = MemMapping {
-                    hpa: rng.next() & 0xffff_ffff_f000,
-                    rights: random_rights(&mut rng),
+            // One step in four leaves the generation alone, so its probe
+            // meets the entry the last one cached while it is still live.
+            if rng.below(4) != 0 {
+                let page = match rng.below(4) {
+                    0 => prev,
+                    _ => random_page(&mut rng),
                 };
-                radix.map(page, m);
-                legacy.map(page, m);
-            } else {
-                assert_eq!(radix.unmap(page), legacy.unmap(page), "unmap({page:#x})");
+                if rng.below(100) < 55 {
+                    let m = MemMapping {
+                        hpa: rng.next() & 0xffff_ffff_f000,
+                        rights: random_rights(&mut rng),
+                    };
+                    ms.map(page, m);
+                    oracle.insert(page, m);
+                } else {
+                    assert_eq!(ms.unmap(page), oracle.remove(&page), "unmap({page:#x})");
+                }
             }
-            // Probe a (mostly unrelated) page both cold and, for the
-            // radix side, through its translation cache.
-            let probe = random_page(&mut rng);
-            assert_eq!(radix.lookup(probe), legacy.lookup(probe));
-            assert_eq!(radix.lookup(probe), legacy.lookup(probe), "cached");
+            let probe = match rng.below(4) {
+                0 => slot_alias(&mut rng, prev),
+                _ => random_page(&mut rng),
+            };
+            let want = oracle.get(&probe).copied();
+            assert_eq!(ms.lookup(probe), want, "lookup({probe:#x})");
+            assert_eq!(ms.lookup(probe), want, "cached lookup({probe:#x})");
             let addr = (probe << 12) | rng.below(4096);
-            assert_eq!(radix.translate(addr), legacy.translate(addr));
+            assert_eq!(ms.translate(addr), want.map(|m| m.hpa + (addr & 0xfff)));
+            prev = probe;
         }
-        assert_eq!(radix.count(), legacy.count());
-        let a: Vec<(u64, MemMapping)> = radix.iter().collect();
-        let b: Vec<(u64, MemMapping)> = legacy.iter().collect();
+        assert_eq!(ms.count(), oracle.len());
+        let a: Vec<(u64, MemMapping)> = ms.iter().collect();
+        let b: Vec<(u64, MemMapping)> = oracle.iter().map(|(p, m)| (*p, *m)).collect();
         assert_eq!(a, b, "iteration order and contents");
     }
 }
 
-fn kernel_with_root(legacy: bool) -> (Kernel, nova_core::CompCtx) {
+fn kernel_with_root() -> (Kernel, nova_core::CompCtx) {
     let m = Machine::new(MachineConfig::core_i7(64 << 20));
-    let cfg = KernelConfig {
-        legacy_memspace: legacy,
-        ..KernelConfig::default()
-    };
-    let mut k = Kernel::new(m, cfg);
+    let mut k = Kernel::new(m, KernelConfig::default());
     let (rc, re) = k.load_component(k.root_pd, 0, Box::new(RootPm::new()));
     k.start_component(rc, re);
     let ctx = k.component_mut::<RootPm>(rc).unwrap().ctx.unwrap();
     (k, ctx)
 }
 
-/// The same randomized delegate/revoke hypercall script against a
-/// radix kernel and a legacy kernel leaves every protection domain's
-/// memory space with identical contents, and identical counters.
+/// A randomized delegate/revoke hypercall script leaves both memory
+/// spaces well-formed — `count()` is the number of mappings `iter()`
+/// yields, in strictly ascending page order — and every page the child
+/// holds backed by the root's mapping of the same frame, with rights
+/// no wider than the root's.
 #[test]
-fn kernel_delegation_script_identical_across_backends() {
-    let run = |legacy: bool| {
-        let (mut k, ctx) = kernel_with_root(legacy);
-        assert_eq!(k.obj.pd(k.root_pd).mem.is_legacy(), legacy);
-        k.hypercall(
-            ctx,
-            Hypercall::CreatePd {
-                name: "child".into(),
-                vm: None,
-                dst: 0x30,
-            },
-        )
-        .unwrap();
-        let mut rng = Rng::new(0xdead_beef);
-        for _ in 0..300 {
-            let base = rng.below(2000);
-            let count = 1 + rng.below(8);
-            if rng.below(100) < 60 {
-                let _ = k.hypercall(
-                    ctx,
-                    Hypercall::DelegateMem {
-                        dst_pd: 0x30,
-                        base,
-                        count,
-                        rights: random_rights(&mut rng),
-                        hot: base,
-                    },
-                );
-            } else {
-                let _ = k.hypercall(
-                    ctx,
-                    Hypercall::RevokeMem {
-                        base,
-                        count,
-                        include_self: false,
-                    },
-                );
-            }
+fn kernel_delegation_script_preserves_memspace_invariants() {
+    let (mut k, ctx) = kernel_with_root();
+    k.hypercall(
+        ctx,
+        Hypercall::CreatePd {
+            name: "child".into(),
+            vm: None,
+            dst: 0x30,
+        },
+    )
+    .unwrap();
+    let mut rng = Rng::new(0xdead_beef);
+    for _ in 0..300 {
+        let base = rng.below(2000);
+        let count = 1 + rng.below(8);
+        if rng.below(100) < 60 {
+            let _ = k.hypercall(
+                ctx,
+                Hypercall::DelegateMem {
+                    dst_pd: 0x30,
+                    base,
+                    count,
+                    rights: random_rights(&mut rng),
+                    hot: base,
+                },
+            );
+        } else {
+            let _ = k.hypercall(
+                ctx,
+                Hypercall::RevokeMem {
+                    base,
+                    count,
+                    include_self: false,
+                },
+            );
         }
-        let child: Vec<(u64, MemMapping)> = k.obj.pd(PdId(1)).mem.iter().collect();
-        let root: Vec<(u64, MemMapping)> = k.obj.pd(k.root_pd).mem.iter().collect();
-        (child, root, format!("{:?}", k.counters))
-    };
-    let (child_r, root_r, counters_r) = run(false);
-    let (child_l, root_l, counters_l) = run(true);
-    assert!(!child_r.is_empty(), "script delegated something");
-    assert_eq!(child_r, child_l, "child PD mappings");
-    assert_eq!(root_r, root_l, "root PD mappings");
-    assert_eq!(counters_r, counters_l, "kernel counters");
+    }
+    let child = &k.obj.pd(PdId(1)).mem;
+    let root = &k.obj.pd(k.root_pd).mem;
+    assert!(child.count() > 0, "script delegated something");
+    for ms in [child, root] {
+        let pages: Vec<u64> = ms.iter().map(|(p, _)| p).collect();
+        assert_eq!(ms.count(), pages.len());
+        assert!(pages.windows(2).all(|w| w[0] < w[1]), "iter() ascending");
+    }
+    for (page, m) in child.iter() {
+        let r = root.lookup(page).expect("child page mapped in root");
+        assert_eq!(m.hpa, r.hpa, "page {page:#x}: same frame");
+        assert_eq!(m.rights.mask(r.rights), m.rights, "page {page:#x}: rights");
+    }
 }
 
-/// The translation cache fronting the radix backend must never serve
+/// The translation cache fronting the radix table must never serve
 /// a stale entry after unmap, revoke, or PD destruction — exercised
 /// through the kernel's own mutation paths, with reads in between to
 /// keep the cache hot.
 #[test]
 fn translation_cache_invalidated_by_kernel_paths() {
-    let (mut k, ctx) = kernel_with_root(false);
+    let (mut k, ctx) = kernel_with_root();
     k.hypercall(
         ctx,
         Hypercall::CreatePd {
@@ -233,112 +260,58 @@ fn translation_cache_invalidated_by_kernel_paths() {
 }
 
 /// Page-crossing u32/u64 reads and writes agree with byte-wise
-/// composition, on both backends, including the partially-unmapped
-/// case (the regression the direct loads must not introduce).
+/// composition, including the partially-unmapped case (the regression
+/// the direct loads must not introduce).
 #[test]
 fn page_crossing_u32_u64_reads() {
-    let mut results = Vec::new();
-    for legacy in [false, true] {
-        let (mut k, ctx) = kernel_with_root(legacy);
-        // A recognizable pattern across the 0x5000 page boundary.
-        let pattern: Vec<u8> = (0u8..16).map(|i| 0xa0 + i).collect();
-        assert!(k.mem_write(ctx, 0x5000 - 8, &pattern));
-        for off in 0..8u64 {
-            let addr = 0x5000 - 8 + off;
-            let v32 = k.mem_read_u32(ctx, addr).unwrap();
-            let v64 = k.mem_read_u64(ctx, addr).unwrap();
-            let bytes = k.mem_read(ctx, addr, 8).unwrap();
-            let e32 = u32::from_le_bytes(bytes[..4].try_into().unwrap());
-            let e64 = u64::from_le_bytes(bytes[..8].try_into().unwrap());
-            assert_eq!(v32, e32, "u32 at boundary-{off}");
-            assert_eq!(v64, e64, "u64 at boundary-{off}");
-            results.push((legacy, off, v32, v64));
-        }
-        // A page-crossing write lands byte-exactly.
-        assert!(k.mem_write_u32(ctx, 0x6000 - 2, 0x1122_3344));
-        assert_eq!(
-            k.mem_read(ctx, 0x6000 - 2, 4).unwrap(),
-            [0x44, 0x33, 0x22, 0x11]
-        );
-        // Crossing into an unmapped page fails on both backends: the
-        // child only holds one page.
-        k.hypercall(
-            ctx,
-            Hypercall::CreatePd {
-                name: "onepage".into(),
-                vm: None,
-                dst: 0x30,
-            },
-        )
-        .unwrap();
-        k.hypercall(
-            ctx,
-            Hypercall::DelegateMem {
-                dst_pd: 0x30,
-                base: 0x100,
-                count: 1,
-                rights: MemRights::RW,
-                hot: 0x100,
-            },
-        )
-        .unwrap();
-        let child_ctx = nova_core::CompCtx {
-            pd: PdId(1),
-            ec: ctx.ec,
-            comp: ctx.comp,
-        };
-        assert_eq!(k.mem_read_u32(child_ctx, (0x100 << 12) + 0xffe), None);
-        assert_eq!(k.mem_read_u64(child_ctx, (0x100 << 12) + 0xffa), None);
-        assert!(k.mem_read_u32(child_ctx, (0x100 << 12) + 0xffc).is_some());
+    let (mut k, ctx) = kernel_with_root();
+    // A recognizable pattern across the 0x5000 page boundary.
+    let pattern: Vec<u8> = (0u8..16).map(|i| 0xa0 + i).collect();
+    assert!(k.mem_write(ctx, 0x5000 - 8, &pattern));
+    for off in 0..8u64 {
+        let addr = 0x5000 - 8 + off;
+        let v32 = k.mem_read_u32(ctx, addr).unwrap();
+        let v64 = k.mem_read_u64(ctx, addr).unwrap();
+        let bytes = k.mem_read(ctx, addr, 8).unwrap();
+        let e32 = u32::from_le_bytes(bytes[..4].try_into().unwrap());
+        let e64 = u64::from_le_bytes(bytes[..8].try_into().unwrap());
+        assert_eq!(v32, e32, "u32 at boundary-{off}");
+        assert_eq!(v64, e64, "u64 at boundary-{off}");
     }
-    // Both backends returned identical values at every offset.
-    let (radix, legacy): (Vec<_>, Vec<_>) = results.iter().partition(|r| !r.0);
-    let strip = |v: &Vec<&(bool, u64, u32, u64)>| -> Vec<(u64, u32, u64)> {
-        v.iter().map(|r| (r.1, r.2, r.3)).collect()
-    };
-    assert_eq!(strip(&radix), strip(&legacy));
-}
-
-fn image(prog: nova_guest::os::Program) -> GuestImage {
-    GuestImage {
-        bytes: prog.bytes,
-        load_gpa: prog.load_gpa,
-        entry: prog.entry,
-        stack: prog.stack,
-    }
-}
-
-fn traced_run(legacy: bool) -> System {
-    let p = DiskLoadParams {
-        requests: 8,
-        block_bytes: 4096,
-    };
-    let mut opts = LaunchOptions::supervised(VmmConfig::full_virt(image(diskload::build(p)), 2048));
-    opts.machine.ram = 128 << 20;
-    opts.kernel.legacy_memspace = legacy;
-    let mut sys = System::build(opts);
-    let cpus = sys.k.machine.cpus.len().max(1);
-    sys.k.machine.bus.trace = Tracer::new(cpus, 1 << 21, cat::ALL);
-    let out = sys.run(Some(60_000_000_000));
-    assert_eq!(out, RunOutcome::Shutdown(0), "run finishes cleanly");
-    assert_eq!(sys.k.machine.tracer().dropped(), 0);
-    sys
-}
-
-/// The whole point of the fast path: same seed, same workload, same
-/// trace — byte for byte — whether the kernel runs radix or legacy
-/// memory spaces. Wall-clock differs; simulated behaviour must not.
-#[test]
-fn trace_export_byte_identical_across_backends() {
-    let radix = traced_run(false);
-    let legacy = traced_run(true);
-    assert!(!radix.k.machine.tracer().events().is_empty());
-    let ja = chrome::export(radix.k.machine.tracer());
-    let jb = chrome::export(legacy.k.machine.tracer());
-    assert_eq!(ja, jb, "backends diverged in simulated behaviour");
+    // A page-crossing write lands byte-exactly.
+    assert!(k.mem_write_u32(ctx, 0x6000 - 2, 0x1122_3344));
     assert_eq!(
-        format!("{:?}", radix.k.counters),
-        format!("{:?}", legacy.k.counters),
-        "counters diverged"
+        k.mem_read(ctx, 0x6000 - 2, 4).unwrap(),
+        [0x44, 0x33, 0x22, 0x11]
     );
+    // Crossing into an unmapped page fails: the child only holds one
+    // page.
+    k.hypercall(
+        ctx,
+        Hypercall::CreatePd {
+            name: "onepage".into(),
+            vm: None,
+            dst: 0x30,
+        },
+    )
+    .unwrap();
+    k.hypercall(
+        ctx,
+        Hypercall::DelegateMem {
+            dst_pd: 0x30,
+            base: 0x100,
+            count: 1,
+            rights: MemRights::RW,
+            hot: 0x100,
+        },
+    )
+    .unwrap();
+    let child_ctx = nova_core::CompCtx {
+        pd: PdId(1),
+        ec: ctx.ec,
+        comp: ctx.comp,
+    };
+    assert_eq!(k.mem_read_u32(child_ctx, (0x100 << 12) + 0xffe), None);
+    assert_eq!(k.mem_read_u64(child_ctx, (0x100 << 12) + 0xffa), None);
+    assert!(k.mem_read_u32(child_ctx, (0x100 << 12) + 0xffc).is_some());
 }
