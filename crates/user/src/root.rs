@@ -77,6 +77,43 @@ pub enum RespawnError {
     State(&'static str),
 }
 
+/// Wires a VMM to the disk server: root hands the server the VMM's PD
+/// capability at its per-client slot, and the server delegates its
+/// three service portals to the protocol selectors in the VMM's space.
+/// Done at boot, for every VMM revive and for every client of a
+/// respawned server (the old capabilities die with either PD).
+pub fn wire_disk_client(
+    k: &mut Kernel,
+    root_ctx: CompCtx,
+    srv_sel: CapSel,
+    srv_ctx: CompCtx,
+    vmm_sel: CapSel,
+    slot: usize,
+) -> Result<(), RespawnError> {
+    let step = |name: &'static str| move |e: HcErr| RespawnError::Step(name, e);
+    let pd_hot = 0x30 + slot;
+    RootOps::new(k, root_ctx)
+        .grant_cap(srv_sel, vmm_sel, Perms::ALL, pd_hot)
+        .map_err(step("client pd cap"))?;
+    for (from, to) in [
+        (0x20, dproto::CLIENT_SEL_REG),
+        (0x21, dproto::CLIENT_SEL_REQ),
+        (0x22, dproto::CLIENT_SEL_BATCH),
+    ] {
+        k.hypercall(
+            srv_ctx,
+            Hypercall::DelegateCap {
+                dst_pd: pd_hot,
+                sel: from,
+                perms: Perms::CALL,
+                hot: to,
+            },
+        )
+        .map_err(step("portal delegation"))?;
+    }
+    Ok(())
+}
+
 /// Respawn attempts per escalation rung before climbing to the next.
 pub const REVIVE_ATTEMPTS: u32 = 3;
 /// Initial retry backoff after a failed respawn step, in cycles.
@@ -407,33 +444,7 @@ impl RootPm {
             .map_err(step("service portal"))?;
         }
         for (i, c) in sup.clients.iter().enumerate() {
-            let pd_hot = 0x30 + i;
-            k.hypercall(
-                ctx,
-                Hypercall::DelegateCap {
-                    dst_pd: srv_sel,
-                    sel: c.vmm_sel,
-                    perms: Perms::ALL,
-                    hot: pd_hot,
-                },
-            )
-            .map_err(step("client pd cap"))?;
-            for (from, to) in [
-                (0x20, dproto::CLIENT_SEL_REG),
-                (0x21, dproto::CLIENT_SEL_REQ),
-                (0x22, dproto::CLIENT_SEL_BATCH),
-            ] {
-                k.hypercall(
-                    srv_ctx,
-                    Hypercall::DelegateCap {
-                        dst_pd: pd_hot,
-                        sel: from,
-                        perms: Perms::CALL,
-                        hot: to,
-                    },
-                )
-                .map_err(step("portal delegation"))?;
-            }
+            wire_disk_client(k, ctx, srv_sel, srv_ctx, c.vmm_sel, i)?;
         }
 
         k.hypercall(

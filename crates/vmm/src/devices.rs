@@ -13,6 +13,7 @@ use nova_hw::Cycles;
 use nova_x86::insn::OpSize;
 
 use crate::checkpoint::{Dec, Enc};
+use crate::diskclient::DiskChannel;
 use crate::pvdisk::{PvDisk, PV_DISK_IRQ};
 use crate::pvnet::PvNet;
 use crate::vahci::VAhci;
@@ -281,6 +282,9 @@ pub const PORT_AP_START: u16 = 0x99;
 pub const PORT_IPI: u16 = 0x9a;
 
 /// All virtual devices of one VM, with the port/MMIO routing table.
+/// This is the one place that enumerates them: routing, interrupt
+/// lines, the disk front ends' event fan-out, and the order device
+/// state is serialized in.
 pub struct VDevices {
     /// Virtual dual PIC (same state machine as the platform PIC).
     pub vpic: DualPic,
@@ -364,6 +368,99 @@ impl VDevices {
             _ => {}
         }
         let _ = size;
+    }
+
+    /// Pulses the interrupt line of each disk front end that asked for
+    /// it; `true` if vCPU 0 has a new interrupt to be kicked for.
+    fn raise_disks(&mut self, ahci: bool, pv: bool) -> bool {
+        if ahci {
+            self.vpic.pulse(nova_hw::machine::AHCI_IRQ);
+        }
+        if pv {
+            self.vpic.pulse(PV_DISK_IRQ);
+        }
+        ahci || pv
+    }
+
+    /// `true` while either disk front end has a request outstanding.
+    pub fn disks_pending(&self) -> bool {
+        self.vahci.has_pending() || self.pvdisk.has_pending()
+    }
+
+    /// Completion semaphore: one signal serves both disk clients; each
+    /// drains its own ring and raises its own interrupt line.
+    pub fn drain_disks(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
+        let ahci = self.vahci.drain_completions(k, ctx);
+        let pv = self.pvdisk.drain_completions(k, ctx);
+        self.raise_disks(ahci, pv)
+    }
+
+    /// Maintenance tick: the request-timeout sweep of both clients.
+    pub fn sweep_disks(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
+        let ahci = self.vahci.check_timeouts(k, ctx);
+        let pv = self.pvdisk.check_timeouts(k, ctx);
+        self.raise_disks(ahci, pv)
+    }
+
+    /// Disk-server restart: each client registers anew through
+    /// `register(k, is_pv)` — the PV queue is a separate client with
+    /// its own ring — and re-sends what was in flight when the old
+    /// server died. Nothing happens unless the vAHCI's registration
+    /// succeeds.
+    pub fn reconnect_disks(
+        &mut self,
+        k: &mut Kernel,
+        ctx: CompCtx,
+        mut register: impl FnMut(&mut Kernel, bool) -> Option<DiskChannel>,
+    ) -> bool {
+        let Some(ch) = register(k, false) else {
+            return false;
+        };
+        let ahci = self.vahci.reconnect(k, ctx, ch);
+        let pv = self.pvdisk.enabled()
+            && register(k, true).is_some_and(|ch| self.pvdisk.reconnect(k, ctx, ch));
+        self.raise_disks(ahci, pv)
+    }
+
+    /// VMM restore: replays every restored in-flight disk request into
+    /// the (fresh or surviving) server.
+    pub fn replay_disks(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
+        let ahci = self.vahci.restore_resubmit(k, ctx);
+        let pv = self.pvdisk.enabled() && self.pvdisk.restore_resubmit(k, ctx);
+        self.raise_disks(ahci, pv)
+    }
+
+    /// Serializes every device model for a checkpoint.
+    pub fn export_state(&self, e: &mut Enc) {
+        e.raw(&self.vpic.export_state());
+        self.vpit.export_state(e);
+        e.bytes(&self.vserial.output);
+        self.vkbd.export_state(e);
+        self.vpci.export_state(e);
+        self.vahci.export_state(e);
+        self.pvdisk.export_state(e);
+        e.flag(self.pvnet.is_some());
+        if let Some(n) = self.pvnet.as_ref() {
+            n.export_state(e);
+        }
+    }
+
+    /// Restores [`VDevices::export_state`] bytes; `None` on malformed
+    /// input or a device complement that does not match.
+    pub fn import_state(&mut self, k: &mut Kernel, ctx: CompCtx, d: &mut Dec) -> Option<()> {
+        let pic: [u8; DualPic::STATE_LEN] = d.take(DualPic::STATE_LEN)?.try_into().ok()?;
+        self.vpic.import_state(&pic);
+        self.vpit.import_state(k, ctx, d)?;
+        self.vserial.output = d.bytes()?.to_vec();
+        self.vkbd.import_state(d)?;
+        self.vpci.import_state(d)?;
+        self.vahci.import_state(d)?;
+        self.pvdisk.import_state(d)?;
+        match (d.flag()?, self.pvnet.as_mut()) {
+            (true, Some(net)) => net.import_state(k, ctx, d),
+            (false, _) => Some(()),
+            (true, None) => None,
+        }
     }
 
     /// Takes the first structurally fatal guest input any backend

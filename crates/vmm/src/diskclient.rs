@@ -1,0 +1,484 @@
+//! The disk-server client (Section 7.3, Figure 4): everything between
+//! "the guest handed a front end a request" and "the front end reports
+//! its completion". One channel to the server — a request portal, a
+//! shared completion ring, standing delegations of the guest's DMA
+//! pages — one wire encoder, and one recovery policy, shared by the
+//! virtual AHCI controller ([`crate::vahci`]) and the paravirtual queue
+//! ([`crate::pvdisk`]). The front ends keep what is device-specific:
+//! parsing and validating guest structures, and reporting completions
+//! the way their guest interface demands.
+//!
+//! The recovery policy is three constants and two rules. A request the
+//! server refused or never received is re-sent after `RETRY_DELAY`;
+//! one it accepted and then lost is re-sent after `REQUEST_TIMEOUT`;
+//! after `MAX_ATTEMPTS` sends the front end fails it towards the
+//! guest — an error status, never a hung virtual CPU. A re-send after
+//! a disk-server restart is charged against that budget
+//! ([`DiskClient::retry`]); a re-send after a VMM restore is not
+//! ([`DiskClient::replay`]): it repeats the send the dead incarnation
+//! already paid for.
+//!
+//! Every address in a [`Req`] was bounds-checked against guest RAM by
+//! the front end that built it; nothing here indexes or unwraps on
+//! what a guest or the server supplies (lint-gated below).
+
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::panic)]
+
+use std::collections::HashSet;
+
+use nova_core::cap::CapSel;
+use nova_core::obj::MemRights;
+use nova_core::utcb::XferItem;
+use nova_core::{CompCtx, Kernel, Utcb};
+use nova_user::proto::disk as proto;
+
+/// First page of the disk server's window for this client's buffers:
+/// the server sees guest page `g` at window page `WINDOW_BASE + g`.
+pub const WINDOW_BASE: u64 = 0x40_000;
+
+/// Cycles an accepted request may stay uncompleted before it is
+/// re-sent. Longer than the disk server's own recovery chain, so this
+/// only triggers when the server truly lost the request (e.g. it
+/// crashed and was restarted).
+const REQUEST_TIMEOUT: u64 = 16_000_000;
+
+/// Cycles before re-sending a request the server refused (EBUSY) or
+/// that failed to reach it (dead portal while a restart is underway).
+const RETRY_DELAY: u64 = 2_000_000;
+
+/// Sends per request before the front end gives up and reports an
+/// error to the guest.
+const MAX_ATTEMPTS: u32 = 6;
+
+/// How the VMM reaches storage.
+#[derive(Clone, Copy, Debug)]
+pub struct DiskChannel {
+    /// Submission portal selector in the VMM's capability space
+    /// ([`proto::PORTAL_REQUEST`] or [`proto::PORTAL_BATCH`]).
+    pub req_sel: CapSel,
+    /// Registered client id.
+    pub client: u64,
+    /// VA of the shared completion ring in the VMM's space.
+    pub ring_va: u64,
+}
+
+/// A request a guest issued that has not completed yet: everything
+/// needed to send it again after a timeout, a server restart or a VMM
+/// restore.
+#[derive(Clone, Copy)]
+pub struct Req {
+    /// What the server echoes in the completion record (the vAHCI's
+    /// command slot, the PV queue's cumulative descriptor index).
+    pub tag: u64,
+    /// [`proto::OP_READ`] or [`proto::OP_WRITE`].
+    pub op: u64,
+    /// First sector.
+    pub lba: u64,
+    /// Sector count.
+    pub sectors: u32,
+    /// Scatter-gather list as (guest-physical byte address, byte
+    /// count); only the first `nsegs` entries are meaningful. Buffers
+    /// need not be page-aligned — the in-page offset is carried through
+    /// to the server's window addresses.
+    pub segs: [(u64, u32); proto::MAX_SEGMENTS],
+    /// Segments in use.
+    pub nsegs: usize,
+    /// Cycle stamp of the last send.
+    pub submitted_at: u64,
+    /// Sends so far.
+    pub attempts: u32,
+    /// Whether the server accepted the last send.
+    pub accepted: bool,
+    /// Causal trace context allocated when the guest issued the
+    /// request; carried to the server and restored around completion.
+    pub ctx: u64,
+}
+
+/// What the maintenance sweep owes a pending request.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Due {
+    /// Nothing yet.
+    Wait,
+    /// Send it again.
+    Resubmit,
+    /// The attempt budget is spent: fail it towards the guest.
+    GiveUp,
+}
+
+/// One front end's connection to the disk server.
+pub struct DiskClient {
+    /// First VMM page of the guest-RAM window (guest page `g` is VMM
+    /// page `guest_base_page + g`).
+    guest_base_page: u64,
+    channel: Option<DiskChannel>,
+    /// Consumer cursor of the server's completion ring.
+    ring_tail: u32,
+    /// Guest pages the server holds. Delegations are left standing
+    /// across requests (guests reuse their DMA buffers) and torn down
+    /// wholesale with the VM or the server — the security implications
+    /// are the ones Section 4.2 discusses for delegated buffers.
+    delegated: HashSet<u64>,
+    /// Accepted requests whose completion timed out.
+    pub timeouts: u64,
+    /// Re-sends (timeouts, refusals, server restarts, VMM restores).
+    pub resubmits: u64,
+    /// Requests failed towards the guest.
+    pub degraded: u64,
+}
+
+impl DiskClient {
+    /// A client without a channel yet.
+    pub fn new(guest_base_page: u64) -> DiskClient {
+        DiskClient {
+            guest_base_page,
+            channel: None,
+            ring_tail: 0,
+            delegated: HashSet::new(),
+            timeouts: 0,
+            resubmits: 0,
+            degraded: 0,
+        }
+    }
+
+    /// Starts over against a server that knows nothing of this client:
+    /// its ring produces from zero and it holds none of the guest's
+    /// pages. A new channel replaces the old one (server restart);
+    /// `None` keeps the attached one (VMM restore).
+    pub fn rebind(&mut self, ch: Option<DiskChannel>) {
+        self.channel = ch.or(self.channel);
+        self.ring_tail = 0;
+        self.delegated.clear();
+    }
+
+    /// The registered disk-server client id, if a channel is attached.
+    pub fn client_id(&self) -> Option<u64> {
+        self.channel.map(|ch| ch.client)
+    }
+
+    /// One submission IPC carrying `client ‖ header ‖ one body per
+    /// request`, each body `(op, lba, sectors, tag, ctx, nsegs,
+    /// (addr, bytes) × nsegs)` in the server's window addresses, plus
+    /// transfer items for the guest pages the server does not hold
+    /// yet. Every request is charged one attempt and stamped, sent or
+    /// not. Returns the reply if the IPC went through — the server may
+    /// still have refused the requests, but the delegations stand —
+    /// and `None` if nothing was transferred (no channel, dead portal
+    /// or busy handler while a restart is underway).
+    pub fn send<'a>(
+        &mut self,
+        k: &mut Kernel,
+        ctx: CompCtx,
+        header: &[u64],
+        reqs: impl IntoIterator<Item = &'a mut Req>,
+    ) -> Option<Utcb> {
+        let now = k.now();
+        let reqs = reqs.into_iter();
+        let mut utcb = Utcb::new();
+        // One allocation, exact for single-segment requests (every PV
+        // descriptor): 6 body words and one (addr, bytes) pair each.
+        let bodies = 8 * reqs.size_hint().1.unwrap_or(0);
+        utcb.msg.reserve_exact(1 + header.len() + bodies);
+        utcb.msg.push(self.client_id().unwrap_or(0));
+        utcb.msg.extend_from_slice(header);
+        let mut newly: Vec<u64> = Vec::new();
+        let mut first_ctx = None;
+        for r in reqs {
+            r.attempts += 1;
+            r.submitted_at = now;
+            first_ctx.get_or_insert(r.ctx);
+            let body = [r.op, r.lba, r.sectors as u64, r.tag, r.ctx, r.nsegs as u64];
+            utcb.msg.extend_from_slice(&body);
+            for &(addr, bytes) in r.segs.get(..r.nsegs).unwrap_or(&[]) {
+                for p in (addr >> 12)..=((addr + bytes as u64 - 1) >> 12) {
+                    if !self.delegated.contains(&p) && !newly.contains(&p) {
+                        newly.push(p);
+                    }
+                }
+                // Pages map at `WINDOW_BASE + page`, so an unaligned
+                // buffer keeps its in-page offset.
+                utcb.msg
+                    .extend_from_slice(&[WINDOW_BASE * 4096 + addr, bytes as u64]);
+            }
+        }
+        let ch = self.channel?;
+        for &p in &newly {
+            utcb.xfer.push(XferItem::Mem {
+                base: self.guest_base_page + p,
+                count: 1,
+                rights: MemRights::RW_DMA,
+                hot: WINDOW_BASE + p,
+            });
+        }
+        // The IPC runs on the first request's context, so its span and
+        // the server's land inside that request's tree.
+        if let Some(c) = first_ctx {
+            k.machine.bus.trace.set_ctx(c);
+        }
+        k.ipc_call(ctx, ch.req_sel, &mut utcb).ok()?;
+        self.delegated.extend(newly);
+        Some(utcb)
+    }
+
+    /// Consumes the next record of the server's completion ring:
+    /// `(tag, completed without error)`.
+    pub fn next_completion(&mut self, k: &Kernel, ctx: CompCtx) -> Option<(u32, bool)> {
+        let ch = self.channel?;
+        let head = k.mem_read_u32(ctx, ch.ring_va + 4092).unwrap_or(0);
+        if self.ring_tail == head {
+            return None;
+        }
+        let rec = ch.ring_va + (self.ring_tail as usize % proto::RING_RECORDS) as u64 * 16;
+        self.ring_tail = self.ring_tail.wrapping_add(1);
+        let tag = k.mem_read_u32(ctx, rec).unwrap_or(0);
+        let status = k.mem_read_u32(ctx, rec + 4).unwrap_or(1);
+        Some((tag, status == 0))
+    }
+
+    /// The maintenance sweep's verdict on one pending request at cycle
+    /// `now`. [`Due::Resubmit`] has already counted the retry; the
+    /// caller sends. [`Due::GiveUp`] has counted the degradation; the
+    /// caller fails the request towards the guest.
+    pub fn due(&mut self, k: &mut Kernel, r: &mut Req, now: u64) -> Due {
+        let limit = if r.accepted {
+            REQUEST_TIMEOUT
+        } else {
+            RETRY_DELAY
+        };
+        if now.saturating_sub(r.submitted_at) < limit {
+            return Due::Wait;
+        }
+        if r.accepted {
+            self.timeouts += 1;
+            k.counters.request_timeouts += 1;
+        }
+        if r.attempts >= MAX_ATTEMPTS {
+            self.degraded += 1;
+            k.counters.degraded_errors += 1;
+            return Due::GiveUp;
+        }
+        self.retry(k, r)
+    }
+
+    /// Marks `r` for a charged re-send: the delivery failed (timeout,
+    /// refusal) or the server that held it restarted.
+    pub fn retry(&mut self, k: &mut Kernel, r: &mut Req) -> Due {
+        r.accepted = false;
+        self.resubmits += 1;
+        k.counters.request_retries += 1;
+        Due::Resubmit
+    }
+
+    /// Marks a restored request for an uncharged re-send after a VMM
+    /// microreboot: the next send re-uses the attempt the dead
+    /// incarnation spent on it. The restored stamp is not a time, so
+    /// a request queued behind the server's window waits from `now`.
+    pub fn replay(&mut self, r: &mut Req, now: u64) -> Due {
+        r.accepted = false;
+        r.attempts = r.attempts.saturating_sub(1);
+        r.submitted_at = now;
+        self.resubmits += 1;
+        Due::Resubmit
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::panic, clippy::indexing_slicing)]
+pub(crate) mod tests {
+    use super::*;
+    use nova_core::obj::PdId;
+    use nova_core::{CompId, Component, Hypercall, KernelConfig};
+    use nova_hw::machine::{Machine, MachineConfig};
+    use nova_user::RootPm;
+
+    /// First root page of the stand-in guest RAM.
+    pub(crate) const GUEST_BASE: u64 = 0x400;
+    /// Root VA of the completion-ring page of [`channel`].
+    pub(crate) const RING_VA: u64 = 0x300 * 4096;
+
+    /// A server portal that accepts everything (`[OK, MAX_BATCH]`) and
+    /// keeps the last message it was sent.
+    pub(crate) struct Stub(pub Vec<u64>);
+    impl Component for Stub {
+        fn name(&self) -> &str {
+            "stub"
+        }
+        fn on_call(&mut self, _k: &mut Kernel, _c: CompCtx, _p: u64, u: &mut Utcb) {
+            self.0 = std::mem::take(&mut u.msg);
+            u.set_msg(&[proto::OK, proto::MAX_BATCH as u64]);
+        }
+        fn as_any(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// A kernel whose root PD stands in for the VMM, with a [`Stub`]
+    /// server in a PD of its own behind root's selector 0x20.
+    pub(crate) fn setup() -> (Kernel, CompCtx, CompId) {
+        let m = Machine::new(MachineConfig::core_i7(64 << 20));
+        let mut k = Kernel::new(m, KernelConfig::default());
+        let (rc, re) = k.load_component(k.root_pd, 0, Box::new(RootPm::new()));
+        k.start_component(rc, re);
+        let ctx = k.component_mut::<RootPm>(rc).unwrap().ctx.unwrap();
+        let pd = Hypercall::CreatePd {
+            name: "stub".into(),
+            vm: None,
+            dst: 10,
+        };
+        k.hypercall(ctx, pd).unwrap();
+        let pd = PdId(k.obj.pds.len() - 1);
+        let (comp, ec) = k.load_component(pd, 0, Box::new(Stub(Vec::new())));
+        k.start_component(comp, ec);
+        let pt = Hypercall::CreatePt {
+            ec: nova_core::kernel::SEL_SELF_EC,
+            mtd: 0,
+            id: proto::PORTAL_BATCH,
+            dst: 0x20,
+        };
+        k.hypercall(CompCtx { pd, ec, comp }, pt).unwrap();
+        let cap = k.obj.pd(pd).caps.get(0x20).unwrap();
+        k.obj.pd_mut(k.root_pd).caps.set(0x20, cap);
+        (k, ctx, comp)
+    }
+
+    /// Client 3's channel through selector `req_sel` (0x20 is the
+    /// stub, anything else a dead portal).
+    pub(crate) fn channel(req_sel: CapSel) -> DiskChannel {
+        DiskChannel {
+            req_sel,
+            client: 3,
+            ring_va: RING_VA,
+        }
+    }
+
+    /// Writes completion record `i` of the ring at [`RING_VA`].
+    pub(crate) fn put_record(k: &mut Kernel, ctx: CompCtx, i: u64, tag: u32, status: u32) {
+        k.mem_write_u32(ctx, RING_VA + i * 16, tag);
+        k.mem_write_u32(ctx, RING_VA + i * 16 + 4, status);
+    }
+
+    fn req(tag: u64, attempts: u32, accepted: bool) -> Req {
+        let mut segs = [(0, 0); proto::MAX_SEGMENTS];
+        segs[0] = (0x5f00, 512);
+        Req {
+            tag,
+            op: proto::OP_READ,
+            lba: 9,
+            sectors: 1,
+            segs,
+            nsegs: 1,
+            submitted_at: 1_000,
+            attempts,
+            accepted,
+            ctx: 77,
+        }
+    }
+
+    #[test]
+    fn due_knows_both_limits_and_the_budget() {
+        let (mut k, _, _) = setup();
+        // (accepted, age, attempts) → verdict, timeouts/resubmits/degraded moved.
+        let table = [
+            (false, RETRY_DELAY - 1, 1, Due::Wait, [0, 0, 0]),
+            (false, RETRY_DELAY, 1, Due::Resubmit, [0, 1, 0]),
+            (true, RETRY_DELAY, 1, Due::Wait, [0, 0, 0]),
+            (true, REQUEST_TIMEOUT - 1, 1, Due::Wait, [0, 0, 0]),
+            (true, REQUEST_TIMEOUT, 1, Due::Resubmit, [1, 1, 0]),
+            (
+                false,
+                RETRY_DELAY,
+                MAX_ATTEMPTS - 1,
+                Due::Resubmit,
+                [0, 1, 0],
+            ),
+            (false, RETRY_DELAY, MAX_ATTEMPTS, Due::GiveUp, [0, 0, 1]),
+            (true, REQUEST_TIMEOUT, MAX_ATTEMPTS, Due::GiveUp, [1, 0, 1]),
+        ];
+        for (accepted, age, attempts, verdict, moved) in table {
+            let mut c = DiskClient::new(GUEST_BASE);
+            let mut r = req(0, attempts, accepted);
+            let c0 = k.counters.clone();
+            assert_eq!(c.due(&mut k, &mut r, 1_000 + age), verdict);
+            assert_eq!([c.timeouts, c.resubmits, c.degraded], moved);
+            let global = [
+                k.counters.request_timeouts - c0.request_timeouts,
+                k.counters.request_retries - c0.request_retries,
+                k.counters.degraded_errors - c0.degraded_errors,
+            ];
+            assert_eq!(global, moved, "kernel counters move with the client's");
+            assert_eq!(r.accepted, accepted && verdict != Due::Resubmit);
+            assert_eq!((r.attempts, r.submitted_at), (attempts, 1_000));
+        }
+    }
+
+    #[test]
+    fn send_charges_always_and_commits_delegations_only_when_applied() {
+        let (mut k, ctx, stub) = setup();
+        k.charge(5_000);
+        let mut c = DiskClient::new(GUEST_BASE);
+        let mut r = req(4, 0, false);
+
+        c.rebind(Some(channel(0x21)));
+        assert!(c.send(&mut k, ctx, &[], [&mut r]).is_none(), "dead portal");
+        assert!(c.delegated.is_empty(), "nothing was transferred");
+        assert_eq!((r.attempts, r.submitted_at), (1, k.now()));
+
+        c.rebind(Some(channel(0x20)));
+        let reply = c.send(&mut k, ctx, &[1], [&mut r]).expect("live portal");
+        assert_eq!(reply.word(0), proto::OK);
+        assert_eq!(r.attempts, 2);
+        // The unaligned buffer straddles guest pages 5 and 6.
+        assert_eq!(c.delegated, HashSet::from([5, 6]));
+        let wire = [
+            3,
+            1,
+            proto::OP_READ,
+            9,
+            1,
+            4,
+            77,
+            1,
+            (WINDOW_BASE << 12) + 0x5f00,
+            512,
+        ];
+        assert_eq!(k.component_mut::<Stub>(stub).unwrap().0, wire);
+    }
+
+    #[test]
+    fn next_completion_wraps_at_ring_records() {
+        let (mut k, ctx, _) = setup();
+        let mut c = DiskClient::new(GUEST_BASE);
+        c.rebind(Some(channel(0x20)));
+        assert_eq!(c.next_completion(&k, ctx), None, "zeroed ring is empty");
+        let last = proto::RING_RECORDS as u32 - 1;
+        c.ring_tail = last;
+        put_record(&mut k, ctx, last as u64, 7, 0);
+        put_record(&mut k, ctx, 0, 8, proto::STATUS_ERROR);
+        k.mem_write_u32(ctx, RING_VA + 4092, last + 2);
+        assert_eq!(c.next_completion(&k, ctx), Some((7, true)));
+        assert_eq!(c.next_completion(&k, ctx), Some((8, false)));
+        assert_eq!(c.next_completion(&k, ctx), None);
+        c.rebind(None);
+        assert_eq!((c.ring_tail, c.client_id()), (0, Some(3)));
+    }
+
+    #[test]
+    fn retry_is_charged_and_replay_is_not() {
+        let (mut k, ctx, _) = setup();
+        let mut c = DiskClient::new(GUEST_BASE);
+        c.rebind(Some(channel(0x20)));
+        let retries = k.counters.request_retries;
+
+        let mut r = req(0, 3, true);
+        assert_eq!(c.retry(&mut k, &mut r), Due::Resubmit);
+        c.send(&mut k, ctx, &[], [&mut r]);
+        assert_eq!((r.attempts, r.accepted), (4, false));
+        assert_eq!((c.resubmits, k.counters.request_retries), (1, retries + 1));
+
+        let mut r = req(0, 3, true);
+        assert_eq!(c.replay(&mut r, 2_000), Due::Resubmit);
+        assert_eq!((r.attempts, r.accepted, r.submitted_at), (2, false, 2_000));
+        c.send(&mut k, ctx, &[], [&mut r]);
+        assert_eq!(r.attempts, 3, "the dead incarnation's attempt is re-used");
+        assert_eq!((c.resubmits, k.counters.request_retries), (2, retries + 1));
+    }
+}

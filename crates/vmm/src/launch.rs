@@ -17,7 +17,7 @@ use nova_hw::machine::{Machine, MachineConfig};
 use nova_hw::Cycles;
 use nova_user::disk::{DiskServer, DiskServerConfig};
 use nova_user::proto::disk as disk_proto;
-use nova_user::root::{DiskSupervision, RootOps, RootPm, SupervisedClient};
+use nova_user::root::{wire_disk_client, DiskSupervision, RootOps, RootPm, SupervisedClient};
 
 use crate::microreboot::{self, DiskWiring, MicrorebootRecipe};
 use crate::vmm::{Vmm, VmmConfig, SEL_RESTART_SM};
@@ -390,40 +390,8 @@ impl System {
         // Disk portals into the VMM's space (server code path, using a
         // root-granted PD capability).
         let mut vm0_restart_sel = None;
-        if let Some((_srv_sel, srv_ctx)) = disk_srv_sel {
-            let mut ops = RootOps::new(&mut k, root_ctx);
-            ops.grant_cap(_srv_sel, vmm_sel, Perms::ALL, 0x30)
-                .expect("boot wiring");
-            k.hypercall(
-                srv_ctx,
-                Hypercall::DelegateCap {
-                    dst_pd: 0x30,
-                    sel: 0x20,
-                    perms: Perms::CALL,
-                    hot: VMM_SEL_DISK_REG,
-                },
-            )
-            .expect("boot wiring");
-            k.hypercall(
-                srv_ctx,
-                Hypercall::DelegateCap {
-                    dst_pd: 0x30,
-                    sel: 0x21,
-                    perms: Perms::CALL,
-                    hot: VMM_SEL_DISK_REQ,
-                },
-            )
-            .expect("boot wiring");
-            k.hypercall(
-                srv_ctx,
-                Hypercall::DelegateCap {
-                    dst_pd: 0x30,
-                    sel: 0x22,
-                    perms: Perms::CALL,
-                    hot: VMM_SEL_DISK_BATCH,
-                },
-            )
-            .expect("boot wiring");
+        if let Some((srv_sel, srv_ctx)) = disk_srv_sel {
+            wire_disk_client(&mut k, root_ctx, srv_sel, srv_ctx, vmm_sel, 0).expect("boot wiring");
 
             if opts.supervise {
                 // Restart-notification semaphore: root keeps UP, the
@@ -604,25 +572,7 @@ impl System {
 
         let (vmm, vmm_ec) = k.load_component(vmm_pd, 0, Box::new(Vmm::new(cfg)));
         if let Some((srv_sel, srv_ctx)) = self.disk_srv {
-            let mut ops = RootOps::new(k, self.root_ctx);
-            ops.grant_cap(srv_sel, vmm_sel, Perms::ALL, 0x31)
-                .expect("boot wiring");
-            for (from, to) in [
-                (0x20, VMM_SEL_DISK_REG),
-                (0x21, VMM_SEL_DISK_REQ),
-                (0x22, VMM_SEL_DISK_BATCH),
-            ] {
-                k.hypercall(
-                    srv_ctx,
-                    Hypercall::DelegateCap {
-                        dst_pd: 0x31,
-                        sel: from,
-                        perms: Perms::CALL,
-                        hot: to,
-                    },
-                )
-                .expect("boot wiring");
-            }
+            wire_disk_client(k, self.root_ctx, srv_sel, srv_ctx, vmm_sel, 1).expect("boot wiring");
             if self.supervised {
                 let restart_sel = {
                     let rp = k.component_mut::<RootPm>(self.root).expect("boot wiring");

@@ -16,6 +16,7 @@
 pub mod bios;
 pub mod checkpoint;
 pub mod devices;
+pub mod diskclient;
 pub mod emu;
 pub mod launch;
 pub mod microreboot;

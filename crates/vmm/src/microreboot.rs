@@ -33,9 +33,9 @@ use nova_core::kernel::SEL_SELF_EC;
 use nova_core::obj::{MemRights, ObjRef, PdId};
 use nova_core::{Capability, CompCtx, CompId, HcErr, Hypercall, Kernel};
 use nova_user::disk::DiskServer;
-use nova_user::proto::disk as dproto;
 use nova_user::root::{
-    RespawnError, RootPm, VmRecipe, VmmSupervision, FLIGHT_CAPACITY, LEVEL_RESUME, RETRY_BACKOFF,
+    wire_disk_client, RespawnError, RootPm, VmRecipe, VmmSupervision, FLIGHT_CAPACITY,
+    LEVEL_RESUME, RETRY_BACKOFF,
 };
 
 use crate::checkpoint::{self, View};
@@ -324,33 +324,7 @@ impl VmRecipe for MicrorebootRecipe {
 
         // ---- Disk wiring (server-side delegations, restart channel) ----
         if let Some(w) = self.disk {
-            let pd_hot = 0x30 + w.client_slot;
-            k.hypercall(
-                ctx,
-                Hypercall::DelegateCap {
-                    dst_pd: w.srv_sel,
-                    sel: vmm_sel,
-                    perms: Perms::ALL,
-                    hot: pd_hot,
-                },
-            )
-            .map_err(step("client pd cap"))?;
-            for (from, to) in [
-                (0x20, dproto::CLIENT_SEL_REG),
-                (0x21, dproto::CLIENT_SEL_REQ),
-                (0x22, dproto::CLIENT_SEL_BATCH),
-            ] {
-                k.hypercall(
-                    w.srv_ctx,
-                    Hypercall::DelegateCap {
-                        dst_pd: pd_hot,
-                        sel: from,
-                        perms: Perms::CALL,
-                        hot: to,
-                    },
-                )
-                .map_err(step("portal delegation"))?;
-            }
+            wire_disk_client(k, ctx, w.srv_sel, w.srv_ctx, vmm_sel, w.client_slot)?;
             k.hypercall(
                 ctx,
                 Hypercall::DelegateCap {

@@ -5,9 +5,9 @@
 //! protocol — costing the guest ~6 MMIO exits per request — this
 //! backend consumes request descriptors from a shared ring page the
 //! guest fills directly, triggered by a single doorbell write per
-//! *batch*. Requests are forwarded to the disk server over the same
-//! IPC channel architecture the vAHCI uses, but through the server's
-//! batch portal ([`proto::PORTAL_BATCH`]): one IPC carries up to
+//! *batch*. Requests are forwarded to the disk server over a
+//! [`crate::diskclient`] channel attached to the server's batch portal
+//! ([`proto::PORTAL_BATCH`]): one IPC carries up to
 //! [`proto::MAX_BATCH`] requests. Completions are written back into
 //! the guest's ring (status word per descriptor plus a cumulative
 //! `used` counter) without any guest exit; one coalesced virtual
@@ -16,11 +16,11 @@
 //! The backend registers with the disk server as a *second* client —
 //! its own completion ring, its own outstanding window — so the vAHCI
 //! path and the PV path coexist in one VM and are throttled
-//! independently. All of the vAHCI's robustness machinery carries
-//! over: retry on EBUSY, timeout of accepted requests the server
-//! lost, re-registration and resubmission after a supervised server
-//! restart, and degradation to a guest-visible per-descriptor error
-//! status when the attempt budget runs out.
+//! independently. Recovery is [`crate::diskclient`]'s: retry on EBUSY,
+//! timeout of accepted requests the server lost, resubmission after a
+//! supervised server restart or a VMM restore; a descriptor whose
+//! attempt budget runs out completes with a guest-visible error
+//! status.
 //!
 //! Everything read from the shared ring is Byzantine-guest input (see
 //! the trust model in [`nova_hw::pv`]): descriptor fields are
@@ -33,55 +33,32 @@
 
 #![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::panic)]
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
-use nova_core::obj::MemRights;
-use nova_core::utcb::XferItem;
-use nova_core::{CompCtx, Kernel, Utcb};
+use nova_core::{CompCtx, Kernel};
 use nova_hw::ahci::SECTOR;
 use nova_hw::pv::{disk as ring, regs};
 use nova_hw::{GuestFault, GuestSurface, VmKill};
 use nova_user::proto::disk as proto;
 
 use crate::checkpoint::{Dec, Enc};
-use crate::vahci::{DiskChannel, WINDOW_BASE};
+use crate::diskclient::{DiskChannel, DiskClient, Due, Req};
 
 /// Virtual interrupt line for PV disk completions (a free slave-PIC
 /// line; the vAHCI keeps [`nova_hw::machine::AHCI_IRQ`]).
 pub const PV_DISK_IRQ: u8 = 9;
 
-/// Same budget constants as the vAHCI path (`crate::vahci`): the
-/// failure modes (server restart, EBUSY, lost requests) are
-/// identical, only the submission interface differs.
-const REQUEST_TIMEOUT: u64 = 16_000_000;
-const RETRY_DELAY: u64 = 2_000_000;
-const MAX_ATTEMPTS: u32 = 6;
-
-/// One guest descriptor in flight: everything needed to (re)submit.
-#[derive(Clone, Copy)]
-struct PvPending {
-    /// Cumulative descriptor index — doubles as the server tag.
-    idx: u64,
-    op: u64,
-    lba: u64,
-    sectors: u32,
-    /// Guest-physical byte address of the (contiguous) buffer.
-    buf: u64,
-    bytes: u32,
-    submitted_at: u64,
-    attempts: u32,
-    accepted: bool,
-    /// Causal trace context allocated for this request at ingest;
-    /// carried on the wire to the disk server and restored on the
-    /// completion path so the whole request stitches into one tree.
-    ctx: u64,
+/// A PV descriptor's scatter-gather list: its one contiguous buffer.
+fn one_segment(buf: u64, bytes: u32) -> [(u64, u32); proto::MAX_SEGMENTS] {
+    std::array::from_fn(|i| if i == 0 { (buf, bytes) } else { (0, 0) })
 }
 
 /// The paravirtual disk queue backend.
 pub struct PvDisk {
     guest_base_page: u64,
     guest_pages: u64,
-    channel: Option<DiskChannel>,
+    /// The channel to the disk server and its recovery counters.
+    pub disk: DiskClient,
     /// Guest-physical address of the shared ring page (0 = unset).
     ring_gpa: u64,
     /// Cumulative count of descriptors the guest has published.
@@ -90,11 +67,9 @@ pub struct PvDisk {
     used: u64,
     /// Cumulative error completions (mirrored into the ring page).
     used_errors: u64,
-    /// Consumer tail of the server's completion ring.
-    ring_tail: u32,
-    delegated: HashSet<u64>,
-    /// In-flight descriptors, in submission order.
-    pending: VecDeque<PvPending>,
+    /// In-flight descriptors, in submission order (tag = cumulative
+    /// descriptor index, one contiguous buffer segment each).
+    pending: VecDeque<Req>,
     /// Out-of-order completions awaiting in-order publication:
     /// descriptor index → (ring status word, trace context).
     done: BTreeMap<u64, (u32, u64)>,
@@ -112,12 +87,6 @@ pub struct PvDisk {
     pub completions: u64,
     /// Descriptors rejected before submission (bad fields).
     pub errors: u64,
-    /// Accepted requests whose completion timed out.
-    pub timeouts: u64,
-    /// Re-submissions (timeouts, refusals, server restarts).
-    pub resubmits: u64,
-    /// Requests degraded to a guest-visible error status.
-    pub degraded: u64,
     /// Completion interrupts raised (after coalescing).
     pub irqs: u64,
     /// Structurally fatal guest input awaiting escalation: the VMM
@@ -132,13 +101,11 @@ impl PvDisk {
         PvDisk {
             guest_base_page,
             guest_pages,
-            channel: None,
+            disk: DiskClient::new(guest_base_page),
             ring_gpa: 0,
             submitted: 0,
             used: 0,
             used_errors: 0,
-            ring_tail: 0,
-            delegated: HashSet::new(),
             pending: VecDeque::new(),
             done: BTreeMap::new(),
             isr: 0,
@@ -148,9 +115,6 @@ impl PvDisk {
             requests: 0,
             completions: 0,
             errors: 0,
-            timeouts: 0,
-            resubmits: 0,
-            degraded: 0,
             irqs: 0,
             fatal: None,
         }
@@ -180,12 +144,12 @@ impl PvDisk {
     /// Attaches the disk-server channel (`req_sel` must name the
     /// server's *batch* portal).
     pub fn attach(&mut self, ch: DiskChannel) {
-        self.channel = Some(ch);
+        self.disk.rebind(Some(ch));
     }
 
     /// `true` once a channel is attached (drives the FEAT register).
     pub fn enabled(&self) -> bool {
-        self.channel.is_some()
+        self.disk.client_id().is_some()
     }
 
     /// `true` while any descriptor awaits completion.
@@ -319,7 +283,7 @@ impl PvDisk {
     /// Reads and validates the guest descriptor at cumulative index
     /// `idx`. Every field is untrusted; the error names the first
     /// validation that failed.
-    fn read_desc(&self, k: &Kernel, ctx: CompCtx, idx: u64) -> Result<PvPending, GuestFault> {
+    fn read_desc(&self, k: &Kernel, ctx: CompCtx, idx: u64) -> Result<Req, GuestFault> {
         if self.ring_gpa == 0 {
             return Err(GuestFault::BadBase);
         }
@@ -345,8 +309,8 @@ impl PvDisk {
         if !nova_hw::pv::buffer_in_ram(buf, bytes as u64, self.guest_pages) {
             return Err(GuestFault::BufferOutOfRange);
         }
-        Ok(PvPending {
-            idx,
+        Ok(Req {
+            tag: idx,
             op: if write {
                 proto::OP_WRITE
             } else {
@@ -354,8 +318,8 @@ impl PvDisk {
             },
             lba,
             sectors,
-            buf,
-            bytes,
+            segs: one_segment(buf, bytes),
+            nsegs: 1,
             submitted_at: k.now(),
             attempts: 0,
             accepted: false,
@@ -365,126 +329,47 @@ impl PvDisk {
 
     /// Submits as many unaccepted descriptors as the server's
     /// outstanding window allows, batching up to [`proto::MAX_BATCH`]
-    /// per IPC. Returns `true` if the interrupt line should be raised
-    /// (a descriptor failed terminally).
+    /// per IPC; a descriptor queued behind a full window is neither
+    /// sent nor charged. Returns `true` if the interrupt line should
+    /// be raised (a descriptor failed terminally).
     fn submit_ready(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
         let mut raise = false;
         // A definitive EINVAL removes one entry and retries the rest;
         // bound the loop by the pending count.
         for _ in 0..=self.pending.len() {
-            let Some(ch) = self.channel else {
+            let queued = self.pending.iter().filter(|p| !p.accepted).count();
+            let n = proto::MAX_OUTSTANDING
+                .saturating_sub(self.pending.len() - queued)
+                .min(proto::MAX_BATCH)
+                .min(queued);
+            if n == 0 || !self.enabled() {
+                return raise;
+            }
+            self.batches += 1;
+            let batch = self.pending.iter_mut().filter(|p| !p.accepted).take(n);
+            // Dead portal (restart underway): retry via the
+            // maintenance timer.
+            let Some(reply) = self.disk.send(k, ctx, &[n as u64], batch) else {
                 return raise;
             };
-            let accepted_cnt = self.pending.iter().filter(|p| p.accepted).count();
-            let window = proto::MAX_OUTSTANDING
-                .saturating_sub(accepted_cnt)
-                .min(proto::MAX_BATCH);
-            let batch: Vec<usize> = self
-                .pending
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| !p.accepted)
-                .map(|(i, _)| i)
-                .take(window)
-                .collect();
-            if batch.is_empty() {
+            let accepted = (reply.word(1) as usize).min(n);
+            let batch = self.pending.iter_mut().filter(|p| !p.accepted);
+            batch.take(accepted).for_each(|p| p.accepted = true);
+            // OK, or EBUSY (window full at the server: the rest retries
+            // when completions free slots). Anything else: the entry
+            // right after the accepted prefix is definitively bad —
+            // fail it and resubmit the remainder.
+            if matches!(reply.word(0), proto::OK | proto::EBUSY) || accepted == n {
                 return raise;
             }
-
-            // Delegate whatever buffer pages the server does not hold
-            // yet (standing delegations, exactly as the vAHCI path).
-            let mut newly: Vec<u64> = Vec::new();
-            for &i in &batch {
-                let Some(p) = self.pending.get(i) else {
-                    continue;
-                };
-                for page in (p.buf >> 12)..=((p.buf + p.bytes as u64 - 1) >> 12) {
-                    if !self.delegated.contains(&page) && !newly.contains(&page) {
-                        newly.push(page);
-                    }
-                }
-            }
-            let mut utcb = Utcb::new();
-            for &p in &newly {
-                utcb.xfer.push(XferItem::Mem {
-                    base: self.guest_base_page + p,
-                    count: 1,
-                    rights: MemRights::RW_DMA,
-                    hot: WINDOW_BASE + p,
-                });
-            }
-            let now = k.now();
-            // The batch IPC is sent on behalf of its first request's
-            // context, so the IPC span lands inside that request's
-            // span tree; each entry also carries its own context to
-            // the server on the wire.
-            if let Some(first) = batch
-                .first()
-                .and_then(|&i| self.pending.get(i))
-                .map(|p| p.ctx)
-            {
-                k.machine.bus.trace.set_ctx(first);
-            }
-            let mut msg = vec![ch.client, batch.len() as u64];
-            for &i in &batch {
-                let Some(p) = self.pending.get(i) else {
-                    continue;
-                };
-                msg.extend_from_slice(&[
-                    p.op,
-                    p.lba,
-                    p.sectors as u64,
-                    p.idx,
-                    p.ctx,
-                    1,
-                    WINDOW_BASE * 4096 + p.buf,
-                    p.bytes as u64,
-                ]);
-            }
-            utcb.set_msg(&msg);
-            self.batches += 1;
-            for &i in &batch {
-                if let Some(p) = self.pending.get_mut(i) {
-                    p.attempts += 1;
-                    p.submitted_at = now;
-                }
-            }
-            match k.ipc_call(ctx, ch.req_sel, &mut utcb) {
-                // Dead portal (restart underway): retry via the
-                // maintenance timer.
-                Err(_) => return raise,
-                Ok(()) => {
-                    self.delegated.extend(newly);
-                    let status = utcb.word(0);
-                    let accepted = utcb.word(1) as usize;
-                    for &i in batch.iter().take(accepted) {
-                        if let Some(p) = self.pending.get_mut(i) {
-                            p.accepted = true;
-                        }
-                    }
-                    match status {
-                        proto::OK => return raise,
-                        // Window full at the server: the rest retries
-                        // when completions free slots.
-                        proto::EBUSY => return raise,
-                        _ => {
-                            // The entry right after the accepted
-                            // prefix is definitively bad: fail it and
-                            // resubmit the remainder.
-                            if let Some(p) =
-                                batch.get(accepted).and_then(|&i| self.pending.remove(i))
-                            {
-                                self.degraded += 1;
-                                k.counters.degraded_errors += 1;
-                                self.done.insert(p.idx, (ring::ST_ERROR, p.ctx));
-                                raise = true;
-                            } else {
-                                return raise;
-                            }
-                        }
-                    }
-                }
-            }
+            let bad = self.pending.iter().position(|p| !p.accepted);
+            let Some(p) = bad.and_then(|i| self.pending.remove(i)) else {
+                return raise;
+            };
+            self.disk.degraded += 1;
+            k.counters.degraded_errors += 1;
+            self.done.insert(p.tag, (ring::ST_ERROR, p.ctx));
+            raise = true;
         }
         raise
     }
@@ -550,46 +435,18 @@ impl PvDisk {
     /// publishes them to the guest; returns `true` if the interrupt
     /// line should be raised.
     pub fn drain_completions(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
-        let Some(ch) = self.channel else {
-            return false;
-        };
         let mut drained = false;
-        loop {
-            let head = k.mem_read_u32(ctx, ch.ring_va + 4092).unwrap_or(0);
-            if self.ring_tail == head {
-                break;
-            }
-            let slot_idx = self.ring_tail as usize % proto::RING_RECORDS;
-            let rec = ch.ring_va + slot_idx as u64 * 16;
-            let tag = k.mem_read_u32(ctx, rec).unwrap_or(0);
-            let status = k.mem_read_u32(ctx, rec + 4).unwrap_or(1);
-            self.ring_tail = self.ring_tail.wrapping_add(1);
-            let found = self
-                .pending
-                .iter()
-                .position(|p| p.idx as u32 == tag)
-                .and_then(|pos| self.pending.remove(pos));
-            if let Some(p) = found {
+        while let Some((tag, ok)) = self.disk.next_completion(k, ctx) {
+            let pos = self.pending.iter().position(|p| p.tag as u32 == tag);
+            if let Some(p) = pos.and_then(|pos| self.pending.remove(pos)) {
                 self.completions += 1;
-                self.done.insert(
-                    p.idx,
-                    (
-                        if status == 0 {
-                            ring::ST_OK
-                        } else {
-                            ring::ST_ERROR
-                        },
-                        p.ctx,
-                    ),
-                );
+                let status = if ok { ring::ST_OK } else { ring::ST_ERROR };
+                self.done.insert(p.tag, (status, p.ctx));
                 drained = true;
             }
         }
-        let mut raise = false;
-        if drained {
-            // Freed window: push queued descriptors to the server.
-            raise |= self.submit_ready(k, ctx);
-        }
+        // Freed window: push queued descriptors to the server.
+        let mut raise = drained && self.submit_ready(k, ctx);
         raise |= self.publish(k, ctx);
         if raise && k.machine.bus.trace.active() {
             k.machine
@@ -601,44 +458,29 @@ impl PvDisk {
         raise
     }
 
-    /// Periodic maintenance, mirroring the vAHCI sweep: re-submits
-    /// refused descriptors, times out accepted ones the server lost,
-    /// degrades descriptors whose attempt budget ran out.
-    pub fn check_timeouts(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
-        let now = k.now();
+    /// Walks the in-flight descriptors: `verdict` decides per
+    /// descriptor whether it joins the next batch, completes with an
+    /// error status, or is left alone.
+    fn sweep(
+        &mut self,
+        k: &mut Kernel,
+        ctx: CompCtx,
+        mut verdict: impl FnMut(&mut DiskClient, &mut Kernel, &mut Req) -> Due,
+    ) -> bool {
         let mut resubmit = false;
         let mut raise = false;
         let mut i = 0;
-        while i < self.pending.len() {
-            let Some(p) = self.pending.get_mut(i) else {
-                break;
-            };
-            let limit = if p.accepted {
-                REQUEST_TIMEOUT
-            } else {
-                RETRY_DELAY
-            };
-            if now.saturating_sub(p.submitted_at) < limit {
-                i += 1;
-                continue;
-            }
-            if p.accepted {
-                self.timeouts += 1;
-                k.counters.request_timeouts += 1;
-            }
-            if p.attempts >= MAX_ATTEMPTS {
-                if let Some(p) = self.pending.remove(i) {
-                    self.degraded += 1;
-                    k.counters.degraded_errors += 1;
-                    self.done.insert(p.idx, (ring::ST_ERROR, p.ctx));
+        while let Some(p) = self.pending.get_mut(i) {
+            match verdict(&mut self.disk, k, p) {
+                Due::Wait => {}
+                Due::Resubmit => resubmit = true,
+                Due::GiveUp => {
+                    self.done.insert(p.tag, (ring::ST_ERROR, p.ctx));
+                    self.pending.remove(i);
                     raise = true;
+                    continue;
                 }
-                continue;
             }
-            p.accepted = false;
-            self.resubmits += 1;
-            k.counters.request_retries += 1;
-            resubmit = true;
             i += 1;
         }
         if resubmit {
@@ -648,36 +490,35 @@ impl PvDisk {
         raise
     }
 
-    /// Re-attaches after a disk-server restart: fresh channel, fresh
-    /// delegations, and every in-flight descriptor is re-submitted.
-    pub fn reconnect(&mut self, k: &mut Kernel, ctx: CompCtx, ch: DiskChannel) -> bool {
-        self.channel = Some(ch);
-        self.ring_tail = 0;
-        self.delegated.clear();
-        let any = !self.pending.is_empty();
-        for p in self.pending.iter_mut() {
-            p.accepted = false;
-            self.resubmits += 1;
-            k.counters.request_retries += 1;
-        }
-        let mut raise = false;
-        if any {
-            raise |= self.submit_ready(k, ctx);
-        }
-        raise |= self.publish(k, ctx);
-        raise
+    /// Periodic maintenance: re-submits refused descriptors and
+    /// accepted ones the server lost, and fails those whose attempt
+    /// budget ran out.
+    pub fn check_timeouts(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
+        let now = k.now();
+        self.sweep(k, ctx, |disk, k, p| disk.due(k, p, now))
     }
 
-    /// The registered disk-server client id, if a channel is attached.
-    pub fn client_id(&self) -> Option<u64> {
-        self.channel.map(|ch| ch.client)
+    /// Re-attaches after a disk-server restart: fresh channel, fresh
+    /// delegations, and every in-flight descriptor is re-submitted,
+    /// charged.
+    pub fn reconnect(&mut self, k: &mut Kernel, ctx: CompCtx, ch: DiskChannel) -> bool {
+        self.disk.rebind(Some(ch));
+        self.sweep(k, ctx, DiskClient::retry)
+    }
+
+    /// Replays every restored in-flight descriptor into the disk
+    /// server after a VMM microreboot, uncharged. Returns `true` if
+    /// the interrupt line should be raised.
+    pub fn restore_resubmit(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
+        let now = k.now();
+        self.sweep(k, ctx, |disk, _, p| disk.replay(p, now))
     }
 
     /// Serializes the queue state for a checkpoint: ring location,
     /// cumulative counters, every in-flight descriptor, and the
     /// out-of-order completions not yet published. The channel, the
     /// completion-ring cursor and the delegations are reconstructed
-    /// on restore, exactly as in [`crate::vahci::VAhci::export_state`].
+    /// on restore ([`DiskClient::rebind`]).
     pub fn export_state(&self, e: &mut Enc) {
         e.u64(self.ring_gpa);
         e.u64(self.submitted);
@@ -687,12 +528,13 @@ impl PvDisk {
         e.u64(self.raised_used);
         e.u32(self.pending.len() as u32);
         for p in &self.pending {
-            e.u64(p.idx);
+            let (buf, bytes) = p.segs.first().copied().unwrap_or_default();
+            e.u64(p.tag);
             e.u64(p.op);
             e.u64(p.lba);
             e.u32(p.sectors);
-            e.u64(p.buf);
-            e.u32(p.bytes);
+            e.u64(buf);
+            e.u32(bytes);
             e.u32(p.attempts);
             e.u64(p.ctx);
         }
@@ -708,9 +550,9 @@ impl PvDisk {
             self.requests,
             self.completions,
             self.errors,
-            self.timeouts,
-            self.resubmits,
-            self.degraded,
+            self.disk.timeouts,
+            self.disk.resubmits,
+            self.disk.degraded,
             self.irqs,
         ] {
             e.u64(c);
@@ -726,8 +568,7 @@ impl PvDisk {
         self.used_errors = d.u64()?;
         self.isr = d.u32()?;
         self.raised_used = d.u64()?;
-        self.ring_tail = 0;
-        self.delegated.clear();
+        self.disk.rebind(None);
         self.fatal = None;
         let npending = d.u32()? as usize;
         if npending > d.remaining() / 8 {
@@ -735,13 +576,13 @@ impl PvDisk {
         }
         self.pending.clear();
         for _ in 0..npending {
-            self.pending.push_back(PvPending {
-                idx: d.u64()?,
+            self.pending.push_back(Req {
+                tag: d.u64()?,
                 op: d.u64()?,
                 lba: d.u64()?,
                 sectors: d.u32()?,
-                buf: d.u64()?,
-                bytes: d.u32()?,
+                segs: one_segment(d.u64()?, d.u32()?),
+                nsegs: 1,
                 submitted_at: 0,
                 attempts: d.u32()?,
                 accepted: false,
@@ -764,30 +605,49 @@ impl PvDisk {
         self.requests = d.u64()?;
         self.completions = d.u64()?;
         self.errors = d.u64()?;
-        self.timeouts = d.u64()?;
-        self.resubmits = d.u64()?;
-        self.degraded = d.u64()?;
+        self.disk.timeouts = d.u64()?;
+        self.disk.resubmits = d.u64()?;
+        self.disk.degraded = d.u64()?;
         self.irqs = d.u64()?;
         Some(())
     }
+}
 
-    /// Replays every restored in-flight descriptor into the disk
-    /// server after a VMM microreboot. The attempt budget is not
-    /// charged (a restore is a replay, not a failed delivery).
-    /// Returns `true` if the interrupt line should be raised.
-    pub fn restore_resubmit(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
-        let now = k.now();
-        let any = !self.pending.is_empty();
-        for p in self.pending.iter_mut() {
-            p.accepted = false;
-            p.submitted_at = now;
-            self.resubmits += 1;
-        }
-        let mut raise = false;
-        if any {
-            raise |= self.submit_ready(k, ctx);
-        }
-        raise |= self.publish(k, ctx);
-        raise
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::panic, clippy::indexing_slicing)]
+mod tests {
+    use super::*;
+    use crate::diskclient::tests::{channel, setup, GUEST_BASE};
+
+    /// A restore is a replay, not a failed delivery: a microreboot must
+    /// not burn one of a pending descriptor's attempts.
+    #[test]
+    fn restore_replay_does_not_charge_the_attempt_budget() {
+        let (mut k, ctx, _) = setup();
+        let mut pv = PvDisk::new(GUEST_BASE, 1024);
+        pv.attach(channel(0x20));
+        // One descriptor in a ring page at guest 0x2000: read sector 0
+        // into guest 0x8000.
+        let desc = pv.guest_va(0x2000 + ring::DESC0);
+        k.mem_write_u32(ctx, desc + ring::D_OP, ring::OP_READ);
+        k.mem_write_u32(ctx, desc + ring::D_SECTORS, 1);
+        k.mem_write_u32(ctx, desc + ring::D_BUF, 0x8000);
+        pv.mmio_write(&mut k, ctx, regs::DISK_RING, 0x2000);
+        pv.mmio_write(&mut k, ctx, regs::DISK_DOORBELL, 1);
+        assert!(pv.pending[0].accepted, "the stub server took it");
+        let before = pv.pending[0].attempts;
+
+        let mut e = Enc::new();
+        pv.export_state(&mut e);
+        let blob = e.finish();
+        // The next incarnation, over a server that holds none of the
+        // dead one's delegations (they were revoked with its PD).
+        let (mut k, ctx, _) = setup();
+        let mut revived = PvDisk::new(GUEST_BASE, 1024);
+        revived.attach(channel(0x20));
+        revived.import_state(&mut Dec::new(&blob)).unwrap();
+        revived.restore_resubmit(&mut k, ctx);
+        assert!(revived.pending[0].accepted, "replayed into the server");
+        assert_eq!((before, revived.pending[0].attempts), (1, 1));
     }
 }

@@ -9,10 +9,10 @@
 //! copy. On the completion notification the VMM updates the virtual
 //! controller's state machine and raises the virtual interrupt line.
 //!
-//! Delegations of DMA buffer pages are left standing across requests
-//! (guests reuse their DMA buffers); they are torn down wholesale when
-//! the VM is destroyed. The security implications are exactly the ones
-//! Section 4.2 discusses for delegated buffers.
+//! The channel to the disk server — delegations, wire format, the
+//! completion ring, and the timeout/retry/degrade policy — is
+//! [`crate::diskclient`]; this module is the AHCI register file and the
+//! parser of the guest's command structures on top of it.
 //!
 //! Every structure the controller parses — command list, command
 //! table, CFIS, PRDT — lives in guest memory and is Byzantine input:
@@ -23,80 +23,14 @@
 
 #![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::panic)]
 
-use std::collections::HashSet;
-
-use nova_core::cap::CapSel;
-use nova_core::obj::MemRights;
-use nova_core::utcb::XferItem;
-use nova_core::{CompCtx, Kernel, Utcb};
+use nova_core::{CompCtx, Kernel};
 use nova_hw::ahci::{regs, ATA_READ_DMA_EXT, ATA_WRITE_DMA_EXT, SECTOR};
 use nova_hw::{GuestFault, GuestSurface};
 use nova_user::proto::disk as proto;
 use nova_x86::insn::OpSize;
 
 use crate::checkpoint::{Dec, Enc};
-
-/// First page of the disk server's window for this client's buffers:
-/// the server sees guest page `g` at window page `WINDOW_BASE + g`.
-pub const WINDOW_BASE: u64 = 0x40_000;
-
-/// Cycles an accepted request may stay uncompleted before the VMM
-/// re-submits it. Longer than the disk server's own recovery chain,
-/// so this only triggers when the server truly lost the request
-/// (e.g. it crashed and was restarted).
-const REQUEST_TIMEOUT: u64 = 16_000_000;
-
-/// Cycles before retrying a submission the server refused (EBUSY) or
-/// that failed to reach it (dead portal while a restart is underway).
-const RETRY_DELAY: u64 = 2_000_000;
-
-/// Submission attempts per request before the VMM gives up and
-/// reports a task-file error to the guest — graceful degradation
-/// instead of a hung virtual CPU.
-const MAX_ATTEMPTS: u32 = 6;
-
-/// A request the guest issued that has not completed yet: everything
-/// needed to re-submit it after a timeout or a server restart.
-#[derive(Clone, Copy)]
-struct PendingReq {
-    op: u64,
-    lba: u64,
-    sectors: u32,
-    /// The guest's PRDT as (guest-physical byte address, byte count)
-    /// segments; only the first `nsegs` entries are meaningful.
-    /// Buffers need not be page-aligned — the in-page offset is
-    /// carried through to the disk server's window addresses.
-    segs: [(u64, u32); proto::MAX_SEGMENTS],
-    nsegs: usize,
-    /// Cycle stamp of the last submission attempt.
-    submitted_at: u64,
-    attempts: u32,
-    /// Whether the server accepted the last submission.
-    accepted: bool,
-    /// Causal trace context allocated for this request at issue();
-    /// carried to the disk server and restored around completion.
-    ctx: u64,
-}
-
-enum SubmitOutcome {
-    /// The server accepted the request.
-    Accepted,
-    /// Transient refusal (EBUSY, dead portal): retry later.
-    Retry,
-    /// Definitive rejection: fail the slot towards the guest.
-    Fail,
-}
-
-/// How the VMM reaches storage.
-#[derive(Clone, Copy, Debug)]
-pub struct DiskChannel {
-    /// Request portal selector (in the VMM's capability space).
-    pub req_sel: CapSel,
-    /// Registered client id.
-    pub client: u64,
-    /// VA of the shared completion ring in the VMM's space.
-    pub ring_va: u64,
-}
+use crate::diskclient::{DiskChannel, DiskClient, Due, Req};
 
 /// The virtual AHCI controller.
 pub struct VAhci {
@@ -106,29 +40,22 @@ pub struct VAhci {
     /// Guest RAM size in pages — the bound every guest-supplied
     /// address is validated against.
     guest_pages: u64,
-    channel: Option<DiskChannel>,
+    /// The channel to the disk server and its recovery counters.
+    pub disk: DiskClient,
     clb: u64,
     is: u32,
     p0is: u32,
     p0ie: u32,
     ci: u32,
-    ring_tail: u32,
-    delegated: HashSet<u64>,
     inflight_slots: u32,
-    pending: [Option<PendingReq>; 32],
+    /// Outstanding request per command slot (tag = slot number).
+    pending: [Option<Req>; 32],
     /// Requests the guest issued.
     pub requests: u64,
     /// Completions delivered to the guest.
     pub completions: u64,
     /// Commands rejected (bad structures).
     pub errors: u64,
-    /// Accepted requests whose completion timed out.
-    pub timeouts: u64,
-    /// Re-submissions (after timeouts, refusals, or a server restart).
-    pub resubmits: u64,
-    /// Requests degraded to a guest-visible error after the attempt
-    /// budget ran out.
-    pub degraded: u64,
 }
 
 impl VAhci {
@@ -138,58 +65,29 @@ impl VAhci {
         VAhci {
             guest_base_page,
             guest_pages,
-            channel: None,
+            disk: DiskClient::new(guest_base_page),
             clb: 0,
             is: 0,
             p0is: 0,
             p0ie: 0,
             ci: 0,
-            ring_tail: 0,
-            delegated: HashSet::new(),
             inflight_slots: 0,
             pending: [None; 32],
             requests: 0,
             completions: 0,
             errors: 0,
-            timeouts: 0,
-            resubmits: 0,
-            degraded: 0,
         }
     }
 
     /// Attaches the disk-server channel (done by the VMM at start).
     pub fn attach(&mut self, ch: DiskChannel) {
-        self.channel = Some(ch);
+        self.disk.rebind(Some(ch));
     }
 
     /// `true` while any guest request awaits completion — the VMM
     /// keeps its maintenance timer armed exactly that long.
     pub fn has_pending(&self) -> bool {
         self.pending.iter().any(Option::is_some)
-    }
-
-    /// Re-attaches after a disk-server restart: the old delegations
-    /// and the ring state died with the old server, and every pending
-    /// request is re-submitted to the new one. Returns `true` if the
-    /// guest's interrupt line should be raised (a request failed
-    /// terminally during re-submission).
-    pub fn reconnect(&mut self, k: &mut Kernel, ctx: CompCtx, ch: DiskChannel) -> bool {
-        self.channel = Some(ch);
-        self.ring_tail = 0;
-        self.delegated.clear();
-        let mut raise = false;
-        for slot in 0..32u8 {
-            if let Some(mut req) = self.pend(slot) {
-                req.accepted = false;
-                req.submitted_at = k.now();
-                req.attempts += 1;
-                self.set_pend(slot, Some(req));
-                self.resubmits += 1;
-                k.counters.request_retries += 1;
-                raise |= self.try_submit(k, ctx, slot);
-            }
-        }
-        raise
     }
 
     fn read_guest_u32(&self, k: &Kernel, ctx: CompCtx, gpa: u64) -> Option<u32> {
@@ -200,19 +98,6 @@ impl VAhci {
         k.mem_read_into(ctx, self.guest_base_page * 4096 + gpa, out)
     }
 
-    /// The pending request in `slot`, if any (the slot index is
-    /// masked to the 32-slot range, mirroring the hardware register).
-    fn pend(&self, slot: u8) -> Option<PendingReq> {
-        self.pending.get(slot as usize & 31).copied().flatten()
-    }
-
-    /// Replaces the pending state of `slot`.
-    fn set_pend(&mut self, slot: u8, v: Option<PendingReq>) {
-        if let Some(p) = self.pending.get_mut(slot as usize & 31) {
-            *p = v;
-        }
-    }
-
     /// Reports a task-file error for `slot` to the guest and drops any
     /// pending state: the degradation path — the guest sees an error
     /// status, never a hung vCPU.
@@ -221,7 +106,9 @@ impl VAhci {
         self.ci &= !(1 << slot);
         self.p0is |= 1 << 30; // TFES
         self.is |= 1;
-        self.set_pend(slot, None);
+        if let Some(p) = self.pending.get_mut(slot as usize) {
+            *p = None;
+        }
         self.inflight_slots &= !(1 << slot);
     }
 
@@ -332,7 +219,7 @@ impl VAhci {
         if total != sectors as u64 * SECTOR as u64 {
             return self.fail_guest(k, slot, GuestFault::BadLength);
         }
-        if self.pend(slot).is_some() {
+        if self.pending.get(slot as usize).is_some_and(Option::is_some) {
             // The slot is still outstanding; a well-behaved guest
             // never re-rings it.
             return self.fail_guest(k, slot, GuestFault::Rerung);
@@ -340,201 +227,127 @@ impl VAhci {
 
         // Each accepted doorbell command is a request origin.
         let rctx = k.machine.bus.trace.alloc_ctx();
-        self.set_pend(
-            slot,
-            Some(PendingReq {
-                op: if write {
-                    proto::OP_WRITE
-                } else {
-                    proto::OP_READ
-                },
-                lba,
-                sectors,
-                segs,
-                nsegs: prdtl,
-                submitted_at: k.now(),
-                attempts: 1,
-                accepted: false,
-                ctx: rctx,
-            }),
-        );
+        let req = Req {
+            tag: slot as u64,
+            op: if write {
+                proto::OP_WRITE
+            } else {
+                proto::OP_READ
+            },
+            lba,
+            sectors,
+            segs,
+            nsegs: prdtl,
+            submitted_at: 0,
+            attempts: 0,
+            accepted: false,
+            ctx: rctx,
+        };
+        if let Some(p) = self.pending.get_mut(slot as usize) {
+            *p = Some(req);
+        }
         self.requests += 1;
-        self.try_submit(k, ctx, slot);
+        self.submit(k, ctx, slot);
     }
 
-    /// Submits the pending request in `slot` and folds the outcome
-    /// into the slot state. Returns `true` if the guest's interrupt
-    /// line should be raised (terminal failure with interrupts on).
-    fn try_submit(&mut self, k: &mut Kernel, ctx: CompCtx, slot: u8) -> bool {
-        match self.submit_slot(k, ctx, slot) {
-            SubmitOutcome::Accepted => {
-                if let Some(req) = self
-                    .pending
-                    .get_mut(slot as usize & 31)
-                    .and_then(Option::as_mut)
-                {
-                    req.accepted = true;
-                }
+    /// Sends the pending request in `slot` and folds the server's
+    /// answer into the slot state. Returns `true` if the guest's
+    /// interrupt line should be raised (terminal failure with
+    /// interrupts on).
+    fn submit(&mut self, k: &mut Kernel, ctx: CompCtx, slot: u8) -> bool {
+        let Some(req) = self.pending.get_mut(slot as usize).and_then(Option::as_mut) else {
+            return false;
+        };
+        match self.disk.send(k, ctx, &[], [&mut *req]).map(|u| u.word(0)) {
+            Some(proto::OK) => {
+                req.accepted = true;
                 self.inflight_slots |= 1 << slot;
                 false
             }
-            // Transient: the maintenance tick retries after
-            // RETRY_DELAY.
-            SubmitOutcome::Retry => false,
-            SubmitOutcome::Fail => {
+            // Transient (EBUSY, or the IPC did not go through): the
+            // maintenance sweep re-sends after the retry delay.
+            Some(proto::EBUSY) | None => false,
+            // Definitive rejection: fail the slot towards the guest.
+            Some(_) => {
                 self.fail_slot(slot);
                 self.p0ie != 0
             }
         }
     }
 
-    /// One submission attempt over IPC: delegates whatever buffer
-    /// pages the server does not hold yet (standing delegations —
-    /// committed only if the transfer actually applied) and sends the
-    /// request message.
-    fn submit_slot(&mut self, k: &mut Kernel, ctx: CompCtx, slot: u8) -> SubmitOutcome {
-        let Some(ch) = self.channel else {
-            return SubmitOutcome::Retry;
-        };
-        let Some(req) = self.pend(slot) else {
-            return SubmitOutcome::Fail;
-        };
-        let segs = req.segs.get(..req.nsegs).unwrap_or(&[]);
-        // Union of guest pages the segments touch that the server
-        // does not hold yet. Segments were bounds-checked against
-        // guest RAM at issue(), so the end address cannot overflow.
-        let mut newly: Vec<u64> = Vec::new();
-        for &(dba, bytes) in segs {
-            for p in (dba >> 12)..=((dba + bytes as u64 - 1) >> 12) {
-                if !self.delegated.contains(&p) && !newly.contains(&p) {
-                    newly.push(p);
-                }
-            }
-        }
-        let mut utcb = Utcb::new();
-        for &p in &newly {
-            utcb.xfer.push(XferItem::Mem {
-                base: self.guest_base_page + p,
-                count: 1,
-                rights: MemRights::RW_DMA,
-                hot: WINDOW_BASE + p,
-            });
-        }
-        // The submission IPC runs on the request's own context so the
-        // IPC span and the server's spans stitch to its tree.
-        k.machine.bus.trace.set_ctx(req.ctx);
-        // Window byte address of guest byte `b` is
-        // `WINDOW_BASE * 4096 + b` (pages map at WINDOW_BASE + page),
-        // so unaligned buffers keep their in-page offset.
-        let mut msg = vec![
-            ch.client,
-            req.op,
-            req.lba,
-            req.sectors as u64,
-            slot as u64,
-            req.ctx,
-            req.nsegs as u64,
-        ];
-        for &(dba, bytes) in segs {
-            msg.push(WINDOW_BASE * 4096 + dba);
-            msg.push(bytes as u64);
-        }
-        utcb.set_msg(&msg);
-        match k.ipc_call(ctx, ch.req_sel, &mut utcb) {
-            // Dead portal or busy handler (a restart may be underway):
-            // nothing was transferred, try again later.
-            Err(_) => SubmitOutcome::Retry,
-            Ok(()) => {
-                // The transfer items applied; the delegations stand
-                // even if the server refused the request itself.
-                self.delegated.extend(newly);
-                match utcb.word(0) {
-                    proto::OK => SubmitOutcome::Accepted,
-                    proto::EBUSY => SubmitOutcome::Retry,
-                    _ => SubmitOutcome::Fail,
-                }
-            }
-        }
-    }
-
-    /// Periodic maintenance: re-submits refused requests, times out
-    /// accepted ones the server lost, and degrades requests whose
-    /// attempt budget ran out. Returns `true` if the guest's
-    /// interrupt line should be raised.
-    pub fn check_timeouts(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
-        let now = k.now();
+    /// Walks the pending slots: `verdict` decides per request whether
+    /// it is sent again, failed towards the guest, or left alone.
+    /// Returns `true` if the guest's interrupt line should be raised.
+    fn sweep(
+        &mut self,
+        k: &mut Kernel,
+        ctx: CompCtx,
+        mut verdict: impl FnMut(&mut DiskClient, &mut Kernel, &mut Req) -> Due,
+    ) -> bool {
         let mut raise = false;
         for slot in 0..32u8 {
-            let Some(mut req) = self.pend(slot) else {
+            let Some(req) = self.pending.get_mut(slot as usize).and_then(Option::as_mut) else {
                 continue;
             };
-            let limit = if req.accepted {
-                REQUEST_TIMEOUT
-            } else {
-                RETRY_DELAY
-            };
-            if now.saturating_sub(req.submitted_at) < limit {
-                continue;
+            match verdict(&mut self.disk, k, req) {
+                Due::Wait => {}
+                Due::Resubmit => raise |= self.submit(k, ctx, slot),
+                Due::GiveUp => {
+                    self.fail_slot(slot);
+                    raise |= self.p0ie != 0;
+                }
             }
-            if req.accepted {
-                self.timeouts += 1;
-                k.counters.request_timeouts += 1;
-            }
-            if req.attempts >= MAX_ATTEMPTS {
-                self.degraded += 1;
-                k.counters.degraded_errors += 1;
-                self.fail_slot(slot);
-                raise |= self.p0ie != 0;
-                continue;
-            }
-            req.attempts += 1;
-            req.submitted_at = now;
-            req.accepted = false;
-            self.set_pend(slot, Some(req));
-            self.resubmits += 1;
-            k.counters.request_retries += 1;
-            raise |= self.try_submit(k, ctx, slot);
         }
         raise
     }
 
+    /// Periodic maintenance: re-sends refused requests and accepted
+    /// ones the server lost, and fails those whose attempt budget ran
+    /// out. Returns `true` if the guest's interrupt line should be
+    /// raised.
+    pub fn check_timeouts(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
+        let now = k.now();
+        self.sweep(k, ctx, |disk, k, req| disk.due(k, req, now))
+    }
+
+    /// Re-attaches after a disk-server restart: the old delegations
+    /// and the ring state died with the old server, and every pending
+    /// request is re-sent to the new one, charged. Returns `true` if
+    /// the guest's interrupt line should be raised.
+    pub fn reconnect(&mut self, k: &mut Kernel, ctx: CompCtx, ch: DiskChannel) -> bool {
+        self.disk.rebind(Some(ch));
+        self.sweep(k, ctx, DiskClient::retry)
+    }
+
+    /// Replays every restored request into the disk server after a
+    /// VMM microreboot, uncharged. Returns `true` if the guest's
+    /// interrupt line should be raised.
+    pub fn restore_resubmit(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
+        let now = k.now();
+        self.sweep(k, ctx, |disk, _, req| disk.replay(req, now))
+    }
+
     /// Consumes completion records from the server's shared ring;
     /// returns `true` if the virtual interrupt line should be raised.
+    /// A record whose tag names no outstanding slot — a late completion
+    /// for a request already failed towards the guest — completes
+    /// nothing.
     pub fn drain_completions(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
-        let Some(ch) = self.channel else {
-            return false;
-        };
         let mut raised = false;
         let prev_ctx = k.machine.bus.trace.current_ctx();
-        loop {
-            let head = k.mem_read_u32(ctx, ch.ring_va + 4092).unwrap_or(0);
-            if self.ring_tail == head {
-                break;
-            }
-            let slot_idx = self.ring_tail as usize % proto::RING_RECORDS;
-            let rec = ch.ring_va + slot_idx as u64 * 16;
-            let tag = k.mem_read_u32(ctx, rec).unwrap_or(0);
-            let status = k.mem_read_u32(ctx, rec + 4).unwrap_or(1);
-            self.ring_tail = self.ring_tail.wrapping_add(1);
-
-            let slot = (tag & 31) as u8;
+        while let Some((tag, ok)) = self.disk.next_completion(k, ctx) {
+            let Some(req) = self.pending.get_mut(tag as usize).and_then(Option::take) else {
+                continue;
+            };
             // Completion work runs on the completed request's context.
-            if let Some(p) = self.pend(slot) {
-                k.machine.bus.trace.set_ctx(p.ctx);
-            }
-            self.ci &= !(1 << slot);
-            self.inflight_slots &= !(1 << slot);
-            self.set_pend(slot, None);
+            k.machine.bus.trace.set_ctx(req.ctx);
+            self.ci &= !(1 << tag);
+            self.inflight_slots &= !(1 << tag);
             self.completions += 1;
-            if status == 0 {
-                self.p0is |= 1; // DHRS
-            } else {
-                self.p0is |= 1 << 30; // TFES
-            }
+            // DHRS, or TFES on a device error.
+            self.p0is |= if ok { 1 } else { 1 << 30 };
             self.is |= 1;
-            if self.p0ie != 0 {
-                raised = true;
-            }
+            raised |= self.p0ie != 0;
         }
         k.machine.bus.trace.set_ctx(prev_ctx);
         raised
@@ -585,13 +398,6 @@ impl VAhci {
         self.p0is != 0 && self.p0ie != 0
     }
 
-    /// The registered disk-server client id, if a channel is attached
-    /// — the supervisor detaches this client at the server before it
-    /// respawns the VMM.
-    pub fn client_id(&self) -> Option<u64> {
-        self.channel.map(|ch| ch.client)
-    }
-
     /// Serializes the guest-visible controller state and every
     /// pending request for a checkpoint. The disk channel, the
     /// completion-ring cursor and the standing delegations are *not*
@@ -624,9 +430,9 @@ impl VAhci {
             self.requests,
             self.completions,
             self.errors,
-            self.timeouts,
-            self.resubmits,
-            self.degraded,
+            self.disk.timeouts,
+            self.disk.resubmits,
+            self.disk.degraded,
         ] {
             e.u64(c);
         }
@@ -642,12 +448,10 @@ impl VAhci {
         self.p0ie = d.u32()?;
         self.ci = d.u32()?;
         self.inflight_slots = d.u32()?;
-        self.ring_tail = 0;
-        self.delegated.clear();
-        for slot in 0..32u8 {
-            let present = d.flag()?;
-            if !present {
-                self.set_pend(slot, None);
+        self.disk.rebind(None);
+        for (slot, pend) in self.pending.iter_mut().enumerate() {
+            *pend = None;
+            if !d.flag()? {
                 continue;
             }
             let op = d.u64()?;
@@ -661,48 +465,46 @@ impl VAhci {
             for s in segs.get_mut(..nsegs).unwrap_or(&mut []) {
                 *s = (d.u64()?, d.u32()?);
             }
-            let attempts = d.u32()?;
-            let rctx = d.u64()?;
-            self.set_pend(
-                slot,
-                Some(PendingReq {
-                    op,
-                    lba,
-                    sectors,
-                    segs,
-                    nsegs,
-                    submitted_at: 0,
-                    attempts,
-                    accepted: false,
-                    ctx: rctx,
-                }),
-            );
+            *pend = Some(Req {
+                tag: slot as u64,
+                op,
+                lba,
+                sectors,
+                segs,
+                nsegs,
+                submitted_at: 0,
+                attempts: d.u32()?,
+                accepted: false,
+                ctx: d.u64()?,
+            });
         }
         self.requests = d.u64()?;
         self.completions = d.u64()?;
         self.errors = d.u64()?;
-        self.timeouts = d.u64()?;
-        self.resubmits = d.u64()?;
-        self.degraded = d.u64()?;
+        self.disk.timeouts = d.u64()?;
+        self.disk.resubmits = d.u64()?;
+        self.disk.degraded = d.u64()?;
         Some(())
     }
+}
 
-    /// Replays every restored request into the disk server after a
-    /// VMM microreboot (the PR 3 resubmit protocol). Unlike
-    /// [`VAhci::reconnect`] the attempt budget is not charged — a
-    /// restore is a replay, not a failed delivery. Returns `true` if
-    /// the guest's interrupt line should be raised.
-    pub fn restore_resubmit(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
-        let mut raise = false;
-        for slot in 0..32u8 {
-            if let Some(mut req) = self.pend(slot) {
-                req.accepted = false;
-                req.submitted_at = k.now();
-                self.set_pend(slot, Some(req));
-                self.resubmits += 1;
-                raise |= self.try_submit(k, ctx, slot);
-            }
-        }
-        raise
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::panic)]
+mod tests {
+    use super::*;
+    use crate::diskclient::tests::{channel, put_record, setup, GUEST_BASE, RING_VA};
+
+    /// A late completion for a slot already failed towards the guest
+    /// (or never issued) must not surface as a fresh success.
+    #[test]
+    fn completion_for_an_idle_slot_completes_nothing() {
+        let (mut k, ctx, _) = setup();
+        let mut v = VAhci::new(GUEST_BASE, 1024);
+        v.attach(channel(0x20));
+        v.p0ie = 1;
+        put_record(&mut k, ctx, 0, 5, 0);
+        k.mem_write_u32(ctx, RING_VA + 4092, 1);
+        assert!(!v.drain_completions(&mut k, ctx), "no interrupt");
+        assert_eq!((v.completions, v.p0is, v.is), (0, 0, 0));
     }
 }

@@ -32,10 +32,11 @@ use nova_x86::reg::{flags, Reg, Reg8, Regs};
 use crate::bios;
 use crate::checkpoint::{Dec, Enc};
 use crate::devices::{SpecialPorts, VDevices};
+use crate::diskclient::DiskChannel;
 use crate::emu::{emulate_one, virtual_cpuid, EmuEnv, EmuErr, GuestView};
-use crate::pvdisk::{PvDisk, PV_DISK_IRQ};
+use crate::pvdisk::PvDisk;
 use crate::pvnet::PvNet;
-use crate::vahci::{DiskChannel, VAhci};
+use crate::vahci::VAhci;
 
 /// A guest program image the virtual BIOS loads.
 #[derive(Clone, Debug)]
@@ -763,36 +764,23 @@ impl Vmm {
         })
     }
 
-    /// Handles a disk-server restart notification: re-registers the
-    /// channel with the new server incarnation and resubmits every
-    /// request that was in flight when the old one died.
+    /// Handles a disk-server restart notification: re-registers each
+    /// disk client's channel with the new server incarnation and
+    /// resubmits every request that was in flight when the old one
+    /// died.
     fn reconnect_disk(&mut self, k: &mut Kernel, ctx: CompCtx) {
         let Some((reg, req)) = self.cfg.disk_portals else {
             return;
         };
-        let Some(ch) = self.register_disk_channel(k, ctx, reg, req, self.cfg.ring_page, true)
-        else {
-            return;
-        };
         let mut dev = self.dev.take().expect("devices");
-        let mut kick = dev.vahci.reconnect(k, ctx, ch);
-        if kick {
-            dev.vpic.pulse(nova_hw::machine::AHCI_IRQ);
-        }
-        // The PV queue is a separate client with its own ring; it
-        // re-registers independently with the same fresh server.
-        if dev.pvdisk.enabled() {
-            if let Some(batch) = self.cfg.disk_batch_portal {
-                if let Some(ch) =
-                    self.register_disk_channel(k, ctx, reg, batch, self.cfg.pv_ring_page, true)
-                {
-                    if dev.pvdisk.reconnect(k, ctx, ch) {
-                        dev.vpic.pulse(PV_DISK_IRQ);
-                        kick = true;
-                    }
-                }
-            }
-        }
+        let kick = dev.reconnect_disks(k, ctx, |k, pv| {
+            let (portal, ring_page) = if pv {
+                (self.cfg.disk_batch_portal?, self.cfg.pv_ring_page)
+            } else {
+                (req, self.cfg.ring_page)
+            };
+            self.register_disk_channel(k, ctx, reg, portal, ring_page, true)
+        });
         self.dev = Some(dev);
         if kick {
             self.kick_vcpu(k, ctx, 0);
@@ -806,10 +794,7 @@ impl Vmm {
         if self.maint_sm.is_none() {
             return;
         }
-        let want = self
-            .dev
-            .as_ref()
-            .is_some_and(|d| d.vahci.has_pending() || d.pvdisk.has_pending());
+        let want = self.dev.as_ref().is_some_and(VDevices::disks_pending);
         if want == self.maint_armed {
             return;
         }
@@ -841,11 +826,8 @@ impl Vmm {
         let Some(dev) = self.dev.as_ref() else {
             return Vec::new();
         };
-        dev.vahci
-            .client_id()
-            .into_iter()
-            .chain(dev.pvdisk.client_id())
-            .collect()
+        let (ahci, pv) = (dev.vahci.disk.client_id(), dev.pvdisk.disk.client_id());
+        ahci.into_iter().chain(pv).collect()
     }
 
     /// Serializes the VMM's runtime and virtual-device state for a
@@ -881,17 +863,7 @@ impl Vmm {
             None => e.flag(false),
             Some(dev) => {
                 e.flag(true);
-                e.raw(&dev.vpic.export_state());
-                dev.vpit.export_state(&mut e);
-                e.bytes(&dev.vserial.output);
-                dev.vkbd.export_state(&mut e);
-                dev.vpci.export_state(&mut e);
-                dev.vahci.export_state(&mut e);
-                dev.pvdisk.export_state(&mut e);
-                e.flag(dev.pvnet.is_some());
-                if let Some(n) = dev.pvnet.as_ref() {
-                    n.export_state(&mut e);
-                }
+                dev.export_state(&mut e);
             }
         }
         e.finish()
@@ -971,25 +943,7 @@ impl Vmm {
             self.dev = Some(dev);
             return d.done();
         }
-        let ok = (|| -> Option<bool> {
-            let pic: [u8; nova_hw::pic::DualPic::STATE_LEN] =
-                d.take(nova_hw::pic::DualPic::STATE_LEN)?.try_into().ok()?;
-            dev.vpic.import_state(&pic);
-            dev.vpit.import_state(k, ctx, &mut d)?;
-            dev.vserial.output = d.bytes()?.to_vec();
-            dev.vkbd.import_state(&mut d)?;
-            dev.vpci.import_state(&mut d)?;
-            dev.vahci.import_state(&mut d)?;
-            dev.pvdisk.import_state(&mut d)?;
-            let has_net = d.flag()?;
-            match (has_net, dev.pvnet.as_mut()) {
-                (true, Some(net)) => net.import_state(k, ctx, &mut d)?,
-                (false, _) => {}
-                (true, None) => return None,
-            }
-            Some(d.done())
-        })()
-        .unwrap_or(false);
+        let ok = dev.import_state(k, ctx, &mut d).is_some() && d.done();
         if !ok {
             self.dev = Some(dev);
             return false;
@@ -1006,17 +960,9 @@ impl Vmm {
             }
         }
 
-        // Replay every in-flight disk request into the (fresh or
-        // surviving) server — the same resubmit protocol used after a
-        // disk-server restart.
-        let mut kick = dev.vahci.restore_resubmit(k, ctx);
-        if kick {
-            dev.vpic.pulse(nova_hw::machine::AHCI_IRQ);
-        }
-        if dev.pvdisk.enabled() && dev.pvdisk.restore_resubmit(k, ctx) {
-            dev.vpic.pulse(PV_DISK_IRQ);
-            kick = true;
-        }
+        // The same resubmit protocol used after a disk-server restart,
+        // uncharged.
+        let kick = dev.replay_disks(k, ctx);
         self.dev = Some(dev);
         self.update_maint_timer(k, ctx);
         if kick || self.has_pending(0) {
@@ -1395,33 +1341,11 @@ impl Component for Vmm {
             }
             self.kick_vcpu(k, ctx, 0);
         } else if Some(sm) == self.disk_sm {
-            // One completion semaphore serves both disk clients; each
-            // drains its own ring and raises its own interrupt line.
-            let mut dev = self.dev.take().expect("devices");
-            let raised = dev.vahci.drain_completions(k, ctx);
-            if raised {
-                dev.vpic.pulse(nova_hw::machine::AHCI_IRQ);
-            }
-            let pv_raised = dev.pvdisk.drain_completions(k, ctx);
-            if pv_raised {
-                dev.vpic.pulse(PV_DISK_IRQ);
-            }
-            self.dev = Some(dev);
-            if raised || pv_raised {
+            if self.dev.as_mut().expect("devices").drain_disks(k, ctx) {
                 self.kick_vcpu(k, ctx, 0);
             }
         } else if Some(sm) == self.maint_sm {
-            let mut dev = self.dev.take().expect("devices");
-            let raised = dev.vahci.check_timeouts(k, ctx);
-            if raised {
-                dev.vpic.pulse(nova_hw::machine::AHCI_IRQ);
-            }
-            let pv_raised = dev.pvdisk.check_timeouts(k, ctx);
-            if pv_raised {
-                dev.vpic.pulse(PV_DISK_IRQ);
-            }
-            self.dev = Some(dev);
-            if raised || pv_raised {
+            if self.dev.as_mut().expect("devices").sweep_disks(k, ctx) {
                 self.kick_vcpu(k, ctx, 0);
             }
         } else if Some(sm) == self.pvnet_sm {

@@ -533,6 +533,39 @@ fn checkpoints_byte_identical_across_same_seed_runs() {
     assert_eq!(a, b, "same seed, same checkpoint, byte for byte");
 }
 
+/// Pins the `NOVACKPT` v2 byte layout: the whole blob of one cadence
+/// tick taken while a PV descriptor is in flight (so the pending-request
+/// records are in it) hashes to the constant recorded at the commit
+/// before the two disk front ends were rebuilt over `vmm::diskclient`.
+/// A change to what is serialized, or in which order, moves it.
+#[test]
+fn checkpoint_layout_is_pinned() {
+    let mut sys = pv_system(SMALL_GUEST, CKPT_PERIOD);
+    let in_flight = |s: &mut System| {
+        let (vmm, _) = s.microreboot_vmm().expect("supervised vmm");
+        let vmm = s.k.component_mut::<Vmm>(vmm).expect("vmm");
+        vmm.dev().pvdisk.has_pending()
+    };
+    while !in_flight(&mut sys) {
+        assert_eq!(sys.run(Some(20_000)), RunOutcome::Budget);
+    }
+    tick(&mut sys).expect("a capture");
+    assert!(
+        in_flight(&mut sys),
+        "device state holds a pending descriptor"
+    );
+    let fnv = with_sup(&mut sys, |sup| {
+        let blob = sup.last_checkpoint.as_ref().expect("checkpoint");
+        blob.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    });
+    assert_eq!(
+        fnv, 0xef3d_4001_94fe_631b,
+        "NOVACKPT v2 bytes moved: {fnv:#018x}"
+    );
+}
+
 /// Slow crash-matrix sweep (set `NOVA_SLOW_TESTS=1`): kill the VMM at
 /// a grid of points through the workload; every run must complete with
 /// correct data and exactly one restore.

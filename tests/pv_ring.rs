@@ -138,7 +138,7 @@ fn chaos_plan_over_the_pv_ring_path() {
     let pv = &sys.vmm().dev().pvdisk;
     assert_eq!(pv.completions, 32);
     assert_eq!(pv.errors, 0);
-    assert_eq!(pv.degraded, 0);
+    assert_eq!(pv.disk.degraded, 0);
     let stats = sys.disk_server().unwrap().stats;
     assert_eq!(stats.failed, 0, "no request exhausted the retry budget");
 }
