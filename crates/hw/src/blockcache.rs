@@ -2,9 +2,16 @@
 //!
 //! Decoding is the expensive half of interpreting an instruction, and
 //! guest code is executed far more often than it changes. The cache
-//! keeps straight-line runs of decoded instructions ("blocks"), keyed
-//! by the host-physical address of their first instruction, so the
-//! interpreter decodes a block once and replays it.
+//! keeps straight-line runs of predecoded instructions ("blocks"),
+//! keyed by the host-physical address of their first instruction, so
+//! the interpreter decodes a block once and replays it.
+//!
+//! **Staged form.** A block is an array of `Step`s: the decoded
+//! [`Insn`] and, resolved once at fill time by
+//! [`nova_x86::exec::handler_id`], the [`HandlerId`] of the
+//! monomorphised body that executes it — operation, operand kinds and
+//! operand size already chosen. Replaying a step is one table load and
+//! one indirect call; nothing about the instruction is matched again.
 //!
 //! **Shape.** Direct-mapped, [`SETS`] blocks of at most
 //! [`MAX_BLOCK_INSNS`] instructions, all storage allocated at
@@ -33,6 +40,7 @@
 //! does not decode inside the frame, and at [`MAX_BLOCK_INSNS`].
 
 use nova_x86::decode::{decode, DecodeError, MAX_INSN_LEN};
+use nova_x86::exec::{handler_id, HandlerId};
 use nova_x86::insn::{Insn, Op, OpSize, Operand};
 
 use crate::mem::PhysMem;
@@ -128,8 +136,8 @@ fn flow(insn: &Insn) -> Flow {
     }
 }
 
-/// Bookkeeping of one cache slot; its instructions live in the shared
-/// arena at `slot * MAX_BLOCK_INSNS`.
+/// Bookkeeping of one cache slot; its steps live in the shared arena
+/// at `slot * MAX_BLOCK_INSNS`.
 #[derive(Clone, Copy)]
 struct Slot {
     /// Host-physical address of the first instruction.
@@ -141,10 +149,29 @@ struct Slot {
     end: BlockEnd,
 }
 
+/// One predecoded instruction of a block.
+#[derive(Clone, Copy)]
+pub(crate) struct Step {
+    /// The decoded instruction.
+    pub insn: Insn,
+    /// The handler that executes it, resolved when the block was
+    /// filled.
+    pub run: HandlerId,
+}
+
+impl Step {
+    fn of(insn: Insn) -> Step {
+        Step {
+            insn,
+            run: handler_id(&insn),
+        }
+    }
+}
+
 /// A coherent block handed out by [`BlockCache::lookup`].
 pub(crate) struct Block<'a> {
-    /// The decoded instructions, in address order; never empty.
-    pub insns: &'a [Insn],
+    /// The predecoded instructions, in address order; never empty.
+    pub steps: &'a [Step],
     /// What may follow the last one.
     pub end: BlockEnd,
     /// The frame generation the block is good for.
@@ -154,21 +181,21 @@ pub(crate) struct Block<'a> {
 /// The cache itself. One per CPU core.
 pub(crate) struct BlockCache {
     slots: Vec<Slot>,
-    insns: Vec<Insn>,
+    steps: Vec<Step>,
     pub stats: DecodeCacheStats,
 }
 
 impl BlockCache {
     /// Allocates the whole cache, empty.
     pub fn new() -> BlockCache {
-        let nop = Insn {
+        let nop = Step::of(Insn {
             op: Op::Nop,
             dst: Operand::None,
             src: Operand::None,
             size: OpSize::Dword,
             rep: false,
             len: 1,
-        };
+        });
         BlockCache {
             slots: vec![
                 Slot {
@@ -179,7 +206,7 @@ impl BlockCache {
                 };
                 SETS
             ],
-            insns: vec![nop; SETS * MAX_BLOCK_INSNS],
+            steps: vec![nop; SETS * MAX_BLOCK_INSNS],
             stats: DecodeCacheStats::default(),
         }
     }
@@ -220,7 +247,7 @@ impl BlockCache {
         let s = &self.slots[slot];
         let base = slot * MAX_BLOCK_INSNS;
         Block {
-            insns: &self.insns[base..base + s.len as usize],
+            steps: &self.steps[base..base + s.len as usize],
             end: s.end,
             gen: s.gen,
         }
@@ -255,7 +282,7 @@ impl BlockCache {
             if len == 0 && self.slots[slot].len != 0 {
                 self.stats.evictions += 1;
             }
-            self.insns[base + len] = insn;
+            self.steps[base + len] = Step::of(insn);
             len += 1;
             off += insn.len as usize;
             if let Flow::End(e) = flow(&insn) {
@@ -296,8 +323,8 @@ mod tests {
         let mem = mem_with(0x1000, &a.finish());
         let mut c = BlockCache::new();
         let b = c.lookup(&mem, 0x1000).unwrap();
-        assert_eq!(b.insns.len(), 3);
-        assert_eq!(b.insns[2].op, Op::Jmp);
+        assert_eq!(b.steps.len(), 3);
+        assert_eq!(b.steps[2].insn.op, Op::Jmp);
         assert_eq!(b.end, BlockEnd::Chain);
         c.lookup(&mem, 0x1000).unwrap();
         assert_eq!(
@@ -331,7 +358,7 @@ mod tests {
             let mem = mem_with(0, &a.finish());
             let mut c = BlockCache::new();
             let b = c.lookup(&mem, 0).unwrap();
-            assert_eq!(b.insns.len(), 2);
+            assert_eq!(b.steps.len(), 2);
             assert_eq!(b.end, BlockEnd::Outer);
         }
     }
@@ -345,8 +372,8 @@ mod tests {
         let mem = mem_with(0, &a.finish());
         let mut c = BlockCache::new();
         let b = c.lookup(&mem, 0).unwrap();
-        assert_eq!(b.insns.len(), 2);
-        assert!(b.insns[1].rep);
+        assert_eq!(b.steps.len(), 2);
+        assert!(b.steps[1].insn.rep);
         assert_eq!(b.end, BlockEnd::Chain);
     }
 
@@ -358,12 +385,12 @@ mod tests {
         let mut mem = mem_with(0x2000, &a.finish());
         let mut c = BlockCache::new();
         assert_eq!(
-            c.lookup(&mem, 0x2000).unwrap().insns[0].src,
+            c.lookup(&mem, 0x2000).unwrap().steps[0].insn.src,
             Operand::Imm(1)
         );
         mem.write_u8(0x2001, 9);
         assert_eq!(
-            c.lookup(&mem, 0x2000).unwrap().insns[0].src,
+            c.lookup(&mem, 0x2000).unwrap().steps[0].insn.src,
             Operand::Imm(9)
         );
         assert_eq!(c.stats.invalidations, 1);
@@ -382,7 +409,7 @@ mod tests {
         mem.write_bytes(0x1ffb, &[0x90, 0x90, 0x90, 0xb8, 0x11, 0x22, 0x33, 0x44]);
         let mut c = BlockCache::new();
         let b = c.lookup(&mem, 0x1ffb).unwrap();
-        assert_eq!(b.insns.len(), 3, "ends before the straddler");
+        assert_eq!(b.steps.len(), 3, "ends before the straddler");
         assert_eq!(b.end, BlockEnd::Chain);
         assert_eq!(c.lookup(&mem, 0x1ffe).err(), Some(DecodeError::Truncated));
         assert_eq!(c.lookup(&mem, 0x1ffe).err(), Some(DecodeError::Truncated));
@@ -390,7 +417,7 @@ mod tests {
         assert_eq!(c.stats.misses, 3);
         // A block that fits exactly ends at the boundary.
         mem.write_bytes(0x2ffe, &[0x90, 0x90, 0x90]);
-        assert_eq!(c.lookup(&mem, 0x2ffe).unwrap().insns.len(), 2);
+        assert_eq!(c.lookup(&mem, 0x2ffe).unwrap().steps.len(), 2);
     }
 
     #[test]
@@ -398,7 +425,7 @@ mod tests {
         let mem = mem_with(0x4000, &[0x90; 64]);
         let mut c = BlockCache::new();
         let b = c.lookup(&mem, 0x4000).unwrap();
-        assert_eq!(b.insns.len(), MAX_BLOCK_INSNS);
+        assert_eq!(b.steps.len(), MAX_BLOCK_INSNS);
         assert_eq!(b.end, BlockEnd::Chain);
     }
 
@@ -407,7 +434,7 @@ mod tests {
         // 0x0f 0xff is outside the subset.
         let mem = mem_with(0x5000, &[0x90, 0x0f, 0xff]);
         let mut c = BlockCache::new();
-        assert_eq!(c.lookup(&mem, 0x5000).unwrap().insns.len(), 1);
+        assert_eq!(c.lookup(&mem, 0x5000).unwrap().steps.len(), 1);
         assert_eq!(
             c.lookup(&mem, 0x5001).err(),
             Some(DecodeError::InvalidOpcode)
@@ -435,7 +462,7 @@ mod tests {
         let mem = PhysMem::new(4096);
         let mut c = BlockCache::new();
         let b = c.lookup(&mem, 0xfeb0_0000).unwrap();
-        assert_eq!(b.insns.len(), MAX_BLOCK_INSNS, "00 00 = add [eax], al");
+        assert_eq!(b.steps.len(), MAX_BLOCK_INSNS, "00 00 = add [eax], al");
         c.lookup(&mem, 0xfeb0_0000).unwrap();
         assert_eq!(c.stats.hits, 1);
     }

@@ -13,7 +13,9 @@
 //! tagging is disabled — the "w/o VPID" configuration of Figure 5).
 
 use nova_x86::decode::{decode, DecodeError, MAX_INSN_LEN};
-use nova_x86::exec::{deliver_event, execute, Env, Exec, Fault};
+#[cfg(test)]
+use nova_x86::exec::execute;
+use nova_x86::exec::{deliver_event, handler, Env, Exec, Fault, Handler};
 use nova_x86::insn::{Insn, Op, OpSize, Operand};
 use nova_x86::paging::Access;
 use nova_x86::reg::{Reg, Regs};
@@ -157,25 +159,123 @@ impl CpuEnv<'_> {
         self.guest.is_some() || self.mmu.paging()
     }
 
-    /// Translates a linear address, consulting the TLB first.
-    #[inline]
+    /// Translates a linear address, consulting the TLB first. The hit
+    /// half is all the block executor's data accesses normally see, so
+    /// it is inlined into them; the walk stays out of line.
+    #[inline(always)]
     fn translate(&mut self, addr: u32, access: Access) -> Result<PAddr, CpuErr> {
         if !self.translates() {
             return Ok(addr as u64);
         }
-        if let Some(e) = self.tlb.lookup_for(self.vpid(), addr as u64, access.fetch) {
-            if !access.write || e.write {
-                return Ok(e.hpa + (addr as u64 & (e.page_size - 1)));
-            }
-            // Write to a read-only entry: fall through to the walk,
-            // which classifies the fault.
+        match self.tlb.hit(self.vpid(), addr as u64, access.fetch) {
+            Some((hpa, writable)) if writable || !access.write => Ok(hpa),
+            // A miss, or a write to a read-only entry: the walk fills
+            // the TLB or classifies the fault.
+            _ => self.tlb_fill(addr, access),
         }
-        self.tlb_fill(addr, access)
+    }
+
+    /// Loads from host-physical `hpa`: RAM, unless the device-frame
+    /// filter flags the frame.
+    #[inline(always)]
+    fn read_phys(&mut self, hpa: PAddr, size: OpSize) -> u32 {
+        if self.bus.maybe_mmio(hpa) {
+            return self.read_maybe_mmio(hpa, size);
+        }
+        self.mem.read_sized(hpa, size)
+    }
+
+    #[inline(always)]
+    fn write_phys(&mut self, hpa: PAddr, size: OpSize, val: u32) {
+        if self.bus.maybe_mmio(hpa) {
+            return self.write_maybe_mmio(hpa, size, val);
+        }
+        self.mem.write_sized(hpa, size, val);
+    }
+
+    /// An access to a frame the device filter flags: the exact window
+    /// match decides between the device and the RAM beside it (the VGA
+    /// window ends 96 bytes short of its frame).
+    #[cold]
+    #[inline(never)]
+    fn read_maybe_mmio(&mut self, hpa: PAddr, size: OpSize) -> u32 {
+        if self.bus.mmio_owner(hpa).is_none() {
+            return self.mem.read_sized(hpa, size);
+        }
+        *self.clock += DEVICE_ACCESS_CYCLES;
+        self.bus_touched = true;
+        self.bus.mmio_read(self.mem, *self.clock, hpa, size)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn write_maybe_mmio(&mut self, hpa: PAddr, size: OpSize, val: u32) {
+        if self.bus.mmio_owner(hpa).is_none() {
+            return self.mem.write_sized(hpa, size, val);
+        }
+        *self.clock += DEVICE_ACCESS_CYCLES;
+        self.bus_touched = true;
+        self.bus.mmio_write(self.mem, *self.clock, hpa, size, val);
+    }
+
+    /// Translates the two pages a page-crossing access touches, first
+    /// page first, and returns where each of its bytes lives. The
+    /// second page is looked up (and filled, and may fault or exit)
+    /// like any other access; `addr` of its fault is the page's first
+    /// byte.
+    fn translate_crossing(
+        &mut self,
+        addr: u32,
+        size: OpSize,
+        access: Access,
+    ) -> Result<[PAddr; 4], CpuErr> {
+        let first = self.translate(addr, access)?;
+        let next = (addr & !0xfff).wrapping_add(0x1000);
+        let second = self.translate(next, access)?;
+        let in_first = 0x1000 - (addr & 0xfff);
+        let mut at = [0; 4];
+        for i in 0..size.bytes() {
+            at[i as usize] = if i < in_first {
+                first + i as u64
+            } else {
+                second + (i - in_first) as u64
+            };
+        }
+        Ok(at)
+    }
+
+    /// A load that leaves its 4 KB page: byte-wise through both pages'
+    /// translations, charged as one memory access.
+    #[cold]
+    #[inline(never)]
+    fn read_crossing(&mut self, addr: u32, size: OpSize) -> Result<u32, CpuErr> {
+        let at = self.translate_crossing(addr, size, Access::READ)?;
+        *self.clock += self.cost.mem_access;
+        let mut val = 0;
+        for i in 0..size.bytes() {
+            val |= self.read_phys(at[i as usize], OpSize::Byte) << (8 * i);
+        }
+        Ok(val)
+    }
+
+    /// A store that leaves its 4 KB page: both pages are translated
+    /// for write before any byte is stored, so a fault or nested
+    /// violation on the second page leaves memory untouched.
+    #[cold]
+    #[inline(never)]
+    fn write_crossing(&mut self, addr: u32, size: OpSize, val: u32) -> Result<(), CpuErr> {
+        let at = self.translate_crossing(addr, size, Access::WRITE)?;
+        *self.clock += self.cost.mem_access;
+        for i in 0..size.bytes() {
+            self.write_phys(at[i as usize], OpSize::Byte, val >> (8 * i) & 0xff);
+        }
+        Ok(())
     }
 
     /// TLB miss: walks the tables of the current mode, charging the
     /// walk to the clock, and caches the leaf.
     #[cold]
+    #[inline(never)]
     fn tlb_fill(&mut self, addr: u32, access: Access) -> Result<PAddr, CpuErr> {
         let vpid = self.vpid();
         // Attribute the fill walk to the VPID in the metrics registry
@@ -249,27 +349,24 @@ impl CpuEnv<'_> {
 impl Env for CpuEnv<'_> {
     type Err = CpuErr;
 
+    #[inline(always)]
     fn read_mem(&mut self, addr: u32, size: OpSize) -> Result<u32, CpuErr> {
+        if crosses_page(addr, size) {
+            return self.read_crossing(addr, size);
+        }
         let hpa = self.translate(addr, Access::READ)?;
         *self.clock += self.cost.mem_access;
-        if self.bus.mmio_owner(hpa).is_some() {
-            *self.clock += DEVICE_ACCESS_CYCLES;
-            self.bus_touched = true;
-            return Ok(self.bus.mmio_read(self.mem, *self.clock, hpa, size));
-        }
-        Ok(self.mem.read_sized(hpa, size))
+        Ok(self.read_phys(hpa, size))
     }
 
+    #[inline(always)]
     fn write_mem(&mut self, addr: u32, size: OpSize, val: u32) -> Result<(), CpuErr> {
+        if crosses_page(addr, size) {
+            return self.write_crossing(addr, size, val);
+        }
         let hpa = self.translate(addr, Access::WRITE)?;
         *self.clock += self.cost.mem_access;
-        if self.bus.mmio_owner(hpa).is_some() {
-            *self.clock += DEVICE_ACCESS_CYCLES;
-            self.bus_touched = true;
-            self.bus.mmio_write(self.mem, *self.clock, hpa, size, val);
-            return Ok(());
-        }
-        self.mem.write_sized(hpa, size, val);
+        self.write_phys(hpa, size, val);
         Ok(())
     }
 
@@ -308,6 +405,12 @@ impl Env for CpuEnv<'_> {
         self.tlb.invalidate(self.vpid(), addr as u64);
         Ok(())
     }
+}
+
+/// `true` if a `size`-byte access at linear `addr` leaves its 4 KB page.
+#[inline(always)]
+fn crosses_page(addr: u32, size: OpSize) -> bool {
+    (addr & 0xfff) + size.bytes() > 0x1000
 }
 
 /// Fetches and decodes the instruction at `eip` that does not fit in
@@ -411,12 +514,18 @@ fn intercept(insn: &Insn, regs: &Regs, ctl: &GuestCtx) -> Option<ExitReason> {
     }
 }
 
-/// Executes one instruction that an intercept may claim first.
-fn execute_sensitive(insn: &Insn, regs: &mut Regs, env: &mut CpuEnv) -> Result<Exec, CpuErr> {
+/// Executes one instruction that an intercept may claim first; `run`
+/// is the handler `insn` resolves to.
+fn execute_sensitive<'a>(
+    insn: &Insn,
+    run: Handler<CpuEnv<'a>>,
+    regs: &mut Regs,
+    env: &mut CpuEnv<'a>,
+) -> Result<Exec, CpuErr> {
     if let Some(reason) = env.guest.as_ref().and_then(|g| intercept(insn, regs, g)) {
         return Err(CpuErr::Exit(reason));
     }
-    execute(insn, regs, env)
+    run(insn, regs, env)
 }
 
 /// Why [`run_blocks`] handed control back to the outer loop.
@@ -443,34 +552,40 @@ fn event_horizon(bus: &DeviceBus, deadline: Option<Cycles>) -> Cycles {
     event.min(deadline.unwrap_or(Cycles::MAX))
 }
 
-/// Accounts for one retired instruction and sorts its outcome: `Ok`
-/// carries [`Exec::Normal`] or [`Exec::RepContinue`], everything else —
-/// including an exception, which is delivered here — is a [`Stop`].
-fn retire(
-    step: Result<Exec, CpuErr>,
-    regs: &mut Regs,
-    env: &mut CpuEnv,
-    instret: &mut u64,
-) -> Result<Exec, Stop> {
+/// Charges one retired instruction its cycle and sorts its outcome:
+/// `Ok` carries [`Exec::Normal`] or [`Exec::RepContinue`], everything
+/// else — including an exception, which is delivered here — is a
+/// [`Stop`]. The caller counts `instret`.
+#[inline(always)]
+fn retire(step: Result<Exec, CpuErr>, regs: &mut Regs, env: &mut CpuEnv) -> Result<Exec, Stop> {
     // Faulting and intercepted instructions cost their cycle too.
     *env.clock += 1;
-    *instret += 1;
     match step {
-        Ok(Exec::Halt) => Err(Stop::Halt),
-        Ok(Exec::StiShadow) => Err(Stop::StiShadow),
-        Ok(done) => Ok(done),
-        Err(CpuErr::Exit(reason)) => Err(Stop::Exit(reason)),
+        Ok(done @ (Exec::Normal | Exec::RepContinue)) => Ok(done),
+        other => Err(stop_for(other, regs, env)),
+    }
+}
+
+/// The [`Stop`] of an instruction that did not simply complete.
+#[cold]
+#[inline(never)]
+fn stop_for(step: Result<Exec, CpuErr>, regs: &mut Regs, env: &mut CpuEnv) -> Stop {
+    match step {
+        Ok(Exec::Halt) => Stop::Halt,
+        Ok(Exec::StiShadow) => Stop::StiShadow,
+        Ok(Exec::Normal | Exec::RepContinue) => Stop::Outer,
+        Err(CpuErr::Exit(reason)) => Stop::Exit(reason),
         Err(CpuErr::Fault(f)) => {
             if let Fault::Page { addr, .. } = f {
                 regs.cr2 = addr;
             }
-            Err(match deliver(regs, env, f.vector(), f.error_code()) {
+            match deliver(regs, env, f.vector(), f.error_code()) {
                 Delivery::Done => Stop::Outer,
                 // The faulting instruction will re-execute and re-raise
                 // the exception after the hypervisor's fill.
                 Delivery::Exit(reason) => Stop::Exit(reason),
                 Delivery::Fatal => Stop::TripleFault,
-            })
+            }
         }
     }
 }
@@ -483,9 +598,8 @@ fn retire_alone(
     env: &mut CpuEnv,
     instret: &mut u64,
 ) -> Stop {
-    retire(step, regs, env, instret)
-        .err()
-        .unwrap_or(Stop::Outer)
+    *instret += 1;
+    retire(step, regs, env).err().unwrap_or(Stop::Outer)
 }
 
 /// The block executor shared by [`run_native`] and [`run_guest`]:
@@ -507,10 +621,16 @@ fn retire_alone(
 /// checks change after one instruction) limits the call to one
 /// instruction.
 ///
+/// A [`BlockEnd::Chain`] block whose last instruction jumps to its own
+/// first one — the whole of a tight guest loop — is restarted in place
+/// once those per-instruction checks have passed, without the fetch
+/// translation and the block lookup in between (*closed-loop
+/// re-entry*).
+///
 /// On the simulated machine this is invisible: every instruction costs
-/// the same cycles and counts the same `instret`, and the fetch lookups
-/// skipped inside a block are counted as the I-TLB hits they would have
-/// been.
+/// the same cycles and counts the same `instret`, and the lookups
+/// skipped inside a block and on re-entry are counted as the I-TLB and
+/// block-cache hits they would have been.
 fn run_blocks(
     blocks: &mut BlockCache,
     instret: &mut u64,
@@ -536,35 +656,44 @@ fn run_blocks(
                     DecodeError::Truncated => fetch_straddler(env, eip, hpa),
                     DecodeError::InvalidOpcode => Err(CpuErr::Fault(Fault::InvalidOpcode)),
                 }
-                .and_then(|insn| execute_sensitive(&insn, regs, env));
+                .and_then(|insn| execute_sensitive(&insn, handler(&insn), regs, env));
                 return retire_alone(step, regs, env, instret);
             }
         };
 
-        let last = block.insns.len() - 1;
+        let last = block.steps.len() - 1;
+        // Only the last instruction of an `Outer` block can match an
+        // intercept.
+        let outer = block.end == BlockEnd::Outer;
         // Fixed for the block: CR writes end it.
         let through_tlb = env.translates();
+        // Counted in registers while the block runs and folded into
+        // `instret`, `Tlb::stats` and the cache's statistics on the
+        // way out: instructions begun after the first, and restarts
+        // of the block.
+        let mut continued = 0u64;
+        let mut reentries = 0u64;
         let mut i = 0;
-        loop {
-            let insn = &block.insns[i];
+        // Every way of setting it leaves the loop below.
+        env.bus_touched = false;
+        let stop = loop {
+            let step = &block.steps[i];
             let at = regs.eip;
-            env.bus_touched = false;
-            // Only the last instruction of an `Outer` block can match
-            // an intercept.
-            let step = if i == last && block.end == BlockEnd::Outer {
-                execute_sensitive(insn, regs, env)
+            let run = step.run.handler();
+            let done = if i == last && outer {
+                execute_sensitive(&step.insn, run, regs, env)
             } else {
                 debug_assert!(env
                     .guest
                     .as_ref()
-                    .is_none_or(|g| intercept(insn, regs, g).is_none()));
-                execute(insn, regs, env)
+                    .is_none_or(|g| intercept(&step.insn, regs, g).is_none()));
+                run(&step.insn, regs, env)
             };
-            match retire(step, regs, env, instret) {
-                Err(stop) => return stop,
+            match retire(done, regs, env) {
+                Err(stop) => break Some(stop),
                 Ok(Exec::RepContinue) => debug_assert_eq!(regs.eip, at),
                 Ok(_) => {
-                    debug_assert!(i == last || regs.eip == at.wrapping_add(insn.len as u32));
+                    debug_assert!(i == last || regs.eip == at.wrapping_add(step.insn.len as u32));
                     i += 1;
                 }
             }
@@ -575,22 +704,38 @@ fn run_blocks(
                 || *env.clock >= horizon
                 || env.mem.frame_gen(hpa) != block.gen
             {
-                return Stop::Outer;
+                break Some(Stop::Outer);
             }
             if i > last {
-                match block.end {
-                    BlockEnd::Chain => break,
-                    BlockEnd::Outer => return Stop::Outer,
+                if outer {
+                    break Some(Stop::Outer);
                 }
+                if regs.eip != eip {
+                    break None;
+                }
+                // A loop closed on its own first instruction. Its
+                // fetch translation would hit the I-side entry the
+                // block was entered through (counted below, like any
+                // other fetch inside the block), and its block lookup
+                // would find this slot at the generation just
+                // checked: count that hit too, and restart in place.
+                reentries += 1;
+                i = 0;
             }
             // The next instruction lies in the same page, and the
             // I-side TLB arrays are written only by fetch fills,
             // INVLPG and flushes — none of which happen inside a
             // block — so its fetch lookup would hit the entry the
             // block was entered through. Count it, skip it.
-            if through_tlb {
-                env.tlb.stats.hits += 1;
-            }
+            continued += 1;
+        };
+        *instret += continued + 1;
+        if through_tlb {
+            env.tlb.stats.hits += continued;
+        }
+        blocks.stats.hits += reentries;
+        if let Some(stop) = stop {
+            return stop;
         }
     }
 }
@@ -916,6 +1061,12 @@ mod tests {
         root
     }
 
+    /// Rewrites the leaf entry [`ident_ept`] made for guest-physical
+    /// `page` (one of the first 512).
+    fn set_ept_leaf(m: &mut Machine, page: u64, entry: u64) {
+        m.mem.write_u64((24 << 20) + 0x3000 + page * 8, entry);
+    }
+
     fn guest_vmcs(m: &mut Machine, code: &[u8], entry: u32) -> Vmcs {
         let root = ident_ept(m, 16);
         let mut v = Vmcs::new(
@@ -1151,6 +1302,179 @@ mod tests {
         let mut v = guest_vmcs(&mut m, &code, 0x1000);
         let exit = run(&mut m, &mut v, None);
         assert_eq!(exit, ExitReason::TripleFault);
+    }
+
+    /// Guest program for the page-crossing tests: a dword store at
+    /// 0x5ffe (two bytes in page 5, two in page 6), then a dword load
+    /// from `load_at`, under an identity EPT with guest-physical page 6
+    /// remapped to host frame 9.
+    fn crossing_guest(load_at: u32) -> (Machine, Vmcs) {
+        let mut m = machine();
+        let mut a = Asm::new(0x1000);
+        a.mov_ri(Reg::Eax, 0x1122_3344);
+        a.mov_ri(Reg::Ebx, 0x5ffe);
+        a.mov_mr(nova_x86::MemRef::base_disp(Reg::Ebx, 0), Reg::Eax);
+        a.mov_rm(Reg::Ecx, nova_x86::MemRef::abs(load_at));
+        a.hlt();
+        let v = guest_vmcs(&mut m, &a.finish(), 0x1000);
+        set_ept_leaf(&mut m, 6, 0x9000 | npte::RWX);
+        (m, v)
+    }
+
+    /// A data access that leaves its 4 KB page takes each page's own
+    /// translation: the tail of the dword lands in host frame 9, not
+    /// in host frame 6 (which may belong to anyone).
+    #[test]
+    fn page_crossing_store_and_load_follow_both_translations() {
+        let (mut m, mut v) = crossing_guest(0x5ffe);
+        assert_eq!(run(&mut m, &mut v, None), ExitReason::Hlt { len: 1 });
+        assert_eq!(m.mem.read_bytes(0x5ffe, 2), [0x44, 0x33]);
+        assert_eq!(m.mem.read_bytes(0x9000, 2), [0x22, 0x11]);
+        assert_eq!(m.mem.read_u32(0x6000), 0, "host frame 6 is not the guest's");
+        assert_eq!(v.guest.get(Reg::Ecx), 0x1122_3344, "the load crosses too");
+
+        // Charging rule (DESIGN §6i): a crossing access is one
+        // `mem_access`, and its second page an ordinary TLB lookup. The
+        // same program with the load kept inside page 5 (both pages
+        // are in the TLB after the store) costs the same cycles and
+        // counts one TLB hit fewer.
+        let (mut flat, mut vf) = crossing_guest(0x5ff0);
+        assert_eq!(run(&mut flat, &mut vf, None), ExitReason::Hlt { len: 1 });
+        assert_eq!(m.clock, flat.clock);
+        let (crossing, in_page) = (m.cpus[0].tlb.stats, flat.cpus[0].tlb.stats);
+        assert_eq!(crossing.hits, in_page.hits + 1);
+        assert_eq!(crossing.misses, in_page.misses);
+    }
+
+    /// A crossing store whose second page is not mapped must leave the
+    /// first page untouched and report the second page's address.
+    #[test]
+    fn page_crossing_store_faulting_on_its_second_page_stores_nothing() {
+        let (mut m, mut v) = crossing_guest(0x5ffe);
+        set_ept_leaf(&mut m, 6, 0); // not present
+        match run(&mut m, &mut v, None) {
+            ExitReason::EptViolation { gpa, access } => {
+                assert_eq!(gpa, 0x6000, "the second page's first byte");
+                assert!(access.write);
+            }
+            other => panic!("expected an EPT violation, got {other:?}"),
+        }
+        assert_eq!(m.mem.read_bytes(0x5ffe, 2), [0, 0], "nothing stored");
+        assert_eq!(v.guest.eip, 0x100a, "EIP at the faulting store");
+    }
+
+    /// Runs `code` natively from 0x1000 until it writes the debug-exit
+    /// port.
+    fn run_native_code(m: &mut Machine, code: &[u8]) {
+        m.load_image(0x1000, code);
+        m.cpus[0].regs = Regs::at(0x1000);
+        m.cpus[0].regs.set(Reg::Esp, 0x8000);
+        assert_eq!(m.run_native(Some(1_000_000)), NativeStop::Shutdown(0));
+    }
+
+    /// Ends a native test program: `out DEBUG_EXIT_PORT, 0`.
+    fn emit_exit(a: &mut Asm) {
+        a.mov_r8i(nova_x86::Reg8::Al, 0);
+        a.mov_ri(Reg::Edx, crate::machine::DEBUG_EXIT_PORT as u32);
+        a.out_dx_al();
+    }
+
+    /// The VGA window is 4,000 bytes of a 4,096-byte frame: the frame
+    /// filter flags the whole frame, the exact window match still
+    /// decides. Byte 0 is the device's, byte 4000 is RAM.
+    #[test]
+    fn device_filter_keeps_the_ram_behind_a_partial_window() {
+        use crate::vga::VGA_BASE;
+        let mut m = machine();
+        let mut a = Asm::new(0x1000);
+        a.mov_mi(nova_x86::MemRef::abs(VGA_BASE as u32), 0x0742_0741); // "AB"
+        a.mov_mi(nova_x86::MemRef::abs(VGA_BASE as u32 + 4000), 0x1234_5678);
+        a.mov_rm(Reg::Ebx, nova_x86::MemRef::abs(VGA_BASE as u32));
+        a.mov_rm(Reg::Ecx, nova_x86::MemRef::abs(VGA_BASE as u32 + 4000));
+        emit_exit(&mut a);
+        let before = m.clock;
+        run_native_code(&mut m, &a.finish());
+        assert_eq!(m.vga_text(), "AB", "the window's bytes reach the device");
+        assert_eq!(m.mem.read_u32(VGA_BASE), 0, "and not the RAM under it");
+        assert_eq!(m.cpus[0].regs.get(Reg::Ebx), 0x0742_0741);
+        assert_eq!(m.mem.read_u32(VGA_BASE + 4000), 0x1234_5678, "RAM");
+        assert_eq!(m.cpus[0].regs.get(Reg::Ecx), 0x1234_5678);
+        // Two device accesses (and the exit port) were charged as such.
+        assert_eq!(
+            m.clock - before,
+            7 + 4 * m.cost.mem_access + 3 * DEVICE_ACCESS_CYCLES
+        );
+    }
+
+    /// The windows above RAM (AHCI, NIC) are inside the filter's range
+    /// and still dispatch to their devices.
+    #[test]
+    fn device_filter_dispatches_windows_above_ram() {
+        use crate::machine::{AHCI_BASE, NIC_BASE};
+        let mut m = machine();
+        let mut a = Asm::new(0x1000);
+        a.mov_rm(
+            Reg::Ebx,
+            nova_x86::MemRef::abs(AHCI_BASE as u32 + crate::ahci::regs::PI),
+        );
+        a.mov_mi(
+            nova_x86::MemRef::abs(NIC_BASE as u32 + crate::nic::regs::ITR),
+            5,
+        );
+        a.mov_rm(
+            Reg::Ecx,
+            nova_x86::MemRef::abs(NIC_BASE as u32 + crate::nic::regs::ITR),
+        );
+        emit_exit(&mut a);
+        run_native_code(&mut m, &a.finish());
+        assert_eq!(m.cpus[0].regs.get(Reg::Ebx), 1, "AHCI: port 0 implemented");
+        assert_eq!(
+            m.cpus[0].regs.get(Reg::Ecx),
+            5,
+            "NIC register written and read"
+        );
+    }
+
+    /// A window mapped after the CPU has already used the address as
+    /// RAM is honoured by the very next access.
+    #[test]
+    fn device_filter_follows_a_window_mapped_after_the_cpu_ran() {
+        const AT: u32 = 0x9_0000;
+        let mut m = machine();
+        let mut a = Asm::new(0x1000);
+        a.mov_mi(nova_x86::MemRef::abs(AT), 0x0742_0741);
+        emit_exit(&mut a);
+        let code = a.finish();
+        run_native_code(&mut m, &code);
+        assert_eq!(m.mem.read_u32(AT as u64), 0x0742_0741, "plain RAM so far");
+
+        let dev = m.bus.add_device(Box::new(crate::vga::VgaText::new()));
+        m.bus.map_mmio(AT as u64, 0x100, dev);
+        m.mem.write_u32(AT as u64, 0);
+        run_native_code(&mut m, &code);
+        assert_eq!(m.mem.read_u32(AT as u64), 0, "the store left RAM alone");
+        let text = m.bus.typed_mut::<crate::vga::VgaText>(dev).unwrap();
+        assert_eq!(text.row_text(0).trim_end(), "AB");
+    }
+
+    /// A window above the 4 GB the filter covers is reached through
+    /// the exact scan, which frames out of range always fall back to.
+    #[test]
+    fn device_filter_passes_frames_beyond_its_range_to_the_scan() {
+        const HIGH: u64 = 0x1_0000_0000;
+        let mut m = machine();
+        let mut a = Asm::new(0x1000);
+        a.mov_mi(nova_x86::MemRef::abs(0x6000), 0x0742_0741);
+        a.hlt();
+        let mut v = guest_vmcs(&mut m, &a.finish(), 0x1000);
+        // Guest-physical page 6 -> a host-physical page above 4 GB
+        // that a device window covers.
+        set_ept_leaf(&mut m, 6, HIGH | npte::RWX);
+        let dev = m.bus.add_device(Box::new(crate::vga::VgaText::new()));
+        m.bus.map_mmio(HIGH, 0x1000, dev);
+        assert_eq!(run(&mut m, &mut v, None), ExitReason::Hlt { len: 1 });
+        let text = m.bus.typed_mut::<crate::vga::VgaText>(dev).unwrap();
+        assert_eq!(text.row_text(0).trim_end(), "AB");
     }
 
     #[test]

@@ -200,12 +200,21 @@ struct MmioRange {
     dev: usize,
 }
 
+/// Frames the device-frame filter covers: the 4 GB a 32-bit
+/// physical address can name. Frames beyond answer "maybe".
+const FILTER_FRAMES: usize = 1 << 20;
+
 /// The device bus: devices, routing tables, interrupt controller,
 /// event queue, IOMMU.
 pub struct DeviceBus {
     devices: Vec<Option<Box<dyn Device>>>,
     ports: Vec<PortRange>,
     mmio: Vec<MmioRange>,
+    /// One bit per 4 KB frame: set if some MMIO window overlaps the
+    /// frame. Written by [`DeviceBus::map_mmio`] only and never
+    /// cleared; a set bit is a hint, [`DeviceBus::mmio_owner`] is the
+    /// truth (a window need not cover its whole frame).
+    mmio_frames: Vec<u64>,
     /// Platform interrupt controller.
     pub pic: DualPic,
     /// Device event queue.
@@ -227,6 +236,7 @@ impl DeviceBus {
             devices: Vec::new(),
             ports: Vec::new(),
             mmio: Vec::new(),
+            mmio_frames: vec![0; FILTER_FRAMES / 64],
             pic: DualPic::new(),
             events: EventQueue::new(),
             iommu,
@@ -250,6 +260,26 @@ impl DeviceBus {
     /// Routes MMIO window `base..base+size` to device `dev`.
     pub fn map_mmio(&mut self, base: PAddr, size: u64, dev: usize) {
         self.mmio.push(MmioRange { base, size, dev });
+        if size == 0 {
+            return;
+        }
+        let last = ((base + size - 1) >> 12).min(FILTER_FRAMES as u64 - 1);
+        for frame in base >> 12..=last {
+            self.mmio_frames[frame as usize / 64] |= 1 << (frame % 64);
+        }
+    }
+
+    /// `false` only if no MMIO window overlaps the 4 KB frame of
+    /// `addr`, so the access is RAM without asking
+    /// [`DeviceBus::mmio_owner`]. `true` means "ask": the frame holds
+    /// part of a window, or lies beyond the filter.
+    #[inline]
+    pub fn maybe_mmio(&self, addr: PAddr) -> bool {
+        let frame = addr >> 12;
+        match self.mmio_frames.get((frame / 64) as usize) {
+            Some(word) => word >> (frame % 64) & 1 != 0,
+            None => true,
+        }
     }
 
     /// The device owning `port`, if any.
@@ -431,6 +461,32 @@ mod tests {
         assert_eq!(bus.mmio_read(&mut mem, 0, 0xfeb0_0004, OpSize::Dword), 46);
         // Unrouted port reads as floating bus.
         assert_eq!(bus.io_read(&mut mem, 0, 0x999, OpSize::Byte), 0xff);
+    }
+
+    #[test]
+    fn frame_filter_is_a_superset_of_the_windows() {
+        let (mut bus, _, dev) = setup();
+        // Every byte of a window answers "maybe"; so does the rest of
+        // a frame the window only partly covers.
+        bus.map_mmio(0xb8000, 4000, dev);
+        assert!(bus.maybe_mmio(0xb8000) && bus.maybe_mmio(0xb8f9f));
+        assert!(bus.maybe_mmio(0xb8fa0), "same frame: ask the scan");
+        assert!(bus.mmio_owner(0xb8fa0).is_none(), "the scan says RAM");
+        assert!(!bus.maybe_mmio(0xb7fff) && !bus.maybe_mmio(0xb9000));
+        // A window spanning frames flags each of them.
+        bus.map_mmio(0x10_0ff0, 0x1020, dev);
+        for frame in [0x10_0000, 0x10_1000, 0x10_2000] {
+            assert!(bus.maybe_mmio(frame));
+        }
+        assert!(!bus.maybe_mmio(0x10_3000));
+        assert!(bus.maybe_mmio(0xfeb0_0000), "mapped by setup()");
+        // Beyond the filter: always "maybe", mapped or not.
+        assert!(bus.maybe_mmio(1 << 32));
+        bus.map_mmio((1 << 32) + 0x5000, 0x1000, dev);
+        assert!(bus.mmio_owner((1 << 32) + 0x5000).is_some());
+        // An empty window flags nothing.
+        bus.map_mmio(0x20_0000, 0, dev);
+        assert!(!bus.maybe_mmio(0x20_0000));
     }
 
     #[test]

@@ -41,6 +41,7 @@ impl PhysMem {
     /// Write generation of the 4 KB frame containing `addr`: moves on
     /// every write that touches the frame. Frames outside RAM never
     /// change (writes there are dropped) and report 0.
+    #[inline]
     pub fn frame_gen(&self, addr: PAddr) -> u64 {
         self.gens
             .get((addr >> FRAME_SHIFT) as usize)
@@ -50,6 +51,7 @@ impl PhysMem {
 
     /// Bumps the generation of every frame overlapping the in-RAM
     /// range `a..a + len`.
+    #[inline]
     fn touch(&mut self, a: usize, len: usize) {
         if len == 0 {
             return;
@@ -72,11 +74,13 @@ impl PhysMem {
     }
 
     /// Reads one byte; unpopulated addresses read as zero.
+    #[inline]
     pub fn read_u8(&self, addr: PAddr) -> u8 {
         self.bytes.get(addr as usize).copied().unwrap_or(0)
     }
 
     /// Writes one byte; writes outside RAM are dropped.
+    #[inline]
     pub fn write_u8(&mut self, addr: PAddr, val: u8) {
         if let Some(b) = self.bytes.get_mut(addr as usize) {
             *b = val;
@@ -85,6 +89,7 @@ impl PhysMem {
     }
 
     /// Reads a little-endian u32.
+    #[inline]
     pub fn read_u32(&self, addr: PAddr) -> u32 {
         let a = addr as usize;
         match self.bytes.get(a..a + 4) {
@@ -100,6 +105,7 @@ impl PhysMem {
     }
 
     /// Writes a little-endian u32.
+    #[inline]
     pub fn write_u32(&mut self, addr: PAddr, val: u32) {
         let a = addr as usize;
         if let Some(s) = self.bytes.get_mut(a..a + 4) {
@@ -124,6 +130,7 @@ impl PhysMem {
     }
 
     /// Reads an operand-sized value.
+    #[inline]
     pub fn read_sized(&self, addr: PAddr, size: OpSize) -> u32 {
         match size {
             OpSize::Byte => self.read_u8(addr) as u32,
@@ -132,6 +139,7 @@ impl PhysMem {
     }
 
     /// Writes an operand-sized value.
+    #[inline]
     pub fn write_sized(&mut self, addr: PAddr, size: OpSize, val: u32) {
         match size {
             OpSize::Byte => self.write_u8(addr, val as u8),

@@ -92,34 +92,41 @@ impl Tlb {
         ((addr >> 22) as usize) % LARGE_SETS
     }
 
-    /// Looks up the translation for linear address `addr` under `vpid`
-    /// in the instruction (`fetch`) or data array. Counts a hit or
+    /// Finds the entry covering linear address `addr` under `vpid` in
+    /// the instruction (`fetch`) or data array, counting a hit or a
     /// miss.
-    pub fn lookup_for(&mut self, vpid: u16, addr: u64, fetch: bool) -> Option<TlbEntry> {
+    #[inline(always)]
+    fn probe(&mut self, vpid: u16, addr: u64, fetch: bool) -> Option<&TlbEntry> {
         let side = fetch as usize;
         // Large pages first: a hit there covers the small lookup.
         let lset = Self::large_set(addr);
-        if let Some(e) = self.large[side][lset] {
-            if e.vpid == vpid && e.covers(addr) {
-                self.stats.hits += 1;
-                return Some(e);
-            }
-        }
         let vpn = addr >> 12;
         let set = (vpn as usize) % SMALL_SETS;
-        if let Some(e) = self.small[side][set] {
-            if e.vpid == vpid && e.vpn == vpn {
-                self.stats.hits += 1;
-                return Some(e);
+        let hit = match (&self.large[side][lset], &self.small[side][set]) {
+            (Some(e), _) if e.vpid == vpid && e.covers(addr) => e,
+            (_, Some(e)) if e.vpid == vpid && e.vpn == vpn => e,
+            _ => {
+                self.stats.misses += 1;
+                return None;
             }
-        }
-        self.stats.misses += 1;
-        None
+        };
+        self.stats.hits += 1;
+        Some(hit)
     }
 
-    /// Data-side lookup (compatibility helper).
+    /// The hit path of a translation: the host-physical address
+    /// `addr` maps to and whether the entry permits writes, without
+    /// copying the entry out. Counts a hit or a miss like
+    /// [`Tlb::lookup`].
+    #[inline(always)]
+    pub fn hit(&mut self, vpid: u16, addr: u64, fetch: bool) -> Option<(u64, bool)> {
+        self.probe(vpid, addr, fetch)
+            .map(|e| (e.hpa + (addr & (e.page_size - 1)), e.write))
+    }
+
+    /// Data-side lookup of the whole entry.
     pub fn lookup(&mut self, vpid: u16, addr: u64) -> Option<TlbEntry> {
-        self.lookup_for(vpid, addr, false)
+        self.probe(vpid, addr, false).copied()
     }
 
     /// Inserts a translation into the instruction or data array,

@@ -1,8 +1,20 @@
-//! Architecture-neutral instruction executor.
+//! Architecture-neutral instruction executor, in staged form.
 //!
-//! [`execute`] applies the semantics of a decoded [`Insn`] to a register
-//! file, performing all memory, port-I/O, and system-register accesses
-//! through an [`Env`] trait. Two environments implement it:
+//! The semantics of every [`Op`] are written once, as a small function
+//! generic over *where its operands live* (marker types for a 32-bit
+//! register, an 8-bit register, an immediate, memory, or "sort it out
+//! at run time") and over the operand size; the ALU, shift and Jcc
+//! bodies also take their selector as a constant. [`handler_id`] looks
+//! at a decoded [`Insn`] **once** and names the monomorphised instance
+//! that executes it; [`HandlerId::handler`] turns the name into a
+//! function pointer for a given environment. A predecoded-block cache
+//! stores the id beside the instruction, so its inner loop does one
+//! indirect call per instruction into a body with no `match` on the
+//! operation, the operand kinds or the size left in it. [`execute`] is
+//! the one-shot form — resolve, then call — over the same bodies.
+//!
+//! All memory, port-I/O and system-register accesses go through the
+//! [`Env`] trait. Two environments implement it:
 //!
 //! - the simulated CPU core in `nova-hw`, whose environment translates
 //!   addresses through the MMU/TLB and raises VM exits on intercepted
@@ -10,6 +22,10 @@
 //! - the instruction emulator of the user-level VMM in `nova-vmm`, whose
 //!   environment accesses guest-physical memory and dispatches MMIO and
 //!   port I/O to virtual device models (paper Section 7.1).
+//!
+//! The pre-staging executor — one function matching on the operation,
+//! then on each operand, then on the size — survives as the test-only
+//! `reference` module, the referee of the differential test below.
 //!
 //! # Interrupt and exception frames
 //!
@@ -21,6 +37,11 @@
 
 use crate::insn::{AluOp, Cond, Insn, MemRef, Op, OpSize, Operand, ShiftOp};
 use crate::reg::{flags, Reg, Reg8, Regs};
+
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod reference;
 
 /// Architectural faults raised during execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -149,6 +170,7 @@ pub enum Exec {
 }
 
 /// Evaluates a condition code against EFLAGS.
+#[inline]
 pub fn cond_holds(cond: Cond, eflags: u32) -> bool {
     let cf = eflags & flags::CF != 0;
     let zf = eflags & flags::ZF != 0;
@@ -175,6 +197,7 @@ pub fn cond_holds(cond: Cond, eflags: u32) -> bool {
 }
 
 /// Computes the linear address of a memory operand.
+#[inline]
 pub fn effective_address(m: &MemRef, regs: &Regs) -> u32 {
     let mut a = m.disp as u32;
     if let Some(b) = m.base {
@@ -186,58 +209,258 @@ pub fn effective_address(m: &MemRef, regs: &Regs) -> u32 {
     a
 }
 
-fn read_operand<E: Env>(
-    op: &Operand,
-    size: OpSize,
-    regs: &Regs,
-    env: &mut E,
-) -> Result<u32, E::Err> {
-    match op {
-        Operand::Reg(r) => Ok(regs.get(*r)),
-        Operand::Reg8(r) => Ok(regs.get8(*r) as u32),
-        Operand::Imm(v) => Ok(*v),
-        Operand::Mem(m) => env.read_mem(effective_address(m, regs), size),
-        Operand::Cr(_) | Operand::None => Err(Fault::InvalidOpcode.into()),
-    }
+// ----------------------------------------------------------------------
+// Operand accessors
+// ----------------------------------------------------------------------
+
+/// Where an operand lives. [`handler_id`] resolves each operand of an
+/// instruction to one of the marker types below, once; the instruction
+/// bodies are generic over them, so a monomorphised body reads and
+/// writes its operands without matching on [`Operand`] again.
+trait Loc {
+    fn load<E: Env>(op: &Operand, size: OpSize, regs: &Regs, env: &mut E) -> Result<u32, E::Err>;
+
+    fn store<E: Env>(
+        op: &Operand,
+        size: OpSize,
+        val: u32,
+        regs: &mut Regs,
+        env: &mut E,
+    ) -> Result<(), E::Err>;
 }
 
-fn write_operand<E: Env>(
-    op: &Operand,
-    size: OpSize,
-    val: u32,
-    regs: &mut Regs,
-    env: &mut E,
-) -> Result<(), E::Err> {
-    match op {
-        Operand::Reg(r) => {
-            regs.set(*r, val);
-            Ok(())
+/// A 32-bit general-purpose register ([`Operand::Reg`]).
+struct R32;
+/// An 8-bit register ([`Operand::Reg8`]).
+struct R8;
+/// An immediate ([`Operand::Imm`]); storing to it is #UD.
+struct Imm;
+/// A memory reference ([`Operand::Mem`]).
+struct Mem;
+/// Any operand at all, told apart when the instruction runs: the
+/// accessor of the forms that are not worth an instance of their own,
+/// and what makes [`handler_id`] total.
+struct Any;
+
+/// A body instantiated for one operand kind met another: [`handler_id`]
+/// and the handler table disagree.
+#[cold]
+#[inline(never)]
+fn wrong_kind() -> ! {
+    panic!("handler selected for a different operand kind")
+}
+
+impl Loc for R32 {
+    #[inline(always)]
+    fn load<E: Env>(op: &Operand, _: OpSize, regs: &Regs, _: &mut E) -> Result<u32, E::Err> {
+        match op {
+            Operand::Reg(r) => Ok(regs.get(*r)),
+            _ => wrong_kind(),
         }
-        Operand::Reg8(r) => {
-            regs.set8(*r, val as u8);
-            Ok(())
+    }
+
+    #[inline(always)]
+    fn store<E: Env>(
+        op: &Operand,
+        _: OpSize,
+        val: u32,
+        regs: &mut Regs,
+        _: &mut E,
+    ) -> Result<(), E::Err> {
+        match op {
+            Operand::Reg(r) => regs.set(*r, val),
+            _ => wrong_kind(),
         }
-        Operand::Mem(m) => env.write_mem(effective_address(m, regs), size, val),
-        _ => Err(Fault::InvalidOpcode.into()),
+        Ok(())
     }
 }
 
-fn set_zsf(eflags: &mut u32, res: u32, size: OpSize) {
-    *eflags &= !(flags::ZF | flags::SF);
-    if res & size.mask() == 0 {
-        *eflags |= flags::ZF;
+impl Loc for R8 {
+    #[inline(always)]
+    fn load<E: Env>(op: &Operand, _: OpSize, regs: &Regs, _: &mut E) -> Result<u32, E::Err> {
+        match op {
+            Operand::Reg8(r) => Ok(regs.get8(*r) as u32),
+            _ => wrong_kind(),
+        }
     }
-    if res & size.sign_bit() != 0 {
-        *eflags |= flags::SF;
+
+    #[inline(always)]
+    fn store<E: Env>(
+        op: &Operand,
+        _: OpSize,
+        val: u32,
+        regs: &mut Regs,
+        _: &mut E,
+    ) -> Result<(), E::Err> {
+        match op {
+            Operand::Reg8(r) => regs.set8(*r, val as u8),
+            _ => wrong_kind(),
+        }
+        Ok(())
     }
 }
 
-fn alu(op: AluOp, a: u32, b: u32, size: OpSize, eflags: &mut u32) -> u32 {
+impl Loc for Imm {
+    #[inline(always)]
+    fn load<E: Env>(op: &Operand, _: OpSize, _: &Regs, _: &mut E) -> Result<u32, E::Err> {
+        match op {
+            Operand::Imm(v) => Ok(*v),
+            _ => wrong_kind(),
+        }
+    }
+
+    #[inline(always)]
+    fn store<E: Env>(
+        _: &Operand,
+        _: OpSize,
+        _: u32,
+        _: &mut Regs,
+        _: &mut E,
+    ) -> Result<(), E::Err> {
+        Err(Fault::InvalidOpcode.into())
+    }
+}
+
+impl Loc for Mem {
+    #[inline(always)]
+    fn load<E: Env>(op: &Operand, size: OpSize, regs: &Regs, env: &mut E) -> Result<u32, E::Err> {
+        match op {
+            Operand::Mem(m) => env.read_mem(effective_address(m, regs), size),
+            _ => wrong_kind(),
+        }
+    }
+
+    #[inline(always)]
+    fn store<E: Env>(
+        op: &Operand,
+        size: OpSize,
+        val: u32,
+        regs: &mut Regs,
+        env: &mut E,
+    ) -> Result<(), E::Err> {
+        match op {
+            Operand::Mem(m) => env.write_mem(effective_address(m, regs), size, val),
+            _ => wrong_kind(),
+        }
+    }
+}
+
+impl Loc for Any {
+    fn load<E: Env>(op: &Operand, size: OpSize, regs: &Regs, env: &mut E) -> Result<u32, E::Err> {
+        match op {
+            Operand::Reg(_) => R32::load(op, size, regs, env),
+            Operand::Reg8(_) => R8::load(op, size, regs, env),
+            Operand::Imm(_) => Imm::load(op, size, regs, env),
+            Operand::Mem(_) => Mem::load(op, size, regs, env),
+            Operand::Cr(_) | Operand::None => Err(Fault::InvalidOpcode.into()),
+        }
+    }
+
+    fn store<E: Env>(
+        op: &Operand,
+        size: OpSize,
+        val: u32,
+        regs: &mut Regs,
+        env: &mut E,
+    ) -> Result<(), E::Err> {
+        match op {
+            Operand::Reg(_) => R32::store(op, size, val, regs, env),
+            Operand::Reg8(_) => R8::store(op, size, val, regs, env),
+            Operand::Mem(_) => Mem::store(op, size, val, regs, env),
+            Operand::Imm(_) | Operand::Cr(_) | Operand::None => Err(Fault::InvalidOpcode.into()),
+        }
+    }
+}
+
+/// How a JMP or CALL names its target: relative to the next
+/// instruction, in a register, or in memory.
+trait Target {
+    fn target<E: Env>(
+        src: &Operand,
+        next_eip: u32,
+        regs: &Regs,
+        env: &mut E,
+    ) -> Result<u32, E::Err>;
+}
+
+impl Target for Imm {
+    #[inline(always)]
+    fn target<E: Env>(src: &Operand, next_eip: u32, _: &Regs, _: &mut E) -> Result<u32, E::Err> {
+        match src {
+            Operand::Imm(rel) => Ok(next_eip.wrapping_add(*rel)),
+            _ => wrong_kind(),
+        }
+    }
+}
+
+impl Target for R32 {
+    #[inline(always)]
+    fn target<E: Env>(src: &Operand, _: u32, regs: &Regs, env: &mut E) -> Result<u32, E::Err> {
+        R32::load(src, OpSize::Dword, regs, env)
+    }
+}
+
+impl Target for Mem {
+    #[inline(always)]
+    fn target<E: Env>(src: &Operand, _: u32, regs: &Regs, env: &mut E) -> Result<u32, E::Err> {
+        Mem::load(src, OpSize::Dword, regs, env)
+    }
+}
+
+impl Target for Any {
+    fn target<E: Env>(
+        src: &Operand,
+        next_eip: u32,
+        regs: &Regs,
+        env: &mut E,
+    ) -> Result<u32, E::Err> {
+        match src {
+            Operand::Imm(_) => Imm::target(src, next_eip, regs, env),
+            Operand::Reg(_) => R32::target(src, next_eip, regs, env),
+            Operand::Mem(_) => Mem::target(src, next_eip, regs, env),
+            _ => Err(Fault::InvalidOpcode.into()),
+        }
+    }
+}
+
+/// The operand size a body is instantiated for.
+trait Width {
+    const SIZE: OpSize;
+}
+
+/// 8-bit operands.
+struct B;
+/// 32-bit operands.
+struct D;
+
+impl Width for B {
+    const SIZE: OpSize = OpSize::Byte;
+}
+
+impl Width for D {
+    const SIZE: OpSize = OpSize::Dword;
+}
+
+// ----------------------------------------------------------------------
+// Flags and stack helpers
+// ----------------------------------------------------------------------
+
+/// ZF and SF of a result, as EFLAGS bits.
+#[inline(always)]
+fn zsf(res: u32, size: OpSize) -> u32 {
+    ((res & size.mask() == 0) as u32 * flags::ZF)
+        | ((res & size.sign_bit() != 0) as u32 * flags::SF)
+}
+
+/// The ALU: the result and the EFLAGS it leaves (CF, OF, ZF and SF
+/// computed without branches, everything else carried over).
+#[inline(always)]
+fn alu(op: AluOp, a: u32, b: u32, size: OpSize, eflags: u32) -> (u32, u32) {
     let mask = size.mask();
     let sign = size.sign_bit();
     let a = a & mask;
     let b = b & mask;
-    let cin = (*eflags & flags::CF != 0) as u32;
+    let cin = (eflags & flags::CF != 0) as u32;
     let (res, cf, of) = match op {
         AluOp::Add => {
             let r = a.wrapping_add(b) & mask;
@@ -261,15 +484,8 @@ fn alu(op: AluOp, a: u32, b: u32, size: OpSize, eflags: &mut u32) -> u32 {
         AluOp::Or => (a | b, false, false),
         AluOp::Xor => (a ^ b, false, false),
     };
-    *eflags &= !(flags::CF | flags::OF);
-    if cf {
-        *eflags |= flags::CF;
-    }
-    if of {
-        *eflags |= flags::OF;
-    }
-    set_zsf(eflags, res, size);
-    res
+    let status = (cf as u32 * flags::CF) | (of as u32 * flags::OF) | zsf(res, size);
+    (res, (eflags & !flags::STATUS) | status)
 }
 
 /// Delivers an interrupt or exception through the IDT: pushes
@@ -308,6 +524,8 @@ pub fn deliver_event<E: Env>(
     Ok(())
 }
 
+/// Pushes a dword; ESP moves only once the store went through.
+#[inline(always)]
 fn push<E: Env>(regs: &mut Regs, env: &mut E, val: u32) -> Result<(), E::Err> {
     let esp = regs.get(Reg::Esp).wrapping_sub(4);
     env.write_mem(esp, OpSize::Dword, val)?;
@@ -315,6 +533,7 @@ fn push<E: Env>(regs: &mut Regs, env: &mut E, val: u32) -> Result<(), E::Err> {
     Ok(())
 }
 
+#[inline(always)]
 fn pop<E: Env>(regs: &mut Regs, env: &mut E) -> Result<u32, E::Err> {
     let esp = regs.get(Reg::Esp);
     let v = env.read_mem(esp, OpSize::Dword)?;
@@ -322,7 +541,976 @@ fn pop<E: Env>(regs: &mut Regs, env: &mut E) -> Result<u32, E::Err> {
     Ok(v)
 }
 
-/// Executes one decoded instruction against `regs` and `env`.
+// ----------------------------------------------------------------------
+// Instruction bodies: one per `Op`, generic over where the operands live
+// ----------------------------------------------------------------------
+//
+// Shared contract: on success EIP points at the next instruction (or at
+// the same one for `Exec::RepContinue`); on error EIP is unchanged and
+// whatever the instruction did before the failing access stays done,
+// as on hardware. Memory accesses happen in the order written here.
+
+/// The address of the instruction after `insn`.
+#[inline(always)]
+fn next_eip(insn: &Insn, regs: &Regs) -> u32 {
+    regs.eip.wrapping_add(insn.len as u32)
+}
+
+/// Completes a fall-through instruction.
+#[inline(always)]
+fn fall_through<E: Env>(insn: &Insn, regs: &mut Regs) -> Result<Exec, E::Err> {
+    regs.eip = next_eip(insn, regs);
+    Ok(Exec::Normal)
+}
+
+fn nop<E: Env>(insn: &Insn, regs: &mut Regs, _: &mut E) -> Result<Exec, E::Err> {
+    fall_through::<E>(insn, regs)
+}
+
+fn mov<Dst: Loc, Src: Loc, W: Width, E: Env>(
+    insn: &Insn,
+    regs: &mut Regs,
+    env: &mut E,
+) -> Result<Exec, E::Err> {
+    let v = Src::load(&insn.src, W::SIZE, regs, env)?;
+    Dst::store(&insn.dst, W::SIZE, v, regs, env)?;
+    fall_through::<E>(insn, regs)
+}
+
+/// MOVZX / MOVSX: a byte source widened into a dword destination.
+fn movx<const SIGNED: bool, Dst: Loc, Src: Loc, E: Env>(
+    insn: &Insn,
+    regs: &mut Regs,
+    env: &mut E,
+) -> Result<Exec, E::Err> {
+    let v = Src::load(&insn.src, OpSize::Byte, regs, env)?;
+    let v = if SIGNED {
+        v as u8 as i8 as i32 as u32
+    } else {
+        v & 0xff
+    };
+    Dst::store(&insn.dst, OpSize::Dword, v, regs, env)?;
+    fall_through::<E>(insn, regs)
+}
+
+fn xchg<Dst: Loc, Src: Loc, W: Width, E: Env>(
+    insn: &Insn,
+    regs: &mut Regs,
+    env: &mut E,
+) -> Result<Exec, E::Err> {
+    let a = Dst::load(&insn.dst, W::SIZE, regs, env)?;
+    let b = Src::load(&insn.src, W::SIZE, regs, env)?;
+    Dst::store(&insn.dst, W::SIZE, b, regs, env)?;
+    Src::store(&insn.src, W::SIZE, a, regs, env)?;
+    fall_through::<E>(insn, regs)
+}
+
+/// The ALU group; `OP` is the [`AluOp`] number. EFLAGS are committed
+/// before the result is stored, so a faulting store leaves them set.
+fn alu_op<const OP: u8, Dst: Loc, Src: Loc, W: Width, E: Env>(
+    insn: &Insn,
+    regs: &mut Regs,
+    env: &mut E,
+) -> Result<Exec, E::Err> {
+    let op = AluOp::from_num(OP);
+    let a = Dst::load(&insn.dst, W::SIZE, regs, env)?;
+    let b = Src::load(&insn.src, W::SIZE, regs, env)?;
+    let (res, fl) = alu(op, a, b, W::SIZE, regs.eflags);
+    regs.eflags = fl;
+    if op != AluOp::Cmp {
+        Dst::store(&insn.dst, W::SIZE, res, regs, env)?;
+    }
+    fall_through::<E>(insn, regs)
+}
+
+fn test<Dst: Loc, Src: Loc, W: Width, E: Env>(
+    insn: &Insn,
+    regs: &mut Regs,
+    env: &mut E,
+) -> Result<Exec, E::Err> {
+    let a = Dst::load(&insn.dst, W::SIZE, regs, env)?;
+    let b = Src::load(&insn.src, W::SIZE, regs, env)?;
+    regs.eflags = alu(AluOp::And, a, b, W::SIZE, regs.eflags).1;
+    fall_through::<E>(insn, regs)
+}
+
+/// INC / DEC: an add or subtract of 1 that preserves CF.
+fn inc_dec<const DEC: bool, Dst: Loc, W: Width, E: Env>(
+    insn: &Insn,
+    regs: &mut Regs,
+    env: &mut E,
+) -> Result<Exec, E::Err> {
+    let a = Dst::load(&insn.dst, W::SIZE, regs, env)?;
+    let op = if DEC { AluOp::Sub } else { AluOp::Add };
+    let (res, fl) = alu(op, a, 1, W::SIZE, regs.eflags);
+    regs.eflags = (fl & !flags::CF) | (regs.eflags & flags::CF);
+    Dst::store(&insn.dst, W::SIZE, res, regs, env)?;
+    fall_through::<E>(insn, regs)
+}
+
+fn neg<Dst: Loc, W: Width, E: Env>(
+    insn: &Insn,
+    regs: &mut Regs,
+    env: &mut E,
+) -> Result<Exec, E::Err> {
+    let a = Dst::load(&insn.dst, W::SIZE, regs, env)?;
+    let (res, fl) = alu(AluOp::Sub, 0, a, W::SIZE, regs.eflags);
+    regs.eflags = fl;
+    Dst::store(&insn.dst, W::SIZE, res, regs, env)?;
+    fall_through::<E>(insn, regs)
+}
+
+fn not<Dst: Loc, W: Width, E: Env>(
+    insn: &Insn,
+    regs: &mut Regs,
+    env: &mut E,
+) -> Result<Exec, E::Err> {
+    let a = Dst::load(&insn.dst, W::SIZE, regs, env)?;
+    Dst::store(&insn.dst, W::SIZE, !a, regs, env)?;
+    fall_through::<E>(insn, regs)
+}
+
+/// Unsigned multiply of the accumulator: EDX:EAX (dword) or AX (byte).
+fn mul<Src: Loc, W: Width, E: Env>(
+    insn: &Insn,
+    regs: &mut Regs,
+    env: &mut E,
+) -> Result<Exec, E::Err> {
+    let a = regs.get(Reg::Eax) as u64;
+    let b = Src::load(&insn.src, W::SIZE, regs, env)? as u64;
+    let overflow = match W::SIZE {
+        OpSize::Dword => {
+            let wide = a * b;
+            regs.set(Reg::Eax, wide as u32);
+            regs.set(Reg::Edx, (wide >> 32) as u32);
+            wide >> 32 != 0
+        }
+        OpSize::Byte => {
+            let wide = (a as u8 as u64) * (b as u8 as u64);
+            regs.set(
+                Reg::Eax,
+                (regs.get(Reg::Eax) & !0xffff) | (wide as u32 & 0xffff),
+            );
+            wide > 0xff
+        }
+    };
+    regs.eflags &= !(flags::CF | flags::OF);
+    if overflow {
+        regs.eflags |= flags::CF | flags::OF;
+    }
+    fall_through::<E>(insn, regs)
+}
+
+/// Two-operand signed multiply; the product is always 32 × 32.
+fn imul2<Dst: Loc, Src: Loc, W: Width, E: Env>(
+    insn: &Insn,
+    regs: &mut Regs,
+    env: &mut E,
+) -> Result<Exec, E::Err> {
+    let a = Dst::load(&insn.dst, W::SIZE, regs, env)? as i32 as i64;
+    let b = Src::load(&insn.src, W::SIZE, regs, env)? as i32 as i64;
+    let wide = a * b;
+    let res = wide as u32;
+    regs.eflags &= !(flags::CF | flags::OF);
+    if wide != res as i32 as i64 {
+        regs.eflags |= flags::CF | flags::OF;
+    }
+    Dst::store(&insn.dst, W::SIZE, res, regs, env)?;
+    fall_through::<E>(insn, regs)
+}
+
+/// Unsigned divide of EDX:EAX (dword) or AX (byte); #DE on a zero
+/// divisor or a quotient that does not fit.
+fn div<Src: Loc, W: Width, E: Env>(
+    insn: &Insn,
+    regs: &mut Regs,
+    env: &mut E,
+) -> Result<Exec, E::Err> {
+    let b = Src::load(&insn.src, W::SIZE, regs, env)?;
+    match W::SIZE {
+        OpSize::Dword => {
+            let dividend = ((regs.get(Reg::Edx) as u64) << 32) | regs.get(Reg::Eax) as u64;
+            if b == 0 {
+                return Err(Fault::Divide.into());
+            }
+            let q = dividend / b as u64;
+            if q > u32::MAX as u64 {
+                return Err(Fault::Divide.into());
+            }
+            regs.set(Reg::Eax, q as u32);
+            regs.set(Reg::Edx, (dividend % b as u64) as u32);
+        }
+        OpSize::Byte => {
+            let dividend = regs.get(Reg::Eax) & 0xffff;
+            let b = b & 0xff;
+            if b == 0 {
+                return Err(Fault::Divide.into());
+            }
+            let q = dividend / b;
+            if q > 0xff {
+                return Err(Fault::Divide.into());
+            }
+            let r = dividend % b;
+            regs.set(Reg::Eax, (regs.get(Reg::Eax) & !0xffff) | (r << 8) | q);
+        }
+    }
+    fall_through::<E>(insn, regs)
+}
+
+/// The shift group; `OP` is the [`ShiftOp`] number. The count is always
+/// read as a byte; a zero count (after masking to 5 bits) changes
+/// nothing, flags included.
+fn shift<const OP: u8, Dst: Loc, Src: Loc, W: Width, E: Env>(
+    insn: &Insn,
+    regs: &mut Regs,
+    env: &mut E,
+) -> Result<Exec, E::Err> {
+    let size = W::SIZE;
+    let a = Dst::load(&insn.dst, size, regs, env)?;
+    let n = Src::load(&insn.src, OpSize::Byte, regs, env)? & 31;
+    if n != 0 {
+        let bits = size.bytes() * 8;
+        let (res, cf) = if OP == ShiftOp::Shl as u8 {
+            let res = if n >= bits { 0 } else { (a << n) & size.mask() };
+            (res, n <= bits && (a >> (bits - n)) & 1 != 0)
+        } else if OP == ShiftOp::Shr as u8 {
+            let a = a & size.mask();
+            let res = if n >= bits { 0 } else { a >> n };
+            (res, n <= bits && (a >> (n - 1)) & 1 != 0)
+        } else {
+            let sa = ((a & size.mask()) as i32) << (32 - bits) >> (32 - bits);
+            let res = (sa >> n.min(bits - 1)) as u32 & size.mask();
+            (res, (sa >> (n - 1).min(bits - 1)) & 1 != 0)
+        };
+        regs.eflags = (regs.eflags & !flags::STATUS) | (cf as u32 * flags::CF) | zsf(res, size);
+        Dst::store(&insn.dst, size, res, regs, env)?;
+    }
+    fall_through::<E>(insn, regs)
+}
+
+fn lea<Dst: Loc, E: Env>(insn: &Insn, regs: &mut Regs, env: &mut E) -> Result<Exec, E::Err> {
+    let Operand::Mem(m) = &insn.src else {
+        return Err(Fault::InvalidOpcode.into());
+    };
+    let a = effective_address(m, regs);
+    Dst::store(&insn.dst, OpSize::Dword, a, regs, env)?;
+    fall_through::<E>(insn, regs)
+}
+
+fn push_op<Src: Loc, E: Env>(insn: &Insn, regs: &mut Regs, env: &mut E) -> Result<Exec, E::Err> {
+    let v = Src::load(&insn.src, OpSize::Dword, regs, env)?;
+    push(regs, env, v)?;
+    fall_through::<E>(insn, regs)
+}
+
+/// POP: ESP has already moved when the destination is written.
+fn pop_op<Dst: Loc, E: Env>(insn: &Insn, regs: &mut Regs, env: &mut E) -> Result<Exec, E::Err> {
+    let v = pop(regs, env)?;
+    Dst::store(&insn.dst, OpSize::Dword, v, regs, env)?;
+    fall_through::<E>(insn, regs)
+}
+
+fn pushf<E: Env>(insn: &Insn, regs: &mut Regs, env: &mut E) -> Result<Exec, E::Err> {
+    push(regs, env, regs.eflags | flags::R1)?;
+    fall_through::<E>(insn, regs)
+}
+
+fn popf<E: Env>(insn: &Insn, regs: &mut Regs, env: &mut E) -> Result<Exec, E::Err> {
+    let v = pop(regs, env)?;
+    regs.eflags = v | flags::R1;
+    fall_through::<E>(insn, regs)
+}
+
+fn jmp<Src: Target, E: Env>(insn: &Insn, regs: &mut Regs, env: &mut E) -> Result<Exec, E::Err> {
+    regs.eip = Src::target(&insn.src, next_eip(insn, regs), regs, env)?;
+    Ok(Exec::Normal)
+}
+
+/// Jcc; `COND` is the [`Cond`] number.
+fn jcc<const COND: u8, E: Env>(insn: &Insn, regs: &mut Regs, _: &mut E) -> Result<Exec, E::Err> {
+    if !cond_holds(Cond::from_num(COND), regs.eflags) {
+        return fall_through::<E>(insn, regs);
+    }
+    let Operand::Imm(rel) = insn.src else {
+        return Err(Fault::InvalidOpcode.into());
+    };
+    regs.eip = next_eip(insn, regs).wrapping_add(rel);
+    Ok(Exec::Normal)
+}
+
+/// CALL: the target is resolved (and may fault) before the return
+/// address is pushed.
+fn call<Src: Target, E: Env>(insn: &Insn, regs: &mut Regs, env: &mut E) -> Result<Exec, E::Err> {
+    let ret = next_eip(insn, regs);
+    let target = Src::target(&insn.src, ret, regs, env)?;
+    push(regs, env, ret)?;
+    regs.eip = target;
+    Ok(Exec::Normal)
+}
+
+fn ret<E: Env>(_: &Insn, regs: &mut Regs, env: &mut E) -> Result<Exec, E::Err> {
+    regs.eip = pop(regs, env)?;
+    Ok(Exec::Normal)
+}
+
+fn int<E: Env>(insn: &Insn, regs: &mut Regs, env: &mut E) -> Result<Exec, E::Err> {
+    let Op::Int(vec) = insn.op else { wrong_kind() };
+    // Advance past the INT before delivery so IRET resumes after it.
+    let saved = regs.eip;
+    regs.eip = next_eip(insn, regs);
+    if let Err(e) = deliver_event(regs, env, vec, None) {
+        regs.eip = saved;
+        return Err(e);
+    }
+    Ok(Exec::Normal)
+}
+
+fn iret<E: Env>(_: &Insn, regs: &mut Regs, env: &mut E) -> Result<Exec, E::Err> {
+    let eip = pop(regs, env)?;
+    let _cs = pop(regs, env)?;
+    let fl = pop(regs, env)?;
+    regs.eip = eip;
+    regs.eflags = fl | flags::R1;
+    Ok(Exec::Normal)
+}
+
+fn hlt<E: Env>(insn: &Insn, regs: &mut Regs, _: &mut E) -> Result<Exec, E::Err> {
+    regs.eip = next_eip(insn, regs);
+    Ok(Exec::Halt)
+}
+
+fn cli<E: Env>(insn: &Insn, regs: &mut Regs, _: &mut E) -> Result<Exec, E::Err> {
+    regs.eflags &= !flags::IF;
+    fall_through::<E>(insn, regs)
+}
+
+fn sti<E: Env>(insn: &Insn, regs: &mut Regs, _: &mut E) -> Result<Exec, E::Err> {
+    let was_clear = !regs.if_set();
+    regs.eflags |= flags::IF;
+    regs.eip = next_eip(insn, regs);
+    Ok(if was_clear {
+        Exec::StiShadow
+    } else {
+        Exec::Normal
+    })
+}
+
+fn cld<E: Env>(insn: &Insn, regs: &mut Regs, _: &mut E) -> Result<Exec, E::Err> {
+    regs.eflags &= !flags::DF;
+    fall_through::<E>(insn, regs)
+}
+
+fn std<E: Env>(insn: &Insn, regs: &mut Regs, _: &mut E) -> Result<Exec, E::Err> {
+    regs.eflags |= flags::DF;
+    fall_through::<E>(insn, regs)
+}
+
+/// The port an IN or OUT names: an immediate or DX.
+fn port_of(op: &Operand, regs: &Regs) -> Result<u16, Fault> {
+    match op {
+        Operand::Imm(p) => Ok(*p as u16),
+        Operand::Reg(Reg::Edx) => Ok(regs.get(Reg::Edx) as u16),
+        _ => Err(Fault::InvalidOpcode),
+    }
+}
+
+/// The accumulator at an operand size: AL or EAX.
+#[inline(always)]
+fn acc(regs: &Regs, size: OpSize) -> u32 {
+    match size {
+        OpSize::Byte => regs.get8(Reg8::Al) as u32,
+        OpSize::Dword => regs.get(Reg::Eax),
+    }
+}
+
+#[inline(always)]
+fn set_acc(regs: &mut Regs, size: OpSize, v: u32) {
+    match size {
+        OpSize::Byte => regs.set8(Reg8::Al, v as u8),
+        OpSize::Dword => regs.set(Reg::Eax, v),
+    }
+}
+
+fn port_in<E: Env>(insn: &Insn, regs: &mut Regs, env: &mut E) -> Result<Exec, E::Err> {
+    let port = port_of(&insn.src, regs)?;
+    let v = env.io_in(port, insn.size)?;
+    set_acc(regs, insn.size, v);
+    fall_through::<E>(insn, regs)
+}
+
+fn port_out<E: Env>(insn: &Insn, regs: &mut Regs, env: &mut E) -> Result<Exec, E::Err> {
+    let port = port_of(&insn.dst, regs)?;
+    env.io_out(port, insn.size, acc(regs, insn.size))?;
+    fall_through::<E>(insn, regs)
+}
+
+fn cpuid<E: Env>(insn: &Insn, regs: &mut Regs, env: &mut E) -> Result<Exec, E::Err> {
+    let r = env.cpuid(regs.get(Reg::Eax));
+    regs.set(Reg::Eax, r[0]);
+    regs.set(Reg::Ebx, r[1]);
+    regs.set(Reg::Ecx, r[2]);
+    regs.set(Reg::Edx, r[3]);
+    fall_through::<E>(insn, regs)
+}
+
+fn rdtsc<E: Env>(insn: &Insn, regs: &mut Regs, env: &mut E) -> Result<Exec, E::Err> {
+    let t = env.rdtsc();
+    regs.set(Reg::Eax, t as u32);
+    regs.set(Reg::Edx, (t >> 32) as u32);
+    fall_through::<E>(insn, regs)
+}
+
+fn mov_from_cr<E: Env>(insn: &Insn, regs: &mut Regs, env: &mut E) -> Result<Exec, E::Err> {
+    let (Operand::Reg(r), Operand::Cr(n)) = (insn.dst, insn.src) else {
+        return Err(Fault::InvalidOpcode.into());
+    };
+    let v = env.read_cr(regs, n)?;
+    regs.set(r, v);
+    fall_through::<E>(insn, regs)
+}
+
+fn mov_to_cr<E: Env>(insn: &Insn, regs: &mut Regs, env: &mut E) -> Result<Exec, E::Err> {
+    let (Operand::Cr(n), Operand::Reg(r)) = (insn.dst, insn.src) else {
+        return Err(Fault::InvalidOpcode.into());
+    };
+    let v = regs.get(r);
+    env.write_cr(regs, n, v)?;
+    fall_through::<E>(insn, regs)
+}
+
+fn invlpg<E: Env>(insn: &Insn, regs: &mut Regs, env: &mut E) -> Result<Exec, E::Err> {
+    let Operand::Mem(m) = &insn.dst else {
+        return Err(Fault::InvalidOpcode.into());
+    };
+    env.invlpg(effective_address(m, regs))?;
+    fall_through::<E>(insn, regs)
+}
+
+fn lidt<E: Env>(insn: &Insn, regs: &mut Regs, env: &mut E) -> Result<Exec, E::Err> {
+    let Operand::Mem(m) = &insn.dst else {
+        return Err(Fault::InvalidOpcode.into());
+    };
+    let a = effective_address(m, regs);
+    let limit = env.read_mem(a, OpSize::Dword)? & 0xffff;
+    let base = env.read_mem(a.wrapping_add(2), OpSize::Dword)?;
+    regs.idt_limit = limit as u16;
+    regs.idt_base = base;
+    fall_through::<E>(insn, regs)
+}
+
+fn vmcall<E: Env>(insn: &Insn, regs: &mut Regs, env: &mut E) -> Result<Exec, E::Err> {
+    env.vmcall(regs)?;
+    fall_through::<E>(insn, regs)
+}
+
+/// `OP` numbers of [`string`].
+const MOVS: u8 = 0;
+const STOS: u8 = 1;
+const LODS: u8 = 2;
+
+/// MOVS / STOS / LODS, one element per execution. With a REP prefix
+/// the instruction is architecturally restartable: while ECX has not
+/// run out EIP stays on it ([`Exec::RepContinue`]), so interrupts can
+/// be taken between iterations.
+fn string<const OP: u8, W: Width, E: Env>(
+    insn: &Insn,
+    regs: &mut Regs,
+    env: &mut E,
+) -> Result<Exec, E::Err> {
+    if insn.rep && regs.get(Reg::Ecx) == 0 {
+        return fall_through::<E>(insn, regs);
+    }
+    let size = W::SIZE;
+    let step = if regs.eflags & flags::DF != 0 {
+        (size.bytes() as i32).wrapping_neg() as u32
+    } else {
+        size.bytes()
+    };
+    let esi = regs.get(Reg::Esi);
+    let edi = regs.get(Reg::Edi);
+    match OP {
+        MOVS => {
+            let v = env.read_mem(esi, size)?;
+            env.write_mem(edi, size, v)?;
+            regs.set(Reg::Esi, esi.wrapping_add(step));
+            regs.set(Reg::Edi, edi.wrapping_add(step));
+        }
+        STOS => {
+            env.write_mem(edi, size, acc(regs, size))?;
+            regs.set(Reg::Edi, edi.wrapping_add(step));
+        }
+        _ => {
+            let v = env.read_mem(esi, size)?;
+            set_acc(regs, size, v);
+            regs.set(Reg::Esi, esi.wrapping_add(step));
+        }
+    }
+    if insn.rep {
+        let ecx = regs.get(Reg::Ecx).wrapping_sub(1);
+        regs.set(Reg::Ecx, ecx);
+        if ecx != 0 {
+            return Ok(Exec::RepContinue);
+        }
+    }
+    fall_through::<E>(insn, regs)
+}
+
+/// Fills the table entries no [`HandlerId`] names.
+fn unassigned<E: Env>(_: &Insn, _: &mut Regs, _: &mut E) -> Result<Exec, E::Err> {
+    Err(Fault::InvalidOpcode.into())
+}
+
+// ----------------------------------------------------------------------
+// Handler selection
+// ----------------------------------------------------------------------
+
+/// Runs one decoded instruction: what [`handler`] resolves an [`Insn`]
+/// to. The instruction passed must be the one it was resolved from.
+pub type Handler<E> = fn(&Insn, &mut Regs, &mut E) -> Result<Exec, <E as Env>::Err>;
+
+/// Names the body, operand accessors and operand size that execute an
+/// instruction, independently of the environment: a predecoded-block
+/// cache stores it beside the [`Insn`] and turns it into a [`Handler`]
+/// for its environment with [`HandlerId::handler`] — one table load.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HandlerId(u8);
+
+/// Forms a two-operand body is instantiated for, in table order: five
+/// dword forms and the dword catch-all, then the same for bytes.
+const TWO_OP_FORMS: u8 = 12;
+
+fn two_op_form(insn: &Insn) -> u8 {
+    use Operand::{Imm as I, Mem as M, Reg as R, Reg8 as R8};
+    match (insn.size, &insn.dst, &insn.src) {
+        (OpSize::Dword, R(_), R(_)) => 0,
+        (OpSize::Dword, R(_), I(_)) => 1,
+        (OpSize::Dword, R(_), M(_)) => 2,
+        (OpSize::Dword, M(_), R(_)) => 3,
+        (OpSize::Dword, M(_), I(_)) => 4,
+        (OpSize::Dword, ..) => 5,
+        (OpSize::Byte, R8(_), R8(_)) => 6,
+        (OpSize::Byte, R8(_), I(_)) => 7,
+        (OpSize::Byte, R8(_), M(_)) => 8,
+        (OpSize::Byte, M(_), R8(_)) => 9,
+        (OpSize::Byte, M(_), I(_)) => 10,
+        (OpSize::Byte, ..) => 11,
+    }
+}
+
+/// The instances of a two-operand body, in [`two_op_form`] order.
+macro_rules! two_op_row {
+    ($body:ident $(, $sel:expr)?) => {
+        [
+            $body::<$({ $sel },)? R32, R32, D, E>,
+            $body::<$({ $sel },)? R32, Imm, D, E>,
+            $body::<$({ $sel },)? R32, Mem, D, E>,
+            $body::<$({ $sel },)? Mem, R32, D, E>,
+            $body::<$({ $sel },)? Mem, Imm, D, E>,
+            $body::<$({ $sel },)? Any, Any, D, E>,
+            $body::<$({ $sel },)? R8, R8, B, E>,
+            $body::<$({ $sel },)? R8, Imm, B, E>,
+            $body::<$({ $sel },)? R8, Mem, B, E>,
+            $body::<$({ $sel },)? Mem, R8, B, E>,
+            $body::<$({ $sel },)? Mem, Imm, B, E>,
+            $body::<$({ $sel },)? Any, Any, B, E>,
+        ]
+    };
+}
+
+/// Forms a one-operand body is instantiated for: register, memory and
+/// catch-all, dword then byte.
+const ONE_OP_FORMS: u8 = 6;
+
+fn one_op_form(size: OpSize, op: &Operand) -> u8 {
+    match (size, op) {
+        (OpSize::Dword, Operand::Reg(_)) => 0,
+        (OpSize::Dword, Operand::Mem(_)) => 1,
+        (OpSize::Dword, _) => 2,
+        (OpSize::Byte, Operand::Reg8(_)) => 3,
+        (OpSize::Byte, Operand::Mem(_)) => 4,
+        (OpSize::Byte, _) => 5,
+    }
+}
+
+/// The instances of a one-operand body, in [`one_op_form`] order.
+macro_rules! one_op_row {
+    ($body:ident $(, $sel:expr)?) => {
+        [
+            $body::<$({ $sel },)? R32, D, E>,
+            $body::<$({ $sel },)? Mem, D, E>,
+            $body::<$({ $sel },)? Any, D, E>,
+            $body::<$({ $sel },)? R8, B, E>,
+            $body::<$({ $sel },)? Mem, B, E>,
+            $body::<$({ $sel },)? Any, B, E>,
+        ]
+    };
+}
+
+/// Forms of a shift: a dword register by an immediate or by CL, and
+/// the catch-all at either size.
+const SHIFT_FORMS: u8 = 4;
+
+fn shift_form(insn: &Insn) -> u8 {
+    match (insn.size, &insn.dst, &insn.src) {
+        (OpSize::Dword, Operand::Reg(_), Operand::Imm(_)) => 0,
+        (OpSize::Dword, Operand::Reg(_), Operand::Reg8(_)) => 1,
+        (OpSize::Dword, ..) => 2,
+        (OpSize::Byte, ..) => 3,
+    }
+}
+
+macro_rules! shift_row {
+    ($op:expr) => {
+        [
+            shift::<{ $op as u8 }, R32, Imm, D, E>,
+            shift::<{ $op as u8 }, R32, R8, D, E>,
+            shift::<{ $op as u8 }, Any, Any, D, E>,
+            shift::<{ $op as u8 }, Any, Any, B, E>,
+        ]
+    };
+}
+
+/// Forms of an instruction with a dword register destination and a
+/// register-or-memory source (IMUL, MOVZX, MOVSX); `reg_src` tells
+/// whether the source is the register kind the instruction takes.
+const REG_RM_FORMS: u8 = 3;
+
+fn reg_rm_form(insn: &Insn, reg_src: bool) -> u8 {
+    match (&insn.dst, &insn.src) {
+        (Operand::Reg(_), _) if reg_src => 0,
+        (Operand::Reg(_), Operand::Mem(_)) => 1,
+        _ => 2,
+    }
+}
+
+/// Forms of a source-only instruction (PUSH, JMP, CALL).
+const SRC_FORMS: u8 = 4;
+
+fn src_form(src: &Operand) -> u8 {
+    match src {
+        Operand::Imm(_) => 0,
+        Operand::Reg(_) => 1,
+        Operand::Mem(_) => 2,
+        _ => 3,
+    }
+}
+
+/// Where each group of instances starts in the handler table.
+mod base {
+    use super::{ONE_OP_FORMS, REG_RM_FORMS, SHIFT_FORMS, SRC_FORMS, TWO_OP_FORMS};
+
+    pub const ALU: u8 = 0;
+    pub const MOV: u8 = ALU + 8 * TWO_OP_FORMS;
+    pub const TEST: u8 = MOV + TWO_OP_FORMS;
+    pub const XCHG: u8 = TEST + TWO_OP_FORMS;
+    pub const INC: u8 = XCHG + TWO_OP_FORMS;
+    pub const DEC: u8 = INC + ONE_OP_FORMS;
+    pub const NEG: u8 = DEC + ONE_OP_FORMS;
+    pub const NOT: u8 = NEG + ONE_OP_FORMS;
+    pub const MUL: u8 = NOT + ONE_OP_FORMS;
+    pub const DIV: u8 = MUL + ONE_OP_FORMS;
+    pub const JCC: u8 = DIV + ONE_OP_FORMS;
+    pub const SHIFT: u8 = JCC + 16;
+    pub const IMUL2: u8 = SHIFT + 3 * SHIFT_FORMS;
+    pub const MOVZX: u8 = IMUL2 + REG_RM_FORMS + 1;
+    pub const MOVSX: u8 = MOVZX + REG_RM_FORMS;
+    pub const PUSH: u8 = MOVSX + REG_RM_FORMS;
+    pub const JMP: u8 = PUSH + SRC_FORMS;
+    pub const CALL: u8 = JMP + SRC_FORMS;
+    /// LEA and POP: a dword register destination, or the catch-all.
+    pub const LEA: u8 = CALL + SRC_FORMS;
+    pub const POP: u8 = LEA + 2;
+    /// MOVS, STOS, LODS: dword then byte.
+    pub const STRING: u8 = POP + 2;
+    /// One instance each: see `Single`.
+    pub const SINGLE: u8 = STRING + 3 * 2;
+}
+
+/// The bodies with one instance each, numbered from [`base::SINGLE`].
+#[derive(Clone, Copy)]
+#[repr(u8)]
+enum Single {
+    Nop,
+    Pushf,
+    Popf,
+    Ret,
+    Int,
+    Iret,
+    Hlt,
+    Cli,
+    Sti,
+    Cld,
+    Std,
+    In,
+    Out,
+    Cpuid,
+    Rdtsc,
+    MovFromCr,
+    MovToCr,
+    Invlpg,
+    Lidt,
+    Vmcall,
+}
+
+impl Single {
+    const COUNT: usize = Single::Vmcall as usize + 1;
+
+    const fn id(self) -> u8 {
+        base::SINGLE + self as u8
+    }
+}
+
+// The table is indexed by a `u8` without a bounds check.
+const _: () = assert!(base::SINGLE as usize + Single::COUNT <= 256);
+
+/// Resolves an instruction to the instance that executes it. Total:
+/// an operand combination [`crate::decode::decode`] never produces gets
+/// the catch-all instance of its body, which sorts the operands out as
+/// it runs.
+pub fn handler_id(insn: &Insn) -> HandlerId {
+    // LEA and POP: 0 for a dword register destination, 1 for the
+    // catch-all.
+    let dst_form = !matches!(insn.dst, Operand::Reg(_)) as u8;
+    let by_size = |dword: u8| match insn.size {
+        OpSize::Dword => dword,
+        OpSize::Byte => dword + 1,
+    };
+    HandlerId(match insn.op {
+        Op::Alu(op) => base::ALU + op as u8 * TWO_OP_FORMS + two_op_form(insn),
+        Op::Mov => base::MOV + two_op_form(insn),
+        Op::Test => base::TEST + two_op_form(insn),
+        Op::Xchg => base::XCHG + two_op_form(insn),
+        Op::Inc => base::INC + one_op_form(insn.size, &insn.dst),
+        Op::Dec => base::DEC + one_op_form(insn.size, &insn.dst),
+        Op::Neg => base::NEG + one_op_form(insn.size, &insn.dst),
+        Op::Not => base::NOT + one_op_form(insn.size, &insn.dst),
+        Op::Mul => base::MUL + one_op_form(insn.size, &insn.src),
+        Op::Div => base::DIV + one_op_form(insn.size, &insn.src),
+        Op::Jcc(c) => base::JCC + c as u8,
+        Op::Shift(op) => base::SHIFT + op as u8 * SHIFT_FORMS + shift_form(insn),
+        // IMUL's operands follow `insn.size`; only the dword forms
+        // (all that decode) have instances of their own.
+        Op::Imul2 if insn.size == OpSize::Byte => base::IMUL2 + REG_RM_FORMS,
+        Op::Imul2 => base::IMUL2 + reg_rm_form(insn, matches!(insn.src, Operand::Reg(_))),
+        Op::Movzx => base::MOVZX + reg_rm_form(insn, matches!(insn.src, Operand::Reg8(_))),
+        Op::Movsx => base::MOVSX + reg_rm_form(insn, matches!(insn.src, Operand::Reg8(_))),
+        Op::Push => base::PUSH + src_form(&insn.src),
+        Op::Jmp => base::JMP + src_form(&insn.src),
+        Op::Call => base::CALL + src_form(&insn.src),
+        Op::Lea => base::LEA + dst_form,
+        Op::Pop => base::POP + dst_form,
+        Op::Movs => base::STRING + by_size(0),
+        Op::Stos => base::STRING + by_size(2),
+        Op::Lods => base::STRING + by_size(4),
+        Op::Nop => Single::Nop.id(),
+        Op::Pushf => Single::Pushf.id(),
+        Op::Popf => Single::Popf.id(),
+        Op::Ret => Single::Ret.id(),
+        Op::Int(_) => Single::Int.id(),
+        Op::Iret => Single::Iret.id(),
+        Op::Hlt => Single::Hlt.id(),
+        Op::Cli => Single::Cli.id(),
+        Op::Sti => Single::Sti.id(),
+        Op::Cld => Single::Cld.id(),
+        Op::Std => Single::Std.id(),
+        Op::In => Single::In.id(),
+        Op::Out => Single::Out.id(),
+        Op::Cpuid => Single::Cpuid.id(),
+        Op::Rdtsc => Single::Rdtsc.id(),
+        Op::MovFromCr => Single::MovFromCr.id(),
+        Op::MovToCr => Single::MovToCr.id(),
+        Op::Invlpg => Single::Invlpg.id(),
+        Op::Lidt => Single::Lidt.id(),
+        Op::Vmcall => Single::Vmcall.id(),
+    })
+}
+
+/// The handler table of one environment type.
+struct Table<E>(core::marker::PhantomData<E>);
+
+impl<E: Env> Table<E> {
+    /// Every instance, at the index its [`HandlerId`] holds. Built at
+    /// compile time, per environment type.
+    const HANDLERS: [Handler<E>; 256] = {
+        const fn put<E: Env, const N: usize>(
+            table: &mut [Handler<E>; 256],
+            at: u8,
+            row: [Handler<E>; N],
+        ) {
+            let mut i = 0;
+            while i < N {
+                table[at as usize + i] = row[i];
+                i += 1;
+            }
+        }
+        let mut t: [Handler<E>; 256] = [unassigned::<E>; 256];
+        macro_rules! alu_rows {
+            ($($op:ident),*) => {
+                $(put(
+                    &mut t,
+                    base::ALU + TWO_OP_FORMS * AluOp::$op as u8,
+                    two_op_row!(alu_op, AluOp::$op as u8),
+                );)*
+            };
+        }
+        alu_rows!(Add, Or, Adc, Sbb, And, Sub, Xor, Cmp);
+        put(&mut t, base::MOV, two_op_row!(mov));
+        put(&mut t, base::TEST, two_op_row!(test));
+        put(&mut t, base::XCHG, two_op_row!(xchg));
+        put(&mut t, base::INC, one_op_row!(inc_dec, false));
+        put(&mut t, base::DEC, one_op_row!(inc_dec, true));
+        put(&mut t, base::NEG, one_op_row!(neg));
+        put(&mut t, base::NOT, one_op_row!(not));
+        put(&mut t, base::MUL, one_op_row!(mul));
+        put(&mut t, base::DIV, one_op_row!(div));
+        put(
+            &mut t,
+            base::JCC,
+            [
+                jcc::<0, E>,
+                jcc::<1, E>,
+                jcc::<2, E>,
+                jcc::<3, E>,
+                jcc::<4, E>,
+                jcc::<5, E>,
+                jcc::<6, E>,
+                jcc::<7, E>,
+                jcc::<8, E>,
+                jcc::<9, E>,
+                jcc::<10, E>,
+                jcc::<11, E>,
+                jcc::<12, E>,
+                jcc::<13, E>,
+                jcc::<14, E>,
+                jcc::<15, E>,
+            ],
+        );
+        macro_rules! shift_rows {
+            ($($op:ident),*) => {
+                $(put(
+                    &mut t,
+                    base::SHIFT + SHIFT_FORMS * ShiftOp::$op as u8,
+                    shift_row!(ShiftOp::$op),
+                );)*
+            };
+        }
+        shift_rows!(Shl, Shr, Sar);
+        put(
+            &mut t,
+            base::IMUL2,
+            [
+                imul2::<R32, R32, D, E>,
+                imul2::<R32, Mem, D, E>,
+                imul2::<Any, Any, D, E>,
+                imul2::<Any, Any, B, E>,
+            ],
+        );
+        put(
+            &mut t,
+            base::MOVZX,
+            [
+                movx::<false, R32, R8, E>,
+                movx::<false, R32, Mem, E>,
+                movx::<false, Any, Any, E>,
+            ],
+        );
+        put(
+            &mut t,
+            base::MOVSX,
+            [
+                movx::<true, R32, R8, E>,
+                movx::<true, R32, Mem, E>,
+                movx::<true, Any, Any, E>,
+            ],
+        );
+        put(
+            &mut t,
+            base::PUSH,
+            [
+                push_op::<Imm, E>,
+                push_op::<R32, E>,
+                push_op::<Mem, E>,
+                push_op::<Any, E>,
+            ],
+        );
+        put(
+            &mut t,
+            base::JMP,
+            [jmp::<Imm, E>, jmp::<R32, E>, jmp::<Mem, E>, jmp::<Any, E>],
+        );
+        put(
+            &mut t,
+            base::CALL,
+            [
+                call::<Imm, E>,
+                call::<R32, E>,
+                call::<Mem, E>,
+                call::<Any, E>,
+            ],
+        );
+        put(&mut t, base::LEA, [lea::<R32, E>, lea::<Any, E>]);
+        put(&mut t, base::POP, [pop_op::<R32, E>, pop_op::<Any, E>]);
+        put(
+            &mut t,
+            base::STRING,
+            [
+                string::<MOVS, D, E>,
+                string::<MOVS, B, E>,
+                string::<STOS, D, E>,
+                string::<STOS, B, E>,
+                string::<LODS, D, E>,
+                string::<LODS, B, E>,
+            ],
+        );
+        macro_rules! single {
+            ($($id:ident => $body:ident),* $(,)?) => {
+                $(t[Single::$id.id() as usize] = $body::<E>;)*
+            };
+        }
+        single! {
+            Nop => nop,
+            Pushf => pushf,
+            Popf => popf,
+            Ret => ret,
+            Int => int,
+            Iret => iret,
+            Hlt => hlt,
+            Cli => cli,
+            Sti => sti,
+            Cld => cld,
+            Std => std,
+            In => port_in,
+            Out => port_out,
+            Cpuid => cpuid,
+            Rdtsc => rdtsc,
+            MovFromCr => mov_from_cr,
+            MovToCr => mov_to_cr,
+            Invlpg => invlpg,
+            Lidt => lidt,
+            Vmcall => vmcall,
+        }
+        t
+    };
+}
+
+impl HandlerId {
+    /// The instance this id names, for environment `E`.
+    #[inline(always)]
+    pub fn handler<E: Env>(self) -> Handler<E> {
+        let table: &[Handler<E>; 256] = &Table::<E>::HANDLERS;
+        table[self.0 as usize]
+    }
+}
+
+/// Resolves `insn` to the handler that runs it in environment `E`.
+#[inline]
+pub fn handler<E: Env>(insn: &Insn) -> Handler<E> {
+    handler_id(insn).handler()
+}
+
+/// Executes one decoded instruction against `regs` and `env`: the
+/// one-shot form of `handler(insn)(insn, regs, env)`, for callers that
+/// run an instruction once and have nowhere to keep its handler.
 ///
 /// On success EIP points at the next instruction (or at the same
 /// instruction for [`Exec::RepContinue`]). On error the register state
@@ -333,428 +1521,9 @@ fn pop<E: Env>(regs: &mut Regs, env: &mut E) -> Result<u32, E::Err> {
 ///
 /// Environment errors (which include architectural faults via the
 /// `From<Fault>` bound) abort the instruction.
+#[inline]
 pub fn execute<E: Env>(insn: &Insn, regs: &mut Regs, env: &mut E) -> Result<Exec, E::Err> {
-    let next_eip = regs.eip.wrapping_add(insn.len as u32);
-    let size = insn.size;
-
-    match insn.op {
-        Op::Nop => {}
-        Op::Mov => {
-            let v = read_operand(&insn.src, size, regs, env)?;
-            write_operand(&insn.dst, size, v, regs, env)?;
-        }
-        Op::Movzx => {
-            let v = read_operand(&insn.src, OpSize::Byte, regs, env)?;
-            write_operand(&insn.dst, OpSize::Dword, v & 0xff, regs, env)?;
-        }
-        Op::Movsx => {
-            let v = read_operand(&insn.src, OpSize::Byte, regs, env)?;
-            write_operand(
-                &insn.dst,
-                OpSize::Dword,
-                v as u8 as i8 as i32 as u32,
-                regs,
-                env,
-            )?;
-        }
-        Op::Xchg => {
-            let a = read_operand(&insn.dst, size, regs, env)?;
-            let b = read_operand(&insn.src, size, regs, env)?;
-            write_operand(&insn.dst, size, b, regs, env)?;
-            write_operand(&insn.src, size, a, regs, env)?;
-        }
-        Op::Alu(op) => {
-            let a = read_operand(&insn.dst, size, regs, env)?;
-            let b = read_operand(&insn.src, size, regs, env)?;
-            let mut fl = regs.eflags;
-            let res = alu(op, a, b, size, &mut fl);
-            regs.eflags = fl;
-            if op != AluOp::Cmp {
-                write_operand(&insn.dst, size, res, regs, env)?;
-            }
-        }
-        Op::Test => {
-            let a = read_operand(&insn.dst, size, regs, env)?;
-            let b = read_operand(&insn.src, size, regs, env)?;
-            let mut fl = regs.eflags;
-            alu(AluOp::And, a, b, size, &mut fl);
-            regs.eflags = fl;
-        }
-        Op::Inc | Op::Dec => {
-            let a = read_operand(&insn.dst, size, regs, env)?;
-            let cf = regs.eflags & flags::CF; // INC/DEC preserve CF
-            let mut fl = regs.eflags;
-            let res = alu(
-                if insn.op == Op::Inc {
-                    AluOp::Add
-                } else {
-                    AluOp::Sub
-                },
-                a,
-                1,
-                size,
-                &mut fl,
-            );
-            regs.eflags = (fl & !flags::CF) | cf;
-            write_operand(&insn.dst, size, res, regs, env)?;
-        }
-        Op::Neg => {
-            let a = read_operand(&insn.dst, size, regs, env)?;
-            let mut fl = regs.eflags;
-            let res = alu(AluOp::Sub, 0, a, size, &mut fl);
-            regs.eflags = fl;
-            write_operand(&insn.dst, size, res, regs, env)?;
-        }
-        Op::Not => {
-            let a = read_operand(&insn.dst, size, regs, env)?;
-            write_operand(&insn.dst, size, !a, regs, env)?;
-        }
-        Op::Mul => {
-            let a = regs.get(Reg::Eax) as u64;
-            let b = read_operand(&insn.src, size, regs, env)? as u64;
-            match size {
-                OpSize::Dword => {
-                    let wide = a * b;
-                    regs.set(Reg::Eax, wide as u32);
-                    regs.set(Reg::Edx, (wide >> 32) as u32);
-                    let hi = (wide >> 32) as u32;
-                    regs.eflags &= !(flags::CF | flags::OF);
-                    if hi != 0 {
-                        regs.eflags |= flags::CF | flags::OF;
-                    }
-                }
-                OpSize::Byte => {
-                    let wide = (a as u8 as u64) * (b as u8 as u64);
-                    regs.set(
-                        Reg::Eax,
-                        (regs.get(Reg::Eax) & !0xffff) | (wide as u32 & 0xffff),
-                    );
-                    regs.eflags &= !(flags::CF | flags::OF);
-                    if wide > 0xff {
-                        regs.eflags |= flags::CF | flags::OF;
-                    }
-                }
-            }
-        }
-        Op::Imul2 => {
-            let a = read_operand(&insn.dst, size, regs, env)? as i32 as i64;
-            let b = read_operand(&insn.src, size, regs, env)? as i32 as i64;
-            let wide = a * b;
-            let res = wide as u32;
-            regs.eflags &= !(flags::CF | flags::OF);
-            if wide != res as i32 as i64 {
-                regs.eflags |= flags::CF | flags::OF;
-            }
-            write_operand(&insn.dst, size, res, regs, env)?;
-        }
-        Op::Div => {
-            let b = read_operand(&insn.src, size, regs, env)?;
-            match size {
-                OpSize::Dword => {
-                    let dividend = ((regs.get(Reg::Edx) as u64) << 32) | regs.get(Reg::Eax) as u64;
-                    if b == 0 {
-                        return Err(Fault::Divide.into());
-                    }
-                    let q = dividend / b as u64;
-                    if q > u32::MAX as u64 {
-                        return Err(Fault::Divide.into());
-                    }
-                    regs.set(Reg::Eax, q as u32);
-                    regs.set(Reg::Edx, (dividend % b as u64) as u32);
-                }
-                OpSize::Byte => {
-                    let dividend = regs.get(Reg::Eax) & 0xffff;
-                    let b = b & 0xff;
-                    if b == 0 {
-                        return Err(Fault::Divide.into());
-                    }
-                    let q = dividend / b;
-                    if q > 0xff {
-                        return Err(Fault::Divide.into());
-                    }
-                    let r = dividend % b;
-                    regs.set(Reg::Eax, (regs.get(Reg::Eax) & !0xffff) | (r << 8) | q);
-                }
-            }
-        }
-        Op::Shift(op) => {
-            let a = read_operand(&insn.dst, size, regs, env)?;
-            let n = read_operand(&insn.src, OpSize::Byte, regs, env)? & 31;
-            if n != 0 {
-                let bits = size.bytes() * 8;
-                let (res, cf) = match op {
-                    ShiftOp::Shl => {
-                        let res = if n >= bits { 0 } else { (a << n) & size.mask() };
-                        let cf = if n <= bits {
-                            (a >> (bits - n)) & 1 != 0
-                        } else {
-                            false
-                        };
-                        (res, cf)
-                    }
-                    ShiftOp::Shr => {
-                        let a = a & size.mask();
-                        let res = if n >= bits { 0 } else { a >> n };
-                        let cf = if n <= bits {
-                            (a >> (n - 1)) & 1 != 0
-                        } else {
-                            false
-                        };
-                        (res, cf)
-                    }
-                    ShiftOp::Sar => {
-                        let sa = ((a & size.mask()) as i32) << (32 - bits) >> (32 - bits);
-                        let res = (sa >> n.min(bits - 1)) as u32 & size.mask();
-                        let cf = (sa >> (n - 1).min(bits - 1)) & 1 != 0;
-                        (res, cf)
-                    }
-                };
-                regs.eflags &= !(flags::CF | flags::OF);
-                if cf {
-                    regs.eflags |= flags::CF;
-                }
-                set_zsf(&mut regs.eflags, res, size);
-                write_operand(&insn.dst, size, res, regs, env)?;
-            }
-        }
-        Op::Lea => {
-            if let Operand::Mem(m) = insn.src {
-                let a = effective_address(&m, regs);
-                write_operand(&insn.dst, OpSize::Dword, a, regs, env)?;
-            } else {
-                return Err(Fault::InvalidOpcode.into());
-            }
-        }
-        Op::Push => {
-            let v = read_operand(&insn.src, OpSize::Dword, regs, env)?;
-            push(regs, env, v)?;
-        }
-        Op::Pop => {
-            let v = pop(regs, env)?;
-            write_operand(&insn.dst, OpSize::Dword, v, regs, env)?;
-        }
-        Op::Pushf => {
-            push(regs, env, regs.eflags | flags::R1)?;
-        }
-        Op::Popf => {
-            let v = pop(regs, env)?;
-            regs.eflags = v | flags::R1;
-        }
-        Op::Jmp => {
-            regs.eip = jump_target(insn, next_eip, regs, env)?;
-            return Ok(Exec::Normal);
-        }
-        Op::Jcc(c) => {
-            if cond_holds(c, regs.eflags) {
-                if let Operand::Imm(rel) = insn.src {
-                    regs.eip = next_eip.wrapping_add(rel);
-                    return Ok(Exec::Normal);
-                }
-                return Err(Fault::InvalidOpcode.into());
-            }
-        }
-        Op::Call => {
-            let target = jump_target(insn, next_eip, regs, env)?;
-            push(regs, env, next_eip)?;
-            regs.eip = target;
-            return Ok(Exec::Normal);
-        }
-        Op::Ret => {
-            regs.eip = pop(regs, env)?;
-            return Ok(Exec::Normal);
-        }
-        Op::Int(vec) => {
-            // Advance past the INT before delivery so IRET resumes after it.
-            let saved = regs.eip;
-            regs.eip = next_eip;
-            if let Err(e) = deliver_event(regs, env, vec, None) {
-                regs.eip = saved;
-                return Err(e);
-            }
-            return Ok(Exec::Normal);
-        }
-        Op::Iret => {
-            let eip = pop(regs, env)?;
-            let _cs = pop(regs, env)?;
-            let fl = pop(regs, env)?;
-            regs.eip = eip;
-            regs.eflags = fl | flags::R1;
-            return Ok(Exec::Normal);
-        }
-        Op::Hlt => {
-            regs.eip = next_eip;
-            return Ok(Exec::Halt);
-        }
-        Op::Cli => {
-            regs.eflags &= !flags::IF;
-        }
-        Op::Sti => {
-            let was_clear = !regs.if_set();
-            regs.eflags |= flags::IF;
-            regs.eip = next_eip;
-            return Ok(if was_clear {
-                Exec::StiShadow
-            } else {
-                Exec::Normal
-            });
-        }
-        Op::Cld => {
-            regs.eflags &= !flags::DF;
-        }
-        Op::Std => {
-            regs.eflags |= flags::DF;
-        }
-        Op::In => {
-            let port = port_of(&insn.src, regs)?;
-            let v = env.io_in(port, size)?;
-            match size {
-                OpSize::Byte => regs.set8(Reg8::Al, v as u8),
-                OpSize::Dword => regs.set(Reg::Eax, v),
-            }
-        }
-        Op::Out => {
-            let port = port_of(&insn.dst, regs)?;
-            let v = match size {
-                OpSize::Byte => regs.get8(Reg8::Al) as u32,
-                OpSize::Dword => regs.get(Reg::Eax),
-            };
-            env.io_out(port, size, v)?;
-        }
-        Op::Cpuid => {
-            let r = env.cpuid(regs.get(Reg::Eax));
-            regs.set(Reg::Eax, r[0]);
-            regs.set(Reg::Ebx, r[1]);
-            regs.set(Reg::Ecx, r[2]);
-            regs.set(Reg::Edx, r[3]);
-        }
-        Op::Rdtsc => {
-            let t = env.rdtsc();
-            regs.set(Reg::Eax, t as u32);
-            regs.set(Reg::Edx, (t >> 32) as u32);
-        }
-        Op::MovFromCr => {
-            if let (Operand::Reg(r), Operand::Cr(n)) = (insn.dst, insn.src) {
-                let v = env.read_cr(regs, n)?;
-                regs.set(r, v);
-            } else {
-                return Err(Fault::InvalidOpcode.into());
-            }
-        }
-        Op::MovToCr => {
-            if let (Operand::Cr(n), Operand::Reg(r)) = (insn.dst, insn.src) {
-                let v = regs.get(r);
-                env.write_cr(regs, n, v)?;
-            } else {
-                return Err(Fault::InvalidOpcode.into());
-            }
-        }
-        Op::Invlpg => {
-            if let Operand::Mem(m) = insn.dst {
-                let a = effective_address(&m, regs);
-                env.invlpg(a)?;
-            } else {
-                return Err(Fault::InvalidOpcode.into());
-            }
-        }
-        Op::Lidt => {
-            if let Operand::Mem(m) = insn.dst {
-                let a = effective_address(&m, regs);
-                let limit = env.read_mem(a, OpSize::Dword)? & 0xffff;
-                let base = env.read_mem(a.wrapping_add(2), OpSize::Dword)?;
-                regs.idt_limit = limit as u16;
-                regs.idt_base = base;
-            } else {
-                return Err(Fault::InvalidOpcode.into());
-            }
-        }
-        Op::Movs | Op::Stos | Op::Lods => {
-            return exec_string(insn, regs, env, next_eip);
-        }
-        Op::Vmcall => {
-            env.vmcall(regs)?;
-        }
-    }
-
-    regs.eip = next_eip;
-    Ok(Exec::Normal)
-}
-
-fn jump_target<E: Env>(
-    insn: &Insn,
-    next_eip: u32,
-    regs: &mut Regs,
-    env: &mut E,
-) -> Result<u32, E::Err> {
-    match insn.src {
-        Operand::Imm(rel) => Ok(next_eip.wrapping_add(rel)),
-        Operand::Reg(r) => Ok(regs.get(r)),
-        Operand::Mem(m) => env.read_mem(effective_address(&m, regs), OpSize::Dword),
-        _ => Err(Fault::InvalidOpcode.into()),
-    }
-}
-
-fn port_of(op: &Operand, regs: &Regs) -> Result<u16, Fault> {
-    match op {
-        Operand::Imm(p) => Ok(*p as u16),
-        Operand::Reg(Reg::Edx) => Ok(regs.get(Reg::Edx) as u16),
-        _ => Err(Fault::InvalidOpcode),
-    }
-}
-
-fn exec_string<E: Env>(
-    insn: &Insn,
-    regs: &mut Regs,
-    env: &mut E,
-    next_eip: u32,
-) -> Result<Exec, E::Err> {
-    if insn.rep && regs.get(Reg::Ecx) == 0 {
-        regs.eip = next_eip;
-        return Ok(Exec::Normal);
-    }
-    let sz = insn.size.bytes();
-    let step = if regs.eflags & flags::DF != 0 {
-        (sz as i32).wrapping_neg() as u32
-    } else {
-        sz
-    };
-    let esi = regs.get(Reg::Esi);
-    let edi = regs.get(Reg::Edi);
-    match insn.op {
-        Op::Movs => {
-            let v = env.read_mem(esi, insn.size)?;
-            env.write_mem(edi, insn.size, v)?;
-            regs.set(Reg::Esi, esi.wrapping_add(step));
-            regs.set(Reg::Edi, edi.wrapping_add(step));
-        }
-        Op::Stos => {
-            let v = match insn.size {
-                OpSize::Byte => regs.get8(Reg8::Al) as u32,
-                OpSize::Dword => regs.get(Reg::Eax),
-            };
-            env.write_mem(edi, insn.size, v)?;
-            regs.set(Reg::Edi, edi.wrapping_add(step));
-        }
-        Op::Lods => {
-            let v = env.read_mem(esi, insn.size)?;
-            match insn.size {
-                OpSize::Byte => regs.set8(Reg8::Al, v as u8),
-                OpSize::Dword => regs.set(Reg::Eax, v),
-            }
-            regs.set(Reg::Esi, esi.wrapping_add(step));
-        }
-        _ => unreachable!(),
-    }
-    if insn.rep {
-        let ecx = regs.get(Reg::Ecx).wrapping_sub(1);
-        regs.set(Reg::Ecx, ecx);
-        if ecx != 0 {
-            // Architecturally restartable: EIP still points at the
-            // instruction so interrupts can be taken between iterations.
-            return Ok(Exec::RepContinue);
-        }
-    }
-    regs.eip = next_eip;
-    Ok(Exec::Normal)
+    handler::<E>(insn)(insn, regs, env)
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@ pub enum OpSize {
 
 impl OpSize {
     /// Operand width in bytes.
+    #[inline]
     pub fn bytes(self) -> u32 {
         match self {
             OpSize::Byte => 1,
@@ -22,6 +23,7 @@ impl OpSize {
     }
 
     /// Mask selecting the low `bytes()` of a 32-bit value.
+    #[inline]
     pub fn mask(self) -> u32 {
         match self {
             OpSize::Byte => 0xff,
@@ -30,6 +32,7 @@ impl OpSize {
     }
 
     /// Position of the sign bit.
+    #[inline]
     pub fn sign_bit(self) -> u32 {
         match self {
             OpSize::Byte => 1 << 7,
@@ -102,6 +105,7 @@ pub enum AluOp {
 
 impl AluOp {
     /// Decodes the 3-bit group number.
+    #[inline]
     pub fn from_num(n: u8) -> AluOp {
         [
             AluOp::Add,
@@ -156,6 +160,7 @@ pub enum Cond {
 
 impl Cond {
     /// Decodes the 4-bit condition number.
+    #[inline]
     pub fn from_num(n: u8) -> Cond {
         [
             Cond::O,

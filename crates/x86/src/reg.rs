@@ -30,11 +30,13 @@ impl Reg {
     ];
 
     /// Decodes a 3-bit hardware register number.
+    #[inline]
     pub fn from_num(n: u8) -> Reg {
         Self::ALL[(n & 7) as usize]
     }
 
     /// The hardware encoding of the register.
+    #[inline]
     pub fn num(self) -> u8 {
         self as u8
     }
@@ -69,16 +71,19 @@ impl Reg8 {
     ];
 
     /// Decodes a 3-bit hardware register number.
+    #[inline]
     pub fn from_num(n: u8) -> Reg8 {
         Self::ALL[(n & 7) as usize]
     }
 
     /// The 32-bit register this 8-bit register aliases.
+    #[inline]
     pub fn parent(self) -> Reg {
         Reg::from_num(self as u8 & 3)
     }
 
     /// `true` if this names bits 8–15 of the parent register (AH/CH/DH/BH).
+    #[inline]
     pub fn is_high(self) -> bool {
         self as u8 >= 4
     }
@@ -211,16 +216,19 @@ impl Regs {
     }
 
     /// Reads a 32-bit register.
+    #[inline]
     pub fn get(&self, r: Reg) -> u32 {
         self.gpr[r as usize]
     }
 
     /// Writes a 32-bit register.
+    #[inline]
     pub fn set(&mut self, r: Reg, v: u32) {
         self.gpr[r as usize] = v;
     }
 
     /// Reads an 8-bit register.
+    #[inline]
     pub fn get8(&self, r: Reg8) -> u8 {
         let v = self.gpr[r.parent() as usize];
         if r.is_high() {
@@ -231,6 +239,7 @@ impl Regs {
     }
 
     /// Writes an 8-bit register.
+    #[inline]
     pub fn set8(&mut self, r: Reg8, v: u8) {
         let p = r.parent() as usize;
         if r.is_high() {
@@ -263,11 +272,13 @@ impl Regs {
     }
 
     /// `true` if paging is enabled (CR0.PG).
+    #[inline]
     pub fn paging(&self) -> bool {
         self.cr0 & cr0::PG != 0
     }
 
     /// `true` if maskable interrupts are enabled (EFLAGS.IF).
+    #[inline]
     pub fn if_set(&self) -> bool {
         self.eflags & flags::IF != 0
     }

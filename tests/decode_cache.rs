@@ -8,15 +8,23 @@
 //! second page is remapped, and a frame reused by a new protection
 //! domain after `DestroyPd`. (The restore / cold-reboot case lives in
 //! `tests/microreboot.rs`.)
+//!
+//! The last group is about *closed-loop re-entry* (a block that jumps
+//! to its own first instruction is restarted in place, without the
+//! fetch translation and the block lookup): each of its tests fails
+//! with one of the checks or counters of the restart removed. Their
+//! referee is the same entry taken one instruction per call
+//! ([`enter_stepping`]), where nothing is skipped.
 
 use nova_core::hypercall::Hypercall;
 use nova_core::obj::{MemRights, VmPaging};
 use nova_core::{CompCtx, Component, Kernel, KernelConfig, PdId, Utcb};
+use nova_hw::blockcache::DecodeCacheStats;
 use nova_hw::cpu::{run_guest, NativeStop};
 use nova_hw::device::{DevCtx, Device};
 use nova_hw::event::Event;
 use nova_hw::iommu::Iommu;
-use nova_hw::machine::{Machine, MachineConfig, DEBUG_EXIT_PORT};
+use nova_hw::machine::{Machine, MachineConfig, AHCI_BASE, DEBUG_EXIT_PORT};
 use nova_hw::vmx::{ExitReason, PagingVirt, Vmcs};
 use nova_x86::insn::{AluOp, Cond, MemRef};
 use nova_x86::paging::{npte, pte, NestedFormat};
@@ -276,6 +284,275 @@ fn straddling_instruction_follows_a_remap_of_its_second_page() {
         m.cpus[0].regs.get(Reg::Eax),
         0x2222_2211,
         "second call fetched its tail through the new mapping"
+    );
+}
+
+// ----------------------------------------------------------------------
+// Closed-loop re-entry
+// ----------------------------------------------------------------------
+
+/// The same VM entry with re-entry (and every other shortcut of the
+/// block executor) out of the picture: a one-cycle quantum makes each
+/// call retire one instruction, so every instruction takes the real
+/// fetch translation and block lookup and the outer loop's event,
+/// interrupt and deadline checks run between any two.
+fn enter_stepping(m: &mut Machine, v: &mut Vmcs) -> ExitReason {
+    let cost = m.cost;
+    for _ in 0..10_000_000 {
+        let exit = run_guest(
+            &mut m.cpus[0],
+            &mut m.mem,
+            &mut m.bus,
+            &cost,
+            &mut m.clock,
+            v,
+            Some(1),
+        );
+        if exit != ExitReason::Preempt {
+            return exit;
+        }
+    }
+    panic!("the stepped guest never exited");
+}
+
+/// Builds the same machine twice, runs one through the block executor
+/// and one stepped, and checks that the simulated machine cannot tell:
+/// same exit at the same cycle with the same registers, `instret` and
+/// `Tlb::stats`. Returns the block executor's side.
+fn same_as_stepped(build: impl Fn(&mut Machine) -> Vmcs) -> (Machine, Vmcs) {
+    let (mut m, mut stepped) = (machine(), machine());
+    let (mut v, mut vs) = (build(&mut m), build(&mut stepped));
+    let exit = enter(&mut m, &mut v);
+    assert_eq!(exit, enter_stepping(&mut stepped, &mut vs));
+    assert_eq!(m.clock, stepped.clock, "exit {exit:?} at another cycle");
+    assert_eq!(v.guest, vs.guest);
+    assert_eq!(m.cpus[0].instret, stepped.cpus[0].instret);
+    assert_eq!(m.cpus[0].tlb.stats, stepped.cpus[0].tlb.stats);
+    (m, v)
+}
+
+/// The Fig 5 compute loop: `iterations` strided loads summed in EAX.
+fn compile_loop(iterations: u32) -> Vec<u8> {
+    let mut a = Asm::new(CODE);
+    a.mov_ri(Reg::Edi, 0x10_0000);
+    a.mov_ri(Reg::Ecx, iterations);
+    a.xor_rr(Reg::Eax, Reg::Eax);
+    let top = a.here_label();
+    a.alu_rm(AluOp::Add, Reg::Eax, MemRef::base_disp(Reg::Edi, 0));
+    a.add_ri(Reg::Edi, 64);
+    a.dec_r(Reg::Ecx);
+    a.jcc(Cond::Ne, top);
+    a.cpuid();
+    a.finish()
+}
+
+/// A loop that rewrites the immediate of an instruction in its own
+/// body sees the new immediate on the very next iteration: the store
+/// moves the frame's generation, which the restart checks like any
+/// other instruction boundary.
+#[test]
+fn loop_rewriting_its_own_immediate_sees_it_on_the_next_iteration() {
+    let mut a = Asm::new(CODE);
+    a.xor_rr(Reg::Ebx, Reg::Ebx);
+    a.mov_ri(Reg::Ecx, 5);
+    let top = a.here_label();
+    let imm = a.here() + 1;
+    a.mov_ri(Reg::Eax, 1);
+    a.alu_rr(AluOp::Add, Reg::Ebx, Reg::Eax);
+    a.mov_mr(MemRef::abs(imm), Reg::Ecx);
+    a.dec_r(Reg::Ecx);
+    a.jcc(Cond::Ne, top);
+    a.cpuid();
+    let code = a.finish();
+    let (_, v) = same_as_stepped(|m| guest(m, &code));
+    // 1, then what each iteration left behind: 5, 4, 3, 2.
+    assert_eq!(v.guest.get(Reg::Ebx), 1 + 5 + 4 + 3 + 2);
+}
+
+/// Host-side AHCI driver: one command in slot 0 moving one sector
+/// between `buf` and `lba`, run to completion if `wait`.
+fn ahci_sector(m: &mut Machine, command: u8, lba: u8, buf: u64, wait: bool) {
+    use nova_hw::ahci::regs;
+    use nova_x86::insn::OpSize;
+    let (clb, ctba) = (0x20_0000u64, 0x20_1000u64);
+    let write = command == nova_hw::ahci::ATA_WRITE_DMA_EXT;
+    m.mem.write_u32(clb, 1 << 16 | (write as u32) << 6);
+    m.mem.write_u64(clb + 8, ctba);
+    m.mem.write_bytes(ctba, &[0; 16]);
+    m.mem.write_u8(ctba, 0x27);
+    m.mem.write_u8(ctba + 2, command);
+    m.mem.write_u8(ctba + 4, lba);
+    m.mem.write_u8(ctba + 12, 1);
+    m.mem.write_u64(ctba + 0x80, buf);
+    m.mem.write_u32(ctba + 0x8c, nova_hw::ahci::SECTOR - 1);
+    let now = m.clock;
+    for (reg, val) in [(regs::P0CLB, clb as u32), (regs::P0CI, 1)] {
+        m.bus
+            .mmio_write(&mut m.mem, now, AHCI_BASE + reg as u64, OpSize::Dword, val);
+    }
+    if wait {
+        let due = m.bus.next_event_due().expect("completion scheduled");
+        m.bus.process_events(&mut m.mem, due);
+        let is = AHCI_BASE + regs::P0IS as u64;
+        let pending = m.bus.mmio_read(&mut m.mem, due, is, OpSize::Dword);
+        m.bus
+            .mmio_write(&mut m.mem, due, is, OpSize::Dword, pending);
+    }
+}
+
+/// AHCI DMA lands on the frame a self-loop is running from: the
+/// iteration after the transfer already runs the new bytes, and the
+/// whole run is indistinguishable from the stepped one.
+#[test]
+fn ahci_dma_into_the_looping_frame_is_seen_within_one_iteration() {
+    // Outlasts the disk's ~250 k-cycle latency at 4 cycles a turn.
+    const ITERATIONS: u32 = 100_000;
+    // The loop counts its turns in `counter`; one sector of code.
+    let program = |counter| {
+        let mut a = Asm::new(CODE);
+        let top = a.here_label();
+        a.mov_ri(Reg::Eax, 1);
+        a.alu_rr(AluOp::Add, counter, Reg::Eax);
+        a.dec_r(Reg::Ecx);
+        a.jcc(Cond::Ne, top);
+        a.cpuid();
+        let mut sector = a.finish();
+        sector.resize(nova_hw::ahci::SECTOR as usize, 0x90);
+        sector
+    };
+    let (_, v) = same_as_stepped(|m| {
+        m.bus.iommu = Iommu::disabled();
+        // Put the patched program on the disk, then have the
+        // controller read it back over the running one.
+        m.mem.write_bytes(0x30_0000, &program(Reg::Esi));
+        ahci_sector(m, nova_hw::ahci::ATA_WRITE_DMA_EXT, 9, 0x30_0000, true);
+        let mut v = guest(m, &program(Reg::Ebx));
+        v.guest.set(Reg::Ecx, ITERATIONS);
+        ahci_sector(m, nova_hw::ahci::ATA_READ_DMA_EXT, 9, CODE as u64, false);
+        v
+    });
+    let (old, new) = (v.guest.get(Reg::Ebx), v.guest.get(Reg::Esi));
+    assert!(old > 0 && new > 0, "the DMA landed mid-loop: {old} + {new}");
+    assert_eq!(
+        old + new,
+        ITERATIONS,
+        "every turn ran one version or the other"
+    );
+}
+
+/// Pulses an interrupt line when its event fires.
+struct Pulser(u8);
+
+impl Device for Pulser {
+    fn name(&self) -> &'static str {
+        "pulser"
+    }
+    fn as_any(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+    fn event(&mut self, ctx: &mut DevCtx, _token: u64) {
+        ctx.pulse_irq(self.0);
+    }
+}
+
+/// Arms a device that pulses IRQ 5 `due` cycles from now, with the PIC
+/// unmasked: the guest (which exits on external interrupts) stops
+/// there.
+fn interrupt_in(m: &mut Machine, due: u64) {
+    m.bus.iommu = Iommu::disabled();
+    m.bus.pic.io_write(nova_hw::pic::MASTER_DATA, 0);
+    let dev = m.bus.add_device(Box::new(Pulser(5)));
+    m.bus.events.schedule(
+        m.clock + due,
+        Event {
+            device: dev,
+            token: 0,
+        },
+    );
+}
+
+/// An interrupt that becomes due in the middle of a self-loop stops it
+/// at the first instruction boundary past its due time — the cycle the
+/// stepped run stops at — whichever instruction of the loop that is,
+/// the one the restart follows included.
+#[test]
+fn interrupt_due_mid_loop_exits_at_the_same_cycle_as_stepped() {
+    let code = compile_loop(10_000);
+    // Two turns of the loop: every phase, twice.
+    for due in 7_001..7_013 {
+        let (m, v) = same_as_stepped(|m| {
+            interrupt_in(m, due);
+            guest(m, &code)
+        });
+        assert!(v.guest.get(Reg::Ecx) > 1, "stopped inside the loop");
+        // Independently of either executor: the longest instruction
+        // of the loop is the load (1 + `mem_access` cycles; none of
+        // these turns starts a new data page, so no walk), hence the
+        // first boundary not before `due` is at most `mem_access` late.
+        assert!(
+            (due..=due + m.cost.mem_access).contains(&m.clock),
+            "interrupt due at {due} taken at {}",
+            m.clock
+        );
+    }
+}
+
+/// The one way a block's *last* instruction can store is a `call`, and
+/// a `call` to the block's own first instruction is a closed loop.
+/// With the stack inside the code frame its push rewrites the loop's
+/// immediate, and the restart that follows must not run the stale
+/// block: the generation is checked after the last instruction too.
+#[test]
+fn call_closed_loop_pushing_over_its_own_immediate_sees_the_new_bytes() {
+    let mut a = Asm::new(CODE);
+    let top = a.label();
+    a.xor_rr(Reg::Ebx, Reg::Ebx);
+    a.jmp(top);
+    a.bind(top);
+    let imm = a.here() + 1;
+    a.mov_ri(Reg::Eax, 1);
+    a.alu_rr(AluOp::Add, Reg::Ebx, Reg::Eax);
+    a.mov_ri(Reg::Esp, imm + 4);
+    a.call(top);
+    let pushed = a.here();
+    let code = a.finish();
+    let (_, v) = same_as_stepped(|m| {
+        interrupt_in(m, 200);
+        guest(m, &code)
+    });
+    // The first turn adds the original 1, every later one the return
+    // address the `call` left in its place.
+    let sum = v.guest.get(Reg::Ebx);
+    assert!(sum > 3 * pushed && (sum - 1) % pushed == 0, "sum {sum:#x}");
+}
+
+/// The lookups a restart skips are counted as the hits they would have
+/// been: `Tlb::stats` equals the stepped run's (one I-side lookup per
+/// instruction), and the block cache counts one hit per iteration as
+/// if every turn of the loop had looked its block up.
+#[test]
+fn ten_thousand_iterations_count_every_skipped_lookup() {
+    const ITERATIONS: u32 = 10_000;
+    let code = compile_loop(ITERATIONS);
+    let (m, v) = same_as_stepped(|m| guest(m, &code));
+    assert_eq!(v.guest.get(Reg::Ecx), 0);
+    // Three blocks are decoded: the entry block (which runs the first
+    // iteration), the loop proper, and the CPUID after it. Every later
+    // turn of the loop is a hit on the loop's block.
+    assert_eq!(
+        m.cpus[0].decode_cache_stats(),
+        DecodeCacheStats {
+            hits: ITERATIONS as u64 - 2,
+            misses: 3,
+            invalidations: 0,
+            evictions: 0,
+        }
+    );
+    let tlb = m.cpus[0].tlb.stats;
+    assert_eq!(
+        tlb.hits + tlb.misses,
+        m.cpus[0].instret + ITERATIONS as u64,
+        "one fetch lookup per instruction, one data lookup per load"
     );
 }
 
