@@ -1822,18 +1822,6 @@ impl Kernel {
     // Component-side machine access (permission-checked)
     // ------------------------------------------------------------------
 
-    /// Reads bytes from the component's address space.
-    ///
-    /// Allocates the result: a convenience for tests and cold paths.
-    /// Anything that runs per request or per packet uses
-    /// [`Kernel::mem_read_into`], [`Kernel::mem_slice`] or the
-    /// fixed-width readers.
-    pub fn mem_read(&self, ctx: CompCtx, addr: u64, len: usize) -> Option<Vec<u8>> {
-        let mut out = vec![0u8; len];
-        self.mem_read_into(ctx, addr, &mut out)?;
-        Some(out)
-    }
-
     /// Reads bytes from the component's address space into a
     /// caller-provided buffer, without allocating. Returns `None` if
     /// any touched page is unmapped; the buffer contents are
@@ -3200,7 +3188,9 @@ mod tests {
         let mut seen = vec![u64::MAX; 3];
         assert!(k.mem_write(ctx, base + 4096, &[7; 16]));
         assert_eq!(k.mem_refresh(ctx, base, &mut image, &mut seen), Some(3));
-        assert_eq!(image, k.mem_read(ctx, base, 3 * 4096).unwrap());
+        let mut now = vec![0u8; 3 * 4096];
+        k.mem_read_into(ctx, base, &mut now).unwrap();
+        assert_eq!(image, now);
         assert_eq!(k.mem_refresh(ctx, base, &mut image, &mut seen), Some(0));
 
         // Each kind of kernel-side writer moves its page, and only it.
@@ -3210,7 +3200,8 @@ mod tests {
         assert_eq!(k.mem_refresh(ctx, base, &mut image, &mut seen), Some(2));
         k.mem_slice_mut(ctx, base + 2 * 4096, 4).unwrap()[0] = 3;
         assert_eq!(k.mem_refresh(ctx, base, &mut image, &mut seen), Some(1));
-        assert_eq!(image, k.mem_read(ctx, base, 3 * 4096).unwrap());
+        k.mem_read_into(ctx, base, &mut now).unwrap();
+        assert_eq!(image, now);
 
         // A refused call writes nothing: misaligned, wrong table
         // length, or a window that runs into unmapped (hypervisor)
@@ -3235,8 +3226,8 @@ mod tests {
         let ctx = root_ctx(&k, ec, comp);
         assert!(k.mem_write(ctx, 0x5000, &[1; 3 * 4096]));
         assert!(k.mem_fill(ctx, 0x5ffe, 4096 + 4, 0));
-        assert_eq!(k.mem_read(ctx, 0x5ffc, 4).unwrap(), [1, 1, 0, 0]);
-        assert_eq!(k.mem_read(ctx, 0x7000, 4).unwrap(), [0, 0, 1, 1]);
+        assert_eq!(k.mem_slice(ctx, 0x5ffc, 4).unwrap(), [1, 1, 0, 0]);
+        assert_eq!(k.mem_slice(ctx, 0x7000, 4).unwrap(), [0, 0, 1, 1]);
         assert!(k.mem_fill(ctx, 0x5000, 0, 9), "empty fill");
         let hv = (32 << 20) as u64 - 4096;
         assert!(

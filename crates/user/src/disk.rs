@@ -704,7 +704,9 @@ mod tests {
     use nova_core::{KernelConfig, RunOutcome};
     use nova_hw::machine::{Machine, MachineConfig};
 
-    use crate::root::{RootOps, RootPm};
+    use crate::root::{
+        spawn_disk_server, wire_disk_client, DiskRecipe, DiskServerRef, Grant, RootOps, RootPm,
+    };
 
     /// A test client that records completion signals and reads its
     /// ring.
@@ -745,72 +747,23 @@ mod tests {
         k.start_component(root_comp, root_ec);
         let root_ctx = k.component_mut::<RootPm>(root_comp).unwrap().ctx.unwrap();
 
-        let cfg = DiskServerConfig::standard();
-        let ahci_dev = k.machine.dev.ahci;
-
-        // Root creates the server PD and grants resources.
+        // The server, from the recipe the system builder boots it from.
+        let recipe = DiskRecipe::new(DiskServerConfig::standard(), k.machine.dev.ahci);
         let mut ops = RootOps::new(&mut k, root_ctx);
-        let (srv_sel, srv_pd) = ops.create_pd("disk-server", None).unwrap();
-        // AHCI MMIO window (identity).
-        ops.grant_mem(
-            srv_sel,
-            nova_hw::machine::AHCI_BASE / 4096,
-            1,
-            MemRights::RW,
-            cfg.mmio_va / 4096,
-        )
-        .unwrap();
-        // Command memory: 2 DMA-able pages.
-        ops.grant_mem(srv_sel, 0x300, 2, MemRights::RW_DMA, cfg.cmd_va / 4096)
-            .unwrap();
-        ops.grant_gsi(srv_sel, cfg.gsi).unwrap();
-        ops.assign_device(srv_sel, ahci_dev).unwrap();
-
-        let (server_comp, server_ec) = k.load_component(srv_pd, 0, Box::new(DiskServer::new(cfg)));
-        k.start_component(server_comp, server_ec);
-
-        // Server portals, created with the server's identity.
-        let server_ctx = CompCtx {
-            pd: srv_pd,
-            ec: server_ec,
-            comp: server_comp,
-        };
-        k.hypercall(
-            server_ctx,
-            Hypercall::CreatePt {
-                ec: nova_core::kernel::SEL_SELF_EC,
-                mtd: 0,
-                id: proto::PORTAL_REGISTER,
-                dst: 0x20,
-            },
-        )
-        .unwrap();
-        k.hypercall(
-            server_ctx,
-            Hypercall::CreatePt {
-                ec: nova_core::kernel::SEL_SELF_EC,
-                mtd: 0,
-                id: proto::PORTAL_REQUEST,
-                dst: 0x21,
-            },
-        )
-        .unwrap();
-        k.hypercall(
-            server_ctx,
-            Hypercall::CreatePt {
-                ec: nova_core::kernel::SEL_SELF_EC,
-                mtd: 0,
-                id: proto::PORTAL_BATCH,
-                dst: 0x22,
-            },
-        )
-        .unwrap();
+        let srv_sel = ops.alloc_sel();
+        let srv_ctx = spawn_disk_server(&mut k, root_ctx, srv_sel, &recipe).unwrap();
+        let server_comp = srv_ctx.comp;
 
         // Client PD with some memory.
         let mut ops = RootOps::new(&mut k, root_ctx);
-        let (cl_sel, cl_pd) = ops.create_pd("client", None).unwrap();
-        ops.grant_mem(cl_sel, 0x400, 64, MemRights::RW_DMA, 0)
-            .unwrap();
+        let cl_sel = ops.alloc_sel();
+        let client_ram = Grant::Mem {
+            base: 0x400,
+            count: 64,
+            rights: MemRights::RW_DMA,
+            hot: 0,
+        };
+        let cl_pd = ops.provision("client", cl_sel, &[client_ram]).unwrap();
         let (client_comp, client_ec) = k.load_component(cl_pd, 0, Box::<TestClient>::default());
         k.start_component(client_comp, client_ec);
         let client_ctx = CompCtx {
@@ -819,58 +772,23 @@ mod tests {
             comp: client_comp,
         };
 
-        // Server delegates its portals to the client (via root in a
-        // real launch; directly here).
-        let srv_ctx = server_ctx;
+        // The server delegates its portals to the client through a
+        // root-granted PD capability, which it does not hold yet.
         k.hypercall(
             srv_ctx,
             Hypercall::DelegateCap {
-                dst_pd: {
-                    // server needs a PD cap for the client: root grants it
-                    0x30
-                },
+                dst_pd: 0x30,
                 sel: 0x20,
                 perms: Perms::CALL,
                 hot: 0x20,
             },
         )
         .expect_err("server has no client PD capability yet");
-        let mut ops = RootOps::new(&mut k, root_ctx);
-        // Root delegates portals from the server's space? Portals are in
-        // the server's space; root holds the server PD cap but not the
-        // portal caps. The launch convention: the server delegates via
-        // root-granted PD caps. Grant the client PD cap to the server.
-        ops.grant_cap(srv_sel, cl_sel, Perms::ALL, 0x30).unwrap();
-        k.hypercall(
-            srv_ctx,
-            Hypercall::DelegateCap {
-                dst_pd: 0x30,
-                sel: 0x20,
-                perms: Perms::CALL,
-                hot: 0x20,
-            },
-        )
-        .unwrap();
-        k.hypercall(
-            srv_ctx,
-            Hypercall::DelegateCap {
-                dst_pd: 0x30,
-                sel: 0x21,
-                perms: Perms::CALL,
-                hot: 0x21,
-            },
-        )
-        .unwrap();
-        k.hypercall(
-            srv_ctx,
-            Hypercall::DelegateCap {
-                dst_pd: 0x30,
-                sel: 0x22,
-                perms: Perms::CALL,
-                hot: 0x23,
-            },
-        )
-        .unwrap();
+        let srv = DiskServerRef {
+            sel: srv_sel,
+            ctx: srv_ctx,
+        };
+        wire_disk_client(&mut k, root_ctx, srv, cl_sel, 0).unwrap();
 
         // Client needs an SC so completion signals can run.
         k.hypercall(
@@ -886,9 +804,9 @@ mod tests {
 
         Setup {
             k,
-            server_portal_reg: 0x20,
-            server_portal_req: 0x21,
-            server_portal_req_batch: 0x23,
+            server_portal_reg: proto::CLIENT_SEL_REG,
+            server_portal_req: proto::CLIENT_SEL_REQ,
+            server_portal_req_batch: proto::CLIENT_SEL_BATCH,
             client_ctx,
             client_comp,
             server_comp,
@@ -982,9 +900,10 @@ mod tests {
         );
         // Data landed in the client's pages (8..) — compare with the
         // disk's deterministic pattern for LBA 100.
-        let got = s.k.mem_read(s.client_ctx, 8 * 4096, 16).unwrap();
+        let mut got = [0u8; 16];
+        s.k.mem_read_into(s.client_ctx, 8 * 4096, &mut got).unwrap();
         let expect = s.k.machine.ahci().sector(100);
-        assert_eq!(got, expect[..16].to_vec());
+        assert_eq!(got[..], expect[..16]);
         // Ring record written: tag 99, status 0.
         let cfg = DiskServerConfig::standard();
         let _ = cfg;
@@ -1113,10 +1032,12 @@ mod tests {
         for lba in 42..50 {
             expect.extend_from_slice(&s.k.machine.ahci().sector(lba));
         }
-        let got_a = s.k.mem_read(s.client_ctx, 8 * 4096 + 512, 2048).unwrap();
-        let got_b = s.k.mem_read(s.client_ctx, 9 * 4096 + 256, 2048).unwrap();
-        assert_eq!(got_a, expect[..2048].to_vec());
-        assert_eq!(got_b, expect[2048..].to_vec());
+        let (mut got_a, mut got_b) = ([0u8; 2048], [0u8; 2048]);
+        let (at_a, at_b) = (8 * 4096 + 512, 9 * 4096 + 256);
+        s.k.mem_read_into(s.client_ctx, at_a, &mut got_a).unwrap();
+        s.k.mem_read_into(s.client_ctx, at_b, &mut got_b).unwrap();
+        assert_eq!(got_a[..], expect[..2048]);
+        assert_eq!(got_b[..], expect[2048..]);
         assert!(s.k.machine.bus.iommu.faults.is_empty());
     }
 

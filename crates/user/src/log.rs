@@ -91,7 +91,8 @@ mod tests {
         let root_ctx = k.component_mut::<RootPm>(rc).unwrap().ctx.unwrap();
 
         let mut ops = RootOps::new(&mut k, root_ctx);
-        let (sel, pd) = ops.create_pd("log", None).unwrap();
+        let sel = ops.alloc_sel();
+        let pd = ops.provision("log", sel, &[]).unwrap();
         let (comp, ec) = k.load_component(pd, 0, Box::new(LogService::new(COM1)));
         k.start_component(comp, ec);
         let svc_ctx = CompCtx { pd, ec, comp };
@@ -131,7 +132,8 @@ mod tests {
         let root_ctx = k.component_mut::<RootPm>(rc).unwrap().ctx.unwrap();
 
         let mut ops = RootOps::new(&mut k, root_ctx);
-        let (_sel, pd) = ops.create_pd("log", None).unwrap();
+        let sel = ops.alloc_sel();
+        let pd = ops.provision("log", sel, &[]).unwrap();
         let (comp, ec) = k.load_component(pd, 0, Box::new(LogService::new(COM1)));
         k.start_component(comp, ec);
         let svc_ctx = CompCtx { pd, ec, comp };

@@ -236,7 +236,8 @@ mod tests {
         let cfg = NetDriverConfig::standard();
         let nic_dev = k.machine.dev.nic;
         let mut ops = RootOps::new(&mut k, root_ctx);
-        let (sel, pd) = ops.create_pd("net", None).unwrap();
+        let sel = ops.alloc_sel();
+        let pd = ops.provision("net", sel, &[]).unwrap();
         // MMIO window (4 pages).
         ops.grant_mem(
             sel,

@@ -6,24 +6,110 @@
 //! creating protection domains for services and virtual machines and
 //! delegating the resources each needs — and nothing more.
 //!
+//! What a protection domain gets is data: a recipe is an ordered list
+//! of [`Grant`]s plus the component's configuration, and
+//! [`RootOps::provision`] is the one place that turns a list into
+//! `CreatePd` and delegations. The disk server's recipe
+//! ([`DiskRecipe`]) is replayed by [`spawn_disk_server`]; a VMM's lives
+//! in the VMM crate behind [`VmRecipe`]. Boot is the first replay of
+//! each, a respawn or revive every later one — there is no second copy
+//! of the sequence to keep in step.
+//!
 //! Root is also the top of the crash-only supervision tree: it watches
 //! the disk server and every VMM through kernel watchdogs and, when one
-//! dies, rebuilds it from the same recipe it used at boot. Respawn is
-//! fallible by design — a failed step schedules a bounded-backoff retry
-//! and, for VMs, climbs an escalation ladder (resume from checkpoint →
-//! cold reboot → mark failed) instead of panicking root itself.
+//! dies, replays its recipe. A half-built incarnation belongs to the
+//! recipe from `CreatePd` on, so a failed attempt is torn down by the
+//! next one: a failed step schedules a bounded-backoff retry
+//! ([`Backoff`]) and, for VMs, climbs an escalation ladder (resume from
+//! checkpoint → cold reboot → mark failed) instead of panicking root
+//! itself.
 
 #![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::panic)]
 
 use nova_core::cap::{CapSel, Perms};
 use nova_core::kernel::SEL_SELF_EC;
-use nova_core::obj::{MemRights, ObjRef, PdId, VmPaging};
+use nova_core::obj::{MemRights, ObjRef, PdId};
 use nova_core::utcb::Utcb;
 use nova_core::{CompCtx, Component, HcErr, HcReply, Hypercall, Kernel, SmId};
 use nova_trace::{flight, Kind as TraceKind};
 
 use crate::disk::{DiskServer, DiskServerConfig};
 use crate::proto::disk as dproto;
+
+/// One resource root delegates into a protection domain it provisions.
+/// These are the four kinds the recipes hand out; a list's order is the
+/// order of the hypercalls.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Grant {
+    /// `count` of root's pages from `base`, mapped at page `hot`.
+    Mem {
+        /// First root page.
+        base: u64,
+        /// Pages.
+        count: u64,
+        /// Rights the receiver gets.
+        rights: MemRights,
+        /// First page in the receiver's space.
+        hot: u64,
+    },
+    /// `count` I/O ports from `base`.
+    Io {
+        /// First port.
+        base: u16,
+        /// Ports.
+        count: u16,
+    },
+    /// Ownership of an interrupt line.
+    Gsi(u8),
+    /// A device (bus index): its DMA goes through the receiver's IOMMU
+    /// domain.
+    Dev(usize),
+}
+
+/// The disk server's recipe: the grants its protection domain gets and
+/// the configuration every incarnation runs with.
+pub struct DiskRecipe {
+    /// What root delegates, in order.
+    pub grants: Vec<Grant>,
+    /// Server configuration.
+    pub cfg: DiskServerConfig,
+}
+
+impl DiskRecipe {
+    /// The server's standard grants: the AHCI register window, two
+    /// DMA-able pages of root's frames as private command memory, the
+    /// controller's interrupt and the controller itself.
+    pub fn new(cfg: DiskServerConfig, ahci_dev: usize) -> DiskRecipe {
+        DiskRecipe {
+            grants: vec![
+                Grant::Mem {
+                    base: nova_hw::machine::AHCI_BASE / 4096,
+                    count: 1,
+                    rights: MemRights::RW,
+                    hot: cfg.mmio_va / 4096,
+                },
+                Grant::Mem {
+                    base: 0x300,
+                    count: 2,
+                    rights: MemRights::RW_DMA,
+                    hot: cfg.cmd_va / 4096,
+                },
+                Grant::Gsi(cfg.gsi),
+                Grant::Dev(ahci_dev),
+            ],
+            cfg,
+        }
+    }
+}
+
+/// The live disk server, as its clients' wiring needs it.
+#[derive(Clone, Copy, Debug)]
+pub struct DiskServerRef {
+    /// Root's capability selector for the server PD.
+    pub sel: CapSel,
+    /// The server's identity (for server-side delegations).
+    pub ctx: CompCtx,
+}
 
 /// A disk-server client the supervisor rewires after every restart.
 #[derive(Clone, Copy, Debug)]
@@ -36,15 +122,14 @@ pub struct SupervisedClient {
 }
 
 /// Everything root needs to supervise the disk server: the watchdog
-/// channel, the respawn recipe (the same grants it made at boot), and
-/// the clients to rewire afterwards.
+/// channel, the recipe, and the clients to rewire after a respawn.
 pub struct DiskSupervision {
-    /// Root's capability selector for the current server PD
-    /// (refreshed on every restart).
+    /// Root's capability selector for the current server PD. Moves to
+    /// a respawn attempt's selector before its `CreatePd`, so whatever
+    /// a failed attempt built is destroyed by the next one.
     pub srv_sel: CapSel,
-    /// The current server's component identity (refreshed on every
-    /// restart; VM recipes need it to act with the server's authority
-    /// when rewiring a revived client).
+    /// The current server's component identity (refreshed by every
+    /// incarnation that got as far as starting).
     pub srv_ctx: CompCtx,
     /// Root's selector for the watchdog semaphore.
     pub wd_sm_sel: CapSel,
@@ -52,15 +137,10 @@ pub struct DiskSupervision {
     pub wd_sm: SmId,
     /// Watchdog deadline in cycles.
     pub timeout: u64,
-    /// Server configuration used for every incarnation.
-    pub cfg: DiskServerConfig,
-    /// AHCI device bus index.
-    pub ahci_dev: usize,
-    /// Root page number of the AHCI MMIO window.
-    pub mmio_page: u64,
-    /// Root page number of the server's 2-page command memory.
-    pub cmd_frames: u64,
-    /// Clients to rewire after a restart.
+    /// What every incarnation is built from.
+    pub recipe: DiskRecipe,
+    /// Clients to rewire after a restart; a client's index is its
+    /// server-side PD-capability slot.
     pub clients: Vec<SupervisedClient>,
     /// Restarts performed so far.
     pub restarts: u64,
@@ -77,31 +157,70 @@ pub enum RespawnError {
     State(&'static str),
 }
 
+impl RespawnError {
+    /// For `map_err`: names the step whose hypercall was refused.
+    pub fn step(name: &'static str) -> impl Fn(HcErr) -> RespawnError {
+        move |e| RespawnError::Step(name, e)
+    }
+}
+
+/// The server's three service portals: selector in the server's own
+/// space, portal id, and the protocol selector each client finds it at.
+const SERVICE_PORTALS: [(CapSel, u64, CapSel); 3] = [
+    (0x20, dproto::PORTAL_REGISTER, dproto::CLIENT_SEL_REG),
+    (0x21, dproto::PORTAL_REQUEST, dproto::CLIENT_SEL_REQ),
+    (0x22, dproto::PORTAL_BATCH, dproto::CLIENT_SEL_BATCH),
+];
+
+/// One incarnation of the disk server at root's selector `srv_sel`:
+/// `CreatePd`, the recipe's grants, the server component loaded and
+/// started, and its service portals created with the server's own
+/// identity. Boot and every respawn attempt run this; the caller owns
+/// `srv_sel` whatever the outcome.
+pub fn spawn_disk_server(
+    k: &mut Kernel,
+    ctx: CompCtx,
+    srv_sel: CapSel,
+    recipe: &DiskRecipe,
+) -> Result<CompCtx, RespawnError> {
+    let pd = RootOps::new(k, ctx).provision("disk-server", srv_sel, &recipe.grants)?;
+    let (comp, ec) = k.load_component(pd, 0, Box::new(DiskServer::new(recipe.cfg)));
+    k.start_component(comp, ec);
+    let srv_ctx = CompCtx { pd, ec, comp };
+    for (dst, id, _) in SERVICE_PORTALS {
+        k.hypercall(
+            srv_ctx,
+            Hypercall::CreatePt {
+                ec: SEL_SELF_EC,
+                mtd: 0,
+                id,
+                dst,
+            },
+        )
+        .map_err(RespawnError::step("service portal"))?;
+    }
+    Ok(srv_ctx)
+}
+
 /// Wires a VMM to the disk server: root hands the server the VMM's PD
 /// capability at its per-client slot, and the server delegates its
 /// three service portals to the protocol selectors in the VMM's space.
-/// Done at boot, for every VMM revive and for every client of a
-/// respawned server (the old capabilities die with either PD).
+/// Done for every VMM incarnation and for every client of a respawned
+/// server (the old capabilities die with either PD).
 pub fn wire_disk_client(
     k: &mut Kernel,
     root_ctx: CompCtx,
-    srv_sel: CapSel,
-    srv_ctx: CompCtx,
+    srv: DiskServerRef,
     vmm_sel: CapSel,
     slot: usize,
 ) -> Result<(), RespawnError> {
-    let step = |name: &'static str| move |e: HcErr| RespawnError::Step(name, e);
     let pd_hot = 0x30 + slot;
     RootOps::new(k, root_ctx)
-        .grant_cap(srv_sel, vmm_sel, Perms::ALL, pd_hot)
-        .map_err(step("client pd cap"))?;
-    for (from, to) in [
-        (0x20, dproto::CLIENT_SEL_REG),
-        (0x21, dproto::CLIENT_SEL_REQ),
-        (0x22, dproto::CLIENT_SEL_BATCH),
-    ] {
+        .grant_cap(srv.sel, vmm_sel, Perms::ALL, pd_hot)
+        .map_err(RespawnError::step("client pd cap"))?;
+    for (from, _, to) in SERVICE_PORTALS {
         k.hypercall(
-            srv_ctx,
+            srv.ctx,
             Hypercall::DelegateCap {
                 dst_pd: pd_hot,
                 sel: from,
@@ -109,7 +228,7 @@ pub fn wire_disk_client(
                 hot: to,
             },
         )
-        .map_err(step("portal delegation"))?;
+        .map_err(RespawnError::step("portal delegation"))?;
     }
     Ok(())
 }
@@ -132,23 +251,67 @@ pub const LEVEL_FAILED: u8 = 2;
 /// Events retained in each supervised VMM's flight-recorder black box.
 pub const FLIGHT_CAPACITY: usize = 64;
 
-/// Retry state for a failed disk-server respawn, created lazily on the
-/// first failure (the happy path allocates nothing).
-pub struct DiskRetry {
+/// A retry channel: the timer semaphore a failed respawn or revive
+/// waits on, and the bounded exponential backoff both ladders share.
+/// The disk side creates its channel on the first failure (the happy
+/// path allocates nothing); a supervised VM gets one up front.
+pub struct Backoff {
     /// Root's selector for the retry timer semaphore.
     pub sm_sel: CapSel,
     /// The semaphore's identity (to recognize the signal).
     pub sm: SmId,
-    /// Failed respawn attempts since the last success.
+    /// Failed attempts since the last reset.
     pub attempts: u32,
     /// Next retry delay in cycles (doubles per failure, capped).
-    pub backoff: u64,
+    pub delay: u64,
+}
+
+impl Backoff {
+    fn new((sm_sel, sm): (CapSel, SmId)) -> Backoff {
+        Backoff {
+            sm_sel,
+            sm,
+            attempts: 0,
+            delay: RETRY_BACKOFF,
+        }
+    }
+
+    /// Arms the timer for the current delay and doubles it. The kernel
+    /// timer is periodic; whoever handles the signal disarms it.
+    fn arm(&mut self, k: &mut Kernel, ctx: CompCtx) -> Result<(), HcErr> {
+        k.hypercall(
+            ctx,
+            Hypercall::SetTimer {
+                sm: self.sm_sel,
+                period: self.delay,
+            },
+        )?;
+        self.delay = self.delay.saturating_mul(2).min(BACKOFF_CAP);
+        Ok(())
+    }
+
+    fn disarm(&self, k: &mut Kernel, ctx: CompCtx) {
+        let _ = k.hypercall(
+            ctx,
+            Hypercall::SetTimer {
+                sm: self.sm_sel,
+                period: 0,
+            },
+        );
+    }
+
+    fn reset(&mut self) {
+        self.attempts = 0;
+        self.delay = RETRY_BACKOFF;
+    }
 }
 
 /// How the supervisor checkpoints and rebuilds one VM. Implemented
 /// outside this crate (the VMM crate knows how to provision itself);
 /// root only drives the policy: when to checkpoint, when to revive,
-/// when to climb the escalation ladder.
+/// when to climb the escalation ladder. Root hands the recipe what is
+/// root's to give — itself, for selector allocation, and the live disk
+/// server — so a recipe caches neither.
 pub trait VmRecipe {
     /// Serializes a consistent checkpoint of the running VM (vCPU
     /// state, guest memory, virtual-device state) tagged with `seq`
@@ -165,27 +328,30 @@ pub trait VmRecipe {
     ) -> Result<(), RespawnError>;
 
     /// Tears down the dead incarnation (VM and VMM protection
-    /// domains), provisions a fresh VMM, and either restores
-    /// `checkpoint` into it or — when `None` — cold-boots the guest
-    /// image. Returns root's capability selector for the new VMM PD so
-    /// the supervisor can re-arm its watchdog. Must be idempotent: a
-    /// failed attempt may be retried from the top.
+    /// domains), provisions a fresh VMM wired to `disk`, and either
+    /// restores `checkpoint` into it or — when `None` — cold-boots the
+    /// guest image. Returns root's capability selector for the new VMM
+    /// PD so the supervisor can re-arm its watchdog. Must be
+    /// idempotent: a failed attempt may be retried from the top.
     fn revive(
         &mut self,
         k: &mut Kernel,
         ctx: CompCtx,
+        root: &mut RootPm,
+        disk: Option<DiskServerRef>,
         checkpoint: Option<&[u8]>,
     ) -> Result<CapSel, RespawnError>;
 
     /// Final teardown when the supervisor marks the VM failed; best
     /// effort, must not panic.
-    fn abandon(&mut self, _k: &mut Kernel, _ctx: CompCtx) {}
-
-    /// Refreshes the recipe's view of the disk-server wiring before a
-    /// revive: the server may itself have been respawned since the
-    /// recipe was built, invalidating any cached selectors. Default:
-    /// no disk dependency, nothing to refresh.
-    fn rewire_disk(&mut self, _srv_sel: CapSel, _srv_ctx: CompCtx) {}
+    fn abandon(
+        &mut self,
+        _k: &mut Kernel,
+        _ctx: CompCtx,
+        _root: &mut RootPm,
+        _disk: Option<DiskServerRef>,
+    ) {
+    }
 
     /// Downcast access for launchers and tests that track
     /// recipe-specific state (e.g. the current VMM component id).
@@ -197,7 +363,7 @@ pub trait VmRecipe {
 /// bookkeeping.
 pub struct VmmSupervision {
     /// Index of this entry in `RootPm::vmm_supervision` (metric
-    /// domain); set by `install_vm_supervision`.
+    /// domain).
     pub slot: usize,
     /// Root's capability selector for the current VMM PD (refreshed on
     /// every revive).
@@ -213,10 +379,9 @@ pub struct VmmSupervision {
     pub ckpt_sm_sel: CapSel,
     /// The checkpoint timer semaphore's identity.
     pub ckpt_sm: SmId,
-    /// Root's selector for the one-shot revive-retry timer semaphore.
-    pub retry_sm_sel: CapSel,
-    /// The retry timer semaphore's identity.
-    pub retry_sm: SmId,
+    /// The one-shot revive-retry channel; `attempts` counts the failed
+    /// revives on the current rung.
+    pub retry: Backoff,
     /// Watchdog deadline in cycles.
     pub timeout: u64,
     /// Checkpoint cadence in cycles.
@@ -229,10 +394,9 @@ pub struct VmmSupervision {
     pub seq: u64,
     /// Current escalation rung (`LEVEL_*`).
     pub level: u8,
-    /// Failed revive attempts on the current rung.
-    pub attempts: u32,
-    /// Next retry delay in cycles (doubles per failure, capped).
-    pub backoff: u64,
+    /// Why the most recent failed revive attempt failed, for the
+    /// operator reading a postmortem.
+    pub last_error: Option<RespawnError>,
     /// Successful revives performed so far.
     pub restarts: u64,
     /// Ladder climbs performed so far.
@@ -264,11 +428,13 @@ pub struct RootPm {
     /// Disk-server supervision state, installed by a supervised
     /// launch.
     pub supervision: Option<DiskSupervision>,
-    /// Disk respawn retry state (lazily created on first failure).
-    pub disk_retry: Option<DiskRetry>,
+    /// Disk respawn retry channel (created on the first failure).
+    pub disk_retry: Option<Backoff>,
     /// The disk respawn budget is exhausted; the service stays down
     /// but root and every VM keep running.
     pub disk_failed: bool,
+    /// Why the most recent failed disk respawn attempt failed.
+    pub disk_last_error: Option<RespawnError>,
     /// Per-VM supervision entries, indexed by install order.
     pub vmm_supervision: Vec<Option<VmmSupervision>>,
     /// The most recent postmortem dump ([`flight::postmortem`]),
@@ -283,25 +449,18 @@ impl RootPm {
     /// Creates the root partition manager.
     pub fn new() -> RootPm {
         RootPm {
-            ctx: None,
-            supervision: None,
-            disk_retry: None,
-            disk_failed: false,
-            vmm_supervision: Vec::new(),
-            last_postmortem: None,
             // Low selectors stay free for well-known assignments.
             next_sel: 0x100,
+            ..RootPm::default()
         }
     }
 
-    /// Registers a VM under supervision; returns its slot index. The
-    /// entry's `slot` is overwritten so metric domains always match
-    /// the vector position.
-    pub fn install_vm_supervision(&mut self, mut sup: VmmSupervision) -> usize {
-        let slot = self.vmm_supervision.len();
-        sup.slot = slot;
-        self.vmm_supervision.push(Some(sup));
-        slot
+    /// The supervised disk server alive now, for wiring a client.
+    pub fn disk_server(&self) -> Option<DiskServerRef> {
+        self.supervision.as_ref().map(|s| DiskServerRef {
+            sel: s.srv_sel,
+            ctx: s.srv_ctx,
+        })
     }
 
     /// Allocates a fresh capability selector in root's space.
@@ -311,142 +470,197 @@ impl RootPm {
         s
     }
 
+    /// A fresh semaphore root is bound to, so its signals run root's
+    /// handler.
+    fn bound_sm(&mut self, k: &mut Kernel, ctx: CompCtx) -> Result<(CapSel, SmId), RespawnError> {
+        let sel = self.alloc_sel();
+        k.hypercall(ctx, Hypercall::CreateSm { count: 0, dst: sel })
+            .map_err(RespawnError::step("supervision sm"))?;
+        let sm = SmId(k.obj.sms.len() - 1);
+        k.hypercall(ctx, Hypercall::SmBind { sm: sel })
+            .map_err(RespawnError::step("supervision sm bind"))?;
+        Ok((sel, sm))
+    }
+
+    /// Puts the domain at `pd_sel` under a kernel watchdog: a semaphore
+    /// for the kernel to fire when the domain dies or goes silent for
+    /// `timeout` cycles, and — before the first domain is watched — an
+    /// SC of root's own so that signal actually schedules it.
+    fn watch(
+        &mut self,
+        k: &mut Kernel,
+        ctx: CompCtx,
+        pd_sel: CapSel,
+        timeout: u64,
+    ) -> Result<(CapSel, SmId), RespawnError> {
+        if self.supervision.is_none() && self.vmm_supervision.is_empty() {
+            let dst = self.alloc_sel();
+            k.hypercall(
+                ctx,
+                Hypercall::CreateSc {
+                    ec: SEL_SELF_EC,
+                    prio: 48,
+                    quantum: 100_000,
+                    dst,
+                },
+            )
+            .map_err(RespawnError::step("supervisor sc"))?;
+        }
+        let (sm_sel, sm) = self.bound_sm(k, ctx)?;
+        k.hypercall(
+            ctx,
+            Hypercall::WatchdogArm {
+                pd: pd_sel,
+                sm: sm_sel,
+                timeout,
+            },
+        )
+        .map_err(RespawnError::step("watchdog arm"))?;
+        Ok((sm_sel, sm))
+    }
+
+    /// Takes the running disk server `srv` under supervision: arms its
+    /// watchdog and keeps `recipe` for the respawns.
+    pub fn supervise_disk_server(
+        &mut self,
+        k: &mut Kernel,
+        ctx: CompCtx,
+        srv: DiskServerRef,
+        recipe: DiskRecipe,
+        timeout: u64,
+    ) -> Result<(), RespawnError> {
+        let (wd_sm_sel, wd_sm) = self.watch(k, ctx, srv.sel, timeout)?;
+        self.supervision = Some(DiskSupervision {
+            srv_sel: srv.sel,
+            srv_ctx: srv.ctx,
+            wd_sm_sel,
+            wd_sm,
+            timeout,
+            recipe,
+            clients: Vec::new(),
+            restarts: 0,
+        });
+        Ok(())
+    }
+
+    /// Takes the running VMM at `vmm_sel` under supervision: watchdog,
+    /// checkpoint-cadence and revive-retry channels, the cadence timer
+    /// armed, the black box recording. Returns the VM's slot.
+    #[allow(clippy::too_many_arguments)]
+    pub fn supervise_vm(
+        &mut self,
+        k: &mut Kernel,
+        ctx: CompCtx,
+        recipe: Box<dyn VmRecipe>,
+        vmm_sel: CapSel,
+        disk_client_slot: Option<usize>,
+        timeout: u64,
+        ckpt_period: u64,
+    ) -> Result<usize, RespawnError> {
+        let vmm_pd = Self::pd_behind(k, ctx, vmm_sel)
+            .ok_or(RespawnError::State("vmm selector names no domain"))?;
+        let (wd_sm_sel, wd_sm) = self.watch(k, ctx, vmm_sel, timeout)?;
+        let (ckpt_sm_sel, ckpt_sm) = self.bound_sm(k, ctx)?;
+        let retry = Backoff::new(self.bound_sm(k, ctx)?);
+        k.hypercall(
+            ctx,
+            Hypercall::SetTimer {
+                sm: ckpt_sm_sel,
+                period: ckpt_period,
+            },
+        )
+        .map_err(RespawnError::step("checkpoint cadence timer"))?;
+        // The black box records from the first incarnation's first
+        // event; a revive re-keys it to each successor domain.
+        k.machine.bus.trace.enable_flight(vmm_pd, FLIGHT_CAPACITY);
+        let slot = self.vmm_supervision.len();
+        self.vmm_supervision.push(Some(VmmSupervision {
+            slot,
+            vmm_sel,
+            vmm_pd,
+            wd_sm_sel,
+            wd_sm,
+            ckpt_sm_sel,
+            ckpt_sm,
+            retry,
+            timeout,
+            ckpt_period,
+            recipe,
+            last_checkpoint: None,
+            seq: 0,
+            level: LEVEL_RESUME,
+            last_error: None,
+            restarts: 0,
+            escalations: 0,
+            reviving: false,
+            disk_client_slot,
+            failed: false,
+            crash_at: 0,
+            last_restore_at: 0,
+        }));
+        Ok(slot)
+    }
+
+    /// The protection domain root's selector `sel` names.
+    fn pd_behind(k: &Kernel, ctx: CompCtx, sel: CapSel) -> Option<u16> {
+        match k.obj.pd(ctx.pd).caps.get(sel).map(|c| c.obj) {
+            Some(ObjRef::Pd(p)) => Some(p.0 as u16),
+            _ => None,
+        }
+    }
+
     /// Tears down the (dead or wedged) disk server and brings up a
-    /// fresh incarnation. A failed recipe step no longer panics root:
-    /// it schedules a bounded exponential-backoff retry, and when the
+    /// fresh incarnation. A failed recipe step does not panic root: it
+    /// schedules a bounded exponential-backoff retry, and when the
     /// attempt budget runs out the service is marked failed — degraded,
     /// not fatal, because every VM keeps running on its own timeouts.
     pub fn restart_disk_server(&mut self, k: &mut Kernel, ctx: CompCtx) {
         if self.disk_failed {
             return;
         }
-        // The retry timer is periodic; disarm it before attempting so
-        // a success does not leave a stray signal behind.
+        // Disarm before attempting, so a success does not leave a
+        // stray signal behind.
         if let Some(r) = &self.disk_retry {
-            let _ = k.hypercall(
-                ctx,
-                Hypercall::SetTimer {
-                    sm: r.sm_sel,
-                    period: 0,
-                },
-            );
+            r.disarm(k, ctx);
         }
         match self.respawn_disk_server(k, ctx) {
             Ok(()) => {
                 if let Some(r) = &mut self.disk_retry {
-                    r.attempts = 0;
-                    r.backoff = RETRY_BACKOFF;
+                    r.reset();
                 }
             }
-            Err(_err) => self.schedule_disk_retry(k, ctx),
+            Err(e) => {
+                self.disk_last_error = Some(e);
+                self.schedule_disk_retry(k, ctx);
+            }
         }
     }
 
     /// One respawn attempt: `DestroyPd` recursively revokes everything
-    /// the old server held — every client DMA window standing in the
-    /// IOMMU included — then root repeats its boot-time grants for a
-    /// new PD, starts a new server, re-delegates the service portals,
-    /// re-arms the watchdog, and signals each client to re-register.
-    /// Supervision state is only committed on full success, so a
-    /// failed attempt can be retried from the top (the half-built PD
-    /// leaks until the next successful incarnation's quota check).
+    /// the previous incarnation held — every client DMA window standing
+    /// in the IOMMU, the interrupt and the device assignment included —
+    /// then the recipe is replayed into a new PD, every client is
+    /// rewired, the watchdog re-armed and each client signalled to
+    /// re-register. The supervision record moves to the new selector
+    /// before anything is built there, so what a failed attempt leaves
+    /// behind is what the next attempt destroys first.
     fn respawn_disk_server(&mut self, k: &mut Kernel, ctx: CompCtx) -> Result<(), RespawnError> {
-        let Some(mut sup) = self.supervision.take() else {
+        let srv_sel = self.alloc_sel();
+        let Some(sup) = self.supervision.as_mut() else {
             return Err(RespawnError::State("no disk supervision installed"));
         };
-        let r = self.respawn_disk_server_inner(k, ctx, &mut sup);
-        self.supervision = Some(sup);
-        r
-    }
-
-    fn respawn_disk_server_inner(
-        &mut self,
-        k: &mut Kernel,
-        ctx: CompCtx,
-        sup: &mut DiskSupervision,
-    ) -> Result<(), RespawnError> {
-        let step = |name: &'static str| move |e: HcErr| RespawnError::Step(name, e);
         // The old PD may already be gone (death notification) — a
         // failed destroy is not an error.
         let _ = k.hypercall(ctx, Hypercall::DestroyPd { pd: sup.srv_sel });
-
-        let srv_sel = self.alloc_sel();
-        k.hypercall(
-            ctx,
-            Hypercall::CreatePd {
-                name: "disk-server".into(),
-                vm: None,
-                dst: srv_sel,
-            },
-        )
-        .map_err(step("disk-server pd"))?;
-        let pd = PdId(k.obj.pds.len() - 1);
-        k.hypercall(
-            ctx,
-            Hypercall::DelegateMem {
-                dst_pd: srv_sel,
-                base: sup.mmio_page,
-                count: 1,
-                rights: MemRights::RW,
-                hot: sup.cfg.mmio_va / 4096,
-            },
-        )
-        .map_err(step("mmio grant"))?;
-        k.hypercall(
-            ctx,
-            Hypercall::DelegateMem {
-                dst_pd: srv_sel,
-                base: sup.cmd_frames,
-                count: 2,
-                rights: MemRights::RW_DMA,
-                hot: sup.cfg.cmd_va / 4096,
-            },
-        )
-        .map_err(step("command memory grant"))?;
-        k.hypercall(
-            ctx,
-            Hypercall::DelegateGsi {
-                dst_pd: srv_sel,
-                gsi: sup.cfg.gsi,
-            },
-        )
-        .map_err(step("gsi grant"))?;
-        k.hypercall(
-            ctx,
-            Hypercall::AssignDev {
-                pd: srv_sel,
-                device: sup.ahci_dev,
-            },
-        )
-        .map_err(step("device assignment"))?;
-
-        let (comp, ec) = k.load_component(pd, 0, Box::new(DiskServer::new(sup.cfg)));
-        k.start_component(comp, ec);
-        let srv_ctx = CompCtx { pd, ec, comp };
-
-        // Service portals, created with the new server's identity and
-        // re-delegated to every client at the protocol selectors (the
-        // old capabilities died with the old PD).
-        for (dst, id) in [
-            (0x20, dproto::PORTAL_REGISTER),
-            (0x21, dproto::PORTAL_REQUEST),
-            (0x22, dproto::PORTAL_BATCH),
-        ] {
-            k.hypercall(
-                srv_ctx,
-                Hypercall::CreatePt {
-                    ec: SEL_SELF_EC,
-                    mtd: 0,
-                    id,
-                    dst,
-                },
-            )
-            .map_err(step("service portal"))?;
-        }
+        sup.srv_sel = srv_sel;
+        sup.srv_ctx = spawn_disk_server(k, ctx, srv_sel, &sup.recipe)?;
+        let srv = DiskServerRef {
+            sel: srv_sel,
+            ctx: sup.srv_ctx,
+        };
         for (i, c) in sup.clients.iter().enumerate() {
-            wire_disk_client(k, ctx, srv_sel, srv_ctx, c.vmm_sel, i)?;
+            wire_disk_client(k, ctx, srv, c.vmm_sel, i)?;
         }
-
         k.hypercall(
             ctx,
             Hypercall::WatchdogArm {
@@ -455,7 +669,7 @@ impl RootPm {
                 timeout: sup.timeout,
             },
         )
-        .map_err(step("watchdog re-arm"))?;
+        .map_err(RespawnError::step("watchdog re-arm"))?;
         for c in &sup.clients {
             let _ = k.hypercall(
                 ctx,
@@ -466,8 +680,6 @@ impl RootPm {
         }
 
         k.counters.driver_restarts += 1;
-        sup.srv_sel = srv_sel;
-        sup.srv_ctx = srv_ctx;
         sup.restarts += 1;
         let at = k.now();
         k.machine.bus.trace.emit(
@@ -481,47 +693,17 @@ impl RootPm {
     }
 
     /// Books a failed disk respawn attempt: arm a one-shot backoff
-    /// timer, or mark the service failed when the budget is exhausted.
+    /// timer, or mark the service failed when the budget is exhausted
+    /// (or there is no timer channel for the retry loop to run on).
     fn schedule_disk_retry(&mut self, k: &mut Kernel, ctx: CompCtx) {
         if self.disk_retry.is_none() {
-            let sel = self.alloc_sel();
-            let created = k
-                .hypercall(ctx, Hypercall::CreateSm { count: 0, dst: sel })
-                .is_ok()
-                && k.hypercall(ctx, Hypercall::SmBind { sm: sel }).is_ok();
-            if !created {
-                // Without a timer channel the retry loop cannot run.
-                self.disk_failed = true;
-                return;
-            }
-            self.disk_retry = Some(DiskRetry {
-                sm_sel: sel,
-                sm: SmId(k.obj.sms.len() - 1),
-                attempts: 0,
-                backoff: RETRY_BACKOFF,
-            });
+            self.disk_retry = self.bound_sm(k, ctx).ok().map(Backoff::new);
         }
-        let Some(r) = &mut self.disk_retry else {
-            return;
-        };
-        r.attempts += 1;
-        if r.attempts >= REVIVE_ATTEMPTS {
-            self.disk_failed = true;
-            return;
-        }
-        if k.hypercall(
-            ctx,
-            Hypercall::SetTimer {
-                sm: r.sm_sel,
-                period: r.backoff,
-            },
-        )
-        .is_err()
-        {
-            self.disk_failed = true;
-            return;
-        }
-        r.backoff = r.backoff.saturating_mul(2).min(BACKOFF_CAP);
+        let armed = self.disk_retry.as_mut().is_some_and(|r| {
+            r.attempts += 1;
+            r.attempts < REVIVE_ATTEMPTS && r.arm(k, ctx).is_ok()
+        });
+        self.disk_failed = !armed;
     }
 
     // ------------------------------------------------------------------
@@ -580,8 +762,7 @@ impl RootPm {
     /// named it.
     fn escalate(&mut self, k: &mut Kernel, sup: &mut VmmSupervision) {
         sup.level = sup.level.saturating_add(1);
-        sup.attempts = 0;
-        sup.backoff = RETRY_BACKOFF;
+        sup.retry.reset();
         sup.escalations += 1;
         k.counters.escalations += 1;
         if k.machine.bus.trace.active() {
@@ -597,7 +778,7 @@ impl RootPm {
 
     /// Retires the VM: stop its timers, let the recipe tear down any
     /// remnants, and keep the slot so sibling indices stay stable.
-    fn mark_failed(k: &mut Kernel, ctx: CompCtx, sup: &mut VmmSupervision) {
+    fn mark_failed(&mut self, k: &mut Kernel, ctx: CompCtx, sup: &mut VmmSupervision) {
         if sup.failed {
             return;
         }
@@ -610,14 +791,9 @@ impl RootPm {
                 period: 0,
             },
         );
-        let _ = k.hypercall(
-            ctx,
-            Hypercall::SetTimer {
-                sm: sup.retry_sm_sel,
-                period: 0,
-            },
-        );
-        sup.recipe.abandon(k, ctx);
+        sup.retry.disarm(k, ctx);
+        let disk = self.disk_server();
+        sup.recipe.abandon(k, ctx, self, disk);
         let at = k.now();
         k.machine.bus.trace.emit(
             0,
@@ -660,7 +836,7 @@ impl RootPm {
     /// One revive attempt at the current escalation rung.
     fn try_revive(&mut self, k: &mut Kernel, ctx: CompCtx, idx: usize, mut sup: VmmSupervision) {
         if sup.level >= LEVEL_FAILED {
-            Self::mark_failed(k, ctx, &mut sup);
+            self.mark_failed(k, ctx, &mut sup);
             self.store_vm(idx, sup);
             return;
         }
@@ -668,20 +844,14 @@ impl RootPm {
         // context ties checkpoint restore, rewiring and the Restore
         // record into a single flow in the exported trace.
         k.machine.bus.trace.alloc_ctx();
-        // The disk server may have been respawned since the recipe was
-        // built; point the recipe at the live server before it wires
-        // the new incarnation's channel.
-        if sup.disk_client_slot.is_some() {
-            if let Some(ds) = self.supervision.as_ref() {
-                sup.recipe.rewire_disk(ds.srv_sel, ds.srv_ctx);
-            }
-        }
-        let outcome = if sup.level == LEVEL_RESUME {
-            let ckpt = sup.last_checkpoint.as_deref();
-            sup.recipe.revive(k, ctx, ckpt)
-        } else {
-            sup.recipe.revive(k, ctx, None)
+        // The server the new incarnation is wired to is the one alive
+        // now, which a respawn may have replaced since the last revive.
+        let disk = self.disk_server();
+        let ckpt = match sup.level {
+            LEVEL_RESUME => sup.last_checkpoint.as_deref(),
+            _ => None,
         };
+        let outcome = sup.recipe.revive(k, ctx, self, disk, ckpt);
         let outcome = outcome.and_then(|new_sel| {
             k.hypercall(
                 ctx,
@@ -700,8 +870,8 @@ impl RootPm {
                 sup.vmm_sel = new_sel;
                 // Re-key the flight recorder to the new incarnation's
                 // domain so its black box starts recording from birth.
-                if let Some(ObjRef::Pd(p)) = k.obj.pd(ctx.pd).caps.get(new_sel).map(|c| c.obj) {
-                    sup.vmm_pd = p.0 as u16;
+                if let Some(pd) = Self::pd_behind(k, ctx, new_sel) {
+                    sup.vmm_pd = pd;
                 }
                 k.machine
                     .bus
@@ -719,8 +889,7 @@ impl RootPm {
                     }
                 }
                 sup.restarts += 1;
-                sup.attempts = 0;
-                sup.backoff = RETRY_BACKOFF;
+                sup.retry.reset();
                 sup.reviving = false;
                 sup.last_restore_at = now;
                 k.counters.vmm_restarts += 1;
@@ -746,34 +915,21 @@ impl RootPm {
                 }
                 self.store_vm(idx, sup);
             }
-            Err(_e) => {
-                sup.attempts += 1;
-                if sup.attempts >= REVIVE_ATTEMPTS {
+            Err(e) => {
+                sup.last_error = Some(e);
+                sup.retry.attempts += 1;
+                if sup.retry.attempts >= REVIVE_ATTEMPTS {
                     self.escalate(k, &mut sup);
-                    if sup.level >= LEVEL_FAILED {
-                        Self::mark_failed(k, ctx, &mut sup);
-                        self.store_vm(idx, sup);
-                        return;
-                    }
                 }
                 // One-shot backoff retry (the handler disarms it).
-                if k.hypercall(
-                    ctx,
-                    Hypercall::SetTimer {
-                        sm: sup.retry_sm_sel,
-                        period: sup.backoff,
-                    },
-                )
-                .is_err()
-                {
-                    // No timer channel: the ladder cannot make
-                    // progress, so fail the VM now rather than hang.
+                // Without a timer channel the ladder cannot make
+                // progress, so fail the VM now rather than hang.
+                if sup.level < LEVEL_FAILED && sup.retry.arm(k, ctx).is_err() {
                     sup.level = LEVEL_FAILED;
-                    Self::mark_failed(k, ctx, &mut sup);
-                    self.store_vm(idx, sup);
-                    return;
                 }
-                sup.backoff = sup.backoff.saturating_mul(2).min(BACKOFF_CAP);
+                if sup.level >= LEVEL_FAILED {
+                    self.mark_failed(k, ctx, &mut sup);
+                }
                 self.store_vm(idx, sup);
             }
         }
@@ -783,8 +939,7 @@ impl RootPm {
     fn retry_vm(&mut self, k: &mut Kernel, ctx: CompCtx, idx: usize) {
         if let Some(s) = self.vmm_supervision.get(idx).and_then(|s| s.as_ref()) {
             // The kernel timer is periodic; make it one-shot.
-            let sel = s.retry_sm_sel;
-            let _ = k.hypercall(ctx, Hypercall::SetTimer { sm: sel, period: 0 });
+            s.retry.disarm(k, ctx);
         }
         let Some(sup) = self.vmm_supervision.get_mut(idx).and_then(Option::take) else {
             return;
@@ -835,8 +990,7 @@ impl RootPm {
                 );
             }
             sup.level = LEVEL_RESUME;
-            sup.attempts = 0;
-            sup.backoff = RETRY_BACKOFF;
+            sup.retry.reset();
         }
         sup.last_checkpoint = (!blob.is_empty()).then_some(blob);
         self.store_vm(idx, sup);
@@ -885,7 +1039,7 @@ impl Component for RootPm {
                 hit = Some((i, Vs::Ckpt));
                 break;
             }
-            if s.retry_sm == sm {
+            if s.retry.sm == sm {
                 hit = Some((i, Vs::Retry));
                 break;
             }
@@ -920,7 +1074,9 @@ impl<'a> RootOps<'a> {
         RootOps { k, ctx }
     }
 
-    fn root_pm_sel(&mut self) -> CapSel {
+    /// Allocates a selector from the root component's allocator — for
+    /// harnesses acting as root while root itself is not executing.
+    pub fn alloc_sel(&mut self) -> CapSel {
         let comp = self.ctx.comp;
         self.k
             .component_mut::<RootPm>(comp)
@@ -928,20 +1084,45 @@ impl<'a> RootOps<'a> {
             .alloc_sel()
     }
 
-    /// Creates a protection domain; returns `(root's capability
-    /// selector, PdId)`.
-    pub fn create_pd(&mut self, name: &str, vm: Option<VmPaging>) -> Result<(CapSel, PdId), HcErr> {
-        let sel = self.root_pm_sel();
-        self.k.hypercall(
-            self.ctx,
-            Hypercall::CreatePd {
-                name: name.into(),
-                vm,
-                dst: sel,
-            },
-        )?;
+    /// Creates a protection domain at root's selector `dst` and
+    /// replays `grants` into it, in order — the one body behind every
+    /// domain root builds, at boot and after a death alike. On `Err`
+    /// the domain may exist half-provisioned; `dst` names it.
+    pub fn provision(
+        &mut self,
+        name: &str,
+        dst: CapSel,
+        grants: &[Grant],
+    ) -> Result<PdId, RespawnError> {
+        self.hc(Hypercall::CreatePd {
+            name: name.into(),
+            vm: None,
+            dst,
+        })
+        .map_err(RespawnError::step("pd create"))?;
         let pd = PdId(self.k.obj.pds.len() - 1);
-        Ok((sel, pd))
+        for &g in grants {
+            match g {
+                Grant::Mem {
+                    base,
+                    count,
+                    rights,
+                    hot,
+                } => self
+                    .grant_mem(dst, base, count, rights, hot)
+                    .map_err(RespawnError::step("mem grant")),
+                Grant::Io { base, count } => self
+                    .grant_io(dst, base, count)
+                    .map_err(RespawnError::step("io grant")),
+                Grant::Gsi(gsi) => self
+                    .grant_gsi(dst, gsi)
+                    .map_err(RespawnError::step("gsi grant")),
+                Grant::Dev(dev) => self
+                    .assign_device(dst, dev)
+                    .map_err(RespawnError::step("device assignment")),
+            }?;
+        }
+        Ok(pd)
     }
 
     /// Delegates a contiguous range of root's memory pages to a PD.
@@ -1050,9 +1231,20 @@ mod tests {
     fn create_pd_and_grant() {
         let (mut k, ctx) = boot();
         let mut ops = RootOps::new(&mut k, ctx);
-        let (sel, pd) = ops.create_pd("svc", None).unwrap();
-        ops.grant_mem(sel, 0x100, 4, MemRights::RW, 0x10).unwrap();
-        ops.grant_io(sel, 0x3f8, 8).unwrap();
+        let sel = ops.alloc_sel();
+        let grants = [
+            Grant::Mem {
+                base: 0x100,
+                count: 4,
+                rights: MemRights::RW,
+                hot: 0x10,
+            },
+            Grant::Io {
+                base: 0x3f8,
+                count: 8,
+            },
+        ];
+        let pd = ops.provision("svc", sel, &grants).unwrap();
         assert!(k.obj.pd(pd).mem.lookup(0x10).is_some());
         assert!(k.obj.pd(pd).io.allowed(0x3f8));
     }
@@ -1061,8 +1253,10 @@ mod tests {
     fn selector_allocation_is_unique() {
         let (mut k, ctx) = boot();
         let mut ops = RootOps::new(&mut k, ctx);
-        let (a, _) = ops.create_pd("a", None).unwrap();
-        let (b, _) = ops.create_pd("b", None).unwrap();
+        let (a, b) = (ops.alloc_sel(), ops.alloc_sel());
         assert_ne!(a, b);
+        let pd_a = ops.provision("a", a, &[]).unwrap();
+        let pd_b = ops.provision("b", b, &[]).unwrap();
+        assert_ne!(pd_a, pd_b);
     }
 }

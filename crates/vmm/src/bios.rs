@@ -96,10 +96,9 @@ mod tests {
         assert_eq!(regs.get(Reg::Eax), MULTIBOOT_MAGIC);
         assert_eq!(regs.get(Reg::Ebx), BOOT_INFO_GPA as u32);
         let base = cfg.guest_base_page * 4096;
-        assert_eq!(
-            k.mem_read(ctx, base + 0x1000, 3).unwrap(),
-            vec![0x90, 0x90, 0xf4]
-        );
+        let mut code = [0u8; 3];
+        k.mem_read_into(ctx, base + 0x1000, &mut code).unwrap();
+        assert_eq!(code, [0x90, 0x90, 0xf4]);
         assert_eq!(k.mem_read_u32(ctx, base + BOOT_INFO_GPA), Some(1024));
         assert_eq!(k.mem_read_u32(ctx, base + BOOT_INFO_GPA + 4), Some(1));
     }

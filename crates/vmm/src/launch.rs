@@ -4,30 +4,33 @@
 //! partition manager's policy does" — every resource grant goes
 //! through the ordinary hypercall interface with root's identity.
 //!
+//! Boot is the first replay of each domain's recipe: the builder
+//! decides *what* the disk server and the VMM get (a
+//! [`DiskRecipe`], a [`MicrorebootRecipe`] plus whatever hardware the
+//! options assign), then runs the same `spawn_disk_server` /
+//! `provision` a respawn or revive runs, and hands the recipes to
+//! root's supervision when the options ask for it. There is no
+//! boot-only provisioning sequence in this file.
+//!
 //! Boot-time wiring failures are configuration errors, so this module
-//! uses `expect` (not `unwrap`) with step names; runtime respawn paths
-//! live in `nova_user::root` and `crate::microreboot` and are fallible.
+//! uses `expect` (not `unwrap`) with step names; the same calls are
+//! fallible on the recovery paths in `nova_user::root` and
+//! `crate::microreboot`.
 
 #![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::panic)]
 
-use nova_core::cap::{CapSel, Perms};
+use nova_core::cap::Perms;
 use nova_core::obj::MemRights;
 use nova_core::{CompCtx, CompId, Hypercall, Kernel, KernelConfig, RunOutcome};
-use nova_hw::machine::{Machine, MachineConfig};
+use nova_hw::machine::{Machine, MachineConfig, AHCI_BASE, AHCI_IRQ, NIC_BASE, NIC_IRQ};
 use nova_hw::Cycles;
 use nova_user::disk::{DiskServer, DiskServerConfig};
-use nova_user::proto::disk as disk_proto;
-use nova_user::root::{wire_disk_client, DiskSupervision, RootOps, RootPm, SupervisedClient};
+use nova_user::root::{
+    spawn_disk_server, DiskRecipe, DiskServerRef, Grant, RootPm, SupervisedClient,
+};
 
-use crate::microreboot::{self, DiskWiring, MicrorebootRecipe};
-use crate::vmm::{Vmm, VmmConfig, SEL_RESTART_SM};
-
-/// Disk portal selectors inside the VMM's capability space (the
-/// protocol's well-known client selectors, so a restarted server
-/// re-delegates to the same slots).
-const VMM_SEL_DISK_REG: CapSel = disk_proto::CLIENT_SEL_REG as CapSel;
-const VMM_SEL_DISK_REQ: CapSel = disk_proto::CLIENT_SEL_REQ as CapSel;
-const VMM_SEL_DISK_BATCH: CapSel = disk_proto::CLIENT_SEL_BATCH as CapSel;
+use crate::microreboot::{self, MicrorebootRecipe};
+use crate::vmm::{Vmm, VmmConfig};
 
 /// Watchdog deadline for the supervised disk server.
 const DISK_WATCHDOG_TIMEOUT: Cycles = 8_000_000;
@@ -110,14 +113,41 @@ pub struct System {
     pub vmm: CompId,
     /// All VMMs (the first included), one per VM (Section 4.2).
     pub vmms: Vec<CompId>,
-    /// Disk-server wiring for adding further VMs.
-    disk_srv: Option<(nova_core::cap::CapSel, CompCtx)>,
+    /// The disk server as booted; under supervision the live one is
+    /// read from root instead (a respawn replaces it).
+    disk_srv: Option<DiskServerRef>,
     /// Next free physical frame page for additional guests.
     next_frames: u64,
-    /// The disk server runs supervised (new VMs join supervision).
-    supervised: bool,
     /// Supervision slot of the microrebooted first VM, if enabled.
     pub microreboot: Option<usize>,
+}
+
+/// Runs a VMM recipe's first incarnation with root's identity and
+/// state — the `provision` every revive runs — enrols it with a
+/// supervised disk server's clients, and starts it.
+fn boot_vmm(
+    k: &mut Kernel,
+    root_ctx: CompCtx,
+    disk_srv: Option<DiskServerRef>,
+    recipe: &mut MicrorebootRecipe,
+) {
+    let ec = k
+        .invoke_component::<RootPm, _>(root_ctx.comp, |rp, k| {
+            let disk = rp.disk_server().or(disk_srv);
+            let ec = recipe
+                .provision(k, root_ctx, rp, disk)
+                .expect("boot wiring");
+            let restart_sm_sel = recipe.disk.and_then(|w| w.restart_sel);
+            if let (Some(sup), Some(restart_sm_sel)) = (rp.supervision.as_mut(), restart_sm_sel) {
+                sup.clients.push(SupervisedClient {
+                    vmm_sel: recipe.vmm_sel,
+                    restart_sm_sel,
+                });
+            }
+            ec
+        })
+        .expect("boot wiring");
+    k.start_component(recipe.vmm, ec);
 }
 
 impl System {
@@ -138,124 +168,26 @@ impl System {
             .expect("boot wiring");
 
         // ---- Disk server ----
-        let mut disk = None;
-        let mut disk_srv_sel = None;
+        let mut disk_srv = None;
         if opts.with_disk && !opts.direct_disk {
             let cfg = if opts.supervise {
                 DiskServerConfig::supervised()
             } else {
                 DiskServerConfig::standard()
             };
-            let mut ops = RootOps::new(&mut k, root_ctx);
-            let (srv_sel, srv_pd) = ops.create_pd("disk-server", None).expect("boot wiring");
-            ops.grant_mem(
-                srv_sel,
-                nova_hw::machine::AHCI_BASE / 4096,
-                1,
-                MemRights::RW,
-                cfg.mmio_va / 4096,
-            )
-            .expect("boot wiring");
-            // Private command memory (2 DMA-able pages from root frames).
-            ops.grant_mem(srv_sel, 0x300, 2, MemRights::RW_DMA, cfg.cmd_va / 4096)
-                .expect("boot wiring");
-            ops.grant_gsi(srv_sel, cfg.gsi).expect("boot wiring");
-            ops.assign_device(srv_sel, ahci_dev).expect("boot wiring");
-
-            let (comp, ec) = k.load_component(srv_pd, 0, Box::new(DiskServer::new(cfg)));
-            k.start_component(comp, ec);
-            // Server-side portal creation (the server program's code).
-            let srv_ctx = CompCtx {
-                pd: srv_pd,
-                ec,
-                comp,
-            };
-            k.hypercall(
-                srv_ctx,
-                Hypercall::CreatePt {
-                    ec: nova_core::kernel::SEL_SELF_EC,
-                    mtd: 0,
-                    id: disk_proto::PORTAL_REGISTER,
-                    dst: 0x20,
-                },
-            )
-            .expect("boot wiring");
-            k.hypercall(
-                srv_ctx,
-                Hypercall::CreatePt {
-                    ec: nova_core::kernel::SEL_SELF_EC,
-                    mtd: 0,
-                    id: disk_proto::PORTAL_REQUEST,
-                    dst: 0x21,
-                },
-            )
-            .expect("boot wiring");
-            k.hypercall(
-                srv_ctx,
-                Hypercall::CreatePt {
-                    ec: nova_core::kernel::SEL_SELF_EC,
-                    mtd: 0,
-                    id: disk_proto::PORTAL_BATCH,
-                    dst: 0x22,
-                },
-            )
-            .expect("boot wiring");
-            disk = Some(comp);
-            disk_srv_sel = Some((srv_sel, srv_ctx));
-
-            if opts.supervise {
-                // Root needs an SC of its own so the watchdog signal
-                // actually schedules it, and a semaphore for the
-                // kernel to fire when the server goes silent.
-                let (sc_sel, wd_sm_sel) = {
-                    let rp = k.component_mut::<RootPm>(root).expect("boot wiring");
-                    (rp.alloc_sel(), rp.alloc_sel())
-                };
-                k.hypercall(
-                    root_ctx,
-                    Hypercall::CreateSc {
-                        ec: nova_core::kernel::SEL_SELF_EC,
-                        prio: 48,
-                        quantum: 100_000,
-                        dst: sc_sel,
-                    },
-                )
-                .expect("boot wiring");
-                k.hypercall(
-                    root_ctx,
-                    Hypercall::CreateSm {
-                        count: 0,
-                        dst: wd_sm_sel,
-                    },
-                )
-                .expect("boot wiring");
-                k.hypercall(root_ctx, Hypercall::SmBind { sm: wd_sm_sel })
-                    .expect("boot wiring");
-                let wd_sm = nova_core::SmId(k.obj.sms.len() - 1);
-                k.hypercall(
-                    root_ctx,
-                    Hypercall::WatchdogArm {
-                        pd: srv_sel,
-                        sm: wd_sm_sel,
-                        timeout: DISK_WATCHDOG_TIMEOUT,
-                    },
-                )
-                .expect("boot wiring");
-                let rp = k.component_mut::<RootPm>(root).expect("boot wiring");
-                rp.supervision = Some(DiskSupervision {
-                    srv_sel,
-                    srv_ctx,
-                    wd_sm_sel,
-                    wd_sm,
-                    timeout: DISK_WATCHDOG_TIMEOUT,
-                    cfg,
-                    ahci_dev,
-                    mmio_page: nova_hw::machine::AHCI_BASE / 4096,
-                    cmd_frames: 0x300,
-                    clients: Vec::new(),
-                    restarts: 0,
-                });
-            }
+            let recipe = DiskRecipe::new(cfg, ahci_dev);
+            let supervise = opts.supervise;
+            let srv = k.invoke_component::<RootPm, _>(root, |rp, k| {
+                let sel = rp.alloc_sel();
+                let ctx = spawn_disk_server(k, root_ctx, sel, &recipe).expect("boot wiring");
+                let srv = DiskServerRef { sel, ctx };
+                if supervise {
+                    rp.supervise_disk_server(k, root_ctx, srv, recipe, DISK_WATCHDOG_TIMEOUT)
+                        .expect("boot wiring");
+                }
+                srv
+            });
+            disk_srv = Some(srv.expect("boot wiring"));
         }
 
         // ---- VMM ----
@@ -263,87 +195,30 @@ impl System {
         // Physical frames backing guest RAM: 16 MiB onward (large-page
         // aligned and physically contiguous for the EPT mirroring).
         let guest_frames_base = 0x1000u64;
-        let mut ops = RootOps::new(&mut k, root_ctx);
-        let (vmm_sel, vmm_pd) = ops.create_pd("vmm", None).expect("boot wiring");
-        ops.grant_mem(
-            vmm_sel,
-            guest_frames_base,
-            guest_pages,
-            MemRights::RW_DMA,
-            opts.vmm.guest_base_page,
-        )
-        .expect("boot wiring");
-        // Completion-ring pages: one for the vAHCI path, one for the
-        // PV batched queue (a second disk-server client).
-        ops.grant_mem(
-            vmm_sel,
-            guest_frames_base + guest_pages,
-            1,
-            MemRights::RW,
-            opts.vmm.ring_page,
-        )
-        .expect("boot wiring");
-        ops.grant_mem(
-            vmm_sel,
-            guest_frames_base + guest_pages + 1,
-            1,
-            MemRights::RW,
-            opts.vmm.pv_ring_page,
-        )
-        .expect("boot wiring");
-        // Debug/mark ports so the guest's shutdown stops the world.
-        ops.grant_io(vmm_sel, crate::devices::PORT_EXIT, 2)
-            .expect("boot wiring");
-        // VGA window, direct-mapped into the guest by the VMM.
-        ops.grant_mem(
-            vmm_sel,
-            nova_hw::vga::VGA_BASE / 4096,
-            1,
-            MemRights::RW,
-            nova_hw::vga::VGA_BASE / 4096,
-        )
-        .expect("boot wiring");
-        opts.vmm.direct_mmio.push((
-            nova_hw::vga::VGA_BASE / 4096,
-            nova_hw::vga::VGA_BASE / 4096,
-            1,
-        ));
+        let mut hw = Vec::new();
+        // A device's register window at VMM page `hot`.
+        let window = |base: u64, count, hot| Grant::Mem {
+            base: base / 4096,
+            count,
+            rights: MemRights::RW,
+            hot,
+        };
 
         // Direct disk assignment: the VM touches the real controller.
         if opts.direct_disk {
-            ops.grant_mem(
-                vmm_sel,
-                nova_hw::machine::AHCI_BASE / 4096,
-                1,
-                MemRights::RW,
-                0x7_0000,
-            )
-            .expect("boot wiring");
-            ops.grant_gsi(vmm_sel, nova_hw::machine::AHCI_IRQ)
-                .expect("boot wiring");
+            hw.push(window(AHCI_BASE, 1, 0x7_0000));
+            hw.push(Grant::Gsi(AHCI_IRQ));
             // Appears in the guest at the same BAR address the
             // virtual controller would use, so one driver serves both.
-            opts.vmm
-                .direct_mmio
-                .push((nova_hw::machine::AHCI_BASE / 4096, 0x7_0000, 1));
-            opts.vmm.direct_gsis.push(nova_hw::machine::AHCI_IRQ);
+            opts.vmm.direct_mmio.push((AHCI_BASE / 4096, 0x7_0000, 1));
+            opts.vmm.direct_gsis.push(AHCI_IRQ);
             opts.vmm.guest_dma = true;
         }
         if opts.direct_nic {
-            ops.grant_mem(
-                vmm_sel,
-                nova_hw::machine::NIC_BASE / 4096,
-                4,
-                MemRights::RW,
-                0x7_0010,
-            )
-            .expect("boot wiring");
-            ops.grant_gsi(vmm_sel, nova_hw::machine::NIC_IRQ)
-                .expect("boot wiring");
-            opts.vmm
-                .direct_mmio
-                .push((nova_hw::machine::NIC_BASE / 4096, 0x7_0010, 4));
-            opts.vmm.direct_gsis.push(nova_hw::machine::NIC_IRQ);
+            hw.push(window(NIC_BASE, 4, 0x7_0010));
+            hw.push(Grant::Gsi(NIC_IRQ));
+            opts.vmm.direct_mmio.push((NIC_BASE / 4096, 0x7_0010, 4));
+            opts.vmm.direct_gsis.push(NIC_IRQ);
             opts.vmm.guest_dma = true;
         }
         if opts.vmm.exitless_direct {
@@ -352,78 +227,27 @@ impl System {
             // physical ones, so this config uses dedicated guest
             // hardware: serial + debug ports suffice for the
             // benchmarks' compute workloads).
-            ops.grant_io(vmm_sel, nova_hw::serial::COM1, 8)
-                .expect("boot wiring");
+            hw.push(Grant::Io {
+                base: nova_hw::serial::COM1,
+                count: 8,
+            });
             opts.vmm.direct_ports.push((nova_hw::serial::COM1, 8));
             opts.vmm.direct_ports.push((crate::devices::PORT_EXIT, 2));
         }
-
         // Paravirtual NIC: the VMM (not the VM) owns the physical
         // controller — register window, interrupt, IOMMU mapping.
         // Guest RAM is already DMA-granted into the VMM's space, so
         // packet payloads land straight in guest buffers.
         if opts.vmm.pv_nic {
-            ops.grant_mem(
-                vmm_sel,
-                nova_hw::machine::NIC_BASE / 4096,
-                4,
-                MemRights::RW,
-                crate::pvnet::PVNET_MMIO_PAGE,
-            )
-            .expect("boot wiring");
-            ops.grant_gsi(vmm_sel, nova_hw::machine::NIC_IRQ)
-                .expect("boot wiring");
-            ops.assign_device(vmm_sel, nic_dev).expect("boot wiring");
+            hw.push(window(NIC_BASE, 4, crate::pvnet::PVNET_MMIO_PAGE));
+            hw.push(Grant::Gsi(NIC_IRQ));
+            hw.push(Grant::Dev(nic_dev));
         }
 
-        if disk.is_some() {
-            opts.vmm.disk_portals = Some((VMM_SEL_DISK_REG, VMM_SEL_DISK_REQ));
-            opts.vmm.disk_batch_portal = Some(VMM_SEL_DISK_BATCH);
-            opts.vmm.supervised_disk = opts.supervise;
-        }
-
-        // The microreboot recipe replays this exact configuration for
-        // every incarnation.
-        let recipe_cfg = opts.vmm.clone();
-        let (vmm, vmm_ec) = k.load_component(vmm_pd, 0, Box::new(Vmm::new(opts.vmm)));
-
-        // Disk portals into the VMM's space (server code path, using a
-        // root-granted PD capability).
-        let mut vm0_restart_sel = None;
-        if let Some((srv_sel, srv_ctx)) = disk_srv_sel {
-            wire_disk_client(&mut k, root_ctx, srv_sel, srv_ctx, vmm_sel, 0).expect("boot wiring");
-
-            if opts.supervise {
-                // Restart-notification semaphore: root keeps UP, the
-                // VMM gets DOWN at the well-known selector before it
-                // starts (its on_start binds it).
-                let restart_sel = {
-                    let rp = k.component_mut::<RootPm>(root).expect("boot wiring");
-                    rp.alloc_sel()
-                };
-                k.hypercall(
-                    root_ctx,
-                    Hypercall::CreateSm {
-                        count: 0,
-                        dst: restart_sel,
-                    },
-                )
-                .expect("boot wiring");
-                let mut ops = RootOps::new(&mut k, root_ctx);
-                ops.grant_cap(vmm_sel, restart_sel, Perms::DOWN, SEL_RESTART_SM)
-                    .expect("boot wiring");
-                vm0_restart_sel = Some(restart_sel);
-                let rp = k.component_mut::<RootPm>(root).expect("boot wiring");
-                if let Some(sup) = rp.supervision.as_mut() {
-                    sup.clients.push(SupervisedClient {
-                        vmm_sel,
-                        restart_sm_sel: restart_sel,
-                    });
-                }
-            }
-        }
-
-        k.start_component(vmm, vmm_ec);
+        let mut recipe = MicrorebootRecipe::new(guest_frames_base, opts.vmm, disk_srv.map(|_| 0));
+        recipe.grants.extend(hw);
+        boot_vmm(&mut k, root_ctx, disk_srv, &mut recipe);
+        let vmm = recipe.vmm;
 
         // Direct device assignment: the IOMMU translates the device's
         // DMA through the *VM's* memory space (guest-physical
@@ -438,14 +262,11 @@ impl System {
                     .position(|p| p.is_vm())
                     .expect("the VMM created a VM domain"),
             );
-            let dev_list: Vec<usize> = [
+            let dev_list = [
                 opts.direct_disk.then_some(ahci_dev),
                 opts.direct_nic.then_some(nic_dev),
-            ]
-            .into_iter()
-            .flatten()
-            .collect();
-            for d in dev_list {
+            ];
+            for d in dev_list.into_iter().flatten() {
                 let sel = {
                     let rp = k.component_mut::<RootPm>(root).expect("boot wiring");
                     rp.alloc_sel()
@@ -463,144 +284,51 @@ impl System {
         }
 
         // ---- VMM microreboot supervision ----
-        let mut microreboot_slot = None;
-        if let Some(period) = opts.microreboot {
-            let disk_wiring = disk_srv_sel.and_then(|(srv_sel, srv_ctx)| {
-                vm0_restart_sel.map(|restart_sel| DiskWiring {
-                    srv_sel,
-                    srv_ctx,
-                    client_slot: 0,
-                    restart_sel,
-                })
-            });
-            let recipe = MicrorebootRecipe {
-                root,
-                vmm,
-                vmm_sel,
-                vmm_pd,
-                frames: guest_frames_base,
-                cfg: recipe_cfg,
-                disk: disk_wiring,
-                // Disjoint from RootPm's allocator (see the field doc).
-                next_sel: 0x10_000,
-                image: Default::default(),
-            };
-            microreboot_slot = Some(
-                microreboot::install(
-                    &mut k,
-                    root,
+        let microreboot = opts.microreboot.map(|period| {
+            let (vmm_sel, slot) = (recipe.vmm_sel, recipe.disk.map(|w| w.client_slot));
+            k.invoke_component::<RootPm, _>(root, |rp, k| {
+                rp.supervise_vm(
+                    k,
                     root_ctx,
-                    recipe,
+                    Box::new(recipe),
+                    vmm_sel,
+                    slot,
                     microreboot::VMM_WATCHDOG_TIMEOUT,
                     period,
                 )
-                .expect("microreboot supervision install"),
-            );
-        }
+            })
+            .expect("boot wiring")
+            .expect("microreboot supervision install")
+        });
 
         System {
             k,
             root_ctx,
             root,
-            disk,
+            disk: disk_srv.map(|s| s.ctx.comp),
             vmm,
             vmms: vec![vmm],
-            disk_srv: disk_srv_sel,
+            disk_srv,
             next_frames: guest_frames_base + guest_pages + 2,
-            supervised: opts.supervise,
-            microreboot: microreboot_slot,
+            microreboot,
         }
     }
 
     /// Launches an additional VM with its own dedicated VMM — the
     /// per-VM-VMM isolation of Section 4.2. The machine must have
     /// enough RAM for the extra guest frames.
-    pub fn add_vm(&mut self, mut cfg: VmmConfig) -> CompId {
-        let k = &mut self.k;
+    pub fn add_vm(&mut self, cfg: VmmConfig) -> CompId {
         // Align to the EPT large-page granule so the mirror can use
         // 2 MB mappings for the second guest as well.
         let frames = self.next_frames.next_multiple_of(512);
-        let guest_pages = cfg.guest_pages;
-        self.next_frames = frames + guest_pages + 2;
-
-        let mut ops = RootOps::new(k, self.root_ctx);
-        let (vmm_sel, vmm_pd) = ops.create_pd("vmm2", None).expect("boot wiring");
-        ops.grant_mem(
-            vmm_sel,
-            frames,
-            guest_pages,
-            MemRights::RW_DMA,
-            cfg.guest_base_page,
-        )
-        .expect("boot wiring");
-        ops.grant_mem(
-            vmm_sel,
-            frames + guest_pages,
-            1,
-            MemRights::RW,
-            cfg.ring_page,
-        )
-        .expect("boot wiring");
-        ops.grant_mem(
-            vmm_sel,
-            frames + guest_pages + 1,
-            1,
-            MemRights::RW,
-            cfg.pv_ring_page,
-        )
-        .expect("boot wiring");
-        ops.grant_io(vmm_sel, crate::devices::PORT_EXIT, 2)
-            .expect("boot wiring");
-        ops.grant_mem(
-            vmm_sel,
-            nova_hw::vga::VGA_BASE / 4096,
-            1,
-            MemRights::RW,
-            nova_hw::vga::VGA_BASE / 4096,
-        )
-        .expect("boot wiring");
-        cfg.direct_mmio.push((
-            nova_hw::vga::VGA_BASE / 4096,
-            nova_hw::vga::VGA_BASE / 4096,
-            1,
-        ));
-        if self.disk_srv.is_some() {
-            cfg.disk_portals = Some((VMM_SEL_DISK_REG, VMM_SEL_DISK_REQ));
-            cfg.disk_batch_portal = Some(VMM_SEL_DISK_BATCH);
-            cfg.supervised_disk = self.supervised;
-        }
-
-        let (vmm, vmm_ec) = k.load_component(vmm_pd, 0, Box::new(Vmm::new(cfg)));
-        if let Some((srv_sel, srv_ctx)) = self.disk_srv {
-            wire_disk_client(k, self.root_ctx, srv_sel, srv_ctx, vmm_sel, 1).expect("boot wiring");
-            if self.supervised {
-                let restart_sel = {
-                    let rp = k.component_mut::<RootPm>(self.root).expect("boot wiring");
-                    rp.alloc_sel()
-                };
-                k.hypercall(
-                    self.root_ctx,
-                    Hypercall::CreateSm {
-                        count: 0,
-                        dst: restart_sel,
-                    },
-                )
-                .expect("boot wiring");
-                let mut ops = RootOps::new(k, self.root_ctx);
-                ops.grant_cap(vmm_sel, restart_sel, Perms::DOWN, SEL_RESTART_SM)
-                    .expect("boot wiring");
-                let rp = k.component_mut::<RootPm>(self.root).expect("boot wiring");
-                if let Some(sup) = rp.supervision.as_mut() {
-                    sup.clients.push(SupervisedClient {
-                        vmm_sel,
-                        restart_sm_sel: restart_sel,
-                    });
-                }
-            }
-        }
-        k.start_component(vmm, vmm_ec);
-        self.vmms.push(vmm);
-        vmm
+        self.next_frames = frames + cfg.guest_pages + 2;
+        // Every VMM so far is a client of the disk server, if there is
+        // one: the next slot is their number.
+        let slot = self.disk_srv.map(|_| self.vmms.len());
+        let mut recipe = MicrorebootRecipe::new(frames, cfg, slot);
+        boot_vmm(&mut self.k, self.root_ctx, self.disk_srv, &mut recipe);
+        self.vmms.push(recipe.vmm);
+        recipe.vmm
     }
 
     /// A specific VMM by component id.

@@ -1,5 +1,15 @@
-//! VMM microreboot: the recipe root uses to checkpoint a running VM
-//! and rebuild it after its VMM dies.
+//! The VMM's recipe: how root provisions a VMM protection domain — for
+//! the first incarnation at boot and for every one after a crash — and
+//! how it checkpoints and restores the VM on top.
+//!
+//! A [`MicrorebootRecipe`] is data: the guest's frames, the
+//! [`VmmConfig`] every incarnation runs with, and an ordered list of
+//! [`Grant`]s. [`MicrorebootRecipe::provision`] replays it — `CreatePd`,
+//! the grants, the component, the disk-server wiring — and is the only
+//! such sequence: the launcher calls it for the first incarnation,
+//! [`VmRecipe::revive`] calls it for each successor (teardown →
+//! provision → start → restore). A half-built incarnation belongs to
+//! the recipe from `CreatePd` on, so a retry starts by destroying it.
 //!
 //! The crash-only design splits recovery state in two:
 //!
@@ -8,9 +18,9 @@
 //!   its identity view of the backing frames), and serialized
 //!   virtual-device state ([`Vmm::save_state`]).
 //! * **Reconstructed** — everything else: protection domains, ECs,
-//!   SCs, portals, semaphores, delegations, IOMMU mappings. A fresh
-//!   VMM incarnation re-provisions all of it in `on_start`, exactly as
-//!   at boot, and the checkpoint is layered on top.
+//!   SCs, portals, semaphores, delegations, IOMMU mappings. The recipe
+//!   re-provisions the VMM's domain, the fresh incarnation builds its
+//!   VM in `on_start`, and the checkpoint is layered on top.
 //!
 //! Checkpoints are taken on a periodic cadence from root's timer — a
 //! crash-time capture would freeze a half-updated incarnation, so the
@@ -20,22 +30,21 @@
 //! rollback invisible to storage: requests are idempotent reads/writes
 //! against the restored buffer contents.
 //!
-//! Supported configurations: full-virtualization guests with the
-//! served disk paths (vAHCI and/or the PV queue). Direct device
-//! assignment and the PV NIC hold hardware ownership (GSI routing,
-//! IOMMU domains) that cannot be re-granted after the owner dies, so
-//! those configurations refuse supervision up front.
+//! Supported configurations for revive: full-virtualization guests
+//! with the served disk paths (vAHCI and/or the PV queue). Direct
+//! device assignment and the PV NIC hold hardware ownership (GSI
+//! routing, IOMMU domains) that cannot be re-granted after the owner
+//! dies, so a recipe carrying those grants boots but refuses to revive.
 
 #![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::panic)]
 
 use nova_core::cap::{CapSel, Perms};
-use nova_core::kernel::SEL_SELF_EC;
 use nova_core::obj::{MemRights, ObjRef, PdId};
-use nova_core::{Capability, CompCtx, CompId, HcErr, Hypercall, Kernel};
+use nova_core::{Capability, CompCtx, CompId, EcId, Hypercall, Kernel};
 use nova_user::disk::DiskServer;
+use nova_user::proto::disk as disk_proto;
 use nova_user::root::{
-    wire_disk_client, RespawnError, RootPm, VmRecipe, VmmSupervision, FLIGHT_CAPACITY,
-    LEVEL_RESUME, RETRY_BACKOFF,
+    wire_disk_client, DiskServerRef, Grant, RespawnError, RootOps, RootPm, VmRecipe,
 };
 
 use crate::checkpoint::{self, View};
@@ -49,20 +58,18 @@ pub const VMM_WATCHDOG_TIMEOUT: u64 = 10_000_000;
 /// Default checkpoint cadence in cycles.
 pub const DEFAULT_CKPT_PERIOD: u64 = 2_000_000;
 
-/// Disk-server wiring the recipe replays for every incarnation.
+/// A VM's place among the disk server's clients.
 #[derive(Clone, Copy)]
 pub struct DiskWiring {
-    /// Root's capability selector for the disk-server PD.
-    pub srv_sel: CapSel,
-    /// The disk server's identity (for server-side delegations).
-    pub srv_ctx: CompCtx,
-    /// This VM's index in `DiskSupervision::clients` — also the
-    /// server-side PD-capability slot (`0x30 + client_slot`).
+    /// This VM's index among the server's clients — the server-side
+    /// PD-capability slot (`0x30 + client_slot`) and, under
+    /// supervision, the index in `DiskSupervision::clients`.
     pub client_slot: usize,
-    /// Root's selector for the restart-notification semaphore, reused
-    /// across incarnations so disk-server restarts keep reaching the
-    /// live VMM.
-    pub restart_sel: CapSel,
+    /// Root's selector for the restart-notification semaphore of a
+    /// supervised server's client: created by the first incarnation,
+    /// reused by every later one so disk-server restarts keep reaching
+    /// the live VMM.
+    pub restart_sel: Option<CapSel>,
 }
 
 /// What the recipe knows about the guest image inside the one
@@ -78,12 +85,11 @@ pub(crate) struct CapturedImage {
     blob: Option<(u64, usize)>,
 }
 
-/// The microreboot recipe for one VM: everything root needs to capture
-/// its state and to rebuild the VMM from scratch.
+/// The recipe for one VM's VMM: everything root needs to build an
+/// incarnation, to capture the VM's state and to rebuild it from
+/// scratch.
 pub struct MicrorebootRecipe {
-    /// The root partition manager component.
-    pub root: CompId,
-    /// Current VMM component id (refreshed on every revive).
+    /// Current VMM component id (set by every [`Self::provision`]).
     pub vmm: CompId,
     /// Root's capability selector for the current VMM PD.
     pub vmm_sel: CapSel,
@@ -94,21 +100,110 @@ pub struct MicrorebootRecipe {
     pub frames: u64,
     /// The VMM configuration used for every incarnation.
     pub cfg: VmmConfig,
+    /// What root delegates to the VMM PD, in order: guest RAM, the two
+    /// completion rings, the exit ports and the VGA window, then any
+    /// hardware the launcher assigned.
+    pub grants: Vec<Grant>,
     /// Disk-server wiring, when storage is attached.
     pub disk: Option<DiskWiring>,
-    /// Private selector range in root's space. Root's own allocator is
-    /// unreachable while root executes (its component is checked out),
-    /// so the recipe brings its own disjoint range.
-    pub next_sel: CapSel,
     /// Bookkeeping for the in-place checkpoint refresh; starts empty.
     pub(crate) image: CapturedImage,
 }
 
 impl MicrorebootRecipe {
-    fn alloc_sel(&mut self) -> CapSel {
-        let s = self.next_sel;
-        self.next_sel += 1;
-        s
+    /// The recipe for a VM whose RAM is root's frames from `frames`,
+    /// with the grants every VMM gets. `disk_slot` makes it a client of
+    /// the disk server (at the protocol's well-known selectors, so a
+    /// restarted server re-delegates to the same slots). Nothing exists
+    /// yet: [`Self::provision`] builds the first incarnation.
+    pub fn new(frames: u64, mut cfg: VmmConfig, disk_slot: Option<usize>) -> MicrorebootRecipe {
+        let vga = nova_hw::vga::VGA_BASE / 4096;
+        let page = |base, hot| Grant::Mem {
+            base,
+            count: 1,
+            rights: MemRights::RW,
+            hot,
+        };
+        let grants = vec![
+            Grant::Mem {
+                base: frames,
+                count: cfg.guest_pages,
+                rights: MemRights::RW_DMA,
+                hot: cfg.guest_base_page,
+            },
+            // Completion-ring pages: one for the vAHCI path, one for
+            // the PV batched queue (a second disk-server client).
+            page(frames + cfg.guest_pages, cfg.ring_page),
+            page(frames + cfg.guest_pages + 1, cfg.pv_ring_page),
+            // Debug/mark ports so the guest's shutdown stops the world.
+            Grant::Io {
+                base: crate::devices::PORT_EXIT,
+                count: 2,
+            },
+            // VGA window, direct-mapped into the guest by the VMM.
+            page(vga, vga),
+        ];
+        cfg.direct_mmio.push((vga, vga, 1));
+        if disk_slot.is_some() {
+            cfg.disk_portals = Some((disk_proto::CLIENT_SEL_REG, disk_proto::CLIENT_SEL_REQ));
+            cfg.disk_batch_portal = Some(disk_proto::CLIENT_SEL_BATCH);
+        }
+        MicrorebootRecipe {
+            vmm: CompId(usize::MAX),
+            vmm_sel: 0,
+            vmm_pd: PdId(usize::MAX),
+            frames,
+            cfg,
+            grants,
+            disk: disk_slot.map(|client_slot| DiskWiring {
+                client_slot,
+                restart_sel: None,
+            }),
+            image: CapturedImage::default(),
+        }
+    }
+
+    /// Builds one incarnation, up to but not including its start:
+    /// `CreatePd`, the grants, the VMM component, its disk-server
+    /// wiring and — for a supervised server's client — the restart
+    /// semaphore at the well-known selector its `on_start` binds. The
+    /// recipe points at the new incarnation as soon as any of it can
+    /// exist, so a retry after a failed step tears the half-built one
+    /// down instead of leaking it. Returns the EC to start.
+    pub fn provision(
+        &mut self,
+        k: &mut Kernel,
+        ctx: CompCtx,
+        root: &mut RootPm,
+        disk: Option<DiskServerRef>,
+    ) -> Result<EcId, RespawnError> {
+        // A supervised server's clients re-register after its restarts.
+        self.cfg.supervised_disk = self.disk.is_some() && root.supervision.is_some();
+        self.vmm_sel = root.alloc_sel();
+        self.vmm_pd = RootOps::new(k, ctx).provision("vmm", self.vmm_sel, &self.grants)?;
+        let (comp, ec) = k.load_component(self.vmm_pd, 0, Box::new(Vmm::new(self.cfg.clone())));
+        self.vmm = comp;
+
+        if let Some(w) = self.disk.as_mut() {
+            let srv = disk.ok_or(RespawnError::State("no disk server to wire to"))?;
+            wire_disk_client(k, ctx, srv, self.vmm_sel, w.client_slot)?;
+            if self.cfg.supervised_disk {
+                // Root keeps UP, the VMM gets DOWN.
+                let restart_sel = match w.restart_sel {
+                    Some(s) => s,
+                    None => {
+                        let s = root.alloc_sel();
+                        k.hypercall(ctx, Hypercall::CreateSm { count: 0, dst: s })
+                            .map_err(RespawnError::step("restart sm"))?;
+                        *w.restart_sel.insert(s)
+                    }
+                };
+                RootOps::new(k, ctx)
+                    .grant_cap(self.vmm_sel, restart_sel, Perms::DOWN, SEL_RESTART_SM)
+                    .map_err(RespawnError::step("restart sm grant"))?;
+            }
+        }
+        Ok(ec)
     }
 
     /// Destroys whatever is left of the current incarnation — the VM
@@ -116,14 +211,20 @@ impl MicrorebootRecipe {
     /// for it, boot-equivalent wiring since root owns everything),
     /// then the VMM PD — and detaches its disk channels so stale
     /// completions can never reach a successor's ring.
-    fn teardown_dead(&mut self, k: &mut Kernel, ctx: CompCtx) {
+    fn teardown_dead(
+        &mut self,
+        k: &mut Kernel,
+        ctx: CompCtx,
+        root: &mut RootPm,
+        disk: Option<DiskServerRef>,
+    ) {
         let dead_clients = k
             .component_mut::<Vmm>(self.vmm)
             .map(|v| v.disk_client_ids())
             .unwrap_or_default();
-        if let Some(w) = self.disk {
+        if let Some(srv) = disk {
             for id in dead_clients {
-                k.invoke_component::<DiskServer, _>(w.srv_ctx.comp, |s, _k| s.detach_client(id));
+                k.invoke_component::<DiskServer, _>(srv.ctx.comp, |s, _k| s.detach_client(id));
             }
         }
         let vm_pd = match k.obj.pd(self.vmm_pd).caps.get(sel::VM_PD).map(|c| c.obj) {
@@ -131,7 +232,7 @@ impl MicrorebootRecipe {
             _ => None,
         };
         if let Some(vm_pd) = vm_pd {
-            let s = self.alloc_sel();
+            let s = root.alloc_sel();
             k.obj.pd_mut(k.root_pd).caps.set(
                 s,
                 Capability {
@@ -191,18 +292,18 @@ impl VmRecipe for MicrorebootRecipe {
         Ok(())
     }
 
-    /// Tears down the dead incarnation, provisions a fresh VMM with the
-    /// same grants the launcher made at boot, and layers the checkpoint
-    /// (or a cold boot) on top. Idempotent: the recipe re-points at the
-    /// new incarnation as soon as it exists, so a retry after a partial
-    /// failure tears the half-built one down and starts over.
+    /// Tears down the dead incarnation, provisions a fresh one from the
+    /// same recipe the first was built from, and layers the checkpoint
+    /// (or a cold boot) on top. Idempotent: whatever a failed attempt
+    /// built, the retry's teardown destroys.
     fn revive(
         &mut self,
         k: &mut Kernel,
         ctx: CompCtx,
+        root: &mut RootPm,
+        disk: Option<DiskServerRef>,
         checkpoint: Option<&[u8]>,
     ) -> Result<CapSel, RespawnError> {
-        let step = |name: &'static str| move |e: HcErr| RespawnError::Step(name, e);
         if self.cfg.pv_nic || self.cfg.exitless_direct || !self.cfg.direct_gsis.is_empty() {
             return Err(RespawnError::State(
                 "direct-hardware configurations cannot microreboot",
@@ -211,10 +312,9 @@ impl VmRecipe for MicrorebootRecipe {
         // A revive cannot complete against a dead disk server: the
         // fresh VMM's boot-time registration would fail on a blocked
         // portal. Fail the attempt cleanly instead; the backoff retry
-        // fires after the server's own supervisor has respawned it
-        // (root rewires this recipe to the new server first).
-        if let Some(w) = self.disk {
-            if k.obj.ec(w.srv_ctx.ec).blocked {
+        // fires after the server's own supervisor has respawned it.
+        if let (Some(_), Some(srv)) = (self.disk, disk) {
+            if k.obj.ec(srv.ctx.ec).blocked {
                 return Err(RespawnError::State("disk server dead; deferring revive"));
             }
         }
@@ -234,80 +334,8 @@ impl VmRecipe for MicrorebootRecipe {
             None => None,
         };
 
-        self.teardown_dead(k, ctx);
-
-        // ---- Fresh VMM PD with the boot-time grants ----
-        let vmm_sel = self.alloc_sel();
-        k.hypercall(
-            ctx,
-            Hypercall::CreatePd {
-                name: "vmm".into(),
-                vm: None,
-                dst: vmm_sel,
-            },
-        )
-        .map_err(step("vmm pd"))?;
-        let vmm_pd = PdId(k.obj.pds.len() - 1);
-        // Re-point at the new incarnation immediately: if a later step
-        // fails, the retry tears this half-built PD down instead of
-        // leaking it.
-        self.vmm_sel = vmm_sel;
-        self.vmm_pd = vmm_pd;
-
-        k.hypercall(
-            ctx,
-            Hypercall::DelegateMem {
-                dst_pd: vmm_sel,
-                base: self.frames,
-                count: self.cfg.guest_pages,
-                rights: MemRights::RW_DMA,
-                hot: self.cfg.guest_base_page,
-            },
-        )
-        .map_err(step("guest ram grant"))?;
-        k.hypercall(
-            ctx,
-            Hypercall::DelegateMem {
-                dst_pd: vmm_sel,
-                base: self.frames + self.cfg.guest_pages,
-                count: 1,
-                rights: MemRights::RW,
-                hot: self.cfg.ring_page,
-            },
-        )
-        .map_err(step("ring grant"))?;
-        k.hypercall(
-            ctx,
-            Hypercall::DelegateMem {
-                dst_pd: vmm_sel,
-                base: self.frames + self.cfg.guest_pages + 1,
-                count: 1,
-                rights: MemRights::RW,
-                hot: self.cfg.pv_ring_page,
-            },
-        )
-        .map_err(step("pv ring grant"))?;
-        k.hypercall(
-            ctx,
-            Hypercall::DelegateIo {
-                dst_pd: vmm_sel,
-                base: crate::devices::PORT_EXIT,
-                count: 2,
-            },
-        )
-        .map_err(step("exit port grant"))?;
-        // VGA window (already listed in cfg.direct_mmio since boot).
-        k.hypercall(
-            ctx,
-            Hypercall::DelegateMem {
-                dst_pd: vmm_sel,
-                base: nova_hw::vga::VGA_BASE / 4096,
-                count: 1,
-                rights: MemRights::RW,
-                hot: nova_hw::vga::VGA_BASE / 4096,
-            },
-        )
-        .map_err(step("vga grant"))?;
+        self.teardown_dead(k, ctx, root, disk);
+        let ec = self.provision(k, ctx, root, disk)?;
 
         // Cold boot starts from cleared RAM (and clean rings) so every
         // incarnation of the same image is byte-identical; a restore
@@ -319,29 +347,11 @@ impl VmRecipe for MicrorebootRecipe {
             }
         }
 
-        let (comp, ec) = k.load_component(vmm_pd, 0, Box::new(Vmm::new(self.cfg.clone())));
-        self.vmm = comp;
-
-        // ---- Disk wiring (server-side delegations, restart channel) ----
-        if let Some(w) = self.disk {
-            wire_disk_client(k, ctx, w.srv_sel, w.srv_ctx, vmm_sel, w.client_slot)?;
-            k.hypercall(
-                ctx,
-                Hypercall::DelegateCap {
-                    dst_pd: vmm_sel,
-                    sel: w.restart_sel,
-                    perms: Perms::DOWN,
-                    hot: SEL_RESTART_SM,
-                },
-            )
-            .map_err(step("restart sm grant"))?;
-        }
-
-        // The fresh incarnation provisions its VM, vCPUs and channels
-        // exactly as at boot. Nothing executes until root's signal
-        // handler returns, so the restore below can never race guest
+        // The fresh incarnation builds its VM, vCPUs and channels in
+        // `on_start`. Nothing executes until root's signal handler
+        // returns, so the restore below can never race guest
         // execution.
-        k.start_component(comp, ec);
+        k.start_component(self.vmm, ec);
 
         if let Some(ck) = parsed {
             // Guest memory first: the device resubmit protocol reads
@@ -350,138 +360,30 @@ impl VmRecipe for MicrorebootRecipe {
                 return Err(RespawnError::State("guest memory restore failed"));
             }
             for (i, snap) in ck.vcpus.iter().enumerate() {
-                k.import_vcpu(ctx.pd, vmm_sel, sel::vcpu(i), snap)
-                    .map_err(step("vcpu import"))?;
+                k.import_vcpu(ctx.pd, self.vmm_sel, sel::vcpu(i), snap)
+                    .map_err(RespawnError::step("vcpu import"))?;
             }
             let ok = k
-                .invoke_component::<Vmm, _>(comp, |v, k| v.restore_state(k, ck.vmm_state))
+                .invoke_component::<Vmm, _>(self.vmm, |v, k| v.restore_state(k, ck.vmm_state))
                 .unwrap_or(false);
             if !ok {
                 return Err(RespawnError::State("vmm device-state restore failed"));
             }
         }
-        Ok(vmm_sel)
+        Ok(self.vmm_sel)
     }
 
-    fn abandon(&mut self, k: &mut Kernel, ctx: CompCtx) {
-        self.teardown_dead(k, ctx);
-    }
-
-    fn rewire_disk(&mut self, srv_sel: CapSel, srv_ctx: CompCtx) {
-        if let Some(w) = self.disk.as_mut() {
-            w.srv_sel = srv_sel;
-            w.srv_ctx = srv_ctx;
-        }
+    fn abandon(
+        &mut self,
+        k: &mut Kernel,
+        ctx: CompCtx,
+        root: &mut RootPm,
+        disk: Option<DiskServerRef>,
+    ) {
+        self.teardown_dead(k, ctx, root, disk);
     }
 
     fn as_any(&mut self) -> &mut dyn std::any::Any {
         self
     }
-}
-
-/// Wires a VM into root's supervision tree: creates the watchdog,
-/// checkpoint-cadence and revive-retry channels, arms the watchdog and
-/// the cadence timer, and registers the recipe with the root partition
-/// manager. Called at launch time, while root is not executing.
-pub fn install(
-    k: &mut Kernel,
-    root: CompId,
-    root_ctx: CompCtx,
-    recipe: MicrorebootRecipe,
-    timeout: u64,
-    ckpt_period: u64,
-) -> Result<usize, RespawnError> {
-    let step = |name: &'static str| move |e: HcErr| RespawnError::Step(name, e);
-    let vmm_sel = recipe.vmm_sel;
-    let vmm_pd = recipe.vmm_pd.0 as u16;
-    let disk_client_slot = recipe.disk.as_ref().map(|w| w.client_slot);
-    let (need_sc, sc_sel, wd_sel, ckpt_sel, retry_sel) = {
-        let rp = k
-            .component_mut::<RootPm>(root)
-            .ok_or(RespawnError::State("root component missing"))?;
-        // Root needs an SC of its own so supervision signals schedule
-        // it; disk supervision or an earlier install may already have
-        // created one.
-        let need_sc = rp.supervision.is_none() && rp.vmm_supervision.is_empty();
-        (
-            need_sc,
-            rp.alloc_sel(),
-            rp.alloc_sel(),
-            rp.alloc_sel(),
-            rp.alloc_sel(),
-        )
-    };
-    if need_sc {
-        k.hypercall(
-            root_ctx,
-            Hypercall::CreateSc {
-                ec: SEL_SELF_EC,
-                prio: 48,
-                quantum: 100_000,
-                dst: sc_sel,
-            },
-        )
-        .map_err(step("supervisor sc"))?;
-    }
-    let mut sms = [nova_core::SmId(0); 3];
-    for (slot, sel) in sms.iter_mut().zip([wd_sel, ckpt_sel, retry_sel]) {
-        k.hypercall(root_ctx, Hypercall::CreateSm { count: 0, dst: sel })
-            .map_err(step("supervision sm"))?;
-        *slot = nova_core::SmId(k.obj.sms.len() - 1);
-        k.hypercall(root_ctx, Hypercall::SmBind { sm: sel })
-            .map_err(step("supervision sm bind"))?;
-    }
-    let [wd_sm, ckpt_sm, retry_sm] = sms;
-    k.hypercall(
-        root_ctx,
-        Hypercall::WatchdogArm {
-            pd: vmm_sel,
-            sm: wd_sel,
-            timeout,
-        },
-    )
-    .map_err(step("vmm watchdog arm"))?;
-    k.hypercall(
-        root_ctx,
-        Hypercall::SetTimer {
-            sm: ckpt_sel,
-            period: ckpt_period,
-        },
-    )
-    .map_err(step("checkpoint cadence timer"))?;
-
-    // The black box records from the first incarnation's first event;
-    // root re-keys it to each successor domain on revive.
-    k.machine.bus.trace.enable_flight(vmm_pd, FLIGHT_CAPACITY);
-
-    let sup = VmmSupervision {
-        slot: 0,
-        vmm_sel,
-        vmm_pd,
-        wd_sm_sel: wd_sel,
-        wd_sm,
-        ckpt_sm_sel: ckpt_sel,
-        ckpt_sm,
-        retry_sm_sel: retry_sel,
-        retry_sm,
-        timeout,
-        ckpt_period,
-        recipe: Box::new(recipe),
-        last_checkpoint: None,
-        seq: 0,
-        level: LEVEL_RESUME,
-        attempts: 0,
-        backoff: RETRY_BACKOFF,
-        restarts: 0,
-        escalations: 0,
-        reviving: false,
-        disk_client_slot,
-        failed: false,
-        crash_at: 0,
-        last_restore_at: 0,
-    };
-    let rp = k
-        .component_mut::<RootPm>(root)
-        .ok_or(RespawnError::State("root component missing"))?;
-    Ok(rp.install_vm_supervision(sup))
 }

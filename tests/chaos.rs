@@ -9,15 +9,21 @@ use nova_core::cap::{CapSel, Perms};
 use nova_core::kernel::SEL_SELF_EC;
 use nova_core::obj::MemRights;
 use nova_core::utcb::{Utcb, XferItem};
-use nova_core::{CompCtx, CompId, Component, Hypercall, Kernel, KernelConfig, PdId, RunOutcome};
+use nova_core::{
+    CompCtx, CompId, Component, HcErr, Hypercall, Kernel, KernelConfig, PdId, RunOutcome,
+};
 use nova_guest::diskload::{self, DiskLoadParams};
 use nova_guest::os::{build_os, OsParams};
 use nova_guest::rt;
 use nova_hw::fault::{FaultKind, FaultPlan};
-use nova_hw::machine::{Machine, MachineConfig, AHCI_BASE};
+use nova_hw::machine::{Machine, MachineConfig};
+use nova_trace::{cat, Kind};
 use nova_user::disk::{DiskServer, DiskServerConfig};
 use nova_user::proto::disk as dproto;
-use nova_user::root::{DiskSupervision, RootOps, RootPm, SupervisedClient};
+use nova_user::root::{
+    spawn_disk_server, wire_disk_client, DiskRecipe, DiskServerRef, Grant, RespawnError, RootOps,
+    RootPm, SupervisedClient, RETRY_BACKOFF, REVIVE_ATTEMPTS,
+};
 use nova_vmm::{GuestImage, LaunchOptions, System, VmmConfig};
 use nova_x86::insn::{AluOp, Cond};
 use nova_x86::reg::Reg;
@@ -342,12 +348,12 @@ struct Rig {
     cmd_va: u64,
 }
 
-/// Boots root + supervised disk server + a bare client, with the full
-/// supervision wiring the system builder performs: root SC, watchdog
-/// semaphore, `WatchdogArm`, restart semaphore delegated DOWN to the
-/// client, and the service portals at the protocol's well-known
-/// client selectors (so the restart recipe re-delegates to the same
-/// slots).
+/// Boots root + supervised disk server + a bare client through the
+/// calls the system builder makes: `spawn_disk_server`,
+/// `supervise_disk_server` (root SC, watchdog semaphore,
+/// `WatchdogArm`), `wire_disk_client` (the service portals at the
+/// protocol's well-known client selectors), plus a restart semaphore
+/// delegated DOWN to the client.
 fn supervised_rig() -> Rig {
     let m = Machine::new(MachineConfig::core_i7(64 << 20));
     let mut k = Kernel::new(m, KernelConfig::default());
@@ -355,50 +361,33 @@ fn supervised_rig() -> Rig {
     k.start_component(root, root_ec);
     let root_ctx = k.component_mut::<RootPm>(root).unwrap().ctx.unwrap();
 
-    let cfg = DiskServerConfig::supervised();
+    // The server and its supervision: the product recipe and helper
+    // `System::build` runs with `supervise`.
     let ahci_dev = k.machine.dev.ahci;
+    let recipe = DiskRecipe::new(DiskServerConfig::supervised(), ahci_dev);
+    let cmd_va = recipe.cfg.cmd_va;
     let mut ops = RootOps::new(&mut k, root_ctx);
-    let (srv_sel, srv_pd) = ops.create_pd("disk-server", None).unwrap();
-    ops.grant_mem(
-        srv_sel,
-        AHCI_BASE / 4096,
-        1,
-        MemRights::RW,
-        cfg.mmio_va / 4096,
-    )
-    .unwrap();
-    ops.grant_mem(srv_sel, 0x300, 2, MemRights::RW_DMA, cfg.cmd_va / 4096)
-        .unwrap();
-    ops.grant_gsi(srv_sel, cfg.gsi).unwrap();
-    ops.assign_device(srv_sel, ahci_dev).unwrap();
-    let (srv_comp, srv_ec) = k.load_component(srv_pd, 0, Box::new(DiskServer::new(cfg)));
-    k.start_component(srv_comp, srv_ec);
-    let srv_ctx = CompCtx {
-        pd: srv_pd,
-        ec: srv_ec,
-        comp: srv_comp,
+    let (srv_sel, cl_sel, restart_sel) = (ops.alloc_sel(), ops.alloc_sel(), ops.alloc_sel());
+    let srv = DiskServerRef {
+        sel: srv_sel,
+        ctx: spawn_disk_server(&mut k, root_ctx, srv_sel, &recipe).unwrap(),
     };
-    for (dst, id) in [
-        (0x20, dproto::PORTAL_REGISTER),
-        (0x21, dproto::PORTAL_REQUEST),
-    ] {
-        k.hypercall(
-            srv_ctx,
-            Hypercall::CreatePt {
-                ec: SEL_SELF_EC,
-                mtd: 0,
-                id,
-                dst,
-            },
-        )
-        .unwrap();
-    }
+    k.invoke_component::<RootPm, _>(root, |rp, k| {
+        rp.supervise_disk_server(k, root_ctx, srv, recipe, 8_000_000)
+    })
+    .unwrap()
+    .unwrap();
 
-    // The client: a PD with DMA-able memory and an SC.
+    // The client: a PD with DMA-able memory and an SC, wired to the
+    // server at client slot 0.
+    let client_ram = Grant::Mem {
+        base: 0x400,
+        count: 64,
+        rights: MemRights::RW_DMA,
+        hot: 0,
+    };
     let mut ops = RootOps::new(&mut k, root_ctx);
-    let (cl_sel, cl_pd) = ops.create_pd("client", None).unwrap();
-    ops.grant_mem(cl_sel, 0x400, 64, MemRights::RW_DMA, 0)
-        .unwrap();
+    let cl_pd = ops.provision("client", cl_sel, &[client_ram]).unwrap();
     let (client_comp, client_ec) = k.load_component(cl_pd, 0, Box::<TestClient>::default());
     k.start_component(client_comp, client_ec);
     let client_ctx = CompCtx {
@@ -406,23 +395,7 @@ fn supervised_rig() -> Rig {
         ec: client_ec,
         comp: client_comp,
     };
-    let mut ops = RootOps::new(&mut k, root_ctx);
-    ops.grant_cap(srv_sel, cl_sel, Perms::ALL, 0x30).unwrap();
-    for (from, to) in [
-        (0x20, dproto::CLIENT_SEL_REG as CapSel),
-        (0x21, dproto::CLIENT_SEL_REQ as CapSel),
-    ] {
-        k.hypercall(
-            srv_ctx,
-            Hypercall::DelegateCap {
-                dst_pd: 0x30,
-                sel: from,
-                perms: Perms::CALL,
-                hot: to,
-            },
-        )
-        .unwrap();
-    }
+    wire_disk_client(&mut k, root_ctx, srv, cl_sel, 0).unwrap();
     k.hypercall(
         client_ctx,
         Hypercall::CreateSc {
@@ -434,41 +407,7 @@ fn supervised_rig() -> Rig {
     )
     .unwrap();
 
-    // Supervision wiring (what `System::build` does with `supervise`).
-    let (sc_sel, wd_sm_sel, restart_sel) = {
-        let rp = k.component_mut::<RootPm>(root).unwrap();
-        (rp.alloc_sel(), rp.alloc_sel(), rp.alloc_sel())
-    };
-    k.hypercall(
-        root_ctx,
-        Hypercall::CreateSc {
-            ec: SEL_SELF_EC,
-            prio: 48,
-            quantum: 100_000,
-            dst: sc_sel,
-        },
-    )
-    .unwrap();
-    k.hypercall(
-        root_ctx,
-        Hypercall::CreateSm {
-            count: 0,
-            dst: wd_sm_sel,
-        },
-    )
-    .unwrap();
-    k.hypercall(root_ctx, Hypercall::SmBind { sm: wd_sm_sel })
-        .unwrap();
-    let wd_sm = nova_core::SmId(k.obj.sms.len() - 1);
-    k.hypercall(
-        root_ctx,
-        Hypercall::WatchdogArm {
-            pd: srv_sel,
-            sm: wd_sm_sel,
-            timeout: 8_000_000,
-        },
-    )
-    .unwrap();
+    // Restart semaphore: root keeps UP, the client binds DOWN.
     k.hypercall(
         root_ctx,
         Hypercall::CreateSm {
@@ -482,24 +421,15 @@ fn supervised_rig() -> Rig {
         .unwrap();
     k.hypercall(client_ctx, Hypercall::SmBind { sm: CL_SEL_RESTART })
         .unwrap();
-    let cmd_va = cfg.cmd_va;
     let rp = k.component_mut::<RootPm>(root).unwrap();
-    rp.supervision = Some(DiskSupervision {
-        srv_sel,
-        srv_ctx,
-        wd_sm_sel,
-        wd_sm,
-        timeout: 8_000_000,
-        cfg,
-        ahci_dev,
-        mmio_page: AHCI_BASE / 4096,
-        cmd_frames: 0x300,
-        clients: vec![SupervisedClient {
+    rp.supervision
+        .as_mut()
+        .unwrap()
+        .clients
+        .push(SupervisedClient {
             vmm_sel: cl_sel,
             restart_sm_sel: restart_sel,
-        }],
-        restarts: 0,
-    });
+        });
 
     Rig {
         k,
@@ -592,8 +522,9 @@ fn restart_revokes_iommu_mappings_and_client_reregisters() {
     assert_eq!(submit_read(&mut r, client, 100, 8, window, 7), dproto::OK);
     assert_eq!(r.k.run(Some(100_000_000)), RunOutcome::Budget);
     assert_eq!(client_signals(&mut r), 1, "first request completed");
-    let got = r.k.mem_read(r.client_ctx, 8 * 4096, 16).unwrap();
-    assert_eq!(got, r.k.machine.ahci().sector(100)[..16].to_vec());
+    let mut got = [0u8; 16];
+    r.k.mem_read_into(r.client_ctx, 8 * 4096, &mut got).unwrap();
+    assert_eq!(got[..], r.k.machine.ahci().sector(100)[..16]);
 
     // The delegated DMA window stands in the IOMMU while the server
     // lives...
@@ -659,8 +590,8 @@ fn restart_revokes_iommu_mappings_and_client_reregisters() {
     assert_eq!(submit_read(&mut r, client, 555, 8, window, 9), dproto::OK);
     assert_eq!(r.k.run(Some(100_000_000)), RunOutcome::Budget);
     assert_eq!(client_signals(&mut r), sig + 1, "completion after restart");
-    let got = r.k.mem_read(r.client_ctx, 8 * 4096, 16).unwrap();
-    assert_eq!(got, r.k.machine.ahci().sector(555)[..16].to_vec());
+    r.k.mem_read_into(r.client_ctx, 8 * 4096, &mut got).unwrap();
+    assert_eq!(got[..], r.k.machine.ahci().sector(555)[..16]);
     // Ring record 0 of the zeroed ring: tag 9, status OK.
     assert_eq!(r.k.mem_read_u32(r.client_ctx, 4096).unwrap(), 9);
     assert_eq!(r.k.mem_read_u32(r.client_ctx, 4096 + 4).unwrap(), 0);
@@ -669,4 +600,253 @@ fn restart_revokes_iommu_mappings_and_client_reregisters() {
             .map(|rp| rp.supervision.as_ref().unwrap().restarts),
         Some(1)
     );
+}
+
+fn root_pm(r: &mut Rig) -> &mut RootPm {
+    r.k.component_mut::<RootPm>(CompId(0)).unwrap()
+}
+
+fn kill_disk_server(k: &mut Kernel) {
+    let rp = k.component_mut::<RootPm>(CompId(0)).unwrap();
+    let srv_pd = rp.supervision.as_ref().unwrap().srv_ctx.pd;
+    k.pd_fault(srv_pd, 0xdead);
+}
+
+/// A respawn attempt that fails late — after the interrupt and the
+/// device went to the new PD — must be retryable: the half-built
+/// incarnation belongs to the recipe from `CreatePd` on, so the retry's
+/// `DestroyPd` hands the GSI and the device assignment back to root
+/// before it builds again. (The supervision record used to move to the
+/// new PD only on full success, so the retry met `NotOwner` at the GSI
+/// grant and one transient failure retired the disk service for good.)
+#[test]
+fn respawn_retry_after_a_late_step_failure_recovers() {
+    let mut r = supervised_rig();
+    let client = register(&mut r);
+    let window = 0x500u64;
+    assert_eq!(submit_read(&mut r, client, 100, 8, window, 7), dproto::OK);
+    assert_eq!(r.k.run(Some(100_000_000)), RunOutcome::Budget);
+
+    // The transient fault: root's selector for the client goes stale,
+    // so rewiring — the step after the server is up — is refused.
+    let client_sel = {
+        let c = &mut root_pm(&mut r).supervision.as_mut().unwrap().clients[0];
+        std::mem::replace(&mut c.vmm_sel, 0xdead)
+    };
+    kill_disk_server(&mut r.k);
+    // Long enough for the death notification's attempt, shorter than
+    // the first backoff.
+    assert_eq!(r.k.run(Some(100_000)), RunOutcome::Budget);
+    let rp = root_pm(&mut r);
+    assert_eq!(
+        rp.disk_last_error,
+        Some(RespawnError::Step("client pd cap", HcErr::BadCap))
+    );
+    assert_eq!(rp.disk_retry.as_ref().unwrap().attempts, 1);
+    assert!(!rp.disk_failed);
+    assert_eq!(r.k.counters.driver_restarts, 0);
+
+    // Repaired before the backoff fires: the second attempt goes
+    // through.
+    root_pm(&mut r).supervision.as_mut().unwrap().clients[0].vmm_sel = client_sel;
+    let before = client_signals(&mut r);
+    assert_eq!(r.k.run(Some(100_000_000)), RunOutcome::Budget);
+    assert_eq!(r.k.counters.driver_restarts, 1);
+    let rp = root_pm(&mut r);
+    assert!(
+        !rp.disk_failed,
+        "one transient failure must not retire disk"
+    );
+    assert_eq!(rp.disk_retry.as_ref().unwrap().attempts, 0);
+    assert_eq!(rp.supervision.as_ref().unwrap().restarts, 1);
+    assert!(
+        client_signals(&mut r) > before,
+        "client told to re-register"
+    );
+
+    // The survivor is a working server: re-register, read, verify.
+    r.k.mem_write(r.client_ctx, 4096, &[0u8; 4096]);
+    let client = register(&mut r);
+    assert_eq!(client, 0, "fresh server has a fresh client table");
+    let sig = client_signals(&mut r);
+    assert_eq!(submit_read(&mut r, client, 555, 8, window, 9), dproto::OK);
+    assert_eq!(r.k.run(Some(100_000_000)), RunOutcome::Budget);
+    assert_eq!(client_signals(&mut r), sig + 1, "completion after retry");
+    let mut got = [0u8; 16];
+    r.k.mem_read_into(r.client_ctx, 8 * 4096, &mut got).unwrap();
+    assert_eq!(got[..], r.k.machine.ahci().sector(555)[..16]);
+}
+
+/// The retry ladder's other end: a server recipe that can never be
+/// replayed (it asks for an interrupt root does not own) burns its
+/// `REVIVE_ATTEMPTS` with backoffs 250 k → 500 k and is then retired.
+/// Root does not panic, the VM keeps running, and the requests it
+/// still issues complete with an error through the disk client's
+/// degrade path.
+#[test]
+fn respawn_budget_exhaustion_retires_the_disk_and_nothing_else() {
+    const REQUESTS: u32 = 4;
+    let p = DiskLoadParams {
+        requests: REQUESTS,
+        block_bytes: 4096,
+    };
+    let mut sys = System::build(LaunchOptions::supervised(VmmConfig::full_virt(
+        image(diskload::build(p)),
+        2048,
+    )));
+    let served = loop {
+        assert_eq!(sys.run(Some(100_000)), RunOutcome::Budget);
+        let done = sys.disk_server().unwrap().stats.completed;
+        if done >= 2 {
+            break done;
+        }
+    };
+
+    let rp = sys.k.component_mut::<RootPm>(sys.root).unwrap();
+    let recipe = &mut rp.supervision.as_mut().unwrap().recipe;
+    recipe.grants.push(Grant::Gsi(0xee));
+
+    // Every attempt opens with root's `DestroyPd`; the trace dates
+    // them exactly.
+    sys.k.machine.enable_tracing(cat::ALL);
+    kill_disk_server(&mut sys.k);
+    assert_eq!(sys.run(Some(4_000_000)), RunOutcome::Budget);
+    let destroy_pd = Hypercall::DestroyPd { pd: 0 }.number();
+    let attempts: Vec<u64> = sys
+        .k
+        .machine
+        .tracer()
+        .events()
+        .iter()
+        .filter(|e| e.kind == Kind::Hypercall && e.detail == destroy_pd)
+        .map(|e| e.cycle)
+        .collect();
+    assert_eq!(attempts.len(), REVIVE_ATTEMPTS as usize);
+    let waits: Vec<u64> = attempts.windows(2).map(|w| w[1] - w[0]).collect();
+    for (wait, backoff) in waits.iter().zip([RETRY_BACKOFF, 2 * RETRY_BACKOFF]) {
+        // The timer is armed at the end of the failed attempt.
+        assert!(
+            (backoff..backoff + 20_000).contains(wait),
+            "waited {wait} on a {backoff} backoff"
+        );
+    }
+    let rp = sys.k.component_mut::<RootPm>(sys.root).unwrap();
+    assert!(rp.disk_failed);
+    assert_eq!(
+        rp.disk_last_error,
+        Some(RespawnError::Step("gsi grant", HcErr::NotOwner))
+    );
+    assert_eq!(sys.k.counters.driver_restarts, 0);
+
+    // The guest is not told why, only that its reads fail: it runs to
+    // its end on the client's timeouts.
+    assert_eq!(sys.run(Some(60_000_000_000)), RunOutcome::Shutdown(0));
+    let vals: Vec<u32> = sys.k.machine.marks().iter().map(|&(_, v)| v).collect();
+    assert_eq!(vals, vec![0x1000, 0x1001]);
+    let failed = REQUESTS as u64 - served;
+    assert_eq!(sys.vmm().dev().vahci.disk.degraded, failed);
+    assert_eq!(sys.k.counters.degraded_errors, failed);
+    assert_eq!(sys.k.counters.driver_restarts, 0);
+    let rp = sys.k.component_mut::<RootPm>(sys.root).unwrap();
+    assert_eq!(rp.disk_retry.as_ref().unwrap().attempts, REVIVE_ATTEMPTS);
+}
+
+/// The protection domain the capability at `sel` in `pd`'s space names.
+fn pd_at(k: &Kernel, pd: PdId, sel: CapSel) -> Option<PdId> {
+    match k.obj.pd(pd).caps.get(sel)?.obj {
+        nova_core::obj::ObjRef::Pd(p) => Some(p),
+        _ => None,
+    }
+}
+
+/// Which protection domain the disk server holds at each client's
+/// PD-capability slot, for the first `n` clients root supervises.
+fn client_slots(sys: &mut System, n: usize) -> Vec<Option<PdId>> {
+    let rp = sys.k.component_mut::<RootPm>(sys.root).unwrap();
+    let srv_pd = rp.supervision.as_ref().unwrap().srv_ctx.pd;
+    (0..n).map(|i| pd_at(&sys.k, srv_pd, 0x30 + i)).collect()
+}
+
+/// `requests` sequential 4 KB reads into the guest-physical buffer
+/// `buf`, marks around them. (The disk server gives every client the
+/// same window addresses, so co-resident clients read into different
+/// guest pages.)
+fn reader_guest(buf: u32, requests: u32) -> VmmConfig {
+    let params = OsParams {
+        disk: true,
+        ..OsParams::minimal()
+    };
+    let prog = build_os(params, |a, _| {
+        rt::emit_mark(a, 0x1000);
+        a.mov_ri(Reg::Esi, 0);
+        let req = a.here_label();
+        a.mov_rr(Reg::Eax, Reg::Esi);
+        a.shl_ri(Reg::Eax, 3);
+        a.mov_ri(Reg::Ebx, 8);
+        a.mov_ri(Reg::Ecx, buf);
+        rt::emit_disk_read_sync(a);
+        a.inc_r(Reg::Esi);
+        a.cmp_ri(Reg::Esi, requests);
+        a.jcc(Cond::B, req);
+        rt::emit_mark(a, 0x1001);
+    });
+    VmmConfig::full_virt(image(prog), 2048)
+}
+
+/// Three VMs on one supervised server, the server killed under load:
+/// every client's slot at the server is its index among root's
+/// supervised clients — at boot as after the respawn, which rewires by
+/// that index — and all three guests finish with correct data.
+#[test]
+fn three_clients_keep_their_slots_across_a_respawn() {
+    const REQUESTS: u32 = 8;
+    let bufs = [0x20_0000u32, 0x21_0000, 0x22_0000];
+    let mut opts = LaunchOptions::supervised(reader_guest(bufs[0], REQUESTS));
+    opts.machine.ram = 192 << 20;
+    let mut sys = System::build(opts);
+    sys.add_vm(reader_guest(bufs[1], REQUESTS));
+    sys.add_vm(reader_guest(bufs[2], REQUESTS));
+
+    // Root's view: three clients, each a distinct VMM domain.
+    let root_pd = sys.k.root_pd;
+    let rp = sys.k.component_mut::<RootPm>(sys.root).unwrap();
+    let clients = rp.supervision.as_ref().unwrap().clients.clone();
+    let vmm_pds: Vec<Option<PdId>> = clients
+        .iter()
+        .map(|c| pd_at(&sys.k, root_pd, c.vmm_sel))
+        .collect();
+    assert_eq!(vmm_pds.len(), 3);
+    assert!(vmm_pds.iter().all(Option::is_some));
+    assert_eq!(client_slots(&mut sys, 3), vmm_pds, "slot = index at boot");
+
+    loop {
+        assert_eq!(sys.run(Some(100_000)), RunOutcome::Budget);
+        if sys.disk_server().unwrap().stats.completed >= 6 {
+            break;
+        }
+    }
+    kill_disk_server(&mut sys.k);
+
+    // Each guest's shutdown stops the world once.
+    for _ in 0..3 {
+        assert_eq!(sys.run(Some(60_000_000_000)), RunOutcome::Shutdown(0));
+    }
+    assert_eq!(sys.k.counters.driver_restarts, 1);
+    assert_eq!(sys.k.counters.degraded_errors, 0);
+    assert_eq!(client_slots(&mut sys, 3), vmm_pds, "and after the respawn");
+
+    // Every guest's last block, read through its own VMM's mapping of
+    // guest RAM.
+    let expect = sys.k.machine.ahci().sector((REQUESTS as u64 - 1) * 8);
+    for ((pd, &vmm), buf) in vmm_pds.iter().zip(&sys.vmms.clone()).zip(bufs) {
+        let page = 0x1000 + buf as u64 / 4096;
+        let host = sys.k.obj.pd(pd.unwrap()).mem.lookup(page).unwrap().hpa;
+        assert_eq!(sys.k.machine.mem.read_bytes(host, 512), expect);
+        let marks = sys
+            .k
+            .component_mut::<nova_vmm::Vmm>(vmm)
+            .unwrap()
+            .guest_marks();
+        assert_eq!(marks, vec![0x1000, 0x1001]);
+    }
 }

@@ -310,7 +310,8 @@ fn hostile_hypercall_args_are_contained() {
     k.start_component(root, root_ec);
     let root_ctx = k.component_mut::<RootPm>(root).unwrap().ctx.unwrap();
     let mut ops = RootOps::new(&mut k, root_ctx);
-    let (cl_sel, cl_pd) = ops.create_pd("fuzzer", None).unwrap();
+    let cl_sel = ops.alloc_sel();
+    let cl_pd = ops.provision("fuzzer", cl_sel, &[]).unwrap();
     ops.grant_mem(cl_sel, 0x400, 64, MemRights::RW, 0).unwrap();
     let (cl_comp, cl_ec) = k.load_component(cl_pd, 0, Box::<NullComp>::default());
     k.start_component(cl_comp, cl_ec);

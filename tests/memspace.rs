@@ -272,7 +272,8 @@ fn page_crossing_u32_u64_reads() {
         let addr = 0x5000 - 8 + off;
         let v32 = k.mem_read_u32(ctx, addr).unwrap();
         let v64 = k.mem_read_u64(ctx, addr).unwrap();
-        let bytes = k.mem_read(ctx, addr, 8).unwrap();
+        let mut bytes = [0u8; 8];
+        k.mem_read_into(ctx, addr, &mut bytes).unwrap();
         let e32 = u32::from_le_bytes(bytes[..4].try_into().unwrap());
         let e64 = u64::from_le_bytes(bytes[..8].try_into().unwrap());
         assert_eq!(v32, e32, "u32 at boundary-{off}");
@@ -280,10 +281,9 @@ fn page_crossing_u32_u64_reads() {
     }
     // A page-crossing write lands byte-exactly.
     assert!(k.mem_write_u32(ctx, 0x6000 - 2, 0x1122_3344));
-    assert_eq!(
-        k.mem_read(ctx, 0x6000 - 2, 4).unwrap(),
-        [0x44, 0x33, 0x22, 0x11]
-    );
+    let mut bytes = [0u8; 4];
+    k.mem_read_into(ctx, 0x6000 - 2, &mut bytes).unwrap();
+    assert_eq!(bytes, [0x44, 0x33, 0x22, 0x11]);
     // Crossing into an unmapped page fails: the child only holds one
     // page.
     k.hypercall(

@@ -462,7 +462,7 @@ fn disk_server_crash_during_restore_retries_idempotently() {
     });
     with_sup(&mut sys, |sup| {
         assert!(sup.reviving, "first attempt could not finish");
-        assert_eq!(sup.attempts, 1, "the dead server failed one attempt");
+        assert_eq!(sup.retry.attempts, 1, "the dead server failed one attempt");
     });
 
     let out = sys.run(Some(BUDGET));
@@ -633,9 +633,9 @@ fn full_capture(sys: &mut System, seq: u64) -> Vec<u8> {
         .collect::<Result<Vec<_>, _>>()
         .expect("vcpu export");
     let vmm_state = sys.k.component_mut::<Vmm>(vmm).expect("vmm").save_state();
-    let guest_mem = sys
-        .k
-        .mem_read(root_ctx, frames * 4096, (pages * 4096) as usize)
+    let mut guest_mem = vec![0u8; (pages * 4096) as usize];
+    sys.k
+        .mem_read_into(root_ctx, frames * 4096, &mut guest_mem)
         .expect("guest window");
     Checkpoint {
         seq,
@@ -886,4 +886,99 @@ fn foreign_or_missing_blob_is_recaptured_in_full() {
     assert!(with_sup(&mut sys, |sup| sup.last_checkpoint.clone()) == before);
     with_recipe(&mut sys, |r| r.frames = frames);
     assert_eq!(tick(&mut sys), Some(1), "and the table still describes it");
+}
+
+// ---------------------------------------------------------------------
+// Boot is the first revive
+// ---------------------------------------------------------------------
+
+/// Everything root's recipe and the VMM's `on_start` put into the
+/// supervised VMM's protection domain, object identities aside: every
+/// page mapping (page → frame, rights), every I/O port, and the kind
+/// and permissions of the capability at every selector.
+type PdShape = (
+    Vec<(u64, u64, nova_core::obj::MemRights)>,
+    Vec<u16>,
+    Vec<(usize, &'static str, nova_core::cap::Perms)>,
+);
+
+fn vmm_pd_shape(sys: &mut System) -> PdShape {
+    use nova_core::obj::ObjRef;
+    let (_, vmm_pd) = sys.microreboot_vmm().expect("supervised vmm");
+    let pd = sys.k.obj.pd(vmm_pd);
+    let mut mem: Vec<_> = pd.mem.iter().map(|(p, m)| (p, m.hpa, m.rights)).collect();
+    mem.sort_unstable_by_key(|m| m.0);
+    let io = (0..=u16::MAX).filter(|&p| pd.io.allowed(p)).collect();
+    let caps: Vec<_> = (0..0x4000)
+        .filter_map(|s| pd.caps.get(s).map(|c| (s, c)))
+        .map(|(s, c)| {
+            let kind = match c.obj {
+                ObjRef::Pd(_) => "pd",
+                ObjRef::Ec(_) => "ec",
+                ObjRef::Sc(_) => "sc",
+                ObjRef::Pt(_) => "pt",
+                ObjRef::Sm(_) => "sm",
+            };
+            (s, kind, c.perms)
+        })
+        .collect();
+    assert_eq!(caps.len(), pd.caps.count(), "no capability out of range");
+    (mem, io, caps)
+}
+
+/// Has root handle the supervised VMM's death at the cold rung, here
+/// and now — the path its watchdog takes when the VMM wedges without
+/// faulting. Returns the hypercall numbers root, the fresh VMM and the
+/// disk server issued while doing so, in order.
+fn cold_revive(sys: &mut System) -> Vec<u64> {
+    let (root, root_ctx, slot) = (sys.root, sys.root_ctx, sys.microreboot.expect("slot"));
+    let rp = sys.k.component_mut::<RootPm>(root).expect("root pm");
+    let sup = rp.vmm_supervision[slot].as_mut().expect("supervised vm");
+    // Outside the stability window the ladder would resume; this test
+    // is about the cold rung.
+    (sup.level, sup.last_checkpoint, sup.last_restore_at) = (LEVEL_COLD, None, 0);
+    let restarts = sup.restarts;
+    sys.k.machine.enable_tracing(cat::ALL);
+    sys.k
+        .invoke_component::<RootPm, _>(root, |rp, k| rp.handle_vmm_death(k, root_ctx, slot));
+    with_sup(sys, |sup| {
+        assert_eq!((sup.level, sup.restarts), (LEVEL_COLD, restarts + 1));
+        assert_eq!(sup.last_error, None);
+    });
+    let tracer = sys.k.machine.tracer();
+    assert_eq!(tracer.dropped(), 0);
+    nova_trace::query::events_of(&tracer.events(), nova_trace::Kind::Hypercall)
+        .iter()
+        .map(|e| e.detail)
+        .collect()
+}
+
+/// DESIGN §6e's claim, as an assertion: the incarnation `System::build`
+/// boots and the one a cold revive builds come out of one recipe, so
+/// their protection domains have the same shape — and two cold revives
+/// are the same hypercall sequence, number for number. (Boot itself
+/// runs before a tracer can be attached, so its sequence is compared
+/// through its result.)
+#[test]
+fn boot_is_the_first_revive() {
+    let mut sys = microreboot_system();
+    let boot = vmm_pd_shape(&mut sys);
+    assert!(boot.0.len() > 4096 && !boot.1.is_empty() && boot.2.len() > 8);
+    let booted = sys.microreboot_vmm().expect("supervised vmm");
+
+    let first = cold_revive(&mut sys);
+    assert_ne!(sys.microreboot_vmm(), Some(booted), "a new incarnation");
+    assert!(vmm_pd_shape(&mut sys) == boot, "cold revive ≡ boot");
+
+    // Let the second incarnation run (and checkpoint) before it dies.
+    run_until(&mut sys, |s| {
+        pv_completions(s) >= 8 && with_sup(s, |sup| sup.last_checkpoint.is_some())
+    });
+    let second = cold_revive(&mut sys);
+    assert!(vmm_pd_shape(&mut sys) == boot, "and so is every later one");
+    assert!(first.len() > 20, "CreatePd, grants, wiring, the VMM's own");
+    assert_eq!(first, second, "one provisioning sequence");
+
+    // The cold-booted guest still does its job.
+    assert_eq!(sys.run(Some(BUDGET)), RunOutcome::Shutdown(0));
 }
