@@ -7,8 +7,10 @@
 //! captures copied (`checkpoint_pages_copied`) of the pages a full copy
 //! per tick would have (`checkpoint_pages_total`), and the mean and
 //! largest number a capture copied when it had an image to refresh
-//! (`dirty_pages_per_checkpoint_*`; the first capture and the one after
-//! the restore copy every page and are left out of those two).
+//! (`dirty_pages_per_checkpoint_*`; the first capture copies every page
+//! and is left out of those two — the one after the restore does not:
+//! the restore wrote back only the frames that had moved and left the
+//! generation table describing them).
 //! Deterministic: the same build produces the same JSON byte for byte.
 
 use nova_bench::report::{banner, fmt_count, write_json, Table};

@@ -8,7 +8,7 @@
 //! they call back through the typed hypercall interface. Every
 //! boundary crossing is charged with the measured costs of Figure 8.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 use nova_hw::cpu::run_guest;
 use nova_hw::fault::FaultKind;
@@ -27,8 +27,8 @@ use crate::hostpt::{FrameAllocator, NestedTable};
 use crate::hypercall::{HcErr, HcReply, Hypercall};
 use crate::mdb::MapDb;
 use crate::obj::{
-    Ec, EcId, EcKind, MemMapping, MemRights, ObjRef, Objects, Pd, PdId, Portal, PtId, Sc, ScId,
-    Semaphore, SmId, VmPaging,
+    Ec, EcId, EcKind, MemMapping, MemRights, MemSpace, ObjRef, Objects, Pd, PdId, Portal, PtId, Sc,
+    ScId, Semaphore, SmId, VmPaging,
 };
 use crate::sched::Scheduler;
 use crate::utcb::{Utcb, VmExitMsg, XferItem};
@@ -927,9 +927,7 @@ impl Kernel {
                 if count > MAX_RANGE_PAGES || base.checked_add(count).is_none() {
                     return Err(HcErr::BadParam);
                 }
-                for page in base..base + count {
-                    self.revoke_mem_page(caller, page, include_self);
-                }
+                self.revoke_mem_pages(caller, base..base + count, include_self);
                 Ok(HcReply::Ok)
             }
             Hypercall::RevokeIo {
@@ -1257,32 +1255,43 @@ impl Kernel {
         Ok(())
     }
 
-    fn revoke_mem_page(&mut self, owner: PdId, page: u64, include_self: bool) {
+    /// Revokes `owner`'s delegations of each of `pages` (and its own
+    /// mappings with `include_self`), then shoots down the TLBs of
+    /// every VM that lost a page — once, after the whole range: nothing
+    /// runs a guest in between, and in `PdId` order, so a seed's flush
+    /// sequence does not depend on a hasher.
+    fn revoke_mem_pages(
+        &mut self,
+        owner: PdId,
+        pages: impl IntoIterator<Item = u64>,
+        include_self: bool,
+    ) {
         let mut removed: Vec<(usize, u64)> = Vec::new();
-        self.mem_db
-            .revoke((owner.0, page), include_self, &mut |k| removed.push(k));
-        let mut affected_vms: HashSet<PdId> = HashSet::new();
-        for (pd_idx, pg) in removed {
-            let pd = PdId(pd_idx);
-            let mapping = self.obj.pd_mut(pd).mem.unmap(pg);
-            if mapping.is_none() {
-                continue;
-            }
-            // IOMMU teardown.
-            let devices = self.obj.pd(pd).devices.clone();
-            for dev in devices {
-                self.machine
-                    .bus
-                    .iommu
-                    .unmap_page(dev, pg * PAGE_SIZE as u64);
-            }
-            // Nested-table teardown (splintering large mappings).
-            if self.obj.pd(pd).is_vm() {
-                affected_vms.insert(pd);
-                self.unmap_nested_page(pd, pg);
+        let mut affected_vms: BTreeSet<PdId> = BTreeSet::new();
+        for page in pages {
+            self.mem_db
+                .revoke((owner.0, page), include_self, &mut |k| removed.push(k));
+            for (pd_idx, pg) in removed.drain(..) {
+                let pd = PdId(pd_idx);
+                let mapping = self.obj.pd_mut(pd).mem.unmap(pg);
+                if mapping.is_none() {
+                    continue;
+                }
+                // IOMMU teardown.
+                let devices = self.obj.pd(pd).devices.clone();
+                for dev in devices {
+                    self.machine
+                        .bus
+                        .iommu
+                        .unmap_page(dev, pg * PAGE_SIZE as u64);
+                }
+                // Nested-table teardown (splintering large mappings).
+                if self.obj.pd(pd).is_vm() {
+                    affected_vms.insert(pd);
+                    self.unmap_nested_page(pd, pg);
+                }
             }
         }
-        // TLB shootdown for affected VMs.
         for pd in affected_vms {
             self.flush_vm_tlbs(pd);
         }
@@ -1390,9 +1399,7 @@ impl Kernel {
 
         // Memory: revoke each owned page (children included).
         let pages: Vec<u64> = self.obj.pd(pd).mem.iter().map(|(p, _)| p).collect();
-        for page in pages {
-            self.revoke_mem_page(pd, page, true);
-        }
+        self.revoke_mem_pages(pd, pages, true);
         // Every unmap above already bumped the generation; this makes
         // the cold-cache contract explicit for teardown.
         self.obj.pd_mut(pd).mem.invalidate_cache();
@@ -1856,18 +1863,11 @@ impl Kernel {
         image: &mut [u8],
         seen: &mut [u64],
     ) -> Option<usize> {
-        let page = PAGE_SIZE as usize;
-        if addr & 0xfff != 0 || Some(image.len()) != seen.len().checked_mul(page) {
-            return None;
-        }
         let ms = &self.obj.pd(ctx.pd).mem;
-        let page_addr = |i: usize| addr + (i * page) as u64;
-        for i in 0..seen.len() {
-            ms.translate(page_addr(i))?;
-        }
+        let frames = window_frames(ms, addr, image.len(), seen.len(), false)?;
         let mut copied = 0;
-        for (i, (dst, seen)) in image.chunks_exact_mut(page).zip(seen).enumerate() {
-            let hpa = ms.translate(page_addr(i))?;
+        let pages = image.chunks_exact_mut(PAGE_SIZE as usize).zip(seen);
+        for ((dst, seen), hpa) in pages.zip(frames) {
             let gen = self.machine.mem.frame_gen(hpa);
             if gen != *seen {
                 self.machine.mem.read_into(hpa, dst);
@@ -1876,6 +1876,38 @@ impl Kernel {
             }
         }
         Some(copied)
+    }
+
+    /// The inverse of [`Kernel::mem_refresh`]: brings the page-aligned
+    /// window at `addr` of the component's address space back to
+    /// `image`. Page `i` is written only if its frame's write
+    /// generation is not `seen[i]`, and the generation the write leaves
+    /// is recorded there — so the caller must hold `seen` for *this*
+    /// image (frame at `seen[i]` ⇒ frame equals image page `i`), or
+    /// pass `u64::MAX` to have the page written regardless. Returns the
+    /// number of pages written, or `None` — with memory and `seen`
+    /// untouched — if `addr` is not page-aligned, `image` is not
+    /// `seen.len()` pages long, or any page is unmapped or read-only.
+    pub fn mem_restore(
+        &mut self,
+        ctx: CompCtx,
+        addr: u64,
+        image: &[u8],
+        seen: &mut [u64],
+    ) -> Option<usize> {
+        let ms = &self.obj.pd(ctx.pd).mem;
+        let frames = window_frames(ms, addr, image.len(), seen.len(), true)?;
+        let mem = &mut self.machine.mem;
+        let mut written = 0;
+        let pages = image.chunks_exact(PAGE_SIZE as usize).zip(seen);
+        for ((src, seen), hpa) in pages.zip(frames) {
+            if mem.frame_gen(hpa) != *seen {
+                mem.write_bytes(hpa, src);
+                *seen = mem.frame_gen(hpa);
+                written += 1;
+            }
+        }
+        Some(written)
     }
 
     /// Borrows `len` bytes of the component's address space in place
@@ -2548,6 +2580,27 @@ pub fn apply_mtd(dst: &mut Regs, src: &Regs, mtd_bits: u32) {
     }
 }
 
+/// The frames behind the `pages`-page window at `addr` of `ms`, for a
+/// sweep against an image of `image_len` bytes: `None` unless `addr` is
+/// page-aligned, the image is exactly that long and every page is
+/// mapped — writable, if `write`. Nothing has been touched by then.
+fn window_frames(
+    ms: &MemSpace,
+    addr: u64,
+    image_len: usize,
+    pages: usize,
+    write: bool,
+) -> Option<impl Iterator<Item = u64> + '_> {
+    if addr & 0xfff != 0 || Some(image_len) != pages.checked_mul(PAGE_SIZE as usize) {
+        return None;
+    }
+    let usable = |m: Option<MemMapping>| m.is_some_and(|m| m.rights.write || !write);
+    if !ms.range(addr >> 12, pages).all(usable) {
+        return None;
+    }
+    Some(ms.range(addr >> 12, pages).flatten().map(|m| m.hpa))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3217,6 +3270,159 @@ mod tests {
         assert_eq!(k.mem_refresh(ctx, window, &mut image, &mut seen_hv), None);
         assert_eq!((image, seen), (image0, seen0));
         assert_eq!(seen_hv, [u64::MAX; 3]);
+    }
+
+    #[test]
+    fn mem_restore_writes_exactly_the_pages_that_moved() {
+        let mut k = kernel();
+        let (comp, ec) = k.load_component(k.root_pd, 0, Box::<Doubler>::default());
+        let ctx = root_ctx(&k, ec, comp);
+        let base = 0x8000u64;
+        let gens = |k: &Kernel| [0, 1, 2, 3].map(|p| k.machine.mem.frame_gen(base + p * 4096));
+        let read = |k: &Kernel| {
+            let mut now = vec![0u8; 4 * 4096];
+            k.mem_read_into(ctx, base, &mut now).unwrap();
+            now
+        };
+        assert!(k.mem_write(ctx, base + 4096, &[7; 16]));
+        let mut image = vec![0u8; 4 * 4096];
+        let mut seen = vec![u64::MAX; 4];
+        assert_eq!(k.mem_refresh(ctx, base, &mut image, &mut seen), Some(4));
+
+        // Nothing moved: nothing is written, no generation bumped.
+        let at_capture = gens(&k);
+        assert_eq!(k.mem_restore(ctx, base, &image, &mut seen), Some(0));
+        assert_eq!(gens(&k), at_capture);
+
+        // Pages 0 and 2 move — one of them back to the bytes it had.
+        assert!(k.mem_write_u32(ctx, base + 8, 1));
+        assert!(k.mem_write(ctx, base + 2 * 4096, &[0; 4]));
+        assert_eq!(k.mem_restore(ctx, base, &image, &mut seen), Some(2));
+        assert_eq!(read(&k), image);
+        let now = gens(&k);
+        assert_eq!((now[1], now[3]), (at_capture[1], at_capture[3]));
+        assert!(now[0] > at_capture[0] && now[2] > at_capture[2]);
+        // The table holds the generations the writes left, for both
+        // directions: neither a capture nor a restore has work to do.
+        assert_eq!(seen, now);
+        assert_eq!(k.mem_refresh(ctx, base, &mut image, &mut seen), Some(0));
+        assert_eq!(k.mem_restore(ctx, base, &image, &mut seen), Some(0));
+
+        // `u64::MAX` writes the page whatever its generation.
+        image[3 * 4096] = 0x77;
+        seen[3] = u64::MAX;
+        assert_eq!(k.mem_restore(ctx, base, &image, &mut seen), Some(1));
+        assert_eq!(read(&k), image);
+
+        // A refused call writes nothing: misaligned, or wrong table
+        // length, with every page stale.
+        assert!(k.mem_fill(ctx, base, 4 * 4096, 0x55));
+        let (mem0, seen0) = (read(&k), seen.clone());
+        assert_eq!(k.mem_restore(ctx, base + 1, &image, &mut seen), None);
+        assert_eq!(k.mem_restore(ctx, base, &image, &mut seen[..3]), None);
+        assert_eq!((read(&k), seen), (mem0, seen0));
+    }
+
+    /// A revocation shoots every affected VM's TLB down — once per
+    /// hypercall, however many pages the range has — and nobody else's.
+    #[test]
+    fn revoking_a_range_flushes_each_affected_vm_once() {
+        use nova_hw::tlb::TlbEntry;
+        use nova_x86::paging::NestedFormat;
+        let mut k = kernel();
+        let (comp, ec) = k.load_component(k.root_pd, 0, Box::<Doubler>::default());
+        let ctx = root_ctx(&k, ec, comp);
+        let vm = |k: &mut Kernel, sel: CapSel| -> u16 {
+            let paging = Some(VmPaging::Nested(NestedFormat::Ept4Level));
+            for hc in [
+                Hypercall::CreatePd {
+                    name: "vm".into(),
+                    vm: paging,
+                    dst: sel,
+                },
+                Hypercall::DelegateMem {
+                    dst_pd: sel,
+                    base: 0x800,
+                    count: 8,
+                    rights: MemRights::RW,
+                    hot: 0,
+                },
+                Hypercall::CreateEc {
+                    pd: sel,
+                    vcpu: true,
+                    cpu: 0,
+                    dst: sel + 1,
+                },
+            ] {
+                k.hypercall(ctx, hc).unwrap();
+            }
+            k.obj.ecs.last().unwrap().vmcs().unwrap().vpid
+        };
+        let (a, b) = (vm(&mut k, 0x40), vm(&mut k, 0x50));
+        let bystander = 0x3ff;
+        assert!(a != 0 && b != 0 && a != b, "tagged, one VPID per VM");
+        // Eight entries per tag, each tag in TLB sets of its own (the
+        // arrays are direct-mapped by page number).
+        let tags = [a, b, bystander];
+        let warm = |k: &mut Kernel| {
+            for (i, vpid) in tags.into_iter().enumerate() {
+                for vpn in (i as u64 * 8..).take(8) {
+                    k.machine.cpus[0].tlb.insert(TlbEntry {
+                        vpid,
+                        vpn,
+                        hpa: (0x800 + vpn % 8) << 12,
+                        page_size: 4096,
+                        write: true,
+                    });
+                }
+            }
+        };
+        let cached = |k: &mut Kernel| {
+            let tlb = &mut k.machine.cpus[0].tlb;
+            [0, 1, 2].map(|i| {
+                (i as u64 * 8..)
+                    .take(8)
+                    .filter(|p| tlb.lookup(tags[i], p << 12).is_some())
+                    .count()
+            })
+        };
+
+        warm(&mut k);
+        assert_eq!(cached(&mut k), [8, 8, 8]);
+        let flushes = k.machine.cpus[0].tlb.stats.flushes;
+        k.hypercall(
+            ctx,
+            Hypercall::RevokeMem {
+                base: 0x800,
+                count: 8,
+                include_self: false,
+            },
+        )
+        .unwrap();
+        assert_eq!(k.machine.cpus[0].tlb.stats.flushes - flushes, 2);
+        assert_eq!(cached(&mut k), [0, 0, 8]);
+
+        // Teardown: one flush after the domain's pages are revoked,
+        // one when its tables are gone — not one per page.
+        for sel in [0x40, 0x50] {
+            k.hypercall(
+                ctx,
+                Hypercall::DelegateMem {
+                    dst_pd: sel,
+                    base: 0x800,
+                    count: 8,
+                    rights: MemRights::RW,
+                    hot: 0,
+                },
+            )
+            .unwrap();
+        }
+        warm(&mut k);
+        assert_eq!(cached(&mut k), [8, 8, 8]);
+        let flushes = k.machine.cpus[0].tlb.stats.flushes;
+        k.hypercall(ctx, Hypercall::DestroyPd { pd: 0x40 }).unwrap();
+        assert_eq!(k.machine.cpus[0].tlb.stats.flushes - flushes, 2);
+        assert_eq!(cached(&mut k), [0, 8, 8]);
     }
 
     #[test]

@@ -204,6 +204,26 @@ impl MemSpace {
         self.lookup(addr >> 12).map(|m| m.hpa + (addr & 0xfff))
     }
 
+    /// The mappings of `count` consecutive pages from `page`, in order
+    /// (`None` for a hole), read straight from the radix leaves: a
+    /// sweep longer than the translation cache neither consults nor
+    /// evicts it.
+    pub fn range(&self, page: u64, count: usize) -> impl Iterator<Item = Option<MemMapping>> + '_ {
+        // The leaf the run is in, looked up once per directory slot.
+        let (mut at, mut leaf) = (usize::MAX, None);
+        (0..count as u64).map(move |i| {
+            let p = page.checked_add(i)?;
+            let li = (p >> LEAF_BITS) as usize;
+            if li >= DIR_MAX_LEAVES {
+                return self.overflow.get(&p).copied();
+            }
+            if li != at {
+                (at, leaf) = (li, self.dir.get(li).and_then(|l| l.as_deref()));
+            }
+            leaf?.slots[p as usize & (LEAF_ENTRIES - 1)]
+        })
+    }
+
     /// Installs a mapping.
     pub fn map(&mut self, page: u64, m: MemMapping) {
         self.gen = self.gen.wrapping_add(1);

@@ -73,16 +73,34 @@ pub struct DiskWiring {
 }
 
 /// What the recipe knows about the guest image inside the one
-/// checkpoint blob it last wrote. The blob itself stays with root; a
-/// blob that is not that one — none yet, dropped by a cold reboot,
-/// swapped or cut short — is recaptured in full.
+/// checkpoint blob it last wrote or restored. The blob itself stays
+/// with root; a blob that is not that one — none yet, dropped by a cold
+/// reboot, swapped or cut short — is recaptured, or restored, in full.
 #[derive(Default)]
 pub(crate) struct CapturedImage {
-    /// Write generation of each guest frame when its page of the image
-    /// was copied (`u64::MAX`: never).
+    /// Write generation of each guest frame when it last equalled its
+    /// page of the image — copied out by a capture or written back by a
+    /// restore (`u64::MAX`: never).
     seen: Vec<u64>,
     /// Sequence number and length of the blob `seen` describes.
     blob: Option<(u64, usize)>,
+}
+
+impl CapturedImage {
+    /// The generation table to sync `blob`, a checkpoint of a guest of
+    /// `pages` pages, with guest RAM in either direction: as kept if
+    /// `blob` is the one it describes, otherwise reset to "never", so
+    /// that every page is copied.
+    fn table_for(&mut self, blob: &[u8], pages: usize) -> &mut [u64] {
+        let ours = self.blob.is_some_and(|(seq, len)| {
+            len == blob.len() && checkpoint::image_header(blob) == Some((seq, pages * 4096))
+        });
+        if !ours {
+            self.seen.clear();
+            self.seen.resize(pages, u64::MAX);
+        }
+        &mut self.seen
+    }
 }
 
 /// The recipe for one VM's VMM: everything root needs to build an
@@ -275,14 +293,7 @@ impl VmRecipe for MicrorebootRecipe {
             .save_state();
         let pages = self.cfg.guest_pages as usize;
         let mem_len = pages * 4096;
-        let ours = self.image.blob.is_some_and(|(seq, len)| {
-            len == blob.len() && checkpoint::image_header(blob) == Some((seq, mem_len))
-        });
-        if !ours {
-            self.image.seen.clear();
-            self.image.seen.resize(pages, u64::MAX);
-        }
-        let (window, seen) = (self.frames * 4096, &mut self.image.seen);
+        let (window, seen) = (self.frames * 4096, self.image.table_for(blob, pages));
         let copied = checkpoint::refresh(blob, seq, mem_len, &vcpus, &vmm_state, |image| {
             k.mem_refresh(ctx, window, image, seen)
         })
@@ -353,12 +364,15 @@ impl VmRecipe for MicrorebootRecipe {
         // execution.
         k.start_component(self.vmm, ec);
 
-        if let Some(ck) = parsed {
+        if let Some((ck, blob)) = parsed.zip(checkpoint) {
             // Guest memory first: the device resubmit protocol reads
-            // request buffers out of the restored image.
-            if !k.mem_write(ctx, self.frames * 4096, ck.guest_mem) {
-                return Err(RespawnError::State("guest memory restore failed"));
-            }
+            // request buffers out of the restored image. Only the
+            // frames written since they last equalled `blob`'s image
+            // are written back.
+            let seen = self.image.table_for(blob, self.cfg.guest_pages as usize);
+            k.mem_restore(ctx, self.frames * 4096, ck.guest_mem, seen)
+                .ok_or(RespawnError::State("guest memory restore failed"))?;
+            self.image.blob = Some((ck.seq, blob.len()));
             for (i, snap) in ck.vcpus.iter().enumerate() {
                 k.import_vcpu(ctx.pd, self.vmm_sel, sel::vcpu(i), snap)
                     .map_err(RespawnError::step("vcpu import"))?;

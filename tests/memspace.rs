@@ -3,8 +3,9 @@
 //! map/unmap sequences, the per-PD translation cache must never serve
 //! a stale entry through any kernel mutation path, delegation and
 //! revocation must leave every space well-formed and every child
-//! mapping backed by its parent's, and page-crossing u32/u64 accessors
-//! must agree with byte-wise composition.
+//! mapping backed by its parent's, page-crossing u32/u64 accessors
+//! must agree with byte-wise composition, and the window sweeps
+//! (`range`, `mem_refresh`, `mem_restore`) must see every hole.
 
 use std::collections::BTreeMap;
 
@@ -70,8 +71,9 @@ fn slot_alias(rng: &mut Rng, page: u64) -> u64 {
 /// Property: after any sequence of maps (delegations install mappings
 /// with masked rights — same entry point) and unmaps (revocations),
 /// `MemSpace` and a `BTreeMap` of the same mappings agree on lookup
-/// (cold and through the translation cache), translate, unmap results,
-/// count, and full ascending iteration. A quarter of the mutations hit
+/// (cold and through the translation cache), translate, `range` over a
+/// run around the probe, unmap results, count, and full ascending
+/// iteration. A quarter of the mutations hit
 /// the page probed last, whose translation is cached, and a quarter of
 /// the probes land in the cache slot the last probe filled, so an
 /// entry that outlives its mapping (generation check) or answers for a
@@ -111,6 +113,14 @@ fn memspace_equals_btreemap_oracle_under_random_sequences() {
             assert_eq!(ms.lookup(probe), want, "cached lookup({probe:#x})");
             let addr = (probe << 12) | rng.below(4096);
             assert_eq!(ms.translate(addr), want.map(|m| m.hpa + (addr & 0xfff)));
+            // A run around the probe: mostly short, one in eight long
+            // enough to cross a leaf or the directory/overflow boundary.
+            let len = match rng.below(8) {
+                0 => rng.below(600),
+                _ => rng.below(8),
+            };
+            let start = probe.saturating_sub(rng.below(len + 1));
+            assert_range(&ms, &oracle, start, len as usize);
             prev = probe;
         }
         assert_eq!(ms.count(), oracle.len());
@@ -118,6 +128,74 @@ fn memspace_equals_btreemap_oracle_under_random_sequences() {
         let b: Vec<(u64, MemMapping)> = oracle.iter().map(|(p, m)| (*p, *m)).collect();
         assert_eq!(a, b, "iteration order and contents");
     }
+}
+
+fn assert_range(ms: &MemSpace, oracle: &BTreeMap<u64, MemMapping>, start: u64, len: usize) {
+    let got: Vec<Option<MemMapping>> = ms.range(start, len).collect();
+    let want: Vec<Option<MemMapping>> = (0..len as u64)
+        .map(|i| start.checked_add(i).and_then(|p| oracle.get(&p).copied()))
+        .collect();
+    assert!(got == want, "range({start:#x}, {len})");
+}
+
+/// `MemSpace::range` on the shapes a window sweep can meet, each named:
+/// holes inside a leaf, a run across a leaf boundary, a leaf `unmap`
+/// gave back, a leaf never allocated beyond the directory's end, the
+/// directory/overflow boundary at page 2^24, the end of the page-number
+/// space, and the empty run.
+#[test]
+fn range_reads_runs_across_leaves_holes_and_overflow() {
+    let mut ms = MemSpace::default();
+    let mut oracle: BTreeMap<u64, MemMapping> = BTreeMap::new();
+    let frame = |page: u64| MemMapping {
+        hpa: page << 12,
+        rights: if page & 1 == 0 {
+            MemRights::RO
+        } else {
+            MemRights::RW
+        },
+    };
+    let over = 1u64 << 24;
+    let runs = [
+        0..4,               // where a run off the end would wrap to
+        500..530,           // crosses the leaf 0 / leaf 1 boundary
+        1024..1536,         // all of leaf 2, freed again below
+        2050..2052,         // leaf 4: leaf 3 stays unallocated
+        over - 4..over + 4, // last leaf of the directory into the overflow map
+        over + 100..over + 103,
+        u64::MAX - 1..u64::MAX,
+    ];
+    for p in runs.iter().cloned().flatten() {
+        if p % 7 != 0 {
+            ms.map(p, frame(p)); // every seventh page is a hole
+            oracle.insert(p, frame(p));
+        }
+    }
+    for p in 1024..1536 {
+        assert_eq!(ms.unmap(p), oracle.remove(&p));
+    }
+    let windows = [
+        (0, 0),
+        (505, 0),
+        (490, 60),
+        (511, 2),
+        (1000, 1100), // leaf 1's tail, freed leaf 2, unallocated leaf 3, into leaf 4
+        (4000, 600),  // past the directory's last allocated leaf
+        (over - 8, 16),
+        (over + 98, 8),
+        (u64::MAX - 3, 8), // runs off the end of the page-number space
+    ];
+    for (start, len) in windows {
+        assert_range(&ms, &oracle, start, len);
+    }
+    assert_eq!(ms.range(u64::MAX - 3, 8).count(), 8, "always `count` items");
+    assert!(ms.range(0, 5000).flatten().count() > 20);
+
+    // A sweep reads the leaves, not the translation cache: it sees an
+    // unmap at once, whatever a lookup cached before it.
+    assert_eq!(ms.lookup(501), Some(frame(501)));
+    assert_eq!(ms.unmap(501), Some(frame(501)));
+    assert_eq!(ms.range(501, 1).next(), Some(None));
 }
 
 fn kernel_with_root() -> (Kernel, nova_core::CompCtx) {
@@ -314,4 +392,95 @@ fn page_crossing_u32_u64_reads() {
     assert_eq!(k.mem_read_u32(child_ctx, (0x100 << 12) + 0xffe), None);
     assert_eq!(k.mem_read_u64(child_ctx, (0x100 << 12) + 0xffa), None);
     assert!(k.mem_read_u32(child_ctx, (0x100 << 12) + 0xffc).is_some());
+}
+
+/// `mem_refresh` and `mem_restore` validate the whole window before
+/// touching anything: a hole in the middle — or, for the restore, a
+/// read-only page — refuses the call with the image, the table and
+/// guest memory exactly as they were, although the pages in front of it
+/// are mapped, writable and stale.
+#[test]
+fn window_sweeps_refuse_holes_and_read_only_pages_untouched() {
+    let (mut k, ctx) = kernel_with_root();
+    k.hypercall(
+        ctx,
+        Hypercall::CreatePd {
+            name: "window".into(),
+            vm: None,
+            dst: 0x30,
+        },
+    )
+    .unwrap();
+    // Eight pages straddling a leaf boundary (0x1fc..0x204).
+    let (first, pages, mid) = (0x1fcu64, 8usize, 0x201u64);
+    let grant = |k: &mut Kernel, base: u64, count: u64, rights: MemRights| {
+        k.hypercall(
+            ctx,
+            Hypercall::DelegateMem {
+                dst_pd: 0x30,
+                base,
+                count,
+                rights,
+                hot: base,
+            },
+        )
+        .unwrap();
+    };
+    let revoke = |k: &mut Kernel, base: u64| {
+        k.hypercall(
+            ctx,
+            Hypercall::RevokeMem {
+                base,
+                count: 1,
+                include_self: false,
+            },
+        )
+        .unwrap();
+    };
+    grant(&mut k, first, pages as u64, MemRights::RW);
+    let child = nova_core::CompCtx {
+        pd: PdId(1),
+        ec: ctx.ec,
+        comp: ctx.comp,
+    };
+    let window = first << 12;
+    let memory = |k: &Kernel| {
+        let mem = &k.machine.mem;
+        let gens: Vec<u64> = (0..pages as u64)
+            .map(|p| mem.frame_gen(window + p * 4096))
+            .collect();
+        (mem.read_bytes(window, pages * 4096), gens)
+    };
+    assert!(k.mem_fill(child, window, pages * 4096, 0x11));
+    let mut image = vec![0u8; pages * 4096];
+    let mut seen = vec![u64::MAX; pages];
+    assert_eq!(
+        k.mem_refresh(child, window, &mut image, &mut seen),
+        Some(pages)
+    );
+
+    // Every page goes stale, then the middle one becomes a hole.
+    assert!(k.mem_fill(child, window, pages * 4096, 0x22));
+    revoke(&mut k, mid);
+    let before = (image.clone(), seen.clone(), memory(&k));
+    assert_eq!(k.mem_refresh(child, window, &mut image, &mut seen), None);
+    assert_eq!(k.mem_restore(child, window, &image, &mut seen), None);
+    assert!((image.clone(), seen.clone(), memory(&k)) == before);
+
+    // Read-only in the middle: a capture reads it, a restore refuses.
+    grant(&mut k, mid, 1, MemRights::RO);
+    assert_eq!(k.mem_restore(child, window, &image, &mut seen), None);
+    assert!((image.clone(), seen.clone(), memory(&k)) == before);
+    assert_eq!(
+        k.mem_refresh(child, window, &mut image, &mut seen),
+        Some(pages)
+    );
+    assert!(image.iter().all(|&b| b == 0x22));
+
+    // Writable again: the restore goes through, and only now.
+    revoke(&mut k, mid);
+    grant(&mut k, mid, 1, MemRights::RW);
+    assert!(k.mem_fill(child, window, pages * 4096, 0x33));
+    assert_eq!(k.mem_restore(child, window, &image, &mut seen), Some(pages));
+    assert!(memory(&k).0 == image);
 }
