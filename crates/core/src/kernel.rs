@@ -27,8 +27,8 @@ use crate::hostpt::{FrameAllocator, NestedTable};
 use crate::hypercall::{HcErr, HcReply, Hypercall};
 use crate::mdb::MapDb;
 use crate::obj::{
-    Ec, EcId, EcKind, MemMapping, MemRights, MemSpace, ObjRef, Objects, Pd, PdId, Portal, PtId, Sc,
-    ScId, Semaphore, SmId, VmPaging,
+    Activation, Ec, EcId, EcKind, MemMapping, MemRights, MemSpace, ObjRef, Objects, Pd, PdId,
+    Portal, PtId, Sc, ScId, Semaphore, SmId, VmPaging,
 };
 use crate::sched::Scheduler;
 use crate::utcb::{Utcb, VmExitMsg, XferItem};
@@ -130,10 +130,6 @@ pub enum RunOutcome {
     Budget,
 }
 
-enum Activation {
-    Signal(SmId),
-}
-
 /// First capability selector of the VM-exit portal tables in a VM
 /// domain's capability space. Every virtual CPU has its own set of
 /// VM-exit portals (Section 5.2):
@@ -177,13 +173,11 @@ pub struct Kernel {
     io_db: MapDb<u16>,
     cap_db: MapDb<CapSel>,
     components: Vec<Option<Box<dyn Component>>>,
-    ec_component: HashMap<EcId, CompId>,
     nested: HashMap<PdId, NestedTable>,
     shadows: HashMap<EcId, ShadowCache>,
     large_chunks: HashMap<PdId, HashSet<u64>>,
     gsi_owner: HashMap<u8, PdId>,
     gsi_sm: HashMap<u8, SmId>,
-    activations: HashMap<EcId, VecDeque<Activation>>,
     timers: Vec<KernelTimer>,
     watchdogs: Vec<Watchdog>,
     next_vpid: u16,
@@ -465,13 +459,11 @@ impl Kernel {
             io_db,
             cap_db: MapDb::new(),
             components: Vec::new(),
-            ec_component: HashMap::new(),
             nested: HashMap::new(),
             shadows: HashMap::new(),
             large_chunks: HashMap::new(),
             gsi_owner,
             gsi_sm: HashMap::new(),
-            activations: HashMap::new(),
             timers: Vec::new(),
             watchdogs: Vec::new(),
             next_vpid: 1,
@@ -501,8 +493,10 @@ impl Kernel {
             sc: None,
             blocked: false,
             busy: false,
+            comp: Some(comp_id),
+            vcpu_index: None,
+            activations: VecDeque::new(),
         });
-        self.ec_component.insert(ec, comp_id);
         self.install_cap(
             pd,
             SEL_SELF_EC,
@@ -783,7 +777,6 @@ impl Kernel {
                 } else {
                     EcKind::Thread
                 };
-                let is_vcpu = vcpu;
                 let id = self.obj.add_ec(Ec {
                     pd: target,
                     kind,
@@ -792,12 +785,13 @@ impl Kernel {
                     sc: None,
                     blocked: false,
                     busy: false,
-                });
-                if is_vcpu {
-                    self.obj.pd_mut(target).vcpus.push(id);
-                } else {
                     // Thread ECs created by a component belong to it.
-                    self.ec_component.insert(id, ctx.comp);
+                    comp: (!vcpu).then_some(ctx.comp),
+                    vcpu_index: vcpu.then(|| self.obj.pd(target).vcpus.len()),
+                    activations: VecDeque::new(),
+                });
+                if vcpu {
+                    self.obj.pd_mut(target).vcpus.push(id);
                 }
                 self.install_cap(
                     caller,
@@ -1428,8 +1422,9 @@ impl Kernel {
                 let cpu = self.obj.ec(*ec).cpu;
                 self.sched.cpu(cpu).remove(sc);
             }
-            self.activations.remove(ec);
-            self.ec_component.remove(ec);
+            let dead = self.obj.ec_mut(*ec);
+            dead.activations = VecDeque::new();
+            dead.comp = None;
         }
         // Unbind semaphores pointed at dead ECs, and cancel kernel
         // timers feeding them: a destroyed VMM's periodic timers must
@@ -1500,7 +1495,7 @@ impl Kernel {
         if handler.busy || self.obj.pd(handler_pd).dying {
             return Err(HcErr::Busy);
         }
-        let comp = *self.ec_component.get(&handler_ec).ok_or(HcErr::BadParam)?;
+        let comp = handler.comp.ok_or(HcErr::BadParam)?;
         self.trace_emit_span(caller_pd.0 as u16, TraceKind::IpcCall, portal_id, true);
 
         // Call-direction accounting: entry/exit, IPC path, TLB effects
@@ -1515,17 +1510,12 @@ impl Kernel {
         self.charge_ipc(one_way);
         self.counters.ipc_calls += 1;
 
-        // Typed items: delegation from caller to handler. Taking the
-        // buffer (rather than draining into a fresh Vec) keeps the
-        // common zero-item call allocation-free; the emptied buffer is
-        // handed back before dispatch so the handler's reply items
-        // reuse its capacity.
-        let mut items: Vec<XferItem> = std::mem::take(&mut utcb.xfer);
-        if !items.is_empty() {
-            self.apply_xfer(caller_pd, handler_pd, &items)?;
-            items.clear();
+        // Typed items: delegation from caller to handler. A refused
+        // item fails the call before the handler runs.
+        if let Err(e) = self.move_xfer(caller_pd, handler_pd, utcb) {
+            self.trace_emit_span(caller_pd.0 as u16, TraceKind::IpcCall, portal_id, false);
+            return Err(e);
         }
-        utcb.xfer = items;
 
         // Dispatch with the SC donated: the handler runs to completion
         // on the caller's time (charged to the shared clock).
@@ -1545,14 +1535,26 @@ impl Kernel {
             + if cross { cost.ipc_tlb_effects } else { 0 }
             + words * cost.ipc_per_word;
         self.charge_ipc(reply_cost);
-        let mut items: Vec<XferItem> = std::mem::take(&mut utcb.xfer);
-        if !items.is_empty() {
-            self.apply_xfer(handler_pd, caller_pd, &items)?;
-            items.clear();
-        }
-        utcb.xfer = items;
+        let replied = self.move_xfer(handler_pd, caller_pd, utcb);
         self.trace_emit_span(caller_pd.0 as u16, TraceKind::IpcCall, portal_id, false);
-        Ok(())
+        replied
+    }
+
+    /// Applies and consumes the UTCB's typed items. Taking the buffer
+    /// (rather than draining into a fresh Vec) keeps the common
+    /// zero-item call allocation-free; it is handed back emptied on
+    /// success and on refusal alike, so the next message — the
+    /// handler's reply, the caller's retry — reuses its capacity.
+    fn move_xfer(&mut self, from: PdId, to: PdId, utcb: &mut Utcb) -> Result<(), HcErr> {
+        let mut items: Vec<XferItem> = std::mem::take(&mut utcb.xfer);
+        let moved = if items.is_empty() {
+            Ok(())
+        } else {
+            self.apply_xfer(from, to, &items)
+        };
+        items.clear();
+        utcb.xfer = items;
+        moved
     }
 
     fn apply_xfer(&mut self, from: PdId, to: PdId, items: &[XferItem]) -> Result<(), HcErr> {
@@ -1581,9 +1583,9 @@ impl Kernel {
         let bound = self.obj.sm(sm).bound;
         match bound {
             Some(ec) => {
-                self.activations
-                    .entry(ec)
-                    .or_default()
+                self.obj
+                    .ec_mut(ec)
+                    .activations
                     .push_back(Activation::Signal(sm));
                 self.make_thread_runnable(ec);
             }
@@ -1709,7 +1711,7 @@ impl Kernel {
                 let cpu = self.obj.ec(*ec).cpu;
                 self.sched.cpu(cpu).remove(sc);
             }
-            self.activations.remove(ec);
+            self.obj.ec_mut(*ec).activations = VecDeque::new();
         }
         // Semaphores bound into the dead domain stop delivering — a
         // crashed driver must not keep handling its interrupts — and
@@ -2345,16 +2347,14 @@ impl Kernel {
     /// (Section 5.2, Figure 3).
     fn deliver_exit(&mut self, ec_id: EcId, reason: ExitReason) {
         let pd = self.obj.ec(ec_id).pd;
-        let vcpu_index = self
-            .obj
-            .pd(pd)
-            .vcpus
-            .iter()
-            .position(|e| *e == ec_id)
-            .unwrap_or(0);
-        let sel = EXIT_PORTAL_BASE + vcpu_index * EXIT_PORTAL_STRIDE + reason.index();
-        let Some(cap) = self.obj.pd(pd).caps.get(sel) else {
-            // No handler installed: the VM cannot make progress.
+        // An EC that is no vCPU of its domain has no portal table, and
+        // a vCPU may have no handler installed: either way the VM
+        // cannot make progress.
+        let cap = self.obj.ec(ec_id).vcpu_index.and_then(|i| {
+            let sel = EXIT_PORTAL_BASE + i * EXIT_PORTAL_STRIDE + reason.index();
+            self.obj.pd(pd).caps.get(sel)
+        });
+        let Some(cap) = cap else {
             self.obj.ec_mut(ec_id).blocked = true;
             return;
         };
@@ -2445,15 +2445,15 @@ impl Kernel {
         if self.obj.ec(ec_id).blocked {
             // A faulted (or dying) domain's thread never runs again;
             // whatever activations raced in with its death are dropped.
-            self.activations.remove(&ec_id);
+            self.obj.ec_mut(ec_id).activations = VecDeque::new();
             return;
         }
-        let Some(act) = self.activations.get_mut(&ec_id).and_then(|q| q.pop_front()) else {
+        let ec = self.obj.ec_mut(ec_id);
+        let Some(act) = ec.activations.pop_front() else {
             return;
         };
-        let comp = match self.ec_component.get(&ec_id) {
-            Some(c) => *c,
-            None => return,
+        let Some(comp) = ec.comp else {
+            return;
         };
         let ctx = CompCtx {
             pd: self.obj.ec(ec_id).pd,
@@ -2477,7 +2477,7 @@ impl Kernel {
         }
         self.machine.bus.trace.set_ctx(nova_trace::CTX_NONE);
         // More pending activations keep the SC runnable.
-        if self.activations.get(&ec_id).is_some_and(|q| !q.is_empty()) {
+        if !self.obj.ec(ec_id).activations.is_empty() {
             let prio = self.obj.sc(sc_id).prio;
             let cpu = self.obj.ec(ec_id).cpu;
             self.sched.cpu(cpu).enqueue(sc_id, prio);
@@ -2616,6 +2616,7 @@ mod tests {
     #[derive(Default)]
     struct Doubler {
         calls: u64,
+        portals: Vec<u64>,
         signals: Vec<SmId>,
     }
 
@@ -2625,6 +2626,7 @@ mod tests {
         }
         fn on_call(&mut self, k: &mut Kernel, _ctx: CompCtx, portal_id: u64, utcb: &mut Utcb) {
             self.calls += 1;
+            self.portals.push(portal_id);
             let v = utcb.word(0);
             utcb.set_msg(&[v * 2, portal_id]);
             k.charge(100);
@@ -2806,6 +2808,207 @@ mod tests {
         assert!(k.now() > before, "IPC charged cycles");
         assert_eq!(k.counters.ipc_calls, 1);
         assert_eq!(k.component_mut::<Doubler>(comp).unwrap().calls, 1);
+    }
+
+    /// Root with a [`Doubler`] behind portal selector 101 (id 7).
+    fn root_with_portal() -> (Kernel, CompCtx) {
+        let mut k = kernel();
+        let (comp, ec) = k.load_component(k.root_pd, 0, Box::<Doubler>::default());
+        let ctx = root_ctx(&k, ec, comp);
+        k.install_cap(
+            k.root_pd,
+            100,
+            Capability {
+                obj: ObjRef::Ec(ec),
+                perms: Perms::ALL,
+            },
+        );
+        k.hypercall(
+            ctx,
+            Hypercall::CreatePt {
+                ec: 100,
+                mtd: 0,
+                id: 7,
+                dst: 101,
+            },
+        )
+        .unwrap();
+        (k, ctx)
+    }
+
+    #[test]
+    fn refused_typed_item_closes_the_ipc_span_and_hands_the_buffer_back() {
+        use nova_trace::{cat, causal, Phase, Tracer};
+        let (mut k, ctx) = root_with_portal();
+        k.machine.bus.trace = Tracer::new(1, 1024, cat::ALL);
+        let request = k.machine.bus.trace.alloc_ctx();
+
+        // The last page of RAM is hypervisor memory: root holds no
+        // mapping of it to delegate.
+        let foreign = (32 << 20) / PAGE_SIZE as u64 - 1;
+        let mut utcb = Utcb::new();
+        utcb.set_msg(&[21]);
+        utcb.xfer.reserve(8);
+        let capacity = utcb.xfer.capacity();
+        utcb.xfer.push(XferItem::Mem {
+            base: foreign,
+            count: 1,
+            rights: MemRights::RW,
+            hot: 0x9_0000,
+        });
+        assert_eq!(k.ipc_call(ctx, 101, &mut utcb), Err(HcErr::NotOwner));
+        assert!(utcb.xfer.is_empty(), "the refused items are consumed");
+        assert_eq!(utcb.xfer.capacity(), capacity, "the buffer comes back");
+        assert_eq!(k.component_mut::<Doubler>(ctx.comp).unwrap().calls, 0);
+        k.ipc_call(ctx, 101, &mut utcb).unwrap();
+        assert_eq!(utcb.word(0), 42);
+
+        let events = k.machine.tracer().events();
+        let ipc = |phase: Phase| {
+            let of = |e: &&nova_trace::TraceEvent| e.kind == TraceKind::IpcCall && e.phase == phase;
+            events.iter().filter(of).count()
+        };
+        assert_eq!((ipc(Phase::Begin), ipc(Phase::End)), (2, 2));
+        // The successful call is a sibling of the refused one, and the
+        // handler's work hangs under it alone.
+        let tree = causal::request_tree(request, &causal::by_context(&events)[&request]).unwrap();
+        let calls: Vec<_> = tree
+            .roots
+            .iter()
+            .filter(|n| n.kind == TraceKind::IpcCall)
+            .collect();
+        let handled = |n: &causal::SpanNode| {
+            n.children
+                .iter()
+                .any(|c| c.kind == TraceKind::CostEmulation)
+        };
+        assert_eq!(calls.len(), 2);
+        assert!(!handled(calls[0]) && handled(calls[1]));
+    }
+
+    #[test]
+    fn exits_route_by_the_vcpu_index_stored_at_create_ec() {
+        use nova_x86::paging::NestedFormat;
+        let (mut k, ctx) = root_with_portal();
+        k.hypercall(
+            ctx,
+            Hypercall::CreatePd {
+                name: "vm".into(),
+                vm: Some(VmPaging::Nested(NestedFormat::Ept4Level)),
+                dst: 0x40,
+            },
+        )
+        .unwrap();
+        let vm = PdId(k.obj.pds.len() - 1);
+        let reason = ExitReason::Cpuid { len: 2 };
+        for i in 0..2 {
+            let id = (i as u64) << 8 | reason.index() as u64;
+            for hc in [
+                Hypercall::CreateEc {
+                    pd: 0x40,
+                    vcpu: true,
+                    cpu: 0,
+                    dst: 0x41 + i,
+                },
+                Hypercall::CreatePt {
+                    ec: 100,
+                    mtd: 0,
+                    id,
+                    dst: 0x60 + i,
+                },
+                Hypercall::DelegateCap {
+                    dst_pd: 0x40,
+                    sel: 0x60 + i,
+                    perms: Perms::CALL,
+                    hot: EXIT_PORTAL_BASE + i * EXIT_PORTAL_STRIDE + reason.index(),
+                },
+            ] {
+                k.hypercall(ctx, hc).unwrap();
+            }
+        }
+        let (v0, v1) = (k.obj.pd(vm).vcpus[0], k.obj.pd(vm).vcpus[1]);
+        assert_eq!(k.obj.ec(v0).vcpu_index, Some(0));
+        assert_eq!(k.obj.ec(v1).vcpu_index, Some(1));
+        assert_eq!(k.obj.ec(ctx.ec).vcpu_index, None, "threads have none");
+
+        k.deliver_exit(v1, reason);
+        k.deliver_exit(v0, reason);
+        let served = |k: &mut Kernel| {
+            k.component_mut::<Doubler>(ctx.comp)
+                .unwrap()
+                .portals
+                .clone()
+        };
+        assert_eq!(served(&mut k), [0x102, 0x002], "each vCPU, its own stride");
+        assert!(!k.obj.ec(v0).blocked && !k.obj.ec(v1).blocked);
+
+        // An EC that is not a vCPU of its domain is parked like one
+        // without a portal, not served through vCPU 0's.
+        k.obj.ec_mut(v1).vcpu_index = None;
+        k.deliver_exit(v1, reason);
+        assert!(k.obj.ec(v1).blocked);
+        assert_eq!(served(&mut k).len(), 2);
+    }
+
+    #[test]
+    fn dead_domains_ecs_lose_their_activations_and_component() {
+        let (mut k, ctx) = root_with_portal();
+        k.hypercall(
+            ctx,
+            Hypercall::CreatePd {
+                name: "srv".into(),
+                vm: None,
+                dst: 0x30,
+            },
+        )
+        .unwrap();
+        let srv = PdId(k.obj.pds.len() - 1);
+        let (comp, ec) = k.load_component(srv, 0, Box::<Doubler>::default());
+        let srv_ctx = CompCtx { pd: srv, ec, comp };
+        k.install_cap(
+            k.root_pd,
+            110,
+            Capability {
+                obj: ObjRef::Ec(ec),
+                perms: Perms::ALL,
+            },
+        );
+        k.hypercall(
+            ctx,
+            Hypercall::CreatePt {
+                ec: 110,
+                mtd: 0,
+                id: 9,
+                dst: 111,
+            },
+        )
+        .unwrap();
+        let mut utcb = Utcb::new();
+        k.ipc_call(ctx, 111, &mut utcb).unwrap();
+
+        // A signal queued for the server and never dispatched.
+        k.hypercall(srv_ctx, Hypercall::CreateSm { count: 0, dst: 20 })
+            .unwrap();
+        k.hypercall(srv_ctx, Hypercall::SmBind { sm: 20 }).unwrap();
+        k.hypercall(srv_ctx, Hypercall::SmUp { sm: 20 }).unwrap();
+        assert_eq!(k.obj.ec(ec).activations.len(), 1);
+
+        k.pd_fault(srv, 1);
+        assert!(k.obj.ec(ec).activations.is_empty(), "a fault drops them");
+        assert_eq!(k.obj.ec(ec).comp, Some(comp), "the binding outlives it");
+        k.obj
+            .ec_mut(ec)
+            .activations
+            .push_back(Activation::Signal(SmId(0)));
+        k.hypercall(ctx, Hypercall::DestroyPd { pd: 0x30 }).unwrap();
+        assert!(k.obj.ec(ec).activations.is_empty());
+        assert_eq!(k.obj.ec(ec).comp, None);
+        assert_eq!(k.ipc_call(ctx, 111, &mut utcb), Err(HcErr::Busy));
+        // Even with the slot's flags cleared, a portal still pointing
+        // at the dead EC finds no component behind it.
+        k.obj.ec_mut(ec).busy = false;
+        k.obj.pd_mut(srv).dying = false;
+        assert_eq!(k.ipc_call(ctx, 111, &mut utcb), Err(HcErr::BadParam));
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //! plus the typed object tables holding them.
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use nova_hw::vmx::Vmcs;
 use nova_hw::{Cycles, PAddr};
 
 use crate::cap::CapSpace;
+use crate::kernel::CompId;
 use crate::utcb::Utcb;
 
 macro_rules! id_type {
@@ -431,6 +432,21 @@ pub struct Ec {
     pub blocked: bool,
     /// Currently servicing a call (prevents re-entrant portal calls).
     pub busy: bool,
+    /// The component a thread EC's portal calls and activations
+    /// dispatch into; `None` for a virtual CPU and for every EC of a
+    /// destroyed domain.
+    pub comp: Option<CompId>,
+    /// Position of a virtual CPU among its domain's vCPUs, fixed at
+    /// `CreateEc`: selects its stride of the VM-exit portal table.
+    pub vcpu_index: Option<usize>,
+    /// Signals delivered to this thread EC and not yet dispatched.
+    pub(crate) activations: VecDeque<Activation>,
+}
+
+/// A pending callback into a thread EC's component.
+pub(crate) enum Activation {
+    /// A semaphore bound to the EC was upped.
+    Signal(SmId),
 }
 
 impl Ec {

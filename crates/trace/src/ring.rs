@@ -171,7 +171,23 @@ impl Tracer {
         self.mask
     }
 
+    /// The tracing-off test, inlined into every tracepoint: with the
+    /// mask zero a caller pays this load and branch and marshals no
+    /// arguments; everything else lives in [`Tracer::record`].
+    #[inline(always)]
     fn push(&mut self, cpu: u16, pd: u16, kind: Kind, phase: Phase, detail: u64, cycle: u64) {
+        if self.mask == 0 {
+            return;
+        }
+        self.record(cpu, pd, kind, phase, detail, cycle);
+    }
+
+    /// Category filter, ring write and flight mirror. Out of line and
+    /// cold so the code of a traced run stays out of the callers'
+    /// untraced path.
+    #[cold]
+    #[inline(never)]
+    fn record(&mut self, cpu: u16, pd: u16, kind: Kind, phase: Phase, detail: u64, cycle: u64) {
         if self.mask & kind.category() == 0 || self.rings.is_empty() {
             return;
         }
@@ -252,6 +268,41 @@ mod tests {
         let evs = t.events();
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].kind, Kind::VmExit);
+    }
+
+    #[test]
+    fn filtered_category_touches_neither_ring_nor_flight_recorder() {
+        let mut t = Tracer::new(1, 16, cat::EXIT);
+        t.enable_flight(3, 4);
+        t.emit(0, 3, Kind::IrqDeliver, 1, 10);
+        t.begin(0, 3, Kind::IpcCall, 2, 11);
+        t.end(0, 3, Kind::IpcCall, 2, 12);
+        assert!(t.events().is_empty());
+        assert!(
+            t.flight_tail(3).is_empty(),
+            "the black box mirrors records only"
+        );
+        t.emit(0, 3, Kind::VmExit, 3, 13);
+        assert_eq!(t.events().len(), 1);
+        assert_eq!(t.flight_tail(3).len(), 1);
+    }
+
+    #[test]
+    fn off_has_no_rings_and_never_indexes_them() {
+        let mut t = Tracer::off();
+        t.enable_flight(0, 4);
+        for kind in [Kind::VmExit, Kind::IpcCall, Kind::DiskIssue, Kind::HwIo] {
+            t.emit(9, 0, kind, 0, 1);
+            t.begin(9, 0, kind, 0, 2);
+            t.end(9, 0, kind, 0, 3);
+        }
+        assert!(t.rings.is_empty() && t.events().is_empty() && t.dropped() == 0);
+        assert!(t.flight_tail(0).is_empty());
+        // The record path keeps its own guard: even with a category
+        // forced on, a tracer without rings records nothing.
+        t.mask = cat::ALL;
+        t.emit(9, 0, Kind::VmExit, 0, 4);
+        assert!(t.events().is_empty() && t.flight_tail(0).is_empty());
     }
 
     #[test]

@@ -217,50 +217,41 @@ pub fn fetch_insn(env: &mut EmuEnv, regs: &Regs) -> Result<Insn, EmuErr> {
     // fetch path is translated once and its bytes borrowed in place.
     let mut buf = [0u8; MAX_INSN_LEN];
     let mut len = 0usize;
-    'fetch: while len < MAX_INSN_LEN {
+    while len < MAX_INSN_LEN {
         let gva = regs.eip.wrapping_add(len as u32);
         let gpa = match env.gva_to_gpa(gva, false, true) {
             Ok(g) => g,
-            Err(f) => {
-                if len == 0 {
-                    return Err(EmuErr::Fault(f));
-                }
-                break 'fetch;
-            }
+            Err(f) if len == 0 => return Err(EmuErr::Fault(f)),
+            Err(_) => break,
         };
         if !env.in_ram(gpa) {
-            break 'fetch;
+            break;
         }
         let page_left = 4096 - (gpa & 0xfff) as usize;
         let want = (MAX_INSN_LEN - len).min(page_left);
         let addr = env.view.base_page * 4096 + gpa;
-        let got = match env.k.mem_slice(env.ctx, addr, want) {
-            Some(src) => match buf.get_mut(len..len + src.len()) {
-                Some(dst) => {
-                    dst.copy_from_slice(src);
-                    src.len()
-                }
-                None => break 'fetch,
-            },
-            None => break 'fetch,
+        let Some(src) = env.k.mem_slice(env.ctx, addr, want) else {
+            break;
         };
-        // Try decoding as soon as plausible to avoid acting on bytes
-        // past the instruction (cheap for short encodings).
-        for _ in 0..got {
-            len += 1;
-            if len >= 2 {
-                match decode(buf.get(..len).unwrap_or(&buf)) {
-                    Ok(insn) => return Ok(insn),
-                    Err(DecodeError::Truncated) => continue,
-                    Err(DecodeError::InvalidOpcode) => return Err(EmuErr::Unsupported),
-                }
-            }
+        let Some(dst) = buf.get_mut(len..len + src.len()) else {
+            break;
+        };
+        dst.copy_from_slice(src);
+        len += src.len();
+        // One decode per fetched chunk. The decoder is prefix-stable
+        // (`decode_is_prefix_stable` in nova-x86): what it says of these
+        // bytes is what it would have said of the shortest prefix that
+        // holds the instruction, so bytes past the instruction are
+        // never acted on. Only a truncated encoding reaches for the
+        // next page.
+        match decode(buf.get(..len).unwrap_or(&buf)) {
+            Ok(insn) => return Ok(insn),
+            Err(DecodeError::InvalidOpcode) => return Err(EmuErr::Unsupported),
+            Err(DecodeError::Truncated) => {}
         }
     }
-    match decode(buf.get(..len).unwrap_or(&buf)) {
-        Ok(insn) => Ok(insn),
-        Err(_) => Err(EmuErr::Unsupported),
-    }
+    // Still truncated with nothing more to fetch.
+    Err(EmuErr::Unsupported)
 }
 
 /// Emulates exactly one instruction at the guest's instruction
@@ -277,7 +268,7 @@ pub fn emulate_one(env: &mut EmuEnv, regs: &mut Regs) -> Result<(Insn, Exec), Em
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::panic)]
+#[allow(clippy::unwrap_used, clippy::panic, clippy::indexing_slicing)]
 mod tests {
     use super::*;
     use nova_core::{Kernel, KernelConfig};
@@ -425,6 +416,151 @@ mod tests {
         emulate_one(&mut env, &mut regs).unwrap();
         assert_eq!(regs.get(nova_x86::Reg::Eax), 0x4000_0000, "vAHCI CAP");
         assert_eq!(env.device_ops, 1);
+    }
+
+    /// The fetch loop `fetch_insn` replaced — a decode at every
+    /// accumulated length — kept as the reference.
+    fn fetch_insn_ref(env: &mut EmuEnv, regs: &Regs) -> Result<Insn, EmuErr> {
+        let mut buf = [0u8; MAX_INSN_LEN];
+        let mut len = 0usize;
+        'fetch: while len < MAX_INSN_LEN {
+            let gva = regs.eip.wrapping_add(len as u32);
+            let gpa = match env.gva_to_gpa(gva, false, true) {
+                Ok(g) => g,
+                Err(f) if len == 0 => return Err(EmuErr::Fault(f)),
+                Err(_) => break 'fetch,
+            };
+            if !env.in_ram(gpa) {
+                break 'fetch;
+            }
+            let page_left = 4096 - (gpa & 0xfff) as usize;
+            let want = (MAX_INSN_LEN - len).min(page_left);
+            let addr = env.view.base_page * 4096 + gpa;
+            let Some(src) = env.k.mem_slice(env.ctx, addr, want) else {
+                break 'fetch;
+            };
+            let got = src.len();
+            buf[len..len + got].copy_from_slice(src);
+            for _ in 0..got {
+                len += 1;
+                if len >= 2 {
+                    match decode(&buf[..len]) {
+                        Ok(insn) => return Ok(insn),
+                        Err(DecodeError::Truncated) => continue,
+                        Err(DecodeError::InvalidOpcode) => return Err(EmuErr::Unsupported),
+                    }
+                }
+            }
+        }
+        decode(&buf[..len]).map_err(|_| EmuErr::Unsupported)
+    }
+
+    /// Fetches at `eip` both ways and returns the common answer.
+    fn fetch_both(env: &mut EmuEnv, eip: u32) -> Result<Insn, EmuErr> {
+        let regs = Regs::at(eip);
+        let got = fetch_insn(env, &regs);
+        assert_eq!(got, fetch_insn_ref(env, &regs), "eip {eip:#x}");
+        got
+    }
+
+    const MOV_EAX_IMM: [u8; 5] = [0xb8, 0x78, 0x56, 0x34, 0x12];
+
+    #[test]
+    fn fetch_decodes_each_chunk_once_and_agrees_with_the_per_length_loop() {
+        let (mut k, ctx, view, mut dev) = setup();
+        let base = view.base_page * 4096;
+        let ram_end = view.pages * 4096;
+        // Instructions ending on the last byte of guest RAM, a lone
+        // invalid byte there, one cut off by the end of RAM, one
+        // straddling two pages, and fifteen bytes of prefixes.
+        k.mem_write(ctx, base + ram_end - 5, &MOV_EAX_IMM);
+        k.mem_write(ctx, base + 0x5000 - 2, &MOV_EAX_IMM);
+        k.mem_write(ctx, base + 0x7000 - 4, &[0xf3; 19]);
+        k.mem_write(ctx, base + 0x8000, &[0x90, 0x0f, 0xff, 0x8d, 0xc0]);
+        let mut env = EmuEnv {
+            k: &mut k,
+            ctx,
+            view,
+            dev: &mut dev,
+            mmu: MmuRegs::default(),
+            device_ops: 0,
+        };
+        let last = ram_end as u32 - 1;
+        assert_eq!(fetch_both(&mut env, last - 4).map(|i| i.len), Ok(5));
+        env.k.mem_write(ctx, base + ram_end - 3, &MOV_EAX_IMM[..3]);
+        assert_eq!(fetch_both(&mut env, last - 2), Err(EmuErr::Unsupported));
+        env.k.mem_write(ctx, base + ram_end - 1, &[0x90]);
+        assert_eq!(fetch_both(&mut env, last).map(|i| i.len), Ok(1));
+        env.k.mem_write(ctx, base + ram_end - 1, &[0x06]);
+        assert_eq!(fetch_both(&mut env, last), Err(EmuErr::Unsupported));
+        assert_eq!(
+            fetch_both(&mut env, ram_end as u32),
+            Err(EmuErr::Unsupported)
+        );
+
+        let insn = fetch_both(&mut env, 0x5000 - 2).unwrap();
+        assert_eq!(
+            (insn.len, insn.src),
+            (5, nova_x86::insn::Operand::Imm(0x1234_5678))
+        );
+        assert_eq!(fetch_both(&mut env, 0x7000 - 4), Err(EmuErr::Unsupported));
+        assert_eq!(fetch_both(&mut env, 0x8000).map(|i| i.len), Ok(1));
+        assert_eq!(fetch_both(&mut env, 0x8001), Err(EmuErr::Unsupported));
+        assert_eq!(fetch_both(&mut env, 0x8003), Err(EmuErr::Unsupported));
+
+        // Every offset of a page of seeded bytes, across its boundary.
+        let mut x = 0x1234_5678_9abc_def1u64;
+        let noise: Vec<u8> = (0..4096 + MAX_INSN_LEN)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        env.k.mem_write(ctx, base + 0x2_0000, &noise);
+        for eip in 0x2_0000..0x2_1000 {
+            let _ = fetch_both(&mut env, eip);
+        }
+    }
+
+    #[test]
+    fn fetch_into_an_unmapped_page_faults_only_when_the_first_page_cannot_supply() {
+        let (mut k, ctx, view, mut dev) = setup();
+        let base = view.base_page * 4096;
+        // GVA page 1 -> GPA 0x3000; GVA page 2 is not present.
+        let (groot, gpt) = (0x10000u64, 0x11000u64);
+        k.mem_write_u32(ctx, base + groot, gpt as u32 | 3);
+        k.mem_write_u32(ctx, base + gpt + 4, 0x3000 | 3);
+        k.mem_write(ctx, base + 0x3000 + 0xffb, &MOV_EAX_IMM);
+        let mut env = EmuEnv {
+            k: &mut k,
+            ctx,
+            view,
+            dev: &mut dev,
+            mmu: MmuRegs {
+                cr0: nova_x86::reg::cr0::PE | nova_x86::reg::cr0::PG,
+                cr3: groot as u32,
+                cr4: 0,
+            },
+            device_ops: 0,
+        };
+        // Ends on the mapped page's last byte: the next page is never
+        // asked for.
+        assert_eq!(fetch_both(&mut env, 0x1ffb).map(|i| i.len), Ok(5));
+        // Cut off by the unmapped page: outside the subset, no fault.
+        env.k
+            .mem_write(ctx, base + 0x3000 + 0xffd, &MOV_EAX_IMM[..3]);
+        assert_eq!(fetch_both(&mut env, 0x1ffd), Err(EmuErr::Unsupported));
+        // Starts on it: the fetch itself faults.
+        assert!(matches!(
+            fetch_both(&mut env, 0x2000),
+            Err(EmuErr::Fault(Fault::Page {
+                addr: 0x2000,
+                fetch: true,
+                ..
+            }))
+        ));
     }
 
     #[test]

@@ -603,19 +603,17 @@ impl Vmm {
                 }
                 self.stats.mmio_exits += 1;
                 k.charge(cost.emul_decode);
-                let mut dev = self.dev.take().expect("devices");
                 let mut regs = msg.regs.clone();
                 let mut env = EmuEnv {
                     k,
                     ctx,
                     view: self.view(),
-                    dev: &mut dev,
+                    dev: self.dev.as_mut().expect("devices"),
                     mmu: MmuRegs::from_regs(&regs),
                     device_ops: 0,
                 };
                 let res = emulate_one(&mut env, &mut regs);
                 let device_ops = env.device_ops;
-                self.dev = Some(dev);
                 k.charge(device_ops as Cycles * cost.emul_device);
                 match res {
                     Ok(_) => {
@@ -722,7 +720,6 @@ impl Vmm {
     /// restarted server starts its producer counter at zero, so a
     /// stale counter from the previous incarnation must not survive.
     fn register_disk_channel(
-        &self,
         k: &mut Kernel,
         ctx: CompCtx,
         reg: CapSel,
@@ -772,16 +769,16 @@ impl Vmm {
         let Some((reg, req)) = self.cfg.disk_portals else {
             return;
         };
-        let mut dev = self.dev.take().expect("devices");
+        let cfg = &self.cfg;
+        let dev = self.dev.as_mut().expect("devices");
         let kick = dev.reconnect_disks(k, ctx, |k, pv| {
             let (portal, ring_page) = if pv {
-                (self.cfg.disk_batch_portal?, self.cfg.pv_ring_page)
+                (cfg.disk_batch_portal?, cfg.pv_ring_page)
             } else {
-                (req, self.cfg.ring_page)
+                (req, cfg.ring_page)
             };
-            self.register_disk_channel(k, ctx, reg, portal, ring_page, true)
+            Self::register_disk_channel(k, ctx, reg, portal, ring_page, true)
         });
-        self.dev = Some(dev);
         if kick {
             self.kick_vcpu(k, ctx, 0);
         }
@@ -936,16 +933,13 @@ impl Vmm {
         let Some(has_dev) = d.flag() else {
             return false;
         };
-        let Some(mut dev) = self.dev.take() else {
+        let Some(dev) = self.dev.as_mut() else {
             return false;
         };
         if !has_dev {
-            self.dev = Some(dev);
             return d.done();
         }
-        let ok = dev.import_state(k, ctx, &mut d).is_some() && d.done();
-        if !ok {
-            self.dev = Some(dev);
+        if dev.import_state(k, ctx, &mut d).is_none() || !d.done() {
             return false;
         }
 
@@ -963,7 +957,6 @@ impl Vmm {
         // The same resubmit protocol used after a disk-server restart,
         // uncharged.
         let kick = dev.replay_disks(k, ctx);
-        self.dev = Some(dev);
         self.update_maint_timer(k, ctx);
         if kick || self.has_pending(0) {
             self.kick_vcpu(k, ctx, 0);
@@ -1064,8 +1057,7 @@ impl Component for Vmm {
                 self.maint_sm = Some(nova_core::SmId(k.obj.sms.len() - 1));
             }
 
-            let ch = self
-                .register_disk_channel(k, ctx, reg, req, self.cfg.ring_page, false)
+            let ch = Self::register_disk_channel(k, ctx, reg, req, self.cfg.ring_page, false)
                 .expect("disk register");
             vahci.attach(ch);
 
@@ -1074,9 +1066,9 @@ impl Component for Vmm {
             // semaphore (one signal drains both rings).
             if self.cfg.pv_disk {
                 let batch = self.cfg.disk_batch_portal.expect("batch portal");
-                let ch = self
-                    .register_disk_channel(k, ctx, reg, batch, self.cfg.pv_ring_page, false)
-                    .expect("pv disk register");
+                let ch =
+                    Self::register_disk_channel(k, ctx, reg, batch, self.cfg.pv_ring_page, false)
+                        .expect("pv disk register");
                 pvdisk.attach(ch);
             }
         }
@@ -1349,13 +1341,9 @@ impl Component for Vmm {
                 self.kick_vcpu(k, ctx, 0);
             }
         } else if Some(sm) == self.pvnet_sm {
-            let mut dev = self.dev.take().expect("devices");
-            let raised = dev.pvnet.as_mut().is_some_and(|n| n.on_irq(k, ctx));
-            if raised {
+            let dev = self.dev.as_mut().expect("devices");
+            if dev.pvnet.as_mut().is_some_and(|n| n.on_irq(k, ctx)) {
                 dev.vpic.pulse(nova_hw::machine::NIC_IRQ);
-            }
-            self.dev = Some(dev);
-            if raised {
                 self.kick_vcpu(k, ctx, 0);
             }
         } else if Some(sm) == self.restart_sm {

@@ -899,6 +899,174 @@ mod tests {
         assert_eq!(decode(&[0x8d, 0xc0]), Err(DecodeError::InvalidOpcode));
     }
 
+    /// What callers that decode a whole fetched chunk at once rely on
+    /// (`nova-vmm`'s `fetch_insn`): over the prefixes of one byte
+    /// string the decoder says `Truncated` up to some length `k` and
+    /// from `k` on gives one answer — the same instruction, no longer
+    /// than `k`, or `InvalidOpcode` — however many more bytes follow.
+    fn assert_prefix_stable(b: &[u8]) {
+        let mut settled: Option<(usize, Result<Insn, DecodeError>)> = None;
+        for n in 1..=b.len() {
+            let r = decode(&b[..n]);
+            match settled {
+                None if r == Err(DecodeError::Truncated) => {}
+                None => {
+                    if let Ok(insn) = r {
+                        assert_eq!(
+                            insn.len as usize, n,
+                            "{b:02x?}: settles with bytes to spare"
+                        );
+                    }
+                    settled = Some((n, r));
+                }
+                Some((k, first)) => assert_eq!(r, first, "{b:02x?}: {k} bytes vs {n}"),
+            }
+        }
+    }
+
+    #[test]
+    fn decode_is_prefix_stable() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for draw in 0..400_000u32 {
+            let (lo, hi) = (next().to_le_bytes(), next().to_le_bytes());
+            let mut b = [0u8; MAX_INSN_LEN];
+            b[..8].copy_from_slice(&lo);
+            b[8..].copy_from_slice(&hi[..7]);
+            // Every opcode byte leads its share of the draws, alone and
+            // behind a REP prefix and the two-byte escape.
+            match draw % 4 {
+                0 => {}
+                1 => b[0] = (draw >> 2) as u8,
+                2 => (b[0], b[1]) = (0xf3, (draw >> 2) as u8),
+                _ => (b[0], b[1]) = (0x0f, (draw >> 2) as u8),
+            }
+            assert_prefix_stable(&b);
+        }
+        // Nothing but prefixes: truncated at every length.
+        assert_prefix_stable(&[0xf3; MAX_INSN_LEN]);
+        assert_eq!(decode(&[0xf3; MAX_INSN_LEN]), Err(DecodeError::Truncated));
+        assert_eq!(decode(&[]), Err(DecodeError::Truncated));
+    }
+
+    #[test]
+    fn every_asm_encoding_is_prefix_stable() {
+        use crate::asm::Asm;
+        let mems = [
+            MemRef::abs(0x1234_5678),
+            MemRef::base_disp(Reg::Ebx, 0),
+            MemRef::base_disp(Reg::Ebp, -4),
+            MemRef::base_disp(Reg::Esp, 0x1000),
+            MemRef {
+                base: Some(Reg::Ebx),
+                index: Some((Reg::Esi, 4)),
+                disp: 0x10,
+            },
+            MemRef {
+                base: None,
+                index: Some((Reg::Edi, 8)),
+                disp: 0x2000,
+            },
+        ];
+        let mut a = Asm::new(0x1000);
+        let top = a.here_label();
+        let fwd = a.label();
+        for m in mems {
+            a.mov_rm(Reg::Eax, m);
+            a.mov_mr(m, Reg::Ecx);
+            a.mov_mi(m, 0xdead_beef);
+            a.mov_r8m(Reg8::Al, m);
+            a.mov_m8r(m, Reg8::Dl);
+            a.mov_m8i(m, 0x5a);
+            a.movzx_rm8(Reg::Edx, m);
+            a.lea(Reg::Esi, m);
+            a.alu_rm(AluOp::Add, Reg::Eax, m);
+            a.alu_mr(AluOp::Xor, m, Reg::Ebx);
+            a.alu_mi(AluOp::Cmp, m, 1);
+            a.alu_mi(AluOp::And, m, 0x1_0000);
+            a.inc_m(m);
+            a.invlpg(m);
+            a.lidt(m);
+        }
+        a.mov_ri(Reg::Eax, 0x1234_5678);
+        a.mov_r_label(Reg::Ebx, top);
+        a.mov_rr(Reg::Ecx, Reg::Edx);
+        a.mov_r8i(Reg8::Bl, 7);
+        a.alu_rr(AluOp::Sub, Reg::Eax, Reg::Ebx);
+        a.alu_ri(AluOp::Or, Reg::Ecx, 3);
+        a.alu_ri(AluOp::Adc, Reg::Ecx, 0x1_0000);
+        a.add_ri(Reg::Eax, 1);
+        a.sub_ri(Reg::Eax, 0x400);
+        a.cmp_ri(Reg::Edi, 9);
+        a.cmp_rr(Reg::Eax, Reg::Ebx);
+        a.xor_rr(Reg::Edx, Reg::Edx);
+        a.alu_al_imm(AluOp::And, 0x0f);
+        a.test_rr(Reg::Eax, Reg::Eax);
+        a.inc_r(Reg::Esi);
+        a.dec_r(Reg::Ecx);
+        a.shl_ri(Reg::Eax, 1);
+        a.shl_ri(Reg::Eax, 4);
+        a.shr_ri(Reg::Ebx, 1);
+        a.shr_ri(Reg::Ebx, 12);
+        a.imul_rr(Reg::Eax, Reg::Edx);
+        a.mul_r(Reg::Ebx);
+        a.div_r(Reg::Esi);
+        a.push_r(Reg::Ebp);
+        a.pop_r(Reg::Ebp);
+        a.push_i(0x1000);
+        a.pushf();
+        a.popf();
+        a.jmp(top);
+        a.jmp(fwd);
+        a.jmp_r(Reg::Eax);
+        a.jcc(Cond::Ne, top);
+        a.jcc(Cond::E, fwd);
+        a.call(top);
+        a.call(fwd);
+        a.call_r(Reg::Ecx);
+        a.bind(fwd);
+        a.ret();
+        a.int_n(0x80);
+        a.iret();
+        a.hlt();
+        a.cli();
+        a.sti();
+        a.cld();
+        a.nop();
+        a.in_al_imm(0x60);
+        a.in_eax_dx();
+        a.in_al_dx();
+        a.out_imm_al(0x80);
+        a.out_dx_al();
+        a.out_dx_eax();
+        a.cpuid();
+        a.rdtsc();
+        a.mov_cr_r(3, Reg::Eax);
+        a.mov_r_cr(Reg::Eax, 0);
+        a.vmcall();
+        a.rep_movsd();
+        a.rep_stosd();
+        a.lodsd();
+        a.stosd();
+        // Whatever follows the last instruction in memory.
+        a.bytes(&[0xcc; MAX_INSN_LEN]);
+        let code = a.finish();
+
+        let mut pos = 0;
+        while pos + MAX_INSN_LEN < code.len() {
+            let window = &code[pos..pos + MAX_INSN_LEN];
+            let insn = decode(window).unwrap_or_else(|e| panic!("{window:02x?}: {e:?}"));
+            assert_prefix_stable(window);
+            pos += insn.len as usize;
+        }
+        assert_eq!(pos + MAX_INSN_LEN, code.len(), "walk ends on the padding");
+    }
+
     #[test]
     fn int_and_iret() {
         let i = d(&[0xcd, 0x80]);
