@@ -11,7 +11,7 @@
 //! each level".
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A node key: (domain index, resource key).
 pub type NodeKey<K> = (usize, K);
@@ -19,6 +19,42 @@ pub type NodeKey<K> = (usize, K);
 struct Node<K> {
     parent: Option<NodeKey<K>>,
     children: Vec<NodeKey<K>>,
+}
+
+/// Multiplicative hasher for the node table's small integer keys:
+/// rotate, xor the next word in, multiply by 2^64 / φ. Boot hashes one
+/// key per RAM page and I/O port (85 k on the benchmark machine), and
+/// SipHash was a fifth of that boot's host time. The keys are page
+/// numbers, ports and selectors of this kernel's own domains, bounded
+/// by their tables, so the flooding resistance given up protects
+/// nothing here.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.write_u64(*b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    /// The product's high bits are its well-mixed ones; the table
+    /// indexes with the low ones.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
 }
 
 /// The mapping database for one resource kind, generic over the
@@ -30,13 +66,13 @@ struct Node<K> {
 /// per RAM page and I/O port — so node insertion is on the
 /// kernel-construction critical path.
 pub struct MapDb<K: Ord + Copy + Hash> {
-    nodes: HashMap<NodeKey<K>, Node<K>>,
+    nodes: HashMap<NodeKey<K>, Node<K>, BuildHasherDefault<KeyHasher>>,
 }
 
 impl<K: Ord + Copy + Hash> Default for MapDb<K> {
     fn default() -> Self {
         MapDb {
-            nodes: HashMap::new(),
+            nodes: HashMap::default(),
         }
     }
 }
@@ -206,6 +242,50 @@ mod tests {
         db.revoke((1, 1), true, &mut |_| {});
         // Parent can re-delegate to the same destination.
         assert!(db.delegate((0, 1), (1, 1)));
+    }
+
+    /// No operation observes the node table's order, so its hasher is
+    /// free to change: revocation walks the per-node `children` lists,
+    /// which are in delegation order. A tree wide and deep enough to
+    /// fill many buckets comes back children-first, siblings in the
+    /// order they were delegated — whatever the table does with them.
+    #[test]
+    fn revocation_order_is_delegation_order_not_table_order() {
+        let mut db: MapDb<u64> = MapDb::new();
+        let mut want = Vec::new();
+        for page in 0..64u64 {
+            db.insert_root(0, page);
+        }
+        for page in (0..64u64).rev() {
+            // Two children per page, the first with a grandchild.
+            db.delegate((0, page), (1, page));
+            db.delegate((0, page), (2, page + 1000));
+            db.delegate((1, page), (3, page));
+        }
+        for page in 0..64u64 {
+            want.extend([(3, page), (1, page), (2, page + 1000)]);
+        }
+        let mut removed = Vec::new();
+        for page in 0..64u64 {
+            db.revoke((0, page), false, &mut |k| removed.push(k));
+        }
+        assert_eq!(removed, want);
+        assert_eq!(db.len(), 64, "the roots stay");
+    }
+
+    /// Sequential pages, ports and selectors — what the kernel actually
+    /// stores — spread over the table: no bucket of the low 10 hash
+    /// bits gets more than a handful of 4,096 consecutive keys.
+    #[test]
+    fn key_hasher_spreads_consecutive_keys() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<KeyHasher>::default();
+        let mut buckets = [0u32; 1024];
+        for page in 0..4096u64 {
+            buckets[(build.hash_one((7usize, page)) & 1023) as usize] += 1;
+        }
+        let worst = *buckets.iter().max().unwrap();
+        assert!(worst <= 16, "4 expected per bucket, worst {worst}");
     }
 
     #[test]

@@ -38,10 +38,20 @@
 //! a VMCS intercept can match (`BlockEnd::Outer`: the CPU's outer
 //! loop has to look at the machine again), before an instruction that
 //! does not decode inside the frame, and at [`MAX_BLOCK_INSNS`].
+//!
+//! **Counted loops.** A block whose last two instructions are
+//! `dec r32` · `jne rel` is marked when it is filled (`CountedTail`):
+//! which register counts, and whether the `jne` comes back to the
+//! block's own first byte. The executor retires such a pair as one
+//! step, and a block that is nothing but a self-closing pair — a delay
+//! loop — in closed form. A rewrite of either instruction moves the
+//! frame's generation like any other store, and the next lookup
+//! classifies what it decodes afresh.
 
 use nova_x86::decode::{decode, DecodeError, MAX_INSN_LEN};
 use nova_x86::exec::{handler_id, HandlerId};
-use nova_x86::insn::{Insn, Op, OpSize, Operand};
+use nova_x86::insn::{Cond, Insn, Op, OpSize, Operand};
+use nova_x86::reg::Reg;
 
 use crate::mem::PhysMem;
 use crate::PAddr;
@@ -136,6 +146,43 @@ fn flow(insn: &Insn) -> Flow {
     }
 }
 
+/// The tail of a counted loop: a block whose last two instructions are
+/// `dec r32` · `jne rel`. Recognised once, when the block is filled, so
+/// that entering the block costs the executor one more field to read
+/// and nothing to compute.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct CountedTail {
+    /// The register the `dec` counts down.
+    pub counter: Reg,
+    /// The `jne` lands on the block's own first byte:
+    /// `rel == -(block byte length)`. A statement about displacements
+    /// only, so it holds wherever the frame is mapped and the block's
+    /// key can stay its host-physical address.
+    pub closes: bool,
+}
+
+impl CountedTail {
+    /// Classifies a freshly decoded block.
+    fn of(steps: &[Step]) -> Option<CountedTail> {
+        let [.., dec, jne] = steps else {
+            return None;
+        };
+        let (Op::Dec, Operand::Reg(counter), OpSize::Dword) =
+            (dec.insn.op, dec.insn.dst, dec.insn.size)
+        else {
+            return None;
+        };
+        let (Op::Jcc(Cond::Ne), Operand::Imm(rel)) = (jne.insn.op, jne.insn.src) else {
+            return None;
+        };
+        let bytes: u32 = steps.iter().map(|s| s.insn.len as u32).sum();
+        Some(CountedTail {
+            counter,
+            closes: rel == bytes.wrapping_neg(),
+        })
+    }
+}
+
 /// Bookkeeping of one cache slot; its steps live in the shared arena
 /// at `slot * MAX_BLOCK_INSNS`.
 #[derive(Clone, Copy)]
@@ -147,6 +194,7 @@ struct Slot {
     /// Instructions in the block; 0 marks the slot empty.
     len: u8,
     end: BlockEnd,
+    counted: Option<CountedTail>,
 }
 
 /// One predecoded instruction of a block.
@@ -176,6 +224,8 @@ pub(crate) struct Block<'a> {
     pub end: BlockEnd,
     /// The frame generation the block is good for.
     pub gen: u64,
+    /// Set if the block ends in a counted loop's `dec` · `jne`.
+    pub counted: Option<CountedTail>,
 }
 
 /// The cache itself. One per CPU core.
@@ -203,6 +253,7 @@ impl BlockCache {
                     gen: 0,
                     len: 0,
                     end: BlockEnd::Chain,
+                    counted: None,
                 };
                 SETS
             ],
@@ -226,6 +277,14 @@ impl BlockCache {
     /// its frame: [`DecodeError::Truncated`] if it runs past them (a
     /// page straddler), [`DecodeError::InvalidOpcode`] if it is outside
     /// the subset. Nothing is cached for it.
+    ///
+    /// The hit half is inlined into the executor so that the block's
+    /// fields reach it in registers. Returned through memory, `end` and
+    /// `counted` were stored as a byte and a halfword and read back by
+    /// one wider load — a store-forwarding stall on every block entry
+    /// (6 ns of `exit_storm`'s 253 ns per exit). The miss half stays a
+    /// call.
+    #[inline(always)]
     pub fn lookup(&mut self, mem: &PhysMem, hpa: PAddr) -> Result<Block<'_>, DecodeError> {
         let slot = Self::slot_of(hpa);
         let gen = mem.frame_gen(hpa);
@@ -243,6 +302,7 @@ impl BlockCache {
         Ok(self.block(slot))
     }
 
+    #[inline(always)]
     fn block(&self, slot: usize) -> Block<'_> {
         let s = &self.slots[slot];
         let base = slot * MAX_BLOCK_INSNS;
@@ -250,10 +310,13 @@ impl BlockCache {
             steps: &self.steps[base..base + s.len as usize],
             end: s.end,
             gen: s.gen,
+            counted: s.counted,
         }
     }
 
     /// Decodes the block at `hpa` into `slot`, displacing its occupant.
+    #[cold]
+    #[inline(never)]
     fn fill(
         &mut self,
         slot: usize,
@@ -295,6 +358,7 @@ impl BlockCache {
             gen,
             len: len as u8,
             end,
+            counted: CountedTail::of(&self.steps[base..base + len]),
         };
         Ok(())
     }
@@ -303,7 +367,6 @@ impl BlockCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nova_x86::reg::Reg;
     use nova_x86::Asm;
 
     fn mem_with(addr: PAddr, code: &[u8]) -> PhysMem {
@@ -455,6 +518,95 @@ mod tests {
         c.lookup(&mem, first).unwrap();
         assert_eq!(c.stats.evictions, 2);
         assert_eq!(c.stats.hits, 0);
+    }
+
+    /// What `fill` recorded for the block at `at` of `code` (loaded at
+    /// 0x1000).
+    fn counted_at(code: &[u8], at: PAddr) -> Option<CountedTail> {
+        let mem = mem_with(0x1000, code);
+        BlockCache::new().lookup(&mem, at).unwrap().counted
+    }
+
+    /// `top: <body NOPs>; <dec>; j<cond> <top or the next instruction>`.
+    fn counted_loop(body: usize, dec: &[u8], cond: Cond, to_top: bool) -> Vec<u8> {
+        let mut a = Asm::new(0x1000);
+        let top = a.here_label();
+        for _ in 0..body {
+            a.nop();
+        }
+        a.bytes(dec);
+        let next = a.label();
+        a.jcc(cond, if to_top { top } else { next });
+        a.bind(next);
+        a.finish()
+    }
+
+    const DEC_ECX: &[u8] = &[0x49];
+
+    #[test]
+    fn dec_r32_jne_to_the_block_start_is_counted_and_self_closing() {
+        let tail = |counter| CountedTail {
+            counter,
+            closes: true,
+        };
+        let code = counted_loop(0, DEC_ECX, Cond::Ne, true);
+        assert_eq!(counted_at(&code, 0x1000), Some(tail(Reg::Ecx)));
+        // With a body, and through the `ff /1` encoding of `dec edi`.
+        let code = counted_loop(3, &[0xff, 0xcf], Cond::Ne, true);
+        assert_eq!(counted_at(&code, 0x1000), Some(tail(Reg::Edi)));
+        // Entered past its first instruction the same bytes are another
+        // block, which the `jne` does not close.
+        assert_eq!(
+            counted_at(&code, 0x1001),
+            Some(CountedTail {
+                counter: Reg::Edi,
+                closes: false,
+            })
+        );
+    }
+
+    #[test]
+    fn other_tails_are_not_counted_or_not_self_closing() {
+        // dec cl; dec dword [0x2000]: not a 32-bit register.
+        for dec in [&[0xfe, 0xc9][..], &[0xff, 0x0d, 0x00, 0x20, 0x00, 0x00]] {
+            let code = counted_loop(1, dec, Cond::Ne, true);
+            assert_eq!(counted_at(&code, 0x1000), None, "{dec:02x?}");
+        }
+        // je top: another condition.
+        let code = counted_loop(1, DEC_ECX, Cond::E, true);
+        assert_eq!(counted_at(&code, 0x1000), None);
+        // inc ecx; jne top.
+        let code = counted_loop(1, &[0x41], Cond::Ne, true);
+        assert_eq!(counted_at(&code, 0x1000), None);
+        // jne somewhere else: a counted tail, not a closed loop.
+        let code = counted_loop(1, DEC_ECX, Cond::Ne, false);
+        let tail = counted_at(&code, 0x1000).expect("dec r32; jne");
+        assert!(!tail.closes);
+        // A loop longer than a block: the `jne` of the block holding
+        // the tail targets the loop's start, not its own.
+        let code = counted_loop(MAX_BLOCK_INSNS, DEC_ECX, Cond::Ne, true);
+        assert_eq!(counted_at(&code, 0x1000), None, "eight NOPs");
+        let tail = counted_at(&code, 0x1000 + MAX_BLOCK_INSNS as u64).expect("the tail");
+        assert!(!tail.closes);
+        // A block of one instruction has no pair to look at.
+        assert_eq!(counted_at(&code, 0x1000 + MAX_BLOCK_INSNS as u64 + 1), None);
+    }
+
+    #[test]
+    fn rewriting_the_displacement_reclassifies_on_the_next_lookup() {
+        let code = counted_loop(2, DEC_ECX, Cond::Ne, true);
+        let mut mem = mem_with(0x1000, &code);
+        let mut c = BlockCache::new();
+        assert!(c.lookup(&mem, 0x1000).unwrap().counted.unwrap().closes);
+        // The rel32 is the last four bytes: retarget the `jne` one
+        // byte further back.
+        let rel_at = 0x1000 + code.len() as u64 - 4;
+        let rel = mem.read_u32(rel_at);
+        mem.write_u32(rel_at, rel.wrapping_sub(1));
+        let b = c.lookup(&mem, 0x1000).unwrap();
+        assert_eq!(b.steps[3].insn.src, Operand::Imm(rel.wrapping_sub(1)));
+        assert!(!b.counted.unwrap().closes, "decoded and classified afresh");
+        assert_eq!(c.stats.invalidations, 1);
     }
 
     #[test]

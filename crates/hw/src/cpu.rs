@@ -15,12 +15,14 @@
 use nova_x86::decode::{decode, DecodeError, MAX_INSN_LEN};
 #[cfg(test)]
 use nova_x86::exec::execute;
-use nova_x86::exec::{deliver_event, handler, Env, Exec, Fault, Handler};
-use nova_x86::insn::{Insn, Op, OpSize, Operand};
+use nova_x86::exec::{
+    cond_holds, deliver_event, handler, inc_dec_value, Env, Exec, Fault, Handler,
+};
+use nova_x86::insn::{Cond, Insn, Op, OpSize, Operand};
 use nova_x86::paging::Access;
 use nova_x86::reg::{Reg, Regs};
 
-use crate::blockcache::{BlockCache, BlockEnd, DecodeCacheStats};
+use crate::blockcache::{BlockCache, BlockEnd, CountedTail, DecodeCacheStats};
 use crate::cost::CostModel;
 use crate::device::DeviceBus;
 use crate::mem::PhysMem;
@@ -602,6 +604,72 @@ fn retire_alone(
     retire(step, regs, env).err().unwrap_or(Stop::Outer)
 }
 
+/// Retires whole iterations of a counted loop's tail — `dec` the
+/// counter, `jne` — from the `dec` at `regs.eip`, and returns how many:
+/// one if both instructions fit before the horizon, as many as the
+/// counter and the horizon allow if the tail is the whole loop (`alone`:
+/// nothing else in the block, and the `jne` closes on the `dec`), and 0
+/// if not even one fits, which leaves everything to the
+/// per-instruction path. An iteration is retired here only if
+/// `clock + 2 < horizon` when it starts, so neither of its instructions
+/// is the one after which the per-instruction path would have stopped.
+///
+/// Registers and clock end up as that many passes of the two handlers
+/// leave them: the flags are those of the last `dec` (CF is carried
+/// over by every one of them, and nothing else reads or writes flags in
+/// between), EIP the last `jne`'s choice.
+#[inline(always)]
+fn retire_counted(
+    tail: CountedTail,
+    alone: bool,
+    (dec, jne): (&Insn, &Insn),
+    regs: &mut Regs,
+    clock: &mut Cycles,
+    horizon: Cycles,
+) -> u64 {
+    let Operand::Imm(rel) = jne.src else {
+        unreachable!("a counted tail's jne is relative")
+    };
+    let fit = horizon.saturating_sub(*clock).saturating_sub(1) / 2;
+    let count = regs.get(tail.counter);
+    let k = if alone && tail.closes {
+        // A counter of 0 wraps: 2^32 trips until it is 0 again.
+        let trips = if count == 0 { 1 << 32 } else { count as u64 };
+        trips.min(fit)
+    } else {
+        fit.min(1)
+    };
+    if k == 0 {
+        return 0;
+    }
+    let before_last = count.wrapping_sub((k - 1) as u32);
+    let (count, eflags) = inc_dec_value(true, before_last, OpSize::Dword, regs.eflags);
+    regs.set(tail.counter, count);
+    regs.eflags = eflags;
+    let next = regs.eip.wrapping_add(dec.len as u32 + jne.len as u32);
+    regs.eip = if cond_holds(Cond::Ne, eflags) {
+        next.wrapping_add(rel)
+    } else {
+        next
+    };
+    *clock += 2 * k;
+    #[cfg(test)]
+    COUNTED_RUNS.with(|runs| {
+        let mut n = runs.get();
+        n[(alone && tail.closes) as usize] += 1;
+        runs.set(n);
+    });
+    k
+}
+
+#[cfg(test)]
+thread_local! {
+    /// How often [`retire_counted`] retired something on this thread:
+    /// `[fused tails, closed-form stretches]`. Coverage for the tests
+    /// only; the simulated machine has no such counter.
+    static COUNTED_RUNS: std::cell::Cell<[u64; 2]> = const { std::cell::Cell::new([0; 2]) };
+}
+
 /// The block executor shared by [`run_native`] and [`run_guest`]:
 /// runs instructions from `regs.eip` until the outer loop is needed.
 ///
@@ -626,6 +694,14 @@ fn retire_alone(
 /// once those per-instruction checks have passed, without the fetch
 /// translation and the block lookup in between (*closed-loop
 /// re-entry*).
+///
+/// A block that ends in a counted loop's `dec r32` · `jne`
+/// ([`CountedTail`]) retires the pair as one step when both fit before
+/// the horizon, and all the iterations that do when the pair is the
+/// whole loop ([`retire_counted`]); whenever it does not apply — inside
+/// an STI shadow, with the horizon inside the pair — the instructions go
+/// through their handlers below, one at a time, as everything else
+/// does.
 ///
 /// On the simulated machine this is invisible: every instruction costs
 /// the same cycles and counts the same `instret`, and the lookups
@@ -674,9 +750,38 @@ fn run_blocks(
         let mut continued = 0u64;
         let mut reentries = 0u64;
         let mut i = 0;
+        // The step at which a counted tail starts. Inside an STI
+        // shadow the caller's checks change after one instruction, so
+        // nothing is fused.
+        let counted = block.counted.filter(|_| !single);
+        let tail_at = counted.map_or(usize::MAX, |_| last - 1);
         // Every way of setting it leaves the loop below.
         env.bus_touched = false;
         let stop = loop {
+            let k = match counted {
+                Some(tail) if i == tail_at => {
+                    let pair = (&block.steps[i].insn, &block.steps[last].insn);
+                    retire_counted(tail, last == 1, pair, regs, env.clock, horizon)
+                }
+                _ => 0,
+            };
+            if k != 0 {
+                // Per iteration two instructions, the second of which
+                // was begun inside the block (an I-TLB hit); all but
+                // possibly the last come back round to the block's
+                // first instruction (another, and a block hit). Neither
+                // instruction stores or reaches a device, so the checks
+                // below have nothing to see.
+                if regs.eip != eip {
+                    continued += 2 * k - 1;
+                    reentries += k - 1;
+                    break None;
+                }
+                continued += 2 * k;
+                reentries += k;
+                i = 0;
+                continue;
+            }
             let step = &block.steps[i];
             let at = regs.eip;
             let run = step.run.handler();
@@ -1475,6 +1580,38 @@ mod tests {
         assert_eq!(run(&mut m, &mut v, None), ExitReason::Hlt { len: 1 });
         let text = m.bus.typed_mut::<crate::vga::VgaText>(dev).unwrap();
         assert_eq!(text.row_text(0).trim_end(), "AB");
+    }
+
+    /// The closed form costs the host O(1), not O(trips): a delay loop
+    /// entered with a counter of 0 has 2^32 trips ahead of it, and a
+    /// budget of 4 × 10^9 cycles ends inside them. Retired one
+    /// instruction at a time that is 4 × 10^9 handler calls — minutes
+    /// in the debug build this test runs in.
+    #[test]
+    fn delay_loop_of_two_to_the_32_trips_meets_its_budget_in_constant_time() {
+        const BUDGET: Cycles = 4_000_000_000;
+        let mut m = machine();
+        let mut a = Asm::new(0x1000);
+        let top = a.here_label();
+        a.dec_r(Reg::Ecx);
+        a.jcc(Cond::Ne, top);
+        m.load_image(0x1000, &a.finish());
+        m.cpus[0].regs = Regs::at(0x1000);
+        // A short budget first: entered with the counter at 0 and
+        // left with it 500 below 2^32, in one stretch.
+        assert_eq!(m.run_native(Some(1_000)), NativeStop::Budget);
+        assert_eq!(m.cpus[0].regs.get(Reg::Ecx), 0u32.wrapping_sub(500));
+        assert_eq!(COUNTED_RUNS.get(), [0, 1], "one closed-form stretch");
+        assert_eq!(m.run_native(Some(BUDGET - 1_000)), NativeStop::Budget);
+        assert_eq!(COUNTED_RUNS.get(), [0, 2], "and one more");
+        // One cycle an instruction, nothing else on the clock.
+        assert_eq!(m.clock, BUDGET);
+        assert_eq!(m.cpus[0].instret, BUDGET);
+        assert_eq!(
+            m.cpus[0].regs.get(Reg::Ecx),
+            0u32.wrapping_sub((BUDGET / 2) as u32)
+        );
+        assert_eq!(m.cpus[0].regs.eip, 0x1000, "stopped at the loop's top");
     }
 
     #[test]

@@ -443,7 +443,7 @@ impl Plan<'_> {
     fn fragment(&mut self) {
         let a = &mut *self.a;
         let rng = &mut self.rng;
-        match rng.below(18) {
+        match rng.below(19) {
             0 | 1 => {
                 let n = 1 + rng.below(24);
                 emit_alu(a, rng, n);
@@ -617,6 +617,22 @@ impl Plan<'_> {
                 a.bind(later);
                 a.mov_ri(Reg::Eax, 0);
                 a.alu_rr(AluOp::Add, Reg::Ebx, Reg::Eax);
+            }
+            18 => {
+                // A delay loop, nothing but its `dec`·`jne` tail: the
+                // executor's closed form, long enough for budgets and
+                // timer ticks to end inside it. One in four opens an
+                // interrupt shadow over the `dec` every time round, so
+                // the tail is met under `single` too.
+                let shadowed = rng.below(4) == 0;
+                a.mov_ri(Reg::Ecx, 1 + rng.below(if shadowed { 40 } else { 4000 }));
+                let top = a.here_label();
+                if shadowed {
+                    a.cli();
+                    a.sti();
+                }
+                a.dec_r(Reg::Ecx);
+                a.jcc(Cond::Ne, top);
             }
             17 if self.mode == Mode::Ept => {
                 // A page the nested table does not map yet.
@@ -1090,6 +1106,16 @@ fn differential(mode: Mode, seed: u64) -> Coverage {
     }
 }
 
+/// Seeds per mode: 128, and 1,024 in the full sweep CI runs with
+/// `NOVA_SLOW_TESTS` set.
+fn seeds() -> u64 {
+    if std::env::var_os("NOVA_SLOW_TESTS").is_some() {
+        1024
+    } else {
+        128
+    }
+}
+
 /// Runs every seed of `mode`; returns the totals.
 fn sweep(mode: Mode) -> Coverage {
     let mut total = Coverage {
@@ -1098,7 +1124,7 @@ fn sweep(mode: Mode) -> Coverage {
         interrupts: [0; 3],
         stops: Vec::new(),
     };
-    for seed in 0..SEEDS {
+    for seed in 0..seeds() {
         let c = differential(mode, seed);
         total.instret += c.instret;
         total.idle_cycles += c.idle_cycles;
@@ -1113,6 +1139,12 @@ fn sweep(mode: Mode) -> Coverage {
         "timer, software and doorbell interrupts were taken: {:?}",
         total.interrupts
     );
+    // Only the block executor's side of this thread's runs counts.
+    let [fused, closed] = COUNTED_RUNS.get();
+    assert!(
+        fused > 1_000 && closed > 100,
+        "counted loops ran as loops: {fused} fused tails, {closed} closed-form stretches"
+    );
     total
 }
 
@@ -1121,8 +1153,6 @@ fn assert_stops(c: &Coverage, kinds: &[&str]) {
         assert!(c.stops.iter().any(|s| s == kind), "no {kind} stop");
     }
 }
-
-const SEEDS: u64 = 128;
 
 #[test]
 fn native_matches_reference() {

@@ -634,16 +634,26 @@ fn test<Dst: Loc, Src: Loc, W: Width, E: Env>(
     fall_through::<E>(insn, regs)
 }
 
-/// INC / DEC: an add or subtract of 1 that preserves CF.
+/// What INC (`dec` false) or DEC of `a` leaves: the result and EFLAGS —
+/// an add or subtract of 1 that preserves CF. The one statement of
+/// their flag semantics: the INC/DEC handlers and the block executor's
+/// fused `dec`·`jne` tail both go through it.
+#[inline(always)]
+pub fn inc_dec_value(dec: bool, a: u32, size: OpSize, eflags: u32) -> (u32, u32) {
+    let op = if dec { AluOp::Sub } else { AluOp::Add };
+    let (res, fl) = alu(op, a, 1, size, eflags);
+    (res, (fl & !flags::CF) | (eflags & flags::CF))
+}
+
+/// INC / DEC.
 fn inc_dec<const DEC: bool, Dst: Loc, W: Width, E: Env>(
     insn: &Insn,
     regs: &mut Regs,
     env: &mut E,
 ) -> Result<Exec, E::Err> {
     let a = Dst::load(&insn.dst, W::SIZE, regs, env)?;
-    let op = if DEC { AluOp::Sub } else { AluOp::Add };
-    let (res, fl) = alu(op, a, 1, W::SIZE, regs.eflags);
-    regs.eflags = (fl & !flags::CF) | (regs.eflags & flags::CF);
+    let (res, fl) = inc_dec_value(DEC, a, W::SIZE, regs.eflags);
+    regs.eflags = fl;
     Dst::store(&insn.dst, W::SIZE, res, regs, env)?;
     fall_through::<E>(insn, regs)
 }

@@ -15,6 +15,11 @@
 //! with one of the checks or counters of the restart removed. Their
 //! referee is the same entry taken one instruction per call
 //! ([`enter_stepping`]), where nothing is skipped.
+//!
+//! The group after it is about *counted loops*: a block ending in
+//! `dec r32` · `jne` retires the pair as one step, and a loop that is
+//! nothing else in closed form. Same referee; each test names the
+//! mutation of `hw::cpu::retire_counted` it was shown to fail against.
 
 use nova_core::hypercall::Hypercall;
 use nova_core::obj::{MemRights, VmPaging};
@@ -28,7 +33,7 @@ use nova_hw::machine::{Machine, MachineConfig, AHCI_BASE, DEBUG_EXIT_PORT};
 use nova_hw::vmx::{ExitReason, PagingVirt, Vmcs};
 use nova_x86::insn::{AluOp, Cond, MemRef};
 use nova_x86::paging::{npte, pte, NestedFormat};
-use nova_x86::reg::{cr0, Reg, Regs};
+use nova_x86::reg::{cr0, flags, Reg, Regs};
 use nova_x86::Asm;
 
 const CODE: u32 = 0x1000;
@@ -71,7 +76,15 @@ fn guest(m: &mut Machine, code: &[u8]) -> Vmcs {
     v
 }
 
+/// Longer than any test's guest runs.
+const WHOLE_RUN: u64 = 50_000_000;
+
 fn enter(m: &mut Machine, v: &mut Vmcs) -> ExitReason {
+    enter_for(m, v, WHOLE_RUN)
+}
+
+/// One VM entry of at most `quantum` cycles.
+fn enter_for(m: &mut Machine, v: &mut Vmcs, quantum: u64) -> ExitReason {
     let cost = m.cost;
     run_guest(
         &mut m.cpus[0],
@@ -80,7 +93,7 @@ fn enter(m: &mut Machine, v: &mut Vmcs) -> ExitReason {
         &cost,
         &mut m.clock,
         v,
-        Some(50_000_000),
+        Some(quantum),
     )
 }
 
@@ -296,39 +309,63 @@ fn straddling_instruction_follows_a_remap_of_its_second_page() {
 /// call retire one instruction, so every instruction takes the real
 /// fetch translation and block lookup and the outer loop's event,
 /// interrupt and deadline checks run between any two.
-fn enter_stepping(m: &mut Machine, v: &mut Vmcs) -> ExitReason {
-    let cost = m.cost;
-    for _ in 0..10_000_000 {
-        let exit = run_guest(
-            &mut m.cpus[0],
-            &mut m.mem,
-            &mut m.bus,
-            &cost,
-            &mut m.clock,
-            v,
-            Some(1),
-        );
-        if exit != ExitReason::Preempt {
+///
+/// `quantum` is the entry's own: the stepped entry ends in `Preempt`
+/// at the first instruction boundary that many cycles in, as the real
+/// one does.
+fn enter_stepping(m: &mut Machine, v: &mut Vmcs, quantum: u64) -> ExitReason {
+    let deadline = m.clock + quantum;
+    loop {
+        let exit = enter_for(m, v, 1);
+        if exit != ExitReason::Preempt || m.clock >= deadline {
             return exit;
         }
     }
-    panic!("the stepped guest never exited");
 }
 
-/// Builds the same machine twice, runs one through the block executor
-/// and one stepped, and checks that the simulated machine cannot tell:
-/// same exit at the same cycle with the same registers, `instret` and
-/// `Tlb::stats`. Returns the block executor's side.
+/// The same machine built twice, one side for the block executor and
+/// one for the stepped entry.
+struct Twins {
+    m: Machine,
+    v: Vmcs,
+    stepped: Machine,
+    vs: Vmcs,
+}
+
+impl Twins {
+    fn build(build: impl Fn(&mut Machine) -> Vmcs) -> Twins {
+        let (mut m, mut stepped) = (machine(), machine());
+        let (v, vs) = (build(&mut m), build(&mut stepped));
+        Twins { m, v, stepped, vs }
+    }
+
+    /// Enters both sides for at most `quantum` cycles and checks that
+    /// the simulated machine cannot tell them apart: same exit at the
+    /// same cycle with the same registers (EFLAGS bit for bit),
+    /// `instret` and `Tlb::stats`.
+    fn enter(&mut self, quantum: u64) -> ExitReason {
+        let exit = enter_for(&mut self.m, &mut self.v, quantum);
+        let stepped = enter_stepping(&mut self.stepped, &mut self.vs, quantum);
+        assert_eq!(exit, stepped);
+        assert_eq!(
+            self.m.clock, self.stepped.clock,
+            "exit {exit:?} at another cycle"
+        );
+        assert_eq!(self.v.guest, self.vs.guest);
+        assert_eq!(self.v.sti_shadow, self.vs.sti_shadow);
+        let (cpu, cpu_s) = (&self.m.cpus[0], &self.stepped.cpus[0]);
+        assert_eq!(cpu.instret, cpu_s.instret);
+        assert_eq!(cpu.tlb.stats, cpu_s.tlb.stats);
+        exit
+    }
+}
+
+/// One whole run of `build`'s guest on both sides of [`Twins`];
+/// returns the block executor's.
 fn same_as_stepped(build: impl Fn(&mut Machine) -> Vmcs) -> (Machine, Vmcs) {
-    let (mut m, mut stepped) = (machine(), machine());
-    let (mut v, mut vs) = (build(&mut m), build(&mut stepped));
-    let exit = enter(&mut m, &mut v);
-    assert_eq!(exit, enter_stepping(&mut stepped, &mut vs));
-    assert_eq!(m.clock, stepped.clock, "exit {exit:?} at another cycle");
-    assert_eq!(v.guest, vs.guest);
-    assert_eq!(m.cpus[0].instret, stepped.cpus[0].instret);
-    assert_eq!(m.cpus[0].tlb.stats, stepped.cpus[0].tlb.stats);
-    (m, v)
+    let mut t = Twins::build(build);
+    t.enter(WHOLE_RUN);
+    (t.m, t.v)
 }
 
 /// The Fig 5 compute loop: `iterations` strided loads summed in EAX.
@@ -554,6 +591,238 @@ fn ten_thousand_iterations_count_every_skipped_lookup() {
         m.cpus[0].instret + ITERATIONS as u64,
         "one fetch lookup per instruction, one data lookup per load"
     );
+}
+
+// ----------------------------------------------------------------------
+// Counted loops
+// ----------------------------------------------------------------------
+
+/// Register work for a loop body; the `add` rewrites CF and OF, the
+/// `inc` leaves CF alone.
+fn emit_body(a: &mut Asm, insns: usize) {
+    let body: [fn(&mut Asm); 3] = [
+        |a| a.add_ri(Reg::Eax, 0x7fff_fff1),
+        |a| a.inc_r(Reg::Ebx),
+        |a| a.mov_rr(Reg::Esi, Reg::Eax),
+    ];
+    for emit in &body[..insns] {
+        emit(a);
+    }
+}
+
+/// `mov ecx, count` · `top:` `body` register instructions · `dec ecx` ·
+/// `jne top` · `cpuid`. Every instruction costs one cycle, so trip `n`
+/// (from 1) ends `1 + n * (body + 2)` cycles after the first fetch's
+/// page walk ([`first_walk`]). With `body` 0 the loop is a pure delay
+/// loop: one block, only the tail, closed on itself. A `count` of 0
+/// leaves the `mov` out — ECX is 0 at reset — so that the loop's own
+/// block is entered with the counter at 0, one cycle earlier.
+fn counted_loop(count: u32, body: usize) -> Vec<u8> {
+    let mut a = Asm::new(CODE);
+    if count != 0 {
+        a.mov_ri(Reg::Ecx, count);
+    }
+    let top = a.here_label();
+    emit_body(&mut a, body);
+    a.dec_r(Reg::Ecx);
+    a.jcc(Cond::Ne, top);
+    a.cpuid();
+    a.finish()
+}
+
+/// Cycles the nested walk for a guest's first instruction fetch takes;
+/// all of a test program's code is in that one page.
+fn first_walk() -> u64 {
+    static WALK: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
+    *WALK.get_or_init(|| {
+        let mut m = machine();
+        let mut v = guest(&mut m, &[0x0f, 0xa2]); // cpuid
+        assert!(matches!(enter(&mut m, &mut v), ExitReason::Cpuid { .. }));
+        m.clock - 1
+    })
+}
+
+/// Enters [`counted_loop`] with CF as given, stops it `stop_at` cycles
+/// after the first fetch's walk — by an external interrupt or by the
+/// end of the quantum — and then lets it finish: stepped and real run
+/// must agree at the stop and at the end.
+fn stop_counted_loop_at(count: u32, body: usize, carry: bool, stop_at: u64, by_interrupt: bool) {
+    let code = counted_loop(count, body);
+    let walk = first_walk();
+    let mut t = Twins::build(|m| {
+        if by_interrupt {
+            interrupt_in(m, walk + stop_at);
+        }
+        let mut v = guest(m, &code);
+        if carry {
+            v.guest.eflags |= flags::CF;
+        }
+        v
+    });
+    let what = format!("count {count} body {body} carry {carry} stop {stop_at} irq {by_interrupt}");
+    let quantum = if by_interrupt {
+        WHOLE_RUN
+    } else {
+        walk + stop_at
+    };
+    let first = t.enter(quantum);
+    let end = 1 + count as u64 * (body as u64 + 2);
+    if count != 0 && stop_at > end {
+        assert!(
+            matches!(first, ExitReason::Cpuid { .. }),
+            "{what}: {first:?}"
+        );
+    } else {
+        match first {
+            ExitReason::ExtInt { .. } if by_interrupt => {}
+            ExitReason::Preempt if !by_interrupt => {}
+            other => panic!("{what}: {other:?}"),
+        }
+        assert_eq!(t.m.clock, walk + stop_at.max(1), "{what}");
+        if count == 0 {
+            // 2^32 trips are not for a stepped run to finish.
+            return;
+        }
+        assert!(
+            matches!(t.enter(WHOLE_RUN), ExitReason::Cpuid { .. }),
+            "{what}"
+        );
+    }
+    assert_eq!(t.v.guest.get(Reg::Ecx), 0, "{what}");
+    assert_eq!(
+        t.m.clock,
+        walk + end + 1,
+        "{what}: the loop, then the CPUID"
+    );
+}
+
+/// A stop at every cycle of a short counted loop, and at ten
+/// consecutive cycles around the first, a middle and the last trip of
+/// a long one — so it falls after the `dec`, after the `jne`, inside
+/// the body, on the last trip and just past it — leaves the machine
+/// where the stepped run leaves it. Bodies of 0 (the closed form) to 3
+/// instructions, CF set and clear on entry, stopped by an interrupt
+/// and by the quantum.
+///
+/// Fails with `room / 2` for `(room - 1) / 2` in `retire_counted` (the
+/// stop comes one instruction late whenever the horizon is an even
+/// number of cycles away), with the flags of the *first* `dec` of a
+/// stretch instead of the last (ZF, and so the final `jne`, wrong), and
+/// with CF recomputed instead of carried over.
+#[test]
+fn counted_loop_stopped_anywhere_matches_stepped() {
+    for body in 0..=3 {
+        let trip = body as u64 + 2;
+        for carry in [false, true] {
+            for by_interrupt in [false, true] {
+                for count in [1, 2, 3, 7] {
+                    for stop_at in 0..=1 + count as u64 * trip + 3 {
+                        stop_counted_loop_at(count, body, carry, stop_at, by_interrupt);
+                    }
+                }
+                for around in [1, 500, 1000] {
+                    let boundary = 1 + around * trip;
+                    for stop_at in boundary.saturating_sub(4)..=boundary + 5 {
+                        stop_counted_loop_at(1000, body, carry, stop_at, by_interrupt);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A counter of 0 means 2^32 trips, not none: a quantum that ends ten
+/// thousand trips in finds the counter that far below 2^32 and the loop
+/// still running, at every phase of a trip.
+///
+/// Fails with a counter of 0 taken for no trips left (the loop falls
+/// through at once).
+#[test]
+fn counter_of_zero_wraps_to_two_to_the_32_trips() {
+    for body in 0..=3 {
+        let boundary = 10_000 * (body as u64 + 2);
+        for stop_at in boundary - 4..=boundary + 5 {
+            stop_counted_loop_at(0, body, stop_at % 2 == 0, stop_at, false);
+        }
+    }
+    // And the one way such a loop ends inside a test: the counter
+    // reaches 0 from the other side.
+    let code = counted_loop(0, 0);
+    let (m, v) = same_as_stepped(|m| {
+        let mut v = guest(m, &code);
+        // As if 2^32 - 1,000 trips were already done.
+        v.guest.set(Reg::Ecx, 1000);
+        v
+    });
+    assert_eq!(v.guest.get(Reg::Ecx), 0);
+    assert_eq!(m.clock, first_walk() + 2_000 + 1);
+}
+
+/// The lookups a fused tail and a closed-form stretch skip are counted
+/// as the hits they would have been. `Tlb::stats` is the stepped run's
+/// (checked by [`Twins`]); the block cache counts, as before, one
+/// lookup per turn of the loop.
+///
+/// Fails with the I-TLB hits or the block hits of `retire_counted`'s
+/// iterations left uncounted.
+#[test]
+fn counted_loops_count_every_skipped_lookup() {
+    const TRIPS: u32 = 1000;
+    for body in 0..=3 {
+        let code = counted_loop(TRIPS, body);
+        let (m, _) = same_as_stepped(|m| guest(m, &code));
+        // Decoded: the entry block (which runs the first trip), the
+        // loop proper, the CPUID. Every later trip is a hit.
+        assert_eq!(
+            m.cpus[0].decode_cache_stats(),
+            DecodeCacheStats {
+                hits: TRIPS as u64 - 2,
+                misses: 3,
+                invalidations: 0,
+                evictions: 0,
+            },
+            "body {body}"
+        );
+        let tlb = m.cpus[0].tlb.stats;
+        assert_eq!(tlb.hits + tlb.misses, m.cpus[0].instret, "body {body}");
+    }
+    // A stop in the middle of the closed form costs one more lookup,
+    // which finds the loop's block again.
+    let code = counted_loop(TRIPS, 0);
+    let mut t = Twins::build(|m| guest(m, &code));
+    assert_eq!(t.enter(first_walk() + 1 + 2 * 400), ExitReason::Preempt);
+    assert!(matches!(t.enter(WHOLE_RUN), ExitReason::Cpuid { .. }));
+    let stats = t.m.cpus[0].decode_cache_stats();
+    assert_eq!((stats.hits, stats.misses), (TRIPS as u64 - 2, 3));
+}
+
+/// Inside an STI shadow exactly one instruction runs before the
+/// interrupt window opens: the `dec` of a counted tail met there is
+/// retired alone, and the window exit finds EIP at the `jne`.
+///
+/// Fails with the fused tail taken under `single`.
+#[test]
+fn counted_tail_in_an_sti_shadow_retires_the_dec_alone() {
+    let mut a = Asm::new(CODE);
+    a.mov_ri(Reg::Ecx, 3);
+    let top = a.here_label();
+    a.sti();
+    let dec_at = a.here();
+    a.dec_r(Reg::Ecx);
+    a.jcc(Cond::Ne, top);
+    a.cpuid();
+    let code = a.finish();
+    let mut t = Twins::build(|m| {
+        let mut v = guest(m, &code);
+        v.intwin_exit = true;
+        v
+    });
+    assert_eq!(t.enter(WHOLE_RUN), ExitReason::IntWindow);
+    assert_eq!(t.v.guest.eip, dec_at + 1, "between the dec and the jne");
+    assert_eq!(t.v.guest.get(Reg::Ecx), 2);
+    // The rest of the loop has no shadow to respect (IF stays set).
+    assert!(matches!(t.enter(WHOLE_RUN), ExitReason::Cpuid { .. }));
+    assert_eq!(t.v.guest.get(Reg::Ecx), 0);
 }
 
 struct Nop;
