@@ -1,13 +1,47 @@
 //! Source-line census for the Figure 1 TCB comparison: counts
-//! non-blank, non-comment Rust lines per crate of this repository.
+//! non-blank, non-comment Rust lines per crate of this repository, and
+//! says how many of them ship. The paper's 9 KLOC is product code, so a
+//! component's size here is its `product` figure — what is left when
+//! the `#[cfg(test)]` items (unit-test modules, test-only helpers) are
+//! taken out; `with_tests` is everything.
 
+use std::ops::AddAssign;
 use std::path::{Path, PathBuf};
 
+/// A line count, with and without `#[cfg(test)]` items.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Loc {
+    /// Lines outside `#[cfg(test)]` items: what a release build compiles.
+    pub product: usize,
+    /// All lines.
+    pub with_tests: usize,
+}
+
+impl AddAssign for Loc {
+    fn add_assign(&mut self, o: Loc) {
+        self.product += o.product;
+        self.with_tests += o.with_tests;
+    }
+}
+
 /// Lines of code in one file (non-blank, non-`//` lines; `/* */`
-/// blocks tracked across lines).
-pub fn count_file(src: &str) -> usize {
+/// blocks tracked across lines). A `#[cfg(test)]` attribute takes the
+/// item it is on out of `product` — further attributes, then either a
+/// `;`-terminated line or everything up to the matching close brace.
+/// Braces are counted as characters, which `rustfmt`-ed code with
+/// balanced format strings satisfies.
+pub fn count_file(src: &str) -> Loc {
+    /// Where the scan is relative to a `#[cfg(test)]` item.
+    enum Test {
+        Outside,
+        /// Past the attribute, before the item's `{` or `;`.
+        Header,
+        /// Inside the item's braces, this many deep.
+        Body(usize),
+    }
     let mut in_block = false;
-    let mut n = 0;
+    let mut test = Test::Outside;
+    let mut n = Loc::default();
     for line in src.lines() {
         let t = line.trim();
         if in_block {
@@ -25,16 +59,31 @@ pub fn count_file(src: &str) -> usize {
             }
             continue;
         }
-        n += 1;
+        n.with_tests += 1;
+        let opens = t.matches('{').count();
+        let closes = t.matches('}').count();
+        test = match test {
+            Test::Outside if t.starts_with("#[cfg(test)]") => Test::Header,
+            Test::Outside => {
+                n.product += 1;
+                Test::Outside
+            }
+            Test::Header if t.starts_with("#[") => Test::Header,
+            Test::Header if opens > closes => Test::Body(opens - closes),
+            Test::Header if opens > 0 || t.ends_with(';') => Test::Outside,
+            Test::Header => Test::Header,
+            Test::Body(depth) if depth + opens > closes => Test::Body(depth + opens - closes),
+            Test::Body(_) => Test::Outside,
+        };
     }
     n
 }
 
 /// Recursively counts `.rs` lines under a directory.
-pub fn count_dir(dir: &Path) -> usize {
-    let mut total = 0;
+pub fn count_dir(dir: &Path) -> Loc {
+    let mut total = Loc::default();
     let Ok(entries) = std::fs::read_dir(dir) else {
-        return 0;
+        return total;
     };
     for e in entries.flatten() {
         let p = e.path();
@@ -58,13 +107,13 @@ pub fn workspace_root() -> PathBuf {
 }
 
 /// LoC of one workspace crate's `src/`.
-pub fn crate_loc(name: &str) -> usize {
+pub fn crate_loc(name: &str) -> Loc {
     count_dir(&workspace_root().join("crates").join(name).join("src"))
 }
 
 /// The TCB components of this reproduction, mirroring Figure 1's NOVA
-/// bar: (label, crates, privileged?).
-pub fn nova_tcb() -> Vec<(&'static str, usize, bool)> {
+/// bar: (label, size, privileged?).
+pub fn nova_tcb() -> Vec<(&'static str, Loc, bool)> {
     vec![
         ("Microhypervisor", crate_loc("core"), true),
         (
@@ -83,14 +132,51 @@ mod tests {
     #[test]
     fn comment_and_blank_lines_excluded() {
         let src = "fn f() {\n// comment\n\n/* block\nstill block\n*/\nlet x = 1;\n}\n";
-        assert_eq!(count_file(src), 3); // fn, let, }
+        let n = count_file(src);
+        assert_eq!((n.product, n.with_tests), (3, 3)); // fn, let, }
+    }
+
+    #[test]
+    fn cfg_test_items_are_not_product() {
+        let src = "\
+fn shipped() {
+    let s = format!(\"{}\", 1);
+}
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use super::*;
+    #[test]
+    fn t() {
+        if true {
+            shipped();
+        }
+    }
+}
+#[cfg(test)]
+use helper::thing;
+#[cfg(test)]
+fn only_for_tests(
+    a: u32,
+) -> u32 {
+    a
+}
+fn also_shipped() {}
+";
+        let n = count_file(src);
+        assert_eq!(n.product, 4, "the two shipped fns");
+        assert_eq!(n.with_tests, 23);
     }
 
     #[test]
     fn counts_this_workspace() {
         let hv = crate_loc("core");
-        assert!(hv > 500, "microhypervisor has substance: {hv}");
-        let total: usize = nova_tcb().iter().map(|(_, n, _)| n).sum();
+        assert!(hv.product > 500, "microhypervisor has substance: {hv:?}");
+        assert!(
+            hv.with_tests > hv.product + 500,
+            "and unit tests the census leaves out of the TCB: {hv:?}"
+        );
+        let total: usize = nova_tcb().iter().map(|(_, n, _)| n.product).sum();
         assert!(total > 2000);
     }
 }

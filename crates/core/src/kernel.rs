@@ -380,67 +380,38 @@ impl Kernel {
 
         // Root owns all I/O ports except the interrupt controllers
         // (PIC) and the scheduling timer (PIT).
-        for port in 0..=u16::MAX {
-            let claimed = nova_hw::pic::DualPic::owns_port(port) || (0x40..=0x43).contains(&port);
-            if !claimed {
-                root.io.grant(port);
-            }
+        use nova_hw::{pic, pit};
+        root.io.grant_range(0, 1 << 16);
+        let pic_ports = [
+            pic::MASTER_CMD,
+            pic::MASTER_DATA,
+            pic::SLAVE_CMD,
+            pic::SLAVE_DATA,
+        ];
+        for port in pic_ports.into_iter().chain(pit::CH0..=pit::MODE) {
+            root.io.revoke(port);
         }
 
         let cpus = machine.cpus.len();
         let sched = Scheduler::new(cpus);
 
         // Root owns all RAM below the hypervisor region, identity
-        // mapped, and the device MMIO windows.
-        let mut mem_db = MapDb::new();
-        let root_id = PdId(0);
-        mem_db.reserve((hv_base / PAGE_SIZE as u64) as usize + 16);
-        for page in 0..hv_base / PAGE_SIZE as u64 {
-            root.mem.map(
-                page,
-                MemMapping {
-                    hpa: page * PAGE_SIZE as u64,
-                    rights: MemRights::RW_DMA,
-                },
-            );
-            mem_db.insert_root(root_id.0, page);
-        }
-        for base in [nova_hw::machine::AHCI_BASE, nova_hw::machine::NIC_BASE] {
-            for p in 0..4 {
-                let page = base / PAGE_SIZE as u64 + p;
-                root.mem.map(
-                    page,
-                    MemMapping {
-                        hpa: page * PAGE_SIZE as u64,
-                        rights: MemRights::RW,
-                    },
-                );
-                mem_db.insert_root(root_id.0, page);
+        // mapped, and the device MMIO windows. Its spaces say so and
+        // nothing else does: the mapping databases start empty and
+        // learn of a resource when root first delegates it.
+        let mut identity = |base: u64, pages: u64, rights: MemRights| {
+            for page in base / PAGE_SIZE as u64..base / PAGE_SIZE as u64 + pages {
+                let hpa = page * PAGE_SIZE as u64;
+                root.mem.map(page, MemMapping { hpa, rights });
             }
-        }
+        };
+        identity(0, hv_base / PAGE_SIZE as u64, MemRights::RW_DMA);
+        identity(nova_hw::machine::AHCI_BASE, 4, MemRights::RW);
+        identity(nova_hw::machine::NIC_BASE, 4, MemRights::RW);
         // VGA text window.
-        for p in 0..1 {
-            let page = nova_hw::vga::VGA_BASE / PAGE_SIZE as u64 + p;
-            root.mem.map(
-                page,
-                MemMapping {
-                    hpa: page * PAGE_SIZE as u64,
-                    rights: MemRights::RW,
-                },
-            );
-            mem_db.insert_root(root_id.0, page);
-        }
+        identity(nova_hw::vga::VGA_BASE, 1, MemRights::RW);
 
-        let mut io_db = MapDb::new();
-        io_db.reserve(1 << 16);
-        for port in 0..=u16::MAX {
-            if root.io.allowed(port) {
-                io_db.insert_root(root_id.0, port);
-            }
-        }
-
-        let created = obj.add_pd(root);
-        debug_assert_eq!(created, root_id);
+        let root_id = obj.add_pd(root);
 
         let mut gsi_owner = HashMap::new();
         for gsi in 0..16u8 {
@@ -455,8 +426,8 @@ impl Kernel {
             root_pd: root_id,
             alloc,
             sched,
-            mem_db,
-            io_db,
+            mem_db: MapDb::new(),
+            io_db: MapDb::new(),
             cap_db: MapDb::new(),
             components: Vec::new(),
             nested: HashMap::new(),
@@ -667,9 +638,6 @@ impl Kernel {
 
     fn install_cap(&mut self, pd: PdId, sel: CapSel, cap: Capability) {
         self.obj.pd_mut(pd).caps.set(sel, cap);
-        if !self.cap_db.contains(pd.0, sel) {
-            self.cap_db.insert_root(pd.0, sel);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1115,7 +1083,9 @@ impl Kernel {
         rights: MemRights,
         hot: u64,
     ) -> Result<(), HcErr> {
-        // Validate ownership of the entire range first.
+        // Validate ownership of the entire range first: the source is
+        // held in `from`'s space (the database is not asked), and the
+        // destination pages are free.
         for i in 0..count {
             if self.obj.pd(from).mem.lookup(base + i).is_none() {
                 return Err(HcErr::NotOwner);
@@ -1125,10 +1095,11 @@ impl Kernel {
             }
         }
         for i in 0..count {
-            // Validated above; a vanished mapping is a caller race.
-            let Some(src) = self.obj.pd(from).mem.lookup(base + i) else {
-                return Err(HcErr::NotOwner);
-            };
+            // Every source page is mapped and no destination page is,
+            // so the two ranges are disjoint even within one space:
+            // nothing mapped below can have taken a source page away.
+            let src = self.obj.pd(from).mem.lookup(base + i);
+            let src = src.expect("source range validated above");
             let eff = src.rights.mask(rights);
             self.obj.pd_mut(to).mem.map(
                 hot + i,
@@ -1140,8 +1111,7 @@ impl Kernel {
             self.mem_db.delegate((from.0, base + i), (to.0, hot + i));
             // IOMMU: devices assigned to the receiver see the page.
             if eff.dma {
-                let devices = self.obj.pd(to).devices.clone();
-                for dev in devices {
+                for &dev in &self.obj.pd(to).devices {
                     self.machine.bus.iommu.map_page(
                         dev,
                         (hot + i) * PAGE_SIZE as u64,
@@ -1238,13 +1208,8 @@ impl Kernel {
             perms: cap.perms.mask(perms),
         };
         self.obj.pd_mut(to).caps.set(hot, reduced);
-        if !self.cap_db.contains(from.0, sel) {
-            self.cap_db.insert_root(from.0, sel);
-        }
         // A selector may be reused; drop any stale tree first.
-        if self.cap_db.contains(to.0, hot) {
-            self.cap_db.revoke((to.0, hot), true, &mut |_| {});
-        }
+        self.cap_db.revoke((to.0, hot), true, &mut |_| {});
         self.cap_db.delegate((from.0, sel), (to.0, hot));
         Ok(())
     }
@@ -1263,8 +1228,12 @@ impl Kernel {
         let mut removed: Vec<(usize, u64)> = Vec::new();
         let mut affected_vms: BTreeSet<PdId> = BTreeSet::new();
         for page in pages {
-            self.mem_db
-                .revoke((owner.0, page), include_self, &mut |k| removed.push(k));
+            revoke_holdings(
+                &mut self.mem_db,
+                (owner.0, page),
+                include_self,
+                &mut removed,
+            );
             for (pd_idx, pg) in removed.drain(..) {
                 let pd = PdId(pd_idx);
                 let mapping = self.obj.pd_mut(pd).mem.unmap(pg);
@@ -1272,8 +1241,7 @@ impl Kernel {
                     continue;
                 }
                 // IOMMU teardown.
-                let devices = self.obj.pd(pd).devices.clone();
-                for dev in devices {
+                for &dev in &self.obj.pd(pd).devices {
                     self.machine
                         .bus
                         .iommu
@@ -1364,8 +1332,7 @@ impl Kernel {
 
     fn revoke_io_port(&mut self, owner: PdId, port: u16, include_self: bool) {
         let mut removed: Vec<(usize, u16)> = Vec::new();
-        self.io_db
-            .revoke((owner.0, port), include_self, &mut |k| removed.push(k));
+        revoke_holdings(&mut self.io_db, (owner.0, port), include_self, &mut removed);
         for (pd_idx, p) in removed {
             self.obj.pd_mut(PdId(pd_idx)).io.revoke(p);
         }
@@ -1373,11 +1340,101 @@ impl Kernel {
 
     fn revoke_cap(&mut self, owner: PdId, sel: CapSel, include_self: bool) {
         let mut removed: Vec<(usize, CapSel)> = Vec::new();
-        self.cap_db
-            .revoke((owner.0, sel), include_self, &mut |k| removed.push(k));
+        revoke_holdings(&mut self.cap_db, (owner.0, sel), include_self, &mut removed);
         for (pd_idx, s) in removed {
             self.obj.pd_mut(PdId(pd_idx)).caps.remove(s);
         }
+    }
+
+    /// Nodes in the memory, I/O-port and capability mapping databases.
+    pub fn mapdb_nodes(&self) -> (usize, usize, usize) {
+        (self.mem_db.len(), self.io_db.len(), self.cap_db.len())
+    }
+
+    /// Checks the delegation state against the rule it is kept by —
+    /// spaces hold, the mapping databases derive — at a quiescent
+    /// point (between hypercalls).
+    ///
+    /// 1. Every memory, port and capability node of a domain names
+    ///    something that domain's space holds; a destroyed domain holds
+    ///    nothing and no node names it.
+    /// 2. Each database is a forest: parent and child lists agree in
+    ///    both directions, each child is listed once, nothing loops.
+    /// 3. Every page and port held by a domain other than root has a
+    ///    node with a parent: memory and ports only ever arrive by
+    ///    delegation. (Capabilities are also made by the kernel, for
+    ///    the creator of an object.)
+    /// 4. A memory node maps the frame its parent maps, with no right
+    ///    the parent lacks.
+    ///
+    /// The first violation found is described in the error.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        self.mem_db
+            .check_links()
+            .map_err(|e| format!("mem_db: {e}"))?;
+        self.io_db
+            .check_links()
+            .map_err(|e| format!("io_db: {e}"))?;
+        self.cap_db
+            .check_links()
+            .map_err(|e| format!("cap_db: {e}"))?;
+
+        let pd_of = |pd: usize| self.obj.pds.get(pd).ok_or(format!("a node names pd {pd}"));
+        // Straight from the radix leaves: a checker neither trusts nor
+        // disturbs the translation cache.
+        let mapped = |d: &Pd, page: u64| d.mem.range(page, 1).next().flatten();
+        for ((pd, page), parent) in self.mem_db.iter() {
+            let d = pd_of(pd)?;
+            let Some(m) = mapped(d, page) else {
+                return Err(format!("mem_db: {} does not map page {page:#x}", d.name));
+            };
+            // The parent's own holding is this loop's business when it
+            // comes round to the parent.
+            let Some((ppd, ppage)) = parent else { continue };
+            let Some(pm) = mapped(pd_of(ppd)?, ppage) else {
+                continue;
+            };
+            if m.hpa != pm.hpa || m.rights.mask(pm.rights) != m.rights {
+                return Err(format!(
+                    "mem_db: {} page {page:#x} is {m:?}, derived from {pm:?}",
+                    d.name
+                ));
+            }
+        }
+        for ((pd, port), _) in self.io_db.iter() {
+            if !pd_of(pd)?.io.allowed(port) {
+                return Err(format!("io_db: pd {pd} does not hold port {port:#x}"));
+            }
+        }
+        for ((pd, sel), _) in self.cap_db.iter() {
+            if pd_of(pd)?.caps.get(sel).is_none() {
+                return Err(format!("cap_db: pd {pd} does not hold selector {sel:#x}"));
+            }
+        }
+
+        for (pd, d) in self.obj.pds.iter().enumerate() {
+            if d.dying && (d.mem.count(), d.io.count(), d.caps.count()) != (0, 0, 0) {
+                // With the clauses above: no node names it either.
+                return Err(format!(
+                    "{} was destroyed and still holds something",
+                    d.name
+                ));
+            }
+            if PdId(pd) == self.root_pd {
+                continue;
+            }
+            if let Some((page, _)) = d
+                .mem
+                .iter()
+                .find(|(p, _)| self.mem_db.parent((pd, *p)).is_none())
+            {
+                return Err(format!("{} maps page {page:#x} underived", d.name));
+            }
+            if let Some(port) = d.io.iter().find(|p| self.io_db.parent((pd, *p)).is_none()) {
+                return Err(format!("{} holds port {port:#x} underived", d.name));
+            }
+        }
+        Ok(())
     }
 
     /// Destroys a protection domain: the teardown path behind the
@@ -1398,9 +1455,7 @@ impl Kernel {
         // the cold-cache contract explicit for teardown.
         self.obj.pd_mut(pd).mem.invalidate_cache();
         // I/O ports.
-        let ports: Vec<u16> = (0..=u16::MAX)
-            .filter(|p| self.obj.pd(pd).io.allowed(*p))
-            .collect();
+        let ports: Vec<u16> = self.obj.pd(pd).io.iter().collect();
         for port in ports {
             self.revoke_io_port(pd, port, true);
         }
@@ -1854,7 +1909,11 @@ impl Kernel {
     /// copied only if its frame's write generation
     /// ([`nova_hw::mem::PhysMem::frame_gen`]) is not `seen[i]`, and
     /// the generation copied at is recorded there. `u64::MAX` means
-    /// "never captured" — generations start at 0 and only rise.
+    /// "never captured" — generations start at 0 and only rise — and
+    /// 0 may stand for an image page of zeros nothing was copied into:
+    /// a frame at generation 0 is a zero page, because
+    /// [`PhysMem::new`] (the only constructor) zeroes RAM and every
+    /// mutator bumps the generation of the frames it touches.
     /// Returns the number of pages copied, or `None` — with `image`
     /// and `seen` untouched — if `addr` is not page-aligned, `image`
     /// is not `seen.len()` pages long, or any page is unmapped.
@@ -1875,6 +1934,14 @@ impl Kernel {
                 self.machine.mem.read_into(hpa, dst);
                 *seen = gen;
                 copied += 1;
+            } else if gen == 0 {
+                // Skipped on the strength of the zero-page rule alone.
+                let zeros = [0u8; PAGE_SIZE as usize];
+                let frame = self.machine.mem.slice(hpa, zeros.len());
+                debug_assert!(
+                    frame.is_none_or(|f| f == zeros) && dst == zeros,
+                    "frame {hpa:#x} at write generation 0, or its image page, is not zeros"
+                );
             }
         }
         Some(copied)
@@ -2580,6 +2647,27 @@ pub fn apply_mtd(dst: &mut Regs, src: &Regs, mtd_bits: u32) {
     }
 }
 
+/// Revocation at `at`, stated once for memory, ports and capabilities:
+/// appends to `out` every holding it takes away, children before
+/// parents — the derivations the database tracks below `at` and, with
+/// `include_self`, `at`'s own. That last one leaves its space whether
+/// or not a node tracks it: spaces hold and the database derives, so a
+/// resource never delegated has no node and is given up all the same.
+/// Without `include_self` an untracked `at` is a no-op, and no node is
+/// made for it.
+fn revoke_holdings<K: Ord + Copy + std::hash::Hash>(
+    db: &mut MapDb<K>,
+    at: (usize, K),
+    include_self: bool,
+    out: &mut Vec<(usize, K)>,
+) {
+    let start = out.len();
+    db.revoke(at, include_self, &mut |k| out.push(k));
+    if include_self && out[start..].last() != Some(&at) {
+        out.push(at);
+    }
+}
+
 /// The frames behind the `pages`-page window at `addr` of `ms`, for a
 /// sweep against an image of `image_len` bytes: `None` unless `addr` is
 /// page-aligned, the image is exactly that long and every page is
@@ -3200,6 +3288,198 @@ mod tests {
             k.obj.pd(k.root_pd).mem.lookup(100).is_some(),
             "root keeps its own mapping"
         );
+    }
+
+    /// Root with a component context and `names.len()` child domains at
+    /// selectors 10, 11, … (`PdId` 1, 2, …).
+    fn root_with_children(names: &[&str]) -> (Kernel, CompCtx) {
+        let mut k = kernel();
+        let (comp, ec) = k.load_component(k.root_pd, 0, Box::<Doubler>::default());
+        let ctx = root_ctx(&k, ec, comp);
+        for (i, name) in names.iter().enumerate() {
+            let hc = Hypercall::CreatePd {
+                name: (*name).into(),
+                vm: None,
+                dst: 10 + i as CapSel,
+            };
+            k.hypercall(ctx, hc).unwrap();
+        }
+        (k, ctx)
+    }
+
+    /// Boot records root's holdings once, in its spaces: the databases
+    /// learn of a resource with its first delegation. The port space
+    /// root gets is every port but the PIC's and the PIT's.
+    #[test]
+    fn boot_leaves_the_mapping_databases_empty() {
+        let k = kernel();
+        assert_eq!(k.mapdb_nodes(), (0, 0, 0));
+        assert_eq!(k.check_invariants(), Ok(()));
+        let root = k.obj.pd(k.root_pd);
+        for port in 0..=u16::MAX {
+            let claimed = nova_hw::pic::DualPic::owns_port(port) || (0x40..=0x43).contains(&port);
+            assert_eq!(root.io.allowed(port), !claimed, "port {port:#x}");
+        }
+    }
+
+    /// The own-holding half of revocation, for all three kinds: with
+    /// `include_self` the owner's holding leaves its space although no
+    /// node ever tracked it; without, revoking what was never
+    /// delegated does nothing and makes no node.
+    #[test]
+    fn revocation_gives_up_an_untracked_holding_only_with_include_self() {
+        let (mut k, ctx) = root_with_children(&[]);
+        let sm = Capability {
+            obj: ObjRef::Sm(SmId(0)),
+            perms: Perms::ALL,
+        };
+        // Straight into the space, as root's supervisor code does for
+        // a dead VM's domain: no hypercall made this one.
+        k.obj.pd_mut(k.root_pd).caps.set(77, sm);
+        let holds = |k: &Kernel| {
+            let root = k.obj.pd(k.root_pd);
+            (
+                root.mem.lookup(100).is_some(),
+                root.io.allowed(0x3f8),
+                root.caps.get(77).is_some(),
+            )
+        };
+        let revoke_all = |k: &mut Kernel, include_self: bool| {
+            for hc in [
+                Hypercall::RevokeMem {
+                    base: 100,
+                    count: 1,
+                    include_self,
+                },
+                Hypercall::RevokeIo {
+                    base: 0x3f8,
+                    count: 1,
+                    include_self,
+                },
+                Hypercall::RevokeCap {
+                    sel: 77,
+                    include_self,
+                },
+            ] {
+                k.hypercall(ctx, hc).unwrap();
+            }
+        };
+        revoke_all(&mut k, false);
+        assert_eq!(holds(&k), (true, true, true), "nothing was delegated");
+        assert_eq!(k.mapdb_nodes(), (0, 0, 0), "and no node appeared");
+        revoke_all(&mut k, true);
+        assert_eq!(holds(&k), (false, false, false), "own holdings given up");
+        assert_eq!(k.mapdb_nodes(), (0, 0, 0));
+        assert!(
+            k.obj.pd(k.root_pd).mem.lookup(101).is_some(),
+            "and no other"
+        );
+        assert!(k.obj.pd(k.root_pd).io.allowed(0x3f9));
+        assert_eq!(k.check_invariants(), Ok(()));
+    }
+
+    /// Root → A → B, then root revokes below itself: A's and B's
+    /// mappings go, root's stays, and the origin the first delegation
+    /// made for root's page is still there to delegate from.
+    #[test]
+    fn revoking_below_an_origin_keeps_it_delegable() {
+        let (mut k, ctx) = root_with_children(&["a", "b"]);
+        let (pd_a, pd_b) = (PdId(1), PdId(2));
+        let to_a = Hypercall::DelegateMem {
+            dst_pd: 10,
+            base: 100,
+            count: 1,
+            rights: MemRights::RW,
+            hot: 7,
+        };
+        k.hypercall(ctx, to_a.clone()).unwrap();
+        k.delegate_mem(pd_a, pd_b, 7, 1, MemRights::RO, 9).unwrap();
+        assert_eq!(k.mapdb_nodes().0, 3, "origin, A's node, B's node");
+        assert_eq!(k.mem_db.depth((pd_b.0, 9)), Some(2));
+        assert_eq!(k.check_invariants(), Ok(()));
+
+        k.hypercall(
+            ctx,
+            Hypercall::RevokeMem {
+                base: 100,
+                count: 1,
+                include_self: false,
+            },
+        )
+        .unwrap();
+        assert!(k.obj.pd(pd_a).mem.lookup(7).is_none());
+        assert!(k.obj.pd(pd_b).mem.lookup(9).is_none());
+        assert!(k.obj.pd(k.root_pd).mem.lookup(100).is_some());
+        assert_eq!(k.mapdb_nodes().0, 1, "the origin stays");
+        assert_eq!(k.check_invariants(), Ok(()));
+
+        k.hypercall(ctx, to_a).unwrap();
+        assert_eq!(k.mem_db.parent((pd_a.0, 7)), Some((k.root_pd.0, 100)));
+        assert_eq!(k.mapdb_nodes().0, 2);
+        assert_eq!(k.check_invariants(), Ok(()));
+    }
+
+    /// `DestroyPd` takes every holding out of the domain's spaces and
+    /// every node that names the domain out of the databases — what it
+    /// received, and what others derived from that.
+    #[test]
+    fn destroy_pd_removes_every_holding_and_every_node_naming_it() {
+        let (mut k, ctx) = root_with_children(&["a", "b"]);
+        let (pd_a, pd_b) = (PdId(1), PdId(2));
+        k.hypercall(ctx, Hypercall::CreateSm { count: 0, dst: 30 })
+            .unwrap();
+        for hc in [
+            Hypercall::DelegateMem {
+                dst_pd: 10,
+                base: 100,
+                count: 4,
+                rights: MemRights::RW,
+                hot: 0,
+            },
+            Hypercall::DelegateIo {
+                dst_pd: 10,
+                base: 0x3f8,
+                count: 8,
+            },
+            Hypercall::DelegateCap {
+                dst_pd: 10,
+                sel: 30,
+                perms: Perms::UP.union(Perms::DELEGATE),
+                hot: 5,
+            },
+        ] {
+            k.hypercall(ctx, hc).unwrap();
+        }
+        k.delegate_mem(pd_a, pd_b, 1, 2, MemRights::RO, 50).unwrap();
+        k.delegate_io(pd_a, pd_b, 0x3f8, 2).unwrap();
+        k.delegate_cap(pd_a, pd_b, 5, Perms::UP, 6).unwrap();
+        // And one capability A was handed by the kernel, for an object
+        // of its own: held, and tracked by nobody.
+        let own = Capability {
+            obj: ObjRef::Sm(SmId(0)),
+            perms: Perms::ALL,
+        };
+        k.install_cap(pd_a, 40, own);
+        assert_eq!(k.mapdb_nodes(), (4 + 4 + 2, 8 + 8 + 2, 3));
+        assert_eq!(k.check_invariants(), Ok(()));
+
+        k.hypercall(ctx, Hypercall::DestroyPd { pd: 10 }).unwrap();
+        for pd in [pd_a, pd_b] {
+            let d = k.obj.pd(pd);
+            assert_eq!((d.mem.count(), d.io.count(), d.caps.count()), (0, 0, 0));
+        }
+        let names = |pd: PdId| {
+            let mem = k.mem_db.iter().any(|((p, _), _)| p == pd.0);
+            let io = k.io_db.iter().any(|((p, _), _)| p == pd.0);
+            mem || io || k.cap_db.iter().any(|((p, _), _)| p == pd.0)
+        };
+        assert!(!names(pd_a) && !names(pd_b));
+        assert_eq!(
+            k.mapdb_nodes(),
+            (4, 8, 1),
+            "root's origins are what is left"
+        );
+        assert_eq!(k.check_invariants(), Ok(()));
     }
 
     #[test]

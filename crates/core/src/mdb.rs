@@ -2,15 +2,23 @@
 //! (Section 6).
 //!
 //! Every delegated resource — a memory page, an I/O port, a capability
-//! — is a node in a tree rooted at the initial owner. Delegation adds
-//! a child; revocation removes an entire subtree, invoking a callback
-//! per removed node so the kernel can tear down the corresponding
-//! hardware state (page-table entries, IOMMU mappings, I/O bitmap
-//! bits). This realizes the recursive address-space model the paper
-//! inherits from L4, "with the ability to make policy decisions at
-//! each level".
+//! — is a node in a tree rooted at the holder that first passed it on.
+//! Delegation adds a child; revocation removes an entire subtree,
+//! invoking a callback per removed node so the kernel can tear down
+//! the corresponding hardware state (page-table entries, IOMMU
+//! mappings, I/O bitmap bits). This realizes the recursive
+//! address-space model the paper inherits from L4, "with the ability
+//! to make policy decisions at each level".
+//!
+//! **Spaces hold, the database derives.** What a domain *holds* is in
+//! its memory, I/O and capability space and nowhere else; the database
+//! records only who derived what from whom. A resource that was never
+//! delegated has no node: a parentless origin appears with its first
+//! child. Callers — not the database — prove that the source of a
+//! delegation is held.
 
 use std::collections::HashMap;
+use std::fmt::Debug;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A node key: (domain index, resource key).
@@ -22,12 +30,11 @@ struct Node<K> {
 }
 
 /// Multiplicative hasher for the node table's small integer keys:
-/// rotate, xor the next word in, multiply by 2^64 / φ. Boot hashes one
-/// key per RAM page and I/O port (85 k on the benchmark machine), and
-/// SipHash was a fifth of that boot's host time. The keys are page
-/// numbers, ports and selectors of this kernel's own domains, bounded
-/// by their tables, so the flooding resistance given up protects
-/// nothing here.
+/// rotate, xor the next word in, multiply by 2^64 / φ. Boot hashes two
+/// keys per delegated page, and SipHash was a fifth of that boot's
+/// host time. The keys are page numbers, ports and selectors of this
+/// kernel's own domains, bounded by their tables, so the flooding
+/// resistance given up protects nothing here.
 #[derive(Default)]
 struct KeyHasher(u64);
 
@@ -62,9 +69,8 @@ impl Hasher for KeyHasher {
 ///
 /// Nodes live in a hash map: no database operation observes node
 /// ordering (revocation order is fixed by the per-node `children`
-/// lists), and boot inserts tens of thousands of root entries — one
-/// per RAM page and I/O port — so node insertion is on the
-/// kernel-construction critical path.
+/// lists), and boot inserts a node or two per page it delegates, so
+/// node insertion is on the system-construction critical path.
 pub struct MapDb<K: Ord + Copy + Hash> {
     nodes: HashMap<NodeKey<K>, Node<K>, BuildHasherDefault<KeyHasher>>,
 }
@@ -83,12 +89,8 @@ impl<K: Ord + Copy + Hash> MapDb<K> {
         Self::default()
     }
 
-    /// Pre-sizes the node table for `n` additional entries.
-    pub fn reserve(&mut self, n: usize) {
-        self.nodes.reserve(n);
-    }
-
-    /// Records an initial (root) ownership, not derived from anyone.
+    /// Records a parentless origin ahead of its first delegation.
+    /// [`MapDb::delegate`] does this on demand; nothing has to.
     pub fn insert_root(&mut self, owner: usize, key: K) {
         self.nodes.insert(
             (owner, key),
@@ -105,10 +107,12 @@ impl<K: Ord + Copy + Hash> MapDb<K> {
     }
 
     /// Records a delegation of `(from_owner, from_key)` to
-    /// `(to_owner, to_key)`. Returns `false` if the source node does
-    /// not exist or the destination already does.
+    /// `(to_owner, to_key)`; a source nobody tracks yet becomes a
+    /// parentless origin (the caller has checked that it is held).
+    /// Returns `false`, recording nothing, if the destination is
+    /// already tracked or is the source itself.
     pub fn delegate(&mut self, from: NodeKey<K>, to: NodeKey<K>) -> bool {
-        if !self.nodes.contains_key(&from) || self.nodes.contains_key(&to) || from == to {
+        if from == to || self.nodes.contains_key(&to) {
             return false;
         }
         self.nodes.insert(
@@ -118,7 +122,15 @@ impl<K: Ord + Copy + Hash> MapDb<K> {
                 children: Vec::new(),
             },
         );
-        self.nodes.get_mut(&from).unwrap().children.push(to);
+        let origin = || Node {
+            parent: None,
+            children: Vec::new(),
+        };
+        self.nodes
+            .entry(from)
+            .or_insert_with(origin)
+            .children
+            .push(to);
         true
     }
 
@@ -152,18 +164,60 @@ impl<K: Ord + Copy + Hash> MapDb<K> {
         }
     }
 
-    /// Depth of a node (root = 0), for diagnostics.
+    /// Depth of a node (origin = 0), for diagnostics; `None` for a
+    /// key nobody tracks, a dangling parent or a parent chain that
+    /// never reaches an origin.
     pub fn depth(&self, mut at: NodeKey<K>) -> Option<usize> {
-        let mut d = 0;
-        loop {
+        for d in 0..self.nodes.len() {
             match self.nodes.get(&at)?.parent {
-                Some(p) => {
-                    at = p;
-                    d += 1;
-                }
+                Some(p) => at = p,
                 None => return Some(d),
             }
         }
+        None
+    }
+
+    /// The node `at` was derived from: `None` for an origin and for a
+    /// key nobody tracks.
+    pub fn parent(&self, at: NodeKey<K>) -> Option<NodeKey<K>> {
+        self.nodes.get(&at)?.parent
+    }
+
+    /// Every tracked node with its parent, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeKey<K>, Option<NodeKey<K>>)> + '_ {
+        self.nodes.iter().map(|(k, n)| (*k, n.parent))
+    }
+
+    /// Checks that the tree is one: every child a node lists exists,
+    /// is listed once and names that node as its parent; every parent
+    /// a node names exists and lists it; and no parent chain loops.
+    pub fn check_links(&self) -> Result<(), String>
+    where
+        K: Debug,
+    {
+        for (at, node) in &self.nodes {
+            let mut listed = node.children.clone();
+            listed.sort_unstable();
+            if listed.windows(2).any(|w| w[0] == w[1]) {
+                return Err(format!("{at:?} lists a child twice"));
+            }
+            for c in &node.children {
+                if self.nodes.get(c).map(|n| n.parent) != Some(Some(*at)) {
+                    return Err(format!(
+                        "{at:?} lists {c:?}, which is gone or has another parent"
+                    ));
+                }
+            }
+            if let Some(p) = node.parent {
+                if !self.nodes.get(&p).is_some_and(|n| n.children.contains(at)) {
+                    return Err(format!("{at:?} names parent {p:?}, which does not list it"));
+                }
+            }
+            if self.depth(*at).is_none() {
+                return Err(format!("{at:?} is on a parent cycle"));
+            }
+        }
+        Ok(())
     }
 
     /// Total tracked nodes.
@@ -192,14 +246,52 @@ mod tests {
         assert_eq!(db.len(), 3);
     }
 
+    /// The database does not prove that a source is held — its callers
+    /// do, against the space — so an untracked source becomes an origin
+    /// with its first child. What it does refuse is what would break
+    /// the tree: a node derived from itself, a second parent.
     #[test]
     fn delegate_requires_source() {
         let mut db: MapDb<u64> = MapDb::new();
-        assert!(!db.delegate((0, 1), (1, 1)), "no source node");
-        db.insert_root(0, 1);
         assert!(!db.delegate((0, 1), (0, 1)), "self-delegation");
-        assert!(db.delegate((0, 1), (1, 1)));
+        assert!(db.is_empty(), "and no origin left behind by the refusal");
+        assert!(db.delegate((0, 1), (1, 1)), "untracked source");
+        assert_eq!(db.depth((0, 1)), Some(0), "became an origin");
+        assert_eq!(db.parent((1, 1)), Some((0, 1)));
+        assert_eq!(db.len(), 2);
         assert!(!db.delegate((0, 1), (1, 1)), "destination exists");
+        assert!(!db.delegate((2, 1), (1, 1)), "under another parent too");
+        assert!(!db.contains(2, 1), "and that refusal made no origin");
+        assert!(!db.delegate((1, 1), (0, 1)), "an origin is a destination");
+        assert_eq!(db.len(), 2);
+        assert_eq!(db.check_links(), Ok(()));
+    }
+
+    /// `check_links` is the referee of every other test here; these are
+    /// the three ways a tree stops being one.
+    #[test]
+    fn check_links_catches_a_broken_tree() {
+        let tree = || {
+            let mut db: MapDb<u64> = MapDb::new();
+            db.delegate((0, 1), (1, 1));
+            db.delegate((1, 1), (2, 1));
+            assert_eq!(db.check_links(), Ok(()));
+            db
+        };
+        let mut db = tree();
+        db.nodes.remove(&(2, 1));
+        assert!(db.check_links().is_err(), "a listed child that is gone");
+        let mut db = tree();
+        db.nodes.get_mut(&(1, 1)).unwrap().children.push((2, 1));
+        assert!(db.check_links().is_err(), "a child listed twice");
+        let mut db = tree();
+        db.nodes.get_mut(&(0, 1)).unwrap().children.clear();
+        assert!(db.check_links().is_err(), "a parent that disowns");
+        let mut db = tree();
+        db.nodes.get_mut(&(0, 1)).unwrap().parent = Some((2, 1));
+        db.nodes.get_mut(&(2, 1)).unwrap().children.push((0, 1));
+        assert!(db.check_links().is_err(), "a cycle");
+        assert_eq!(db.depth((2, 1)), None);
     }
 
     #[test]

@@ -325,9 +325,37 @@ impl IoSpace {
         self.bitmap[port as usize / 64] |= 1 << (port % 64);
     }
 
+    /// Grants the `count` ports from `base` (clipped to the port
+    /// space), a bitmap word at a time.
+    pub fn grant_range(&mut self, base: u16, count: usize) {
+        let end = (base as usize + count).min(1 << 16);
+        let mut at = base as usize;
+        while at < end {
+            let upto = end.min((at / 64 + 1) * 64);
+            let run = u64::MAX >> (64 - (upto - at));
+            self.bitmap[at / 64] |= run << (at % 64);
+            at = upto;
+        }
+    }
+
     /// Revokes a port.
     pub fn revoke(&mut self, port: u16) {
         self.bitmap[port as usize / 64] &= !(1 << (port % 64));
+    }
+
+    /// The granted ports in ascending order, at the cost of the ports
+    /// granted (plus one test per bitmap word), not of the port space.
+    pub fn iter(&self) -> impl Iterator<Item = u16> + '_ {
+        self.bitmap.iter().enumerate().flat_map(|(word, &bits)| {
+            let mut left = bits;
+            std::iter::from_fn(move || {
+                (left != 0).then(|| {
+                    let bit = left.trailing_zeros();
+                    left &= left - 1;
+                    (word * 64) as u16 + bit as u16
+                })
+            })
+        })
     }
 
     /// Number of granted ports.
@@ -703,6 +731,42 @@ mod tests {
         io.revoke(0x3f8);
         assert!(!io.allowed(0x3f8));
         assert!(io.allowed(0x3f9));
+    }
+
+    /// `grant_range` and `iter` against the per-port `grant` and
+    /// `allowed` they stand in for, on ranges that start, end and lie
+    /// inside, on and across bitmap words, and at both ends of the
+    /// port space.
+    #[test]
+    fn iospace_ranges_agree_with_the_per_port_operations() {
+        let ranges = [
+            (0u16, 0usize),
+            (0, 1),
+            (0, 64),
+            (1, 62),
+            (63, 2),
+            (60, 200),
+            (0x3f8, 8),
+            (0xffc0, 64),
+            (0xfffe, 9),
+            (0, 1 << 16),
+        ];
+        for (base, count) in ranges {
+            let (mut ranged, mut single) = (IoSpace::new(), IoSpace::new());
+            ranged.grant(7);
+            single.grant(7);
+            ranged.grant_range(base, count);
+            for port in (base as usize..base as usize + count).take_while(|p| *p < 1 << 16) {
+                single.grant(port as u16);
+            }
+            let want: Vec<u16> = (0..=u16::MAX).filter(|p| single.allowed(*p)).collect();
+            assert_eq!(
+                ranged.bitmap, single.bitmap,
+                "grant_range({base:#x}, {count})"
+            );
+            assert_eq!(ranged.iter().collect::<Vec<_>>(), want);
+            assert_eq!(ranged.count(), want.len());
+        }
     }
 
     #[test]

@@ -303,6 +303,12 @@ pub fn image_header(blob: &[u8]) -> Option<(u64, usize)> {
     Some((seq, mem_len))
 }
 
+/// `true` if `blob` holds a guest image of `mem_len` bytes, which
+/// [`refresh`] then updates in place; otherwise it starts from zeros.
+pub fn holds_image(blob: &[u8], mem_len: usize) -> bool {
+    image_header(blob).is_some_and(|(_, len)| len == mem_len)
+}
+
 /// Brings `blob` up to date in place as checkpoint `seq`: `sync`
 /// updates the `mem_len`-byte guest image, then the sequence number is
 /// patched and the records behind the image are rewritten. Afterwards
@@ -310,9 +316,9 @@ pub fn image_header(blob: &[u8]) -> Option<(u64, usize)> {
 /// .to_bytes()` for the image `sync` left behind.
 ///
 /// A `blob` that does not already hold an image of `mem_len` bytes is
-/// replaced by one of zeros first, so `sync` must then write all of it;
-/// the caller — who keeps whatever `sync` knows about the image's
-/// contents — checks with [`image_header`] beforehand.
+/// replaced by one of zeros first, so `sync` must then write every page
+/// that is not all zeros; the caller — who keeps whatever `sync` knows
+/// about the image's contents — checks with [`holds_image`] beforehand.
 ///
 /// `sync` is the only step that can fail, and must leave the image
 /// untouched when it does (returns `None`); `blob` is then exactly what
@@ -327,7 +333,7 @@ pub fn refresh<R>(
 ) -> Option<R> {
     let end = MEM_OFFSET.checked_add(mem_len)?;
     let records = records_len(vcpus.len(), vmm_state);
-    let holds_image = image_header(blob).is_some_and(|(_, len)| len == mem_len);
+    let holds_image = holds_image(blob, mem_len);
     let mut fresh = Vec::new();
     if !holds_image {
         let mut e = Enc::over(Vec::with_capacity(end + records + RECORD_SLACK));

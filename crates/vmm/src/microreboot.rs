@@ -74,30 +74,34 @@ pub struct DiskWiring {
 
 /// What the recipe knows about the guest image inside the one
 /// checkpoint blob it last wrote or restored. The blob itself stays
-/// with root; a blob that is not that one — none yet, dropped by a cold
-/// reboot, swapped or cut short — is recaptured, or restored, in full.
+/// with root; a blob that is not that one — swapped, or any blob before
+/// the recipe's first — is recaptured, or restored, in full, and where
+/// there is no image to update (none yet, dropped by a cold reboot, cut
+/// short) the capture starts from zeros and copies what was written.
 #[derive(Default)]
 pub(crate) struct CapturedImage {
     /// Write generation of each guest frame when it last equalled its
     /// page of the image — copied out by a capture or written back by a
-    /// restore (`u64::MAX`: never).
+    /// restore ([`NEVER`] if it has not).
     seen: Vec<u64>,
     /// Sequence number and length of the blob `seen` describes.
     blob: Option<(u64, usize)>,
 }
 
+/// A generation no frame is at: the page is copied whatever it holds.
+const NEVER: u64 = u64::MAX;
+
 impl CapturedImage {
     /// The generation table to sync `blob`, a checkpoint of a guest of
     /// `pages` pages, with guest RAM in either direction: as kept if
-    /// `blob` is the one it describes, otherwise reset to "never", so
-    /// that every page is copied.
-    fn table_for(&mut self, blob: &[u8], pages: usize) -> &mut [u64] {
+    /// `blob` is the one it describes, otherwise reset to `unknown`.
+    fn table_for(&mut self, blob: &[u8], pages: usize, unknown: u64) -> &mut [u64] {
         let ours = self.blob.is_some_and(|(seq, len)| {
             len == blob.len() && checkpoint::image_header(blob) == Some((seq, pages * 4096))
         });
         if !ours {
             self.seen.clear();
-            self.seen.resize(pages, u64::MAX);
+            self.seen.resize(pages, unknown);
         }
         &mut self.seen
     }
@@ -293,7 +297,20 @@ impl VmRecipe for MicrorebootRecipe {
             .save_state();
         let pages = self.cfg.guest_pages as usize;
         let mem_len = pages * 4096;
-        let (window, seen) = (self.frames * 4096, self.image.table_for(blob, pages));
+        // A blob holding no image of this size is one `refresh` replaces
+        // by zeros, which every frame still at write generation 0
+        // already equals (`Kernel::mem_refresh`): the first capture
+        // copies the frames somebody wrote, not all of guest RAM. A
+        // foreign image could hold anything, so all of it is overwritten.
+        let unknown = if checkpoint::holds_image(blob, mem_len) {
+            NEVER
+        } else {
+            0
+        };
+        let (window, seen) = (
+            self.frames * 4096,
+            self.image.table_for(blob, pages, unknown),
+        );
         let copied = checkpoint::refresh(blob, seq, mem_len, &vcpus, &vmm_state, |image| {
             k.mem_refresh(ctx, window, image, seen)
         })
@@ -369,7 +386,9 @@ impl VmRecipe for MicrorebootRecipe {
             // request buffers out of the restored image. Only the
             // frames written since they last equalled `blob`'s image
             // are written back.
-            let seen = self.image.table_for(blob, self.cfg.guest_pages as usize);
+            let seen = self
+                .image
+                .table_for(blob, self.cfg.guest_pages as usize, NEVER);
             k.mem_restore(ctx, self.frames * 4096, ck.guest_mem, seen)
                 .ok_or(RespawnError::State("guest memory restore failed"))?;
             self.image.blob = Some((ck.seq, blob.len()));

@@ -139,14 +139,24 @@ fn witness_marks(sys: &System) -> Vec<u32> {
         .collect()
 }
 
+/// The kernel's delegation state is what its own rule says it is
+/// (`Kernel::check_invariants`): asked after every scenario and after
+/// every respawn or revive, whatever the faults did in between.
+#[track_caller]
+fn assert_sound(k: &Kernel) {
+    assert_eq!(k.check_invariants(), Ok(()));
+}
+
 /// Tentpole acceptance: five fault kinds injected into a live run;
 /// the guest completes with correct data, the co-resident VM is
 /// untouched, and the injected counts balance the recovery counters.
 #[test]
 fn chaos_five_fault_kinds_guest_unaffected() {
     let mut sys = chaos_system(Some(chaos_plan(CHAOS_SEED)));
+    assert_sound(&sys.k);
     let out = sys.run(Some(60_000_000_000));
     assert_eq!(out, RunOutcome::Shutdown(0), "disk guest finishes cleanly");
+    assert_sound(&sys.k);
 
     // All five enabled kinds actually fired.
     let injected = sys.k.machine.faults().injected;
@@ -233,6 +243,7 @@ fn same_seed_reproduces_fault_schedule() {
     let run = || {
         let mut sys = chaos_system(Some(chaos_plan(CHAOS_SEED)));
         assert_eq!(sys.run(Some(60_000_000_000)), RunOutcome::Shutdown(0));
+        assert_sound(&sys.k);
         sys
     };
     let a = run();
@@ -297,6 +308,7 @@ fn driver_crash_mid_workload_recovers_end_to_end() {
     );
     sys.k.pd_fault(srv_pd, 0xdead);
     assert_eq!(sys.k.counters.pd_deaths, 1);
+    assert_sound(&sys.k);
 
     // The system recovers on its own: watchdog -> root respawn ->
     // VMM re-registration -> resubmission of the in-flight request.
@@ -307,6 +319,7 @@ fn driver_crash_mid_workload_recovers_end_to_end() {
         "guest completed after the crash"
     );
     assert_eq!(sys.k.counters.driver_restarts, 1);
+    assert_sound(&sys.k);
 
     // Data integrity across the restart: the last block is correct.
     let host = 0x1000 * 4096 + rt::layout::DISK_BUF as u64;
@@ -557,6 +570,7 @@ fn restart_revokes_iommu_mappings_and_client_reregisters() {
     let before = client_signals(&mut r);
     assert_eq!(r.k.run(Some(100_000_000)), RunOutcome::Budget);
     assert_eq!(r.k.counters.driver_restarts, 1);
+    assert_sound(&r.k);
 
     // ...and is gone once the PD died: DestroyPd revoked every mapping
     // the dead server held, the stale client window included. The new
@@ -600,6 +614,7 @@ fn restart_revokes_iommu_mappings_and_client_reregisters() {
             .map(|rp| rp.supervision.as_ref().unwrap().restarts),
         Some(1)
     );
+    assert_sound(&r.k);
 }
 
 fn root_pm(r: &mut Rig) -> &mut RootPm {
@@ -645,6 +660,8 @@ fn respawn_retry_after_a_late_step_failure_recovers() {
     assert_eq!(rp.disk_retry.as_ref().unwrap().attempts, 1);
     assert!(!rp.disk_failed);
     assert_eq!(r.k.counters.driver_restarts, 0);
+    // A half-built incarnation is still a sound kernel.
+    assert_sound(&r.k);
 
     // Repaired before the backoff fires: the second attempt goes
     // through.
@@ -652,6 +669,7 @@ fn respawn_retry_after_a_late_step_failure_recovers() {
     let before = client_signals(&mut r);
     assert_eq!(r.k.run(Some(100_000_000)), RunOutcome::Budget);
     assert_eq!(r.k.counters.driver_restarts, 1);
+    assert_sound(&r.k);
     let rp = root_pm(&mut r);
     assert!(
         !rp.disk_failed,
@@ -675,6 +693,7 @@ fn respawn_retry_after_a_late_step_failure_recovers() {
     let mut got = [0u8; 16];
     r.k.mem_read_into(r.client_ctx, 8 * 4096, &mut got).unwrap();
     assert_eq!(got[..], r.k.machine.ahci().sector(555)[..16]);
+    assert_sound(&r.k);
 }
 
 /// The retry ladder's other end: a server recipe that can never be
@@ -737,6 +756,7 @@ fn respawn_budget_exhaustion_retires_the_disk_and_nothing_else() {
         Some(RespawnError::Step("gsi grant", HcErr::NotOwner))
     );
     assert_eq!(sys.k.counters.driver_restarts, 0);
+    assert_sound(&sys.k);
 
     // The guest is not told why, only that its reads fail: it runs to
     // its end on the client's timeouts.
@@ -749,6 +769,7 @@ fn respawn_budget_exhaustion_retires_the_disk_and_nothing_else() {
     assert_eq!(sys.k.counters.driver_restarts, 0);
     let rp = sys.k.component_mut::<RootPm>(sys.root).unwrap();
     assert_eq!(rp.disk_retry.as_ref().unwrap().attempts, REVIVE_ATTEMPTS);
+    assert_sound(&sys.k);
 }
 
 /// The protection domain the capability at `sel` in `pd`'s space names.
@@ -818,6 +839,7 @@ fn three_clients_keep_their_slots_across_a_respawn() {
     assert_eq!(vmm_pds.len(), 3);
     assert!(vmm_pds.iter().all(Option::is_some));
     assert_eq!(client_slots(&mut sys, 3), vmm_pds, "slot = index at boot");
+    assert_sound(&sys.k);
 
     loop {
         assert_eq!(sys.run(Some(100_000)), RunOutcome::Budget);
@@ -834,6 +856,7 @@ fn three_clients_keep_their_slots_across_a_respawn() {
     assert_eq!(sys.k.counters.driver_restarts, 1);
     assert_eq!(sys.k.counters.degraded_errors, 0);
     assert_eq!(client_slots(&mut sys, 3), vmm_pds, "and after the respawn");
+    assert_sound(&sys.k);
 
     // Every guest's last block, read through its own VMM's mapping of
     // guest RAM.

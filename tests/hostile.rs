@@ -96,6 +96,9 @@ fn check_plan(plan: HostilePlan) -> System {
         sys.k.counters.guest_faults_rejected,
         plan.min_rejections
     );
+    // Whatever the guest tried, the kernel's delegation state is what
+    // its own rule says it is.
+    assert_eq!(sys.k.check_invariants(), Ok(()), "{label}");
     sys
 }
 
@@ -246,6 +249,7 @@ fn hostile_vm_kill_leaves_sibling_running() {
         assert_eq!(v, witness_checksum(i as u32), "witness checksum {i}");
     }
     assert_eq!(sys.k.counters.vm_kills, 1);
+    assert_eq!(sys.k.check_invariants(), Ok(()));
 }
 
 /// The kill and rejection paths publish their per-domain metrics:
@@ -437,6 +441,7 @@ fn hostile_hypercall_args_are_contained() {
                 errors += 1;
             }
         }
+        assert_eq!(k.check_invariants(), Ok(()), "after seed {seed}");
     }
     assert!(errors > 0, "wild arguments must produce typed errors");
     assert!(calls >= 48, "sweep ran");
@@ -511,4 +516,5 @@ fn hostile_guest_under_chaos_plan() {
     assert_eq!(sys.vmm().kill, None, "diskload VMM untouched");
     let injected: u64 = sys.k.machine.faults().injected.iter().sum();
     assert!(injected >= 1, "chaos plan actually fired");
+    assert_eq!(sys.k.check_invariants(), Ok(()));
 }

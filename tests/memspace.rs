@@ -3,16 +3,21 @@
 //! map/unmap sequences, the per-PD translation cache must never serve
 //! a stale entry through any kernel mutation path, delegation and
 //! revocation must leave every space well-formed and every child
-//! mapping backed by its parent's, page-crossing u32/u64 accessors
-//! must agree with byte-wise composition, and the window sweeps
-//! (`range`, `mem_refresh`, `mem_restore`) must see every hole.
+//! mapping backed by its parent's (`Kernel::check_invariants`, asked
+//! after every hypercall of a random script), boot must leave the
+//! mapping databases no bigger than what was delegated, page-crossing
+//! u32/u64 accessors must agree with byte-wise composition, and the
+//! window sweeps (`range`, `mem_refresh`, `mem_restore`) must see every
+//! hole.
 
 use std::collections::BTreeMap;
 
 use nova_core::obj::{MemMapping, MemRights, MemSpace, PdId};
-use nova_core::{Hypercall, Kernel, KernelConfig};
+use nova_core::{CompCtx, Hypercall, Kernel, KernelConfig};
+use nova_guest::os::{build_os, OsParams};
 use nova_hw::machine::{Machine, MachineConfig};
 use nova_user::RootPm;
+use nova_vmm::{GuestImage, LaunchOptions, System, VmmConfig};
 
 /// Deterministic xorshift64* generator (same idiom as `tests/props.rs`).
 struct Rng(u64);
@@ -207,29 +212,40 @@ fn kernel_with_root() -> (Kernel, nova_core::CompCtx) {
     (k, ctx)
 }
 
-/// A randomized delegate/revoke hypercall script leaves both memory
-/// spaces well-formed — `count()` is the number of mappings `iter()`
-/// yields, in strictly ascending page order — and every page the child
-/// holds backed by the root's mapping of the same frame, with rights
-/// no wider than the root's.
+/// A randomized delegate/revoke hypercall script — root to a child,
+/// the child on to a grandchild at other page numbers, ports alongside,
+/// revocations from both levels with and without the revoker's own
+/// holding, and the child destroyed and rebuilt half way — keeps
+/// `Kernel::check_invariants` true after every single hypercall, and
+/// leaves every memory space well-formed: `count()` is the number of
+/// mappings `iter()` yields, in strictly ascending page order, and
+/// every page the child holds is backed by root's mapping of the same
+/// frame with rights no wider than root's.
 #[test]
 fn kernel_delegation_script_preserves_memspace_invariants() {
     let (mut k, ctx) = kernel_with_root();
-    k.hypercall(
-        ctx,
-        Hypercall::CreatePd {
-            name: "child".into(),
-            vm: None,
-            dst: 0x30,
-        },
-    )
-    .unwrap();
+    assert_eq!(k.mapdb_nodes(), (0, 0, 0), "boot delegated nothing");
+    let create = |k: &mut Kernel, ctx: CompCtx, name: &str, dst| {
+        let vm = None;
+        let name = name.into();
+        k.hypercall(ctx, Hypercall::CreatePd { name, vm, dst })
+            .unwrap();
+        PdId(k.obj.pds.len() - 1)
+    };
+    let mut child = create(&mut k, ctx, "child", 0x30);
+    // The child acts for itself: its own selector space, its own
+    // grandchild.
+    let mut child_ctx = CompCtx { pd: child, ..ctx };
+    create(&mut k, child_ctx, "grandchild", 0x31);
+    /// Where the grandchild sees the child's page `p`.
+    const SHIFT: u64 = 0x1_0000;
     let mut rng = Rng::new(0xdead_beef);
-    for _ in 0..300 {
+    for step in 0..600 {
         let base = rng.below(2000);
         let count = 1 + rng.below(8);
-        if rng.below(100) < 60 {
-            let _ = k.hypercall(
+        let include_self = rng.below(4) == 0;
+        let (who, hc) = match rng.below(100) {
+            0..=39 => (
                 ctx,
                 Hypercall::DelegateMem {
                     dst_pd: 0x30,
@@ -238,22 +254,68 @@ fn kernel_delegation_script_preserves_memspace_invariants() {
                     rights: random_rights(&mut rng),
                     hot: base,
                 },
-            );
-        } else {
-            let _ = k.hypercall(
+            ),
+            40..=59 => (
+                child_ctx,
+                Hypercall::DelegateMem {
+                    dst_pd: 0x31,
+                    base,
+                    count,
+                    rights: random_rights(&mut rng),
+                    hot: base + SHIFT,
+                },
+            ),
+            60..=64 => (
                 ctx,
+                Hypercall::DelegateIo {
+                    dst_pd: 0x30,
+                    base: 0x300 + base as u16 % 64,
+                    count: count as u16,
+                },
+            ),
+            65..=69 => (
+                child_ctx,
+                Hypercall::DelegateIo {
+                    dst_pd: 0x31,
+                    base: 0x300 + base as u16 % 64,
+                    count: count as u16,
+                },
+            ),
+            70..=84 => (
+                if rng.below(2) == 0 { ctx } else { child_ctx },
                 Hypercall::RevokeMem {
                     base,
                     count,
-                    include_self: false,
+                    include_self,
                 },
-            );
+            ),
+            _ => (
+                if rng.below(2) == 0 { ctx } else { child_ctx },
+                Hypercall::RevokeIo {
+                    base: 0x300 + base as u16 % 64,
+                    count: count as u16,
+                    include_self,
+                },
+            ),
+        };
+        let _ = k.hypercall(who, hc);
+        assert_eq!(k.check_invariants(), Ok(()), "after step {step}");
+        if step == 300 {
+            assert!(k.obj.pd(child).mem.count() > 0, "something to destroy");
+            k.hypercall(ctx, Hypercall::DestroyPd { pd: 0x30 }).unwrap();
+            assert_eq!(k.check_invariants(), Ok(()), "after DestroyPd");
+            child = create(&mut k, ctx, "child", 0x30);
+            child_ctx = CompCtx { pd: child, ..ctx };
+            create(&mut k, child_ctx, "grandchild", 0x31);
         }
     }
-    let child = &k.obj.pd(PdId(1)).mem;
+    let grandchild = PdId(child.0 + 1);
     let root = &k.obj.pd(k.root_pd).mem;
+    let child = &k.obj.pd(child).mem;
+    let grandchild = &k.obj.pd(grandchild).mem;
     assert!(child.count() > 0, "script delegated something");
-    for ms in [child, root] {
+    assert!(grandchild.count() > 0, "and the child passed some of it on");
+    for ms in [child, grandchild, root] {
         let pages: Vec<u64> = ms.iter().map(|(p, _)| p).collect();
         assert_eq!(ms.count(), pages.len());
         assert!(pages.windows(2).all(|w| w[0] < w[1]), "iter() ascending");
@@ -263,6 +325,44 @@ fn kernel_delegation_script_preserves_memspace_invariants() {
         assert_eq!(m.hpa, r.hpa, "page {page:#x}: same frame");
         assert_eq!(m.rights.mask(r.rights), m.rights, "page {page:#x}: rights");
     }
+    for (page, m) in grandchild.iter() {
+        let c = child.lookup(page - SHIFT).expect("backed by the child");
+        assert_eq!(m.hpa, c.hpa, "page {page:#x}: same frame");
+    }
+}
+
+/// What boot leaves in the mapping databases: nothing after
+/// `Kernel::new` — root's holdings are in its spaces — and after
+/// `System::build` a node or three per page that was actually
+/// delegated (root's origin, the VMM's mapping, the VM's), a handful
+/// of ports, and no more: not one per frame of RAM and port of the
+/// machine.
+#[test]
+fn boot_footprint_is_what_was_delegated() {
+    let (k, _) = kernel_with_root();
+    assert_eq!(k.mapdb_nodes(), (0, 0, 0));
+    assert!(k.obj.pd(k.root_pd).mem.count() > 10_000);
+    assert!(k.obj.pd(k.root_pd).io.count() > 65_000);
+
+    const GUEST_PAGES: u64 = 1024;
+    let prog = build_os(OsParams::minimal(), |a, _| nova_guest::rt::emit_exit(a, 0));
+    let image = GuestImage {
+        bytes: prog.bytes,
+        load_gpa: prog.load_gpa,
+        entry: prog.entry,
+        stack: prog.stack,
+    };
+    let sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(
+        image,
+        GUEST_PAGES,
+    )));
+    let (mem, io, _) = sys.k.mapdb_nodes();
+    assert!(
+        (2 * GUEST_PAGES..=3 * GUEST_PAGES + 64).contains(&(mem as u64)),
+        "{mem} memory nodes for a {GUEST_PAGES}-page guest"
+    );
+    assert!((1..=16).contains(&io), "{io} port nodes");
+    assert_eq!(sys.k.check_invariants(), Ok(()));
 }
 
 /// The translation cache fronting the radix table must never serve

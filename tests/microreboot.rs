@@ -140,6 +140,14 @@ fn with_sup<R>(sys: &mut System, f: impl FnOnce(&nova_user::root::VmmSupervision
 
 /// Slice-runs until `done` says stop (or the workload finishes, which
 /// fails the test via the caller's later assertions).
+/// The kernel's delegation state is what its own rule says it is
+/// (`Kernel::check_invariants`): asked after every teardown and every
+/// restore, and on every checked tick in between.
+#[track_caller]
+fn assert_sound(sys: &System) {
+    assert_eq!(sys.k.check_invariants(), Ok(()));
+}
+
 fn run_until(sys: &mut System, mut done: impl FnMut(&mut System) -> bool) {
     loop {
         let out = sys.run(Some(100_000));
@@ -187,6 +195,7 @@ fn crash_mid_workload_restores_and_completes_byte_identical() {
     let (_, vmm_pd) = sys.microreboot_vmm().expect("supervised vmm");
     sys.k.pd_fault(vmm_pd, VMM_CRASH_CODE);
     assert_eq!(sys.k.counters.pd_deaths, 1);
+    assert_sound(&sys);
 
     let out = sys.run(Some(BUDGET));
     assert_eq!(
@@ -194,6 +203,7 @@ fn crash_mid_workload_restores_and_completes_byte_identical() {
         RunOutcome::Shutdown(0),
         "guest completed after restore"
     );
+    assert_sound(&sys);
 
     // Exactly one restore, at the resume rung, and the guest made
     // forward progress afterwards (the end mark is emitted once).
@@ -285,6 +295,7 @@ fn second_crash_inside_stability_window_escalates_to_cold_reboot() {
         assert_eq!(sup.seq, seq, "no capture since the crash");
         assert!(sup.last_checkpoint.is_none(), "checkpoint discarded");
     });
+    assert_sound(&sys);
 
     let out = sys.run(Some(BUDGET));
     assert_eq!(out, RunOutcome::Shutdown(0), "cold reboot completed");
@@ -419,6 +430,8 @@ fn ladder_exhaustion_marks_vm_failed_while_sibling_runs() {
         "exactly two climbs: resume -> cold -> failed"
     );
     assert_eq!(sys.k.counters.vmm_restarts, 0);
+    // Torn down and never rebuilt: both dead domains hold nothing.
+    assert_sound(&sys);
 
     // The sibling finished all its iterations with correct data.
     let marks = witness_marks(&sys);
@@ -464,6 +477,7 @@ fn disk_server_crash_during_restore_retries_idempotently() {
         assert!(sup.reviving, "first attempt could not finish");
         assert_eq!(sup.retry.attempts, 1, "the dead server failed one attempt");
     });
+    assert_sound(&sys);
 
     let out = sys.run(Some(BUDGET));
     assert_eq!(
@@ -480,6 +494,7 @@ fn disk_server_crash_during_restore_retries_idempotently() {
         assert!(!sup.failed);
         assert!(!sup.reviving);
     });
+    assert_sound(&sys);
 
     let got = sys.k.machine.mem.read_bytes(pv_buf_host(0), 8 * 4096);
     assert_eq!(
@@ -506,6 +521,7 @@ fn injected_vmm_crash_fault_recovers() {
     let injected: u64 = sys.k.machine.faults().injected.iter().sum();
     assert_eq!(injected, 1, "the plan fired exactly once");
     assert_eq!(sys.k.counters.vmm_restarts, 1);
+    assert_sound(&sys);
 
     let got = sys.k.machine.mem.read_bytes(pv_buf_host(7), 16);
     let sectors = (BLOCK / 512) as u64;
@@ -628,6 +644,15 @@ fn frame_gens(sys: &System, base: u64, pages: u64) -> Vec<u64> {
     (0..pages).map(|p| mem.frame_gen(base + p * 4096)).collect()
 }
 
+/// How many of the supervised VM's `pages` guest frames anything has
+/// written since the machine was built (write generation not 0): what
+/// a capture into a fresh all-zero image has to copy.
+fn written_frames(sys: &mut System, pages: u64) -> u64 {
+    let base = guest_host(sys, 0);
+    let gens = frame_gens(sys, base, pages);
+    gens.iter().filter(|g| **g != 0).count() as u64
+}
+
 /// Replaces the checkpoint root holds for the supervised VM.
 fn swap_in(sys: &mut System, blob: Option<Vec<u8>>) {
     let (root, slot) = (sys.root, sys.microreboot.expect("slot"));
@@ -675,6 +700,7 @@ fn tick(sys: &mut System) -> Option<u64> {
     if with_sup(sys, |sup| sup.seq) == seq {
         return None;
     }
+    assert_sound(sys);
     let expect = full_capture(sys, seq + 1);
     with_sup(sys, |sup| {
         let blob = sup.last_checkpoint.as_ref().expect("checkpoint");
@@ -694,8 +720,10 @@ fn tick(sys: &mut System) -> Option<u64> {
 /// restore, and across an escalation to a cold reboot. Steady-state
 /// ticks copy a handful of pages into the same allocation, and so does
 /// the one after the restore (which wrote back only the frames that had
-/// moved, and recorded where it left them); the first capture and the
-/// one after the cold reboot copy every page.
+/// moved, and recorded where it left them). The first capture copies
+/// the frames somebody wrote — the rest of a fresh image is zeros, and
+/// so is a frame at write generation 0 — and the one after the cold
+/// reboot, whose `mem_fill` moved every generation, copies every page.
 #[test]
 fn checkpoint_image_equals_full_capture_at_every_tick() {
     let mut sys = pv_system(SMALL_GUEST, 100_000);
@@ -710,6 +738,10 @@ fn checkpoint_image_equals_full_capture_at_every_tick() {
     let mut slices = Vec::new();
     let mut home = None;
     let mut crashes = 0;
+    // Before anything runs: the image the launcher loaded, and little
+    // else of the guest's RAM.
+    let written_at_boot = written_frames(&mut sys, SMALL_GUEST);
+    assert!((1..SMALL_GUEST / 8).contains(&written_at_boot));
     loop {
         let copied = sys.k.counters.checkpoint_pages_copied;
         let out = sys.run(Some(100_000));
@@ -741,16 +773,21 @@ fn checkpoint_image_equals_full_capture_at_every_tick() {
         "second revive was a cold boot"
     );
 
-    // The boot and the cold reboot (`mem_fill` moved every generation)
-    // start with one whole capture; nothing else does — the restored
-    // incarnation's table came back with its memory.
+    // The boot starts with a capture of what was written by then, the
+    // cold reboot (`mem_fill` moved every generation) with a whole one;
+    // the restored incarnation's table came back with its memory.
     for incarnation in 0..=2 {
         let mut of = slices.iter().filter(|&&(r, _)| r == incarnation);
         if incarnation != 1 {
             let &(_, first) = of.next().expect("a checked tick per incarnation");
+            let whole = if incarnation == 0 {
+                written_at_boot
+            } else {
+                SMALL_GUEST
+            };
             assert!(
-                (SMALL_GUEST..SMALL_GUEST + 64).contains(&first),
-                "incarnation {incarnation} starts with one whole capture, not {first} pages"
+                (whole..whole + 64).contains(&first),
+                "incarnation {incarnation} starts by capturing {whole} pages, not {first}"
             );
         }
         let mut checked = 0;
@@ -779,7 +816,13 @@ fn every_writer_reaches_the_checkpoint_image() {
     let mut sys = pv_system(SMALL_GUEST, 1 << 40);
     let root_ctx = sys.root_ctx;
     run_until(&mut sys, |s| pv_completions(s) >= 4);
-    assert_eq!(tick(&mut sys), Some(SMALL_GUEST), "first capture is whole");
+    let written = written_frames(&mut sys, SMALL_GUEST);
+    assert!((1..SMALL_GUEST / 8).contains(&written), "{written} written");
+    assert_eq!(
+        tick(&mut sys),
+        Some(written),
+        "the first capture copies every written frame and no other"
+    );
     assert_eq!(tick(&mut sys), Some(0), "nothing ran, nothing to copy");
 
     // Host-side writers, on four pages the guest never uses.
@@ -851,14 +894,18 @@ fn every_writer_reaches_the_checkpoint_image() {
 }
 
 /// The generation table describes one blob — the one the recipe last
-/// wrote. Whatever else root hands it (another run's checkpoint of the
-/// same size, a truncated one, none at all) is recaptured in full and
-/// comes out exact; a capture that fails leaves the blob alone.
+/// wrote. Whatever else root hands it is recaptured in full and comes
+/// out exact (`tick` compares with a from-scratch capture): a *foreign*
+/// blob holding an image — another run's checkpoint of the same size,
+/// an older one of this run — has every page overwritten, and a
+/// *missing* one — none at all, a truncated one — is rebuilt from
+/// zeros, so only the frames somebody wrote are copied. A capture that
+/// fails leaves the blob alone.
 #[test]
 fn foreign_or_missing_blob_is_recaptured_in_full() {
     let mut sys = pv_system(SMALL_GUEST, 1 << 40);
     run_until(&mut sys, |s| pv_completions(s) >= 4);
-    assert_eq!(tick(&mut sys), Some(SMALL_GUEST));
+    assert!(tick(&mut sys).expect("capture") < SMALL_GUEST / 8);
     run_until(&mut sys, |s| pv_completions(s) >= 8);
     assert!(tick(&mut sys).expect("capture") < 32);
     let ours = with_sup(&mut sys, |sup| sup.last_checkpoint.clone()).expect("checkpoint");
@@ -878,10 +925,22 @@ fn foreign_or_missing_blob_is_recaptured_in_full() {
     let mut truncated = ours.clone();
     truncated.truncate(ours.len() / 2);
 
-    for blob in [Some(foreign), Some(truncated), None, Some(ours)] {
+    let written = written_frames(&mut sys, SMALL_GUEST);
+    assert!((1..SMALL_GUEST / 8).contains(&written), "{written} written");
+    // `ours` went stale when the recipe wrote the blobs after it.
+    for (blob, holds_image) in [
+        (Some(foreign), true),
+        (Some(truncated), false),
+        (None, false),
+        (Some(ours), true),
+    ] {
         swap_in(&mut sys, blob);
-        // `ours` went stale when the recipe wrote the blobs after it.
-        assert_eq!(tick(&mut sys), Some(SMALL_GUEST));
+        let copied = if holds_image { SMALL_GUEST } else { written };
+        assert_eq!(
+            tick(&mut sys),
+            Some(copied),
+            "holds an image: {holds_image}"
+        );
         assert_eq!(tick(&mut sys), Some(0), "and is then the recipe's own");
     }
 
@@ -919,6 +978,7 @@ fn resume_revive(sys: &mut System) {
         assert_eq!(sup.last_error, None);
         assert_eq!((sup.level, sup.restarts), (LEVEL_RESUME, restarts + 1));
     });
+    assert_sound(sys);
 }
 
 /// DESIGN §6e's rule read in the restore direction — a frame still at
@@ -1088,6 +1148,7 @@ fn cold_revive(sys: &mut System) -> Vec<u64> {
         assert_eq!((sup.level, sup.restarts), (LEVEL_COLD, restarts + 1));
         assert_eq!(sup.last_error, None);
     });
+    assert_sound(sys);
     let tracer = sys.k.machine.tracer();
     assert_eq!(tracer.dropped(), 0);
     nova_trace::query::events_of(&tracer.events(), nova_trace::Kind::Hypercall)
