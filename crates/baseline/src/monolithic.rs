@@ -14,7 +14,7 @@
 use nova_core::counters::Counters;
 use nova_core::hostpt::{FrameAllocator, NestedTable};
 use nova_core::obj::{MemMapping, MemRights, MemSpace};
-use nova_core::vtlb::{self, CrOutcome, ShadowCache, TlbOp, VtlbOutcome};
+use nova_core::vtlb::{self, CrOutcome, ShadowCache, VtlbOutcome};
 use nova_hw::cpu::run_guest;
 use nova_hw::machine::{Machine, MachineConfig};
 use nova_hw::pic::DualPic;
@@ -22,9 +22,9 @@ use nova_hw::tlb::Tlb;
 use nova_hw::vmx::{ExitReason, Injection, PagingVirt, Vmcs};
 use nova_hw::Cycles;
 use nova_x86::decode::{decode, DecodeError, MAX_INSN_LEN};
-use nova_x86::exec::{execute, Env, Fault};
+use nova_x86::exec::{emulator_gva_to_gpa, execute, Env, Fault};
 use nova_x86::insn::OpSize;
-use nova_x86::paging::{pte, split_2level, NestedFormat, LARGE_PAGE_SIZE};
+use nova_x86::paging::{self, NestedFormat};
 use nova_x86::reg::{cr4, Reg, Reg8, Regs};
 
 /// Memory-virtualization mode.
@@ -323,7 +323,9 @@ impl Monolithic {
         String::from_utf8_lossy(&self.vserial).into_owned()
     }
 
-    fn gpa_hpa(&self, gpa: u64) -> Option<u64> {
+    /// Where guest-physical `gpa` lives in host memory (`None` outside
+    /// guest RAM and the VGA window).
+    pub fn gpa_hpa(&self, gpa: u64) -> Option<u64> {
         self.ms.translate(gpa)
     }
 
@@ -333,37 +335,17 @@ impl Monolithic {
             .unwrap_or(0)
     }
 
-    /// Guest-virtual to guest-physical walk (for the emulator).
-    fn gva_to_gpa(&self, regs: &Regs, addr: u32, write: bool) -> Result<u64, Fault> {
+    /// Guest-virtual to guest-physical walk (for the emulator), as a
+    /// supervisor access with `CR0.WP` set. An entry outside guest RAM
+    /// reads as not present.
+    pub fn gva_to_gpa(&self, regs: &Regs, addr: u32, write: bool) -> Result<u64, Fault> {
         if !regs.paging() {
             return Ok(addr as u64);
         }
-        let fault = |present| Fault::Page {
-            addr,
-            write,
-            fetch: false,
-            present,
-        };
         let pse = regs.cr4 & cr4::PSE != 0;
-        let (di, ti, off) = split_2level(addr);
-        let pde = self.read_gpa_u32((regs.cr3 & pte::ADDR) as u64 + di as u64 * 4);
-        if pde & pte::P == 0 {
-            return Err(fault(false));
-        }
-        if pse && pde & pte::PS != 0 {
-            if write && pde & pte::W == 0 {
-                return Err(fault(true));
-            }
-            return Ok((pde & pte::ADDR_LARGE) as u64 + (addr & (LARGE_PAGE_SIZE - 1)) as u64);
-        }
-        let ptev = self.read_gpa_u32((pde & pte::ADDR) as u64 + ti as u64 * 4);
-        if ptev & pte::P == 0 {
-            return Err(fault(false));
-        }
-        if write && (ptev & pte::W == 0 || pde & pte::W == 0) {
-            return Err(fault(true));
-        }
-        Ok((ptev & pte::ADDR) as u64 + off as u64)
+        emulator_gva_to_gpa(regs.cr3, pse, addr, write, false, |at| {
+            self.read_gpa_u32(at)
+        })
     }
 
     fn vpit_period(&self) -> Cycles {
@@ -735,14 +717,7 @@ impl Monolithic {
                     if outcome != CrOutcome::None {
                         self.counters.vtlb_flushes += 1;
                     }
-                    let tlb = &mut self.machine.cpus[0].tlb;
-                    for op in cache.take_tlb_ops() {
-                        match op {
-                            TlbOp::FlushAll | TlbOp::FlushVpid(0) => tlb.flush_all(),
-                            TlbOp::FlushVpid(v) => tlb.flush_vpid(v),
-                            TlbOp::Invl { vpid, gva } => tlb.invalidate(vpid, gva as u64),
-                        }
-                    }
+                    vtlb::apply_tlb_ops(&mut self.machine.cpus[0].tlb, cache.take_tlb_ops());
                 }
             }
             ExitReason::Invlpg { addr, len } => {
@@ -848,26 +823,25 @@ impl Monolithic {
         struct MonoEnv<'a> {
             mono: &'a mut Monolithic,
         }
-        impl Env for MonoEnv<'_> {
-            type Err = Fault;
-            fn read_mem(&mut self, addr: u32, size: OpSize) -> Result<u32, Fault> {
-                let regs = self.mono.vmcs.guest.clone();
-                let gpa = self.mono.gva_to_gpa(&regs, addr, false)?;
+        impl MonoEnv<'_> {
+            fn translate(&self, addr: u32, write: bool) -> Result<u64, Fault> {
+                self.mono.gva_to_gpa(&self.mono.vmcs.guest, addr, write)
+            }
+            /// Guest-physical accesses within one page: guest RAM, the
+            /// in-kernel disk model, or the floating bus.
+            fn read_gpa(&mut self, gpa: u64, size: OpSize) -> u32 {
                 if let Some(hpa) = self.mono.gpa_hpa(gpa) {
-                    Ok(self.mono.machine.mem.read_sized(hpa, size))
+                    self.mono.machine.mem.read_sized(hpa, size)
                 } else if (nova_hw::machine::AHCI_BASE..nova_hw::machine::AHCI_BASE + 0x1000)
                     .contains(&gpa)
                 {
-                    Ok(self
-                        .mono
-                        .disk_mmio_read((gpa - nova_hw::machine::AHCI_BASE) as u32))
+                    self.mono
+                        .disk_mmio_read((gpa - nova_hw::machine::AHCI_BASE) as u32)
                 } else {
-                    Ok(size.mask())
+                    size.mask()
                 }
             }
-            fn write_mem(&mut self, addr: u32, size: OpSize, val: u32) -> Result<(), Fault> {
-                let regs = self.mono.vmcs.guest.clone();
-                let gpa = self.mono.gva_to_gpa(&regs, addr, true)?;
+            fn write_gpa(&mut self, gpa: u64, size: OpSize, val: u32) {
                 if let Some(hpa) = self.mono.gpa_hpa(gpa) {
                     self.mono.machine.mem.write_sized(hpa, size, val);
                 } else if (nova_hw::machine::AHCI_BASE..nova_hw::machine::AHCI_BASE + 0x1000)
@@ -876,6 +850,32 @@ impl Monolithic {
                     self.mono
                         .disk_mmio_write((gpa - nova_hw::machine::AHCI_BASE) as u32, val);
                 }
+            }
+        }
+        impl Env for MonoEnv<'_> {
+            type Err = Fault;
+            fn read_mem(&mut self, addr: u32, size: OpSize) -> Result<u32, Fault> {
+                if paging::crosses_page(addr, size.bytes()) {
+                    let at = paging::crossing_bytes(addr, |a| self.translate(a, false))?;
+                    let mut val = 0;
+                    for (i, &gpa) in at.iter().take(size.bytes() as usize).enumerate() {
+                        val |= self.read_gpa(gpa, OpSize::Byte) << (8 * i);
+                    }
+                    return Ok(val);
+                }
+                let gpa = self.translate(addr, false)?;
+                Ok(self.read_gpa(gpa, size))
+            }
+            fn write_mem(&mut self, addr: u32, size: OpSize, val: u32) -> Result<(), Fault> {
+                if paging::crosses_page(addr, size.bytes()) {
+                    let at = paging::crossing_bytes(addr, |a| self.translate(a, true))?;
+                    for (i, &gpa) in at.iter().take(size.bytes() as usize).enumerate() {
+                        self.write_gpa(gpa, OpSize::Byte, val >> (8 * i) & 0xff);
+                    }
+                    return Ok(());
+                }
+                let gpa = self.translate(addr, true)?;
+                self.write_gpa(gpa, size, val);
                 Ok(())
             }
             fn io_in(&mut self, port: u16, size: OpSize) -> Result<u32, Fault> {

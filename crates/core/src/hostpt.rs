@@ -8,8 +8,9 @@
 //! the paper measures in Figure 5.
 
 use nova_hw::mem::PhysMem;
+use nova_hw::mmu::nested_entry;
 use nova_hw::PAddr;
-use nova_x86::paging::{npte, pte, NestedFormat, LARGE_PAGE_SIZE, PAGE_SIZE};
+use nova_x86::paging::{pte, NestedFormat, LARGE_PAGE_SIZE, PAGE_SIZE};
 
 /// Bump allocator over the hypervisor's private memory region, with a
 /// free list for recycled frames.
@@ -85,13 +86,6 @@ impl NestedTable {
         }
     }
 
-    fn read_entry(&self, mem: &PhysMem, table: PAddr, idx: u64) -> u64 {
-        match self.fmt.entry_size() {
-            8 => mem.read_u64(table + idx * 8),
-            _ => mem.read_u32(table + idx * 4) as u64,
-        }
-    }
-
     fn write_entry(&self, mem: &mut PhysMem, table: PAddr, idx: u64, val: u64) {
         match self.fmt.entry_size() {
             8 => mem.write_u64(table + idx * 8, val),
@@ -99,39 +93,42 @@ impl NestedTable {
         }
     }
 
-    fn table_entry(&self, next: PAddr) -> u64 {
-        match self.fmt {
-            NestedFormat::Ept4Level => next | npte::RWX,
-            NestedFormat::Npt2Level => next | (pte::P | pte::W) as u64,
+    /// Descends from the root towards the table at `leaf_level` and
+    /// returns the slot `(table, index, level)` that maps `gpa`: at
+    /// `leaf_level`, or higher up where a large leaf already covers
+    /// `gpa`. A missing table on the way is allocated and linked with
+    /// `alloc`; without, it ends the descent with `None`.
+    fn descend(
+        &mut self,
+        mem: &mut PhysMem,
+        gpa: u64,
+        leaf_level: u32,
+        mut alloc: Option<&mut FrameAllocator>,
+    ) -> Option<(PAddr, u64, u32)> {
+        let mut table = self.root;
+        let mut level = self.fmt.levels() - 1;
+        while level > leaf_level {
+            let idx = self.fmt.index_of(level, gpa);
+            let e = self.fmt.decode(nested_entry(mem, self.fmt, table, idx));
+            table = if !e.present {
+                let f = alloc.as_deref_mut()?.alloc(mem);
+                self.frames.push(f);
+                self.write_entry(mem, table, idx, self.fmt.table_entry(f));
+                f
+            } else if e.large {
+                return Some((table, idx, level));
+            } else {
+                e.next
+            };
+            level -= 1;
         }
+        Some((table, self.fmt.index_of(leaf_level, gpa), leaf_level))
     }
 
-    fn leaf_entry(&self, hpa: PAddr, write: bool, large: bool) -> u64 {
-        match self.fmt {
-            NestedFormat::Ept4Level => {
-                let mut e = hpa | npte::R | npte::X;
-                if write {
-                    e |= npte::W;
-                }
-                if large {
-                    e |= npte::PS;
-                }
-                e
-            }
-            NestedFormat::Npt2Level => {
-                let mut e = hpa | pte::P as u64;
-                if write {
-                    e |= pte::W as u64;
-                }
-                if large {
-                    e |= pte::PS as u64;
-                }
-                e
-            }
-        }
-    }
-
-    /// Maps one small (4 KB) page: GPA → HPA.
+    /// Maps one small (4 KB) page: GPA → HPA. A page a large mapping
+    /// already covers stays under it: whoever made the large mapping
+    /// unmaps it first (the kernel splinters a chunk before it maps
+    /// finer, `unmap_nested_page`).
     pub fn map_page(
         &mut self,
         mem: &mut PhysMem,
@@ -140,31 +137,10 @@ impl NestedTable {
         hpa: PAddr,
         write: bool,
     ) {
-        let mut table = self.root;
-        let mut level = self.fmt.levels() - 1;
-        while level > 0 {
-            let idx = self.fmt.index_of(level, gpa);
-            let e = self.read_entry(mem, table, idx);
-            let present = match self.fmt {
-                NestedFormat::Ept4Level => e & npte::R != 0,
-                NestedFormat::Npt2Level => e & pte::P as u64 != 0,
-            };
-            let next = if present {
-                match self.fmt {
-                    NestedFormat::Ept4Level => e & npte::ADDR,
-                    NestedFormat::Npt2Level => (e as u32 & pte::ADDR) as u64,
-                }
-            } else {
-                let f = alloc.alloc(mem);
-                self.frames.push(f);
-                self.write_entry(mem, table, idx, self.table_entry(f));
-                f
-            };
-            table = next;
-            level -= 1;
+        let leaf = self.fmt.leaf_entry(hpa & !0xfff, write, false);
+        if let Some((table, idx, 0)) = self.descend(mem, gpa, 0, Some(alloc)) {
+            self.write_entry(mem, table, idx, leaf);
         }
-        let idx = self.fmt.index_of(0, gpa);
-        self.write_entry(mem, table, idx, self.leaf_entry(hpa & !0xfff, write, false));
     }
 
     /// Maps one large page (2 MB for EPT, 4 MB for NPT): GPA → HPA,
@@ -180,63 +156,19 @@ impl NestedTable {
         let size = self.fmt.large_page_size();
         debug_assert_eq!(gpa % size, 0);
         debug_assert_eq!(hpa % size, 0);
-        let leaf_level = match self.fmt {
-            NestedFormat::Ept4Level => 1,
-            NestedFormat::Npt2Level => 1,
-        };
-        let mut table = self.root;
-        let mut level = self.fmt.levels() - 1;
-        while level > leaf_level {
-            let idx = self.fmt.index_of(level, gpa);
-            let e = self.read_entry(mem, table, idx);
-            let present = e & npte::R != 0; // EPT only reaches here
-            let next = if present {
-                e & npte::ADDR
-            } else {
-                let f = alloc.alloc(mem);
-                self.frames.push(f);
-                self.write_entry(mem, table, idx, self.table_entry(f));
-                f
-            };
-            table = next;
-            level -= 1;
+        let leaf = self.fmt.leaf_entry(hpa, write, true);
+        if let Some((table, idx, 1)) = self.descend(mem, gpa, 1, Some(alloc)) {
+            self.write_entry(mem, table, idx, leaf);
         }
-        let idx = self.fmt.index_of(leaf_level, gpa);
-        self.write_entry(mem, table, idx, self.leaf_entry(hpa, write, true));
     }
 
     /// Unmaps the small page covering `gpa` (clears the leaf entry;
-    /// intermediate tables are kept).
+    /// intermediate tables are kept). Clearing a large page drops the
+    /// whole range.
     pub fn unmap_page(&mut self, mem: &mut PhysMem, gpa: u64) {
-        let mut table = self.root;
-        let mut level = self.fmt.levels() - 1;
-        while level > 0 {
-            let idx = self.fmt.index_of(level, gpa);
-            let e = self.read_entry(mem, table, idx);
-            let present = match self.fmt {
-                NestedFormat::Ept4Level => e & npte::R != 0,
-                NestedFormat::Npt2Level => e & pte::P as u64 != 0,
-            };
-            if !present {
-                return;
-            }
-            let ps = match self.fmt {
-                NestedFormat::Ept4Level => e & npte::PS != 0,
-                NestedFormat::Npt2Level => e & pte::PS as u64 != 0,
-            };
-            if ps {
-                // Clearing a large page drops the whole range.
-                self.write_entry(mem, table, idx, 0);
-                return;
-            }
-            table = match self.fmt {
-                NestedFormat::Ept4Level => e & npte::ADDR,
-                NestedFormat::Npt2Level => (e as u32 & pte::ADDR) as u64,
-            };
-            level -= 1;
+        if let Some((table, idx, _)) = self.descend(mem, gpa, 0, None) {
+            self.write_entry(mem, table, idx, 0);
         }
-        let idx = self.fmt.index_of(0, gpa);
-        self.write_entry(mem, table, idx, 0);
     }
 
     /// Frames owned by this table (for teardown).
@@ -529,6 +461,24 @@ mod tests {
             &mut cyc
         )
         .is_err());
+    }
+
+    /// A 4 KB mapping asked for where a large leaf stands leaves the
+    /// leaf in charge; the large frame is never taken for a table.
+    #[test]
+    fn map_page_under_a_large_leaf_never_writes_through_it() {
+        for fmt in [NestedFormat::Ept4Level, NestedFormat::Npt2Level] {
+            let (mut mem, mut alloc) = setup();
+            let mut t = NestedTable::new(fmt, &mut alloc, &mut mem);
+            let frame = fmt.large_page_size();
+            t.map_large(&mut mem, &mut alloc, 0, frame, true);
+            let gen = mem.frame_gen(frame);
+            t.map_page(&mut mem, &mut alloc, 0x5000, 0x9000, true);
+            assert_eq!(mem.frame_gen(frame), gen, "{fmt:?}: guest frame untouched");
+            let mut cyc = 0;
+            let leaf = walk_nested(&mem, t.root, fmt, 0x5123, Access::READ, &BLM, &mut cyc);
+            assert_eq!(leaf.map(|l| l.hpa), Ok(frame + 0x5123));
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::obj::{
 };
 use crate::sched::Scheduler;
 use crate::utcb::{Utcb, VmExitMsg, XferItem};
-use crate::vtlb::{self, CrOutcome, ShadowCache, TlbOp, VtlbOutcome};
+use crate::vtlb::{self, CrOutcome, ShadowCache, VtlbOutcome};
 
 /// Component handle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -643,6 +643,20 @@ impl Kernel {
     // ------------------------------------------------------------------
     // Hypercalls
     // ------------------------------------------------------------------
+
+    /// `SmBind` for a component that keeps the semaphore's identity to
+    /// recognise its signals by: binds the calling EC to the semaphore
+    /// at `sel` and returns the id the caller's own capability names.
+    pub fn bind_sm(&mut self, ctx: CompCtx, sel: CapSel) -> Result<SmId, HcErr> {
+        self.hypercall(ctx, Hypercall::SmBind { sm: sel })?;
+        self.lookup_sm(ctx.pd, sel, Perms::DOWN)
+    }
+
+    /// `CreateSm` (count 0) at `dst`, then [`Kernel::bind_sm`].
+    pub fn create_bound_sm(&mut self, ctx: CompCtx, dst: CapSel) -> Result<SmId, HcErr> {
+        self.hypercall(ctx, Hypercall::CreateSm { count: 0, dst })?;
+        self.bind_sm(ctx, dst)
+    }
 
     /// Executes a hypercall on behalf of `ctx`. Charges the
     /// user/kernel boundary crossing.
@@ -1313,20 +1327,11 @@ impl Kernel {
     }
 
     /// Applies the hardware-TLB maintenance the vCPU's shadow cache
-    /// queued while handling an exit (tag 0 widens to a full flush).
+    /// queued while handling an exit.
     fn drain_tlb_ops(&mut self, ec_id: EcId) {
         let cpu = self.obj.ec(ec_id).cpu;
-        let Some(cache) = self.shadows.get_mut(&ec_id) else {
-            return;
-        };
-        let ops = cache.take_tlb_ops();
-        let tlb = &mut self.machine.cpus[cpu].tlb;
-        for op in ops {
-            match op {
-                TlbOp::FlushAll | TlbOp::FlushVpid(0) => tlb.flush_all(),
-                TlbOp::FlushVpid(v) => tlb.flush_vpid(v),
-                TlbOp::Invl { vpid, gva } => tlb.invalidate(vpid, gva as u64),
-            }
+        if let Some(cache) = self.shadows.get_mut(&ec_id) {
+            vtlb::apply_tlb_ops(&mut self.machine.cpus[cpu].tlb, cache.take_tlb_ops());
         }
     }
 
@@ -2746,6 +2751,25 @@ mod tests {
         // Hypervisor memory excluded.
         let hv_first_page = (32 << 20) as u64 / 4096 - k.config.hv_mem / 4096;
         assert!(root.mem.lookup(hv_first_page).is_none());
+    }
+
+    /// A component learns a semaphore's id from its own capability —
+    /// not from where `add_sm` happened to put the newest object — and
+    /// the helper is the two hypercalls it replaces, no more.
+    #[test]
+    fn bound_sm_is_named_by_the_callers_capability() {
+        let mut k = kernel();
+        let (comp, ec) = k.load_component(k.root_pd, 0, Box::<Doubler>::default());
+        let ctx = root_ctx(&k, ec, comp);
+        let before = k.counters.hypercalls;
+        let first = k.create_bound_sm(ctx, 0x40).unwrap();
+        assert_eq!(k.counters.hypercalls, before + 2, "CreateSm + SmBind");
+        let second = k.create_bound_sm(ctx, 0x41).unwrap();
+        assert_ne!(first, second);
+        assert_eq!(k.bind_sm(ctx, 0x40), Ok(first), "not the newest semaphore");
+        assert_eq!(k.counters.hypercalls, before + 5);
+        assert_eq!(k.obj.sm(first).bound, Some(ec));
+        assert_eq!(k.bind_sm(ctx, 0x42), Err(HcErr::BadCap));
     }
 
     #[test]

@@ -63,9 +63,10 @@
 use std::collections::BTreeMap;
 
 use nova_hw::mem::PhysMem;
+use nova_hw::tlb::Tlb;
 use nova_hw::vmx::Vmcs;
 use nova_hw::PAddr;
-use nova_x86::paging::{pte, split_2level, LARGE_PAGE_SIZE, PAGE_SIZE};
+use nova_x86::paging::{self, pte, split_2level, PAGE_SIZE};
 use nova_x86::reg::{cr0, cr4, pf_err};
 
 use crate::hostpt::{FrameAllocator, ShadowPt};
@@ -114,8 +115,8 @@ pub enum CrOutcome {
 }
 
 /// A hardware-TLB maintenance operation the shadow cache owes the CPU.
-/// The cache queues these while handling an exit; the kernel drains
-/// them into the exiting CPU's TLB (tag 0 widens to a full flush).
+/// The cache queues these while handling an exit; whoever handled it
+/// drains them into the exiting CPU's TLB with [`apply_tlb_ops`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TlbOp {
     /// Flush every entry (untagged TLB).
@@ -129,6 +130,18 @@ pub enum TlbOp {
         /// Page-aligned linear address.
         gva: u32,
     },
+}
+
+/// Applies queued maintenance to the hardware TLB of the CPU the vCPU
+/// runs on. Tag 0 is the untagged TLB: flushing it is a full flush.
+pub fn apply_tlb_ops(tlb: &mut Tlb, ops: Vec<TlbOp>) {
+    for op in ops {
+        match op {
+            TlbOp::FlushAll | TlbOp::FlushVpid(0) => tlb.flush_all(),
+            TlbOp::FlushVpid(v) => tlb.flush_vpid(v),
+            TlbOp::Invl { vpid, gva } => tlb.invalidate(vpid, gva as u64),
+        }
+    }
 }
 
 /// Snapshot of one tracked guest page-directory/-table frame, scoped
@@ -525,33 +538,24 @@ struct GuestLeaf {
 /// Walks the guest's two-level page table (guest-physical pointers,
 /// resolved through the VM's host memory space), enforcing US/W/WP and
 /// maintaining A/D bits; tracks the frames it consumes in `slot`.
-#[allow(clippy::too_many_arguments)]
+///
+/// The order of effects is part of what a seed reproduces: the root
+/// frame is tracked before the PDE is read, the page-table frame once
+/// the access is known to be permitted, and then PDE and PTE are
+/// written back — every time, even with A/D already set, which moves
+/// the two frames' write generations.
 fn walk_guest(
     mem: &mut PhysMem,
     ms: &MemSpace,
     vmcs: &Vmcs,
     slot: &mut Slot,
     addr: u32,
-    write: bool,
-    fetch: bool,
-    user: bool,
+    err: u32,
 ) -> Result<GuestLeaf, u32> {
-    let fault = |present: bool| {
-        let mut e = 0;
-        if present {
-            e |= pf_err::PRESENT;
-        }
-        if write {
-            e |= pf_err::WRITE;
-        }
-        if user {
-            e |= pf_err::USER;
-        }
-        if fetch {
-            e |= pf_err::FETCH;
-        }
-        e
-    };
+    // The injected error code: the access as the exit reported it.
+    let access = err & (pf_err::WRITE | pf_err::USER | pf_err::FETCH);
+    let fault = |present: bool| access | if present { pf_err::PRESENT } else { 0 };
+    let (write, user) = (err & pf_err::WRITE != 0, err & pf_err::USER != 0);
 
     if !vmcs.guest.paging() {
         // Real-mode-style flat guest: GVA == GPA, everything writable.
@@ -565,75 +569,58 @@ fn walk_guest(
 
     let wp = vmcs.guest.cr0 & cr0::WP != 0;
     let pse = vmcs.guest.cr4 & cr4::PSE != 0;
-    let (di, ti, off) = split_2level(addr);
+    let (di, ti, _) = split_2level(addr);
 
     let root_gpa = (vmcs.guest.cr3 & pte::ADDR) as u64;
     track_frame(slot, mem, ms, root_gpa, true, None);
 
-    let pde_gpa = root_gpa + di as u64 * 4;
-    let pde_hpa = ms.translate(pde_gpa).ok_or(fault(false))?;
-    let mut pde = mem.read_u32(pde_hpa);
-    if pde & pte::P == 0 {
-        return Err(fault(false));
-    }
-
-    if pse && pde & pte::PS != 0 {
-        let user_ok = pde & pte::US != 0;
-        if user && !user_ok {
-            return Err(fault(true));
+    // Host-physical homes of the entries read (PDE, then PTE), for the
+    // write-back. A table frame the memory space cannot translate stops
+    // the walk like a not-present entry.
+    let mut homes = [0 as PAddr; 2];
+    let mut reads = homes.iter_mut();
+    let w = paging::walk_2level(vmcs.guest.cr3, pse, addr, |gpa| {
+        let Some(hpa) = ms.translate(gpa) else {
+            return Err(());
+        };
+        if let Some(home) = reads.next() {
+            *home = hpa;
         }
-        let writable = pde & pte::W != 0 || (!user && !wp);
-        if write && !writable {
-            return Err(fault(true));
-        }
-        pde |= pte::A;
-        if write {
-            pde |= pte::D;
-        }
-        mem.write_u32(pde_hpa, pde);
-        refresh_snap(slot, root_gpa, di as usize, pde);
-        return Ok(GuestLeaf {
-            gpa: (pde & pte::ADDR_LARGE) as u64 + (addr & (LARGE_PAGE_SIZE - 1)) as u64,
-            writable,
-            user: user_ok,
-            dirty: pde & pte::D != 0,
-        });
-    }
-
-    let pt_gpa = (pde & pte::ADDR) as u64;
-    let pte_gpa = pt_gpa + ti as u64 * 4;
-    let pte_hpa = ms.translate(pte_gpa).ok_or(fault(false))?;
-    let mut pte_v = mem.read_u32(pte_hpa);
-    if pte_v & pte::P == 0 {
-        return Err(fault(false));
-    }
-
-    let user_ok = pde & pte::US != 0 && pte_v & pte::US != 0;
-    if user && !user_ok {
+        Ok(mem.read_u32(hpa))
+    })
+    .unwrap_or(None)
+    .ok_or(fault(false))?;
+    if !w.permits(write, user, wp) {
         return Err(fault(true));
     }
-    let writable = (pde & pte::W != 0 && pte_v & pte::W != 0) || (!user && !wp);
-    if write && !writable {
-        return Err(fault(true));
-    }
+    let [pde_hpa, pte_hpa] = homes;
 
-    track_frame(slot, mem, ms, pt_gpa, false, Some(di));
-
-    pde |= pte::A;
-    mem.write_u32(pde_hpa, pde);
-    refresh_snap(slot, root_gpa, di as usize, pde);
-    pte_v |= pte::A;
-    if write {
-        pte_v |= pte::D;
-    }
-    mem.write_u32(pte_hpa, pte_v);
-    refresh_snap(slot, pt_gpa, ti as usize, pte_v);
+    let dirty = if write { pte::D } else { 0 };
+    let leaf = match w.pte {
+        None => {
+            let pde = w.pde | pte::A | dirty;
+            mem.write_u32(pde_hpa, pde);
+            refresh_snap(slot, root_gpa, di as usize, pde);
+            pde
+        }
+        Some((pte_v, pte_at)) => {
+            let pt_gpa = pte_at & !(PAGE_SIZE as u64 - 1);
+            track_frame(slot, mem, ms, pt_gpa, false, Some(di));
+            let pde = w.pde | pte::A;
+            mem.write_u32(pde_hpa, pde);
+            refresh_snap(slot, root_gpa, di as usize, pde);
+            let pte_v = pte_v | pte::A | dirty;
+            mem.write_u32(pte_hpa, pte_v);
+            refresh_snap(slot, pt_gpa, ti as usize, pte_v);
+            pte_v
+        }
+    };
 
     Ok(GuestLeaf {
-        gpa: (pte_v & pte::ADDR) as u64 + off as u64,
-        writable,
-        user: user_ok,
-        dirty: pte_v & pte::D != 0,
+        gpa: w.addr,
+        writable: w.may_write(user, wp),
+        user: w.user(),
+        dirty: leaf & pte::D != 0,
     })
 }
 
@@ -651,14 +638,10 @@ pub fn handle_page_fault(
     addr: u32,
     err: u32,
 ) -> VtlbOutcome {
-    let write = err & pf_err::WRITE != 0;
-    let fetch = err & pf_err::FETCH != 0;
-    let user = err & pf_err::USER != 0;
-
     let Some(slot) = cache.active_slot_mut() else {
         return VtlbOutcome::InjectPf { err };
     };
-    let leaf = match walk_guest(mem, ms, vmcs, slot, addr, write, fetch, user) {
+    let leaf = match walk_guest(mem, ms, vmcs, slot, addr, err) {
         Ok(l) => l,
         Err(e) => return VtlbOutcome::InjectPf { err: e },
     };
@@ -668,7 +651,7 @@ pub fn handle_page_fault(
     let Some(hpa) = ms.translate(page_gpa) else {
         return VtlbOutcome::Mmio {
             gpa: leaf.gpa,
-            write,
+            write: err & pf_err::WRITE != 0,
         };
     };
     let host_write = ms

@@ -19,7 +19,7 @@ use nova_x86::exec::{
     cond_holds, deliver_event, handler, inc_dec_value, Env, Exec, Fault, Handler,
 };
 use nova_x86::insn::{Cond, Insn, Op, OpSize, Operand};
-use nova_x86::paging::Access;
+use nova_x86::paging::{self, Access};
 use nova_x86::reg::{Reg, Regs};
 
 use crate::blockcache::{BlockCache, BlockEnd, CountedTail, DecodeCacheStats};
@@ -220,38 +220,14 @@ impl CpuEnv<'_> {
         self.bus.mmio_write(self.mem, *self.clock, hpa, size, val);
     }
 
-    /// Translates the two pages a page-crossing access touches, first
-    /// page first, and returns where each of its bytes lives. The
-    /// second page is looked up (and filled, and may fault or exit)
-    /// like any other access; `addr` of its fault is the page's first
-    /// byte.
-    fn translate_crossing(
-        &mut self,
-        addr: u32,
-        size: OpSize,
-        access: Access,
-    ) -> Result<[PAddr; 4], CpuErr> {
-        let first = self.translate(addr, access)?;
-        let next = (addr & !0xfff).wrapping_add(0x1000);
-        let second = self.translate(next, access)?;
-        let in_first = 0x1000 - (addr & 0xfff);
-        let mut at = [0; 4];
-        for i in 0..size.bytes() {
-            at[i as usize] = if i < in_first {
-                first + i as u64
-            } else {
-                second + (i - in_first) as u64
-            };
-        }
-        Ok(at)
-    }
-
     /// A load that leaves its 4 KB page: byte-wise through both pages'
-    /// translations, charged as one memory access.
+    /// translations, charged as one memory access. The second page is
+    /// looked up (and filled, and may fault or exit) like any other
+    /// access; `addr` of its fault is the page's first byte.
     #[cold]
     #[inline(never)]
     fn read_crossing(&mut self, addr: u32, size: OpSize) -> Result<u32, CpuErr> {
-        let at = self.translate_crossing(addr, size, Access::READ)?;
+        let at = paging::crossing_bytes(addr, |a| self.translate(a, Access::READ))?;
         *self.clock += self.cost.mem_access;
         let mut val = 0;
         for i in 0..size.bytes() {
@@ -266,7 +242,7 @@ impl CpuEnv<'_> {
     #[cold]
     #[inline(never)]
     fn write_crossing(&mut self, addr: u32, size: OpSize, val: u32) -> Result<(), CpuErr> {
-        let at = self.translate_crossing(addr, size, Access::WRITE)?;
+        let at = paging::crossing_bytes(addr, |a| self.translate(a, Access::WRITE))?;
         *self.clock += self.cost.mem_access;
         for i in 0..size.bytes() {
             self.write_phys(at[i as usize], OpSize::Byte, val >> (8 * i) & 0xff);
@@ -353,7 +329,7 @@ impl Env for CpuEnv<'_> {
 
     #[inline(always)]
     fn read_mem(&mut self, addr: u32, size: OpSize) -> Result<u32, CpuErr> {
-        if crosses_page(addr, size) {
+        if paging::crosses_page(addr, size.bytes()) {
             return self.read_crossing(addr, size);
         }
         let hpa = self.translate(addr, Access::READ)?;
@@ -363,7 +339,7 @@ impl Env for CpuEnv<'_> {
 
     #[inline(always)]
     fn write_mem(&mut self, addr: u32, size: OpSize, val: u32) -> Result<(), CpuErr> {
-        if crosses_page(addr, size) {
+        if paging::crosses_page(addr, size.bytes()) {
             return self.write_crossing(addr, size, val);
         }
         let hpa = self.translate(addr, Access::WRITE)?;
@@ -407,12 +383,6 @@ impl Env for CpuEnv<'_> {
         self.tlb.invalidate(self.vpid(), addr as u64);
         Ok(())
     }
-}
-
-/// `true` if a `size`-byte access at linear `addr` leaves its 4 KB page.
-#[inline(always)]
-fn crosses_page(addr: u32, size: OpSize) -> bool {
-    (addr & 0xfff) + size.bytes() > 0x1000
 }
 
 /// Fetches and decodes the instruction at `eip` that does not fit in

@@ -17,6 +17,10 @@
 //!   violation is reported to the hypervisor (as a #PF VM exit), never
 //!   directly to the guest.
 //!
+//! The entry layouts and the order a walk reads them in live in
+//! `nova_x86::paging`; the walkers here supply the memory reads and
+//! charge for them.
+//!
 //! Accessed/dirty-bit maintenance is omitted *here*: these walkers
 //! model the hardware's lookup path only. For shadow paging, the
 //! architectural A/D (and user/supervisor) semantics of the *guest*
@@ -25,7 +29,9 @@
 //! writes, and fills writable-but-clean pages read-only so the first
 //! guest write faults and dirties the guest entry.
 
-use nova_x86::paging::{pte, Access, NestedFormat, PAGE_SIZE};
+use std::convert::Infallible;
+
+use nova_x86::paging::{self, Access, NestedFormat, Walk};
 use nova_x86::reg::{cr0, cr4, Regs};
 
 use crate::cost::CostModel;
@@ -109,6 +115,17 @@ pub enum GuestXlate {
     Nested(NestedViolation),
 }
 
+/// A hardware walk's verdict on `walk` (no accessed/dirty bits are
+/// written; DESIGN §6g records how the vTLB's software walk differs).
+fn leaf_or_fault(walk: Option<Walk>, addr: u32, access: Access) -> Result<Walk, PfInfo> {
+    paging::hardware_access(walk, access.write).map_err(|present| PfInfo {
+        addr,
+        write: access.write,
+        fetch: access.fetch,
+        present,
+    })
+}
+
 /// Walks a two-level 32-bit page table rooted at `root` for `addr`.
 ///
 /// `pse` enables 4 MB pages via PDE.PS. `cost` accumulates
@@ -126,46 +143,24 @@ pub fn walk_2level(
     cost: &CostModel,
     cycles: &mut Cycles,
 ) -> Result<Leaf, PfInfo> {
-    let fault = |present| PfInfo {
-        addr,
-        write: access.write,
-        fetch: access.fetch,
-        present,
-    };
-
-    let (di, ti, off) = nova_x86::paging::split_2level(addr);
-
-    *cycles += cost.walk_level;
-    let pde = mem.read_u32(((root & pte::ADDR) as u64) + di as u64 * 4);
-    if pde & pte::P == 0 {
-        return Err(fault(false));
-    }
-    if pse && pde & pte::PS != 0 {
-        if access.write && pde & pte::W == 0 {
-            return Err(fault(true));
-        }
-        let base = (pde & pte::ADDR_LARGE) as u64;
-        return Ok(Leaf {
-            hpa: base + (addr & (nova_x86::paging::LARGE_PAGE_SIZE - 1)) as u64,
-            page_size: nova_x86::paging::LARGE_PAGE_SIZE as u64,
-            write: pde & pte::W != 0,
-        });
-    }
-
-    *cycles += cost.walk_level;
-    let pt = (pde & pte::ADDR) as u64;
-    let pte_v = mem.read_u32(pt + ti as u64 * 4);
-    if pte_v & pte::P == 0 {
-        return Err(fault(false));
-    }
-    if access.write && (pte_v & pte::W == 0 || pde & pte::W == 0) {
-        return Err(fault(true));
-    }
+    let Ok(walk) = paging::walk_2level(root, pse, addr, |at| {
+        *cycles += cost.walk_level;
+        Ok::<_, Infallible>(mem.read_u32(at))
+    });
+    let w = leaf_or_fault(walk, addr, access)?;
     Ok(Leaf {
-        hpa: (pte_v & pte::ADDR) as u64 + off as u64,
-        page_size: PAGE_SIZE as u64,
-        write: pte_v & pte::W != 0 && pde & pte::W != 0,
+        hpa: w.addr,
+        page_size: w.page_size as u64,
+        write: w.write(),
     })
+}
+
+/// Reads entry `idx` of the nested table at `table`.
+pub fn nested_entry(mem: &PhysMem, fmt: NestedFormat, table: PAddr, idx: u64) -> u64 {
+    match fmt.entry_size() {
+        8 => mem.read_u64(table + idx * 8),
+        _ => mem.read_u32(table + idx * 4) as u64,
+    }
 }
 
 /// Walks the nested (host) dimension: GPA→HPA through an EPT or NPT
@@ -183,67 +178,29 @@ pub fn walk_nested(
     cost: &CostModel,
     cycles: &mut Cycles,
 ) -> Result<Leaf, NestedViolation> {
-    use nova_x86::paging::npte;
-
     let viol = NestedViolation { gpa, access };
     let mut table = root;
     let mut level = fmt.levels() - 1;
 
     loop {
         *cycles += cost.walk_level;
-        let idx = fmt.index_of(level, gpa);
-        // 32-bit NPT entries reuse the classic PTE layout (P/W bits);
-        // 64-bit EPT entries use the R/W/X layout.
-        let entry = match fmt.entry_size() {
-            8 => mem.read_u64(table + idx * 8),
-            _ => mem.read_u32(table + idx * 4) as u64,
-        };
-        let (present, writable, addr_mask, ps) = match fmt {
-            NestedFormat::Ept4Level => (
-                entry & npte::R != 0,
-                entry & npte::W != 0,
-                npte::ADDR,
-                entry & npte::PS != 0,
-            ),
-            NestedFormat::Npt2Level => (
-                entry & pte::P as u64 != 0,
-                entry & pte::W as u64 != 0,
-                pte::ADDR as u64,
-                entry & pte::PS as u64 != 0,
-            ),
-        };
-        if !present {
+        let e = fmt.decode(nested_entry(mem, fmt, table, fmt.index_of(level, gpa)));
+        if !e.present {
             return Err(viol);
         }
-        if level == 0 || ps {
-            if access.write && !writable {
+        // PS in a level-0 entry is not a size bit.
+        if level == 0 || e.large {
+            if access.write && !e.write {
                 return Err(viol);
             }
-            let page_size = if level == 0 {
-                PAGE_SIZE as u64
-            } else {
-                1u64 << (12 + level * fmt.index_bits())
-            };
-            let base = match fmt {
-                NestedFormat::Ept4Level => entry & addr_mask & !(page_size - 1),
-                NestedFormat::Npt2Level => {
-                    if ps {
-                        (entry as u32 & pte::ADDR_LARGE) as u64
-                    } else {
-                        (entry as u32 & pte::ADDR) as u64
-                    }
-                }
-            };
+            let page_size = fmt.page_size_at(level);
             return Ok(Leaf {
-                hpa: base + (gpa & (page_size - 1)),
+                hpa: (e.next & !(page_size - 1)) + (gpa & (page_size - 1)),
                 page_size,
-                write: writable,
+                write: e.write,
             });
         }
-        table = match fmt {
-            NestedFormat::Ept4Level => entry & addr_mask,
-            NestedFormat::Npt2Level => (entry as u32 & pte::ADDR) as u64,
-        };
+        table = e.next;
         level -= 1;
     }
 }
@@ -269,69 +226,29 @@ pub fn translate_nested_guest(
 ) -> Result<Leaf, GuestXlate> {
     if !regs.paging() {
         // Guest runs unpaged: GVA == GPA.
-        let leaf = walk_nested(mem, nested_root, fmt, addr as u64, access, cost, cycles)
-            .map_err(GuestXlate::Nested)?;
-        return Ok(leaf);
+        return walk_nested(mem, nested_root, fmt, addr as u64, access, cost, cycles)
+            .map_err(GuestXlate::Nested);
     }
 
-    let fault = |present| {
-        GuestXlate::GuestFault(PfInfo {
-            addr,
-            write: access.write,
-            fetch: access.fetch,
-            present,
-        })
-    };
-
-    let pse = regs.pse();
-    let (di, ti, _off) = nova_x86::paging::split_2level(addr);
-
-    // Guest PDE read: translate its GPA through the nested table first.
-    let pde_gpa = (regs.cr3 & pte::ADDR) as u64 + di as u64 * 4;
-    let pde_hpa = walk_nested(mem, nested_root, fmt, pde_gpa, Access::READ, cost, cycles)
-        .map_err(GuestXlate::Nested)?;
-    *cycles += cost.mem_access;
-    let pde = mem.read_u32(pde_hpa.hpa);
-    if pde & pte::P == 0 {
-        return Err(fault(false));
-    }
-
-    let (gpa, guest_write, guest_page) = if pse && pde & pte::PS != 0 {
-        (
-            (pde & pte::ADDR_LARGE) as u64
-                + (addr & (nova_x86::paging::LARGE_PAGE_SIZE - 1)) as u64,
-            pde & pte::W != 0,
-            nova_x86::paging::LARGE_PAGE_SIZE as u64,
-        )
-    } else {
-        let pte_gpa = (pde & pte::ADDR) as u64 + ti as u64 * 4;
-        let pte_hpa = walk_nested(mem, nested_root, fmt, pte_gpa, Access::READ, cost, cycles)
-            .map_err(GuestXlate::Nested)?;
+    // Each guest entry lives at a guest-physical address: reading it is
+    // a nested walk and then the load.
+    let walk = paging::walk_2level(regs.cr3, regs.pse(), addr, |gpa| {
+        let at = walk_nested(mem, nested_root, fmt, gpa, Access::READ, cost, cycles)?;
         *cycles += cost.mem_access;
-        let pte_v = mem.read_u32(pte_hpa.hpa);
-        if pte_v & pte::P == 0 {
-            return Err(fault(false));
-        }
-        (
-            (pte_v & pte::ADDR) as u64 + (addr & 0xfff) as u64,
-            pte_v & pte::W != 0 && pde & pte::W != 0,
-            PAGE_SIZE as u64,
-        )
-    };
-
-    if access.write && !guest_write {
-        return Err(fault(true));
-    }
+        Ok(mem.read_u32(at.hpa))
+    })
+    .map_err(GuestXlate::Nested)?;
+    let w = leaf_or_fault(walk, addr, access).map_err(GuestXlate::GuestFault)?;
 
     // Final data translation through the nested dimension.
-    let leaf = walk_nested(mem, nested_root, fmt, gpa, access, cost, cycles)
+    let leaf = walk_nested(mem, nested_root, fmt, w.addr, access, cost, cycles)
         .map_err(GuestXlate::Nested)?;
 
     // The effective entry covers the smaller of the two dimensions.
     Ok(Leaf {
         hpa: leaf.hpa,
-        page_size: guest_page.min(leaf.page_size),
-        write: guest_write && leaf.write,
+        page_size: (w.page_size as u64).min(leaf.page_size),
+        write: w.write() && leaf.write,
     })
 }
 
@@ -339,7 +256,7 @@ pub fn translate_nested_guest(
 mod tests {
     use super::*;
     use crate::cost;
-    use nova_x86::paging::npte;
+    use nova_x86::paging::{npte, pte};
 
     const C: CostModel = cost::BLM;
 

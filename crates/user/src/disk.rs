@@ -517,17 +517,7 @@ impl Component for DiskServer {
         .expect("disk server SC");
 
         // Interrupt semaphore bound to this EC, attached to the GSI.
-        k.hypercall(
-            ctx,
-            Hypercall::CreateSm {
-                count: 0,
-                dst: SEL_IRQ_SM,
-            },
-        )
-        .expect("irq semaphore");
-        k.hypercall(ctx, Hypercall::SmBind { sm: SEL_IRQ_SM })
-            .expect("bind");
-        self.irq_sm = Some(nova_core::SmId(k.obj.sms.len() - 1));
+        self.irq_sm = Some(k.create_bound_sm(ctx, SEL_IRQ_SM).expect("irq semaphore"));
         k.hypercall(
             ctx,
             Hypercall::AssignGsi {
@@ -540,17 +530,7 @@ impl Component for DiskServer {
         // Self-check tick: heartbeat for the supervisor's watchdog and
         // the poll that recovers lost interrupts / stuck commands.
         if self.cfg.heartbeat > 0 {
-            k.hypercall(
-                ctx,
-                Hypercall::CreateSm {
-                    count: 0,
-                    dst: SEL_TICK_SM,
-                },
-            )
-            .expect("tick semaphore");
-            k.hypercall(ctx, Hypercall::SmBind { sm: SEL_TICK_SM })
-                .expect("bind tick");
-            self.tick_sm = Some(nova_core::SmId(k.obj.sms.len() - 1));
+            self.tick_sm = Some(k.create_bound_sm(ctx, SEL_TICK_SM).expect("tick semaphore"));
             k.hypercall(
                 ctx,
                 Hypercall::SetTimer {

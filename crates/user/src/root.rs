@@ -474,11 +474,9 @@ impl RootPm {
     /// handler.
     fn bound_sm(&mut self, k: &mut Kernel, ctx: CompCtx) -> Result<(CapSel, SmId), RespawnError> {
         let sel = self.alloc_sel();
-        k.hypercall(ctx, Hypercall::CreateSm { count: 0, dst: sel })
+        let sm = k
+            .create_bound_sm(ctx, sel)
             .map_err(RespawnError::step("supervision sm"))?;
-        let sm = SmId(k.obj.sms.len() - 1);
-        k.hypercall(ctx, Hypercall::SmBind { sm: sel })
-            .map_err(RespawnError::step("supervision sm bind"))?;
         Ok((sel, sm))
     }
 

@@ -22,10 +22,10 @@
 use nova_core::{CompCtx, Kernel};
 use nova_hw::mmu::MmuRegs;
 use nova_x86::decode::{decode, DecodeError, MAX_INSN_LEN};
-use nova_x86::exec::{execute, Env, Exec, Fault};
+use nova_x86::exec::{emulator_gva_to_gpa, execute, Env, Exec, Fault};
 use nova_x86::insn::{Insn, OpSize};
-use nova_x86::paging::{pte, split_2level, LARGE_PAGE_SIZE};
-use nova_x86::reg::{cr4, Regs};
+use nova_x86::paging;
+use nova_x86::reg::Regs;
 
 use crate::devices::VDevices;
 
@@ -72,41 +72,16 @@ pub struct EmuEnv<'a> {
 
 impl EmuEnv<'_> {
     /// Translates a guest-virtual address by walking the guest's page
-    /// table (in guest memory).
+    /// table (in guest memory) the way the hardware walkers do: as a
+    /// supervisor access with `CR0.WP` set. An entry outside guest RAM
+    /// reads as not present.
     pub fn gva_to_gpa(&self, addr: u32, write: bool, fetch: bool) -> Result<u64, Fault> {
         if !self.mmu.paging() {
             return Ok(addr as u64);
         }
-        let fault = |present| Fault::Page {
-            addr,
-            write,
-            fetch,
-            present,
-        };
-        let pse = self.mmu.cr4 & cr4::PSE != 0;
-        let (di, ti, off) = split_2level(addr);
-        let pde = self
-            .read_gpa_u32((self.mmu.cr3 & pte::ADDR) as u64 + di as u64 * 4)
-            .ok_or(fault(false))?;
-        if pde & pte::P == 0 {
-            return Err(fault(false));
-        }
-        if pse && pde & pte::PS != 0 {
-            if write && pde & pte::W == 0 {
-                return Err(fault(true));
-            }
-            return Ok((pde & pte::ADDR_LARGE) as u64 + (addr & (LARGE_PAGE_SIZE - 1)) as u64);
-        }
-        let ptev = self
-            .read_gpa_u32((pde & pte::ADDR) as u64 + ti as u64 * 4)
-            .ok_or(fault(false))?;
-        if ptev & pte::P == 0 {
-            return Err(fault(false));
-        }
-        if write && (ptev & pte::W == 0 || pde & pte::W == 0) {
-            return Err(fault(true));
-        }
-        Ok((ptev & pte::ADDR) as u64 + off as u64)
+        emulator_gva_to_gpa(self.mmu.cr3, self.mmu.pse(), addr, write, fetch, |at| {
+            self.read_gpa_u32(at).unwrap_or(0)
+        })
     }
 
     fn read_gpa_u32(&self, gpa: u64) -> Option<u32> {
@@ -120,13 +95,10 @@ impl EmuEnv<'_> {
     fn in_ram(&self, gpa: u64) -> bool {
         gpa >> 12 < self.view.pages
     }
-}
 
-impl Env for EmuEnv<'_> {
-    type Err = EmuErr;
-
-    fn read_mem(&mut self, addr: u32, size: OpSize) -> Result<u32, EmuErr> {
-        let gpa = self.gva_to_gpa(addr, false, false)?;
+    /// Loads from guest-physical `gpa` (within one page): guest RAM, a
+    /// virtual device, or the floating bus.
+    fn read_gpa(&mut self, gpa: u64, size: OpSize) -> Result<u32, EmuErr> {
         if self.in_ram(gpa) {
             let a = self.view.base_page * 4096 + gpa;
             match size {
@@ -143,8 +115,8 @@ impl Env for EmuEnv<'_> {
         }
     }
 
-    fn write_mem(&mut self, addr: u32, size: OpSize, val: u32) -> Result<(), EmuErr> {
-        let gpa = self.gva_to_gpa(addr, true, false)?;
+    /// Stores to guest-physical `gpa` (within one page).
+    fn write_gpa(&mut self, gpa: u64, size: OpSize, val: u32) -> Result<(), EmuErr> {
         if self.in_ram(gpa) {
             let bytes = val.to_le_bytes();
             let n = (size.bytes() as usize).min(bytes.len());
@@ -165,6 +137,35 @@ impl Env for EmuEnv<'_> {
         } else {
             Ok(()) // writes to unbacked space are dropped
         }
+    }
+}
+
+impl Env for EmuEnv<'_> {
+    type Err = EmuErr;
+
+    fn read_mem(&mut self, addr: u32, size: OpSize) -> Result<u32, EmuErr> {
+        if paging::crosses_page(addr, size.bytes()) {
+            let at = paging::crossing_bytes(addr, |a| self.gva_to_gpa(a, false, false))?;
+            let mut val = 0;
+            for (i, &gpa) in at.iter().take(size.bytes() as usize).enumerate() {
+                val |= self.read_gpa(gpa, OpSize::Byte)? << (8 * i);
+            }
+            return Ok(val);
+        }
+        let gpa = self.gva_to_gpa(addr, false, false)?;
+        self.read_gpa(gpa, size)
+    }
+
+    fn write_mem(&mut self, addr: u32, size: OpSize, val: u32) -> Result<(), EmuErr> {
+        if paging::crosses_page(addr, size.bytes()) {
+            let at = paging::crossing_bytes(addr, |a| self.gva_to_gpa(a, true, false))?;
+            for (i, &gpa) in at.iter().take(size.bytes() as usize).enumerate() {
+                self.write_gpa(gpa, OpSize::Byte, val >> (8 * i) & 0xff)?;
+            }
+            return Ok(());
+        }
+        let gpa = self.gva_to_gpa(addr, true, false)?;
+        self.write_gpa(gpa, size, val)
     }
 
     fn io_in(&mut self, port: u16, size: OpSize) -> Result<u32, EmuErr> {

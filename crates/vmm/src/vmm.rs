@@ -992,69 +992,24 @@ impl Component for Vmm {
         .expect("vmm SC");
 
         // Timer semaphore for the virtual PIT.
-        k.hypercall(
-            ctx,
-            Hypercall::CreateSm {
-                count: 0,
-                dst: sel::TIMER_SM,
-            },
-        )
-        .expect("timer sm");
-        k.hypercall(ctx, Hypercall::SmBind { sm: sel::TIMER_SM })
-            .expect("bind timer");
-        self.timer_sm = Some(nova_core::SmId(k.obj.sms.len() - 1));
+        self.timer_sm = Some(k.create_bound_sm(ctx, sel::TIMER_SM).expect("timer sm"));
 
         // Disk channel.
         let mut vahci = VAhci::new(self.cfg.guest_base_page, self.cfg.guest_pages);
         let mut pvdisk = PvDisk::new(self.cfg.guest_base_page, self.cfg.guest_pages);
         if let Some((reg, req)) = self.cfg.disk_portals {
-            k.hypercall(
-                ctx,
-                Hypercall::CreateSm {
-                    count: 0,
-                    dst: sel::DISK_SM,
-                },
-            )
-            .expect("disk sm");
-            k.hypercall(ctx, Hypercall::SmBind { sm: sel::DISK_SM })
-                .expect("bind disk");
-            self.disk_sm = Some(nova_core::SmId(k.obj.sms.len() - 1));
+            self.disk_sm = Some(k.create_bound_sm(ctx, sel::DISK_SM).expect("disk sm"));
 
             if self.cfg.supervised_disk {
                 // Restart notification: root pre-delegated a semaphore
                 // (with DOWN permission) at SEL_RESTART_SM and ups it
                 // after every disk-server respawn.
-                k.hypercall(
-                    ctx,
-                    Hypercall::SmBind {
-                        sm: sel::RESTART_SM,
-                    },
-                )
-                .expect("bind restart");
-                self.restart_sm = k
-                    .obj
-                    .pd(ctx.pd)
-                    .caps
-                    .get(sel::RESTART_SM)
-                    .and_then(|c| match c.obj {
-                        nova_core::obj::ObjRef::Sm(id) => Some(id),
-                        _ => None,
-                    });
+                self.restart_sm = Some(k.bind_sm(ctx, sel::RESTART_SM).expect("bind restart"));
 
                 // Maintenance timer for the request-timeout sweep,
                 // armed only while guest requests are outstanding (so
                 // idle VMs stay idle).
-                k.hypercall(
-                    ctx,
-                    Hypercall::CreateSm {
-                        count: 0,
-                        dst: sel::MAINT_SM,
-                    },
-                )
-                .expect("maint sm");
-                k.hypercall(ctx, Hypercall::SmBind { sm: sel::MAINT_SM })
-                    .expect("bind maint");
-                self.maint_sm = Some(nova_core::SmId(k.obj.sms.len() - 1));
+                self.maint_sm = Some(k.create_bound_sm(ctx, sel::MAINT_SM).expect("maint sm"));
             }
 
             let ch = Self::register_disk_channel(k, ctx, reg, req, self.cfg.ring_page, false)
@@ -1076,17 +1031,7 @@ impl Component for Vmm {
             // The launcher granted the physical NIC window, GSI, and
             // IOMMU mapping; the backend gets its interrupt via a
             // dedicated semaphore.
-            k.hypercall(
-                ctx,
-                Hypercall::CreateSm {
-                    count: 0,
-                    dst: sel::PVNET_SM,
-                },
-            )
-            .expect("pvnet sm");
-            k.hypercall(ctx, Hypercall::SmBind { sm: sel::PVNET_SM })
-                .expect("bind pvnet");
-            self.pvnet_sm = Some(nova_core::SmId(k.obj.sms.len() - 1));
+            self.pvnet_sm = Some(k.create_bound_sm(ctx, sel::PVNET_SM).expect("pvnet sm"));
             k.hypercall(
                 ctx,
                 Hypercall::AssignGsi {
@@ -1102,14 +1047,10 @@ impl Component for Vmm {
         // Direct-assignment interrupt forwarding.
         for (i, &gsi) in self.cfg.direct_gsis.clone().iter().enumerate() {
             let s = sel::gsi_sm(i as u8);
-            k.hypercall(ctx, Hypercall::CreateSm { count: 0, dst: s })
-                .expect("gsi sm");
-            k.hypercall(ctx, Hypercall::SmBind { sm: s })
-                .expect("bind gsi");
+            let sm = k.create_bound_sm(ctx, s).expect("gsi sm");
             k.hypercall(ctx, Hypercall::AssignGsi { sm: s, gsi })
                 .expect("assign gsi (root must delegate ownership first)");
-            self.gsi_sms
-                .push((nova_core::SmId(k.obj.sms.len() - 1), gsi));
+            self.gsi_sms.push((sm, gsi));
         }
 
         // The VM protection domain.

@@ -35,7 +35,10 @@
 //! faulting exceptions; IRET pops the same frame. The code-segment
 //! selector is saved and discarded, never reloaded.
 
+use std::convert::Infallible;
+
 use crate::insn::{AluOp, Cond, Insn, MemRef, Op, OpSize, Operand, ShiftOp};
+use crate::paging;
 use crate::reg::{flags, Reg, Reg8, Regs};
 
 #[cfg(test)]
@@ -64,6 +67,34 @@ pub enum Fault {
     InvalidOpcode,
     /// #GP — general protection fault.
     Gp,
+}
+
+/// Guest-virtual to guest-physical for an instruction emulator of a
+/// paged guest: [`paging::walk_2level`] over the guest's tables as
+/// `read` supplies them (a table frame that is not guest RAM reads as
+/// 0, not present), judged like the hardware walkers judge it
+/// ([`paging::hardware_access`]).
+///
+/// # Errors
+///
+/// The page fault to inject.
+pub fn emulator_gva_to_gpa(
+    cr3: u32,
+    pse: bool,
+    addr: u32,
+    write: bool,
+    fetch: bool,
+    mut read: impl FnMut(u64) -> u32,
+) -> Result<u64, Fault> {
+    let Ok(walk) = paging::walk_2level(cr3, pse, addr, |at| Ok::<_, Infallible>(read(at)));
+    paging::hardware_access(walk, write)
+        .map(|w| w.addr)
+        .map_err(|present| Fault::Page {
+            addr,
+            write,
+            fetch,
+            present,
+        })
 }
 
 impl Fault {
