@@ -15,9 +15,12 @@ use nova_core::counters::Counters;
 use nova_core::hostpt::{FrameAllocator, NestedTable};
 use nova_core::obj::{MemMapping, MemRights, MemSpace};
 use nova_core::vtlb::{self, CrOutcome, ShadowCache, VtlbOutcome};
+use nova_hw::ahci::{cmd, regs, slots, PortEvent, PortRegs};
 use nova_hw::cpu::run_guest;
-use nova_hw::machine::{Machine, MachineConfig};
+use nova_hw::machine::{Machine, MachineConfig, AHCI_BASE, AHCI_IRQ};
 use nova_hw::pic::DualPic;
+use nova_hw::pit::{self, Pit8254};
+use nova_hw::serial::{Uart16550, COM1};
 use nova_hw::tlb::Tlb;
 use nova_hw::vmx::{ExitReason, Injection, PagingVirt, Vmcs};
 use nova_hw::Cycles;
@@ -146,15 +149,6 @@ impl MonoOutcome {
 /// Guest physical frames start at this host page (16 MB).
 const GUEST_BASE_PAGE: u64 = 0x1000;
 
-struct MonoDisk {
-    clb: u64,
-    is: u32,
-    p0is: u32,
-    p0ie: u32,
-    ci: u32,
-    inflight_slot: Option<u8>,
-}
-
 /// The monolithic hypervisor instance: everything in one struct,
 /// everything privileged.
 pub struct Monolithic {
@@ -169,11 +163,11 @@ pub struct Monolithic {
     _guest_pages: u64,
     // In-kernel device models.
     vpic: DualPic,
-    vserial: Vec<u8>,
-    vpit_divisor: u32,
-    vpit_lo: Option<u8>,
+    vserial: Uart16550,
+    vpit: Pit8254,
     vpit_deadline: Option<Cycles>,
-    disk: MonoDisk,
+    disk: PortRegs,
+    disk_inflight: Option<u8>,
     /// Event counters (same classes as the microhypervisor's).
     pub counters: Counters,
     guest_exit: Option<u8>,
@@ -301,18 +295,11 @@ impl Monolithic {
             shadow,
             _guest_pages: guest_pages,
             vpic: DualPic::new(),
-            vserial: Vec::new(),
-            vpit_divisor: 0x1_0000,
-            vpit_lo: None,
+            vserial: Uart16550::default(),
+            vpit: Pit8254::new(),
             vpit_deadline: None,
-            disk: MonoDisk {
-                clb: 0,
-                is: 0,
-                p0is: 0,
-                p0ie: 0,
-                ci: 0,
-                inflight_slot: None,
-            },
+            disk: PortRegs::default(),
+            disk_inflight: None,
             counters: Counters::new(),
             guest_exit: None,
         }
@@ -320,7 +307,7 @@ impl Monolithic {
 
     /// The guest console output so far.
     pub fn console(&self) -> String {
-        String::from_utf8_lossy(&self.vserial).into_owned()
+        self.vserial.text()
     }
 
     /// Where guest-physical `gpa` lives in host memory (`None` outside
@@ -348,155 +335,127 @@ impl Monolithic {
         })
     }
 
-    fn vpit_period(&self) -> Cycles {
-        (self.vpit_divisor as u64 * self.machine.cost.ident.hz() / nova_hw::pit::PIT_HZ).max(1)
+    /// Cycles between virtual timer ticks at the guest's divisor.
+    pub fn vpit_period(&self) -> Cycles {
+        self.vpit.period_cycles(self.machine.cost.ident.hz())
     }
 
     // ---- In-kernel virtual device dispatch ----
 
-    fn io_read(&mut self, port: u16, size: OpSize) -> u32 {
+    /// Guest port input, as the exit handler and the emulator see it.
+    pub fn io_read(&mut self, port: u16, size: OpSize) -> u32 {
         match port {
             0x20 | 0x21 | 0xa0 | 0xa1 => self.vpic.io_read(port) as u32,
-            0x3f8..=0x3ff => {
-                if port == 0x3fd {
-                    0x60
-                } else {
-                    0
-                }
-            }
+            pit::CH0..=pit::MODE => self.vpit.read(port) as u32,
+            0x3f8..=0x3ff => self.vserial.read(port - COM1) as u32,
             _ => size.mask(),
         }
     }
 
-    fn io_write(&mut self, port: u16, _size: OpSize, val: u32) {
+    /// Guest port output.
+    pub fn io_write(&mut self, port: u16, _size: OpSize, val: u32) {
         match port {
             0x20 | 0x21 | 0xa0 | 0xa1 => self.vpic.io_write(port, val as u8),
-            0x3f8 => self.vserial.push(val as u8),
-            0x43 => self.vpit_lo = None,
-            0x40 => match self.vpit_lo.take() {
-                None => self.vpit_lo = Some(val as u8),
-                Some(lo) => {
-                    let d = (val & 0xff) << 8 | lo as u32;
-                    self.vpit_divisor = if d == 0 { 0x1_0000 } else { d };
+            0x3f8..=0x3ff => self.vserial.write(port - COM1, val as u8),
+            pit::CH0..=pit::MODE => {
+                let reloaded = self.vpit.write(port, val as u8);
+                if reloaded {
                     self.vpit_deadline = Some(self.machine.clock + self.vpit_period());
                 }
-            },
+            }
             0xf4 => self.guest_exit = Some(val as u8),
             0xf5 => self.machine.bus.ctl.marks.push((self.machine.clock, val)),
             _ => {}
         }
     }
 
-    /// Virtual AHCI MMIO (in-kernel model, driving the physical
+    /// Virtual AHCI MMIO read (in-kernel model, driving the physical
     /// controller directly — no IPC, no separate driver domain).
-    fn disk_mmio_read(&mut self, off: u32) -> u32 {
-        use nova_hw::ahci::regs;
-        match off {
-            regs::CAP => 0x4000_0000,
-            regs::IS => self.disk.is,
-            regs::P0IS => self.disk.p0is,
-            regs::P0IE => self.disk.p0ie,
-            regs::P0CI => self.disk.ci,
-            regs::P0CLB => self.disk.clb as u32,
-            regs::P0TFD => 0x50,
-            _ => 0,
-        }
+    pub fn disk_mmio_read(&mut self, off: u32) -> u32 {
+        self.disk.read(off)
     }
 
-    fn disk_mmio_write(&mut self, off: u32, val: u32) {
-        use nova_hw::ahci::regs;
-        match off {
-            regs::IS => self.disk.is &= !val,
-            regs::P0IS => self.disk.p0is &= !val,
-            regs::P0IE => self.disk.p0ie = val,
-            regs::P0CLB => self.disk.clb = val as u64,
-            regs::P0CI => {
-                let new = val & !self.disk.ci;
-                self.disk.ci |= val;
-                for slot in 0..32u8 {
-                    if new & (1 << slot) != 0 {
-                        self.disk_issue(slot);
-                    }
-                }
+    /// Virtual AHCI MMIO write. A reset request (GHC.HR) is ignored.
+    pub fn disk_mmio_write(&mut self, off: u32, val: u32) {
+        if let PortEvent::Doorbell(new) = self.disk.write(off, val) {
+            for slot in slots(new) {
+                self.disk_issue(slot);
             }
-            _ => {}
         }
     }
 
     /// Forwards a guest disk command to the physical controller: the
     /// in-kernel host driver path. Guest buffers are used directly
     /// (identity-offset bus addresses; the IOMMU is not consulted —
-    /// in-kernel drivers are trusted, Section 4.2).
+    /// in-kernel drivers are trusted, Section 4.2). Only the first
+    /// descriptor is forwarded; the FIS goes through as the guest wrote
+    /// it, for the physical controller to judge.
     fn disk_issue(&mut self, slot: u8) {
-        use nova_hw::ahci::regs;
-        // Parse the guest's command structures.
-        let hdr = self.read_gpa_u32(self.disk.clb + slot as u64 * 32);
-        let _prdtl = hdr >> 16;
-        let ctba = self.read_gpa_u32(self.disk.clb + slot as u64 * 32 + 8) as u64;
+        // Parse the guest's command structures. A header or a command
+        // table outside guest RAM (any of the base's 64 bits) fails the
+        // slot the way the physical controller's DMA would.
+        let at = self.disk.clb + slot as u64 * cmd::HEADER_LEN as u64;
+        let table = self.gpa_hpa(at).and_then(|hpa| {
+            let mut hdr = [0; cmd::HEADER_LEN];
+            self.machine.mem.read_into(hpa, &mut hdr);
+            self.gpa_hpa(cmd::Header::decode(&hdr).ctba)
+        });
+        let Some(tbl_hpa) = table else {
+            if self.disk.complete(slot, false) {
+                self.vpic.pulse(AHCI_IRQ);
+            }
+            return;
+        };
         // Copy the guest command table into a host-owned command page
         // (top of guest frames region), rewriting buffer addresses from
         // guest-physical to host-physical.
         let host_cmd = (GUEST_BASE_PAGE - 4) * 4096; // host-private frames
         let host_tbl = (GUEST_BASE_PAGE - 3) * 4096;
-        let Some(tbl_hpa) = self.gpa_hpa(ctba) else {
-            return;
+        let mut prd = [0; cmd::PRD_LEN];
+        self.machine
+            .mem
+            .read_into(tbl_hpa + cmd::PRDT_OFFSET, &mut prd);
+        let (dba, bytes) = cmd::prd::decode(&prd);
+        let prd = cmd::prd::encode(self.gpa_hpa(dba).unwrap_or(0), bytes);
+        let hdr = cmd::Header {
+            prdtl: 1,
+            ctba: host_tbl,
         };
-        let cfis = self.machine.mem.read_bytes(tbl_hpa, 64);
-        self.machine.mem.write_bytes(host_tbl, &cfis);
-        let dba = self.machine.mem.read_u64(tbl_hpa + 0x80);
-        let dbc = self.machine.mem.read_u32(tbl_hpa + 0x8c);
-        let host_dba = self.gpa_hpa(dba).unwrap_or(0);
-        self.machine.mem.write_u64(host_tbl + 0x80, host_dba);
-        self.machine.mem.write_u32(host_tbl + 0x8c, dbc);
-        self.machine.mem.write_u32(host_cmd, 1 << 16);
-        self.machine.mem.write_u64(host_cmd + 8, host_tbl);
+        let mem = &mut self.machine.mem;
+        let mut cfis = [0; cmd::CFIS_LEN];
+        mem.read_into(tbl_hpa, &mut cfis);
+        mem.write_bytes(host_tbl, &cfis);
+        mem.write_bytes(host_tbl + cmd::PRDT_OFFSET, &prd);
+        mem.write_bytes(host_cmd, &hdr.encode());
 
         let now = self.machine.clock;
         let m = &mut self.machine;
         m.bus.iommu.set_passthrough(m.dev.ahci);
-        let base = nova_hw::machine::AHCI_BASE;
-        m.bus.mmio_write(
-            &mut m.mem,
-            now,
-            base + regs::P0CLB as u64,
-            OpSize::Dword,
-            host_cmd as u32,
-        );
-        m.bus
-            .mmio_write(&mut m.mem, now, base + regs::P0IE as u64, OpSize::Dword, 1);
-        m.bus
-            .mmio_write(&mut m.mem, now, base + regs::P0CI as u64, OpSize::Dword, 1);
-        self.disk.inflight_slot = Some(slot);
+        for (reg, val) in [
+            (regs::P0CLB, host_cmd as u32),
+            (regs::P0IE, 1),
+            (regs::P0CI, 1),
+        ] {
+            m.bus
+                .mmio_write(&mut m.mem, now, AHCI_BASE + reg as u64, OpSize::Dword, val);
+        }
+        self.disk_inflight = Some(slot);
     }
 
     /// Physical AHCI interrupt: acknowledge the controller, complete
     /// the virtual command, raise the virtual line.
     fn disk_irq(&mut self) {
-        use nova_hw::ahci::regs;
         let now = self.machine.clock;
         let m = &mut self.machine;
-        let base = nova_hw::machine::AHCI_BASE;
-        let is = m
-            .bus
-            .mmio_read(&mut m.mem, now, base + regs::IS as u64, OpSize::Dword);
-        m.bus
-            .mmio_write(&mut m.mem, now, base + regs::IS as u64, OpSize::Dword, is);
-        let p0is = m
-            .bus
-            .mmio_read(&mut m.mem, now, base + regs::P0IS as u64, OpSize::Dword);
-        m.bus.mmio_write(
-            &mut m.mem,
-            now,
-            base + regs::P0IS as u64,
-            OpSize::Dword,
-            p0is,
-        );
-        if let Some(slot) = self.disk.inflight_slot.take() {
-            self.disk.ci &= !(1 << slot);
-            self.disk.p0is |= 1;
-            self.disk.is |= 1;
-            if self.disk.p0ie != 0 {
-                self.vpic.pulse(11);
+        for reg in [regs::IS, regs::P0IS] {
+            let at = AHCI_BASE + reg as u64;
+            let pending = m.bus.mmio_read(&mut m.mem, now, at, OpSize::Dword);
+            m.bus
+                .mmio_write(&mut m.mem, now, at, OpSize::Dword, pending);
+        }
+        if let Some(slot) = self.disk_inflight.take() {
+            if self.disk.complete(slot, true) {
+                self.vpic.pulse(AHCI_IRQ);
             }
             self.counters.disk_ops += 1;
         }
@@ -729,7 +688,7 @@ impl Monolithic {
             }
             ExitReason::Vmcall { len } => {
                 match self.vmcs.guest.get(Reg::Eax) {
-                    0 => self.vserial.push(self.vmcs.guest.get8(Reg8::Bl)),
+                    0 => self.vserial.output.push(self.vmcs.guest.get8(Reg8::Bl)),
                     1 => self.guest_exit = Some(self.vmcs.guest.get(Reg::Ebx) as u8),
                     _ => {}
                 }
@@ -832,11 +791,8 @@ impl Monolithic {
             fn read_gpa(&mut self, gpa: u64, size: OpSize) -> u32 {
                 if let Some(hpa) = self.mono.gpa_hpa(gpa) {
                     self.mono.machine.mem.read_sized(hpa, size)
-                } else if (nova_hw::machine::AHCI_BASE..nova_hw::machine::AHCI_BASE + 0x1000)
-                    .contains(&gpa)
-                {
-                    self.mono
-                        .disk_mmio_read((gpa - nova_hw::machine::AHCI_BASE) as u32)
+                } else if (AHCI_BASE..AHCI_BASE + 0x1000).contains(&gpa) {
+                    self.mono.disk_mmio_read((gpa - AHCI_BASE) as u32)
                 } else {
                     size.mask()
                 }
@@ -844,11 +800,8 @@ impl Monolithic {
             fn write_gpa(&mut self, gpa: u64, size: OpSize, val: u32) {
                 if let Some(hpa) = self.mono.gpa_hpa(gpa) {
                     self.mono.machine.mem.write_sized(hpa, size, val);
-                } else if (nova_hw::machine::AHCI_BASE..nova_hw::machine::AHCI_BASE + 0x1000)
-                    .contains(&gpa)
-                {
-                    self.mono
-                        .disk_mmio_write((gpa - nova_hw::machine::AHCI_BASE) as u32, val);
+                } else if (AHCI_BASE..AHCI_BASE + 0x1000).contains(&gpa) {
+                    self.mono.disk_mmio_write((gpa - AHCI_BASE) as u32, val);
                 }
             }
         }

@@ -10,11 +10,12 @@
 //!    traffic.
 
 use nova_bench::configs::*;
-use nova_bench::report::{banner, Table};
+use nova_bench::report::{banner, write_json, Table};
 use nova_guest::compile::{self, CompileParams};
 use nova_hw::cost::TABLE_1_MODELS;
 
 const BUDGET: u64 = 2_000_000_000_000;
+const REPO_ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
 
 fn main() {
     let blm = nova_hw::cost::BLM;
@@ -46,6 +47,7 @@ fn main() {
         ]);
     }
     t.print();
+    let mtd = t.to_json();
     println!(
         "\nTransferring all 11 state groups on every exit costs {:.1}% more wall \
          clock; the paper's portals transmit 'only the architectural state required \
@@ -67,6 +69,7 @@ fn main() {
         ]);
     }
     t.print();
+    let tags = t.to_json();
     println!(
         "\nThe paper projects tagged user address spaces would cut NOVA's \
          inter-domain communication cost substantially (Section 9)."
@@ -99,6 +102,12 @@ fn main() {
         nova_bench::report::fmt_count((inguest_exits as f64 * per_exit) as u64),
     ]);
     t.print();
+    let fields = vec![
+        ("mtd".into(), mtd),
+        ("user_tlb_tags".into(), tags),
+        ("bios".into(), t.to_json()),
+    ];
+    println!("\nwrote {}", write_json(REPO_ROOT, "ablations", fields));
 
     // ---- 4. Buffer-only vs whole-guest delegation ----
     banner("Ablation 4: DMA-window delegation policy (Section 4.2)");

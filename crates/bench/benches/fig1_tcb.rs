@@ -18,31 +18,50 @@ fn main() {
 
     println!("\nThis reproduction (counted from source, non-comment lines;");
     println!("`product` leaves out `#[cfg(test)]` items, as the paper's figures do):\n");
-    let mut t = Table::new(&["component", "product", "with_tests", "privileged"]);
+    let mut t = Table::new(&[
+        "component",
+        "product",
+        "linked",
+        "product+linked",
+        "with_tests",
+        "privileged",
+    ]);
     let mut hv = 0;
     let mut total = loc::Loc::default();
-    for (label, n, priv_) in loc::nova_tcb() {
-        if priv_ {
-            hv += n.product;
+    let tcb = loc::nova_tcb();
+    for c in &tcb {
+        let linked = loc::files_loc(c.linked.iter().copied()).product;
+        if c.privileged {
+            hv += c.own.product;
         }
-        total += n;
+        total += c.own;
         t.row(vec![
-            label.to_string(),
-            n.product.to_string(),
-            n.with_tests.to_string(),
-            if priv_ { "yes".into() } else { "no".into() },
+            c.label.to_string(),
+            c.own.product.to_string(),
+            linked.to_string(),
+            (c.own.product + linked).to_string(),
+            c.own.with_tests.to_string(),
+            if c.privileged { "yes" } else { "no" }.into(),
         ]);
     }
     let components = t.to_json();
+    // A file two components link is one file of the stack.
+    let linked = loc::files_loc(tcb.iter().flat_map(|c| c.linked.iter().copied())).product;
     t.row(vec![
         "TOTAL (per-VM TCB)".into(),
         total.product.to_string(),
+        linked.to_string(),
+        (total.product + linked).to_string(),
         total.with_tests.to_string(),
         String::new(),
     ]);
     t.print();
+    println!(
+        "\n`linked`: files of `nova_hw` a component instantiates as its own code (the \
+         device register cores and the AHCI command layout), each counted once in TOTAL."
+    );
 
-    let share = 100.0 * hv as f64 / total.product as f64;
+    let share = 100.0 * hv as f64 / (total.product + linked) as f64;
     println!("\nPrivileged (hypervisor) share: {hv} LoC — {share:.0}% of the stack");
 
     println!("\nPaper's Figure 1 (KLOC):\n");
@@ -59,6 +78,7 @@ fn main() {
             ("components".into(), components),
             ("privileged_loc".into(), Json::U64(hv as u64)),
             ("total_loc".into(), Json::U64(total.product as u64)),
+            ("total_linked_loc".into(), Json::U64(linked as u64)),
             (
                 "total_loc_with_tests".into(),
                 Json::U64(total.with_tests as u64),

@@ -5,13 +5,14 @@
 
 use nova_bench::configs::*;
 use nova_bench::paper;
-use nova_bench::report::{banner, Table};
+use nova_bench::report::{banner, write_json, Table};
 use nova_guest::netload::{self, NetLoadParams};
 use nova_guest::pvnetload::{self, PvNetLoadParams};
 use nova_hw::machine::Machine;
 use nova_hw::nic::{Nic, Stream};
 
 const BUDGET: u64 = 2_000_000_000_000;
+const REPO_ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
 
 /// Packets needed to cover ~40 ms of stream at the given rate.
 fn packets_for(mbit: u64, bytes: u32, hz: u64) -> u32 {
@@ -113,6 +114,8 @@ fn main() {
         }
     }
     t.print();
+    let path = write_json(REPO_ROOT, "fig7", vec![("rows".into(), t.to_json())]);
+    println!("wrote {path}");
 
     println!(
         "\nPaper anchors: overhead scales with the interrupt rate (~{} cycles per \

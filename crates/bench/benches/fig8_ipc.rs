@@ -4,13 +4,15 @@
 //! a booted microhypervisor and timing the simulated clock.
 
 use nova_bench::paper;
-use nova_bench::report::{banner, Table};
+use nova_bench::report::{banner, write_json, Table};
 use nova_core::cap::{Capability, Perms};
 use nova_core::obj::ObjRef;
 use nova_core::{CompCtx, Component, Hypercall, Kernel, KernelConfig, Utcb};
 use nova_hw::cost::{CostModel, TABLE_1_MODELS};
 use nova_hw::machine::{Machine, MachineConfig};
 use nova_user::RootPm;
+
+const REPO_ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
 
 /// A handler that replies immediately (the rendezvous null-message).
 struct Echo;
@@ -125,6 +127,7 @@ fn main() {
         ]);
     }
     t.print();
+    let one_way = t.to_json();
 
     println!("\nPer-word payload cost (BLM, cross-AS):");
     let mut t = Table::new(&["words", "one-way cyc"]);
@@ -133,6 +136,8 @@ fn main() {
         t.row(vec![format!("{words}"), format!("{c:.0}")]);
     }
     t.print();
+    let fields = vec![("rows".into(), one_way), ("per_word".into(), t.to_json())];
+    println!("wrote {}", write_json(REPO_ROOT, "fig8", fields));
     println!(
         "\nPaper: 2–3 additional cycles per transferred word (Section 8.4); TLB \
          effects are the cross-AS minus same-AS gap."

@@ -354,7 +354,7 @@ impl Kernel {
         machine.bus.pic.io_write(nova_hw::pic::MASTER_DATA, 0);
         machine.bus.pic.io_write(nova_hw::pic::SLAVE_DATA, 0);
         if let Some(hz) = config.scheduler_timer_hz {
-            let divisor = (nova_hw::pit::PIT_HZ / hz.max(1) as u64).clamp(1, 0xffff) as u16;
+            let divisor = nova_hw::pit::Pit8254::divisor_for(hz as u64);
             let now = machine.clock;
             machine
                 .bus

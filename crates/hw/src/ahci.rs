@@ -24,49 +24,20 @@
 
 #![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::panic)]
 
+pub mod cmd;
+mod port;
+
 use std::collections::HashMap;
 
 use nova_x86::insn::OpSize;
 
+pub use self::port::{regs, slots, PortEvent, PortRegs, P0IS_DHRS, P0IS_TFES};
 use crate::device::{DevCtx, Device};
 use crate::fault::FaultKind;
 use crate::Cycles;
 
 /// Sector size in bytes.
 pub const SECTOR: u32 = 512;
-
-/// Register offsets (subset of AHCI).
-pub mod regs {
-    /// Host capabilities (RO).
-    pub const CAP: u32 = 0x00;
-    /// Global host control.
-    pub const GHC: u32 = 0x04;
-    /// Interrupt status (one bit per port, write-1-to-clear).
-    pub const IS: u32 = 0x08;
-    /// Ports implemented (RO).
-    pub const PI: u32 = 0x0c;
-    /// Port 0 command-list base.
-    pub const P0CLB: u32 = 0x100;
-    /// Port 0 command-list base, upper 32 bits.
-    pub const P0CLB2: u32 = 0x104;
-    /// Port 0 FIS base.
-    pub const P0FB: u32 = 0x108;
-    /// Port 0 interrupt status (W1C).
-    pub const P0IS: u32 = 0x110;
-    /// Port 0 interrupt enable.
-    pub const P0IE: u32 = 0x114;
-    /// Port 0 command/status.
-    pub const P0CMD: u32 = 0x118;
-    /// Port 0 task-file data.
-    pub const P0TFD: u32 = 0x120;
-    /// Port 0 command issue (doorbell).
-    pub const P0CI: u32 = 0x138;
-}
-
-/// ATA READ DMA EXT.
-pub const ATA_READ_DMA_EXT: u8 = 0x25;
-/// ATA WRITE DMA EXT.
-pub const ATA_WRITE_DMA_EXT: u8 = 0x35;
 
 /// Disk timing and geometry parameters.
 #[derive(Clone, Copy, Debug)]
@@ -97,9 +68,7 @@ impl DiskParams {
 }
 
 struct Request {
-    write: bool,
-    lba: u64,
-    sectors: u32,
+    cfis: cmd::Cfis,
     /// PRDT entries: (bus address, byte count).
     prdt: Vec<(u64, u32)>,
     slot: u8,
@@ -109,12 +78,7 @@ struct Request {
 pub struct Ahci {
     params: DiskParams,
     irq_line: u8,
-    clb: u64,
-    fb: u64,
-    is: u32,
-    p0is: u32,
-    p0ie: u32,
-    ci: u32,
+    regs: PortRegs,
     /// In-flight request (one outstanding command modeled).
     inflight: Option<Request>,
     /// Written sectors (overlay over the deterministic pattern).
@@ -136,12 +100,7 @@ impl Ahci {
         Ahci {
             params,
             irq_line,
-            clb: 0,
-            fb: 0,
-            is: 0,
-            p0is: 0,
-            p0ie: 0,
-            ci: 0,
+            regs: PortRegs::default(),
             inflight: None,
             store: HashMap::new(),
             completed: 0,
@@ -172,56 +131,22 @@ impl Ahci {
             .unwrap_or_else(|| Self::pattern(lba))
     }
 
+    /// Fetches the command in `slot` by DMA. The structures come from
+    /// driver-owned memory: a read the IOMMU blocks or a FIS that is
+    /// not a DMA transfer yields `None`; nothing else is checked.
     fn parse_command(&mut self, ctx: &mut DevCtx, slot: u8) -> Option<Request> {
-        // Command header: 32 bytes at CLB + slot*32.
-        let hdr = ctx.dma_read(self.clb + slot as u64 * 32, 32)?;
-        // Little-endian field extraction without panicking slices: the
-        // header and FIS are fixed-size DMA reads, but nothing about
-        // their *content* is trusted.
-        let le = |b: &[u8], off: usize, n: usize| -> u64 {
-            b.get(off..off + n)
-                .map(|s| s.iter().rev().fold(0u64, |a, &x| a << 8 | x as u64))
-                .unwrap_or(0)
-        };
-        let dw0 = le(&hdr, 0, 4) as u32;
-        let prdtl = (dw0 >> 16) as usize;
-        let ctba = le(&hdr, 8, 8);
-
-        // Command table: CFIS (64 bytes) + PRDT at +0x80.
-        let cfis = ctx.dma_read(ctba, 64)?;
-        let fis = |i: usize| cfis.get(i).copied().unwrap_or(0);
-        if fis(0) != 0x27 {
-            return None; // not a host-to-device FIS
-        }
-        let cmd = fis(2);
-        let write = match cmd {
-            ATA_READ_DMA_EXT => false,
-            ATA_WRITE_DMA_EXT => true,
-            _ => return None,
-        };
-        let lba = fis(4) as u64
-            | (fis(5) as u64) << 8
-            | (fis(6) as u64) << 16
-            | (fis(8) as u64) << 24
-            | (fis(9) as u64) << 32
-            | (fis(10) as u64) << 40;
-        let count = fis(12) as u32 | (fis(13) as u32) << 8;
-
-        let prdt_raw = ctx.dma_read(ctba + 0x80, prdtl * 16)?;
-        let mut prdt = Vec::with_capacity(prdtl.min(64));
-        for e in prdt_raw.chunks_exact(16) {
-            let dba = le(e, 0, 8);
-            let dbc = le(e, 12, 4) as u32 & 0x3f_ffff;
-            prdt.push((dba, dbc + 1));
-        }
-
-        Some(Request {
-            write,
-            lba,
-            sectors: count,
-            prdt,
-            slot,
-        })
+        let at = self.regs.clb + slot as u64 * cmd::HEADER_LEN as u64;
+        let hdr = ctx.dma_read(at, cmd::HEADER_LEN)?;
+        let hdr = cmd::Header::decode(hdr.as_slice().try_into().ok()?);
+        let cfis = ctx.dma_read(hdr.ctba, cmd::CFIS_LEN)?;
+        let cfis = cmd::Cfis::decode(cfis.as_slice().try_into().ok()?).ok()?;
+        let prdt = ctx.dma_read(
+            hdr.ctba + cmd::PRDT_OFFSET,
+            hdr.prdtl as usize * cmd::PRD_LEN,
+        )?;
+        let (prdt, _) = prdt.as_chunks::<{ cmd::PRD_LEN }>();
+        let prdt = prdt.iter().map(cmd::prd::decode).collect();
+        Some(Request { cfis, prdt, slot })
     }
 
     fn issue(&mut self, ctx: &mut DevCtx, slot: u8) {
@@ -233,23 +158,20 @@ impl Ahci {
                     self.inflight = Some(req);
                     return;
                 }
-                let bytes = req.sectors as u64 * SECTOR as u64;
+                let bytes = req.cfis.sectors as u64 * SECTOR as u64;
                 let delay = self.params.fixed_latency + self.params.transfer_cycles(bytes);
                 self.inflight = Some(req);
                 ctx.schedule(delay, slot as u64);
-                if self.p0ie != 0 && ctx.roll_fault(FaultKind::AhciSpuriousIrq, slot as u64) {
+                if self.regs.p0ie != 0 && ctx.roll_fault(FaultKind::AhciSpuriousIrq, slot as u64) {
                     // Interrupt with no completion pending: the driver
                     // will find IS clear.
                     ctx.pulse_irq(self.irq_line);
                 }
             }
             None => {
-                self.errors += 1;
                 // Report a task-file error: completion with error status.
-                self.ci &= !(1 << slot);
-                self.p0is |= 1 << 30; // TFES
-                self.is |= 1;
-                if self.p0ie != 0 {
+                self.errors += 1;
+                if self.regs.complete(slot, false) {
                     ctx.raise_irq(self.irq_line);
                 }
             }
@@ -267,59 +189,31 @@ impl Device for Ahci {
     }
 
     fn mmio_read(&mut self, _ctx: &mut DevCtx, off: u32, _size: OpSize) -> u32 {
-        match off {
-            regs::CAP => 0x4000_0000, // 64-bit addressing, 1 port
-            regs::GHC => 0x8000_0002, // AE | IE
-            regs::IS => self.is,
-            regs::PI => 1,
-            regs::P0CLB => self.clb as u32,
-            regs::P0CLB2 => (self.clb >> 32) as u32,
-            regs::P0FB => self.fb as u32,
-            regs::P0IS => self.p0is,
-            regs::P0IE => self.p0ie,
-            regs::P0CMD => 0x0000_c011, // started, FIS receive enabled
-            regs::P0TFD => 0x50,        // ready, no error
-            regs::P0CI => self.ci,
-            _ => 0,
-        }
+        self.regs.read(off)
     }
 
     fn mmio_write(&mut self, ctx: &mut DevCtx, off: u32, _size: OpSize, val: u32) {
-        match off {
-            regs::GHC if val & 1 != 0 => {
-                // HR: full HBA reset. Aborts any in-flight command
-                // (including a wedged one) and clears all state.
-                self.resets += 1;
-                self.clb = 0;
-                self.fb = 0;
-                self.is = 0;
-                self.p0is = 0;
-                self.p0ie = 0;
-                self.ci = 0;
-                self.inflight = None;
-                ctx.lower_irq(self.irq_line);
-            }
-            regs::IS => self.is &= !val,
-            regs::P0CLB => self.clb = (self.clb & !0xffff_ffff) | val as u64,
-            regs::P0CLB2 => self.clb = (self.clb & 0xffff_ffff) | (val as u64) << 32,
-            regs::P0FB => self.fb = val as u64,
-            regs::P0IS => {
-                self.p0is &= !val;
-                if self.p0is == 0 {
+        match self.regs.write(off, val) {
+            // The line is level-triggered: it falls once software has
+            // cleared every cause in P0IS.
+            PortEvent::None => {
+                if self.regs.p0is == 0 {
                     ctx.lower_irq(self.irq_line);
                 }
             }
-            regs::P0IE => self.p0ie = val,
-            regs::P0CI => {
-                let new = val & !self.ci;
-                self.ci |= val;
-                for slot in 0..32 {
-                    if new & (1 << slot) != 0 {
-                        self.issue(ctx, slot);
-                    }
+            PortEvent::Doorbell(new) => {
+                for slot in slots(new) {
+                    self.issue(ctx, slot);
                 }
             }
-            _ => {}
+            PortEvent::Reset => {
+                // HR: full HBA reset. Aborts any in-flight command
+                // (including a wedged one) and clears all state.
+                self.resets += 1;
+                self.regs = PortRegs::default();
+                self.inflight = None;
+                ctx.lower_irq(self.irq_line);
+            }
         }
     }
 
@@ -330,26 +224,24 @@ impl Device for Ahci {
         if ctx.roll_fault(FaultKind::AhciTaskFileError, req.slot as u64) {
             // Media error: the command completes with TFES and no data.
             self.errors += 1;
-            self.p0is |= 1 << 30;
-            self.ci &= !(1 << req.slot);
-            self.is |= 1;
-            if self.p0ie != 0 {
+            if self.regs.complete(req.slot, false) {
                 ctx.raise_irq(self.irq_line);
             }
             return;
         }
         // Move the data through the PRDT.
-        let total = req.sectors as u64 * SECTOR as u64;
+        let Request { cfis, prdt, slot } = req;
+        let total = cfis.sectors as u64 * SECTOR as u64;
         let mut moved = 0u64;
-        let mut lba = req.lba;
+        let mut lba = cfis.lba;
         let mut pending: Vec<u8> = Vec::new();
         let mut ok = true;
-        for (dba, dbc) in &req.prdt {
+        for (dba, dbc) in &prdt {
             if moved >= total {
                 break;
             }
             let chunk = (*dbc as u64).min(total - moved);
-            if req.write {
+            if cfis.write {
                 match ctx.dma_read(*dba, chunk as usize) {
                     Some(d) => pending.extend_from_slice(&d),
                     None => {
@@ -371,26 +263,22 @@ impl Device for Ahci {
             }
             moved += chunk;
         }
-        if req.write && ok {
+        if cfis.write && ok {
             for (i, s) in pending.chunks(SECTOR as usize).enumerate() {
                 let mut sec = s.to_vec();
                 sec.resize(SECTOR as usize, 0);
-                self.store.insert(req.lba + i as u64, sec);
+                self.store.insert(cfis.lba + i as u64, sec);
             }
         }
 
         if ok {
             self.completed += 1;
             self.bytes_moved += moved;
-            self.p0is |= 1 << 0; // DHRS: device-to-host register FIS
         } else {
             self.errors += 1;
-            self.p0is |= 1 << 30; // TFES
         }
-        self.ci &= !(1 << req.slot);
-        self.is |= 1;
-        if self.p0ie != 0 {
-            if ctx.roll_fault(FaultKind::AhciLostIrq, req.slot as u64) {
+        if self.regs.complete(slot, ok) {
+            if ctx.roll_fault(FaultKind::AhciLostIrq, slot as u64) {
                 // Completion state is all set, but the interrupt is
                 // lost — the driver must time out and poll.
             } else {
@@ -421,43 +309,41 @@ mod tests {
         (bus, PhysMem::new(16 << 20), dev)
     }
 
-    /// Builds a command in memory and rings the doorbell; returns the
-    /// number of MMIO accesses performed (the figure the paper counts).
+    const CLB: u64 = 0x10_0000;
+    const CTBA: u64 = 0x10_1000;
+
+    /// Writes a one-descriptor command for slot 0 into memory, programs
+    /// the command-list base, enables interrupts and rings the doorbell.
+    fn issue(bus: &mut DeviceBus, mem: &mut PhysMem, now: Cycles, cfis: [u8; 64], buf: u64) {
+        let hdr = cmd::Header {
+            prdtl: 1,
+            ctba: CTBA,
+        };
+        let bytes = cmd::Cfis::decode(&cfis).map_or(0, |c| c.sectors as u32 * SECTOR);
+        mem.write_bytes(CLB, &hdr.encode());
+        mem.write_bytes(CTBA, &cfis);
+        mem.write_bytes(CTBA + cmd::PRDT_OFFSET, &cmd::prd::encode(buf, bytes));
+        for (reg, val) in [(regs::P0CLB, CLB as u32), (regs::P0IE, 1), (regs::P0CI, 1)] {
+            bus.mmio_write(mem, now, BASE + reg as u64, OpSize::Dword, val);
+        }
+    }
+
+    /// Issues a read; returns the number of MMIO accesses performed
+    /// per request (the figure the paper counts).
     fn issue_read(
         bus: &mut DeviceBus,
         mem: &mut PhysMem,
         now: Cycles,
         lba: u64,
-        sectors: u32,
+        sectors: u16,
         buf: u64,
     ) -> u32 {
-        let clb = 0x10_0000u64;
-        let ctba = 0x10_1000u64;
-        // Command header slot 0: 1 PRDT entry, CTBA.
-        mem.write_u32(clb, 1 << 16);
-        mem.write_u64(clb + 8, ctba);
-        // CFIS: H2D, READ DMA EXT.
-        mem.write_u8(ctba, 0x27);
-        mem.write_u8(ctba + 2, ATA_READ_DMA_EXT);
-        mem.write_u8(ctba + 4, lba as u8);
-        mem.write_u8(ctba + 5, (lba >> 8) as u8);
-        mem.write_u8(ctba + 6, (lba >> 16) as u8);
-        mem.write_u8(ctba + 8, (lba >> 24) as u8);
-        mem.write_u8(ctba + 12, sectors as u8);
-        mem.write_u8(ctba + 13, (sectors >> 8) as u8);
-        // PRDT entry 0.
-        mem.write_u64(ctba + 0x80, buf);
-        mem.write_u32(ctba + 0x8c, sectors * SECTOR - 1);
-
-        bus.mmio_write(
-            mem,
-            now,
-            BASE + regs::P0CLB as u64,
-            OpSize::Dword,
-            clb as u32,
-        );
-        bus.mmio_write(mem, now, BASE + regs::P0IE as u64, OpSize::Dword, 1);
-        bus.mmio_write(mem, now, BASE + regs::P0CI as u64, OpSize::Dword, 1);
+        let cfis = cmd::Cfis {
+            write: false,
+            lba,
+            sectors,
+        };
+        issue(bus, mem, now, cfis.encode(), buf);
         1 // the doorbell is the single per-request issue access
     }
 
@@ -518,25 +404,12 @@ mod tests {
         let (mut bus, mut mem, _) = setup();
         // Write: put payload in memory, build WRITE command.
         mem.write_bytes(0x30_0000, &[0xabu8; 512]);
-        let clb = 0x10_0000u64;
-        let ctba = 0x10_1000u64;
-        mem.write_u32(clb, 1 << 16);
-        mem.write_u64(clb + 8, ctba);
-        mem.write_u8(ctba, 0x27);
-        mem.write_u8(ctba + 2, ATA_WRITE_DMA_EXT);
-        mem.write_u8(ctba + 4, 7); // LBA 7
-        mem.write_u8(ctba + 12, 1);
-        mem.write_u64(ctba + 0x80, 0x30_0000);
-        mem.write_u32(ctba + 0x8c, 511);
-        bus.mmio_write(
-            &mut mem,
-            0,
-            BASE + regs::P0CLB as u64,
-            OpSize::Dword,
-            clb as u32,
-        );
-        bus.mmio_write(&mut mem, 0, BASE + regs::P0IE as u64, OpSize::Dword, 1);
-        bus.mmio_write(&mut mem, 0, BASE + regs::P0CI as u64, OpSize::Dword, 1);
+        let cfis = cmd::Cfis {
+            write: true,
+            lba: 7,
+            sectors: 1,
+        };
+        issue(&mut bus, &mut mem, 0, cfis.encode(), 0x30_0000);
         let due = bus.next_event_due().unwrap();
         bus.process_events(&mut mem, due);
         complete(&mut bus, &mut mem, due);
@@ -551,20 +424,10 @@ mod tests {
     #[test]
     fn bad_fis_reports_error() {
         let (mut bus, mut mem, _) = setup();
-        let clb = 0x10_0000u64;
-        mem.write_u32(clb, 1 << 16);
-        mem.write_u64(clb + 8, 0x10_1000);
         // Garbage FIS type.
-        mem.write_u8(0x10_1000, 0x99);
-        bus.mmio_write(
-            &mut mem,
-            0,
-            BASE + regs::P0CLB as u64,
-            OpSize::Dword,
-            clb as u32,
-        );
-        bus.mmio_write(&mut mem, 0, BASE + regs::P0IE as u64, OpSize::Dword, 1);
-        bus.mmio_write(&mut mem, 0, BASE + regs::P0CI as u64, OpSize::Dword, 1);
+        let mut cfis = [0; 64];
+        cfis[0] = 0x99;
+        issue(&mut bus, &mut mem, 0, cfis, 0);
         let p0is = bus.mmio_read(&mut mem, 0, BASE + regs::P0IS as u64, OpSize::Dword);
         assert_ne!(p0is & (1 << 30), 0, "task-file error set");
         assert_eq!(

@@ -1,13 +1,11 @@
 //! i8042 keyboard controller (PS/2): one of the legacy devices the
 //! paper's NOVA environment drives (Section 4). Scancodes are injected
-//! by the harness (standing in for a human) and drained by the guest
-//! or a user-level driver through ports 0x60/0x64 with IRQ 1.
+//! by whoever owns the keyboard (the harness standing in for a human,
+//! or the VMM's owner) and drained through ports 0x60/0x64. This is
+//! the output buffer alone; IRQ 1 belongs to the platform adapter
+//! ([`crate::platform::Kbd`]) and to the VMM's device dispatch.
 
 use std::collections::VecDeque;
-
-use nova_x86::insn::OpSize;
-
-use crate::device::{DevCtx, Device};
 
 /// Data port.
 pub const DATA: u16 = 0x60;
@@ -19,23 +17,15 @@ pub const IRQ: u8 = 1;
 /// Status bit: output buffer full.
 pub const STS_OBF: u8 = 1 << 0;
 
-/// The controller.
+/// The controller's output buffer.
 #[derive(Default)]
-pub struct Kbd {
-    queue: VecDeque<u8>,
-    /// Scancodes consumed by software.
-    pub read_count: u64,
+pub struct I8042 {
+    /// Scancodes not yet read, oldest first.
+    pub queue: VecDeque<u8>,
 }
 
-impl Kbd {
-    /// Creates the controller.
-    pub fn new() -> Kbd {
-        Kbd::default()
-    }
-
-    /// Injects a scancode as if a key was pressed; raises IRQ 1.
-    /// Call through the bus's typed access, then pulse the line via
-    /// [`Kbd::pending`]-driven events or directly.
+impl I8042 {
+    /// Queues a scancode as if a key was pressed.
     pub fn inject(&mut self, scancode: u8) {
         self.queue.push_back(scancode);
     }
@@ -44,44 +34,16 @@ impl Kbd {
     pub fn pending(&self) -> bool {
         !self.queue.is_empty()
     }
-}
 
-impl Device for Kbd {
-    fn name(&self) -> &'static str {
-        "i8042"
-    }
-
-    fn as_any(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn io_read(&mut self, ctx: &mut DevCtx, port: u16, _size: OpSize) -> u32 {
+    /// Port read: the data port pops the oldest scancode (0 when
+    /// empty), the status port reports OBF.
+    #[inline]
+    pub fn read(&mut self, port: u16) -> u8 {
         match port {
-            DATA => {
-                let b = self.queue.pop_front().unwrap_or(0);
-                self.read_count += 1;
-                if self.queue.is_empty() {
-                    ctx.lower_irq(IRQ);
-                } else {
-                    ctx.pulse_irq(IRQ);
-                }
-                b as u32
-            }
-            STATUS => {
-                if self.pending() {
-                    STS_OBF as u32
-                } else {
-                    0
-                }
-            }
+            DATA => self.queue.pop_front().unwrap_or(0),
+            STATUS if self.pending() => STS_OBF,
+            STATUS => 0,
             _ => 0xff,
-        }
-    }
-
-    fn event(&mut self, ctx: &mut DevCtx, _token: u64) {
-        // Injection kick: assert the line while data waits.
-        if self.pending() {
-            ctx.pulse_irq(IRQ);
         }
     }
 }
@@ -89,42 +51,15 @@ impl Device for Kbd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::DeviceBus;
-    use crate::iommu::Iommu;
-    use crate::mem::PhysMem;
 
     #[test]
-    fn scancodes_drain_in_order_with_irq() {
-        let mut bus = DeviceBus::new(Iommu::disabled());
-        let dev = bus.add_device(Box::new(Kbd::new()));
-        bus.map_ports(DATA, STATUS, dev);
-        bus.pic.io_write(crate::pic::MASTER_DATA, 0);
-        let mut mem = PhysMem::new(16);
-
-        bus.typed_mut::<Kbd>(dev).unwrap().inject(0x1e); // 'a'
-        bus.typed_mut::<Kbd>(dev).unwrap().inject(0x30); // 'b'
-        bus.events.schedule(
-            0,
-            crate::event::Event {
-                device: dev,
-                token: 0,
-            },
-        );
-        bus.process_events(&mut mem, 0);
-        assert!(bus.pic.intr());
-        assert_eq!(bus.pic.ack(), Some(0x21), "IRQ 1");
-
-        assert_eq!(
-            bus.io_read(&mut mem, 0, STATUS, OpSize::Byte),
-            STS_OBF as u32
-        );
-        assert_eq!(bus.io_read(&mut mem, 0, DATA, OpSize::Byte), 0x1e);
-        assert_eq!(bus.io_read(&mut mem, 0, DATA, OpSize::Byte), 0x30);
-        assert_eq!(bus.io_read(&mut mem, 0, STATUS, OpSize::Byte), 0);
-        assert_eq!(
-            bus.io_read(&mut mem, 0, DATA, OpSize::Byte),
-            0,
-            "empty reads 0"
-        );
+    fn scancodes_drain_in_order() {
+        let mut k = I8042::default();
+        k.inject(0x1e); // 'a'
+        k.inject(0x30); // 'b'
+        assert_eq!(k.read(STATUS), STS_OBF);
+        assert_eq!((k.read(DATA), k.read(DATA)), (0x1e, 0x30));
+        assert_eq!(k.read(STATUS), 0);
+        assert_eq!(k.read(DATA), 0, "empty reads 0");
     }
 }

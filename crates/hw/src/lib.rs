@@ -33,6 +33,7 @@ pub mod nic;
 pub mod pci;
 pub mod pic;
 pub mod pit;
+pub mod platform;
 pub mod pv;
 pub mod serial;
 pub mod tlb;

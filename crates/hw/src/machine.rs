@@ -12,9 +12,9 @@ use crate::fault::{FaultInjector, FaultPlan};
 use crate::iommu::Iommu;
 use crate::mem::PhysMem;
 use crate::nic::Nic;
-use crate::pci::{PciFunction, PciHost};
-use crate::pit::Pit;
-use crate::serial::Serial;
+use crate::pci::{PciConfig, PciFunction};
+use crate::platform::{Kbd, Pit};
+use crate::serial::Uart16550;
 use crate::vga::VgaText;
 use crate::{Cycles, PAddr};
 
@@ -26,6 +26,28 @@ pub const NIC_BASE: PAddr = 0xfeb1_0000;
 pub const AHCI_IRQ: u8 = 11;
 /// NIC interrupt line.
 pub const NIC_IRQ: u8 = 10;
+/// The AHCI controller's PCI function: device 2 on the platform's bus
+/// and — so the same guest driver works in both worlds — on every
+/// VM's virtual one.
+pub const AHCI_FUNCTION: PciFunction = PciFunction {
+    device: 2,
+    vendor_id: 0x8086,
+    device_id: 0x2922,
+    class: 0x0106,
+    bar0: AHCI_BASE as u32,
+    bar0_size: 0x1000,
+    irq_line: AHCI_IRQ,
+};
+/// The NIC's PCI function.
+pub const NIC_FUNCTION: PciFunction = PciFunction {
+    device: 3,
+    vendor_id: 0x8086,
+    device_id: 0x10de,
+    class: 0x0200,
+    bar0: NIC_BASE as u32,
+    bar0_size: 0x4000,
+    irq_line: NIC_IRQ,
+};
 /// Debug-exit port: a byte write stops the machine with that code.
 pub const DEBUG_EXIT_PORT: u16 = 0xf4;
 /// Benchmark-mark port: a dword write records (cycle, value).
@@ -129,10 +151,10 @@ impl Machine {
         let pit = bus.add_device(Box::new(Pit::new(hz)));
         bus.map_ports(0x40, 0x43, pit);
 
-        let serial = bus.add_device(Box::new(Serial::new()));
+        let serial = bus.add_device(Box::<Uart16550>::default());
         bus.map_ports(crate::serial::COM1, crate::serial::COM1 + 7, serial);
 
-        let kbd = bus.add_device(Box::new(crate::kbd::Kbd::new()));
+        let kbd = bus.add_device(Box::<Kbd>::default());
         bus.map_ports(crate::kbd::DATA, crate::kbd::STATUS, kbd);
 
         let vga = bus.add_device(Box::new(VgaText::new()));
@@ -148,27 +170,12 @@ impl Machine {
         let nic = bus.add_device(Box::new(Nic::new(NIC_IRQ, hz)));
         bus.map_mmio(NIC_BASE, 0x4000, nic);
 
-        let pci = bus.add_device(Box::new(PciHost::new(vec![
-            PciFunction {
-                device: 2,
-                vendor_id: 0x8086,
-                device_id: 0x2922,
-                class: 0x0106,
-                bar0: AHCI_BASE as u32,
-                bar0_size: 0x1000,
-                irq_line: AHCI_IRQ,
-            },
-            PciFunction {
-                device: 3,
-                vendor_id: 0x8086,
-                device_id: 0x10de,
-                class: 0x0200,
-                bar0: NIC_BASE as u32,
-                bar0_size: 0x4000,
-                irq_line: NIC_IRQ,
-            },
-        ])));
-        bus.map_ports(crate::pci::CONFIG_ADDRESS, 0xcff, pci);
+        let pci = bus.add_device(Box::new(PciConfig::new(&[AHCI_FUNCTION, NIC_FUNCTION])));
+        bus.map_ports(
+            crate::pci::CONFIG_ADDRESS,
+            crate::pci::CONFIG_DATA_LAST,
+            pci,
+        );
 
         let debug = bus.add_device(Box::new(DebugPort));
         bus.map_ports(DEBUG_EXIT_PORT, MARK_PORT, debug);
@@ -215,7 +222,7 @@ impl Machine {
     pub fn serial_text(&mut self) -> String {
         let id = self.dev.serial;
         self.bus
-            .typed_mut::<Serial>(id)
+            .typed_mut::<Uart16550>(id)
             .map(|s| s.text())
             .unwrap_or_default()
     }
@@ -294,10 +301,8 @@ impl Machine {
     /// interrupt line.
     pub fn type_scancodes(&mut self, codes: &[u8]) {
         let id = self.dev.kbd;
-        if let Some(k) = self.bus.typed_mut::<crate::kbd::Kbd>(id) {
-            for c in codes {
-                k.inject(*c);
-            }
+        if let Some(k) = self.bus.typed_mut::<Kbd>(id) {
+            k.chip.queue.extend(codes);
         }
         self.bus.events.schedule(
             self.clock + 1,

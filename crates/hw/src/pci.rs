@@ -2,16 +2,18 @@
 //! mechanism. Drivers (the NOVA user-level disk and network servers,
 //! and the guest OS when devices are assigned directly) enumerate the
 //! bus here to find vendor/device ids, class codes, BARs and interrupt
-//! lines.
+//! lines. The platform's host bridge and the VMM's virtual
+//! configuration space are the same [`PciConfig`] over different
+//! function lists.
 
 use nova_x86::insn::OpSize;
-
-use crate::device::{DevCtx, Device};
 
 /// Config-address port.
 pub const CONFIG_ADDRESS: u16 = 0xcf8;
 /// Config-data port.
 pub const CONFIG_DATA: u16 = 0xcfc;
+/// Last port of the config-data dword.
+pub const CONFIG_DATA_LAST: u16 = 0xcff;
 
 /// One PCI function's configuration header (type 0, the fields we
 /// model).
@@ -45,22 +47,31 @@ impl PciFunction {
     }
 }
 
-/// The host bridge + configuration mechanism.
-pub struct PciHost {
-    functions: Vec<PciFunction>,
+/// The configuration mechanism: the address latch in front of a list
+/// of single-function devices on bus 0.
+pub struct PciConfig {
+    functions: &'static [PciFunction],
     address: u32,
 }
 
-impl PciHost {
-    /// Creates the host bridge with the platform's function list.
-    pub fn new(functions: Vec<PciFunction>) -> PciHost {
-        PciHost {
+impl PciConfig {
+    /// Creates the mechanism over `functions`.
+    pub fn new(functions: &'static [PciFunction]) -> PciConfig {
+        PciConfig {
             functions,
             address: 0,
         }
     }
 
-    fn decode_address(&self) -> Option<(&PciFunction, u8)> {
+    /// The latched config address (what a checkpoint records; restore
+    /// it by writing [`CONFIG_ADDRESS`]).
+    pub fn address(&self) -> u32 {
+        self.address
+    }
+
+    /// The function and register the latched address names: enable
+    /// bit set, bus 0, function 0, a device on the list.
+    fn selected(&self) -> Option<(&PciFunction, u8)> {
         if self.address & 0x8000_0000 == 0 {
             return None;
         }
@@ -77,26 +88,13 @@ impl PciHost {
             .map(|f| (f, reg))
     }
 
-    /// Scans bus 0 and returns all present functions (host-side helper
-    /// mirroring what a driver does through the ports).
-    pub fn enumerate(&self) -> &[PciFunction] {
-        &self.functions
-    }
-}
-
-impl Device for PciHost {
-    fn name(&self) -> &'static str {
-        "pci-host"
-    }
-
-    fn as_any(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn io_read(&mut self, _ctx: &mut DevCtx, port: u16, size: OpSize) -> u32 {
+    /// Port read. An address that names no function reads all-ones of
+    /// the access size.
+    #[inline]
+    pub fn read(&self, port: u16, size: OpSize) -> u32 {
         match port {
             CONFIG_ADDRESS => self.address,
-            CONFIG_DATA..=0xcff => match self.decode_address() {
+            CONFIG_DATA..=CONFIG_DATA_LAST => match self.selected() {
                 Some((f, reg)) => {
                     let v = f.config_read(reg);
                     match size {
@@ -110,25 +108,22 @@ impl Device for PciHost {
         }
     }
 
-    fn io_write(&mut self, _ctx: &mut DevCtx, port: u16, _size: OpSize, val: u32) {
+    /// Port write. BAR and command-register writes are accepted and
+    /// ignored: resources are pre-assigned.
+    #[inline]
+    pub fn write(&mut self, port: u16, val: u32) {
         if port == CONFIG_ADDRESS {
             self.address = val;
         }
-        // BAR writes and command-register writes are accepted and
-        // ignored: the platform pre-assigns resources.
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::DeviceBus;
-    use crate::iommu::Iommu;
-    use crate::mem::PhysMem;
 
-    fn setup() -> (DeviceBus, PhysMem) {
-        let mut bus = DeviceBus::new(Iommu::disabled());
-        let host = PciHost::new(vec![
+    fn setup() -> PciConfig {
+        PciConfig::new(&[
             PciFunction {
                 device: 2,
                 vendor_id: 0x8086,
@@ -147,43 +142,49 @@ mod tests {
                 bar0_size: 0x1000,
                 irq_line: 10,
             },
-        ]);
-        let dev = bus.add_device(Box::new(host));
-        bus.map_ports(CONFIG_ADDRESS, 0xcff, dev);
-        (bus, PhysMem::new(16))
+        ])
     }
 
-    fn cfg_read(bus: &mut DeviceBus, mem: &mut PhysMem, dev: u8, reg: u8) -> u32 {
-        let addr = 0x8000_0000 | (dev as u32) << 11 | reg as u32;
-        bus.io_write(mem, 0, CONFIG_ADDRESS, OpSize::Dword, addr);
-        bus.io_read(mem, 0, CONFIG_DATA, OpSize::Dword)
+    fn cfg_read(pci: &mut PciConfig, dev: u8, reg: u8) -> u32 {
+        pci.write(
+            CONFIG_ADDRESS,
+            0x8000_0000 | (dev as u32) << 11 | reg as u32,
+        );
+        pci.read(CONFIG_DATA, OpSize::Dword)
     }
 
     #[test]
     fn enumerate_devices() {
-        let (mut bus, mut mem) = setup();
-        assert_eq!(cfg_read(&mut bus, &mut mem, 2, 0), 0x2922_8086);
-        assert_eq!(cfg_read(&mut bus, &mut mem, 3, 0), 0x10de_8086);
+        let mut pci = setup();
+        assert_eq!(cfg_read(&mut pci, 2, 0), 0x2922_8086);
+        assert_eq!(cfg_read(&mut pci, 3, 0), 0x10de_8086);
         // Absent slot reads all-ones.
-        assert_eq!(cfg_read(&mut bus, &mut mem, 9, 0), 0xffff_ffff);
+        assert_eq!(cfg_read(&mut pci, 9, 0), 0xffff_ffff);
     }
 
     #[test]
     fn class_bar_irq() {
-        let (mut bus, mut mem) = setup();
-        assert_eq!(cfg_read(&mut bus, &mut mem, 2, 0x08) >> 16, 0x0106);
-        assert_eq!(cfg_read(&mut bus, &mut mem, 2, 0x10), 0xfeb0_0000);
-        assert_eq!(cfg_read(&mut bus, &mut mem, 2, 0x3c) & 0xff, 11);
-        assert_eq!(cfg_read(&mut bus, &mut mem, 3, 0x3c) & 0xff, 10);
+        let mut pci = setup();
+        assert_eq!(cfg_read(&mut pci, 2, 0x08) >> 16, 0x0106);
+        assert_eq!(cfg_read(&mut pci, 2, 0x10), 0xfeb0_0000);
+        assert_eq!(cfg_read(&mut pci, 2, 0x3c) & 0xff, 11);
+        assert_eq!(cfg_read(&mut pci, 3, 0x3c) & 0xff, 10);
+    }
+
+    #[test]
+    fn sub_dword_reads_select_a_byte_lane() {
+        let mut pci = setup();
+        cfg_read(&mut pci, 2, 0);
+        assert_eq!(pci.read(CONFIG_DATA + 1, OpSize::Byte), 0x80);
+        assert_eq!(pci.read(CONFIG_DATA + 3, OpSize::Byte), 0x29);
+        assert_eq!(pci.read(CONFIG_ADDRESS, OpSize::Dword), 0x8000_1000);
     }
 
     #[test]
     fn disabled_address_bit() {
-        let (mut bus, mut mem) = setup();
-        bus.io_write(&mut mem, 0, CONFIG_ADDRESS, OpSize::Dword, 2 << 11);
-        assert_eq!(
-            bus.io_read(&mut mem, 0, CONFIG_DATA, OpSize::Dword),
-            0xffff_ffff
-        );
+        let mut pci = setup();
+        pci.write(CONFIG_ADDRESS, 2 << 11);
+        assert_eq!(pci.read(CONFIG_DATA, OpSize::Dword), 0xffff_ffff);
+        assert_eq!(pci.read(CONFIG_DATA, OpSize::Byte), 0xff);
     }
 }

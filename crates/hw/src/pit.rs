@@ -1,13 +1,15 @@
-//! Intel 8254 programmable interval timer (channel 0, rate generator).
+//! Intel 8254 programmable interval timer (channel 0, rate generator):
+//! the register protocol and nothing else.
 //!
-//! The guest OS and the microhypervisor's scheduling timer both use
-//! this device: channel 0 is programmed with a divisor of the
-//! 1.193182 MHz input clock and pulses IRQ 0 periodically. Those pulses
-//! are the "Hardware Interrupts" rows of Table 2.
+//! The guest OS and the microhypervisor's scheduling timer both
+//! program channel 0 with a divisor of the 1.193182 MHz input clock;
+//! the pulses on IRQ 0 are the "Hardware Interrupts" rows of Table 2.
+//! Like [`crate::pic::DualPic`], the one struct here is instantiated
+//! by the platform bus ([`crate::platform::Pit`]), by the VMM's
+//! virtual timer and by the monolithic baseline. Each of them brings
+//! its own clock (a bus event, a hypervisor timer, a deadline in the
+//! run loop) and its own way to IRQ 0; none of them knows the latch.
 
-use nova_x86::insn::OpSize;
-
-use crate::device::{DevCtx, Device};
 use crate::Cycles;
 
 /// PIT input clock in Hz.
@@ -21,82 +23,60 @@ pub const MODE: u16 = 0x43;
 /// IRQ line pulsed by channel 0.
 pub const IRQ: u8 = 0;
 
-enum WriteState {
-    Lo,
-    Hi(u8),
-}
-
-/// The 8254 model (channel 0 only; channels 1–2 are legacy DRAM
-/// refresh / speaker and unused here).
-pub struct Pit {
-    cpu_hz: u64,
+/// The 8254's channel 0 in lobyte/hibyte access mode (channels 1–2
+/// are legacy DRAM refresh / speaker and unused here).
+#[derive(Clone, Debug)]
+pub struct Pit8254 {
     divisor: u32,
-    state: WriteState,
-    running: bool,
-    /// Generation counter: stale scheduled events are ignored.
-    generation: u64,
-    /// Total IRQ pulses generated.
-    pub ticks: u64,
+    /// Low byte of a divisor write in progress.
+    lo: Option<u8>,
 }
 
-impl Pit {
-    /// Creates the timer for a CPU clocked at `cpu_hz`.
-    pub fn new(cpu_hz: u64) -> Pit {
-        Pit {
-            cpu_hz,
-            divisor: 0x1_0000, // hardware reset value (65536)
-            state: WriteState::Lo,
-            running: false,
-            generation: 0,
-            ticks: 0,
+impl Default for Pit8254 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Pit8254 {
+    /// The chip at hardware reset: divisor 65536, no write in progress.
+    pub fn new() -> Pit8254 {
+        Pit8254 {
+            divisor: 0x1_0000,
+            lo: None,
         }
     }
 
-    /// Cycles between IRQ pulses at the current divisor.
-    pub fn period_cycles(&self) -> Cycles {
-        (self.divisor as u64 * self.cpu_hz / PIT_HZ).max(1)
+    /// The state a checkpoint recorded ([`Pit8254::divisor`],
+    /// [`Pit8254::latched`]).
+    pub fn restore(divisor: u32, lo: Option<u8>) -> Pit8254 {
+        Pit8254 { divisor, lo }
     }
 
-    fn restart(&mut self, ctx: &mut DevCtx) {
-        self.generation += 1;
-        self.running = true;
-        let gen = self.generation;
-        let period = self.period_cycles();
-        ctx.schedule(period, gen);
-    }
-}
-
-impl Device for Pit {
-    fn name(&self) -> &'static str {
-        "i8254"
-    }
-
-    fn as_any(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn io_write(&mut self, ctx: &mut DevCtx, port: u16, _size: OpSize, val: u32) {
-        let val = val as u8;
+    /// Port write; `true` when it completed a divisor (the counter
+    /// reloads and the owner restarts its clock). A mode write abandons
+    /// a half-written divisor; a divisor of 0 counts 65536.
+    #[inline]
+    pub fn write(&mut self, port: u16, val: u8) -> bool {
         match port {
-            MODE => {
-                // Only channel 0, lobyte/hibyte access is modeled.
-                self.state = WriteState::Lo;
-            }
-            CH0 => match self.state {
-                WriteState::Lo => self.state = WriteState::Hi(val),
-                WriteState::Hi(lo) => {
+            MODE => self.lo = None,
+            CH0 => match self.lo.take() {
+                None => self.lo = Some(val),
+                Some(lo) => {
                     let d = (val as u32) << 8 | lo as u32;
                     self.divisor = if d == 0 { 0x1_0000 } else { d };
-                    self.state = WriteState::Lo;
-                    self.restart(ctx);
+                    return true;
                 }
             },
             _ => {}
         }
+        false
     }
 
-    fn io_read(&mut self, _ctx: &mut DevCtx, port: u16, _size: OpSize) -> u32 {
-        // Counter latch reads are not needed by our guests.
+    /// Port read. Counter latch reads are not modeled (the count reads
+    /// 0); the unused channels and the write-only mode port float.
+    #[inline]
+    pub fn read(&self, port: u16) -> u8 {
         if port == CH0 {
             0
         } else {
@@ -104,79 +84,81 @@ impl Device for Pit {
         }
     }
 
-    fn event(&mut self, ctx: &mut DevCtx, token: u64) {
-        if token != self.generation || !self.running {
-            return; // stale timer from before a reprogram
-        }
-        self.ticks += 1;
-        ctx.pulse_irq(IRQ);
-        let period = self.period_cycles();
-        let gen = self.generation;
-        ctx.schedule(period, gen);
+    /// Current divisor, 1..=65536.
+    pub fn divisor(&self) -> u32 {
+        self.divisor
+    }
+
+    /// Low byte of a divisor write in progress.
+    pub fn latched(&self) -> Option<u8> {
+        self.lo
+    }
+
+    /// Cycles between IRQ pulses at the current divisor on a CPU
+    /// clocked at `cpu_hz`.
+    pub fn period_cycles(&self, cpu_hz: u64) -> Cycles {
+        (self.divisor as u64 * cpu_hz / PIT_HZ).max(1)
+    }
+
+    /// The divisor that makes channel 0 tick `hz` times a second.
+    pub fn divisor_for(hz: u64) -> u16 {
+        (PIT_HZ / hz.max(1)).clamp(1, 0xffff) as u16
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::DeviceBus;
-    use crate::iommu::Iommu;
-    use crate::mem::PhysMem;
-    use crate::pic;
 
-    fn setup(cpu_hz: u64) -> (DeviceBus, PhysMem, usize) {
-        let mut bus = DeviceBus::new(Iommu::disabled());
-        let dev = bus.add_device(Box::new(Pit::new(cpu_hz)));
-        bus.map_ports(0x40, 0x43, dev);
-        bus.pic.io_write(pic::MASTER_DATA, 0); // unmask
-        (bus, PhysMem::new(4096), dev)
-    }
-
-    fn program(bus: &mut DeviceBus, mem: &mut PhysMem, divisor: u16) {
-        bus.io_write(mem, 0, MODE, OpSize::Byte, 0x34);
-        bus.io_write(mem, 0, CH0, OpSize::Byte, divisor as u32 & 0xff);
-        bus.io_write(mem, 0, CH0, OpSize::Byte, (divisor >> 8) as u32);
+    fn program(p: &mut Pit8254, divisor: u16) -> bool {
+        p.write(MODE, 0x34);
+        assert!(!p.write(CH0, divisor as u8), "low byte only latches");
+        p.write(CH0, (divisor >> 8) as u8)
     }
 
     #[test]
-    fn periodic_ticks() {
-        let (mut bus, mut mem, _) = setup(1_193_182); // 1 cycle per PIT tick
-        program(&mut bus, &mut mem, 1000);
-        // First tick due at 1000 cycles.
-        bus.process_events(&mut mem, 999);
-        assert!(!bus.pic.intr());
-        bus.process_events(&mut mem, 1000);
-        assert!(bus.pic.intr());
-        assert_eq!(bus.pic.ack(), Some(0x20));
-        bus.pic.io_write(pic::MASTER_CMD, 0x20);
-        // Second tick at 2000.
-        bus.process_events(&mut mem, 2000);
-        assert!(bus.pic.intr());
+    fn lobyte_hibyte_completes_on_the_second_write() {
+        let mut p = Pit8254::new();
+        assert!(program(&mut p, 0x03e8));
+        assert_eq!((p.divisor(), p.latched()), (0x3e8, None));
+        assert_eq!(p.period_cycles(PIT_HZ), 1000);
     }
 
     #[test]
-    fn reprogram_cancels_old_cadence() {
-        let (mut bus, mut mem, _) = setup(1_193_182);
-        program(&mut bus, &mut mem, 1000);
-        // Immediately reprogram to 4000 before the first tick.
-        program(&mut bus, &mut mem, 4000);
-        bus.process_events(&mut mem, 1500);
-        assert!(!bus.pic.intr(), "old 1000-cycle tick must not fire");
-        bus.process_events(&mut mem, 4000);
-        assert!(bus.pic.intr());
-    }
-
-    #[test]
-    fn period_scales_with_cpu_clock() {
-        let p1 = Pit::new(1_193_182);
-        let p2 = Pit::new(2 * 1_193_182);
-        assert_eq!(p2.period_cycles(), 2 * p1.period_cycles());
+    fn mode_write_abandons_a_half_written_divisor() {
+        let mut p = Pit8254::new();
+        assert!(!p.write(CH0, 0x11));
+        assert_eq!(p.latched(), Some(0x11));
+        assert!(program(&mut p, 0x2000));
+        assert_eq!(p.divisor(), 0x2000, "0x11 was dropped, not used as low");
     }
 
     #[test]
     fn zero_divisor_means_65536() {
-        let mut p = Pit::new(PIT_HZ);
-        p.divisor = 0x1_0000;
-        assert_eq!(p.period_cycles(), 0x1_0000);
+        let mut p = Pit8254::new();
+        assert_eq!(p.period_cycles(PIT_HZ), 0x1_0000, "reset value");
+        program(&mut p, 5);
+        assert!(program(&mut p, 0));
+        assert_eq!(p.divisor(), 0x1_0000);
+    }
+
+    #[test]
+    fn period_scales_with_cpu_clock() {
+        let p = Pit8254::new();
+        assert_eq!(p.period_cycles(2 * PIT_HZ), 2 * p.period_cycles(PIT_HZ));
+    }
+
+    #[test]
+    fn only_the_count_reads_back() {
+        let p = Pit8254::new();
+        assert_eq!(p.read(CH0), 0);
+        assert_eq!((p.read(0x41), p.read(MODE)), (0xff, 0xff));
+    }
+
+    #[test]
+    fn divisor_for_a_tick_rate() {
+        assert_eq!(Pit8254::divisor_for(1000), 1193);
+        assert_eq!(Pit8254::divisor_for(1), 0xffff, "clamped to 16 bits");
+        assert_eq!(Pit8254::divisor_for(0), 0xffff);
     }
 }

@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 
 use nova_core::cap::CapSel;
 use nova_core::{CompCtx, Component, Hypercall, Kernel, Utcb};
-use nova_hw::ahci::{regs, ATA_READ_DMA_EXT, ATA_WRITE_DMA_EXT, SECTOR};
+use nova_hw::ahci::{cmd, regs, SECTOR};
 use nova_hw::Cycles;
 use nova_trace::Kind as TraceKind;
 use nova_x86::insn::OpSize;
@@ -217,45 +217,26 @@ impl DiskServer {
         let ctba = self.cfg.cmd_va + 0x1000;
 
         // Command header slot 0: one PRDT entry per segment.
-        k.mem_write_u32(ctx, clb, (req.nsegs as u32) << 16);
-        k.mem_write_u32(ctx, clb + 8, ctba as u32);
-        k.mem_write_u32(ctx, clb + 12, (ctba >> 32) as u32);
+        let hdr = cmd::Header {
+            prdtl: req.nsegs as u16,
+            ctba,
+        };
+        k.mem_write(ctx, clb, &hdr.encode());
 
         // CFIS: host-to-device, READ/WRITE DMA EXT.
-        let cmd = if req.write {
-            ATA_WRITE_DMA_EXT
-        } else {
-            ATA_READ_DMA_EXT
+        let cfis = cmd::Cfis {
+            write: req.write,
+            lba: req.lba,
+            sectors: req.sectors as u16,
         };
-        k.mem_write(ctx, ctba, &[0x27, 0, cmd, 0]);
-        k.mem_write(
-            ctx,
-            ctba + 4,
-            &[
-                req.lba as u8,
-                (req.lba >> 8) as u8,
-                (req.lba >> 16) as u8,
-                0,
-                (req.lba >> 24) as u8,
-                (req.lba >> 32) as u8,
-                (req.lba >> 40) as u8,
-                0,
-            ],
-        );
-        k.mem_write(
-            ctx,
-            ctba + 12,
-            &[req.sectors as u8, (req.sectors >> 8) as u8],
-        );
+        k.mem_write(ctx, ctba, &cfis.encode());
 
         // PRDT: one entry per delegated-window segment (domain
         // addresses; the IOMMU translates, and blocks anything not
         // delegated).
         for (i, &(addr, bytes)) in req.segs.iter().take(req.nsegs).enumerate() {
-            let e = ctba + 0x80 + i as u64 * 16;
-            k.mem_write_u32(ctx, e, addr as u32);
-            k.mem_write_u32(ctx, e + 4, (addr >> 32) as u32);
-            k.mem_write_u32(ctx, e + 12, bytes - 1);
+            let e = ctba + cmd::PRDT_OFFSET + (i * cmd::PRD_LEN) as u64;
+            k.mem_write(ctx, e, &cmd::prd::encode(addr, bytes));
         }
 
         // Doorbell: the one per-request MMIO write.

@@ -1,14 +1,19 @@
 //! Virtual device models (Section 7.2): software state machines that
-//! mimic the behaviour of the corresponding hardware devices. The
-//! virtual interrupt controller reuses the same dual-8259 state
-//! machine as the platform model; the virtual timer multiplexes the
-//! hypervisor's timer service; the UART captures guest console output;
-//! the PCI configuration space exposes the virtual AHCI controller.
+//! mimic the behaviour of the corresponding hardware devices — and are
+//! the same structs as the platform's (`nova_hw::{pic, pit, serial,
+//! kbd, pci}`): the interrupt controller, the UART capturing the
+//! guest's console, the keyboard controller and the PCI configuration
+//! space exposing the virtual AHCI controller are instantiated here
+//! as they are; the virtual timer adds the hypervisor's timer service
+//! in place of the bus clock.
 
 use nova_core::cap::CapSel;
 use nova_core::{CompCtx, Hypercall, Kernel};
+use nova_hw::kbd::{self, I8042};
+use nova_hw::pci::{self, PciConfig};
 use nova_hw::pic::DualPic;
-use nova_hw::pit::PIT_HZ;
+use nova_hw::pit::Pit8254;
+use nova_hw::serial::{Uart16550, COM1};
 use nova_hw::Cycles;
 use nova_x86::insn::OpSize;
 
@@ -22,15 +27,13 @@ use crate::vahci::VAhci;
 /// arm a hypervisor timer that signals the VMM, which then raises
 /// virtual IRQ 0.
 pub struct VPit {
+    chip: Pit8254,
     cpu_hz: u64,
     timer_sm_sel: CapSel,
-    state: Option<u8>, // low byte latched
     /// The guest completed a divisor write, so a kernel timer feeds
     /// the VMM's timer semaphore (checkpoint/restore must re-arm it —
     /// the divisor alone cannot distinguish armed from default).
     armed: bool,
-    /// Current divisor.
-    pub divisor: u32,
     /// Ticks delivered to the guest.
     pub ticks: u64,
 }
@@ -40,219 +43,55 @@ impl VPit {
     /// semaphore in its capability space.
     pub fn new(cpu_hz: u64, timer_sm_sel: CapSel) -> VPit {
         VPit {
+            chip: Pit8254::new(),
             cpu_hz,
             timer_sm_sel,
-            state: None,
             armed: false,
-            divisor: 0x1_0000,
             ticks: 0,
         }
     }
 
     /// Cycles per tick at the current divisor.
     pub fn period_cycles(&self) -> Cycles {
-        (self.divisor as u64 * self.cpu_hz / PIT_HZ).max(1)
+        self.chip.period_cycles(self.cpu_hz)
+    }
+
+    /// Points the hypervisor timer at the timer semaphore with the
+    /// chip's current period.
+    fn set_timer(&self, k: &mut Kernel, ctx: CompCtx) -> bool {
+        let (sm, period) = (self.timer_sm_sel, self.period_cycles());
+        k.hypercall(ctx, Hypercall::SetTimer { sm, period }).is_ok()
     }
 
     /// Guest port write.
     pub fn io_write(&mut self, k: &mut Kernel, ctx: CompCtx, port: u16, val: u8) {
-        match port {
-            0x43 => self.state = None,
-            0x40 => match self.state.take() {
-                None => self.state = Some(val),
-                Some(lo) => {
-                    let d = (val as u32) << 8 | lo as u32;
-                    self.divisor = if d == 0 { 0x1_0000 } else { d };
-                    let period = self.period_cycles();
-                    if k.hypercall(
-                        ctx,
-                        Hypercall::SetTimer {
-                            sm: self.timer_sm_sel,
-                            period,
-                        },
-                    )
-                    .is_ok()
-                    {
-                        self.armed = true;
-                    }
-                }
-            },
-            _ => {}
+        if self.chip.write(port, val) && self.set_timer(k, ctx) {
+            self.armed = true;
         }
-    }
-
-    /// Guest port read (counter latch unsupported; reads zero).
-    pub fn io_read(&mut self, _port: u16) -> u8 {
-        0
     }
 
     /// Serializes the timer state for a checkpoint.
     pub fn export_state(&self, e: &mut Enc) {
-        e.u32(self.divisor);
+        e.u32(self.chip.divisor());
         e.u64(self.ticks);
         e.flag(self.armed);
-        e.flag(self.state.is_some());
-        e.u8(self.state.unwrap_or(0));
+        e.flag(self.chip.latched().is_some());
+        e.u8(self.chip.latched().unwrap_or(0));
     }
 
     /// Restores checkpointed state, re-arming the kernel timer if the
     /// previous incarnation had one running (the old timer died with
     /// the old VMM's protection domain).
     pub fn import_state(&mut self, k: &mut Kernel, ctx: CompCtx, d: &mut Dec) -> Option<()> {
-        self.divisor = d.u32()?;
+        let divisor = d.u32()?;
         self.ticks = d.u64()?;
         self.armed = d.flag()?;
         let latched = d.flag()?;
         let lo = d.u8()?;
-        self.state = latched.then_some(lo);
+        self.chip = Pit8254::restore(divisor, latched.then_some(lo));
         if self.armed {
-            let period = self.period_cycles();
-            let _ = k.hypercall(
-                ctx,
-                Hypercall::SetTimer {
-                    sm: self.timer_sm_sel,
-                    period,
-                },
-            );
+            self.set_timer(k, ctx);
         }
-        Some(())
-    }
-}
-
-/// The virtual keyboard controller (i8042): scancodes injected by
-/// the VMM's owner surface at the guest's ports 0x60/0x64 with
-/// virtual IRQ 1.
-#[derive(Default)]
-pub struct VKbd {
-    queue: std::collections::VecDeque<u8>,
-}
-
-impl VKbd {
-    /// Queues a scancode.
-    pub fn inject(&mut self, code: u8) {
-        self.queue.push_back(code);
-    }
-
-    /// `true` while scancodes wait.
-    pub fn pending(&self) -> bool {
-        !self.queue.is_empty()
-    }
-
-    /// Guest port read.
-    pub fn io_read(&mut self, port: u16) -> u8 {
-        match port {
-            nova_hw::kbd::DATA => self.queue.pop_front().unwrap_or(0),
-            nova_hw::kbd::STATUS => {
-                if self.pending() {
-                    nova_hw::kbd::STS_OBF
-                } else {
-                    0
-                }
-            }
-            _ => 0xff,
-        }
-    }
-
-    /// Serializes the undelivered scancode queue.
-    pub fn export_state(&self, e: &mut Enc) {
-        let bytes: Vec<u8> = self.queue.iter().copied().collect();
-        e.bytes(&bytes);
-    }
-
-    /// Restores the scancode queue.
-    pub fn import_state(&mut self, d: &mut Dec) -> Option<()> {
-        self.queue = d.bytes()?.iter().copied().collect();
-        Some(())
-    }
-}
-
-/// The virtual UART: captures the guest's console output.
-#[derive(Default)]
-pub struct VSerial {
-    /// Captured bytes.
-    pub output: Vec<u8>,
-}
-
-impl VSerial {
-    /// Guest port write.
-    pub fn io_write(&mut self, port: u16, base: u16, val: u8) {
-        if port == base {
-            self.output.push(val);
-        }
-    }
-
-    /// Guest port read.
-    pub fn io_read(&self, port: u16, base: u16) -> u8 {
-        if port == base + 5 {
-            0x60 // LSR: transmitter ready
-        } else {
-            0
-        }
-    }
-
-    /// The captured console as text.
-    pub fn text(&self) -> String {
-        String::from_utf8_lossy(&self.output).into_owned()
-    }
-}
-
-/// The virtual PCI configuration space: exposes the virtual AHCI
-/// controller at device 2 (mirroring the physical platform, so the
-/// same guest driver works in both worlds).
-#[derive(Default)]
-pub struct VPci {
-    address: u32,
-}
-
-impl VPci {
-    fn config_read(&self) -> u32 {
-        if self.address & 0x8000_0000 == 0 {
-            return 0xffff_ffff;
-        }
-        let dev = (self.address >> 11) & 0x1f;
-        let reg = self.address & 0xfc;
-        if dev != 2 {
-            return 0xffff_ffff;
-        }
-        match reg {
-            0x00 => 0x2922_8086, // same AHCI id as the host controller
-            0x08 => 0x0106 << 16,
-            0x10 => nova_hw::machine::AHCI_BASE as u32,
-            0x3c => 0x0100 | nova_hw::machine::AHCI_IRQ as u32,
-            _ => 0,
-        }
-    }
-
-    /// Guest port read.
-    pub fn io_read(&self, port: u16, size: OpSize) -> u32 {
-        match port {
-            0xcf8 => self.address,
-            0xcfc..=0xcff => {
-                let v = self.config_read();
-                match size {
-                    OpSize::Dword => v,
-                    OpSize::Byte => (v >> (8 * (port - 0xcfc) as u32)) & 0xff,
-                }
-            }
-            _ => 0xffff_ffff,
-        }
-    }
-
-    /// Guest port write.
-    pub fn io_write(&mut self, port: u16, val: u32) {
-        if port == 0xcf8 {
-            self.address = val;
-        }
-    }
-
-    /// Serializes the latched config address.
-    pub fn export_state(&self, e: &mut Enc) {
-        e.u32(self.address);
-    }
-
-    /// Restores the latched config address.
-    pub fn import_state(&mut self, d: &mut Dec) -> Option<()> {
-        self.address = d.u32()?;
         Some(())
     }
 }
@@ -290,18 +129,20 @@ pub struct VDevices {
     pub vpic: DualPic,
     /// Virtual timer.
     pub vpit: VPit,
-    /// Virtual UART.
-    pub vserial: VSerial,
-    /// Virtual keyboard controller.
-    pub vkbd: VKbd,
+    /// Virtual UART at COM1: captures the guest's console output.
+    pub vserial: Uart16550,
+    /// Virtual keyboard controller: scancodes injected by the VMM's
+    /// owner surface at ports 0x60/0x64 with virtual IRQ 1.
+    pub vkbd: I8042,
     /// Virtual disk controller.
     pub vahci: VAhci,
     /// Paravirtual batched disk queue (second disk-server client).
     pub pvdisk: PvDisk,
     /// Paravirtual NIC backend (present when the VMM owns the NIC).
     pub pvnet: Option<PvNet>,
-    /// Virtual PCI configuration space.
-    pub vpci: VPci,
+    /// Virtual PCI configuration space: the virtual AHCI controller
+    /// is the one function, the platform's own.
+    pub vpci: PciConfig,
     /// Pending out-of-band effects.
     pub special: SpecialPorts,
 }
@@ -315,18 +156,15 @@ impl VDevices {
         pvdisk: PvDisk,
         pvnet: Option<PvNet>,
     ) -> VDevices {
-        let mut vpic = DualPic::new();
-        // Guests usually program the PIC themselves, but start usable.
-        let _ = &mut vpic;
         VDevices {
-            vpic,
+            vpic: DualPic::new(),
             vpit: VPit::new(cpu_hz, timer_sm_sel),
-            vserial: VSerial::default(),
-            vkbd: VKbd::default(),
+            vserial: Uart16550::default(),
+            vkbd: I8042::default(),
             vahci,
             pvdisk,
             pvnet,
-            vpci: VPci::default(),
+            vpci: PciConfig::new(&[nova_hw::machine::AHCI_FUNCTION]),
             special: SpecialPorts::default(),
         }
     }
@@ -336,17 +174,17 @@ impl VDevices {
         let _ = (k, ctx);
         match port {
             0x20 | 0x21 | 0xa0 | 0xa1 => self.vpic.io_read(port) as u32,
-            0x40..=0x43 => self.vpit.io_read(port) as u32,
-            0x60 | 0x64 => {
-                let v = self.vkbd.io_read(port) as u32;
+            0x40..=0x43 => self.vpit.chip.read(port) as u32,
+            kbd::DATA | kbd::STATUS => {
+                let v = self.vkbd.read(port) as u32;
                 // More scancodes waiting: keep the interrupt coming.
-                if port == nova_hw::kbd::DATA && self.vkbd.pending() {
-                    self.vpic.pulse(1);
+                if port == kbd::DATA && self.vkbd.pending() {
+                    self.vpic.pulse(kbd::IRQ);
                 }
                 v
             }
-            0x3f8..=0x3ff => self.vserial.io_read(port, 0x3f8) as u32,
-            0xcf8..=0xcff => self.vpci.io_read(port, size),
+            0x3f8..=0x3ff => self.vserial.read(port - COM1) as u32,
+            pci::CONFIG_ADDRESS..=pci::CONFIG_DATA_LAST => self.vpci.read(port, size),
             _ => size.mask(),
         }
     }
@@ -356,8 +194,8 @@ impl VDevices {
         match port {
             0x20 | 0x21 | 0xa0 | 0xa1 => self.vpic.io_write(port, val as u8),
             0x40..=0x43 => self.vpit.io_write(k, ctx, port, val as u8),
-            0x3f8..=0x3ff => self.vserial.io_write(port, 0x3f8, val as u8),
-            0xcf8..=0xcff => self.vpci.io_write(port, val),
+            0x3f8..=0x3ff => self.vserial.write(port - COM1, val as u8),
+            pci::CONFIG_ADDRESS..=pci::CONFIG_DATA_LAST => self.vpci.write(port, val),
             PORT_EXIT => self.special.exit_code = Some(val as u8),
             PORT_MARK => self.special.marks.push(val),
             PORT_AP_START => self
@@ -435,8 +273,8 @@ impl VDevices {
         e.raw(&self.vpic.export_state());
         self.vpit.export_state(e);
         e.bytes(&self.vserial.output);
-        self.vkbd.export_state(e);
-        self.vpci.export_state(e);
+        e.bytes(&self.vkbd.queue.iter().copied().collect::<Vec<u8>>());
+        e.u32(self.vpci.address());
         self.vahci.export_state(e);
         self.pvdisk.export_state(e);
         e.flag(self.pvnet.is_some());
@@ -452,8 +290,8 @@ impl VDevices {
         self.vpic.import_state(&pic);
         self.vpit.import_state(k, ctx, d)?;
         self.vserial.output = d.bytes()?.to_vec();
-        self.vkbd.import_state(d)?;
-        self.vpci.import_state(d)?;
+        self.vkbd.queue = d.bytes()?.iter().copied().collect();
+        self.vpci.write(pci::CONFIG_ADDRESS, d.u32()?);
         self.vahci.import_state(d)?;
         self.pvdisk.import_state(d)?;
         match (d.flag()?, self.pvnet.as_mut()) {
@@ -541,40 +379,41 @@ impl VDevices {
 mod tests {
     use super::*;
 
+    fn vpci() -> PciConfig {
+        PciConfig::new(&[nova_hw::machine::AHCI_FUNCTION])
+    }
+
     #[test]
     fn vpci_exposes_vahci() {
-        let mut p = VPci::default();
-        p.io_write(0xcf8, 0x8000_0000 | 2 << 11);
-        assert_eq!(p.io_read(0xcfc, OpSize::Dword), 0x2922_8086);
-        p.io_write(0xcf8, 0x8000_0000 | 2 << 11 | 0x10);
+        let mut p = vpci();
+        p.write(0xcf8, 0x8000_0000 | 2 << 11);
+        assert_eq!(p.read(0xcfc, OpSize::Dword), 0x2922_8086);
+        p.write(0xcf8, 0x8000_0000 | 2 << 11 | 0x10);
         assert_eq!(
-            p.io_read(0xcfc, OpSize::Dword),
+            p.read(0xcfc, OpSize::Dword),
             nova_hw::machine::AHCI_BASE as u32
         );
         // Absent device.
-        p.io_write(0xcf8, 0x8000_0000 | 5 << 11);
-        assert_eq!(p.io_read(0xcfc, OpSize::Dword), 0xffff_ffff);
+        p.write(0xcf8, 0x8000_0000 | 5 << 11);
+        assert_eq!(p.read(0xcfc, OpSize::Dword), 0xffff_ffff);
     }
 
+    /// Device 2 is one function on one bus — not one per bus and
+    /// function number — and what names no device reads all-ones of the
+    /// access size.
     #[test]
-    fn vserial_captures() {
-        let mut s = VSerial::default();
-        s.io_write(0x3f8, 0x3f8, b'o');
-        s.io_write(0x3f8, 0x3f8, b'k');
-        s.io_write(0x3f9, 0x3f8, 0xff); // IER write, not data
-        assert_eq!(s.text(), "ok");
-        assert_eq!(s.io_read(0x3fd, 0x3f8) & 0x20, 0x20);
-    }
-
-    #[test]
-    fn vpit_divisor_state_machine() {
-        // No kernel interaction needed for the latch protocol itself.
-        let mut p = VPit::new(1_193_182, 0);
-        assert_eq!(p.divisor, 0x1_0000);
-        p.state = Some(0xe8);
-        // Completing the write requires a kernel for SetTimer; the
-        // divisor math is testable directly.
-        p.divisor = 0x3e8;
-        assert_eq!(p.period_cycles(), 1000);
+    fn vpci_has_one_function_on_bus_zero() {
+        let mut p = vpci();
+        for (bus, func) in [(0u32, 1u32), (0, 7), (1, 0), (255, 3)] {
+            p.write(0xcf8, 0x8000_0000 | bus << 16 | 2 << 11 | func << 8);
+            assert_eq!(
+                p.read(0xcfc, OpSize::Dword),
+                0xffff_ffff,
+                "bus {bus} function {func} names no device"
+            );
+            assert_eq!(p.read(0xcfd, OpSize::Byte), 0xff, "all-ones of a byte");
+        }
+        p.write(0xcf8, 0x8000_0000 | 2 << 11);
+        assert_eq!(p.read(0xcfd, OpSize::Byte), 0x80, "bus 0 function 0 does");
     }
 }

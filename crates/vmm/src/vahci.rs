@@ -11,8 +11,10 @@
 //!
 //! The channel to the disk server — delegations, wire format, the
 //! completion ring, and the timeout/retry/degrade policy — is
-//! [`crate::diskclient`]; this module is the AHCI register file and the
-//! parser of the guest's command structures on top of it.
+//! [`crate::diskclient`]; the register file and the byte layout of a
+//! command are the platform controller's (`nova_hw::ahci::{PortRegs,
+//! cmd}`). This module is what lies between: the validation of the
+//! guest's command structures and the slot table.
 //!
 //! Every structure the controller parses — command list, command
 //! table, CFIS, PRDT — lives in guest memory and is Byzantine input:
@@ -24,7 +26,7 @@
 #![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::panic)]
 
 use nova_core::{CompCtx, Kernel};
-use nova_hw::ahci::{regs, ATA_READ_DMA_EXT, ATA_WRITE_DMA_EXT, SECTOR};
+use nova_hw::ahci::{cmd, regs, slots, PortEvent, PortRegs, SECTOR};
 use nova_hw::{GuestFault, GuestSurface};
 use nova_user::proto::disk as proto;
 use nova_x86::insn::OpSize;
@@ -42,11 +44,8 @@ pub struct VAhci {
     guest_pages: u64,
     /// The channel to the disk server and its recovery counters.
     pub disk: DiskClient,
-    clb: u64,
-    is: u32,
-    p0is: u32,
-    p0ie: u32,
-    ci: u32,
+    /// The guest-visible register file.
+    pub regs: PortRegs,
     inflight_slots: u32,
     /// Outstanding request per command slot (tag = slot number).
     pending: [Option<Req>; 32],
@@ -66,11 +65,7 @@ impl VAhci {
             guest_base_page,
             guest_pages,
             disk: DiskClient::new(guest_base_page),
-            clb: 0,
-            is: 0,
-            p0is: 0,
-            p0ie: 0,
-            ci: 0,
+            regs: PortRegs::default(),
             inflight_slots: 0,
             pending: [None; 32],
             requests: 0,
@@ -90,10 +85,6 @@ impl VAhci {
         self.pending.iter().any(Option::is_some)
     }
 
-    fn read_guest_u32(&self, k: &Kernel, ctx: CompCtx, gpa: u64) -> Option<u32> {
-        k.mem_read_u32(ctx, self.guest_base_page * 4096 + gpa)
-    }
-
     fn read_guest_into(&self, k: &Kernel, ctx: CompCtx, gpa: u64, out: &mut [u8]) -> Option<()> {
         k.mem_read_into(ctx, self.guest_base_page * 4096 + gpa, out)
     }
@@ -103,9 +94,7 @@ impl VAhci {
     /// status, never a hung vCPU.
     fn fail_slot(&mut self, slot: u8) {
         self.errors += 1;
-        self.ci &= !(1 << slot);
-        self.p0is |= 1 << 30; // TFES
-        self.is |= 1;
+        self.regs.complete(slot, false);
         if let Some(p) = self.pending.get_mut(slot as usize) {
             *p = None;
         }
@@ -132,50 +121,40 @@ impl VAhci {
     fn issue(&mut self, k: &mut Kernel, ctx: CompCtx, slot: u8) {
         // The command list must fit in guest RAM before the header is
         // dereferenced; `clb` is two raw guest-written registers.
-        if !nova_hw::pv::buffer_in_ram(self.clb, 32 * 32, self.guest_pages) {
+        let clb = self.regs.clb;
+        if !nova_hw::pv::buffer_in_ram(clb, 32 * cmd::HEADER_LEN as u64, self.guest_pages) {
             return self.fail_guest(k, slot, GuestFault::BadBase);
         }
-        let Some(hdr_lo) = self.read_guest_u32(k, ctx, self.clb + slot as u64 * 32) else {
+        let mut hdr = [0u8; cmd::HEADER_LEN];
+        let at = clb + slot as u64 * cmd::HEADER_LEN as u64;
+        if self.read_guest_into(k, ctx, at, &mut hdr).is_none() {
             return self.fail_guest(k, slot, GuestFault::BadBase);
-        };
-        let prdtl = (hdr_lo >> 16) as usize;
-        let Some(ctba) = self
-            .read_guest_u32(k, ctx, self.clb + slot as u64 * 32 + 8)
-            .map(|v| v as u64)
-        else {
-            return self.fail_guest(k, slot, GuestFault::BadBase);
-        };
-        // Command table: 64-byte CFIS plus the PRDT at +0x80.
+        }
+        let cmd::Header { prdtl, ctba } = cmd::Header::decode(&hdr);
+        let prdtl = prdtl as usize;
+        // Command table: 64-byte CFIS plus the PRDT at +0x80. All 64
+        // bits of the base are bounded — a table "above 4 GB" is
+        // outside guest RAM, not an alias of its low half.
         if !nova_hw::pv::buffer_in_ram(
             ctba,
-            0x80 + proto::MAX_SEGMENTS as u64 * 16,
+            cmd::PRDT_OFFSET + (proto::MAX_SEGMENTS * cmd::PRD_LEN) as u64,
             self.guest_pages,
         ) {
             return self.fail_guest(k, slot, GuestFault::BadBase);
         }
-        let mut cfis = [0u8; 64];
+        let mut cfis = [0u8; cmd::CFIS_LEN];
         if self.read_guest_into(k, ctx, ctba, &mut cfis).is_none() {
             return self.fail_guest(k, slot, GuestFault::BadBase);
         }
-        let fis = |i: usize| cfis.get(i).copied().unwrap_or(0);
-        if fis(0) != 0x27 {
+        let Ok(cmd::Cfis {
+            write,
+            lba,
+            sectors,
+        }) = cmd::Cfis::decode(&cfis)
+        else {
             return self.fail_guest(k, slot, GuestFault::BadOpcode);
-        }
-        let write = match fis(2) {
-            ATA_READ_DMA_EXT => false,
-            ATA_WRITE_DMA_EXT => true,
-            _ => return self.fail_guest(k, slot, GuestFault::BadOpcode),
         };
-        // All six LBA bytes of the 48-bit command — dropping
-        // `cfis[9]`/`cfis[10]` would silently wrap requests beyond
-        // 2 TB back into the low disk.
-        let lba = fis(4) as u64
-            | (fis(5) as u64) << 8
-            | (fis(6) as u64) << 16
-            | (fis(8) as u64) << 24
-            | (fis(9) as u64) << 32
-            | (fis(10) as u64) << 40;
-        let sectors = fis(12) as u32 | (fis(13) as u32) << 8;
+        let sectors = sectors as u32;
         if sectors == 0 {
             return self.fail_guest(k, slot, GuestFault::BadLength);
         }
@@ -188,33 +167,27 @@ impl VAhci {
         // in-page offset), but the entries must cover the transfer
         // exactly — a mismatch is a guest driver bug and fails the
         // slot instead of transferring to the wrong window address.
-        let mut prdt_buf = [0u8; proto::MAX_SEGMENTS * 16];
-        let prdt = match prdt_buf.get_mut(..prdtl * 16) {
+        let mut prdt_buf = [0u8; proto::MAX_SEGMENTS * cmd::PRD_LEN];
+        let prdt = match prdt_buf.get_mut(..prdtl * cmd::PRD_LEN) {
             Some(p) => p,
             None => return self.fail_guest(k, slot, GuestFault::IndexOutOfRange),
         };
-        if self.read_guest_into(k, ctx, ctba + 0x80, prdt).is_none() {
+        if self
+            .read_guest_into(k, ctx, ctba + cmd::PRDT_OFFSET, prdt)
+            .is_none()
+        {
             return self.fail_guest(k, slot, GuestFault::BadBase);
         }
         let mut segs = [(0u64, 0u32); proto::MAX_SEGMENTS];
         let mut total = 0u64;
-        for (i, e) in prdt.chunks_exact(16).enumerate() {
-            let word = |r: core::ops::Range<usize>| {
-                e.get(r)
-                    .map(|b| b.iter().rev().fold(0u64, |a, &x| a << 8 | x as u64))
-                    .unwrap_or(0)
-            };
-            let dba = word(0..8);
-            let dbc = (word(12..16) as u32) & 0x3f_ffff;
-            let bytes = dbc as u64 + 1;
+        for (seg, e) in segs.iter_mut().zip(prdt.as_chunks::<{ cmd::PRD_LEN }>().0) {
+            let (dba, bytes) = cmd::prd::decode(e);
             // Each segment is a future DMA target in guest RAM.
-            if !nova_hw::pv::buffer_in_ram(dba, bytes, self.guest_pages) {
+            if !nova_hw::pv::buffer_in_ram(dba, bytes as u64, self.guest_pages) {
                 return self.fail_guest(k, slot, GuestFault::BufferOutOfRange);
             }
-            if let Some(s) = segs.get_mut(i) {
-                *s = (dba, dbc + 1);
-            }
-            total += bytes;
+            *seg = (dba, bytes);
+            total += bytes as u64;
         }
         if total != sectors as u64 * SECTOR as u64 {
             return self.fail_guest(k, slot, GuestFault::BadLength);
@@ -270,7 +243,7 @@ impl VAhci {
             // Definitive rejection: fail the slot towards the guest.
             Some(_) => {
                 self.fail_slot(slot);
-                self.p0ie != 0
+                self.regs.p0ie != 0
             }
         }
     }
@@ -294,7 +267,7 @@ impl VAhci {
                 Due::Resubmit => raise |= self.submit(k, ctx, slot),
                 Due::GiveUp => {
                     self.fail_slot(slot);
-                    raise |= self.p0ie != 0;
+                    raise |= self.regs.p0ie != 0;
                 }
             }
         }
@@ -341,13 +314,10 @@ impl VAhci {
             };
             // Completion work runs on the completed request's context.
             k.machine.bus.trace.set_ctx(req.ctx);
-            self.ci &= !(1 << tag);
             self.inflight_slots &= !(1 << tag);
             self.completions += 1;
             // DHRS, or TFES on a device error.
-            self.p0is |= if ok { 1 } else { 1 << 30 };
-            self.is |= 1;
-            raised |= self.p0ie != 0;
+            raised |= self.regs.complete(tag as u8, ok);
         }
         k.machine.bus.trace.set_ctx(prev_ctx);
         raised
@@ -356,46 +326,24 @@ impl VAhci {
     /// Guest MMIO read of the virtual controller.
     pub fn mmio_read(&mut self, k: &mut Kernel, ctx: CompCtx, off: u32, _size: OpSize) -> u32 {
         let _ = (k, ctx);
-        match off {
-            regs::CAP => 0x4000_0000,
-            regs::GHC => 0x8000_0002,
-            regs::IS => self.is,
-            regs::PI => 1,
-            regs::P0CLB => self.clb as u32,
-            regs::P0CLB2 => (self.clb >> 32) as u32,
-            regs::P0IS => self.p0is,
-            regs::P0IE => self.p0ie,
-            regs::P0CMD => 0x0000_c011,
-            regs::P0TFD => 0x50,
-            regs::P0CI => self.ci,
-            _ => 0,
-        }
+        self.regs.read(off)
     }
 
     /// Guest MMIO write.
     pub fn mmio_write(&mut self, k: &mut Kernel, ctx: CompCtx, off: u32, _size: OpSize, val: u32) {
-        match off {
-            regs::IS => self.is &= !val,
-            regs::P0CLB => self.clb = (self.clb & !0xffff_ffff) | val as u64,
-            regs::P0CLB2 => self.clb = (self.clb & 0xffff_ffff) | (val as u64) << 32,
-            regs::P0IS => self.p0is &= !val,
-            regs::P0IE => self.p0ie = val,
-            regs::P0CI => {
-                let new = val & !self.ci;
-                self.ci |= val;
-                for slot in 0..32 {
-                    if new & (1 << slot) != 0 {
-                        self.issue(k, ctx, slot);
-                    }
-                }
-            }
-            _ => {}
+        // No received-FIS area: this controller posts no FISes to guest
+        // memory, and checkpoint version 2 has no field for the base,
+        // so it reads 0 before a microreboot as it would after one.
+        if off == regs::P0FB {
+            return;
         }
-    }
-
-    /// `true` when the interrupt condition is pending and enabled.
-    pub fn irq_pending(&self) -> bool {
-        self.p0is != 0 && self.p0ie != 0
+        // A reset request (GHC.HR) is ignored: requests already with
+        // the disk server cannot be aborted.
+        if let PortEvent::Doorbell(new) = self.regs.write(off, val) {
+            for slot in slots(new) {
+                self.issue(k, ctx, slot);
+            }
+        }
     }
 
     /// Serializes the guest-visible controller state and every
@@ -405,11 +353,11 @@ impl VAhci {
     /// are reconstructed on restore (fresh registration, ring tail
     /// zero, empty delegation set, re-submission).
     pub fn export_state(&self, e: &mut Enc) {
-        e.u64(self.clb);
-        e.u32(self.is);
-        e.u32(self.p0is);
-        e.u32(self.p0ie);
-        e.u32(self.ci);
+        e.u64(self.regs.clb);
+        e.u32(self.regs.is);
+        e.u32(self.regs.p0is);
+        e.u32(self.regs.p0ie);
+        e.u32(self.regs.ci);
         e.u32(self.inflight_slots);
         for slot in &self.pending {
             e.flag(slot.is_some());
@@ -442,11 +390,11 @@ impl VAhci {
     /// Every restored request is marked unaccepted; the caller drives
     /// [`VAhci::restore_resubmit`] once guest memory is back in place.
     pub fn import_state(&mut self, d: &mut Dec) -> Option<()> {
-        self.clb = d.u64()?;
-        self.is = d.u32()?;
-        self.p0is = d.u32()?;
-        self.p0ie = d.u32()?;
-        self.ci = d.u32()?;
+        self.regs.clb = d.u64()?;
+        self.regs.is = d.u32()?;
+        self.regs.p0is = d.u32()?;
+        self.regs.p0ie = d.u32()?;
+        self.regs.ci = d.u32()?;
         self.inflight_slots = d.u32()?;
         self.disk.rebind(None);
         for (slot, pend) in self.pending.iter_mut().enumerate() {
@@ -501,10 +449,10 @@ mod tests {
         let (mut k, ctx, _) = setup();
         let mut v = VAhci::new(GUEST_BASE, 1024);
         v.attach(channel(0x20));
-        v.p0ie = 1;
+        v.regs.p0ie = 1;
         put_record(&mut k, ctx, 0, 5, 0);
         k.mem_write_u32(ctx, RING_VA + 4092, 1);
         assert!(!v.drain_completions(&mut k, ctx), "no interrupt");
-        assert_eq!((v.completions, v.p0is, v.is), (0, 0, 0));
+        assert_eq!((v.completions, v.regs.p0is, v.regs.is), (0, 0, 0));
     }
 }

@@ -408,20 +408,20 @@ fn loop_rewriting_its_own_immediate_sees_it_on_the_next_iteration() {
 
 /// Host-side AHCI driver: one command in slot 0 moving one sector
 /// between `buf` and `lba`, run to completion if `wait`.
-fn ahci_sector(m: &mut Machine, command: u8, lba: u8, buf: u64, wait: bool) {
-    use nova_hw::ahci::regs;
+fn ahci_sector(m: &mut Machine, write: bool, lba: u64, buf: u64, wait: bool) {
+    use nova_hw::ahci::{cmd, regs, SECTOR};
     use nova_x86::insn::OpSize;
     let (clb, ctba) = (0x20_0000u64, 0x20_1000u64);
-    let write = command == nova_hw::ahci::ATA_WRITE_DMA_EXT;
-    m.mem.write_u32(clb, 1 << 16 | (write as u32) << 6);
-    m.mem.write_u64(clb + 8, ctba);
-    m.mem.write_bytes(ctba, &[0; 16]);
-    m.mem.write_u8(ctba, 0x27);
-    m.mem.write_u8(ctba + 2, command);
-    m.mem.write_u8(ctba + 4, lba);
-    m.mem.write_u8(ctba + 12, 1);
-    m.mem.write_u64(ctba + 0x80, buf);
-    m.mem.write_u32(ctba + 0x8c, nova_hw::ahci::SECTOR - 1);
+    let cfis = cmd::Cfis {
+        write,
+        lba,
+        sectors: 1,
+    };
+    m.mem
+        .write_bytes(clb, &cmd::Header { prdtl: 1, ctba }.encode());
+    m.mem.write_bytes(ctba, &cfis.encode());
+    m.mem
+        .write_bytes(ctba + cmd::PRDT_OFFSET, &cmd::prd::encode(buf, SECTOR));
     let now = m.clock;
     for (reg, val) in [(regs::P0CLB, clb as u32), (regs::P0CI, 1)] {
         m.bus
@@ -462,10 +462,10 @@ fn ahci_dma_into_the_looping_frame_is_seen_within_one_iteration() {
         // Put the patched program on the disk, then have the
         // controller read it back over the running one.
         m.mem.write_bytes(0x30_0000, &program(Reg::Esi));
-        ahci_sector(m, nova_hw::ahci::ATA_WRITE_DMA_EXT, 9, 0x30_0000, true);
+        ahci_sector(m, true, 9, 0x30_0000, true);
         let mut v = guest(m, &program(Reg::Ebx));
         v.guest.set(Reg::Ecx, ITERATIONS);
-        ahci_sector(m, nova_hw::ahci::ATA_READ_DMA_EXT, 9, CODE as u64, false);
+        ahci_sector(m, false, 9, CODE as u64, false);
         v
     });
     let (old, new) = (v.guest.get(Reg::Ebx), v.guest.get(Reg::Esi));

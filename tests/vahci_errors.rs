@@ -130,6 +130,17 @@ fn physical_task_file_error_propagates_to_guest() {
 /// virtual AHCI with an arbitrary PRDT, waits for the slot to retire,
 /// and reports P0IS as a mark.
 fn one_read(lba: u64, sectors: u32, prdt: &[(u32, u32)]) -> nova_guest::os::Program {
+    one_read_ctbau(0, lba, sectors, prdt)
+}
+
+/// [`one_read`] with the upper half of the command-table base
+/// (header dword 3, `CTBAU`) set to `ctbau`.
+fn one_read_ctbau(
+    ctbau: u32,
+    lba: u64,
+    sectors: u32,
+    prdt: &[(u32, u32)],
+) -> nova_guest::os::Program {
     use nova_hw::ahci::regs;
     let base = nova_hw::machine::AHCI_BASE as u32;
     let prdt = prdt.to_vec();
@@ -150,6 +161,9 @@ fn one_read(lba: u64, sectors: u32, prdt: &[(u32, u32)]) -> nova_guest::os::Prog
         }
         a.mov_mi(MemRef::abs(layout::DISK_CMD), (prdt.len() as u32) << 16);
         a.mov_mi(MemRef::abs(layout::DISK_CMD + 8), layout::DISK_CTBA);
+        if ctbau != 0 {
+            a.mov_mi(MemRef::abs(layout::DISK_CMD + 12), ctbau);
+        }
         a.mov_mi(MemRef::abs(base + regs::P0CLB), layout::DISK_CMD);
         a.mov_mi(MemRef::abs(base + regs::P0CLB2), 0);
         a.mov_mi(MemRef::abs(base + regs::P0CI), 1);
@@ -241,6 +255,23 @@ fn lba_beyond_2tb_uses_all_six_bytes() {
         guest_bytes(&sys, layout::DISK_BUF, 512),
         sys.k.machine.ahci().sector(0x1234)
     );
+}
+
+/// A command header whose table base has `CTBAU = 1` names memory
+/// above 4 GB — outside guest RAM — even though its low half points at
+/// a well-formed table. The platform controller's DMA to that address
+/// fails with a task-file error, and so must the virtual controller:
+/// reading only the low dword would serve the request from an alias.
+#[test]
+fn command_table_base_above_4gb_is_rejected_not_aliased() {
+    let prog = one_read_ctbau(1, 9, 8, &[(layout::DISK_BUF, 4096)]);
+    let (mut sys, is) = run_read(prog);
+    assert_ne!(is & (1 << 30), 0, "TFES: {is:#x}");
+    assert_eq!(is & 1, 0, "and no completion");
+    assert_eq!(sys.k.counters.guest_faults_rejected, 1, "one BadBase");
+    assert_eq!(guest_bytes(&sys, layout::DISK_BUF, 4096), vec![0; 4096]);
+    let stats = sys.disk_server().unwrap().stats;
+    assert_eq!(stats.accepted, 0, "nothing reached the disk server");
 }
 
 /// A doorbell with no command list programmed: rejected cleanly.
