@@ -719,7 +719,7 @@ impl Monolithic {
             err,
         ) {
             VtlbOutcome::Filled => {
-                self.counters.vtlb_fills += 1;
+                let mut filled = 1;
                 // Prefetch neighbouring translations in the same trap
                 // (KVM shadow-page batching / Xen batched updates).
                 for i in 1..prefetch {
@@ -734,12 +734,13 @@ impl Monolithic {
                         err & !nova_x86::reg::pf_err::WRITE,
                     ) == VtlbOutcome::Filled
                     {
-                        self.counters.vtlb_fills += 1;
+                        filled += 1;
                         self.machine.clock += 60; // per-entry batch cost
                     } else {
                         break;
                     }
                 }
+                self.counters.vtlb_fills += filled;
             }
             VtlbOutcome::InjectPf { err } => {
                 self.counters.guest_page_faults += 1;

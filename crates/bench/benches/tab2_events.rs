@@ -255,26 +255,27 @@ fn fault_injection_section() {
         ("IOMMU-blocked DMA", inj(FaultKind::IommuFault)),
     ];
     let iommu_blocks = sys.k.machine.bus.iommu.faults.len() as u64;
-    let stats = sys.disk_server().expect("disk server").stats;
+    // Every row is the registry's: it outlives any disk-server respawn
+    // the plan provokes, so `completed` stays true beside `restarts`.
     let c = &sys.k.counters;
     let mut t = Table::new(&["event", "count"]);
     for (name, v) in injected {
         t.row(vec![format!("injected: {name}"), fmt_count(v)]);
     }
     for (name, v) in [
-        ("recovered: media retries", stats.media_retries),
-        ("recovered: lost-IRQ polls", stats.lost_irq_recovered),
-        ("recovered: controller resets", stats.controller_resets),
-        ("absorbed: spurious interrupts", stats.spurious),
+        ("recovered: media retries", c.disk_media_retries),
+        ("recovered: lost-IRQ polls", c.disk_lost_irq_recovered),
+        ("recovered: controller resets", c.controller_resets),
+        ("absorbed: spurious interrupts", c.spurious_irqs),
         ("logged: IOMMU fault records", iommu_blocks),
-        ("degraded: error completions", c.degraded_errors),
-        ("supervision: request timeouts", c.request_timeouts),
-        ("supervision: request retries", c.request_retries),
+        ("degraded: error completions", c.degraded_errors()),
+        ("supervision: request timeouts", c.request_timeouts()),
+        ("supervision: request retries", c.request_retries()),
         ("supervision: watchdog fires", c.watchdog_fires),
         ("supervision: PD deaths", c.pd_deaths),
         ("supervision: driver restarts", c.driver_restarts),
-        ("completed requests", stats.completed),
-        ("failed requests", stats.failed),
+        ("completed requests", c.disk_ops),
+        ("failed requests", c.disk_failed),
     ] {
         t.row(vec![name.into(), fmt_count(v)]);
     }

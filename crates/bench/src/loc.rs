@@ -24,13 +24,14 @@ impl AddAssign for Loc {
     }
 }
 
-/// Lines of code in one file (non-blank, non-`//` lines; `/* */`
-/// blocks tracked across lines). A `#[cfg(test)]` attribute takes the
-/// item it is on out of `product` — further attributes, then either a
-/// `;`-terminated line or everything up to the matching close brace.
-/// Braces are counted as characters, which `rustfmt`-ed code with
-/// balanced format strings satisfies.
-pub fn count_file(src: &str) -> Loc {
+/// Calls `line(text, product)` for every line of code in `src`
+/// (non-blank, non-`//` lines, trimmed; `/* */` blocks tracked across
+/// lines). A `#[cfg(test)]` attribute takes the item it is on out of
+/// the product — further attributes, then either a `;`-terminated line
+/// or everything up to the matching close brace. Braces are counted as
+/// characters, which `rustfmt`-ed code with balanced format strings
+/// satisfies.
+fn scan<'a>(src: &'a str, mut line: impl FnMut(&'a str, bool)) {
     /// Where the scan is relative to a `#[cfg(test)]` item.
     enum Test {
         Outside,
@@ -41,9 +42,8 @@ pub fn count_file(src: &str) -> Loc {
     }
     let mut in_block = false;
     let mut test = Test::Outside;
-    let mut n = Loc::default();
-    for line in src.lines() {
-        let t = line.trim();
+    for l in src.lines() {
+        let t = l.trim();
         if in_block {
             if t.contains("*/") {
                 in_block = false;
@@ -59,13 +59,13 @@ pub fn count_file(src: &str) -> Loc {
             }
             continue;
         }
-        n.with_tests += 1;
         let opens = t.matches('{').count();
         let closes = t.matches('}').count();
+        let mut product = false;
         test = match test {
             Test::Outside if t.starts_with("#[cfg(test)]") => Test::Header,
             Test::Outside => {
-                n.product += 1;
+                product = true;
                 Test::Outside
             }
             Test::Header if t.starts_with("#[") => Test::Header,
@@ -75,26 +75,42 @@ pub fn count_file(src: &str) -> Loc {
             Test::Body(depth) if depth + opens > closes => Test::Body(depth + opens - closes),
             Test::Body(_) => Test::Outside,
         };
+        line(t, product);
     }
+}
+
+/// Lines of code in one file, with and without its `#[cfg(test)]`
+/// items.
+pub fn count_file(src: &str) -> Loc {
+    let mut n = Loc::default();
+    scan(src, |_, product| {
+        n.with_tests += 1;
+        n.product += product as usize;
+    });
     n
+}
+
+/// Calls `file(path, source)` for every `.rs` file under `dir`.
+fn each_rs_file(dir: &Path, file: &mut impl FnMut(&Path, &str)) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for e in entries.flatten() {
+        let p = e.path();
+        if p.is_dir() {
+            each_rs_file(&p, file);
+        } else if p.extension().is_some_and(|x| x == "rs") {
+            if let Ok(src) = std::fs::read_to_string(&p) {
+                file(&p, &src);
+            }
+        }
+    }
 }
 
 /// Recursively counts `.rs` lines under a directory.
 pub fn count_dir(dir: &Path) -> Loc {
     let mut total = Loc::default();
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return total;
-    };
-    for e in entries.flatten() {
-        let p = e.path();
-        if p.is_dir() {
-            total += count_dir(&p);
-        } else if p.extension().is_some_and(|x| x == "rs") {
-            if let Ok(src) = std::fs::read_to_string(&p) {
-                total += count_file(&src);
-            }
-        }
-    }
+    each_rs_file(dir, &mut |_, src| total += count_file(src));
     total
 }
 
@@ -185,7 +201,7 @@ mod tests {
     fn comment_and_blank_lines_excluded() {
         let src = "fn f() {\n// comment\n\n/* block\nstill block\n*/\nlet x = 1;\n}\n";
         let n = count_file(src);
-        assert_eq!((n.product, n.with_tests), (3, 3)); // fn, let, }
+        assert_eq!((n.product, n.with_tests), (3, 3)); // fn, let, brace
     }
 
     #[test]
@@ -239,5 +255,117 @@ fn also_shipped() {}
         assert!(vmm.product > 300, "the device cores: {vmm:?}");
         let all = files_loc(tcb.iter().flat_map(|c| c.linked.iter().copied()));
         assert_eq!(all, vmm, "the disk server's two files are among the VMM's");
+    }
+
+    /// The code of `src` that ships — what [`Loc::product`] counts —
+    /// with all whitespace taken out, so that a gate sees a statement
+    /// the same however `rustfmt` broke it over lines.
+    fn product_text(src: &str) -> String {
+        let mut text = String::new();
+        scan(src, |l, product| {
+            if product {
+                text.extend(l.split_whitespace());
+            }
+        });
+        text
+    }
+
+    /// `(path, product_text)` of every `.rs` file under `crates/*/src`,
+    /// in path order.
+    fn product_sources() -> Vec<(String, String)> {
+        let mut out = Vec::new();
+        for c in std::fs::read_dir(workspace_root().join("crates")).unwrap() {
+            each_rs_file(&c.unwrap().path().join("src"), &mut |p, src| {
+                out.push((p.display().to_string(), product_text(src)));
+            });
+        }
+        out.sort();
+        out
+    }
+
+    /// How often `text` bumps the counter `name`: directly
+    /// (`counters.name +=`) or through `Kernel::count`'s field closure
+    /// (`&mut c.name`).
+    fn bumps(text: &str, name: &str) -> usize {
+        let closure = format!("&mutc.{name}");
+        let through_count = text
+            .match_indices(&closure)
+            .filter(|(at, m)| {
+                let next = text[at + m.len()..].chars().next();
+                !next.is_some_and(|c| c.is_alphanumeric() || c == '_')
+            })
+            .count();
+        text.matches(&format!("counters.{name}+=")).count() + through_count
+    }
+
+    /// The registry rule (DESIGN.md §6b), by grep: every name in the
+    /// `Counters` table is bumped at exactly one site of the NOVA
+    /// stack, which shares the kernel's registry, and at no more than
+    /// one of the monolithic baseline, which is another system with a
+    /// registry of its own.
+    #[test]
+    fn every_counter_name_has_one_bump_site() {
+        let files = product_sources();
+        let (baseline, stack): (Vec<_>, Vec<_>) = files
+            .iter()
+            .partition(|(p, _)| p.contains("crates/baseline/"));
+        assert!(!baseline.is_empty() && stack.len() > 50);
+        for (name, _) in nova_core::Counters::new().iter() {
+            let sites = |files: &[&(String, String)]| -> Vec<String> {
+                files
+                    .iter()
+                    .flat_map(|(p, text)| vec![p.clone(); bumps(text, name)])
+                    .collect()
+            };
+            let (in_stack, in_baseline) = (sites(&stack), sites(&baseline));
+            assert_eq!(in_stack.len(), 1, "`{name}` is bumped at {in_stack:?}");
+            assert!(in_baseline.len() <= 1, "`{name}`: {in_baseline:?}");
+        }
+    }
+
+    /// A metric cell that `Kernel::count` pairs with a counter is
+    /// written nowhere else, so pair and cell cannot drift apart.
+    #[test]
+    fn a_paired_metric_is_added_only_by_the_helper() {
+        let files = product_sources();
+        /// The last path segment of a call's argument that starts
+        /// `text`: `a::b::NAME,…` → `NAME`.
+        fn arg(text: &str) -> &str {
+            let arg = text.split([',', ')']).next().unwrap_or("");
+            arg.rsplit("::").next().unwrap_or(arg)
+        }
+        let paired: std::collections::BTreeSet<&str> = files
+            .iter()
+            .flat_map(|(_, text)| text.split(".count(|c|&mutc.").skip(1))
+            .filter_map(|call| call.split_once(','))
+            .map(|(_field, rest)| arg(rest))
+            .collect();
+        let expect = [
+            "ESCALATIONS_BY_LEVEL",
+            "GUEST_FAULT_REJECTED",
+            "VMM_RESTARTS",
+            "VM_KILLS_BY_REASON",
+        ];
+        assert_eq!(paired.iter().copied().collect::<Vec<_>>(), expect);
+        for (path, text) in &files {
+            for call in text.split("metrics.add(").skip(1) {
+                assert!(
+                    !paired.contains(arg(call)),
+                    "{path} adds to the paired metric {} by hand",
+                    arg(call)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_gates_see_what_they_look_for() {
+        let text = product_text(
+            "fn f(k: &mut K) {\n    k.counters.disk_ops += 1;\n    k.count(\n        \
+             |c| &mut c.vm_kills,\n        names::X,\n        0,\n    );\n}\n\
+             #[cfg(test)]\nmod t {\n    fn g(k: &mut K) {\n        k.counters.disk_ops += 1;\n    }\n}\n",
+        );
+        assert_eq!((bumps(&text, "disk_ops"), bumps(&text, "vm_kills")), (1, 1));
+        assert_eq!((bumps(&text, "disk_op"), bumps(&text, "vm_kill")), (0, 0));
     }
 }

@@ -2,81 +2,150 @@
 //! Section 8.5 per-exit cost breakdown.
 
 use nova_hw::vmx::ExitReason;
-use nova_hw::Cycles;
 
-/// Event and cycle counters maintained by the microhypervisor.
-#[derive(Clone, Debug, Default)]
-pub struct Counters {
-    /// VM exits by reason index (see [`ExitReason::index`]).
-    pub exits: [u64; ExitReason::COUNT],
+/// Declares [`Counters`]: one line per scalar count. The struct field,
+/// its share of [`Counters::delta`] and its entry in
+/// [`Counters::iter`] all come from that line, so adding a count is
+/// adding a line.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// The counter registry: every event and cycle count of the
+        /// stack, kept by the microhypervisor — the one component that
+        /// outlives every driver and every VMM — and bumped at one site
+        /// per name (DESIGN.md §6b). Whatever else reports a count reads
+        /// it from here.
+        #[derive(Clone, Debug, Default)]
+        pub struct Counters {
+            /// VM exits by reason index (see [`ExitReason::index`]).
+            pub exits: [u64; ExitReason::COUNT],
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl Counters {
+            /// Every scalar count as `(name, value)`, in table order.
+            pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($name), self.$name),)*].into_iter()
+            }
+
+            /// Counter-wise difference against an `earlier` snapshot:
+            /// what happened between the two points. Every count
+            /// saturates at zero: snapshots taken the wrong way round
+            /// read as nothing happened, not as a wrapped number.
+            pub fn delta(&self, earlier: &Counters) -> Counters {
+                Counters {
+                    exits: std::array::from_fn(|i| self.exits[i].saturating_sub(earlier.exits[i])),
+                    $($name: self.$name.saturating_sub(earlier.$name),)*
+                }
+            }
+
+            /// The count called `name`, to write.
+            #[cfg(test)]
+            fn by_name(&mut self, name: &str) -> &mut u64 {
+                match name {
+                    $(stringify!($name) => &mut self.$name,)*
+                    _ => panic!("no counter {name}"),
+                }
+            }
+        }
+    };
+}
+
+counters! {
     /// vTLB fills (subset of the #PF exits).
-    pub vtlb_fills: u64,
+    vtlb_fills,
     /// vTLB flushes (CR writes that dropped or rebuilt a shadow table:
     /// paging-relevant CR0/CR4 toggles and cold CR3 switches).
-    pub vtlb_flushes: u64,
+    vtlb_flushes,
     /// CR3 reloads that hit the shadow-table cache (the shadow was
     /// kept and merely resynchronized — no rebuild).
-    pub vtlb_switch_hits: u64,
+    vtlb_switch_hits,
     /// CR3 reloads that missed the shadow-table cache (a fresh shadow
     /// is built for the new address space).
-    pub vtlb_switch_misses: u64,
+    vtlb_switch_misses,
     /// Cached shadow tables evicted to make room (bounded cache).
-    pub vtlb_shadow_evictions: u64,
+    vtlb_shadow_evictions,
     /// Page faults forwarded to the guest kernel.
-    pub guest_page_faults: u64,
+    guest_page_faults,
     /// Virtual interrupts injected by VMMs.
-    pub injected_virq: u64,
-    /// Disk requests completed by the disk server.
-    pub disk_ops: u64,
+    injected_virq,
     /// Portal calls (IPC rendezvous) performed.
-    pub ipc_calls: u64,
+    ipc_calls,
     /// Hypercalls executed.
-    pub hypercalls: u64,
+    hypercalls,
 
     /// Watchdog deadlines that expired and signalled a supervisor.
-    pub watchdog_fires: u64,
+    watchdog_fires,
     /// Protection-domain faults reported to supervisors.
-    pub pd_deaths: u64,
-    /// Driver/server restarts performed by a supervisor.
-    pub driver_restarts: u64,
-    /// Cross-PD requests that timed out awaiting completion.
-    pub request_timeouts: u64,
-    /// Re-submissions of timed-out or error-completed requests.
-    pub request_retries: u64,
-    /// Requests degraded to an error reply after recovery gave up.
-    pub degraded_errors: u64,
-    /// Spurious device interrupts absorbed by drivers.
-    pub spurious_irqs: u64,
-    /// Device controller resets performed during recovery.
-    pub controller_resets: u64,
-    /// Malformed guest inputs rejected by a validator (per-request
-    /// degradation, not a kill).
-    pub guest_faults_rejected: u64,
-    /// Structured VM kills filed by VMMs (Byzantine-guest
-    /// containment).
-    pub vm_kills: u64,
+    pd_deaths,
     /// Hypercalls refused because a PD exhausted its kernel-object
     /// quota.
-    pub quota_rejections: u64,
+    quota_rejections,
+
+    /// Disk requests completed by the disk server.
+    disk_ops,
+    /// Payload bytes of those requests.
+    disk_bytes,
+    /// Disk requests the server accepted onto a client's channel.
+    disk_accepted,
+    /// Disk requests the server refused with EBUSY (channel throttle).
+    disk_rejected,
+    /// In-flight disk commands the server's self-check found overdue.
+    disk_timeouts,
+    /// Disk commands re-issued after an error completion.
+    disk_media_retries,
+    /// Disk commands re-issued after the controller reset that dropped
+    /// them.
+    disk_reset_reissues,
+    /// Disk completions the server recovered by polling after a lost
+    /// interrupt.
+    disk_lost_irq_recovered,
+    /// Disk requests the server completed with an error status, its
+    /// retry budget spent.
+    disk_failed,
+    /// Spurious device interrupts absorbed by drivers.
+    spurious_irqs,
+    /// Device controller resets performed during recovery.
+    controller_resets,
+
+    /// Accepted requests a disk client found overdue at the server.
+    client_timeouts,
+    /// Charged re-sends by a disk client (timeout, refusal, server
+    /// restart).
+    client_resubmits,
+    /// Requests a disk client failed towards its guest: attempt budget
+    /// spent, or refused for good.
+    client_degraded,
+    /// Malformed guest inputs rejected by a validator (per-request
+    /// degradation, not a kill); per surface in the
+    /// `guest_fault_rejected` metric.
+    guest_faults_rejected,
+    /// Structured VM kills filed by VMMs (Byzantine-guest containment);
+    /// per exit code in the `vm_kills_by_reason` metric.
+    vm_kills,
+
+    /// Driver/server restarts performed by a supervisor.
+    driver_restarts,
     /// VMM checkpoints captured by the supervisor.
-    pub checkpoints_taken: u64,
+    checkpoints_taken,
     /// 4 KB guest pages those checkpoints copied: only the pages
     /// written since the previous capture are.
-    pub checkpoint_pages_copied: u64,
-    /// VMM incarnations started beyond the first (microreboots).
-    pub vmm_restarts: u64,
-    /// Escalation-ladder transitions (resume → cold reboot → failed).
-    pub escalations: u64,
+    checkpoint_pages_copied,
+    /// VMM incarnations started beyond the first (microreboots); per
+    /// supervised VM in the `vmm_restarts` metric.
+    vmm_restarts,
+    /// Escalation-ladder transitions (resume → cold reboot → failed);
+    /// per level entered in the `escalations_by_level` metric.
+    escalations,
 
     /// Cycles spent in guest/host transitions (Section 8.5: 26%).
-    pub cycles_transition: Cycles,
+    cycles_transition,
     /// Cycles spent transferring state via IPC (Section 8.5: 15%).
-    pub cycles_ipc: Cycles,
+    cycles_ipc,
     /// Cycles spent in VMM instruction/device emulation (59%).
-    pub cycles_emulation: Cycles,
+    cycles_emulation,
     /// Cycles spent in hypervisor-internal handling (vTLB and
     /// interrupt paths).
-    pub cycles_kernel: Cycles,
+    cycles_kernel,
 }
 
 impl Counters {
@@ -121,66 +190,22 @@ impl Counters {
         self.clone()
     }
 
-    /// Counter-wise difference against an `earlier` snapshot: what
-    /// happened between the two points. Every field saturates at zero,
-    /// so a reset between the snapshots degrades to the current value
-    /// instead of wrapping.
-    pub fn delta(&self, earlier: &Counters) -> Counters {
-        let mut d = self.clone();
-        for (i, e) in earlier.exits.iter().enumerate() {
-            d.exits[i] = d.exits[i].saturating_sub(*e);
-        }
-        d.vtlb_fills = d.vtlb_fills.saturating_sub(earlier.vtlb_fills);
-        d.vtlb_flushes = d.vtlb_flushes.saturating_sub(earlier.vtlb_flushes);
-        d.vtlb_switch_hits = d.vtlb_switch_hits.saturating_sub(earlier.vtlb_switch_hits);
-        d.vtlb_switch_misses = d
-            .vtlb_switch_misses
-            .saturating_sub(earlier.vtlb_switch_misses);
-        d.vtlb_shadow_evictions = d
-            .vtlb_shadow_evictions
-            .saturating_sub(earlier.vtlb_shadow_evictions);
-        d.guest_page_faults = d
-            .guest_page_faults
-            .saturating_sub(earlier.guest_page_faults);
-        d.injected_virq = d.injected_virq.saturating_sub(earlier.injected_virq);
-        d.disk_ops = d.disk_ops.saturating_sub(earlier.disk_ops);
-        d.ipc_calls = d.ipc_calls.saturating_sub(earlier.ipc_calls);
-        d.hypercalls = d.hypercalls.saturating_sub(earlier.hypercalls);
-        d.watchdog_fires = d.watchdog_fires.saturating_sub(earlier.watchdog_fires);
-        d.pd_deaths = d.pd_deaths.saturating_sub(earlier.pd_deaths);
-        d.driver_restarts = d.driver_restarts.saturating_sub(earlier.driver_restarts);
-        d.request_timeouts = d.request_timeouts.saturating_sub(earlier.request_timeouts);
-        d.request_retries = d.request_retries.saturating_sub(earlier.request_retries);
-        d.degraded_errors = d.degraded_errors.saturating_sub(earlier.degraded_errors);
-        d.spurious_irqs = d.spurious_irqs.saturating_sub(earlier.spurious_irqs);
-        d.controller_resets = d
-            .controller_resets
-            .saturating_sub(earlier.controller_resets);
-        d.guest_faults_rejected = d
-            .guest_faults_rejected
-            .saturating_sub(earlier.guest_faults_rejected);
-        d.vm_kills = d.vm_kills.saturating_sub(earlier.vm_kills);
-        d.quota_rejections = d.quota_rejections.saturating_sub(earlier.quota_rejections);
-        d.checkpoints_taken = d
-            .checkpoints_taken
-            .saturating_sub(earlier.checkpoints_taken);
-        d.checkpoint_pages_copied = d
-            .checkpoint_pages_copied
-            .saturating_sub(earlier.checkpoint_pages_copied);
-        d.vmm_restarts = d.vmm_restarts.saturating_sub(earlier.vmm_restarts);
-        d.escalations = d.escalations.saturating_sub(earlier.escalations);
-        d.cycles_transition = d
-            .cycles_transition
-            .saturating_sub(earlier.cycles_transition);
-        d.cycles_ipc = d.cycles_ipc.saturating_sub(earlier.cycles_ipc);
-        d.cycles_emulation = d.cycles_emulation.saturating_sub(earlier.cycles_emulation);
-        d.cycles_kernel = d.cycles_kernel.saturating_sub(earlier.cycles_kernel);
-        d
+    /// Cross-PD requests that timed out awaiting completion, at the
+    /// disk server or at a client.
+    pub fn request_timeouts(&self) -> u64 {
+        self.disk_timeouts + self.client_timeouts
     }
 
-    /// Resets everything (between benchmark phases).
-    pub fn reset(&mut self) {
-        *self = Counters::default();
+    /// Re-submissions of timed-out or error-completed requests, by the
+    /// disk server or by a client.
+    pub fn request_retries(&self) -> u64 {
+        self.disk_media_retries + self.disk_reset_reissues + self.client_resubmits
+    }
+
+    /// Requests degraded to an error reply after recovery gave up, at
+    /// the disk server or at a client.
+    pub fn degraded_errors(&self) -> u64 {
+        self.disk_failed + self.client_degraded
     }
 }
 
@@ -196,8 +221,6 @@ mod tests {
         c.count_exit(&ExitReason::Hlt { len: 1 });
         assert_eq!(c.exits_of(ExitReason::Cpuid { len: 2 }.index()), 2);
         assert_eq!(c.total_exits(), 3);
-        c.reset();
-        assert_eq!(c.total_exits(), 0);
     }
 
     #[test]
@@ -216,27 +239,38 @@ mod tests {
         assert!((c.avg_exit_cycles() - 2000.0).abs() < 1e-9);
     }
 
+    /// Every line of the table is a field of its own: set alone, it is
+    /// what `delta` against a fresh registry shows and nothing else is,
+    /// and `iter` names it once.
     #[test]
-    fn snapshot_delta_isolates_a_phase() {
+    fn every_table_line_is_its_own_field_in_delta_and_iter() {
+        let names: Vec<_> = Counters::new().iter().map(|(n, _)| n).collect();
+        for (i, &name) in names.iter().enumerate() {
+            assert!(!names[..i].contains(&name), "{name} listed twice");
+            let mut c = Counters::new();
+            *c.by_name(name) = 7 + i as u64;
+            let d = c.delta(&Counters::new());
+            let moved: Vec<_> = d.iter().filter(|&(_, v)| v != 0).collect();
+            assert_eq!(moved, [(name, 7 + i as u64)]);
+            assert_eq!(d.total_exits(), 0);
+            // Against itself nothing moved, and the other way round the
+            // difference saturates instead of wrapping.
+            assert!(c.delta(&c).iter().all(|(_, v)| v == 0));
+            assert!(Counters::new().delta(&c).iter().all(|(_, v)| v == 0));
+        }
+    }
+
+    #[test]
+    fn snapshot_delta_isolates_a_phase_of_exits() {
         let mut c = Counters::new();
         c.count_exit(&ExitReason::Hlt { len: 1 });
-        c.ipc_calls = 5;
-        c.cycles_kernel = 100;
         let snap = c.snapshot();
         c.count_exit(&ExitReason::Hlt { len: 1 });
         c.count_exit(&ExitReason::Cpuid { len: 2 });
-        c.ipc_calls = 9;
-        c.cycles_kernel = 250;
         let d = c.delta(&snap);
         assert_eq!(d.total_exits(), 2);
         assert_eq!(d.exits_of(ExitReason::Hlt { len: 1 }.index()), 1);
-        assert_eq!(d.ipc_calls, 4);
-        assert_eq!(d.cycles_kernel, 150);
-        // A reset between snapshots saturates instead of wrapping.
-        let big = c.snapshot();
-        c.reset();
-        let d2 = c.delta(&big);
-        assert_eq!(d2.total_exits(), 0);
-        assert_eq!(d2.ipc_calls, 0);
+        // The wrong way round saturates instead of wrapping.
+        assert_eq!(snap.delta(&c).total_exits(), 0);
     }
 }

@@ -573,6 +573,23 @@ impl Kernel {
             .emit(0, PD_NONE, TraceKind::CostIpc, cycles, at);
     }
 
+    /// Counts one event that the metrics registry attributes per
+    /// `domain` under `metric`: `field` of the aggregate counters
+    /// always, the metrics cell while tracing is on. The one way such
+    /// a pair is bumped, so the two cannot drift apart.
+    #[inline]
+    pub fn count(
+        &mut self,
+        field: impl FnOnce(&mut Counters) -> &mut u64,
+        metric: &'static str,
+        domain: u64,
+    ) {
+        *field(&mut self.counters) += 1;
+        if self.machine.bus.trace.active() {
+            self.machine.bus.trace.metrics.add(metric, domain, 1);
+        }
+    }
+
     /// Shorthand for emitting a kernel tracepoint at the current cycle.
     #[inline]
     fn trace_emit(&mut self, pd: u16, kind: TraceKind, detail: u64) {
@@ -608,6 +625,15 @@ impl Kernel {
             ObjRef::Pd(id) => Ok(id),
             _ => Err(HcErr::BadCap),
         }
+    }
+
+    /// `pd`, unless it was destroyed: its creator still holds the
+    /// capability, but a wreck takes no resource, EC or device.
+    fn live(&self, pd: PdId) -> Result<PdId, HcErr> {
+        if self.obj.pd(pd).dying {
+            return Err(HcErr::BadCap);
+        }
+        Ok(pd)
     }
 
     fn lookup_ec(&self, pd: PdId, sel: CapSel, need: Perms) -> Result<EcId, HcErr> {
@@ -706,7 +732,7 @@ impl Kernel {
                 Ok(HcReply::Ok)
             }
             Hypercall::CreateEc { pd, vcpu, cpu, dst } => {
-                let target = self.lookup_pd(caller, pd, Perms::CTRL)?;
+                let target = self.live(self.lookup_pd(caller, pd, Perms::CTRL)?)?;
                 if cpu >= self.machine.cpus.len() {
                     return Err(HcErr::BadParam);
                 }
@@ -861,15 +887,6 @@ impl Kernel {
                 hot,
             } => {
                 let target = self.lookup_pd(caller, dst_pd, Perms::CTRL)?;
-                // Hostile ranges: a count that wraps the page-number
-                // space (or one sized to stall the kernel walking it)
-                // is a parameter error, not a loop.
-                if count > MAX_RANGE_PAGES
-                    || base.checked_add(count).is_none()
-                    || hot.checked_add(count).is_none()
-                {
-                    return Err(HcErr::BadParam);
-                }
                 self.delegate_mem(caller, target, base, count, rights, hot)?;
                 Ok(HcReply::Ok)
             }
@@ -879,9 +896,6 @@ impl Kernel {
                 count,
             } => {
                 let target = self.lookup_pd(caller, dst_pd, Perms::CTRL)?;
-                if u32::from(base) + u32::from(count) > 0x1_0000 {
-                    return Err(HcErr::BadParam);
-                }
                 self.delegate_io(caller, target, base, count)?;
                 Ok(HcReply::Ok)
             }
@@ -988,16 +1002,9 @@ impl Kernel {
             }
             Hypercall::EcResume { ec, inject, intwin } => {
                 let ec_id = self.lookup_ec(caller, ec, Perms::EC_CTRL)?;
-                let ec_obj = self.obj.ec_mut(ec_id);
-                let Some(vmcs) = ec_obj.vmcs_mut() else {
-                    return Err(HcErr::BadParam);
-                };
+                self.obj.ec(ec_id).vmcs().ok_or(HcErr::BadParam)?;
                 if let Some(inj) = inject {
-                    vmcs.injection = Some(inj);
-                    vmcs.halted = false;
-                    self.counters.injected_virq += 1;
-                    let pd16 = self.obj.ec(ec_id).pd.0 as u16;
-                    self.trace_emit(pd16, TraceKind::VirqInject, inj.vector as u64);
+                    self.inject_virq(ec_id, inj);
                 }
                 if intwin {
                     if let Some(vmcs) = self.obj.ec_mut(ec_id).vmcs_mut() {
@@ -1020,7 +1027,7 @@ impl Kernel {
                 if self.gsi_owner.get(&gsi) != Some(&caller) {
                     return Err(HcErr::NotOwner);
                 }
-                let target = self.lookup_pd(caller, dst_pd, Perms::CTRL)?;
+                let target = self.live(self.lookup_pd(caller, dst_pd, Perms::CTRL)?)?;
                 self.gsi_owner.insert(gsi, target);
                 Ok(HcReply::Ok)
             }
@@ -1040,7 +1047,7 @@ impl Kernel {
                 if caller != self.root_pd {
                     return Err(HcErr::NotOwner);
                 }
-                let target = self.lookup_pd(caller, pd, Perms::CTRL)?;
+                let target = self.live(self.lookup_pd(caller, pd, Perms::CTRL)?)?;
                 self.obj.pd_mut(target).devices.push(device);
                 // Mirror the domain's DMA-able memory into the IOMMU.
                 let mappings: Vec<(u64, MemMapping)> = self
@@ -1097,6 +1104,16 @@ impl Kernel {
         rights: MemRights,
         hot: u64,
     ) -> Result<(), HcErr> {
+        self.live(to)?;
+        // Hostile ranges: a count that wraps the page-number space (or
+        // one sized to stall the kernel walking it) is a parameter
+        // error, not a loop.
+        if count > MAX_RANGE_PAGES
+            || base.checked_add(count).is_none()
+            || hot.checked_add(count).is_none()
+        {
+            return Err(HcErr::BadParam);
+        }
         // Validate ownership of the entire range first: the source is
         // held in `from`'s space (the database is not asked), and the
         // destination pages are free.
@@ -1191,6 +1208,10 @@ impl Kernel {
     }
 
     fn delegate_io(&mut self, from: PdId, to: PdId, base: u16, count: u16) -> Result<(), HcErr> {
+        self.live(to)?;
+        if u32::from(base) + u32::from(count) > 0x1_0000 {
+            return Err(HcErr::BadParam);
+        }
         for i in 0..count {
             let port = base + i;
             if !self.obj.pd(from).io.allowed(port) {
@@ -1213,6 +1234,7 @@ impl Kernel {
         perms: Perms,
         hot: CapSel,
     ) -> Result<(), HcErr> {
+        self.live(to)?;
         let cap = self.obj.pd(from).caps.get(sel).ok_or(HcErr::BadCap)?;
         if !cap.perms.allows(Perms::DELEGATE) {
             return Err(HcErr::BadPerm);
@@ -1662,6 +1684,19 @@ impl Kernel {
         if !self.sched.cpu(cpu).contains(sc) {
             self.sched.cpu(cpu).enqueue(sc, prio);
         }
+    }
+
+    /// Queues a VMM's virtual interrupt on vCPU `ec` — with a resume
+    /// or with an exit reply — and wakes it from HLT.
+    #[inline]
+    fn inject_virq(&mut self, ec: EcId, inj: Injection) {
+        let target = &mut self.obj.ecs[ec.0];
+        let pd16 = target.pd.0 as u16;
+        let vmcs = target.vmcs_mut().expect("vCPU");
+        vmcs.injection = Some(inj);
+        vmcs.halted = false;
+        self.counters.injected_virq += 1;
+        self.trace_emit(pd16, TraceKind::VirqInject, inj.vector as u64);
     }
 
     fn unblock(&mut self, ec: EcId) {
@@ -2310,21 +2345,20 @@ impl Kernel {
                     len,
                 );
                 let pd16 = pd.0 as u16;
+                // A cold switch rebuilds the shadow from scratch — the
+                // cost class the flush counter has always measured.
+                let cold = matches!(outcome, CrOutcome::Switch { hit: false, .. });
+                self.counters.vtlb_flushes += (cold || outcome == CrOutcome::Flush) as u64;
                 match outcome {
                     CrOutcome::None => {}
                     CrOutcome::Flush => {
-                        self.counters.vtlb_flushes += 1;
                         self.trace_emit(pd16, TraceKind::VtlbFlush, cr as u64);
                     }
                     CrOutcome::Switch { hit, evicted } => {
                         if hit {
                             self.counters.vtlb_switch_hits += 1;
                         } else {
-                            // A cold switch rebuilds the shadow from
-                            // scratch — the cost class the flush
-                            // counter has always measured.
                             self.counters.vtlb_switch_misses += 1;
-                            self.counters.vtlb_flushes += 1;
                         }
                         if evicted {
                             self.counters.vtlb_shadow_evictions += 1;
@@ -2492,11 +2526,7 @@ impl Kernel {
         let vmcs = self.obj.ecs[ec_id.0].vmcs_mut().expect("vCPU");
         apply_mtd(&mut vmcs.guest, &reply.regs, reply.reply_mtd);
         if let Some(inj) = reply.reply_inject {
-            let vector = inj.vector;
-            vmcs.injection = Some(inj);
-            vmcs.halted = false;
-            self.counters.injected_virq += 1;
-            self.trace_emit(pd.0 as u16, TraceKind::VirqInject, vector as u64);
+            self.inject_virq(ec_id, inj);
         }
         let vmcs = self.obj.ecs[ec_id.0].vmcs_mut().unwrap();
         if reply.reply_intwin {
@@ -2874,6 +2904,61 @@ mod tests {
         );
     }
 
+    /// The creator keeps its capability for a domain it destroyed; it
+    /// can put nothing into the wreck through it.
+    #[test]
+    fn a_destroyed_domain_takes_no_delegation_ec_or_device() {
+        let (mut k, ctx) = root_with_portal();
+        let sub = Hypercall::CreatePd {
+            name: "sub".into(),
+            vm: None,
+            dst: 0x30,
+        };
+        k.hypercall(ctx, sub).unwrap();
+        k.hypercall(ctx, Hypercall::DestroyPd { pd: 0x30 }).unwrap();
+        for into_the_wreck in [
+            Hypercall::DelegateMem {
+                dst_pd: 0x30,
+                base: 0x100,
+                count: 1,
+                rights: MemRights::RW,
+                hot: 0x100,
+            },
+            Hypercall::DelegateIo {
+                dst_pd: 0x30,
+                base: 0x3f8,
+                count: 1,
+            },
+            Hypercall::DelegateCap {
+                dst_pd: 0x30,
+                sel: 101,
+                perms: Perms::CALL,
+                hot: 5,
+            },
+            Hypercall::DelegateGsi {
+                dst_pd: 0x30,
+                gsi: 4,
+            },
+            Hypercall::CreateEc {
+                pd: 0x30,
+                vcpu: false,
+                cpu: 0,
+                dst: 0x31,
+            },
+            Hypercall::AssignDev {
+                pd: 0x30,
+                device: 0,
+            },
+        ] {
+            let number = into_the_wreck.number();
+            let refused = k.hypercall(ctx, into_the_wreck);
+            assert_eq!(refused, Err(HcErr::BadCap), "hypercall {number}");
+        }
+        assert_eq!(k.check_invariants(), Ok(()));
+        // Root re-issues the destroy on purpose; that stays a no-op.
+        k.hypercall(ctx, Hypercall::DestroyPd { pd: 0x30 }).unwrap();
+    }
+
     #[test]
     fn portal_call_roundtrip_with_accounting() {
         let mut k = kernel();
@@ -2948,39 +3033,81 @@ mod tests {
         (k, ctx)
     }
 
-    #[test]
-    fn refused_typed_item_closes_the_ipc_span_and_hands_the_buffer_back() {
-        use nova_trace::{cat, causal, Phase, Tracer};
+    /// A call carrying `item` is refused with `err` before the handler
+    /// runs; the items are consumed, their buffer comes back and the
+    /// `IpcCall` span is closed. Returns the kernel (tracing since
+    /// before the call), root's context and the call's request context.
+    fn refuse_typed_item(item: XferItem, err: HcErr) -> (Kernel, CompCtx, u64, Utcb) {
+        use nova_trace::{cat, Tracer};
         let (mut k, ctx) = root_with_portal();
         k.machine.bus.trace = Tracer::new(1, 1024, cat::ALL);
         let request = k.machine.bus.trace.alloc_ctx();
-
-        // The last page of RAM is hypervisor memory: root holds no
-        // mapping of it to delegate.
-        let foreign = (32 << 20) / PAGE_SIZE as u64 - 1;
         let mut utcb = Utcb::new();
         utcb.set_msg(&[21]);
         utcb.xfer.reserve(8);
         let capacity = utcb.xfer.capacity();
-        utcb.xfer.push(XferItem::Mem {
-            base: foreign,
-            count: 1,
-            rights: MemRights::RW,
-            hot: 0x9_0000,
-        });
-        assert_eq!(k.ipc_call(ctx, 101, &mut utcb), Err(HcErr::NotOwner));
+        utcb.xfer.push(item);
+        assert_eq!(k.ipc_call(ctx, 101, &mut utcb), Err(err));
         assert!(utcb.xfer.is_empty(), "the refused items are consumed");
         assert_eq!(utcb.xfer.capacity(), capacity, "the buffer comes back");
         assert_eq!(k.component_mut::<Doubler>(ctx.comp).unwrap().calls, 0);
-        k.ipc_call(ctx, 101, &mut utcb).unwrap();
-        assert_eq!(utcb.word(0), 42);
+        assert_eq!(ipc_spans(&k), (1, 1));
+        assert_eq!(k.check_invariants(), Ok(()));
+        (k, ctx, request, utcb)
+    }
 
+    /// `IpcCall` spans the trace saw (begun, ended).
+    fn ipc_spans(k: &Kernel) -> (usize, usize) {
+        use nova_trace::Phase;
         let events = k.machine.tracer().events();
         let ipc = |phase: Phase| {
             let of = |e: &&nova_trace::TraceEvent| e.kind == TraceKind::IpcCall && e.phase == phase;
             events.iter().filter(of).count()
         };
-        assert_eq!((ipc(Phase::Begin), ipc(Phase::End)), (2, 2));
+        (ipc(Phase::Begin), ipc(Phase::End))
+    }
+
+    /// Typed items take the one checked way into delegation the
+    /// hypercalls take: a range that wraps the page-number space…
+    #[test]
+    fn hostile_typed_mem_item_rejected() {
+        let item = XferItem::Mem {
+            base: 0x100,
+            count: 4,
+            rights: MemRights::RW,
+            hot: u64::MAX - 1,
+        };
+        refuse_typed_item(item, HcErr::BadParam);
+    }
+
+    /// …and one that runs off the end of the port space.
+    #[test]
+    fn hostile_typed_io_item_rejected() {
+        let item = XferItem::Io {
+            base: 0xfff0,
+            count: 0x20,
+        };
+        refuse_typed_item(item, HcErr::BadParam);
+    }
+
+    #[test]
+    fn refused_typed_item_closes_the_ipc_span_and_hands_the_buffer_back() {
+        use nova_trace::causal;
+        // The last page of RAM is hypervisor memory: root holds no
+        // mapping of it to delegate.
+        let foreign = (32 << 20) / PAGE_SIZE as u64 - 1;
+        let item = XferItem::Mem {
+            base: foreign,
+            count: 1,
+            rights: MemRights::RW,
+            hot: 0x9_0000,
+        };
+        let (mut k, ctx, request, mut utcb) = refuse_typed_item(item, HcErr::NotOwner);
+        k.ipc_call(ctx, 101, &mut utcb).unwrap();
+        assert_eq!(utcb.word(0), 42);
+
+        assert_eq!(ipc_spans(&k), (2, 2));
+        let events = k.machine.tracer().events();
         // The successful call is a sibling of the refused one, and the
         // handler's work hangs under it alone.
         let tree = causal::request_tree(request, &causal::by_context(&events)[&request]).unwrap();

@@ -229,7 +229,7 @@ mod tests {
         )));
         let out = sys.run(Some(4_000_000_000));
         assert_eq!(out, RunOutcome::Shutdown(0));
-        assert!(sys.vmm().stats.mmio_exits > 0, "vAHCI MMIO exits");
+        assert!(sys.k.counters.exits_of(7) > 0, "vAHCI MMIO exits");
         let c = &sys.k.counters;
         assert_eq!(c.exits_of(8), 0, "no #PF exits under nested paging");
         assert!(c.exits_of(6) > 0, "port I/O exits (PIC/timer)");

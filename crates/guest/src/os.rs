@@ -199,8 +199,8 @@ mod tests {
         let out = sys.run(Some(2_000_000_000));
         assert_eq!(out, RunOutcome::Shutdown(42));
         assert_eq!(sys.vmm().guest_console(), "hello from the guest\n");
-        assert!(sys.vmm().stats.cpuid_exits >= 1);
-        assert!(sys.vmm().stats.io_exits > 20, "console bytes exit");
+        assert!(sys.k.counters.exits_of(2) >= 1, "cpuid");
+        assert!(sys.k.counters.exits_of(6) > 20, "console bytes exit");
         // The VGA write went straight through the nested table.
         assert!(sys.k.machine.vga_text().starts_with('G'));
         // Exit accounting matches Table 2's classes.

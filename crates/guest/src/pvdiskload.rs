@@ -128,7 +128,7 @@ mod tests {
         // (~6 each).
         assert_eq!(sys.vmm().dev().pvdisk.doorbells, 2);
         assert_eq!(sys.vmm().dev().pvdisk.completions, 16);
-        assert_eq!(sys.vmm().dev().pvdisk.errors, 0);
+        assert_eq!(sys.k.counters.guest_faults_rejected, 0);
         let mmio = sys.k.counters.exits_of(7);
         assert!(mmio < 16, "16 requests took {mmio} MMIO exits");
         assert_eq!(sys.k.machine.marks().len(), 2);

@@ -258,16 +258,12 @@ mod tests {
             .read_u32(host_vars + vars::RX_BYTES as u64);
         assert_eq!(bytes, pkts * 1472);
 
-        // Exit structure: a handful of MMIO exits total (bring-up,
-        // ISR acks, refill doorbells) — not per packet.
-        let (pv_packets, pv_doorbells, pv_irqs) = {
-            let n = sys.vmm().dev().pvnet.as_ref().unwrap();
-            (n.packets, n.doorbells, n.irqs)
-        };
-        assert!(pv_packets >= 12);
-        assert!(pv_doorbells >= 1);
+        // Exit structure: bring-up, then one ISR ack and one refill
+        // doorbell per coalesced interrupt (the only interrupt source
+        // this guest has) — nothing per packet on the data path.
         let mmio = sys.k.counters.exits_of(7);
-        assert!(mmio <= 2 + 2 * pv_irqs, "{mmio} MMIO exits");
-        assert!(sys.k.counters.injected_virq > 0);
+        let virqs = sys.k.counters.injected_virq;
+        assert!(virqs > 0);
+        assert!(mmio <= 2 + 2 * virqs, "{mmio} MMIO exits, {virqs} irqs");
     }
 }

@@ -30,6 +30,17 @@ impl I8042 {
         self.queue.push_back(scancode);
     }
 
+    /// The controller's state as a checkpoint record: the scancodes
+    /// not yet read, oldest first.
+    pub fn export_state(&self) -> Vec<u8> {
+        self.queue.iter().copied().collect()
+    }
+
+    /// Restores a record [`I8042::export_state`] wrote.
+    pub fn import_state(&mut self, s: &[u8]) {
+        self.queue = s.iter().copied().collect();
+    }
+
     /// `true` while scancodes wait in the output buffer.
     pub fn pending(&self) -> bool {
         !self.queue.is_empty()

@@ -63,10 +63,18 @@ impl PciConfig {
         }
     }
 
-    /// The latched config address (what a checkpoint records; restore
-    /// it by writing [`CONFIG_ADDRESS`]).
-    pub fn address(&self) -> u32 {
-        self.address
+    /// Size of the record [`PciConfig::export_state`] writes.
+    pub const STATE_LEN: usize = 4;
+
+    /// The mechanism's state as a checkpoint record: the latched
+    /// config address (the functions are configuration, not state).
+    pub fn export_state(&self) -> [u8; Self::STATE_LEN] {
+        self.address.to_le_bytes()
+    }
+
+    /// Restores a record [`PciConfig::export_state`] wrote.
+    pub fn import_state(&mut self, s: &[u8; Self::STATE_LEN]) {
+        self.address = u32::from_le_bytes(*s);
     }
 
     /// The function and register the latched address names: enable

@@ -47,10 +47,27 @@ impl Pit8254 {
         }
     }
 
-    /// The state a checkpoint recorded ([`Pit8254::divisor`],
-    /// [`Pit8254::latched`]).
-    pub fn restore(divisor: u32, lo: Option<u8>) -> Pit8254 {
-        Pit8254 { divisor, lo }
+    /// Size of the record [`Pit8254::export_state`] writes.
+    pub const STATE_LEN: usize = 6;
+
+    /// The chip's whole state as a checkpoint record: the divisor,
+    /// then whether a divisor write is in progress and its low byte.
+    pub fn export_state(&self) -> [u8; Self::STATE_LEN] {
+        let d = self.divisor.to_le_bytes();
+        [
+            d[0],
+            d[1],
+            d[2],
+            d[3],
+            self.lo.is_some() as u8,
+            self.lo.unwrap_or(0),
+        ]
+    }
+
+    /// Restores a record [`Pit8254::export_state`] wrote.
+    pub fn import_state(&mut self, s: &[u8; Self::STATE_LEN]) {
+        self.divisor = u32::from_le_bytes([s[0], s[1], s[2], s[3]]);
+        self.lo = (s[4] != 0).then_some(s[5]);
     }
 
     /// Port write; `true` when it completed a divisor (the counter
@@ -84,16 +101,6 @@ impl Pit8254 {
         }
     }
 
-    /// Current divisor, 1..=65536.
-    pub fn divisor(&self) -> u32 {
-        self.divisor
-    }
-
-    /// Low byte of a divisor write in progress.
-    pub fn latched(&self) -> Option<u8> {
-        self.lo
-    }
-
     /// Cycles between IRQ pulses at the current divisor on a CPU
     /// clocked at `cpu_hz`.
     pub fn period_cycles(&self, cpu_hz: u64) -> Cycles {
@@ -120,7 +127,7 @@ mod tests {
     fn lobyte_hibyte_completes_on_the_second_write() {
         let mut p = Pit8254::new();
         assert!(program(&mut p, 0x03e8));
-        assert_eq!((p.divisor(), p.latched()), (0x3e8, None));
+        assert_eq!((p.divisor, p.lo), (0x3e8, None));
         assert_eq!(p.period_cycles(PIT_HZ), 1000);
     }
 
@@ -128,9 +135,9 @@ mod tests {
     fn mode_write_abandons_a_half_written_divisor() {
         let mut p = Pit8254::new();
         assert!(!p.write(CH0, 0x11));
-        assert_eq!(p.latched(), Some(0x11));
+        assert_eq!(p.lo, Some(0x11));
         assert!(program(&mut p, 0x2000));
-        assert_eq!(p.divisor(), 0x2000, "0x11 was dropped, not used as low");
+        assert_eq!(p.divisor, 0x2000, "0x11 was dropped, not used as low");
     }
 
     #[test]
@@ -139,7 +146,19 @@ mod tests {
         assert_eq!(p.period_cycles(PIT_HZ), 0x1_0000, "reset value");
         program(&mut p, 5);
         assert!(program(&mut p, 0));
-        assert_eq!(p.divisor(), 0x1_0000);
+        assert_eq!(p.divisor, 0x1_0000);
+    }
+
+    #[test]
+    fn state_round_trips_mid_write() {
+        let mut p = Pit8254::new();
+        program(&mut p, 0x1234);
+        p.write(CH0, 0x56);
+        let mut q = Pit8254::new();
+        q.import_state(&p.export_state());
+        assert_eq!((q.divisor, q.lo), (0x1234, Some(0x56)));
+        assert!(q.write(CH0, 0x78), "the restored chip finishes the write");
+        assert_eq!(q.divisor, 0x7856);
     }
 
     #[test]

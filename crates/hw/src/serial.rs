@@ -35,6 +35,16 @@ impl Uart16550 {
         }
     }
 
+    /// The chip's state as a checkpoint record: what it transmitted.
+    pub fn export_state(&self) -> &[u8] {
+        &self.output
+    }
+
+    /// Restores a record [`Uart16550::export_state`] wrote.
+    pub fn import_state(&mut self, s: &[u8]) {
+        self.output = s.to_vec();
+    }
+
     /// Captured output as a lossy string.
     pub fn text(&self) -> String {
         String::from_utf8_lossy(&self.output).into_owned()

@@ -123,30 +123,6 @@ struct Request {
     ctx: u64,
 }
 
-/// Aggregate statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DiskStats {
-    /// Requests accepted.
-    pub accepted: u64,
-    /// Requests completed.
-    pub completed: u64,
-    /// Requests rejected with EBUSY.
-    pub rejected: u64,
-    /// Payload bytes moved.
-    pub bytes: u64,
-    /// Spurious completion interrupts absorbed.
-    pub spurious: u64,
-    /// Re-issues after an error completion (task-file error).
-    pub media_retries: u64,
-    /// Requests that exhausted the retry budget and completed with
-    /// [`proto::STATUS_ERROR`].
-    pub failed: u64,
-    /// Completions recovered by polling after a lost interrupt.
-    pub lost_irq_recovered: u64,
-    /// Controller resets performed for stuck commands.
-    pub controller_resets: u64,
-}
-
 /// The disk-server component.
 pub struct DiskServer {
     cfg: DiskServerConfig,
@@ -156,8 +132,6 @@ pub struct DiskServer {
     issued_at: Cycles,
     irq_sm: Option<nova_core::SmId>,
     tick_sm: Option<nova_core::SmId>,
-    /// Statistics.
-    pub stats: DiskStats,
     /// Modeled cycles of server work per request submission.
     pub submit_cost: Cycles,
     /// Modeled cycles of server work per completion.
@@ -175,7 +149,6 @@ impl DiskServer {
             issued_at: 0,
             irq_sm: None,
             tick_sm: None,
-            stats: DiskStats::default(),
             submit_cost: 1400,
             complete_cost: 1100,
         }
@@ -270,8 +243,7 @@ impl DiskServer {
             .end(0, ctx.pd.0 as u16, TraceKind::HwIo, req.lba, at);
         if error && req.attempts + 1 < MAX_ISSUE_ATTEMPTS {
             req.attempts += 1;
-            self.stats.media_retries += 1;
-            k.counters.request_retries += 1;
+            k.counters.disk_media_retries += 1;
             Self::trace(k, ctx, TraceKind::DiskRetry, req.attempts as u64);
             self.issue(k, ctx, req);
             return;
@@ -293,13 +265,9 @@ impl DiskServer {
         }
         k.charge(self.complete_cost);
         let bytes = req.sectors as u64 * SECTOR as u64;
-        self.stats.completed += 1;
-        self.stats.bytes += bytes;
         k.counters.disk_ops += 1;
-        if status != 0 {
-            self.stats.failed += 1;
-            k.counters.degraded_errors += 1;
-        }
+        k.counters.disk_bytes += bytes;
+        k.counters.disk_failed += (status != 0) as u64;
 
         // Completion record into the client's shared ring page
         // (Figure 4, step 7's shared-memory channel). A detached
@@ -391,6 +359,19 @@ impl DiskServer {
         ))
     }
 
+    /// Throttles the channel (Section 4.2): `true`, counted and traced,
+    /// if `req`'s client already has its window of requests
+    /// outstanding.
+    fn throttled(&self, k: &mut Kernel, ctx: CompCtx, req: &Request) -> bool {
+        let outstanding = self.clients.get(req.client).map_or(0, |c| c.outstanding);
+        let full = outstanding >= proto::MAX_OUTSTANDING;
+        if full {
+            k.counters.disk_rejected += 1;
+            Self::trace(k, ctx, TraceKind::DiskReject, req.lba);
+        }
+        full
+    }
+
     /// Accepts a validated request onto the channel: bumps the
     /// outstanding count and either issues it immediately or queues it
     /// behind the in-flight command.
@@ -398,7 +379,7 @@ impl DiskServer {
         if let Some(c) = self.clients.get_mut(req.client) {
             c.outstanding += 1;
         }
-        self.stats.accepted += 1;
+        k.counters.disk_accepted += 1;
         k.machine.bus.trace.set_ctx(req.ctx);
         Self::trace(k, ctx, TraceKind::DiskAccept, req.lba);
         if self.inflight.is_none() {
@@ -437,7 +418,7 @@ impl DiskServer {
         if self.inflight.is_none() || k.now().saturating_sub(self.issued_at) < REQUEST_TIMEOUT {
             return;
         }
-        k.counters.request_timeouts += 1;
+        k.counters.disk_timeouts += 1;
         Self::trace(k, ctx, TraceKind::DiskTimeout, 0);
         let ci = self.mmio_read(k, ctx, regs::P0CI);
         if ci & 1 == 0 {
@@ -447,14 +428,13 @@ impl DiskServer {
             self.mmio_write(k, ctx, regs::IS, is);
             let p0is = self.mmio_read(k, ctx, regs::P0IS);
             self.mmio_write(k, ctx, regs::P0IS, p0is);
-            self.stats.lost_irq_recovered += 1;
+            k.counters.disk_lost_irq_recovered += 1;
             self.finish_inflight(k, ctx, p0is & (1 << 30) != 0);
             return;
         }
         // CI still set: the transfer is wedged. Reset the controller
         // (dropping the stuck command), re-program it, and re-issue
         // while the attempt budget lasts.
-        self.stats.controller_resets += 1;
         k.counters.controller_resets += 1;
         Self::trace(k, ctx, TraceKind::DiskReset, 0);
         self.mmio_write(k, ctx, regs::GHC, 1);
@@ -471,7 +451,7 @@ impl DiskServer {
             .end(0, ctx.pd.0 as u16, TraceKind::HwIo, req.lba, at);
         if req.attempts + 1 < MAX_ISSUE_ATTEMPTS {
             req.attempts += 1;
-            k.counters.request_retries += 1;
+            k.counters.disk_reset_reissues += 1;
             self.issue(k, ctx, req);
         } else {
             self.complete(k, ctx, req, proto::STATUS_ERROR);
@@ -574,11 +554,7 @@ impl Component for DiskServer {
                     utcb.set_msg(&[proto::EINVAL]);
                     return;
                 };
-                let outstanding = self.clients.get(client).map_or(0, |c| c.outstanding);
-                if outstanding >= proto::MAX_OUTSTANDING {
-                    // Throttle the channel (Section 4.2).
-                    self.stats.rejected += 1;
-                    Self::trace(k, ctx, TraceKind::DiskReject, req.lba);
+                if self.throttled(k, ctx, &req) {
                     utcb.set_msg(&[proto::EBUSY]);
                     return;
                 }
@@ -604,10 +580,7 @@ impl Component for DiskServer {
                         break;
                     };
                     at += used;
-                    let outstanding = self.clients.get(client).map_or(0, |c| c.outstanding);
-                    if outstanding >= proto::MAX_OUTSTANDING {
-                        self.stats.rejected += 1;
-                        Self::trace(k, ctx, TraceKind::DiskReject, req.lba);
+                    if self.throttled(k, ctx, &req) {
                         status = proto::EBUSY;
                         break;
                     }
@@ -636,7 +609,6 @@ impl Component for DiskServer {
         // clear the global and port interrupt status, confirm CI.
         let is = self.mmio_read(k, ctx, regs::IS);
         if is == 0 {
-            self.stats.spurious += 1;
             k.counters.spurious_irqs += 1;
             Self::trace(k, ctx, TraceKind::DiskSpurious, 0);
             return;
@@ -696,7 +668,6 @@ mod tests {
         server_portal_req_batch: CapSel,
         client_ctx: CompCtx,
         client_comp: nova_core::CompId,
-        server_comp: nova_core::CompId,
     }
 
     /// Boots root + disk server + a test client wired the way the
@@ -713,7 +684,6 @@ mod tests {
         let mut ops = RootOps::new(&mut k, root_ctx);
         let srv_sel = ops.alloc_sel();
         let srv_ctx = spawn_disk_server(&mut k, root_ctx, srv_sel, &recipe).unwrap();
-        let server_comp = srv_ctx.comp;
 
         // Client PD with some memory.
         let mut ops = RootOps::new(&mut k, root_ctx);
@@ -770,7 +740,6 @@ mod tests {
             server_portal_req_batch: proto::CLIENT_SEL_BATCH,
             client_ctx,
             client_comp,
-            server_comp,
         }
     }
 
@@ -870,12 +839,8 @@ mod tests {
         let _ = cfg;
         let rec = s.k.mem_read_u32(s.client_ctx, 4096).unwrap();
         assert_eq!(rec, 99);
-        let stats =
-            s.k.component_mut::<DiskServer>(s.server_comp)
-                .unwrap()
-                .stats;
-        assert_eq!(stats.completed, 1);
-        assert_eq!(stats.bytes, 8 * 512);
+        let c = &s.k.counters;
+        assert_eq!((c.disk_ops, c.disk_bytes), (1, 8 * 512));
     }
 
     #[test]
@@ -897,11 +862,8 @@ mod tests {
         assert_eq!(busy, 3, "channel throttled (Section 4.2)");
 
         s.k.run(Some(1_000_000_000));
-        let stats =
-            s.k.component_mut::<DiskServer>(s.server_comp)
-                .unwrap()
-                .stats;
-        assert_eq!(stats.completed, proto::MAX_OUTSTANDING as u64);
+        let c = &s.k.counters;
+        assert_eq!(c.disk_ops, proto::MAX_OUTSTANDING as u64);
         assert_eq!(
             s.k.component_mut::<TestClient>(s.client_comp)
                 .unwrap()
@@ -1049,12 +1011,8 @@ mod tests {
         assert_eq!(utcb.word(1), 0);
 
         s.k.run(Some(1_000_000_000));
-        let stats =
-            s.k.component_mut::<DiskServer>(s.server_comp)
-                .unwrap()
-                .stats;
-        assert_eq!(stats.completed, proto::MAX_BATCH as u64);
-        assert_eq!(stats.rejected, 1);
+        let c = &s.k.counters;
+        assert_eq!((c.disk_ops, c.disk_rejected), (proto::MAX_BATCH as u64, 1));
         // Every request got its own completion record and signal.
         assert_eq!(
             s.k.component_mut::<TestClient>(s.client_comp)

@@ -142,8 +142,6 @@ pub struct DiskSupervision {
     /// Clients to rewire after a restart; a client's index is its
     /// server-side PD-capability slot.
     pub clients: Vec<SupervisedClient>,
-    /// Restarts performed so far.
-    pub restarts: u64,
 }
 
 /// Why a respawn recipe step failed. Carrying the step name keeps the
@@ -397,10 +395,9 @@ pub struct VmmSupervision {
     /// Why the most recent failed revive attempt failed, for the
     /// operator reading a postmortem.
     pub last_error: Option<RespawnError>,
-    /// Successful revives performed so far.
+    /// Successful revives of this VM so far: what the stability window
+    /// asks about, and this VM's share of `Counters::vmm_restarts`.
     pub restarts: u64,
-    /// Ladder climbs performed so far.
-    pub escalations: u64,
     /// True between crash detection and a successful revive; gates the
     /// checkpoint cadence off a dead incarnation.
     pub reviving: bool,
@@ -536,7 +533,6 @@ impl RootPm {
             timeout,
             recipe,
             clients: Vec::new(),
-            restarts: 0,
         });
         Ok(())
     }
@@ -589,7 +585,6 @@ impl RootPm {
             level: LEVEL_RESUME,
             last_error: None,
             restarts: 0,
-            escalations: 0,
             reviving: false,
             disk_client_slot,
             failed: false,
@@ -678,13 +673,12 @@ impl RootPm {
         }
 
         k.counters.driver_restarts += 1;
-        sup.restarts += 1;
         let at = k.now();
         k.machine.bus.trace.emit(
             0,
             ctx.pd.0 as u16,
             TraceKind::DriverRestart,
-            sup.restarts,
+            k.counters.driver_restarts,
             at,
         );
         Ok(())
@@ -761,15 +755,11 @@ impl RootPm {
     fn escalate(&mut self, k: &mut Kernel, sup: &mut VmmSupervision) {
         sup.level = sup.level.saturating_add(1);
         sup.retry.reset();
-        sup.escalations += 1;
-        k.counters.escalations += 1;
-        if k.machine.bus.trace.active() {
-            k.machine.bus.trace.metrics.add(
-                nova_trace::names::ESCALATIONS_BY_LEVEL,
-                sup.level as u64,
-                1,
-            );
-        }
+        k.count(
+            |c| &mut c.escalations,
+            nova_trace::names::ESCALATIONS_BY_LEVEL,
+            sup.level as u64,
+        );
         self.record_postmortem(k, sup, flight::Trigger::Escalation, sup.level as u64);
         sup.last_checkpoint = None;
     }
@@ -890,7 +880,12 @@ impl RootPm {
                 sup.retry.reset();
                 sup.reviving = false;
                 sup.last_restore_at = now;
-                k.counters.vmm_restarts += 1;
+                let dom = sup.slot as u64;
+                k.count(
+                    |c| &mut c.vmm_restarts,
+                    nova_trace::names::VMM_RESTARTS,
+                    dom,
+                );
                 k.machine.bus.trace.emit(
                     0,
                     ctx.pd.0 as u16,
@@ -899,12 +894,6 @@ impl RootPm {
                     now,
                 );
                 if k.machine.bus.trace.active() {
-                    let dom = sup.slot as u64;
-                    k.machine
-                        .bus
-                        .trace
-                        .metrics
-                        .add(nova_trace::names::VMM_RESTARTS, dom, 1);
                     k.machine.bus.trace.metrics.observe(
                         nova_trace::names::RESTORE_LATENCY_CYCLES,
                         dom,

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! magic     8 bytes  "NOVACKPT"
-//! version   u32      format version (2)
+//! version   u32      format version (3)
 //! seq       u64      checkpoint sequence number
 //! guest mem u64 len, then len bytes (guest-physical image)
 //! vcpus     u32      count, then count * VcpuSnapshot::BYTES records
@@ -28,7 +28,10 @@
 //! What is *not* captured — host VMCS policy, vTLB shadow tables,
 //! kernel-object identities, portal wiring, in-flight IPC — is state
 //! the respawned VMM re-derives or the restore path reconstructs
-//! (DESIGN.md §6e documents the captured/reconstructed split).
+//! (DESIGN.md §6e documents the captured/reconstructed split). Nor is
+//! any statistic: a checkpoint holds what the guest or the disk
+//! protocol can observe, and counts live in the kernel's registry
+//! (`nova_core::Counters`), which a VMM's death does not touch.
 
 #![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::panic)]
 
@@ -40,7 +43,7 @@ pub const MAGIC: [u8; 8] = *b"NOVACKPT";
 /// Current checkpoint format version. Bump on any layout change; the
 /// parser refuses other versions, which makes a stale checkpoint an
 /// explicit cold-reboot escalation rather than a silent corruption.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 const SEQ_OFFSET: usize = MAGIC.len() + 4;
 
@@ -137,6 +140,11 @@ impl<'a> Dec<'a> {
         let s = self.buf.get(self.pos..end)?;
         self.pos = end;
         Some(s)
+    }
+
+    /// Takes the next `N` bytes: a device core's fixed-size record.
+    pub fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
     }
 
     /// Reads one byte.
@@ -425,6 +433,17 @@ mod tests {
         let v1 = e.finish();
         assert!(Checkpoint::from_bytes(&v1).is_none());
         assert!(image_header(&v1).is_none());
+    }
+
+    /// Version 2 had this very framing and statistic words inside the
+    /// device-state record: refused by number, not misparsed.
+    #[test]
+    fn rejects_the_version_2_layout() {
+        let mut v2 = sample().to_bytes();
+        v2[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&2u32.to_le_bytes());
+        assert!(Checkpoint::from_bytes(&v2).is_none());
+        assert!(View::parse(&v2).is_none());
+        assert!(image_header(&v2).is_none());
     }
 
     #[test]

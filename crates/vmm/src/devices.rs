@@ -14,7 +14,7 @@ use nova_hw::pci::{self, PciConfig};
 use nova_hw::pic::DualPic;
 use nova_hw::pit::Pit8254;
 use nova_hw::serial::{Uart16550, COM1};
-use nova_hw::Cycles;
+use nova_hw::{Cycles, GuestSurface};
 use nova_x86::insn::OpSize;
 
 use crate::checkpoint::{Dec, Enc};
@@ -34,8 +34,6 @@ pub struct VPit {
     /// the VMM's timer semaphore (checkpoint/restore must re-arm it —
     /// the divisor alone cannot distinguish armed from default).
     armed: bool,
-    /// Ticks delivered to the guest.
-    pub ticks: u64,
 }
 
 impl VPit {
@@ -47,7 +45,6 @@ impl VPit {
             cpu_hz,
             timer_sm_sel,
             armed: false,
-            ticks: 0,
         }
     }
 
@@ -72,28 +69,32 @@ impl VPit {
 
     /// Serializes the timer state for a checkpoint.
     pub fn export_state(&self, e: &mut Enc) {
-        e.u32(self.chip.divisor());
-        e.u64(self.ticks);
+        e.raw(&self.chip.export_state());
         e.flag(self.armed);
-        e.flag(self.chip.latched().is_some());
-        e.u8(self.chip.latched().unwrap_or(0));
     }
 
     /// Restores checkpointed state, re-arming the kernel timer if the
     /// previous incarnation had one running (the old timer died with
     /// the old VMM's protection domain).
     pub fn import_state(&mut self, k: &mut Kernel, ctx: CompCtx, d: &mut Dec) -> Option<()> {
-        let divisor = d.u32()?;
-        self.ticks = d.u64()?;
+        self.chip.import_state(&d.array()?);
         self.armed = d.flag()?;
-        let latched = d.flag()?;
-        let lo = d.u8()?;
-        self.chip = Pit8254::restore(divisor, latched.then_some(lo));
         if self.armed {
             self.set_timer(k, ctx);
         }
         Some(())
     }
+}
+
+/// Counts one malformed guest input that a back end rejected at
+/// `surface` — the registry's `guest_faults_rejected`, per surface in
+/// the `guest_fault_rejected` metric. Every back end counts here.
+pub(crate) fn count_rejected(k: &mut Kernel, surface: GuestSurface) {
+    k.count(
+        |c| &mut c.guest_faults_rejected,
+        nova_trace::names::GUEST_FAULT_REJECTED,
+        surface as u64,
+    );
 }
 
 /// Pseudo-port effects the VMM acts on after emulation: guest
@@ -268,13 +269,14 @@ impl VDevices {
         self.raise_disks(ahci, pv)
     }
 
-    /// Serializes every device model for a checkpoint.
+    /// Serializes every device model for a checkpoint: each core
+    /// writes its own record.
     pub fn export_state(&self, e: &mut Enc) {
         e.raw(&self.vpic.export_state());
         self.vpit.export_state(e);
-        e.bytes(&self.vserial.output);
-        e.bytes(&self.vkbd.queue.iter().copied().collect::<Vec<u8>>());
-        e.u32(self.vpci.address());
+        e.bytes(self.vserial.export_state());
+        e.bytes(&self.vkbd.export_state());
+        e.raw(&self.vpci.export_state());
         self.vahci.export_state(e);
         self.pvdisk.export_state(e);
         e.flag(self.pvnet.is_some());
@@ -286,12 +288,11 @@ impl VDevices {
     /// Restores [`VDevices::export_state`] bytes; `None` on malformed
     /// input or a device complement that does not match.
     pub fn import_state(&mut self, k: &mut Kernel, ctx: CompCtx, d: &mut Dec) -> Option<()> {
-        let pic: [u8; DualPic::STATE_LEN] = d.take(DualPic::STATE_LEN)?.try_into().ok()?;
-        self.vpic.import_state(&pic);
+        self.vpic.import_state(&d.array()?);
         self.vpit.import_state(k, ctx, d)?;
-        self.vserial.output = d.bytes()?.to_vec();
-        self.vkbd.queue = d.bytes()?.iter().copied().collect();
-        self.vpci.write(pci::CONFIG_ADDRESS, d.u32()?);
+        self.vserial.import_state(d.bytes()?);
+        self.vkbd.import_state(d.bytes()?);
+        self.vpci.import_state(&d.array()?);
         self.vahci.import_state(d)?;
         self.pvdisk.import_state(d)?;
         match (d.flag()?, self.pvnet.as_mut()) {

@@ -118,12 +118,6 @@ pub struct DiskClient {
     /// wholesale with the VM or the server — the security implications
     /// are the ones Section 4.2 discusses for delegated buffers.
     delegated: HashSet<u64>,
-    /// Accepted requests whose completion timed out.
-    pub timeouts: u64,
-    /// Re-sends (timeouts, refusals, server restarts, VMM restores).
-    pub resubmits: u64,
-    /// Requests failed towards the guest.
-    pub degraded: u64,
 }
 
 impl DiskClient {
@@ -134,9 +128,6 @@ impl DiskClient {
             channel: None,
             ring_tail: 0,
             delegated: HashSet::new(),
-            timeouts: 0,
-            resubmits: 0,
-            degraded: 0,
         }
     }
 
@@ -238,7 +229,7 @@ impl DiskClient {
     /// `now`. [`Due::Resubmit`] has already counted the retry; the
     /// caller sends. [`Due::GiveUp`] has counted the degradation; the
     /// caller fails the request towards the guest.
-    pub fn due(&mut self, k: &mut Kernel, r: &mut Req, now: u64) -> Due {
+    pub fn due(k: &mut Kernel, r: &mut Req, now: u64) -> Due {
         let limit = if r.accepted {
             REQUEST_TIMEOUT
         } else {
@@ -248,23 +239,27 @@ impl DiskClient {
             return Due::Wait;
         }
         if r.accepted {
-            self.timeouts += 1;
-            k.counters.request_timeouts += 1;
+            k.counters.client_timeouts += 1;
         }
         if r.attempts >= MAX_ATTEMPTS {
-            self.degraded += 1;
-            k.counters.degraded_errors += 1;
-            return Due::GiveUp;
+            return Self::give_up(k);
         }
-        self.retry(k, r)
+        Self::retry(k, r)
+    }
+
+    /// Counts a request the front end is about to fail towards its
+    /// guest: the attempt budget is spent, or the server refused it for
+    /// good.
+    pub fn give_up(k: &mut Kernel) -> Due {
+        k.counters.client_degraded += 1;
+        Due::GiveUp
     }
 
     /// Marks `r` for a charged re-send: the delivery failed (timeout,
     /// refusal) or the server that held it restarted.
-    pub fn retry(&mut self, k: &mut Kernel, r: &mut Req) -> Due {
+    pub fn retry(k: &mut Kernel, r: &mut Req) -> Due {
         r.accepted = false;
-        self.resubmits += 1;
-        k.counters.request_retries += 1;
+        k.counters.client_resubmits += 1;
         Due::Resubmit
     }
 
@@ -272,11 +267,10 @@ impl DiskClient {
     /// microreboot: the next send re-uses the attempt the dead
     /// incarnation spent on it. The restored stamp is not a time, so
     /// a request queued behind the server's window waits from `now`.
-    pub fn replay(&mut self, r: &mut Req, now: u64) -> Due {
+    pub fn replay(r: &mut Req, now: u64) -> Due {
         r.accepted = false;
         r.attempts = r.attempts.saturating_sub(1);
         r.submitted_at = now;
-        self.resubmits += 1;
         Due::Resubmit
     }
 }
@@ -376,7 +370,8 @@ pub(crate) mod tests {
     #[test]
     fn due_knows_both_limits_and_the_budget() {
         let (mut k, _, _) = setup();
-        // (accepted, age, attempts) → verdict, timeouts/resubmits/degraded moved.
+        // (accepted, age, attempts) → verdict, and what it counted:
+        // client_timeouts / client_resubmits / client_degraded.
         let table = [
             (false, RETRY_DELAY - 1, 1, Due::Wait, [0, 0, 0]),
             (false, RETRY_DELAY, 1, Due::Resubmit, [0, 1, 0]),
@@ -394,17 +389,12 @@ pub(crate) mod tests {
             (true, REQUEST_TIMEOUT, MAX_ATTEMPTS, Due::GiveUp, [1, 0, 1]),
         ];
         for (accepted, age, attempts, verdict, moved) in table {
-            let mut c = DiskClient::new(GUEST_BASE);
             let mut r = req(0, attempts, accepted);
-            let c0 = k.counters.clone();
-            assert_eq!(c.due(&mut k, &mut r, 1_000 + age), verdict);
-            assert_eq!([c.timeouts, c.resubmits, c.degraded], moved);
-            let global = [
-                k.counters.request_timeouts - c0.request_timeouts,
-                k.counters.request_retries - c0.request_retries,
-                k.counters.degraded_errors - c0.degraded_errors,
-            ];
-            assert_eq!(global, moved, "kernel counters move with the client's");
+            let before = k.counters.snapshot();
+            assert_eq!(DiskClient::due(&mut k, &mut r, 1_000 + age), verdict);
+            let d = k.counters.delta(&before);
+            let counted = [d.client_timeouts, d.client_resubmits, d.client_degraded];
+            assert_eq!(counted, moved);
             assert_eq!(r.accepted, accepted && verdict != Due::Resubmit);
             assert_eq!((r.attempts, r.submitted_at), (attempts, 1_000));
         }
@@ -466,19 +456,19 @@ pub(crate) mod tests {
         let (mut k, ctx, _) = setup();
         let mut c = DiskClient::new(GUEST_BASE);
         c.rebind(Some(channel(0x20)));
-        let retries = k.counters.request_retries;
+        let retries = k.counters.client_resubmits;
 
         let mut r = req(0, 3, true);
-        assert_eq!(c.retry(&mut k, &mut r), Due::Resubmit);
+        assert_eq!(DiskClient::retry(&mut k, &mut r), Due::Resubmit);
         c.send(&mut k, ctx, &[], [&mut r]);
         assert_eq!((r.attempts, r.accepted), (4, false));
-        assert_eq!((c.resubmits, k.counters.request_retries), (1, retries + 1));
+        assert_eq!(k.counters.client_resubmits, retries + 1);
 
         let mut r = req(0, 3, true);
-        assert_eq!(c.replay(&mut r, 2_000), Due::Resubmit);
+        assert_eq!(DiskClient::replay(&mut r, 2_000), Due::Resubmit);
         assert_eq!((r.attempts, r.accepted, r.submitted_at), (2, false, 2_000));
         c.send(&mut k, ctx, &[], [&mut r]);
         assert_eq!(r.attempts, 3, "the dead incarnation's attempt is re-used");
-        assert_eq!((c.resubmits, k.counters.request_retries), (2, retries + 1));
+        assert_eq!(k.counters.client_resubmits, retries + 1, "and not counted");
     }
 }

@@ -42,6 +42,7 @@ use nova_hw::{GuestFault, GuestSurface, VmKill};
 use nova_user::proto::disk as proto;
 
 use crate::checkpoint::{Dec, Enc};
+use crate::devices::count_rejected;
 use crate::diskclient::{DiskChannel, DiskClient, Due, Req};
 
 /// Virtual interrupt line for PV disk completions (a free slave-PIC
@@ -57,14 +58,16 @@ fn one_segment(buf: u64, bytes: u32) -> [(u64, u32); proto::MAX_SEGMENTS] {
 pub struct PvDisk {
     guest_base_page: u64,
     guest_pages: u64,
-    /// The channel to the disk server and its recovery counters.
+    /// The channel to the disk server.
     pub disk: DiskClient,
     /// Guest-physical address of the shared ring page (0 = unset).
     ring_gpa: u64,
-    /// Cumulative count of descriptors the guest has published.
-    submitted: u64,
-    /// Cumulative count of completions published back to the guest.
-    used: u64,
+    /// Cumulative count of descriptors the guest has published: the
+    /// index of the next one to ingest.
+    pub requests: u64,
+    /// Cumulative count of completions published back to the guest:
+    /// the ring's `used` word.
+    pub completions: u64,
     /// Cumulative error completions (mirrored into the ring page).
     used_errors: u64,
     /// In-flight descriptors, in submission order (tag = cumulative
@@ -75,20 +78,11 @@ pub struct PvDisk {
     done: BTreeMap<u64, (u32, u64)>,
     /// Latched completion-interrupt bit ([`regs::DISK_ISR`]).
     isr: u32,
-    /// `used` value at the last interrupt raise (coalescing state).
+    /// `completions` at the last interrupt raise (coalescing state).
     raised_used: u64,
-    /// Doorbell writes (one per guest batch).
+    /// Doorbell writes (one per guest batch). The one statistic kept
+    /// here and in the checkpoint: `benchmark/` reads it by this name.
     pub doorbells: u64,
-    /// Batch IPCs sent to the disk server.
-    pub batches: u64,
-    /// Descriptors the guest published.
-    pub requests: u64,
-    /// Completions published back to the guest.
-    pub completions: u64,
-    /// Descriptors rejected before submission (bad fields).
-    pub errors: u64,
-    /// Completion interrupts raised (after coalescing).
-    pub irqs: u64,
     /// Structurally fatal guest input awaiting escalation: the VMM
     /// collects this after the triggering exit and kills the VM.
     fatal: Option<VmKill>,
@@ -103,19 +97,14 @@ impl PvDisk {
             guest_pages,
             disk: DiskClient::new(guest_base_page),
             ring_gpa: 0,
-            submitted: 0,
-            used: 0,
+            requests: 0,
+            completions: 0,
             used_errors: 0,
             pending: VecDeque::new(),
             done: BTreeMap::new(),
             isr: 0,
             raised_used: 0,
             doorbells: 0,
-            batches: 0,
-            requests: 0,
-            completions: 0,
-            errors: 0,
-            irqs: 0,
             fatal: None,
         }
     }
@@ -124,21 +113,6 @@ impl PvDisk {
     /// unusable.
     pub fn take_fatal(&mut self) -> Option<VmKill> {
         self.fatal.take()
-    }
-
-    /// Records one rejected guest input on this surface: the
-    /// per-backend counter, the hypervisor counter, and the
-    /// `guest_fault_rejected` metric (domain = surface).
-    fn reject(&mut self, k: &mut Kernel, _fault: GuestFault) {
-        self.errors += 1;
-        k.counters.guest_faults_rejected += 1;
-        if k.machine.bus.trace.active() {
-            k.machine.bus.trace.metrics.add(
-                nova_trace::names::GUEST_FAULT_REJECTED,
-                GuestSurface::PvDiskRing as u64,
-                1,
-            );
-        }
     }
 
     /// Attaches the disk-server channel (`req_sel` must name the
@@ -187,7 +161,7 @@ impl PvDisk {
                     None
                 };
                 if let Some(reason) = reason {
-                    self.reject(k, reason);
+                    count_rejected(k, GuestSurface::PvDiskRing);
                     self.fatal = Some(VmKill::new(GuestSurface::PvDiskRing, reason));
                     return false;
                 }
@@ -205,7 +179,7 @@ impl PvDisk {
     /// guest can never miss a wakeup.
     fn isr_ack(&mut self, val: u32) -> bool {
         self.isr &= !val;
-        if self.isr == 0 && self.pending.is_empty() && self.used != self.raised_used {
+        if self.isr == 0 && self.pending.is_empty() && self.completions != self.raised_used {
             self.raise()
         } else {
             false
@@ -215,10 +189,9 @@ impl PvDisk {
     /// Latches the ISR and reports whether a (new) interrupt should
     /// fire — at most one until the guest acknowledges (coalescing).
     fn raise(&mut self) -> bool {
-        self.raised_used = self.used;
+        self.raised_used = self.completions;
         if self.isr == 0 {
             self.isr = 1;
-            self.irqs += 1;
             true
         } else {
             false
@@ -232,7 +205,7 @@ impl PvDisk {
         // A count beyond the ring capacity is a guest bug; clamping
         // bounds the work one exit can demand from the VMM.
         if count > ring::CAPACITY {
-            self.reject(k, GuestFault::IndexOutOfRange);
+            count_rejected(k, GuestSurface::PvDiskRing);
         }
         let count = count.min(ring::CAPACITY);
         self.doorbells += 1;
@@ -250,8 +223,7 @@ impl PvDisk {
         }
         let pd16 = ctx.pd.0 as u16;
         for _ in 0..count {
-            let idx = self.submitted;
-            self.submitted += 1;
+            let idx = self.requests;
             self.requests += 1;
             // Each descriptor is a request origin: allocate its causal
             // context before touching it so the validation, the batch
@@ -267,10 +239,10 @@ impl PvDisk {
                     req.ctx = rctx;
                     self.pending.push_back(req);
                 }
-                Err(fault) => {
+                Err(_) => {
                     // Malformed descriptor: complete it with an error
                     // status without involving the server.
-                    self.reject(k, fault);
+                    count_rejected(k, GuestSurface::PvDiskRing);
                     self.done.insert(idx, (ring::ST_ERROR, rctx));
                 }
             }
@@ -345,7 +317,6 @@ impl PvDisk {
             if n == 0 || !self.enabled() {
                 return raise;
             }
-            self.batches += 1;
             let batch = self.pending.iter_mut().filter(|p| !p.accepted).take(n);
             // Dead portal (restart underway): retry via the
             // maintenance timer.
@@ -366,8 +337,7 @@ impl PvDisk {
             let Some(p) = bad.and_then(|i| self.pending.remove(i)) else {
                 return raise;
             };
-            self.disk.degraded += 1;
-            k.counters.degraded_errors += 1;
+            DiskClient::give_up(k);
             self.done.insert(p.tag, (ring::ST_ERROR, p.ctx));
             raise = true;
         }
@@ -384,8 +354,8 @@ impl PvDisk {
         let pd16 = ctx.pd.0 as u16;
         let prev_ctx = k.machine.bus.trace.current_ctx();
         let mut advanced = false;
-        while let Some((status, rctx)) = self.done.remove(&self.used) {
-            let slot = self.used % ring::CAPACITY as u64;
+        while let Some((status, rctx)) = self.done.remove(&self.completions) {
+            let slot = self.completions % ring::CAPACITY as u64;
             let base = self.guest_va(self.ring_gpa + ring::DESC0 + slot * ring::DESC_SIZE);
             k.mem_write_u32(ctx, base + ring::D_STATUS, status);
             // Publish the request's context into the descriptor's free
@@ -397,11 +367,11 @@ impl PvDisk {
             k.machine
                 .bus
                 .trace
-                .end(0, pd16, nova_trace::Kind::PvRequest, self.used, at);
+                .end(0, pd16, nova_trace::Kind::PvRequest, self.completions, at);
             if status != ring::ST_OK {
                 self.used_errors += 1;
             }
-            self.used += 1;
+            self.completions += 1;
             advanced = true;
         }
         k.machine.bus.trace.set_ctx(prev_ctx);
@@ -416,7 +386,7 @@ impl PvDisk {
         k.mem_write_u32(
             ctx,
             self.guest_va(self.ring_gpa + ring::USED),
-            self.used as u32,
+            self.completions as u32,
         );
         // Interrupt moderation: completions land in the ring silently
         // while work is still in flight; the one interrupt fires when
@@ -439,7 +409,6 @@ impl PvDisk {
         while let Some((tag, ok)) = self.disk.next_completion(k, ctx) {
             let pos = self.pending.iter().position(|p| p.tag as u32 == tag);
             if let Some(p) = pos.and_then(|pos| self.pending.remove(pos)) {
-                self.completions += 1;
                 let status = if ok { ring::ST_OK } else { ring::ST_ERROR };
                 self.done.insert(p.tag, (status, p.ctx));
                 drained = true;
@@ -465,13 +434,13 @@ impl PvDisk {
         &mut self,
         k: &mut Kernel,
         ctx: CompCtx,
-        mut verdict: impl FnMut(&mut DiskClient, &mut Kernel, &mut Req) -> Due,
+        mut verdict: impl FnMut(&mut Kernel, &mut Req) -> Due,
     ) -> bool {
         let mut resubmit = false;
         let mut raise = false;
         let mut i = 0;
         while let Some(p) = self.pending.get_mut(i) {
-            match verdict(&mut self.disk, k, p) {
+            match verdict(k, p) {
                 Due::Wait => {}
                 Due::Resubmit => resubmit = true,
                 Due::GiveUp => {
@@ -495,7 +464,7 @@ impl PvDisk {
     /// budget ran out.
     pub fn check_timeouts(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
         let now = k.now();
-        self.sweep(k, ctx, |disk, k, p| disk.due(k, p, now))
+        self.sweep(k, ctx, |k, p| DiskClient::due(k, p, now))
     }
 
     /// Re-attaches after a disk-server restart: fresh channel, fresh
@@ -511,18 +480,19 @@ impl PvDisk {
     /// the interrupt line should be raised.
     pub fn restore_resubmit(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
         let now = k.now();
-        self.sweep(k, ctx, |disk, _, p| disk.replay(p, now))
+        self.sweep(k, ctx, |_, p| DiskClient::replay(p, now))
     }
 
     /// Serializes the queue state for a checkpoint: ring location,
-    /// cumulative counters, every in-flight descriptor, and the
-    /// out-of-order completions not yet published. The channel, the
-    /// completion-ring cursor and the delegations are reconstructed
-    /// on restore ([`DiskClient::rebind`]).
+    /// the ring's cumulative indices, every in-flight descriptor, the
+    /// out-of-order completions not yet published, and the doorbell
+    /// count. The channel, the completion-ring cursor and the
+    /// delegations are reconstructed on restore
+    /// ([`DiskClient::rebind`]).
     pub fn export_state(&self, e: &mut Enc) {
         e.u64(self.ring_gpa);
-        e.u64(self.submitted);
-        e.u64(self.used);
+        e.u64(self.requests);
+        e.u64(self.completions);
         e.u64(self.used_errors);
         e.u32(self.isr);
         e.u64(self.raised_used);
@@ -544,27 +514,15 @@ impl PvDisk {
             e.u32(status);
             e.u64(ctx);
         }
-        for c in [
-            self.doorbells,
-            self.batches,
-            self.requests,
-            self.completions,
-            self.errors,
-            self.disk.timeouts,
-            self.disk.resubmits,
-            self.disk.degraded,
-            self.irqs,
-        ] {
-            e.u64(c);
-        }
+        e.u64(self.doorbells);
     }
 
     /// Restores checkpointed state; every in-flight descriptor is
     /// marked unaccepted for the [`PvDisk::restore_resubmit`] replay.
     pub fn import_state(&mut self, d: &mut Dec) -> Option<()> {
         self.ring_gpa = d.u64()?;
-        self.submitted = d.u64()?;
-        self.used = d.u64()?;
+        self.requests = d.u64()?;
+        self.completions = d.u64()?;
         self.used_errors = d.u64()?;
         self.isr = d.u32()?;
         self.raised_used = d.u64()?;
@@ -601,14 +559,6 @@ impl PvDisk {
             self.done.insert(idx, (status, ctx));
         }
         self.doorbells = d.u64()?;
-        self.batches = d.u64()?;
-        self.requests = d.u64()?;
-        self.completions = d.u64()?;
-        self.errors = d.u64()?;
-        self.disk.timeouts = d.u64()?;
-        self.disk.resubmits = d.u64()?;
-        self.disk.degraded = d.u64()?;
-        self.irqs = d.u64()?;
         Some(())
     }
 }

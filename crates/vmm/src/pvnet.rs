@@ -34,6 +34,7 @@ use nova_hw::pv::{net as ring, regs};
 use nova_hw::{GuestFault, GuestSurface, VmKill};
 
 use crate::checkpoint::{Dec, Enc};
+use crate::devices::count_rejected;
 
 /// VMM page where the launcher maps the physical NIC's register
 /// window for a paravirtual-NIC VMM (the direct-assignment path uses
@@ -61,14 +62,6 @@ pub struct PvNet {
     /// Latched receive-interrupt bit ([`regs::NET_ISR`]).
     isr: u32,
     raised_used: u64,
-    /// Doorbell writes (one per guest refill batch).
-    pub doorbells: u64,
-    /// Packets published to the guest.
-    pub packets: u64,
-    /// Virtual interrupts injected (after coalescing).
-    pub irqs: u64,
-    /// Posted buffers rejected by validation.
-    pub rejected: u64,
     /// Structurally fatal guest input awaiting escalation by the VMM.
     fatal: Option<VmKill>,
 }
@@ -86,10 +79,6 @@ impl PvNet {
             used: 0,
             isr: 0,
             raised_used: 0,
-            doorbells: 0,
-            packets: 0,
-            irqs: 0,
-            rejected: 0,
             fatal: None,
         }
     }
@@ -104,15 +93,7 @@ impl PvNet {
     /// structural kill: anything invalid here was headed for a real
     /// DMA engine.
     fn reject_fatal(&mut self, k: &mut Kernel, reason: GuestFault) {
-        self.rejected += 1;
-        k.counters.guest_faults_rejected += 1;
-        if k.machine.bus.trace.active() {
-            k.machine.bus.trace.metrics.add(
-                nova_trace::names::GUEST_FAULT_REJECTED,
-                GuestSurface::PvNetRing as u64,
-                1,
-            );
-        }
+        count_rejected(k, GuestSurface::PvNetRing);
         if self.fatal.is_none() {
             self.fatal = Some(VmKill::new(GuestSurface::PvNetRing, reason));
         }
@@ -219,7 +200,6 @@ impl PvNet {
         // batch-granular; packets have no per-descriptor identity on
         // the wire).
         k.machine.bus.trace.alloc_ctx();
-        self.doorbells += 1;
         if k.machine.bus.trace.active() {
             k.machine
                 .bus
@@ -258,7 +238,6 @@ impl PvNet {
         self.raised_used = self.used;
         if self.isr == 0 {
             self.isr = 1;
-            self.irqs += 1;
             true
         } else {
             false
@@ -290,7 +269,6 @@ impl PvNet {
             k.mem_write_u32(ctx, entry + ring::E_STATUS, 1);
             k.mem_write_u32(ctx, hwd + 12, 0);
             self.used += 1;
-            self.packets += 1;
             advanced = true;
         }
         if !advanced {
@@ -324,9 +302,6 @@ impl PvNet {
         e.u64(self.used);
         e.u32(self.isr);
         e.u64(self.raised_used);
-        for c in [self.doorbells, self.packets, self.irqs, self.rejected] {
-            e.u64(c);
-        }
     }
 
     /// Restores checkpointed state and reprograms the physical
@@ -339,10 +314,6 @@ impl PvNet {
         self.used = d.u64()?;
         self.isr = d.u32()?;
         self.raised_used = d.u64()?;
-        self.doorbells = d.u64()?;
-        self.packets = d.u64()?;
-        self.irqs = d.u64()?;
-        self.rejected = d.u64()?;
         self.fatal = None;
         if self.ring_gpa != 0 {
             self.init_hw(k, ctx);

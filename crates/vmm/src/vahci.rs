@@ -32,6 +32,7 @@ use nova_user::proto::disk as proto;
 use nova_x86::insn::OpSize;
 
 use crate::checkpoint::{Dec, Enc};
+use crate::devices::count_rejected;
 use crate::diskclient::{DiskChannel, DiskClient, Due, Req};
 
 /// The virtual AHCI controller.
@@ -42,19 +43,13 @@ pub struct VAhci {
     /// Guest RAM size in pages — the bound every guest-supplied
     /// address is validated against.
     guest_pages: u64,
-    /// The channel to the disk server and its recovery counters.
+    /// The channel to the disk server.
     pub disk: DiskClient,
     /// The guest-visible register file.
     pub regs: PortRegs,
     inflight_slots: u32,
     /// Outstanding request per command slot (tag = slot number).
     pending: [Option<Req>; 32],
-    /// Requests the guest issued.
-    pub requests: u64,
-    /// Completions delivered to the guest.
-    pub completions: u64,
-    /// Commands rejected (bad structures).
-    pub errors: u64,
 }
 
 impl VAhci {
@@ -68,9 +63,6 @@ impl VAhci {
             regs: PortRegs::default(),
             inflight_slots: 0,
             pending: [None; 32],
-            requests: 0,
-            completions: 0,
-            errors: 0,
         }
     }
 
@@ -93,7 +85,6 @@ impl VAhci {
     /// pending state: the degradation path — the guest sees an error
     /// status, never a hung vCPU.
     fn fail_slot(&mut self, slot: u8) {
-        self.errors += 1;
         self.regs.complete(slot, false);
         if let Some(p) = self.pending.get_mut(slot as usize) {
             *p = None;
@@ -104,14 +95,7 @@ impl VAhci {
     /// A malformed guest command structure: count the typed rejection,
     /// then degrade the slot with a task-file error.
     fn fail_guest(&mut self, k: &mut Kernel, slot: u8, _fault: GuestFault) {
-        k.counters.guest_faults_rejected += 1;
-        if k.machine.bus.trace.active() {
-            k.machine.bus.trace.metrics.add(
-                nova_trace::names::GUEST_FAULT_REJECTED,
-                GuestSurface::Vahci as u64,
-                1,
-            );
-        }
+        count_rejected(k, GuestSurface::Vahci);
         self.fail_slot(slot);
     }
 
@@ -219,7 +203,6 @@ impl VAhci {
         if let Some(p) = self.pending.get_mut(slot as usize) {
             *p = Some(req);
         }
-        self.requests += 1;
         self.submit(k, ctx, slot);
     }
 
@@ -255,14 +238,14 @@ impl VAhci {
         &mut self,
         k: &mut Kernel,
         ctx: CompCtx,
-        mut verdict: impl FnMut(&mut DiskClient, &mut Kernel, &mut Req) -> Due,
+        mut verdict: impl FnMut(&mut Kernel, &mut Req) -> Due,
     ) -> bool {
         let mut raise = false;
         for slot in 0..32u8 {
             let Some(req) = self.pending.get_mut(slot as usize).and_then(Option::as_mut) else {
                 continue;
             };
-            match verdict(&mut self.disk, k, req) {
+            match verdict(k, req) {
                 Due::Wait => {}
                 Due::Resubmit => raise |= self.submit(k, ctx, slot),
                 Due::GiveUp => {
@@ -280,7 +263,7 @@ impl VAhci {
     /// raised.
     pub fn check_timeouts(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
         let now = k.now();
-        self.sweep(k, ctx, |disk, k, req| disk.due(k, req, now))
+        self.sweep(k, ctx, |k, req| DiskClient::due(k, req, now))
     }
 
     /// Re-attaches after a disk-server restart: the old delegations
@@ -297,7 +280,7 @@ impl VAhci {
     /// interrupt line should be raised.
     pub fn restore_resubmit(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
         let now = k.now();
-        self.sweep(k, ctx, |disk, _, req| disk.replay(req, now))
+        self.sweep(k, ctx, |_, req| DiskClient::replay(req, now))
     }
 
     /// Consumes completion records from the server's shared ring;
@@ -315,7 +298,6 @@ impl VAhci {
             // Completion work runs on the completed request's context.
             k.machine.bus.trace.set_ctx(req.ctx);
             self.inflight_slots &= !(1 << tag);
-            self.completions += 1;
             // DHRS, or TFES on a device error.
             raised |= self.regs.complete(tag as u8, ok);
         }
@@ -332,8 +314,8 @@ impl VAhci {
     /// Guest MMIO write.
     pub fn mmio_write(&mut self, k: &mut Kernel, ctx: CompCtx, off: u32, _size: OpSize, val: u32) {
         // No received-FIS area: this controller posts no FISes to guest
-        // memory, and checkpoint version 2 has no field for the base,
-        // so it reads 0 before a microreboot as it would after one.
+        // memory, and the checkpoint has no field for the base, so it
+        // reads 0 before a microreboot as it would after one.
         if off == regs::P0FB {
             return;
         }
@@ -373,16 +355,6 @@ impl VAhci {
                 e.u32(req.attempts);
                 e.u64(req.ctx);
             }
-        }
-        for c in [
-            self.requests,
-            self.completions,
-            self.errors,
-            self.disk.timeouts,
-            self.disk.resubmits,
-            self.disk.degraded,
-        ] {
-            e.u64(c);
         }
     }
 
@@ -426,12 +398,6 @@ impl VAhci {
                 ctx: d.u64()?,
             });
         }
-        self.requests = d.u64()?;
-        self.completions = d.u64()?;
-        self.errors = d.u64()?;
-        self.disk.timeouts = d.u64()?;
-        self.disk.resubmits = d.u64()?;
-        self.disk.degraded = d.u64()?;
         Some(())
     }
 }
@@ -453,6 +419,6 @@ mod tests {
         put_record(&mut k, ctx, 0, 5, 0);
         k.mem_write_u32(ctx, RING_VA + 4092, 1);
         assert!(!v.drain_completions(&mut k, ctx), "no interrupt");
-        assert_eq!((v.completions, v.regs.p0is, v.regs.is), (0, 0, 0));
+        assert_eq!((v.regs.p0is, v.regs.is), (0, 0));
     }
 }

@@ -215,23 +215,6 @@ struct VcpuState {
     recall_armed: bool,
 }
 
-/// Aggregated VMM statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct VmmStats {
-    /// Exits handled through portals, by coarse class.
-    pub io_exits: u64,
-    /// MMIO (EPT-violation) exits emulated.
-    pub mmio_exits: u64,
-    /// CPUID exits.
-    pub cpuid_exits: u64,
-    /// HLT exits.
-    pub hlt_exits: u64,
-    /// Events injected.
-    pub injections: u64,
-    /// Instructions emulated.
-    pub emulated: u64,
-}
-
 /// The VMM.
 pub struct Vmm {
     cfg: VmmConfig,
@@ -252,8 +235,6 @@ pub struct Vmm {
     /// Structured record of why the VMM killed the guest, if it did
     /// (voluntary guest exits leave this `None`).
     pub kill: Option<VmKill>,
-    /// Statistics.
-    pub stats: VmmStats,
 }
 
 impl Vmm {
@@ -275,7 +256,6 @@ impl Vmm {
             marks: Vec::new(),
             guest_exit: None,
             kill: None,
-            stats: VmmStats::default(),
         }
     }
 
@@ -370,7 +350,6 @@ impl Vmm {
         if self.vcpu_state[vcpu].halted {
             if let Some(vector) = self.next_vector(vcpu) {
                 self.vcpu_state[vcpu].halted = false;
-                self.stats.injections += 1;
                 let _ = k.hypercall(
                     ctx,
                     Hypercall::EcResume {
@@ -397,9 +376,9 @@ impl Vmm {
     /// The containment path (Section 4): terminates this VM — and only
     /// this VM — with a structured, machine-readable kill record.
     ///
-    /// Files the [`VmKill`], sets the guest exit code from it, bumps
-    /// the hypervisor's `vm_kills` counter and the per-reason
-    /// `nova-trace` metric (domain = exit code), and forwards the code
+    /// Files the [`VmKill`], sets the guest exit code from it, counts
+    /// it in the registry's `vm_kills` and the per-reason `nova-trace`
+    /// metric (domain = exit code), and forwards the code
     /// to the physical debug port so supervisors observe the death.
     /// The caller still owns the exit message and must park the vCPU
     /// (`reply_block`).
@@ -411,14 +390,11 @@ impl Vmm {
             self.kill = Some(kill);
         }
         self.guest_exit = Some(code);
-        k.counters.vm_kills += 1;
-        if k.machine.bus.trace.active() {
-            k.machine
-                .bus
-                .trace
-                .metrics
-                .add(nova_trace::names::VM_KILLS_BY_REASON, code as u64, 1);
-        }
+        k.count(
+            |c| &mut c.vm_kills,
+            nova_trace::names::VM_KILLS_BY_REASON,
+            code as u64,
+        );
         let _ = k.dev_io_write(ctx, crate::devices::PORT_EXIT, OpSize::Byte, code as u32);
     }
 
@@ -433,7 +409,6 @@ impl Vmm {
         }
         if msg.window_open {
             if let Some(vector) = self.next_vector(vcpu) {
-                self.stats.injections += 1;
                 msg.reply_inject = Some(Injection {
                     vector,
                     error_code: None,
@@ -503,7 +478,6 @@ impl Vmm {
         let cost = k.machine.cost;
         match msg.reason {
             ExitReason::Cpuid { len } => {
-                self.stats.cpuid_exits += 1;
                 k.charge(cost.emul_simple);
                 let leaf = msg.regs.get(Reg::Eax);
                 let r = virtual_cpuid(&cost.ident, leaf);
@@ -523,14 +497,12 @@ impl Vmm {
                 msg.reply_mtd = mtd::GPR_ACDB | mtd::EIP;
             }
             ExitReason::Hlt { len } => {
-                self.stats.hlt_exits += 1;
                 k.charge(cost.emul_simple);
                 msg.regs.eip = msg.regs.eip.wrapping_add(len as u32);
                 msg.reply_mtd = mtd::EIP;
                 // HLT with interrupts pending: deliver instead of block.
                 if self.has_pending(vcpu) {
                     if let Some(vector) = self.next_vector(vcpu) {
-                        self.stats.injections += 1;
                         msg.reply_inject = Some(Injection {
                             vector,
                             error_code: None,
@@ -547,7 +519,6 @@ impl Vmm {
                 write,
                 len,
             } => {
-                self.stats.io_exits += 1;
                 k.charge(cost.emul_device);
                 let dev = self.dev.as_mut().expect("devices");
                 if write {
@@ -601,7 +572,6 @@ impl Vmm {
                         }
                     }
                 }
-                self.stats.mmio_exits += 1;
                 k.charge(cost.emul_decode);
                 let mut regs = msg.regs.clone();
                 let mut env = EmuEnv {
@@ -617,7 +587,6 @@ impl Vmm {
                 k.charge(device_ops as Cycles * cost.emul_device);
                 match res {
                     Ok(_) => {
-                        self.stats.emulated += 1;
                         msg.regs = regs;
                         msg.reply_mtd =
                             mtd::GPR_ACDB | mtd::GPR_BSD | mtd::ESP | mtd::EIP | mtd::EFL;
@@ -636,7 +605,6 @@ impl Vmm {
                             msg.regs.cr2 = addr;
                             msg.reply_mtd = mtd::CR;
                         }
-                        self.stats.injections += 1;
                         msg.reply_inject = Some(Injection {
                             vector: f.vector(),
                             error_code: f.error_code(),
@@ -829,8 +797,8 @@ impl Vmm {
 
     /// Serializes the VMM's runtime and virtual-device state for a
     /// checkpoint: per-vCPU bookkeeping, guest marks and exit code,
-    /// statistics, and every device model. Deterministic byte-for-byte
-    /// (the CI gate relies on it).
+    /// and every device model. Deterministic byte-for-byte (the CI
+    /// gate relies on it).
     pub fn save_state(&self) -> Vec<u8> {
         let mut e = Enc::new();
         e.u32(self.vcpu_state.len() as u32);
@@ -846,16 +814,6 @@ impl Vmm {
         }
         e.flag(self.guest_exit.is_some());
         e.u8(self.guest_exit.unwrap_or(0));
-        for c in [
-            self.stats.io_exits,
-            self.stats.mmio_exits,
-            self.stats.cpuid_exits,
-            self.stats.hlt_exits,
-            self.stats.injections,
-            self.stats.emulated,
-        ] {
-            e.u64(c);
-        }
         match self.dev.as_ref() {
             None => e.flag(false),
             Some(dev) => {
@@ -914,22 +872,6 @@ impl Vmm {
             return false;
         };
         self.guest_exit = has_exit.then_some(code);
-        let mut stats = [0u64; 6];
-        for s in stats.iter_mut() {
-            let Some(v) = d.u64() else {
-                return false;
-            };
-            *s = v;
-        }
-        self.stats = VmmStats {
-            io_exits: stats[0],
-            mmio_exits: stats[1],
-            cpuid_exits: stats[2],
-            hlt_exits: stats[3],
-            injections: stats[4],
-            emulated: stats[5],
-        };
-
         let Some(has_dev) = d.flag() else {
             return false;
         };
@@ -1269,7 +1211,6 @@ impl Component for Vmm {
     fn on_signal(&mut self, k: &mut Kernel, ctx: CompCtx, sm: SmId) {
         if Some(sm) == self.timer_sm {
             if let Some(dev) = self.dev.as_mut() {
-                dev.vpit.ticks += 1;
                 dev.vpic.pulse(0);
             }
             self.kick_vcpu(k, ctx, 0);
@@ -1300,5 +1241,113 @@ impl Component for Vmm {
 
     fn as_any(&mut self) -> &mut dyn std::any::Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::launch::{LaunchOptions, System};
+    use nova_hw::ahci::{cmd, regs as ahci};
+    use nova_hw::machine::AHCI_BASE;
+    use nova_hw::pv::{disk as ring, regs as pv, PV_BASE};
+
+    const CMD_LIST: u64 = 0x3_0000;
+    const CMD_TABLE: u64 = 0x3_1000;
+    const RING: u64 = 0x4_2000;
+    /// (first sector, guest buffer) of the vAHCI read and the two PV
+    /// reads, 8 sectors each.
+    const READS: [(u64, u64); 3] = [(16, 0x3_8000), (40, 0x4_8000), (48, 0x4_9000)];
+
+    /// A VM with both disk front ends whose guest only halts, and in
+    /// its memory what a guest driver writes before it rings the
+    /// doorbells: one vAHCI command in slot 0, two PV descriptors.
+    fn staged_vm() -> System {
+        let image = GuestImage {
+            bytes: vec![0xf4, 0xeb, 0xfd], // hlt; jmp to it
+            load_gpa: 0x10_0000,
+            entry: 0x10_0000,
+            stack: 0x9_0000,
+        };
+        let mut cfg = VmmConfig::full_virt(image, 1024);
+        cfg.pv_disk = true;
+        let mut sys = System::build(LaunchOptions::standard(cfg));
+        let vmm = sys.vmm;
+        sys.k.invoke_component::<Vmm, _>(vmm, |v, k| {
+            let ctx = v.ctx.expect("started");
+            let guest = v.cfg.guest_base_page * 4096;
+            let [(lba, buf), pv_reads @ ..] = READS;
+            let header = cmd::Header {
+                prdtl: 1,
+                ctba: CMD_TABLE,
+            };
+            let cfis = cmd::Cfis {
+                write: false,
+                lba,
+                sectors: 8,
+            };
+            k.mem_write(ctx, guest + CMD_LIST, &header.encode());
+            k.mem_write(ctx, guest + CMD_TABLE, &cfis.encode());
+            let prd = cmd::prd::encode(buf, 4096);
+            k.mem_write(ctx, guest + CMD_TABLE + cmd::PRDT_OFFSET, &prd);
+            for (i, (lba, buf)) in pv_reads.into_iter().enumerate() {
+                let desc = guest + RING + ring::DESC0 + i as u64 * ring::DESC_SIZE;
+                k.mem_write_u32(ctx, desc + ring::D_OP, ring::OP_READ);
+                k.mem_write_u32(ctx, desc + ring::D_SECTORS, 8);
+                k.mem_write_u32(ctx, desc + ring::D_LBA, lba as u32);
+                k.mem_write_u32(ctx, desc + ring::D_BUF, buf as u32);
+            }
+        });
+        sys
+    }
+
+    /// Checkpoint version 3 end to end: a VMM with a vAHCI command and
+    /// two PV descriptors in flight saves its state; a fresh
+    /// incarnation over the same guest memory restores it, replays all
+    /// three into its own disk server with their attempts intact — its
+    /// state then serializes to the very bytes it was given — and the
+    /// data arrives.
+    #[test]
+    fn v3_state_round_trips_with_requests_in_flight_on_both_front_ends() {
+        let mut dead = staged_vm();
+        let vmm = dead.vmm;
+        let blob = dead.k.invoke_component::<Vmm, _>(vmm, |v, k| {
+            let ctx = v.ctx.expect("started");
+            let dev = v.dev.as_mut().expect("devices");
+            let size = OpSize::Dword;
+            dev.mmio_write(
+                k,
+                ctx,
+                AHCI_BASE + ahci::P0CLB as u64,
+                size,
+                CMD_LIST as u32,
+            );
+            dev.mmio_write(k, ctx, AHCI_BASE + ahci::P0CI as u64, size, 1);
+            dev.mmio_write(k, ctx, PV_BASE + pv::DISK_RING, size, RING as u32);
+            dev.mmio_write(k, ctx, PV_BASE + pv::DISK_DOORBELL, size, 2);
+            assert!(dev.vahci.has_pending() && dev.pvdisk.has_pending());
+            v.save_state()
+        });
+        let blob = blob.expect("vmm");
+
+        let mut sys = staged_vm();
+        let vmm = sys.vmm;
+        let again = sys.k.invoke_component::<Vmm, _>(vmm, |v, k| {
+            assert!(v.restore_state(k, &blob), "a v3 record restores");
+            let pv = &v.dev().pvdisk;
+            assert_eq!((pv.doorbells, pv.requests, pv.completions), (1, 2, 0));
+            v.save_state()
+        });
+        assert_eq!(again, Some(blob), "nothing lost, no attempt charged");
+
+        sys.run(Some(100_000_000));
+        assert!(!sys.vmm().dev().disks_pending(), "all three completed");
+        assert_eq!(sys.vmm().dev().pvdisk.completions, 2);
+        assert_eq!(sys.k.counters.disk_ops, 3);
+        for (lba, buf) in READS {
+            let host = 0x1000 * 4096 + buf;
+            let got = sys.k.machine.mem.read_bytes(host, 512);
+            assert_eq!(got, sys.k.machine.ahci().sector(lba), "sector {lba}");
+        }
     }
 }

@@ -12,7 +12,6 @@
 use nova::guest::diskload::{self, DiskLoadParams};
 use nova::guest::rt;
 use nova::hypervisor::{PdId, RunOutcome};
-use nova::user::disk::DiskServer;
 use nova::vmm::{GuestImage, LaunchOptions, System, VmmConfig};
 
 fn main() {
@@ -35,7 +34,6 @@ fn main() {
 
     // Let the workload get going, then pull the rug: a fault that
     // takes down the whole driver domain, as a wild write would.
-    let srv_comp = sys.disk.expect("disk server launched");
     loop {
         let outcome = sys.run(Some(100_000));
         assert_ne!(
@@ -43,12 +41,7 @@ fn main() {
             RunOutcome::Shutdown(0),
             "guest finished before the crash"
         );
-        let done = sys
-            .k
-            .component_mut::<DiskServer>(srv_comp)
-            .expect("server alive")
-            .stats
-            .completed;
+        let done = sys.k.counters.disk_ops;
         if done >= 3 {
             println!("guest progress: {done}/{requests} requests served");
             break;
@@ -75,7 +68,7 @@ fn main() {
     println!("guest completed all {requests} requests; recovery evidence:");
     println!("  PD deaths:              {}", c.pd_deaths);
     println!("  driver restarts:        {}", c.driver_restarts);
-    println!("  client request retries: {}", c.request_retries);
+    println!("  client request retries: {}", c.request_retries());
     assert_eq!(c.pd_deaths, 1);
     assert_eq!(c.driver_restarts, 1);
 

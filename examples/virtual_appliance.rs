@@ -106,11 +106,10 @@ fn main() {
         "every byte DMAed intact through the stack"
     );
 
-    let stats = sys.disk_server().unwrap().stats;
     println!(
         "\ndisk server: {} requests, {} bytes, all DMA IOMMU-confined ({} faults)",
-        stats.completed,
-        stats.bytes,
+        sys.k.counters.disk_ops,
+        sys.k.counters.disk_bytes,
         sys.k.machine.bus.iommu.faults.len()
     );
     println!(

@@ -193,9 +193,18 @@ fn crash_mid_workload_restores_and_completes_byte_identical() {
         pv_completions(s) >= 8 && with_sup(s, |sup| sup.last_checkpoint.is_some())
     });
     let (_, vmm_pd) = sys.microreboot_vmm().expect("supervised vmm");
+    let at_crash = sys.k.counters.snapshot();
     sys.k.pd_fault(vmm_pd, VMM_CRASH_CODE);
     assert_eq!(sys.k.counters.pd_deaths, 1);
     assert_sound(&sys);
+
+    // The revive rolls the guest back to the last capture and no count
+    // with it: what the dead VMM's exits and injections counted is in
+    // the kernel's registry, not in the wreck or its checkpoint.
+    run_until(&mut sys, |s| with_sup(s, |sup| sup.restarts == 1));
+    let c = &sys.k.counters;
+    assert!((0..at_crash.exits.len()).all(|r| c.exits_of(r) >= at_crash.exits_of(r)));
+    assert!(c.injected_virq >= at_crash.injected_virq && at_crash.injected_virq > 0);
 
     let out = sys.run(Some(BUDGET));
     assert_eq!(
@@ -549,11 +558,13 @@ fn checkpoints_byte_identical_across_same_seed_runs() {
     assert_eq!(a, b, "same seed, same checkpoint, byte for byte");
 }
 
-/// Pins the `NOVACKPT` v2 byte layout: the whole blob of one cadence
+/// Pins the `NOVACKPT` v3 byte layout: the whole blob of one cadence
 /// tick taken while a PV descriptor is in flight (so the pending-request
-/// records are in it) hashes to the constant recorded at the commit
-/// before the two disk front ends were rebuilt over `vmm::diskclient`.
-/// A change to what is serialized, or in which order, moves it.
+/// records are in it) hashes to the constant recorded when version 3
+/// dropped the statistic words. A change to what is serialized, or in
+/// which order, moves it. The length is version 2's at this tick less
+/// the 21 statistic words (6 `VmmStats`, 6 vAHCI, 8 PV queue,
+/// `VPit::ticks`) that were all v3 took out.
 #[test]
 fn checkpoint_layout_is_pinned() {
     let mut sys = pv_system(SMALL_GUEST, CKPT_PERIOD);
@@ -570,15 +581,17 @@ fn checkpoint_layout_is_pinned() {
         in_flight(&mut sys),
         "device state holds a pending descriptor"
     );
-    let fnv = with_sup(&mut sys, |sup| {
+    let (len, fnv) = with_sup(&mut sys, |sup| {
         let blob = sup.last_checkpoint.as_ref().expect("checkpoint");
-        blob.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        let fnv = blob.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+        });
+        (blob.len(), fnv)
     });
+    assert_eq!(len, 4_195_179 - 21 * 8);
     assert_eq!(
-        fnv, 0xef3d_4001_94fe_631b,
-        "NOVACKPT v2 bytes moved: {fnv:#018x}"
+        fnv, 0xba68_8db1_7d79_950d,
+        "NOVACKPT v3 bytes moved: {fnv:#018x}"
     );
 }
 

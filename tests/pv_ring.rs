@@ -10,7 +10,6 @@ use nova_guest::diskload::{self, DiskLoadParams};
 use nova_guest::pvdiskload::{self, PvDiskLoadParams};
 use nova_guest::rt::layout;
 use nova_hw::fault::{FaultKind, FaultPlan};
-use nova_user::disk::DiskServer;
 use nova_vmm::{GuestImage, LaunchOptions, System, VmmConfig};
 
 const BLOCK: u32 = 4096;
@@ -135,12 +134,10 @@ fn chaos_plan_over_the_pv_ring_path() {
     assert_eq!(got, expect[..16].to_vec(), "data correct under faults");
 
     // No request leaked out as a guest-visible error.
-    let pv = &sys.vmm().dev().pvdisk;
-    assert_eq!(pv.completions, 32);
-    assert_eq!(pv.errors, 0);
-    assert_eq!(pv.disk.degraded, 0);
-    let stats = sys.disk_server().unwrap().stats;
-    assert_eq!(stats.failed, 0, "no request exhausted the retry budget");
+    assert_eq!(sys.vmm().dev().pvdisk.completions, 32);
+    let c = &sys.k.counters;
+    assert_eq!(c.guest_faults_rejected, 0);
+    assert_eq!(c.degraded_errors(), 0, "no retry budget was exhausted");
 }
 
 /// Driver crash mid-PV-workload: the disk server dies while batches
@@ -159,7 +156,6 @@ fn driver_crash_mid_pv_workload_recovers() {
     let mut sys = System::build(LaunchOptions::supervised(cfg));
 
     // Run until the server has completed a couple of requests.
-    let srv = sys.disk.unwrap();
     loop {
         let out = sys.run(Some(100_000));
         assert_ne!(
@@ -167,13 +163,7 @@ fn driver_crash_mid_pv_workload_recovers() {
             RunOutcome::Shutdown(0),
             "guest finished before the crash"
         );
-        let done = sys
-            .k
-            .component_mut::<DiskServer>(srv)
-            .unwrap()
-            .stats
-            .completed;
-        if done >= 2 {
+        if sys.k.counters.disk_ops >= 2 {
             break;
         }
     }
@@ -201,5 +191,5 @@ fn driver_crash_mid_pv_workload_recovers() {
     // The guest never saw the crash: both marks, exit code 0.
     let vals: Vec<u32> = sys.k.machine.marks().iter().map(|&(_, v)| v).collect();
     assert_eq!(vals, vec![0x1000, 0x1001]);
-    assert_eq!(sys.vmm().dev().pvdisk.errors, 0);
+    assert_eq!(sys.k.counters.guest_faults_rejected, 0);
 }

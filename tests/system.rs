@@ -101,9 +101,8 @@ fn disk_data_round_trips_through_all_layers() {
     // injected vIRQ, disk-server completion.
     assert!(sys.k.counters.ipc_calls > 0);
     assert!(sys.k.counters.injected_virq >= 1);
-    let stats = sys.disk_server().unwrap().stats;
-    assert_eq!(stats.completed, 1);
-    assert_eq!(stats.bytes, 4096);
+    assert_eq!(sys.k.counters.disk_ops, 1);
+    assert_eq!(sys.k.counters.disk_bytes, 4096);
 }
 
 #[test]

@@ -56,9 +56,8 @@ fn malformed_guest_command_reports_task_file_error() {
     assert_ne!(marks[0] & (1 << 30), 0, "TFES visible to the guest");
     assert_eq!(marks[1], 0, "command slot freed");
     // Nothing reached the disk server.
-    let stats = sys.disk_server().unwrap().stats;
-    assert_eq!(stats.accepted, 0);
-    assert_eq!(stats.completed, 0);
+    assert_eq!(sys.k.counters.disk_accepted, 0);
+    assert_eq!(sys.k.counters.disk_ops, 0);
 }
 
 /// A *physical* task-file error propagates through every layer: the
@@ -113,17 +112,18 @@ fn physical_task_file_error_propagates_to_guest() {
     assert_ne!(marks[0] & (1 << 30), 0, "TFES visible to the guest");
 
     // The server retried twice, then completed the request degraded.
-    let stats = sys.disk_server().unwrap().stats;
-    assert_eq!(stats.accepted, 1);
-    assert_eq!(stats.completed, 1);
-    assert_eq!(stats.media_retries, 2);
-    assert_eq!(stats.failed, 1);
+    let c = &sys.k.counters;
+    assert_eq!(c.disk_accepted, 1);
+    assert_eq!(c.disk_ops, 1);
+    assert_eq!(c.disk_media_retries, 2);
+    assert_eq!(c.disk_failed, 1);
     assert_eq!(
         sys.k.machine.faults().count(FaultKind::AhciTaskFileError),
         3
     );
-    assert_eq!(sys.k.counters.request_retries, 2);
-    assert_eq!(sys.k.counters.degraded_errors, 1);
+    // …and nothing else retried or gave up.
+    assert_eq!(c.request_retries(), 2);
+    assert_eq!(c.degraded_errors(), 1);
 }
 
 /// Builds a polling guest that issues one READ DMA EXT through the
@@ -265,13 +265,15 @@ fn lba_beyond_2tb_uses_all_six_bytes() {
 #[test]
 fn command_table_base_above_4gb_is_rejected_not_aliased() {
     let prog = one_read_ctbau(1, 9, 8, &[(layout::DISK_BUF, 4096)]);
-    let (mut sys, is) = run_read(prog);
+    let (sys, is) = run_read(prog);
     assert_ne!(is & (1 << 30), 0, "TFES: {is:#x}");
     assert_eq!(is & 1, 0, "and no completion");
     assert_eq!(sys.k.counters.guest_faults_rejected, 1, "one BadBase");
     assert_eq!(guest_bytes(&sys, layout::DISK_BUF, 4096), vec![0; 4096]);
-    let stats = sys.disk_server().unwrap().stats;
-    assert_eq!(stats.accepted, 0, "nothing reached the disk server");
+    assert_eq!(
+        sys.k.counters.disk_accepted, 0,
+        "nothing reached the disk server"
+    );
 }
 
 /// A doorbell with no command list programmed: rejected cleanly.
