@@ -4,7 +4,9 @@
 //! next to the paper's published sizes for NOVA and the contemporary
 //! virtualization stacks (which cannot be rebuilt here; their numbers
 //! are the paper's). Writes `BENCH_fig1.json`, so the size of the
-//! privileged layer has a committed trajectory like every other number.
+//! privileged layer has a committed trajectory like every other number
+//! — and so has the configuration surface (`config_values`: the `pub`
+//! fields of `loc::CONFIG_STRUCTS`).
 
 use nova_bench::loc;
 use nova_bench::paper::FIG1_TCB_KLOC;
@@ -64,6 +66,13 @@ fn main() {
     let share = 100.0 * hv as f64 / (total.product + linked) as f64;
     println!("\nPrivileged (hypervisor) share: {hv} LoC — {share:.0}% of the stack");
 
+    let surface = loc::config_surface();
+    let config_values: usize = surface.iter().map(|(_, f)| f.len()).sum();
+    println!("\nWhat a caller can configure: {config_values} settable values");
+    for (name, fields) in &surface {
+        println!("  {name:17} {:2}  {}", fields.len(), fields.join(", "));
+    }
+
     println!("\nPaper's Figure 1 (KLOC):\n");
     let mut t = Table::new(&["system", "privileged", "total stack"]);
     for (name, p, tot) in FIG1_TCB_KLOC {
@@ -78,6 +87,7 @@ fn main() {
             ("components".into(), components),
             ("privileged_loc".into(), Json::U64(hv as u64)),
             ("total_loc".into(), Json::U64(total.product as u64)),
+            ("config_values".into(), Json::U64(config_values as u64)),
             ("total_linked_loc".into(), Json::U64(linked as u64)),
             (
                 "total_loc_with_tests".into(),

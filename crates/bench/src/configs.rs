@@ -3,8 +3,9 @@
 
 use nova_baseline::{MonoConfig, MonoOutcome, Monolithic};
 use nova_core::hostpt::NestedTable;
+use nova_core::kernel::HV_MEM;
 use nova_core::obj::VmPaging;
-use nova_core::{KernelConfig, RunOutcome};
+use nova_core::RunOutcome;
 use nova_guest::os::Program;
 use nova_hw::cost::CostModel;
 use nova_hw::cpu::run_guest;
@@ -103,12 +104,12 @@ pub fn run_direct_limit(
     let mut m = Machine::new(machine_cfg(cost));
     m.bus.iommu = nova_hw::iommu::Iommu::disabled();
     let ram = m.mem.size() as u64;
-    let mut alloc = nova_core::hostpt::FrameAllocator::new(ram - (16 << 20), 16 << 20);
+    let mut alloc = nova_core::hostpt::FrameAllocator::new(ram - HV_MEM, HV_MEM);
 
     // Identity nested table over the whole low RAM + device windows.
     let mut t = NestedTable::new(fmt, &mut alloc, &mut m.mem);
     let cp = fmt.large_page_size() / 4096;
-    let pages = (ram - (16 << 20)) / 4096;
+    let pages = (ram - HV_MEM) / 4096;
     let mut p = 0u64;
     while p < pages {
         if large_pages && p.is_multiple_of(cp) && p + cp <= pages {
@@ -204,26 +205,22 @@ impl NovaKnobs {
     }
 }
 
-/// Full NOVA run (microhypervisor + disk server + VMM + VM).
-pub fn run_nova(
+/// Builds a NOVA system (microhypervisor + disk server + VMM + VM) for
+/// `prog` on a `cost` machine, as `tweak` adjusts the standard launch,
+/// lets `before_run` prime the machine, and runs it for `budget`.
+fn run_system(
     cost: CostModel,
-    knobs: NovaKnobs,
-    label: &str,
     prog: &Program,
     budget: Cycles,
+    label: &str,
+    tweak: impl FnOnce(&mut LaunchOptions),
+    before_run: impl FnOnce(&mut Machine),
 ) -> RunResult {
-    let mut cfg = VmmConfig::full_virt(image(prog), GUEST_PAGES);
-    cfg.paging = knobs.paging;
-    cfg.mtd_full = knobs.mtd_full;
-    let mut opts = LaunchOptions::standard(cfg);
+    let mut opts = LaunchOptions::standard(VmmConfig::full_virt(image(prog), GUEST_PAGES));
     opts.machine = machine_cfg(cost);
-    opts.kernel = KernelConfig {
-        use_tags: knobs.tags,
-        host_large_pages: knobs.large_pages,
-        scheduler_timer_hz: Some(1000),
-        ..KernelConfig::default()
-    };
+    tweak(&mut opts);
     let mut sys = System::build(opts);
+    before_run(&mut sys.k.machine);
     let out = sys.run(Some(budget));
     RunResult {
         label: label.into(),
@@ -236,25 +233,31 @@ pub fn run_nova(
     }
 }
 
+/// Full NOVA run (microhypervisor + disk server + VMM + VM).
+pub fn run_nova(
+    cost: CostModel,
+    knobs: NovaKnobs,
+    label: &str,
+    prog: &Program,
+    budget: Cycles,
+) -> RunResult {
+    let tweak = |o: &mut LaunchOptions| {
+        o.vmm.paging = knobs.paging;
+        o.vmm.mtd_full = knobs.mtd_full;
+        o.kernel.use_tags = knobs.tags;
+        o.kernel.host_large_pages = knobs.large_pages;
+    };
+    run_system(cost, prog, budget, label, tweak, |_| {})
+}
+
 /// NOVA run with the disk assigned directly to the VM (Figure 6's
 /// "Direct" series: interrupt virtualization only).
 pub fn run_nova_direct_disk(cost: CostModel, prog: &Program, budget: Cycles) -> RunResult {
-    let cfg = VmmConfig::full_virt(image(prog), GUEST_PAGES);
-    let mut opts = LaunchOptions::standard(cfg);
-    opts.machine = machine_cfg(cost);
-    opts.with_disk = false;
-    opts.direct_disk = true;
-    let mut sys = System::build(opts);
-    let out = sys.run(Some(budget));
-    RunResult {
-        label: "NOVA direct disk".into(),
-        cycles: sys.k.machine.clock,
-        idle: sys.k.machine.cpus[0].idle_cycles,
-        exits: sys.k.counters.total_exits(),
-        counters: Some(sys.k.counters.clone()),
-        ok: matches!(out, RunOutcome::Shutdown(_)),
-        marks: sys.k.machine.marks().to_vec(),
-    }
+    let tweak = |o: &mut LaunchOptions| {
+        o.with_disk = false;
+        o.direct_disk = true;
+    };
+    run_system(cost, prog, budget, "NOVA direct disk", tweak, |_| {})
 }
 
 /// NOVA run with the NIC assigned directly (Figure 7).
@@ -264,44 +267,19 @@ pub fn run_nova_direct_nic(
     budget: Cycles,
     start_traffic: impl FnOnce(&mut Machine),
 ) -> RunResult {
-    let cfg = VmmConfig::full_virt(image(prog), GUEST_PAGES);
-    let mut opts = LaunchOptions::standard(cfg);
-    opts.machine = machine_cfg(cost);
-    opts.with_disk = false;
-    opts.direct_nic = true;
-    let mut sys = System::build(opts);
-    start_traffic(&mut sys.k.machine);
-    let out = sys.run(Some(budget));
-    RunResult {
-        label: "NOVA direct NIC".into(),
-        cycles: sys.k.machine.clock,
-        idle: sys.k.machine.cpus[0].idle_cycles,
-        exits: sys.k.counters.total_exits(),
-        counters: Some(sys.k.counters.clone()),
-        ok: matches!(out, RunOutcome::Shutdown(_)),
-        marks: sys.k.machine.marks().to_vec(),
-    }
+    let tweak = |o: &mut LaunchOptions| {
+        o.with_disk = false;
+        o.direct_nic = true;
+    };
+    run_system(cost, prog, budget, "NOVA direct NIC", tweak, start_traffic)
 }
 
 /// NOVA run with the paravirtual batched disk ring enabled (Figure
 /// 6's "virtual" series: one doorbell exit per request batch instead
 /// of ~6 trapped MMIO accesses per request).
 pub fn run_nova_pv_disk(cost: CostModel, prog: &Program, budget: Cycles) -> RunResult {
-    let mut cfg = VmmConfig::full_virt(image(prog), GUEST_PAGES);
-    cfg.pv_disk = true;
-    let mut opts = LaunchOptions::standard(cfg);
-    opts.machine = machine_cfg(cost);
-    let mut sys = System::build(opts);
-    let out = sys.run(Some(budget));
-    RunResult {
-        label: "NOVA virtual disk".into(),
-        cycles: sys.k.machine.clock,
-        idle: sys.k.machine.cpus[0].idle_cycles,
-        exits: sys.k.counters.total_exits(),
-        counters: Some(sys.k.counters.clone()),
-        ok: matches!(out, RunOutcome::Shutdown(_)),
-        marks: sys.k.machine.marks().to_vec(),
-    }
+    let tweak = |o: &mut LaunchOptions| o.vmm.pv_disk = true;
+    run_system(cost, prog, budget, "NOVA virtual disk", tweak, |_| {})
 }
 
 /// NOVA run with the paravirtual NIC backend (Figure 7's "virtual"
@@ -313,23 +291,11 @@ pub fn run_nova_pv_nic(
     budget: Cycles,
     start_traffic: impl FnOnce(&mut Machine),
 ) -> RunResult {
-    let mut cfg = VmmConfig::full_virt(image(prog), GUEST_PAGES);
-    cfg.pv_nic = true;
-    let mut opts = LaunchOptions::standard(cfg);
-    opts.machine = machine_cfg(cost);
-    opts.with_disk = false;
-    let mut sys = System::build(opts);
-    start_traffic(&mut sys.k.machine);
-    let out = sys.run(Some(budget));
-    RunResult {
-        label: "NOVA virtual NIC".into(),
-        cycles: sys.k.machine.clock,
-        idle: sys.k.machine.cpus[0].idle_cycles,
-        exits: sys.k.counters.total_exits(),
-        counters: Some(sys.k.counters.clone()),
-        ok: matches!(out, RunOutcome::Shutdown(_)),
-        marks: sys.k.machine.marks().to_vec(),
-    }
+    let tweak = |o: &mut LaunchOptions| {
+        o.vmm.pv_nic = true;
+        o.with_disk = false;
+    };
+    run_system(cost, prog, budget, "NOVA virtual NIC", tweak, start_traffic)
 }
 
 /// Monolithic comparator run.

@@ -193,6 +193,91 @@ pub fn nova_tcb() -> Vec<Component> {
     ]
 }
 
+/// The code of `src` that ships — what [`Loc::product`] counts — with
+/// all whitespace taken out, so that a source gate sees a statement the
+/// same however `rustfmt` broke it over lines.
+fn product_text(src: &str) -> String {
+    let mut text = String::new();
+    scan(src, |l, product| {
+        if product {
+            text.extend(l.split_whitespace());
+        }
+    });
+    text
+}
+
+/// `(path, product_text)` of every `.rs` file under `crates/*/src`, in
+/// path order.
+fn product_sources() -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    let crates = std::fs::read_dir(workspace_root().join("crates"));
+    for c in crates.into_iter().flatten().flatten() {
+        each_rs_file(&c.path().join("src"), &mut |p, src| {
+            out.push((p.display().to_string(), product_text(src)));
+        });
+    }
+    out.sort();
+    out
+}
+
+/// The structs whose `pub` fields are everything a caller of the stack
+/// can set: the kernel, the machine, the launcher, the VMM, the disk
+/// server and the monolithic baseline (DESIGN.md, "What a caller can
+/// configure").
+pub const CONFIG_STRUCTS: [&str; 7] = [
+    "KernelConfig",
+    "MachineConfig",
+    "LaunchOptions",
+    "VmmConfig",
+    "DiskServerConfig",
+    "DiskServer",
+    "MonoConfig",
+];
+
+/// The `pub` fields of `name`'s definition in whitespace-free product
+/// text, or `None` if `text` does not define it.
+fn pub_fields(text: &str, name: &str) -> Option<Vec<String>> {
+    let start = text.find(&format!("pubstruct{name}{{"))? + name.len() + 10;
+    let mut fields = Vec::new();
+    let (mut depth, mut field) = (0usize, String::new());
+    for c in text[start..].chars() {
+        match c {
+            '<' | '(' | '[' => depth += 1,
+            '>' | ')' | ']' => depth = depth.saturating_sub(1),
+            ',' | '}' if depth == 0 => {
+                if let Some(f) = field.strip_prefix("pub").filter(|f| !f.starts_with('(')) {
+                    fields.push(f.split(':').next().unwrap_or(f).to_string());
+                }
+                if c == '}' {
+                    return Some(fields);
+                }
+                field.clear();
+                continue;
+            }
+            _ => {}
+        }
+        field.push(c);
+    }
+    None
+}
+
+/// `(struct, pub fields)` of each of [`CONFIG_STRUCTS`], read off the
+/// product source of `crates/`: the settable-value census.
+pub fn config_surface() -> Vec<(&'static str, Vec<String>)> {
+    let files = product_sources();
+    CONFIG_STRUCTS
+        .iter()
+        .map(|&name| {
+            let mut defs = files.iter().filter_map(|(_, text)| pub_fields(text, name));
+            let fields = defs
+                .next()
+                .unwrap_or_else(|| panic!("no `{name}` in crates/"));
+            assert!(defs.next().is_none(), "`{name}` is defined twice");
+            (name, fields)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,32 +340,6 @@ fn also_shipped() {}
         assert!(vmm.product > 300, "the device cores: {vmm:?}");
         let all = files_loc(tcb.iter().flat_map(|c| c.linked.iter().copied()));
         assert_eq!(all, vmm, "the disk server's two files are among the VMM's");
-    }
-
-    /// The code of `src` that ships — what [`Loc::product`] counts —
-    /// with all whitespace taken out, so that a gate sees a statement
-    /// the same however `rustfmt` broke it over lines.
-    fn product_text(src: &str) -> String {
-        let mut text = String::new();
-        scan(src, |l, product| {
-            if product {
-                text.extend(l.split_whitespace());
-            }
-        });
-        text
-    }
-
-    /// `(path, product_text)` of every `.rs` file under `crates/*/src`,
-    /// in path order.
-    fn product_sources() -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        for c in std::fs::read_dir(workspace_root().join("crates")).unwrap() {
-            each_rs_file(&c.unwrap().path().join("src"), &mut |p, src| {
-                out.push((p.display().to_string(), product_text(src)));
-            });
-        }
-        out.sort();
-        out
     }
 
     /// How often `text` bumps the counter `name`: directly
@@ -356,6 +415,91 @@ fn also_shipped() {}
                 );
             }
         }
+    }
+
+    /// The configuration surface, pinned: a new knob — or one that goes
+    /// — shows up here as a visible diff. Each field is a value some
+    /// caller sets to something else than its neighbours do (DESIGN.md,
+    /// "What a caller can configure").
+    #[test]
+    fn the_configuration_surface_is_pinned() {
+        let expect: [(&str, &[&str]); 7] = [
+            (
+                "KernelConfig",
+                &[
+                    "use_tags",
+                    "host_large_pages",
+                    "scheduler_timer_hz",
+                    "obj_quota",
+                    "vtlb_cache_slots",
+                ],
+            ),
+            ("MachineConfig", &["cost", "ram", "iommu", "cpus"]),
+            (
+                "LaunchOptions",
+                &[
+                    "machine",
+                    "kernel",
+                    "with_disk",
+                    "direct_disk",
+                    "direct_nic",
+                    "supervise",
+                    "microreboot",
+                    "vmm",
+                ],
+            ),
+            (
+                "VmmConfig",
+                &[
+                    "name",
+                    "paging",
+                    "guest_pages",
+                    "vcpus",
+                    "vcpu_cpus",
+                    "vcpu_prio",
+                    "quantum",
+                    "image",
+                    "pv_disk",
+                    "pv_nic",
+                    "direct_mmio",
+                    "direct_gsis",
+                    "mtd_full",
+                    "protect_kernel",
+                ],
+            ),
+            ("DiskServerConfig", &["heartbeat"]),
+            ("DiskServer", &[]),
+            (
+                "MonoConfig",
+                &[
+                    "paging",
+                    "use_tags",
+                    "large_pages",
+                    "exit_sw_cost",
+                    "pv_trap_cost",
+                    "flush_per_trap",
+                    "shadow_sw_cost",
+                    "shadow_prefetch",
+                ],
+            ),
+        ];
+        let got = config_surface();
+        for ((name, fields), (want, want_fields)) in got.iter().zip(expect) {
+            assert_eq!(*name, want);
+            assert_eq!(fields, want_fields, "`{name}`'s pub fields");
+        }
+        assert_eq!(got.iter().map(|(_, f)| f.len()).sum::<usize>(), 40);
+    }
+
+    #[test]
+    fn the_census_reads_pub_fields_only() {
+        let text = product_text(
+            "#[derive(Clone)]\npub struct Cfg {\n    /// Doc.\n    pub a: Option<(u64, u64)>,\n    \
+             b: u8,\n    pub(crate) c: u8,\n    pub d: Vec<(u16, [u8; 2])>\n}\npub struct CfgX {\n    pub e: u8,\n}\n",
+        );
+        assert_eq!(pub_fields(&text, "Cfg").unwrap(), ["a", "d"]);
+        assert_eq!(pub_fields(&text, "CfgX").unwrap(), ["e"]);
+        assert_eq!(pub_fields(&text, "Cf"), None);
     }
 
     #[test]

@@ -79,11 +79,6 @@ pub struct KernelConfig {
     /// Use large host pages when mirroring VM memory into nested
     /// tables.
     pub host_large_pages: bool,
-    /// Default scheduling quantum in cycles.
-    pub quantum: Cycles,
-    /// Hypervisor private memory (page-table frames), in bytes,
-    /// reserved at the top of RAM.
-    pub hv_mem: u64,
     /// Frequency of the hypervisor's scheduling timer (the physical
     /// PIT it claims at boot); `None` disables the tick. Each tick
     /// that lands while a guest runs is a hardware-interrupt VM exit
@@ -105,14 +100,16 @@ impl Default for KernelConfig {
         KernelConfig {
             use_tags: true,
             host_large_pages: true,
-            quantum: 1_000_000,
-            hv_mem: 16 << 20,
             scheduler_timer_hz: None,
             obj_quota: 4096,
             vtlb_cache_slots: 8,
         }
     }
 }
+
+/// Hypervisor private memory (page-table frames), in bytes, reserved
+/// at the top of RAM.
+pub const HV_MEM: u64 = 16 << 20;
 
 /// Largest page count a single delegate/revoke hypercall may name:
 /// enough for any realistic RAM range (64 GB of 4 KB pages), small
@@ -337,9 +334,9 @@ impl Kernel {
     /// resource (Section 6).
     pub fn new(mut machine: Machine, config: KernelConfig) -> Kernel {
         let ram = machine.mem.size() as u64;
-        assert!(config.hv_mem < ram, "hypervisor memory exceeds RAM");
-        let hv_base = ram - config.hv_mem;
-        let alloc = FrameAllocator::new(hv_base, config.hv_mem);
+        assert!(HV_MEM < ram, "hypervisor memory exceeds RAM");
+        let hv_base = ram - HV_MEM;
+        let alloc = FrameAllocator::new(hv_base, HV_MEM);
 
         // The hypervisor restricts each device to its wired interrupt
         // vector through the IOMMU (Section 4.2: "restricts the
@@ -2779,7 +2776,7 @@ mod tests {
         assert!(!root.io.allowed(0x40), "hypervisor keeps the PIT");
         assert!(root.mem.lookup(0).is_some());
         // Hypervisor memory excluded.
-        let hv_first_page = (32 << 20) as u64 / 4096 - k.config.hv_mem / 4096;
+        let hv_first_page = (32 << 20) as u64 / 4096 - HV_MEM / 4096;
         assert!(root.mem.lookup(hv_first_page).is_none());
     }
 
@@ -3897,7 +3894,7 @@ mod tests {
         let (image0, seen0) = (image.clone(), seen.clone());
         assert_eq!(k.mem_refresh(ctx, base + 1, &mut image, &mut seen), None);
         assert_eq!(k.mem_refresh(ctx, base, &mut image, &mut seen[..2]), None);
-        let hv = (32 << 20) as u64 - k.config.hv_mem;
+        let hv = (32 << 20) as u64 - HV_MEM;
         assert!(k.mem_fill(ctx, hv - 2 * 4096, 2 * 4096, 0x66));
         let mut seen_hv = vec![u64::MAX; 3];
         let window = hv - 2 * 4096;

@@ -4,12 +4,14 @@
 //! Clients (virtual-machine monitors) register a channel — a shared
 //! completion-ring page plus a completion semaphore — then submit
 //! requests through the request portal, delegating the DMA buffer
-//! pages with the message. The server programs the physical
+//! pages with the message into the client's own window
+//! ([`proto::window_base`]). The server programs the physical
 //! controller; the device DMAs *directly into the delegated pages*
 //! through the IOMMU, so the server never copies payload data and can
-//! only reach memory explicitly delegated to it. On the completion
-//! interrupt the server writes a record into the client's ring and
-//! signals the client's semaphore.
+//! only reach memory explicitly delegated to it — and for a request,
+//! only the requesting client's window, never another client's or its
+//! own command memory. On the completion interrupt the server writes a
+//! record into the client's ring and signals the client's semaphore.
 //!
 //! A per-client outstanding-request bound implements the
 //! denial-of-service throttling of Section 4.2.
@@ -21,28 +23,16 @@ use std::collections::VecDeque;
 use nova_core::cap::CapSel;
 use nova_core::{CompCtx, Component, Hypercall, Kernel, Utcb};
 use nova_hw::ahci::{cmd, regs, SECTOR};
+use nova_hw::machine::{AHCI_BASE, AHCI_IRQ};
 use nova_hw::Cycles;
 use nova_trace::Kind as TraceKind;
 use nova_x86::insn::OpSize;
 
 use crate::proto::disk as proto;
 
-/// Server virtual-address layout and platform facts, provided by the
-/// root partition manager at launch.
+/// What the root partition manager chooses for a disk server.
 #[derive(Clone, Copy, Debug)]
 pub struct DiskServerConfig {
-    /// VA of the AHCI MMIO window (identity-mapped by root).
-    pub mmio_va: u64,
-    /// VA of the server's private command memory (≥ 2 pages:
-    /// command list + command table).
-    pub cmd_va: u64,
-    /// First page number of the client completion rings
-    /// (ring of client `i` at `ring_base_page + i`).
-    pub ring_base_page: u64,
-    /// GSI of the AHCI controller.
-    pub gsi: u8,
-    /// Scheduling priority for the server EC.
-    pub prio: u8,
     /// Self-check/heartbeat period in cycles; 0 disables the tick.
     /// With a tick the server pets its watchdog, polls for lost
     /// completion interrupts, and resets a wedged controller.
@@ -50,33 +40,32 @@ pub struct DiskServerConfig {
 }
 
 impl DiskServerConfig {
-    /// The conventional layout used by the system builder.
+    /// No self-check tick: an unsupervised launch.
     pub fn standard() -> DiskServerConfig {
-        DiskServerConfig {
-            mmio_va: nova_hw::machine::AHCI_BASE,
-            cmd_va: 0x0010_0000,
-            ring_base_page: 0x0020_0000 / 4096,
-            gsi: nova_hw::machine::AHCI_IRQ,
-            prio: 32,
-            heartbeat: 0,
-        }
+        DiskServerConfig { heartbeat: 0 }
     }
 
-    /// The standard layout with the self-check tick enabled — what a
-    /// supervised launch uses.
+    /// The self-check tick on — what a supervised launch uses.
     pub fn supervised() -> DiskServerConfig {
         DiskServerConfig {
             heartbeat: 1_000_000,
-            ..DiskServerConfig::standard()
         }
     }
-
-    /// Selector where client `i`'s completion-semaphore capability
-    /// must be delegated (documented protocol constant).
-    pub fn client_sm_sel(client: usize) -> CapSel {
-        0x80 + client
-    }
 }
+
+/// VA of the server's private command memory: two pages, the command
+/// list and the command table. (The AHCI register window is mapped at
+/// its bus address, [`nova_hw::machine::AHCI_BASE`].)
+pub const CMD_VA: u64 = 0x0010_0000;
+
+/// Scheduling priority of the server EC.
+const PRIO: u8 = 32;
+
+/// Modeled cycles of server work per request submission.
+const SUBMIT_COST: Cycles = 1400;
+
+/// Modeled cycles of server work per completion.
+const COMPLETE_COST: Cycles = 1100;
 
 /// Well-known selectors inside the server's capability space.
 const SEL_IRQ_SM: CapSel = 0x10;
@@ -94,10 +83,9 @@ const MAX_ISSUE_ATTEMPTS: u32 = 3;
 const REQUEST_TIMEOUT: Cycles = 4_000_000;
 
 struct Client {
-    ring_page: u64,
     ring_head: u32,
     outstanding: usize,
-    /// A detached client's slot stays allocated (ring-page assignments
+    /// A detached client's slot stays allocated (ring page and window
     /// are positional) but completions are dropped instead of written
     /// into a ring a dead VMM no longer reads, and registration may
     /// reuse the slot for the client's next incarnation.
@@ -132,10 +120,6 @@ pub struct DiskServer {
     issued_at: Cycles,
     irq_sm: Option<nova_core::SmId>,
     tick_sm: Option<nova_core::SmId>,
-    /// Modeled cycles of server work per request submission.
-    pub submit_cost: Cycles,
-    /// Modeled cycles of server work per completion.
-    pub complete_cost: Cycles,
 }
 
 impl DiskServer {
@@ -149,18 +133,16 @@ impl DiskServer {
             issued_at: 0,
             irq_sm: None,
             tick_sm: None,
-            submit_cost: 1400,
-            complete_cost: 1100,
         }
     }
 
     fn mmio_write(&self, k: &mut Kernel, ctx: CompCtx, reg: u32, val: u32) {
-        let ok = k.dev_mmio_write(ctx, self.cfg.mmio_va + reg as u64, OpSize::Dword, val);
+        let ok = k.dev_mmio_write(ctx, AHCI_BASE + reg as u64, OpSize::Dword, val);
         debug_assert!(ok, "disk server lost its MMIO mapping");
     }
 
     fn mmio_read(&self, k: &mut Kernel, ctx: CompCtx, reg: u32) -> u32 {
-        k.dev_mmio_read(ctx, self.cfg.mmio_va + reg as u64, OpSize::Dword)
+        k.dev_mmio_read(ctx, AHCI_BASE + reg as u64, OpSize::Dword)
             .unwrap_or(0)
     }
 
@@ -185,9 +167,9 @@ impl DiskServer {
             .bus
             .trace
             .begin(0, ctx.pd.0 as u16, TraceKind::HwIo, req.lba, at);
-        k.charge(self.submit_cost);
-        let clb = self.cfg.cmd_va;
-        let ctba = self.cfg.cmd_va + 0x1000;
+        k.charge(SUBMIT_COST);
+        let clb = CMD_VA;
+        let ctba = CMD_VA + 0x1000;
 
         // Command header slot 0: one PRDT entry per segment.
         let hdr = cmd::Header {
@@ -222,9 +204,8 @@ impl DiskServer {
     /// start-up and again after every controller reset (which clears
     /// both).
     fn init_controller(&self, k: &mut Kernel, ctx: CompCtx) {
-        let clb = self.cfg.cmd_va;
-        self.mmio_write(k, ctx, regs::P0CLB, clb as u32);
-        self.mmio_write(k, ctx, regs::P0CLB2, (clb >> 32) as u32);
+        self.mmio_write(k, ctx, regs::P0CLB, CMD_VA as u32);
+        self.mmio_write(k, ctx, regs::P0CLB2, (CMD_VA >> 32) as u32);
         self.mmio_write(k, ctx, regs::P0IE, 1);
     }
 
@@ -263,7 +244,7 @@ impl DiskServer {
                 served,
             );
         }
-        k.charge(self.complete_cost);
+        k.charge(COMPLETE_COST);
         let bytes = req.sectors as u64 * SECTOR as u64;
         k.counters.disk_ops += 1;
         k.counters.disk_bytes += bytes;
@@ -278,7 +259,7 @@ impl DiskServer {
             c.outstanding = c.outstanding.saturating_sub(1);
             let slot = c.ring_head as usize % proto::RING_RECORDS;
             c.ring_head = c.ring_head.wrapping_add(1);
-            let ring_va = c.ring_page * 4096;
+            let ring_va = proto::ring_page(req.client) * 4096;
             let rec = ring_va + slot as u64 * 16;
             k.mem_write_u32(ctx, rec, req.tag as u32);
             k.mem_write_u32(ctx, rec + 4, status);
@@ -286,7 +267,7 @@ impl DiskServer {
             let head = c.ring_head;
             k.mem_write_u32(ctx, ring_va + 4092, head);
             // Signal the client's completion semaphore.
-            let sm = DiskServerConfig::client_sm_sel(req.client);
+            let sm = proto::client_sm_sel(req.client);
             let _ = k.hypercall(ctx, Hypercall::SmUp { sm });
         }
 
@@ -300,8 +281,8 @@ impl DiskServer {
     /// `(op, lba, sectors, tag, ctx, nsegs, (addr, bytes) × nsegs)`
     /// starting at word `at` of `utcb`, on behalf of `client`. Returns
     /// the request and the number of words consumed, or `None` when
-    /// the body is malformed or a segment touches memory the client
-    /// never delegated.
+    /// the body is malformed or a segment touches memory outside the
+    /// client's window or not delegated.
     fn parse_request(
         &self,
         k: &Kernel,
@@ -325,6 +306,7 @@ impl DiskServer {
         {
             return None;
         }
+        let window = proto::window_base(client)..proto::window_base(client) + proto::WINDOW_PAGES;
         let mut segs = [(0u64, 0u32); proto::MAX_SEGMENTS];
         let mut total = 0u64;
         for (i, seg) in segs.iter_mut().take(nsegs).enumerate() {
@@ -333,8 +315,14 @@ impl DiskServer {
             if bytes == 0 || bytes > proto::MAX_SECTORS * SECTOR as u64 {
                 return None;
             }
-            // Every page the segment touches must be delegated.
-            for p in (addr >> 12)..=((addr + bytes - 1) >> 12) {
+            // Every page the segment touches must lie in the client's
+            // own window — not another client's, not the server's
+            // command memory — and be delegated.
+            let last = addr.checked_add(bytes - 1)? >> 12;
+            if !window.contains(&(addr >> 12)) || !window.contains(&last) {
+                return None;
+            }
+            for p in (addr >> 12)..=last {
                 k.obj.pd(ctx.pd).mem.lookup(p)?;
             }
             *seg = (addr, bytes as u32);
@@ -470,7 +458,7 @@ impl Component for DiskServer {
             ctx,
             Hypercall::CreateSc {
                 ec: nova_core::kernel::SEL_SELF_EC,
-                prio: self.cfg.prio,
+                prio: PRIO,
                 quantum: 100_000,
                 dst: SEL_SC,
             },
@@ -483,7 +471,7 @@ impl Component for DiskServer {
             ctx,
             Hypercall::AssignGsi {
                 sm: SEL_IRQ_SM,
-                gsi: self.cfg.gsi,
+                gsi: AHCI_IRQ,
             },
         )
         .expect("gsi routed to disk server");
@@ -533,7 +521,6 @@ impl Component for DiskServer {
                         return;
                     }
                     self.clients.push(Client {
-                        ring_page: self.cfg.ring_base_page + id as u64,
                         ring_head: 0,
                         outstanding: 0,
                         active: true,
@@ -763,23 +750,27 @@ mod tests {
         let client_id = utcb.word(0);
 
         // Delegate ring page (client page 1) and the semaphore.
-        let cfg = DiskServerConfig::standard();
         let mut utcb = Utcb::new();
         utcb.set_msg(&[client_id]);
         utcb.xfer.push(XferItem::Mem {
             base: 1,
             count: 1,
             rights: MemRights::RW,
-            hot: cfg.ring_base_page + client_id,
+            hot: proto::ring_page(client_id as usize),
         });
         utcb.xfer.push(XferItem::Cap {
             sel: 0x40,
             perms: Perms::UP,
-            hot: DiskServerConfig::client_sm_sel(client_id as usize),
+            hot: proto::client_sm_sel(client_id as usize),
         });
         s.k.ipc_call(s.client_ctx, s.server_portal_reg, &mut utcb)
             .unwrap();
         client_id
+    }
+
+    /// Page `page` of `client`'s window.
+    fn window(client: u64, page: u64) -> u64 {
+        proto::window_base(client as usize) + page
     }
 
     fn submit_read(s: &mut Setup, client: u64, lba: u64, sectors: u32, window: u64) -> u64 {
@@ -813,8 +804,7 @@ mod tests {
     fn read_end_to_end() {
         let mut s = setup();
         let client = register(&mut s);
-        let window = 0x500u64;
-        let status = submit_read(&mut s, client, 100, 8, window);
+        let status = submit_read(&mut s, client, 100, 8, window(client, 0));
         assert_eq!(status, proto::OK);
 
         // Run until the completion interrupt is processed.
@@ -835,8 +825,6 @@ mod tests {
         let expect = s.k.machine.ahci().sector(100);
         assert_eq!(got[..], expect[..16]);
         // Ring record written: tag 99, status 0.
-        let cfg = DiskServerConfig::standard();
-        let _ = cfg;
         let rec = s.k.mem_read_u32(s.client_ctx, 4096).unwrap();
         assert_eq!(rec, 99);
         let c = &s.k.counters;
@@ -851,7 +839,7 @@ mod tests {
         let mut ok = 0;
         let mut busy = 0;
         for i in 0..(proto::MAX_OUTSTANDING + 3) {
-            let status = submit_read(&mut s, client, i as u64, 1, 0x500 + i as u64);
+            let status = submit_read(&mut s, client, i as u64, 1, window(client, i as u64));
             match status {
                 proto::OK => ok += 1,
                 proto::EBUSY => busy += 1,
@@ -876,34 +864,45 @@ mod tests {
     fn invalid_requests_rejected() {
         let mut s = setup();
         let client = register(&mut s);
+        let at = window(client, 0) * 4096;
         // Zero sectors.
         let mut utcb = Utcb::new();
-        utcb.set_msg(&[client, proto::OP_READ, 0, 0, 1, 0, 1, 0x500 * 4096, 512]);
+        utcb.set_msg(&[client, proto::OP_READ, 0, 0, 1, 0, 1, at, 512]);
         s.k.ipc_call(s.client_ctx, s.server_portal_req, &mut utcb)
             .unwrap();
         assert_eq!(utcb.word(0), proto::EINVAL);
-        // Window never delegated.
+        // Window page never delegated.
         let mut utcb = Utcb::new();
-        utcb.set_msg(&[client, proto::OP_READ, 0, 8, 1, 0, 1, 0x900 * 4096, 8 * 512]);
+        utcb.set_msg(&[
+            client,
+            proto::OP_READ,
+            0,
+            8,
+            1,
+            0,
+            1,
+            at + 0x40_0000,
+            8 * 512,
+        ]);
         s.k.ipc_call(s.client_ctx, s.server_portal_req, &mut utcb)
             .unwrap();
         assert_eq!(utcb.word(0), proto::EINVAL, "undelegated window refused");
         // Unknown client id.
         let mut utcb = Utcb::new();
-        utcb.set_msg(&[77, proto::OP_READ, 0, 1, 1, 0, 1, 0x500 * 4096, 512]);
+        utcb.set_msg(&[77, proto::OP_READ, 0, 1, 1, 0, 1, at, 512]);
         s.k.ipc_call(s.client_ctx, s.server_portal_req, &mut utcb)
             .unwrap();
         assert_eq!(utcb.word(0), proto::EINVAL);
         // Segment lengths that do not cover the transfer.
         let mut utcb = Utcb::new();
-        utcb.set_msg(&[client, proto::OP_READ, 0, 8, 1, 0, 1, 0x500 * 4096, 512]);
+        utcb.set_msg(&[client, proto::OP_READ, 0, 8, 1, 0, 1, at, 512]);
         s.k.ipc_call(s.client_ctx, s.server_portal_req, &mut utcb)
             .unwrap();
         assert_eq!(utcb.word(0), proto::EINVAL, "short scatter list refused");
         // Too many segments.
         let mut msg = vec![client, proto::OP_READ, 0, 9, 1, 0, 9];
         for i in 0..9u64 {
-            msg.extend_from_slice(&[0x500 * 4096 + i * 512, 512]);
+            msg.extend_from_slice(&[at + i * 512, 512]);
         }
         let mut utcb = Utcb::new();
         utcb.set_msg(&msg);
@@ -919,7 +918,7 @@ mod tests {
     fn scatter_gather_with_unaligned_segments() {
         let mut s = setup();
         let client = register(&mut s);
-        let window = 0x500u64;
+        let window = window(client, 0);
         // 8 sectors split across two segments at offsets 512 and 256
         // of two different window pages.
         let seg_a = window * 4096 + 512;
@@ -973,12 +972,13 @@ mod tests {
         let mut msg = vec![client, proto::MAX_BATCH as u64];
         let mut utcb = Utcb::new();
         for i in 0..proto::MAX_BATCH as u64 {
-            msg.extend_from_slice(&[proto::OP_READ, 10 + i, 1, i, 0, 1, (0x500 + i) * 4096, 512]);
+            let page = window(client, i);
+            msg.extend_from_slice(&[proto::OP_READ, 10 + i, 1, i, 0, 1, page * 4096, 512]);
             utcb.xfer.push(XferItem::Mem {
                 base: 8 + i,
                 count: 1,
                 rights: MemRights::RW_DMA,
-                hot: 0x500 + i,
+                hot: page,
             });
         }
         utcb.set_msg(&msg);
@@ -1002,7 +1002,7 @@ mod tests {
             77,
             0,
             1,
-            0x500 * 4096,
+            window(client, 0) * 4096,
             512,
         ]);
         s.k.ipc_call(s.client_ctx, s.server_portal_req_batch, &mut utcb)
@@ -1026,7 +1026,8 @@ mod tests {
     fn dma_confined_to_delegated_window() {
         let mut s = setup();
         let client = register(&mut s);
-        submit_read(&mut s, client, 5, 8, 0x500);
+        let window = window(client, 0);
+        submit_read(&mut s, client, 5, 8, window);
         s.k.run(Some(100_000_000));
         // No IOMMU faults: everything the device touched was delegated.
         assert!(s.k.machine.bus.iommu.faults.is_empty());
@@ -1045,9 +1046,36 @@ mod tests {
             s.k.machine
                 .bus
                 .iommu
-                .translate(ahci_dev, 0x500 * 4096, true),
+                .translate(ahci_dev, window * 4096, true),
             None,
             "revocation reached the IOMMU"
         );
+    }
+
+    /// A client names only its own window: a page of the next client's
+    /// window — delegated with the very request, so the server holds
+    /// it — and the server's own command table are both refused, and
+    /// the device touches neither.
+    #[test]
+    fn a_segment_outside_the_clients_window_is_refused() {
+        let mut s = setup();
+        let client = register(&mut s);
+        let foreign = window(client + 1, 0);
+        assert_eq!(submit_read(&mut s, client, 5, 8, foreign), proto::EINVAL);
+        let table = CMD_VA + 0x1000;
+        let before = s.k.machine.mem.read_bytes(0x301 * 4096, 4096);
+        let mut utcb = Utcb::new();
+        utcb.set_msg(&[client, proto::OP_READ, 5, 8, 1, 0, 1, table, 4096]);
+        s.k.ipc_call(s.client_ctx, s.server_portal_req, &mut utcb)
+            .unwrap();
+        assert_eq!(utcb.word(0), proto::EINVAL);
+
+        s.k.run(Some(100_000_000));
+        let c = &s.k.counters;
+        assert_eq!((c.disk_accepted, c.disk_ops), (0, 0), "nothing issued");
+        let mut got = [0u8; 4096];
+        s.k.mem_read_into(s.client_ctx, 8 * 4096, &mut got).unwrap();
+        assert!(got.iter().all(|&b| b == 0), "the client's page untouched");
+        assert_eq!(s.k.machine.mem.read_bytes(0x301 * 4096, 4096), before);
     }
 }

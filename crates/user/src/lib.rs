@@ -1,18 +1,16 @@
 //! The NOVA user-level environment (Sections 4 and 6): the root
 //! partition manager and the deprivileged system services — the disk
-//! server, the network driver and a log service — that provide OS
-//! functionality to the rest of the system from outside the
-//! hypervisor, keeping the trusted computing base minimal.
+//! server and a log service — that provide OS functionality to the
+//! rest of the system from outside the hypervisor, keeping the trusted
+//! computing base minimal.
 
 #![forbid(unsafe_code)]
 
 pub mod disk;
 pub mod log;
-pub mod net;
 pub mod proto;
 pub mod root;
 
 pub use disk::DiskServer;
 pub use log::LogService;
-pub use net::NetDriver;
 pub use root::RootPm;

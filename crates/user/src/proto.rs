@@ -4,18 +4,20 @@
 
 /// Disk-server protocol.
 pub mod disk {
-    /// Portal id: channel registration. Message: no words; transfer
-    /// items delegate (a) one completion-ring page RW and (b) an UP
-    /// capability for the client's completion semaphore at the
-    /// server-designated selectors. Reply word 0: client id.
+    /// Portal id: channel registration. Phase 1 — no words — replies
+    /// the client id (`u64::MAX`: server full). Phase 2 — word 0 the id
+    /// — carries transfer items delegating (a) one completion-ring page
+    /// RW at [`ring_page`] and (b) an UP capability for the client's
+    /// completion semaphore at [`client_sm_sel`]; reply [`OK`].
     pub const PORTAL_REGISTER: u64 = 1;
 
     /// Portal id: request submission. Message words:
     /// `[client, op, lba, sectors, tag, ctx, nsegs, (addr, bytes) ×
     /// nsegs]` — a scatter-gather list of up to [`MAX_SEGMENTS`]
-    /// segments. Each `addr` is a byte address in the server's window
-    /// (so unaligned guest buffers carry their in-page offset),
-    /// `bytes` its length; the lengths must sum to `sectors * 512`.
+    /// segments. Each `addr` is a byte address in the client's window
+    /// ([`window_base`]; unaligned guest buffers carry their in-page
+    /// offset), `bytes` its length; the lengths must sum to
+    /// `sectors * 512`, and a segment outside the window is [`EINVAL`].
     /// `ctx` is the request's causal trace context (0 = none): the
     /// server runs the request's accept/issue/complete work under it
     /// so its trace spans stitch into the originating request's tree.
@@ -71,6 +73,33 @@ pub mod disk {
     /// Maximum registered clients per server instance (bounds channel
     /// state a client population can make the server allocate).
     pub const MAX_CLIENTS: usize = 16;
+
+    /// Pages in one client's DMA window (128 MB): a client with more
+    /// memory than this to hand the server is a configuration error.
+    pub const WINDOW_PAGES: u64 = 0x8000;
+
+    /// First page of client `client`'s window in the server's space: the
+    /// client delegates its buffer page `p` at `window_base(client) + p`,
+    /// and the server refuses any segment outside its requester's window.
+    pub const fn window_base(client: usize) -> u64 {
+        0x4_0000 + client as u64 * WINDOW_PAGES
+    }
+
+    // Every window lies below the controller's register page, and so
+    // below the `MemSpace` radix directory's 2^24 pages.
+    const _: () = assert!(window_base(MAX_CLIENTS) <= nova_hw::machine::AHCI_BASE / 4096);
+
+    /// The server page where client `client` delegates its completion
+    /// ring.
+    pub const fn ring_page(client: usize) -> u64 {
+        0x200 + client as u64
+    }
+
+    /// Selector where client `client` delegates its completion
+    /// semaphore's capability.
+    pub const fn client_sm_sel(client: usize) -> usize {
+        0x80 + client
+    }
 
     /// Completion-ring status: the request failed at the device (task
     /// file error) and exhausted the server's retry budget.

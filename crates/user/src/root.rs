@@ -31,9 +31,10 @@ use nova_core::kernel::SEL_SELF_EC;
 use nova_core::obj::{MemRights, ObjRef, PdId};
 use nova_core::utcb::Utcb;
 use nova_core::{CompCtx, Component, HcErr, HcReply, Hypercall, Kernel, SmId};
+use nova_hw::machine::{AHCI_BASE, AHCI_IRQ};
 use nova_trace::{flight, Kind as TraceKind};
 
-use crate::disk::{DiskServer, DiskServerConfig};
+use crate::disk::{DiskServer, DiskServerConfig, CMD_VA};
 use crate::proto::disk as dproto;
 
 /// One resource root delegates into a protection domain it provisions.
@@ -83,18 +84,18 @@ impl DiskRecipe {
         DiskRecipe {
             grants: vec![
                 Grant::Mem {
-                    base: nova_hw::machine::AHCI_BASE / 4096,
+                    base: AHCI_BASE / 4096,
                     count: 1,
                     rights: MemRights::RW,
-                    hot: cfg.mmio_va / 4096,
+                    hot: AHCI_BASE / 4096,
                 },
                 Grant::Mem {
                     base: 0x300,
                     count: 2,
                     rights: MemRights::RW_DMA,
-                    hot: cfg.cmd_va / 4096,
+                    hot: CMD_VA / 4096,
                 },
-                Grant::Gsi(cfg.gsi),
+                Grant::Gsi(AHCI_IRQ),
                 Grant::Dev(ahci_dev),
             ],
             cfg,

@@ -15,7 +15,7 @@
 use nova_core::{CompCtx, Kernel};
 use nova_x86::reg::{flags, Reg, Regs};
 
-use crate::vmm::VmmConfig;
+use crate::vmm::{guest_va, VmmConfig};
 
 /// Multiboot bootloader magic presented to the guest in EAX.
 pub const MULTIBOOT_MAGIC: u32 = 0x2bad_b002;
@@ -38,7 +38,7 @@ pub fn boot_info(cfg: &VmmConfig) -> [u32; 4] {
 /// Loads the guest image and boot info into guest memory and returns
 /// the initial architectural state for the boot processor.
 pub fn install(k: &mut Kernel, ctx: CompCtx, cfg: &VmmConfig) -> Regs {
-    let base = cfg.guest_base_page * 4096;
+    let base = guest_va(0);
 
     // The image, placed by the BIOS without any guest-visible I/O.
     assert!(
@@ -78,24 +78,20 @@ mod tests {
         k.start_component(rc, re);
         let ctx = k.component_mut::<RootPm>(rc).unwrap().ctx.unwrap();
 
-        let cfg = VmmConfig {
-            guest_base_page: 0x400,
-            guest_pages: 1024,
-            ..VmmConfig::full_virt(
-                GuestImage {
-                    bytes: vec![0x90, 0x90, 0xf4],
-                    load_gpa: 0x1000,
-                    entry: 0x1000,
-                    stack: 0x8000,
-                },
-                1024,
-            )
-        };
+        let cfg = VmmConfig::full_virt(
+            GuestImage {
+                bytes: vec![0x90, 0x90, 0xf4],
+                load_gpa: 0x1000,
+                entry: 0x1000,
+                stack: 0x8000,
+            },
+            1024,
+        );
         let regs = install(&mut k, ctx, &cfg);
         assert_eq!(regs.eip, 0x1000);
         assert_eq!(regs.get(Reg::Eax), MULTIBOOT_MAGIC);
         assert_eq!(regs.get(Reg::Ebx), BOOT_INFO_GPA as u32);
-        let base = cfg.guest_base_page * 4096;
+        let base = guest_va(0);
         let mut code = [0u8; 3];
         k.mem_read_into(ctx, base + 0x1000, &mut code).unwrap();
         assert_eq!(code, [0x90, 0x90, 0xf4]);
@@ -111,19 +107,15 @@ mod tests {
         let (rc, re) = k.load_component(k.root_pd, 0, Box::new(RootPm::new()));
         k.start_component(rc, re);
         let ctx = k.component_mut::<RootPm>(rc).unwrap().ctx.unwrap();
-        let cfg = VmmConfig {
-            guest_base_page: 0x400,
-            guest_pages: 1,
-            ..VmmConfig::full_virt(
-                GuestImage {
-                    bytes: vec![0; 8192],
-                    load_gpa: 0,
-                    entry: 0,
-                    stack: 0,
-                },
-                1,
-            )
-        };
+        let cfg = VmmConfig::full_virt(
+            GuestImage {
+                bytes: vec![0; 8192],
+                load_gpa: 0,
+                entry: 0,
+                stack: 0,
+            },
+            1,
+        );
         install(&mut k, ctx, &cfg);
     }
 }

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! magic     8 bytes  "NOVACKPT"
-//! version   u32      format version (3)
+//! version   u32      format version (4)
 //! seq       u64      checkpoint sequence number
 //! guest mem u64 len, then len bytes (guest-physical image)
 //! vcpus     u32      count, then count * VcpuSnapshot::BYTES records
@@ -43,7 +43,7 @@ pub const MAGIC: [u8; 8] = *b"NOVACKPT";
 /// Current checkpoint format version. Bump on any layout change; the
 /// parser refuses other versions, which makes a stale checkpoint an
 /// explicit cold-reboot escalation rather than a silent corruption.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
 const SEQ_OFFSET: usize = MAGIC.len() + 4;
 
@@ -435,15 +435,25 @@ mod tests {
         assert!(image_header(&v1).is_none());
     }
 
-    /// Version 2 had this very framing and statistic words inside the
-    /// device-state record: refused by number, not misparsed.
+    /// Versions 2 and 3 had this very framing and other words inside
+    /// the device-state record (2: statistics; 3: the vAHCI's
+    /// in-flight slot mask): refused by number, not misparsed.
+    fn rejects_the_version(v: u32) {
+        let mut old = sample().to_bytes();
+        old[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&v.to_le_bytes());
+        assert!(Checkpoint::from_bytes(&old).is_none());
+        assert!(View::parse(&old).is_none());
+        assert!(image_header(&old).is_none());
+    }
+
     #[test]
     fn rejects_the_version_2_layout() {
-        let mut v2 = sample().to_bytes();
-        v2[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&2u32.to_le_bytes());
-        assert!(Checkpoint::from_bytes(&v2).is_none());
-        assert!(View::parse(&v2).is_none());
-        assert!(image_header(&v2).is_none());
+        rejects_the_version(2);
+    }
+
+    #[test]
+    fn rejects_the_version_3_layout() {
+        rejects_the_version(3);
     }
 
     #[test]

@@ -32,9 +32,7 @@ use nova_core::utcb::XferItem;
 use nova_core::{CompCtx, Kernel, Utcb};
 use nova_user::proto::disk as proto;
 
-/// First page of the disk server's window for this client's buffers:
-/// the server sees guest page `g` at window page `WINDOW_BASE + g`.
-pub const WINDOW_BASE: u64 = 0x40_000;
+use crate::vmm::GUEST_BASE_PAGE;
 
 /// Cycles an accepted request may stay uncompleted before it is
 /// re-sent. Longer than the disk server's own recovery chain, so this
@@ -105,11 +103,11 @@ pub enum Due {
     GiveUp,
 }
 
-/// One front end's connection to the disk server.
+/// One front end's connection to the disk server. The server sees guest
+/// page `g` at page `g` of this client's window
+/// ([`proto::window_base`]).
+#[derive(Default)]
 pub struct DiskClient {
-    /// First VMM page of the guest-RAM window (guest page `g` is VMM
-    /// page `guest_base_page + g`).
-    guest_base_page: u64,
     channel: Option<DiskChannel>,
     /// Consumer cursor of the server's completion ring.
     ring_tail: u32,
@@ -121,16 +119,6 @@ pub struct DiskClient {
 }
 
 impl DiskClient {
-    /// A client without a channel yet.
-    pub fn new(guest_base_page: u64) -> DiskClient {
-        DiskClient {
-            guest_base_page,
-            channel: None,
-            ring_tail: 0,
-            delegated: HashSet::new(),
-        }
-    }
-
     /// Starts over against a server that knows nothing of this client:
     /// its ring produces from zero and it holds none of the guest's
     /// pages. A new channel replaces the old one (server restart);
@@ -164,12 +152,14 @@ impl DiskClient {
     ) -> Option<Utcb> {
         let now = k.now();
         let reqs = reqs.into_iter();
+        let client = self.client_id().unwrap_or(0);
+        let window = proto::window_base(client as usize);
         let mut utcb = Utcb::new();
         // One allocation, exact for single-segment requests (every PV
         // descriptor): 6 body words and one (addr, bytes) pair each.
         let bodies = 8 * reqs.size_hint().1.unwrap_or(0);
         utcb.msg.reserve_exact(1 + header.len() + bodies);
-        utcb.msg.push(self.client_id().unwrap_or(0));
+        utcb.msg.push(client);
         utcb.msg.extend_from_slice(header);
         let mut newly: Vec<u64> = Vec::new();
         let mut first_ctx = None;
@@ -185,19 +175,19 @@ impl DiskClient {
                         newly.push(p);
                     }
                 }
-                // Pages map at `WINDOW_BASE + page`, so an unaligned
-                // buffer keeps its in-page offset.
+                // Pages map at `window + page`, so an unaligned buffer
+                // keeps its in-page offset.
                 utcb.msg
-                    .extend_from_slice(&[WINDOW_BASE * 4096 + addr, bytes as u64]);
+                    .extend_from_slice(&[window * 4096 + addr, bytes as u64]);
             }
         }
         let ch = self.channel?;
         for &p in &newly {
             utcb.xfer.push(XferItem::Mem {
-                base: self.guest_base_page + p,
+                base: GUEST_BASE_PAGE + p,
                 count: 1,
                 rights: MemRights::RW_DMA,
-                hot: WINDOW_BASE + p,
+                hot: window + p,
             });
         }
         // The IPC runs on the first request's context, so its span and
@@ -284,8 +274,6 @@ pub(crate) mod tests {
     use nova_hw::machine::{Machine, MachineConfig};
     use nova_user::RootPm;
 
-    /// First root page of the stand-in guest RAM.
-    pub(crate) const GUEST_BASE: u64 = 0x400;
     /// Root VA of the completion-ring page of [`channel`].
     pub(crate) const RING_VA: u64 = 0x300 * 4096;
 
@@ -404,7 +392,7 @@ pub(crate) mod tests {
     fn send_charges_always_and_commits_delegations_only_when_applied() {
         let (mut k, ctx, stub) = setup();
         k.charge(5_000);
-        let mut c = DiskClient::new(GUEST_BASE);
+        let mut c = DiskClient::default();
         let mut r = req(4, 0, false);
 
         c.rebind(Some(channel(0x21)));
@@ -427,7 +415,7 @@ pub(crate) mod tests {
             4,
             77,
             1,
-            (WINDOW_BASE << 12) + 0x5f00,
+            (proto::window_base(3) << 12) + 0x5f00,
             512,
         ];
         assert_eq!(k.component_mut::<Stub>(stub).unwrap().0, wire);
@@ -436,7 +424,7 @@ pub(crate) mod tests {
     #[test]
     fn next_completion_wraps_at_ring_records() {
         let (mut k, ctx, _) = setup();
-        let mut c = DiskClient::new(GUEST_BASE);
+        let mut c = DiskClient::default();
         c.rebind(Some(channel(0x20)));
         assert_eq!(c.next_completion(&k, ctx), None, "zeroed ring is empty");
         let last = proto::RING_RECORDS as u32 - 1;
@@ -454,7 +442,7 @@ pub(crate) mod tests {
     #[test]
     fn retry_is_charged_and_replay_is_not() {
         let (mut k, ctx, _) = setup();
-        let mut c = DiskClient::new(GUEST_BASE);
+        let mut c = DiskClient::default();
         c.rebind(Some(channel(0x20)));
         let retries = k.counters.client_resubmits;
 

@@ -28,6 +28,7 @@ use nova_x86::paging;
 use nova_x86::reg::Regs;
 
 use crate::devices::VDevices;
+use crate::vmm::guest_va;
 
 /// Emulation failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,24 +45,15 @@ impl From<Fault> for EmuErr {
     }
 }
 
-/// The guest-memory view: where guest-physical memory lives in the
-/// VMM's address space, and how large it is.
-#[derive(Clone, Copy, Debug)]
-pub struct GuestView {
-    /// First VMM page of the guest-RAM window.
-    pub base_page: u64,
-    /// Guest RAM size in pages.
-    pub pages: u64,
-}
-
 /// The emulator's execution environment.
 pub struct EmuEnv<'a> {
     /// Kernel access (guest memory through the VMM's mappings).
     pub k: &'a mut Kernel,
     /// The VMM's identity.
     pub ctx: CompCtx,
-    /// Guest-RAM window.
-    pub view: GuestView,
+    /// Guest RAM size in pages (guest RAM is mapped at
+    /// [`crate::vmm::GUEST_BASE_PAGE`]).
+    pub guest_pages: u64,
     /// Virtual devices for MMIO and port I/O.
     pub dev: &'a mut VDevices,
     /// Guest paging state (from the exit message).
@@ -85,22 +77,21 @@ impl EmuEnv<'_> {
     }
 
     fn read_gpa_u32(&self, gpa: u64) -> Option<u32> {
-        if gpa >> 12 >= self.view.pages {
+        if gpa >> 12 >= self.guest_pages {
             return None;
         }
-        self.k
-            .mem_read_u32(self.ctx, self.view.base_page * 4096 + gpa)
+        self.k.mem_read_u32(self.ctx, guest_va(gpa))
     }
 
     fn in_ram(&self, gpa: u64) -> bool {
-        gpa >> 12 < self.view.pages
+        gpa >> 12 < self.guest_pages
     }
 
     /// Loads from guest-physical `gpa` (within one page): guest RAM, a
     /// virtual device, or the floating bus.
     fn read_gpa(&mut self, gpa: u64, size: OpSize) -> Result<u32, EmuErr> {
         if self.in_ram(gpa) {
-            let a = self.view.base_page * 4096 + gpa;
+            let a = guest_va(gpa);
             match size {
                 OpSize::Byte => self.k.mem_read_u8(self.ctx, a).map(|b| b as u32),
                 OpSize::Dword => self.k.mem_read_u32(self.ctx, a),
@@ -120,11 +111,9 @@ impl EmuEnv<'_> {
         if self.in_ram(gpa) {
             let bytes = val.to_le_bytes();
             let n = (size.bytes() as usize).min(bytes.len());
-            let ok = self.k.mem_write(
-                self.ctx,
-                self.view.base_page * 4096 + gpa,
-                bytes.get(..n).unwrap_or(&bytes),
-            );
+            let ok = self
+                .k
+                .mem_write(self.ctx, guest_va(gpa), bytes.get(..n).unwrap_or(&bytes));
             if ok {
                 Ok(())
             } else {
@@ -230,7 +219,7 @@ pub fn fetch_insn(env: &mut EmuEnv, regs: &Regs) -> Result<Insn, EmuErr> {
         }
         let page_left = 4096 - (gpa & 0xfff) as usize;
         let want = (MAX_INSN_LEN - len).min(page_left);
-        let addr = env.view.base_page * 4096 + gpa;
+        let addr = guest_va(gpa);
         let Some(src) = env.k.mem_slice(env.ctx, addr, want) else {
             break;
         };
@@ -278,39 +267,36 @@ mod tests {
 
     use crate::vahci::VAhci;
 
-    /// Builds a kernel with a root-resident "VMM" view over pages
-    /// 0x400.. as guest RAM.
-    fn setup() -> (Kernel, CompCtx, GuestView, VDevices) {
+    /// Builds a kernel with a root-resident "VMM" whose 1024 pages at
+    /// `GUEST_BASE_PAGE..` stand in for guest RAM.
+    fn setup() -> (Kernel, CompCtx, u64, VDevices) {
         let m = Machine::new(MachineConfig::core_i7(64 << 20));
         let mut k = Kernel::new(m, KernelConfig::default());
         let (rc, re) = k.load_component(k.root_pd, 0, Box::new(RootPm::new()));
         k.start_component(rc, re);
         let ctx = k.component_mut::<RootPm>(rc).unwrap().ctx.unwrap();
-        let view = GuestView {
-            base_page: 0x400,
-            pages: 1024,
-        };
+        let guest_pages = 1024;
         let dev = VDevices::new(
             2_670_000_000,
             0,
-            VAhci::new(view.base_page, view.pages),
-            crate::pvdisk::PvDisk::new(view.base_page, view.pages),
+            VAhci::new(guest_pages),
+            crate::pvdisk::PvDisk::new(guest_pages),
             None,
         );
-        (k, ctx, view, dev)
+        (k, ctx, guest_pages, dev)
     }
 
     #[test]
     fn emulates_mov_to_guest_ram_unpaged() {
-        let (mut k, ctx, view, mut dev) = setup();
+        let (mut k, ctx, guest_pages, mut dev) = setup();
         // Guest code at GPA 0x1000: mov dword [0x2000], 0xabcd1234
         let code = [0xc7, 0x05, 0x00, 0x20, 0x00, 0x00, 0x34, 0x12, 0xcd, 0xab];
-        k.mem_write(ctx, view.base_page * 4096 + 0x1000, &code);
+        k.mem_write(ctx, guest_va(0x1000), &code);
 
         let mut env = EmuEnv {
             k: &mut k,
             ctx,
-            view,
+            guest_pages,
             dev: &mut dev,
             mmu: MmuRegs::default(),
             device_ops: 0,
@@ -320,17 +306,14 @@ mod tests {
         assert_eq!(insn.len, 10);
         assert_eq!(flow, Exec::Normal);
         assert_eq!(regs.eip, 0x1000 + 10);
-        assert_eq!(
-            k.mem_read_u32(ctx, view.base_page * 4096 + 0x2000),
-            Some(0xabcd1234)
-        );
+        assert_eq!(k.mem_read_u32(ctx, guest_va(0x2000)), Some(0xabcd1234));
     }
 
     #[test]
     fn emulates_through_guest_page_tables() {
-        let (mut k, ctx, view, mut dev) = setup();
+        let (mut k, ctx, guest_pages, mut dev) = setup();
         // Guest page table at GPA 0x10000 maps GVA 0x40_0000 -> GPA 0x2000.
-        let base = view.base_page * 4096;
+        let base = guest_va(0);
         let groot = 0x10000u64;
         let gpt = 0x11000u64;
         k.mem_write_u32(ctx, base + groot + 4, gpt as u32 | 3); // PDE for di=1
@@ -342,7 +325,7 @@ mod tests {
         let mut env = EmuEnv {
             k: &mut k,
             ctx,
-            view,
+            guest_pages,
             dev: &mut dev,
             mmu: MmuRegs {
                 cr0: nova_x86::reg::cr0::PE | nova_x86::reg::cr0::PG,
@@ -364,15 +347,15 @@ mod tests {
 
     #[test]
     fn guest_page_fault_surfaces_for_injection() {
-        let (mut k, ctx, view, mut dev) = setup();
-        let base = view.base_page * 4096;
+        let (mut k, ctx, guest_pages, mut dev) = setup();
+        let base = guest_va(0);
         // Unpaged fetch works; the operand hits an unmapped GVA under
         // paging? Use paging on with empty tables: fetch itself faults.
         k.mem_write(ctx, base + 0x1000, &[0x90]);
         let mut env = EmuEnv {
             k: &mut k,
             ctx,
-            view,
+            guest_pages,
             dev: &mut dev,
             mmu: MmuRegs {
                 cr0: nova_x86::reg::cr0::PE | nova_x86::reg::cr0::PG,
@@ -393,8 +376,8 @@ mod tests {
 
     #[test]
     fn mmio_dispatches_to_vahci() {
-        let (mut k, ctx, view, mut dev) = setup();
-        let base = view.base_page * 4096;
+        let (mut k, ctx, guest_pages, mut dev) = setup();
+        let base = guest_va(0);
         // mov eax, [AHCI_BASE + CAP]
         let mmio = nova_hw::machine::AHCI_BASE as u32;
         let code = [
@@ -408,7 +391,7 @@ mod tests {
         let mut env = EmuEnv {
             k: &mut k,
             ctx,
-            view,
+            guest_pages,
             dev: &mut dev,
             mmu: MmuRegs::default(),
             device_ops: 0,
@@ -436,7 +419,7 @@ mod tests {
             }
             let page_left = 4096 - (gpa & 0xfff) as usize;
             let want = (MAX_INSN_LEN - len).min(page_left);
-            let addr = env.view.base_page * 4096 + gpa;
+            let addr = guest_va(gpa);
             let Some(src) = env.k.mem_slice(env.ctx, addr, want) else {
                 break 'fetch;
             };
@@ -468,9 +451,9 @@ mod tests {
 
     #[test]
     fn fetch_decodes_each_chunk_once_and_agrees_with_the_per_length_loop() {
-        let (mut k, ctx, view, mut dev) = setup();
-        let base = view.base_page * 4096;
-        let ram_end = view.pages * 4096;
+        let (mut k, ctx, guest_pages, mut dev) = setup();
+        let base = guest_va(0);
+        let ram_end = guest_pages * 4096;
         // Instructions ending on the last byte of guest RAM, a lone
         // invalid byte there, one cut off by the end of RAM, one
         // straddling two pages, and fifteen bytes of prefixes.
@@ -481,7 +464,7 @@ mod tests {
         let mut env = EmuEnv {
             k: &mut k,
             ctx,
-            view,
+            guest_pages,
             dev: &mut dev,
             mmu: MmuRegs::default(),
             device_ops: 0,
@@ -527,8 +510,8 @@ mod tests {
 
     #[test]
     fn fetch_into_an_unmapped_page_faults_only_when_the_first_page_cannot_supply() {
-        let (mut k, ctx, view, mut dev) = setup();
-        let base = view.base_page * 4096;
+        let (mut k, ctx, guest_pages, mut dev) = setup();
+        let base = guest_va(0);
         // GVA page 1 -> GPA 0x3000; GVA page 2 is not present.
         let (groot, gpt) = (0x10000u64, 0x11000u64);
         k.mem_write_u32(ctx, base + groot, gpt as u32 | 3);
@@ -537,7 +520,7 @@ mod tests {
         let mut env = EmuEnv {
             k: &mut k,
             ctx,
-            view,
+            guest_pages,
             dev: &mut dev,
             mmu: MmuRegs {
                 cr0: nova_x86::reg::cr0::PE | nova_x86::reg::cr0::PG,
@@ -576,8 +559,8 @@ mod tests {
 
     #[test]
     fn port_io_reaches_virtual_devices() {
-        let (mut k, ctx, view, mut dev) = setup();
-        let base = view.base_page * 4096;
+        let (mut k, ctx, guest_pages, mut dev) = setup();
+        let base = guest_va(0);
         // mov al, 'Z'; mov dx, 0x3f8... (use mov edx) ; out dx, al
         let code = [
             0xb0, b'Z', // mov al, 'Z'
@@ -588,7 +571,7 @@ mod tests {
         let mut env = EmuEnv {
             k: &mut k,
             ctx,
-            view,
+            guest_pages,
             dev: &mut dev,
             mmu: MmuRegs::default(),
             device_ops: 0,
@@ -623,21 +606,18 @@ mod string_mmio_tests {
         let (rc, re) = k.load_component(k.root_pd, 0, Box::new(RootPm::new()));
         k.start_component(rc, re);
         let ctx = k.component_mut::<RootPm>(rc).unwrap().ctx.unwrap();
-        let view = GuestView {
-            base_page: 0x400,
-            pages: 1024,
-        };
+        let guest_pages = 1024;
         let mut dev = VDevices::new(
             2_670_000_000,
             0,
-            VAhci::new(view.base_page, view.pages),
-            crate::pvdisk::PvDisk::new(view.base_page, view.pages),
+            VAhci::new(guest_pages),
+            crate::pvdisk::PvDisk::new(guest_pages),
             None,
         );
 
         // rep stosd to [AHCI_BASE + P0IE], 3 dwords. (IE, then two
         // reserved registers — writes must reach the model.)
-        let base = view.base_page * 4096;
+        let base = guest_va(0);
         k.mem_write(ctx, base + 0x1000, &[0xf3, 0xab]);
         let mut regs = Regs::at(0x1000);
         regs.set(
@@ -650,7 +630,7 @@ mod string_mmio_tests {
         let mut env = EmuEnv {
             k: &mut k,
             ctx,
-            view,
+            guest_pages,
             dev: &mut dev,
             mmu: MmuRegs::default(),
             device_ops: 0,

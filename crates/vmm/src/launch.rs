@@ -212,27 +212,12 @@ impl System {
             // virtual controller would use, so one driver serves both.
             opts.vmm.direct_mmio.push((AHCI_BASE / 4096, 0x7_0000, 1));
             opts.vmm.direct_gsis.push(AHCI_IRQ);
-            opts.vmm.guest_dma = true;
         }
         if opts.direct_nic {
             hw.push(window(NIC_BASE, 4, 0x7_0010));
             hw.push(Grant::Gsi(NIC_IRQ));
             opts.vmm.direct_mmio.push((NIC_BASE / 4096, 0x7_0010, 4));
             opts.vmm.direct_gsis.push(NIC_IRQ);
-            opts.vmm.guest_dma = true;
-        }
-        if opts.vmm.exitless_direct {
-            // The exit-free configuration also needs the timer and
-            // interrupt-controller ports (the hypervisor keeps the
-            // physical ones, so this config uses dedicated guest
-            // hardware: serial + debug ports suffice for the
-            // benchmarks' compute workloads).
-            hw.push(Grant::Io {
-                base: nova_hw::serial::COM1,
-                count: 8,
-            });
-            opts.vmm.direct_ports.push((nova_hw::serial::COM1, 8));
-            opts.vmm.direct_ports.push((crate::devices::PORT_EXIT, 2));
         }
         // Paravirtual NIC: the VMM (not the VM) owns the physical
         // controller — register window, interrupt, IOMMU mapping.

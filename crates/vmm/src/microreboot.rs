@@ -48,7 +48,7 @@ use nova_user::root::{
 };
 
 use crate::checkpoint::{self, View};
-use crate::vmm::{sel, Vmm, VmmConfig, SEL_RESTART_SM};
+use crate::vmm::{sel, Vmm, VmmConfig, GUEST_BASE_PAGE, PV_RING_PAGE, RING_PAGE, SEL_RESTART_SM};
 
 /// Watchdog deadline for a supervised VMM. The VMM's maintenance
 /// timer makes a hypercall at least every million cycles, so a healthy
@@ -138,7 +138,16 @@ impl MicrorebootRecipe {
     /// the disk server (at the protocol's well-known selectors, so a
     /// restarted server re-delegates to the same slots). Nothing exists
     /// yet: [`Self::provision`] builds the first incarnation.
+    ///
+    /// # Panics
+    ///
+    /// A disk client whose guest RAM exceeds its disk-server window
+    /// ([`disk_proto::WINDOW_PAGES`]) is a configuration error.
     pub fn new(frames: u64, mut cfg: VmmConfig, disk_slot: Option<usize>) -> MicrorebootRecipe {
+        assert!(
+            disk_slot.is_none() || cfg.guest_pages <= disk_proto::WINDOW_PAGES,
+            "guest RAM exceeds the disk-server window"
+        );
         let vga = nova_hw::vga::VGA_BASE / 4096;
         let page = |base, hot| Grant::Mem {
             base,
@@ -151,12 +160,12 @@ impl MicrorebootRecipe {
                 base: frames,
                 count: cfg.guest_pages,
                 rights: MemRights::RW_DMA,
-                hot: cfg.guest_base_page,
+                hot: GUEST_BASE_PAGE,
             },
             // Completion-ring pages: one for the vAHCI path, one for
             // the PV batched queue (a second disk-server client).
-            page(frames + cfg.guest_pages, cfg.ring_page),
-            page(frames + cfg.guest_pages + 1, cfg.pv_ring_page),
+            page(frames + cfg.guest_pages, RING_PAGE),
+            page(frames + cfg.guest_pages + 1, PV_RING_PAGE),
             // Debug/mark ports so the guest's shutdown stops the world.
             Grant::Io {
                 base: crate::devices::PORT_EXIT,
@@ -166,10 +175,7 @@ impl MicrorebootRecipe {
             page(vga, vga),
         ];
         cfg.direct_mmio.push((vga, vga, 1));
-        if disk_slot.is_some() {
-            cfg.disk_portals = Some((disk_proto::CLIENT_SEL_REG, disk_proto::CLIENT_SEL_REQ));
-            cfg.disk_batch_portal = Some(disk_proto::CLIENT_SEL_BATCH);
-        }
+        cfg.disk = disk_slot.is_some();
         MicrorebootRecipe {
             vmm: CompId(usize::MAX),
             vmm_sel: 0,
@@ -332,7 +338,7 @@ impl VmRecipe for MicrorebootRecipe {
         disk: Option<DiskServerRef>,
         checkpoint: Option<&[u8]>,
     ) -> Result<CapSel, RespawnError> {
-        if self.cfg.pv_nic || self.cfg.exitless_direct || !self.cfg.direct_gsis.is_empty() {
+        if self.cfg.pv_nic || !self.cfg.direct_gsis.is_empty() {
             return Err(RespawnError::State(
                 "direct-hardware configurations cannot microreboot",
             ));
@@ -418,5 +424,29 @@ impl VmRecipe for MicrorebootRecipe {
 
     fn as_any(&mut self) -> &mut dyn std::any::Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::vmm::GuestImage;
+
+    /// A guest one page larger than a disk-server window boots without
+    /// storage and is refused as a disk client; one that fits is not.
+    #[test]
+    #[should_panic(expected = "guest RAM exceeds the disk-server window")]
+    fn a_disk_client_larger_than_its_window_is_a_configuration_error() {
+        let image = GuestImage {
+            bytes: vec![0xf4],
+            load_gpa: 0,
+            entry: 0,
+            stack: 0,
+        };
+        let cfg = |pages| VmmConfig::full_virt(image.clone(), pages);
+        let max = disk_proto::WINDOW_PAGES;
+        MicrorebootRecipe::new(0x1000, cfg(max), Some(0));
+        MicrorebootRecipe::new(0x1000, cfg(max + 1), None);
+        MicrorebootRecipe::new(0x1000, cfg(max + 1), Some(0));
     }
 }

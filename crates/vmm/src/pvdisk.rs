@@ -44,6 +44,7 @@ use nova_user::proto::disk as proto;
 use crate::checkpoint::{Dec, Enc};
 use crate::devices::count_rejected;
 use crate::diskclient::{DiskChannel, DiskClient, Due, Req};
+use crate::vmm::guest_va;
 
 /// Virtual interrupt line for PV disk completions (a free slave-PIC
 /// line; the vAHCI keeps [`nova_hw::machine::AHCI_IRQ`]).
@@ -56,7 +57,6 @@ fn one_segment(buf: u64, bytes: u32) -> [(u64, u32); proto::MAX_SEGMENTS] {
 
 /// The paravirtual disk queue backend.
 pub struct PvDisk {
-    guest_base_page: u64,
     guest_pages: u64,
     /// The channel to the disk server.
     pub disk: DiskClient,
@@ -89,13 +89,11 @@ pub struct PvDisk {
 }
 
 impl PvDisk {
-    /// Creates the backend for a guest-RAM window starting at VMM page
-    /// `guest_base_page` spanning `guest_pages` pages.
-    pub fn new(guest_base_page: u64, guest_pages: u64) -> PvDisk {
+    /// Creates the backend for a guest of `guest_pages` pages.
+    pub fn new(guest_pages: u64) -> PvDisk {
         PvDisk {
-            guest_base_page,
             guest_pages,
-            disk: DiskClient::new(guest_base_page),
+            disk: DiskClient::default(),
             ring_gpa: 0,
             requests: 0,
             completions: 0,
@@ -129,10 +127,6 @@ impl PvDisk {
     /// `true` while any descriptor awaits completion.
     pub fn has_pending(&self) -> bool {
         !self.pending.is_empty()
-    }
-
-    fn guest_va(&self, gpa: u64) -> u64 {
-        self.guest_base_page * 4096 + gpa
     }
 
     /// Guest MMIO read of a PV register this backend owns.
@@ -260,7 +254,7 @@ impl PvDisk {
             return Err(GuestFault::BadBase);
         }
         let slot = idx % ring::CAPACITY as u64;
-        let base = self.guest_va(self.ring_gpa + ring::DESC0 + slot * ring::DESC_SIZE);
+        let base = guest_va(self.ring_gpa + ring::DESC0 + slot * ring::DESC_SIZE);
         let rd = |off: u64| k.mem_read_u32(ctx, base + off).ok_or(GuestFault::BadBase);
         let rd64 = |off: u64| k.mem_read_u64(ctx, base + off).ok_or(GuestFault::BadBase);
         let op = rd(ring::D_OP)?;
@@ -356,7 +350,7 @@ impl PvDisk {
         let mut advanced = false;
         while let Some((status, rctx)) = self.done.remove(&self.completions) {
             let slot = self.completions % ring::CAPACITY as u64;
-            let base = self.guest_va(self.ring_gpa + ring::DESC0 + slot * ring::DESC_SIZE);
+            let base = guest_va(self.ring_gpa + ring::DESC0 + slot * ring::DESC_SIZE);
             k.mem_write_u32(ctx, base + ring::D_STATUS, status);
             // Publish the request's context into the descriptor's free
             // word (observational; the guest driver ignores it) and
@@ -380,12 +374,12 @@ impl PvDisk {
         }
         k.mem_write_u32(
             ctx,
-            self.guest_va(self.ring_gpa + ring::ERRORS),
+            guest_va(self.ring_gpa + ring::ERRORS),
             self.used_errors as u32,
         );
         k.mem_write_u32(
             ctx,
-            self.guest_va(self.ring_gpa + ring::USED),
+            guest_va(self.ring_gpa + ring::USED),
             self.completions as u32,
         );
         // Interrupt moderation: completions land in the ring silently
@@ -567,18 +561,18 @@ impl PvDisk {
 #[allow(clippy::unwrap_used, clippy::panic, clippy::indexing_slicing)]
 mod tests {
     use super::*;
-    use crate::diskclient::tests::{channel, setup, GUEST_BASE};
+    use crate::diskclient::tests::{channel, setup};
 
     /// A restore is a replay, not a failed delivery: a microreboot must
     /// not burn one of a pending descriptor's attempts.
     #[test]
     fn restore_replay_does_not_charge_the_attempt_budget() {
         let (mut k, ctx, _) = setup();
-        let mut pv = PvDisk::new(GUEST_BASE, 1024);
+        let mut pv = PvDisk::new(1024);
         pv.attach(channel(0x20));
         // One descriptor in a ring page at guest 0x2000: read sector 0
         // into guest 0x8000.
-        let desc = pv.guest_va(0x2000 + ring::DESC0);
+        let desc = guest_va(0x2000 + ring::DESC0);
         k.mem_write_u32(ctx, desc + ring::D_OP, ring::OP_READ);
         k.mem_write_u32(ctx, desc + ring::D_SECTORS, 1);
         k.mem_write_u32(ctx, desc + ring::D_BUF, 0x8000);
@@ -593,7 +587,7 @@ mod tests {
         // The next incarnation, over a server that holds none of the
         // dead one's delegations (they were revoked with its PD).
         let (mut k, ctx, _) = setup();
-        let mut revived = PvDisk::new(GUEST_BASE, 1024);
+        let mut revived = PvDisk::new(1024);
         revived.attach(channel(0x20));
         revived.import_state(&mut Dec::new(&blob)).unwrap();
         revived.restore_resubmit(&mut k, ctx);

@@ -35,6 +35,7 @@ use nova_hw::{GuestFault, GuestSurface, VmKill};
 
 use crate::checkpoint::{Dec, Enc};
 use crate::devices::count_rejected;
+use crate::vmm::guest_va;
 
 /// VMM page where the launcher maps the physical NIC's register
 /// window for a paravirtual-NIC VMM (the direct-assignment path uses
@@ -49,7 +50,6 @@ const HW_ENTRIES: u64 = 256;
 
 /// The paravirtual NIC backend.
 pub struct PvNet {
-    guest_base_page: u64,
     guest_pages: u64,
     /// VMM virtual address of the NIC register window.
     mmio_va: u64,
@@ -67,11 +67,9 @@ pub struct PvNet {
 }
 
 impl PvNet {
-    /// Creates the backend for a guest-RAM window starting at VMM
-    /// page `guest_base_page` spanning `guest_pages` pages.
-    pub fn new(guest_base_page: u64, guest_pages: u64) -> PvNet {
+    /// Creates the backend for a guest of `guest_pages` pages.
+    pub fn new(guest_pages: u64) -> PvNet {
         PvNet {
-            guest_base_page,
             guest_pages,
             mmio_va: PVNET_MMIO_PAGE * 4096,
             ring_gpa: 0,
@@ -97,17 +95,6 @@ impl PvNet {
         if self.fatal.is_none() {
             self.fatal = Some(VmKill::new(GuestSurface::PvNetRing, reason));
         }
-    }
-
-    fn guest_va(&self, gpa: u64) -> u64 {
-        self.guest_base_page * 4096 + gpa
-    }
-
-    /// Device DMA address of guest byte `gpa`: the NIC is assigned to
-    /// the VMM's protection domain, where guest RAM is DMA-mapped at
-    /// the guest window.
-    fn dva(&self, gpa: u64) -> u64 {
-        self.guest_base_page * 4096 + gpa
     }
 
     fn reg_write(&self, k: &mut Kernel, ctx: CompCtx, reg: u32, val: u32) {
@@ -178,9 +165,11 @@ impl PvNet {
     }
 
     /// Programs the physical receive ring into the backend-private
-    /// second page of the guest's ring allocation.
+    /// second page of the guest's ring allocation. The NIC is assigned
+    /// to the VMM's protection domain, so a device DMA address is the
+    /// VMM address of the guest byte.
     fn init_hw(&mut self, k: &mut Kernel, ctx: CompCtx) {
-        let base = self.dva(self.ring_gpa + 4096);
+        let base = guest_va(self.ring_gpa + 4096);
         self.reg_write(k, ctx, hw::RDBAL, base as u32);
         self.reg_write(k, ctx, hw::RDBAH, (base >> 32) as u32);
         self.reg_write(k, ctx, hw::RDLEN, (HW_ENTRIES * 16) as u32);
@@ -211,7 +200,7 @@ impl PvNet {
         for _ in 0..count {
             let idx = self.posted;
             let slot = idx % ring::CAPACITY as u64;
-            let entry = self.guest_va(self.ring_gpa + ring::ENTRY0 + slot * ring::ENTRY_SIZE);
+            let entry = guest_va(self.ring_gpa + ring::ENTRY0 + slot * ring::ENTRY_SIZE);
             let buf = k.mem_read_u64(ctx, entry + ring::E_BUF).unwrap_or(0);
             let cap = k.mem_read_u32(ctx, entry + ring::E_LEN).unwrap_or(0) as u64;
             // The posted buffer becomes a hardware DMA target: it must
@@ -223,8 +212,8 @@ impl PvNet {
                 self.reject_fatal(k, GuestFault::BufferOutOfRange);
                 break;
             }
-            let hwd = self.guest_va(self.ring_gpa + 4096 + (idx % HW_ENTRIES) * 16);
-            let dva = self.dva(buf);
+            let hwd = guest_va(self.ring_gpa + 4096 + (idx % HW_ENTRIES) * 16);
+            let dva = guest_va(buf);
             k.mem_write_u32(ctx, hwd, dva as u32);
             k.mem_write_u32(ctx, hwd + 4, (dva >> 32) as u32);
             k.mem_write_u32(ctx, hwd + 8, 0);
@@ -257,14 +246,14 @@ impl PvNet {
         let _ = self.reg_read(k, ctx, hw::ICR);
         let mut advanced = false;
         while self.used < self.posted {
-            let hwd = self.guest_va(self.ring_gpa + 4096 + (self.used % HW_ENTRIES) * 16);
+            let hwd = guest_va(self.ring_gpa + 4096 + (self.used % HW_ENTRIES) * 16);
             let status = k.mem_read_u32(ctx, hwd + 12).unwrap_or(0);
             if status & RXD_STAT_DD as u32 == 0 {
                 break;
             }
             let len = k.mem_read_u32(ctx, hwd + 8).unwrap_or(0) & 0xffff;
             let slot = self.used % ring::CAPACITY as u64;
-            let entry = self.guest_va(self.ring_gpa + ring::ENTRY0 + slot * ring::ENTRY_SIZE);
+            let entry = guest_va(self.ring_gpa + ring::ENTRY0 + slot * ring::ENTRY_SIZE);
             k.mem_write_u32(ctx, entry + ring::E_LEN, len);
             k.mem_write_u32(ctx, entry + ring::E_STATUS, 1);
             k.mem_write_u32(ctx, hwd + 12, 0);
@@ -274,11 +263,7 @@ impl PvNet {
         if !advanced {
             return false;
         }
-        k.mem_write_u32(
-            ctx,
-            self.guest_va(self.ring_gpa + ring::USED),
-            self.used as u32,
-        );
+        k.mem_write_u32(ctx, guest_va(self.ring_gpa + ring::USED), self.used as u32);
         let raise = self.raise();
         if raise && k.machine.bus.trace.active() {
             k.machine

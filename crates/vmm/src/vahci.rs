@@ -34,12 +34,10 @@ use nova_x86::insn::OpSize;
 use crate::checkpoint::{Dec, Enc};
 use crate::devices::count_rejected;
 use crate::diskclient::{DiskChannel, DiskClient, Due, Req};
+use crate::vmm::guest_va;
 
 /// The virtual AHCI controller.
 pub struct VAhci {
-    /// Guest-physical base of the VMM window holding guest RAM
-    /// (guest page `g` is VMM page `guest_base_page + g`).
-    guest_base_page: u64,
     /// Guest RAM size in pages — the bound every guest-supplied
     /// address is validated against.
     guest_pages: u64,
@@ -47,21 +45,17 @@ pub struct VAhci {
     pub disk: DiskClient,
     /// The guest-visible register file.
     pub regs: PortRegs,
-    inflight_slots: u32,
     /// Outstanding request per command slot (tag = slot number).
     pending: [Option<Req>; 32],
 }
 
 impl VAhci {
-    /// Creates the model for a VMM whose guest-RAM window starts at
-    /// page `guest_base_page` spanning `guest_pages` pages.
-    pub fn new(guest_base_page: u64, guest_pages: u64) -> VAhci {
+    /// Creates the model for a guest of `guest_pages` pages.
+    pub fn new(guest_pages: u64) -> VAhci {
         VAhci {
-            guest_base_page,
             guest_pages,
-            disk: DiskClient::new(guest_base_page),
+            disk: DiskClient::default(),
             regs: PortRegs::default(),
-            inflight_slots: 0,
             pending: [None; 32],
         }
     }
@@ -78,7 +72,7 @@ impl VAhci {
     }
 
     fn read_guest_into(&self, k: &Kernel, ctx: CompCtx, gpa: u64, out: &mut [u8]) -> Option<()> {
-        k.mem_read_into(ctx, self.guest_base_page * 4096 + gpa, out)
+        k.mem_read_into(ctx, guest_va(gpa), out)
     }
 
     /// Reports a task-file error for `slot` to the guest and drops any
@@ -89,7 +83,6 @@ impl VAhci {
         if let Some(p) = self.pending.get_mut(slot as usize) {
             *p = None;
         }
-        self.inflight_slots &= !(1 << slot);
     }
 
     /// A malformed guest command structure: count the typed rejection,
@@ -217,7 +210,6 @@ impl VAhci {
         match self.disk.send(k, ctx, &[], [&mut *req]).map(|u| u.word(0)) {
             Some(proto::OK) => {
                 req.accepted = true;
-                self.inflight_slots |= 1 << slot;
                 false
             }
             // Transient (EBUSY, or the IPC did not go through): the
@@ -297,7 +289,6 @@ impl VAhci {
             };
             // Completion work runs on the completed request's context.
             k.machine.bus.trace.set_ctx(req.ctx);
-            self.inflight_slots &= !(1 << tag);
             // DHRS, or TFES on a device error.
             raised |= self.regs.complete(tag as u8, ok);
         }
@@ -340,7 +331,6 @@ impl VAhci {
         e.u32(self.regs.p0is);
         e.u32(self.regs.p0ie);
         e.u32(self.regs.ci);
-        e.u32(self.inflight_slots);
         for slot in &self.pending {
             e.flag(slot.is_some());
             if let Some(req) = slot {
@@ -367,7 +357,6 @@ impl VAhci {
         self.regs.p0is = d.u32()?;
         self.regs.p0ie = d.u32()?;
         self.regs.ci = d.u32()?;
-        self.inflight_slots = d.u32()?;
         self.disk.rebind(None);
         for (slot, pend) in self.pending.iter_mut().enumerate() {
             *pend = None;
@@ -406,14 +395,14 @@ impl VAhci {
 #[allow(clippy::unwrap_used, clippy::panic)]
 mod tests {
     use super::*;
-    use crate::diskclient::tests::{channel, put_record, setup, GUEST_BASE, RING_VA};
+    use crate::diskclient::tests::{channel, put_record, setup, RING_VA};
 
     /// A late completion for a slot already failed towards the guest
     /// (or never issued) must not surface as a fresh success.
     #[test]
     fn completion_for_an_idle_slot_completes_nothing() {
         let (mut k, ctx, _) = setup();
-        let mut v = VAhci::new(GUEST_BASE, 1024);
+        let mut v = VAhci::new(1024);
         v.attach(channel(0x20));
         v.regs.p0ie = 1;
         put_record(&mut k, ctx, 0, 5, 0);

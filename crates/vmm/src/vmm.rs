@@ -25,6 +25,7 @@ use nova_hw::mmu::MmuRegs;
 use nova_hw::vmx::{mtd, ExitReason, Injection};
 use nova_hw::{Cycles, GuestFault, GuestSurface, VmKill};
 use nova_trace::Kind as TraceKind;
+use nova_user::proto::disk as disk_proto;
 use nova_x86::exec::Fault;
 use nova_x86::insn::OpSize;
 use nova_x86::reg::{flags, Reg, Reg8, Regs};
@@ -33,7 +34,7 @@ use crate::bios;
 use crate::checkpoint::{Dec, Enc};
 use crate::devices::{SpecialPorts, VDevices};
 use crate::diskclient::DiskChannel;
-use crate::emu::{emulate_one, virtual_cpuid, EmuEnv, EmuErr, GuestView};
+use crate::emu::{emulate_one, virtual_cpuid, EmuEnv, EmuErr};
 use crate::pvdisk::PvDisk;
 use crate::pvnet::PvNet;
 use crate::vahci::VAhci;
@@ -61,10 +62,6 @@ pub struct VmmConfig {
     pub paging: VmPaging,
     /// Guest RAM size in pages.
     pub guest_pages: u64,
-    /// First VMM page of the guest-RAM window.
-    pub guest_base_page: u64,
-    /// VMM page used for the disk completion ring.
-    pub ring_page: u64,
     /// Number of virtual CPUs.
     pub vcpus: usize,
     /// Physical CPU for each vCPU (index i for vCPU i; missing
@@ -78,40 +75,29 @@ pub struct VmmConfig {
     pub quantum: Cycles,
     /// Guest image.
     pub image: GuestImage,
-    /// Disk-server portals in the VMM's space (register, request), if
-    /// storage is attached.
-    pub disk_portals: Option<(CapSel, CapSel)>,
-    /// Disk-server batch portal in the VMM's space, if the server
-    /// offers batched submission.
-    pub disk_batch_portal: Option<CapSel>,
+    /// Storage is attached: root wired the disk server's portals to the
+    /// protocol's client selectors (`nova_user::proto::disk::CLIENT_SEL_*`).
+    /// Set by the recipe from its disk slot.
+    pub(crate) disk: bool,
     /// Attach the paravirtual batched disk queue (registers as a
     /// second disk-server client with its own completion ring at
-    /// [`VmmConfig::pv_ring_page`]).
+    /// [`PV_RING_PAGE`]).
     pub pv_disk: bool,
-    /// VMM page of the PV disk queue's completion ring.
-    pub pv_ring_page: u64,
     /// Attach the paravirtual NIC backend: the launcher granted the
     /// VMM the physical NIC window at [`crate::pvnet::PVNET_MMIO_PAGE`],
     /// its GSI, and the IOMMU mapping.
     pub pv_nic: bool,
-    /// Exit-free direct configuration (the paper's "Direct" bar): no
-    /// HLT or interrupt intercepts, all listed ports passed through.
-    pub exitless_direct: bool,
-    /// Port ranges `(first, count)` delegated to and passed through to
-    /// the guest.
-    pub direct_ports: Vec<(u16, u16)>,
     /// Direct-mapped MMIO: `(gpa_page, vmm_page, count)` delegated
     /// into the VM (device windows granted to the VMM by root).
     pub direct_mmio: Vec<(u64, u64, u64)>,
     /// GSIs whose interrupts the VMM forwards into the guest (direct
-    /// device assignment; root must have passed ownership).
+    /// device assignment; root must have passed ownership). A device
+    /// assigned to the VM DMAs into guest memory, so guest memory is
+    /// delegated with DMA rights exactly when this is non-empty.
     pub direct_gsis: Vec<u8>,
     /// Ablation: use full-state transfer descriptors on every portal
     /// instead of per-event minimal ones (Section 5.2).
     pub mtd_full: bool,
-    /// Delegate guest memory with DMA rights (direct device
-    /// assignment needs the IOMMU to see guest frames).
-    pub guest_dma: bool,
     /// Kernel-hardening extension suggested by Section 4.2 ("a VMM
     /// can ... make regions of guest-physical memory corresponding to
     /// kernel code read-only"): the page range `(first, count)` is
@@ -122,8 +108,9 @@ pub struct VmmConfig {
     /// restart semaphore root pre-delegated at [`SEL_RESTART_SM`] and
     /// re-registers its channel whenever the supervisor respawns the
     /// server; outstanding requests are timed out and resubmitted via
-    /// a maintenance timer instead of hanging the guest forever.
-    pub supervised_disk: bool,
+    /// a maintenance timer instead of hanging the guest forever. Set by
+    /// the recipe when root supervises the server it wires to.
+    pub(crate) supervised_disk: bool,
 }
 
 impl VmmConfig {
@@ -133,28 +120,36 @@ impl VmmConfig {
             name: "vm".into(),
             paging: VmPaging::Nested(nova_x86::paging::NestedFormat::Ept4Level),
             guest_pages,
-            guest_base_page: 0x1000,
-            ring_page: 0x800,
             vcpus: 1,
             vcpu_cpus: Vec::new(),
             vcpu_prio: 16,
             quantum: 1_000_000,
             image,
-            disk_portals: None,
-            disk_batch_portal: None,
+            disk: false,
             pv_disk: false,
-            pv_ring_page: 0x801,
             pv_nic: false,
-            exitless_direct: false,
-            direct_ports: Vec::new(),
             direct_mmio: Vec::new(),
             direct_gsis: Vec::new(),
             mtd_full: false,
-            guest_dma: false,
             protect_kernel: None,
             supervised_disk: false,
         }
     }
+}
+
+/// First VMM page of the guest-RAM window: guest-physical page `g` is
+/// VMM page `GUEST_BASE_PAGE + g`.
+pub const GUEST_BASE_PAGE: u64 = 0x1000;
+
+/// VMM page of the vAHCI client's disk completion ring.
+pub const RING_PAGE: u64 = 0x800;
+
+/// VMM page of the PV disk queue's completion ring.
+pub const PV_RING_PAGE: u64 = 0x801;
+
+/// The VMM address of guest-physical byte `gpa`.
+pub(crate) const fn guest_va(gpa: u64) -> u64 {
+    GUEST_BASE_PAGE * 4096 + gpa
 }
 
 /// Selector where a supervised VMM expects the root partition manager
@@ -293,13 +288,6 @@ impl Vmm {
     pub fn kick_keyboard(&mut self, k: &mut Kernel) {
         if let Some(ctx) = self.ctx {
             self.kick_vcpu(k, ctx, 0);
-        }
-    }
-
-    fn view(&self) -> GuestView {
-        GuestView {
-            base_page: self.cfg.guest_base_page,
-            pages: self.cfg.guest_pages,
         }
     }
 
@@ -577,7 +565,7 @@ impl Vmm {
                 let mut env = EmuEnv {
                     k,
                     ctx,
-                    view: self.view(),
+                    guest_pages: self.cfg.guest_pages,
                     dev: self.dev.as_mut().expect("devices"),
                     mmu: MmuRegs::from_regs(&regs),
                     device_ops: 0,
@@ -681,8 +669,9 @@ impl Vmm {
     }
 
     /// Runs the two-phase registration handshake with the disk server
-    /// and returns the resulting channel, or `None` if the server
-    /// refused or the IPC failed (e.g. mid-restart).
+    /// for a client submitting through `req` with its completion ring
+    /// at `ring_page`, and returns the resulting channel, or `None` if
+    /// the server refused or the IPC failed (e.g. mid-restart).
     ///
     /// `zero_ring` wipes the completion-ring page first; a freshly
     /// restarted server starts its producer counter at zero, so a
@@ -690,7 +679,6 @@ impl Vmm {
     fn register_disk_channel(
         k: &mut Kernel,
         ctx: CompCtx,
-        reg: CapSel,
         req: CapSel,
         ring_page: u64,
         zero_ring: bool,
@@ -699,26 +687,26 @@ impl Vmm {
             k.mem_write(ctx, ring_page * 4096, &[0u8; 4096]);
         }
 
+        let reg = disk_proto::CLIENT_SEL_REG;
         let mut utcb = Utcb::new();
         k.ipc_call(ctx, reg, &mut utcb).ok()?;
         let client = utcb.word(0);
-        if client as usize >= nova_user::proto::disk::MAX_CLIENTS {
+        if client as usize >= disk_proto::MAX_CLIENTS {
             return None;
         }
 
-        let ring_hot = nova_user::disk::DiskServerConfig::standard().ring_base_page + client;
         let mut utcb = Utcb::new();
         utcb.set_msg(&[client]);
         utcb.xfer.push(XferItem::Mem {
             base: ring_page,
             count: 1,
             rights: MemRights::RW,
-            hot: ring_hot,
+            hot: disk_proto::ring_page(client as usize),
         });
         utcb.xfer.push(XferItem::Cap {
             sel: sel::DISK_SM,
             perms: Perms::UP,
-            hot: nova_user::disk::DiskServerConfig::client_sm_sel(client as usize),
+            hot: disk_proto::client_sm_sel(client as usize),
         });
         k.ipc_call(ctx, reg, &mut utcb).ok()?;
 
@@ -734,18 +722,17 @@ impl Vmm {
     /// resubmits every request that was in flight when the old one
     /// died.
     fn reconnect_disk(&mut self, k: &mut Kernel, ctx: CompCtx) {
-        let Some((reg, req)) = self.cfg.disk_portals else {
+        if !self.cfg.disk {
             return;
-        };
-        let cfg = &self.cfg;
+        }
         let dev = self.dev.as_mut().expect("devices");
         let kick = dev.reconnect_disks(k, ctx, |k, pv| {
             let (portal, ring_page) = if pv {
-                (cfg.disk_batch_portal?, cfg.pv_ring_page)
+                (disk_proto::CLIENT_SEL_BATCH, PV_RING_PAGE)
             } else {
-                (req, cfg.ring_page)
+                (disk_proto::CLIENT_SEL_REQ, RING_PAGE)
             };
-            Self::register_disk_channel(k, ctx, reg, portal, ring_page, true)
+            Self::register_disk_channel(k, ctx, portal, ring_page, true)
         });
         if kick {
             self.kick_vcpu(k, ctx, 0);
@@ -889,10 +876,10 @@ impl Vmm {
         // incarnation's producer head word; the fresh server clients
         // produce from zero, so the pages must be cleared before any
         // completion is consumed against a zero ring tail.
-        if self.cfg.disk_portals.is_some() {
-            k.mem_write(ctx, self.cfg.ring_page * 4096, &[0u8; 4096]);
+        if self.cfg.disk {
+            k.mem_write(ctx, RING_PAGE * 4096, &[0u8; 4096]);
             if self.cfg.pv_disk {
-                k.mem_write(ctx, self.cfg.pv_ring_page * 4096, &[0u8; 4096]);
+                k.mem_write(ctx, PV_RING_PAGE * 4096, &[0u8; 4096]);
             }
         }
 
@@ -937,9 +924,9 @@ impl Component for Vmm {
         self.timer_sm = Some(k.create_bound_sm(ctx, sel::TIMER_SM).expect("timer sm"));
 
         // Disk channel.
-        let mut vahci = VAhci::new(self.cfg.guest_base_page, self.cfg.guest_pages);
-        let mut pvdisk = PvDisk::new(self.cfg.guest_base_page, self.cfg.guest_pages);
-        if let Some((reg, req)) = self.cfg.disk_portals {
+        let mut vahci = VAhci::new(self.cfg.guest_pages);
+        let mut pvdisk = PvDisk::new(self.cfg.guest_pages);
+        if self.cfg.disk {
             self.disk_sm = Some(k.create_bound_sm(ctx, sel::DISK_SM).expect("disk sm"));
 
             if self.cfg.supervised_disk {
@@ -954,18 +941,18 @@ impl Component for Vmm {
                 self.maint_sm = Some(k.create_bound_sm(ctx, sel::MAINT_SM).expect("maint sm"));
             }
 
-            let ch = Self::register_disk_channel(k, ctx, reg, req, self.cfg.ring_page, false)
-                .expect("disk register");
+            let req = disk_proto::CLIENT_SEL_REQ;
+            let ch =
+                Self::register_disk_channel(k, ctx, req, RING_PAGE, false).expect("disk register");
             vahci.attach(ch);
 
             // The PV batched queue registers as a second client with
             // its own completion ring, sharing the same completion
             // semaphore (one signal drains both rings).
             if self.cfg.pv_disk {
-                let batch = self.cfg.disk_batch_portal.expect("batch portal");
-                let ch =
-                    Self::register_disk_channel(k, ctx, reg, batch, self.cfg.pv_ring_page, false)
-                        .expect("pv disk register");
+                let batch = disk_proto::CLIENT_SEL_BATCH;
+                let ch = Self::register_disk_channel(k, ctx, batch, PV_RING_PAGE, false)
+                    .expect("pv disk register");
                 pvdisk.attach(ch);
             }
         }
@@ -982,7 +969,7 @@ impl Component for Vmm {
                 },
             )
             .expect("assign nic gsi (root must delegate ownership first)");
-            PvNet::new(self.cfg.guest_base_page, self.cfg.guest_pages)
+            PvNet::new(self.cfg.guest_pages)
         });
         self.dev = Some(VDevices::new(cpu_hz, sel::TIMER_SM, vahci, pvdisk, pvnet));
 
@@ -1007,7 +994,7 @@ impl Component for Vmm {
         .expect("vm pd");
 
         // Guest-physical memory: a subset of the VMM's own space.
-        let rights = if self.cfg.guest_dma {
+        let rights = if !self.cfg.direct_gsis.is_empty() {
             MemRights::RW_DMA
         } else {
             MemRights::RW
@@ -1042,7 +1029,7 @@ impl Component for Vmm {
                     ctx,
                     Hypercall::DelegateMem {
                         dst_pd: sel::VM_PD,
-                        base: self.cfg.guest_base_page + cursor,
+                        base: GUEST_BASE_PAGE + cursor,
                         count: next - cursor,
                         rights: r,
                         hot: cursor,
@@ -1067,20 +1054,6 @@ impl Component for Vmm {
                 },
             )
             .expect("direct mmio window");
-        }
-
-        // Direct port ranges must live in the VM's I/O space before
-        // the VMCS can pass them through.
-        for &(first, count) in &self.cfg.direct_ports.clone() {
-            k.hypercall(
-                ctx,
-                Hypercall::DelegateIo {
-                    dst_pd: sel::VM_PD,
-                    base: first,
-                    count,
-                },
-            )
-            .expect("direct ports (root must have granted them)");
         }
 
         // Virtual BIOS: load the image and prepare boot state
@@ -1168,36 +1141,6 @@ impl Component for Vmm {
             )
             .expect("vcpu sc");
         }
-
-        // The exit-free direct configuration (the paper's "Direct"
-        // bar): disable every optional intercept.
-        if self.cfg.exitless_direct {
-            for i in 0..self.cfg.vcpus {
-                k.hypercall(
-                    ctx,
-                    Hypercall::EcCtrlVm {
-                        ec: sel::vcpu(i),
-                        hlt_exit: false,
-                        extint_exit: false,
-                        passthrough: self.cfg.direct_ports.clone(),
-                    },
-                )
-                .expect("direct vmcs config");
-            }
-        } else if !self.cfg.direct_ports.is_empty() {
-            for i in 0..self.cfg.vcpus {
-                k.hypercall(
-                    ctx,
-                    Hypercall::EcCtrlVm {
-                        ec: sel::vcpu(i),
-                        hlt_exit: true,
-                        extint_exit: true,
-                        passthrough: self.cfg.direct_ports.clone(),
-                    },
-                )
-                .expect("port passthrough");
-            }
-        }
     }
 
     fn on_call(&mut self, k: &mut Kernel, ctx: CompCtx, portal_id: u64, utcb: &mut Utcb) {
@@ -1255,14 +1198,17 @@ mod tests {
     const CMD_LIST: u64 = 0x3_0000;
     const CMD_TABLE: u64 = 0x3_1000;
     const RING: u64 = 0x4_2000;
-    /// (first sector, guest buffer) of the vAHCI read and the two PV
-    /// reads, 8 sectors each.
-    const READS: [(u64, u64); 3] = [(16, 0x3_8000), (40, 0x4_8000), (48, 0x4_9000)];
+    /// (first sector, guest buffer, sectors) of a vAHCI read and two PV
+    /// reads.
+    type Reads = [(u64, u64, u32); 3];
+    /// Three reads into three pages.
+    const READS: Reads = [(16, 0x3_8000, 8), (40, 0x4_8000, 8), (48, 0x4_9000, 8)];
 
     /// A VM with both disk front ends whose guest only halts, and in
     /// its memory what a guest driver writes before it rings the
-    /// doorbells: one vAHCI command in slot 0, two PV descriptors.
-    fn staged_vm() -> System {
+    /// doorbells: `reads[0]` as a vAHCI command in slot 0, the other two
+    /// as PV descriptors.
+    fn staged_vm(reads: Reads) -> System {
         let image = GuestImage {
             bytes: vec![0xf4, 0xeb, 0xfd], // hlt; jmp to it
             load_gpa: 0x10_0000,
@@ -1275,8 +1221,8 @@ mod tests {
         let vmm = sys.vmm;
         sys.k.invoke_component::<Vmm, _>(vmm, |v, k| {
             let ctx = v.ctx.expect("started");
-            let guest = v.cfg.guest_base_page * 4096;
-            let [(lba, buf), pv_reads @ ..] = READS;
+            let guest = guest_va(0);
+            let [(lba, buf, sectors), pv_reads @ ..] = reads;
             let header = cmd::Header {
                 prdtl: 1,
                 ctba: CMD_TABLE,
@@ -1284,16 +1230,16 @@ mod tests {
             let cfis = cmd::Cfis {
                 write: false,
                 lba,
-                sectors: 8,
+                sectors: sectors as u16,
             };
             k.mem_write(ctx, guest + CMD_LIST, &header.encode());
             k.mem_write(ctx, guest + CMD_TABLE, &cfis.encode());
-            let prd = cmd::prd::encode(buf, 4096);
+            let prd = cmd::prd::encode(buf, sectors * 512);
             k.mem_write(ctx, guest + CMD_TABLE + cmd::PRDT_OFFSET, &prd);
-            for (i, (lba, buf)) in pv_reads.into_iter().enumerate() {
+            for (i, (lba, buf, sectors)) in pv_reads.into_iter().enumerate() {
                 let desc = guest + RING + ring::DESC0 + i as u64 * ring::DESC_SIZE;
                 k.mem_write_u32(ctx, desc + ring::D_OP, ring::OP_READ);
-                k.mem_write_u32(ctx, desc + ring::D_SECTORS, 8);
+                k.mem_write_u32(ctx, desc + ring::D_SECTORS, sectors);
                 k.mem_write_u32(ctx, desc + ring::D_LBA, lba as u32);
                 k.mem_write_u32(ctx, desc + ring::D_BUF, buf as u32);
             }
@@ -1301,53 +1247,78 @@ mod tests {
         sys
     }
 
-    /// Checkpoint version 3 end to end: a VMM with a vAHCI command and
-    /// two PV descriptors in flight saves its state; a fresh
-    /// incarnation over the same guest memory restores it, replays all
-    /// three into its own disk server with their attempts intact — its
-    /// state then serializes to the very bytes it was given — and the
-    /// data arrives.
+    /// Rings both front ends' doorbells for what [`staged_vm`] staged.
+    fn ring_doorbells(v: &mut Vmm, k: &mut Kernel) {
+        let ctx = v.ctx.expect("started");
+        let dev = v.dev.as_mut().expect("devices");
+        let size = OpSize::Dword;
+        dev.mmio_write(
+            k,
+            ctx,
+            AHCI_BASE + ahci::P0CLB as u64,
+            size,
+            CMD_LIST as u32,
+        );
+        dev.mmio_write(k, ctx, AHCI_BASE + ahci::P0CI as u64, size, 1);
+        dev.mmio_write(k, ctx, PV_BASE + pv::DISK_RING, size, RING as u32);
+        dev.mmio_write(k, ctx, PV_BASE + pv::DISK_DOORBELL, size, 2);
+        assert!(dev.vahci.has_pending() && dev.pvdisk.has_pending());
+    }
+
+    /// Runs `sys` until its disk requests drain and checks that `reads`
+    /// brought the disk's sectors into guest memory.
+    fn assert_read(sys: &mut System, reads: Reads) {
+        sys.run(Some(100_000_000));
+        assert!(!sys.vmm().dev().disks_pending(), "all three completed");
+        assert_eq!(sys.vmm().dev().pvdisk.completions, 2);
+        assert_eq!(sys.k.counters.disk_ops, 3);
+        assert_eq!(sys.k.counters.degraded_errors(), 0);
+        for (lba, buf, sectors) in reads {
+            for s in 0..sectors as u64 {
+                let host = 0x1000 * 4096 + buf + s * 512;
+                let got = sys.k.machine.mem.read_bytes(host, 512);
+                assert_eq!(got, sys.k.machine.ahci().sector(lba + s), "sector {lba}");
+            }
+        }
+    }
+
+    /// The checkpoint end to end: a VMM with a vAHCI command and two PV
+    /// descriptors in flight saves its state; a fresh incarnation over
+    /// the same guest memory restores it, replays all three into its
+    /// own disk server with their attempts intact — its state then
+    /// serializes to the very bytes it was given — and the data
+    /// arrives.
     #[test]
-    fn v3_state_round_trips_with_requests_in_flight_on_both_front_ends() {
-        let mut dead = staged_vm();
+    fn state_round_trips_with_requests_in_flight_on_both_front_ends() {
+        let mut dead = staged_vm(READS);
         let vmm = dead.vmm;
         let blob = dead.k.invoke_component::<Vmm, _>(vmm, |v, k| {
-            let ctx = v.ctx.expect("started");
-            let dev = v.dev.as_mut().expect("devices");
-            let size = OpSize::Dword;
-            dev.mmio_write(
-                k,
-                ctx,
-                AHCI_BASE + ahci::P0CLB as u64,
-                size,
-                CMD_LIST as u32,
-            );
-            dev.mmio_write(k, ctx, AHCI_BASE + ahci::P0CI as u64, size, 1);
-            dev.mmio_write(k, ctx, PV_BASE + pv::DISK_RING, size, RING as u32);
-            dev.mmio_write(k, ctx, PV_BASE + pv::DISK_DOORBELL, size, 2);
-            assert!(dev.vahci.has_pending() && dev.pvdisk.has_pending());
+            ring_doorbells(v, k);
             v.save_state()
         });
         let blob = blob.expect("vmm");
 
-        let mut sys = staged_vm();
+        let mut sys = staged_vm(READS);
         let vmm = sys.vmm;
         let again = sys.k.invoke_component::<Vmm, _>(vmm, |v, k| {
-            assert!(v.restore_state(k, &blob), "a v3 record restores");
+            assert!(v.restore_state(k, &blob), "the record restores");
             let pv = &v.dev().pvdisk;
             assert_eq!((pv.doorbells, pv.requests, pv.completions), (1, 2, 0));
             v.save_state()
         });
         assert_eq!(again, Some(blob), "nothing lost, no attempt charged");
+        assert_read(&mut sys, READS);
+    }
 
-        sys.run(Some(100_000_000));
-        assert!(!sys.vmm().dev().disks_pending(), "all three completed");
-        assert_eq!(sys.vmm().dev().pvdisk.completions, 2);
-        assert_eq!(sys.k.counters.disk_ops, 3);
-        for (lba, buf) in READS {
-            let host = 0x1000 * 4096 + buf;
-            let got = sys.k.machine.mem.read_bytes(host, 512);
-            assert_eq!(got, sys.k.machine.ahci().sector(lba), "sector {lba}");
-        }
+    /// One VM's vAHCI and PV clients read into one guest page: each
+    /// delegates it into its own window at the server, so the second
+    /// delegation does not collide with the first.
+    #[test]
+    fn vahci_and_pv_clients_read_into_one_page() {
+        let one_page = [(16, 0x3_8000, 2), (40, 0x3_8400, 2), (48, 0x3_8800, 4)];
+        let mut sys = staged_vm(one_page);
+        let vmm = sys.vmm;
+        sys.k.invoke_component::<Vmm, _>(vmm, ring_doorbells);
+        assert_read(&mut sys, one_page);
     }
 }

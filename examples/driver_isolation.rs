@@ -36,8 +36,9 @@ fn main() {
 
     // --- Probe 1: what can the device actually reach? ---
     let ahci = sys.k.machine.dev.ahci;
-    // The server sees guest page g at window page WINDOW_BASE + g.
-    let window_page = 0x40_000u64 + nova::guest::rt::layout::DISK_BUF as u64 / 4096;
+    // The server sees guest page g at page g of the VM's window.
+    let window_page =
+        nova::user::proto::disk::window_base(0) + nova::guest::rt::layout::DISK_BUF as u64 / 4096;
     let probes = [
         ("disk server command memory", 0x10_0000u64),
         ("guest DMA window (delegated)", window_page * 4096),

@@ -18,7 +18,7 @@ use nova_guest::rt;
 use nova_hw::fault::{FaultKind, FaultPlan};
 use nova_hw::machine::{Machine, MachineConfig};
 use nova_trace::{cat, Kind};
-use nova_user::disk::DiskServerConfig;
+use nova_user::disk::{DiskServerConfig, CMD_VA};
 use nova_user::proto::disk as dproto;
 use nova_user::root::{
     spawn_disk_server, wire_disk_client, DiskRecipe, DiskServerRef, Grant, RespawnError, RootOps,
@@ -370,7 +370,6 @@ struct Rig {
     client_ctx: CompCtx,
     client_comp: CompId,
     ahci_dev: usize,
-    cmd_va: u64,
 }
 
 /// Boots root + supervised disk server + a bare client through the
@@ -390,7 +389,6 @@ fn supervised_rig() -> Rig {
     // `System::build` runs with `supervise`.
     let ahci_dev = k.machine.dev.ahci;
     let recipe = DiskRecipe::new(DiskServerConfig::supervised(), ahci_dev);
-    let cmd_va = recipe.cfg.cmd_va;
     let mut ops = RootOps::new(&mut k, root_ctx);
     let (srv_sel, cl_sel, restart_sel) = (ops.alloc_sel(), ops.alloc_sel(), ops.alloc_sel());
     let srv = DiskServerRef {
@@ -461,7 +459,6 @@ fn supervised_rig() -> Rig {
         client_ctx,
         client_comp,
         ahci_dev,
-        cmd_va,
     }
 }
 
@@ -485,19 +482,18 @@ fn register(r: &mut Rig) -> u64 {
     let client_id = utcb.word(0);
     assert_ne!(client_id, u64::MAX, "server full");
 
-    let cfg = DiskServerConfig::standard();
     let mut utcb = Utcb::new();
     utcb.set_msg(&[client_id]);
     utcb.xfer.push(XferItem::Mem {
         base: 1,
         count: 1,
         rights: MemRights::RW,
-        hot: cfg.ring_base_page + client_id,
+        hot: dproto::ring_page(client_id as usize),
     });
     utcb.xfer.push(XferItem::Cap {
         sel: 0x40,
         perms: Perms::UP,
-        hot: DiskServerConfig::client_sm_sel(client_id as usize),
+        hot: dproto::client_sm_sel(client_id as usize),
     });
     r.k.ipc_call(r.client_ctx, dproto::CLIENT_SEL_REG as CapSel, &mut utcb)
         .unwrap();
@@ -543,7 +539,7 @@ fn client_signals(r: &mut Rig) -> u64 {
 fn restart_revokes_iommu_mappings_and_client_reregisters() {
     let mut r = supervised_rig();
     let client = register(&mut r);
-    let window = 0x500u64;
+    let window = dproto::window_base(client as usize);
     assert_eq!(submit_read(&mut r, client, 100, 8, window, 7), dproto::OK);
     assert_eq!(r.k.run(Some(100_000_000)), RunOutcome::Budget);
     assert_eq!(client_signals(&mut r), 1, "first request completed");
@@ -561,13 +557,7 @@ fn restart_revokes_iommu_mappings_and_client_reregisters() {
         .iommu
         .translate(dev, window * 4096, true)
         .is_some());
-    assert!(r
-        .k
-        .machine
-        .bus
-        .iommu
-        .translate(dev, r.cmd_va, true)
-        .is_some());
+    assert!(r.k.machine.bus.iommu.translate(dev, CMD_VA, true).is_some());
 
     // Crash the server; the death notification fires the watchdog and
     // root restarts it.
@@ -597,11 +587,7 @@ fn restart_revokes_iommu_mappings_and_client_reregisters() {
         "stale client DMA window revoked at the IOMMU"
     );
     assert!(
-        r.k.machine
-            .bus
-            .iommu
-            .translate(dev, r.cmd_va, true)
-            .is_some(),
+        r.k.machine.bus.iommu.translate(dev, CMD_VA, true).is_some(),
         "respawned server's command memory mapped"
     );
     // The client was told to re-register (restart semaphore).
@@ -646,7 +632,7 @@ fn kill_disk_server(k: &mut Kernel) {
 fn respawn_retry_after_a_late_step_failure_recovers() {
     let mut r = supervised_rig();
     let client = register(&mut r);
-    let window = 0x500u64;
+    let window = dproto::window_base(client as usize);
     assert_eq!(submit_read(&mut r, client, 100, 8, window, 7), dproto::OK);
     assert_eq!(r.k.run(Some(100_000_000)), RunOutcome::Budget);
 
@@ -795,11 +781,12 @@ fn client_slots(sys: &mut System, n: usize) -> Vec<Option<PdId>> {
     (0..n).map(|i| pd_at(&sys.k, srv_pd, 0x30 + i)).collect()
 }
 
-/// `requests` sequential 4 KB reads into the guest-physical buffer
-/// `buf`, marks around them. (The disk server gives every client the
-/// same window addresses, so co-resident clients read into different
-/// guest pages.)
-fn reader_guest(buf: u32, requests: u32) -> VmmConfig {
+/// The guest-physical buffer [`reader_guest`] reads into.
+const READER_BUF: u32 = 0x20_0000;
+
+/// `requests` sequential 4 KB reads into [`READER_BUF`], marks around
+/// them.
+fn reader_guest(requests: u32) -> VmmConfig {
     let params = OsParams {
         disk: true,
         ..OsParams::minimal()
@@ -811,7 +798,7 @@ fn reader_guest(buf: u32, requests: u32) -> VmmConfig {
         a.mov_rr(Reg::Eax, Reg::Esi);
         a.shl_ri(Reg::Eax, 3);
         a.mov_ri(Reg::Ebx, 8);
-        a.mov_ri(Reg::Ecx, buf);
+        a.mov_ri(Reg::Ecx, READER_BUF);
         rt::emit_disk_read_sync(a);
         a.inc_r(Reg::Esi);
         a.cmp_ri(Reg::Esi, requests);
@@ -828,12 +815,11 @@ fn reader_guest(buf: u32, requests: u32) -> VmmConfig {
 #[test]
 fn three_clients_keep_their_slots_across_a_respawn() {
     const REQUESTS: u32 = 8;
-    let bufs = [0x20_0000u32, 0x21_0000, 0x22_0000];
-    let mut opts = LaunchOptions::supervised(reader_guest(bufs[0], REQUESTS));
+    let mut opts = LaunchOptions::supervised(reader_guest(REQUESTS));
     opts.machine.ram = 192 << 20;
     let mut sys = System::build(opts);
-    sys.add_vm(reader_guest(bufs[1], REQUESTS));
-    sys.add_vm(reader_guest(bufs[2], REQUESTS));
+    sys.add_vm(reader_guest(REQUESTS));
+    sys.add_vm(reader_guest(REQUESTS));
 
     // Root's view: three clients, each a distinct VMM domain.
     let root_pd = sys.k.root_pd;
@@ -865,13 +851,22 @@ fn three_clients_keep_their_slots_across_a_respawn() {
     assert_eq!(client_slots(&mut sys, 3), vmm_pds, "and after the respawn");
     assert_sound(&sys.k);
 
-    // Every guest's last block, read through its own VMM's mapping of
-    // guest RAM.
-    let expect = sys.k.machine.ahci().sector((REQUESTS as u64 - 1) * 8);
-    for ((pd, &vmm), buf) in vmm_pds.iter().zip(&sys.vmms.clone()).zip(bufs) {
-        let page = 0x1000 + buf as u64 / 4096;
-        let host = sys.k.obj.pd(pd.unwrap()).mem.lookup(page).unwrap().hpa;
+    assert_read_last_block(&mut sys, REQUESTS);
+}
+
+/// Every VM of `sys` finished its [`reader_guest`] run: its last block
+/// arrived in [`READER_BUF`], read through its own VMM's mapping of
+/// guest RAM.
+fn assert_read_last_block(sys: &mut System, requests: u32) {
+    let expect = sys.k.machine.ahci().sector((requests as u64 - 1) * 8);
+    let page = nova_vmm::vmm::GUEST_BASE_PAGE + READER_BUF as u64 / 4096;
+    let vmm_pds: Vec<_> = sys.k.obj.pds.iter().filter(|p| p.name == "vmm").collect();
+    assert_eq!(vmm_pds.len(), sys.vmms.len());
+    for pd in vmm_pds {
+        let host = pd.mem.lookup(page).unwrap().hpa;
         assert_eq!(sys.k.machine.mem.read_bytes(host, 512), expect);
+    }
+    for vmm in sys.vmms.clone() {
         let marks = sys
             .k
             .component_mut::<nova_vmm::Vmm>(vmm)
@@ -879,4 +874,25 @@ fn three_clients_keep_their_slots_across_a_respawn() {
             .guest_marks();
         assert_eq!(marks, vec![0x1000, 0x1001]);
     }
+}
+
+/// Two identical VMs reading into one guest-physical buffer: each VMM's
+/// disk client delegates the page into its own window at the server,
+/// so neither's requests collide with the other's and none degrades.
+/// (With one window for all clients, the second VM's delegation of the
+/// page was refused, its requests were retried and then failed.)
+#[test]
+fn two_identical_vms_read_into_one_guest_buffer() {
+    const REQUESTS: u32 = 4;
+    let mut opts = LaunchOptions::supervised(reader_guest(REQUESTS));
+    opts.machine.ram = 128 << 20;
+    let mut sys = System::build(opts);
+    sys.add_vm(reader_guest(REQUESTS));
+    for _ in 0..2 {
+        assert_eq!(sys.run(Some(60_000_000_000)), RunOutcome::Shutdown(0));
+    }
+    assert_eq!(sys.k.counters.degraded_errors(), 0);
+    assert_eq!(sys.k.counters.disk_ops, 2 * REQUESTS as u64);
+    assert_read_last_block(&mut sys, REQUESTS);
+    assert_sound(&sys.k);
 }

@@ -558,13 +558,13 @@ fn checkpoints_byte_identical_across_same_seed_runs() {
     assert_eq!(a, b, "same seed, same checkpoint, byte for byte");
 }
 
-/// Pins the `NOVACKPT` v3 byte layout: the whole blob of one cadence
+/// Pins the `NOVACKPT` v4 byte layout: the whole blob of one cadence
 /// tick taken while a PV descriptor is in flight (so the pending-request
-/// records are in it) hashes to the constant recorded when version 3
-/// dropped the statistic words. A change to what is serialized, or in
-/// which order, moves it. The length is version 2's at this tick less
-/// the 21 statistic words (6 `VmmStats`, 6 vAHCI, 8 PV queue,
-/// `VPit::ticks`) that were all v3 took out.
+/// records are in it) hashes to the constant recorded when version 4
+/// dropped the vAHCI's in-flight slot mask. A change to what is
+/// serialized, or in which order, moves it. The length is version 2's
+/// at this tick less the 21 statistic words (6 `VmmStats`, 6 vAHCI, 8
+/// PV queue, `VPit::ticks`) v3 took out and the mask's 4 bytes.
 #[test]
 fn checkpoint_layout_is_pinned() {
     let mut sys = pv_system(SMALL_GUEST, CKPT_PERIOD);
@@ -588,10 +588,10 @@ fn checkpoint_layout_is_pinned() {
         });
         (blob.len(), fnv)
     });
-    assert_eq!(len, 4_195_179 - 21 * 8);
+    assert_eq!(len, 4_195_179 - 21 * 8 - 4);
     assert_eq!(
-        fnv, 0xba68_8db1_7d79_950d,
-        "NOVACKPT v3 bytes moved: {fnv:#018x}"
+        fnv, 0xacef_9bb8_1fae_4c40,
+        "NOVACKPT v4 bytes moved: {fnv:#018x}"
     );
 }
 

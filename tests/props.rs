@@ -953,11 +953,11 @@ mod crossing {
 }
 
 /// A root-resident stand-in VMM: the emulator's kernel, identity and
-/// devices over a 4 MB guest-RAM view at root pages `0x400..`.
+/// devices over 4 MB of guest RAM at root pages `GUEST_BASE_PAGE..`.
 fn emu_fixture() -> (
     nova_core::Kernel,
     nova_core::CompCtx,
-    nova_vmm::emu::GuestView,
+    u64,
     nova_vmm::devices::VDevices,
 ) {
     use nova_hw::machine::{Machine, MachineConfig};
@@ -970,18 +970,15 @@ fn emu_fixture() -> (
         .unwrap()
         .ctx
         .unwrap();
-    let view = nova_vmm::emu::GuestView {
-        base_page: 0x400,
-        pages: 1024,
-    };
+    let guest_pages = 1024;
     let dev = nova_vmm::devices::VDevices::new(
         2_670_000_000,
         0,
-        nova_vmm::vahci::VAhci::new(view.base_page, view.pages),
-        nova_vmm::pvdisk::PvDisk::new(view.base_page, view.pages),
+        nova_vmm::vahci::VAhci::new(guest_pages),
+        nova_vmm::pvdisk::PvDisk::new(guest_pages),
         None,
     );
-    (k, ctx, view, dev)
+    (k, ctx, guest_pages, dev)
 }
 
 /// PR 16's bug class one layer up: `EmuEnv::read_mem`/`write_mem`
@@ -999,8 +996,8 @@ fn page_crossing_operand_emulated_by_the_vmm_matches_native() {
     let native = crossing::native();
     for second_page_present in [true, false] {
         let img = crossing::image(second_page_present);
-        let (mut k, ctx, view, mut dev) = emu_fixture();
-        let base = view.base_page * 4096;
+        let (mut k, ctx, guest_pages, mut dev) = emu_fixture();
+        let base = nova_vmm::vmm::GUEST_BASE_PAGE * 4096;
         assert!(k.mem_write(ctx, base, &img.bytes));
         let mut regs = Regs::at(img.paged);
         regs.cr0 = cr0::PE | cr0::PG;
@@ -1008,7 +1005,7 @@ fn page_crossing_operand_emulated_by_the_vmm_matches_native() {
         let mut env = EmuEnv {
             k: &mut k,
             ctx,
-            view,
+            guest_pages,
             dev: &mut dev,
             mmu: MmuRegs::from_regs(&regs),
             device_ops: 0,
@@ -1121,8 +1118,8 @@ fn every_walker_of_the_guest_page_table_agrees() {
     const SLOTS: [u32; 9] = [0, 1, 2, 3, 0x100, 0x200, 0x3fa, 0x3ff, 0x155];
     let cost = nova_hw::cost::BLM;
 
-    let (mut k, ctx, view, mut dev) = emu_fixture();
-    let emu_base = view.base_page * 4096;
+    let (mut k, ctx, guest_pages, mut dev) = emu_fixture();
+    let emu_base = nova_vmm::vmm::GUEST_BASE_PAGE * 4096;
     let mut mono = Monolithic::new(
         MachineConfig::core_i7(32 << 20),
         MonoConfig::kvm_ept(),
@@ -1354,7 +1351,7 @@ fn every_walker_of_the_guest_page_table_agrees() {
                 let env = EmuEnv {
                     k: &mut k,
                     ctx,
-                    view,
+                    guest_pages,
                     dev: &mut dev,
                     mmu: mmu_regs,
                     device_ops: 0,
@@ -1442,8 +1439,8 @@ fn recorded_divergence_hardware_walks_are_supervisor_wp_set_and_write_no_accesse
             },
         );
     }
-    let (mut k, ctx, view, mut dev) = emu_fixture();
-    let base = view.base_page * 4096;
+    let (mut k, ctx, guest_pages, mut dev) = emu_fixture();
+    let base = nova_vmm::vmm::GUEST_BASE_PAGE * 4096;
     k.mem_write_u32(ctx, base + PD as u64 + 4, pde);
     k.mem_write_u32(ctx, base + PT as u64, pte_v);
 
@@ -1473,7 +1470,7 @@ fn recorded_divergence_hardware_walks_are_supervisor_wp_set_and_write_no_accesse
     let env = EmuEnv {
         k: &mut k,
         ctx,
-        view,
+        guest_pages,
         dev: &mut dev,
         mmu: regs,
         device_ops: 0,
@@ -1637,9 +1634,9 @@ mod devices {
 
     impl Vmm {
         pub fn new() -> Vmm {
-            let (k, ctx, view, dev) = emu_fixture();
-            assert_eq!(view.pages, RAM_PAGES);
-            let base = view.base_page * 4096;
+            let (k, ctx, guest_pages, dev) = emu_fixture();
+            assert_eq!(guest_pages, RAM_PAGES);
+            let base = nova_vmm::vmm::GUEST_BASE_PAGE * 4096;
             Vmm { k, ctx, base, dev }
         }
     }
