@@ -234,7 +234,8 @@ impl Monolithic {
                         t.map_large(&mut machine.mem, &mut alloc, p * 4096, hpa, true);
                         p += cp;
                     } else {
-                        t.map_page(&mut machine.mem, &mut alloc, p * 4096, hpa, true);
+                        t.map_page(&mut machine.mem, &mut alloc, p * 4096, hpa, true)
+                            .expect("past every large leaf so far");
                         p += 1;
                     }
                 }
@@ -244,7 +245,8 @@ impl Monolithic {
                     nova_hw::vga::VGA_BASE,
                     nova_hw::vga::VGA_BASE,
                     true,
-                );
+                )
+                .expect("no large leaf spans the VGA hole");
                 let root = t.root;
                 let vpid = if cfg.use_tags && machine.cost.has_tagged_tlb {
                     1

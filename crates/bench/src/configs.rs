@@ -110,13 +110,16 @@ pub fn run_direct_limit(
     let mut t = NestedTable::new(fmt, &mut alloc, &mut m.mem);
     let cp = fmt.large_page_size() / 4096;
     let pages = (ram - HV_MEM) / 4096;
+    // Large leaves cover every whole chunk below `large_end`.
+    let large_end = if large_pages { pages - pages % cp } else { 0 };
     let mut p = 0u64;
     while p < pages {
-        if large_pages && p.is_multiple_of(cp) && p + cp <= pages {
+        if p < large_end {
             t.map_large(&mut m.mem, &mut alloc, p * 4096, p * 4096, true);
             p += cp;
         } else {
-            t.map_page(&mut m.mem, &mut alloc, p * 4096, p * 4096, true);
+            t.map_page(&mut m.mem, &mut alloc, p * 4096, p * 4096, true)
+                .expect("above the large leaves");
             p += 1;
         }
     }
@@ -128,13 +131,18 @@ pub fn run_direct_limit(
         nova_hw::machine::NIC_BASE / 4096 + 2,
         nova_hw::machine::NIC_BASE / 4096 + 3,
     ] {
+        // A large identity leaf already maps a window inside RAM (VGA).
+        if dev_page < large_end {
+            continue;
+        }
         t.map_page(
             &mut m.mem,
             &mut alloc,
             dev_page * 4096,
             dev_page * 4096,
             true,
-        );
+        )
+        .expect("outside the large leaves");
     }
 
     let vpid = if tagged && cost.has_tagged_tlb { 1 } else { 0 };

@@ -66,6 +66,11 @@ impl FrameAllocator {
     }
 }
 
+/// [`NestedTable::map_page`]'s refusal: a large leaf already maps the
+/// page.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct UnderLargeLeaf;
+
 /// A nested page table (EPT or NPT) under construction.
 pub struct NestedTable {
     /// Root physical address (goes into the VMCS).
@@ -126,9 +131,9 @@ impl NestedTable {
     }
 
     /// Maps one small (4 KB) page: GPA → HPA. A page a large mapping
-    /// already covers stays under it: whoever made the large mapping
-    /// unmaps it first (the kernel splinters a chunk before it maps
-    /// finer, `unmap_nested_page`).
+    /// already covers is refused and stays under it, nothing written:
+    /// whoever made the large mapping unmaps it first (the kernel
+    /// splinters a chunk before it maps finer, `unmap_nested_page`).
     pub fn map_page(
         &mut self,
         mem: &mut PhysMem,
@@ -136,11 +141,12 @@ impl NestedTable {
         gpa: u64,
         hpa: PAddr,
         write: bool,
-    ) {
+    ) -> Result<(), UnderLargeLeaf> {
         let leaf = self.fmt.leaf_entry(hpa & !0xfff, write, false);
-        if let Some((table, idx, 0)) = self.descend(mem, gpa, 0, Some(alloc)) {
-            self.write_entry(mem, table, idx, leaf);
-        }
+        let slot = self.descend(mem, gpa, 0, Some(alloc)).filter(|s| s.2 == 0);
+        let (table, idx, _) = slot.ok_or(UnderLargeLeaf)?;
+        self.write_entry(mem, table, idx, leaf);
+        Ok(())
     }
 
     /// Maps one large page (2 MB for EPT, 4 MB for NPT): GPA → HPA,
@@ -323,7 +329,8 @@ mod tests {
     fn ept_map_then_walk() {
         let (mut mem, mut alloc) = setup();
         let mut t = NestedTable::new(NestedFormat::Ept4Level, &mut alloc, &mut mem);
-        t.map_page(&mut mem, &mut alloc, 0x5000, 0x9000, true);
+        t.map_page(&mut mem, &mut alloc, 0x5000, 0x9000, true)
+            .unwrap();
         let mut cyc = 0;
         let leaf = walk_nested(
             &mem,
@@ -353,7 +360,8 @@ mod tests {
     fn ept_read_only_blocks_writes() {
         let (mut mem, mut alloc) = setup();
         let mut t = NestedTable::new(NestedFormat::Ept4Level, &mut alloc, &mut mem);
-        t.map_page(&mut mem, &mut alloc, 0x5000, 0x9000, false);
+        t.map_page(&mut mem, &mut alloc, 0x5000, 0x9000, false)
+            .unwrap();
         let mut cyc = 0;
         assert!(walk_nested(
             &mem,
@@ -397,7 +405,8 @@ mod tests {
         assert_eq!(leaf.page_size, 2 << 20);
 
         let mut t2 = NestedTable::new(NestedFormat::Ept4Level, &mut alloc, &mut mem);
-        t2.map_page(&mut mem, &mut alloc, 0x12000, (2 << 20) + 0x12000, true);
+        t2.map_page(&mut mem, &mut alloc, 0x12000, (2 << 20) + 0x12000, true)
+            .unwrap();
         let mut cyc_small = 0;
         walk_nested(
             &mem,
@@ -417,7 +426,8 @@ mod tests {
         let (mut mem, mut alloc) = setup();
         let mut t = NestedTable::new(NestedFormat::Npt2Level, &mut alloc, &mut mem);
         t.map_large(&mut mem, &mut alloc, 0, 4 << 20, true);
-        t.map_page(&mut mem, &mut alloc, 0x40_0000, 0x80_0000, true);
+        t.map_page(&mut mem, &mut alloc, 0x40_0000, 0x80_0000, true)
+            .unwrap();
         let mut cyc = 0;
         let l1 = walk_nested(
             &mem,
@@ -448,7 +458,8 @@ mod tests {
     fn unmap_page_clears_leaf() {
         let (mut mem, mut alloc) = setup();
         let mut t = NestedTable::new(NestedFormat::Ept4Level, &mut alloc, &mut mem);
-        t.map_page(&mut mem, &mut alloc, 0x5000, 0x9000, true);
+        t.map_page(&mut mem, &mut alloc, 0x5000, 0x9000, true)
+            .unwrap();
         t.unmap_page(&mut mem, 0x5000);
         let mut cyc = 0;
         assert!(walk_nested(
@@ -463,8 +474,9 @@ mod tests {
         .is_err());
     }
 
-    /// A 4 KB mapping asked for where a large leaf stands leaves the
-    /// leaf in charge; the large frame is never taken for a table.
+    /// A 4 KB mapping asked for where a large leaf stands is refused and
+    /// leaves the leaf in charge; the large frame is never taken for a
+    /// table.
     #[test]
     fn map_page_under_a_large_leaf_never_writes_through_it() {
         for fmt in [NestedFormat::Ept4Level, NestedFormat::Npt2Level] {
@@ -473,7 +485,8 @@ mod tests {
             let frame = fmt.large_page_size();
             t.map_large(&mut mem, &mut alloc, 0, frame, true);
             let gen = mem.frame_gen(frame);
-            t.map_page(&mut mem, &mut alloc, 0x5000, 0x9000, true);
+            let refused = t.map_page(&mut mem, &mut alloc, 0x5000, 0x9000, true);
+            assert_eq!(refused, Err(UnderLargeLeaf), "{fmt:?}");
             assert_eq!(mem.frame_gen(frame), gen, "{fmt:?}: guest frame untouched");
             let mut cyc = 0;
             let leaf = walk_nested(&mem, t.root, fmt, 0x5123, Access::READ, &BLM, &mut cyc);

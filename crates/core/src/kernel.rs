@@ -168,7 +168,8 @@ pub struct Kernel {
     sched: Scheduler,
     mem_db: MapDb<u64>,
     io_db: MapDb<u16>,
-    cap_db: MapDb<CapSel>,
+    /// Capability selectors, as `u64`.
+    cap_db: MapDb<u64>,
     components: Vec<Option<Box<dyn Component>>>,
     nested: HashMap<PdId, NestedTable>,
     shadows: HashMap<EcId, ShadowCache>,
@@ -914,7 +915,7 @@ impl Kernel {
                 if count > MAX_RANGE_PAGES || base.checked_add(count).is_none() {
                     return Err(HcErr::BadParam);
                 }
-                self.revoke_mem_pages(caller, base..base + count, include_self);
+                self.revoke_mem_ranges(caller, &[(base, count)], include_self);
                 Ok(HcReply::Ok)
             }
             Hypercall::RevokeIo {
@@ -922,9 +923,10 @@ impl Kernel {
                 count,
                 include_self,
             } => {
-                for port in base..base.saturating_add(count) {
-                    self.revoke_io_port(caller, port, include_self);
+                if u32::from(base) + u32::from(count) > 0x1_0000 {
+                    return Err(HcErr::BadParam);
                 }
+                self.revoke_io_ranges(caller, &[(base.into(), count.into())], include_self);
                 Ok(HcReply::Ok)
             }
             Hypercall::RevokeCap { sel, include_self } => {
@@ -1114,14 +1116,19 @@ impl Kernel {
         // Validate ownership of the entire range first: the source is
         // held in `from`'s space (the database is not asked), and the
         // destination pages are free.
-        for i in 0..count {
-            if self.obj.pd(from).mem.lookup(base + i).is_none() {
+        let src = self.obj.pd(from).mem.range(base, count as usize);
+        let dst = self.obj.pd(to).mem.range(hot, count as usize);
+        for (s, d) in src.zip(dst) {
+            if s.is_none() {
                 return Err(HcErr::NotOwner);
             }
-            if self.obj.pd(to).mem.lookup(hot + i).is_some() {
+            if d.is_some() {
                 return Err(HcErr::BadParam);
             }
         }
+        // One record for the range, cut where the source's nodes are.
+        self.mem_db
+            .delegate_range((from.0, base), (to.0, hot), count);
         for i in 0..count {
             // Every source page is mapped and no destination page is,
             // so the two ranges are disjoint even within one space:
@@ -1136,7 +1143,6 @@ impl Kernel {
                     rights: eff,
                 },
             );
-            self.mem_db.delegate((from.0, base + i), (to.0, hot + i));
             // IOMMU: devices assigned to the receiver see the page.
             if eff.dma {
                 for &dev in &self.obj.pd(to).devices {
@@ -1193,13 +1199,12 @@ impl Kernel {
                     continue;
                 }
             }
-            table.map_page(
-                &mut self.machine.mem,
-                &mut self.alloc,
-                gpage * PAGE_SIZE as u64,
-                mapping.hpa,
-                mapping.rights.write,
-            );
+            // A large leaf stands only over a chunk whose every page is
+            // mapped, and a delegation's destination pages are not.
+            let (gpa, w) = (gpage * PAGE_SIZE as u64, mapping.rights.write);
+            let mapped =
+                table.map_page(&mut self.machine.mem, &mut self.alloc, gpa, mapping.hpa, w);
+            mapped.expect("a delegated page lies under no large leaf");
             i += 1;
         }
     }
@@ -1209,17 +1214,12 @@ impl Kernel {
         if u32::from(base) + u32::from(count) > 0x1_0000 {
             return Err(HcErr::BadParam);
         }
-        for i in 0..count {
-            let port = base + i;
-            if !self.obj.pd(from).io.allowed(port) {
-                return Err(HcErr::NotOwner);
-            }
+        if !(0..count).all(|i| self.obj.pd(from).io.allowed(base + i)) {
+            return Err(HcErr::NotOwner);
         }
-        for i in 0..count {
-            let port = base + i;
-            self.obj.pd_mut(to).io.grant(port);
-            self.io_db.delegate((from.0, port), (to.0, port));
-        }
+        self.obj.pd_mut(to).io.grant_range(base, count.into());
+        self.io_db
+            .delegate_range((from.0, base), (to.0, base), count.into());
         Ok(())
     }
 
@@ -1242,33 +1242,29 @@ impl Kernel {
         };
         self.obj.pd_mut(to).caps.set(hot, reduced);
         // A selector may be reused; drop any stale tree first.
+        let (sel, hot) = (sel as u64, hot as u64);
         self.cap_db.revoke((to.0, hot), true, &mut |_| {});
         self.cap_db.delegate((from.0, sel), (to.0, hot));
         Ok(())
     }
 
-    /// Revokes `owner`'s delegations of each of `pages` (and its own
-    /// mappings with `include_self`), then shoots down the TLBs of
-    /// every VM that lost a page — once, after the whole range: nothing
-    /// runs a guest in between, and in `PdId` order, so a seed's flush
-    /// sequence does not depend on a hasher.
-    fn revoke_mem_pages(
-        &mut self,
-        owner: PdId,
-        pages: impl IntoIterator<Item = u64>,
-        include_self: bool,
-    ) {
-        let mut removed: Vec<(usize, u64)> = Vec::new();
+    /// Revokes `owner`'s delegations of each `(base, count)` page range
+    /// of `ranges` (and its own mappings with `include_self`): the
+    /// database gives up whole ranges, and each page of each one leaves
+    /// its space, IOMMU and nested table in ascending order. Then the
+    /// TLBs of every VM that lost a page are shot down — once, after
+    /// all of it: nothing runs a guest in between, and in `PdId` order,
+    /// so a seed's flush sequence does not depend on a map's.
+    fn revoke_mem_ranges(&mut self, owner: PdId, ranges: &[(u64, u64)], include_self: bool) {
+        let mut removed: Vec<((usize, u64), u64)> = Vec::new();
+        for &(base, count) in ranges {
+            self.mem_db
+                .revoke_range((owner.0, base), count, include_self, &mut removed);
+        }
         let mut affected_vms: BTreeSet<PdId> = BTreeSet::new();
-        for page in pages {
-            revoke_holdings(
-                &mut self.mem_db,
-                (owner.0, page),
-                include_self,
-                &mut removed,
-            );
-            for (pd_idx, pg) in removed.drain(..) {
-                let pd = PdId(pd_idx);
+        for ((pd_idx, base), count) in removed {
+            let pd = PdId(pd_idx);
+            for pg in base..base + count {
                 let mapping = self.obj.pd_mut(pd).mem.unmap(pg);
                 if mapping.is_none() {
                     continue;
@@ -1312,13 +1308,9 @@ impl Kernel {
                 .collect();
             let table = self.nested.get_mut(&pd).unwrap();
             for (p, m) in survivors {
-                table.map_page(
-                    &mut self.machine.mem,
-                    &mut self.alloc,
-                    p * PAGE_SIZE as u64,
-                    m.hpa,
-                    m.rights.write,
-                );
+                let (gpa, w) = (p * PAGE_SIZE as u64, m.rights.write);
+                let mapped = table.map_page(&mut self.machine.mem, &mut self.alloc, gpa, m.hpa, w);
+                mapped.expect("the large leaf is gone");
             }
         } else {
             table.unmap_page(&mut self.machine.mem, gpage * PAGE_SIZE as u64);
@@ -1354,19 +1346,28 @@ impl Kernel {
         }
     }
 
-    fn revoke_io_port(&mut self, owner: PdId, port: u16, include_self: bool) {
-        let mut removed: Vec<(usize, u16)> = Vec::new();
-        revoke_holdings(&mut self.io_db, (owner.0, port), include_self, &mut removed);
-        for (pd_idx, p) in removed {
-            self.obj.pd_mut(PdId(pd_idx)).io.revoke(p);
+    /// [`Kernel::revoke_mem_ranges`] for ports: `(base, count)` ranges
+    /// of `owner`'s port space, which may end at `0x10000`.
+    fn revoke_io_ranges(&mut self, owner: PdId, ranges: &[(u64, u64)], include_self: bool) {
+        let mut removed: Vec<((usize, u16), u64)> = Vec::new();
+        for &(base, count) in ranges {
+            self.io_db
+                .revoke_range((owner.0, base as u16), count, include_self, &mut removed);
+        }
+        for ((pd_idx, base), count) in removed {
+            for p in u64::from(base)..u64::from(base) + count {
+                self.obj.pd_mut(PdId(pd_idx)).io.revoke(p as u16);
+            }
         }
     }
 
     fn revoke_cap(&mut self, owner: PdId, sel: CapSel, include_self: bool) {
-        let mut removed: Vec<(usize, CapSel)> = Vec::new();
-        revoke_holdings(&mut self.cap_db, (owner.0, sel), include_self, &mut removed);
-        for (pd_idx, s) in removed {
-            self.obj.pd_mut(PdId(pd_idx)).caps.remove(s);
+        let mut removed: Vec<((usize, u64), u64)> = Vec::new();
+        self.cap_db
+            .revoke_range((owner.0, sel as u64), 1, include_self, &mut removed);
+        // One selector's revocation removes one-selector ranges.
+        for ((pd_idx, s), _) in removed {
+            self.obj.pd_mut(PdId(pd_idx)).caps.remove(s as CapSel);
         }
     }
 
@@ -1379,17 +1380,20 @@ impl Kernel {
     /// spaces hold, the mapping databases derive — at a quiescent
     /// point (between hypercalls).
     ///
-    /// 1. Every memory, port and capability node of a domain names
-    ///    something that domain's space holds; a destroyed domain holds
-    ///    nothing and no node names it.
-    /// 2. Each database is a forest: parent and child lists agree in
-    ///    both directions, each child is listed once, nothing loops.
-    /// 3. Every page and port held by a domain other than root has a
-    ///    node with a parent: memory and ports only ever arrive by
+    /// 1. Every page, port and selector a node of a domain covers is
+    ///    held in that domain's space; a destroyed domain holds nothing
+    ///    and no node names it.
+    /// 2. Each database is a forest of ranges: no node is empty and an
+    ///    owner's nodes do not overlap; every child is listed under its
+    ///    parent, every listed child exists with that parent, and each
+    ///    is derived from keys one node of the parent covers; nothing
+    ///    loops.
+    /// 3. Every page and port held by a domain other than root lies in
+    ///    a node with a parent: memory and ports only ever arrive by
     ///    delegation. (Capabilities are also made by the kernel, for
     ///    the creator of an object.)
-    /// 4. A memory node maps the frame its parent maps, with no right
-    ///    the parent lacks.
+    /// 4. Each page of a memory node maps the frame the matching page
+    ///    of its parent maps, with no right the parent lacks.
     ///
     /// The first violation found is described in the error.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -1407,31 +1411,37 @@ impl Kernel {
         // Straight from the radix leaves: a checker neither trusts nor
         // disturbs the translation cache.
         let mapped = |d: &Pd, page: u64| d.mem.range(page, 1).next().flatten();
-        for ((pd, page), parent) in self.mem_db.iter() {
+        for ((pd, base), len, parent) in self.mem_db.iter() {
             let d = pd_of(pd)?;
-            let Some(m) = mapped(d, page) else {
-                return Err(format!("mem_db: {} does not map page {page:#x}", d.name));
-            };
-            // The parent's own holding is this loop's business when it
-            // comes round to the parent.
-            let Some((ppd, ppage)) = parent else { continue };
-            let Some(pm) = mapped(pd_of(ppd)?, ppage) else {
-                continue;
-            };
-            if m.hpa != pm.hpa || m.rights.mask(pm.rights) != m.rights {
-                return Err(format!(
-                    "mem_db: {} page {page:#x} is {m:?}, derived from {pm:?}",
-                    d.name
-                ));
+            let from = parent.map(|(p, pbase)| pd_of(p).map(|p| (p, pbase)));
+            let from = from.transpose()?;
+            for (page, m) in (base..).zip(d.mem.range(base, len as usize)) {
+                let Some(m) = m else {
+                    return Err(format!("mem_db: {} does not map page {page:#x}", d.name));
+                };
+                // The parent's own holding is this loop's business when
+                // it comes round to the parent.
+                let Some(pm) = from.and_then(|(p, pbase)| mapped(p, pbase + (page - base))) else {
+                    continue;
+                };
+                if m.hpa != pm.hpa || m.rights.mask(pm.rights) != m.rights {
+                    return Err(format!(
+                        "mem_db: {} page {page:#x} is {m:?}, derived from {pm:?}",
+                        d.name
+                    ));
+                }
             }
         }
-        for ((pd, port), _) in self.io_db.iter() {
-            if !pd_of(pd)?.io.allowed(port) {
+        for ((pd, base), len, _) in self.io_db.iter() {
+            let d = pd_of(pd)?;
+            let ports = u64::from(base)..u64::from(base) + len;
+            if let Some(port) = ports.into_iter().find(|&p| !d.io.allowed(p as u16)) {
                 return Err(format!("io_db: pd {pd} does not hold port {port:#x}"));
             }
         }
-        for ((pd, sel), _) in self.cap_db.iter() {
-            if pd_of(pd)?.caps.get(sel).is_none() {
+        for ((pd, base), len, _) in self.cap_db.iter() {
+            let d = pd_of(pd)?;
+            if let Some(sel) = (base..base + len).find(|&s| d.caps.get(s as CapSel).is_none()) {
                 return Err(format!("cap_db: pd {pd} does not hold selector {sel:#x}"));
             }
         }
@@ -1472,17 +1482,15 @@ impl Kernel {
         }
         self.obj.pd_mut(pd).dying = true;
 
-        // Memory: revoke each owned page (children included).
-        let pages: Vec<u64> = self.obj.pd(pd).mem.iter().map(|(p, _)| p).collect();
-        self.revoke_mem_pages(pd, pages, true);
+        // Memory: revoke each run of owned pages (children included).
+        let pages = runs(self.obj.pd(pd).mem.iter().map(|(p, _)| p));
+        self.revoke_mem_ranges(pd, &pages, true);
         // Every unmap above already bumped the generation; this makes
         // the cold-cache contract explicit for teardown.
         self.obj.pd_mut(pd).mem.invalidate_cache();
-        // I/O ports.
-        let ports: Vec<u16> = self.obj.pd(pd).io.iter().collect();
-        for port in ports {
-            self.revoke_io_port(pd, port, true);
-        }
+        // I/O ports, run by run.
+        let ports = runs(self.obj.pd(pd).io.iter().map(u64::from));
+        self.revoke_io_ranges(pd, &ports, true);
         // Capabilities (and everything delegated from them).
         let sels: Vec<CapSel> = self.obj.pd(pd).caps.iter().map(|(s, _)| s).collect();
         for sel in sels {
@@ -2679,25 +2687,16 @@ pub fn apply_mtd(dst: &mut Regs, src: &Regs, mtd_bits: u32) {
     }
 }
 
-/// Revocation at `at`, stated once for memory, ports and capabilities:
-/// appends to `out` every holding it takes away, children before
-/// parents — the derivations the database tracks below `at` and, with
-/// `include_self`, `at`'s own. That last one leaves its space whether
-/// or not a node tracks it: spaces hold and the database derives, so a
-/// resource never delegated has no node and is given up all the same.
-/// Without `include_self` an untracked `at` is a no-op, and no node is
-/// made for it.
-fn revoke_holdings<K: Ord + Copy + std::hash::Hash>(
-    db: &mut MapDb<K>,
-    at: (usize, K),
-    include_self: bool,
-    out: &mut Vec<(usize, K)>,
-) {
-    let start = out.len();
-    db.revoke(at, include_self, &mut |k| out.push(k));
-    if include_self && out[start..].last() != Some(&at) {
-        out.push(at);
+/// Ascending `keys` as `(base, count)` runs of consecutive keys.
+fn runs(keys: impl Iterator<Item = u64>) -> Vec<(u64, u64)> {
+    let mut out: Vec<(u64, u64)> = Vec::new();
+    for k in keys {
+        match out.last_mut() {
+            Some((base, count)) if *base + *count == k => *count += 1,
+            _ => out.push((k, 1)),
+        }
     }
+    out
 }
 
 /// The frames behind the `pages`-page window at `addr` of `ms`, for a
@@ -3608,7 +3607,9 @@ mod tests {
             perms: Perms::ALL,
         };
         k.install_cap(pd_a, 40, own);
-        assert_eq!(k.mapdb_nodes(), (4 + 4 + 2, 8 + 8 + 2, 3));
+        // A node per range: root's origin, A's range, B's range — for
+        // 4 + 4 + 2 pages and 8 + 8 + 2 ports.
+        assert_eq!(k.mapdb_nodes(), (3, 3, 3));
         assert_eq!(k.check_invariants(), Ok(()));
 
         k.hypercall(ctx, Hypercall::DestroyPd { pd: 10 }).unwrap();
@@ -3617,16 +3618,17 @@ mod tests {
             assert_eq!((d.mem.count(), d.io.count(), d.caps.count()), (0, 0, 0));
         }
         let names = |pd: PdId| {
-            let mem = k.mem_db.iter().any(|((p, _), _)| p == pd.0);
-            let io = k.io_db.iter().any(|((p, _), _)| p == pd.0);
-            mem || io || k.cap_db.iter().any(|((p, _), _)| p == pd.0)
+            let mem = k.mem_db.iter().any(|((p, _), _, _)| p == pd.0);
+            let io = k.io_db.iter().any(|((p, _), _, _)| p == pd.0);
+            mem || io || k.cap_db.iter().any(|((p, _), _, _)| p == pd.0)
         };
         assert!(!names(pd_a) && !names(pd_b));
         assert_eq!(
             k.mapdb_nodes(),
-            (4, 8, 1),
+            (1, 1, 1),
             "root's origins are what is left"
         );
+        assert!(k.mem_db.contains(k.root_pd.0, 103) && k.io_db.contains(k.root_pd.0, 0x3ff));
         assert_eq!(k.check_invariants(), Ok(()));
     }
 
@@ -3704,6 +3706,34 @@ mod tests {
         )
         .unwrap();
         assert!(!k.obj.pd(drv).io.allowed(0x3f8));
+    }
+
+    /// The last port of the space comes back like any other: the range
+    /// `DelegateIo` accepted up to `0x10000` is revoked whole, and a
+    /// range past it is refused, as `DelegateIo` refuses one.
+    #[test]
+    fn revoke_io_reaches_the_last_port() {
+        let (mut k, ctx) = root_with_children(&["drv"]);
+        let drv = PdId(1);
+        let (base, count) = (0xfff0, 0x10);
+        let delegate = Hypercall::DelegateIo {
+            dst_pd: 10,
+            base,
+            count,
+        };
+        k.hypercall(ctx, delegate).unwrap();
+        assert_eq!(k.obj.pd(drv).io.iter().last(), Some(0xffff));
+        let revoke = |count| Hypercall::RevokeIo {
+            base,
+            count,
+            include_self: false,
+        };
+        k.hypercall(ctx, revoke(count)).unwrap();
+        assert_eq!(k.obj.pd(drv).io.count(), 0, "the child holds none of them");
+        assert_eq!(k.mapdb_nodes().1, 1, "root's origin is what is left");
+        assert_eq!(k.hypercall(ctx, revoke(count + 1)), Err(HcErr::BadParam));
+        assert!(k.obj.pd(k.root_pd).io.allowed(0xffff));
+        assert_eq!(k.check_invariants(), Ok(()));
     }
 
     #[test]

@@ -212,6 +212,21 @@ fn kernel_with_root() -> (Kernel, nova_core::CompCtx) {
     (k, ctx)
 }
 
+/// A stretch inside one of the `granted` `(base, count)` ranges — off
+/// both of its ends when it is long enough — or `or` when nothing was
+/// granted.
+fn part_of(rng: &mut Rng, granted: &[(u64, u64)], or: (u64, u64)) -> (u64, u64) {
+    if granted.is_empty() {
+        return or;
+    }
+    let (base, count) = granted[rng.below(granted.len() as u64) as usize];
+    if count < 3 {
+        return (base, count);
+    }
+    let lo = base + 1 + rng.below(count - 2);
+    (lo, 1 + rng.below(base + count - 1 - lo))
+}
+
 /// A randomized delegate/revoke hypercall script — root to a child,
 /// the child on to a grandchild at other page numbers, ports alongside,
 /// revocations from both levels with and without the revoker's own
@@ -220,7 +235,11 @@ fn kernel_with_root() -> (Kernel, nova_core::CompCtx) {
 /// leaves every memory space well-formed: `count()` is the number of
 /// mappings `iter()` yields, in strictly ascending page order, and
 /// every page the child holds is backed by root's mapping of the same
-/// frame with rights no wider than root's.
+/// frame with rights no wider than root's. Ranges are up to 63 pages or
+/// ports long, and a good part of the script works inside the last
+/// ranges root granted: the child re-delegates a stretch of one, and
+/// either level revokes a stretch of one — so mapping-database nodes
+/// are cut at both ends, below both levels.
 #[test]
 fn kernel_delegation_script_preserves_memspace_invariants() {
     let (mut k, ctx) = kernel_with_root();
@@ -240,64 +259,90 @@ fn kernel_delegation_script_preserves_memspace_invariants() {
     /// Where the grandchild sees the child's page `p`.
     const SHIFT: u64 = 0x1_0000;
     let mut rng = Rng::new(0xdead_beef);
+    // The last ranges of pages and ports root granted the child.
+    let mut pages: Vec<(u64, u64)> = Vec::new();
+    let mut ports: Vec<(u64, u64)> = Vec::new();
     for step in 0..600 {
         let base = rng.below(2000);
-        let count = 1 + rng.below(8);
-        let include_self = rng.below(4) == 0;
-        let (who, hc) = match rng.below(100) {
-            0..=39 => (
-                ctx,
-                Hypercall::DelegateMem {
-                    dst_pd: 0x30,
-                    base,
-                    count,
-                    rights: random_rights(&mut rng),
-                    hot: base,
-                },
-            ),
-            40..=59 => (
-                child_ctx,
-                Hypercall::DelegateMem {
-                    dst_pd: 0x31,
-                    base,
-                    count,
-                    rights: random_rights(&mut rng),
-                    hot: base + SHIFT,
-                },
-            ),
-            60..=64 => (
-                ctx,
-                Hypercall::DelegateIo {
-                    dst_pd: 0x30,
-                    base: 0x300 + base as u16 % 64,
-                    count: count as u16,
-                },
-            ),
-            65..=69 => (
-                child_ctx,
-                Hypercall::DelegateIo {
-                    dst_pd: 0x31,
-                    base: 0x300 + base as u16 % 64,
-                    count: count as u16,
-                },
-            ),
-            70..=84 => (
-                if rng.below(2) == 0 { ctx } else { child_ctx },
-                Hypercall::RevokeMem {
-                    base,
-                    count,
-                    include_self,
-                },
-            ),
-            _ => (
-                if rng.below(2) == 0 { ctx } else { child_ctx },
-                Hypercall::RevokeIo {
-                    base: 0x300 + base as u16 % 64,
-                    count: count as u16,
-                    include_self,
-                },
-            ),
+        let count = match rng.below(4) {
+            0 => 8 + rng.below(56),
+            _ => 1 + rng.below(8),
         };
+        let port = 0x300 + rng.below(64);
+        let include_self = rng.below(4) == 0;
+        let either = if rng.below(2) == 0 { ctx } else { child_ctx };
+        let (who, hc) = match rng.below(100) {
+            0..=29 => {
+                pages.push((base, count));
+                let rights = random_rights(&mut rng);
+                let hot = base;
+                let hc = Hypercall::DelegateMem {
+                    dst_pd: 0x30,
+                    base,
+                    count,
+                    rights,
+                    hot,
+                };
+                (ctx, hc)
+            }
+            30..=44 => {
+                let (base, count) = part_of(&mut rng, &pages, (base, count));
+                let rights = random_rights(&mut rng);
+                let hot = base + SHIFT;
+                let hc = Hypercall::DelegateMem {
+                    dst_pd: 0x31,
+                    base,
+                    count,
+                    rights,
+                    hot,
+                };
+                (child_ctx, hc)
+            }
+            45..=54 => {
+                let (from, dst_pd) = if rng.below(2) == 0 {
+                    ports.push((port, count));
+                    ((port, count), 0x30)
+                } else {
+                    (part_of(&mut rng, &ports, (port, count)), 0x31)
+                };
+                let (base, count) = (from.0 as u16, from.1 as u16);
+                let hc = Hypercall::DelegateIo {
+                    dst_pd,
+                    base,
+                    count,
+                };
+                (if dst_pd == 0x30 { ctx } else { child_ctx }, hc)
+            }
+            55..=79 => {
+                let (base, count) = match rng.below(3) {
+                    0 => (base, count),
+                    _ => part_of(&mut rng, &pages, (base, count)),
+                };
+                let hc = Hypercall::RevokeMem {
+                    base,
+                    count,
+                    include_self,
+                };
+                (either, hc)
+            }
+            _ => {
+                let (base, count) = match rng.below(3) {
+                    0 => (port, count),
+                    _ => part_of(&mut rng, &ports, (port, count)),
+                };
+                let (base, count) = (base as u16, count as u16);
+                let hc = Hypercall::RevokeIo {
+                    base,
+                    count,
+                    include_self,
+                };
+                (either, hc)
+            }
+        };
+        for granted in [&mut pages, &mut ports] {
+            let old = granted.len().saturating_sub(8);
+            granted.drain(..old);
+        }
         let _ = k.hypercall(who, hc);
         assert_eq!(k.check_invariants(), Ok(()), "after step {step}");
         if step == 300 {
@@ -307,6 +352,7 @@ fn kernel_delegation_script_preserves_memspace_invariants() {
             child = create(&mut k, ctx, "child", 0x30);
             child_ctx = CompCtx { pd: child, ..ctx };
             create(&mut k, child_ctx, "grandchild", 0x31);
+            (pages, ports) = (Vec::new(), Vec::new());
         }
     }
     let grandchild = PdId(child.0 + 1);
@@ -333,10 +379,11 @@ fn kernel_delegation_script_preserves_memspace_invariants() {
 
 /// What boot leaves in the mapping databases: nothing after
 /// `Kernel::new` — root's holdings are in its spaces — and after
-/// `System::build` a node or three per page that was actually
-/// delegated (root's origin, the VMM's mapping, the VM's), a handful
-/// of ports, and no more: not one per frame of RAM and port of the
-/// machine.
+/// `System::build` a node per range that was actually delegated (root's
+/// origins, the VMM's ranges, the VM's), a handful of ports, and no
+/// more: not one per frame of RAM and port of the machine, and not one
+/// per page delegated either — a 1,024-page and an 8,192-page guest
+/// leave the same number of nodes.
 #[test]
 fn boot_footprint_is_what_was_delegated() {
     let (k, _) = kernel_with_root();
@@ -344,25 +391,26 @@ fn boot_footprint_is_what_was_delegated() {
     assert!(k.obj.pd(k.root_pd).mem.count() > 10_000);
     assert!(k.obj.pd(k.root_pd).io.count() > 65_000);
 
-    const GUEST_PAGES: u64 = 1024;
-    let prog = build_os(OsParams::minimal(), |a, _| nova_guest::rt::emit_exit(a, 0));
-    let image = GuestImage {
-        bytes: prog.bytes,
-        load_gpa: prog.load_gpa,
-        entry: prog.entry,
-        stack: prog.stack,
+    let boot = |guest_pages: u64| {
+        let prog = build_os(OsParams::minimal(), |a, _| nova_guest::rt::emit_exit(a, 0));
+        let image = GuestImage {
+            bytes: prog.bytes,
+            load_gpa: prog.load_gpa,
+            entry: prog.entry,
+            stack: prog.stack,
+        };
+        let vmm = VmmConfig::full_virt(image, guest_pages);
+        let sys = System::build(LaunchOptions::standard(vmm));
+        assert_eq!(sys.k.check_invariants(), Ok(()));
+        let vm = sys.k.obj.pds.iter().find(|d| d.is_vm()).expect("a VM");
+        (sys.k.mapdb_nodes(), vm.mem.count())
     };
-    let sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(
-        image,
-        GUEST_PAGES,
-    )));
-    let (mem, io, _) = sys.k.mapdb_nodes();
-    assert!(
-        (2 * GUEST_PAGES..=3 * GUEST_PAGES + 64).contains(&(mem as u64)),
-        "{mem} memory nodes for a {GUEST_PAGES}-page guest"
-    );
+    let ((mem, io, _), small) = boot(1024);
+    assert!((1..=32).contains(&mem), "{mem} memory nodes");
     assert!((1..=16).contains(&io), "{io} port nodes");
-    assert_eq!(sys.k.check_invariants(), Ok(()));
+    let ((mem_large, _, _), large) = boot(8192);
+    assert!(large > 7 * small, "{small} → {large} guest pages");
+    assert_eq!(mem_large, mem, "memory nodes independent of guest size");
 }
 
 /// The translation cache fronting the radix table must never serve

@@ -7,6 +7,8 @@
 //! crate so the suite builds with no registry access; every test is
 //! seeded and therefore fully deterministic.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use nova_core::mdb::MapDb;
 use nova_hw::iommu::Iommu;
 use nova_hw::tlb::{Tlb, TlbEntry};
@@ -330,6 +332,246 @@ fn mdb_revoke_subtree_exact() {
         assert_eq!(db.len(), total - expected);
         assert!(db.contains(0, 0), "the root is never collateral");
     }
+}
+
+/// A `(owner, key)` of the per-key reference below.
+type PageKey = (usize, u64);
+
+/// The mapping database as it was before its nodes became ranges: one
+/// node per `(owner, key)` — the reference `MapDb`'s range nodes must
+/// answer like, key for key.
+#[derive(Default)]
+struct PageModel {
+    /// Parent and children (in delegation order) of each tracked key.
+    nodes: BTreeMap<PageKey, (Option<PageKey>, Vec<PageKey>)>,
+}
+
+impl PageModel {
+    fn delegate(&mut self, from: PageKey, to: PageKey) -> bool {
+        if from == to || self.nodes.contains_key(&to) {
+            return false;
+        }
+        self.nodes.insert(to, (Some(from), Vec::new()));
+        self.nodes.entry(from).or_default().1.push(to);
+        true
+    }
+
+    /// Key by key, except that two overlapping ranges of one owner
+    /// record nothing.
+    fn delegate_range(&mut self, from: PageKey, to: PageKey, len: u64) -> u64 {
+        if from.0 == to.0 && from.1 < to.1 + len && to.1 < from.1 + len {
+            return 0;
+        }
+        let recorded = (0..len).filter(|i| self.delegate((from.0, from.1 + i), (to.0, to.1 + i)));
+        recorded.count() as u64
+    }
+
+    fn revoke(&mut self, at: PageKey, include_self: bool, out: &mut Vec<PageKey>) {
+        let Some((_, children)) = self.nodes.get(&at) else {
+            return;
+        };
+        for c in children.clone() {
+            self.revoke(c, true, out);
+        }
+        if include_self {
+            let (parent, _) = self.nodes.remove(&at).unwrap();
+            if let Some(p) = parent.and_then(|p| self.nodes.get_mut(&p)) {
+                p.1.retain(|c| *c != at);
+            }
+            out.push(at);
+        } else {
+            self.nodes.get_mut(&at).unwrap().1.clear();
+        }
+    }
+
+    /// Each key in turn; with `include_self` the owner's own key goes
+    /// whether or not it was tracked.
+    fn revoke_range(&mut self, at: PageKey, len: u64, include_self: bool, out: &mut Vec<PageKey>) {
+        for key in at.1..at.1 + len {
+            let start = out.len();
+            self.revoke((at.0, key), include_self, out);
+            if include_self && out[start..].last() != Some(&(at.0, key)) {
+                out.push((at.0, key));
+            }
+        }
+    }
+
+    fn depth(&self, mut at: PageKey) -> Option<usize> {
+        for d in 0.. {
+            match self.nodes.get(&at)?.0 {
+                Some(p) => at = p,
+                None => return Some(d),
+            }
+        }
+        None
+    }
+
+    fn parents(&self) -> BTreeMap<PageKey, Option<PageKey>> {
+        self.nodes.iter().map(|(k, (p, _))| (*k, *p)).collect()
+    }
+}
+
+/// `db` and `model` track the same keys, each with the same parent and
+/// depth, and `db` is a well-linked forest of ranges.
+fn ranges_agree_with_pages(db: &MapDb<u64>, model: &PageModel, what: &str) {
+    assert_eq!(db.check_links(), Ok(()), "{what}");
+    let tracked: BTreeSet<PageKey> = db
+        .iter()
+        .flat_map(|((owner, base), len, _)| (base..base + len).map(move |k| (owner, k)))
+        .collect();
+    let want: BTreeSet<PageKey> = model.nodes.keys().copied().collect();
+    assert_eq!(tracked, want, "{what}: tracked keys");
+    for (&key, (parent, _)) in &model.nodes {
+        assert_eq!(db.parent(key), *parent, "{what}: parent of {key:?}");
+        assert_eq!(db.depth(key), model.depth(key), "{what}: depth of {key:?}");
+    }
+}
+
+/// A revocation removed the same keys from both, and the database's
+/// order puts every key before the key it was derived from.
+fn same_removal(
+    got: &[((usize, u64), u64)],
+    want: &[PageKey],
+    parents: &BTreeMap<PageKey, Option<PageKey>>,
+    what: &str,
+) {
+    let mut first: BTreeMap<PageKey, usize> = BTreeMap::new();
+    let keys = got
+        .iter()
+        .flat_map(|&((owner, base), len)| (base..base + len).map(move |k| (owner, k)));
+    for (i, key) in keys.enumerate() {
+        first.entry(key).or_insert(i);
+    }
+    let removed: BTreeSet<PageKey> = first.keys().copied().collect();
+    let expected: BTreeSet<PageKey> = want.iter().copied().collect();
+    assert_eq!(removed, expected, "{what}: removed keys");
+    for (key, at) in &first {
+        if let Some(parent_at) = parents
+            .get(key)
+            .copied()
+            .flatten()
+            .and_then(|p| first.get(&p))
+        {
+            assert!(at < parent_at, "{what}: {key:?} removed after its parent");
+        }
+    }
+}
+
+/// The range mapping database against the per-key reference, over
+/// seeded scripts on 4–6 owners: range and single-key delegations
+/// (half of them of a stretch inside a node the source owner has, the
+/// rest anywhere, so sources span several nodes and untracked gaps and
+/// destinations run into tracked keys), partial revocations with and
+/// without `include_self`, single-key revocations, and whole owners
+/// torn down run by run. After every operation both track the same
+/// keys with the same parents, every revocation removed the same keys
+/// with each one ahead of its parent, and `check_links` holds. 256
+/// scripts; 4,096 with `NOVA_SLOW_TESTS` set.
+#[test]
+fn mdb_ranges_agree_with_a_per_page_model() {
+    const KEYS: u64 = 96;
+    let scripts = if std::env::var_os("NOVA_SLOW_TESTS").is_some() {
+        16 * CASES
+    } else {
+        CASES
+    };
+    let (mut spanning, mut cutting) = (0, 0);
+    for seed in 0..scripts {
+        let mut rng = Rng::new(0x1010 + seed as u64);
+        let owners = 4 + rng.below(3) as usize;
+        let mut db: MapDb<u64> = MapDb::new();
+        let mut model = PageModel::default();
+        for step in 0..120 {
+            let what = format!("seed {seed} step {step}");
+            let owner = rng.below(owners as u64) as usize;
+            // `owner`'s nodes; a key inside one of them, or anywhere.
+            let held: Vec<(u64, u64)> = db
+                .iter()
+                .filter(|((o, _), _, _)| *o == owner)
+                .map(|((_, base), len, _)| (base, len))
+                .collect();
+            let key = |rng: &mut Rng| match rng.below(2) {
+                0 if !held.is_empty() => {
+                    let (base, len) = rng.pick(&held);
+                    base + rng.below(len)
+                }
+                _ => rng.below(KEYS),
+            };
+            // `a..b` overlaps one of `owner`'s nodes without lying in it.
+            let straddles = |a: u64, b: u64| {
+                held.iter()
+                    .any(|&(base, len)| a < base + len && base < b && (a < base || base + len < b))
+            };
+            match rng.below(10) {
+                0..=4 => {
+                    let from = (owner, key(&mut rng));
+                    let to = (rng.below(owners as u64) as usize, rng.below(KEYS));
+                    let len = 1 + rng.below(16);
+                    if len == 1 {
+                        let want = model.delegate(from, to);
+                        assert_eq!(db.delegate(from, to), want, "{what}: delegate");
+                    } else {
+                        let want = model.delegate_range(from, to, len);
+                        assert_eq!(db.delegate_range(from, to, len), want, "{what}");
+                    }
+                    spanning += usize::from(straddles(from.1, from.1 + len));
+                }
+                5..=7 => {
+                    let at = (owner, key(&mut rng));
+                    let len = 1 + rng.below(24);
+                    let include_self = rng.below(2) == 0;
+                    let parents = model.parents();
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    db.revoke_range(at, len, include_self, &mut got);
+                    model.revoke_range(at, len, include_self, &mut want);
+                    same_removal(&got, &want, &parents, &what);
+                    let inside = |(base, n): &(u64, u64)| *base < at.1 && at.1 + len < base + n;
+                    cutting += usize::from(straddles(at.1, at.1 + len) || held.iter().any(inside));
+                }
+                8 => {
+                    let at = (owner, key(&mut rng));
+                    let include_self = rng.below(2) == 0;
+                    let parents = model.parents();
+                    let mut got = Vec::new();
+                    db.revoke(at, include_self, &mut |k| got.push((k, 1)));
+                    let mut want = Vec::new();
+                    model.revoke(at, include_self, &mut want);
+                    same_removal(&got, &want, &parents, &what);
+                }
+                _ => {
+                    // Teardown: every run of keys the owner has, with
+                    // everything derived from them.
+                    let parents = model.parents();
+                    let keys = model.nodes.keys().filter(|(o, _)| *o == owner);
+                    let mut runs: Vec<(u64, u64)> = Vec::new();
+                    for &(_, k) in keys {
+                        match runs.last_mut() {
+                            Some((base, len)) if *base + *len == k => *len += 1,
+                            _ => runs.push((k, 1)),
+                        }
+                    }
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    for (base, len) in runs {
+                        db.revoke_range((owner, base), len, true, &mut got);
+                        model.revoke_range((owner, base), len, true, &mut want);
+                    }
+                    same_removal(&got, &want, &parents, &what);
+                    assert!(db.iter().all(|((o, _), _, _)| o != owner), "{what}");
+                }
+            }
+            ranges_agree_with_pages(&db, &model, &what);
+        }
+    }
+    // Each script delegates across a node's bounds and revokes a part
+    // of a node several times over.
+    assert!(
+        spanning > 4 * scripts,
+        "{spanning} delegations across bounds"
+    );
+    assert!(
+        cutting > 4 * scripts,
+        "{cutting} revocations cutting a node"
+    );
 }
 
 /// IOMMU: a device only ever reaches pages explicitly mapped for it,
@@ -1221,7 +1463,7 @@ fn every_walker_of_the_guest_page_table_agrees() {
                 if large {
                     t.map_large(&mut mem, &mut alloc, gpa, gpa, true);
                 } else {
-                    t.map_page(&mut mem, &mut alloc, gpa, gpa, true);
+                    t.map_page(&mut mem, &mut alloc, gpa, gpa, true).unwrap();
                 }
             }
             (name, t)
@@ -1430,7 +1672,8 @@ fn recorded_divergence_hardware_walks_are_supervisor_wp_set_and_write_no_accesse
     let mut ept = NestedTable::new(NestedFormat::Ept4Level, &mut alloc, &mut mem);
     let mut ms = MemSpace::default();
     for p in 0..1024u64 {
-        ept.map_page(&mut mem, &mut alloc, p << 12, p << 12, true);
+        ept.map_page(&mut mem, &mut alloc, p << 12, p << 12, true)
+            .unwrap();
         ms.map(
             p,
             MemMapping {
