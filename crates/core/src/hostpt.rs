@@ -10,7 +10,7 @@
 use nova_hw::mem::PhysMem;
 use nova_hw::mmu::nested_entry;
 use nova_hw::PAddr;
-use nova_x86::paging::{pte, NestedFormat, LARGE_PAGE_SIZE, PAGE_SIZE};
+use nova_x86::paging::{pte, NestedEntry, NestedFormat, LARGE_PAGE_SIZE, PAGE_SIZE};
 
 /// Bump allocator over the hypervisor's private memory region, with a
 /// free list for recycled frames.
@@ -133,7 +133,7 @@ impl NestedTable {
     /// Maps one small (4 KB) page: GPA → HPA. A page a large mapping
     /// already covers is refused and stays under it, nothing written:
     /// whoever made the large mapping unmaps it first (the kernel
-    /// splinters a chunk before it maps finer, `unmap_nested_page`).
+    /// splinters a chunk before it maps finer, `revoke_mem_ranges`).
     pub fn map_page(
         &mut self,
         mem: &mut PhysMem,
@@ -150,7 +150,10 @@ impl NestedTable {
     }
 
     /// Maps one large page (2 MB for EPT, 4 MB for NPT): GPA → HPA,
-    /// both aligned to the large size.
+    /// both aligned to the large size. A page table the leaf takes the
+    /// place of goes back to `alloc`: it maps nothing, because whoever
+    /// maps a chunk whole has unmapped every page of it (the kernel
+    /// maps only into free destination pages).
     pub fn map_large(
         &mut self,
         mem: &mut PhysMem,
@@ -164,7 +167,14 @@ impl NestedTable {
         debug_assert_eq!(hpa % size, 0);
         let leaf = self.fmt.leaf_entry(hpa, write, true);
         if let Some((table, idx, 1)) = self.descend(mem, gpa, 1, Some(alloc)) {
+            let old = self.fmt.decode(nested_entry(mem, self.fmt, table, idx));
             self.write_entry(mem, table, idx, leaf);
+            if old.present && !old.large {
+                let empty = mem.slice(old.next, PAGE_SIZE as usize);
+                debug_assert!(empty.is_some_and(|t| t.iter().all(|&b| b == 0)));
+                self.frames.retain(|&f| f != old.next);
+                alloc.release(old.next);
+            }
         }
     }
 
@@ -180,6 +190,38 @@ impl NestedTable {
     /// Frames owned by this table (for teardown).
     pub fn frames(&self) -> &[PAddr] {
         &self.frames
+    }
+
+    /// Walks the whole table: `f(gpa, level, entry)` for every present
+    /// leaf, in ascending guest-physical order (a leaf above level 0 is
+    /// large). Returns the table frames the walk went through, the root
+    /// first.
+    pub fn leaves(&self, mem: &PhysMem, mut f: impl FnMut(u64, u32, NestedEntry)) -> Vec<PAddr> {
+        let mut tables = Vec::new();
+        let top = self.fmt.levels() - 1;
+        self.visit(mem, self.root, top, 0, &mut f, &mut tables);
+        tables
+    }
+
+    fn visit(
+        &self,
+        mem: &PhysMem,
+        table: PAddr,
+        level: u32,
+        base: u64,
+        f: &mut impl FnMut(u64, u32, NestedEntry),
+        tables: &mut Vec<PAddr>,
+    ) {
+        tables.push(table);
+        for idx in 0..1u64 << self.fmt.index_bits() {
+            let e = self.fmt.decode(nested_entry(mem, self.fmt, table, idx));
+            let gpa = base + idx * self.fmt.page_size_at(level);
+            if e.present && (level == 0 || e.large) {
+                f(gpa, level, e);
+            } else if e.present {
+                self.visit(mem, e.next, level - 1, gpa, f, tables);
+            }
+        }
     }
 }
 

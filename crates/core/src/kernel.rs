@@ -12,6 +12,7 @@ use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 use nova_hw::cpu::run_guest;
 use nova_hw::fault::FaultKind;
+use nova_hw::iommu::Iommu;
 use nova_hw::machine::Machine;
 use nova_hw::mem::PhysMem;
 use nova_hw::vmx::{mtd, ExitReason, Injection, PagingVirt, Vmcs};
@@ -28,7 +29,7 @@ use crate::hypercall::{HcErr, HcReply, Hypercall};
 use crate::mdb::MapDb;
 use crate::obj::{
     Activation, Ec, EcId, EcKind, MemMapping, MemRights, MemSpace, ObjRef, Objects, Pd, PdId,
-    Portal, PtId, Sc, ScId, Semaphore, SmId, VmPaging,
+    Portal, PtId, Sc, ScId, Semaphore, SmId, VmPaging, LEAF_ENTRIES,
 };
 use crate::sched::Scheduler;
 use crate::utcb::{Utcb, VmExitMsg, XferItem};
@@ -398,10 +399,11 @@ impl Kernel {
         // nothing else does: the mapping databases start empty and
         // learn of a resource when root first delegates it.
         let mut identity = |base: u64, pages: u64, rights: MemRights| {
-            for page in base / PAGE_SIZE as u64..base / PAGE_SIZE as u64 + pages {
-                let hpa = page * PAGE_SIZE as u64;
-                root.mem.map(page, MemMapping { hpa, rights });
-            }
+            let first = base / PAGE_SIZE as u64;
+            root.mem.map_run(first, pages, |i| MemMapping {
+                hpa: (first + i) * PAGE_SIZE as u64,
+                rights,
+            });
         };
         identity(0, hv_base / PAGE_SIZE as u64, MemRights::RW_DMA);
         identity(nova_hw::machine::AHCI_BASE, 4, MemRights::RW);
@@ -1049,21 +1051,8 @@ impl Kernel {
                 let target = self.live(self.lookup_pd(caller, pd, Perms::CTRL)?)?;
                 self.obj.pd_mut(target).devices.push(device);
                 // Mirror the domain's DMA-able memory into the IOMMU.
-                let mappings: Vec<(u64, MemMapping)> = self
-                    .obj
-                    .pd(target)
-                    .mem
-                    .iter()
-                    .filter(|(_, m)| m.rights.dma)
-                    .collect();
-                for (page, m) in mappings {
-                    self.machine.bus.iommu.map_page(
-                        device,
-                        page * PAGE_SIZE as u64,
-                        m.hpa,
-                        m.rights.write,
-                    );
-                }
+                let held = self.obj.pd(target).mem.iter();
+                map_dma(&mut self.machine.bus.iommu, &[device], held);
                 Ok(HcReply::Ok)
             }
             Hypercall::WatchdogArm { pd, sm, timeout } => {
@@ -1115,45 +1104,50 @@ impl Kernel {
         }
         // Validate ownership of the entire range first: the source is
         // held in `from`'s space (the database is not asked), and the
-        // destination pages are free.
-        let src = self.obj.pd(from).mem.range(base, count as usize);
-        let dst = self.obj.pd(to).mem.range(hot, count as usize);
-        for (s, d) in src.zip(dst) {
-            if s.is_none() {
-                return Err(HcErr::NotOwner);
-            }
-            if d.is_some() {
-                return Err(HcErr::BadParam);
-            }
+        // destination pages are free — whichever fails first, page by
+        // page, names the error.
+        let src = &self.obj.pd(from).mem;
+        let hole = src.slices(base, count).flatten().position(Option::is_none);
+        let hole = hole.map(|h| h as u64);
+        let dst = self.obj.pd(to).mem.slices(hot, hole.unwrap_or(count));
+        if dst.flatten().any(Option::is_some) {
+            return Err(HcErr::BadParam);
+        }
+        if hole.is_some() {
+            return Err(HcErr::NotOwner);
         }
         // One record for the range, cut where the source's nodes are.
         self.mem_db
             .delegate_range((from.0, base), (to.0, hot), count);
-        for i in 0..count {
-            // Every source page is mapped and no destination page is,
-            // so the two ranges are disjoint even within one space:
-            // nothing mapped below can have taken a source page away.
-            let src = self.obj.pd(from).mem.lookup(base + i);
-            let src = src.expect("source range validated above");
-            let eff = src.rights.mask(rights);
-            self.obj.pd_mut(to).mem.map(
-                hot + i,
+        // A source leaf at a time. Every source page is mapped and no
+        // destination page is, so the two ranges are disjoint even
+        // within one space: nothing mapped below can have taken a
+        // source page away.
+        let mut done = 0;
+        while done < count {
+            let mut run = [None; LEAF_ENTRIES];
+            let src = &self.obj.pd(from).mem;
+            let src = src
+                .slices(base + done, count - done)
+                .next()
+                .expect("pages left");
+            run[..src.len()].copy_from_slice(src);
+            let n = src.len() as u64;
+            self.obj.pd_mut(to).mem.map_run(hot + done, n, |i| {
+                let src = run[i as usize].expect("source range validated above");
                 MemMapping {
-                    hpa: src.hpa,
-                    rights: eff,
-                },
-            );
-            // IOMMU: devices assigned to the receiver see the page.
-            if eff.dma {
-                for &dev in &self.obj.pd(to).devices {
-                    self.machine.bus.iommu.map_page(
-                        dev,
-                        (hot + i) * PAGE_SIZE as u64,
-                        src.hpa,
-                        eff.write,
-                    );
+                    rights: src.rights.mask(rights),
+                    ..src
                 }
-            }
+            });
+            done += n;
+        }
+        // IOMMU: devices assigned to the receiver see its DMA pages.
+        let to_pd = self.obj.pd(to);
+        if !to_pd.devices.is_empty() {
+            let held = (hot..).zip(to_pd.mem.slices(hot, count).flatten());
+            let held = held.map(|(p, m)| (p, m.expect("mapped above")));
+            map_dma(&mut self.machine.bus.iommu, &to_pd.devices, held);
         }
         // Mirror into the VM's nested table, using large host pages
         // for aligned physically-contiguous runs when enabled.
@@ -1163,49 +1157,45 @@ impl Kernel {
         Ok(())
     }
 
+    /// Mirrors the `count` pages from `hot` of `pd`'s space into its
+    /// nested table: a whole chunk as one large leaf where its pages
+    /// are contiguous from an aligned frame with one write right, every
+    /// other page as a 4 KB leaf, in ascending order.
     fn mirror_nested(&mut self, pd: PdId, hot: u64, count: u64) {
         let Some(table) = self.nested.get_mut(&pd) else {
             return;
         };
+        let ms = &self.obj.pds[pd.0].mem;
         let cp = table.fmt.large_page_size() / PAGE_SIZE as u64;
-        let use_large = self.obj.pd(pd).large_pages;
+        let use_large = self.obj.pds[pd.0].large_pages;
         let mut i = 0;
         while i < count {
             let gpage = hot + i;
-            let Some(mapping) = self.obj.pd(pd).mem.lookup(gpage) else {
-                i += 1;
-                continue;
-            };
-            let aligned =
-                gpage.is_multiple_of(cp) && mapping.hpa.is_multiple_of(cp * PAGE_SIZE as u64);
-            if use_large && aligned && count - i >= cp {
-                // Check host-physical contiguity and uniform rights.
-                let contiguous = (1..cp).all(|j| {
-                    self.obj.pd(pd).mem.lookup(gpage + j).is_some_and(|m| {
-                        m.hpa == mapping.hpa + j * PAGE_SIZE as u64
-                            && m.rights.write == mapping.rights.write
-                    })
-                });
-                if contiguous {
+            if use_large && gpage.is_multiple_of(cp) && count - i >= cp {
+                if let Some(first) = uniform_chunk(ms, gpage, cp) {
                     table.map_large(
                         &mut self.machine.mem,
                         &mut self.alloc,
                         gpage * PAGE_SIZE as u64,
-                        mapping.hpa,
-                        mapping.rights.write,
+                        first.hpa,
+                        first.rights.write,
                     );
                     self.large_chunks.entry(pd).or_default().insert(gpage);
                     i += cp;
                     continue;
                 }
             }
-            // A large leaf stands only over a chunk whose every page is
-            // mapped, and a delegation's destination pages are not.
-            let (gpa, w) = (gpage * PAGE_SIZE as u64, mapping.rights.write);
-            let mapped =
-                table.map_page(&mut self.machine.mem, &mut self.alloc, gpa, mapping.hpa, w);
-            mapped.expect("a delegated page lies under no large leaf");
-            i += 1;
+            // Up to the next chunk boundary at 4 KB. A large leaf stands
+            // only over a chunk whose every page is mapped, and a
+            // delegation's destination pages were not.
+            let n = (cp - gpage % cp).min(count - i);
+            for (p, m) in (gpage..).zip(ms.slices(gpage, n).flatten()) {
+                let Some(m) = m else { continue };
+                let (gpa, w) = (p * PAGE_SIZE as u64, m.rights.write);
+                let mapped = table.map_page(&mut self.machine.mem, &mut self.alloc, gpa, m.hpa, w);
+                mapped.expect("a delegated page lies under no large leaf");
+            }
+            i += n;
         }
     }
 
@@ -1250,11 +1240,14 @@ impl Kernel {
 
     /// Revokes `owner`'s delegations of each `(base, count)` page range
     /// of `ranges` (and its own mappings with `include_self`): the
-    /// database gives up whole ranges, and each page of each one leaves
-    /// its space, IOMMU and nested table in ascending order. Then the
-    /// TLBs of every VM that lost a page are shot down — once, after
-    /// all of it: nothing runs a guest in between, and in `PdId` order,
-    /// so a seed's flush sequence does not depend on a map's.
+    /// database gives up whole ranges, and each one leaves its space,
+    /// IOMMU and nested table in ascending order — a nested table's
+    /// chunk at a time, so a large leaf over a chunk the range covers
+    /// whole goes at once and one over a chunk it covers in part is
+    /// splintered. Then the TLBs of every VM that lost a page are shot
+    /// down — once, after all of it: nothing runs a guest in between,
+    /// and in `PdId` order, so a seed's flush sequence does not depend
+    /// on a map's.
     fn revoke_mem_ranges(&mut self, owner: PdId, ranges: &[(u64, u64)], include_self: bool) {
         let mut removed: Vec<((usize, u64), u64)> = Vec::new();
         for &(base, count) in ranges {
@@ -1264,23 +1257,19 @@ impl Kernel {
         let mut affected_vms: BTreeSet<PdId> = BTreeSet::new();
         for ((pd_idx, base), count) in removed {
             let pd = PdId(pd_idx);
-            for pg in base..base + count {
-                let mapping = self.obj.pd_mut(pd).mem.unmap(pg);
-                if mapping.is_none() {
-                    continue;
-                }
-                // IOMMU teardown.
-                for &dev in &self.obj.pd(pd).devices {
-                    self.machine
-                        .bus
-                        .iommu
-                        .unmap_page(dev, pg * PAGE_SIZE as u64);
-                }
-                // Nested-table teardown (splintering large mappings).
-                if self.obj.pd(pd).is_vm() {
+            // A nested table's chunk at a time; the whole range at once
+            // for a space without one.
+            let cp = self
+                .nested
+                .get(&pd)
+                .map(|t| t.fmt.large_page_size() / PAGE_SIZE as u64);
+            let (mut at, end) = (base, base + count);
+            while at < end {
+                let n = cp.map_or(end, |cp| (at - at % cp + cp).min(end)) - at;
+                if self.unmap_pages(pd, at, n) && self.obj.pd(pd).is_vm() {
                     affected_vms.insert(pd);
-                    self.unmap_nested_page(pd, pg);
                 }
+                at += n;
             }
         }
         for pd in affected_vms {
@@ -1288,33 +1277,48 @@ impl Kernel {
         }
     }
 
-    fn unmap_nested_page(&mut self, pd: PdId, gpage: u64) {
-        let Some(table) = self.nested.get_mut(&pd) else {
-            return;
-        };
-        let cp = table.fmt.large_page_size() / PAGE_SIZE as u64;
-        let chunk = gpage - gpage % cp;
-        let in_large = self
-            .large_chunks
-            .get(&pd)
-            .is_some_and(|s| s.contains(&chunk));
-        if in_large {
-            // Drop the large mapping, then re-map the still-present
-            // pages of the chunk at 4 KB granularity.
-            table.unmap_page(&mut self.machine.mem, chunk * PAGE_SIZE as u64);
-            self.large_chunks.get_mut(&pd).unwrap().remove(&chunk);
-            let survivors: Vec<(u64, MemMapping)> = (chunk..chunk + cp)
-                .filter_map(|p| self.obj.pd(pd).mem.lookup(p).map(|m| (p, m)))
-                .collect();
-            let table = self.nested.get_mut(&pd).unwrap();
-            for (p, m) in survivors {
-                let (gpa, w) = (p * PAGE_SIZE as u64, m.rights.write);
-                let mapped = table.map_page(&mut self.machine.mem, &mut self.alloc, gpa, m.hpa, w);
-                mapped.expect("the large leaf is gone");
+    /// Unmaps the `n` pages from `at` — inside one chunk of `pd`'s
+    /// nested table, if it has one — from `pd`'s space, and each one
+    /// removed from its devices' IOMMU domains and from the nested
+    /// table. A large leaf over the chunk goes first: a chunk the pages
+    /// cover whole has no leaf left to clear, one they cover in part is
+    /// splintered — its other pages are mapped again at 4 KB. `true` if
+    /// anything was mapped.
+    fn unmap_pages(&mut self, pd: PdId, at: u64, n: u64) -> bool {
+        let (obj, machine) = (&mut self.obj, &mut self.machine);
+        let Pd { mem, devices, .. } = obj.pd_mut(pd);
+        let mut table = self.nested.get_mut(&pd);
+        if let Some(t) = table.as_deref_mut() {
+            let cp = t.fmt.large_page_size() / PAGE_SIZE as u64;
+            let chunk = at - at % cp;
+            let large = self
+                .large_chunks
+                .get_mut(&pd)
+                .is_some_and(|s| s.remove(&chunk));
+            if large {
+                t.unmap_page(&mut machine.mem, chunk * PAGE_SIZE as u64);
+                let held = (chunk..).zip(mem.slices(chunk, cp).flatten());
+                for (p, m) in held.filter(|(p, _)| !(at..at + n).contains(p)) {
+                    let Some(m) = m else { continue };
+                    let (gpa, w) = (p * PAGE_SIZE as u64, m.rights.write);
+                    let mapped = t.map_page(&mut machine.mem, &mut self.alloc, gpa, m.hpa, w);
+                    mapped.expect("the large leaf is gone");
+                }
+                table = None;
             }
-        } else {
-            table.unmap_page(&mut self.machine.mem, gpage * PAGE_SIZE as u64);
         }
+        let mut any = false;
+        mem.unmap_run(at, n, |page, _| {
+            any = true;
+            let gpa = page * PAGE_SIZE as u64;
+            for &dev in devices.iter() {
+                machine.bus.iommu.unmap_page(dev, gpa);
+            }
+            if let Some(t) = table.as_deref_mut() {
+                t.unmap_page(&mut machine.mem, gpa);
+            }
+        });
+        any
     }
 
     fn flush_vm_tlbs(&mut self, pd: PdId) {
@@ -1394,6 +1398,12 @@ impl Kernel {
     ///    the creator of an object.)
     /// 4. Each page of a memory node maps the frame the matching page
     ///    of its parent maps, with no right the parent lacks.
+    /// 5. The hardware tables hold nothing the space does not: each 4 KB
+    ///    nested leaf maps the space's frame with write rights no wider;
+    ///    a large leaf stands exactly over each chunk listed as large,
+    ///    whose pages one leaf can stand for; the nested table's frames
+    ///    are the frames its root reaches (none leaked); each assigned
+    ///    device's IOMMU context maps only pages held with `dma`.
     ///
     /// The first violation found is described in the error.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -1410,18 +1420,17 @@ impl Kernel {
         let pd_of = |pd: usize| self.obj.pds.get(pd).ok_or(format!("a node names pd {pd}"));
         // Straight from the radix leaves: a checker neither trusts nor
         // disturbs the translation cache.
-        let mapped = |d: &Pd, page: u64| d.mem.range(page, 1).next().flatten();
         for ((pd, base), len, parent) in self.mem_db.iter() {
             let d = pd_of(pd)?;
-            let from = parent.map(|(p, pbase)| pd_of(p).map(|p| (p, pbase)));
-            let from = from.transpose()?;
-            for (page, m) in (base..).zip(d.mem.range(base, len as usize)) {
+            let from = parent.map(|(p, pbase)| pd_of(p).map(|p| p.mem.slices(pbase, len)));
+            let mut from = from.transpose()?.into_iter().flatten().flatten();
+            for (page, m) in (base..).zip(d.mem.slices(base, len).flatten()) {
                 let Some(m) = m else {
                     return Err(format!("mem_db: {} does not map page {page:#x}", d.name));
                 };
                 // The parent's own holding is this loop's business when
                 // it comes round to the parent.
-                let Some(pm) = from.and_then(|(p, pbase)| mapped(p, pbase + (page - base))) else {
+                let Some(pm) = from.next().copied().flatten() else {
                     continue;
                 };
                 if m.hpa != pm.hpa || m.rights.mask(pm.rights) != m.rights {
@@ -1454,6 +1463,8 @@ impl Kernel {
                     d.name
                 ));
             }
+            self.check_hw_tables(PdId(pd))
+                .map_err(|e| format!("{}: {e}", d.name))?;
             if PdId(pd) == self.root_pd {
                 continue;
             }
@@ -1466,6 +1477,56 @@ impl Kernel {
             }
             if let Some(port) = d.io.iter().find(|p| self.io_db.parent((pd, *p)).is_none()) {
                 return Err(format!("{} holds port {port:#x} underived", d.name));
+            }
+        }
+        Ok(())
+    }
+
+    /// Clause 5 of [`Kernel::check_invariants`] for `pd`: its nested
+    /// table and the IOMMU contexts of its devices hold nothing its
+    /// space does not. A large leaf is held to [`uniform_chunk`], the
+    /// rule that made it: every page mapped, the frames consecutive
+    /// from the leaf's, one write right no narrower than the leaf's.
+    fn check_hw_tables(&self, pd: PdId) -> Result<(), String> {
+        let ms = &self.obj.pd(pd).mem;
+        let held = |page: u64| ms.slices(page, 1).next().and_then(|s| s[0]);
+        if let Some(t) = self.nested.get(&pd) {
+            let cp = t.fmt.large_page_size() / PAGE_SIZE as u64;
+            let chunks = self.large_chunks.get(&pd);
+            let (mut large, mut bad) = (0, None);
+            let mut tables = t.leaves(&self.machine.mem, |gpa, level, e| {
+                let fits = |m: MemMapping| m.hpa == e.next && m.rights.write >= e.write;
+                let page = gpa / PAGE_SIZE as u64;
+                large += (level > 0) as usize;
+                let ok = match level {
+                    0 => held(page).is_some_and(fits),
+                    _ => {
+                        chunks.is_some_and(|c| c.contains(&page))
+                            && uniform_chunk(ms, page, cp).is_some_and(fits)
+                    }
+                };
+                let what = || format!("nested leaf at level {level} over {gpa:#x} is {e:?}");
+                bad = bad.take().or_else(|| (!ok).then(what));
+            });
+            bad.map_or(Ok(()), Err)?;
+            let listed = chunks.map_or(0, HashSet::len);
+            let mut frames = t.frames().to_vec();
+            frames.sort_unstable();
+            tables.sort_unstable();
+            if (large, &frames) != (listed, &tables) {
+                let e = format!("{large} large leaves over {listed} chunks; nested frames");
+                return Err(format!("{e} {frames:x?}, reached {tables:x?}"));
+            }
+        }
+        for &dev in &self.obj.pd(pd).devices {
+            let mappings = self.machine.bus.iommu.mappings(dev);
+            for (bus, hpa, write) in mappings.ok_or(format!("device {dev} reaches everything"))? {
+                let m = held(bus / PAGE_SIZE as u64);
+                if !m.is_some_and(|m| m.rights.dma && m.hpa == hpa && m.rights.write >= write) {
+                    return Err(format!(
+                        "device {dev} maps {bus:#x} to {hpa:#x}, held {m:?}"
+                    ));
+                }
             }
         }
         Ok(())
@@ -1970,23 +2031,28 @@ impl Kernel {
         seen: &mut [u64],
     ) -> Option<usize> {
         let ms = &self.obj.pd(ctx.pd).mem;
-        let frames = window_frames(ms, addr, image.len(), seen.len(), false)?;
+        let runs = window_runs(ms, addr, image.len(), seen.len(), false)?;
+        let (mem, page) = (&self.machine.mem, PAGE_SIZE as usize);
         let mut copied = 0;
-        let pages = image.chunks_exact_mut(PAGE_SIZE as usize).zip(seen);
-        for ((dst, seen), hpa) in pages.zip(frames) {
-            let gen = self.machine.mem.frame_gen(hpa);
-            if gen != *seen {
-                self.machine.mem.read_into(hpa, dst);
-                *seen = gen;
-                copied += 1;
-            } else if gen == 0 {
-                // Skipped on the strength of the zero-page rule alone.
-                let zeros = [0u8; PAGE_SIZE as usize];
-                let frame = self.machine.mem.slice(hpa, zeros.len());
-                debug_assert!(
-                    frame.is_none_or(|f| f == zeros) && dst == zeros,
-                    "frame {hpa:#x} at write generation 0, or its image page, is not zeros"
-                );
+        for (at, first, n) in runs {
+            // Frames past the end of RAM are at generation 0.
+            let gens = mem.frame_gens(first, n).iter().chain(std::iter::repeat(&0));
+            let pages = image[at * page..(at + n) * page].chunks_exact_mut(page);
+            for (j, ((&gen, seen), dst)) in gens.zip(&mut seen[at..at + n]).zip(pages).enumerate() {
+                let hpa = first + (j * page) as u64;
+                if gen != *seen {
+                    mem.read_into(hpa, dst);
+                    *seen = gen;
+                    copied += 1;
+                } else if gen == 0 {
+                    // Skipped on the strength of the zero-page rule alone.
+                    let zeros = [0u8; PAGE_SIZE as usize];
+                    let frame = mem.slice(hpa, zeros.len());
+                    debug_assert!(
+                        frame.is_none_or(|f| f == zeros) && dst == zeros,
+                        "frame {hpa:#x} at write generation 0, or its image page, is not zeros"
+                    );
+                }
             }
         }
         Some(copied)
@@ -2010,15 +2076,19 @@ impl Kernel {
         seen: &mut [u64],
     ) -> Option<usize> {
         let ms = &self.obj.pd(ctx.pd).mem;
-        let frames = window_frames(ms, addr, image.len(), seen.len(), true)?;
+        let runs = window_runs(ms, addr, image.len(), seen.len(), true)?;
         let mem = &mut self.machine.mem;
         let mut written = 0;
-        let pages = image.chunks_exact(PAGE_SIZE as usize).zip(seen);
-        for ((src, seen), hpa) in pages.zip(frames) {
-            if mem.frame_gen(hpa) != *seen {
-                mem.write_bytes(hpa, src);
-                *seen = mem.frame_gen(hpa);
-                written += 1;
+        let page = PAGE_SIZE as usize;
+        for (at, first, n) in runs {
+            let pages = image[at * page..(at + n) * page].chunks_exact(page);
+            let frames = (first..).step_by(page);
+            for ((src, seen), hpa) in pages.zip(&mut seen[at..at + n]).zip(frames) {
+                if mem.frame_gen(hpa) != *seen {
+                    mem.write_bytes(hpa, src);
+                    *seen = mem.frame_gen(hpa);
+                    written += 1;
+                }
             }
         }
         Some(written)
@@ -2700,24 +2770,63 @@ fn runs(keys: impl Iterator<Item = u64>) -> Vec<(u64, u64)> {
 }
 
 /// The frames behind the `pages`-page window at `addr` of `ms`, for a
-/// sweep against an image of `image_len` bytes: `None` unless `addr` is
-/// page-aligned, the image is exactly that long and every page is
-/// mapped — writable, if `write`. Nothing has been touched by then.
-fn window_frames(
+/// sweep against an image of `image_len` bytes, as runs `(first window
+/// page, first frame, pages)` of consecutive frames: `None` unless
+/// `addr` is page-aligned, the image is exactly that long and every
+/// page is mapped — writable, if `write`. Nothing has been touched by
+/// then.
+fn window_runs(
     ms: &MemSpace,
     addr: u64,
     image_len: usize,
     pages: usize,
     write: bool,
-) -> Option<impl Iterator<Item = u64> + '_> {
+) -> Option<impl Iterator<Item = (usize, u64, usize)> + '_> {
     if addr & 0xfff != 0 || Some(image_len) != pages.checked_mul(PAGE_SIZE as usize) {
         return None;
     }
-    let usable = |m: Option<MemMapping>| m.is_some_and(|m| m.rights.write || !write);
-    if !ms.range(addr >> 12, pages).all(usable) {
+    let unusable = |m: &Option<MemMapping>| m.is_none_or(|m| write && !m.rights.write);
+    if ms.slices(addr >> 12, pages as u64).flatten().any(unusable) {
         return None;
     }
-    Some(ms.range(addr >> 12, pages).flatten().map(|m| m.hpa))
+    let adjacent = |a: &Option<MemMapping>, b: &Option<MemMapping>| {
+        a.zip(*b)
+            .is_some_and(|(a, b)| b.hpa == a.hpa + PAGE_SIZE as u64)
+    };
+    let runs = ms
+        .slices(addr >> 12, pages as u64)
+        .flat_map(move |s| s.chunk_by(adjacent));
+    let mut at = 0;
+    Some(runs.map(move |run| {
+        at += run.len();
+        let first = run[0].expect("validated above").hpa;
+        (at - run.len(), first, run.len())
+    }))
+}
+
+/// Maps each `(page, mapping)` of `held` with `dma` rights into the
+/// IOMMU domain of each of `devices`, a page at a time.
+fn map_dma(iommu: &mut Iommu, devices: &[usize], held: impl Iterator<Item = (u64, MemMapping)>) {
+    for (page, m) in held.filter(|(_, m)| m.rights.dma) {
+        for &dev in devices {
+            iommu.map_page(dev, page * PAGE_SIZE as u64, m.hpa, m.rights.write);
+        }
+    }
+}
+
+/// The first mapping of the `cp`-page chunk at `page` of `ms` if one
+/// large leaf can stand for the chunk: every page mapped, the frames
+/// consecutive from a chunk-aligned one, one write right throughout.
+fn uniform_chunk(ms: &MemSpace, page: u64, cp: u64) -> Option<MemMapping> {
+    let first = ms.slices(page, 1).next()?[0]?;
+    let size = cp * PAGE_SIZE as u64;
+    let fits = |(j, m): (u64, &Option<MemMapping>)| {
+        m.is_some_and(|m| {
+            m.hpa == first.hpa + j * PAGE_SIZE as u64 && m.rights.write == first.rights.write
+        })
+    };
+    let whole = (0..).zip(ms.slices(page, cp).flatten()).all(fits);
+    (first.hpa.is_multiple_of(size) && whole).then_some(first)
 }
 
 #[cfg(test)]
@@ -4084,6 +4193,92 @@ mod tests {
         k.hypercall(ctx, Hypercall::DestroyPd { pd: 0x40 }).unwrap();
         assert_eq!(k.machine.cpus[0].tlb.stats.flushes - flushes, 2);
         assert_eq!(cached(&mut k), [0, 8, 8]);
+    }
+
+    /// `check_invariants`' hardware-table clause sees each way a nested
+    /// table or an IOMMU context can hold what the space does not: a
+    /// stray 4 KB leaf, a large leaf over a chunk not listed as large, a
+    /// page table nothing links to, a device mapping of a page the
+    /// domain does not hold.
+    #[test]
+    fn check_invariants_sees_what_the_hardware_tables_hold() {
+        use nova_hw::mmu::nested_entry;
+        use nova_x86::paging::NestedFormat;
+        let fmt = NestedFormat::Ept4Level;
+        let vm = |revoked: u64| {
+            let mut k = kernel();
+            let (comp, ec) = k.load_component(k.root_pd, 0, Box::<Doubler>::default());
+            let ctx = root_ctx(&k, ec, comp);
+            let paging = Some(VmPaging::Nested(fmt));
+            let device = k.machine.dev.ahci;
+            for hc in [
+                Hypercall::CreatePd {
+                    name: "vm".into(),
+                    vm: paging,
+                    dst: 0x40,
+                },
+                Hypercall::AssignDev { pd: 0x40, device },
+                Hypercall::DelegateMem {
+                    dst_pd: 0x40,
+                    base: 0x800,
+                    count: 512,
+                    rights: MemRights::RW_DMA,
+                    hot: 0,
+                },
+                Hypercall::RevokeMem {
+                    base: 0x800,
+                    count: revoked,
+                    include_self: false,
+                },
+            ] {
+                k.hypercall(ctx, hc).unwrap();
+            }
+            assert_eq!(k.check_invariants(), Ok(()));
+            let pd = PdId(k.obj.pds.len() - 1);
+            (k, ctx, pd, device)
+        };
+        let refused = |k: &Kernel, what: &str| {
+            let e = k.check_invariants().expect_err(what);
+            assert!(e.contains(what), "{e}");
+        };
+
+        let (mut k, _, pd, _) = vm(0);
+        let table = k.nested.get_mut(&pd).unwrap();
+        let stray = table.map_page(&mut k.machine.mem, &mut k.alloc, 1 << 30, 0x9000, false);
+        stray.unwrap();
+        refused(&k, "nested leaf at level 0 over 0x40000000");
+
+        let (mut k, _, pd, _) = vm(0);
+        k.large_chunks.get_mut(&pd).unwrap().clear();
+        refused(&k, "nested leaf at level 1 over 0x0");
+
+        // Splintered, then emptied: the chunk's page table is still
+        // linked. Unlinking it by hand is the leak the clause is for.
+        let (mut k, ctx, pd, _) = vm(1);
+        k.hypercall(
+            ctx,
+            Hypercall::RevokeMem {
+                base: 0x801,
+                count: 511,
+                include_self: false,
+            },
+        )
+        .unwrap();
+        assert_eq!(k.check_invariants(), Ok(()));
+        let mut table = k.obj.pd(pd).nested_root.unwrap();
+        for level in [3, 2] {
+            table = fmt.decode(nested_entry(&k.machine.mem, fmt, table, 0)).next;
+            assert_ne!(table, 0, "level {level} links on");
+        }
+        k.machine.mem.write_u64(table, 0);
+        refused(&k, "nested frames");
+
+        let (mut k, _, _, device) = vm(0);
+        k.machine
+            .bus
+            .iommu
+            .map_page(device, 0x40_0000, 0x9000, false);
+        refused(&k, &format!("device {device} maps 0x400000"));
     }
 
     #[test]

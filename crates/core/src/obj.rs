@@ -103,8 +103,12 @@ pub struct MemMapping {
 
 /// Pages per radix leaf (one directory slot spans `2^LEAF_BITS` pages).
 const LEAF_BITS: usize = 9;
-/// Entries in one radix leaf.
-const LEAF_ENTRIES: usize = 1 << LEAF_BITS;
+/// Entries in one radix leaf: the longest slice
+/// [`MemSpace::slices`] yields.
+pub(crate) const LEAF_ENTRIES: usize = 1 << LEAF_BITS;
+/// What [`MemSpace::slices`] yields for a leaf that was never
+/// allocated or has been given back.
+static HOLES: [Option<MemMapping>; LEAF_ENTRIES] = [None; LEAF_ENTRIES];
 /// Directory slots the radix table will grow to at most. Pages whose
 /// leaf index is at or above this cap (page numbers ≥ 2^24, i.e. 64 GiB
 /// of address space) fall back to a sorted overflow map so a hostile
@@ -147,17 +151,23 @@ struct TcEntry {
 /// numbers beyond the directory span. Lookups go through a small
 /// direct-mapped software translation cache invalidated wholesale by a
 /// generation counter that every mutation bumps.
+///
+/// Whole ranges are mapped, unmapped and read a leaf at a time
+/// ([`MemSpace::map_run`], [`MemSpace::unmap_run`],
+/// [`MemSpace::slices`]); `map` and `unmap` are their one-page case.
 pub struct MemSpace {
     dir: Vec<Option<Box<Leaf>>>,
-    /// Pages at or above `DIR_MAX_LEAVES << LEAF_BITS`. `iter()` stays
-    /// page-ordered because every overflow page number sorts after
-    /// every directory page.
-    overflow: BTreeMap<u64, MemMapping>,
+    /// Pages at or above `DIR_MAX_LEAVES << LEAF_BITS`, each value
+    /// `Some` (a one-page slice of it is what `slices` hands out).
+    /// `iter()` stays page-ordered because every overflow page number
+    /// sorts after every directory page.
+    overflow: BTreeMap<u64, Option<MemMapping>>,
     /// Number of mapped pages, directory and overflow together.
     count: usize,
-    /// Generation stamp: bumped on every `map`/`unmap` (which covers
-    /// `delegate_mem`, revocation and PD teardown — they all mutate
-    /// through those two entry points) and on explicit invalidation.
+    /// Generation stamp: bumped once by every `map_run`/`unmap_run`
+    /// (which covers `delegate_mem`, revocation and PD teardown — they
+    /// all mutate through those two entry points) and on explicit
+    /// invalidation.
     gen: u64,
     /// Direct-mapped translation cache, filled from `&self` lookups.
     tc: [Cell<Option<TcEntry>>; TC_SLOTS],
@@ -184,12 +194,7 @@ impl MemSpace {
                 return Some(e.m);
             }
         }
-        let leaf = (page >> LEAF_BITS) as usize;
-        let found = if leaf < DIR_MAX_LEAVES {
-            self.dir.get(leaf)?.as_ref()?.slots[page as usize & (LEAF_ENTRIES - 1)]
-        } else {
-            self.overflow.get(&page).copied()
-        };
+        let found = self.slices(page, 1).next()?[0];
         if let Some(m) = found {
             slot.set(Some(TcEntry {
                 page,
@@ -205,66 +210,118 @@ impl MemSpace {
         self.lookup(addr >> 12).map(|m| m.hpa + (addr & 0xfff))
     }
 
-    /// The mappings of `count` consecutive pages from `page`, in order
-    /// (`None` for a hole), read straight from the radix leaves: a
-    /// sweep longer than the translation cache neither consults nor
-    /// evicts it.
-    pub fn range(&self, page: u64, count: usize) -> impl Iterator<Item = Option<MemMapping>> + '_ {
-        // The leaf the run is in, looked up once per directory slot.
-        let (mut at, mut leaf) = (usize::MAX, None);
-        (0..count as u64).map(move |i| {
-            let p = page.checked_add(i)?;
-            let li = (p >> LEAF_BITS) as usize;
-            if li >= DIR_MAX_LEAVES {
-                return self.overflow.get(&p).copied();
+    /// The mappings of the `count` consecutive pages from `page` (up to
+    /// the last page number), in order and `None` for a hole, as
+    /// slices of the radix leaves: one slice per leaf the run touches,
+    /// a one-page slice per page above 2^24. A sweep longer than the
+    /// translation cache neither consults nor evicts it.
+    pub fn slices(&self, page: u64, count: u64) -> impl Iterator<Item = &[Option<MemMapping>]> {
+        let mut left = count.min((u64::MAX - page).saturating_add(1));
+        let mut at = page;
+        std::iter::from_fn(move || {
+            if left == 0 {
+                return None;
             }
-            if li != at {
-                (at, leaf) = (li, self.dir.get(li).and_then(|l| l.as_deref()));
-            }
-            leaf?.slots[p as usize & (LEAF_ENTRIES - 1)]
+            let li = (at >> LEAF_BITS) as usize;
+            let run: &[Option<MemMapping>] = if li < DIR_MAX_LEAVES {
+                let off = at as usize & (LEAF_ENTRIES - 1);
+                let n = (LEAF_ENTRIES - off).min(left as usize);
+                match self.dir.get(li).and_then(|l| l.as_deref()) {
+                    Some(l) => &l.slots[off..off + n],
+                    None => &HOLES[..n],
+                }
+            } else {
+                self.overflow
+                    .get(&at)
+                    .map_or(&HOLES[..1], std::slice::from_ref)
+            };
+            left -= run.len() as u64;
+            at = at.wrapping_add(run.len() as u64);
+            Some(run)
         })
     }
 
-    /// Installs a mapping.
-    pub fn map(&mut self, page: u64, m: MemMapping) {
+    /// Installs `f(i)` at page `page + i` for each `i < count`, a leaf
+    /// at a time, with one generation bump for the whole run. The run
+    /// must not pass the last page number.
+    pub fn map_run(&mut self, page: u64, count: u64, mut f: impl FnMut(u64) -> MemMapping) {
+        self.each_slot(page, count, true, |p, slot| *slot = Some(f(p - page)));
+    }
+
+    /// Removes the mappings of the `count` pages from `page`, a leaf at
+    /// a time, with one generation bump for the whole run, and hands
+    /// each one removed to `f` in ascending page order. The run must
+    /// not pass the last page number.
+    pub fn unmap_run(&mut self, page: u64, count: u64, mut f: impl FnMut(u64, MemMapping)) {
+        self.each_slot(page, count, false, |p, slot| {
+            if let Some(m) = slot.take() {
+                f(p, m);
+            }
+        });
+    }
+
+    /// Hands `f` the slot of each of the `count` pages from `page`, in
+    /// order — a leaf at a time, a page at a time above 2^24 — after one
+    /// generation bump, and keeps the counts to what `f` leaves there:
+    /// a leaf `f` empties gives its memory back, and a missing leaf is
+    /// made for `f` only with `grow` (without, its pages are skipped).
+    fn each_slot(
+        &mut self,
+        page: u64,
+        count: u64,
+        grow: bool,
+        mut f: impl FnMut(u64, &mut Option<MemMapping>),
+    ) {
         self.gen = self.gen.wrapping_add(1);
-        let leaf = (page >> LEAF_BITS) as usize;
-        if leaf < DIR_MAX_LEAVES {
-            if self.dir.len() <= leaf {
-                self.dir.resize_with(leaf + 1, || None);
+        let mut i = 0;
+        while i < count {
+            let p = page + i;
+            let li = (p >> LEAF_BITS) as usize;
+            if li >= DIR_MAX_LEAVES {
+                let mut slot = self.overflow.remove(&p).flatten();
+                self.count -= slot.is_some() as usize;
+                f(p, &mut slot);
+                if slot.is_some() {
+                    self.overflow.insert(p, slot);
+                    self.count += 1;
+                }
+                i += 1;
+                continue;
             }
-            let l = self.dir[leaf].get_or_insert_with(Leaf::new);
-            let slot = &mut l.slots[page as usize & (LEAF_ENTRIES - 1)];
-            if slot.is_none() {
-                l.used += 1;
-                self.count += 1;
+            if grow && self.dir.len() <= li {
+                self.dir.resize_with(li + 1, || None);
             }
-            *slot = Some(m);
-        } else if self.overflow.insert(page, m).is_none() {
-            self.count += 1;
+            let off = p as usize & (LEAF_ENTRIES - 1);
+            let n = (LEAF_ENTRIES - off).min((count - i) as usize);
+            let leaf = self.dir.get_mut(li).and_then(|l| match grow {
+                true => Some(l.get_or_insert_with(Leaf::new)),
+                false => l.as_mut(),
+            });
+            if let Some(l) = leaf {
+                let before = l.used as usize;
+                for (q, slot) in (p..).zip(&mut l.slots[off..off + n]) {
+                    let had = slot.is_some() as u16;
+                    f(q, slot);
+                    l.used = l.used + slot.is_some() as u16 - had;
+                }
+                self.count = self.count + l.used as usize - before;
+                if l.used == 0 {
+                    self.dir[li] = None; // return the leaf's memory
+                }
+            }
+            i += n as u64;
         }
     }
 
-    /// Removes a mapping.
+    /// Installs a mapping: the one-page [`MemSpace::map_run`].
+    pub fn map(&mut self, page: u64, m: MemMapping) {
+        self.map_run(page, 1, |_| m);
+    }
+
+    /// Removes a mapping: the one-page [`MemSpace::unmap_run`].
     pub fn unmap(&mut self, page: u64) -> Option<MemMapping> {
-        self.gen = self.gen.wrapping_add(1);
-        let leaf = (page >> LEAF_BITS) as usize;
-        let old = if leaf < DIR_MAX_LEAVES {
-            let l = self.dir.get_mut(leaf)?.as_mut()?;
-            let old = l.slots[page as usize & (LEAF_ENTRIES - 1)].take();
-            if old.is_some() {
-                l.used -= 1;
-                if l.used == 0 {
-                    self.dir[leaf] = None; // return the leaf's memory
-                }
-            }
-            old
-        } else {
-            self.overflow.remove(&page)
-        };
-        if old.is_some() {
-            self.count -= 1;
-        }
+        let mut old = None;
+        self.unmap_run(page, 1, |_, m| old = Some(m));
         old
     }
 
@@ -292,7 +349,7 @@ impl MemSpace {
                     .enumerate()
                     .filter_map(move |(si, s)| s.map(|m| ((((li << LEAF_BITS) | si) as u64), m)))
             })
-            .chain(self.overflow.iter().map(|(p, m)| (*p, *m)))
+            .chain(self.overflow.iter().filter_map(|(p, m)| m.map(|m| (*p, m))))
     }
 }
 

@@ -122,6 +122,22 @@ impl Iommu {
         }
     }
 
+    /// `device`'s mappings as `(bus page, host page, write)` in bus
+    /// order — none without a domain — or `None` for an identity
+    /// (passthrough) domain, which reaches everything.
+    pub fn mappings(&self, device: usize) -> Option<impl Iterator<Item = (u64, PAddr, bool)> + '_> {
+        let map = match self.domains.get(&device) {
+            Some(Domain::Passthrough) => return None,
+            Some(Domain::Mapped(m)) => Some(m),
+            None => None,
+        };
+        Some(
+            map.into_iter()
+                .flatten()
+                .map(|(&bus, &(host, w))| (bus, host, w)),
+        )
+    }
+
     /// Removes the device's entire domain (all further DMA faults).
     pub fn clear_device(&mut self, device: usize) {
         self.domains.remove(&device);

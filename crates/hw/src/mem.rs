@@ -49,6 +49,16 @@ impl PhysMem {
             .unwrap_or(0)
     }
 
+    /// Write generations of the `n` consecutive 4 KB frames from the
+    /// one containing `addr`, cut short at the end of RAM: a frame past
+    /// the returned slice is outside RAM and at generation 0, as
+    /// [`PhysMem::frame_gen`] says.
+    #[inline]
+    pub fn frame_gens(&self, addr: PAddr, n: usize) -> &[u64] {
+        let first = ((addr >> FRAME_SHIFT) as usize).min(self.gens.len());
+        &self.gens[first..first.saturating_add(n).min(self.gens.len())]
+    }
+
     /// Bumps the generation of every frame overlapping the in-RAM
     /// range `a..a + len`.
     #[inline]
@@ -287,6 +297,30 @@ mod tests {
         assert!(m.slice_mut(0x4000, 4096).is_none());
         assert_eq!(moved(&m), [false; 5]);
         assert_eq!(m.frame_gen(0x10_0000), 0);
+    }
+
+    /// `frame_gens` is `frame_gen` of each frame of the run, cut short
+    /// at the end of RAM.
+    #[test]
+    fn frame_gens_reads_a_run_of_frame_gen() {
+        let mut m = PhysMem::new(4 * 4096);
+        m.write_u8(0x1000, 1);
+        m.fill(0x2000, 8192, 2);
+        for (addr, n) in [
+            (0x0, 4),
+            (0x1fff, 2),
+            (0x2000, 9),
+            (0x4000, 3),
+            (0x10_0000, 2),
+        ] {
+            let want: Vec<u64> = (0..n as u64)
+                .map(|i| m.frame_gen(addr + i * 4096))
+                .collect();
+            let got = m.frame_gens(addr, n);
+            assert_eq!(got, &want[..got.len()], "{addr:#x} + {n}");
+            assert!(want[got.len()..].iter().all(|&g| g == 0), "{addr:#x} + {n}");
+        }
+        assert_eq!(m.frame_gens(0x2000, 9), &[1, 1]);
     }
 
     #[test]
