@@ -382,8 +382,9 @@ fn also_shipped() {}
         }
     }
 
-    /// A metric cell that `Kernel::count` pairs with a counter is
-    /// written nowhere else, so pair and cell cannot drift apart.
+    /// A metric cell that `Kernel::count` or root's `observe` pairs
+    /// with a counter is written nowhere else, so pair and cell cannot
+    /// drift apart.
     #[test]
     fn a_paired_metric_is_added_only_by_the_helper() {
         let files = product_sources();
@@ -393,13 +394,22 @@ fn also_shipped() {}
             let arg = text.split([',', ')']).next().unwrap_or("");
             arg.rsplit("::").next().unwrap_or(arg)
         }
+        // The metric is the helper's second argument behind the field
+        // closure for `count(field, metric, …)`, the third for
+        // `observe(k, field, n, metric, …)`.
+        let helpers = [(".count(|c|&mutc.", 1), ("observe(k,|c|&mutc.", 2)];
         let paired: std::collections::BTreeSet<&str> = files
             .iter()
-            .flat_map(|(_, text)| text.split(".count(|c|&mutc.").skip(1))
-            .filter_map(|call| call.split_once(','))
-            .map(|(_field, rest)| arg(rest))
+            .flat_map(|(_, text)| {
+                helpers.iter().flat_map(move |&(helper, skip)| {
+                    let calls = text.split(helper).skip(1);
+                    calls.filter_map(move |call| call.splitn(skip + 2, ',').nth(skip).map(arg))
+                })
+            })
             .collect();
         let expect = [
+            "CHECKPOINT_BYTES",
+            "CHECKPOINT_DIRTY_PAGES",
             "ESCALATIONS_BY_LEVEL",
             "GUEST_FAULT_REJECTED",
             "VMM_RESTARTS",
@@ -407,12 +417,14 @@ fn also_shipped() {}
         ];
         assert_eq!(paired.iter().copied().collect::<Vec<_>>(), expect);
         for (path, text) in &files {
-            for call in text.split("metrics.add(").skip(1) {
-                assert!(
-                    !paired.contains(arg(call)),
-                    "{path} adds to the paired metric {} by hand",
-                    arg(call)
-                );
+            for by_hand in ["metrics.add(", "metrics.observe("] {
+                for call in text.split(by_hand).skip(1) {
+                    assert!(
+                        !paired.contains(arg(call)),
+                        "{path} writes the paired metric {} by hand",
+                        arg(call)
+                    );
+                }
             }
         }
     }

@@ -254,45 +254,28 @@ impl VcpuSnapshot {
 
     /// Appends the [`VcpuSnapshot::BYTES`]-byte serialization to `out`.
     pub fn write_to(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        let r = &self.regs;
-        for gpr in 0..8 {
-            out.extend_from_slice(&r.gpr[gpr].to_le_bytes());
-        }
-        for w in [
-            r.eip,
-            r.eflags,
-            r.cr0,
-            r.cr2,
-            r.cr3,
-            r.cr4,
-            r.idt_base,
-            r.idt_limit as u32,
-        ] {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        out.extend_from_slice(&self.tsc_offset.to_le_bytes());
-        out.push(self.halted as u8);
-        out.push(self.sti_shadow as u8);
-        out.push(self.intwin_exit as u8);
-        out.push(self.recall_pending as u8);
-        out.push(self.blocked as u8);
-        let inj = self.injection;
-        out.push(inj.is_some() as u8);
-        out.push(inj.map(|i| i.vector).unwrap_or(0));
-        out.extend_from_slice(&inj.and_then(|i| i.error_code).unwrap_or(0).to_le_bytes());
-        out.push(matches!(
-            inj,
-            Some(Injection {
-                error_code: Some(_),
-                ..
-            })
-        ) as u8);
-        debug_assert_eq!(out.len() - start, Self::BYTES);
+        out.extend(self.bytes());
     }
 
-    /// Inverse of [`VcpuSnapshot::to_bytes`]; `None` on a short
-    /// record.
+    /// The serialization, byte by byte.
+    fn bytes(&self) -> impl Iterator<Item = u8> {
+        let (r, inj) = (&self.regs, self.injection);
+        let words = [r.eip, r.eflags, r.cr0, r.cr2, r.cr3, r.cr4, r.idt_base];
+        let words = r.gpr.into_iter().chain(words).chain([r.idt_limit as u32]);
+        let flags = [self.halted, self.sti_shadow, self.intwin_exit];
+        let flags = flags.into_iter().chain([self.recall_pending, self.blocked]);
+        let code = inj.and_then(|i| i.error_code);
+        (words.flat_map(u32::to_le_bytes))
+            .chain(self.tsc_offset.to_le_bytes())
+            .chain(flags.chain([inj.is_some()]).map(u8::from))
+            .chain([inj.map_or(0, |i| i.vector)])
+            .chain(code.unwrap_or(0).to_le_bytes())
+            .chain([code.is_some() as u8])
+    }
+
+    /// Inverse of [`VcpuSnapshot::to_bytes`]; `None` on a short record
+    /// or one `to_bytes` would not have written (a flag byte other than
+    /// 0 or 1, say), so that whatever decodes encodes back to itself.
     pub fn from_bytes(b: &[u8]) -> Option<VcpuSnapshot> {
         if b.len() < Self::BYTES {
             return None;
@@ -316,7 +299,7 @@ impl VcpuSnapshot {
             vector: b[78],
             error_code: (b[83] != 0).then(|| u32_at(79)),
         });
-        Some(VcpuSnapshot {
+        let snap = VcpuSnapshot {
             regs,
             halted: b[72] != 0,
             sti_shadow: b[73] != 0,
@@ -325,7 +308,10 @@ impl VcpuSnapshot {
             recall_pending: b[75] != 0,
             tsc_offset,
             blocked: b[76] != 0,
-        })
+        };
+        snap.bytes()
+            .eq(b[..Self::BYTES].iter().copied())
+            .then_some(snap)
     }
 }
 
@@ -1404,6 +1390,12 @@ impl Kernel {
     ///    whose pages one leaf can stand for; the nested table's frames
     ///    are the frames its root reaches (none leaked); each assigned
     ///    device's IOMMU context maps only pages held with `dma`.
+    /// 6. Every queued SC sits in the run-queue class of its own
+    ///    priority on its EC's CPU, as often as the side map says.
+    /// 7. Every `vcpus[i]` of a domain is a vCPU EC of it with
+    ///    `vcpu_index == Some(i)`, and every vCPU EC is listed so; no
+    ///    vCPU, and no EC of a destroyed domain, runs a component, and
+    ///    the latter hold no activation.
     ///
     /// The first violation found is described in the error.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -1477,6 +1469,38 @@ impl Kernel {
             }
             if let Some(port) = d.io.iter().find(|p| self.io_db.parent((pd, *p)).is_none()) {
                 return Err(format!("{} holds port {port:#x} underived", d.name));
+            }
+        }
+        // 6. The run queues.
+        for cpu in 0..self.sched.cpus() {
+            for (class, sc) in self.sched.cpu_ref(cpu).occurrences()? {
+                let s = self.obj.sc(sc);
+                let at = (s.prio, self.obj.ec(s.ec).cpu);
+                if (class, cpu) != at {
+                    return Err(format!(
+                        "{sc:?} is queued at {class} on cpu {cpu}, not {at:?}"
+                    ));
+                }
+            }
+        }
+        // 7. Each EC against its domain's lists.
+        for (id, ec) in self.obj.ecs.iter().enumerate() {
+            let (d, vcpu, i) = (self.obj.pd(ec.pd), ec.vmcs().is_some(), ec.vcpu_index);
+            let listed = i.map(|i| d.vcpus.get(i) == Some(&EcId(id)));
+            let runs = ec.comp.is_some() || !ec.activations.is_empty();
+            if listed != vcpu.then_some(true) || (runs && (vcpu || d.dying)) {
+                let name = &d.name;
+                return Err(format!(
+                    "EC {id} of {name}: vCPU {vcpu}, index {i:?}, runs {runs}"
+                ));
+            }
+        }
+        for (pd, d) in self.obj.pds.iter().enumerate() {
+            for (i, v) in d.vcpus.iter().enumerate() {
+                let ec = self.obj.ecs.get(v.0);
+                if !ec.is_some_and(|e| e.pd == PdId(pd) && e.vcpu_index == Some(i)) {
+                    return Err(format!("vCPU {i} of {} is {v:?}", d.name));
+                }
             }
         }
         Ok(())
@@ -2010,82 +2034,78 @@ impl Kernel {
         Some(())
     }
 
-    /// Brings `image`, a copy of the page-aligned window at `addr` of
-    /// the component's address space, up to date in place: page `i` is
-    /// copied only if its frame's write generation
-    /// ([`nova_hw::mem::PhysMem::frame_gen`]) is not `seen[i]`, and
-    /// the generation copied at is recorded there. `u64::MAX` means
-    /// "never captured" — generations start at 0 and only rise — and
-    /// 0 may stand for an image page of zeros nothing was copied into:
-    /// a frame at generation 0 is a zero page, because
-    /// [`PhysMem::new`] (the only constructor) zeroes RAM and every
-    /// mutator bumps the generation of the frames it touches.
-    /// Returns the number of pages copied, or `None` — with `image`
-    /// and `seen` untouched — if `addr` is not page-aligned, `image`
-    /// is not `seen.len()` pages long, or any page is unmapped.
+    /// Hands `copy` each page of the `seen.len()`-page window at `addr`
+    /// of the component's address space whose frame was written since
+    /// the caller's copy of it: page `i` goes to `copy(i, bytes)` only
+    /// if its frame's write generation
+    /// ([`nova_hw::mem::PhysMem::frame_gen`]) is not `seen[i]`, and the
+    /// generation handed out is recorded there. `u64::MAX` means "never
+    /// copied" — generations start at 0 and only rise — and 0 may stand
+    /// for a copy of zeros: a frame at generation 0 is a zero page,
+    /// because [`PhysMem::new`] (the only constructor) zeroes RAM and
+    /// every mutator bumps the generation of the frames it touches. A
+    /// run of frames whose generations all equal `seen` is passed over
+    /// as one comparison. Returns the number of pages handed out, or
+    /// `None` — having called `copy` never and left `seen` untouched —
+    /// if `addr` is not page-aligned or any page is unmapped.
     pub fn mem_refresh(
         &self,
         ctx: CompCtx,
         addr: u64,
-        image: &mut [u8],
         seen: &mut [u64],
+        mut copy: impl FnMut(usize, &[u8]),
     ) -> Option<usize> {
-        let ms = &self.obj.pd(ctx.pd).mem;
-        let runs = window_runs(ms, addr, image.len(), seen.len(), false)?;
+        let runs = window_runs(&self.obj.pd(ctx.pd).mem, addr, seen.len(), false)?;
         let (mem, page) = (&self.machine.mem, PAGE_SIZE as usize);
         let mut copied = 0;
         for (at, first, n) in runs {
-            // Frames past the end of RAM are at generation 0.
-            let gens = mem.frame_gens(first, n).iter().chain(std::iter::repeat(&0));
-            let pages = image[at * page..(at + n) * page].chunks_exact_mut(page);
-            for (j, ((&gen, seen), dst)) in gens.zip(&mut seen[at..at + n]).zip(pages).enumerate() {
-                let hpa = first + (j * page) as u64;
+            let (gens, seen) = (mem.frame_gens(first, n), &mut seen[at..at + n]);
+            if gens == seen {
+                continue;
+            }
+            // Frames past the end of RAM are at generation 0 and zeros.
+            let gens = gens.iter().chain(std::iter::repeat(&0));
+            for (j, (&gen, seen)) in gens.zip(seen).enumerate() {
                 if gen != *seen {
-                    mem.read_into(hpa, dst);
+                    let frame = mem.slice(first + (j * page) as u64, page);
+                    copy(at + j, frame.unwrap_or(&[0; PAGE_SIZE as usize]));
                     *seen = gen;
                     copied += 1;
-                } else if gen == 0 {
-                    // Skipped on the strength of the zero-page rule alone.
-                    let zeros = [0u8; PAGE_SIZE as usize];
-                    let frame = mem.slice(hpa, zeros.len());
-                    debug_assert!(
-                        frame.is_none_or(|f| f == zeros) && dst == zeros,
-                        "frame {hpa:#x} at write generation 0, or its image page, is not zeros"
-                    );
                 }
             }
         }
         Some(copied)
     }
 
-    /// The inverse of [`Kernel::mem_refresh`]: brings the page-aligned
-    /// window at `addr` of the component's address space back to
-    /// `image`. Page `i` is written only if its frame's write
+    /// The inverse of [`Kernel::mem_refresh`]: brings the `seen.len()`-
+    /// page window at `addr` of the component's address space back to an
+    /// image whose page `i` is `page(i)` — one page — or zeros where
+    /// that is `None`. Page `i` is written only if its frame's write
     /// generation is not `seen[i]`, and the generation the write leaves
     /// is recorded there — so the caller must hold `seen` for *this*
     /// image (frame at `seen[i]` ⇒ frame equals image page `i`), or
     /// pass `u64::MAX` to have the page written regardless. Returns the
     /// number of pages written, or `None` — with memory and `seen`
-    /// untouched — if `addr` is not page-aligned, `image` is not
-    /// `seen.len()` pages long, or any page is unmapped or read-only.
-    pub fn mem_restore(
+    /// untouched — if `addr` is not page-aligned or any page is
+    /// unmapped or read-only.
+    pub fn mem_restore<'a>(
         &mut self,
         ctx: CompCtx,
         addr: u64,
-        image: &[u8],
         seen: &mut [u64],
+        page: impl Fn(usize) -> Option<&'a [u8]>,
     ) -> Option<usize> {
-        let ms = &self.obj.pd(ctx.pd).mem;
-        let runs = window_runs(ms, addr, image.len(), seen.len(), true)?;
-        let mem = &mut self.machine.mem;
+        let runs = window_runs(&self.obj.pd(ctx.pd).mem, addr, seen.len(), true)?;
+        let (mem, size) = (&mut self.machine.mem, PAGE_SIZE as usize);
         let mut written = 0;
-        let page = PAGE_SIZE as usize;
         for (at, first, n) in runs {
-            let pages = image[at * page..(at + n) * page].chunks_exact(page);
-            let frames = (first..).step_by(page);
-            for ((src, seen), hpa) in pages.zip(&mut seen[at..at + n]).zip(frames) {
+            let frames = (first..).step_by(size);
+            for (i, (seen, hpa)) in (at..).zip(seen[at..at + n].iter_mut().zip(frames)) {
                 if mem.frame_gen(hpa) != *seen {
-                    mem.write_bytes(hpa, src);
+                    match page(i) {
+                        Some(src) => mem.write_bytes(hpa, src),
+                        None => mem.fill(hpa, size, 0),
+                    }
                     *seen = mem.frame_gen(hpa);
                     written += 1;
                 }
@@ -2769,20 +2789,17 @@ fn runs(keys: impl Iterator<Item = u64>) -> Vec<(u64, u64)> {
     out
 }
 
-/// The frames behind the `pages`-page window at `addr` of `ms`, for a
-/// sweep against an image of `image_len` bytes, as runs `(first window
-/// page, first frame, pages)` of consecutive frames: `None` unless
-/// `addr` is page-aligned, the image is exactly that long and every
-/// page is mapped — writable, if `write`. Nothing has been touched by
-/// then.
+/// The frames behind the `pages`-page window at `addr` of `ms`, as runs
+/// `(first window page, first frame, pages)` of consecutive frames:
+/// `None` unless `addr` is page-aligned and every page is mapped —
+/// writable, if `write`. Nothing has been touched by then.
 fn window_runs(
     ms: &MemSpace,
     addr: u64,
-    image_len: usize,
     pages: usize,
     write: bool,
 ) -> Option<impl Iterator<Item = (usize, u64, usize)> + '_> {
-    if addr & 0xfff != 0 || Some(image_len) != pages.checked_mul(PAGE_SIZE as usize) {
+    if addr & 0xfff != 0 {
         return None;
     }
     let unusable = |m: &Option<MemMapping>| m.is_none_or(|m| write && !m.rights.write);
@@ -3292,6 +3309,119 @@ mod tests {
         k.deliver_exit(v1, reason);
         assert!(k.obj.ec(v1).blocked);
         assert_eq!(served(&mut k).len(), 2);
+    }
+
+    /// A vCPU record decodes to the snapshot that wrote it, and only a
+    /// record some snapshot writes decodes at all: every byte whose
+    /// change the decoder would not carry back is refused.
+    #[test]
+    fn vcpu_records_decode_canonically() {
+        let mut snap = VcpuSnapshot::from_bytes(&[0; VcpuSnapshot::BYTES]).unwrap();
+        snap.regs.eip = 0x7c00;
+        snap.regs.idt_limit = 0x3ff;
+        snap.halted = true;
+        snap.tsc_offset = u64::MAX - 5;
+        for injection in [None, Some((0x0e, None)), Some((0x0d, Some(0x10)))] {
+            snap.injection = injection.map(|(vector, error_code)| Injection { vector, error_code });
+            let b = snap.to_bytes();
+            assert_eq!(b.len(), VcpuSnapshot::BYTES);
+            assert_eq!(VcpuSnapshot::from_bytes(&b), Some(snap.clone()));
+            assert_eq!(VcpuSnapshot::from_bytes(&b[..b.len() - 1]), None);
+            for at in 0..b.len() {
+                let mut c = b.clone();
+                c[at] ^= 0x42;
+                if let Some(other) = VcpuSnapshot::from_bytes(&c) {
+                    assert_eq!(other.to_bytes(), c, "byte {at} decodes, not back");
+                }
+            }
+            // A flag byte of 2 reads as true; it is not what `true` writes.
+            let mut c = b.clone();
+            c[72] = 2;
+            assert_eq!(VcpuSnapshot::from_bytes(&c), None);
+        }
+    }
+
+    /// Root and a VM of two vCPUs, each with an SC, so both are queued.
+    fn vm_of_two_queued_vcpus() -> (Kernel, CompCtx, [EcId; 2]) {
+        use nova_x86::paging::NestedFormat;
+        let (mut k, ctx) = root_with_portal();
+        let vm = Some(VmPaging::Nested(NestedFormat::Ept4Level));
+        let name = "vm".into();
+        k.hypercall(
+            ctx,
+            Hypercall::CreatePd {
+                name,
+                vm,
+                dst: 0x40,
+            },
+        )
+        .unwrap();
+        for i in 0..2 {
+            let (pd, vcpu, cpu, dst) = (0x40, true, 0, 0x41 + i);
+            k.hypercall(ctx, Hypercall::CreateEc { pd, vcpu, cpu, dst })
+                .unwrap();
+            let (prio, quantum) = (7 + i as u8, 1000);
+            let sc = Hypercall::CreateSc {
+                ec: dst,
+                prio,
+                quantum,
+                dst: 0x50 + i,
+            };
+            k.hypercall(ctx, sc).unwrap();
+        }
+        let vm = PdId(k.obj.pds.len() - 1);
+        let vcpus = [0, 1].map(|i| k.obj.pd(vm).vcpus[i]);
+        (k, ctx, vcpus)
+    }
+
+    /// Clauses 6 and 7 of `check_invariants` against the corruptions
+    /// each must see.
+    #[test]
+    fn check_invariants_sees_the_run_queues_and_the_ec_lists() {
+        let (mut k, _, [_, v1]) = vm_of_two_queued_vcpus();
+        let sc = k.obj.ec(v1).sc.unwrap();
+        assert!(k.sched.cpu_ref(0).contains(sc));
+        assert_eq!(k.check_invariants(), Ok(()));
+        // A queued SC asked in again at another priority joins the
+        // class it is pinned to.
+        k.sched.cpu(0).enqueue(sc, 200);
+        assert_eq!(k.check_invariants(), Ok(()));
+
+        type Corrupt = fn(&mut Kernel, EcId, EcId, EcId);
+        let corruptions: [(&str, Corrupt); 7] = [
+            ("6: an SC queued off its priority", |k, _, v1, _| {
+                let sc = k.obj.ec(v1).sc.unwrap();
+                k.obj.scs[sc.0].prio = 9;
+            }),
+            ("6: an SC queued off its EC's CPU", |k, _, v1, _| {
+                k.obj.ec_mut(v1).cpu = 1
+            }),
+            ("7: a vCPU index off by one", |k, _, v1, _| {
+                k.obj.ec_mut(v1).vcpu_index = Some(2)
+            }),
+            ("7: the vCPU list out of order", |k, v0, _, _| {
+                let vm = k.obj.ec(v0).pd;
+                k.obj.pd_mut(vm).vcpus.reverse();
+            }),
+            ("7: a thread with a vCPU index", |k, _, _, t| {
+                k.obj.ec_mut(t).vcpu_index = Some(0)
+            }),
+            ("7: a vCPU running a component", |k, v0, _, t| {
+                k.obj.ec_mut(v0).comp = k.obj.ec(t).comp
+            }),
+            (
+                "7: a destroyed domain's thread running one",
+                |k, _, _, t| {
+                    let pd = k.obj.ec(t).pd;
+                    k.obj.pd_mut(pd).dying = true;
+                },
+            ),
+        ];
+        for (what, corrupt) in corruptions {
+            let (mut k, ctx, [v0, v1]) = vm_of_two_queued_vcpus();
+            corrupt(&mut k, v0, v1, ctx.ec);
+            assert!(k.check_invariants().is_err(), "{what}");
+        }
     }
 
     #[test]
@@ -4001,6 +4131,20 @@ mod tests {
         assert_eq!(k.mem_read_u32(ctx, hv), None);
     }
 
+    /// `mem_refresh` into a dense image of the window: each page handed
+    /// out is copied to its place.
+    fn refresh_into(
+        k: &Kernel,
+        ctx: CompCtx,
+        addr: u64,
+        image: &mut [u8],
+        seen: &mut [u64],
+    ) -> Option<usize> {
+        k.mem_refresh(ctx, addr, seen, |i, page| {
+            image[i * 4096..(i + 1) * 4096].copy_from_slice(page)
+        })
+    }
+
     #[test]
     fn mem_refresh_copies_exactly_the_pages_written_since() {
         let mut k = kernel();
@@ -4010,35 +4154,43 @@ mod tests {
         let mut image = vec![0xffu8; 3 * 4096];
         let mut seen = vec![u64::MAX; 3];
         assert!(k.mem_write(ctx, base + 4096, &[7; 16]));
-        assert_eq!(k.mem_refresh(ctx, base, &mut image, &mut seen), Some(3));
+        assert_eq!(refresh_into(&k, ctx, base, &mut image, &mut seen), Some(3));
         let mut now = vec![0u8; 3 * 4096];
         k.mem_read_into(ctx, base, &mut now).unwrap();
         assert_eq!(image, now);
-        assert_eq!(k.mem_refresh(ctx, base, &mut image, &mut seen), Some(0));
+        assert_eq!(refresh_into(&k, ctx, base, &mut image, &mut seen), Some(0));
 
         // Each kind of kernel-side writer moves its page, and only it.
         assert!(k.mem_write_u32(ctx, base + 8, 1));
-        assert_eq!(k.mem_refresh(ctx, base, &mut image, &mut seen), Some(1));
+        assert_eq!(refresh_into(&k, ctx, base, &mut image, &mut seen), Some(1));
         assert!(k.mem_fill(ctx, base + 4096 + 100, 4096, 9)); // pages 1 and 2
-        assert_eq!(k.mem_refresh(ctx, base, &mut image, &mut seen), Some(2));
+        assert_eq!(refresh_into(&k, ctx, base, &mut image, &mut seen), Some(2));
         k.mem_slice_mut(ctx, base + 2 * 4096, 4).unwrap()[0] = 3;
-        assert_eq!(k.mem_refresh(ctx, base, &mut image, &mut seen), Some(1));
+        assert_eq!(refresh_into(&k, ctx, base, &mut image, &mut seen), Some(1));
         k.mem_read_into(ctx, base, &mut now).unwrap();
         assert_eq!(image, now);
 
-        // A refused call writes nothing: misaligned, wrong table
-        // length, or a window that runs into unmapped (hypervisor)
-        // memory behind two mapped, dirty pages.
+        // A page that moved back to zeros is handed out too: the
+        // caller decides what a page of zeros is to it.
+        assert!(k.mem_fill(ctx, base, 4096, 0));
+        let mut handed = Vec::new();
+        k.mem_refresh(ctx, base, &mut seen, |i, p| handed.push((i, p.to_vec())));
+        assert_eq!(handed, [(0, vec![0; 4096])]);
+
+        // A refused call hands out nothing: misaligned, or a window
+        // that runs into unmapped (hypervisor) memory behind two
+        // mapped, dirty pages.
         assert!(k.mem_fill(ctx, base, 3 * 4096, 0x55));
-        let (image0, seen0) = (image.clone(), seen.clone());
-        assert_eq!(k.mem_refresh(ctx, base + 1, &mut image, &mut seen), None);
-        assert_eq!(k.mem_refresh(ctx, base, &mut image, &mut seen[..2]), None);
+        let seen0 = seen.clone();
+        let refused = |k: &Kernel, addr, seen: &mut [u64]| {
+            k.mem_refresh(ctx, addr, seen, |i, _| panic!("page {i} handed out"))
+        };
+        assert_eq!(refused(&k, base + 1, &mut seen), None);
         let hv = (32 << 20) as u64 - HV_MEM;
         assert!(k.mem_fill(ctx, hv - 2 * 4096, 2 * 4096, 0x66));
         let mut seen_hv = vec![u64::MAX; 3];
-        let window = hv - 2 * 4096;
-        assert_eq!(k.mem_refresh(ctx, window, &mut image, &mut seen_hv), None);
-        assert_eq!((image, seen), (image0, seen0));
+        assert_eq!(refused(&k, hv - 2 * 4096, &mut seen_hv), None);
+        assert_eq!(seen, seen0);
         assert_eq!(seen_hv, [u64::MAX; 3]);
     }
 
@@ -4057,39 +4209,47 @@ mod tests {
         assert!(k.mem_write(ctx, base + 4096, &[7; 16]));
         let mut image = vec![0u8; 4 * 4096];
         let mut seen = vec![u64::MAX; 4];
-        assert_eq!(k.mem_refresh(ctx, base, &mut image, &mut seen), Some(4));
+        assert_eq!(refresh_into(&k, ctx, base, &mut image, &mut seen), Some(4));
+        // The image as a checkpoint keeps it: a page of zeros is absent.
+        let restore = |k: &mut Kernel, image: &[u8], seen: &mut [u64]| {
+            k.mem_restore(ctx, base, seen, |i| {
+                let page = &image[i * 4096..(i + 1) * 4096];
+                page.iter().any(|&b| b != 0).then_some(page)
+            })
+        };
 
         // Nothing moved: nothing is written, no generation bumped.
         let at_capture = gens(&k);
-        assert_eq!(k.mem_restore(ctx, base, &image, &mut seen), Some(0));
+        assert_eq!(restore(&mut k, &image, &mut seen), Some(0));
         assert_eq!(gens(&k), at_capture);
 
-        // Pages 0 and 2 move — one of them back to the bytes it had.
+        // Pages 0, 1 and 2 move — one of them back to the bytes it had,
+        // two of them absent from the image: those read zeros again.
         assert!(k.mem_write_u32(ctx, base + 8, 1));
+        assert!(k.mem_write_u32(ctx, base + 4096 + 8, 2));
         assert!(k.mem_write(ctx, base + 2 * 4096, &[0; 4]));
-        assert_eq!(k.mem_restore(ctx, base, &image, &mut seen), Some(2));
+        assert_eq!(restore(&mut k, &image, &mut seen), Some(3));
         assert_eq!(read(&k), image);
         let now = gens(&k);
-        assert_eq!((now[1], now[3]), (at_capture[1], at_capture[3]));
-        assert!(now[0] > at_capture[0] && now[2] > at_capture[2]);
+        assert_eq!(now[3], at_capture[3]);
+        assert!((0..3).all(|p| now[p] > at_capture[p]));
         // The table holds the generations the writes left, for both
         // directions: neither a capture nor a restore has work to do.
         assert_eq!(seen, now);
-        assert_eq!(k.mem_refresh(ctx, base, &mut image, &mut seen), Some(0));
-        assert_eq!(k.mem_restore(ctx, base, &image, &mut seen), Some(0));
+        assert_eq!(refresh_into(&k, ctx, base, &mut image, &mut seen), Some(0));
+        assert_eq!(restore(&mut k, &image, &mut seen), Some(0));
 
         // `u64::MAX` writes the page whatever its generation.
         image[3 * 4096] = 0x77;
         seen[3] = u64::MAX;
-        assert_eq!(k.mem_restore(ctx, base, &image, &mut seen), Some(1));
+        assert_eq!(restore(&mut k, &image, &mut seen), Some(1));
         assert_eq!(read(&k), image);
 
-        // A refused call writes nothing: misaligned, or wrong table
-        // length, with every page stale.
+        // A refused call writes nothing: misaligned, with every page
+        // stale.
         assert!(k.mem_fill(ctx, base, 4 * 4096, 0x55));
         let (mem0, seen0) = (read(&k), seen.clone());
-        assert_eq!(k.mem_restore(ctx, base + 1, &image, &mut seen), None);
-        assert_eq!(k.mem_restore(ctx, base, &image, &mut seen[..3]), None);
+        assert_eq!(k.mem_restore(ctx, base + 1, &mut seen, |_| None), None);
         assert_eq!((read(&k), seen), (mem0, seen0));
     }
 

@@ -110,6 +110,27 @@ impl RunQueue {
     pub fn is_empty(&self) -> bool {
         self.queues.is_empty()
     }
+
+    /// Every queued occurrence as `(class, sc)`, once the side map is
+    /// checked against the queues: no class is empty, and each SC sits
+    /// in one class, the one the side map records, as often as it says.
+    pub fn occurrences(&self) -> Result<Vec<(u8, ScId)>, String> {
+        let (mut all, mut held) = (Vec::new(), BTreeMap::new());
+        for (&class, q) in &self.queues {
+            for &sc in q {
+                all.push((class, sc));
+                held.entry(sc).or_insert((class, 0)).1 += 1;
+            }
+        }
+        let pinned = all.iter().all(|(class, sc)| held[sc].0 == *class);
+        if held != self.queued || !pinned || self.queues.values().any(VecDeque::is_empty) {
+            return Err(format!(
+                "queues {:?}, side map {:?}",
+                self.queues, self.queued
+            ));
+        }
+        Ok(all)
+    }
 }
 
 /// Per-CPU runqueues.
@@ -205,6 +226,34 @@ mod tests {
         assert!(!q.contains(ScId(1)));
         assert!(q.is_empty());
         assert_eq!(q.pick(), None);
+    }
+
+    #[test]
+    fn occurrences_check_the_side_map_against_the_queues() {
+        let queued = || {
+            let mut q = RunQueue::new();
+            q.enqueue(ScId(1), 5);
+            q.enqueue(ScId(1), 200);
+            q.enqueue(ScId(2), 7);
+            q
+        };
+        let all = [(5, ScId(1)), (5, ScId(1)), (7, ScId(2))];
+        assert_eq!(queued().occurrences(), Ok(all.to_vec()));
+        let corruptions: [fn(&mut RunQueue); 4] = [
+            |q| q.queues.entry(9).or_default().push_back(ScId(1)),
+            |q| q.queues.entry(7).or_default().push_back(ScId(2)),
+            |q| {
+                q.queued.insert(ScId(3), (7, 1));
+            },
+            |q| {
+                q.queues.insert(3, VecDeque::new());
+            },
+        ];
+        for (i, corrupt) in corruptions.into_iter().enumerate() {
+            let mut q = queued();
+            corrupt(&mut q);
+            assert!(q.occurrences().is_err(), "corruption {i}");
+        }
     }
 
     #[test]

@@ -56,7 +56,17 @@ impl PhysMem {
     #[inline]
     pub fn frame_gens(&self, addr: PAddr, n: usize) -> &[u64] {
         let first = ((addr >> FRAME_SHIFT) as usize).min(self.gens.len());
-        &self.gens[first..first.saturating_add(n).min(self.gens.len())]
+        let gens = &self.gens[first..first.saturating_add(n).min(self.gens.len())];
+        // The zero-page rule, which lets a reader of a run take a frame
+        // at generation 0 for zeros without looking: nothing wrote it.
+        let frames = self.bytes.chunks(1 << FRAME_SHIFT).skip(first);
+        debug_assert!(
+            gens.iter()
+                .zip(frames)
+                .all(|(&g, f)| g != 0 || f.iter().all(|&b| b == 0)),
+            "a frame at write generation 0 is not zeros"
+        );
+        gens
     }
 
     /// Bumps the generation of every frame overlapping the in-RAM

@@ -30,7 +30,7 @@ use nova_core::cap::{CapSel, Perms};
 use nova_core::kernel::SEL_SELF_EC;
 use nova_core::obj::{MemRights, ObjRef, PdId};
 use nova_core::utcb::Utcb;
-use nova_core::{CompCtx, Component, HcErr, HcReply, Hypercall, Kernel, SmId};
+use nova_core::{CompCtx, Component, Counters, HcErr, HcReply, Hypercall, Kernel, SmId};
 use nova_hw::machine::{AHCI_BASE, AHCI_IRQ};
 use nova_trace::{flight, Kind as TraceKind};
 
@@ -317,14 +317,15 @@ pub trait VmRecipe {
     /// into `blob`. The supervisor passes the previous checkpoint (or
     /// an empty `Vec`) so the recipe can reuse whatever of it is still
     /// current. On `Ok`, `blob` is exactly what a capture into an
-    /// empty `Vec` would have produced; on `Err`, `blob` is untouched.
+    /// empty `Vec` would have produced, and the value is the number of
+    /// guest pages the capture copied; on `Err`, `blob` is untouched.
     fn checkpoint(
         &mut self,
         k: &mut Kernel,
         ctx: CompCtx,
         seq: u64,
         blob: &mut Vec<u8>,
-    ) -> Result<(), RespawnError>;
+    ) -> Result<u64, RespawnError>;
 
     /// Tears down the dead incarnation (VM and VMM protection
     /// domains), provisions a fresh VMM wired to `disk`, and either
@@ -952,31 +953,32 @@ impl RootPm {
         }
         let seq = sup.seq + 1;
         let mut blob = sup.last_checkpoint.take().unwrap_or_default();
-        let pages_before = k.counters.checkpoint_pages_copied;
         let captured = sup.recipe.checkpoint(k, ctx, seq, &mut blob);
         // A failed capture leaves `blob` as it was: the previous
         // checkpoint (or none) is kept and the cadence tries again.
-        if captured.is_ok() {
+        if let Ok(copied) = captured {
             sup.seq = seq;
-            k.counters.checkpoints_taken += 1;
-            let at = k.now();
-            k.machine.bus.trace.emit(
-                0,
-                ctx.pd.0 as u16,
-                TraceKind::Checkpoint,
-                blob.len() as u64,
-                at,
+            let (at, bytes, dom) = (k.now(), blob.len() as u64, sup.slot as u64);
+            k.machine
+                .bus
+                .trace
+                .emit(0, ctx.pd.0 as u16, TraceKind::Checkpoint, bytes, at);
+            observe(
+                k,
+                |c| &mut c.checkpoints_taken,
+                1,
+                nova_trace::names::CHECKPOINT_BYTES,
+                dom,
+                bytes,
             );
-            if k.machine.bus.trace.active() {
-                let dom = sup.slot as u64;
-                let metrics = &mut k.machine.bus.trace.metrics;
-                metrics.observe(nova_trace::names::CHECKPOINT_BYTES, dom, blob.len() as u64);
-                metrics.observe(
-                    nova_trace::names::CHECKPOINT_DIRTY_PAGES,
-                    dom,
-                    k.counters.checkpoint_pages_copied - pages_before,
-                );
-            }
+            observe(
+                k,
+                |c| &mut c.checkpoint_pages_copied,
+                copied,
+                nova_trace::names::CHECKPOINT_DIRTY_PAGES,
+                dom,
+                copied,
+            );
             sup.level = LEVEL_RESUME;
             sup.retry.reset();
         }
@@ -1042,6 +1044,24 @@ impl Component for RootPm {
 
     fn as_any(&mut self) -> &mut dyn std::any::Any {
         self
+    }
+}
+
+/// [`Kernel::count`] for a metric that observes a value: adds `n` to
+/// `field` of the kernel's counters always and observes `value` under
+/// `metric` for `domain` while tracing is on — the one way such a pair
+/// is written, so the two cannot drift apart.
+fn observe(
+    k: &mut Kernel,
+    field: impl FnOnce(&mut Counters) -> &mut u64,
+    n: u64,
+    metric: &'static str,
+    domain: u64,
+    value: u64,
+) {
+    *field(&mut k.counters) += n;
+    if k.machine.bus.trace.active() {
+        k.machine.bus.trace.metrics.observe(metric, domain, value);
     }
 }
 

@@ -12,18 +12,30 @@
 //!
 //! ```text
 //! magic     8 bytes  "NOVACKPT"
-//! version   u32      format version (4)
+//! version   u32      format version (5)
 //! seq       u64      checkpoint sequence number
-//! guest mem u64 len, then len bytes (guest-physical image)
+//! mem_len   u64      guest-memory length, a whole number of 4 KB pages
+//! pages     u32 n, then n page numbers (u32, strictly ascending, each
+//!           below mem_len / 4096), then those n pages, 4 KB each
 //! vcpus     u32      count, then count * VcpuSnapshot::BYTES records
 //! vmm       u32 len, then len bytes (Vmm::save_state)
 //! ```
 //!
-//! The image comes first, at the constant offset [`MEM_OFFSET`], so
-//! that the blob the supervisor already holds can be brought up to
-//! date in place ([`refresh`]): only the pages written since the last
-//! capture are copied, the sequence number is patched, and the small
-//! records behind the image are rewritten.
+//! **A checkpoint holds what the guest wrote**: a page is stored if and
+//! only if it is not all zeros, and a page the index leaves out reads
+//! as zeros. The encoding is canonical — one state, one blob, whatever
+//! history led there — and its size follows the pages the guest wrote,
+//! not the size of its RAM. The parser holds a blob to that: a page
+//! number out of order, repeated or past the image, a stored page of
+//! zeros, a vCPU record `VcpuSnapshot::to_bytes` would not write, a
+//! truncation or trailing bytes all refuse it, so whatever parses
+//! re-encodes to itself.
+//!
+//! [`refresh`] brings the blob the supervisor already holds up to date
+//! in place: each page the kernel hands over ([`Pages::put`]) is
+//! overwritten where it sits, inserted in order, or removed when it
+//! became zeros; then the sequence number is patched and the small
+//! records behind the pages are rewritten.
 //!
 //! What is *not* captured — host VMCS policy, vTLB shadow tables,
 //! kernel-object identities, portal wiring, in-flight IPC — is state
@@ -43,18 +55,27 @@ pub const MAGIC: [u8; 8] = *b"NOVACKPT";
 /// Current checkpoint format version. Bump on any layout change; the
 /// parser refuses other versions, which makes a stale checkpoint an
 /// explicit cold-reboot escalation rather than a silent corruption.
-pub const VERSION: u32 = 4;
+pub const VERSION: u32 = 5;
+
+/// Size of one page of the guest image.
+pub const PAGE: usize = 4096;
 
 const SEQ_OFFSET: usize = MAGIC.len() + 4;
 
-/// Offset of the guest-memory image in every blob: behind the magic,
-/// the version, the sequence number and the image length.
-pub const MEM_OFFSET: usize = SEQ_OFFSET + 8 + 8;
+/// Offset of the page count; the page index follows it.
+const COUNT_OFFSET: usize = SEQ_OFFSET + 8 + 8;
+
+const INDEX_OFFSET: usize = COUNT_OFFSET + 4;
 
 /// Spare capacity a fresh image is given behind its records, so that a
 /// device-state record that grows by a few in-flight requests does not
-/// reallocate the guest-sized blob.
+/// reallocate the blob.
 const RECORD_SLACK: usize = 4096;
+
+/// Pages a fresh image has room for before a page the guest writes for
+/// the first time reallocates the blob: more than the recovery
+/// workload's guest ever writes (13 of its 1,024).
+const PAGE_SLACK: usize = 16;
 
 /// Little-endian byte-stream encoder for checkpoint sections.
 #[derive(Default)]
@@ -199,38 +220,55 @@ pub struct Checkpoint {
     pub vcpus: Vec<VcpuSnapshot>,
     /// Serialized VMM device state ([`crate::Vmm::save_state`]).
     pub vmm_state: Vec<u8>,
-    /// Guest-physical memory image, from guest address zero.
+    /// Guest-physical memory image, from guest address zero: a whole
+    /// number of [`PAGE`]s.
     pub guest_mem: Vec<u8>,
 }
 
 impl Checkpoint {
-    /// Serializes the checkpoint into its canonical byte form.
+    /// Serializes the checkpoint into its canonical byte form, which
+    /// stores the pages of `guest_mem` that are not all zeros.
+    ///
+    /// # Panics
+    ///
+    /// If `guest_mem` is not a whole number of pages.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut e = Enc::over(Vec::with_capacity(
-            MEM_OFFSET + self.guest_mem.len() + records_len(self.vcpus.len(), &self.vmm_state),
-        ));
-        write_header(&mut e, self.seq, self.guest_mem.len());
-        e.raw(&self.guest_mem);
-        write_records(&mut e, &self.vcpus, &self.vmm_state);
-        e.finish()
+        let len = self.guest_mem.len();
+        assert!(len.is_multiple_of(PAGE), "guest memory of {len} bytes");
+        let pages: Vec<_> = self
+            .guest_mem
+            .chunks_exact(PAGE)
+            .enumerate()
+            .filter(|(_, p)| !is_zero(p))
+            .collect();
+        encode(self.seq, len, &pages, &self.vcpus, &self.vmm_state)
     }
 
-    /// Parses a checkpoint blob; `None` on bad magic, wrong version,
-    /// truncation, or trailing garbage.
+    /// Parses a checkpoint blob and spells its image out in full;
+    /// `None` on anything [`View::parse`] refuses, or an image larger
+    /// than the host can allocate.
     pub fn from_bytes(b: &[u8]) -> Option<Checkpoint> {
         let v = View::parse(b)?;
+        let mut guest_mem = Vec::new();
+        guest_mem.try_reserve_exact(v.mem_len).ok()?;
+        guest_mem.resize(v.mem_len, 0);
+        for (i, page) in v.pages() {
+            guest_mem
+                .get_mut(i * PAGE..(i + 1) * PAGE)?
+                .copy_from_slice(page);
+        }
         Some(Checkpoint {
             seq: v.seq,
             vcpus: v.vcpus,
             vmm_state: v.vmm_state.to_vec(),
-            guest_mem: v.guest_mem.to_vec(),
+            guest_mem,
         })
     }
 }
 
-/// A parsed checkpoint whose guest image and device state still live
-/// in the blob: what the restore path reads, so that neither is copied
-/// on the way back into the guest.
+/// A parsed checkpoint whose pages and device state still live in the
+/// blob: what the restore path reads, so that neither is copied on the
+/// way back into the guest.
 #[derive(Debug)]
 pub struct View<'a> {
     /// Monotonic sequence number (which capture this is).
@@ -239,17 +277,20 @@ pub struct View<'a> {
     pub vcpus: Vec<VcpuSnapshot>,
     /// Serialized VMM device state ([`crate::Vmm::save_state`]).
     pub vmm_state: &'a [u8],
-    /// Guest-physical memory image, from guest address zero.
-    pub guest_mem: &'a [u8],
+    /// Length of the guest memory the image describes, in bytes.
+    pub mem_len: usize,
+    image: Image<'a>,
 }
 
 impl<'a> View<'a> {
-    /// Parses a checkpoint blob; `None` on bad magic, wrong version,
-    /// truncation, or trailing garbage.
+    /// Parses a checkpoint blob; `None` unless it is the canonical
+    /// encoding of some checkpoint (see the module documentation).
     pub fn parse(b: &'a [u8]) -> Option<View<'a>> {
         let mut d = Dec::new(b);
-        let (seq, mem_len) = read_header(&mut d)?;
-        let guest_mem = d.take(mem_len)?;
+        let image = Image::read(&mut d)?;
+        if image.pages().any(|(_, p)| is_zero(p)) {
+            return None;
+        }
         let nvcpus = d.u32()? as usize;
         // Bound the claimed count by what could physically fit, so a
         // corrupt header cannot drive a huge allocation.
@@ -265,28 +306,85 @@ impl<'a> View<'a> {
             return None;
         }
         Some(View {
-            seq,
+            seq: image.seq,
             vcpus,
             vmm_state,
-            guest_mem,
+            mem_len: image.mem_len,
+            image,
         })
+    }
+
+    /// Page `page` of the guest image if it is stored; a page that is
+    /// not reads as zeros.
+    pub fn page(&self, page: usize) -> Option<&'a [u8]> {
+        self.image.page(page)
+    }
+
+    /// The stored pages in ascending order, with their page numbers.
+    pub fn pages(&self) -> impl Iterator<Item = (usize, &'a [u8])> + 'a {
+        self.image.pages()
     }
 }
 
-fn write_header(e: &mut Enc, seq: u64, mem_len: usize) {
+/// The page part of a blob — header, page index, pages — checked for
+/// shape (every page present, the index ascending and inside the
+/// image) but not for pages of zeros.
+#[derive(Clone, Copy, Debug)]
+struct Image<'a> {
+    seq: u64,
+    mem_len: usize,
+    index: &'a [[u8; 4]],
+    data: &'a [u8],
+}
+
+impl<'a> Image<'a> {
+    fn read(d: &mut Dec<'a>) -> Option<Image<'a>> {
+        if d.take(MAGIC.len())? != MAGIC || d.u32()? != VERSION {
+            return None;
+        }
+        let seq = d.u64()?;
+        let mem_len = usize::try_from(d.u64()?).ok()?;
+        let n = d.u32()? as usize;
+        let (index, _) = d.take(n.checked_mul(4)?)?.as_chunks();
+        let data = d.take(n.checked_mul(PAGE)?)?;
+        let number = |b: &[u8; 4]| u32::from_le_bytes(*b) as usize;
+        let ascending = index.is_sorted_by(|a, b| number(a) < number(b));
+        let inside = index.last().is_none_or(|b| number(b) < mem_len / PAGE);
+        (mem_len.is_multiple_of(PAGE) && ascending && inside).then_some(Image {
+            seq,
+            mem_len,
+            index,
+            data,
+        })
+    }
+
+    fn page(&self, page: usize) -> Option<&'a [u8]> {
+        let j = slot(self.index, page).ok()?;
+        self.data.get(j * PAGE..(j + 1) * PAGE)
+    }
+
+    fn pages(&self) -> impl Iterator<Item = (usize, &'a [u8])> + 'a {
+        let numbers = self.index.iter().map(|b| u32::from_le_bytes(*b) as usize);
+        numbers.zip(self.data.chunks_exact(PAGE))
+    }
+}
+
+/// Where page `page` sits in an ascending page index: `Ok` with its
+/// slot if it is stored, otherwise `Err` with the slot it would take.
+fn slot(index: &[[u8; 4]], page: usize) -> Result<usize, usize> {
+    index.binary_search_by_key(&(page as u64), |b| u32::from_le_bytes(*b).into())
+}
+
+fn is_zero(page: &[u8]) -> bool {
+    page.iter().all(|&b| b == 0)
+}
+
+fn write_header(e: &mut Enc, seq: u64, mem_len: usize, pages: usize) {
     e.raw(&MAGIC);
     e.u32(VERSION);
     e.u64(seq);
     e.u64(mem_len as u64);
-}
-
-/// Reads the fixed header: `(seq, image length)`.
-fn read_header(d: &mut Dec) -> Option<(u64, usize)> {
-    if d.take(MAGIC.len())? != MAGIC || d.u32()? != VERSION {
-        return None;
-    }
-    let seq = d.u64()?;
-    Some((seq, usize::try_from(d.u64()?).ok()?))
+    e.u32(pages as u32);
 }
 
 fn records_len(vcpus: usize, vmm_state: &[u8]) -> usize {
@@ -301,14 +399,33 @@ fn write_records(e: &mut Enc, vcpus: &[VcpuSnapshot], vmm_state: &[u8]) {
     e.bytes(vmm_state);
 }
 
-/// `(seq, image length)` of a blob that holds a whole guest image
-/// behind a valid header; the records behind the image are not looked
-/// at. This is what tells a blob [`refresh`] can update in place.
+/// The blob of a checkpoint whose `mem_len`-byte image stores `pages`
+/// — `(page number, page)`, ascending, none all zeros.
+fn encode(
+    seq: u64,
+    mem_len: usize,
+    pages: &[(usize, &[u8])],
+    vcpus: &[VcpuSnapshot],
+    vmm_state: &[u8],
+) -> Vec<u8> {
+    let len = INDEX_OFFSET + pages.len() * (4 + PAGE) + records_len(vcpus.len(), vmm_state);
+    let mut e = Enc::over(Vec::with_capacity(len));
+    write_header(&mut e, seq, mem_len, pages.len());
+    for &(i, _) in pages {
+        e.u32(i as u32);
+    }
+    for &(_, page) in pages {
+        e.raw(page);
+    }
+    write_records(&mut e, vcpus, vmm_state);
+    e.finish()
+}
+
+/// `(seq, image length)` of a blob whose header, page index and pages
+/// are well formed; the records behind them are not looked at. This is
+/// what tells a blob [`refresh`] can update in place.
 pub fn image_header(blob: &[u8]) -> Option<(u64, usize)> {
-    let mut d = Dec::new(blob);
-    let (seq, mem_len) = read_header(&mut d)?;
-    d.take(mem_len)?;
-    Some((seq, mem_len))
+    Image::read(&mut Dec::new(blob)).map(|i| (i.seq, i.mem_len))
 }
 
 /// `true` if `blob` holds a guest image of `mem_len` bytes, which
@@ -317,41 +434,109 @@ pub fn holds_image(blob: &[u8], mem_len: usize) -> bool {
     image_header(blob).is_some_and(|(_, len)| len == mem_len)
 }
 
+/// The image of a blob that [`refresh`] is bringing up to date, handed
+/// to its `sync` step to be told, page by page, what moved.
+pub struct Pages<'b> {
+    blob: &'b mut Vec<u8>,
+    /// Pages stored.
+    n: usize,
+    /// Pages in the image.
+    limit: usize,
+}
+
+impl Pages<'_> {
+    /// Makes page `page` of the image read `bytes`, one [`PAGE`]: a
+    /// stored page is overwritten where it sits, a page that became
+    /// non-zero is inserted in order, and a page that became all zeros
+    /// is removed. A page outside the image, or `bytes` of another
+    /// length, is ignored.
+    pub fn put(&mut self, page: usize, bytes: &[u8]) {
+        if page >= self.limit || bytes.len() != PAGE {
+            return;
+        }
+        let data = INDEX_OFFSET + 4 * self.n;
+        let index = self.blob.get(INDEX_OFFSET..data).unwrap_or_default();
+        let (at, entry) = match (slot(index.as_chunks().0, page), is_zero(bytes)) {
+            (Ok(j), false) => {
+                let stored = self.blob.get_mut(data + j * PAGE..data + (j + 1) * PAGE);
+                stored.into_iter().for_each(|p| p.copy_from_slice(bytes));
+                return;
+            }
+            (Ok(j), true) => {
+                self.blob.drain(data + j * PAGE..data + (j + 1) * PAGE);
+                self.blob
+                    .drain(INDEX_OFFSET + 4 * j..INDEX_OFFSET + 4 * (j + 1));
+                self.n -= 1;
+                return self.write_count();
+            }
+            (Err(j), false) => (j, (page as u32).to_le_bytes()),
+            (Err(_), true) => return,
+        };
+        let page_at = data + at * PAGE;
+        self.blob.splice(page_at..page_at, bytes.iter().copied());
+        let entry_at = INDEX_OFFSET + 4 * at;
+        self.blob.splice(entry_at..entry_at, entry);
+        self.n += 1;
+        self.write_count();
+    }
+
+    fn write_count(&mut self) {
+        let count = self.blob.get_mut(COUNT_OFFSET..INDEX_OFFSET);
+        count
+            .into_iter()
+            .for_each(|c| c.copy_from_slice(&(self.n as u32).to_le_bytes()));
+    }
+
+    /// Where the records start.
+    fn end(&self) -> usize {
+        INDEX_OFFSET + self.n * (4 + PAGE)
+    }
+}
+
 /// Brings `blob` up to date in place as checkpoint `seq`: `sync`
-/// updates the `mem_len`-byte guest image, then the sequence number is
-/// patched and the records behind the image are rewritten. Afterwards
-/// `blob` equals `Checkpoint { seq, vcpus, vmm_state, guest_mem }
-/// .to_bytes()` for the image `sync` left behind.
+/// updates the `mem_len`-byte guest image through [`Pages::put`], then
+/// the sequence number is patched and the records behind the pages are
+/// rewritten. Afterwards `blob` equals `Checkpoint { seq, vcpus,
+/// vmm_state, guest_mem }.to_bytes()` for the image `sync` left behind.
 ///
 /// A `blob` that does not already hold an image of `mem_len` bytes is
-/// replaced by one of zeros first, so `sync` must then write every page
-/// that is not all zeros; the caller — who keeps whatever `sync` knows
-/// about the image's contents — checks with [`holds_image`] beforehand.
+/// replaced by one that stores no page — all zeros — built on the side,
+/// so `sync` must then put every page that is not all zeros; the caller
+/// — who keeps whatever `sync` knows about the image's contents —
+/// checks with [`holds_image`] beforehand.
 ///
 /// `sync` is the only step that can fail, and must leave the image
 /// untouched when it does (returns `None`); `blob` is then exactly what
-/// it was. Its `Some` value is passed through.
+/// it was. Its `Some` value is passed through. `None` too, with `blob`
+/// untouched, if `mem_len` is not a whole number of pages.
 pub fn refresh<R>(
     blob: &mut Vec<u8>,
     seq: u64,
     mem_len: usize,
     vcpus: &[VcpuSnapshot],
     vmm_state: &[u8],
-    sync: impl FnOnce(&mut [u8]) -> Option<R>,
+    sync: impl FnOnce(&mut Pages) -> Option<R>,
 ) -> Option<R> {
-    let end = MEM_OFFSET.checked_add(mem_len)?;
-    let records = records_len(vcpus.len(), vmm_state);
-    let holds_image = holds_image(blob, mem_len);
-    let mut fresh = Vec::new();
-    if !holds_image {
-        let mut e = Enc::over(Vec::with_capacity(end + records + RECORD_SLACK));
-        write_header(&mut e, seq, mem_len);
-        e.buf.resize(end, 0);
-        fresh = e.finish();
+    if !mem_len.is_multiple_of(PAGE) {
+        return None;
     }
-    let image = if holds_image { &mut *blob } else { &mut fresh };
-    let r = sync(image.get_mut(MEM_OFFSET..end)?)?;
-    if !holds_image {
+    let records = records_len(vcpus.len(), vmm_state);
+    let held = Image::read(&mut Dec::new(blob)).filter(|i| i.mem_len == mem_len);
+    let held = held.map(|i| i.index.len());
+    let mut fresh = held.is_none().then(|| {
+        let room = INDEX_OFFSET + PAGE_SLACK * (4 + PAGE) + records + RECORD_SLACK;
+        let mut e = Enc::over(Vec::with_capacity(room));
+        write_header(&mut e, seq, mem_len, 0);
+        e.finish()
+    });
+    let mut pages = Pages {
+        blob: fresh.as_mut().unwrap_or(&mut *blob),
+        n: held.unwrap_or(0),
+        limit: mem_len / PAGE,
+    };
+    let r = sync(&mut pages)?;
+    let end = pages.end();
+    if let Some(fresh) = fresh {
         *blob = fresh;
     }
     blob.get_mut(SEQ_OFFSET..SEQ_OFFSET + 8)?
@@ -371,17 +556,26 @@ pub fn refresh<R>(
 mod tests {
     use super::*;
 
+    /// Four pages: 0 and 2 written, 1 and 3 zeros.
     fn sample() -> Checkpoint {
         let mut snap = VcpuSnapshot::from_bytes(&[0u8; VcpuSnapshot::BYTES]).unwrap();
         snap.regs.eip = 0x7c00;
         snap.halted = true;
         snap.blocked = true;
+        let mut guest_mem = vec![0; 4 * PAGE];
+        guest_mem[..PAGE].fill(0xaa);
+        guest_mem[2 * PAGE + 7] = 0x11;
         Checkpoint {
             seq: 3,
             vcpus: vec![snap],
             vmm_state: vec![1, 2, 3, 4, 5],
-            guest_mem: vec![0xaa; 8192],
+            guest_mem,
         }
+    }
+
+    /// Offset of the vCPU count in a blob storing `n` pages.
+    fn records_at(n: usize) -> usize {
+        INDEX_OFFSET + n * (4 + PAGE)
     }
 
     #[test]
@@ -389,13 +583,33 @@ mod tests {
         let c = sample();
         let b = c.to_bytes();
         assert_eq!(&b[..8], b"NOVACKPT");
-        let d = Checkpoint::from_bytes(&b).unwrap();
-        assert_eq!(d, c);
+        assert_eq!(Checkpoint::from_bytes(&b).unwrap(), c);
     }
 
     #[test]
     fn serialization_is_deterministic() {
         assert_eq!(sample().to_bytes(), sample().to_bytes());
+    }
+
+    /// The image stores exactly the pages that are not all zeros, and
+    /// nothing for a guest that wrote nothing.
+    #[test]
+    fn a_page_is_stored_iff_it_is_not_all_zeros() {
+        let c = sample();
+        let b = c.to_bytes();
+        let v = View::parse(&b).unwrap();
+        assert_eq!(v.mem_len, 4 * PAGE);
+        let stored: Vec<usize> = v.pages().map(|(i, _)| i).collect();
+        assert_eq!(stored, [0, 2]);
+        assert_eq!(v.page(0), Some(&c.guest_mem[..PAGE]));
+        assert_eq!((v.page(1), v.page(3), v.page(4)), (None, None, None));
+        assert_eq!(b.len(), records_at(2) + records_len(1, &c.vmm_state));
+
+        let mut blank = c.clone();
+        blank.guest_mem.fill(0);
+        let b = blank.to_bytes();
+        assert_eq!(b.len(), records_at(0) + records_len(1, &c.vmm_state));
+        assert_eq!(Checkpoint::from_bytes(&b).unwrap(), blank);
     }
 
     #[test]
@@ -435,35 +649,159 @@ mod tests {
         assert!(image_header(&v1).is_none());
     }
 
-    /// Versions 2 and 3 had this very framing and other words inside
-    /// the device-state record (2: statistics; 3: the vAHCI's
-    /// in-flight slot mask): refused by number, not misparsed.
-    fn rejects_the_version(v: u32) {
-        let mut old = sample().to_bytes();
-        old[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&v.to_le_bytes());
-        assert!(Checkpoint::from_bytes(&old).is_none());
-        assert!(View::parse(&old).is_none());
-        assert!(image_header(&old).is_none());
+    /// Versions 2 to 4 stored the whole image behind `mem_len`, with
+    /// other words inside the device-state record (2: statistics; 3:
+    /// the vAHCI's in-flight slot mask): refused by number, not
+    /// misparsed.
+    fn dense(version: u32) -> Vec<u8> {
+        let c = sample();
+        let mut e = Enc::new();
+        e.raw(&MAGIC);
+        e.u32(version);
+        e.u64(c.seq);
+        e.u64(c.guest_mem.len() as u64);
+        e.raw(&c.guest_mem);
+        write_records(&mut e, &c.vcpus, &c.vmm_state);
+        e.finish()
     }
 
     #[test]
-    fn rejects_the_version_2_layout() {
-        rejects_the_version(2);
-    }
-
-    #[test]
-    fn rejects_the_version_3_layout() {
-        rejects_the_version(3);
+    fn rejects_the_dense_layouts_of_versions_2_to_4() {
+        for v in 2..=4 {
+            let old = dense(v);
+            assert!(Checkpoint::from_bytes(&old).is_none(), "v{v}");
+            assert!(View::parse(&old).is_none(), "v{v}");
+            assert!(image_header(&old).is_none(), "v{v}");
+            // Not even the version-5 parser's reading of that framing.
+            let mut renumbered = old.clone();
+            renumbered[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&VERSION.to_le_bytes());
+            assert!(View::parse(&renumbered).is_none(), "v{v} as v5");
+        }
     }
 
     #[test]
     fn corrupt_vcpu_count_does_not_overallocate() {
-        let c = sample();
-        let mut b = c.to_bytes();
-        // The vcpu count lives right behind the image.
-        let at = MEM_OFFSET + c.guest_mem.len();
+        let mut b = sample().to_bytes();
+        let at = records_at(2);
         b[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(Checkpoint::from_bytes(&b).is_none());
+    }
+
+    /// Sets entry `j` of a blob's page index.
+    fn set_entry(b: &mut [u8], j: usize, page: u32) {
+        b[INDEX_OFFSET + 4 * j..INDEX_OFFSET + 4 * (j + 1)].copy_from_slice(&page.to_le_bytes());
+    }
+
+    /// Every way the page part can be malformed, each refused by the
+    /// parser and, where it is the page part's shape, by the header
+    /// check an in-place refresh trusts.
+    #[test]
+    fn refuses_a_malformed_page_index() {
+        let b = sample().to_bytes();
+        let shape = |b: &[u8]| image_header(b).is_some();
+        let page_of = |j: usize| records_at(2) - (2 - j) * PAGE;
+        let mut cases: Vec<(&str, Vec<u8>, bool)> = Vec::new();
+
+        let mut past = b.clone();
+        set_entry(&mut past, 1, 4);
+        cases.push(("a page at mem_len / 4096", past, false));
+        let mut beyond = b.clone();
+        set_entry(&mut beyond, 1, u32::MAX);
+        cases.push(("a page far past the image", beyond, false));
+        let mut swapped = b.clone();
+        set_entry(&mut swapped, 0, 2);
+        set_entry(&mut swapped, 1, 0);
+        cases.push(("pages out of order", swapped, false));
+        let mut twice = b.clone();
+        set_entry(&mut twice, 1, 0);
+        cases.push(("a page stored twice", twice, false));
+        let mut zeros = b.clone();
+        zeros[page_of(1)..page_of(1) + PAGE].fill(0);
+        cases.push(("a page of zeros stored", zeros, true));
+        let mut huge = b.clone();
+        huge[COUNT_OFFSET..INDEX_OFFSET].copy_from_slice(&u32::MAX.to_le_bytes());
+        cases.push(("n × 4096 past the blob", huge, false));
+        let mut more = b.clone();
+        more[COUNT_OFFSET..INDEX_OFFSET].copy_from_slice(&3u32.to_le_bytes());
+        cases.push(("one page more than stored", more, false));
+        let mut odd = b.clone();
+        odd[COUNT_OFFSET - 8..COUNT_OFFSET].copy_from_slice(&(4 * PAGE as u64 + 1).to_le_bytes());
+        cases.push(("mem_len not a whole number of pages", odd, false));
+        let mut shrunk = b.clone();
+        shrunk[COUNT_OFFSET - 8..COUNT_OFFSET].copy_from_slice(&(2 * PAGE as u64).to_le_bytes());
+        cases.push(("mem_len that cuts off a stored page", shrunk, false));
+
+        for (what, blob, well_shaped) in cases {
+            assert!(View::parse(&blob).is_none(), "{what}");
+            assert!(Checkpoint::from_bytes(&blob).is_none(), "{what}");
+            assert_eq!(shape(&blob), well_shaped, "{what}");
+        }
+        // `n × 4096` cannot overflow a 64-bit `usize`; the parser's
+        // multiplication is checked where it could.
+        assert_eq!(
+            (u32::MAX as usize).checked_mul(PAGE),
+            Some((u32::MAX as usize) << 12)
+        );
+    }
+
+    /// A vCPU record whose snapshot would write back other bytes (a
+    /// flag byte of 7, say) is not a canonical encoding.
+    #[test]
+    fn refuses_a_vcpu_record_that_does_not_write_back() {
+        let mut b = sample().to_bytes();
+        let halted = records_at(2) + 4 + 72;
+        assert_eq!(b[halted], 1);
+        b[halted] = 7;
+        assert!(View::parse(&b).is_none());
+    }
+
+    /// The canonical-encoding property, by seeded single-byte
+    /// corruption: whatever a corrupted blob parses as re-encodes to
+    /// exactly that blob — densely too, while its image is small enough
+    /// to spell out — or it does not parse.
+    #[test]
+    fn a_corrupted_blob_fails_to_parse_or_round_trips_to_itself() {
+        let b = sample().to_bytes();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        // Every other corruption lands outside the two pages' bytes,
+        // where the framing is.
+        let pages_at = INDEX_OFFSET + 2 * 4;
+        let framing = b.len() - 2 * PAGE;
+        let (mut parsed, mut refused) = (0, 0);
+        for i in 0..20_000 {
+            let mut c = b.clone();
+            let at = match i % 2 {
+                0 => next() as usize % c.len(),
+                _ => match next() as usize % framing {
+                    at if at < pages_at => at,
+                    at => at + 2 * PAGE,
+                },
+            };
+            c[at] ^= 1 + (next() % 255) as u8;
+            let Some(v) = View::parse(&c) else {
+                refused += 1;
+                continue;
+            };
+            parsed += 1;
+            let pages: Vec<_> = v.pages().collect();
+            assert!(
+                encode(v.seq, v.mem_len, &pages, &v.vcpus, v.vmm_state) == c,
+                "byte {at} parses but does not re-encode"
+            );
+            if v.mem_len <= 1 << 20 {
+                assert!(Checkpoint::from_bytes(&c).unwrap().to_bytes() == c);
+            }
+        }
+        assert!(
+            parsed > 1000 && refused > 1000,
+            "{parsed} parsed, {refused} refused"
+        );
     }
 
     /// Blobs a supervisor might hand to [`refresh`] that hold no image
@@ -471,48 +809,123 @@ mod tests {
     fn imageless_blobs() -> Vec<Vec<u8>> {
         let b = sample().to_bytes();
         let mut other_size = sample();
-        other_size.guest_mem.truncate(4096);
-        let mut v1 = b.clone();
-        v1[8] = 1;
+        other_size.guest_mem.truncate(PAGE);
         vec![
             Vec::new(),
-            b[..MEM_OFFSET + 100].to_vec(),
+            b[..INDEX_OFFSET + 6].to_vec(),
+            b[..records_at(2) - 1].to_vec(),
             other_size.to_bytes(),
-            v1,
+            dense(4),
         ]
     }
 
+    /// Puts every page of `mem` that differs from `prev`, as the kernel
+    /// hands over the pages whose frames moved.
+    fn put_changes(pages: &mut Pages, prev: &[u8], mem: &[u8]) {
+        let (a, b) = (prev.chunks_exact(PAGE), mem.chunks_exact(PAGE));
+        for (i, (old, new)) in a.zip(b).enumerate() {
+            if old != new {
+                pages.put(i, new);
+            }
+        }
+    }
+
+    /// The in-place refresh against a from-scratch encoding, for each
+    /// kind of change a page can undergo — overwritten where it sits,
+    /// inserted before, between and behind the stored pages, removed
+    /// when it turns to zeros — in the blob it was given.
     #[test]
     fn refresh_in_place_equals_a_from_scratch_encoding() {
-        // The previous checkpoint: older seq, other records, one page
-        // of the image behind.
         let mut prev = sample();
         prev.seq = 2;
         prev.vmm_state = vec![9; 40];
-        prev.guest_mem[4096..].fill(0x11);
+        let mut c = sample();
+        c.guest_mem.resize(8 * PAGE, 0);
+        prev.guest_mem.resize(8 * PAGE, 0);
+        prev.guest_mem[5 * PAGE] = 1; // stored, then zeros
+        c.guest_mem[PAGE] = 0x22; // inserted between 0 and 2
+        c.guest_mem[2 * PAGE + 7] = 0x33; // overwritten
+        c.guest_mem[7 * PAGE + 4095] = 0x44; // inserted behind
+        c.guest_mem[..PAGE].fill(0); // removed in front
+        prev.guest_mem[3 * PAGE] = 5;
+        c.guest_mem[3 * PAGE] = 6;
         let mut blob = prev.to_bytes();
+        blob.reserve(4 * PAGE);
         let (ptr, cap) = (blob.as_ptr(), blob.capacity());
-        let c = sample();
-        let r = refresh(&mut blob, c.seq, 8192, &c.vcpus, &c.vmm_state, |image| {
-            image[4096..].fill(0xaa);
-            Some(1)
-        });
+        let r = refresh(
+            &mut blob,
+            c.seq,
+            8 * PAGE,
+            &c.vcpus,
+            &c.vmm_state,
+            |pages| {
+                put_changes(pages, &prev.guest_mem, &c.guest_mem);
+                Some(1)
+            },
+        );
         assert_eq!(r, Some(1));
-        assert_eq!(blob, c.to_bytes());
+        assert!(blob == c.to_bytes());
         assert_eq!((blob.as_ptr(), blob.capacity()), (ptr, cap), "in place");
+
+        // A page that was zeros and is put as zeros stays absent; one
+        // put unchanged stays where it is.
+        let same = blob.clone();
+        refresh(
+            &mut blob,
+            c.seq,
+            8 * PAGE,
+            &c.vcpus,
+            &c.vmm_state,
+            |pages| {
+                pages.put(4, &[0; PAGE]);
+                pages.put(2, &c.guest_mem[2 * PAGE..3 * PAGE]);
+                pages.put(8, &[1; PAGE]); // outside the image: ignored
+                pages.put(6, &[1; 12]); // not a page: ignored
+                Some(())
+            },
+        );
+        assert!(blob == same);
+    }
+
+    /// Pages put in descending order land in ascending order.
+    #[test]
+    fn refresh_inserts_in_order_whatever_order_pages_come_in() {
+        let c = sample();
+        let mut blob = Vec::new();
+        refresh(
+            &mut blob,
+            c.seq,
+            4 * PAGE,
+            &c.vcpus,
+            &c.vmm_state,
+            |pages| {
+                for i in (0..4).rev() {
+                    pages.put(i, &c.guest_mem[i * PAGE..(i + 1) * PAGE]);
+                }
+                Some(())
+            },
+        );
+        assert!(blob == c.to_bytes());
     }
 
     #[test]
     fn refresh_replaces_a_blob_that_holds_no_such_image() {
         let c = sample();
         for mut blob in imageless_blobs() {
-            let r = refresh(&mut blob, c.seq, 8192, &c.vcpus, &c.vmm_state, |image| {
-                assert!(image.iter().all(|&b| b == 0), "a fresh image is zeros");
-                image.fill(0xaa);
-                Some(())
-            });
+            let r = refresh(
+                &mut blob,
+                c.seq,
+                4 * PAGE,
+                &c.vcpus,
+                &c.vmm_state,
+                |pages| {
+                    assert_eq!(pages.n, 0, "a fresh image stores no page");
+                    put_changes(pages, &[0; 4 * PAGE], &c.guest_mem);
+                    Some(())
+                },
+            );
             assert_eq!(r, Some(()));
-            assert_eq!(blob, c.to_bytes());
+            assert!(blob == c.to_bytes());
         }
     }
 
@@ -523,32 +936,53 @@ mod tests {
         blobs.push(c.to_bytes());
         for before in blobs {
             let mut blob = before.clone();
-            let r = refresh(&mut blob, 9, 8192, &[], &[7; 64], |_| None::<()>);
+            let r = refresh(&mut blob, 9, 4 * PAGE, &[], &[7; 64], |_| None::<()>);
             assert_eq!(r, None);
+            assert_eq!(blob, before);
+            let r = refresh(&mut blob, 9, 4 * PAGE + 1, &[], &[7; 64], |_| Some(()));
+            assert_eq!(r, None, "not a whole number of pages");
             assert_eq!(blob, before);
         }
     }
 
+    /// A fresh image has room for the records to grow by their slack
+    /// and for [`PAGE_SLACK`] pages, and reallocates past either.
     #[test]
-    fn growing_records_do_not_reallocate_a_fresh_image() {
+    fn growth_within_the_slack_does_not_reallocate_a_fresh_image() {
         let c = sample();
         let mut blob = Vec::new();
-        refresh(&mut blob, 1, 8192, &c.vcpus, &[], |_| Some(()));
+        let mut mem = vec![0; 64 * PAGE];
+        refresh(&mut blob, 1, mem.len(), &c.vcpus, &[], |_| Some(()));
         let (ptr, cap) = (blob.as_ptr(), blob.capacity());
         for n in [1usize, 64, 1024] {
-            refresh(&mut blob, 2, 8192, &c.vcpus, &vec![5; n], |_| Some(()));
+            refresh(&mut blob, 2, mem.len(), &c.vcpus, &vec![5; n], |_| Some(()));
             assert_eq!((blob.as_ptr(), blob.capacity()), (ptr, cap));
         }
+        let state = vec![5; RECORD_SLACK];
+        for i in 0..PAGE_SLACK {
+            let prev = mem.clone();
+            mem[i * 3 * PAGE] = 1 + i as u8;
+            refresh(&mut blob, 3, mem.len(), &c.vcpus, &state, |pages| {
+                put_changes(pages, &prev, &mem);
+                Some(())
+            });
+            assert_eq!((blob.as_ptr(), blob.capacity()), (ptr, cap), "page {i}");
+        }
         // Past the slack it grows, and still encodes the same bytes.
-        let big = vec![5; 3 * RECORD_SLACK];
-        refresh(&mut blob, 3, 8192, &c.vcpus, &big, |_| Some(()));
+        let (prev, big) = (mem.clone(), vec![5; 3 * RECORD_SLACK]);
+        mem[63 * PAGE] = 9;
+        refresh(&mut blob, 4, mem.len(), &c.vcpus, &big, |pages| {
+            put_changes(pages, &prev, &mem);
+            Some(())
+        });
+        assert!(blob.capacity() > cap);
         let expect = Checkpoint {
-            seq: 3,
+            seq: 4,
             vcpus: c.vcpus,
             vmm_state: big,
-            guest_mem: vec![0; 8192],
+            guest_mem: mem,
         };
-        assert_eq!(blob, expect.to_bytes());
+        assert!(blob == expect.to_bytes());
     }
 
     #[test]

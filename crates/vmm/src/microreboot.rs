@@ -288,7 +288,7 @@ impl VmRecipe for MicrorebootRecipe {
         ctx: CompCtx,
         seq: u64,
         blob: &mut Vec<u8>,
-    ) -> Result<(), RespawnError> {
+    ) -> Result<u64, RespawnError> {
         // Everything that can fail runs before `blob` is touched.
         let mut vcpus = Vec::with_capacity(self.cfg.vcpus);
         for i in 0..self.cfg.vcpus {
@@ -318,12 +318,11 @@ impl VmRecipe for MicrorebootRecipe {
             self.image.table_for(blob, pages, unknown),
         );
         let copied = checkpoint::refresh(blob, seq, mem_len, &vcpus, &vmm_state, |image| {
-            k.mem_refresh(ctx, window, image, seen)
+            k.mem_refresh(ctx, window, seen, |page, bytes| image.put(page, bytes))
         })
         .ok_or(RespawnError::State("guest memory window unreadable"))?;
         self.image.blob = Some((seq, blob.len()));
-        k.counters.checkpoint_pages_copied += copied as u64;
-        Ok(())
+        Ok(copied as u64)
     }
 
     /// Tears down the dead incarnation, provisions a fresh one from the
@@ -360,7 +359,7 @@ impl VmRecipe for MicrorebootRecipe {
                 if ck.vcpus.len() != self.cfg.vcpus {
                     return Err(RespawnError::State("checkpoint vcpu count mismatch"));
                 }
-                if ck.guest_mem.len() as u64 != self.cfg.guest_pages * 4096 {
+                if ck.mem_len as u64 != self.cfg.guest_pages * 4096 {
                     return Err(RespawnError::State("checkpoint guest memory size mismatch"));
                 }
                 Some(ck)
@@ -391,11 +390,12 @@ impl VmRecipe for MicrorebootRecipe {
             // Guest memory first: the device resubmit protocol reads
             // request buffers out of the restored image. Only the
             // frames written since they last equalled `blob`'s image
-            // are written back.
+            // are written back; a page the image does not store is
+            // zeros.
             let seen = self
                 .image
                 .table_for(blob, self.cfg.guest_pages as usize, NEVER);
-            k.mem_restore(ctx, self.frames * 4096, ck.guest_mem, seen)
+            k.mem_restore(ctx, self.frames * 4096, seen, |i| ck.page(i))
                 .ok_or(RespawnError::State("guest memory restore failed"))?;
             self.image.blob = Some((ck.seq, blob.len()));
             for (i, snap) in ck.vcpus.iter().enumerate() {

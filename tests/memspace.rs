@@ -721,18 +721,16 @@ fn page_crossing_u32_u64_reads() {
 }
 
 /// The frames behind the `pages`-page window at `addr` of `ctx`'s
-/// space, looked up page by page: `None` for a misaligned window, an
-/// image of another length, a hole or — with `write` — a read-only
-/// page.
+/// space, looked up page by page: `None` for a misaligned window, a
+/// hole or — with `write` — a read-only page.
 fn frames_per_page(
     k: &Kernel,
     ctx: CompCtx,
     addr: u64,
-    image_len: usize,
     pages: usize,
     write: bool,
 ) -> Option<Vec<u64>> {
-    if addr & 0xfff != 0 || Some(image_len) != pages.checked_mul(4096) {
+    if addr & 0xfff != 0 {
         return None;
     }
     let ms = &k.obj.pd(ctx.pd).mem;
@@ -743,8 +741,8 @@ fn frames_per_page(
     (0..pages as u64).map(|i| frame(i).map(|m| m.hpa)).collect()
 }
 
-/// `Kernel::mem_refresh` as a loop over the pages: the reference the
-/// leaf-slice sweep is held to.
+/// `Kernel::mem_refresh` into a dense image, as a loop over the pages:
+/// the reference the leaf-slice sweep is held to.
 fn refresh_per_page(
     k: &Kernel,
     ctx: CompCtx,
@@ -752,7 +750,7 @@ fn refresh_per_page(
     image: &mut [u8],
     seen: &mut [u64],
 ) -> Option<usize> {
-    let frames = frames_per_page(k, ctx, addr, image.len(), seen.len(), false)?;
+    let frames = frames_per_page(k, ctx, addr, seen.len(), false)?;
     let mut copied = 0;
     for ((dst, seen), hpa) in image.chunks_exact_mut(4096).zip(seen).zip(frames) {
         let gen = k.machine.mem.frame_gen(hpa);
@@ -765,7 +763,7 @@ fn refresh_per_page(
     Some(copied)
 }
 
-/// `Kernel::mem_restore` as a loop over the pages.
+/// `Kernel::mem_restore` from a dense image, as a loop over the pages.
 fn restore_per_page(
     k: &mut Kernel,
     ctx: CompCtx,
@@ -773,7 +771,7 @@ fn restore_per_page(
     image: &[u8],
     seen: &mut [u64],
 ) -> Option<usize> {
-    let frames = frames_per_page(k, ctx, addr, image.len(), seen.len(), true)?;
+    let frames = frames_per_page(k, ctx, addr, seen.len(), true)?;
     let mut written = 0;
     for ((src, seen), hpa) in image.chunks_exact(4096).zip(seen).zip(frames) {
         if k.machine.mem.frame_gen(hpa) != *seen {
@@ -900,11 +898,14 @@ impl Twins {
         a
     }
 
-    /// `mem_refresh` against its reference from the same image and
-    /// table: the same return value, image bytes and `seen`.
+    /// `mem_refresh`, each page it hands out copied into `image`,
+    /// against its reference from the same image and table: the same
+    /// return value, image bytes and `seen`.
     fn refresh(&self, page: u64, image: &mut [u8], seen: &mut [u64]) -> Option<usize> {
         let (mut image2, mut seen2) = (image.to_vec(), seen.to_vec());
-        let got = self.ks[0].mem_refresh(self.child, page << 12, image, seen);
+        let got = self.ks[0].mem_refresh(self.child, page << 12, seen, |i, bytes| {
+            image[i * 4096..(i + 1) * 4096].copy_from_slice(bytes)
+        });
         let want = refresh_per_page(&self.ks[1], self.child, page << 12, &mut image2, &mut seen2);
         assert_eq!(
             (got, &*seen),
@@ -915,12 +916,16 @@ impl Twins {
         got
     }
 
-    /// `mem_restore` against its reference: the same return value,
-    /// `seen` and memory.
+    /// `mem_restore` from `image` as a checkpoint holds it — a page of
+    /// zeros absent — against its reference from the dense image: the
+    /// same return value, `seen` and memory.
     fn restore(&mut self, page: u64, image: &[u8], seen: &mut [u64]) -> Option<usize> {
         let mut seen2 = seen.to_vec();
         let [k, r] = &mut self.ks;
-        let got = k.mem_restore(self.child, page << 12, image, seen);
+        let got = k.mem_restore(self.child, page << 12, seen, |i| {
+            let page = &image[i * 4096..(i + 1) * 4096];
+            page.iter().any(|&b| b != 0).then_some(page)
+        });
         let want = restore_per_page(r, self.child, page << 12, image, &mut seen2);
         assert_eq!(
             (got, &*seen),
@@ -952,6 +957,11 @@ fn window_sweeps_refuse_holes_and_read_only_pages_untouched() {
         assert_eq!(t.refresh(page, &mut image, &mut seen), whole);
         t.fill(page + 1, 1, 0x50);
         assert_eq!(t.refresh(page, &mut image, &mut seen), whole.map(|_| 1));
+        // Only the last run moves, behind runs that did not; a page
+        // turns to zeros, which the restore below finds absent.
+        t.fill(page + pages - 1, 1, 0x58);
+        t.fill(page + 2, 1, 0);
+        assert_eq!(t.refresh(page, &mut image, &mut seen), whole.map(|_| 2));
         t.fill(page, pages, 0x60);
         let before = t.memory();
         assert_eq!(t.restore(page, &image, &mut seen), whole);

@@ -5,10 +5,11 @@
 //! run, the guest makes forward progress after the restore, and a
 //! co-resident VM never notices. The remaining tests walk the
 //! escalation ladder (resume → cold reboot → mark failed), cross the
-//! recovery with a simultaneous disk-server crash, and pin checkpoint
-//! determinism (same seed ⇒ byte-identical checkpoints). The last
-//! three try to break the coherence rule of the checkpoint image
-//! (DESIGN.md §6i): root's blob is refreshed in place from the frames
+//! recovery with a simultaneous disk-server crash, pin checkpoint
+//! determinism (same seed ⇒ byte-identical checkpoints), and kill the
+//! VMM or the disk server at fixed points and at seeded random cycles.
+//! The coherence tests try to break the rule of the checkpoint image
+//! (DESIGN.md §6e): root's blob is refreshed in place from the frames
 //! whose write generation moved, and must always equal a from-scratch
 //! capture.
 
@@ -19,7 +20,8 @@ use nova_guest::pvdiskload::{self, PvDiskLoadParams};
 use nova_guest::rt::layout;
 use nova_hw::fault::{FaultKind, FaultPlan};
 use nova_trace::{cat, names, Tracer};
-use nova_user::root::{RootPm, LEVEL_COLD, LEVEL_FAILED, LEVEL_RESUME};
+use nova_user::root::{RespawnError, RootPm, LEVEL_COLD, LEVEL_FAILED, LEVEL_RESUME};
+use nova_vmm::checkpoint::View;
 use nova_vmm::vmm::sel;
 use nova_vmm::{Checkpoint, GuestImage, LaunchOptions, MicrorebootRecipe, System, Vmm, VmmConfig};
 use nova_x86::insn::{AluOp, Cond};
@@ -558,13 +560,13 @@ fn checkpoints_byte_identical_across_same_seed_runs() {
     assert_eq!(a, b, "same seed, same checkpoint, byte for byte");
 }
 
-/// Pins the `NOVACKPT` v4 byte layout: the whole blob of one cadence
+/// Pins the `NOVACKPT` v5 byte layout: the whole blob of one cadence
 /// tick taken while a PV descriptor is in flight (so the pending-request
-/// records are in it) hashes to the constant recorded when version 4
-/// dropped the vAHCI's in-flight slot mask. A change to what is
-/// serialized, or in which order, moves it. The length is version 2's
-/// at this tick less the 21 statistic words (6 `VmmStats`, 6 vAHCI, 8
-/// PV queue, `VPit::ticks`) v3 took out and the mask's 4 bytes.
+/// records are in it) hashes to the constant recorded when version 5
+/// made the image sparse. A change to what is serialized, or in which
+/// order, moves it. The length is the 32-byte header and page count,
+/// five stored pages of the 1,024 with their index entries, and the
+/// records behind them — version 4's 675 bytes, unchanged.
 #[test]
 fn checkpoint_layout_is_pinned() {
     let mut sys = pv_system(SMALL_GUEST, CKPT_PERIOD);
@@ -588,44 +590,188 @@ fn checkpoint_layout_is_pinned() {
         });
         (blob.len(), fnv)
     });
-    assert_eq!(len, 4_195_179 - 21 * 8 - 4);
+    assert_eq!(len, 32 + 5 * (4 + 4096) + 675);
     assert_eq!(
-        fnv, 0xacef_9bb8_1fae_4c40,
-        "NOVACKPT v4 bytes moved: {fnv:#018x}"
+        fnv, 0xcbeb_81e6_72ae_efd4,
+        "NOVACKPT v5 bytes moved: {fnv:#018x}"
     );
 }
 
-/// Slow crash-matrix sweep (set `NOVA_SLOW_TESTS=1`): kill the VMM at
-/// a grid of points through the workload; every run must complete with
-/// correct data and exactly one restore.
+// ---------------------------------------------------------------------
+// Crashes anywhere: fixed points and seeded random cycles
+// ---------------------------------------------------------------------
+
+/// The component a crash kills.
+#[derive(Clone, Copy, Debug)]
+enum Victim {
+    Vmm,
+    DiskServer,
+}
+
+/// When a crash hits.
+#[derive(Clone, Copy, Debug)]
+enum When {
+    /// Once this many PV requests have completed and a checkpoint
+    /// exists.
+    Completions(u64),
+    /// At the first slice boundary at or past this simulated cycle.
+    Cycle(u64),
+}
+
+/// Slice the crash runs advance by; the invariants are asked after each.
+const SLICE: u64 = 100_000;
+
+/// The PV workload with the integrity witness beside it.
+fn witnessed_system() -> System {
+    let mut sys = microreboot_system();
+    sys.add_vm(VmmConfig::full_virt(image(witness_guest()), 1024));
+    sys
+}
+
+/// What the crash-free run of [`witnessed_system`] leaves and when:
+/// the PV buffers, the cycle by which the first checkpoint exists, and
+/// the cycle the guest shuts down at.
+struct Reference {
+    buffers: Vec<u8>,
+    first_capture: u64,
+    end: u64,
+}
+
+fn witnessed_reference() -> Reference {
+    let mut sys = witnessed_system();
+    let mut first_capture = None;
+    loop {
+        let out = sys.run(Some(SLICE));
+        if sys.k.counters.checkpoints_taken > 0 {
+            first_capture.get_or_insert(sys.k.machine.clock);
+        }
+        if out == RunOutcome::Shutdown(0) {
+            break;
+        }
+        assert_eq!(out, RunOutcome::Budget);
+    }
+    Reference {
+        buffers: sys.k.machine.mem.read_bytes(pv_buf_host(0), 8 * 4096),
+        first_capture: first_capture.expect("a checkpoint before shutdown"),
+        end: sys.k.machine.clock,
+    }
+}
+
+/// Kills `victim` at `when` in the witnessed system, runs it to
+/// shutdown — asking `check_invariants` after every slice, before and
+/// after the crash — and checks that nobody could tell: the PV buffers
+/// equal the crash-free run's and the backing store, the workload's
+/// begin and end marks appear once each (it resumed, not rebooted), the
+/// killed component restarted exactly once and nothing else did, and
+/// the witness finished with correct checksums.
+fn crash_and_recover(victim: Victim, when: When, reference: &Reference) {
+    let what = format!("{victim:?} killed at {when:?}");
+    let mut sys = witnessed_system();
+    loop {
+        let clock = sys.k.machine.clock;
+        let budget = match when {
+            When::Completions(n) => {
+                let checkpointed = with_sup(&mut sys, |sup| sup.last_checkpoint.is_some());
+                if pv_completions(&mut sys) >= n && checkpointed {
+                    break;
+                }
+                SLICE
+            }
+            When::Cycle(at) if clock >= at => break,
+            When::Cycle(at) => (at - clock).min(SLICE),
+        };
+        let out = sys.run(Some(budget));
+        assert_eq!(out, RunOutcome::Budget, "{what}: finished before the crash");
+        assert_sound(&sys);
+    }
+    let (pd, code) = match victim {
+        Victim::Vmm => (sys.microreboot_vmm().expect("vmm").1, VMM_CRASH_CODE),
+        Victim::DiskServer => {
+            let root = sys.root;
+            let rp = sys.k.component_mut::<RootPm>(root).expect("root pm");
+            let srv = rp.supervision.as_ref().expect("disk supervision");
+            (srv.srv_ctx.pd, 0xdead)
+        }
+    };
+    sys.k.pd_fault(pd, code);
+    loop {
+        let out = sys.run(Some(SLICE));
+        assert_sound(&sys);
+        if out == RunOutcome::Shutdown(0) {
+            break;
+        }
+        assert_eq!(out, RunOutcome::Budget, "{what}");
+    }
+
+    let got = sys.k.machine.mem.read_bytes(pv_buf_host(0), 8 * 4096);
+    assert!(
+        got == reference.buffers,
+        "{what}: the crash-free run's bytes"
+    );
+    let sectors = (BLOCK / 512) as u64;
+    let disk = (24..32u64).flat_map(|req| (0..sectors).map(move |s| req * sectors + s));
+    let expect: Vec<u8> = disk.flat_map(|s| sys.k.machine.ahci().sector(s)).collect();
+    assert!(got == expect, "{what}: the backing store's bytes");
+    let marks = sys.k.machine.marks().iter().map(|&(_, v)| v);
+    let diskload: Vec<u32> = marks.filter(|&v| v == 0x1000 || v == 0x1001).collect();
+    assert_eq!(diskload, [0x1000, 0x1001], "{what}: resumed, not rebooted");
+    let c = &sys.k.counters;
+    let restarts = (c.vmm_restarts, c.driver_restarts, c.escalations);
+    let expect = match victim {
+        Victim::Vmm => (1, 0, 0),
+        Victim::DiskServer => (0, 1, 0),
+    };
+    assert_eq!(
+        restarts, expect,
+        "{what}: (VMM, disk server) restarts, escalations"
+    );
+    let witness = witness_marks(&sys);
+    let checksums: Vec<u32> = (0..WITNESS_ITERS).map(witness_checksum).collect();
+    assert_eq!(witness, checksums, "{what}: the sibling VM");
+}
+
+/// The fixed points the seeded sweep below generalises: each component
+/// killed after 1, 4, 8, 12, 16 and 24 of the 32 requests completed.
 #[test]
 fn crash_matrix_sweep() {
-    if std::env::var("NOVA_SLOW_TESTS").is_err() {
-        eprintln!("skipping crash matrix (set NOVA_SLOW_TESTS=1 to run)");
-        return;
+    let reference = witnessed_reference();
+    for victim in [Victim::Vmm, Victim::DiskServer] {
+        for n in [1, 4, 8, 12, 16, 24] {
+            crash_and_recover(victim, When::Completions(n), &reference);
+        }
     }
-    let reference = crash_free_reference();
-    for completions_before_crash in [1u64, 4, 8, 12, 16, 24] {
-        let mut sys = microreboot_system();
-        run_until(&mut sys, |s| {
-            pv_completions(s) >= completions_before_crash
-                && with_sup(s, |sup| sup.last_checkpoint.is_some())
-        });
-        let (_, vmm_pd) = sys.microreboot_vmm().expect("supervised vmm");
-        sys.k.pd_fault(vmm_pd, VMM_CRASH_CODE);
-        let out = sys.run(Some(BUDGET));
-        assert_eq!(
-            out,
-            RunOutcome::Shutdown(0),
-            "crash after {completions_before_crash} completions recovered"
-        );
-        assert_eq!(sys.k.counters.vmm_restarts, 1);
-        let got = sys.k.machine.mem.read_bytes(pv_buf_host(0), 8 * 4096);
-        assert_eq!(
-            got, reference,
-            "byte-identical data (crash at {completions_before_crash})"
-        );
+}
+
+/// Kills `victim` at a cycle drawn, per seed, uniformly between the
+/// crash-free run's first checkpoint and 90 % of its length: 4 seeds,
+/// or 64 with `NOVA_SLOW_TESTS` set.
+fn random_cycle_sweep(victim: Victim) {
+    let reference = witnessed_reference();
+    let (from, to) = (reference.first_capture, reference.end / 10 * 9);
+    assert!(from < to, "a checkpoint early in the run");
+    let seeds = if std::env::var_os("NOVA_SLOW_TESTS").is_some() {
+        64
+    } else {
+        4
+    };
+    for seed in 0..seeds {
+        // SplitMix64 of the seed and the arm.
+        let mut z = (seed + 1 + ((victim as u64) << 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        let at = from + (z ^ (z >> 31)) % (to - from);
+        crash_and_recover(victim, When::Cycle(at), &reference);
     }
+}
+
+#[test]
+fn random_cycle_vmm_crash_recovers() {
+    random_cycle_sweep(Victim::Vmm);
+}
+
+#[test]
+fn random_cycle_disk_server_crash_recovers() {
+    random_cycle_sweep(Victim::DiskServer);
 }
 
 // ---------------------------------------------------------------------
@@ -975,6 +1121,58 @@ fn foreign_or_missing_blob_is_recaptured_in_full() {
     assert_eq!(tick(&mut sys), Some(1), "and the table still describes it");
 }
 
+/// A checkpoint in the previous format — version 4's dense image, with
+/// the records of root's own version-5 blob behind it — swapped into
+/// root before the VMM dies: every revive at the resume rung refuses it
+/// as corrupt (a typed error, not a misparse), and once the rung's
+/// attempts are spent the ladder climbs to a cold reboot, which runs the
+/// workload to completion from the start.
+#[test]
+fn a_version_4_blob_is_refused_and_climbs_to_a_cold_reboot() {
+    let mut sys = microreboot_system();
+    run_until(&mut sys, |s| {
+        pv_completions(s) >= 8 && with_sup(s, |sup| sup.last_checkpoint.is_some())
+    });
+    let v5 = with_sup(&mut sys, |sup| sup.last_checkpoint.clone()).expect("checkpoint");
+    let ck = Checkpoint::from_bytes(&v5).expect("parses");
+    let stored = u32::from_le_bytes(v5[28..32].try_into().expect("page count")) as usize;
+    let mut v4 = b"NOVACKPT".to_vec();
+    v4.extend(4u32.to_le_bytes());
+    v4.extend(ck.seq.to_le_bytes());
+    v4.extend((ck.guest_mem.len() as u64).to_le_bytes());
+    v4.extend(&ck.guest_mem);
+    v4.extend(&v5[32 + stored * (4 + 4096)..]);
+    swap_in(&mut sys, Some(v4));
+
+    let (_, pd) = sys.microreboot_vmm().expect("supervised vmm");
+    sys.k.pd_fault(pd, VMM_CRASH_CODE);
+    let mut errors = Vec::new();
+    while with_sup(&mut sys, |sup| sup.restarts) < 1 {
+        assert_eq!(sys.run(Some(10_000)), RunOutcome::Budget);
+        if let Some(e) = with_sup(&mut sys, |sup| sup.last_error) {
+            if errors.last() != Some(&e) {
+                errors.push(e);
+            }
+        }
+    }
+    assert_eq!(errors, [RespawnError::State("corrupt checkpoint")]);
+    with_sup(&mut sys, |sup| {
+        assert_eq!((sup.level, sup.restarts), (LEVEL_COLD, 1));
+        assert!(sup.last_checkpoint.is_none(), "the refused blob is dropped");
+    });
+    assert_eq!(sys.k.counters.escalations, 1);
+    assert_sound(&sys);
+
+    assert_eq!(sys.run(Some(BUDGET)), RunOutcome::Shutdown(0));
+    let marks: Vec<u32> = sys.k.machine.marks().iter().map(|&(_, v)| v).collect();
+    assert_eq!(
+        marks.iter().filter(|&&v| v == 0x1000).count(),
+        2,
+        "rebooted"
+    );
+    assert_eq!(marks.iter().filter(|&&v| v == 0x1001).count(), 1);
+}
+
 /// Has root handle the supervised VMM's death at the resume rung, here
 /// and now, from the checkpoint it holds; nothing runs afterwards, so
 /// what the caller then reads is what the revive left.
@@ -1071,6 +1269,22 @@ fn restore_is_coherent(pages: u64) {
             window(&sys) == image(&mut sys),
             "guest RAM equals the image"
         );
+        if scribble {
+            // The spare pages are zeros, so the image does not store
+            // them; the crash scribbled over them, and they read zeros
+            // again.
+            let absent = with_sup(&mut sys, |sup| {
+                let blob = sup.last_checkpoint.as_ref().expect("checkpoint");
+                let view = View::parse(blob).expect("parses");
+                (spare..spare + 4).all(|p| view.page(p as usize).is_none())
+            });
+            assert!(absent, "the image stores no spare page");
+            let spares = sys.k.machine.mem.read_bytes(base + spare * 4096, 4 * 4096);
+            assert!(
+                spares.iter().all(|&b| b == 0),
+                "absent pages restored as zeros"
+            );
+        }
         assert_eq!(tick(&mut sys), Some(0), "the restore recorded its writes");
     }
 
