@@ -79,6 +79,19 @@ pub enum Hypercall {
         /// Destination selector.
         dst: CapSel,
     },
+    /// Sets a portal's memory receive window — the pages of the
+    /// handler's space a typed item sent through the portal may land
+    /// in: item page `hot` at `base + hot`, and every page of the item
+    /// below `base + count`. Only the domain of the portal's handler
+    /// may set it; `count == 0` closes the window.
+    PtWindow {
+        /// The portal.
+        pt: CapSel,
+        /// First page of the window in the handler's space.
+        base: u64,
+        /// Window size in pages.
+        count: u64,
+    },
     /// Creates a semaphore.
     CreateSm {
         /// Initial count.
@@ -290,6 +303,7 @@ impl Hypercall {
             Hypercall::AssignDev { .. } => 22,
             Hypercall::WatchdogArm { .. } => 23,
             Hypercall::WatchdogPet => 24,
+            Hypercall::PtWindow { .. } => 25,
         }
     }
 }

@@ -32,7 +32,7 @@ use crate::obj::{
     Portal, PtId, Sc, ScId, Semaphore, SmId, VmPaging, LEAF_ENTRIES,
 };
 use crate::sched::Scheduler;
-use crate::utcb::{Utcb, VmExitMsg, XferItem};
+use crate::utcb::{Utcb, VmExitMsg};
 use crate::vtlb::{self, CrOutcome, ShadowCache, VtlbOutcome};
 
 /// Component handle.
@@ -116,6 +116,14 @@ pub const HV_MEM: u64 = 16 << 20;
 /// enough for any realistic RAM range (64 GB of 4 KB pages), small
 /// enough that a hostile count cannot stall the kernel walking it.
 const MAX_RANGE_PAGES: u64 = 1 << 24;
+
+/// Selectors a capability may be installed at: a capability table grows
+/// to the selector it is given, so a hostile one must not size it.
+const MAX_SEL: CapSel = 1 << 16;
+
+/// Longest timer period or watchdog deadline (about a day at 3 GHz):
+/// a longer one could run the clock past what it counts.
+const MAX_PERIOD: Cycles = 1 << 48;
 
 /// Why [`Kernel::run`] returned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -687,6 +695,17 @@ impl Kernel {
         let ee = self.machine.cost.syscall_entry_exit;
         self.charge_kernel(ee);
         let caller = ctx.pd;
+        if let Hypercall::CreatePd { dst, .. }
+        | Hypercall::CreateEc { dst, .. }
+        | Hypercall::CreateSc { dst, .. }
+        | Hypercall::CreatePt { dst, .. }
+        | Hypercall::CreateSm { dst, .. }
+        | Hypercall::DelegateCap { hot: dst, .. } = &hc
+        {
+            if *dst >= MAX_SEL {
+                return Err(HcErr::BadParam);
+            }
+        }
         match hc {
             Hypercall::CreatePd { name, vm, dst } => {
                 self.charge_quota(caller)?;
@@ -846,6 +865,19 @@ impl Kernel {
                         perms: Perms::CALL.union(Perms::DELEGATE),
                     },
                 );
+                Ok(HcReply::Ok)
+            }
+            Hypercall::PtWindow { pt, base, count } => {
+                let ObjRef::Pt(pt) = self.lookup(caller, pt, Perms::NONE)?.obj else {
+                    return Err(HcErr::BadCap);
+                };
+                if self.obj.ec(self.obj.pt(pt).ec).pd != caller {
+                    return Err(HcErr::NotOwner);
+                }
+                if count > MAX_RANGE_PAGES || base.checked_add(count).is_none() {
+                    return Err(HcErr::BadParam);
+                }
+                self.obj.windows.insert(pt, (base, count));
                 Ok(HcReply::Ok)
             }
             Hypercall::CreateSm { count, dst } => {
@@ -1020,6 +1052,9 @@ impl Kernel {
             }
             Hypercall::SetTimer { sm, period } => {
                 let sm_id = self.lookup_sm(caller, sm, Perms::UP)?;
+                if period > MAX_PERIOD {
+                    return Err(HcErr::BadParam);
+                }
                 self.timers.retain(|t| t.sm != sm_id);
                 if period > 0 {
                     self.timers.push(KernelTimer {
@@ -1044,6 +1079,9 @@ impl Kernel {
             Hypercall::WatchdogArm { pd, sm, timeout } => {
                 let target = self.lookup_pd(caller, pd, Perms::CTRL)?;
                 let sm_id = self.lookup_sm(caller, sm, Perms::UP)?;
+                if timeout > MAX_PERIOD {
+                    return Err(HcErr::BadParam);
+                }
                 self.watchdogs.retain(|w| w.pd != target);
                 if timeout > 0 {
                     self.watchdogs.push(Watchdog {
@@ -1081,10 +1119,15 @@ impl Kernel {
         self.live(to)?;
         // Hostile ranges: a count that wraps the page-number space (or
         // one sized to stall the kernel walking it) is a parameter
-        // error, not a loop.
+        // error, not a loop. Nor may pages run past what the receiver
+        // reaches: a VM's nested table (past it they would be mirrored
+        // at a truncated guest-physical address), any space the pages a
+        // byte address can name.
+        let reach = self.nested.get(&to).map(|t| t.fmt);
+        let reach = reach.map_or(u64::MAX, |f| f.page_size_at(f.levels())) / PAGE_SIZE as u64;
         if count > MAX_RANGE_PAGES
             || base.checked_add(count).is_none()
-            || hot.checked_add(count).is_none()
+            || hot.checked_add(count).is_none_or(|end| end > reach)
         {
             return Err(HcErr::BadParam);
         }
@@ -1682,9 +1725,10 @@ impl Kernel {
         self.charge_ipc(one_way);
         self.counters.ipc_calls += 1;
 
-        // Typed items: delegation from caller to handler. A refused
-        // item fails the call before the handler runs.
-        if let Err(e) = self.move_xfer(caller_pd, handler_pd, utcb) {
+        // Typed items: delegation from caller to handler, into the
+        // portal's receive window. A refused item fails the call before
+        // the handler runs.
+        if let Err(e) = self.move_xfer(caller_pd, handler_pd, pt, utcb) {
             self.trace_emit_span(caller_pd.0 as u16, TraceKind::IpcCall, portal_id, false);
             return Err(e);
         }
@@ -1700,51 +1744,40 @@ impl Kernel {
         self.with_component(comp, |c, k| c.on_call(k, hctx, portal_id, utcb));
         self.obj.ec_mut(handler_ec).busy = false;
 
-        // Reply-direction accounting and delegations.
+        // Reply-direction accounting. A reply carries no typed items:
+        // the caller named no window for them.
         let words = utcb.len_words() as u64;
         let reply_cost = cost.syscall_entry_exit
             + cost.ipc_path
             + if cross { cost.ipc_tlb_effects } else { 0 }
             + words * cost.ipc_per_word;
         self.charge_ipc(reply_cost);
-        let replied = self.move_xfer(handler_pd, caller_pd, utcb);
+        utcb.xfer.clear();
         self.trace_emit_span(caller_pd.0 as u16, TraceKind::IpcCall, portal_id, false);
-        replied
+        Ok(())
     }
 
-    /// Applies and consumes the UTCB's typed items. Taking the buffer
-    /// (rather than draining into a fresh Vec) keeps the common
-    /// zero-item call allocation-free; it is handed back emptied on
-    /// success and on refusal alike, so the next message — the
-    /// handler's reply, the caller's retry — reuses its capacity.
-    fn move_xfer(&mut self, from: PdId, to: PdId, utcb: &mut Utcb) -> Result<(), HcErr> {
-        let mut items: Vec<XferItem> = std::mem::take(&mut utcb.xfer);
-        let moved = if items.is_empty() {
-            Ok(())
-        } else {
-            self.apply_xfer(from, to, &items)
-        };
+    /// Delegates and consumes the UTCB's typed items, each into the
+    /// receive window `(first page, pages)` of `to` that portal `pt`
+    /// has: item page `hot` lands at `first + hot`, and an item that does
+    /// not end inside the window — or any item, without one — is
+    /// refused. Taking the buffer (rather than draining into a fresh
+    /// Vec) keeps the common zero-item call allocation-free; it is
+    /// handed back emptied on success and on refusal alike, so the
+    /// caller's next message reuses its capacity.
+    fn move_xfer(&mut self, from: PdId, to: PdId, pt: PtId, utcb: &mut Utcb) -> Result<(), HcErr> {
+        let mut items = std::mem::take(&mut utcb.xfer);
+        let moved = items.iter().try_for_each(|i| {
+            let window = self.obj.windows.get(&pt).copied();
+            let (first, pages) = window.ok_or(HcErr::BadParam)?;
+            if i.hot.checked_add(i.count).is_none_or(|end| end > pages) {
+                return Err(HcErr::BadParam);
+            }
+            self.delegate_mem(from, to, i.base, i.count, i.rights, first + i.hot)
+        });
         items.clear();
         utcb.xfer = items;
         moved
-    }
-
-    fn apply_xfer(&mut self, from: PdId, to: PdId, items: &[XferItem]) -> Result<(), HcErr> {
-        for item in items {
-            match *item {
-                XferItem::Mem {
-                    base,
-                    count,
-                    rights,
-                    hot,
-                } => self.delegate_mem(from, to, base, count, rights, hot)?,
-                XferItem::Io { base, count } => self.delegate_io(from, to, base, count)?,
-                XferItem::Cap { sel, perms, hot } => {
-                    self.delegate_cap(from, to, sel, perms, hot)?
-                }
-            }
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -2849,6 +2882,7 @@ fn uniform_chunk(ms: &MemSpace, page: u64, cp: u64) -> Option<MemMapping> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::utcb::XferItem;
     use nova_hw::machine::MachineConfig;
 
     fn kernel() -> Kernel {
@@ -3081,6 +3115,78 @@ mod tests {
         k.hypercall(ctx, Hypercall::DestroyPd { pd: 0x30 }).unwrap();
     }
 
+    /// A VM's pages stop where its nested table stops reaching: 2^36
+    /// pages under EPT, 2^20 under NPT; any other domain's where a byte
+    /// address stops. One page past it is refused; it used to be
+    /// mirrored at a truncated guest-physical address, where
+    /// `check_invariants` found a leaf the space does not hold, and to
+    /// overflow the byte address its teardown computes.
+    #[test]
+    fn delegation_into_a_vm_stops_at_its_nested_tables_reach() {
+        use nova_x86::paging::NestedFormat;
+        let mut k = kernel();
+        let (comp, ec) = k.load_component(k.root_pd, 0, Box::<Doubler>::default());
+        let ctx = root_ctx(&k, ec, comp);
+        for (dst, fmt) in [
+            (0x40, Some(NestedFormat::Ept4Level)),
+            (0x41, Some(NestedFormat::Npt2Level)),
+            (0x42, None),
+        ] {
+            let vm = Hypercall::CreatePd {
+                name: "vm".into(),
+                vm: fmt.map(VmPaging::Nested),
+                dst,
+            };
+            k.hypercall(ctx, vm).unwrap();
+            let bytes = fmt.map_or(u64::MAX, |f| f.page_size_at(f.levels()));
+            let reach = bytes / PAGE_SIZE as u64;
+            let into = |hot| Hypercall::DelegateMem {
+                dst_pd: dst,
+                base: 0x100,
+                count: 1,
+                rights: MemRights::RW,
+                hot,
+            };
+            assert_eq!(k.hypercall(ctx, into(reach)), Err(HcErr::BadParam));
+            k.hypercall(ctx, into(reach - 1)).unwrap();
+            assert_eq!(k.check_invariants(), Ok(()), "{fmt:?}");
+            k.hypercall(ctx, Hypercall::DestroyPd { pd: dst }).unwrap();
+        }
+    }
+
+    /// A capability table grows to the selector it is given: one past
+    /// `MAX_SEL` is refused before anything is made, where a wild one
+    /// used to resize the table (`capacity overflow`, or gigabytes).
+    #[test]
+    fn a_selector_past_the_table_bound_is_refused() {
+        let mut k = kernel();
+        let (comp, ec) = k.load_component(k.root_pd, 0, Box::<Doubler>::default());
+        let ctx = root_ctx(&k, ec, comp);
+        let (pds, sms) = (k.obj.pds.len(), k.obj.sms.len());
+        for dst in [MAX_SEL, usize::MAX - 1] {
+            let create = Hypercall::CreateSm { count: 0, dst };
+            assert_eq!(k.hypercall(ctx, create), Err(HcErr::BadParam));
+            let pd = Hypercall::CreatePd {
+                name: "pd".into(),
+                vm: None,
+                dst,
+            };
+            assert_eq!(k.hypercall(ctx, pd), Err(HcErr::BadParam));
+        }
+        assert_eq!((k.obj.pds.len(), k.obj.sms.len()), (pds, sms));
+        k.hypercall(ctx, Hypercall::CreateSm { count: 0, dst: 5 })
+            .unwrap();
+        let delegate = |hot| Hypercall::DelegateCap {
+            dst_pd: SEL_SELF_PD,
+            sel: 5,
+            perms: Perms::ALL,
+            hot,
+        };
+        assert_eq!(k.hypercall(ctx, delegate(usize::MAX)), Err(HcErr::BadParam));
+        k.hypercall(ctx, delegate(MAX_SEL - 1)).unwrap();
+        assert_eq!(k.check_invariants(), Ok(()));
+    }
+
     #[test]
     fn portal_call_roundtrip_with_accounting() {
         let mut k = kernel();
@@ -3129,7 +3235,12 @@ mod tests {
         assert_eq!(k.component_mut::<Doubler>(comp).unwrap().calls, 1);
     }
 
-    /// Root with a [`Doubler`] behind portal selector 101 (id 7).
+    /// First page and size of the receive window of [`root_with_portal`]'s
+    /// portal: above the 32 MB of RAM, so nothing is mapped there.
+    const WINDOW: (u64, u64) = (0x9_0000, 0x10);
+
+    /// Root with a [`Doubler`] behind portal selector 101 (id 7), whose
+    /// receive window is [`WINDOW`].
     fn root_with_portal() -> (Kernel, CompCtx) {
         let mut k = kernel();
         let (comp, ec) = k.load_component(k.root_pd, 0, Box::<Doubler>::default());
@@ -3142,16 +3253,22 @@ mod tests {
                 perms: Perms::ALL,
             },
         );
-        k.hypercall(
-            ctx,
+        let (base, count) = WINDOW;
+        for hc in [
             Hypercall::CreatePt {
                 ec: 100,
                 mtd: 0,
                 id: 7,
                 dst: 101,
             },
-        )
-        .unwrap();
+            Hypercall::PtWindow {
+                pt: 101,
+                base,
+                count,
+            },
+        ] {
+            k.hypercall(ctx, hc).unwrap();
+        }
         (k, ctx)
     }
 
@@ -3193,7 +3310,7 @@ mod tests {
     /// hypercalls take: a range that wraps the page-number space…
     #[test]
     fn hostile_typed_mem_item_rejected() {
-        let item = XferItem::Mem {
+        let item = XferItem {
             base: 0x100,
             count: 4,
             rights: MemRights::RW,
@@ -3202,14 +3319,88 @@ mod tests {
         refuse_typed_item(item, HcErr::BadParam);
     }
 
-    /// …and one that runs off the end of the port space.
+    /// …and an item lands at its offset inside the portal's receive
+    /// window, never where the sender would put it: one page past the
+    /// last is refused, as is any item at all through a portal without
+    /// a window. A reply carries no item back.
     #[test]
-    fn hostile_typed_io_item_rejected() {
-        let item = XferItem::Io {
-            base: 0xfff0,
-            count: 0x20,
+    fn typed_items_land_only_inside_the_portals_receive_window() {
+        let (base, pages) = WINDOW;
+        let item = |hot, count| XferItem {
+            base: 0x100,
+            count,
+            rights: MemRights::RW,
+            hot,
         };
-        refuse_typed_item(item, HcErr::BadParam);
+        refuse_typed_item(item(pages - 1, 2), HcErr::BadParam);
+        refuse_typed_item(item(pages, 1), HcErr::BadParam);
+
+        let (mut k, ctx) = root_with_portal();
+        let mut utcb = Utcb::new();
+        utcb.xfer.push(item(pages - 2, 2));
+        k.ipc_call(ctx, 101, &mut utcb).unwrap();
+        let root = &k.obj.pd(k.root_pd).mem;
+        let hpa = |p| root.lookup(p).map(|m| m.hpa);
+        assert_eq!(hpa(base + pages - 2), Some(0x100 * PAGE_SIZE as u64));
+        assert_eq!(hpa(base + pages - 1), Some(0x101 * PAGE_SIZE as u64));
+        assert!(utcb.xfer.is_empty(), "no item comes back with the reply");
+
+        k.hypercall(
+            ctx,
+            Hypercall::PtWindow {
+                pt: 101,
+                base,
+                count: 0,
+            },
+        )
+        .unwrap();
+        let mut utcb = Utcb::new();
+        utcb.xfer.push(item(0, 1));
+        assert_eq!(k.ipc_call(ctx, 101, &mut utcb), Err(HcErr::BadParam));
+        assert_eq!(k.check_invariants(), Ok(()));
+    }
+
+    /// The window is the receiver's to name: a domain holding the
+    /// portal to call it is refused, and a window that wraps the page
+    /// numbers or is too large to walk is a parameter error.
+    #[test]
+    fn only_the_handlers_domain_sets_a_receive_window() {
+        let (mut k, ctx) = root_with_portal();
+        let pd = Hypercall::CreatePd {
+            name: "client".into(),
+            vm: None,
+            dst: 0x30,
+        };
+        k.hypercall(ctx, pd).unwrap();
+        let call_only = Hypercall::DelegateCap {
+            dst_pd: 0x30,
+            sel: 101,
+            perms: Perms::CALL,
+            hot: 0x20,
+        };
+        k.hypercall(ctx, call_only).unwrap();
+        let client = CompCtx {
+            pd: PdId(k.obj.pds.len() - 1),
+            ..ctx
+        };
+        let window = |pt, base, count| Hypercall::PtWindow { pt, base, count };
+        assert_eq!(
+            k.hypercall(client, window(0x20, 0, 1 << 20)),
+            Err(HcErr::NotOwner)
+        );
+        assert_eq!(k.hypercall(client, window(0x21, 0, 1)), Err(HcErr::BadCap));
+        assert_eq!(k.hypercall(ctx, window(100, 0, 1)), Err(HcErr::BadCap));
+        for (base, count) in [(u64::MAX, 2), (0, MAX_RANGE_PAGES + 1)] {
+            let wild = window(101, base, count);
+            assert_eq!(k.hypercall(ctx, wild), Err(HcErr::BadParam));
+        }
+        let portal = |k: &Kernel| match k.obj.pd(k.root_pd).caps.get(101).unwrap().obj {
+            ObjRef::Pt(pt) => k.obj.windows.get(&pt).copied(),
+            _ => unreachable!(),
+        };
+        assert_eq!(portal(&k), Some(WINDOW), "refusals leave the window");
+        k.hypercall(ctx, window(101, 7, 3)).unwrap();
+        assert_eq!(portal(&k), Some((7, 3)));
     }
 
     #[test]
@@ -3218,11 +3409,11 @@ mod tests {
         // The last page of RAM is hypervisor memory: root holds no
         // mapping of it to delegate.
         let foreign = (32 << 20) / PAGE_SIZE as u64 - 1;
-        let item = XferItem::Mem {
+        let item = XferItem {
             base: foreign,
             count: 1,
             rights: MemRights::RW,
-            hot: 0x9_0000,
+            hot: 0,
         };
         let (mut k, ctx, request, mut utcb) = refuse_typed_item(item, HcErr::NotOwner);
         k.ipc_call(ctx, 101, &mut utcb).unwrap();
@@ -3565,6 +3756,22 @@ mod tests {
         )
         .unwrap();
         assert!(k.watchdogs.is_empty());
+
+        // A deadline or period past `MAX_PERIOD` is refused: it used to
+        // overflow the clock arithmetic (a debug panic; in release the
+        // deadline wrapped and the watchdog fired at once).
+        let arm = |timeout| Hypercall::WatchdogArm {
+            pd: 0x12,
+            sm: 0x11,
+            timeout,
+        };
+        let timer = |period| Hypercall::SetTimer { sm: 0x11, period };
+        for hc in [arm(MAX_PERIOD + 1), arm(u64::MAX), timer(u64::MAX)] {
+            assert_eq!(k.hypercall(ctx, hc), Err(HcErr::BadParam));
+        }
+        assert!(k.watchdogs.is_empty() && k.timers.is_empty());
+        k.hypercall(ctx, arm(MAX_PERIOD)).unwrap();
+        k.hypercall(ctx, timer(MAX_PERIOD)).unwrap();
     }
 
     #[test]

@@ -602,6 +602,12 @@ pub struct Objects {
     pub pts: Vec<Portal>,
     /// Semaphores.
     pub sms: Vec<Semaphore>,
+    /// Memory receive windows `(first page, pages)` in the handler's
+    /// space of the portals that have one, set by
+    /// [`Hypercall::PtWindow`](crate::Hypercall::PtWindow): where typed
+    /// items sent through the portal land. A portal without one accepts
+    /// none.
+    pub windows: BTreeMap<PtId, (u64, u64)>,
 }
 
 impl Objects {

@@ -1,58 +1,40 @@
 //! User thread control blocks and IPC message formats.
 //!
 //! Messages are a bounded array of untyped words plus optional typed
-//! *transfer items* that delegate resources during the IPC
-//! (Section 6). For VM-exit messages the UTCB carries the guest state
-//! selected by the portal's message transfer descriptor — the
-//! optimization of Section 5.2 that minimizes VMREADs.
+//! *transfer items* that delegate memory during a call (Section 6),
+//! into the receive window of the portal called. For VM-exit messages
+//! the UTCB carries the guest state selected by the portal's message
+//! transfer descriptor — the optimization of Section 5.2 that minimizes
+//! VMREADs.
 
 use nova_hw::vmx::{ExitReason, Injection};
 use nova_x86::reg::Regs;
 
-use crate::cap::{CapSel, Perms};
 use crate::obj::MemRights;
 
 /// Maximum untyped words per message. Sized so a full disk batch —
 /// [`MAX_BATCH`](../../nova_user/proto/disk/constant.MAX_BATCH.html)
 /// single-segment entries of 8 words (op, lba, sectors, tag, trace
-/// context, segment count, segment address/length) plus the 2-word
-/// header — fits in one UTCB with room to spare. Real NOVA UTCBs
+/// context, segment count, segment address/length) plus the count word
+/// — fits in one UTCB with room to spare. Real NOVA UTCBs
 /// carry up to a page of untyped words; the cost model charges per
 /// word actually sent, so the cap is a safety bound, not a tax.
 pub const MAX_WORDS: usize = 128;
 
-/// A typed item delegating a resource during IPC.
+/// A typed item: memory pages delegated during a call — `count` pages
+/// starting at sender page number `base`, appearing at page `hot` of
+/// the called portal's receive window onward (the receiver picks where
+/// the window lies, the sender only where in it).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum XferItem {
-    /// Delegate memory pages: `count` pages starting at sender page
-    /// number `base`, appearing at receiver page `hot` onward.
-    Mem {
-        /// Sender page number.
-        base: u64,
-        /// Number of pages.
-        count: u64,
-        /// Rights ceiling for the delegation.
-        rights: MemRights,
-        /// Receiver page number where the pages appear.
-        hot: u64,
-    },
-    /// Delegate I/O ports `base..base+count`.
-    Io {
-        /// First port.
-        base: u16,
-        /// Number of ports.
-        count: u16,
-    },
-    /// Delegate a capability from sender selector `sel` to receiver
-    /// selector `hot` with permissions masked by `perms`.
-    Cap {
-        /// Sender selector.
-        sel: CapSel,
-        /// Permission ceiling.
-        perms: Perms,
-        /// Receiver selector.
-        hot: CapSel,
-    },
+pub struct XferItem {
+    /// Sender page number.
+    pub base: u64,
+    /// Number of pages.
+    pub count: u64,
+    /// Rights ceiling for the delegation.
+    pub rights: MemRights,
+    /// Page offset inside the receive window.
+    pub hot: u64,
 }
 
 /// Guest-state message for VM-exit portals. `mtd` marks which field
@@ -158,20 +140,22 @@ mod tests {
         u.set_msg(&big);
         assert_eq!(u.len_words(), MAX_WORDS);
 
-        // A full disk batch — 8 entries of 8 words plus the 2-word
-        // header — fits without truncation.
-        let batch = vec![0u64; 2 + 8 * 8];
+        // A full disk batch — the count and 8 entries of 8 words — fits
+        // without truncation.
+        let batch = vec![0u64; 1 + 8 * 8];
         u.set_msg(&batch);
-        assert_eq!(u.len_words(), 66);
+        assert_eq!(u.len_words(), 65);
     }
 
     #[test]
     fn clear_resets() {
         let mut u = Utcb::new();
         u.set_msg(&[7]);
-        u.xfer.push(XferItem::Io {
+        u.xfer.push(XferItem {
             base: 0x60,
             count: 1,
+            rights: MemRights::RW,
+            hot: 0,
         });
         u.vm = Some(VmExitMsg::new(
             ExitReason::Hlt { len: 1 },

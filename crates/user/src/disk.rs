@@ -1,17 +1,19 @@
 //! The disk server: a deprivileged user-level driver for the AHCI
 //! controller (Sections 4 and 7.3, Figure 4).
 //!
-//! Clients (virtual-machine monitors) register a channel — a shared
-//! completion-ring page plus a completion semaphore — then submit
-//! requests through the request portal, delegating the DMA buffer
-//! pages with the message into the client's own window
-//! ([`proto::window_base`]). The server programs the physical
-//! controller; the device DMAs *directly into the delegated pages*
-//! through the IOMMU, so the server never copies payload data and can
-//! only reach memory explicitly delegated to it — and for a request,
-//! only the requesting client's window, never another client's or its
-//! own command memory. On the completion interrupt the server writes a
-//! record into the client's ring and signals the client's semaphore.
+//! Each client (a virtual-machine monitor's vAHCI or PV channel) calls
+//! a portal of its own, which root created in the server's domain: the
+//! portal id names the client, and the portal's receive window is the
+//! client's window ([`proto::window_base`]) below the page where root
+//! mapped the client's completion ring; the client delegates its DMA
+//! buffer pages into it with its requests. The server programs the
+//! physical controller; the device
+//! DMAs *directly into the delegated pages* through the IOMMU, so the
+//! server never copies payload data and can only reach memory
+//! explicitly delegated to it — and for a request, only the calling
+//! client's window, never another client's or its own command memory.
+//! On the completion interrupt the server writes a record into the
+//! client's ring and signals the completion semaphore root granted it.
 //!
 //! A per-client outstanding-request bound implements the
 //! denial-of-service throttling of Section 4.2.
@@ -82,14 +84,14 @@ const MAX_ISSUE_ATTEMPTS: u32 = 3;
 /// legitimate latency (seek plus the largest transfer).
 const REQUEST_TIMEOUT: Cycles = 4_000_000;
 
+#[derive(Clone, Copy, Default)]
 struct Client {
     ring_head: u32,
     outstanding: usize,
-    /// A detached client's slot stays allocated (ring page and window
-    /// are positional) but completions are dropped instead of written
-    /// into a ring a dead VMM no longer reads, and registration may
-    /// reuse the slot for the client's next incarnation.
-    active: bool,
+    /// The VMM incarnation behind the client died: its requests are
+    /// refused and its completions dropped instead of written into a
+    /// ring nobody reads, until root wires the client again.
+    detached: bool,
 }
 
 #[derive(Clone, Copy)]
@@ -114,7 +116,7 @@ struct Request {
 /// The disk-server component.
 pub struct DiskServer {
     cfg: DiskServerConfig,
-    clients: Vec<Client>,
+    clients: [Client; proto::MAX_CLIENTS],
     queue: VecDeque<Request>,
     inflight: Option<Request>,
     issued_at: Cycles,
@@ -127,7 +129,7 @@ impl DiskServer {
     pub fn new(cfg: DiskServerConfig) -> DiskServer {
         DiskServer {
             cfg,
-            clients: Vec::new(),
+            clients: [Client::default(); proto::MAX_CLIENTS],
             queue: VecDeque::new(),
             inflight: None,
             issued_at: 0,
@@ -252,14 +254,13 @@ impl DiskServer {
 
         // Completion record into the client's shared ring page
         // (Figure 4, step 7's shared-memory channel). A detached
-        // client's completion is dropped: its ring page may already
-        // back the next incarnation's channel, and its semaphore
-        // capability died with it.
-        if let Some(c) = self.clients.get_mut(req.client).filter(|c| c.active) {
+        // client's completion is dropped: it belongs to a VMM that is
+        // gone, and the window's ring page to whichever one is next.
+        if let Some(c) = self.clients.get_mut(req.client).filter(|c| !c.detached) {
             c.outstanding = c.outstanding.saturating_sub(1);
             let slot = c.ring_head as usize % proto::RING_RECORDS;
             c.ring_head = c.ring_head.wrapping_add(1);
-            let ring_va = proto::ring_page(req.client) * 4096;
+            let ring_va = (proto::window_base(req.client) + proto::RING_WINDOW_PAGE) * 4096;
             let rec = ring_va + slot as u64 * 16;
             k.mem_write_u32(ctx, rec, req.tag as u32);
             k.mem_write_u32(ctx, rec + 4, status);
@@ -280,9 +281,10 @@ impl DiskServer {
     /// Parses and validates one request body
     /// `(op, lba, sectors, tag, ctx, nsegs, (addr, bytes) × nsegs)`
     /// starting at word `at` of `utcb`, on behalf of `client`. Returns
-    /// the request and the number of words consumed, or `None` when
-    /// the body is malformed or a segment touches memory outside the
-    /// client's window or not delegated.
+    /// the request — its segments moved into the client's window — and
+    /// the number of words consumed, or `None` when the body is
+    /// malformed or a segment touches memory outside the client's
+    /// window or not delegated.
     fn parse_request(
         &self,
         k: &Kernel,
@@ -297,7 +299,7 @@ impl DiskServer {
         let tag = utcb.word(at + 3);
         let rctx = utcb.word(at + 4);
         let nsegs = utcb.word(at + 5) as usize;
-        if !self.clients.get(client).is_some_and(|c| c.active)
+        if self.clients.get(client).is_none_or(|c| c.detached)
             || sectors == 0
             || sectors as u64 > proto::MAX_SECTORS
             || (op != proto::OP_READ && op != proto::OP_WRITE)
@@ -306,7 +308,7 @@ impl DiskServer {
         {
             return None;
         }
-        let window = proto::window_base(client)..proto::window_base(client) + proto::WINDOW_PAGES;
+        let window = proto::window_base(client) * 4096;
         let mut segs = [(0u64, 0u32); proto::MAX_SEGMENTS];
         let mut total = 0u64;
         for (i, seg) in segs.iter_mut().take(nsegs).enumerate() {
@@ -315,14 +317,15 @@ impl DiskServer {
             if bytes == 0 || bytes > proto::MAX_SECTORS * SECTOR as u64 {
                 return None;
             }
-            // Every page the segment touches must lie in the client's
-            // own window — not another client's, not the server's
-            // command memory — and be delegated.
-            let last = addr.checked_add(bytes - 1)? >> 12;
-            if !window.contains(&(addr >> 12)) || !window.contains(&last) {
+            // `addr` is an offset into the caller's window, which the
+            // segment must not leave for its ring page or beyond —
+            // another client's window, the server's command memory —
+            // and every page it touches must be delegated.
+            if addr.checked_add(bytes)? > proto::RING_WINDOW_PAGE * 4096 {
                 return None;
             }
-            for p in (addr >> 12)..=last {
+            let addr = window + addr;
+            for p in (addr >> 12)..=((addr + bytes - 1) >> 12) {
                 k.obj.pd(ctx.pd).mem.lookup(p)?;
             }
             *seg = (addr, bytes as u32);
@@ -378,19 +381,26 @@ impl DiskServer {
     }
 
     /// Detaches a client whose owner (VMM incarnation) died: queued
-    /// requests are dropped, any in-flight command finishes against a
-    /// suppressed ring, and the slot becomes reusable by the next
-    /// registration. Called by root's supervisor before it revives the
-    /// VMM, so stale completions can never corrupt the successor's
-    /// ring.
-    pub fn detach_client(&mut self, client: u64) {
-        let id = client as usize;
-        if let Some(c) = self.clients.get_mut(id) {
-            c.active = false;
-            c.outstanding = 0;
-            c.ring_head = 0;
+    /// requests are dropped, and any in-flight command finishes against
+    /// a suppressed ring until [`DiskServer::attach_client`]. Called by
+    /// root's supervisor before it revives the VMM, so stale
+    /// completions can never corrupt the successor's ring.
+    pub fn detach_client(&mut self, client: usize) {
+        if let Some(c) = self.clients.get_mut(client) {
+            *c = Client {
+                detached: true,
+                ..Client::default()
+            };
         }
-        self.queue.retain(|r| r.client != id);
+        self.queue.retain(|r| r.client != client);
+    }
+
+    /// Serves `client` from a fresh ring again: root wired it to the
+    /// next VMM incarnation.
+    pub fn attach_client(&mut self, client: usize) {
+        if let Some(c) = self.clients.get_mut(client) {
+            *c = Client::default();
+        }
     }
 
     /// Periodic self-check: heartbeat plus recovery of requests whose
@@ -498,46 +508,12 @@ impl Component for DiskServer {
     }
 
     fn on_call(&mut self, k: &mut Kernel, ctx: CompCtx, portal_id: u64, utcb: &mut Utcb) {
-        match portal_id {
-            proto::PORTAL_REGISTER => {
-                if utcb.len_words() == 0 {
-                    // Phase 1: allocate the channel, preferring a
-                    // detached slot (so supervised VMM incarnations do
-                    // not exhaust the client table). The reply word is
-                    // the client id, so "full" is the one id no server
-                    // can ever hand out.
-                    if let Some((id, c)) =
-                        self.clients.iter_mut().enumerate().find(|(_, c)| !c.active)
-                    {
-                        c.ring_head = 0;
-                        c.outstanding = 0;
-                        c.active = true;
-                        utcb.set_msg(&[id as u64]);
-                        return;
-                    }
-                    let id = self.clients.len();
-                    if id >= proto::MAX_CLIENTS {
-                        utcb.set_msg(&[u64::MAX]);
-                        return;
-                    }
-                    self.clients.push(Client {
-                        ring_head: 0,
-                        outstanding: 0,
-                        active: true,
-                    });
-                    utcb.set_msg(&[id as u64]);
-                } else {
-                    // Phase 2: the ring page and semaphore capability
-                    // arrived as transfer items (already applied by the
-                    // kernel at the documented selectors/pages).
-                    let id = utcb.word(0) as usize;
-                    let ok = self.clients.get(id).is_some_and(|c| c.active);
-                    utcb.set_msg(&[if ok { proto::OK } else { proto::EINVAL }]);
-                }
-            }
+        // The caller is the client root created the portal for
+        // (`proto::portal_id`); nothing in the message says who it is.
+        let client = (portal_id >> 8) as usize;
+        match portal_id & 0xff {
             proto::PORTAL_REQUEST => {
-                let client = utcb.word(0) as usize;
-                let Some((req, _)) = self.parse_request(k, ctx, utcb, 1, client) else {
+                let Some((req, _)) = self.parse_request(k, ctx, utcb, 0, client) else {
                     utcb.set_msg(&[proto::EINVAL]);
                     return;
                 };
@@ -549,16 +525,12 @@ impl Component for DiskServer {
                 utcb.set_msg(&[proto::OK]);
             }
             proto::PORTAL_BATCH => {
-                let client = utcb.word(0) as usize;
-                let count = utcb.word(1) as usize;
-                if !self.clients.get(client).is_some_and(|c| c.active)
-                    || count == 0
-                    || count > proto::MAX_BATCH
-                {
+                let count = utcb.word(0) as usize;
+                if count == 0 || count > proto::MAX_BATCH {
                     utcb.set_msg(&[proto::EINVAL, 0]);
                     return;
                 }
-                let mut at = 2;
+                let mut at = 1;
                 let mut accepted = 0u64;
                 let mut status = proto::OK;
                 for _ in 0..count {
@@ -621,7 +593,7 @@ mod tests {
     use nova_core::cap::Perms;
     use nova_core::obj::MemRights;
     use nova_core::utcb::XferItem;
-    use nova_core::{KernelConfig, RunOutcome};
+    use nova_core::{HcErr, KernelConfig, RunOutcome};
     use nova_hw::machine::{Machine, MachineConfig};
 
     use crate::root::{
@@ -648,17 +620,22 @@ mod tests {
         }
     }
 
+    /// Channels of slot 0: client 0 calls the request portal, client 1
+    /// the batch portal.
+    const AHCI: usize = 0;
+    const PV: usize = 1;
+
     struct Setup {
         k: Kernel,
-        server_portal_reg: CapSel,
-        server_portal_req: CapSel,
-        server_portal_req_batch: CapSel,
+        srv_ctx: CompCtx,
         client_ctx: CompCtx,
         client_comp: nova_core::CompId,
     }
 
-    /// Boots root + disk server + a test client wired the way the
-    /// system builder does it.
+    /// Boots root + disk server + a test client wired at slot 0 the way
+    /// `System::build` wires a VMM: the client's pages 1 and 2 as the
+    /// two completion rings, root's completion semaphore, the server's
+    /// `UP` on it, the client's `DOWN`.
     fn setup() -> Setup {
         let m = Machine::new(MachineConfig::core_i7(64 << 20));
         let mut k = Kernel::new(m, KernelConfig::default());
@@ -669,19 +646,24 @@ mod tests {
         // The server, from the recipe the system builder boots it from.
         let recipe = DiskRecipe::new(DiskServerConfig::standard(), k.machine.dev.ahci);
         let mut ops = RootOps::new(&mut k, root_ctx);
-        let srv_sel = ops.alloc_sel();
+        let (srv_sel, cl_sel, done) = (ops.alloc_sel(), ops.alloc_sel(), ops.alloc_sel());
         let srv_ctx = spawn_disk_server(&mut k, root_ctx, srv_sel, &recipe).unwrap();
 
         // Client PD with some memory.
-        let mut ops = RootOps::new(&mut k, root_ctx);
-        let cl_sel = ops.alloc_sel();
         let client_ram = Grant::Mem {
             base: 0x400,
             count: 64,
             rights: MemRights::RW_DMA,
             hot: 0,
         };
+        let mut ops = RootOps::new(&mut k, root_ctx);
         let cl_pd = ops.provision("client", cl_sel, &[client_ram]).unwrap();
+        ops.hc(Hypercall::CreateSm {
+            count: 0,
+            dst: done,
+        })
+        .unwrap();
+        ops.grant_cap(cl_sel, done, Perms::DOWN, 0x40).unwrap();
         let (client_comp, client_ec) = k.load_component(cl_pd, 0, Box::<TestClient>::default());
         k.start_component(client_comp, client_ec);
         let client_ctx = CompCtx {
@@ -690,25 +672,26 @@ mod tests {
             comp: client_comp,
         };
 
-        // The server delegates its portals to the client through a
-        // root-granted PD capability, which it does not hold yet.
-        k.hypercall(
-            srv_ctx,
-            Hypercall::DelegateCap {
-                dst_pd: 0x30,
-                sel: 0x20,
-                perms: Perms::CALL,
-                hot: 0x20,
-            },
-        )
-        .expect_err("server has no client PD capability yet");
+        // Root wires the client, with the server's identity where the
+        // server delegates; the server holds no client PD capability
+        // before it.
+        let portal = Hypercall::DelegateCap {
+            dst_pd: 0x30,
+            sel: 0x20,
+            perms: Perms::CALL,
+            hot: 0x20,
+        };
+        k.hypercall(srv_ctx, portal)
+            .expect_err("no client PD capability");
         let srv = DiskServerRef {
             sel: srv_sel,
             ctx: srv_ctx,
         };
-        wire_disk_client(&mut k, root_ctx, srv, cl_sel, 0).unwrap();
+        wire_disk_client(&mut k, root_ctx, srv, cl_sel, 0, done, 0x401, 2).unwrap();
 
-        // Client needs an SC so completion signals can run.
+        // Client binds the completion semaphore and needs an SC so
+        // completion signals can run.
+        k.bind_sm(client_ctx, 0x40).unwrap();
         k.hypercall(
             client_ctx,
             Hypercall::CreateSc {
@@ -722,109 +705,73 @@ mod tests {
 
         Setup {
             k,
-            server_portal_reg: proto::CLIENT_SEL_REG,
-            server_portal_req: proto::CLIENT_SEL_REQ,
-            server_portal_req_batch: proto::CLIENT_SEL_BATCH,
+            srv_ctx,
             client_ctx,
             client_comp,
         }
     }
 
-    /// Registers the client channel: completion semaphore + ring page.
-    fn register(s: &mut Setup) -> u64 {
-        // Client creates its completion semaphore and binds to it.
-        s.k.hypercall(
-            s.client_ctx,
-            Hypercall::CreateSm {
-                count: 0,
-                dst: 0x40,
-            },
-        )
-        .unwrap();
-        s.k.hypercall(s.client_ctx, Hypercall::SmBind { sm: 0x40 })
-            .unwrap();
-
+    /// Calls `channel`'s portal with `msg` and `items`.
+    fn call(s: &mut Setup, channel: usize, msg: &[u64], items: &[XferItem]) -> Result<Utcb, HcErr> {
         let mut utcb = Utcb::new();
-        s.k.ipc_call(s.client_ctx, s.server_portal_reg, &mut utcb)
-            .unwrap();
-        let client_id = utcb.word(0);
-
-        // Delegate ring page (client page 1) and the semaphore.
-        let mut utcb = Utcb::new();
-        utcb.set_msg(&[client_id]);
-        utcb.xfer.push(XferItem::Mem {
-            base: 1,
-            count: 1,
-            rights: MemRights::RW,
-            hot: proto::ring_page(client_id as usize),
-        });
-        utcb.xfer.push(XferItem::Cap {
-            sel: 0x40,
-            perms: Perms::UP,
-            hot: proto::client_sm_sel(client_id as usize),
-        });
-        s.k.ipc_call(s.client_ctx, s.server_portal_reg, &mut utcb)
-            .unwrap();
-        client_id
+        utcb.set_msg(msg);
+        utcb.xfer.extend_from_slice(items);
+        let (_, sel) = proto::CHANNELS[channel];
+        s.k.ipc_call(s.client_ctx, sel, &mut utcb)?;
+        Ok(utcb)
     }
 
-    /// Page `page` of `client`'s window.
-    fn window(client: u64, page: u64) -> u64 {
-        proto::window_base(client as usize) + page
+    /// Client pages 8.. delegated at window page `page` onward.
+    fn buffer(page: u64, pages: u64) -> XferItem {
+        XferItem {
+            base: 8,
+            count: pages,
+            rights: MemRights::RW_DMA,
+            hot: page,
+        }
     }
 
-    fn submit_read(s: &mut Setup, client: u64, lba: u64, sectors: u32, window: u64) -> u64 {
-        let mut utcb = Utcb::new();
+    /// A read of `sectors` from `lba` into the client's buffer at
+    /// window page `page`; the server's status.
+    fn submit_read(s: &mut Setup, lba: u64, sectors: u32, page: u64) -> u64 {
         let bytes = sectors as u64 * SECTOR as u64;
-        utcb.set_msg(&[
-            client,
+        let msg = [
             proto::OP_READ,
             lba,
             sectors as u64,
             99,
             0,
             1,
-            window * 4096,
+            page * 4096,
             bytes,
-        ]);
-        // Delegate client pages 8.. as the DMA window.
-        let pages = bytes.div_ceil(4096);
-        utcb.xfer.push(XferItem::Mem {
-            base: 8,
-            count: pages,
-            rights: MemRights::RW_DMA,
-            hot: window,
-        });
-        s.k.ipc_call(s.client_ctx, s.server_portal_req, &mut utcb)
-            .unwrap();
-        utcb.word(0)
+        ];
+        let items = [buffer(page, bytes.div_ceil(4096))];
+        call(s, AHCI, &msg, &items).unwrap().word(0)
+    }
+
+    fn signals(s: &mut Setup) -> u64 {
+        let comp = s.client_comp;
+        s.k.component_mut::<TestClient>(comp).unwrap().signals
     }
 
     #[test]
     fn read_end_to_end() {
         let mut s = setup();
-        let client = register(&mut s);
-        let status = submit_read(&mut s, client, 100, 8, window(client, 0));
-        assert_eq!(status, proto::OK);
+        assert_eq!(submit_read(&mut s, 100, 8, 0), proto::OK);
 
         // Run until the completion interrupt is processed.
         let out = s.k.run(Some(100_000_000));
         assert_eq!(out, RunOutcome::Idle);
 
         // Client got its signal.
-        assert_eq!(
-            s.k.component_mut::<TestClient>(s.client_comp)
-                .unwrap()
-                .signals,
-            1
-        );
+        assert_eq!(signals(&mut s), 1);
         // Data landed in the client's pages (8..) — compare with the
         // disk's deterministic pattern for LBA 100.
         let mut got = [0u8; 16];
         s.k.mem_read_into(s.client_ctx, 8 * 4096, &mut got).unwrap();
         let expect = s.k.machine.ahci().sector(100);
         assert_eq!(got[..], expect[..16]);
-        // Ring record written: tag 99, status 0.
+        // Ring record written into client page 1: tag 99, status 0.
         let rec = s.k.mem_read_u32(s.client_ctx, 4096).unwrap();
         assert_eq!(rec, 99);
         let c = &s.k.counters;
@@ -834,13 +781,11 @@ mod tests {
     #[test]
     fn queueing_and_throttling() {
         let mut s = setup();
-        let client = register(&mut s);
         // Submit more than MAX_OUTSTANDING requests back to back.
         let mut ok = 0;
         let mut busy = 0;
         for i in 0..(proto::MAX_OUTSTANDING + 3) {
-            let status = submit_read(&mut s, client, i as u64, 1, window(client, i as u64));
-            match status {
+            match submit_read(&mut s, i as u64, 1, i as u64) {
                 proto::OK => ok += 1,
                 proto::EBUSY => busy += 1,
                 other => panic!("unexpected status {other}"),
@@ -850,65 +795,31 @@ mod tests {
         assert_eq!(busy, 3, "channel throttled (Section 4.2)");
 
         s.k.run(Some(1_000_000_000));
-        let c = &s.k.counters;
-        assert_eq!(c.disk_ops, proto::MAX_OUTSTANDING as u64);
-        assert_eq!(
-            s.k.component_mut::<TestClient>(s.client_comp)
-                .unwrap()
-                .signals,
-            proto::MAX_OUTSTANDING as u64
-        );
+        assert_eq!(s.k.counters.disk_ops, proto::MAX_OUTSTANDING as u64);
+        assert_eq!(signals(&mut s), proto::MAX_OUTSTANDING as u64);
     }
 
     #[test]
     fn invalid_requests_rejected() {
         let mut s = setup();
-        let client = register(&mut s);
-        let at = window(client, 0) * 4096;
+        let mut status = |msg: &[u64]| call(&mut s, AHCI, msg, &[]).unwrap().word(0);
         // Zero sectors.
-        let mut utcb = Utcb::new();
-        utcb.set_msg(&[client, proto::OP_READ, 0, 0, 1, 0, 1, at, 512]);
-        s.k.ipc_call(s.client_ctx, s.server_portal_req, &mut utcb)
-            .unwrap();
-        assert_eq!(utcb.word(0), proto::EINVAL);
+        assert_eq!(
+            status(&[proto::OP_READ, 0, 0, 1, 0, 1, 0, 512]),
+            proto::EINVAL
+        );
         // Window page never delegated.
-        let mut utcb = Utcb::new();
-        utcb.set_msg(&[
-            client,
-            proto::OP_READ,
-            0,
-            8,
-            1,
-            0,
-            1,
-            at + 0x40_0000,
-            8 * 512,
-        ]);
-        s.k.ipc_call(s.client_ctx, s.server_portal_req, &mut utcb)
-            .unwrap();
-        assert_eq!(utcb.word(0), proto::EINVAL, "undelegated window refused");
-        // Unknown client id.
-        let mut utcb = Utcb::new();
-        utcb.set_msg(&[77, proto::OP_READ, 0, 1, 1, 0, 1, at, 512]);
-        s.k.ipc_call(s.client_ctx, s.server_portal_req, &mut utcb)
-            .unwrap();
-        assert_eq!(utcb.word(0), proto::EINVAL);
+        let undelegated = [proto::OP_READ, 0, 8, 1, 0, 1, 0x40_0000, 8 * 512];
+        assert_eq!(status(&undelegated), proto::EINVAL, "undelegated page");
         // Segment lengths that do not cover the transfer.
-        let mut utcb = Utcb::new();
-        utcb.set_msg(&[client, proto::OP_READ, 0, 8, 1, 0, 1, at, 512]);
-        s.k.ipc_call(s.client_ctx, s.server_portal_req, &mut utcb)
-            .unwrap();
-        assert_eq!(utcb.word(0), proto::EINVAL, "short scatter list refused");
+        let short = [proto::OP_READ, 0, 8, 1, 0, 1, 0, 512];
+        assert_eq!(status(&short), proto::EINVAL, "short scatter list");
         // Too many segments.
-        let mut msg = vec![client, proto::OP_READ, 0, 9, 1, 0, 9];
+        let mut msg = vec![proto::OP_READ, 0, 9, 1, 0, 9];
         for i in 0..9u64 {
-            msg.extend_from_slice(&[at + i * 512, 512]);
+            msg.extend_from_slice(&[i * 512, 512]);
         }
-        let mut utcb = Utcb::new();
-        utcb.set_msg(&msg);
-        s.k.ipc_call(s.client_ctx, s.server_portal_req, &mut utcb)
-            .unwrap();
-        assert_eq!(utcb.word(0), proto::EINVAL, "segment bound enforced");
+        assert_eq!(status(&msg), proto::EINVAL, "segment bound enforced");
     }
 
     /// A scatter-gather read whose segments start at odd in-page
@@ -917,35 +828,11 @@ mod tests {
     #[test]
     fn scatter_gather_with_unaligned_segments() {
         let mut s = setup();
-        let client = register(&mut s);
-        let window = window(client, 0);
         // 8 sectors split across two segments at offsets 512 and 256
-        // of two different window pages.
-        let seg_a = window * 4096 + 512;
-        let seg_b = (window + 1) * 4096 + 256;
-        let mut utcb = Utcb::new();
-        utcb.set_msg(&[
-            client,
-            proto::OP_READ,
-            42,
-            8,
-            7,
-            0,
-            2,
-            seg_a,
-            2048,
-            seg_b,
-            2048,
-        ]);
-        utcb.xfer.push(XferItem::Mem {
-            base: 8,
-            count: 2,
-            rights: MemRights::RW_DMA,
-            hot: window,
-        });
-        s.k.ipc_call(s.client_ctx, s.server_portal_req, &mut utcb)
-            .unwrap();
-        assert_eq!(utcb.word(0), proto::OK);
+        // of window pages 0 and 1.
+        let msg = [proto::OP_READ, 42, 8, 7, 0, 2, 512, 2048, 4096 + 256, 2048];
+        let reply = call(&mut s, AHCI, &msg, &[buffer(0, 2)]).unwrap();
+        assert_eq!(reply.word(0), proto::OK);
         s.k.run(Some(100_000_000));
 
         // First half of the transfer at client page 8 offset 512,
@@ -964,70 +851,48 @@ mod tests {
     }
 
     /// One batched call submits a full channel's worth of requests and
-    /// a follow-up batch is refused with the accepted-prefix count.
+    /// a follow-up batch is refused with the accepted-prefix count. The
+    /// batch portal is client 1's: its pages and its ring go to client
+    /// 1's window, whatever client 0's holds.
     #[test]
     fn batched_submission_fills_channel_in_one_call() {
         let mut s = setup();
-        let client = register(&mut s);
-        let mut msg = vec![client, proto::MAX_BATCH as u64];
-        let mut utcb = Utcb::new();
+        let mut msg = vec![proto::MAX_BATCH as u64];
+        let mut items = Vec::new();
         for i in 0..proto::MAX_BATCH as u64 {
-            let page = window(client, i);
-            msg.extend_from_slice(&[proto::OP_READ, 10 + i, 1, i, 0, 1, page * 4096, 512]);
-            utcb.xfer.push(XferItem::Mem {
+            msg.extend_from_slice(&[proto::OP_READ, 10 + i, 1, i, 0, 1, i * 4096, 512]);
+            items.push(XferItem {
                 base: 8 + i,
                 count: 1,
                 rights: MemRights::RW_DMA,
-                hot: page,
+                hot: i,
             });
         }
-        utcb.set_msg(&msg);
-        s.k.ipc_call(s.client_ctx, s.server_portal_req_batch, &mut utcb)
-            .unwrap();
-        assert_eq!(utcb.word(0), proto::OK);
-        assert_eq!(
-            utcb.word(1),
-            proto::MAX_BATCH as u64,
-            "all entries accepted"
-        );
+        let reply = call(&mut s, PV, &msg, &items).unwrap();
+        assert_eq!(reply.word(0), proto::OK);
+        assert_eq!(reply.word(1), proto::MAX_BATCH as u64, "all accepted");
+        let held = |s: &Setup, page| s.k.obj.pd(s.srv_ctx.pd).mem.lookup(page).is_some();
+        assert!(held(&s, proto::window_base(PV)) && !held(&s, proto::window_base(AHCI)));
 
         // The channel is full now: another batch accepts nothing.
-        let mut utcb = Utcb::new();
-        utcb.set_msg(&[
-            client,
-            1,
-            proto::OP_READ,
-            99,
-            1,
-            77,
-            0,
-            1,
-            window(client, 0) * 4096,
-            512,
-        ]);
-        s.k.ipc_call(s.client_ctx, s.server_portal_req_batch, &mut utcb)
-            .unwrap();
-        assert_eq!(utcb.word(0), proto::EBUSY);
-        assert_eq!(utcb.word(1), 0);
+        let full = [1, proto::OP_READ, 99, 1, 77, 0, 1, 0, 512];
+        let reply = call(&mut s, PV, &full, &[]).unwrap();
+        assert_eq!((reply.word(0), reply.word(1)), (proto::EBUSY, 0));
 
         s.k.run(Some(1_000_000_000));
         let c = &s.k.counters;
         assert_eq!((c.disk_ops, c.disk_rejected), (proto::MAX_BATCH as u64, 1));
-        // Every request got its own completion record and signal.
-        assert_eq!(
-            s.k.component_mut::<TestClient>(s.client_comp)
-                .unwrap()
-                .signals,
-            proto::MAX_BATCH as u64
-        );
+        // Every request got its own completion record and signal, in
+        // the PV channel's ring (client page 2).
+        assert_eq!(signals(&mut s), proto::MAX_BATCH as u64);
+        let head = s.k.mem_read_u32(s.client_ctx, 2 * 4096 + 4092).unwrap();
+        assert_eq!(head, proto::MAX_BATCH as u32);
     }
 
     #[test]
     fn dma_confined_to_delegated_window() {
         let mut s = setup();
-        let client = register(&mut s);
-        let window = window(client, 0);
-        submit_read(&mut s, client, 5, 8, window);
+        submit_read(&mut s, 5, 8, 0);
         s.k.run(Some(100_000_000));
         // No IOMMU faults: everything the device touched was delegated.
         assert!(s.k.machine.bus.iommu.faults.is_empty());
@@ -1041,7 +906,7 @@ mod tests {
             },
         )
         .unwrap();
-        let ahci_dev = s.k.machine.dev.ahci;
+        let (ahci_dev, window) = (s.k.machine.dev.ahci, proto::window_base(AHCI));
         assert_eq!(
             s.k.machine
                 .bus
@@ -1052,23 +917,32 @@ mod tests {
         );
     }
 
-    /// A client names only its own window: a page of the next client's
-    /// window — delegated with the very request, so the server holds
-    /// it — and the server's own command table are both refused, and
-    /// the device touches neither.
+    /// A client names only offsets into its own window: a segment that
+    /// runs onto its ring page, past the window into the next client's,
+    /// or wraps the address space is refused, and an item aimed at the
+    /// ring page or past it fails the call before the server runs. The
+    /// device touches nothing.
     #[test]
     fn a_segment_outside_the_clients_window_is_refused() {
         let mut s = setup();
-        let client = register(&mut s);
-        let foreign = window(client + 1, 0);
-        assert_eq!(submit_read(&mut s, client, 5, 8, foreign), proto::EINVAL);
-        let table = CMD_VA + 0x1000;
-        let before = s.k.machine.mem.read_bytes(0x301 * 4096, 4096);
-        let mut utcb = Utcb::new();
-        utcb.set_msg(&[client, proto::OP_READ, 5, 8, 1, 0, 1, table, 4096]);
-        s.k.ipc_call(s.client_ctx, s.server_portal_req, &mut utcb)
-            .unwrap();
-        assert_eq!(utcb.word(0), proto::EINVAL);
+        let ring = proto::RING_WINDOW_PAGE * 4096;
+        for (addr, page) in [
+            (ring - 2048, proto::RING_WINDOW_PAGE - 1),
+            (proto::WINDOW_PAGES * 4096, 0),
+            (u64::MAX - 1023, 1),
+        ] {
+            let msg = [proto::OP_READ, 5, 8, 1, 0, 1, addr, 4096];
+            let reply = call(&mut s, AHCI, &msg, &[buffer(page, 1)]).unwrap();
+            assert_eq!(reply.word(0), proto::EINVAL, "segment at {addr:#x}");
+        }
+        // The ring page is root's to map, and past it the next window.
+        for page in [proto::RING_WINDOW_PAGE, proto::WINDOW_PAGES] {
+            let msg = [proto::OP_READ, 5, 8, 1, 0, 1, 0, 4096];
+            let refused = call(&mut s, AHCI, &msg, &[buffer(page, 1)]).err();
+            assert_eq!(refused, Some(HcErr::BadParam), "item at {page:#x}");
+        }
+        let next = proto::window_base(AHCI + 1);
+        assert!(s.k.obj.pd(s.srv_ctx.pd).mem.lookup(next).is_none());
 
         s.k.run(Some(100_000_000));
         let c = &s.k.counters;
@@ -1076,6 +950,25 @@ mod tests {
         let mut got = [0u8; 4096];
         s.k.mem_read_into(s.client_ctx, 8 * 4096, &mut got).unwrap();
         assert!(got.iter().all(|&b| b == 0), "the client's page untouched");
-        assert_eq!(s.k.machine.mem.read_bytes(0x301 * 4096, 4096), before);
+    }
+
+    /// A detached client is refused and its completions dropped; wired
+    /// again, it is served from a fresh ring.
+    #[test]
+    fn a_detached_client_is_served_again_once_attached() {
+        let mut s = setup();
+        let comp = s.srv_ctx.comp;
+        assert_eq!(submit_read(&mut s, 100, 8, 0), proto::OK);
+        s.k.invoke_component::<DiskServer, _>(comp, |d, _| d.detach_client(AHCI));
+        assert_eq!(submit_read(&mut s, 101, 8, 1), proto::EINVAL);
+        s.k.run(Some(100_000_000));
+        assert_eq!((s.k.counters.disk_ops, signals(&mut s)), (1, 0));
+        assert_eq!(s.k.mem_read_u32(s.client_ctx, 4096 + 4092), Some(0));
+
+        s.k.invoke_component::<DiskServer, _>(comp, |d, _| d.attach_client(AHCI));
+        assert_eq!(submit_read(&mut s, 102, 8, 2), proto::OK);
+        s.k.run(Some(100_000_000));
+        assert_eq!((s.k.counters.disk_ops, signals(&mut s)), (2, 1));
+        assert_eq!(s.k.mem_read_u32(s.client_ctx, 4096), Some(99));
     }
 }

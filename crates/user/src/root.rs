@@ -112,14 +112,23 @@ pub struct DiskServerRef {
     pub ctx: CompCtx,
 }
 
-/// A disk-server client the supervisor rewires after every restart.
+/// A VMM the supervisor rewires to the disk server after every restart.
 #[derive(Clone, Copy, Debug)]
 pub struct SupervisedClient {
     /// Root's capability selector for the client's (VMM's) PD.
     pub vmm_sel: CapSel,
     /// Root's selector for the restart semaphore it signals once the
-    /// respawned server is ready for re-registration.
+    /// respawned server is wired to the VMM.
     pub restart_sm_sel: CapSel,
+    /// Root's selector for the VM's completion semaphore, which the
+    /// server signals.
+    pub done_sm_sel: CapSel,
+    /// Root's page of the VM's first completion ring (the vAHCI's; the
+    /// PV queue's follows).
+    pub rings: u64,
+    /// How many of the VMM's channels (`dproto::CHANNELS`) are wired:
+    /// 2 with the PV queue, 1 without.
+    pub channels: usize,
 }
 
 /// Everything root needs to supervise the disk server: the watchdog
@@ -163,19 +172,11 @@ impl RespawnError {
     }
 }
 
-/// The server's three service portals: selector in the server's own
-/// space, portal id, and the protocol selector each client finds it at.
-const SERVICE_PORTALS: [(CapSel, u64, CapSel); 3] = [
-    (0x20, dproto::PORTAL_REGISTER, dproto::CLIENT_SEL_REG),
-    (0x21, dproto::PORTAL_REQUEST, dproto::CLIENT_SEL_REQ),
-    (0x22, dproto::PORTAL_BATCH, dproto::CLIENT_SEL_BATCH),
-];
-
 /// One incarnation of the disk server at root's selector `srv_sel`:
 /// `CreatePd`, the recipe's grants, the server component loaded and
-/// started, and its service portals created with the server's own
-/// identity. Boot and every respawn attempt run this; the caller owns
-/// `srv_sel` whatever the outcome.
+/// started. Its portals are its clients', made by [`wire_disk_client`].
+/// Boot and every respawn attempt run this; the caller owns `srv_sel`
+/// whatever the outcome.
 pub fn spawn_disk_server(
     k: &mut Kernel,
     ctx: CompCtx,
@@ -185,49 +186,74 @@ pub fn spawn_disk_server(
     let pd = RootOps::new(k, ctx).provision("disk-server", srv_sel, &recipe.grants)?;
     let (comp, ec) = k.load_component(pd, 0, Box::new(DiskServer::new(recipe.cfg)));
     k.start_component(comp, ec);
-    let srv_ctx = CompCtx { pd, ec, comp };
-    for (dst, id, _) in SERVICE_PORTALS {
-        k.hypercall(
-            srv_ctx,
-            Hypercall::CreatePt {
-                ec: SEL_SELF_EC,
-                mtd: 0,
-                id,
-                dst,
-            },
-        )
-        .map_err(RespawnError::step("service portal"))?;
-    }
-    Ok(srv_ctx)
+    Ok(CompCtx { pd, ec, comp })
 }
 
-/// Wires a VMM to the disk server: root hands the server the VMM's PD
-/// capability at its per-client slot, and the server delegates its
-/// three service portals to the protocol selectors in the VMM's space.
-/// Done for every VMM incarnation and for every client of a respawned
-/// server (the old capabilities die with either PD).
+/// Wires VMM slot `slot` to the disk server as its first `channels`
+/// clients ([`dproto::slot_clients`]). Root hands the server the VMM's PD
+/// capability at its per-slot selector and, per client, `UP` on the
+/// VM's completion semaphore `done_sm` at [`dproto::client_sm_sel`].
+/// On the server incarnation's first wiring of a client, root makes its
+/// portal with the server's identity — the id names the client
+/// ([`dproto::portal_id`]), the receive window is the guest part of
+/// the client's window — and maps the client's completion ring, root's
+/// page `rings + i` for channel `i`, at [`dproto::RING_WINDOW_PAGE`].
+/// The server delegates the portal call-only to the channel's selector
+/// in the VMM's space and serves the client from a fresh ring. Done for
+/// every VMM incarnation and for every client of a respawned server
+/// (the old capabilities die with either PD).
+#[allow(clippy::too_many_arguments)]
 pub fn wire_disk_client(
     k: &mut Kernel,
     root_ctx: CompCtx,
     srv: DiskServerRef,
     vmm_sel: CapSel,
     slot: usize,
+    done_sm: CapSel,
+    rings: u64,
+    channels: usize,
 ) -> Result<(), RespawnError> {
     let pd_hot = 0x30 + slot;
     RootOps::new(k, root_ctx)
         .grant_cap(srv.sel, vmm_sel, Perms::ALL, pd_hot)
         .map_err(RespawnError::step("client pd cap"))?;
-    for (from, _, to) in SERVICE_PORTALS {
-        k.hypercall(
-            srv.ctx,
-            Hypercall::DelegateCap {
-                dst_pd: pd_hot,
-                sel: from,
-                perms: Perms::CALL,
-                hot: to,
+    let clients = dproto::slot_clients(slot).zip(dproto::CHANNELS);
+    for (i, (c, (kind, to))) in clients.take(channels).enumerate() {
+        let pt = 0x20 + c;
+        let base = dproto::window_base(c);
+        let fresh = k.obj.pd(srv.ctx.pd).caps.get(pt).is_none();
+        let mut ops = RootOps::new(k, root_ctx);
+        ops.grant_cap(srv.sel, done_sm, Perms::UP, dproto::client_sm_sel(c))
+            .map_err(RespawnError::step("completion sm grant"))?;
+        let ring = base + dproto::RING_WINDOW_PAGE;
+        if fresh {
+            ops.grant_mem(srv.sel, rings + i as u64, 1, MemRights::RW, ring)
+                .map_err(RespawnError::step("completion ring"))?;
+        }
+        let portal = [
+            Hypercall::CreatePt {
+                ec: SEL_SELF_EC,
+                mtd: 0,
+                id: dproto::portal_id(c, kind),
+                dst: pt,
             },
-        )
-        .map_err(RespawnError::step("portal delegation"))?;
+            Hypercall::PtWindow {
+                pt,
+                base,
+                count: dproto::RING_WINDOW_PAGE,
+            },
+        ];
+        let call_only = Hypercall::DelegateCap {
+            dst_pd: pd_hot,
+            sel: pt,
+            perms: Perms::CALL,
+            hot: to,
+        };
+        for hc in portal.into_iter().filter(|_| fresh).chain([call_only]) {
+            k.hypercall(srv.ctx, hc)
+                .map_err(RespawnError::step("client portal"))?;
+        }
+        k.invoke_component::<DiskServer, _>(srv.ctx.comp, |s, _| s.attach_client(c));
     }
     Ok(())
 }
@@ -636,7 +662,7 @@ impl RootPm {
     /// in the IOMMU, the interrupt and the device assignment included —
     /// then the recipe is replayed into a new PD, every client is
     /// rewired, the watchdog re-armed and each client signalled to
-    /// re-register. The supervision record moves to the new selector
+    /// resubmit. The supervision record moves to the new selector
     /// before anything is built there, so what a failed attempt leaves
     /// behind is what the next attempt destroys first.
     fn respawn_disk_server(&mut self, k: &mut Kernel, ctx: CompCtx) -> Result<(), RespawnError> {
@@ -654,7 +680,8 @@ impl RootPm {
             ctx: sup.srv_ctx,
         };
         for (i, c) in sup.clients.iter().enumerate() {
-            wire_disk_client(k, ctx, srv, c.vmm_sel, i)?;
+            let (done, rings) = (c.done_sm_sel, c.rings);
+            wire_disk_client(k, ctx, srv, c.vmm_sel, i, done, rings, c.channels)?;
         }
         k.hypercall(
             ctx,

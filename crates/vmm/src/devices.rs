@@ -18,7 +18,7 @@ use nova_hw::{Cycles, GuestSurface};
 use nova_x86::insn::OpSize;
 
 use crate::checkpoint::{Dec, Enc};
-use crate::diskclient::DiskChannel;
+use crate::diskclient::{Due, Req};
 use crate::pvdisk::{PvDisk, PV_DISK_IRQ};
 use crate::pvnet::PvNet;
 use crate::vahci::VAhci;
@@ -241,31 +241,22 @@ impl VDevices {
         self.raise_disks(ahci, pv)
     }
 
-    /// Disk-server restart: each client registers anew through
-    /// `register(k, is_pv)` — the PV queue is a separate client with
-    /// its own ring — and re-sends what was in flight when the old
-    /// server died. Nothing happens unless the vAHCI's registration
-    /// succeeds.
-    pub fn reconnect_disks(
+    /// Starts both front ends' channels over with a server that holds
+    /// none of their pages and produces into zeroed rings — the PV queue
+    /// is a client of its own — and re-sends what was in flight as
+    /// `verdict` marks it: charged after a disk-server restart
+    /// (`DiskClient::retry`), not after a VMM restore
+    /// (`DiskClient::replay`).
+    pub fn restart_disks(
         &mut self,
         k: &mut Kernel,
         ctx: CompCtx,
-        mut register: impl FnMut(&mut Kernel, bool) -> Option<DiskChannel>,
+        mut verdict: impl FnMut(&mut Kernel, &mut Req) -> Due,
     ) -> bool {
-        let Some(ch) = register(k, false) else {
-            return false;
-        };
-        let ahci = self.vahci.reconnect(k, ctx, ch);
-        let pv = self.pvdisk.enabled()
-            && register(k, true).is_some_and(|ch| self.pvdisk.reconnect(k, ctx, ch));
-        self.raise_disks(ahci, pv)
-    }
-
-    /// VMM restore: replays every restored in-flight disk request into
-    /// the (fresh or surviving) server.
-    pub fn replay_disks(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
-        let ahci = self.vahci.restore_resubmit(k, ctx);
-        let pv = self.pvdisk.enabled() && self.pvdisk.restore_resubmit(k, ctx);
+        self.vahci.disk.rebind(None);
+        self.pvdisk.disk.rebind(None);
+        let ahci = self.vahci.sweep(k, ctx, &mut verdict);
+        let pv = self.pvdisk.enabled() && self.pvdisk.sweep(k, ctx, &mut verdict);
         self.raise_disks(ahci, pv)
     }
 

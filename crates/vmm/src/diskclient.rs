@@ -1,8 +1,9 @@
 //! The disk-server client (Section 7.3, Figure 4): everything between
 //! "the guest handed a front end a request" and "the front end reports
-//! its completion". One channel to the server — a request portal, a
-//! shared completion ring, standing delegations of the guest's DMA
-//! pages — one wire encoder, and one recovery policy, shared by the
+//! its completion". One channel to the server — a portal root wired to
+//! this client alone, a shared completion ring, standing delegations of
+//! the guest's DMA pages — one wire encoder, and one recovery policy,
+//! shared by the
 //! virtual AHCI controller ([`crate::vahci`]) and the paravirtual queue
 //! ([`crate::pvdisk`]). The front ends keep what is device-specific:
 //! parsing and validating guest structures, and reporting completions
@@ -54,8 +55,6 @@ pub struct DiskChannel {
     /// Submission portal selector in the VMM's capability space
     /// ([`proto::PORTAL_REQUEST`] or [`proto::PORTAL_BATCH`]).
     pub req_sel: CapSel,
-    /// Registered client id.
-    pub client: u64,
     /// VA of the shared completion ring in the VMM's space.
     pub ring_va: u64,
 }
@@ -104,8 +103,8 @@ pub enum Due {
 }
 
 /// One front end's connection to the disk server. The server sees guest
-/// page `g` at page `g` of this client's window
-/// ([`proto::window_base`]).
+/// page `g` at page `g` of this client's window; where the window and
+/// the completion ring lie in the server's space is root's wiring.
 #[derive(Default)]
 pub struct DiskClient {
     channel: Option<DiskChannel>,
@@ -121,28 +120,28 @@ pub struct DiskClient {
 impl DiskClient {
     /// Starts over against a server that knows nothing of this client:
     /// its ring produces from zero and it holds none of the guest's
-    /// pages. A new channel replaces the old one (server restart);
-    /// `None` keeps the attached one (VMM restore).
+    /// pages. `Some` attaches a channel (VMM start); `None` keeps the
+    /// attached one (server restart, VMM restore).
     pub fn rebind(&mut self, ch: Option<DiskChannel>) {
         self.channel = ch.or(self.channel);
         self.ring_tail = 0;
         self.delegated.clear();
     }
 
-    /// The registered disk-server client id, if a channel is attached.
-    pub fn client_id(&self) -> Option<u64> {
-        self.channel.map(|ch| ch.client)
+    /// `true` once a channel is attached.
+    pub fn attached(&self) -> bool {
+        self.channel.is_some()
     }
 
-    /// One submission IPC carrying `client ‖ header ‖ one body per
-    /// request`, each body `(op, lba, sectors, tag, ctx, nsegs,
-    /// (addr, bytes) × nsegs)` in the server's window addresses, plus
-    /// transfer items for the guest pages the server does not hold
-    /// yet. Every request is charged one attempt and stamped, sent or
-    /// not. Returns the reply if the IPC went through — the server may
-    /// still have refused the requests, but the delegations stand —
-    /// and `None` if nothing was transferred (no channel, dead portal
-    /// or busy handler while a restart is underway).
+    /// One submission IPC carrying `header ‖ one body per request`,
+    /// each body `(op, lba, sectors, tag, ctx, nsegs, (addr, bytes) ×
+    /// nsegs)` with guest-physical addresses, plus transfer items for
+    /// the guest pages the server does not hold yet. Every request is
+    /// charged one attempt and stamped,
+    /// sent or not. Returns the reply if the IPC went through — the
+    /// server may still have refused the requests, but the delegations
+    /// stand — and `None` if nothing was transferred (no channel, dead
+    /// portal or busy handler while a restart is underway).
     pub fn send<'a>(
         &mut self,
         k: &mut Kernel,
@@ -152,14 +151,11 @@ impl DiskClient {
     ) -> Option<Utcb> {
         let now = k.now();
         let reqs = reqs.into_iter();
-        let client = self.client_id().unwrap_or(0);
-        let window = proto::window_base(client as usize);
         let mut utcb = Utcb::new();
         // One allocation, exact for single-segment requests (every PV
         // descriptor): 6 body words and one (addr, bytes) pair each.
         let bodies = 8 * reqs.size_hint().1.unwrap_or(0);
-        utcb.msg.reserve_exact(1 + header.len() + bodies);
-        utcb.msg.push(client);
+        utcb.msg.reserve_exact(header.len() + bodies);
         utcb.msg.extend_from_slice(header);
         let mut newly: Vec<u64> = Vec::new();
         let mut first_ctx = None;
@@ -175,19 +171,16 @@ impl DiskClient {
                         newly.push(p);
                     }
                 }
-                // Pages map at `window + page`, so an unaligned buffer
-                // keeps its in-page offset.
-                utcb.msg
-                    .extend_from_slice(&[window * 4096 + addr, bytes as u64]);
+                utcb.msg.extend_from_slice(&[addr, bytes as u64]);
             }
         }
         let ch = self.channel?;
         for &p in &newly {
-            utcb.xfer.push(XferItem::Mem {
+            utcb.xfer.push(XferItem {
                 base: GUEST_BASE_PAGE + p,
                 count: 1,
                 rights: MemRights::RW_DMA,
-                hot: window + p,
+                hot: p,
             });
         }
         // The IPC runs on the first request's context, so its span and
@@ -277,6 +270,10 @@ pub(crate) mod tests {
     /// Root VA of the completion-ring page of [`channel`].
     pub(crate) const RING_VA: u64 = 0x300 * 4096;
 
+    /// First page of the stub's receive window: wherever the server
+    /// puts it, the client names only offsets into it.
+    const WINDOW: u64 = 0x4_0000;
+
     /// A server portal that accepts everything (`[OK, MAX_BATCH]`) and
     /// keeps the last message it was sent.
     pub(crate) struct Stub(pub Vec<u64>);
@@ -294,7 +291,8 @@ pub(crate) mod tests {
     }
 
     /// A kernel whose root PD stands in for the VMM, with a [`Stub`]
-    /// server in a PD of its own behind root's selector 0x20.
+    /// server in a PD of its own behind root's selector 0x20, its
+    /// receive window at [`WINDOW`].
     pub(crate) fn setup() -> (Kernel, CompCtx, CompId) {
         let m = Machine::new(MachineConfig::core_i7(64 << 20));
         let mut k = Kernel::new(m, KernelConfig::default());
@@ -313,21 +311,27 @@ pub(crate) mod tests {
         let pt = Hypercall::CreatePt {
             ec: nova_core::kernel::SEL_SELF_EC,
             mtd: 0,
-            id: proto::PORTAL_BATCH,
+            id: proto::portal_id(3, proto::PORTAL_BATCH),
             dst: 0x20,
         };
-        k.hypercall(CompCtx { pd, ec, comp }, pt).unwrap();
+        let window = Hypercall::PtWindow {
+            pt: 0x20,
+            base: WINDOW,
+            count: proto::RING_WINDOW_PAGE,
+        };
+        for hc in [pt, window] {
+            k.hypercall(CompCtx { pd, ec, comp }, hc).unwrap();
+        }
         let cap = k.obj.pd(pd).caps.get(0x20).unwrap();
         k.obj.pd_mut(k.root_pd).caps.set(0x20, cap);
         (k, ctx, comp)
     }
 
-    /// Client 3's channel through selector `req_sel` (0x20 is the
-    /// stub, anything else a dead portal).
+    /// A channel through selector `req_sel` (0x20 is the stub, anything
+    /// else a dead portal).
     pub(crate) fn channel(req_sel: CapSel) -> DiskChannel {
         DiskChannel {
             req_sel,
-            client: 3,
             ring_va: RING_VA,
         }
     }
@@ -404,21 +408,16 @@ pub(crate) mod tests {
         let reply = c.send(&mut k, ctx, &[1], [&mut r]).expect("live portal");
         assert_eq!(reply.word(0), proto::OK);
         assert_eq!(r.attempts, 2);
-        // The unaligned buffer straddles guest pages 5 and 6.
+        // The unaligned buffer straddles guest pages 5 and 6: they are
+        // the window's pages 5 and 6, and the wire names the guest
+        // address.
         assert_eq!(c.delegated, HashSet::from([5, 6]));
-        let wire = [
-            3,
-            1,
-            proto::OP_READ,
-            9,
-            1,
-            4,
-            77,
-            1,
-            (proto::window_base(3) << 12) + 0x5f00,
-            512,
-        ];
+        let wire = [1, proto::OP_READ, 9, 1, 4, 77, 1, 0x5f00, 512];
         assert_eq!(k.component_mut::<Stub>(stub).unwrap().0, wire);
+        let server = &k.obj.pd(PdId(1)).mem;
+        let held = |page| server.lookup(WINDOW + page).map(|m| m.hpa);
+        let frame = |page: u64| Some(page * 4096);
+        assert_eq!(held(5), frame(GUEST_BASE_PAGE + 5));
     }
 
     #[test]
@@ -436,7 +435,7 @@ pub(crate) mod tests {
         assert_eq!(c.next_completion(&k, ctx), Some((8, false)));
         assert_eq!(c.next_completion(&k, ctx), None);
         c.rebind(None);
-        assert_eq!((c.ring_tail, c.client_id()), (0, Some(3)));
+        assert_eq!((c.ring_tail, c.attached()), (0, true));
     }
 
     #[test]

@@ -49,8 +49,8 @@ pub struct LaunchOptions {
     /// Assign the NIC directly to the VM.
     pub direct_nic: bool,
     /// Run the disk server under root supervision: heartbeat +
-    /// kernel watchdog, automatic respawn on death, and VMM channel
-    /// re-registration (the recovery architecture of Section 4.2).
+    /// kernel watchdog, automatic respawn and rewiring on death, and
+    /// VMM channel restart (the recovery architecture of Section 4.2).
     pub supervise: bool,
     /// Run the first VMM under root supervision with this checkpoint
     /// cadence (cycles): periodic guest-transparent checkpoints and
@@ -137,11 +137,16 @@ fn boot_vmm(
             let ec = recipe
                 .provision(k, root_ctx, rp, disk)
                 .expect("boot wiring");
-            let restart_sm_sel = recipe.disk.and_then(|w| w.restart_sel);
-            if let (Some(sup), Some(restart_sm_sel)) = (rp.supervision.as_mut(), restart_sm_sel) {
+            let sms = recipe.disk.and_then(|w| w.restart_sel.zip(w.done_sel));
+            if let (Some(sup), Some((restart_sm_sel, done_sm_sel))) = (rp.supervision.as_mut(), sms)
+            {
+                let (rings, channels) = recipe.disk_channels();
                 sup.clients.push(SupervisedClient {
                     vmm_sel: recipe.vmm_sel,
                     restart_sm_sel,
+                    done_sm_sel,
+                    rings,
+                    channels,
                 });
             }
             ec

@@ -61,10 +61,15 @@ pub const DEFAULT_CKPT_PERIOD: u64 = 2_000_000;
 /// A VM's place among the disk server's clients.
 #[derive(Clone, Copy)]
 pub struct DiskWiring {
-    /// This VM's index among the server's clients — the server-side
-    /// PD-capability slot (`0x30 + client_slot`) and, under
-    /// supervision, the index in `DiskSupervision::clients`.
+    /// This VMM's slot at the server: its clients are
+    /// `proto::disk::slot_clients(client_slot)`, the server holds its
+    /// PD capability at `0x30 + client_slot`, and under supervision it
+    /// is the index in `DiskSupervision::clients`.
     pub client_slot: usize,
+    /// Root's selector for the VM's completion semaphore, which the
+    /// server signals: created by the first incarnation, reused by every
+    /// later one.
+    pub done_sel: Option<CapSel>,
     /// Root's selector for the restart-notification semaphore of a
     /// supervised server's client: created by the first incarnation,
     /// reused by every later one so disk-server restarts keep reaching
@@ -141,13 +146,21 @@ impl MicrorebootRecipe {
     ///
     /// # Panics
     ///
-    /// A disk client whose guest RAM exceeds its disk-server window
-    /// ([`disk_proto::WINDOW_PAGES`]) is a configuration error.
+    /// A disk client whose guest RAM reaches its completion ring in the
+    /// disk-server window ([`disk_proto::WINDOW_PAGES`]), or whose slot
+    /// has no clients at the server ([`disk_proto::MAX_CLIENTS`]), is a
+    /// configuration error.
     pub fn new(frames: u64, mut cfg: VmmConfig, disk_slot: Option<usize>) -> MicrorebootRecipe {
-        assert!(
-            disk_slot.is_none() || cfg.guest_pages <= disk_proto::WINDOW_PAGES,
-            "guest RAM exceeds the disk-server window"
-        );
+        if let Some(slot) = disk_slot {
+            assert!(
+                cfg.guest_pages < disk_proto::WINDOW_PAGES,
+                "guest RAM exceeds the disk-server window"
+            );
+            assert!(
+                disk_proto::slot_clients(slot).end <= disk_proto::MAX_CLIENTS,
+                "disk-server slot {slot} out of range"
+            );
+        }
         let vga = nova_hw::vga::VGA_BASE / 4096;
         let page = |base, hot| Grant::Mem {
             base,
@@ -185,6 +198,7 @@ impl MicrorebootRecipe {
             grants,
             disk: disk_slot.map(|client_slot| DiskWiring {
                 client_slot,
+                done_sel: None,
                 restart_sel: None,
             }),
             image: CapturedImage::default(),
@@ -193,11 +207,12 @@ impl MicrorebootRecipe {
 
     /// Builds one incarnation, up to but not including its start:
     /// `CreatePd`, the grants, the VMM component, its disk-server
-    /// wiring and — for a supervised server's client — the restart
-    /// semaphore at the well-known selector its `on_start` binds. The
-    /// recipe points at the new incarnation as soon as any of it can
-    /// exist, so a retry after a failed step tears the half-built one
-    /// down instead of leaking it. Returns the EC to start.
+    /// wiring and the semaphores its `on_start` binds — the VM's
+    /// completion semaphore and, for a supervised server's client, the
+    /// restart semaphore — at their well-known selectors. The recipe
+    /// points at the new incarnation as soon as any of it can exist, so
+    /// a retry after a failed step tears the half-built one down
+    /// instead of leaking it. Returns the EC to start.
     pub fn provision(
         &mut self,
         k: &mut Kernel,
@@ -205,39 +220,53 @@ impl MicrorebootRecipe {
         root: &mut RootPm,
         disk: Option<DiskServerRef>,
     ) -> Result<EcId, RespawnError> {
-        // A supervised server's clients re-register after its restarts.
+        // A supervised server's clients start over after its restarts.
         self.cfg.supervised_disk = self.disk.is_some() && root.supervision.is_some();
         self.vmm_sel = root.alloc_sel();
         self.vmm_pd = RootOps::new(k, ctx).provision("vmm", self.vmm_sel, &self.grants)?;
         let (comp, ec) = k.load_component(self.vmm_pd, 0, Box::new(Vmm::new(self.cfg.clone())));
         self.vmm = comp;
 
+        let (vmm, (rings, channels)) = (self.vmm_sel, self.disk_channels());
         if let Some(w) = self.disk.as_mut() {
             let srv = disk.ok_or(RespawnError::State("no disk server to wire to"))?;
-            wire_disk_client(k, ctx, srv, self.vmm_sel, w.client_slot)?;
+            // Root's semaphores, made once per VM: root keeps UP, the
+            // server gets UP on the completion one, the VMM DOWN.
+            let mut root_sm = |sel: &mut Option<CapSel>| match *sel {
+                Some(s) => Ok(s),
+                None => {
+                    let s = root.alloc_sel();
+                    k.hypercall(ctx, Hypercall::CreateSm { count: 0, dst: s })
+                        .map_err(RespawnError::step("disk sm"))?;
+                    Ok(*sel.insert(s))
+                }
+            };
+            let done = root_sm(&mut w.done_sel)?;
+            let mut downs = vec![(done, sel::DISK_SM)];
             if self.cfg.supervised_disk {
-                // Root keeps UP, the VMM gets DOWN.
-                let restart_sel = match w.restart_sel {
-                    Some(s) => s,
-                    None => {
-                        let s = root.alloc_sel();
-                        k.hypercall(ctx, Hypercall::CreateSm { count: 0, dst: s })
-                            .map_err(RespawnError::step("restart sm"))?;
-                        *w.restart_sel.insert(s)
-                    }
-                };
+                downs.push((root_sm(&mut w.restart_sel)?, SEL_RESTART_SM));
+            }
+            wire_disk_client(k, ctx, srv, vmm, w.client_slot, done, rings, channels)?;
+            for (sm, at) in downs {
                 RootOps::new(k, ctx)
-                    .grant_cap(self.vmm_sel, restart_sel, Perms::DOWN, SEL_RESTART_SM)
-                    .map_err(RespawnError::step("restart sm grant"))?;
+                    .grant_cap(vmm, sm, Perms::DOWN, at)
+                    .map_err(RespawnError::step("disk sm grant"))?;
             }
         }
         Ok(ec)
     }
 
+    /// Root's page of the VM's first completion ring (the PV queue's
+    /// follows it) and how many disk channels the VMM has.
+    pub(crate) fn disk_channels(&self) -> (u64, usize) {
+        let rings = self.frames + self.cfg.guest_pages;
+        (rings, 1 + self.cfg.pv_disk as usize)
+    }
+
     /// Destroys whatever is left of the current incarnation — the VM
     /// protection domain first (root manufactures a control capability
     /// for it, boot-equivalent wiring since root owns everything),
-    /// then the VMM PD — and detaches its disk channels so stale
+    /// then the VMM PD — and detaches its slot's disk clients so stale
     /// completions can never reach a successor's ring.
     fn teardown_dead(
         &mut self,
@@ -246,13 +275,9 @@ impl MicrorebootRecipe {
         root: &mut RootPm,
         disk: Option<DiskServerRef>,
     ) {
-        let dead_clients = k
-            .component_mut::<Vmm>(self.vmm)
-            .map(|v| v.disk_client_ids())
-            .unwrap_or_default();
-        if let Some(srv) = disk {
-            for id in dead_clients {
-                k.invoke_component::<DiskServer, _>(srv.ctx.comp, |s, _k| s.detach_client(id));
+        if let (Some(srv), Some(w)) = (disk, self.disk) {
+            for c in disk_proto::slot_clients(w.client_slot) {
+                k.invoke_component::<DiskServer, _>(srv.ctx.comp, |s, _k| s.detach_client(c));
             }
         }
         let vm_pd = match k.obj.pd(self.vmm_pd).caps.get(sel::VM_PD).map(|c| c.obj) {
@@ -342,10 +367,10 @@ impl VmRecipe for MicrorebootRecipe {
                 "direct-hardware configurations cannot microreboot",
             ));
         }
-        // A revive cannot complete against a dead disk server: the
-        // fresh VMM's boot-time registration would fail on a blocked
-        // portal. Fail the attempt cleanly instead; the backoff retry
-        // fires after the server's own supervisor has respawned it.
+        // A revive cannot complete against a dead disk server: it would
+        // wire the fresh VMM to portals nobody serves. Fail the attempt
+        // cleanly instead; the backoff retry fires after the server's
+        // own supervisor has respawned it.
         if let (Some(_), Some(srv)) = (self.disk, disk) {
             if k.obj.ec(srv.ctx.ec).blocked {
                 return Err(RespawnError::State("disk server dead; deferring revive"));
@@ -432,8 +457,9 @@ mod tests {
     use super::*;
     use crate::vmm::GuestImage;
 
-    /// A guest one page larger than a disk-server window boots without
-    /// storage and is refused as a disk client; one that fits is not.
+    /// A guest that reaches the ring page of a disk-server window boots
+    /// without storage and is refused as a disk client; one that stops
+    /// below it is not.
     #[test]
     #[should_panic(expected = "guest RAM exceeds the disk-server window")]
     fn a_disk_client_larger_than_its_window_is_a_configuration_error() {
@@ -444,9 +470,25 @@ mod tests {
             stack: 0,
         };
         let cfg = |pages| VmmConfig::full_virt(image.clone(), pages);
-        let max = disk_proto::WINDOW_PAGES;
+        let max = disk_proto::RING_WINDOW_PAGE;
         MicrorebootRecipe::new(0x1000, cfg(max), Some(0));
         MicrorebootRecipe::new(0x1000, cfg(max + 1), None);
         MicrorebootRecipe::new(0x1000, cfg(max + 1), Some(0));
+    }
+
+    /// Slot 7 is the last with two clients at the server; slot 8 is a
+    /// configuration error, as an oversized guest is.
+    #[test]
+    #[should_panic(expected = "disk-server slot 8 out of range")]
+    fn a_disk_slot_past_the_servers_clients_is_a_configuration_error() {
+        let image = GuestImage {
+            bytes: vec![0xf4],
+            load_gpa: 0,
+            entry: 0,
+            stack: 0,
+        };
+        let cfg = VmmConfig::full_virt(image, 1024);
+        MicrorebootRecipe::new(0x1000, cfg.clone(), Some(7));
+        MicrorebootRecipe::new(0x1000, cfg, Some(8));
     }
 }

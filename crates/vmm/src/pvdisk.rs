@@ -13,8 +13,8 @@
 //! `used` counter) without any guest exit; one coalesced virtual
 //! interrupt — raised once the queue fully drains — wakes the guest.
 //!
-//! The backend registers with the disk server as a *second* client —
-//! its own completion ring, its own outstanding window — so the vAHCI
+//! The backend is the disk server's *second* client of its VMM — its
+//! own portal, completion ring and outstanding window — so the vAHCI
 //! path and the PV path coexist in one VM and are throttled
 //! independently. Recovery is [`crate::diskclient`]'s: retry on EBUSY,
 //! timeout of accepted requests the server lost, resubmission after a
@@ -43,7 +43,7 @@ use nova_user::proto::disk as proto;
 
 use crate::checkpoint::{Dec, Enc};
 use crate::devices::count_rejected;
-use crate::diskclient::{DiskChannel, DiskClient, Due, Req};
+use crate::diskclient::{DiskClient, Due, Req};
 use crate::vmm::guest_va;
 
 /// Virtual interrupt line for PV disk completions (a free slave-PIC
@@ -113,15 +113,9 @@ impl PvDisk {
         self.fatal.take()
     }
 
-    /// Attaches the disk-server channel (`req_sel` must name the
-    /// server's *batch* portal).
-    pub fn attach(&mut self, ch: DiskChannel) {
-        self.disk.rebind(Some(ch));
-    }
-
     /// `true` once a channel is attached (drives the FEAT register).
     pub fn enabled(&self) -> bool {
-        self.disk.client_id().is_some()
+        self.disk.attached()
     }
 
     /// `true` while any descriptor awaits completion.
@@ -424,7 +418,7 @@ impl PvDisk {
     /// Walks the in-flight descriptors: `verdict` decides per
     /// descriptor whether it joins the next batch, completes with an
     /// error status, or is left alone.
-    fn sweep(
+    pub fn sweep(
         &mut self,
         k: &mut Kernel,
         ctx: CompCtx,
@@ -459,22 +453,6 @@ impl PvDisk {
     pub fn check_timeouts(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
         let now = k.now();
         self.sweep(k, ctx, |k, p| DiskClient::due(k, p, now))
-    }
-
-    /// Re-attaches after a disk-server restart: fresh channel, fresh
-    /// delegations, and every in-flight descriptor is re-submitted,
-    /// charged.
-    pub fn reconnect(&mut self, k: &mut Kernel, ctx: CompCtx, ch: DiskChannel) -> bool {
-        self.disk.rebind(Some(ch));
-        self.sweep(k, ctx, DiskClient::retry)
-    }
-
-    /// Replays every restored in-flight descriptor into the disk
-    /// server after a VMM microreboot, uncharged. Returns `true` if
-    /// the interrupt line should be raised.
-    pub fn restore_resubmit(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
-        let now = k.now();
-        self.sweep(k, ctx, |_, p| DiskClient::replay(p, now))
     }
 
     /// Serializes the queue state for a checkpoint: ring location,
@@ -512,7 +490,8 @@ impl PvDisk {
     }
 
     /// Restores checkpointed state; every in-flight descriptor is
-    /// marked unaccepted for the [`PvDisk::restore_resubmit`] replay.
+    /// marked unaccepted for the replay
+    /// ([`crate::devices::VDevices::restart_disks`]).
     pub fn import_state(&mut self, d: &mut Dec) -> Option<()> {
         self.ring_gpa = d.u64()?;
         self.requests = d.u64()?;
@@ -520,7 +499,6 @@ impl PvDisk {
         self.used_errors = d.u64()?;
         self.isr = d.u32()?;
         self.raised_used = d.u64()?;
-        self.disk.rebind(None);
         self.fatal = None;
         let npending = d.u32()? as usize;
         if npending > d.remaining() / 8 {
@@ -569,7 +547,7 @@ mod tests {
     fn restore_replay_does_not_charge_the_attempt_budget() {
         let (mut k, ctx, _) = setup();
         let mut pv = PvDisk::new(1024);
-        pv.attach(channel(0x20));
+        pv.disk.rebind(Some(channel(0x20)));
         // One descriptor in a ring page at guest 0x2000: read sector 0
         // into guest 0x8000.
         let desc = guest_va(0x2000 + ring::DESC0);
@@ -588,9 +566,10 @@ mod tests {
         // dead one's delegations (they were revoked with its PD).
         let (mut k, ctx, _) = setup();
         let mut revived = PvDisk::new(1024);
-        revived.attach(channel(0x20));
+        revived.disk.rebind(Some(channel(0x20)));
         revived.import_state(&mut Dec::new(&blob)).unwrap();
-        revived.restore_resubmit(&mut k, ctx);
+        let now = k.now();
+        revived.sweep(&mut k, ctx, |_, p| DiskClient::replay(p, now));
         assert!(revived.pending[0].accepted, "replayed into the server");
         assert_eq!((before, revived.pending[0].attempts), (1, 1));
     }

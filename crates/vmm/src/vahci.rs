@@ -33,7 +33,7 @@ use nova_x86::insn::OpSize;
 
 use crate::checkpoint::{Dec, Enc};
 use crate::devices::count_rejected;
-use crate::diskclient::{DiskChannel, DiskClient, Due, Req};
+use crate::diskclient::{DiskClient, Due, Req};
 use crate::vmm::guest_va;
 
 /// The virtual AHCI controller.
@@ -58,11 +58,6 @@ impl VAhci {
             regs: PortRegs::default(),
             pending: [None; 32],
         }
-    }
-
-    /// Attaches the disk-server channel (done by the VMM at start).
-    pub fn attach(&mut self, ch: DiskChannel) {
-        self.disk.rebind(Some(ch));
     }
 
     /// `true` while any guest request awaits completion — the VMM
@@ -226,7 +221,7 @@ impl VAhci {
     /// Walks the pending slots: `verdict` decides per request whether
     /// it is sent again, failed towards the guest, or left alone.
     /// Returns `true` if the guest's interrupt line should be raised.
-    fn sweep(
+    pub fn sweep(
         &mut self,
         k: &mut Kernel,
         ctx: CompCtx,
@@ -256,23 +251,6 @@ impl VAhci {
     pub fn check_timeouts(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
         let now = k.now();
         self.sweep(k, ctx, |k, req| DiskClient::due(k, req, now))
-    }
-
-    /// Re-attaches after a disk-server restart: the old delegations
-    /// and the ring state died with the old server, and every pending
-    /// request is re-sent to the new one, charged. Returns `true` if
-    /// the guest's interrupt line should be raised.
-    pub fn reconnect(&mut self, k: &mut Kernel, ctx: CompCtx, ch: DiskChannel) -> bool {
-        self.disk.rebind(Some(ch));
-        self.sweep(k, ctx, DiskClient::retry)
-    }
-
-    /// Replays every restored request into the disk server after a
-    /// VMM microreboot, uncharged. Returns `true` if the guest's
-    /// interrupt line should be raised.
-    pub fn restore_resubmit(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
-        let now = k.now();
-        self.sweep(k, ctx, |_, req| DiskClient::replay(req, now))
     }
 
     /// Consumes completion records from the server's shared ring;
@@ -323,8 +301,8 @@ impl VAhci {
     /// pending request for a checkpoint. The disk channel, the
     /// completion-ring cursor and the standing delegations are *not*
     /// captured: they name kernel objects of the dead incarnation and
-    /// are reconstructed on restore (fresh registration, ring tail
-    /// zero, empty delegation set, re-submission).
+    /// are reconstructed on restore (ring tail zero, empty delegation
+    /// set, re-submission).
     pub fn export_state(&self, e: &mut Enc) {
         e.u64(self.regs.clb);
         e.u32(self.regs.is);
@@ -349,15 +327,15 @@ impl VAhci {
     }
 
     /// Restores checkpointed state into a freshly attached controller.
-    /// Every restored request is marked unaccepted; the caller drives
-    /// [`VAhci::restore_resubmit`] once guest memory is back in place.
+    /// Every restored request is marked unaccepted; the caller replays
+    /// them ([`crate::devices::VDevices::restart_disks`]) once guest
+    /// memory is back in place.
     pub fn import_state(&mut self, d: &mut Dec) -> Option<()> {
         self.regs.clb = d.u64()?;
         self.regs.is = d.u32()?;
         self.regs.p0is = d.u32()?;
         self.regs.p0ie = d.u32()?;
         self.regs.ci = d.u32()?;
-        self.disk.rebind(None);
         for (slot, pend) in self.pending.iter_mut().enumerate() {
             *pend = None;
             if !d.flag()? {
@@ -403,7 +381,7 @@ mod tests {
     fn completion_for_an_idle_slot_completes_nothing() {
         let (mut k, ctx, _) = setup();
         let mut v = VAhci::new(1024);
-        v.attach(channel(0x20));
+        v.disk.rebind(Some(channel(0x20)));
         v.regs.p0ie = 1;
         put_record(&mut k, ctx, 0, 5, 0);
         k.mem_write_u32(ctx, RING_VA + 4092, 1);

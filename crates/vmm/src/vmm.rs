@@ -7,8 +7,8 @@
 //! virtual machine by mapping a subset of its own address space into
 //! the host address space of the VM"), installs per-vCPU, per-event
 //! exit portals with minimized transfer descriptors, boots the guest
-//! through the integrated virtual BIOS (Section 7.4), and registers a
-//! channel with the disk server.
+//! through the integrated virtual BIOS (Section 7.4), and attaches its
+//! disk front ends to the portals root wired to the disk server.
 //!
 //! At run time it handles VM-exit messages: emulating CPUID/RDTSC,
 //! dispatching port I/O to the virtual device models, decoding and
@@ -19,7 +19,6 @@
 use nova_core::cap::{CapSel, Perms};
 use nova_core::kernel::{EXIT_PORTAL_BASE, EXIT_PORTAL_STRIDE, SEL_SELF_PD};
 use nova_core::obj::{MemRights, VmPaging};
-use nova_core::utcb::XferItem;
 use nova_core::{CompCtx, Component, Hypercall, Kernel, SmId, Utcb};
 use nova_hw::mmu::MmuRegs;
 use nova_hw::vmx::{mtd, ExitReason, Injection};
@@ -33,7 +32,7 @@ use nova_x86::reg::{flags, Reg, Reg8, Regs};
 use crate::bios;
 use crate::checkpoint::{Dec, Enc};
 use crate::devices::{SpecialPorts, VDevices};
-use crate::diskclient::DiskChannel;
+use crate::diskclient::{DiskChannel, DiskClient};
 use crate::emu::{emulate_one, virtual_cpuid, EmuEnv, EmuErr};
 use crate::pvdisk::PvDisk;
 use crate::pvnet::PvNet;
@@ -76,11 +75,12 @@ pub struct VmmConfig {
     /// Guest image.
     pub image: GuestImage,
     /// Storage is attached: root wired the disk server's portals to the
-    /// protocol's client selectors (`nova_user::proto::disk::CLIENT_SEL_*`).
-    /// Set by the recipe from its disk slot.
+    /// protocol's client selectors (`nova_user::proto::disk::CLIENT_SEL_*`)
+    /// and the VM's completion semaphore to [`sel::DISK_SM`]. Set by
+    /// the recipe from its disk slot.
     pub(crate) disk: bool,
-    /// Attach the paravirtual batched disk queue (registers as a
-    /// second disk-server client with its own completion ring at
+    /// Attach the paravirtual batched disk queue (the VMM's second
+    /// disk-server client, with its own completion ring at
     /// [`PV_RING_PAGE`]).
     pub pv_disk: bool,
     /// Attach the paravirtual NIC backend: the launcher granted the
@@ -106,7 +106,7 @@ pub struct VmmConfig {
     pub protect_kernel: Option<(u64, u64)>,
     /// The disk server runs under root supervision: the VMM binds the
     /// restart semaphore root pre-delegated at [`SEL_RESTART_SM`] and
-    /// re-registers its channel whenever the supervisor respawns the
+    /// starts its channels over whenever the supervisor respawns the
     /// server; outstanding requests are timed out and resubmitted via
     /// a maintenance timer instead of hanging the guest forever. Set by
     /// the recipe when root supervises the server it wires to.
@@ -164,7 +164,8 @@ pub mod sel {
     use nova_core::cap::CapSel;
     /// Timer semaphore.
     pub const TIMER_SM: CapSel = 0x40;
-    /// Disk completion semaphore.
+    /// Disk completion semaphore (delegated by root with DOWN, as the
+    /// restart semaphore is).
     pub const DISK_SM: CapSel = 0x41;
     /// Disk-server restart notification (delegated by root; see
     /// [`crate::vmm::SEL_RESTART_SM`]).
@@ -668,73 +669,28 @@ impl Vmm {
         utcb.vm = Some(msg);
     }
 
-    /// Runs the two-phase registration handshake with the disk server
-    /// for a client submitting through `req` with its completion ring
-    /// at `ring_page`, and returns the resulting channel, or `None` if
-    /// the server refused or the IPC failed (e.g. mid-restart).
-    ///
-    /// `zero_ring` wipes the completion-ring page first; a freshly
-    /// restarted server starts its producer counter at zero, so a
-    /// stale counter from the previous incarnation must not survive.
-    fn register_disk_channel(
-        k: &mut Kernel,
-        ctx: CompCtx,
-        req: CapSel,
-        ring_page: u64,
-        zero_ring: bool,
-    ) -> Option<DiskChannel> {
-        if zero_ring {
-            k.mem_write(ctx, ring_page * 4096, &[0u8; 4096]);
+    /// Zeroes the disk channels' completion rings: the server a
+    /// channel starts over with produces from zero, so a producer
+    /// counter left by the previous incarnation of either side must not
+    /// survive.
+    fn clear_rings(k: &mut Kernel, ctx: CompCtx, pv_disk: bool) {
+        k.mem_write(ctx, RING_PAGE * 4096, &[0u8; 4096]);
+        if pv_disk {
+            k.mem_write(ctx, PV_RING_PAGE * 4096, &[0u8; 4096]);
         }
-
-        let reg = disk_proto::CLIENT_SEL_REG;
-        let mut utcb = Utcb::new();
-        k.ipc_call(ctx, reg, &mut utcb).ok()?;
-        let client = utcb.word(0);
-        if client as usize >= disk_proto::MAX_CLIENTS {
-            return None;
-        }
-
-        let mut utcb = Utcb::new();
-        utcb.set_msg(&[client]);
-        utcb.xfer.push(XferItem::Mem {
-            base: ring_page,
-            count: 1,
-            rights: MemRights::RW,
-            hot: disk_proto::ring_page(client as usize),
-        });
-        utcb.xfer.push(XferItem::Cap {
-            sel: sel::DISK_SM,
-            perms: Perms::UP,
-            hot: disk_proto::client_sm_sel(client as usize),
-        });
-        k.ipc_call(ctx, reg, &mut utcb).ok()?;
-
-        Some(DiskChannel {
-            req_sel: req,
-            client,
-            ring_va: ring_page * 4096,
-        })
     }
 
-    /// Handles a disk-server restart notification: re-registers each
-    /// disk client's channel with the new server incarnation and
-    /// resubmits every request that was in flight when the old one
-    /// died.
+    /// Handles a disk-server restart notification: each disk channel
+    /// starts over with the new server incarnation — the portals root
+    /// rewired, a zeroed ring — and resubmits every request that was in
+    /// flight when the old one died.
     fn reconnect_disk(&mut self, k: &mut Kernel, ctx: CompCtx) {
         if !self.cfg.disk {
             return;
         }
+        Self::clear_rings(k, ctx, self.cfg.pv_disk);
         let dev = self.dev.as_mut().expect("devices");
-        let kick = dev.reconnect_disks(k, ctx, |k, pv| {
-            let (portal, ring_page) = if pv {
-                (disk_proto::CLIENT_SEL_BATCH, PV_RING_PAGE)
-            } else {
-                (disk_proto::CLIENT_SEL_REQ, RING_PAGE)
-            };
-            Self::register_disk_channel(k, ctx, portal, ring_page, true)
-        });
-        if kick {
+        if dev.restart_disks(k, ctx, DiskClient::retry) {
             self.kick_vcpu(k, ctx, 0);
         }
     }
@@ -768,18 +724,6 @@ impl Vmm {
     /// into the fresh incarnation).
     pub fn config(&self) -> &VmmConfig {
         &self.cfg
-    }
-
-    /// The disk-server client ids this VMM holds, if any — the
-    /// supervisor detaches them at the server before respawning, so a
-    /// dead incarnation's slots are reusable and its completions are
-    /// suppressed.
-    pub fn disk_client_ids(&self) -> Vec<u64> {
-        let Some(dev) = self.dev.as_ref() else {
-            return Vec::new();
-        };
-        let (ahci, pv) = (dev.vahci.disk.client_id(), dev.pvdisk.disk.client_id());
-        ahci.into_iter().chain(pv).collect()
     }
 
     /// Serializes the VMM's runtime and virtual-device state for a
@@ -873,19 +817,15 @@ impl Vmm {
         }
 
         // The re-granted ring pages still hold the previous
-        // incarnation's producer head word; the fresh server clients
-        // produce from zero, so the pages must be cleared before any
-        // completion is consumed against a zero ring tail.
-        if self.cfg.disk {
-            k.mem_write(ctx, RING_PAGE * 4096, &[0u8; 4096]);
-            if self.cfg.pv_disk {
-                k.mem_write(ctx, PV_RING_PAGE * 4096, &[0u8; 4096]);
-            }
-        }
-
-        // The same resubmit protocol used after a disk-server restart,
+        // incarnation's producer head word; they must be cleared before
+        // any completion is consumed against a zero ring tail. Then the
+        // same resubmit protocol used after a disk-server restart,
         // uncharged.
-        let kick = dev.replay_disks(k, ctx);
+        if self.cfg.disk {
+            Self::clear_rings(k, ctx, self.cfg.pv_disk);
+        }
+        let now = k.now();
+        let kick = dev.restart_disks(k, ctx, |_, r| DiskClient::replay(r, now));
         self.update_maint_timer(k, ctx);
         if kick || self.has_pending(0) {
             self.kick_vcpu(k, ctx, 0);
@@ -923,11 +863,12 @@ impl Component for Vmm {
         // Timer semaphore for the virtual PIT.
         self.timer_sm = Some(k.create_bound_sm(ctx, sel::TIMER_SM).expect("timer sm"));
 
-        // Disk channel.
+        // Disk channels: root wired the portals and the completion
+        // semaphore.
         let mut vahci = VAhci::new(self.cfg.guest_pages);
         let mut pvdisk = PvDisk::new(self.cfg.guest_pages);
         if self.cfg.disk {
-            self.disk_sm = Some(k.create_bound_sm(ctx, sel::DISK_SM).expect("disk sm"));
+            self.disk_sm = Some(k.bind_sm(ctx, sel::DISK_SM).expect("bind disk sm"));
 
             if self.cfg.supervised_disk {
                 // Restart notification: root pre-delegated a semaphore
@@ -941,19 +882,18 @@ impl Component for Vmm {
                 self.maint_sm = Some(k.create_bound_sm(ctx, sel::MAINT_SM).expect("maint sm"));
             }
 
-            let req = disk_proto::CLIENT_SEL_REQ;
-            let ch =
-                Self::register_disk_channel(k, ctx, req, RING_PAGE, false).expect("disk register");
-            vahci.attach(ch);
-
-            // The PV batched queue registers as a second client with
-            // its own completion ring, sharing the same completion
+            vahci.disk.rebind(Some(DiskChannel {
+                req_sel: disk_proto::CLIENT_SEL_REQ,
+                ring_va: RING_PAGE * 4096,
+            }));
+            // The PV batched queue is a second client with its own
+            // portal and completion ring, sharing the completion
             // semaphore (one signal drains both rings).
             if self.cfg.pv_disk {
-                let batch = disk_proto::CLIENT_SEL_BATCH;
-                let ch = Self::register_disk_channel(k, ctx, batch, PV_RING_PAGE, false)
-                    .expect("pv disk register");
-                pvdisk.attach(ch);
+                pvdisk.disk.rebind(Some(DiskChannel {
+                    req_sel: disk_proto::CLIENT_SEL_BATCH,
+                    ring_va: PV_RING_PAGE * 4096,
+                }));
             }
         }
         let pvnet = self.cfg.pv_nic.then(|| {

@@ -1,8 +1,8 @@
 //! Driver recovery (Section 4.2): the disk server is killed in the
 //! middle of a guest workload; the kernel watchdog notifies root,
 //! root destroys the dead protection domain (recursively revoking its
-//! IOMMU mappings), respawns the server, re-delegates the service
-//! portals, and the VMM re-registers its channel and resubmits — the
+//! IOMMU mappings), respawns the server, rewires each client's portal,
+//! and the VMM starts its channels over and resubmits — the
 //! guest finishes with correct data, never seeing the crash.
 //!
 //! ```sh
@@ -59,8 +59,8 @@ fn main() {
     println!("\n*** disk server killed (PD fault) mid-workload ***\n");
 
     // No hand-holding from here: the watchdog death notification fires
-    // root's supervisor, which destroys and respawns the server; the
-    // VMM re-registers and resubmits the request that died in flight.
+    // root's supervisor, which destroys, respawns and rewires the
+    // server; the VMM resubmits the request that died in flight.
     let outcome = sys.run(Some(60_000_000_000));
     assert_eq!(outcome, RunOutcome::Shutdown(0), "guest completed");
 

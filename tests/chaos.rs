@@ -1,9 +1,11 @@
 //! Chaos tests: the full stack driven under seeded fault injection,
 //! plus the supervision/recovery path (watchdog -> DestroyPd ->
-//! respawn -> re-registration) exercised end-to-end. The platform's
+//! respawn -> rewiring -> resubmission) exercised end-to-end. The platform's
 //! fault injector is deterministic, so every assertion here is exact:
 //! the same seed reproduces the same fault schedule, and the recovery
 //! counters must balance the injected counts.
+
+mod common;
 
 use nova_core::cap::{CapSel, Perms};
 use nova_core::kernel::SEL_SELF_EC;
@@ -24,19 +26,12 @@ use nova_user::root::{
     spawn_disk_server, wire_disk_client, DiskRecipe, DiskServerRef, Grant, RespawnError, RootOps,
     RootPm, SupervisedClient, RETRY_BACKOFF, REVIVE_ATTEMPTS,
 };
-use nova_vmm::{GuestImage, LaunchOptions, System, VmmConfig};
+use nova_vmm::{LaunchOptions, System, VmmConfig};
 use nova_x86::insn::{AluOp, Cond};
 use nova_x86::reg::Reg;
 use nova_x86::MemRef;
 
-fn image(prog: nova_guest::os::Program) -> GuestImage {
-    GuestImage {
-        bytes: prog.bytes,
-        load_gpa: prog.load_gpa,
-        entry: prog.entry,
-        stack: prog.stack,
-    }
-}
+use common::{image, reader_guest, READER_BUF};
 
 /// Number of disk requests the chaos guest issues.
 const CHAOS_REQUESTS: u32 = 12;
@@ -259,8 +254,8 @@ fn same_seed_reproduces_fault_schedule() {
 }
 
 /// Full-stack supervision: the disk server is killed mid-workload;
-/// the watchdog fires, root destroys and respawns it, the VMM
-/// re-registers its channel and resubmits, and the guest finishes
+/// the watchdog fires, root destroys, respawns and rewires it, the VMM
+/// starts its channels over and resubmits, and the guest finishes
 /// with correct data, never seeing the crash.
 #[test]
 fn driver_crash_mid_workload_recovers_end_to_end() {
@@ -300,8 +295,8 @@ fn driver_crash_mid_workload_recovers_end_to_end() {
     assert_eq!(sys.k.counters.pd_deaths, 1);
     assert_sound(&sys.k);
 
-    // The system recovers on its own: watchdog -> root respawn ->
-    // VMM re-registration -> resubmission of the in-flight request.
+    // The system recovers on its own: watchdog -> root respawn and
+    // rewiring -> resubmission of the in-flight request.
     let out = sys.run(Some(60_000_000_000));
     assert_eq!(
         out,
@@ -362,7 +357,9 @@ impl Component for TestClient {
     }
 }
 
-/// Client-side selector for the restart-notification semaphore.
+/// Client-side selectors for the completion and restart-notification
+/// semaphores.
+const CL_SEL_DONE: CapSel = 0x40;
 const CL_SEL_RESTART: CapSel = 0x42;
 
 struct Rig {
@@ -375,9 +372,11 @@ struct Rig {
 /// Boots root + supervised disk server + a bare client through the
 /// calls the system builder makes: `spawn_disk_server`,
 /// `supervise_disk_server` (root SC, watchdog semaphore,
-/// `WatchdogArm`), `wire_disk_client` (the service portals at the
-/// protocol's well-known client selectors), plus a restart semaphore
-/// delegated DOWN to the client.
+/// `WatchdogArm`), `wire_disk_client` (slot 0's portals at the
+/// protocol's well-known client selectors, the client's page 1 as its
+/// completion ring, the server's `UP` on root's completion semaphore),
+/// plus the completion and restart semaphores delegated DOWN to the
+/// client.
 fn supervised_rig() -> Rig {
     let m = Machine::new(MachineConfig::core_i7(64 << 20));
     let mut k = Kernel::new(m, KernelConfig::default());
@@ -390,7 +389,8 @@ fn supervised_rig() -> Rig {
     let ahci_dev = k.machine.dev.ahci;
     let recipe = DiskRecipe::new(DiskServerConfig::supervised(), ahci_dev);
     let mut ops = RootOps::new(&mut k, root_ctx);
-    let (srv_sel, cl_sel, restart_sel) = (ops.alloc_sel(), ops.alloc_sel(), ops.alloc_sel());
+    let (srv_sel, cl_sel) = (ops.alloc_sel(), ops.alloc_sel());
+    let (done_sel, restart_sel) = (ops.alloc_sel(), ops.alloc_sel());
     let srv = DiskServerRef {
         sel: srv_sel,
         ctx: spawn_disk_server(&mut k, root_ctx, srv_sel, &recipe).unwrap(),
@@ -418,7 +418,11 @@ fn supervised_rig() -> Rig {
         ec: client_ec,
         comp: client_comp,
     };
-    wire_disk_client(&mut k, root_ctx, srv, cl_sel, 0).unwrap();
+    for dst in [done_sel, restart_sel] {
+        k.hypercall(root_ctx, Hypercall::CreateSm { count: 0, dst })
+            .unwrap();
+    }
+    wire_disk_client(&mut k, root_ctx, srv, cl_sel, 0, done_sel, 0x401, 1).unwrap();
     k.hypercall(
         client_ctx,
         Hypercall::CreateSc {
@@ -430,20 +434,13 @@ fn supervised_rig() -> Rig {
     )
     .unwrap();
 
-    // Restart semaphore: root keeps UP, the client binds DOWN.
-    k.hypercall(
-        root_ctx,
-        Hypercall::CreateSm {
-            count: 0,
-            dst: restart_sel,
-        },
-    )
-    .unwrap();
-    let mut ops = RootOps::new(&mut k, root_ctx);
-    ops.grant_cap(cl_sel, restart_sel, Perms::DOWN, CL_SEL_RESTART)
-        .unwrap();
-    k.hypercall(client_ctx, Hypercall::SmBind { sm: CL_SEL_RESTART })
-        .unwrap();
+    // The semaphores: root keeps UP, the client binds DOWN.
+    for (sel, at) in [(done_sel, CL_SEL_DONE), (restart_sel, CL_SEL_RESTART)] {
+        let mut ops = RootOps::new(&mut k, root_ctx);
+        ops.grant_cap(cl_sel, sel, Perms::DOWN, at).unwrap();
+        k.hypercall(client_ctx, Hypercall::SmBind { sm: at })
+            .unwrap();
+    }
     let rp = k.component_mut::<RootPm>(root).unwrap();
     rp.supervision
         .as_mut()
@@ -452,6 +449,9 @@ fn supervised_rig() -> Rig {
         .push(SupervisedClient {
             vmm_sel: cl_sel,
             restart_sm_sel: restart_sel,
+            done_sm_sel: done_sel,
+            rings: 0x401,
+            channels: 1,
         });
 
     Rig {
@@ -462,67 +462,27 @@ fn supervised_rig() -> Rig {
     }
 }
 
-/// Two-phase channel registration against whatever server currently
-/// answers the well-known register portal.
-fn register(r: &mut Rig) -> u64 {
-    // The completion semaphore survives restarts (it is the client's
-    // own object); creating it is idempotent per selector.
-    let _ = r.k.hypercall(
-        r.client_ctx,
-        Hypercall::CreateSm {
-            count: 0,
-            dst: 0x40,
-        },
-    );
-    let _ = r.k.hypercall(r.client_ctx, Hypercall::SmBind { sm: 0x40 });
-
+/// A read into client pages 8.. at window page 0, through whatever
+/// server answers slot 0's request portal now.
+fn submit_read(r: &mut Rig, lba: u64, sectors: u32, tag: u64) -> u64 {
     let mut utcb = Utcb::new();
-    r.k.ipc_call(r.client_ctx, dproto::CLIENT_SEL_REG as CapSel, &mut utcb)
-        .unwrap();
-    let client_id = utcb.word(0);
-    assert_ne!(client_id, u64::MAX, "server full");
-
-    let mut utcb = Utcb::new();
-    utcb.set_msg(&[client_id]);
-    utcb.xfer.push(XferItem::Mem {
-        base: 1,
-        count: 1,
-        rights: MemRights::RW,
-        hot: dproto::ring_page(client_id as usize),
-    });
-    utcb.xfer.push(XferItem::Cap {
-        sel: 0x40,
-        perms: Perms::UP,
-        hot: dproto::client_sm_sel(client_id as usize),
-    });
-    r.k.ipc_call(r.client_ctx, dproto::CLIENT_SEL_REG as CapSel, &mut utcb)
-        .unwrap();
-    client_id
-}
-
-fn submit_read(r: &mut Rig, client: u64, lba: u64, sectors: u32, window: u64, tag: u64) -> u64 {
-    let mut utcb = Utcb::new();
-    utcb.set_msg(&[
-        client,
-        dproto::OP_READ,
-        lba,
-        sectors as u64,
-        tag,
-        0,
-        1,
-        window * 4096,
-        sectors as u64 * 512,
-    ]);
-    let pages = (sectors as u64 * 512).div_ceil(4096);
-    utcb.xfer.push(XferItem::Mem {
+    let bytes = sectors as u64 * 512;
+    utcb.set_msg(&[dproto::OP_READ, lba, sectors as u64, tag, 0, 1, 0, bytes]);
+    utcb.xfer.push(XferItem {
         base: 8,
-        count: pages,
+        count: bytes.div_ceil(4096),
         rights: MemRights::RW_DMA,
-        hot: window,
+        hot: 0,
     });
     r.k.ipc_call(r.client_ctx, dproto::CLIENT_SEL_REQ as CapSel, &mut utcb)
         .unwrap();
     utcb.word(0)
+}
+
+/// What the client does on the restart signal: zero its ring (client
+/// page 1), which the new server produces into from zero.
+fn start_over(r: &mut Rig) {
+    r.k.mem_write(r.client_ctx, 4096, &[0u8; 4096]);
 }
 
 fn client_signals(r: &mut Rig) -> u64 {
@@ -533,14 +493,13 @@ fn client_signals(r: &mut Rig) -> u64 {
 /// Driver restart at the protocol level: after the crash, `DestroyPd`
 /// has revoked the dead server's IOMMU mappings (client DMA window
 /// included), the respawned server's own command memory is mapped
-/// again, and a client that re-registers gets correct data with no
-/// stale state.
+/// again, and a client that starts over through the rewired portal gets
+/// correct data with no stale state.
 #[test]
 fn restart_revokes_iommu_mappings_and_client_reregisters() {
     let mut r = supervised_rig();
-    let client = register(&mut r);
-    let window = dproto::window_base(client as usize);
-    assert_eq!(submit_read(&mut r, client, 100, 8, window, 7), dproto::OK);
+    let window = dproto::window_base(0);
+    assert_eq!(submit_read(&mut r, 100, 8, 7), dproto::OK);
     assert_eq!(r.k.run(Some(100_000_000)), RunOutcome::Budget);
     assert_eq!(client_signals(&mut r), 1, "first request completed");
     let mut got = [0u8; 16];
@@ -590,16 +549,14 @@ fn restart_revokes_iommu_mappings_and_client_reregisters() {
         r.k.machine.bus.iommu.translate(dev, CMD_VA, true).is_some(),
         "respawned server's command memory mapped"
     );
-    // The client was told to re-register (restart semaphore).
+    // The client was told to start over (restart semaphore).
     assert!(client_signals(&mut r) > before);
 
-    // Re-register against the new incarnation and read again: fresh
-    // ring, fresh windows, correct data, no guest-visible corruption.
-    r.k.mem_write(r.client_ctx, 4096, &[0u8; 4096]);
-    let client = register(&mut r);
-    assert_eq!(client, 0, "fresh server has a fresh client table");
+    // Read again from the new incarnation: fresh ring, fresh windows,
+    // correct data, no guest-visible corruption.
+    start_over(&mut r);
     let sig = client_signals(&mut r);
-    assert_eq!(submit_read(&mut r, client, 555, 8, window, 9), dproto::OK);
+    assert_eq!(submit_read(&mut r, 555, 8, 9), dproto::OK);
     assert_eq!(r.k.run(Some(100_000_000)), RunOutcome::Budget);
     assert_eq!(client_signals(&mut r), sig + 1, "completion after restart");
     r.k.mem_read_into(r.client_ctx, 8 * 4096, &mut got).unwrap();
@@ -631,9 +588,7 @@ fn kill_disk_server(k: &mut Kernel) {
 #[test]
 fn respawn_retry_after_a_late_step_failure_recovers() {
     let mut r = supervised_rig();
-    let client = register(&mut r);
-    let window = dproto::window_base(client as usize);
-    assert_eq!(submit_read(&mut r, client, 100, 8, window, 7), dproto::OK);
+    assert_eq!(submit_read(&mut r, 100, 8, 7), dproto::OK);
     assert_eq!(r.k.run(Some(100_000_000)), RunOutcome::Budget);
 
     // The transient fault: root's selector for the client goes stale,
@@ -670,17 +625,12 @@ fn respawn_retry_after_a_late_step_failure_recovers() {
         "one transient failure must not retire disk"
     );
     assert_eq!(rp.disk_retry.as_ref().unwrap().attempts, 0);
-    assert!(
-        client_signals(&mut r) > before,
-        "client told to re-register"
-    );
+    assert!(client_signals(&mut r) > before, "client told to start over");
 
-    // The survivor is a working server: re-register, read, verify.
-    r.k.mem_write(r.client_ctx, 4096, &[0u8; 4096]);
-    let client = register(&mut r);
-    assert_eq!(client, 0, "fresh server has a fresh client table");
+    // The survivor is a working server: start over, read, verify.
+    start_over(&mut r);
     let sig = client_signals(&mut r);
-    assert_eq!(submit_read(&mut r, client, 555, 8, window, 9), dproto::OK);
+    assert_eq!(submit_read(&mut r, 555, 8, 9), dproto::OK);
     assert_eq!(r.k.run(Some(100_000_000)), RunOutcome::Budget);
     assert_eq!(client_signals(&mut r), sig + 1, "completion after retry");
     let mut got = [0u8; 16];
@@ -779,33 +729,6 @@ fn client_slots(sys: &mut System, n: usize) -> Vec<Option<PdId>> {
     let rp = sys.k.component_mut::<RootPm>(sys.root).unwrap();
     let srv_pd = rp.supervision.as_ref().unwrap().srv_ctx.pd;
     (0..n).map(|i| pd_at(&sys.k, srv_pd, 0x30 + i)).collect()
-}
-
-/// The guest-physical buffer [`reader_guest`] reads into.
-const READER_BUF: u32 = 0x20_0000;
-
-/// `requests` sequential 4 KB reads into [`READER_BUF`], marks around
-/// them.
-fn reader_guest(requests: u32) -> VmmConfig {
-    let params = OsParams {
-        disk: true,
-        ..OsParams::minimal()
-    };
-    let prog = build_os(params, |a, _| {
-        rt::emit_mark(a, 0x1000);
-        a.mov_ri(Reg::Esi, 0);
-        let req = a.here_label();
-        a.mov_rr(Reg::Eax, Reg::Esi);
-        a.shl_ri(Reg::Eax, 3);
-        a.mov_ri(Reg::Ebx, 8);
-        a.mov_ri(Reg::Ecx, READER_BUF);
-        rt::emit_disk_read_sync(a);
-        a.inc_r(Reg::Esi);
-        a.cmp_ri(Reg::Esi, requests);
-        a.jcc(Cond::B, req);
-        rt::emit_mark(a, 0x1001);
-    });
-    VmmConfig::full_virt(image(prog), 2048)
 }
 
 /// Three VMs on one supervised server, the server killed under load:

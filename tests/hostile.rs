@@ -10,11 +10,19 @@
 //!
 //! The default sweep covers 13 seeds per surface (65 scenario runs);
 //! set `NOVA_SLOW_TESTS=1` for the full 64-seed-per-surface sweep.
+//!
+//! One level up, a hostile *VMM* — a second VMM's identity, acting as
+//! it would if compromised — fires seeded wild IPC through every
+//! portal it holds and hypercalls on every capability it holds, beside
+//! a sibling VM reading from the same disk server; the sibling must end
+//! as it does unattacked (4 seeds, 64 under `NOVA_SLOW_TESTS`).
+
+mod common;
 
 use nova_core::cap::{CapSel, Perms};
-use nova_core::obj::{MemRights, VmPaging};
-use nova_core::utcb::Utcb;
-use nova_core::{CompCtx, Component, Hypercall, Kernel, KernelConfig, RunOutcome};
+use nova_core::obj::{MemRights, ObjRef, VmPaging};
+use nova_core::utcb::{Utcb, XferItem};
+use nova_core::{CompCtx, CompId, Component, HcErr, Hypercall, Kernel, KernelConfig, RunOutcome};
 use nova_guest::diskload::{self, DiskLoadParams};
 use nova_guest::hostile::{self, Expect, HostilePlan, HostileRng, Surface};
 use nova_guest::os::{build_os, OsParams, Program};
@@ -22,20 +30,16 @@ use nova_hw::fault::{FaultKind, FaultPlan};
 use nova_hw::guestfault::VmKill;
 use nova_hw::machine::{Machine, MachineConfig};
 use nova_trace::{cat, names, Tracer};
+use nova_user::disk::CMD_VA;
+use nova_user::proto::disk as dproto;
 use nova_user::root::{RootOps, RootPm};
-use nova_vmm::{GuestImage, LaunchOptions, System, Vmm, VmmConfig};
+use nova_vmm::vmm::GUEST_BASE_PAGE;
+use nova_vmm::{LaunchOptions, System, Vmm, VmmConfig};
 use nova_x86::insn::{AluOp, Cond};
-use nova_x86::reg::Reg;
+use nova_x86::reg::{Reg, Regs};
 use nova_x86::MemRef;
 
-fn image(prog: Program) -> GuestImage {
-    GuestImage {
-        bytes: prog.bytes,
-        load_gpa: prog.load_gpa,
-        entry: prog.entry,
-        stack: prog.stack,
-    }
-}
+use common::{guest_bytes, image, reader_guest, vmm_ctx, READER_BUF};
 
 /// The fixed seed sweep: 13 per surface by default (65 scenarios
 /// total), 64 per surface under `NOVA_SLOW_TESTS`.
@@ -324,6 +328,31 @@ fn hostile_hypercall_args_are_contained() {
         ec: cl_ec,
         comp: cl_comp,
     };
+    // Portals for the window hypercall: the fuzzer's own at 0x3e0, and
+    // one of root's it holds call-only at 0x3e1 and with the right to
+    // delegate at 0x3e2.
+    let own = Hypercall::CreatePt {
+        ec: nova_core::kernel::SEL_SELF_EC,
+        mtd: 0,
+        id: 1,
+        dst: 0x3e0,
+    };
+    k.hypercall(ctx, own).unwrap();
+    let roots = Hypercall::CreatePt {
+        ec: nova_core::kernel::SEL_SELF_EC,
+        mtd: 0,
+        id: 2,
+        dst: 0x3e0,
+    };
+    k.hypercall(root_ctx, roots).unwrap();
+    let mut ops = RootOps::new(&mut k, root_ctx);
+    ops.grant_cap(cl_sel, 0x3e0, Perms::CALL, 0x3e1).unwrap();
+    let delegable = Perms::CALL.union(Perms::DELEGATE);
+    ops.grant_cap(cl_sel, 0x3e0, delegable, 0x3e2).unwrap();
+    let window_of = |k: &Kernel, pd, sel| match k.obj.pd(pd).caps.get(sel).map(|c| c.obj) {
+        Some(ObjRef::Pt(pt)) => k.obj.windows.get(&pt).copied(),
+        other => panic!("no portal: {other:?}"),
+    };
 
     let mut errors = 0u64;
     let mut calls = 0u64;
@@ -338,7 +367,7 @@ fn hostile_hypercall_args_are_contained() {
             }
         };
         for _ in 0..48 {
-            let hc = match rng.below(21) {
+            let hc = match rng.below(22) {
                 0 => Hypercall::CreatePd {
                     name: "fz".into(),
                     vm: None,
@@ -430,6 +459,11 @@ fn hostile_hypercall_args_are_contained() {
                     pd: wild(&mut rng) as CapSel,
                     device: wild(&mut rng) as usize,
                 },
+                20 => Hypercall::PtWindow {
+                    pt: [0x3e0, 0x3e1, 0x3e2, wild(&mut rng) as CapSel][rng.below(4) as usize],
+                    base: wild(&mut rng),
+                    count: wild(&mut rng),
+                },
                 _ => Hypercall::WatchdogArm {
                     pd: wild(&mut rng) as CapSel,
                     sm: wild(&mut rng) as CapSel,
@@ -445,6 +479,29 @@ fn hostile_hypercall_args_are_contained() {
     }
     assert!(errors > 0, "wild arguments must produce typed errors");
     assert!(calls >= 48, "sweep ran");
+
+    // The window is the handler's domain's to set: root's portal is
+    // refused to the fuzzer however it holds it, and kept no window
+    // through the sweep; the fuzzer's own takes any range that neither
+    // wraps nor is too large to walk.
+    for pt in [0x3e1, 0x3e2] {
+        let window = Hypercall::PtWindow {
+            pt,
+            base: 0,
+            count: 1,
+        };
+        assert_eq!(k.hypercall(ctx, window), Err(HcErr::NotOwner));
+    }
+    assert_eq!(window_of(&k, k.root_pd, 0x3e0), None);
+    let window = |base, count| Hypercall::PtWindow {
+        pt: 0x3e0,
+        base,
+        count,
+    };
+    assert_eq!(k.hypercall(ctx, window(u64::MAX, 1)), Err(HcErr::BadParam));
+    assert_eq!(k.hypercall(ctx, window(0, u64::MAX)), Err(HcErr::BadParam));
+    k.hypercall(ctx, window(0x100, 0x10)).unwrap();
+    assert_eq!(window_of(&k, cl_pd, 0x3e0), Some((0x100, 0x10)));
 
     // The kernel is still fully functional: a well-formed create
     // succeeds.
@@ -517,4 +574,410 @@ fn hostile_guest_under_chaos_plan() {
     let injected: u64 = sys.k.machine.faults().injected.iter().sum();
     assert!(injected >= 1, "chaos plan actually fired");
     assert_eq!(sys.k.check_invariants(), Ok(()));
+}
+
+// ---------------------------------------------------------------------
+// A hostile VMM beside a working one
+// ---------------------------------------------------------------------
+
+/// Seeds of the hostile-VMM sweep: 4, or 64 under `NOVA_SLOW_TESTS`.
+fn vmm_seeds() -> std::ops::Range<u64> {
+    if std::env::var_os("NOVA_SLOW_TESTS").is_some() {
+        0..64
+    } else {
+        0..4
+    }
+}
+
+/// Reads the sibling makes while the hostile VMM attacks.
+const SIBLING_READS: u32 = 8;
+/// Cycles between two bursts of the attack.
+const BURST_EVERY: u64 = 20_000;
+
+/// A supervised disk server with the sibling A at slot 0 running
+/// [`reader_guest`] and the hostile B at slot 1, which holds both disk
+/// channels and whose guest only halts.
+fn sibling_and_hostile_vmm() -> (System, CompId) {
+    let mut opts = LaunchOptions::supervised(reader_guest(SIBLING_READS));
+    opts.machine.ram = 128 << 20;
+    let mut sys = System::build(opts);
+    let idle = build_os(OsParams::minimal(), |a, _| {
+        let top = a.here_label();
+        a.hlt();
+        a.jmp(top);
+    });
+    let mut cfg = VmmConfig::full_virt(image(idle), 1024);
+    cfg.pv_disk = true;
+    let b = sys.add_vm(cfg);
+    (sys, b)
+}
+
+/// What the sibling leaves behind, as a guest or a bystander could tell.
+#[derive(Debug, PartialEq)]
+struct SiblingEnd {
+    marks: Vec<u32>,
+    /// FNV-1a of all of the sibling's guest RAM.
+    ram: u64,
+    console: String,
+    disk_ops: u64,
+}
+
+/// Runs until the sibling's guest has shut down, calling `between`
+/// after every [`BURST_EVERY`] cycles, then lets what else was queued
+/// at the disk drain.
+fn run_sibling(sys: &mut System, mut between: impl FnMut(&mut System)) -> SiblingEnd {
+    while sys.vmm().guest_exit.is_none() {
+        assert!(sys.k.machine.clock < 10_000_000_000, "the sibling stalled");
+        sys.run(Some(BURST_EVERY));
+        between(sys);
+    }
+    // The drain outlives a kill of the hostile VM, which stops the
+    // world once.
+    let drained = sys.k.machine.clock + 200_000_000;
+    while sys.k.machine.clock < drained {
+        let left = drained - sys.k.machine.clock;
+        if sys.run(Some(left)) == RunOutcome::Idle {
+            break;
+        }
+    }
+    let ram = guest_bytes(sys, sys.vmm, 0, 2048 * 4096)
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+        });
+    SiblingEnd {
+        marks: sys.vmm().guest_marks(),
+        ram,
+        console: sys.vmm().guest_console(),
+        disk_ops: sys.k.counters.disk_ops,
+    }
+}
+
+/// The hostile VMM: its identity, its seeded choices, and what it got
+/// the disk server to accept.
+struct HostileVmm {
+    b: CompCtx,
+    rng: HostileRng,
+    /// Tags sent so far, for replays.
+    tags: Vec<u64>,
+    /// Requests the server accepted from it.
+    accepted: u64,
+    /// Window hypercalls on its disk portals, every one refused.
+    windows_refused: u64,
+    calls: u64,
+}
+
+impl HostileVmm {
+    fn wild(&mut self) -> u64 {
+        match self.rng.below(4) {
+            0 => 0,
+            1 => u64::MAX,
+            2 => u64::MAX - self.rng.below(16),
+            _ => self.rng.next(),
+        }
+    }
+
+    fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+        from[self.rng.below(from.len() as u64) as usize]
+    }
+
+    /// One request body. Half are well formed for B's own window —
+    /// reads, and writes far from the sibling's sectors (the disk is one
+    /// volume: a client's write is its right, not an attack) — the rest
+    /// aim segments at the sibling's window, the server's command page
+    /// and every edge of B's window, with wild sizes and counts. At most
+    /// 8 sectors: the server bounds how many requests a client has
+    /// outstanding, not how many bytes, so reads of 512 KB would slow
+    /// the sibling by bandwidth, which is not what this sweep asks.
+    /// Returns the page of B's window a well-formed body reads or
+    /// writes, for the caller to delegate unless the server holds it.
+    fn body(&mut self, msg: &mut Vec<u64>) -> Option<u64> {
+        let ring = dproto::RING_WINDOW_PAGE * 4096;
+        let a_buf = dproto::window_base(0) * 4096 + READER_BUF as u64;
+        let tag = match self.tags.is_empty() || self.rng.below(2) == 0 {
+            true => self.rng.next(),
+            false => self.pick(&self.tags.clone()),
+        };
+        self.tags.push(tag);
+        let ctx = self.rng.next();
+        if self.rng.below(2) == 0 {
+            let (op, lba) = match self.rng.below(2) {
+                0 => (dproto::OP_READ, self.rng.below(1 << 20)),
+                _ => (dproto::OP_WRITE, 0x10_0000 + self.rng.below(1 << 20)),
+            };
+            let (sectors, page) = (self.pick(&[1u64, 7]), self.rng.below(1024));
+            let addr = page * 4096 + self.pick(&[0, 512]);
+            msg.extend_from_slice(&[op, lba, sectors, tag, ctx, 1, addr, sectors * 512]);
+            return Some(page);
+        }
+        let op = self.pick(&[dproto::OP_READ, dproto::OP_WRITE, 0, 9]);
+        let lba = 0x10_0000 + self.rng.below(1 << 20);
+        let wild = self.wild();
+        let sectors = self.pick(&[0, 1, 8, dproto::MAX_SECTORS + 1, wild]);
+        let wild = self.wild();
+        let nsegs = self.pick(&[0, 1, 2, dproto::MAX_SEGMENTS as u64 + 1, wild]);
+        msg.extend_from_slice(&[op, lba, sectors, tag, ctx, nsegs]);
+        for _ in 0..nsegs.min(dproto::MAX_SEGMENTS as u64 + 1) {
+            let next = self.rng.next();
+            let addr = self.pick(&[
+                0,
+                READER_BUF as u64,
+                a_buf,
+                CMD_VA,
+                CMD_VA + 0x1000,
+                ring - 512,
+                ring,
+                dproto::WINDOW_PAGES * 4096 - 512,
+                u64::MAX - 511,
+                next,
+            ]);
+            let wild = self.wild();
+            let bytes = self.pick(&[512, 4096, 0, wild]);
+            msg.extend_from_slice(&[addr, bytes]);
+        }
+        None
+    }
+
+    /// Up to three typed items at every edge of B's window and past it
+    /// into the sibling's.
+    fn items(&mut self) -> Vec<XferItem> {
+        let buf = READER_BUF as u64 / 4096;
+        (0..self.rng.below(4))
+            .map(|_| {
+                let (own, wild) = (self.rng.below(1024), self.wild());
+                let base = self.pick(&[GUEST_BASE_PAGE + own, GUEST_BASE_PAGE + buf, wild]);
+                let wild = self.wild();
+                let count = self.pick(&[1, 1, 2, 0, wild]);
+                let (next, ring) = (self.rng.next(), dproto::RING_WINDOW_PAGE);
+                let hot = self.pick(&[
+                    own,
+                    buf,
+                    ring - 1,
+                    ring,
+                    dproto::WINDOW_PAGES,
+                    dproto::window_base(0) + buf,
+                    u64::MAX,
+                    next,
+                ]);
+                let rights = self.pick(&[MemRights::RW_DMA, MemRights::RW]);
+                XferItem {
+                    base,
+                    count,
+                    rights,
+                    hot,
+                }
+            })
+            .collect()
+    }
+
+    /// A wild call through the portal at `sel`: a request or a batch on
+    /// the disk portals (a count past `MAX_BATCH` among them), junk on
+    /// B's own exit portals.
+    fn ipc(&mut self, sys: &mut System, sel: CapSel) {
+        let (mut msg, mut pages) = (Vec::new(), Vec::new());
+        if sel == dproto::CLIENT_SEL_BATCH {
+            let wild = self.wild();
+            let max = dproto::MAX_BATCH as u64;
+            let count = self.pick(&[1, 3, max, max + 1, 0, wild]);
+            msg.push(count);
+            for _ in 0..count.min(max + 1) {
+                pages.extend(self.body(&mut msg));
+            }
+        } else if sel == dproto::CLIENT_SEL_REQ {
+            pages.extend(self.body(&mut msg));
+        } else {
+            msg.extend((0..self.rng.below(8)).map(|_| self.rng.next()));
+        }
+        // B's clients are 2 (vAHCI) and 3 (PV).
+        let client = 2 + (sel == dproto::CLIENT_SEL_BATCH) as usize;
+        let srv = sys.k.obj.pds.iter().find(|p| p.name == "disk-server");
+        let held =
+            |p: &u64| srv.is_some_and(|s| s.mem.lookup(dproto::window_base(client) + p).is_some());
+        pages.retain(|p| !held(p));
+        pages.sort_unstable();
+        pages.dedup();
+        let mut utcb = Utcb::new();
+        utcb.set_msg(&msg);
+        utcb.xfer = pages
+            .into_iter()
+            .map(|p| XferItem {
+                base: GUEST_BASE_PAGE + p,
+                count: 1,
+                rights: MemRights::RW_DMA,
+                hot: p,
+            })
+            .collect();
+        utcb.xfer.extend(self.items());
+        if sys.k.ipc_call(self.b, sel, &mut utcb).is_err() {
+            return;
+        }
+        self.accepted += match sel {
+            dproto::CLIENT_SEL_REQ => (utcb.word(0) == dproto::OK) as u64,
+            dproto::CLIENT_SEL_BATCH => utcb.word(1),
+            _ => 0,
+        };
+    }
+
+    /// A hypercall on the capability at `sel`, with wild arguments,
+    /// chosen by what it names. Left out: creating scheduling contexts
+    /// and timers shorter than 100 k cycles — the kernel bounds neither
+    /// a domain's priorities nor its timer rate, so those take a
+    /// sibling's CPU time, which is not what this sweep asks.
+    fn hypercall(&mut self, sys: &mut System, sel: CapSel, obj: ObjRef) {
+        let dst = 0x400 + self.rng.below(64) as CapSel;
+        let hc = match obj {
+            ObjRef::Pt(_) => Hypercall::PtWindow {
+                pt: sel,
+                base: self.wild(),
+                count: self.wild(),
+            },
+            ObjRef::Sm(_) => match self.rng.below(4) {
+                0 => Hypercall::SmUp { sm: sel },
+                1 => Hypercall::SmDown { sm: sel },
+                2 => Hypercall::SmBind { sm: sel },
+                _ => {
+                    let period = 100_000 + self.rng.below(1 << 20);
+                    Hypercall::SetTimer {
+                        sm: sel,
+                        period: self.pick(&[0, period]),
+                    }
+                }
+            },
+            ObjRef::Ec(_) => match self.rng.below(4) {
+                0 => Hypercall::EcRecall { ec: sel },
+                1 => Hypercall::EcResume {
+                    ec: sel,
+                    inject: None,
+                    intwin: self.rng.below(2) == 0,
+                },
+                2 => Hypercall::EcSetState {
+                    ec: sel,
+                    regs: Regs::at(self.rng.next() as u32),
+                    resume: self.rng.below(2) == 0,
+                },
+                _ => Hypercall::CreatePt {
+                    ec: sel,
+                    mtd: self.rng.next() as u32,
+                    id: self.wild(),
+                    dst,
+                },
+            },
+            ObjRef::Pd(_) => match self.rng.below(5) {
+                0 => Hypercall::DelegateMem {
+                    dst_pd: sel,
+                    base: GUEST_BASE_PAGE + self.rng.below(1024),
+                    count: self.pick(&[1, 16, u64::MAX]),
+                    rights: MemRights::RW_DMA,
+                    hot: self.wild(),
+                },
+                1 => Hypercall::DelegateCap {
+                    dst_pd: sel,
+                    sel: self.pick(&[dproto::CLIENT_SEL_REQ, dproto::CLIENT_SEL_BATCH, 0x41]),
+                    perms: Perms::ALL,
+                    hot: dst,
+                },
+                2 => Hypercall::CreateEc {
+                    pd: sel,
+                    vcpu: self.rng.below(2) == 0,
+                    cpu: 0,
+                    dst,
+                },
+                3 => Hypercall::WatchdogArm {
+                    pd: sel,
+                    sm: 0x40,
+                    timeout: self.wild(),
+                },
+                _ => Hypercall::DestroyPd { pd: sel },
+            },
+            ObjRef::Sc(_) => return,
+        };
+        let window = matches!(hc, Hypercall::PtWindow { .. });
+        let refused = sys.k.hypercall(self.b, hc);
+        if window && [dproto::CLIENT_SEL_REQ, dproto::CLIENT_SEL_BATCH].contains(&sel) {
+            assert_eq!(
+                refused,
+                Err(HcErr::NotOwner),
+                "a window on the server's portal"
+            );
+            self.windows_refused += 1;
+        }
+    }
+
+    /// Four wild calls — through the disk portals mostly, through any
+    /// portal B holds, or a hypercall on any capability it holds — with
+    /// the kernel's rule asked after each.
+    fn burst(&mut self, sys: &mut System) {
+        for _ in 0..4 {
+            let caps: Vec<_> = sys.k.obj.pd(self.b.pd).caps.iter().collect();
+            let portals: Vec<CapSel> = caps
+                .iter()
+                .filter(|(_, c)| matches!(c.obj, ObjRef::Pt(_)))
+                .map(|&(sel, _)| sel)
+                .collect();
+            match self.rng.below(4) {
+                0 | 1 => {
+                    let sel = self.pick(&[dproto::CLIENT_SEL_REQ, dproto::CLIENT_SEL_BATCH]);
+                    self.ipc(sys, sel);
+                }
+                2 if !portals.is_empty() => {
+                    let sel = self.pick(&portals);
+                    self.ipc(sys, sel);
+                }
+                _ if !caps.is_empty() => {
+                    let (sel, cap) = self.pick(&caps);
+                    self.hypercall(sys, sel, cap.obj);
+                }
+                _ => {}
+            }
+            self.calls += 1;
+            assert_eq!(
+                sys.k.check_invariants(),
+                Ok(()),
+                "after call {}",
+                self.calls
+            );
+        }
+    }
+}
+
+/// ROADMAP item 2's acceptance: a second VMM, compromised, fires seeded
+/// wild IPC through every portal it holds — segments into the sibling's
+/// window and onto the server's command page, replayed tags, batch
+/// counts past `MAX_BATCH`, typed items at every window edge — and
+/// hypercalls on every capability it holds, the window hypercall on its
+/// disk portals included. The sibling ends as it does unattacked: the
+/// same marks, guest RAM, console, and disk operations but for the ones
+/// the server accepted from the attacker; none of its requests
+/// degraded, the kernel's rule held after every call, nothing panicked.
+#[test]
+fn hostile_vmm_sweep_leaves_the_sibling_as_it_was() {
+    let reference = {
+        let (mut sys, _) = sibling_and_hostile_vmm();
+        run_sibling(&mut sys, |_| {})
+    };
+    assert_eq!(reference.marks, [0x1000, 0x1001]);
+    let mut windows_refused = 0;
+    for seed in vmm_seeds() {
+        let (mut sys, b) = sibling_and_hostile_vmm();
+        let mut hostile = HostileVmm {
+            b: vmm_ctx(&sys, b),
+            rng: HostileRng::new(seed.wrapping_mul(0x9e37_79b9).wrapping_add(0x5eed)),
+            tags: Vec::new(),
+            accepted: 0,
+            windows_refused: 0,
+            calls: 0,
+        };
+        let end = run_sibling(&mut sys, |sys| hostile.burst(sys));
+        let expect = SiblingEnd {
+            marks: reference.marks.clone(),
+            console: reference.console.clone(),
+            disk_ops: reference.disk_ops + hostile.accepted,
+            ..reference
+        };
+        assert_eq!(end, expect, "seed {seed}: {} calls", hostile.calls);
+        assert_eq!(sys.k.counters.client_degraded, 0, "seed {seed}");
+        assert_eq!(sys.vmm().kill, None, "seed {seed}");
+        windows_refused += hostile.windows_refused;
+    }
+    assert!(windows_refused > 0, "the window hypercall was tried");
 }

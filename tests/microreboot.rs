@@ -764,6 +764,30 @@ fn random_cycle_sweep(victim: Victim) {
     }
 }
 
+/// A revive detaches both of the dead incarnation's clients at the
+/// server, the PV queue's as well as the vAHCI's: what the PV channel
+/// still had queued is dropped — replaying it is the new incarnation's
+/// business — so by the end every request the server accepted either
+/// completed or was dropped with the queue it waited in.
+#[test]
+fn a_revive_drops_what_the_dead_vmm_left_queued_on_either_channel() {
+    let mut sys = microreboot_system();
+    run_until(&mut sys, |sys| {
+        let c = &sys.k.counters;
+        c.checkpoints_taken > 0 && c.disk_accepted - c.disk_ops >= 3
+    });
+    // One request in flight, the rest of the batch queued behind it.
+    let c = &sys.k.counters;
+    let queued = c.disk_accepted - c.disk_ops - 1;
+    let (_, pd) = sys.microreboot_vmm().expect("supervised vmm");
+    sys.k.pd_fault(pd, VMM_CRASH_CODE);
+    assert_eq!(sys.run(Some(BUDGET)), RunOutcome::Shutdown(0));
+    assert_sound(&sys);
+    let c = &sys.k.counters;
+    assert_eq!(c.vmm_restarts, 1);
+    assert_eq!(c.disk_accepted - c.disk_ops, queued, "dropped, not served");
+}
+
 #[test]
 fn random_cycle_vmm_crash_recovers() {
     random_cycle_sweep(Victim::Vmm);

@@ -141,8 +141,8 @@ fn chaos_plan_over_the_pv_ring_path() {
 }
 
 /// Driver crash mid-PV-workload: the disk server dies while batches
-/// are in flight; the watchdog restarts it, the backend re-registers
-/// its channel and resubmits, and the guest finishes with correct
+/// are in flight; the watchdog restarts it, root rewires the backend's
+/// portal, the backend resubmits, and the guest finishes with correct
 /// data, never seeing the crash.
 #[test]
 fn driver_crash_mid_pv_workload_recovers() {

@@ -9,25 +9,27 @@
 //!   revocation cuts it off.
 //! - Virtual machines hold no hypercall capabilities.
 //! - Two VMs with dedicated VMMs are isolated from each other.
+//! - A compromised VMM reaches the disk server as the client its portals
+//!   were made for, and nobody else: a request or a typed item aimed
+//!   at a sibling's window or the server's own state does not harm the
+//!   sibling.
 
-use nova_core::cap::Perms;
+mod common;
+
+use nova_core::cap::{CapSel, Perms};
 use nova_core::hypercall::{HcErr, Hypercall};
 use nova_core::obj::MemRights;
-use nova_core::RunOutcome;
+use nova_core::utcb::{Utcb, XferItem};
+use nova_core::{CompCtx, RunOutcome};
 use nova_guest::os::{build_os, OsParams};
 use nova_guest::rt;
-use nova_vmm::{GuestImage, LaunchOptions, System, Vmm, VmmConfig};
+use nova_user::proto::disk as dproto;
+use nova_vmm::vmm::GUEST_BASE_PAGE;
+use nova_vmm::{LaunchOptions, System, Vmm, VmmConfig};
 use nova_x86::insn::MemRef;
 use nova_x86::reg::Reg;
 
-fn image(prog: nova_guest::os::Program) -> GuestImage {
-    GuestImage {
-        bytes: prog.bytes,
-        load_gpa: prog.load_gpa,
-        entry: prog.entry,
-        stack: prog.stack,
-    }
-}
+use common::{guest_bytes, image, reader_guest, vmm_ctx, READER_BUF};
 
 /// A guest that tries to read and write far beyond its RAM (at a
 /// guest-physical address that would be another VM's memory if the
@@ -312,4 +314,146 @@ fn kernel_write_protection_stops_code_injection() {
         "execution never passed the blocked write"
     );
     assert_eq!(sys.vmm().guest_exit, Some(0xfc));
+}
+
+/// Reads of the sibling in the window probes below.
+const READS: u32 = 4;
+
+/// A supervised disk server with two VMs: A (slot 0, client 0) runs
+/// [`reader_guest`], B (slot 1, clients 2 and 3: it has the PV queue)
+/// only halts; B's VMM identity is returned for the test to act as B
+/// compromised.
+fn sibling_pair() -> (System, CompCtx) {
+    let mut opts = LaunchOptions::supervised(reader_guest(READS));
+    opts.machine.ram = 128 << 20;
+    let mut sys = System::build(opts);
+    let idle = build_os(OsParams::minimal(), |a, _| {
+        let top = a.here_label();
+        a.hlt();
+        a.jmp(top);
+    });
+    let mut cfg = VmmConfig::full_virt(image(idle), 1024);
+    cfg.pv_disk = true;
+    let b = sys.add_vm(cfg);
+    let ctx = vmm_ctx(&sys, b);
+    (sys, ctx)
+}
+
+/// B's call through the portal at `sel` of its space.
+fn call(
+    sys: &mut System,
+    b: CompCtx,
+    sel: CapSel,
+    msg: &[u64],
+    items: &[XferItem],
+) -> Result<Utcb, HcErr> {
+    let mut utcb = Utcb::new();
+    utcb.set_msg(msg);
+    utcb.xfer.extend_from_slice(items);
+    sys.k.ipc_call(b, sel, &mut utcb).map(|()| utcb)
+}
+
+/// One page of B's guest RAM, delegated at `hot`.
+fn b_page(gpa: u64, hot: u64) -> XferItem {
+    XferItem {
+        base: GUEST_BASE_PAGE + gpa / 4096,
+        count: 1,
+        rights: MemRights::RW_DMA,
+        hot,
+    }
+}
+
+/// A ran to its end untouched: its last block in its buffer, both
+/// marks, no request degraded, and the kernel's state sound.
+fn assert_sibling_unharmed(sys: &mut System) {
+    let last = sys.k.machine.ahci().sector((READS as u64 - 1) * 8);
+    let a = sys.vmm;
+    assert_eq!(guest_bytes(sys, a, READER_BUF as u64, 512), last);
+    assert_eq!(sys.vmm().guest_marks(), [0x1000, 0x1001]);
+    assert_eq!(sys.k.counters.degraded_errors(), 0, "A degraded nothing");
+    assert_eq!(sys.k.check_invariants(), Ok(()));
+}
+
+/// B asks the server to read LBA 777 into A's buffer as the server
+/// maps it. The request names no client, so it is B's, and the address
+/// is an offset past B's window: refused. The same guest address meant
+/// as B's own lands in B's buffer and nowhere else. (A server that
+/// took the client from word 0 answered B naming A's id with `OK`, and
+/// A's buffer held LBA 777.)
+#[test]
+fn a_request_naming_another_clients_window_lands_only_in_the_callers() {
+    let (mut sys, b) = sibling_pair();
+    assert_eq!(sys.run(Some(10_000_000_000)), RunOutcome::Shutdown(0));
+    let read_777 = |addr| [dproto::OP_READ, 777, 8, 0x55, 0, 1, addr, 4096];
+    let a_buf = dproto::window_base(0) * 4096 + READER_BUF as u64;
+    let reply = call(&mut sys, b, dproto::CLIENT_SEL_REQ, &read_777(a_buf), &[]);
+    assert_eq!(reply.unwrap().word(0), dproto::EINVAL, "A's window refused");
+    let own = b_page(READER_BUF as u64, READER_BUF as u64 / 4096);
+    let mine = read_777(READER_BUF as u64);
+    let reply = call(&mut sys, b, dproto::CLIENT_SEL_REQ, &mine, &[own]);
+    assert_eq!(reply.unwrap().word(0), dproto::OK, "B's own window served");
+    sys.run(Some(100_000_000));
+
+    assert_eq!(sys.k.counters.disk_ops, READS as u64 + 1);
+    let lba_777 = sys.k.machine.ahci().sector(777);
+    assert_eq!(guest_bytes(&sys, b.comp, READER_BUF as u64, 512), lba_777);
+    assert_sibling_unharmed(&mut sys);
+}
+
+/// Before A's first read, B aims a typed item at where A's completions
+/// go. The server's selectors are not named by anything B can send —
+/// the one typed item left delegates memory, into B's window — so an
+/// item at A's ring page fails the call and leaves the page A's, and
+/// one whose `hot` spells A's completion-semaphore selector is a page
+/// of B's own window. (A `Cap` item used to overwrite the server's
+/// selector for A's completion semaphore, and all of A's reads
+/// degraded.)
+#[test]
+fn a_typed_item_aimed_at_the_servers_completion_path_fails_the_call() {
+    let (mut sys, b) = sibling_pair();
+    let server = |sys: &System, page| {
+        let srv = sys.k.obj.pds.iter().find(|p| p.name == "disk-server");
+        srv.unwrap().mem.lookup(page).map(|m| m.hpa)
+    };
+    let a_ring = dproto::window_base(0) + dproto::RING_WINDOW_PAGE;
+    let ring_frame = server(&sys, a_ring);
+    assert!(ring_frame.is_some(), "root mapped A's ring");
+    let sel = dproto::CLIENT_SEL_REQ;
+    let reply = call(&mut sys, b, sel, &[], &[b_page(0, a_ring)]);
+    assert_eq!(reply.err(), Some(HcErr::BadParam), "A's ring page");
+    let sm_sel = dproto::client_sm_sel(0) as u64;
+    let reply = call(&mut sys, b, sel, &[], &[b_page(0, sm_sel)]);
+    assert_eq!(reply.unwrap().word(0), dproto::EINVAL, "an empty request");
+    assert_eq!(server(&sys, a_ring), ring_frame);
+    assert!(server(&sys, dproto::window_base(2) + sm_sel).is_some());
+
+    assert_eq!(sys.run(Some(10_000_000_000)), RunOutcome::Shutdown(0));
+    assert_sibling_unharmed(&mut sys);
+}
+
+/// Before A's first read, B delegates a page of its own into A's
+/// window, at A's buffer page, through each of its portals. Each item
+/// is past B's window: the call fails before the server runs, and A
+/// delegates its buffer when it needs to. (An item placed where B named
+/// took A's page, A's own delegation of it was refused, and all of A's
+/// reads degraded.)
+#[test]
+fn a_typed_item_aimed_at_another_clients_window_fails_the_call() {
+    let (mut sys, b) = sibling_pair();
+    let page = READER_BUF as u64 / 4096;
+    for (_, sel) in dproto::CHANNELS {
+        for hot in [dproto::window_base(0) + page, dproto::WINDOW_PAGES] {
+            let reply = call(&mut sys, b, sel, &[], &[b_page(0, hot)]);
+            assert_eq!(reply.err(), Some(HcErr::BadParam), "page {hot:#x}");
+        }
+    }
+    let srv = sys.k.obj.pds.iter().find(|p| p.name == "disk-server");
+    assert!(srv
+        .unwrap()
+        .mem
+        .lookup(dproto::window_base(0) + page)
+        .is_none());
+
+    assert_eq!(sys.run(Some(10_000_000_000)), RunOutcome::Shutdown(0));
+    assert_sibling_unharmed(&mut sys);
 }
