@@ -1852,20 +1852,21 @@ impl Kernel {
         }
     }
 
+    /// Signals each timer that is due, in table order. Walked by
+    /// index: `sm_up` touches no timer.
     fn fire_timers(&mut self) {
         let now = self.machine.clock;
-        let mut fired = Vec::new();
-        for t in &mut self.timers {
-            if t.due <= now {
-                fired.push(t.sm);
-                t.due += t.period.max(1);
-                if t.due <= now {
-                    // Catch up without a signal storm.
-                    t.due = now + t.period.max(1);
-                }
+        for i in 0..self.timers.len() {
+            let t = &mut self.timers[i];
+            if t.due > now {
+                continue;
             }
-        }
-        for sm in fired {
+            t.due += t.period.max(1);
+            if t.due <= now {
+                // Catch up without a signal storm.
+                t.due = now + t.period.max(1);
+            }
+            let sm = t.sm;
             self.sm_up(sm);
         }
     }
@@ -1892,16 +1893,17 @@ impl Kernel {
         }
     }
 
+    /// Fires each silent watchdog once, in table order. Walked by
+    /// index: neither the trace nor `sm_up` touches a watchdog.
     fn check_watchdogs(&mut self) {
         let now = self.machine.clock;
-        let mut fired = Vec::new();
-        for w in &mut self.watchdogs {
-            if !w.fired && now >= w.stamp + w.timeout {
-                w.fired = true;
-                fired.push((w.sm, w.pd));
+        for i in 0..self.watchdogs.len() {
+            let w = &mut self.watchdogs[i];
+            if w.fired || now < w.stamp + w.timeout {
+                continue;
             }
-        }
-        for (sm, pd) in fired {
+            w.fired = true;
+            let (sm, pd) = (w.sm, w.pd);
             self.counters.watchdog_fires += 1;
             self.trace_emit(pd.0 as u16, TraceKind::WatchdogFire, 0);
             self.sm_up(sm);

@@ -67,11 +67,19 @@ impl DiskParams {
     }
 }
 
-struct Request {
-    cfis: cmd::Cfis,
+/// Bytes per sector, as a buffer length.
+const SECTOR_BYTES: usize = SECTOR as usize;
+
+/// A command slot: the command accepted in it, and its decoded PRDT —
+/// kept across commands, so a command allocates nothing once the slot
+/// has held one as long.
+#[derive(Default)]
+struct Slot {
+    /// The command in flight, from its doorbell until it retires or a
+    /// reset aborts it (a wedged command stays until the reset).
+    cfis: Option<cmd::Cfis>,
     /// PRDT entries: (bus address, byte count).
     prdt: Vec<(u64, u32)>,
-    slot: u8,
 }
 
 /// The HBA + disk.
@@ -79,10 +87,14 @@ pub struct Ahci {
     params: DiskParams,
     irq_line: u8,
     regs: PortRegs,
-    /// In-flight request (one outstanding command modeled).
-    inflight: Option<Request>,
+    /// One command per slot; a slot's completion event carries the
+    /// slot number as its token.
+    slots: [Slot; 32],
+    /// Staging for a command's PRDT bytes and for the data of each
+    /// transfer: grows to the largest one and is reused.
+    buf: Vec<u8>,
     /// Written sectors (overlay over the deterministic pattern).
-    store: HashMap<u64, Vec<u8>>,
+    store: HashMap<u64, [u8; SECTOR_BYTES]>,
     /// Completed requests since construction.
     pub completed: u64,
     /// Total bytes moved.
@@ -94,6 +106,35 @@ pub struct Ahci {
     pub resets: u64,
 }
 
+/// The first `len` bytes of `buf`, grown to hold them.
+fn staged(buf: &mut Vec<u8>, len: usize) -> &mut [u8] {
+    if buf.len() < len {
+        buf.resize(len, 0);
+    }
+    buf.get_mut(..len).unwrap_or_default()
+}
+
+/// Writes the deterministic content of unwritten sector `lba` into
+/// `out`, one sector.
+fn pattern(lba: u64, out: &mut [u8]) {
+    let mut x = lba.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    for word in out.chunks_exact_mut(8) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        word.copy_from_slice(&x.to_le_bytes());
+    }
+}
+
+/// Writes the content of sector `lba` (overlay or pattern) into `out`,
+/// one sector.
+fn read_sector(store: &HashMap<u64, [u8; SECTOR_BYTES]>, lba: u64, out: &mut [u8]) {
+    match store.get(&lba) {
+        Some(s) => out.copy_from_slice(s),
+        None => pattern(lba, out),
+    }
+}
+
 impl Ahci {
     /// Creates the adapter on interrupt line `irq_line`.
     pub fn new(params: DiskParams, irq_line: u8) -> Ahci {
@@ -101,7 +142,8 @@ impl Ahci {
             params,
             irq_line,
             regs: PortRegs::default(),
-            inflight: None,
+            slots: Default::default(),
+            buf: Vec::new(),
             store: HashMap::new(),
             completed: 0,
             bytes_moved: 0,
@@ -110,57 +152,52 @@ impl Ahci {
         }
     }
 
-    /// Deterministic content of an unwritten sector.
-    fn pattern(lba: u64) -> Vec<u8> {
-        let mut v = Vec::with_capacity(SECTOR as usize);
-        let mut x = lba.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        for _ in 0..SECTOR / 8 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            v.extend_from_slice(&x.to_le_bytes());
-        }
-        v
-    }
-
     /// Reads sector content (overlay or pattern).
-    pub fn sector(&self, lba: u64) -> Vec<u8> {
-        self.store
-            .get(&lba)
-            .cloned()
-            .unwrap_or_else(|| Self::pattern(lba))
+    pub fn sector(&self, lba: u64) -> [u8; SECTOR_BYTES] {
+        let mut s = [0; SECTOR_BYTES];
+        read_sector(&self.store, lba, &mut s);
+        s
     }
 
-    /// Fetches the command in `slot` by DMA. The structures come from
-    /// driver-owned memory: a read the IOMMU blocks or a FIS that is
-    /// not a DMA transfer yields `None`; nothing else is checked.
-    fn parse_command(&mut self, ctx: &mut DevCtx, slot: u8) -> Option<Request> {
+    /// Fetches the command in `slot` by DMA: returns its FIS and leaves
+    /// its PRDT in the slot. The structures come from driver-owned
+    /// memory: a read the IOMMU blocks or a FIS that is not a DMA
+    /// transfer yields `None`; nothing else is checked.
+    fn fetch_command(&mut self, ctx: &mut DevCtx, slot: u8) -> Option<cmd::Cfis> {
         let at = self.regs.clb + slot as u64 * cmd::HEADER_LEN as u64;
-        let hdr = ctx.dma_read(at, cmd::HEADER_LEN)?;
-        let hdr = cmd::Header::decode(hdr.as_slice().try_into().ok()?);
-        let cfis = ctx.dma_read(hdr.ctba, cmd::CFIS_LEN)?;
-        let cfis = cmd::Cfis::decode(cfis.as_slice().try_into().ok()?).ok()?;
-        let prdt = ctx.dma_read(
-            hdr.ctba + cmd::PRDT_OFFSET,
-            hdr.prdtl as usize * cmd::PRD_LEN,
-        )?;
-        let (prdt, _) = prdt.as_chunks::<{ cmd::PRD_LEN }>();
-        let prdt = prdt.iter().map(cmd::prd::decode).collect();
-        Some(Request { cfis, prdt, slot })
+        let mut hdr = [0; cmd::HEADER_LEN];
+        if !ctx.dma_read_into(at, &mut hdr) {
+            return None;
+        }
+        let hdr = cmd::Header::decode(&hdr);
+        let mut cfis = [0; cmd::CFIS_LEN];
+        if !ctx.dma_read_into(hdr.ctba, &mut cfis) {
+            return None;
+        }
+        let cfis = cmd::Cfis::decode(&cfis).ok()?;
+        let raw = staged(&mut self.buf, hdr.prdtl as usize * cmd::PRD_LEN);
+        if !ctx.dma_read_into(hdr.ctba + cmd::PRDT_OFFSET, raw) {
+            return None;
+        }
+        let prdt = &mut self.slots.get_mut(slot as usize)?.prdt;
+        prdt.clear();
+        prdt.extend(raw.as_chunks().0.iter().map(cmd::prd::decode));
+        Some(cfis)
     }
 
     fn issue(&mut self, ctx: &mut DevCtx, slot: u8) {
-        match self.parse_command(ctx, slot) {
-            Some(req) => {
+        match self.fetch_command(ctx, slot) {
+            Some(cfis) => {
+                if let Some(s) = self.slots.get_mut(slot as usize) {
+                    s.cfis = Some(cfis);
+                }
                 if ctx.roll_fault(FaultKind::AhciStuckDma, slot as u64) {
                     // DMA engine wedges: the command is accepted (CI
                     // stays set) but never completes until GHC.HR.
-                    self.inflight = Some(req);
                     return;
                 }
-                let bytes = req.cfis.sectors as u64 * SECTOR as u64;
+                let bytes = cfis.sectors as u64 * SECTOR as u64;
                 let delay = self.params.fixed_latency + self.params.transfer_cycles(bytes);
-                self.inflight = Some(req);
                 ctx.schedule(delay, slot as u64);
                 if self.regs.p0ie != 0 && ctx.roll_fault(FaultKind::AhciSpuriousIrq, slot as u64) {
                     // Interrupt with no completion pending: the driver
@@ -176,6 +213,56 @@ impl Ahci {
                 }
             }
         }
+    }
+
+    /// Moves the data of command `cfis` through the PRDT of `slot`:
+    /// each entry is one DMA of up to its byte count, until the
+    /// command's sectors are moved; a read advances `lba` by the whole
+    /// sectors each entry touched, a write is stored once all of it
+    /// arrived. Returns the bytes moved, or `None` — having stored
+    /// nothing — if the IOMMU blocked a transfer.
+    fn transfer(&mut self, ctx: &mut DevCtx, slot: usize, cfis: cmd::Cfis) -> Option<u64> {
+        let Ahci {
+            slots, buf, store, ..
+        } = self;
+        let prdt = slots.get(slot).map_or(&[][..], |s| s.prdt.as_slice());
+        let total = cfis.sectors as u64 * SECTOR as u64;
+        let (mut moved, mut lba) = (0u64, cfis.lba);
+        for &(dba, dbc) in prdt {
+            if moved >= total {
+                break;
+            }
+            let chunk = (dbc as u64).min(total - moved) as usize;
+            if cfis.write {
+                // Staged behind what the earlier entries brought in.
+                let at = moved as usize;
+                let data = staged(buf, at + chunk).get_mut(at..).unwrap_or_default();
+                if !ctx.dma_read_into(dba, data) {
+                    return None;
+                }
+            } else {
+                let sectors = chunk.div_ceil(SECTOR_BYTES);
+                let data = staged(buf, sectors * SECTOR_BYTES);
+                for (i, s) in data.chunks_exact_mut(SECTOR_BYTES).enumerate() {
+                    read_sector(store, lba + i as u64, s);
+                }
+                lba += sectors as u64;
+                if !ctx.dma_write(dba, data.get(..chunk).unwrap_or_default()) {
+                    return None;
+                }
+            }
+            moved += chunk as u64;
+        }
+        if cfis.write {
+            let data = buf.get(..moved as usize).unwrap_or_default();
+            for (i, s) in data.chunks(SECTOR_BYTES).enumerate() {
+                let mut sector = [0; SECTOR_BYTES];
+                let (head, _) = sector.split_at_mut(s.len());
+                head.copy_from_slice(s);
+                store.insert(cfis.lba + i as u64, sector);
+            }
+        }
+        Some(moved)
     }
 }
 
@@ -207,77 +294,41 @@ impl Device for Ahci {
                 }
             }
             PortEvent::Reset => {
-                // HR: full HBA reset. Aborts any in-flight command
+                // HR: full HBA reset. Aborts every in-flight command
                 // (including a wedged one) and clears all state.
                 self.resets += 1;
                 self.regs = PortRegs::default();
-                self.inflight = None;
+                for s in &mut self.slots {
+                    s.cfis = None;
+                }
                 ctx.lower_irq(self.irq_line);
             }
         }
     }
 
-    fn event(&mut self, ctx: &mut DevCtx, _token: u64) {
-        let Some(req) = self.inflight.take() else {
+    fn event(&mut self, ctx: &mut DevCtx, token: u64) {
+        let slot = token as u8;
+        let taken = self.slots.get_mut(token as usize).map(|s| s.cfis.take());
+        let Some(Some(cfis)) = taken else {
             return;
         };
-        if ctx.roll_fault(FaultKind::AhciTaskFileError, req.slot as u64) {
+        if ctx.roll_fault(FaultKind::AhciTaskFileError, slot as u64) {
             // Media error: the command completes with TFES and no data.
             self.errors += 1;
-            if self.regs.complete(req.slot, false) {
+            if self.regs.complete(slot, false) {
                 ctx.raise_irq(self.irq_line);
             }
             return;
         }
-        // Move the data through the PRDT.
-        let Request { cfis, prdt, slot } = req;
-        let total = cfis.sectors as u64 * SECTOR as u64;
-        let mut moved = 0u64;
-        let mut lba = cfis.lba;
-        let mut pending: Vec<u8> = Vec::new();
-        let mut ok = true;
-        for (dba, dbc) in &prdt {
-            if moved >= total {
-                break;
+        let moved = self.transfer(ctx, slot as usize, cfis);
+        match moved {
+            Some(bytes) => {
+                self.completed += 1;
+                self.bytes_moved += bytes;
             }
-            let chunk = (*dbc as u64).min(total - moved);
-            if cfis.write {
-                match ctx.dma_read(*dba, chunk as usize) {
-                    Some(d) => pending.extend_from_slice(&d),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            } else {
-                let mut data = Vec::with_capacity(chunk as usize);
-                while (data.len() as u64) < chunk {
-                    data.extend_from_slice(&self.sector(lba));
-                    lba += 1;
-                }
-                data.truncate(chunk as usize);
-                if !ctx.dma_write(*dba, &data) {
-                    ok = false;
-                    break;
-                }
-            }
-            moved += chunk;
+            None => self.errors += 1,
         }
-        if cfis.write && ok {
-            for (i, s) in pending.chunks(SECTOR as usize).enumerate() {
-                let mut sec = s.to_vec();
-                sec.resize(SECTOR as usize, 0);
-                self.store.insert(cfis.lba + i as u64, sec);
-            }
-        }
-
-        if ok {
-            self.completed += 1;
-            self.bytes_moved += moved;
-        } else {
-            self.errors += 1;
-        }
-        if self.regs.complete(slot, ok) {
+        if self.regs.complete(slot, moved.is_some()) {
             if ctx.roll_fault(FaultKind::AhciLostIrq, slot as u64) {
                 // Completion state is all set, but the interrupt is
                 // lost — the driver must time out and poll.
@@ -371,13 +422,79 @@ mod tests {
         assert!(!bus.pic.intr(), "line lowered after P0IS clear");
 
         // Data landed: compare against the device's pattern.
-        let expect = Ahci::pattern(100);
+        let mut expect = [0; SECTOR_BYTES];
+        pattern(100, &mut expect);
         assert_eq!(mem.read_bytes(0x20_0000, 16), expect[..16].to_vec());
         // CI bit cleared.
         assert_eq!(
             bus.mmio_read(&mut mem, due, BASE + regs::P0CI as u64, OpSize::Dword),
             0
         );
+    }
+
+    /// Writes a one-sector read of `lba` into `buf` as the command of
+    /// `slot`, each slot with a command table of its own.
+    fn put_read(mem: &mut PhysMem, slot: u64, lba: u64, buf: u64) {
+        let ctba = CTBA + slot * 0x1000;
+        let hdr = cmd::Header { prdtl: 1, ctba };
+        let cfis = cmd::Cfis {
+            write: false,
+            lba,
+            sectors: 1,
+        };
+        mem.write_bytes(CLB + slot * cmd::HEADER_LEN as u64, &hdr.encode());
+        mem.write_bytes(ctba, &cfis.encode());
+        mem.write_bytes(ctba + cmd::PRDT_OFFSET, &cmd::prd::encode(buf, SECTOR));
+    }
+
+    /// Every slot a doorbell names is a command of its own — one
+    /// doorbell naming two slots, or a second doorbell while the first
+    /// command is in flight — and each completes into its own buffer.
+    /// A reset aborts all of them.
+    #[test]
+    fn each_slot_holds_its_own_command() {
+        let (mut bus, mut mem, dev) = setup();
+        let ci = |bus: &mut DeviceBus, mem: &mut PhysMem, at| {
+            bus.mmio_read(mem, at, BASE + regs::P0CI as u64, OpSize::Dword)
+        };
+        put_read(&mut mem, 0, 100, 0x20_0000);
+        put_read(&mut mem, 1, 200, 0x21_0000);
+        for (reg, val) in [
+            (regs::P0CLB, CLB as u32),
+            (regs::P0IE, 1),
+            (regs::P0CI, 0b11),
+        ] {
+            bus.mmio_write(&mut mem, 0, BASE + reg as u64, OpSize::Dword, val);
+        }
+        let due = bus.next_event_due().unwrap();
+        bus.process_events(&mut mem, due);
+        assert_eq!(ci(&mut bus, &mut mem, due), 0, "both slots retired");
+
+        // Slot 0 again, then slot 1 before slot 0 completes.
+        put_read(&mut mem, 0, 300, 0x22_0000);
+        put_read(&mut mem, 1, 400, 0x23_0000);
+        let p0ci = BASE + regs::P0CI as u64;
+        bus.mmio_write(&mut mem, due, p0ci, OpSize::Dword, 0b01);
+        bus.mmio_write(&mut mem, due + 10, p0ci, OpSize::Dword, 0b10);
+        bus.process_events(&mut mem, due + 10_000_000);
+        assert_eq!(ci(&mut bus, &mut mem, due), 0, "both slots retired again");
+
+        let ahci = bus.typed_mut::<Ahci>(dev).unwrap();
+        assert_eq!((ahci.completed, ahci.errors), (4, 0));
+        let expect = [100, 200, 300, 400].map(|lba| ahci.sector(lba));
+        for (i, want) in expect.iter().enumerate() {
+            let got = mem.read_bytes(0x20_0000 + i as u64 * 0x1_0000, 512);
+            assert_eq!(got, want, "command {i}");
+        }
+
+        // A reset aborts both commands: their events find nothing.
+        let now = due + 10_000_000;
+        bus.mmio_write(&mut mem, now, p0ci, OpSize::Dword, 0b11);
+        bus.mmio_write(&mut mem, now, BASE + regs::GHC as u64, OpSize::Dword, 1);
+        bus.process_events(&mut mem, now + 10_000_000);
+        assert_eq!(ci(&mut bus, &mut mem, now), 0);
+        let ahci = bus.typed_mut::<Ahci>(dev).unwrap();
+        assert_eq!((ahci.completed, ahci.resets), (4, 1));
     }
 
     #[test]

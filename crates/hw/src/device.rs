@@ -25,7 +25,7 @@ pub struct BusCtl {
 /// Execution context handed to a device during a register access or
 /// event callback.
 pub struct DevCtx<'a> {
-    /// Physical memory (DMA goes through [`DevCtx::dma_read`] /
+    /// Physical memory (DMA goes through [`DevCtx::dma_read_into`] /
     /// [`DevCtx::dma_write`], which enforce the IOMMU).
     pub mem: &'a mut PhysMem,
     /// Platform interrupt controller.
@@ -121,26 +121,29 @@ impl DevCtx<'_> {
         true
     }
 
-    /// DMA read: copies `len` bytes from bus address `addr`. Returns
-    /// `None` on an IOMMU fault.
-    pub fn dma_read(&mut self, addr: u64, len: usize) -> Option<Vec<u8>> {
+    /// DMA read: fills `out` from bus address `addr`, translated and
+    /// permission-checked page-by-page by the IOMMU. Returns `false`
+    /// (and records a fault) if any page is blocked; the transfer stops
+    /// at the first blocked page and the rest of `out` is unspecified.
+    pub fn dma_read_into(&mut self, addr: u64, out: &mut [u8]) -> bool {
         self.trace.emit(0, PD_NONE, Kind::DmaStart, addr, self.now);
         if self.inject_iommu_fault(addr, false) {
-            return None;
+            return false;
         }
-        let mut out = vec![0u8; len];
         let mut off = 0usize;
-        while off < len {
+        while off < out.len() {
             let a = addr + off as u64;
             let in_page = (4096 - (a & 0xfff)) as usize;
-            let chunk = in_page.min(len - off);
-            let hpa = self.iommu.translate(self.dev, a, false)?;
-            self.mem.read_into(hpa, &mut out[off..off + chunk]);
+            let chunk = in_page.min(out.len() - off);
+            match self.iommu.translate(self.dev, a, false) {
+                Some(hpa) => self.mem.read_into(hpa, &mut out[off..off + chunk]),
+                None => return false,
+            }
             off += chunk;
         }
         self.trace
-            .emit(0, PD_NONE, Kind::DmaComplete, len as u64, self.now);
-        Some(out)
+            .emit(0, PD_NONE, Kind::DmaComplete, out.len() as u64, self.now);
+        true
     }
 
     /// Fault site: a DMA transaction blocked as if its IOMMU mapping
@@ -558,8 +561,11 @@ mod tests {
             fn event(&mut self, ctx: &mut DevCtx, _t: u64) {
                 let data = vec![0xaa; 8192];
                 assert!(ctx.dma_write(0x1800, &data));
-                let back = ctx.dma_read(0x1800, 8192).unwrap();
+                let mut back = vec![0; 8192];
+                assert!(ctx.dma_read_into(0x1800, &mut back));
                 assert_eq!(back, data);
+                // The last page is not mapped: the read stops there.
+                assert!(!ctx.dma_read_into(0x4800, &mut back));
             }
         }
         let dev = bus.add_device(Box::new(Span));

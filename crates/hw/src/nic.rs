@@ -101,6 +101,8 @@ pub struct Nic {
     /// Whether the throttle timer is armed.
     itr_armed: bool,
     seq: u64,
+    /// The packet being delivered: reused for every packet.
+    payload: Vec<u8>,
     /// Packets delivered into the ring.
     pub rx_delivered: u64,
     /// Packets dropped for lack of descriptors.
@@ -129,6 +131,7 @@ impl Nic {
             coalesced: 0,
             itr_armed: false,
             seq: 0,
+            payload: Vec::new(),
             rx_delivered: 0,
             rx_dropped: 0,
             irqs: 0,
@@ -179,14 +182,16 @@ impl Nic {
             return;
         }
         let desc_addr = self.rdba + self.rdh as u64 * DESC_SIZE;
-        let Some(desc) = ctx.dma_read(desc_addr, 16) else {
+        let mut desc = [0u8; DESC_SIZE as usize];
+        if !ctx.dma_read_into(desc_addr, &mut desc) {
             self.rx_dropped += 1;
             return;
-        };
+        }
         let buf = u64::from_le_bytes(desc[0..8].try_into().unwrap());
 
         // Packet payload: sequence number then a fill pattern.
-        let mut payload = Vec::with_capacity(bytes as usize);
+        let payload = &mut self.payload;
+        payload.clear();
         payload.extend_from_slice(&self.seq.to_le_bytes());
         payload.resize(bytes as usize, (self.seq & 0xff) as u8);
         if ctx
@@ -200,7 +205,7 @@ impl Nic {
             payload[8] ^= 0xff;
         }
         self.seq += 1;
-        if !ctx.dma_write(buf, &payload) {
+        if !ctx.dma_write(buf, payload) {
             self.rx_dropped += 1;
             return;
         }

@@ -115,6 +115,9 @@ pub struct DiskClient {
     /// wholesale with the VM or the server — the security implications
     /// are the ones Section 4.2 discusses for delegated buffers.
     delegated: HashSet<u64>,
+    /// The submission message: cleared by every send, its capacity
+    /// kept, so a send allocates nothing once it was as long.
+    utcb: Utcb,
 }
 
 impl DiskClient {
@@ -137,27 +140,23 @@ impl DiskClient {
     /// each body `(op, lba, sectors, tag, ctx, nsegs, (addr, bytes) ×
     /// nsegs)` with guest-physical addresses, plus transfer items for
     /// the guest pages the server does not hold yet. Every request is
-    /// charged one attempt and stamped,
-    /// sent or not. Returns the reply if the IPC went through — the
-    /// server may still have refused the requests, but the delegations
-    /// stand — and `None` if nothing was transferred (no channel, dead
-    /// portal or busy handler while a restart is underway).
+    /// charged one attempt and stamped, sent or not. Returns the first
+    /// two words of the reply — `(status, accepted)`, the second only
+    /// from the batch portal — if the IPC went through: the server may
+    /// still have refused the requests, but the delegations stand.
+    /// `None` if nothing was transferred (no channel, dead portal or
+    /// busy handler while a restart is underway).
     pub fn send<'a>(
         &mut self,
         k: &mut Kernel,
         ctx: CompCtx,
         header: &[u64],
         reqs: impl IntoIterator<Item = &'a mut Req>,
-    ) -> Option<Utcb> {
+    ) -> Option<(u64, u64)> {
         let now = k.now();
-        let reqs = reqs.into_iter();
-        let mut utcb = Utcb::new();
-        // One allocation, exact for single-segment requests (every PV
-        // descriptor): 6 body words and one (addr, bytes) pair each.
-        let bodies = 8 * reqs.size_hint().1.unwrap_or(0);
-        utcb.msg.reserve_exact(header.len() + bodies);
+        let utcb = &mut self.utcb;
+        utcb.clear();
         utcb.msg.extend_from_slice(header);
-        let mut newly: Vec<u64> = Vec::new();
         let mut first_ctx = None;
         for r in reqs {
             r.attempts += 1;
@@ -166,31 +165,47 @@ impl DiskClient {
             let body = [r.op, r.lba, r.sectors as u64, r.tag, r.ctx, r.nsegs as u64];
             utcb.msg.extend_from_slice(&body);
             for &(addr, bytes) in r.segs.get(..r.nsegs).unwrap_or(&[]) {
+                // A page the server lacks is recorded as held as it is
+                // sent; a failed call takes it back below.
                 for p in (addr >> 12)..=((addr + bytes as u64 - 1) >> 12) {
-                    if !self.delegated.contains(&p) && !newly.contains(&p) {
-                        newly.push(p);
+                    if self.delegated.insert(p) {
+                        utcb.xfer.push(XferItem {
+                            base: GUEST_BASE_PAGE + p,
+                            count: 1,
+                            rights: MemRights::RW_DMA,
+                            hot: p,
+                        });
                     }
                 }
                 utcb.msg.extend_from_slice(&[addr, bytes as u64]);
             }
         }
-        let ch = self.channel?;
-        for &p in &newly {
-            utcb.xfer.push(XferItem {
-                base: GUEST_BASE_PAGE + p,
-                count: 1,
-                rights: MemRights::RW_DMA,
-                hot: p,
-            });
+        let sent = utcb.xfer.len();
+        let called = match self.channel {
+            Some(ch) => {
+                // The IPC runs on the first request's context, so its
+                // span and the server's land inside that request's tree.
+                if let Some(c) = first_ctx {
+                    k.machine.bus.trace.set_ctx(c);
+                }
+                k.ipc_call(ctx, ch.req_sel, utcb).is_ok()
+            }
+            None => false,
+        };
+        if called {
+            return Some((utcb.word(0), utcb.word(1)));
         }
-        // The IPC runs on the first request's context, so its span and
-        // the server's land inside that request's tree.
-        if let Some(c) = first_ctx {
-            k.machine.bus.trace.set_ctx(c);
+        if utcb.xfer.len() == sent {
+            // Refused before any item moved: the server holds none.
+            for i in &utcb.xfer {
+                self.delegated.remove(&i.hot);
+            }
+        } else {
+            // The kernel consumed the items and refused one part-way:
+            // what the server holds is unknown, so assume nothing.
+            self.delegated.clear();
         }
-        k.ipc_call(ctx, ch.req_sel, &mut utcb).ok()?;
-        self.delegated.extend(newly);
-        Some(utcb)
+        None
     }
 
     /// Consumes the next record of the server's completion ring:
@@ -406,7 +421,7 @@ pub(crate) mod tests {
 
         c.rebind(Some(channel(0x20)));
         let reply = c.send(&mut k, ctx, &[1], [&mut r]).expect("live portal");
-        assert_eq!(reply.word(0), proto::OK);
+        assert_eq!(reply, (proto::OK, proto::MAX_BATCH as u64));
         assert_eq!(r.attempts, 2);
         // The unaligned buffer straddles guest pages 5 and 6: they are
         // the window's pages 5 and 6, and the wire names the guest

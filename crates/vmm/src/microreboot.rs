@@ -39,6 +39,7 @@
 #![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::panic)]
 
 use nova_core::cap::{CapSel, Perms};
+use nova_core::kernel::VcpuSnapshot;
 use nova_core::obj::{MemRights, ObjRef, PdId};
 use nova_core::{Capability, CompCtx, CompId, EcId, Hypercall, Kernel};
 use nova_user::disk::DiskServer;
@@ -135,6 +136,10 @@ pub struct MicrorebootRecipe {
     pub disk: Option<DiskWiring>,
     /// Bookkeeping for the in-place checkpoint refresh; starts empty.
     pub(crate) image: CapturedImage,
+    /// The vCPU records of the last capture, and its device state:
+    /// buffers every capture refills, so a tick allocates nothing.
+    vcpus: Vec<VcpuSnapshot>,
+    vmm_state: Vec<u8>,
 }
 
 impl MicrorebootRecipe {
@@ -202,6 +207,8 @@ impl MicrorebootRecipe {
                 restart_sel: None,
             }),
             image: CapturedImage::default(),
+            vcpus: Vec::new(),
+            vmm_state: Vec::new(),
         }
     }
 
@@ -315,17 +322,16 @@ impl VmRecipe for MicrorebootRecipe {
         blob: &mut Vec<u8>,
     ) -> Result<u64, RespawnError> {
         // Everything that can fail runs before `blob` is touched.
-        let mut vcpus = Vec::with_capacity(self.cfg.vcpus);
+        self.vcpus.clear();
         for i in 0..self.cfg.vcpus {
             let snap = k
                 .export_vcpu(ctx.pd, self.vmm_sel, sel::vcpu(i))
                 .map_err(|e| RespawnError::Step("vcpu export", e))?;
-            vcpus.push(snap);
+            self.vcpus.push(snap);
         }
-        let vmm_state = k
-            .component_mut::<Vmm>(self.vmm)
+        k.component_mut::<Vmm>(self.vmm)
             .ok_or(RespawnError::State("vmm component missing"))?
-            .save_state();
+            .save_state(&mut self.vmm_state);
         let pages = self.cfg.guest_pages as usize;
         let mem_len = pages * 4096;
         // A blob holding no image of this size is one `refresh` replaces
@@ -342,7 +348,8 @@ impl VmRecipe for MicrorebootRecipe {
             self.frames * 4096,
             self.image.table_for(blob, pages, unknown),
         );
-        let copied = checkpoint::refresh(blob, seq, mem_len, &vcpus, &vmm_state, |image| {
+        let (vcpus, vmm_state) = (&self.vcpus, &self.vmm_state);
+        let copied = checkpoint::refresh(blob, seq, mem_len, vcpus, vmm_state, |image| {
             k.mem_refresh(ctx, window, seen, |page, bytes| image.put(page, bytes))
         })
         .ok_or(RespawnError::State("guest memory window unreadable"))?;

@@ -308,17 +308,17 @@ impl PvDisk {
             let batch = self.pending.iter_mut().filter(|p| !p.accepted).take(n);
             // Dead portal (restart underway): retry via the
             // maintenance timer.
-            let Some(reply) = self.disk.send(k, ctx, &[n as u64], batch) else {
+            let Some((status, accepted)) = self.disk.send(k, ctx, &[n as u64], batch) else {
                 return raise;
             };
-            let accepted = (reply.word(1) as usize).min(n);
+            let accepted = (accepted as usize).min(n);
             let batch = self.pending.iter_mut().filter(|p| !p.accepted);
             batch.take(accepted).for_each(|p| p.accepted = true);
             // OK, or EBUSY (window full at the server: the rest retries
             // when completions free slots). Anything else: the entry
             // right after the accepted prefix is definitively bad —
             // fail it and resubmit the remainder.
-            if matches!(reply.word(0), proto::OK | proto::EBUSY) || accepted == n {
+            if matches!(status, proto::OK | proto::EBUSY) || accepted == n {
                 return raise;
             }
             let bad = self.pending.iter().position(|p| !p.accepted);

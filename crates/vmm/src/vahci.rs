@@ -202,7 +202,8 @@ impl VAhci {
         let Some(req) = self.pending.get_mut(slot as usize).and_then(Option::as_mut) else {
             return false;
         };
-        match self.disk.send(k, ctx, &[], [&mut *req]).map(|u| u.word(0)) {
+        let status = self.disk.send(k, ctx, &[], [&mut *req]).map(|(s, _)| s);
+        match status {
             Some(proto::OK) => {
                 req.accepted = true;
                 false

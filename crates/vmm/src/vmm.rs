@@ -727,11 +727,13 @@ impl Vmm {
     }
 
     /// Serializes the VMM's runtime and virtual-device state for a
-    /// checkpoint: per-vCPU bookkeeping, guest marks and exit code,
-    /// and every device model. Deterministic byte-for-byte (the CI
-    /// gate relies on it).
-    pub fn save_state(&self) -> Vec<u8> {
-        let mut e = Enc::new();
+    /// checkpoint into `out`, replacing what it held and keeping its
+    /// capacity: per-vCPU bookkeeping, guest marks and exit code, and
+    /// every device model. Deterministic byte-for-byte (the CI gate
+    /// relies on it).
+    pub fn save_state(&self, out: &mut Vec<u8>) {
+        out.clear();
+        let mut e = Enc::over(std::mem::take(out));
         e.u32(self.vcpu_state.len() as u32);
         for s in &self.vcpu_state {
             e.flag(s.halted);
@@ -752,7 +754,7 @@ impl Vmm {
                 dev.export_state(&mut e);
             }
         }
-        e.finish()
+        *out = e.finish();
     }
 
     /// Restores [`Vmm::save_state`] bytes into this (freshly started)
@@ -1234,7 +1236,9 @@ mod tests {
         let vmm = dead.vmm;
         let blob = dead.k.invoke_component::<Vmm, _>(vmm, |v, k| {
             ring_doorbells(v, k);
-            v.save_state()
+            let mut blob = Vec::new();
+            v.save_state(&mut blob);
+            blob
         });
         let blob = blob.expect("vmm");
 
@@ -1244,7 +1248,10 @@ mod tests {
             assert!(v.restore_state(k, &blob), "the record restores");
             let pv = &v.dev().pvdisk;
             assert_eq!((pv.doorbells, pv.requests, pv.completions), (1, 2, 0));
-            v.save_state()
+            // Over a buffer that held something else.
+            let mut again = vec![0xee; 3];
+            v.save_state(&mut again);
+            again
         });
         assert_eq!(again, Some(blob), "nothing lost, no attempt charged");
         assert_read(&mut sys, READS);

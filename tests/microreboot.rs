@@ -856,7 +856,9 @@ fn full_capture(sys: &mut System, seq: u64) -> Vec<u8> {
         .map(|i| sys.k.export_vcpu(root_ctx.pd, vmm_sel, sel::vcpu(i)))
         .collect::<Result<Vec<_>, _>>()
         .expect("vcpu export");
-    let vmm_state = sys.k.component_mut::<Vmm>(vmm).expect("vmm").save_state();
+    let mut vmm_state = Vec::new();
+    let vmm = sys.k.component_mut::<Vmm>(vmm).expect("vmm");
+    vmm.save_state(&mut vmm_state);
     let mut guest_mem = vec![0u8; (pages * 4096) as usize];
     sys.k
         .mem_read_into(root_ctx, frames * 4096, &mut guest_mem)
