@@ -28,9 +28,10 @@ impl AddAssign for Loc {
 /// (non-blank, non-`//` lines, trimmed; `/* */` blocks tracked across
 /// lines). A `#[cfg(test)]` attribute takes the item it is on out of
 /// the product — further attributes, then either a `;`-terminated line
-/// or everything up to the matching close brace. Braces are counted as
-/// characters, which `rustfmt`-ed code with balanced format strings
-/// satisfies.
+/// or everything up to the matching close brace — and a file whose first
+/// line of code is `#![cfg(test)]` is a test module all through. Braces
+/// are counted as characters, which `rustfmt`-ed code with balanced
+/// format strings satisfies.
 fn scan<'a>(src: &'a str, mut line: impl FnMut(&'a str, bool)) {
     /// Where the scan is relative to a `#[cfg(test)]` item.
     enum Test {
@@ -42,6 +43,7 @@ fn scan<'a>(src: &'a str, mut line: impl FnMut(&'a str, bool)) {
     }
     let mut in_block = false;
     let mut test = Test::Outside;
+    let mut test_file = None;
     for l in src.lines() {
         let t = l.trim();
         if in_block {
@@ -59,6 +61,7 @@ fn scan<'a>(src: &'a str, mut line: impl FnMut(&'a str, bool)) {
             }
             continue;
         }
+        let test_file = *test_file.get_or_insert(t.starts_with("#![cfg(test)]"));
         let opens = t.matches('{').count();
         let closes = t.matches('}').count();
         let mut product = false;
@@ -75,7 +78,7 @@ fn scan<'a>(src: &'a str, mut line: impl FnMut(&'a str, bool)) {
             Test::Body(depth) if depth + opens > closes => Test::Body(depth + opens - closes),
             Test::Body(_) => Test::Outside,
         };
-        line(t, product);
+        line(t, product && !test_file);
     }
 }
 
@@ -322,6 +325,24 @@ fn also_shipped() {}
     }
 
     #[test]
+    fn a_file_that_opens_with_cfg_test_is_test_code() {
+        let test_file = "//! Tests.\n\n#![cfg(test)]\n\nuse super::*;\n\n#[test]\nfn t() {}\n";
+        assert_eq!(
+            count_file(test_file),
+            Loc {
+                product: 0,
+                with_tests: 4
+            }
+        );
+        let later = "fn shipped() {}\n#![cfg(test)]\n";
+        assert_eq!(
+            count_file(later).product,
+            2,
+            "only as its first line of code"
+        );
+    }
+
+    #[test]
     fn counts_this_workspace() {
         let hv = crate_loc("core");
         assert!(hv.product > 500, "microhypervisor has substance: {hv:?}");
@@ -501,6 +522,19 @@ fn also_shipped() {}
             assert_eq!(fields, want_fields, "`{name}`'s pub fields");
         }
         assert_eq!(got.iter().map(|(_, f)| f.len()).sum::<usize>(), 40);
+    }
+
+    /// The privileged layer's size, pinned at what `BENCH_fig1.json`
+    /// commits as the Microhypervisor's `product`: a change that grows
+    /// the kernel fails here until it moves the pin — and says why.
+    #[test]
+    fn the_privileged_layer_is_pinned() {
+        const PIN: usize = 4029;
+        let product = crate_loc("core").product;
+        assert!(
+            product <= PIN,
+            "the microhypervisor is {product} lines, pinned at {PIN}"
+        );
     }
 
     #[test]

@@ -290,9 +290,19 @@ impl Vmcs {
         self.vpid = vpid;
     }
 
-    /// Marks a port range as directly assigned (no intercept).
+    /// Marks the ports `first..first + count` as directly assigned (no
+    /// intercept).
+    ///
+    /// # Panics
+    ///
+    /// If the range runs past the last port, `0xffff`.
     pub fn passthrough_ports(&mut self, first: u16, count: u16) {
-        for p in first..first.saturating_add(count) {
+        let end = u32::from(first) + u32::from(count);
+        assert!(
+            end <= 0x1_0000,
+            "ports {first:#x}+{count:#x} run past 0xffff"
+        );
+        for p in u32::from(first)..end {
             self.io_passthrough[p as usize / 64] |= 1 << (p % 64);
         }
     }

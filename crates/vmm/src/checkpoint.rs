@@ -17,7 +17,12 @@
 //! mem_len   u64      guest-memory length, a whole number of 4 KB pages
 //! pages     u32 n, then n page numbers (u32, strictly ascending, each
 //!           below mem_len / 4096), then those n pages, 4 KB each
-//! vcpus     u32      count, then count * VcpuSnapshot::BYTES records
+//! vcpus     u32      count, then count 84-byte records: 16 u32 register
+//!           words (eax..edi, eip, eflags, cr0, cr2, cr3, cr4, idt base,
+//!           idt limit), the u64 TSC offset, six flag bytes (halted,
+//!           STI shadow, interrupt window, recall, blocked, injection
+//!           present), the injection's vector, u32 error code and
+//!           error-code-present flag byte
 //! vmm       u32 len, then len bytes (Vmm::save_state)
 //! ```
 //!
@@ -27,7 +32,8 @@
 //! history led there — and its size follows the pages the guest wrote,
 //! not the size of its RAM. The parser holds a blob to that: a page
 //! number out of order, repeated or past the image, a stored page of
-//! zeros, a vCPU record `VcpuSnapshot::to_bytes` would not write, a
+//! zeros, a vCPU record the encoder would not write (a flag byte other
+//! than 0 or 1, a field of an absent injection that is not zero), a
 //! truncation or trailing bytes all refuse it, so whatever parses
 //! re-encodes to itself.
 //!
@@ -48,6 +54,8 @@
 #![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::panic)]
 
 use nova_core::kernel::VcpuSnapshot;
+use nova_hw::vmx::Injection;
+use nova_x86::reg::Regs;
 
 /// Magic prefix of every checkpoint blob.
 pub const MAGIC: [u8; 8] = *b"NOVACKPT";
@@ -71,6 +79,9 @@ const INDEX_OFFSET: usize = COUNT_OFFSET + 4;
 /// device-state record that grows by a few in-flight requests does not
 /// reallocate the blob.
 const RECORD_SLACK: usize = 4096;
+
+/// Size of one vCPU record (see the layout above).
+const VCPU_BYTES: usize = 16 * 4 + 8 + 6 + 1 + 4 + 1;
 
 /// Pages a fresh image has room for before a page the guest writes for
 /// the first time reallocates the blob: more than the recovery
@@ -294,12 +305,12 @@ impl<'a> View<'a> {
         let nvcpus = d.u32()? as usize;
         // Bound the claimed count by what could physically fit, so a
         // corrupt header cannot drive a huge allocation.
-        if nvcpus > d.remaining() / VcpuSnapshot::BYTES {
+        if nvcpus > d.remaining() / VCPU_BYTES {
             return None;
         }
         let mut vcpus = Vec::with_capacity(nvcpus);
         for _ in 0..nvcpus {
-            vcpus.push(VcpuSnapshot::from_bytes(d.take(VcpuSnapshot::BYTES)?)?);
+            vcpus.push(read_vcpu(&mut d)?);
         }
         let vmm_state = d.bytes()?;
         if !d.done() {
@@ -388,15 +399,78 @@ fn write_header(e: &mut Enc, seq: u64, mem_len: usize, pages: usize) {
 }
 
 fn records_len(vcpus: usize, vmm_state: &[u8]) -> usize {
-    4 + vcpus * VcpuSnapshot::BYTES + 4 + vmm_state.len()
+    4 + vcpus * VCPU_BYTES + 4 + vmm_state.len()
 }
 
 fn write_records(e: &mut Enc, vcpus: &[VcpuSnapshot], vmm_state: &[u8]) {
     e.u32(vcpus.len() as u32);
     for v in vcpus {
-        v.write_to(&mut e.buf);
+        write_vcpu(e, v);
     }
     e.bytes(vmm_state);
+}
+
+/// Appends `v`'s [`VCPU_BYTES`]-byte record.
+fn write_vcpu(e: &mut Enc, v: &VcpuSnapshot) {
+    let r = &v.regs;
+    let words = [r.eip, r.eflags, r.cr0, r.cr2, r.cr3, r.cr4, r.idt_base];
+    for w in r.gpr.into_iter().chain(words) {
+        e.u32(w);
+    }
+    e.u32(r.idt_limit.into());
+    e.u64(v.tsc_offset);
+    let flags = [v.halted, v.sti_shadow, v.intwin_exit, v.recall_pending];
+    for f in flags.into_iter().chain([v.blocked, v.injection.is_some()]) {
+        e.flag(f);
+    }
+    let code = v.injection.and_then(|i| i.error_code);
+    e.u8(v.injection.map_or(0, |i| i.vector));
+    e.u32(code.unwrap_or(0));
+    e.flag(code.is_some());
+}
+
+/// Reads a record [`write_vcpu`] wrote, and only such a record: a flag
+/// byte other than 0 or 1, an IDT limit past 16 bits, or a field of an
+/// absent injection or error code that is not zero refuses it, so that
+/// whatever decodes encodes back to itself.
+fn read_vcpu(d: &mut Dec) -> Option<VcpuSnapshot> {
+    fn flag(d: &mut Dec) -> Option<bool> {
+        match d.u8()? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
+    }
+    let mut regs = Regs::default();
+    for w in &mut regs.gpr {
+        *w = d.u32()?;
+    }
+    regs.eip = d.u32()?;
+    regs.eflags = d.u32()?;
+    regs.cr0 = d.u32()?;
+    regs.cr2 = d.u32()?;
+    regs.cr3 = d.u32()?;
+    regs.cr4 = d.u32()?;
+    regs.idt_base = d.u32()?;
+    regs.idt_limit = u16::try_from(d.u32()?).ok()?;
+    let tsc_offset = d.u64()?;
+    let (halted, sti_shadow, intwin_exit) = (flag(d)?, flag(d)?, flag(d)?);
+    let (recall_pending, blocked, injected) = (flag(d)?, flag(d)?, flag(d)?);
+    let (vector, code, has_code) = (d.u8()?, d.u32()?, flag(d)?);
+    let unset = (!has_code && code != 0) || (!injected && (vector != 0 || has_code));
+    (!unset).then_some(VcpuSnapshot {
+        regs,
+        halted,
+        sti_shadow,
+        injection: injected.then_some(Injection {
+            vector,
+            error_code: has_code.then_some(code),
+        }),
+        intwin_exit,
+        recall_pending,
+        tsc_offset,
+        blocked,
+    })
 }
 
 /// The blob of a checkpoint whose `mem_len`-byte image stores `pages`
@@ -558,7 +632,7 @@ mod tests {
 
     /// Four pages: 0 and 2 written, 1 and 3 zeros.
     fn sample() -> Checkpoint {
-        let mut snap = VcpuSnapshot::from_bytes(&[0u8; VcpuSnapshot::BYTES]).unwrap();
+        let mut snap = vcpu(&[0; VCPU_BYTES]).unwrap();
         snap.regs.eip = 0x7c00;
         snap.halted = true;
         snap.blocked = true;
@@ -570,6 +644,92 @@ mod tests {
             vcpus: vec![snap],
             vmm_state: vec![1, 2, 3, 4, 5],
             guest_mem,
+        }
+    }
+
+    /// The vCPU record `b` holds, if it holds exactly one.
+    fn vcpu(b: &[u8]) -> Option<VcpuSnapshot> {
+        let mut d = Dec::new(b);
+        read_vcpu(&mut d).filter(|_| d.done())
+    }
+
+    fn vcpu_bytes(v: &VcpuSnapshot) -> Vec<u8> {
+        let mut e = Enc::new();
+        write_vcpu(&mut e, v);
+        e.finish()
+    }
+
+    /// A vCPU record is the bytes it was when the kernel wrote it: every
+    /// flag set, an injection with an error code.
+    #[test]
+    fn a_vcpu_record_is_the_bytes_it_always_was() {
+        let mut regs = Regs::default();
+        for (i, w) in regs.gpr.iter_mut().enumerate() {
+            *w = 0x0101_0101 * (i as u32 + 1);
+        }
+        regs.eip = 0x7c00;
+        regs.eflags = 0x202;
+        regs.cr0 = 0x8000_0011;
+        regs.cr2 = 0xdead_b000;
+        regs.cr3 = 0x0010_0000;
+        regs.cr4 = 0x10;
+        regs.idt_base = 0x5000;
+        regs.idt_limit = 0x7ff;
+        let snap = VcpuSnapshot {
+            regs,
+            halted: true,
+            sti_shadow: true,
+            injection: Some(Injection {
+                vector: 0x0e,
+                error_code: Some(2),
+            }),
+            intwin_exit: true,
+            recall_pending: true,
+            tsc_offset: 0x0123_4567_89ab_cdef,
+            blocked: true,
+        };
+        let hex: String = vcpu_bytes(&snap)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        let want = concat!(
+            "0101010102020202030303030404040405050505060606060707070708080808", // eax..edi
+            "007c0000020200001100008000b0adde000010001000000000500000ff070000", // eip..idt limit
+            "efcdab8967452301",                                                 // TSC offset
+            "010101010101",                                                     // six flags
+            "0e0200000001", // injection: vector, error code, code present
+        );
+        assert_eq!(hex, want);
+        assert_eq!(vcpu(&vcpu_bytes(&snap)), Some(snap));
+    }
+
+    /// A vCPU record decodes to the snapshot that wrote it, and only a
+    /// record some snapshot writes decodes at all: every byte whose
+    /// change the decoder would not carry back is refused.
+    #[test]
+    fn vcpu_records_decode_canonically() {
+        let mut snap = vcpu(&[0; VCPU_BYTES]).unwrap();
+        snap.regs.eip = 0x7c00;
+        snap.regs.idt_limit = 0x3ff;
+        snap.halted = true;
+        snap.tsc_offset = u64::MAX - 5;
+        for injection in [None, Some((0x0e, None)), Some((0x0d, Some(0x10)))] {
+            snap.injection = injection.map(|(vector, error_code)| Injection { vector, error_code });
+            let b = vcpu_bytes(&snap);
+            assert_eq!(b.len(), VCPU_BYTES);
+            assert_eq!(vcpu(&b), Some(snap.clone()));
+            assert_eq!(vcpu(&b[..b.len() - 1]), None);
+            for at in 0..b.len() {
+                let mut c = b.clone();
+                c[at] ^= 0x42;
+                if let Some(other) = vcpu(&c) {
+                    assert_eq!(vcpu_bytes(&other), c, "byte {at} decodes, not back");
+                }
+            }
+            // A flag byte of 2 reads as true; it is not what `true` writes.
+            let mut c = b.clone();
+            c[72] = 2;
+            assert_eq!(vcpu(&c), None);
         }
     }
 
@@ -639,7 +799,7 @@ mod tests {
         e.u64(c.seq);
         e.u32(c.vcpus.len() as u32);
         for v in &c.vcpus {
-            e.raw(&v.to_bytes());
+            write_vcpu(&mut e, v);
         }
         e.bytes(&c.vmm_state);
         e.u64(c.guest_mem.len() as u64);
