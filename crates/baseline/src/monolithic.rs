@@ -20,7 +20,7 @@ use nova_hw::cpu::run_guest;
 use nova_hw::machine::{Machine, MachineConfig, AHCI_BASE, AHCI_IRQ};
 use nova_hw::pic::DualPic;
 use nova_hw::pit::{self, Pit8254};
-use nova_hw::serial::{Uart16550, COM1};
+use nova_hw::serial::{Uart16550, COM1, COM1_LAST};
 use nova_hw::tlb::Tlb;
 use nova_hw::vmx::{ExitReason, Injection, PagingVirt, Vmcs};
 use nova_hw::Cycles;
@@ -349,7 +349,7 @@ impl Monolithic {
         match port {
             0x20 | 0x21 | 0xa0 | 0xa1 => self.vpic.io_read(port) as u32,
             pit::CH0..=pit::MODE => self.vpit.read(port) as u32,
-            0x3f8..=0x3ff => self.vserial.read(port - COM1) as u32,
+            COM1..=COM1_LAST => self.vserial.read(port - COM1) as u32,
             _ => size.mask(),
         }
     }
@@ -358,7 +358,7 @@ impl Monolithic {
     pub fn io_write(&mut self, port: u16, _size: OpSize, val: u32) {
         match port {
             0x20 | 0x21 | 0xa0 | 0xa1 => self.vpic.io_write(port, val as u8),
-            0x3f8..=0x3ff => self.vserial.write(port - COM1, val as u8),
+            COM1..=COM1_LAST => self.vserial.write(port - COM1, val as u8),
             pit::CH0..=pit::MODE => {
                 let reloaded = self.vpit.write(port, val as u8);
                 if reloaded {

@@ -6,7 +6,9 @@
 //! are the paper's). Writes `BENCH_fig1.json`, so the size of the
 //! privileged layer has a committed trajectory like every other number
 //! — and so has the configuration surface (`config_values`: the `pub`
-//! fields of `loc::CONFIG_STRUCTS`).
+//! fields of `loc::CONFIG_STRUCTS`), and the reachability census
+//! (`unreached`: `pub` fns and consts named only where declared,
+//! `loc::unreached_items`).
 
 use nova_bench::loc;
 use nova_bench::paper::FIG1_TCB_KLOC;
@@ -73,6 +75,15 @@ fn main() {
         println!("  {name:17} {:2}  {}", fields.len(), fields.join(", "));
     }
 
+    let unreached = loc::unreached_items();
+    println!(
+        "\n`pub` fns and consts named only where declared: {}",
+        unreached.len()
+    );
+    for item in &unreached {
+        println!("  {item}");
+    }
+
     println!("\nPaper's Figure 1 (KLOC):\n");
     let mut t = Table::new(&["system", "privileged", "total stack"]);
     for (name, p, tot) in FIG1_TCB_KLOC {
@@ -88,6 +99,7 @@ fn main() {
             ("privileged_loc".into(), Json::U64(hv as u64)),
             ("total_loc".into(), Json::U64(total.product as u64)),
             ("config_values".into(), Json::U64(config_values as u64)),
+            ("unreached".into(), Json::U64(unreached.len() as u64)),
             ("total_linked_loc".into(), Json::U64(linked as u64)),
             (
                 "total_loc_with_tests".into(),

@@ -93,13 +93,19 @@ pub fn count_file(src: &str) -> Loc {
     n
 }
 
-/// Calls `file(path, source)` for every `.rs` file under `dir`.
+/// Calls `file(path, source)` for every `.rs` file under `dir`, outside
+/// build output (`target/`) and hidden directories.
 fn each_rs_file(dir: &Path, file: &mut impl FnMut(&Path, &str)) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };
     for e in entries.flatten() {
         let p = e.path();
+        let name = e.file_name();
+        let name = name.to_string_lossy();
+        if name == "target" || name.starts_with('.') {
+            continue;
+        }
         if p.is_dir() {
             each_rs_file(&p, file);
         } else if p.extension().is_some_and(|x| x == "rs") {
@@ -279,6 +285,58 @@ pub fn config_surface() -> Vec<(&'static str, Vec<String>)> {
             (name, fields)
         })
         .collect()
+}
+
+/// The name a line of code declares as a `pub fn`, `pub const fn` or
+/// `pub const`, if it does.
+fn pub_item(line: &str) -> Option<&str> {
+    let rest = line.strip_prefix("pub ")?;
+    let rest = match rest.strip_prefix("const ") {
+        Some(c) => c.strip_prefix("fn ").unwrap_or(c),
+        None => rest.strip_prefix("fn ")?,
+    };
+    let end = rest.find(|c: char| !is_ident(c)).unwrap_or(rest.len());
+    Some(&rest[..end]).filter(|n| !n.is_empty())
+}
+
+fn is_ident(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// The reachability census, by name: `path: name` of every `pub` fn and
+/// const of the workspace's product (`src/` of the root package and of
+/// each crate) whose name appears exactly once in the code of all its
+/// Rust sources — product, tests, benches, examples and `benchmark/` —
+/// that is, only where it is declared. `BENCH_fig1.json` reports how
+/// many as `unreached`.
+pub fn unreached_items() -> Vec<String> {
+    let root = workspace_root();
+    let mut declared = Vec::new();
+    let mut named = std::collections::HashMap::<String, usize>::new();
+    each_rs_file(&root, &mut |path, src| {
+        let path = path
+            .strip_prefix(&root)
+            .unwrap_or(path)
+            .display()
+            .to_string();
+        let product_file = path.starts_with("src/")
+            || path.starts_with("crates/") && path.split('/').nth(2) == Some("src");
+        scan(src, |line, product| {
+            for word in line.split(|c: char| !is_ident(c)).filter(|w| !w.is_empty()) {
+                *named.entry(word.to_string()).or_default() += 1;
+            }
+            if let Some(name) = pub_item(line).filter(|_| product && product_file) {
+                declared.push((path.clone(), name.to_string()));
+            }
+        });
+    });
+    let mut unreached: Vec<String> = declared
+        .into_iter()
+        .filter(|(_, name)| named.get(name) == Some(&1))
+        .map(|(path, name)| format!("{path}: {name}"))
+        .collect();
+    unreached.sort();
+    unreached
 }
 
 #[cfg(test)]
@@ -529,11 +587,23 @@ fn also_shipped() {}
     /// the kernel fails here until it moves the pin — and says why.
     #[test]
     fn the_privileged_layer_is_pinned() {
-        const PIN: usize = 4029;
+        const PIN: usize = 4019;
         let product = crate_loc("core").product;
         assert!(
             product <= PIN,
             "the microhypervisor is {product} lines, pinned at {PIN}"
+        );
+    }
+
+    /// Every `pub` fn and const of the product is named somewhere
+    /// besides its declaration: what nothing builds against is deleted,
+    /// not carried.
+    #[test]
+    fn no_pub_item_is_named_only_where_it_is_declared() {
+        let unreached = unreached_items();
+        assert!(
+            unreached.is_empty(),
+            "named only where declared: {unreached:#?}"
         );
     }
 
@@ -557,5 +627,16 @@ fn also_shipped() {}
         );
         assert_eq!((bumps(&text, "disk_ops"), bumps(&text, "vm_kills")), (1, 1));
         assert_eq!((bumps(&text, "disk_op"), bumps(&text, "vm_kill")), (0, 0));
+        let items = [
+            ("pub fn f<T>(x: T) {", Some("f")),
+            ("pub const fn g() -> u8 {", Some("g")),
+            ("pub const LEN: usize = 4;", Some("LEN")),
+            ("pub(crate) fn h() {", None),
+            ("pub struct S;", None),
+            ("fn i() {}", None),
+        ];
+        for (line, name) in items {
+            assert_eq!(pub_item(line), name, "{line}");
+        }
     }
 }

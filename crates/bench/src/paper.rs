@@ -33,13 +33,6 @@ pub const FIG5_RELATIVE: [(&str, f64); 15] = [
     ("L4Linux", 88.0),
 ];
 
-/// Figure 5, AMD group: relative native performance (%).
-pub const FIG5_AMD: [(&str, f64); 3] = [
-    ("Native (AMD)", 100.0),
-    ("NOVA NPT+ASID 4M", 99.4),
-    ("KVM NPT+ASID", 97.2),
-];
-
 /// Figure 8: cross-AS IPC time in ns per CPU (Table 1 order).
 pub const FIG8_IPC_NS: [(&str, f64); 6] = [
     ("K8", 164.0),

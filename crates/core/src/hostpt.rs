@@ -10,7 +10,7 @@
 use nova_hw::mem::PhysMem;
 use nova_hw::mmu::nested_entry;
 use nova_hw::PAddr;
-use nova_x86::paging::{pte, NestedEntry, NestedFormat, LARGE_PAGE_SIZE, PAGE_SIZE};
+use nova_x86::paging::{pte, NestedEntry, NestedFormat, PAGE_SIZE};
 
 /// Bump allocator over the hypervisor's private memory region, with a
 /// free list for recycled frames.
@@ -337,9 +337,6 @@ pub fn pages(bytes: u64) -> u64 {
 pub fn large_pages(bytes: u64, fmt: NestedFormat) -> u64 {
     bytes.div_ceil(fmt.large_page_size())
 }
-
-/// The 32-bit large-page size (guest PSE).
-pub const GUEST_LARGE_PAGE: u64 = LARGE_PAGE_SIZE as u64;
 
 #[cfg(test)]
 mod tests {

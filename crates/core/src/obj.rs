@@ -676,11 +676,6 @@ impl Objects {
         &self.pts[id.0]
     }
 
-    /// Mutable portal accessor.
-    pub fn pt_mut(&mut self, id: PtId) -> &mut Portal {
-        &mut self.pts[id.0]
-    }
-
     /// Semaphore accessor.
     pub fn sm(&self, id: SmId) -> &Semaphore {
         &self.sms[id.0]

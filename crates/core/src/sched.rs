@@ -78,11 +78,6 @@ impl RunQueue {
         sc
     }
 
-    /// The priority of the best ready SC, if any.
-    pub fn best_prio(&self) -> Option<u8> {
-        self.queues.keys().next_back().copied()
-    }
-
     /// Removes a specific SC wherever it is queued (blocking). Only
     /// the SC's own priority class is touched.
     pub fn remove(&mut self, sc: ScId) {
@@ -172,7 +167,6 @@ mod tests {
         q.enqueue(ScId(1), 10);
         q.enqueue(ScId(2), 200);
         q.enqueue(ScId(3), 10);
-        assert_eq!(q.best_prio(), Some(200));
         assert_eq!(q.pick(), Some(ScId(2)));
         assert_eq!(q.pick(), Some(ScId(1)));
         assert_eq!(q.pick(), Some(ScId(3)));
@@ -220,8 +214,9 @@ mod tests {
         let mut q = RunQueue::new();
         q.enqueue(ScId(1), 5);
         q.enqueue(ScId(1), 200); // joins class 5, not 200
-        assert_eq!(q.best_prio(), Some(5));
         assert_eq!(q.len(), 2);
+        q.enqueue(ScId(2), 100);
+        assert_eq!(q.pick(), Some(ScId(2)), "nothing waits at 200");
         q.remove(ScId(1));
         assert!(!q.contains(ScId(1)));
         assert!(q.is_empty());

@@ -239,11 +239,6 @@ impl ShadowCache {
         self.slots.iter().map(|s| s.vpid).collect()
     }
 
-    /// Number of slots currently tagged with a guest CR3.
-    pub fn cached_spaces(&self) -> usize {
-        self.slots.iter().filter(|s| s.tag.is_some()).count()
-    }
-
     /// Drains the queued hardware-TLB operations.
     pub fn take_tlb_ops(&mut self) -> Vec<TlbOp> {
         std::mem::take(&mut self.pending)
@@ -1368,7 +1363,8 @@ mod tests {
                 evicted: false
             }
         );
-        assert_eq!(cache.cached_spaces(), 2);
+        let cached = |c: &ShadowCache| c.slots.iter().filter(|s| s.tag.is_some()).count();
+        assert_eq!(cached(&cache), 2);
         // Third space evicts the LRU (roots[0]).
         assert_eq!(
             mov_cr3(&mut mem, &mut alloc, &ms, &mut cache, &mut vmcs, roots[2]),
@@ -1377,7 +1373,7 @@ mod tests {
                 evicted: true
             }
         );
-        assert_eq!(cache.cached_spaces(), 2, "bounded");
+        assert_eq!(cached(&cache), 2, "bounded");
         // roots[1] is still cached; roots[0] was the victim.
         assert_eq!(
             mov_cr3(&mut mem, &mut alloc, &ms, &mut cache, &mut vmcs, roots[1]),

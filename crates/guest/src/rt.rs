@@ -8,8 +8,6 @@ use nova_x86::Asm;
 
 /// Guest-physical memory layout.
 pub mod layout {
-    /// Boot-information block written by the virtual BIOS.
-    pub const BOOT_INFO: u32 = 0x500;
     /// IDT (256 × 8-byte gates).
     pub const IDT: u32 = 0x1000;
     /// IDT descriptor (limit + base) for LIDT.
@@ -115,11 +113,6 @@ pub fn emit_pic_init(a: &mut Asm, master_mask: u8, slave_mask: u8) {
     out_byte(a, 0xa1, slave_mask);
 }
 
-/// Emits the master-PIC EOI.
-pub fn emit_eoi_master(a: &mut Asm) {
-    out_byte(a, 0x20, 0x20);
-}
-
 /// Emits EOI to both PICs (for slave interrupts).
 pub fn emit_eoi_both(a: &mut Asm) {
     out_byte(a, 0xa0, 0x20);
@@ -214,13 +207,6 @@ pub fn emit_mark(a: &mut Asm, value: u32) {
     a.mov_ri(Reg::Eax, value);
     a.mov_ri(Reg::Edx, 0xf5);
     a.out_dx_eax();
-}
-
-/// Emits a serial console write of one immediate character.
-pub fn emit_putc(a: &mut Asm, c: u8) {
-    a.mov_r8i(Reg8::Al, c);
-    a.mov_ri(Reg::Edx, 0x3f8);
-    a.out_dx_al();
 }
 
 /// Emits a string to the serial console.

@@ -86,17 +86,6 @@ impl EventQueue {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Removes all pending events for a device (used when a device is
-    /// reset).
-    pub fn cancel_device(&mut self, device: usize) {
-        let entries: Vec<_> = self
-            .heap
-            .drain()
-            .filter(|e| e.0.ev.device != device)
-            .collect();
-        self.heap.extend(entries);
-    }
 }
 
 #[cfg(test)]
@@ -172,34 +161,5 @@ mod tests {
                 }
             )
         );
-    }
-
-    #[test]
-    fn cancel_device_removes_only_that_device() {
-        let mut q = EventQueue::new();
-        q.schedule(
-            1,
-            Event {
-                device: 0,
-                token: 0,
-            },
-        );
-        q.schedule(
-            2,
-            Event {
-                device: 1,
-                token: 0,
-            },
-        );
-        q.schedule(
-            3,
-            Event {
-                device: 0,
-                token: 1,
-            },
-        );
-        q.cancel_device(0);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_due(10).unwrap().1.device, 1);
     }
 }

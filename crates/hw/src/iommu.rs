@@ -87,11 +87,6 @@ impl Iommu {
         }
     }
 
-    /// `true` if remapping hardware is present.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Grants `device` full identity access (trusted driver).
     pub fn set_passthrough(&mut self, device: usize) {
         self.domains.insert(device, Domain::Passthrough);

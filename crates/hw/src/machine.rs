@@ -152,7 +152,7 @@ impl Machine {
         bus.map_ports(0x40, 0x43, pit);
 
         let serial = bus.add_device(Box::<Uart16550>::default());
-        bus.map_ports(crate::serial::COM1, crate::serial::COM1 + 7, serial);
+        bus.map_ports(crate::serial::COM1, crate::serial::COM1_LAST, serial);
 
         let kbd = bus.add_device(Box::<Kbd>::default());
         bus.map_ports(crate::kbd::DATA, crate::kbd::STATUS, kbd);

@@ -28,8 +28,6 @@ pub mod regs {
     pub const IMS: u32 = 0x00d0;
     /// Interrupt mask clear.
     pub const IMC: u32 = 0x00d8;
-    /// Receive control.
-    pub const RCTL: u32 = 0x0100;
     /// Receive descriptor base (low).
     pub const RDBAL: u32 = 0x2800;
     /// Receive descriptor base (high).
@@ -63,25 +61,6 @@ pub struct Stream {
     pub interarrival: Cycles,
     /// Packets remaining to generate.
     pub remaining: u64,
-}
-
-impl Stream {
-    /// Builds a stream from a bandwidth in Mbit/s given the CPU clock.
-    pub fn from_bandwidth(
-        mbit_s: u64,
-        packet_bytes: u32,
-        cpu_hz: u64,
-        duration_cycles: Cycles,
-    ) -> Stream {
-        let bits_per_packet = packet_bytes as u64 * 8;
-        let packets_per_sec = (mbit_s * 1_000_000) / bits_per_packet.max(1);
-        let interarrival = (cpu_hz / packets_per_sec.max(1)).max(1);
-        Stream {
-            packet_bytes,
-            interarrival,
-            remaining: duration_cycles / interarrival,
-        }
-    }
 }
 
 /// The NIC.
@@ -140,17 +119,10 @@ impl Nic {
     }
 
     /// Starts the traffic generator (the simulated Netperf sender).
-    /// Must be followed by a device event kick via
-    /// [`Nic::kick_stream`].
+    /// The caller schedules the first arrival: a device event with the
+    /// packet token (1) on the bus's queue.
     pub fn set_stream(&mut self, stream: Stream) {
         self.stream = Some(stream);
-    }
-
-    /// Schedules the first packet arrival; call after `set_stream`.
-    pub fn kick_stream(&mut self, ctx: &mut DevCtx) {
-        if let Some(s) = self.stream {
-            ctx.schedule(s.interarrival, EV_PACKET);
-        }
     }
 
     /// Interrupt-throttle interval in cycles (~51.2 µs granularity on

@@ -6,6 +6,9 @@
 /// COM1 base port.
 pub const COM1: u16 = 0x3f8;
 
+/// COM1's last port: the UART has eight registers.
+pub const COM1_LAST: u16 = COM1 + 7;
+
 /// Line-status register offset.
 const LSR: u16 = 5;
 

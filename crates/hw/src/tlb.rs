@@ -65,7 +65,7 @@ pub struct TlbStats {
 pub struct Tlb {
     small: [Vec<Option<TlbEntry>>; 2],
     large: [Vec<Option<TlbEntry>>; 2],
-    /// Statistics since construction (or the last `reset_stats`).
+    /// Statistics since construction.
     pub stats: TlbStats,
 }
 
@@ -227,11 +227,6 @@ impl Tlb {
     /// full flush, given a per-entry refill cost.
     pub fn refill_penalty(occupancy_before: usize, per_entry: Cycles) -> Cycles {
         occupancy_before as Cycles * per_entry
-    }
-
-    /// Resets statistics without touching entries.
-    pub fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
     }
 }
 

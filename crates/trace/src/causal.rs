@@ -154,11 +154,6 @@ impl RequestTree {
     pub fn end_to_end(&self) -> u64 {
         self.last_cycle - self.first_cycle
     }
-
-    /// Critical-path cycles attributed to `layer`.
-    pub fn layer_cycles(&self, layer: Layer) -> u64 {
-        self.layers[layer as usize]
-    }
 }
 
 /// Groups events by trace context ([`CTX_NONE`] events are not part
@@ -401,9 +396,9 @@ mod tests {
         let total: u64 = tree.layers.iter().sum();
         assert_eq!(total, tree.end_to_end());
         // The 900-cycle controller window dominates: it accrues to Hw.
-        assert!(tree.layer_cycles(Layer::Hw) >= 900);
-        assert!(tree.layer_cycles(Layer::Ipc) > 0);
-        assert!(tree.layer_cycles(Layer::Vmm) > 0);
+        assert!(tree.layers[Layer::Hw as usize] >= 900);
+        assert!(tree.layers[Layer::Ipc as usize] > 0);
+        assert!(tree.layers[Layer::Vmm as usize] > 0);
     }
 
     #[test]

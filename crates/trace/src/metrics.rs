@@ -11,8 +11,6 @@ pub const HIST_BUCKETS: usize = 32;
 /// Well-known metric names recorded across the stack, collected here
 /// so producers, exporters and test assertions agree on spelling.
 pub mod names {
-    /// Cycles per VM exit, observed by the kernel on every exit.
-    pub const EXIT_CYCLES: &str = "exit_cycles";
     /// Cycles from issue to completion per disk request, observed by
     /// the disk server.
     pub const DISK_SERVICE_CYCLES: &str = "disk_service_cycles";

@@ -94,26 +94,6 @@ pub fn percentiles(values: &[u64]) -> (u64, u64, u64) {
     )
 }
 
-/// Nearest-rank percentile over a log2 histogram: the representative
-/// value (`1 << bucket`) of the bucket holding the `p`-th percentile
-/// observation. An empty histogram returns 0; a single-bucket
-/// histogram returns that bucket's representative for every `p`.
-pub fn hist_percentile(hist: &[u64; HIST_BUCKETS], p: u32) -> u64 {
-    let total: u64 = hist.iter().sum();
-    if total == 0 {
-        return 0;
-    }
-    let rank = (u64::from(p.min(100)) * total).div_ceil(100).max(1);
-    let mut seen = 0u64;
-    for (i, &n) in hist.iter().enumerate() {
-        seen += n;
-        if seen >= rank {
-            return 1u64 << i;
-        }
-    }
-    1u64 << (HIST_BUCKETS - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,7 +154,6 @@ mod tests {
         assert_eq!(histogram(&evs, Kind::IpcCall), [0u64; HIST_BUCKETS]);
         assert_eq!(percentile(&[], 50), 0);
         assert_eq!(percentiles(&[]), (0, 0, 0));
-        assert_eq!(hist_percentile(&[0u64; HIST_BUCKETS], 99), 0);
     }
 
     #[test]
@@ -188,9 +167,6 @@ mod tests {
         let h = histogram(&t.events(), Kind::IpcCall);
         assert_eq!(h[0], 2);
         assert_eq!(h[1..].iter().sum::<u64>(), 0);
-        for p in [0, 50, 99, 100] {
-            assert_eq!(hist_percentile(&h, p), 1, "single bucket, p{p}");
-        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! magic     8 bytes  "NOVACKPT"
-//! version   u32      format version (5)
+//! version   u32      format version (6)
 //! seq       u64      checkpoint sequence number
 //! mem_len   u64      guest-memory length, a whole number of 4 KB pages
 //! pages     u32 n, then n page numbers (u32, strictly ascending, each
@@ -23,8 +23,17 @@
 //!           STI shadow, interrupt window, recall, blocked, injection
 //!           present), the injection's vector, u32 error code and
 //!           error-code-present flag byte
-//! vmm       u32 len, then len bytes (Vmm::save_state)
+//! vmm       u32 len, then len bytes (Vmm::save_state); in it, each
+//!           disk client's requests in flight are one record
+//!           (DiskClient::export_state): u32 count, then per request
+//!           tag, op, lba (u64), sectors (u32), nsegs (u8), nsegs ×
+//!           (addr u64, bytes u32), attempts (u32), ctx (u64)
 //! ```
+//!
+//! Version 6 gave both disk front ends that one request record;
+//! version 5's had one layout each (the vAHCI's 32 slot-presence
+//! bytes, the PV queue's single segment without `nsegs`) and is
+//! refused by number.
 //!
 //! **A checkpoint holds what the guest wrote**: a page is stored if and
 //! only if it is not all zeros, and a page the index leaves out reads
@@ -63,7 +72,7 @@ pub const MAGIC: [u8; 8] = *b"NOVACKPT";
 /// Current checkpoint format version. Bump on any layout change; the
 /// parser refuses other versions, which makes a stale checkpoint an
 /// explicit cold-reboot escalation rather than a silent corruption.
-pub const VERSION: u32 = 5;
+pub const VERSION: u32 = 6;
 
 /// Size of one page of the guest image.
 pub const PAGE: usize = 4096;
@@ -184,9 +193,14 @@ impl<'a> Dec<'a> {
         self.take(1).and_then(|s| s.first().copied())
     }
 
-    /// Reads one byte as a bool (non-zero = true).
+    /// Reads one byte as a bool: 0 or 1, what [`Enc::flag`] writes;
+    /// any other byte is refused.
     pub fn flag(&mut self) -> Option<bool> {
-        self.u8().map(|b| b != 0)
+        match self.u8()? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
     }
 
     /// Reads a little-endian u32.
@@ -434,13 +448,6 @@ fn write_vcpu(e: &mut Enc, v: &VcpuSnapshot) {
 /// absent injection or error code that is not zero refuses it, so that
 /// whatever decodes encodes back to itself.
 fn read_vcpu(d: &mut Dec) -> Option<VcpuSnapshot> {
-    fn flag(d: &mut Dec) -> Option<bool> {
-        match d.u8()? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
-    }
     let mut regs = Regs::default();
     for w in &mut regs.gpr {
         *w = d.u32()?;
@@ -454,9 +461,9 @@ fn read_vcpu(d: &mut Dec) -> Option<VcpuSnapshot> {
     regs.idt_base = d.u32()?;
     regs.idt_limit = u16::try_from(d.u32()?).ok()?;
     let tsc_offset = d.u64()?;
-    let (halted, sti_shadow, intwin_exit) = (flag(d)?, flag(d)?, flag(d)?);
-    let (recall_pending, blocked, injected) = (flag(d)?, flag(d)?, flag(d)?);
-    let (vector, code, has_code) = (d.u8()?, d.u32()?, flag(d)?);
+    let (halted, sti_shadow, intwin_exit) = (d.flag()?, d.flag()?, d.flag()?);
+    let (recall_pending, blocked, injected) = (d.flag()?, d.flag()?, d.flag()?);
+    let (vector, code, has_code) = (d.u8()?, d.u32()?, d.flag()?);
     let unset = (!has_code && code != 0) || (!injected && (vector != 0 || has_code));
     (!unset).then_some(VcpuSnapshot {
         regs,
@@ -832,10 +839,10 @@ mod tests {
             assert!(Checkpoint::from_bytes(&old).is_none(), "v{v}");
             assert!(View::parse(&old).is_none(), "v{v}");
             assert!(image_header(&old).is_none(), "v{v}");
-            // Not even the version-5 parser's reading of that framing.
+            // Not even the current parser's reading of that framing.
             let mut renumbered = old.clone();
             renumbered[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&VERSION.to_le_bytes());
-            assert!(View::parse(&renumbered).is_none(), "v{v} as v5");
+            assert!(View::parse(&renumbered).is_none(), "v{v} as v{VERSION}");
         }
     }
 
@@ -1162,5 +1169,6 @@ mod tests {
         assert_eq!(d.bytes(), Some(&b"hi"[..]));
         assert!(d.done());
         assert_eq!(d.u8(), None, "reads past the end fail");
+        assert_eq!(Dec::new(&[2]).flag(), None, "a flag is 0 or 1");
     }
 }

@@ -10,15 +10,17 @@
 use nova_core::cap::CapSel;
 use nova_core::{CompCtx, Hypercall, Kernel};
 use nova_hw::kbd::{self, I8042};
+use nova_hw::machine::AHCI_BASE;
 use nova_hw::pci::{self, PciConfig};
 use nova_hw::pic::DualPic;
-use nova_hw::pit::Pit8254;
-use nova_hw::serial::{Uart16550, COM1};
+use nova_hw::pit::{self, Pit8254};
+use nova_hw::pv::{self, PV_BASE, PV_SIZE};
+use nova_hw::serial::{Uart16550, COM1, COM1_LAST};
 use nova_hw::{Cycles, GuestSurface};
 use nova_x86::insn::OpSize;
 
 use crate::checkpoint::{Dec, Enc};
-use crate::diskclient::{Due, Req};
+use crate::diskclient::{DiskClient, Due, Req};
 use crate::pvdisk::{PvDisk, PV_DISK_IRQ};
 use crate::pvnet::PvNet;
 use crate::vahci::VAhci;
@@ -75,9 +77,13 @@ impl VPit {
 
     /// Restores checkpointed state, re-arming the kernel timer if the
     /// previous incarnation had one running (the old timer died with
-    /// the old VMM's protection domain).
+    /// the old VMM's protection domain). A chip record that would not
+    /// write back (a half-written divisor's byte with no half written)
+    /// is refused.
     pub fn import_state(&mut self, k: &mut Kernel, ctx: CompCtx, d: &mut Dec) -> Option<()> {
-        self.chip.import_state(&d.array()?);
+        let chip = d.array()?;
+        self.chip.import_state(&chip);
+        (self.chip.export_state() == chip).then_some(())?;
         self.armed = d.flag()?;
         if self.armed {
             self.set_timer(k, ctx);
@@ -120,6 +126,25 @@ pub const PORT_MARK: u16 = 0xf5;
 pub const PORT_AP_START: u16 = 0x99;
 /// Broadcast-IPI port: `out al` with the vector.
 pub const PORT_IPI: u16 = 0x9a;
+
+/// A virtual MMIO window.
+enum Window {
+    /// The virtual AHCI controller's register page.
+    Ahci,
+    /// The paravirtual register block (disk queue and NIC).
+    Pv,
+}
+
+/// The window `gpa` falls in, and its offset there.
+fn window(gpa: u64) -> Option<(Window, u64)> {
+    if (AHCI_BASE..AHCI_BASE + 0x1000).contains(&gpa) {
+        Some((Window::Ahci, gpa - AHCI_BASE))
+    } else if (PV_BASE..PV_BASE + PV_SIZE).contains(&gpa) {
+        Some((Window::Pv, gpa - PV_BASE))
+    } else {
+        None
+    }
+}
 
 /// All virtual devices of one VM, with the port/MMIO routing table.
 /// This is the one place that enumerates them: routing, interrupt
@@ -175,7 +200,7 @@ impl VDevices {
         let _ = (k, ctx);
         match port {
             0x20 | 0x21 | 0xa0 | 0xa1 => self.vpic.io_read(port) as u32,
-            0x40..=0x43 => self.vpit.chip.read(port) as u32,
+            pit::CH0..=pit::MODE => self.vpit.chip.read(port) as u32,
             kbd::DATA | kbd::STATUS => {
                 let v = self.vkbd.read(port) as u32;
                 // More scancodes waiting: keep the interrupt coming.
@@ -184,7 +209,7 @@ impl VDevices {
                 }
                 v
             }
-            0x3f8..=0x3ff => self.vserial.read(port - COM1) as u32,
+            COM1..=COM1_LAST => self.vserial.read(port - COM1) as u32,
             pci::CONFIG_ADDRESS..=pci::CONFIG_DATA_LAST => self.vpci.read(port, size),
             _ => size.mask(),
         }
@@ -194,8 +219,8 @@ impl VDevices {
     pub fn io_write(&mut self, k: &mut Kernel, ctx: CompCtx, port: u16, size: OpSize, val: u32) {
         match port {
             0x20 | 0x21 | 0xa0 | 0xa1 => self.vpic.io_write(port, val as u8),
-            0x40..=0x43 => self.vpit.io_write(k, ctx, port, val as u8),
-            0x3f8..=0x3ff => self.vserial.write(port - COM1, val as u8),
+            pit::CH0..=pit::MODE => self.vpit.io_write(k, ctx, port, val as u8),
+            COM1..=COM1_LAST => self.vserial.write(port - COM1, val as u8),
             pci::CONFIG_ADDRESS..=pci::CONFIG_DATA_LAST => self.vpci.write(port, val),
             PORT_EXIT => self.special.exit_code = Some(val as u8),
             PORT_MARK => self.special.marks.push(val),
@@ -223,7 +248,7 @@ impl VDevices {
 
     /// `true` while either disk front end has a request outstanding.
     pub fn disks_pending(&self) -> bool {
-        self.vahci.has_pending() || self.pvdisk.has_pending()
+        self.vahci.disk.has_pending() || self.pvdisk.disk.has_pending()
     }
 
     /// Completion semaphore: one signal serves both disk clients; each
@@ -234,10 +259,15 @@ impl VDevices {
         self.raise_disks(ahci, pv)
     }
 
-    /// Maintenance tick: the request-timeout sweep of both clients.
+    /// Maintenance tick: the request-timeout sweep of both clients,
+    /// each against the clock as its sweep starts. Re-sends refused
+    /// requests and accepted ones the server lost, and fails those
+    /// whose attempt budget ran out.
     pub fn sweep_disks(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
-        let ahci = self.vahci.check_timeouts(k, ctx);
-        let pv = self.pvdisk.check_timeouts(k, ctx);
+        let now = k.now();
+        let ahci = self.vahci.sweep(k, ctx, |k, r| DiskClient::due(k, r, now));
+        let now = k.now();
+        let pv = self.pvdisk.sweep(k, ctx, |k, r| DiskClient::due(k, r, now));
         self.raise_disks(ahci, pv)
     }
 
@@ -253,10 +283,10 @@ impl VDevices {
         ctx: CompCtx,
         mut verdict: impl FnMut(&mut Kernel, &mut Req) -> Due,
     ) -> bool {
-        self.vahci.disk.rebind(None);
-        self.pvdisk.disk.rebind(None);
+        self.vahci.disk.restart(k, ctx);
+        self.pvdisk.disk.restart(k, ctx);
         let ahci = self.vahci.sweep(k, ctx, &mut verdict);
-        let pv = self.pvdisk.enabled() && self.pvdisk.sweep(k, ctx, &mut verdict);
+        let pv = self.pvdisk.disk.attached() && self.pvdisk.sweep(k, ctx, &mut verdict);
         self.raise_disks(ahci, pv)
     }
 
@@ -304,53 +334,40 @@ impl VDevices {
 
     /// `true` if `gpa` belongs to a virtual MMIO window.
     pub fn owns_gpa(&self, gpa: u64) -> bool {
-        (nova_hw::machine::AHCI_BASE..nova_hw::machine::AHCI_BASE + 0x1000).contains(&gpa)
-            || (nova_hw::pv::PV_BASE..nova_hw::pv::PV_BASE + nova_hw::pv::PV_SIZE).contains(&gpa)
+        window(gpa).is_some()
     }
 
     /// Guest MMIO read.
-    pub fn mmio_read(&mut self, k: &mut Kernel, ctx: CompCtx, gpa: u64, size: OpSize) -> u32 {
-        if (nova_hw::machine::AHCI_BASE..nova_hw::machine::AHCI_BASE + 0x1000).contains(&gpa) {
-            let off = (gpa - nova_hw::machine::AHCI_BASE) as u32;
-            return self.vahci.mmio_read(k, ctx, off, size);
-        }
-        if (nova_hw::pv::PV_BASE..nova_hw::pv::PV_BASE + nova_hw::pv::PV_SIZE).contains(&gpa) {
-            let _ = (k, ctx);
-            let off = gpa - nova_hw::pv::PV_BASE;
-            return match off {
-                nova_hw::pv::regs::FEAT => {
+    pub fn mmio_read(&self, gpa: u64, size: OpSize) -> u32 {
+        match window(gpa) {
+            Some((Window::Ahci, off)) => self.vahci.regs.read(off as u32),
+            Some((Window::Pv, off)) => match off {
+                pv::regs::FEAT => {
                     let mut f = 0;
-                    if self.pvdisk.enabled() {
-                        f |= nova_hw::pv::FEAT_DISK;
+                    // An attached channel is what the FEAT bit offers.
+                    if self.pvdisk.disk.attached() {
+                        f |= pv::FEAT_DISK;
                     }
                     if self.pvnet.is_some() {
-                        f |= nova_hw::pv::FEAT_NET;
+                        f |= pv::FEAT_NET;
                     }
                     f
                 }
-                nova_hw::pv::regs::NET_RING
-                | nova_hw::pv::regs::NET_DOORBELL
-                | nova_hw::pv::regs::NET_ISR => {
+                pv::regs::NET_RING | pv::regs::NET_DOORBELL | pv::regs::NET_ISR => {
                     self.pvnet.as_ref().map(|n| n.mmio_read(off)).unwrap_or(0)
                 }
                 _ => self.pvdisk.mmio_read(off),
-            };
+            },
+            None => size.mask(),
         }
-        size.mask()
     }
 
     /// Guest MMIO write.
     pub fn mmio_write(&mut self, k: &mut Kernel, ctx: CompCtx, gpa: u64, size: OpSize, val: u32) {
-        if (nova_hw::machine::AHCI_BASE..nova_hw::machine::AHCI_BASE + 0x1000).contains(&gpa) {
-            let off = (gpa - nova_hw::machine::AHCI_BASE) as u32;
-            self.vahci.mmio_write(k, ctx, off, size, val);
-        }
-        if (nova_hw::pv::PV_BASE..nova_hw::pv::PV_BASE + nova_hw::pv::PV_SIZE).contains(&gpa) {
-            let off = gpa - nova_hw::pv::PV_BASE;
-            match off {
-                nova_hw::pv::regs::NET_RING
-                | nova_hw::pv::regs::NET_DOORBELL
-                | nova_hw::pv::regs::NET_ISR => {
+        match window(gpa) {
+            Some((Window::Ahci, off)) => self.vahci.mmio_write(k, ctx, off as u32, size, val),
+            Some((Window::Pv, off)) => match off {
+                pv::regs::NET_RING | pv::regs::NET_DOORBELL | pv::regs::NET_ISR => {
                     if let Some(n) = self.pvnet.as_mut() {
                         if n.mmio_write(k, ctx, off, val) {
                             self.vpic.pulse(nova_hw::machine::NIC_IRQ);
@@ -362,7 +379,8 @@ impl VDevices {
                         self.vpic.pulse(PV_DISK_IRQ);
                     }
                 }
-            }
+            },
+            None => {}
         }
     }
 }

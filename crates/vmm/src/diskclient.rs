@@ -2,12 +2,13 @@
 //! "the guest handed a front end a request" and "the front end reports
 //! its completion". One channel to the server — a portal root wired to
 //! this client alone, a shared completion ring, standing delegations of
-//! the guest's DMA pages — one wire encoder, and one recovery policy,
-//! shared by the
-//! virtual AHCI controller ([`crate::vahci`]) and the paravirtual queue
-//! ([`crate::pvdisk`]). The front ends keep what is device-specific:
-//! parsing and validating guest structures, and reporting completions
-//! the way their guest interface demands.
+//! the guest's DMA pages — one wire encoder, one table of the requests
+//! in flight with its checkpoint record, and one recovery policy,
+//! shared by the virtual AHCI controller ([`crate::vahci`]) and the
+//! paravirtual queue ([`crate::pvdisk`]). The front ends keep what is
+//! device-specific: parsing and validating guest structures, choosing
+//! which tracked requests one IPC carries, and reporting completions the
+//! way their guest interface demands.
 //!
 //! The recovery policy is three constants and two rules. A request the
 //! server refused or never received is re-sent after `RETRY_DELAY`;
@@ -33,6 +34,7 @@ use nova_core::utcb::XferItem;
 use nova_core::{CompCtx, Kernel, Utcb};
 use nova_user::proto::disk as proto;
 
+use crate::checkpoint::{Dec, Enc};
 use crate::vmm::GUEST_BASE_PAGE;
 
 /// Cycles an accepted request may stay uncompleted before it is
@@ -62,7 +64,7 @@ pub struct DiskChannel {
 /// A request a guest issued that has not completed yet: everything
 /// needed to send it again after a timeout, a server restart or a VMM
 /// restore.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 pub struct Req {
     /// What the server echoes in the completion record (the vAHCI's
     /// command slot, the PV queue's cumulative descriptor index).
@@ -102,12 +104,16 @@ pub enum Due {
     GiveUp,
 }
 
-/// One front end's connection to the disk server. The server sees guest
-/// page `g` at page `g` of this client's window; where the window and
-/// the completion ring lie in the server's space is root's wiring.
+/// One front end's connection to the disk server and the requests it
+/// has in flight there. The server sees guest page `g` at page `g` of
+/// this client's window; where the window and the completion ring lie
+/// in the server's space is root's wiring.
 #[derive(Default)]
 pub struct DiskClient {
     channel: Option<DiskChannel>,
+    /// Every request the guest issued that has not completed, sent or
+    /// not, in tag order.
+    reqs: Vec<Req>,
     /// Consumer cursor of the server's completion ring.
     ring_tail: u32,
     /// Guest pages the server holds. Delegations are left standing
@@ -121,12 +127,29 @@ pub struct DiskClient {
 }
 
 impl DiskClient {
-    /// Starts over against a server that knows nothing of this client:
-    /// its ring produces from zero and it holds none of the guest's
-    /// pages. `Some` attaches a channel (VMM start); `None` keeps the
-    /// attached one (server restart, VMM restore).
-    pub fn rebind(&mut self, ch: Option<DiskChannel>) {
-        self.channel = ch.or(self.channel);
+    /// A client whose table holds `reqs` requests before it grows.
+    pub fn with_capacity(reqs: usize) -> DiskClient {
+        DiskClient {
+            reqs: Vec::with_capacity(reqs),
+            ..DiskClient::default()
+        }
+    }
+
+    /// Attaches the channel root wired (VMM start).
+    pub fn attach(&mut self, ch: DiskChannel) {
+        self.channel = Some(ch);
+    }
+
+    /// Starts over against a server that knows nothing of this client
+    /// (a server restart, a VMM restore): it holds none of the guest's
+    /// pages and produces from zero into the ring, which is zeroed so
+    /// that a producer word left by the previous incarnation of either
+    /// side does not survive. The requests stay for the front end to
+    /// re-send.
+    pub fn restart(&mut self, k: &mut Kernel, ctx: CompCtx) {
+        if let Some(ch) = self.channel {
+            k.mem_write(ctx, ch.ring_va, &[0u8; 4096]);
+        }
         self.ring_tail = 0;
         self.delegated.clear();
     }
@@ -136,9 +159,44 @@ impl DiskClient {
         self.channel.is_some()
     }
 
-    /// One submission IPC carrying `header ‖ one body per request`,
-    /// each body `(op, lba, sectors, tag, ctx, nsegs, (addr, bytes) ×
-    /// nsegs)` with guest-physical addresses, plus transfer items for
+    /// `true` while any request awaits completion — the VMM keeps its
+    /// maintenance timer armed exactly that long.
+    pub fn has_pending(&self) -> bool {
+        !self.reqs.is_empty()
+    }
+
+    /// Tracks a request the guest just issued; it waits for a send.
+    pub fn track(&mut self, r: Req) {
+        let at = self.reqs.partition_point(|p| p.tag < r.tag);
+        self.reqs.insert(at, r);
+    }
+
+    /// The tracked request tagged `tag`.
+    pub fn find(&mut self, tag: u64) -> Option<&mut Req> {
+        let at = self.reqs.binary_search_by_key(&tag, |r| r.tag).ok()?;
+        self.reqs.get_mut(at)
+    }
+
+    /// Stops tracking the request tagged `tag` and returns it.
+    pub fn take(&mut self, tag: u64) -> Option<Req> {
+        let at = self.reqs.binary_search_by_key(&tag, |r| r.tag).ok()?;
+        Some(self.reqs.remove(at))
+    }
+
+    /// The tracked requests, in tag order.
+    pub fn reqs(&self) -> &[Req] {
+        &self.reqs
+    }
+
+    /// The tracked requests, in tag order, to mark.
+    pub fn reqs_mut(&mut self) -> &mut [Req] {
+        &mut self.reqs
+    }
+
+    /// One submission IPC carrying `header ‖ one body per request`
+    /// for the tracked requests `pick` chooses, in tag order, each body
+    /// `(op, lba, sectors, tag, ctx, nsegs, (addr, bytes) × nsegs)`
+    /// with guest-physical addresses, plus transfer items for
     /// the guest pages the server does not hold yet. Every request is
     /// charged one attempt and stamped, sent or not. Returns the first
     /// two words of the reply — `(status, accepted)`, the second only
@@ -146,19 +204,19 @@ impl DiskClient {
     /// still have refused the requests, but the delegations stand.
     /// `None` if nothing was transferred (no channel, dead portal or
     /// busy handler while a restart is underway).
-    pub fn send<'a>(
+    pub fn send(
         &mut self,
         k: &mut Kernel,
         ctx: CompCtx,
         header: &[u64],
-        reqs: impl IntoIterator<Item = &'a mut Req>,
+        mut pick: impl FnMut(&Req) -> bool,
     ) -> Option<(u64, u64)> {
         let now = k.now();
         let utcb = &mut self.utcb;
         utcb.clear();
         utcb.msg.extend_from_slice(header);
         let mut first_ctx = None;
-        for r in reqs {
+        for r in self.reqs.iter_mut().filter(|r| pick(r)) {
             r.attempts += 1;
             r.submitted_at = now;
             first_ctx.get_or_insert(r.ctx);
@@ -208,19 +266,85 @@ impl DiskClient {
         None
     }
 
-    /// Consumes the next record of the server's completion ring:
-    /// `(tag, completed without error)`.
-    pub fn next_completion(&mut self, k: &Kernel, ctx: CompCtx) -> Option<(u32, bool)> {
+    /// Consumes records of the server's completion ring up to the next
+    /// one that names a tracked request, and returns that request,
+    /// untracked, with whether it completed without error. A record
+    /// whose tag names none — a late completion for a request already
+    /// failed towards the guest — completes nothing. Tags compare as
+    /// the ring's `u32`.
+    pub fn next_completion(&mut self, k: &Kernel, ctx: CompCtx) -> Option<(Req, bool)> {
         let ch = self.channel?;
-        let head = k.mem_read_u32(ctx, ch.ring_va + 4092).unwrap_or(0);
-        if self.ring_tail == head {
+        loop {
+            let head = k.mem_read_u32(ctx, ch.ring_va + 4092).unwrap_or(0);
+            if self.ring_tail == head {
+                return None;
+            }
+            let rec = ch.ring_va + (self.ring_tail as usize % proto::RING_RECORDS) as u64 * 16;
+            self.ring_tail = self.ring_tail.wrapping_add(1);
+            let tag = k.mem_read_u32(ctx, rec).unwrap_or(0);
+            let status = k.mem_read_u32(ctx, rec + 4).unwrap_or(1);
+            if let Some(at) = self.reqs.iter().position(|r| r.tag as u32 == tag) {
+                return Some((self.reqs.remove(at), status == 0));
+            }
+        }
+    }
+
+    /// The checkpoint record of the tracked requests: a `u32` count,
+    /// then per request `tag, op, lba, sectors, nsegs, nsegs × (addr,
+    /// bytes), attempts, ctx` (`u64, u64, u64, u32, u8, (u64, u32),
+    /// u32, u64`). The channel, the ring cursor, the delegations and
+    /// the send stamps are not captured: they belong to the dead
+    /// incarnation's server and are started over ([`Self::restart`]).
+    pub fn export_state(&self, e: &mut Enc) {
+        e.u32(self.reqs.len() as u32);
+        for r in &self.reqs {
+            e.u64(r.tag);
+            e.u64(r.op);
+            e.u64(r.lba);
+            e.u32(r.sectors);
+            e.u8(r.nsegs as u8);
+            for &(addr, bytes) in r.segs.get(..r.nsegs).unwrap_or(&[]) {
+                e.u64(addr);
+                e.u32(bytes);
+            }
+            e.u32(r.attempts);
+            e.u64(r.ctx);
+        }
+    }
+
+    /// Restores [`Self::export_state`] bytes, every request unaccepted
+    /// for the front end's replay. Refuses what the encoder would not
+    /// write: more requests than bytes left, more than
+    /// [`proto::MAX_SEGMENTS`] segments, tags out of order.
+    pub fn import_state(&mut self, d: &mut Dec) -> Option<()> {
+        let n = d.u32()? as usize;
+        if n > d.remaining() / 8 {
             return None;
         }
-        let rec = ch.ring_va + (self.ring_tail as usize % proto::RING_RECORDS) as u64 * 16;
-        self.ring_tail = self.ring_tail.wrapping_add(1);
-        let tag = k.mem_read_u32(ctx, rec).unwrap_or(0);
-        let status = k.mem_read_u32(ctx, rec + 4).unwrap_or(1);
-        Some((tag, status == 0))
+        self.reqs.clear();
+        for _ in 0..n {
+            let (tag, op, lba, sectors) = (d.u64()?, d.u64()?, d.u64()?, d.u32()?);
+            let nsegs = d.u8()? as usize;
+            if nsegs > proto::MAX_SEGMENTS || self.reqs.last().is_some_and(|r| r.tag >= tag) {
+                return None;
+            }
+            let mut segs = [(0u64, 0u32); proto::MAX_SEGMENTS];
+            for s in segs.get_mut(..nsegs).unwrap_or(&mut []) {
+                *s = (d.u64()?, d.u32()?);
+            }
+            self.reqs.push(Req {
+                tag,
+                op,
+                lba,
+                sectors,
+                segs,
+                nsegs,
+                attempts: d.u32()?,
+                ctx: d.u64()?,
+                ..Req::default()
+            });
+        }
+        Some(())
     }
 
     /// The maintenance sweep's verdict on one pending request at cycle
@@ -407,22 +531,29 @@ pub(crate) mod tests {
         }
     }
 
+    /// Channels through the stub (0x20) and a dead portal (0x21).
+    fn attached(req_sel: CapSel) -> DiskClient {
+        let mut c = DiskClient::default();
+        c.attach(channel(req_sel));
+        c
+    }
+
     #[test]
     fn send_charges_always_and_commits_delegations_only_when_applied() {
         let (mut k, ctx, stub) = setup();
         k.charge(5_000);
-        let mut c = DiskClient::default();
-        let mut r = req(4, 0, false);
+        let mut c = attached(0x21);
+        c.track(req(4, 0, false));
 
-        c.rebind(Some(channel(0x21)));
-        assert!(c.send(&mut k, ctx, &[], [&mut r]).is_none(), "dead portal");
+        assert!(c.send(&mut k, ctx, &[], |_| true).is_none(), "dead portal");
         assert!(c.delegated.is_empty(), "nothing was transferred");
+        let r = c.reqs[0];
         assert_eq!((r.attempts, r.submitted_at), (1, k.now()));
 
-        c.rebind(Some(channel(0x20)));
-        let reply = c.send(&mut k, ctx, &[1], [&mut r]).expect("live portal");
+        c.attach(channel(0x20));
+        let reply = c.send(&mut k, ctx, &[1], |_| true).expect("live portal");
         assert_eq!(reply, (proto::OK, proto::MAX_BATCH as u64));
-        assert_eq!(r.attempts, 2);
+        assert_eq!(c.reqs[0].attempts, 2);
         // The unaligned buffer straddles guest pages 5 and 6: they are
         // the window's pages 5 and 6, and the wire names the guest
         // address.
@@ -435,42 +566,143 @@ pub(crate) mod tests {
         assert_eq!(held(5), frame(GUEST_BASE_PAGE + 5));
     }
 
+    /// The table keeps tag order however requests arrive, a send
+    /// carries only what `pick` chose, and `take` forgets one.
     #[test]
-    fn next_completion_wraps_at_ring_records() {
+    fn the_table_is_kept_in_tag_order_and_send_carries_what_is_picked() {
+        let (mut k, ctx, stub) = setup();
+        let mut c = attached(0x20);
+        for tag in [9, 2, 5] {
+            c.track(req(tag, 0, false));
+        }
+        let tags = |c: &DiskClient| c.reqs().iter().map(|r| r.tag).collect::<Vec<_>>();
+        assert_eq!(tags(&c), [2, 5, 9]);
+        c.send(&mut k, ctx, &[], |r| r.tag != 5).expect("sent");
+        let wire = &k.component_mut::<Stub>(stub).unwrap().0;
+        let sent: Vec<u64> = wire.chunks(8).map(|body| body[3]).collect();
+        assert_eq!(sent, [2, 9], "tag order, 5 left out");
+        let attempts: Vec<u32> = c.reqs().iter().map(|r| r.attempts).collect();
+        assert_eq!(attempts, [1, 0, 1]);
+        assert_eq!(c.find(5).map(|r| r.tag), Some(5));
+        assert!(c.find(4).is_none());
+        assert_eq!(c.take(5).map(|r| r.tag), Some(5));
+        assert!(c.take(5).is_none());
+        assert_eq!(tags(&c), [2, 9]);
+        assert!(c.has_pending());
+    }
+
+    #[test]
+    fn next_completion_wraps_at_ring_records_and_skips_unknown_tags() {
         let (mut k, ctx, _) = setup();
-        let mut c = DiskClient::default();
-        c.rebind(Some(channel(0x20)));
-        assert_eq!(c.next_completion(&k, ctx), None, "zeroed ring is empty");
+        let mut c = attached(0x20);
+        assert!(c.next_completion(&k, ctx).is_none(), "zeroed ring is empty");
+        c.track(req(7, 1, true));
+        c.track(req(8, 1, true));
         let last = proto::RING_RECORDS as u32 - 1;
         c.ring_tail = last;
         put_record(&mut k, ctx, last as u64, 7, 0);
-        put_record(&mut k, ctx, 0, 8, proto::STATUS_ERROR);
-        k.mem_write_u32(ctx, RING_VA + 4092, last + 2);
-        assert_eq!(c.next_completion(&k, ctx), Some((7, true)));
-        assert_eq!(c.next_completion(&k, ctx), Some((8, false)));
-        assert_eq!(c.next_completion(&k, ctx), None);
-        c.rebind(None);
+        put_record(&mut k, ctx, 0, 3, 0);
+        put_record(&mut k, ctx, 1, 8, proto::STATUS_ERROR);
+        k.mem_write_u32(ctx, RING_VA + 4092, last + 3);
+        let done = |d: Option<(Req, bool)>| d.map(|(r, ok)| (r.tag, ok));
+        assert_eq!(done(c.next_completion(&k, ctx)), Some((7, true)));
+        assert_eq!(
+            done(c.next_completion(&k, ctx)),
+            Some((8, false)),
+            "3 is no one's"
+        );
+        assert!(c.next_completion(&k, ctx).is_none());
+        assert!(!c.has_pending());
+        c.delegated.insert(5);
+        c.restart(&mut k, ctx);
         assert_eq!((c.ring_tail, c.attached()), (0, true));
+        assert!(c.delegated.is_empty());
+        assert_eq!(k.mem_read_u32(ctx, RING_VA + 4092), Some(0), "ring zeroed");
     }
 
     #[test]
     fn retry_is_charged_and_replay_is_not() {
         let (mut k, ctx, _) = setup();
-        let mut c = DiskClient::default();
-        c.rebind(Some(channel(0x20)));
+        let mut c = attached(0x20);
         let retries = k.counters.client_resubmits;
 
-        let mut r = req(0, 3, true);
-        assert_eq!(DiskClient::retry(&mut k, &mut r), Due::Resubmit);
-        c.send(&mut k, ctx, &[], [&mut r]);
-        assert_eq!((r.attempts, r.accepted), (4, false));
+        c.track(req(0, 3, true));
+        let r = c.find(0).unwrap();
+        assert_eq!(DiskClient::retry(&mut k, r), Due::Resubmit);
+        c.send(&mut k, ctx, &[], |_| true);
+        assert_eq!((c.reqs[0].attempts, c.reqs[0].accepted), (4, false));
         assert_eq!(k.counters.client_resubmits, retries + 1);
 
-        let mut r = req(0, 3, true);
-        assert_eq!(DiskClient::replay(&mut r, 2_000), Due::Resubmit);
+        c.reqs[0] = req(0, 3, true);
+        assert_eq!(DiskClient::replay(&mut c.reqs[0], 2_000), Due::Resubmit);
+        let r = c.reqs[0];
         assert_eq!((r.attempts, r.accepted, r.submitted_at), (2, false, 2_000));
-        c.send(&mut k, ctx, &[], [&mut r]);
-        assert_eq!(r.attempts, 3, "the dead incarnation's attempt is re-used");
+        c.send(&mut k, ctx, &[], |_| true);
+        assert_eq!(
+            c.reqs[0].attempts, 3,
+            "the dead incarnation's attempt is re-used"
+        );
         assert_eq!(k.counters.client_resubmits, retries + 1, "and not counted");
+    }
+
+    /// The one record of a request: what it holds, byte for byte, and
+    /// the bounds its parser keeps — the two the front ends' decoders
+    /// had (segments, count against the bytes left) and tag order.
+    #[test]
+    fn the_request_record_round_trips_and_refuses_what_was_not_written() {
+        let mut c = DiskClient::default();
+        let mut two = req(6, 2, true);
+        two.segs[1] = (0x9000, 1024);
+        two.nsegs = 2;
+        c.track(two);
+        c.track(req(1, 1, true));
+        let mut e = Enc::new();
+        c.export_state(&mut e);
+        let blob = e.finish();
+        let mut want = vec![2, 0, 0, 0];
+        let one = [(0x5f00u64, 512u32)];
+        let two = [(0x5f00, 512), (0x9000, 1024)];
+        for (tag, attempts, segs) in [(1u64, 1u32, &one[..]), (6, 2, &two[..])] {
+            want.extend(tag.to_le_bytes());
+            want.extend(proto::OP_READ.to_le_bytes());
+            want.extend(9u64.to_le_bytes());
+            want.extend(1u32.to_le_bytes());
+            want.push(segs.len() as u8);
+            for &(addr, bytes) in segs {
+                want.extend(addr.to_le_bytes());
+                want.extend(bytes.to_le_bytes());
+            }
+            want.extend(attempts.to_le_bytes());
+            want.extend(77u64.to_le_bytes());
+        }
+        assert_eq!(blob, want);
+
+        let parse = |b: &[u8]| {
+            let mut c = DiskClient::default();
+            let mut d = Dec::new(b);
+            c.import_state(&mut d).filter(|_| d.done()).map(|_| c)
+        };
+        let back = parse(&blob).expect("parses");
+        assert!(back
+            .reqs()
+            .iter()
+            .all(|r| !r.accepted && r.submitted_at == 0));
+        let mut e = Enc::new();
+        back.export_state(&mut e);
+        assert_eq!(e.finish(), blob);
+
+        let nsegs_at = 4 + 8 * 3 + 4;
+        let mut too_many = blob.clone();
+        too_many[nsegs_at] = proto::MAX_SEGMENTS as u8 + 1;
+        assert!(parse(&too_many).is_none(), "nsegs > MAX_SEGMENTS");
+        let mut count = blob.clone();
+        count[..4].copy_from_slice(&(blob.len() as u32).to_le_bytes());
+        assert!(
+            parse(&count).is_none(),
+            "a count larger than the bytes left"
+        );
+        let mut order = blob.clone();
+        order[4] = 6;
+        assert!(parse(&order).is_none(), "two requests tagged 6");
     }
 }

@@ -99,7 +99,7 @@ impl EmuEnv<'_> {
             .ok_or(EmuErr::Fault(Fault::Gp))
         } else if self.dev.owns_gpa(gpa) {
             self.device_ops += 1;
-            Ok(self.dev.mmio_read(self.k, self.ctx, gpa, size))
+            Ok(self.dev.mmio_read(gpa, size))
         } else {
             // Unbacked guest-physical space reads as floating bus.
             Ok(size.mask())
@@ -645,12 +645,6 @@ mod string_mmio_tests {
         }
         assert_eq!(env.device_ops, 3, "each unit hit the device");
         // P0IE (offset 0x114) is now enabled in the model.
-        let v = dev.vahci.mmio_read(
-            &mut k,
-            ctx,
-            nova_hw::ahci::regs::P0IE,
-            nova_x86::insn::OpSize::Dword,
-        );
-        assert_eq!(v, 1);
+        assert_eq!(dev.vahci.regs.read(nova_hw::ahci::regs::P0IE), 1);
     }
 }

@@ -16,11 +16,13 @@
 //! The backend is the disk server's *second* client of its VMM — its
 //! own portal, completion ring and outstanding window — so the vAHCI
 //! path and the PV path coexist in one VM and are throttled
-//! independently. Recovery is [`crate::diskclient`]'s: retry on EBUSY,
+//! independently. The descriptors in flight, their checkpoint record
+//! and their recovery are [`crate::diskclient`]'s: retry on EBUSY,
 //! timeout of accepted requests the server lost, resubmission after a
 //! supervised server restart or a VMM restore; a descriptor whose
 //! attempt budget runs out completes with a guest-visible error
-//! status.
+//! status. What is this queue's own: the descriptors, batching within
+//! the server's window, and in-order publication.
 //!
 //! Everything read from the shared ring is Byzantine-guest input (see
 //! the trust model in [`nova_hw::pv`]): descriptor fields are
@@ -33,7 +35,7 @@
 
 #![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::panic)]
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use nova_core::{CompCtx, Kernel};
 use nova_hw::ahci::SECTOR;
@@ -58,7 +60,8 @@ fn one_segment(buf: u64, bytes: u32) -> [(u64, u32); proto::MAX_SEGMENTS] {
 /// The paravirtual disk queue backend.
 pub struct PvDisk {
     guest_pages: u64,
-    /// The channel to the disk server.
+    /// The channel to the disk server and the descriptors in flight,
+    /// tagged by cumulative descriptor index.
     pub disk: DiskClient,
     /// Guest-physical address of the shared ring page (0 = unset).
     ring_gpa: u64,
@@ -70,9 +73,6 @@ pub struct PvDisk {
     pub completions: u64,
     /// Cumulative error completions (mirrored into the ring page).
     used_errors: u64,
-    /// In-flight descriptors, in submission order (tag = cumulative
-    /// descriptor index, one contiguous buffer segment each).
-    pending: VecDeque<Req>,
     /// Out-of-order completions awaiting in-order publication:
     /// descriptor index → (ring status word, trace context).
     done: BTreeMap<u64, (u32, u64)>,
@@ -98,7 +98,6 @@ impl PvDisk {
             requests: 0,
             completions: 0,
             used_errors: 0,
-            pending: VecDeque::new(),
             done: BTreeMap::new(),
             isr: 0,
             raised_used: 0,
@@ -111,16 +110,6 @@ impl PvDisk {
     /// unusable.
     pub fn take_fatal(&mut self) -> Option<VmKill> {
         self.fatal.take()
-    }
-
-    /// `true` once a channel is attached (drives the FEAT register).
-    pub fn enabled(&self) -> bool {
-        self.disk.attached()
-    }
-
-    /// `true` while any descriptor awaits completion.
-    pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
     }
 
     /// Guest MMIO read of a PV register this backend owns.
@@ -167,7 +156,7 @@ impl PvDisk {
     /// guest can never miss a wakeup.
     fn isr_ack(&mut self, val: u32) -> bool {
         self.isr &= !val;
-        if self.isr == 0 && self.pending.is_empty() && self.completions != self.raised_used {
+        if self.isr == 0 && !self.disk.has_pending() && self.completions != self.raised_used {
             self.raise()
         } else {
             false
@@ -225,7 +214,7 @@ impl PvDisk {
             match self.read_desc(k, ctx, idx) {
                 Ok(mut req) => {
                     req.ctx = rctx;
-                    self.pending.push_back(req);
+                    self.disk.track(req);
                 }
                 Err(_) => {
                     // Malformed descriptor: complete it with an error
@@ -255,9 +244,9 @@ impl PvDisk {
         let sectors = rd(ring::D_SECTORS)?;
         let lba = rd64(ring::D_LBA)?;
         let buf = rd64(ring::D_BUF)?;
-        let write = match op {
-            ring::OP_READ => false,
-            ring::OP_WRITE => true,
+        let op = match op {
+            ring::OP_READ => proto::OP_READ,
+            ring::OP_WRITE => proto::OP_WRITE,
             _ => return Err(GuestFault::BadOpcode),
         };
         if sectors == 0 || sectors as u64 > proto::MAX_SECTORS {
@@ -271,19 +260,13 @@ impl PvDisk {
         }
         Ok(Req {
             tag: idx,
-            op: if write {
-                proto::OP_WRITE
-            } else {
-                proto::OP_READ
-            },
+            op,
             lba,
             sectors,
             segs: one_segment(buf, bytes),
             nsegs: 1,
             submitted_at: k.now(),
-            attempts: 0,
-            accepted: false,
-            ctx: 0,
+            ..Req::default()
         })
     }
 
@@ -296,23 +279,30 @@ impl PvDisk {
         let mut raise = false;
         // A definitive EINVAL removes one entry and retries the rest;
         // bound the loop by the pending count.
-        for _ in 0..=self.pending.len() {
-            let queued = self.pending.iter().filter(|p| !p.accepted).count();
+        for _ in 0..=self.disk.reqs().len() {
+            let reqs = self.disk.reqs();
+            let queued = reqs.iter().filter(|p| !p.accepted).count();
             let n = proto::MAX_OUTSTANDING
-                .saturating_sub(self.pending.len() - queued)
+                .saturating_sub(reqs.len() - queued)
                 .min(proto::MAX_BATCH)
                 .min(queued);
-            if n == 0 || !self.enabled() {
+            if n == 0 || !self.disk.attached() {
                 return raise;
             }
-            let batch = self.pending.iter_mut().filter(|p| !p.accepted).take(n);
+            // The batch: the first `n` unaccepted descriptors.
+            let mut left = n;
+            let batch = |p: &Req| {
+                let take = !p.accepted && left > 0;
+                left -= take as usize;
+                take
+            };
             // Dead portal (restart underway): retry via the
             // maintenance timer.
             let Some((status, accepted)) = self.disk.send(k, ctx, &[n as u64], batch) else {
                 return raise;
             };
             let accepted = (accepted as usize).min(n);
-            let batch = self.pending.iter_mut().filter(|p| !p.accepted);
+            let batch = self.disk.reqs_mut().iter_mut().filter(|p| !p.accepted);
             batch.take(accepted).for_each(|p| p.accepted = true);
             // OK, or EBUSY (window full at the server: the rest retries
             // when completions free slots). Anything else: the entry
@@ -321,8 +311,8 @@ impl PvDisk {
             if matches!(status, proto::OK | proto::EBUSY) || accepted == n {
                 return raise;
             }
-            let bad = self.pending.iter().position(|p| !p.accepted);
-            let Some(p) = bad.and_then(|i| self.pending.remove(i)) else {
+            let bad = self.disk.reqs().iter().find(|p| !p.accepted).map(|p| p.tag);
+            let Some(p) = bad.and_then(|tag| self.disk.take(tag)) else {
                 return raise;
             };
             DiskClient::give_up(k);
@@ -380,9 +370,9 @@ impl PvDisk {
         // while work is still in flight; the one interrupt fires when
         // the queue fully drains. A batch-synchronous guest sleeps
         // through every intermediate completion and wakes exactly
-        // once per batch. (When `pending` is empty the publish loop
+        // once per batch. (When nothing is in flight the publish loop
         // above cannot leave a gap, so nothing is ever stranded.)
-        if self.pending.is_empty() {
+        if !self.disk.has_pending() {
             self.raise()
         } else {
             false
@@ -394,13 +384,10 @@ impl PvDisk {
     /// line should be raised.
     pub fn drain_completions(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
         let mut drained = false;
-        while let Some((tag, ok)) = self.disk.next_completion(k, ctx) {
-            let pos = self.pending.iter().position(|p| p.tag as u32 == tag);
-            if let Some(p) = pos.and_then(|pos| self.pending.remove(pos)) {
-                let status = if ok { ring::ST_OK } else { ring::ST_ERROR };
-                self.done.insert(p.tag, (status, p.ctx));
-                drained = true;
-            }
+        while let Some((p, ok)) = self.disk.next_completion(k, ctx) {
+            let status = if ok { ring::ST_OK } else { ring::ST_ERROR };
+            self.done.insert(p.tag, (status, p.ctx));
+            drained = true;
         }
         // Freed window: push queued descriptors to the server.
         let mut raise = drained && self.submit_ready(k, ctx);
@@ -415,7 +402,7 @@ impl PvDisk {
         raise
     }
 
-    /// Walks the in-flight descriptors: `verdict` decides per
+    /// Walks the in-flight descriptors in order: `verdict` decides per
     /// descriptor whether it joins the next batch, completes with an
     /// error status, or is left alone.
     pub fn sweep(
@@ -427,13 +414,14 @@ impl PvDisk {
         let mut resubmit = false;
         let mut raise = false;
         let mut i = 0;
-        while let Some(p) = self.pending.get_mut(i) {
+        while let Some(p) = self.disk.reqs_mut().get_mut(i) {
             match verdict(k, p) {
                 Due::Wait => {}
                 Due::Resubmit => resubmit = true,
                 Due::GiveUp => {
-                    self.done.insert(p.tag, (ring::ST_ERROR, p.ctx));
-                    self.pending.remove(i);
+                    let tag = p.tag;
+                    self.done.insert(tag, (ring::ST_ERROR, p.ctx));
+                    self.disk.take(tag);
                     raise = true;
                     continue;
                 }
@@ -447,20 +435,10 @@ impl PvDisk {
         raise
     }
 
-    /// Periodic maintenance: re-submits refused descriptors and
-    /// accepted ones the server lost, and fails those whose attempt
-    /// budget ran out.
-    pub fn check_timeouts(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
-        let now = k.now();
-        self.sweep(k, ctx, |k, p| DiskClient::due(k, p, now))
-    }
-
     /// Serializes the queue state for a checkpoint: ring location,
-    /// the ring's cumulative indices, every in-flight descriptor, the
-    /// out-of-order completions not yet published, and the doorbell
-    /// count. The channel, the completion-ring cursor and the
-    /// delegations are reconstructed on restore
-    /// ([`DiskClient::rebind`]).
+    /// the ring's cumulative indices, every in-flight descriptor
+    /// ([`DiskClient::export_state`]), the out-of-order completions not
+    /// yet published, and the doorbell count.
     pub fn export_state(&self, e: &mut Enc) {
         e.u64(self.ring_gpa);
         e.u64(self.requests);
@@ -468,18 +446,7 @@ impl PvDisk {
         e.u64(self.used_errors);
         e.u32(self.isr);
         e.u64(self.raised_used);
-        e.u32(self.pending.len() as u32);
-        for p in &self.pending {
-            let (buf, bytes) = p.segs.first().copied().unwrap_or_default();
-            e.u64(p.tag);
-            e.u64(p.op);
-            e.u64(p.lba);
-            e.u32(p.sectors);
-            e.u64(buf);
-            e.u32(bytes);
-            e.u32(p.attempts);
-            e.u64(p.ctx);
-        }
+        self.disk.export_state(e);
         e.u32(self.done.len() as u32);
         for (&idx, &(status, ctx)) in &self.done {
             e.u64(idx);
@@ -491,7 +458,8 @@ impl PvDisk {
 
     /// Restores checkpointed state; every in-flight descriptor is
     /// marked unaccepted for the replay
-    /// ([`crate::devices::VDevices::restart_disks`]).
+    /// ([`crate::devices::VDevices::restart_disks`]). Completions out
+    /// of index order are not a record this queue wrote.
     pub fn import_state(&mut self, d: &mut Dec) -> Option<()> {
         self.ring_gpa = d.u64()?;
         self.requests = d.u64()?;
@@ -500,25 +468,7 @@ impl PvDisk {
         self.isr = d.u32()?;
         self.raised_used = d.u64()?;
         self.fatal = None;
-        let npending = d.u32()? as usize;
-        if npending > d.remaining() / 8 {
-            return None;
-        }
-        self.pending.clear();
-        for _ in 0..npending {
-            self.pending.push_back(Req {
-                tag: d.u64()?,
-                op: d.u64()?,
-                lba: d.u64()?,
-                sectors: d.u32()?,
-                segs: one_segment(d.u64()?, d.u32()?),
-                nsegs: 1,
-                submitted_at: 0,
-                attempts: d.u32()?,
-                accepted: false,
-                ctx: d.u64()?,
-            });
-        }
+        self.disk.import_state(d)?;
         let ndone = d.u32()? as usize;
         if ndone > d.remaining() / 8 {
             return None;
@@ -526,6 +476,10 @@ impl PvDisk {
         self.done.clear();
         for _ in 0..ndone {
             let idx = d.u64()?;
+            let last = self.done.keys().next_back();
+            if last.is_some_and(|&last| last >= idx) {
+                return None;
+            }
             let status = d.u32()?;
             let ctx = d.u64()?;
             self.done.insert(idx, (status, ctx));
@@ -547,7 +501,7 @@ mod tests {
     fn restore_replay_does_not_charge_the_attempt_budget() {
         let (mut k, ctx, _) = setup();
         let mut pv = PvDisk::new(1024);
-        pv.disk.rebind(Some(channel(0x20)));
+        pv.disk.attach(channel(0x20));
         // One descriptor in a ring page at guest 0x2000: read sector 0
         // into guest 0x8000.
         let desc = guest_va(0x2000 + ring::DESC0);
@@ -556,8 +510,8 @@ mod tests {
         k.mem_write_u32(ctx, desc + ring::D_BUF, 0x8000);
         pv.mmio_write(&mut k, ctx, regs::DISK_RING, 0x2000);
         pv.mmio_write(&mut k, ctx, regs::DISK_DOORBELL, 1);
-        assert!(pv.pending[0].accepted, "the stub server took it");
-        let before = pv.pending[0].attempts;
+        assert!(pv.disk.reqs()[0].accepted, "the stub server took it");
+        let before = pv.disk.reqs()[0].attempts;
 
         let mut e = Enc::new();
         pv.export_state(&mut e);
@@ -566,11 +520,12 @@ mod tests {
         // dead one's delegations (they were revoked with its PD).
         let (mut k, ctx, _) = setup();
         let mut revived = PvDisk::new(1024);
-        revived.disk.rebind(Some(channel(0x20)));
+        revived.disk.attach(channel(0x20));
         revived.import_state(&mut Dec::new(&blob)).unwrap();
         let now = k.now();
         revived.sweep(&mut k, ctx, |_, p| DiskClient::replay(p, now));
-        assert!(revived.pending[0].accepted, "replayed into the server");
-        assert_eq!((before, revived.pending[0].attempts), (1, 1));
+        let replayed = revived.disk.reqs()[0];
+        assert!(replayed.accepted, "replayed into the server");
+        assert_eq!((before, replayed.attempts), (1, 1));
     }
 }

@@ -10,11 +10,13 @@
 //! controller's state machine and raises the virtual interrupt line.
 //!
 //! The channel to the disk server — delegations, wire format, the
-//! completion ring, and the timeout/retry/degrade policy — is
+//! completion ring, the table of requests in flight with its checkpoint
+//! record, and the timeout/retry/degrade policy — is
 //! [`crate::diskclient`]; the register file and the byte layout of a
 //! command are the platform controller's (`nova_hw::ahci::{PortRegs,
 //! cmd}`). This module is what lies between: the validation of the
-//! guest's command structures and the slot table.
+//! guest's command structures, and command slots as request tags (one
+//! IPC per slot).
 //!
 //! Every structure the controller parses — command list, command
 //! table, CFIS, PRDT — lives in guest memory and is Byzantine input:
@@ -36,17 +38,23 @@ use crate::devices::count_rejected;
 use crate::diskclient::{DiskClient, Due, Req};
 use crate::vmm::guest_va;
 
+/// Command slots of the port: a request's tag is its slot number.
+const SLOTS: u8 = 32;
+
+/// Commands the table holds before it grows: a guest driver that waits
+/// for each command keeps one outstanding.
+const TABLE_SLOTS: usize = 1;
+
 /// The virtual AHCI controller.
 pub struct VAhci {
     /// Guest RAM size in pages — the bound every guest-supplied
     /// address is validated against.
     guest_pages: u64,
-    /// The channel to the disk server.
+    /// The channel to the disk server and the outstanding commands,
+    /// tagged by slot.
     pub disk: DiskClient,
     /// The guest-visible register file.
     pub regs: PortRegs,
-    /// Outstanding request per command slot (tag = slot number).
-    pending: [Option<Req>; 32],
 }
 
 impl VAhci {
@@ -54,30 +62,21 @@ impl VAhci {
     pub fn new(guest_pages: u64) -> VAhci {
         VAhci {
             guest_pages,
-            disk: DiskClient::default(),
+            disk: DiskClient::with_capacity(TABLE_SLOTS),
             regs: PortRegs::default(),
-            pending: [None; 32],
         }
-    }
-
-    /// `true` while any guest request awaits completion — the VMM
-    /// keeps its maintenance timer armed exactly that long.
-    pub fn has_pending(&self) -> bool {
-        self.pending.iter().any(Option::is_some)
     }
 
     fn read_guest_into(&self, k: &Kernel, ctx: CompCtx, gpa: u64, out: &mut [u8]) -> Option<()> {
         k.mem_read_into(ctx, guest_va(gpa), out)
     }
 
-    /// Reports a task-file error for `slot` to the guest and drops any
-    /// pending state: the degradation path — the guest sees an error
+    /// Reports a task-file error for `slot` to the guest and forgets
+    /// its request: the degradation path — the guest sees an error
     /// status, never a hung vCPU.
     fn fail_slot(&mut self, slot: u8) {
         self.regs.complete(slot, false);
-        if let Some(p) = self.pending.get_mut(slot as usize) {
-            *p = None;
-        }
+        self.disk.take(slot as u64);
     }
 
     /// A malformed guest command structure: count the typed rejection,
@@ -164,7 +163,7 @@ impl VAhci {
         if total != sectors as u64 * SECTOR as u64 {
             return self.fail_guest(k, slot, GuestFault::BadLength);
         }
-        if self.pending.get(slot as usize).is_some_and(Option::is_some) {
+        if self.disk.find(slot as u64).is_some() {
             // The slot is still outstanding; a well-behaved guest
             // never re-rings it.
             return self.fail_guest(k, slot, GuestFault::Rerung);
@@ -172,7 +171,7 @@ impl VAhci {
 
         // Each accepted doorbell command is a request origin.
         let rctx = k.machine.bus.trace.alloc_ctx();
-        let req = Req {
+        self.disk.track(Req {
             tag: slot as u64,
             op: if write {
                 proto::OP_WRITE
@@ -183,29 +182,24 @@ impl VAhci {
             sectors,
             segs,
             nsegs: prdtl,
-            submitted_at: 0,
-            attempts: 0,
-            accepted: false,
             ctx: rctx,
-        };
-        if let Some(p) = self.pending.get_mut(slot as usize) {
-            *p = Some(req);
-        }
+            ..Req::default()
+        });
         self.submit(k, ctx, slot);
     }
 
-    /// Sends the pending request in `slot` and folds the server's
+    /// Sends the request tracked for `slot` and folds the server's
     /// answer into the slot state. Returns `true` if the guest's
     /// interrupt line should be raised (terminal failure with
     /// interrupts on).
     fn submit(&mut self, k: &mut Kernel, ctx: CompCtx, slot: u8) -> bool {
-        let Some(req) = self.pending.get_mut(slot as usize).and_then(Option::as_mut) else {
-            return false;
-        };
-        let status = self.disk.send(k, ctx, &[], [&mut *req]).map(|(s, _)| s);
-        match status {
+        let tag = slot as u64;
+        let reply = self.disk.send(k, ctx, &[], |r| r.tag == tag);
+        match reply.map(|(status, _)| status) {
             Some(proto::OK) => {
-                req.accepted = true;
+                if let Some(req) = self.disk.find(tag) {
+                    req.accepted = true;
+                }
                 false
             }
             // Transient (EBUSY, or the IPC did not go through): the
@@ -219,9 +213,10 @@ impl VAhci {
         }
     }
 
-    /// Walks the pending slots: `verdict` decides per request whether
-    /// it is sent again, failed towards the guest, or left alone.
-    /// Returns `true` if the guest's interrupt line should be raised.
+    /// Walks the outstanding slots in order: `verdict` decides per
+    /// request whether it is sent again, failed towards the guest, or
+    /// left alone. Returns `true` if the guest's interrupt line should
+    /// be raised.
     pub fn sweep(
         &mut self,
         k: &mut Kernel,
@@ -229,8 +224,8 @@ impl VAhci {
         mut verdict: impl FnMut(&mut Kernel, &mut Req) -> Due,
     ) -> bool {
         let mut raise = false;
-        for slot in 0..32u8 {
-            let Some(req) = self.pending.get_mut(slot as usize).and_then(Option::as_mut) else {
+        for slot in 0..SLOTS {
+            let Some(req) = self.disk.find(slot as u64) else {
                 continue;
             };
             match verdict(k, req) {
@@ -245,40 +240,19 @@ impl VAhci {
         raise
     }
 
-    /// Periodic maintenance: re-sends refused requests and accepted
-    /// ones the server lost, and fails those whose attempt budget ran
-    /// out. Returns `true` if the guest's interrupt line should be
-    /// raised.
-    pub fn check_timeouts(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
-        let now = k.now();
-        self.sweep(k, ctx, |k, req| DiskClient::due(k, req, now))
-    }
-
     /// Consumes completion records from the server's shared ring;
     /// returns `true` if the virtual interrupt line should be raised.
-    /// A record whose tag names no outstanding slot — a late completion
-    /// for a request already failed towards the guest — completes
-    /// nothing.
     pub fn drain_completions(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
         let mut raised = false;
         let prev_ctx = k.machine.bus.trace.current_ctx();
-        while let Some((tag, ok)) = self.disk.next_completion(k, ctx) {
-            let Some(req) = self.pending.get_mut(tag as usize).and_then(Option::take) else {
-                continue;
-            };
+        while let Some((req, ok)) = self.disk.next_completion(k, ctx) {
             // Completion work runs on the completed request's context.
             k.machine.bus.trace.set_ctx(req.ctx);
             // DHRS, or TFES on a device error.
-            raised |= self.regs.complete(tag as u8, ok);
+            raised |= self.regs.complete(req.tag as u8, ok);
         }
         k.machine.bus.trace.set_ctx(prev_ctx);
         raised
-    }
-
-    /// Guest MMIO read of the virtual controller.
-    pub fn mmio_read(&mut self, k: &mut Kernel, ctx: CompCtx, off: u32, _size: OpSize) -> u32 {
-        let _ = (k, ctx);
-        self.regs.read(off)
     }
 
     /// Guest MMIO write.
@@ -298,75 +272,32 @@ impl VAhci {
         }
     }
 
-    /// Serializes the guest-visible controller state and every
-    /// pending request for a checkpoint. The disk channel, the
-    /// completion-ring cursor and the standing delegations are *not*
-    /// captured: they name kernel objects of the dead incarnation and
-    /// are reconstructed on restore (ring tail zero, empty delegation
-    /// set, re-submission).
+    /// Serializes the guest-visible controller state and the
+    /// outstanding commands ([`DiskClient::export_state`]) for a
+    /// checkpoint.
     pub fn export_state(&self, e: &mut Enc) {
         e.u64(self.regs.clb);
         e.u32(self.regs.is);
         e.u32(self.regs.p0is);
         e.u32(self.regs.p0ie);
         e.u32(self.regs.ci);
-        for slot in &self.pending {
-            e.flag(slot.is_some());
-            if let Some(req) = slot {
-                e.u64(req.op);
-                e.u64(req.lba);
-                e.u32(req.sectors);
-                e.u32(req.nsegs as u32);
-                for &(dba, bytes) in req.segs.get(..req.nsegs).unwrap_or(&[]) {
-                    e.u64(dba);
-                    e.u32(bytes);
-                }
-                e.u32(req.attempts);
-                e.u64(req.ctx);
-            }
-        }
+        self.disk.export_state(e);
     }
 
-    /// Restores checkpointed state into a freshly attached controller.
-    /// Every restored request is marked unaccepted; the caller replays
-    /// them ([`crate::devices::VDevices::restart_disks`]) once guest
-    /// memory is back in place.
+    /// Restores checkpointed state into a freshly attached controller;
+    /// a request tagged past the last slot is not one it wrote. The
+    /// caller replays the requests
+    /// ([`crate::devices::VDevices::restart_disks`]) once guest memory
+    /// is back in place.
     pub fn import_state(&mut self, d: &mut Dec) -> Option<()> {
         self.regs.clb = d.u64()?;
         self.regs.is = d.u32()?;
         self.regs.p0is = d.u32()?;
         self.regs.p0ie = d.u32()?;
         self.regs.ci = d.u32()?;
-        for (slot, pend) in self.pending.iter_mut().enumerate() {
-            *pend = None;
-            if !d.flag()? {
-                continue;
-            }
-            let op = d.u64()?;
-            let lba = d.u64()?;
-            let sectors = d.u32()?;
-            let nsegs = d.u32()? as usize;
-            if nsegs > proto::MAX_SEGMENTS {
-                return None;
-            }
-            let mut segs = [(0u64, 0u32); proto::MAX_SEGMENTS];
-            for s in segs.get_mut(..nsegs).unwrap_or(&mut []) {
-                *s = (d.u64()?, d.u32()?);
-            }
-            *pend = Some(Req {
-                tag: slot as u64,
-                op,
-                lba,
-                sectors,
-                segs,
-                nsegs,
-                submitted_at: 0,
-                attempts: d.u32()?,
-                accepted: false,
-                ctx: d.u64()?,
-            });
-        }
-        Some(())
+        self.disk.import_state(d)?;
+        let slots = self.disk.reqs().iter().all(|r| r.tag < SLOTS as u64);
+        slots.then_some(())
     }
 }
 
@@ -382,7 +313,7 @@ mod tests {
     fn completion_for_an_idle_slot_completes_nothing() {
         let (mut k, ctx, _) = setup();
         let mut v = VAhci::new(1024);
-        v.disk.rebind(Some(channel(0x20)));
+        v.disk.attach(channel(0x20));
         v.regs.p0ie = 1;
         put_record(&mut k, ctx, 0, 5, 0);
         k.mem_write_u32(ctx, RING_VA + 4092, 1);

@@ -669,26 +669,11 @@ impl Vmm {
         utcb.vm = Some(msg);
     }
 
-    /// Zeroes the disk channels' completion rings: the server a
-    /// channel starts over with produces from zero, so a producer
-    /// counter left by the previous incarnation of either side must not
-    /// survive.
-    fn clear_rings(k: &mut Kernel, ctx: CompCtx, pv_disk: bool) {
-        k.mem_write(ctx, RING_PAGE * 4096, &[0u8; 4096]);
-        if pv_disk {
-            k.mem_write(ctx, PV_RING_PAGE * 4096, &[0u8; 4096]);
-        }
-    }
-
     /// Handles a disk-server restart notification: each disk channel
     /// starts over with the new server incarnation — the portals root
     /// rewired, a zeroed ring — and resubmits every request that was in
     /// flight when the old one died.
     fn reconnect_disk(&mut self, k: &mut Kernel, ctx: CompCtx) {
-        if !self.cfg.disk {
-            return;
-        }
-        Self::clear_rings(k, ctx, self.cfg.pv_disk);
         let dev = self.dev.as_mut().expect("devices");
         if dev.restart_disks(k, ctx, DiskClient::retry) {
             self.kick_vcpu(k, ctx, 0);
@@ -769,63 +754,17 @@ impl Vmm {
         let Some(ctx) = self.ctx else {
             return false;
         };
-        let mut d = Dec::new(bytes);
-        let Some(n) = d.u32() else {
+        let Some(has_dev) = self.import_state(k, ctx, bytes) else {
             return false;
         };
-        if n as usize != self.vcpu_state.len() {
-            return false;
-        }
-        for i in 0..n as usize {
-            let (Some(halted), Some(has_ipi), Some(ipi), Some(recall)) =
-                (d.flag(), d.flag(), d.u8(), d.flag())
-            else {
-                return false;
-            };
-            if let Some(s) = self.vcpu_state.get_mut(i) {
-                s.halted = halted;
-                s.pending_ipi = has_ipi.then_some(ipi);
-                // Recalls of the dead incarnation died with it; a
-                // restored pending interrupt re-kicks below.
-                s.recall_armed = false;
-                let _ = recall;
-            }
-        }
-        let Some(nmarks) = d.u32() else {
-            return false;
+        let Some(dev) = self.dev.as_mut().filter(|_| has_dev) else {
+            return true;
         };
-        self.marks.clear();
-        for _ in 0..nmarks {
-            let Some(m) = d.u32() else {
-                return false;
-            };
-            self.marks.push(m);
-        }
-        let (Some(has_exit), Some(code)) = (d.flag(), d.u8()) else {
-            return false;
-        };
-        self.guest_exit = has_exit.then_some(code);
-        let Some(has_dev) = d.flag() else {
-            return false;
-        };
-        let Some(dev) = self.dev.as_mut() else {
-            return false;
-        };
-        if !has_dev {
-            return d.done();
-        }
-        if dev.import_state(k, ctx, &mut d).is_none() || !d.done() {
-            return false;
-        }
-
         // The re-granted ring pages still hold the previous
-        // incarnation's producer head word; they must be cleared before
-        // any completion is consumed against a zero ring tail. Then the
-        // same resubmit protocol used after a disk-server restart,
-        // uncharged.
-        if self.cfg.disk {
-            Self::clear_rings(k, ctx, self.cfg.pv_disk);
-        }
+        // incarnation's producer head word; each client zeroes its own
+        // before any completion is consumed against a zero ring tail.
+        // Then the same resubmit protocol used after a disk-server
+        // restart, uncharged.
         let now = k.now();
         let kick = dev.restart_disks(k, ctx, |_, r| DiskClient::replay(r, now));
         self.update_maint_timer(k, ctx);
@@ -833,6 +772,36 @@ impl Vmm {
             self.kick_vcpu(k, ctx, 0);
         }
         true
+    }
+
+    /// Parses [`Vmm::save_state`] bytes into this incarnation: whether
+    /// they held a device record, or `None` if they are malformed.
+    fn import_state(&mut self, k: &mut Kernel, ctx: CompCtx, bytes: &[u8]) -> Option<bool> {
+        let mut d = Dec::new(bytes);
+        if d.u32()? as usize != self.vcpu_state.len() {
+            return None;
+        }
+        for s in &mut self.vcpu_state {
+            let (halted, has_ipi, ipi, _recall) = (d.flag()?, d.flag()?, d.u8()?, d.flag()?);
+            s.halted = halted;
+            s.pending_ipi = has_ipi.then_some(ipi);
+            // Recalls of the dead incarnation died with it; a restored
+            // pending interrupt re-kicks.
+            s.recall_armed = false;
+        }
+        let nmarks = d.u32()?;
+        self.marks.clear();
+        for _ in 0..nmarks {
+            self.marks.push(d.u32()?);
+        }
+        let (has_exit, code) = (d.flag()?, d.u8()?);
+        self.guest_exit = has_exit.then_some(code);
+        let has_dev = d.flag()?;
+        let dev = self.dev.as_mut()?;
+        if has_dev {
+            dev.import_state(k, ctx, &mut d)?;
+        }
+        d.done().then_some(has_dev)
     }
 }
 
@@ -884,18 +853,18 @@ impl Component for Vmm {
                 self.maint_sm = Some(k.create_bound_sm(ctx, sel::MAINT_SM).expect("maint sm"));
             }
 
-            vahci.disk.rebind(Some(DiskChannel {
+            vahci.disk.attach(DiskChannel {
                 req_sel: disk_proto::CLIENT_SEL_REQ,
                 ring_va: RING_PAGE * 4096,
-            }));
+            });
             // The PV batched queue is a second client with its own
             // portal and completion ring, sharing the completion
             // semaphore (one signal drains both rings).
             if self.cfg.pv_disk {
-                pvdisk.disk.rebind(Some(DiskChannel {
+                pvdisk.disk.attach(DiskChannel {
                     req_sel: disk_proto::CLIENT_SEL_BATCH,
                     ring_va: PV_RING_PAGE * 4096,
-                }));
+                });
             }
         }
         let pvnet = self.cfg.pv_nic.then(|| {
@@ -1204,7 +1173,7 @@ mod tests {
         dev.mmio_write(k, ctx, AHCI_BASE + ahci::P0CI as u64, size, 1);
         dev.mmio_write(k, ctx, PV_BASE + pv::DISK_RING, size, RING as u32);
         dev.mmio_write(k, ctx, PV_BASE + pv::DISK_DOORBELL, size, 2);
-        assert!(dev.vahci.has_pending() && dev.pvdisk.has_pending());
+        assert!(dev.vahci.disk.has_pending() && dev.pvdisk.disk.has_pending());
     }
 
     /// Runs `sys` until its disk requests drain and checks that `reads`
@@ -1255,6 +1224,93 @@ mod tests {
         });
         assert_eq!(again, Some(blob), "nothing lost, no attempt charged");
         assert_read(&mut sys, READS);
+    }
+
+    /// The device record is the one record the checkpoint parser hands
+    /// on unread, so it keeps the parser's rule itself: with requests in
+    /// flight on both front ends, every seeded single-byte corruption of
+    /// the record in [`Vmm::save_state`] is either refused by
+    /// [`VDevices::import_state`] — the parse `restore_state` runs
+    /// before it replays anything — or exports back to exactly those
+    /// bytes. Each front end's record also refuses the two bounds its
+    /// decoder always had: more segments than `MAX_SEGMENTS`, and a
+    /// request count larger than the bytes left.
+    #[test]
+    fn a_corrupted_device_record_is_refused_or_round_trips_to_itself() {
+        let mut sys = staged_vm(READS);
+        let vmm = sys.vmm;
+        sys.k.invoke_component::<Vmm, _>(vmm, |v, k| {
+            ring_doorbells(v, k);
+            let mut blob = Vec::new();
+            v.save_state(&mut blob);
+            let ctx = v.ctx.expect("started");
+            let dev = v.dev.as_mut().expect("devices");
+            let export = |dev: &VDevices| {
+                let mut e = Enc::new();
+                dev.export_state(&mut e);
+                e.finish()
+            };
+            let record = export(dev);
+            assert!(blob.ends_with(&record), "the tail of the VMM's state");
+            let mut reparse = |c: &[u8]| {
+                let mut d = Dec::new(c);
+                let parsed = dev.import_state(k, ctx, &mut d).is_some() && d.done();
+                parsed.then(|| export(dev))
+            };
+            assert_eq!(reparse(&record).as_ref(), Some(&record));
+            let mut x = 0x2545_f491_4f6c_dd1du64;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let (mut parsed, mut refused) = (0, 0);
+            for _ in 0..4_000 {
+                let mut c = record.clone();
+                let at = next() as usize % c.len();
+                c[at] ^= 1 + (next() % 255) as u8;
+                match reparse(&c) {
+                    None => refused += 1,
+                    Some(again) => {
+                        assert!(again == c, "byte {at} parses but does not export back");
+                        parsed += 1;
+                    }
+                }
+            }
+            assert!(
+                parsed > 500 && refused > 500,
+                "{parsed} parsed, {refused} refused"
+            );
+
+            // Each front end's record on its own: the client's count
+            // behind the vAHCI's 24 register bytes and the PV queue's 44,
+            // the first request's `nsegs` 28 bytes behind the count.
+            let ahci = |c: &[u8]| VAhci::new(1024).import_state(&mut Dec::new(c));
+            let pv = |c: &[u8]| PvDisk::new(1024).import_state(&mut Dec::new(c));
+            let mut e = Enc::new();
+            dev.vahci.export_state(&mut e);
+            let ahci_record = e.finish();
+            let mut e = Enc::new();
+            dev.pvdisk.export_state(&mut e);
+            let pv_record = e.finish();
+            type Parse<'a> = &'a dyn Fn(&[u8]) -> Option<()>;
+            for (record, count_at, parse) in [
+                (&ahci_record, 24, &ahci as Parse),
+                (&pv_record, 44, &pv as Parse),
+            ] {
+                assert!(parse(record).is_some());
+                let nsegs_at = count_at + 4 + 28;
+                assert_eq!(record[nsegs_at], 1, "one segment");
+                let mut c = record.clone();
+                c[nsegs_at] = disk_proto::MAX_SEGMENTS as u8 + 1;
+                assert!(parse(&c).is_none(), "nsegs > MAX_SEGMENTS");
+                let mut c = record.clone();
+                let left = (record.len() - count_at - 4) as u32;
+                c[count_at..count_at + 4].copy_from_slice(&(left + 1).to_le_bytes());
+                assert!(parse(&c).is_none(), "a count larger than the bytes left");
+            }
+        });
     }
 
     /// One VM's vAHCI and PV clients read into one guest page: each

@@ -148,16 +148,6 @@ pub const PHENOM_X3_8450: CpuIdent = CpuIdent {
     mhz: 2100,
 };
 
-/// All processors of Table 1, in the paper's order.
-pub const TABLE_1: [CpuIdent; 6] = [
-    OPTERON_2212,
-    PHENOM_9550,
-    CORE_DUO_T2500,
-    CORE2_E6600,
-    CORE2_E8400,
-    CORE_I7_920,
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,14 +182,6 @@ mod tests {
         assert_eq!(r[0], 0x0001_06a4);
         assert_ne!(r[3] & feature::TSC, 0);
         assert_ne!(r[2] & feature::VMX, 0);
-    }
-
-    #[test]
-    fn table1_matches_paper() {
-        assert_eq!(TABLE_1.len(), 6);
-        assert_eq!(TABLE_1[0].mhz, 2000);
-        assert_eq!(TABLE_1[5].name, "Intel Core i7 920");
-        assert_eq!(TABLE_1[5].mhz, 2670);
     }
 
     #[test]

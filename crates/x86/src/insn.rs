@@ -303,25 +303,6 @@ pub struct Insn {
     pub len: u8,
 }
 
-impl Insn {
-    /// `true` for instructions that are unconditionally sensitive under
-    /// virtualization: they always trap to the hypervisor when executed
-    /// in guest mode (the x86 interface of Section 4.2).
-    pub fn is_sensitive(&self) -> bool {
-        matches!(
-            self.op,
-            Op::Cpuid
-                | Op::Hlt
-                | Op::MovFromCr
-                | Op::MovToCr
-                | Op::Invlpg
-                | Op::Vmcall
-                | Op::In
-                | Op::Out
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,22 +329,5 @@ mod tests {
         assert_eq!(Cond::from_num(4), Cond::E);
         assert_eq!(Cond::from_num(5), Cond::Ne);
         assert_eq!(Cond::from_num(15), Cond::G);
-    }
-
-    #[test]
-    fn sensitivity() {
-        let mk = |op| Insn {
-            op,
-            dst: Operand::None,
-            src: Operand::None,
-            size: OpSize::Dword,
-            rep: false,
-            len: 1,
-        };
-        assert!(mk(Op::Cpuid).is_sensitive());
-        assert!(mk(Op::Hlt).is_sensitive());
-        assert!(mk(Op::In).is_sensitive());
-        assert!(!mk(Op::Mov).is_sensitive());
-        assert!(!mk(Op::Alu(AluOp::Add)).is_sensitive());
     }
 }

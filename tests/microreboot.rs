@@ -560,20 +560,22 @@ fn checkpoints_byte_identical_across_same_seed_runs() {
     assert_eq!(a, b, "same seed, same checkpoint, byte for byte");
 }
 
-/// Pins the `NOVACKPT` v5 byte layout: the whole blob of one cadence
-/// tick taken while a PV descriptor is in flight (so the pending-request
-/// records are in it) hashes to the constant recorded when version 5
-/// made the image sparse. A change to what is serialized, or in which
-/// order, moves it. The length is the 32-byte header and page count,
-/// five stored pages of the 1,024 with their index entries, and the
-/// records behind them — version 4's 675 bytes, unchanged.
+/// Pins the `NOVACKPT` v6 byte layout: the whole blob of one cadence
+/// tick taken while PV descriptors are in flight (so the request
+/// records are in it) hashes to the constant recorded when version 6
+/// gave both disk front ends one request record. A change to what is
+/// serialized, or in which order, moves it. The length is the 32-byte
+/// header and page count, five stored pages of the 1,024 with their
+/// index entries, and the records behind them: 655 bytes, version 5's
+/// 675 less the vAHCI's 32 slot-presence bytes for a 4-byte count, plus
+/// one `nsegs` byte for each of the eight PV descriptors in flight.
 #[test]
 fn checkpoint_layout_is_pinned() {
     let mut sys = pv_system(SMALL_GUEST, CKPT_PERIOD);
     let in_flight = |s: &mut System| {
         let (vmm, _) = s.microreboot_vmm().expect("supervised vmm");
         let vmm = s.k.component_mut::<Vmm>(vmm).expect("vmm");
-        vmm.dev().pvdisk.has_pending()
+        vmm.dev().pvdisk.disk.has_pending()
     };
     while !in_flight(&mut sys) {
         assert_eq!(sys.run(Some(20_000)), RunOutcome::Budget);
@@ -590,10 +592,10 @@ fn checkpoint_layout_is_pinned() {
         });
         (blob.len(), fnv)
     });
-    assert_eq!(len, 32 + 5 * (4 + 4096) + 675);
+    assert_eq!(len, 32 + 5 * (4 + 4096) + 655);
     assert_eq!(
-        fnv, 0xcbeb_81e6_72ae_efd4,
-        "NOVACKPT v5 bytes moved: {fnv:#018x}"
+        fnv, 0x794b_82e5_22d3_324d,
+        "NOVACKPT v6 bytes moved: {fnv:#018x}"
     );
 }
 
@@ -1147,56 +1149,71 @@ fn foreign_or_missing_blob_is_recaptured_in_full() {
     assert_eq!(tick(&mut sys), Some(1), "and the table still describes it");
 }
 
-/// A checkpoint in the previous format — version 4's dense image, with
-/// the records of root's own version-5 blob behind it — swapped into
-/// root before the VMM dies: every revive at the resume rung refuses it
-/// as corrupt (a typed error, not a misparse), and once the rung's
-/// attempts are spent the ladder climbs to a cold reboot, which runs the
-/// workload to completion from the start.
+/// A checkpoint in a previous format swapped into root before the VMM
+/// dies: version 4's dense image with the records of root's own blob
+/// behind it, and root's own blob with its version word set to 5 (the
+/// framing is the same; version 5's device record had one request
+/// layout per disk front end). Every revive at the resume rung refuses
+/// it as corrupt (a typed error, not a misparse), and once the rung's
+/// attempts are spent the ladder climbs to a cold reboot, which runs
+/// the workload to completion from the start.
 #[test]
 fn a_version_4_blob_is_refused_and_climbs_to_a_cold_reboot() {
-    let mut sys = microreboot_system();
-    run_until(&mut sys, |s| {
-        pv_completions(s) >= 8 && with_sup(s, |sup| sup.last_checkpoint.is_some())
-    });
-    let v5 = with_sup(&mut sys, |sup| sup.last_checkpoint.clone()).expect("checkpoint");
-    let ck = Checkpoint::from_bytes(&v5).expect("parses");
-    let stored = u32::from_le_bytes(v5[28..32].try_into().expect("page count")) as usize;
-    let mut v4 = b"NOVACKPT".to_vec();
-    v4.extend(4u32.to_le_bytes());
-    v4.extend(ck.seq.to_le_bytes());
-    v4.extend((ck.guest_mem.len() as u64).to_le_bytes());
-    v4.extend(&ck.guest_mem);
-    v4.extend(&v5[32 + stored * (4 + 4096)..]);
-    swap_in(&mut sys, Some(v4));
+    for version in [4u32, 5] {
+        let mut sys = microreboot_system();
+        run_until(&mut sys, |s| {
+            pv_completions(s) >= 8 && with_sup(s, |sup| sup.last_checkpoint.is_some())
+        });
+        let now = with_sup(&mut sys, |sup| sup.last_checkpoint.clone()).expect("checkpoint");
+        let old = if version == 4 {
+            let ck = Checkpoint::from_bytes(&now).expect("parses");
+            let stored = u32::from_le_bytes(now[28..32].try_into().expect("page count")) as usize;
+            let mut v4 = b"NOVACKPT".to_vec();
+            v4.extend(4u32.to_le_bytes());
+            v4.extend(ck.seq.to_le_bytes());
+            v4.extend((ck.guest_mem.len() as u64).to_le_bytes());
+            v4.extend(&ck.guest_mem);
+            v4.extend(&now[32 + stored * (4 + 4096)..]);
+            v4
+        } else {
+            let mut v5 = now;
+            v5[8..12].copy_from_slice(&5u32.to_le_bytes());
+            v5
+        };
+        swap_in(&mut sys, Some(old));
 
-    let (_, pd) = sys.microreboot_vmm().expect("supervised vmm");
-    sys.k.pd_fault(pd, VMM_CRASH_CODE);
-    let mut errors = Vec::new();
-    while with_sup(&mut sys, |sup| sup.restarts) < 1 {
-        assert_eq!(sys.run(Some(10_000)), RunOutcome::Budget);
-        if let Some(e) = with_sup(&mut sys, |sup| sup.last_error) {
-            if errors.last() != Some(&e) {
-                errors.push(e);
+        let (_, pd) = sys.microreboot_vmm().expect("supervised vmm");
+        sys.k.pd_fault(pd, VMM_CRASH_CODE);
+        let mut errors = Vec::new();
+        while with_sup(&mut sys, |sup| sup.restarts) < 1 {
+            assert_eq!(sys.run(Some(10_000)), RunOutcome::Budget);
+            if let Some(e) = with_sup(&mut sys, |sup| sup.last_error) {
+                if errors.last() != Some(&e) {
+                    errors.push(e);
+                }
             }
         }
-    }
-    assert_eq!(errors, [RespawnError::State("corrupt checkpoint")]);
-    with_sup(&mut sys, |sup| {
-        assert_eq!((sup.level, sup.restarts), (LEVEL_COLD, 1));
-        assert!(sup.last_checkpoint.is_none(), "the refused blob is dropped");
-    });
-    assert_eq!(sys.k.counters.escalations, 1);
-    assert_sound(&sys);
+        assert_eq!(
+            errors,
+            [RespawnError::State("corrupt checkpoint")],
+            "v{version}"
+        );
+        with_sup(&mut sys, |sup| {
+            assert_eq!((sup.level, sup.restarts), (LEVEL_COLD, 1));
+            assert!(sup.last_checkpoint.is_none(), "the refused blob is dropped");
+        });
+        assert_eq!(sys.k.counters.escalations, 1);
+        assert_sound(&sys);
 
-    assert_eq!(sys.run(Some(BUDGET)), RunOutcome::Shutdown(0));
-    let marks: Vec<u32> = sys.k.machine.marks().iter().map(|&(_, v)| v).collect();
-    assert_eq!(
-        marks.iter().filter(|&&v| v == 0x1000).count(),
-        2,
-        "rebooted"
-    );
-    assert_eq!(marks.iter().filter(|&&v| v == 0x1001).count(), 1);
+        assert_eq!(sys.run(Some(BUDGET)), RunOutcome::Shutdown(0));
+        let marks: Vec<u32> = sys.k.machine.marks().iter().map(|&(_, v)| v).collect();
+        assert_eq!(
+            marks.iter().filter(|&&v| v == 0x1000).count(),
+            2,
+            "rebooted"
+        );
+        assert_eq!(marks.iter().filter(|&&v| v == 0x1001).count(), 1);
+    }
 }
 
 /// Has root handle the supervised VMM's death at the resume rung, here

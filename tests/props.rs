@@ -1894,7 +1894,7 @@ mod devices {
             match op {
                 Op::In(port, size) => return Some(dev.io_read(k, ctx, port, size)),
                 Op::Out(port, size, val) => dev.io_write(k, ctx, port, size, val),
-                Op::Load(off) => return Some(dev.mmio_read(k, ctx, AHCI_BASE + off as u64, Dword)),
+                Op::Load(off) => return Some(dev.mmio_read(AHCI_BASE + off as u64, Dword)),
                 Op::Store(off, val) => dev.mmio_write(k, ctx, AHCI_BASE + off as u64, Dword, val),
                 Op::Key(code) => dev.vkbd.inject(code),
             }
