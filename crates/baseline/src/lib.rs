@@ -14,5 +14,5 @@
 pub mod monolithic;
 pub mod native;
 
-pub use monolithic::{MonoConfig, MonoOutcome, MonoPaging, Monolithic};
+pub use monolithic::{MonoConfig, MonoModel, MonoOutcome, MonoPaging, Monolithic};
 pub use native::{run_native_image, NativeOutcome};

@@ -5,11 +5,11 @@
 //! at the price of a trusted computing base that includes all of it
 //! (Figure 1).
 //!
-//! Cost knobs turn the same engine into the paravirtualized
-//! comparators: `pv_trap_cost` replaces the VM-transition cost with a
-//! syscall-priced trap (Xen-PV-style direct execution), and
-//! `flush_per_irq` models L4Linux after the small-space optimization
-//! was removed — a full TLB flush and refill on every kernel entry.
+//! A cost model ([`MonoModel`]) turns the same engine into the
+//! paravirtualized comparators: Xen PV replaces the VM-transition cost
+//! with a syscall-priced trap (direct execution), and L4Linux adds what
+//! removing the small-space optimization costs — a full TLB flush and
+//! refill on every kernel entry.
 
 use nova_core::counters::Counters;
 use nova_core::hostpt::{FrameAllocator, NestedTable};
@@ -39,6 +39,69 @@ pub enum MonoPaging {
     Shadow,
 }
 
+/// Which monolithic hypervisor's exit costs the engine charges.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MonoModel {
+    /// KVM: VT-x transitions and a heavy in-kernel exit path.
+    Kvm,
+    /// Xen PV: direct execution, syscall-priced traps, writable page
+    /// tables with batched validation.
+    XenPv,
+    /// L4Linux: paravirtual traps plus a full TLB flush per trap (the
+    /// removed small-space optimization, Section 8.1) and page-granular
+    /// mapping IPC.
+    L4Linux,
+}
+
+/// What a [`MonoModel`] charges.
+struct Costs {
+    /// Flat software cost per exit (the in-kernel handling path;
+    /// monolithic kernels have heavier, less specialized exit paths
+    /// than the microhypervisor's portal dispatch).
+    exit_sw: Cycles,
+    /// Paravirt mode: privileged operations are syscall-priced traps
+    /// instead of VM transitions (no VT-x).
+    pv_trap: Option<Cycles>,
+    /// Full TLB flush + refill on every trap.
+    flush_per_trap: bool,
+    /// Software cost of shadow-class exits (vTLB fill / CR / INVLPG)
+    /// in place of `exit_sw` — these paths are short even in
+    /// monolithic kernels.
+    shadow_sw: Cycles,
+    /// Pages mapped per shadow fault: KVM's shadow code prefetches
+    /// neighbouring entries; Xen PV validates whole batches of
+    /// writable-page-table updates per trap.
+    shadow_prefetch: u32,
+}
+
+impl MonoModel {
+    fn costs(self) -> Costs {
+        match self {
+            MonoModel::Kvm => Costs {
+                exit_sw: 2900,
+                pv_trap: None,
+                flush_per_trap: false,
+                shadow_sw: 450,
+                shadow_prefetch: 4,
+            },
+            MonoModel::XenPv => Costs {
+                exit_sw: 900,
+                pv_trap: Some(250),
+                flush_per_trap: false,
+                shadow_sw: 250,
+                shadow_prefetch: 24,
+            },
+            MonoModel::L4Linux => Costs {
+                exit_sw: 900,
+                pv_trap: Some(350),
+                flush_per_trap: true,
+                shadow_sw: 250,
+                shadow_prefetch: 8,
+            },
+        }
+    }
+}
+
 /// Configuration of the monolithic comparator.
 #[derive(Clone, Copy, Debug)]
 pub struct MonoConfig {
@@ -48,23 +111,8 @@ pub struct MonoConfig {
     pub use_tags: bool,
     /// Use large host pages in the nested table.
     pub large_pages: bool,
-    /// Flat software cost per exit (the in-kernel handling path;
-    /// monolithic kernels have heavier, less specialized exit paths
-    /// than the microhypervisor's portal dispatch).
-    pub exit_sw_cost: Cycles,
-    /// Paravirt mode: privileged operations are syscall-priced traps
-    /// instead of VM transitions (no VT-x).
-    pub pv_trap_cost: Option<Cycles>,
-    /// L4Linux model: full TLB flush + refill on every trap.
-    pub flush_per_trap: bool,
-    /// Software cost of shadow-class exits (vTLB fill / CR / INVLPG)
-    /// in place of `exit_sw_cost` — these paths are short even in
-    /// monolithic kernels.
-    pub shadow_sw_cost: Cycles,
-    /// Pages mapped per shadow fault: KVM's shadow code prefetches
-    /// neighbouring entries; Xen PV validates whole batches of
-    /// writable-page-table updates per trap.
-    pub shadow_prefetch: u32,
+    /// Whose exit costs are charged.
+    pub model: MonoModel,
 }
 
 impl MonoConfig {
@@ -74,11 +122,7 @@ impl MonoConfig {
             paging: MonoPaging::Nested(NestedFormat::Ept4Level),
             use_tags: true,
             large_pages: true,
-            exit_sw_cost: 2900,
-            pv_trap_cost: None,
-            flush_per_trap: false,
-            shadow_sw_cost: 450,
-            shadow_prefetch: 4,
+            model: MonoModel::Kvm,
         }
     }
 
@@ -90,30 +134,21 @@ impl MonoConfig {
         }
     }
 
-    /// Xen-PV-like: direct execution, syscall-priced traps, writable
-    /// page tables with batched validation (modeled as shadow paging
-    /// with a large per-trap batch).
+    /// Xen-PV-like: writable page tables are modeled as shadow paging
+    /// with a large per-trap batch.
     pub fn xen_pv() -> MonoConfig {
         MonoConfig {
             paging: MonoPaging::Shadow,
             use_tags: true,
             large_pages: true,
-            exit_sw_cost: 900,
-            pv_trap_cost: Some(250),
-            flush_per_trap: false,
-            shadow_sw_cost: 250,
-            shadow_prefetch: 24,
+            model: MonoModel::XenPv,
         }
     }
 
-    /// L4Linux-like: paravirtual traps plus a full TLB flush per trap
-    /// (the removed small-space optimization, Section 8.1) and
-    /// page-granular mapping IPC.
+    /// L4Linux-like, on Xen PV's paging.
     pub fn l4linux() -> MonoConfig {
         MonoConfig {
-            flush_per_trap: true,
-            shadow_prefetch: 8,
-            pv_trap_cost: Some(350),
+            model: MonoModel::L4Linux,
             ..MonoConfig::xen_pv()
         }
     }
@@ -501,12 +536,13 @@ impl Monolithic {
     fn charge_exit(&mut self, shadow_class: bool) {
         let tagged = self.vmcs.vpid != 0;
         let cost = self.machine.cost;
+        let model = self.cfg.model.costs();
         let sw_base = if shadow_class {
-            self.cfg.shadow_sw_cost
+            model.shadow_sw
         } else {
-            self.cfg.exit_sw_cost
+            model.exit_sw
         };
-        let (trans, sw) = match self.cfg.pv_trap_cost {
+        let (trans, sw) = match model.pv_trap {
             // Paravirtual trap: syscall-priced, no VMX transition.
             Some(pv) => (2 * cost.syscall_entry_exit, pv.min(sw_base)),
             None => (cost.vm_transition_cost(tagged), sw_base),
@@ -514,7 +550,7 @@ impl Monolithic {
         self.machine.clock += trans + sw;
         self.counters.cycles_transition += trans;
         self.counters.cycles_emulation += sw;
-        if self.cfg.flush_per_trap {
+        if model.flush_per_trap {
             // L4Linux: no small spaces — full flush + refill per trap.
             let occ = self.machine.cpus[0].tlb.occupancy();
             self.machine.cpus[0].tlb.flush_all();
@@ -707,7 +743,7 @@ impl Monolithic {
     fn vtlb_fault(&mut self, addr: u32, err: u32) {
         let cost = self.machine.cost;
         self.machine.clock += 6 * cost.vmread + cost.vtlb_fill_sw;
-        let prefetch = self.cfg.shadow_prefetch.max(1);
+        let prefetch = self.cfg.model.costs().shadow_prefetch.max(1);
         let Some(cache) = self.shadow.as_mut() else {
             return;
         };

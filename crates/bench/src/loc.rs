@@ -5,6 +5,7 @@
 //! the `#[cfg(test)]` items (unit-test modules, test-only helpers) are
 //! taken out; `with_tests` is everything.
 
+use std::collections::HashMap;
 use std::ops::AddAssign;
 use std::path::{Path, PathBuf};
 
@@ -307,32 +308,47 @@ fn is_ident(c: char) -> bool {
 /// const of the workspace's product (`src/` of the root package and of
 /// each crate) whose name appears exactly once in the code of all its
 /// Rust sources — product, tests, benches, examples and `benchmark/` —
-/// that is, only where it is declared. `BENCH_fig1.json` reports how
-/// many as `unreached`.
+/// leaving out the declaring file's own `#[cfg(test)]` items: that is,
+/// only where it is declared and by its own unit tests.
+/// `BENCH_fig1.json` reports how many as `unreached`.
 pub fn unreached_items() -> Vec<String> {
     let root = workspace_root();
-    let mut declared = Vec::new();
-    let mut named = std::collections::HashMap::<String, usize>::new();
+    let mut files = Vec::new();
     each_rs_file(&root, &mut |path, src| {
-        let path = path
-            .strip_prefix(&root)
-            .unwrap_or(path)
-            .display()
-            .to_string();
+        let path = path.strip_prefix(&root).unwrap_or(path);
+        files.push((path.display().to_string(), src.to_string()));
+    });
+    unreached_in(files.iter().map(|(p, s)| (p.as_str(), s.as_str())))
+}
+
+/// [`unreached_items`] over `(path relative to the workspace, source)`
+/// pairs.
+fn unreached_in<'a>(files: impl Iterator<Item = (&'a str, &'a str)>) -> Vec<String> {
+    let mut declared = Vec::new();
+    let mut named = HashMap::<&str, usize>::new();
+    // Mentions in the test code of the file they are made in.
+    let mut own_tests = HashMap::<(&str, &str), usize>::new();
+    for (path, src) in files {
         let product_file = path.starts_with("src/")
             || path.starts_with("crates/") && path.split('/').nth(2) == Some("src");
         scan(src, |line, product| {
             for word in line.split(|c: char| !is_ident(c)).filter(|w| !w.is_empty()) {
-                *named.entry(word.to_string()).or_default() += 1;
+                *named.entry(word).or_default() += 1;
+                if !product {
+                    *own_tests.entry((path, word)).or_default() += 1;
+                }
             }
             if let Some(name) = pub_item(line).filter(|_| product && product_file) {
-                declared.push((path.clone(), name.to_string()));
+                declared.push((path, name));
             }
         });
-    });
+    }
     let mut unreached: Vec<String> = declared
         .into_iter()
-        .filter(|(_, name)| named.get(name) == Some(&1))
+        .filter(|&(path, name)| {
+            let tests = own_tests.get(&(path, name)).copied().unwrap_or(0);
+            named.get(name).map(|n| n - tests) == Some(1)
+        })
         .map(|(path, name)| format!("{path}: {name}"))
         .collect();
     unreached.sort();
@@ -562,16 +578,7 @@ fn also_shipped() {}
             ("DiskServer", &[]),
             (
                 "MonoConfig",
-                &[
-                    "paging",
-                    "use_tags",
-                    "large_pages",
-                    "exit_sw_cost",
-                    "pv_trap_cost",
-                    "flush_per_trap",
-                    "shadow_sw_cost",
-                    "shadow_prefetch",
-                ],
+                &["paging", "use_tags", "large_pages", "model"],
             ),
         ];
         let got = config_surface();
@@ -579,7 +586,7 @@ fn also_shipped() {}
             assert_eq!(*name, want);
             assert_eq!(fields, want_fields, "`{name}`'s pub fields");
         }
-        assert_eq!(got.iter().map(|(_, f)| f.len()).sum::<usize>(), 40);
+        assert_eq!(got.iter().map(|(_, f)| f.len()).sum::<usize>(), 36);
     }
 
     /// The privileged layer's size, pinned at what `BENCH_fig1.json`
@@ -638,5 +645,16 @@ fn also_shipped() {}
         for (line, name) in items {
             assert_eq!(pub_item(line), name, "{line}");
         }
+        // An item only its own unit tests name is unreached; one a test
+        // of another file names is not.
+        let lib = "pub fn called() {}\npub fn tested() {}\n\
+                   #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        \
+                   super::tested();\n        super::called();\n    }\n}\n";
+        let caller = "#[test]\nfn t() {\n    x::called();\n}\n";
+        let files = [("crates/x/src/lib.rs", lib), ("tests/t.rs", caller)];
+        assert_eq!(
+            unreached_in(files.into_iter()),
+            ["crates/x/src/lib.rs: tested"]
+        );
     }
 }

@@ -23,8 +23,8 @@
 //! - [`chrome::export`]: renders the trace as Chrome trace-event JSON
 //!   (spans become a flamegraph-style timeline, causal contexts become
 //!   flow-event arrows).
-//! - [`query`]: `events_of` / `span_cycles` / `histogram` /
-//!   `percentile` over the recorded events, so tests assert cost
+//! - [`query`]: `events_of` / `span_cycles` / `percentile` over the
+//!   recorded events, so tests assert cost
 //!   breakdowns instead of eyeballing printed tables.
 //! - [`causal`]: stitches events sharing a trace context (a 64-bit id
 //!   allocated at each request origin and propagated through IPC, PV

@@ -1,11 +1,11 @@
-//! Trace queries: derive counts, span cycle totals and histograms
+//! Trace queries: derive counts, span cycle totals and percentiles
 //! from recorded events, so tests and benches assert cost breakdowns
-//! instead of eyeballing printed tables.
+//! instead of eyeballing printed tables. Histograms are the metrics
+//! registry's ([`crate::Cell`]).
 
 use std::collections::BTreeMap;
 
 use crate::event::{Kind, Phase, TraceEvent};
-use crate::metrics::HIST_BUCKETS;
 
 /// Events of one kind, in trace order.
 pub fn events_of(events: &[TraceEvent], kind: Kind) -> Vec<TraceEvent> {
@@ -53,22 +53,6 @@ pub fn span_durations(events: &[TraceEvent], kind: Kind) -> Vec<u64> {
 /// Total cycles spent in spans of `kind` (see [`span_durations`]).
 pub fn span_cycles(events: &[TraceEvent], kind: Kind) -> u64 {
     span_durations(events, kind).iter().sum()
-}
-
-/// log2 histogram of span durations of `kind` (bucket `i` counts
-/// durations with `floor(log2(d)) == i`; zero lands in bucket 0).
-///
-/// Edge cases are well-defined rather than skipped: an empty event
-/// slice (or a kind with no completed spans) yields the all-zero
-/// histogram, and durations that all collapse into a single bucket
-/// yield exactly that one populated bucket.
-pub fn histogram(events: &[TraceEvent], kind: Kind) -> [u64; HIST_BUCKETS] {
-    let mut hist = [0u64; HIST_BUCKETS];
-    for d in span_durations(events, kind) {
-        let b = (63 - d.max(1).leading_zeros() as usize).min(HIST_BUCKETS - 1);
-        hist[b] += 1;
-    }
-    hist
 }
 
 /// Nearest-rank percentile of `values` (`p` clamped to `0..=100`).
@@ -137,36 +121,14 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_durations() {
-        let evs = sample();
-        let h = histogram(&evs, Kind::IpcCall);
-        assert_eq!(h[5], 1, "50 cycles → bucket 5");
-        assert_eq!(h[8], 1, "400 cycles → bucket 8");
-    }
-
-    #[test]
     fn empty_ring_queries_return_defined_zeros() {
         let evs: Vec<TraceEvent> = Vec::new();
         assert!(events_of(&evs, Kind::VmExit).is_empty());
         assert!(count_by_detail(&evs, Kind::VmExit).is_empty());
         assert!(span_durations(&evs, Kind::IpcCall).is_empty());
         assert_eq!(span_cycles(&evs, Kind::IpcCall), 0);
-        assert_eq!(histogram(&evs, Kind::IpcCall), [0u64; HIST_BUCKETS]);
         assert_eq!(percentile(&[], 50), 0);
         assert_eq!(percentiles(&[]), (0, 0, 0));
-    }
-
-    #[test]
-    fn single_bucket_histograms_are_well_defined() {
-        // All durations collapse into bucket 0 (values 0 and 1).
-        let mut t = Tracer::new(1, 16, cat::ALL);
-        t.begin(0, 1, Kind::IpcCall, 0, 100);
-        t.end(0, 1, Kind::IpcCall, 0, 100); // zero-length span
-        t.begin(0, 1, Kind::IpcCall, 0, 200);
-        t.end(0, 1, Kind::IpcCall, 0, 201);
-        let h = histogram(&t.events(), Kind::IpcCall);
-        assert_eq!(h[0], 2);
-        assert_eq!(h[1..].iter().sum::<u64>(), 0);
     }
 
     #[test]

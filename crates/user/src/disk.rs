@@ -658,12 +658,18 @@ mod tests {
         };
         let mut ops = RootOps::new(&mut k, root_ctx);
         let cl_pd = ops.provision("client", cl_sel, &[client_ram]).unwrap();
-        ops.hc(Hypercall::CreateSm {
+        let sm = Hypercall::CreateSm {
             count: 0,
             dst: done,
-        })
-        .unwrap();
-        ops.grant_cap(cl_sel, done, Perms::DOWN, 0x40).unwrap();
+        };
+        k.hypercall(root_ctx, sm).unwrap();
+        let down = Hypercall::DelegateCap {
+            dst_pd: cl_sel,
+            sel: done,
+            perms: Perms::DOWN,
+            hot: 0x40,
+        };
+        k.hypercall(root_ctx, down).unwrap();
         let (client_comp, client_ec) = k.load_component(cl_pd, 0, Box::<TestClient>::default());
         k.start_component(client_comp, client_ec);
         let client_ctx = CompCtx {

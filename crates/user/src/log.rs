@@ -114,8 +114,12 @@ mod tests {
         assert_eq!(utcb.word(0), 0, "no I/O space, no output");
 
         // Root grants the UART; now it works.
-        let mut ops = RootOps::new(&mut k, root_ctx);
-        ops.grant_io(sel, COM1, 8).unwrap();
+        let uart = Hypercall::DelegateIo {
+            dst_pd: sel,
+            base: COM1,
+            count: 8,
+        };
+        k.hypercall(root_ctx, uart).unwrap();
         let mut utcb = Utcb::new();
         utcb.set_msg(&[b'h' as u64, b'i' as u64]);
         k.ipc_call(svc_ctx, 0x20, &mut utcb).unwrap();

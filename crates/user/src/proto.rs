@@ -140,6 +140,12 @@ pub mod disk {
     /// Selector where a VMM finds its PV channel's batch portal
     /// ([`PORTAL_BATCH`]).
     pub const CLIENT_SEL_BATCH: usize = 0x46;
+    /// Selector where a VMM finds `DOWN` on its VM's completion
+    /// semaphore, which the server signals for both channels.
+    pub const CLIENT_SEL_DONE: usize = 0x41;
+    /// Selector where a VMM of a supervised server finds `DOWN` on the
+    /// semaphore root signals after every respawn of the server.
+    pub const CLIENT_SEL_RESTART: usize = 0x42;
 }
 
 /// Log-service protocol.

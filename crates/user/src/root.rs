@@ -23,14 +23,21 @@
 //! ([`Backoff`]) and, for VMs, climbs an escalation ladder (resume from
 //! checkpoint → cold reboot → mark failed) instead of panicking root
 //! itself.
+//!
+//! Each fact a replay needs has one holder. Root holds the live disk
+//! server (read through [`RootPm::disk_server`]) and
+//! each VM slot's disk wiring ([`RootPm::clients`], written only by
+//! [`RootPm::wire_client`]); a VMM's incarnation lives in its recipe
+//! ([`VmRecipe::vmm`]), and each ladder's state in its supervision
+//! record. Only this module reaches into the disk server.
 
 #![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::panic)]
 
 use nova_core::cap::{CapSel, Perms};
 use nova_core::kernel::SEL_SELF_EC;
-use nova_core::obj::{MemRights, ObjRef, PdId};
+use nova_core::obj::{MemRights, PdId};
 use nova_core::utcb::Utcb;
-use nova_core::{CompCtx, Component, Counters, HcErr, HcReply, Hypercall, Kernel, SmId};
+use nova_core::{CompCtx, Component, Counters, HcErr, Hypercall, Kernel, SmId};
 use nova_hw::machine::{AHCI_BASE, AHCI_IRQ};
 use nova_trace::{flight, Kind as TraceKind};
 
@@ -112,17 +119,21 @@ pub struct DiskServerRef {
     pub ctx: CompCtx,
 }
 
-/// A VMM the supervisor rewires to the disk server after every restart.
+/// A VM slot's disk wiring, as root replays it: for every VMM
+/// incarnation ([`RootPm::wire_client`]) and for every client of a
+/// respawned server.
 #[derive(Clone, Copy, Debug)]
 pub struct SupervisedClient {
-    /// Root's capability selector for the client's (VMM's) PD.
+    /// Root's capability selector for the incarnation last wired (the
+    /// VMM's PD).
     pub vmm_sel: CapSel,
-    /// Root's selector for the restart semaphore it signals once the
-    /// respawned server is wired to the VMM.
-    pub restart_sm_sel: CapSel,
     /// Root's selector for the VM's completion semaphore, which the
     /// server signals.
     pub done_sm_sel: CapSel,
+    /// Root's selector for the restart semaphore it signals once a
+    /// respawned server is wired to the VMM; a client of an unsupervised
+    /// server has none.
+    pub restart_sm_sel: Option<CapSel>,
     /// Root's page of the VM's first completion ring (the vAHCI's; the
     /// PV queue's follows).
     pub rings: u64,
@@ -132,15 +143,8 @@ pub struct SupervisedClient {
 }
 
 /// Everything root needs to supervise the disk server: the watchdog
-/// channel, the recipe, and the clients to rewire after a respawn.
+/// channel, the recipe, and the respawn ladder's state.
 pub struct DiskSupervision {
-    /// Root's capability selector for the current server PD. Moves to
-    /// a respawn attempt's selector before its `CreatePd`, so whatever
-    /// a failed attempt built is destroyed by the next one.
-    pub srv_sel: CapSel,
-    /// The current server's component identity (refreshed by every
-    /// incarnation that got as far as starting).
-    pub srv_ctx: CompCtx,
     /// Root's selector for the watchdog semaphore.
     pub wd_sm_sel: CapSel,
     /// The watchdog semaphore's identity (to recognize the signal).
@@ -149,9 +153,13 @@ pub struct DiskSupervision {
     pub timeout: u64,
     /// What every incarnation is built from.
     pub recipe: DiskRecipe,
-    /// Clients to rewire after a restart; a client's index is its
-    /// server-side PD-capability slot.
-    pub clients: Vec<SupervisedClient>,
+    /// Respawn retry channel (created on the first failure).
+    pub retry: Option<Backoff>,
+    /// The respawn budget is exhausted; the service stays down but root
+    /// and every VM keep running.
+    pub failed: bool,
+    /// Why the most recent failed respawn attempt failed.
+    pub last_error: Option<RespawnError>,
 }
 
 /// Why a respawn recipe step failed. Carrying the step name keeps the
@@ -214,20 +222,36 @@ pub fn wire_disk_client(
     channels: usize,
 ) -> Result<(), RespawnError> {
     let pd_hot = 0x30 + slot;
-    RootOps::new(k, root_ctx)
-        .grant_cap(srv.sel, vmm_sel, Perms::ALL, pd_hot)
+    let pd_cap = Hypercall::DelegateCap {
+        dst_pd: srv.sel,
+        sel: vmm_sel,
+        perms: Perms::ALL,
+        hot: pd_hot,
+    };
+    k.hypercall(root_ctx, pd_cap)
         .map_err(RespawnError::step("client pd cap"))?;
     let clients = dproto::slot_clients(slot).zip(dproto::CHANNELS);
     for (i, (c, (kind, to))) in clients.take(channels).enumerate() {
         let pt = 0x20 + c;
         let base = dproto::window_base(c);
         let fresh = k.obj.pd(srv.ctx.pd).caps.get(pt).is_none();
-        let mut ops = RootOps::new(k, root_ctx);
-        ops.grant_cap(srv.sel, done_sm, Perms::UP, dproto::client_sm_sel(c))
+        let done_up = Hypercall::DelegateCap {
+            dst_pd: srv.sel,
+            sel: done_sm,
+            perms: Perms::UP,
+            hot: dproto::client_sm_sel(c),
+        };
+        k.hypercall(root_ctx, done_up)
             .map_err(RespawnError::step("completion sm grant"))?;
-        let ring = base + dproto::RING_WINDOW_PAGE;
         if fresh {
-            ops.grant_mem(srv.sel, rings + i as u64, 1, MemRights::RW, ring)
+            let ring = Hypercall::DelegateMem {
+                dst_pd: srv.sel,
+                base: rings + i as u64,
+                count: 1,
+                rights: MemRights::RW,
+                hot: base + dproto::RING_WINDOW_PAGE,
+            };
+            k.hypercall(root_ctx, ring)
                 .map_err(RespawnError::step("completion ring"))?;
         }
         let portal = [
@@ -334,10 +358,14 @@ impl Backoff {
 /// How the supervisor checkpoints and rebuilds one VM. Implemented
 /// outside this crate (the VMM crate knows how to provision itself);
 /// root only drives the policy: when to checkpoint, when to revive,
-/// when to climb the escalation ladder. Root hands the recipe what is
-/// root's to give — itself, for selector allocation, and the live disk
-/// server — so a recipe caches neither.
+/// when to climb the escalation ladder. Root hands the recipe itself —
+/// for selector allocation and the disk-client wiring — and the recipe
+/// alone holds which incarnation is current.
 pub trait VmRecipe {
+    /// Root's capability selector for the current VMM incarnation's
+    /// protection domain, and the domain.
+    fn vmm(&self) -> (CapSel, PdId);
+
     /// Serializes a consistent checkpoint of the running VM (vCPU
     /// state, guest memory, virtual-device state) tagged with `seq`
     /// into `blob`. The supervisor passes the previous checkpoint (or
@@ -354,30 +382,23 @@ pub trait VmRecipe {
     ) -> Result<u64, RespawnError>;
 
     /// Tears down the dead incarnation (VM and VMM protection
-    /// domains), provisions a fresh VMM wired to `disk`, and either
-    /// restores `checkpoint` into it or — when `None` — cold-boots the
-    /// guest image. Returns root's capability selector for the new VMM
-    /// PD so the supervisor can re-arm its watchdog. Must be
-    /// idempotent: a failed attempt may be retried from the top.
+    /// domains), provisions a fresh VMM wired to root's live disk
+    /// server, and either restores `checkpoint` into it or — when
+    /// `None` — cold-boots the guest image. On `Ok`, [`Self::vmm`]
+    /// names the new incarnation, whose watchdog the supervisor
+    /// re-arms. Must be idempotent: a failed attempt may be retried
+    /// from the top.
     fn revive(
         &mut self,
         k: &mut Kernel,
         ctx: CompCtx,
         root: &mut RootPm,
-        disk: Option<DiskServerRef>,
         checkpoint: Option<&[u8]>,
-    ) -> Result<CapSel, RespawnError>;
+    ) -> Result<(), RespawnError>;
 
     /// Final teardown when the supervisor marks the VM failed; best
     /// effort, must not panic.
-    fn abandon(
-        &mut self,
-        _k: &mut Kernel,
-        _ctx: CompCtx,
-        _root: &mut RootPm,
-        _disk: Option<DiskServerRef>,
-    ) {
-    }
+    fn abandon(&mut self, _k: &mut Kernel, _ctx: CompCtx, _root: &mut RootPm) {}
 
     /// Downcast access for launchers and tests that track
     /// recipe-specific state (e.g. the current VMM component id).
@@ -391,12 +412,6 @@ pub struct VmmSupervision {
     /// Index of this entry in `RootPm::vmm_supervision` (metric
     /// domain).
     pub slot: usize,
-    /// Root's capability selector for the current VMM PD (refreshed on
-    /// every revive).
-    pub vmm_sel: CapSel,
-    /// The current VMM incarnation's protection domain (refreshed on
-    /// every revive); keys this VM's flight-recorder black box.
-    pub vmm_pd: u16,
     /// Root's selector for the watchdog semaphore.
     pub wd_sm_sel: CapSel,
     /// The watchdog semaphore's identity.
@@ -412,7 +427,8 @@ pub struct VmmSupervision {
     pub timeout: u64,
     /// Checkpoint cadence in cycles.
     pub ckpt_period: u64,
-    /// How to checkpoint and rebuild this VM.
+    /// How to checkpoint and rebuild this VM; holds its current
+    /// incarnation.
     pub recipe: Box<dyn VmRecipe>,
     /// The most recent consistent checkpoint, if any was taken.
     pub last_checkpoint: Option<Vec<u8>>,
@@ -429,11 +445,6 @@ pub struct VmmSupervision {
     /// True between crash detection and a successful revive; gates the
     /// checkpoint cadence off a dead incarnation.
     pub reviving: bool,
-    /// Index of this VM's entry in `DiskSupervision::clients`, when it
-    /// is a supervised disk client: a successful revive refreshes that
-    /// entry's `vmm_sel` so later disk-server restarts rewire the new
-    /// incarnation, not the dead one.
-    pub disk_client_slot: Option<usize>,
     /// The supervisor gave up on this VM; the slot stays allocated so
     /// sibling indices (and metric domains) remain stable.
     pub failed: bool,
@@ -445,21 +456,29 @@ pub struct VmmSupervision {
     pub last_restore_at: u64,
 }
 
+impl VmmSupervision {
+    /// The current incarnation's domain, which keys its flight-recorder
+    /// black box.
+    fn vmm_pd(&self) -> u16 {
+        self.recipe.vmm().1 .0 as u16
+    }
+}
+
 /// The root partition manager component.
 #[derive(Default)]
 pub struct RootPm {
     /// The component's kernel identity, captured at start.
     pub ctx: Option<CompCtx>,
+    /// The live disk server, recorded whenever root spawns one
+    /// (supervised or not). A respawn moves it to the attempt's selector
+    /// before its `CreatePd`, so whatever a failed attempt built is
+    /// destroyed by the next one.
+    disk: Option<DiskServerRef>,
+    /// Each VMM slot's disk wiring, by slot ([`dproto::slot_clients`]).
+    pub clients: [Option<SupervisedClient>; dproto::MAX_CLIENTS / 2],
     /// Disk-server supervision state, installed by a supervised
     /// launch.
     pub supervision: Option<DiskSupervision>,
-    /// Disk respawn retry channel (created on the first failure).
-    pub disk_retry: Option<Backoff>,
-    /// The disk respawn budget is exhausted; the service stays down
-    /// but root and every VM keep running.
-    pub disk_failed: bool,
-    /// Why the most recent failed disk respawn attempt failed.
-    pub disk_last_error: Option<RespawnError>,
     /// Per-VM supervision entries, indexed by install order.
     pub vmm_supervision: Vec<Option<VmmSupervision>>,
     /// The most recent postmortem dump ([`flight::postmortem`]),
@@ -480,12 +499,9 @@ impl RootPm {
         }
     }
 
-    /// The supervised disk server alive now, for wiring a client.
+    /// The disk server alive now, for wiring a client.
     pub fn disk_server(&self) -> Option<DiskServerRef> {
-        self.supervision.as_ref().map(|s| DiskServerRef {
-            sel: s.srv_sel,
-            ctx: s.srv_ctx,
-        })
+        self.disk
     }
 
     /// Allocates a fresh capability selector in root's space.
@@ -542,46 +558,133 @@ impl RootPm {
         Ok((sm_sel, sm))
     }
 
-    /// Takes the running disk server `srv` under supervision: arms its
-    /// watchdog and keeps `recipe` for the respawns.
+    /// Spawns the disk server from `recipe` at a fresh selector of
+    /// root's and records it as the live one.
+    pub fn start_disk_server(
+        &mut self,
+        k: &mut Kernel,
+        ctx: CompCtx,
+        recipe: &DiskRecipe,
+    ) -> Result<(), RespawnError> {
+        let sel = self.alloc_sel();
+        let srv = spawn_disk_server(k, ctx, sel, recipe)?;
+        self.disk = Some(DiskServerRef { sel, ctx: srv });
+        Ok(())
+    }
+
+    /// Takes the live disk server under supervision: arms its watchdog
+    /// and keeps `recipe` for the respawns.
     pub fn supervise_disk_server(
         &mut self,
         k: &mut Kernel,
         ctx: CompCtx,
-        srv: DiskServerRef,
         recipe: DiskRecipe,
         timeout: u64,
     ) -> Result<(), RespawnError> {
+        let srv = self
+            .disk
+            .ok_or(RespawnError::State("no disk server to supervise"))?;
         let (wd_sm_sel, wd_sm) = self.watch(k, ctx, srv.sel, timeout)?;
         self.supervision = Some(DiskSupervision {
-            srv_sel: srv.sel,
-            srv_ctx: srv.ctx,
             wd_sm_sel,
             wd_sm,
             timeout,
             recipe,
-            clients: Vec::new(),
+            retry: None,
+            failed: false,
+            last_error: None,
         });
         Ok(())
     }
 
-    /// Takes the running VMM at `vmm_sel` under supervision: watchdog,
-    /// checkpoint-cadence and revive-retry channels, the cadence timer
-    /// armed, the black box recording. Returns the VM's slot.
-    #[allow(clippy::too_many_arguments)]
+    /// Wires VMM slot `slot`'s incarnation at root's `vmm_sel` to the
+    /// live disk server: on the slot's first wiring root creates the
+    /// VM's completion semaphore and — for a supervised server's
+    /// client — its restart semaphore; every time it records the
+    /// incarnation, runs [`wire_disk_client`] with the VM's `rings`
+    /// and `channels`, and delegates `DOWN` on both semaphores to the
+    /// VMM at [`dproto::CLIENT_SEL_DONE`] and
+    /// [`dproto::CLIENT_SEL_RESTART`].
+    pub fn wire_client(
+        &mut self,
+        k: &mut Kernel,
+        ctx: CompCtx,
+        slot: usize,
+        vmm_sel: CapSel,
+        rings: u64,
+        channels: usize,
+    ) -> Result<(), RespawnError> {
+        let srv = self
+            .disk
+            .ok_or(RespawnError::State("no disk server to wire to"))?;
+        let entry = self.clients.get(slot).copied();
+        let c = match entry.ok_or(RespawnError::State("disk client slot out of range"))? {
+            Some(held) => SupervisedClient { vmm_sel, ..held },
+            None => {
+                let done_sm_sel = self.create_sm(k, ctx)?;
+                let supervised = self.supervision.is_some();
+                let restart_sm_sel = supervised.then(|| self.create_sm(k, ctx)).transpose()?;
+                SupervisedClient {
+                    vmm_sel,
+                    done_sm_sel,
+                    restart_sm_sel,
+                    rings,
+                    channels,
+                }
+            }
+        };
+        if let Some(entry) = self.clients.get_mut(slot) {
+            *entry = Some(c);
+        }
+        wire_disk_client(k, ctx, srv, vmm_sel, slot, c.done_sm_sel, rings, channels)?;
+        let restart = c.restart_sm_sel.map(|sm| (sm, dproto::CLIENT_SEL_RESTART));
+        let downs = [(c.done_sm_sel, dproto::CLIENT_SEL_DONE)]
+            .into_iter()
+            .chain(restart);
+        for (sel, hot) in downs {
+            let down = Hypercall::DelegateCap {
+                dst_pd: vmm_sel,
+                sel,
+                perms: Perms::DOWN,
+                hot,
+            };
+            k.hypercall(ctx, down)
+                .map_err(RespawnError::step("disk sm grant"))?;
+        }
+        Ok(())
+    }
+
+    /// Detaches VMM slot `slot`'s clients at the live server, so stale
+    /// completions never reach a successor's ring. The slot's wiring
+    /// stays for the next incarnation.
+    pub fn unwire_client(&self, k: &mut Kernel, slot: usize) {
+        let Some(srv) = self.disk else { return };
+        for c in dproto::slot_clients(slot) {
+            k.invoke_component::<DiskServer, _>(srv.ctx.comp, |s, _| s.detach_client(c));
+        }
+    }
+
+    /// A fresh semaphore of root's, which root keeps `UP` on.
+    fn create_sm(&mut self, k: &mut Kernel, ctx: CompCtx) -> Result<CapSel, RespawnError> {
+        let dst = self.alloc_sel();
+        k.hypercall(ctx, Hypercall::CreateSm { count: 0, dst })
+            .map_err(RespawnError::step("disk sm"))?;
+        Ok(dst)
+    }
+
+    /// Takes the running VMM `recipe` names under supervision:
+    /// watchdog, checkpoint-cadence and revive-retry channels, the
+    /// cadence timer armed, the black box recording. Returns the VM's
+    /// slot.
     pub fn supervise_vm(
         &mut self,
         k: &mut Kernel,
         ctx: CompCtx,
         recipe: Box<dyn VmRecipe>,
-        vmm_sel: CapSel,
-        disk_client_slot: Option<usize>,
         timeout: u64,
         ckpt_period: u64,
     ) -> Result<usize, RespawnError> {
-        let vmm_pd = Self::pd_behind(k, ctx, vmm_sel)
-            .ok_or(RespawnError::State("vmm selector names no domain"))?;
-        let (wd_sm_sel, wd_sm) = self.watch(k, ctx, vmm_sel, timeout)?;
+        let (wd_sm_sel, wd_sm) = self.watch(k, ctx, recipe.vmm().0, timeout)?;
         let (ckpt_sm_sel, ckpt_sm) = self.bound_sm(k, ctx)?;
         let retry = Backoff::new(self.bound_sm(k, ctx)?);
         k.hypercall(
@@ -592,14 +695,9 @@ impl RootPm {
             },
         )
         .map_err(RespawnError::step("checkpoint cadence timer"))?;
-        // The black box records from the first incarnation's first
-        // event; a revive re-keys it to each successor domain.
-        k.machine.bus.trace.enable_flight(vmm_pd, FLIGHT_CAPACITY);
         let slot = self.vmm_supervision.len();
-        self.vmm_supervision.push(Some(VmmSupervision {
+        let sup = VmmSupervision {
             slot,
-            vmm_sel,
-            vmm_pd,
             wd_sm_sel,
             wd_sm,
             ckpt_sm_sel,
@@ -614,20 +712,18 @@ impl RootPm {
             last_error: None,
             restarts: 0,
             reviving: false,
-            disk_client_slot,
             failed: false,
             crash_at: 0,
             last_restore_at: 0,
-        }));
+        };
+        // The black box records from the first incarnation's first
+        // event; a revive re-keys it to each successor domain.
+        k.machine
+            .bus
+            .trace
+            .enable_flight(sup.vmm_pd(), FLIGHT_CAPACITY);
+        self.vmm_supervision.push(Some(sup));
         Ok(slot)
-    }
-
-    /// The protection domain root's selector `sel` names.
-    fn pd_behind(k: &Kernel, ctx: CompCtx, sel: CapSel) -> Option<u16> {
-        match k.obj.pd(ctx.pd).caps.get(sel).map(|c| c.obj) {
-            Some(ObjRef::Pd(p)) => Some(p.0 as u16),
-            _ => None,
-        }
     }
 
     /// Tears down the (dead or wedged) disk server and brings up a
@@ -635,26 +731,39 @@ impl RootPm {
     /// schedules a bounded exponential-backoff retry, and when the
     /// attempt budget runs out the service is marked failed — degraded,
     /// not fatal, because every VM keeps running on its own timeouts.
-    pub fn restart_disk_server(&mut self, k: &mut Kernel, ctx: CompCtx) {
-        if self.disk_failed {
+    fn restart_disk_server(&mut self, k: &mut Kernel, ctx: CompCtx) {
+        let Some(mut sup) = self.supervision.take() else {
             return;
-        }
-        // Disarm before attempting, so a success does not leave a
-        // stray signal behind.
-        if let Some(r) = &self.disk_retry {
-            r.disarm(k, ctx);
-        }
-        match self.respawn_disk_server(k, ctx) {
-            Ok(()) => {
-                if let Some(r) = &mut self.disk_retry {
-                    r.reset();
+        };
+        if !sup.failed {
+            // Disarm before attempting, so a success does not leave a
+            // stray signal behind.
+            if let Some(r) = &sup.retry {
+                r.disarm(k, ctx);
+            }
+            match self.respawn_disk_server(k, ctx, &sup) {
+                Ok(()) => {
+                    if let Some(r) = &mut sup.retry {
+                        r.reset();
+                    }
+                }
+                Err(e) => {
+                    sup.last_error = Some(e);
+                    // Arm a one-shot backoff timer, or mark the service
+                    // failed when the budget is exhausted (or there is
+                    // no timer channel for the retry loop to run on).
+                    if sup.retry.is_none() {
+                        sup.retry = self.bound_sm(k, ctx).ok().map(Backoff::new);
+                    }
+                    let armed = sup.retry.as_mut().is_some_and(|r| {
+                        r.attempts += 1;
+                        r.attempts < REVIVE_ATTEMPTS && r.arm(k, ctx).is_ok()
+                    });
+                    sup.failed = !armed;
                 }
             }
-            Err(e) => {
-                self.disk_last_error = Some(e);
-                self.schedule_disk_retry(k, ctx);
-            }
         }
+        self.supervision = Some(sup);
     }
 
     /// One respawn attempt: `DestroyPd` recursively revokes everything
@@ -662,26 +771,29 @@ impl RootPm {
     /// in the IOMMU, the interrupt and the device assignment included —
     /// then the recipe is replayed into a new PD, every client is
     /// rewired, the watchdog re-armed and each client signalled to
-    /// resubmit. The supervision record moves to the new selector
-    /// before anything is built there, so what a failed attempt leaves
-    /// behind is what the next attempt destroys first.
-    fn respawn_disk_server(&mut self, k: &mut Kernel, ctx: CompCtx) -> Result<(), RespawnError> {
+    /// resubmit. The live server moves to the new selector before
+    /// anything is built there, so what a failed attempt leaves behind
+    /// is what the next attempt destroys first.
+    fn respawn_disk_server(
+        &mut self,
+        k: &mut Kernel,
+        ctx: CompCtx,
+        sup: &DiskSupervision,
+    ) -> Result<(), RespawnError> {
         let srv_sel = self.alloc_sel();
-        let Some(sup) = self.supervision.as_mut() else {
-            return Err(RespawnError::State("no disk supervision installed"));
+        let Some(srv) = self.disk.as_mut() else {
+            return Err(RespawnError::State("no disk server to respawn"));
         };
         // The old PD may already be gone (death notification) — a
         // failed destroy is not an error.
-        let _ = k.hypercall(ctx, Hypercall::DestroyPd { pd: sup.srv_sel });
-        sup.srv_sel = srv_sel;
-        sup.srv_ctx = spawn_disk_server(k, ctx, srv_sel, &sup.recipe)?;
-        let srv = DiskServerRef {
-            sel: srv_sel,
-            ctx: sup.srv_ctx,
-        };
-        for (i, c) in sup.clients.iter().enumerate() {
+        let _ = k.hypercall(ctx, Hypercall::DestroyPd { pd: srv.sel });
+        srv.sel = srv_sel;
+        srv.ctx = spawn_disk_server(k, ctx, srv_sel, &sup.recipe)?;
+        let srv = *srv;
+        for (slot, c) in self.clients.iter().enumerate() {
+            let Some(c) = c else { continue };
             let (done, rings) = (c.done_sm_sel, c.rings);
-            wire_disk_client(k, ctx, srv, c.vmm_sel, i, done, rings, c.channels)?;
+            wire_disk_client(k, ctx, srv, c.vmm_sel, slot, done, rings, c.channels)?;
         }
         k.hypercall(
             ctx,
@@ -692,13 +804,10 @@ impl RootPm {
             },
         )
         .map_err(RespawnError::step("watchdog re-arm"))?;
-        for c in &sup.clients {
-            let _ = k.hypercall(
-                ctx,
-                Hypercall::SmUp {
-                    sm: c.restart_sm_sel,
-                },
-            );
+        for c in self.clients.iter().flatten() {
+            if let Some(sm) = c.restart_sm_sel {
+                let _ = k.hypercall(ctx, Hypercall::SmUp { sm });
+            }
         }
 
         k.counters.driver_restarts += 1;
@@ -711,20 +820,6 @@ impl RootPm {
             at,
         );
         Ok(())
-    }
-
-    /// Books a failed disk respawn attempt: arm a one-shot backoff
-    /// timer, or mark the service failed when the budget is exhausted
-    /// (or there is no timer channel for the retry loop to run on).
-    fn schedule_disk_retry(&mut self, k: &mut Kernel, ctx: CompCtx) {
-        if self.disk_retry.is_none() {
-            self.disk_retry = self.bound_sm(k, ctx).ok().map(Backoff::new);
-        }
-        let armed = self.disk_retry.as_mut().is_some_and(|r| {
-            r.attempts += 1;
-            r.attempts < REVIVE_ATTEMPTS && r.arm(k, ctx).is_ok()
-        });
-        self.disk_failed = !armed;
     }
 
     // ------------------------------------------------------------------
@@ -768,7 +863,7 @@ impl RootPm {
             .map(|b| (sup.seq, b.len() as u64));
         self.last_postmortem = Some(flight::postmortem(
             &k.machine.bus.trace,
-            sup.vmm_pd,
+            sup.vmm_pd(),
             trigger,
             reason,
             k.now(),
@@ -809,8 +904,7 @@ impl RootPm {
             },
         );
         sup.retry.disarm(k, ctx);
-        let disk = self.disk_server();
-        sup.recipe.abandon(k, ctx, self, disk);
+        sup.recipe.abandon(k, ctx, self);
         let at = k.now();
         k.machine.bus.trace.emit(
             0,
@@ -839,7 +933,7 @@ impl RootPm {
         // Serialize the black box before anything tears the wreck
         // down: the watchdog postmortem is the only record of the dead
         // incarnation's final events.
-        let reason = Self::death_reason(k, sup.vmm_pd);
+        let reason = Self::death_reason(k, sup.vmm_pd());
         self.record_postmortem(k, &sup, flight::Trigger::Watchdog, reason);
         // A crash right after a restore means the current rung does
         // not hold (the checkpoint itself reproduces the crash, or the
@@ -861,50 +955,30 @@ impl RootPm {
         // context ties checkpoint restore, rewiring and the Restore
         // record into a single flow in the exported trace.
         k.machine.bus.trace.alloc_ctx();
-        // The server the new incarnation is wired to is the one alive
-        // now, which a respawn may have replaced since the last revive.
-        let disk = self.disk_server();
         let ckpt = match sup.level {
             LEVEL_RESUME => sup.last_checkpoint.as_deref(),
             _ => None,
         };
-        let outcome = sup.recipe.revive(k, ctx, self, disk, ckpt);
-        let outcome = outcome.and_then(|new_sel| {
+        let outcome = sup.recipe.revive(k, ctx, self, ckpt).and_then(|()| {
             k.hypercall(
                 ctx,
                 Hypercall::WatchdogArm {
-                    pd: new_sel,
+                    pd: sup.recipe.vmm().0,
                     sm: sup.wd_sm_sel,
                     timeout: sup.timeout,
                 },
             )
-            .map(|_| new_sel)
             .map_err(|e| RespawnError::Step("vmm watchdog re-arm", e))
         });
         match outcome {
-            Ok(new_sel) => {
+            Ok(_) => {
                 let now = k.now();
-                sup.vmm_sel = new_sel;
                 // Re-key the flight recorder to the new incarnation's
                 // domain so its black box starts recording from birth.
-                if let Some(pd) = Self::pd_behind(k, ctx, new_sel) {
-                    sup.vmm_pd = pd;
-                }
                 k.machine
                     .bus
                     .trace
-                    .enable_flight(sup.vmm_pd, FLIGHT_CAPACITY);
-                // Keep the disk supervisor pointing at the live
-                // incarnation for its own future restarts.
-                if let Some(cs) = sup.disk_client_slot {
-                    if let Some(c) = self
-                        .supervision
-                        .as_mut()
-                        .and_then(|ds| ds.clients.get_mut(cs))
-                    {
-                        c.vmm_sel = new_sel;
-                    }
-                }
+                    .enable_flight(sup.vmm_pd(), FLIGHT_CAPACITY);
                 sup.restarts += 1;
                 sup.retry.reset();
                 sup.reviving = false;
@@ -1032,40 +1106,27 @@ impl Component for RootPm {
     fn on_signal(&mut self, k: &mut Kernel, ctx: CompCtx, sm: SmId) {
         // Disk-server supervision: watchdog (inactivity deadline or
         // death notification) and the respawn-retry backoff timer.
-        if self.supervision.as_ref().is_some_and(|s| s.wd_sm == sm)
-            || self.disk_retry.as_ref().is_some_and(|r| r.sm == sm)
-        {
+        let disk =
+            |s: &DiskSupervision| s.wd_sm == sm || s.retry.as_ref().is_some_and(|r| r.sm == sm);
+        if self.supervision.as_ref().is_some_and(disk) {
             self.restart_disk_server(k, ctx);
             return;
         }
         // VM supervision: each slot owns three channels — watchdog,
         // checkpoint cadence, revive-retry backoff.
-        enum Vs {
-            Death,
-            Ckpt,
-            Retry,
-        }
-        let mut hit = None;
-        for (i, slot) in self.vmm_supervision.iter().enumerate() {
-            let Some(s) = slot else { continue };
-            if s.wd_sm == sm {
-                hit = Some((i, Vs::Death));
-                break;
-            }
-            if s.ckpt_sm == sm {
-                hit = Some((i, Vs::Ckpt));
-                break;
-            }
-            if s.retry.sm == sm {
-                hit = Some((i, Vs::Retry));
-                break;
-            }
-        }
-        match hit {
-            Some((i, Vs::Death)) => self.handle_vmm_death(k, ctx, i),
-            Some((i, Vs::Ckpt)) => self.checkpoint_vm(k, ctx, i),
-            Some((i, Vs::Retry)) => self.retry_vm(k, ctx, i),
-            None => {}
+        type Handler = fn(&mut RootPm, &mut Kernel, CompCtx, usize);
+        let hit = self.vmm_supervision.iter().enumerate().find_map(|(i, s)| {
+            let s = s.as_ref()?;
+            let handler: Handler = match sm {
+                _ if sm == s.wd_sm => Self::handle_vmm_death,
+                _ if sm == s.ckpt_sm => Self::checkpoint_vm,
+                _ if sm == s.retry.sm => Self::retry_vm,
+                _ => return None,
+            };
+            Some((handler, i))
+        });
+        if let Some((handler, i)) = hit {
+            handler(self, k, ctx, i);
         }
     }
 
@@ -1129,114 +1190,51 @@ impl<'a> RootOps<'a> {
         dst: CapSel,
         grants: &[Grant],
     ) -> Result<PdId, RespawnError> {
-        self.hc(Hypercall::CreatePd {
+        let pd = Hypercall::CreatePd {
             name: name.into(),
             vm: None,
             dst,
-        })
-        .map_err(RespawnError::step("pd create"))?;
+        };
+        self.k
+            .hypercall(self.ctx, pd)
+            .map_err(RespawnError::step("pd create"))?;
         let pd = PdId(self.k.obj.pds.len() - 1);
         for &g in grants {
-            match g {
+            let (hc, step) = match g {
                 Grant::Mem {
                     base,
                     count,
                     rights,
                     hot,
-                } => self
-                    .grant_mem(dst, base, count, rights, hot)
-                    .map_err(RespawnError::step("mem grant")),
-                Grant::Io { base, count } => self
-                    .grant_io(dst, base, count)
-                    .map_err(RespawnError::step("io grant")),
-                Grant::Gsi(gsi) => self
-                    .grant_gsi(dst, gsi)
-                    .map_err(RespawnError::step("gsi grant")),
-                Grant::Dev(dev) => self
-                    .assign_device(dst, dev)
-                    .map_err(RespawnError::step("device assignment")),
-            }?;
+                } => (
+                    Hypercall::DelegateMem {
+                        dst_pd: dst,
+                        base,
+                        count,
+                        rights,
+                        hot,
+                    },
+                    "mem grant",
+                ),
+                Grant::Io { base, count } => (
+                    Hypercall::DelegateIo {
+                        dst_pd: dst,
+                        base,
+                        count,
+                    },
+                    "io grant",
+                ),
+                Grant::Gsi(gsi) => (Hypercall::DelegateGsi { dst_pd: dst, gsi }, "gsi grant"),
+                Grant::Dev(device) => (
+                    Hypercall::AssignDev { pd: dst, device },
+                    "device assignment",
+                ),
+            };
+            self.k
+                .hypercall(self.ctx, hc)
+                .map_err(RespawnError::step(step))?;
         }
         Ok(pd)
-    }
-
-    /// Delegates a contiguous range of root's memory pages to a PD.
-    pub fn grant_mem(
-        &mut self,
-        pd_sel: CapSel,
-        base_page: u64,
-        count: u64,
-        rights: MemRights,
-        hot_page: u64,
-    ) -> Result<(), HcErr> {
-        self.k.hypercall(
-            self.ctx,
-            Hypercall::DelegateMem {
-                dst_pd: pd_sel,
-                base: base_page,
-                count,
-                rights,
-                hot: hot_page,
-            },
-        )?;
-        Ok(())
-    }
-
-    /// Delegates an I/O port range.
-    pub fn grant_io(&mut self, pd_sel: CapSel, base: u16, count: u16) -> Result<(), HcErr> {
-        self.k.hypercall(
-            self.ctx,
-            Hypercall::DelegateIo {
-                dst_pd: pd_sel,
-                base,
-                count,
-            },
-        )?;
-        Ok(())
-    }
-
-    /// Delegates one of root's capabilities to a PD.
-    pub fn grant_cap(
-        &mut self,
-        pd_sel: CapSel,
-        sel: CapSel,
-        perms: Perms,
-        hot: CapSel,
-    ) -> Result<(), HcErr> {
-        self.k.hypercall(
-            self.ctx,
-            Hypercall::DelegateCap {
-                dst_pd: pd_sel,
-                sel,
-                perms,
-                hot,
-            },
-        )?;
-        Ok(())
-    }
-
-    /// Passes GSI ownership to a PD.
-    pub fn grant_gsi(&mut self, pd_sel: CapSel, gsi: u8) -> Result<(), HcErr> {
-        self.k.hypercall(
-            self.ctx,
-            Hypercall::DelegateGsi {
-                dst_pd: pd_sel,
-                gsi,
-            },
-        )?;
-        Ok(())
-    }
-
-    /// Assigns a device to a PD (IOMMU domain).
-    pub fn assign_device(&mut self, pd_sel: CapSel, device: usize) -> Result<(), HcErr> {
-        self.k
-            .hypercall(self.ctx, Hypercall::AssignDev { pd: pd_sel, device })?;
-        Ok(())
-    }
-
-    /// Raw hypercall passthrough with root identity.
-    pub fn hc(&mut self, hc: Hypercall) -> Result<HcReply, HcErr> {
-        self.k.hypercall(self.ctx, hc)
     }
 }
 

@@ -7,10 +7,13 @@
 //! Boot is the first replay of each domain's recipe: the builder
 //! decides *what* the disk server and the VMM get (a
 //! [`DiskRecipe`], a [`MicrorebootRecipe`] plus whatever hardware the
-//! options assign), then runs the same `spawn_disk_server` /
-//! `provision` a respawn or revive runs, and hands the recipes to
-//! root's supervision when the options ask for it. There is no
-//! boot-only provisioning sequence in this file.
+//! options assign), then has root run the same `spawn_disk_server`
+//! (`RootPm::start_disk_server`) and `provision` a respawn or revive
+//! runs, and hands the recipes to root's supervision when the options
+//! ask for it. There is no boot-only provisioning sequence in this
+//! file, and no copy of what root holds: the live disk server and each
+//! VM's disk wiring are root's (`RootPm::{disk, clients}`), the current
+//! VMM incarnation the recipe's.
 //!
 //! Boot-time wiring failures are configuration errors, so this module
 //! uses `expect` (not `unwrap`) with step names; the same calls are
@@ -24,10 +27,8 @@ use nova_core::obj::MemRights;
 use nova_core::{CompCtx, CompId, Hypercall, Kernel, KernelConfig, RunOutcome};
 use nova_hw::machine::{Machine, MachineConfig, AHCI_BASE, AHCI_IRQ, NIC_BASE, NIC_IRQ};
 use nova_hw::Cycles;
-use nova_user::disk::{DiskServer, DiskServerConfig};
-use nova_user::root::{
-    spawn_disk_server, DiskRecipe, DiskServerRef, Grant, RootPm, SupervisedClient,
-};
+use nova_user::disk::DiskServerConfig;
+use nova_user::root::{DiskRecipe, Grant, RootPm};
 
 use crate::microreboot::{self, MicrorebootRecipe};
 use crate::vmm::{Vmm, VmmConfig};
@@ -107,15 +108,10 @@ pub struct System {
     pub root_ctx: CompCtx,
     /// The root partition manager.
     pub root: CompId,
-    /// The disk server, if launched.
-    pub disk: Option<CompId>,
     /// The first VMM.
     pub vmm: CompId,
     /// All VMMs (the first included), one per VM (Section 4.2).
     pub vmms: Vec<CompId>,
-    /// The disk server as booted; under supervision the live one is
-    /// read from root instead (a respawn replaces it).
-    disk_srv: Option<DiskServerRef>,
     /// Next free physical frame page for additional guests.
     next_frames: u64,
     /// Supervision slot of the microrebooted first VM, if enabled.
@@ -123,34 +119,11 @@ pub struct System {
 }
 
 /// Runs a VMM recipe's first incarnation with root's identity and
-/// state — the `provision` every revive runs — enrols it with a
-/// supervised disk server's clients, and starts it.
-fn boot_vmm(
-    k: &mut Kernel,
-    root_ctx: CompCtx,
-    disk_srv: Option<DiskServerRef>,
-    recipe: &mut MicrorebootRecipe,
-) {
+/// state — the `provision` every revive runs — and starts it.
+fn boot_vmm(k: &mut Kernel, root_ctx: CompCtx, recipe: &mut MicrorebootRecipe) {
     let ec = k
-        .invoke_component::<RootPm, _>(root_ctx.comp, |rp, k| {
-            let disk = rp.disk_server().or(disk_srv);
-            let ec = recipe
-                .provision(k, root_ctx, rp, disk)
-                .expect("boot wiring");
-            let sms = recipe.disk.and_then(|w| w.restart_sel.zip(w.done_sel));
-            if let (Some(sup), Some((restart_sm_sel, done_sm_sel))) = (rp.supervision.as_mut(), sms)
-            {
-                let (rings, channels) = recipe.disk_channels();
-                sup.clients.push(SupervisedClient {
-                    vmm_sel: recipe.vmm_sel,
-                    restart_sm_sel,
-                    done_sm_sel,
-                    rings,
-                    channels,
-                });
-            }
-            ec
-        })
+        .invoke_component::<RootPm, _>(root_ctx.comp, |rp, k| recipe.provision(k, root_ctx, rp))
+        .expect("boot wiring")
         .expect("boot wiring");
     k.start_component(recipe.vmm, ec);
 }
@@ -173,8 +146,8 @@ impl System {
             .expect("boot wiring");
 
         // ---- Disk server ----
-        let mut disk_srv = None;
-        if opts.with_disk && !opts.direct_disk {
+        let served_disk = opts.with_disk && !opts.direct_disk;
+        if served_disk {
             let cfg = if opts.supervise {
                 DiskServerConfig::supervised()
             } else {
@@ -182,17 +155,15 @@ impl System {
             };
             let recipe = DiskRecipe::new(cfg, ahci_dev);
             let supervise = opts.supervise;
-            let srv = k.invoke_component::<RootPm, _>(root, |rp, k| {
-                let sel = rp.alloc_sel();
-                let ctx = spawn_disk_server(k, root_ctx, sel, &recipe).expect("boot wiring");
-                let srv = DiskServerRef { sel, ctx };
-                if supervise {
-                    rp.supervise_disk_server(k, root_ctx, srv, recipe, DISK_WATCHDOG_TIMEOUT)
-                        .expect("boot wiring");
+            k.invoke_component::<RootPm, _>(root, |rp, k| {
+                rp.start_disk_server(k, root_ctx, &recipe)?;
+                if !supervise {
+                    return Ok(());
                 }
-                srv
-            });
-            disk_srv = Some(srv.expect("boot wiring"));
+                rp.supervise_disk_server(k, root_ctx, recipe, DISK_WATCHDOG_TIMEOUT)
+            })
+            .expect("boot wiring")
+            .expect("boot wiring");
         }
 
         // ---- VMM ----
@@ -234,9 +205,10 @@ impl System {
             hw.push(Grant::Dev(nic_dev));
         }
 
-        let mut recipe = MicrorebootRecipe::new(guest_frames_base, opts.vmm, disk_srv.map(|_| 0));
+        let mut recipe =
+            MicrorebootRecipe::new(guest_frames_base, opts.vmm, served_disk.then_some(0));
         recipe.grants.extend(hw);
-        boot_vmm(&mut k, root_ctx, disk_srv, &mut recipe);
+        boot_vmm(&mut k, root_ctx, &mut recipe);
         let vmm = recipe.vmm;
 
         // Direct device assignment: the IOMMU translates the device's
@@ -275,17 +247,9 @@ impl System {
 
         // ---- VMM microreboot supervision ----
         let microreboot = opts.microreboot.map(|period| {
-            let (vmm_sel, slot) = (recipe.vmm_sel, recipe.disk.map(|w| w.client_slot));
             k.invoke_component::<RootPm, _>(root, |rp, k| {
-                rp.supervise_vm(
-                    k,
-                    root_ctx,
-                    Box::new(recipe),
-                    vmm_sel,
-                    slot,
-                    microreboot::VMM_WATCHDOG_TIMEOUT,
-                    period,
-                )
+                let timeout = microreboot::VMM_WATCHDOG_TIMEOUT;
+                rp.supervise_vm(k, root_ctx, Box::new(recipe), timeout, period)
             })
             .expect("boot wiring")
             .expect("microreboot supervision install")
@@ -295,10 +259,8 @@ impl System {
             k,
             root_ctx,
             root,
-            disk: disk_srv.map(|s| s.ctx.comp),
             vmm,
             vmms: vec![vmm],
-            disk_srv,
             next_frames: guest_frames_base + guest_pages + 2,
             microreboot,
         }
@@ -314,9 +276,10 @@ impl System {
         self.next_frames = frames + cfg.guest_pages + 2;
         // Every VMM so far is a client of the disk server, if there is
         // one: the next slot is their number.
-        let slot = self.disk_srv.map(|_| self.vmms.len());
-        let mut recipe = MicrorebootRecipe::new(frames, cfg, slot);
-        boot_vmm(&mut self.k, self.root_ctx, self.disk_srv, &mut recipe);
+        let rp = self.k.component_mut::<RootPm>(self.root);
+        let served = rp.is_some_and(|rp| rp.disk_server().is_some());
+        let mut recipe = MicrorebootRecipe::new(frames, cfg, served.then_some(self.vmms.len()));
+        boot_vmm(&mut self.k, self.root_ctx, &mut recipe);
         self.vmms.push(recipe.vmm);
         recipe.vmm
     }
@@ -347,12 +310,6 @@ impl System {
     pub fn vmm(&mut self) -> &mut Vmm {
         let id = self.vmm;
         self.k.component_mut::<Vmm>(id).expect("vmm component")
-    }
-
-    /// The disk server, if launched.
-    pub fn disk_server(&mut self) -> Option<&mut DiskServer> {
-        let id = self.disk?;
-        self.k.component_mut::<DiskServer>(id)
     }
 
     /// Types scancodes at the first VM's virtual keyboard and wakes

@@ -5,11 +5,14 @@
 //! A [`MicrorebootRecipe`] is data: the guest's frames, the
 //! [`VmmConfig`] every incarnation runs with, and an ordered list of
 //! [`Grant`]s. [`MicrorebootRecipe::provision`] replays it — `CreatePd`,
-//! the grants, the component, the disk-server wiring — and is the only
-//! such sequence: the launcher calls it for the first incarnation,
-//! [`VmRecipe::revive`] calls it for each successor (teardown →
-//! provision → start → restore). A half-built incarnation belongs to
-//! the recipe from `CreatePd` on, so a retry starts by destroying it.
+//! the grants, the component, root's disk wiring of its slot — and is
+//! the only such sequence: the launcher calls it for the first
+//! incarnation, [`VmRecipe::revive`] calls it for each successor
+//! (teardown → provision → start → restore). The recipe is the one
+//! holder of the current incarnation ([`VmRecipe::vmm`]); root holds the
+//! slot's disk wiring and the live server. A half-built incarnation
+//! belongs to the recipe from `CreatePd` on, so a retry starts by
+//! destroying it.
 //!
 //! The crash-only design splits recovery state in two:
 //!
@@ -42,14 +45,11 @@ use nova_core::cap::{CapSel, Perms};
 use nova_core::kernel::VcpuSnapshot;
 use nova_core::obj::{MemRights, ObjRef, PdId};
 use nova_core::{Capability, CompCtx, CompId, EcId, Hypercall, Kernel};
-use nova_user::disk::DiskServer;
 use nova_user::proto::disk as disk_proto;
-use nova_user::root::{
-    wire_disk_client, DiskServerRef, Grant, RespawnError, RootOps, RootPm, VmRecipe,
-};
+use nova_user::root::{Grant, RespawnError, RootOps, RootPm, VmRecipe};
 
 use crate::checkpoint::{self, View};
-use crate::vmm::{sel, Vmm, VmmConfig, GUEST_BASE_PAGE, PV_RING_PAGE, RING_PAGE, SEL_RESTART_SM};
+use crate::vmm::{sel, Vmm, VmmConfig, GUEST_BASE_PAGE, PV_RING_PAGE, RING_PAGE};
 
 /// Watchdog deadline for a supervised VMM. The VMM's maintenance
 /// timer makes a hypercall at least every million cycles, so a healthy
@@ -58,25 +58,6 @@ pub const VMM_WATCHDOG_TIMEOUT: u64 = 10_000_000;
 
 /// Default checkpoint cadence in cycles.
 pub const DEFAULT_CKPT_PERIOD: u64 = 2_000_000;
-
-/// A VM's place among the disk server's clients.
-#[derive(Clone, Copy)]
-pub struct DiskWiring {
-    /// This VMM's slot at the server: its clients are
-    /// `proto::disk::slot_clients(client_slot)`, the server holds its
-    /// PD capability at `0x30 + client_slot`, and under supervision it
-    /// is the index in `DiskSupervision::clients`.
-    pub client_slot: usize,
-    /// Root's selector for the VM's completion semaphore, which the
-    /// server signals: created by the first incarnation, reused by every
-    /// later one.
-    pub done_sel: Option<CapSel>,
-    /// Root's selector for the restart-notification semaphore of a
-    /// supervised server's client: created by the first incarnation,
-    /// reused by every later one so disk-server restarts keep reaching
-    /// the live VMM.
-    pub restart_sel: Option<CapSel>,
-}
 
 /// What the recipe knows about the guest image inside the one
 /// checkpoint blob it last wrote or restored. The blob itself stays
@@ -132,8 +113,10 @@ pub struct MicrorebootRecipe {
     /// completion rings, the exit ports and the VGA window, then any
     /// hardware the launcher assigned.
     pub grants: Vec<Grant>,
-    /// Disk-server wiring, when storage is attached.
-    pub disk: Option<DiskWiring>,
+    /// This VMM's slot at the disk server, when storage is attached:
+    /// its clients are `proto::disk::slot_clients(disk_slot)`, and root
+    /// holds its wiring at `RootPm::clients[disk_slot]`.
+    pub disk_slot: Option<usize>,
     /// Bookkeeping for the in-place checkpoint refresh; starts empty.
     pub(crate) image: CapturedImage,
     /// The vCPU records of the last capture, and its device state:
@@ -201,11 +184,7 @@ impl MicrorebootRecipe {
             frames,
             cfg,
             grants,
-            disk: disk_slot.map(|client_slot| DiskWiring {
-                client_slot,
-                done_sel: None,
-                restart_sel: None,
-            }),
+            disk_slot,
             image: CapturedImage::default(),
             vcpus: Vec::new(),
             vmm_state: Vec::new(),
@@ -213,10 +192,9 @@ impl MicrorebootRecipe {
     }
 
     /// Builds one incarnation, up to but not including its start:
-    /// `CreatePd`, the grants, the VMM component, its disk-server
-    /// wiring and the semaphores its `on_start` binds — the VM's
-    /// completion semaphore and, for a supervised server's client, the
-    /// restart semaphore — at their well-known selectors. The recipe
+    /// `CreatePd`, the grants, the VMM component and root's wiring of
+    /// its disk slot ([`RootPm::wire_client`]: the semaphores its
+    /// `on_start` binds, at their well-known selectors). The recipe
     /// points at the new incarnation as soon as any of it can exist, so
     /// a retry after a failed step tears the half-built one down
     /// instead of leaking it. Returns the EC to start.
@@ -225,47 +203,23 @@ impl MicrorebootRecipe {
         k: &mut Kernel,
         ctx: CompCtx,
         root: &mut RootPm,
-        disk: Option<DiskServerRef>,
     ) -> Result<EcId, RespawnError> {
         // A supervised server's clients start over after its restarts.
-        self.cfg.supervised_disk = self.disk.is_some() && root.supervision.is_some();
+        self.cfg.supervised_disk = self.disk_slot.is_some() && root.supervision.is_some();
         self.vmm_sel = root.alloc_sel();
         self.vmm_pd = RootOps::new(k, ctx).provision("vmm", self.vmm_sel, &self.grants)?;
         let (comp, ec) = k.load_component(self.vmm_pd, 0, Box::new(Vmm::new(self.cfg.clone())));
         self.vmm = comp;
-
-        let (vmm, (rings, channels)) = (self.vmm_sel, self.disk_channels());
-        if let Some(w) = self.disk.as_mut() {
-            let srv = disk.ok_or(RespawnError::State("no disk server to wire to"))?;
-            // Root's semaphores, made once per VM: root keeps UP, the
-            // server gets UP on the completion one, the VMM DOWN.
-            let mut root_sm = |sel: &mut Option<CapSel>| match *sel {
-                Some(s) => Ok(s),
-                None => {
-                    let s = root.alloc_sel();
-                    k.hypercall(ctx, Hypercall::CreateSm { count: 0, dst: s })
-                        .map_err(RespawnError::step("disk sm"))?;
-                    Ok(*sel.insert(s))
-                }
-            };
-            let done = root_sm(&mut w.done_sel)?;
-            let mut downs = vec![(done, sel::DISK_SM)];
-            if self.cfg.supervised_disk {
-                downs.push((root_sm(&mut w.restart_sel)?, SEL_RESTART_SM));
-            }
-            wire_disk_client(k, ctx, srv, vmm, w.client_slot, done, rings, channels)?;
-            for (sm, at) in downs {
-                RootOps::new(k, ctx)
-                    .grant_cap(vmm, sm, Perms::DOWN, at)
-                    .map_err(RespawnError::step("disk sm grant"))?;
-            }
+        if let Some(slot) = self.disk_slot {
+            let (rings, channels) = self.disk_channels();
+            root.wire_client(k, ctx, slot, self.vmm_sel, rings, channels)?;
         }
         Ok(ec)
     }
 
     /// Root's page of the VM's first completion ring (the PV queue's
     /// follows it) and how many disk channels the VMM has.
-    pub(crate) fn disk_channels(&self) -> (u64, usize) {
+    fn disk_channels(&self) -> (u64, usize) {
         let rings = self.frames + self.cfg.guest_pages;
         (rings, 1 + self.cfg.pv_disk as usize)
     }
@@ -275,17 +229,9 @@ impl MicrorebootRecipe {
     /// for it, boot-equivalent wiring since root owns everything),
     /// then the VMM PD — and detaches its slot's disk clients so stale
     /// completions can never reach a successor's ring.
-    fn teardown_dead(
-        &mut self,
-        k: &mut Kernel,
-        ctx: CompCtx,
-        root: &mut RootPm,
-        disk: Option<DiskServerRef>,
-    ) {
-        if let (Some(srv), Some(w)) = (disk, self.disk) {
-            for c in disk_proto::slot_clients(w.client_slot) {
-                k.invoke_component::<DiskServer, _>(srv.ctx.comp, |s, _k| s.detach_client(c));
-            }
+    fn teardown_dead(&mut self, k: &mut Kernel, ctx: CompCtx, root: &mut RootPm) {
+        if let Some(slot) = self.disk_slot {
+            root.unwire_client(k, slot);
         }
         let vm_pd = match k.obj.pd(self.vmm_pd).caps.get(sel::VM_PD).map(|c| c.obj) {
             Some(ObjRef::Pd(p)) => Some(p),
@@ -307,6 +253,10 @@ impl MicrorebootRecipe {
 }
 
 impl VmRecipe for MicrorebootRecipe {
+    fn vmm(&self) -> (CapSel, PdId) {
+        (self.vmm_sel, self.vmm_pd)
+    }
+
     /// Captures vCPU state through the kernel's export path, device
     /// and ring bookkeeping through [`Vmm::save_state`], and guest
     /// memory through root's identity view of the backing frames —
@@ -366,9 +316,8 @@ impl VmRecipe for MicrorebootRecipe {
         k: &mut Kernel,
         ctx: CompCtx,
         root: &mut RootPm,
-        disk: Option<DiskServerRef>,
         checkpoint: Option<&[u8]>,
-    ) -> Result<CapSel, RespawnError> {
+    ) -> Result<(), RespawnError> {
         if self.cfg.pv_nic || !self.cfg.direct_gsis.is_empty() {
             return Err(RespawnError::State(
                 "direct-hardware configurations cannot microreboot",
@@ -378,7 +327,7 @@ impl VmRecipe for MicrorebootRecipe {
         // wire the fresh VMM to portals nobody serves. Fail the attempt
         // cleanly instead; the backoff retry fires after the server's
         // own supervisor has respawned it.
-        if let (Some(_), Some(srv)) = (self.disk, disk) {
+        if let (Some(_), Some(srv)) = (self.disk_slot, root.disk_server()) {
             if k.obj.ec(srv.ctx.ec).blocked {
                 return Err(RespawnError::State("disk server dead; deferring revive"));
             }
@@ -399,8 +348,8 @@ impl VmRecipe for MicrorebootRecipe {
             None => None,
         };
 
-        self.teardown_dead(k, ctx, root, disk);
-        let ec = self.provision(k, ctx, root, disk)?;
+        self.teardown_dead(k, ctx, root);
+        let ec = self.provision(k, ctx, root)?;
 
         // Cold boot starts from cleared RAM (and clean rings) so every
         // incarnation of the same image is byte-identical; a restore
@@ -441,17 +390,11 @@ impl VmRecipe for MicrorebootRecipe {
                 return Err(RespawnError::State("vmm device-state restore failed"));
             }
         }
-        Ok(self.vmm_sel)
+        Ok(())
     }
 
-    fn abandon(
-        &mut self,
-        k: &mut Kernel,
-        ctx: CompCtx,
-        root: &mut RootPm,
-        disk: Option<DiskServerRef>,
-    ) {
-        self.teardown_dead(k, ctx, root, disk);
+    fn abandon(&mut self, k: &mut Kernel, ctx: CompCtx, root: &mut RootPm) {
+        self.teardown_dead(k, ctx, root);
     }
 
     fn as_any(&mut self) -> &mut dyn std::any::Any {

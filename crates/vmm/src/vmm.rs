@@ -16,7 +16,7 @@
 //! injecting virtual interrupts — recalling running virtual CPUs when
 //! an interrupt becomes pending (Section 7.5).
 
-use nova_core::cap::{CapSel, Perms};
+use nova_core::cap::Perms;
 use nova_core::kernel::{EXIT_PORTAL_BASE, EXIT_PORTAL_STRIDE, SEL_SELF_PD};
 use nova_core::obj::{MemRights, VmPaging};
 use nova_core::{CompCtx, Component, Hypercall, Kernel, SmId, Utcb};
@@ -75,9 +75,9 @@ pub struct VmmConfig {
     /// Guest image.
     pub image: GuestImage,
     /// Storage is attached: root wired the disk server's portals to the
-    /// protocol's client selectors (`nova_user::proto::disk::CLIENT_SEL_*`)
-    /// and the VM's completion semaphore to [`sel::DISK_SM`]. Set by
-    /// the recipe from its disk slot.
+    /// protocol's client selectors (`nova_user::proto::disk::CLIENT_SEL_*`),
+    /// the VM's completion semaphore among them. Set by the recipe from
+    /// its disk slot.
     pub(crate) disk: bool,
     /// Attach the paravirtual batched disk queue (the VMM's second
     /// disk-server client, with its own completion ring at
@@ -105,7 +105,8 @@ pub struct VmmConfig {
     /// code-injection attempt and kills the VM with exit code 0xfc.
     pub protect_kernel: Option<(u64, u64)>,
     /// The disk server runs under root supervision: the VMM binds the
-    /// restart semaphore root pre-delegated at [`SEL_RESTART_SM`] and
+    /// restart semaphore root pre-delegated at
+    /// `nova_user::proto::disk::CLIENT_SEL_RESTART` and
     /// starts its channels over whenever the supervisor respawns the
     /// server; outstanding requests are timed out and resubmitted via
     /// a maintenance timer instead of hanging the guest forever. Set by
@@ -152,11 +153,6 @@ pub(crate) const fn guest_va(gpa: u64) -> u64 {
     GUEST_BASE_PAGE * 4096 + gpa
 }
 
-/// Selector where a supervised VMM expects the root partition manager
-/// to pre-delegate (with DOWN permission) the semaphore it signals
-/// after every disk-server restart.
-pub const SEL_RESTART_SM: CapSel = 0x42;
-
 /// Well-known selectors inside the VMM's capability space (public so
 /// the microreboot recipe can address the VM PD and the vCPUs of a
 /// dead incarnation through its still-standing capability space).
@@ -164,12 +160,6 @@ pub mod sel {
     use nova_core::cap::CapSel;
     /// Timer semaphore.
     pub const TIMER_SM: CapSel = 0x40;
-    /// Disk completion semaphore (delegated by root with DOWN, as the
-    /// restart semaphore is).
-    pub const DISK_SM: CapSel = 0x41;
-    /// Disk-server restart notification (delegated by root; see
-    /// [`crate::vmm::SEL_RESTART_SM`]).
-    pub const RESTART_SM: CapSel = crate::vmm::SEL_RESTART_SM;
     /// Maintenance timer semaphore (request-timeout sweep).
     pub const MAINT_SM: CapSel = 0x43;
     /// Physical-NIC interrupt semaphore (paravirtual NIC backend).
@@ -839,13 +829,15 @@ impl Component for Vmm {
         let mut vahci = VAhci::new(self.cfg.guest_pages);
         let mut pvdisk = PvDisk::new(self.cfg.guest_pages);
         if self.cfg.disk {
-            self.disk_sm = Some(k.bind_sm(ctx, sel::DISK_SM).expect("bind disk sm"));
+            let done = disk_proto::CLIENT_SEL_DONE;
+            self.disk_sm = Some(k.bind_sm(ctx, done).expect("bind disk sm"));
 
             if self.cfg.supervised_disk {
                 // Restart notification: root pre-delegated a semaphore
-                // (with DOWN permission) at SEL_RESTART_SM and ups it
-                // after every disk-server respawn.
-                self.restart_sm = Some(k.bind_sm(ctx, sel::RESTART_SM).expect("bind restart"));
+                // (with DOWN permission) at CLIENT_SEL_RESTART and ups
+                // it after every disk-server respawn.
+                let restart = disk_proto::CLIENT_SEL_RESTART;
+                self.restart_sm = Some(k.bind_sm(ctx, restart).expect("bind restart"));
 
                 // Maintenance timer for the request-timeout sweep,
                 // armed only while guest requests are outstanding (so

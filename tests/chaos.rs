@@ -7,7 +7,7 @@
 
 mod common;
 
-use nova_core::cap::{CapSel, Perms};
+use nova_core::cap::CapSel;
 use nova_core::kernel::SEL_SELF_EC;
 use nova_core::obj::MemRights;
 use nova_core::utcb::{Utcb, XferItem};
@@ -23,8 +23,7 @@ use nova_trace::{cat, Kind};
 use nova_user::disk::{DiskServerConfig, CMD_VA};
 use nova_user::proto::disk as dproto;
 use nova_user::root::{
-    spawn_disk_server, wire_disk_client, DiskRecipe, DiskServerRef, Grant, RespawnError, RootOps,
-    RootPm, SupervisedClient, RETRY_BACKOFF, REVIVE_ATTEMPTS,
+    DiskRecipe, Grant, RespawnError, RootOps, RootPm, RETRY_BACKOFF, REVIVE_ATTEMPTS,
 };
 use nova_vmm::{LaunchOptions, System, VmmConfig};
 use nova_x86::insn::{AluOp, Cond};
@@ -357,11 +356,6 @@ impl Component for TestClient {
     }
 }
 
-/// Client-side selectors for the completion and restart-notification
-/// semaphores.
-const CL_SEL_DONE: CapSel = 0x40;
-const CL_SEL_RESTART: CapSel = 0x42;
-
 struct Rig {
     k: Kernel,
     client_ctx: CompCtx,
@@ -370,13 +364,12 @@ struct Rig {
 }
 
 /// Boots root + supervised disk server + a bare client through the
-/// calls the system builder makes: `spawn_disk_server`,
+/// calls the system builder makes: `start_disk_server`,
 /// `supervise_disk_server` (root SC, watchdog semaphore,
-/// `WatchdogArm`), `wire_disk_client` (slot 0's portals at the
-/// protocol's well-known client selectors, the client's page 1 as its
-/// completion ring, the server's `UP` on root's completion semaphore),
-/// plus the completion and restart semaphores delegated DOWN to the
-/// client.
+/// `WatchdogArm`) and `wire_client` at slot 0 (the completion and
+/// restart semaphores, `wire_disk_client` with the client's page 1 as
+/// its completion ring, and both semaphores delegated DOWN to the
+/// client at the protocol's well-known selectors, which it binds).
 fn supervised_rig() -> Rig {
     let m = Machine::new(MachineConfig::core_i7(64 << 20));
     let mut k = Kernel::new(m, KernelConfig::default());
@@ -384,19 +377,13 @@ fn supervised_rig() -> Rig {
     k.start_component(root, root_ec);
     let root_ctx = k.component_mut::<RootPm>(root).unwrap().ctx.unwrap();
 
-    // The server and its supervision: the product recipe and helper
+    // The server and its supervision: the product recipe and helpers
     // `System::build` runs with `supervise`.
     let ahci_dev = k.machine.dev.ahci;
     let recipe = DiskRecipe::new(DiskServerConfig::supervised(), ahci_dev);
-    let mut ops = RootOps::new(&mut k, root_ctx);
-    let (srv_sel, cl_sel) = (ops.alloc_sel(), ops.alloc_sel());
-    let (done_sel, restart_sel) = (ops.alloc_sel(), ops.alloc_sel());
-    let srv = DiskServerRef {
-        sel: srv_sel,
-        ctx: spawn_disk_server(&mut k, root_ctx, srv_sel, &recipe).unwrap(),
-    };
     k.invoke_component::<RootPm, _>(root, |rp, k| {
-        rp.supervise_disk_server(k, root_ctx, srv, recipe, 8_000_000)
+        rp.start_disk_server(k, root_ctx, &recipe)?;
+        rp.supervise_disk_server(k, root_ctx, recipe, 8_000_000)
     })
     .unwrap()
     .unwrap();
@@ -410,6 +397,7 @@ fn supervised_rig() -> Rig {
         hot: 0,
     };
     let mut ops = RootOps::new(&mut k, root_ctx);
+    let cl_sel = ops.alloc_sel();
     let cl_pd = ops.provision("client", cl_sel, &[client_ram]).unwrap();
     let (client_comp, client_ec) = k.load_component(cl_pd, 0, Box::<TestClient>::default());
     k.start_component(client_comp, client_ec);
@@ -418,11 +406,11 @@ fn supervised_rig() -> Rig {
         ec: client_ec,
         comp: client_comp,
     };
-    for dst in [done_sel, restart_sel] {
-        k.hypercall(root_ctx, Hypercall::CreateSm { count: 0, dst })
-            .unwrap();
-    }
-    wire_disk_client(&mut k, root_ctx, srv, cl_sel, 0, done_sel, 0x401, 1).unwrap();
+    k.invoke_component::<RootPm, _>(root, |rp, k| {
+        rp.wire_client(k, root_ctx, 0, cl_sel, 0x401, 1)
+    })
+    .unwrap()
+    .unwrap();
     k.hypercall(
         client_ctx,
         Hypercall::CreateSc {
@@ -435,24 +423,9 @@ fn supervised_rig() -> Rig {
     .unwrap();
 
     // The semaphores: root keeps UP, the client binds DOWN.
-    for (sel, at) in [(done_sel, CL_SEL_DONE), (restart_sel, CL_SEL_RESTART)] {
-        let mut ops = RootOps::new(&mut k, root_ctx);
-        ops.grant_cap(cl_sel, sel, Perms::DOWN, at).unwrap();
-        k.hypercall(client_ctx, Hypercall::SmBind { sm: at })
-            .unwrap();
+    for sm in [dproto::CLIENT_SEL_DONE, dproto::CLIENT_SEL_RESTART] {
+        k.hypercall(client_ctx, Hypercall::SmBind { sm }).unwrap();
     }
-    let rp = k.component_mut::<RootPm>(root).unwrap();
-    rp.supervision
-        .as_mut()
-        .unwrap()
-        .clients
-        .push(SupervisedClient {
-            vmm_sel: cl_sel,
-            restart_sm_sel: restart_sel,
-            done_sm_sel: done_sel,
-            rings: 0x401,
-            channels: 1,
-        });
 
     Rig {
         k,
@@ -574,7 +547,7 @@ fn root_pm(r: &mut Rig) -> &mut RootPm {
 
 fn kill_disk_server(k: &mut Kernel) {
     let rp = k.component_mut::<RootPm>(CompId(0)).unwrap();
-    let srv_pd = rp.supervision.as_ref().unwrap().srv_ctx.pd;
+    let srv_pd = rp.disk_server().unwrap().ctx.pd;
     k.pd_fault(srv_pd, 0xdead);
 }
 
@@ -582,9 +555,10 @@ fn kill_disk_server(k: &mut Kernel) {
 /// device went to the new PD — must be retryable: the half-built
 /// incarnation belongs to the recipe from `CreatePd` on, so the retry's
 /// `DestroyPd` hands the GSI and the device assignment back to root
-/// before it builds again. (The supervision record used to move to the
-/// new PD only on full success, so the retry met `NotOwner` at the GSI
-/// grant and one transient failure retired the disk service for good.)
+/// before it builds again. (Root's record of the live server used to
+/// move to the new PD only on full success, so the retry met `NotOwner`
+/// at the GSI grant and one transient failure retired the disk service
+/// for good.)
 #[test]
 fn respawn_retry_after_a_late_step_failure_recovers() {
     let mut r = supervised_rig();
@@ -594,37 +568,34 @@ fn respawn_retry_after_a_late_step_failure_recovers() {
     // The transient fault: root's selector for the client goes stale,
     // so rewiring — the step after the server is up — is refused.
     let client_sel = {
-        let c = &mut root_pm(&mut r).supervision.as_mut().unwrap().clients[0];
+        let c = root_pm(&mut r).clients[0].as_mut().unwrap();
         std::mem::replace(&mut c.vmm_sel, 0xdead)
     };
     kill_disk_server(&mut r.k);
     // Long enough for the death notification's attempt, shorter than
     // the first backoff.
     assert_eq!(r.k.run(Some(100_000)), RunOutcome::Budget);
-    let rp = root_pm(&mut r);
+    let ds = root_pm(&mut r).supervision.as_ref().unwrap();
     assert_eq!(
-        rp.disk_last_error,
+        ds.last_error,
         Some(RespawnError::Step("client pd cap", HcErr::BadCap))
     );
-    assert_eq!(rp.disk_retry.as_ref().unwrap().attempts, 1);
-    assert!(!rp.disk_failed);
+    assert_eq!(ds.retry.as_ref().unwrap().attempts, 1);
+    assert!(!ds.failed);
     assert_eq!(r.k.counters.driver_restarts, 0);
     // A half-built incarnation is still a sound kernel.
     assert_sound(&r.k);
 
     // Repaired before the backoff fires: the second attempt goes
     // through.
-    root_pm(&mut r).supervision.as_mut().unwrap().clients[0].vmm_sel = client_sel;
+    root_pm(&mut r).clients[0].as_mut().unwrap().vmm_sel = client_sel;
     let before = client_signals(&mut r);
     assert_eq!(r.k.run(Some(100_000_000)), RunOutcome::Budget);
     assert_eq!(r.k.counters.driver_restarts, 1);
     assert_sound(&r.k);
-    let rp = root_pm(&mut r);
-    assert!(
-        !rp.disk_failed,
-        "one transient failure must not retire disk"
-    );
-    assert_eq!(rp.disk_retry.as_ref().unwrap().attempts, 0);
+    let ds = root_pm(&mut r).supervision.as_ref().unwrap();
+    assert!(!ds.failed, "one transient failure must not retire disk");
+    assert_eq!(ds.retry.as_ref().unwrap().attempts, 0);
     assert!(client_signals(&mut r) > before, "client told to start over");
 
     // The survivor is a working server: start over, read, verify.
@@ -693,9 +664,10 @@ fn respawn_budget_exhaustion_retires_the_disk_and_nothing_else() {
         );
     }
     let rp = sys.k.component_mut::<RootPm>(sys.root).unwrap();
-    assert!(rp.disk_failed);
+    let ds = rp.supervision.as_ref().unwrap();
+    assert!(ds.failed);
     assert_eq!(
-        rp.disk_last_error,
+        ds.last_error,
         Some(RespawnError::Step("gsi grant", HcErr::NotOwner))
     );
     assert_eq!(sys.k.counters.driver_restarts, 0);
@@ -711,7 +683,8 @@ fn respawn_budget_exhaustion_retires_the_disk_and_nothing_else() {
     assert_eq!(sys.k.counters.disk_failed, 0, "and not by the server");
     assert_eq!(sys.k.counters.driver_restarts, 0);
     let rp = sys.k.component_mut::<RootPm>(sys.root).unwrap();
-    assert_eq!(rp.disk_retry.as_ref().unwrap().attempts, REVIVE_ATTEMPTS);
+    let ds = rp.supervision.as_ref().unwrap();
+    assert_eq!(ds.retry.as_ref().unwrap().attempts, REVIVE_ATTEMPTS);
     assert_sound(&sys.k);
 }
 
@@ -727,7 +700,7 @@ fn pd_at(k: &Kernel, pd: PdId, sel: CapSel) -> Option<PdId> {
 /// PD-capability slot, for the first `n` clients root supervises.
 fn client_slots(sys: &mut System, n: usize) -> Vec<Option<PdId>> {
     let rp = sys.k.component_mut::<RootPm>(sys.root).unwrap();
-    let srv_pd = rp.supervision.as_ref().unwrap().srv_ctx.pd;
+    let srv_pd = rp.disk_server().unwrap().ctx.pd;
     (0..n).map(|i| pd_at(&sys.k, srv_pd, 0x30 + i)).collect()
 }
 
@@ -747,9 +720,10 @@ fn three_clients_keep_their_slots_across_a_respawn() {
     // Root's view: three clients, each a distinct VMM domain.
     let root_pd = sys.k.root_pd;
     let rp = sys.k.component_mut::<RootPm>(sys.root).unwrap();
-    let clients = rp.supervision.as_ref().unwrap().clients.clone();
+    let clients = rp.clients;
     let vmm_pds: Vec<Option<PdId>> = clients
         .iter()
+        .flatten()
         .map(|c| pd_at(&sys.k, root_pd, c.vmm_sel))
         .collect();
     assert_eq!(vmm_pds.len(), 3);

@@ -320,7 +320,14 @@ fn hostile_hypercall_args_are_contained() {
     let mut ops = RootOps::new(&mut k, root_ctx);
     let cl_sel = ops.alloc_sel();
     let cl_pd = ops.provision("fuzzer", cl_sel, &[]).unwrap();
-    ops.grant_mem(cl_sel, 0x400, 64, MemRights::RW, 0).unwrap();
+    let ram = Hypercall::DelegateMem {
+        dst_pd: cl_sel,
+        base: 0x400,
+        count: 64,
+        rights: MemRights::RW,
+        hot: 0,
+    };
+    k.hypercall(root_ctx, ram).unwrap();
     let (cl_comp, cl_ec) = k.load_component(cl_pd, 0, Box::<NullComp>::default());
     k.start_component(cl_comp, cl_ec);
     let ctx = CompCtx {
@@ -345,10 +352,16 @@ fn hostile_hypercall_args_are_contained() {
         dst: 0x3e0,
     };
     k.hypercall(root_ctx, roots).unwrap();
-    let mut ops = RootOps::new(&mut k, root_ctx);
-    ops.grant_cap(cl_sel, 0x3e0, Perms::CALL, 0x3e1).unwrap();
     let delegable = Perms::CALL.union(Perms::DELEGATE);
-    ops.grant_cap(cl_sel, 0x3e0, delegable, 0x3e2).unwrap();
+    for (perms, hot) in [(Perms::CALL, 0x3e1), (delegable, 0x3e2)] {
+        let pt = Hypercall::DelegateCap {
+            dst_pd: cl_sel,
+            sel: 0x3e0,
+            perms,
+            hot,
+        };
+        k.hypercall(root_ctx, pt).unwrap();
+    }
     let window_of = |k: &Kernel, pd, sel| match k.obj.pd(pd).caps.get(sel).map(|c| c.obj) {
         Some(ObjRef::Pt(pt)) => k.obj.windows.get(&pt).copied(),
         other => panic!("no portal: {other:?}"),

@@ -411,12 +411,8 @@ fn ladder_exhaustion_marks_vm_failed_while_sibling_runs() {
     let srv_pd = {
         let root = sys.root;
         let rp = sys.k.component_mut::<RootPm>(root).expect("root pm");
-        rp.disk_failed = true;
-        rp.supervision
-            .as_ref()
-            .expect("disk supervision")
-            .srv_ctx
-            .pd
+        rp.supervision.as_mut().expect("disk supervision").failed = true;
+        rp.disk_server().expect("disk server").ctx.pd
     };
     sys.k.pd_fault(srv_pd, 0xdead);
     let (_, vmm_pd) = sys.microreboot_vmm().expect("supervised vmm");
@@ -472,8 +468,7 @@ fn disk_server_crash_during_restore_retries_idempotently() {
     let srv_pd = {
         let root = sys.root;
         let rp = sys.k.component_mut::<RootPm>(root).expect("root pm");
-        let sup = rp.supervision.as_ref().expect("disk supervision");
-        sup.srv_ctx.pd
+        rp.disk_server().expect("disk server").ctx.pd
     };
     let (_, vmm_pd) = sys.microreboot_vmm().expect("supervised vmm");
     sys.k.pd_fault(srv_pd, 0xdead);
@@ -608,6 +603,9 @@ fn checkpoint_layout_is_pinned() {
 enum Victim {
     Vmm,
     DiskServer,
+    /// The VMM, then the disk server once the VMM is revived: the
+    /// respawned server must be wired to the revived incarnation.
+    VmmThenServer,
 }
 
 /// When a crash hits.
@@ -686,17 +684,25 @@ fn crash_and_recover(victim: Victim, when: When, reference: &Reference) {
         assert_eq!(out, RunOutcome::Budget, "{what}: finished before the crash");
         assert_sound(&sys);
     }
+    let server = |sys: &mut System| {
+        let root = sys.root;
+        let rp = sys.k.component_mut::<RootPm>(root).expect("root pm");
+        rp.disk_server().expect("disk server").ctx.pd
+    };
     let (pd, code) = match victim {
-        Victim::Vmm => (sys.microreboot_vmm().expect("vmm").1, VMM_CRASH_CODE),
-        Victim::DiskServer => {
-            let root = sys.root;
-            let rp = sys.k.component_mut::<RootPm>(root).expect("root pm");
-            let srv = rp.supervision.as_ref().expect("disk supervision");
-            (srv.srv_ctx.pd, 0xdead)
+        Victim::Vmm | Victim::VmmThenServer => {
+            (sys.microreboot_vmm().expect("vmm").1, VMM_CRASH_CODE)
         }
+        Victim::DiskServer => (server(&mut sys), 0xdead),
     };
     sys.k.pd_fault(pd, code);
+    let mut then_server = matches!(victim, Victim::VmmThenServer);
     loop {
+        if then_server && sys.k.counters.vmm_restarts == 1 {
+            let pd = server(&mut sys);
+            sys.k.pd_fault(pd, 0xdead);
+            then_server = false;
+        }
         let out = sys.run(Some(SLICE));
         assert_sound(&sys);
         if out == RunOutcome::Shutdown(0) {
@@ -722,6 +728,7 @@ fn crash_and_recover(victim: Victim, when: When, reference: &Reference) {
     let expect = match victim {
         Victim::Vmm => (1, 0, 0),
         Victim::DiskServer => (0, 1, 0),
+        Victim::VmmThenServer => (1, 1, 0),
     };
     assert_eq!(
         restarts, expect,
@@ -733,7 +740,8 @@ fn crash_and_recover(victim: Victim, when: When, reference: &Reference) {
 }
 
 /// The fixed points the seeded sweep below generalises: each component
-/// killed after 1, 4, 8, 12, 16 and 24 of the 32 requests completed.
+/// killed after 1, 4, 8, 12, 16 and 24 of the 32 requests completed,
+/// and the VMM-then-server pair after 4 and 16.
 #[test]
 fn crash_matrix_sweep() {
     let reference = witnessed_reference();
@@ -742,6 +750,19 @@ fn crash_matrix_sweep() {
             crash_and_recover(victim, When::Completions(n), &reference);
         }
     }
+    for n in [4, 16] {
+        crash_and_recover(Victim::VmmThenServer, When::Completions(n), &reference);
+    }
+}
+
+/// A disk-server respawn after a VMM revive rewires the revived
+/// incarnation, which root's client table names because the revive's
+/// own wiring recorded it: the VMM killed after 8 completions, the
+/// server once the VMM is back.
+#[test]
+fn a_respawn_after_a_revive_rewires_the_revived_vmm() {
+    let reference = witnessed_reference();
+    crash_and_recover(Victim::VmmThenServer, When::Completions(8), &reference);
 }
 
 /// Kills `victim` at a cycle drawn, per seed, uniformly between the
