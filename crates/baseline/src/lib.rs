@@ -8,11 +8,15 @@
 //!   architectural contrast to NOVA (Section 3.2, Figure 1). Also
 //!   models the paravirtualized Xen-PV / L4Linux configurations via
 //!   its cost knobs.
+//! - [`record`]: the [`RunResult`] every stack's run reports, NOVA's
+//!   and the Direct limit's included.
 
 #![forbid(unsafe_code)]
 
 pub mod monolithic;
 pub mod native;
+pub mod record;
 
-pub use monolithic::{MonoConfig, MonoModel, MonoOutcome, MonoPaging, Monolithic};
-pub use native::{run_native_image, NativeOutcome};
+pub use monolithic::{MonoConfig, MonoModel, MonoPaging, Monolithic};
+pub use native::run_native_image;
+pub use record::RunResult;

@@ -17,18 +17,21 @@ use nova_core::obj::{MemMapping, MemRights, MemSpace};
 use nova_core::vtlb::{self, CrOutcome, ShadowCache, VtlbOutcome};
 use nova_hw::ahci::{cmd, regs, slots, PortEvent, PortRegs};
 use nova_hw::cpu::run_guest;
-use nova_hw::machine::{Machine, MachineConfig, AHCI_BASE, AHCI_IRQ};
+use nova_hw::machine::{GuestImage, Machine, MachineConfig, AHCI_BASE, AHCI_IRQ};
 use nova_hw::pic::DualPic;
 use nova_hw::pit::{self, Pit8254};
 use nova_hw::serial::{Uart16550, COM1, COM1_LAST};
 use nova_hw::tlb::Tlb;
 use nova_hw::vmx::{ExitReason, Injection, PagingVirt, Vmcs};
 use nova_hw::Cycles;
+use nova_vmm::emu::virtual_cpuid;
 use nova_x86::decode::{decode, DecodeError, MAX_INSN_LEN};
 use nova_x86::exec::{emulator_gva_to_gpa, execute, Env, Fault};
 use nova_x86::insn::OpSize;
 use nova_x86::paging::{self, NestedFormat};
 use nova_x86::reg::{cr4, Reg, Reg8, Regs};
+
+use crate::RunResult;
 
 /// Memory-virtualization mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -154,33 +157,6 @@ impl MonoConfig {
     }
 }
 
-/// Run result.
-#[derive(Debug)]
-pub struct MonoOutcome {
-    /// Guest exit code, if it shut down.
-    pub guest_exit: Option<u8>,
-    /// Total cycles.
-    pub cycles: Cycles,
-    /// Idle cycles.
-    pub idle_cycles: Cycles,
-    /// Event counters.
-    pub counters: Counters,
-    /// Guest console.
-    pub console: String,
-    /// Benchmark marks.
-    pub marks: Vec<(Cycles, u32)>,
-}
-
-impl MonoOutcome {
-    /// CPU utilization.
-    pub fn utilization(&self) -> f64 {
-        if self.cycles == 0 {
-            return 0.0;
-        }
-        (self.cycles - self.idle_cycles) as f64 / self.cycles as f64
-    }
-}
-
 /// Guest physical frames start at this host page (16 MB).
 const GUEST_BASE_PAGE: u64 = 0x1000;
 
@@ -195,7 +171,7 @@ pub struct Monolithic {
     alloc: FrameAllocator,
     _nested: Option<NestedTable>,
     shadow: Option<ShadowCache>,
-    _guest_pages: u64,
+    guest_pages: u64,
     // In-kernel device models.
     vpic: DualPic,
     vserial: Uart16550,
@@ -205,20 +181,18 @@ pub struct Monolithic {
     disk_inflight: Option<u8>,
     /// Event counters (same classes as the microhypervisor's).
     pub counters: Counters,
-    guest_exit: Option<u8>,
+    /// The guest's exit code, once it has shut down.
+    pub guest_exit: Option<u8>,
 }
 
 impl Monolithic {
     /// Builds the hypervisor with a guest of `guest_pages` pages,
-    /// loading `image` at `load_gpa`.
+    /// booted from `image`.
     pub fn new(
         machine_cfg: MachineConfig,
         cfg: MonoConfig,
         guest_pages: u64,
-        image: &[u8],
-        load_gpa: u64,
-        entry: u32,
-        stack: u32,
+        image: &GuestImage,
     ) -> Monolithic {
         let mut machine = Machine::new(machine_cfg);
         let ram = machine.mem.size() as u64;
@@ -314,9 +288,9 @@ impl Monolithic {
         // Boot state.
         machine
             .mem
-            .write_bytes((GUEST_BASE_PAGE * 4096) + load_gpa, image);
-        vmcs.guest = Regs::at(entry);
-        vmcs.guest.set(Reg::Esp, stack);
+            .write_bytes((GUEST_BASE_PAGE * 4096) + image.load_gpa, &image.bytes);
+        vmcs.guest = Regs::at(image.entry);
+        vmcs.guest.set(Reg::Esp, image.stack);
 
         // Unmask the physical interrupt lines the host driver uses.
         machine.bus.pic.io_write(nova_hw::pic::MASTER_DATA, 0);
@@ -330,7 +304,7 @@ impl Monolithic {
             alloc,
             _nested: nested,
             shadow,
-            _guest_pages: guest_pages,
+            guest_pages,
             vpic: DualPic::new(),
             vserial: Uart16550::default(),
             vpit: Pit8254::new(),
@@ -428,32 +402,39 @@ impl Monolithic {
     /// descriptor is forwarded; the FIS goes through as the guest wrote
     /// it, for the physical controller to judge.
     fn disk_issue(&mut self, slot: u8) {
-        // Parse the guest's command structures. A header or a command
-        // table outside guest RAM (any of the base's 64 bits) fails the
-        // slot the way the physical controller's DMA would.
+        // Parse the guest's command structures. A header, a command
+        // table (any of the base's 64 bits) or a data buffer outside
+        // guest RAM fails the slot the way the physical controller's
+        // DMA would; the buffer is checked as the vAHCI checks it.
         let at = self.disk.clb + slot as u64 * cmd::HEADER_LEN as u64;
         let table = self.gpa_hpa(at).and_then(|hpa| {
             let mut hdr = [0; cmd::HEADER_LEN];
             self.machine.mem.read_into(hpa, &mut hdr);
             self.gpa_hpa(cmd::Header::decode(&hdr).ctba)
         });
-        let Some(tbl_hpa) = table else {
+        let target = table.and_then(|tbl_hpa| {
+            let mut prd = [0; cmd::PRD_LEN];
+            self.machine
+                .mem
+                .read_into(tbl_hpa + cmd::PRDT_OFFSET, &mut prd);
+            let (dba, bytes) = cmd::prd::decode(&prd);
+            if !nova_hw::pv::buffer_in_ram(dba, bytes as u64, self.guest_pages) {
+                return None;
+            }
+            Some((tbl_hpa, self.gpa_hpa(dba)?, bytes))
+        });
+        let Some((tbl_hpa, buf_hpa, bytes)) = target else {
             if self.disk.complete(slot, false) {
                 self.vpic.pulse(AHCI_IRQ);
             }
             return;
         };
         // Copy the guest command table into a host-owned command page
-        // (top of guest frames region), rewriting buffer addresses from
-        // guest-physical to host-physical.
+        // (top of guest frames region), rewriting the buffer address
+        // from guest-physical to host-physical.
         let host_cmd = (GUEST_BASE_PAGE - 4) * 4096; // host-private frames
         let host_tbl = (GUEST_BASE_PAGE - 3) * 4096;
-        let mut prd = [0; cmd::PRD_LEN];
-        self.machine
-            .mem
-            .read_into(tbl_hpa + cmd::PRDT_OFFSET, &mut prd);
-        let (dba, bytes) = cmd::prd::decode(&prd);
-        let prd = cmd::prd::encode(self.gpa_hpa(dba).unwrap_or(0), bytes);
+        let prd = cmd::prd::encode(buf_hpa, bytes);
         let hdr = cmd::Header {
             prdtl: 1,
             ctba: host_tbl,
@@ -560,9 +541,9 @@ impl Monolithic {
         }
     }
 
-    /// Runs until the guest exits or the budget elapses. Returns the
-    /// outcome summary.
-    pub fn run(&mut self, budget: Option<Cycles>) -> MonoOutcome {
+    /// Runs until the guest exits or the budget elapses, and reports
+    /// the run under `label`.
+    pub fn run(&mut self, label: &str, budget: Option<Cycles>) -> RunResult {
         let deadline = budget.map(|b| self.machine.clock + b);
         loop {
             if self.guest_exit.is_some() {
@@ -630,14 +611,13 @@ impl Monolithic {
             self.charge_exit(shadow_class);
             self.handle_exit(reason);
         }
-        MonoOutcome {
-            guest_exit: self.guest_exit,
-            cycles: self.machine.clock,
-            idle_cycles: self.machine.cpus[0].idle_cycles,
-            counters: self.counters.clone(),
-            console: self.console(),
-            marks: self.machine.marks().to_vec(),
-        }
+        RunResult::new(
+            label,
+            &self.machine,
+            self.guest_exit,
+            Some(self.counters.clone()),
+            self.console(),
+        )
     }
 
     fn handle_exit(&mut self, reason: ExitReason) {
@@ -650,10 +630,7 @@ impl Monolithic {
             ExitReason::ExtInt { vector } => self.service_physical(vector),
             ExitReason::Cpuid { len } => {
                 let leaf = self.vmcs.guest.get(Reg::Eax);
-                let mut r = self.machine.cost.ident.cpuid(leaf);
-                if leaf == 1 {
-                    r[2] &= !nova_x86::cpuid::feature::VMX;
-                }
+                let r = virtual_cpuid(&self.machine.cost.ident, leaf);
                 self.vmcs.guest.set(Reg::Eax, r[0]);
                 self.vmcs.guest.set(Reg::Ebx, r[1]);
                 self.vmcs.guest.set(Reg::Ecx, r[2]);
@@ -878,7 +855,7 @@ impl Monolithic {
                 Ok(())
             }
             fn cpuid(&mut self, leaf: u32) -> [u32; 4] {
-                self.mono.machine.cost.ident.cpuid(leaf)
+                virtual_cpuid(&self.mono.machine.cost.ident, leaf)
             }
             fn rdtsc(&mut self) -> u64 {
                 self.mono.machine.clock
@@ -906,40 +883,34 @@ mod tests {
     use super::*;
     use nova_guest::compile::{self, CompileParams};
 
-    fn run_cfg(cfg: MonoConfig) -> MonoOutcome {
+    fn run_cfg(cfg: MonoConfig) -> RunResult {
         let prog = compile::build(CompileParams::smoke());
-        let mut m = Monolithic::new(
-            MachineConfig::core_i7(96 << 20),
-            cfg,
-            8192,
-            &prog.bytes,
-            prog.load_gpa,
-            prog.entry,
-            prog.stack,
-        );
-        m.run(Some(60_000_000_000))
+        let mut m = Monolithic::new(MachineConfig::core_i7(96 << 20), cfg, 8192, &prog);
+        m.run("KVM", Some(60_000_000_000))
     }
 
     #[test]
     fn kvm_ept_runs_compile() {
         let out = run_cfg(MonoConfig::kvm_ept());
-        assert_eq!(out.guest_exit, Some(0), "guest completed: {out:?}");
-        assert_eq!(out.counters.exits_of(8), 0, "no #PF exits under EPT");
-        assert!(out.counters.exits_of(6) > 0);
+        assert!(out.ok, "guest completed: {out:?}");
+        let counters = out.counters.expect("a hypervisor counts");
+        assert_eq!(counters.exits_of(8), 0, "no #PF exits under EPT");
+        assert!(counters.exits_of(6) > 0);
     }
 
     #[test]
     fn kvm_shadow_runs_compile() {
         let out = run_cfg(MonoConfig::kvm_shadow());
-        assert_eq!(out.guest_exit, Some(0));
-        assert!(out.counters.vtlb_fills > 0);
-        assert!(out.counters.guest_page_faults > 0);
+        assert!(out.ok);
+        let counters = out.counters.expect("a hypervisor counts");
+        assert!(counters.vtlb_fills > 0);
+        assert!(counters.guest_page_faults > 0);
     }
 
     #[test]
     fn paravirt_runs_compile_cheaper_than_shadow() {
         let pv = run_cfg(MonoConfig::xen_pv());
-        assert_eq!(pv.guest_exit, Some(0));
+        assert!(pv.ok);
         let sh = run_cfg(MonoConfig::kvm_shadow());
         assert!(
             pv.cycles < sh.cycles,
@@ -953,12 +924,66 @@ mod tests {
     fn l4linux_slower_than_xen_pv() {
         let xen = run_cfg(MonoConfig::xen_pv());
         let l4 = run_cfg(MonoConfig::l4linux());
-        assert_eq!(l4.guest_exit, Some(0));
+        assert!(l4.ok);
         assert!(
             l4.cycles > xen.cycles,
             "TLB flushes per trap cost: l4 {} vs xen {}",
             l4.cycles,
             xen.cycles
         );
+    }
+
+    /// A 4 KB read whose buffer lies past guest RAM fails at the
+    /// doorbell with `TFES`, as a header outside RAM does, and reaches
+    /// neither host memory nor the physical controller.
+    #[test]
+    fn a_data_buffer_outside_guest_ram_fails_the_slot() {
+        const RAM_PAGES: u64 = 1024;
+        let halt = GuestImage {
+            bytes: vec![0xf4, 0xeb, 0xfd], // hlt; jmp to it
+            load_gpa: 0x1000,
+            entry: 0x1000,
+            stack: 0x8000,
+        };
+        let cfg = MachineConfig::core_i7(32 << 20);
+        let mut mono = Monolithic::new(cfg, MonoConfig::kvm_ept(), RAM_PAGES, &halt);
+        let (clb, ctba) = (0x2000, 0x3000);
+        let header = cmd::Header { prdtl: 1, ctba };
+        let cfis = cmd::Cfis {
+            write: false,
+            lba: 5,
+            sectors: 8,
+        };
+        let prd = cmd::prd::encode((RAM_PAGES + 1) * 4096, 4096);
+        for (gpa, bytes) in [
+            (clb, &header.encode()[..]),
+            (ctba, &cfis.encode()[..]),
+            (ctba + cmd::PRDT_OFFSET, &prd[..]),
+        ] {
+            let hpa = mono.gpa_hpa(gpa).expect("in guest RAM");
+            mono.machine.mem.write_bytes(hpa, bytes);
+        }
+        let frame0 = mono.machine.mem.read_bytes(0, 4096);
+
+        mono.disk_mmio_write(regs::P0CLB, clb as u32);
+        mono.disk_mmio_write(regs::P0IE, 1);
+        mono.disk_mmio_write(regs::P0CI, 1);
+        mono.run("KVM", Some(100_000_000));
+
+        assert!(
+            mono.machine.mem.read_bytes(0, 4096) == frame0,
+            "host frame 0 moved"
+        );
+        assert_ne!(
+            mono.disk_mmio_read(regs::P0IS) & nova_hw::ahci::P0IS_TFES,
+            0
+        );
+        assert_eq!(mono.disk_mmio_read(regs::P0CI), 0, "the slot is free");
+        let m = &mut mono.machine;
+        for reg in [regs::P0CLB, regs::P0CI] {
+            let at = AHCI_BASE + reg as u64;
+            let val = m.bus.mmio_read(&mut m.mem, m.clock, at, OpSize::Dword);
+            assert_eq!(val, 0, "the physical controller was programmed");
+        }
     }
 }

@@ -4,70 +4,34 @@
 //! Figures 5–7.
 
 use nova_hw::cpu::NativeStop;
-use nova_hw::machine::{Machine, MachineConfig};
+use nova_hw::machine::{GuestImage, Machine, MachineConfig};
 use nova_hw::Cycles;
 
-/// Result of a native run.
-#[derive(Debug)]
-pub struct NativeOutcome {
-    /// How the run stopped.
-    pub stop: NativeStop,
-    /// Total wall-clock cycles.
-    pub cycles: Cycles,
-    /// Cycles spent halted.
-    pub idle_cycles: Cycles,
-    /// Retired instructions.
-    pub instret: u64,
-    /// Benchmark marks `(cycle, value)`.
-    pub marks: Vec<(Cycles, u32)>,
-    /// Serial console output.
-    pub console: String,
-}
+use crate::RunResult;
 
-impl NativeOutcome {
-    /// Busy (non-idle) cycles.
-    pub fn busy_cycles(&self) -> Cycles {
-        self.cycles - self.idle_cycles
-    }
-
-    /// CPU utilization over the whole run.
-    pub fn utilization(&self) -> f64 {
-        if self.cycles == 0 {
-            return 0.0;
-        }
-        self.busy_cycles() as f64 / self.cycles as f64
-    }
-}
-
-/// Runs a guest program natively on a fresh machine. `prepare` can
+/// Runs a guest image natively on a fresh machine. `prepare` can
 /// adjust the machine (e.g. start a traffic generator) before
 /// execution.
 pub fn run_native_image(
     config: MachineConfig,
-    image: &[u8],
-    load: u64,
-    entry: u32,
-    stack: u32,
+    image: &GuestImage,
     budget: Option<Cycles>,
     prepare: impl FnOnce(&mut Machine),
-) -> NativeOutcome {
+) -> RunResult {
     let mut m = Machine::new(config);
     // Bare metal: no hypervisor programs the IOMMU, so DMA is
     // unrestricted (the exact trust problem Section 4.2 describes).
     m.bus.iommu = nova_hw::iommu::Iommu::disabled();
-    m.load_image(load, image);
-    m.cpus[0].regs.eip = entry;
-    m.cpus[0].regs.set(nova_x86::Reg::Esp, stack);
+    m.load_image(image.load_gpa, &image.bytes);
+    m.cpus[0].regs.eip = image.entry;
+    m.cpus[0].regs.set(nova_x86::Reg::Esp, image.stack);
     prepare(&mut m);
-    let stop = m.run_native(budget);
-    NativeOutcome {
-        stop,
-        cycles: m.clock,
-        idle_cycles: m.cpus[0].idle_cycles,
-        instret: m.cpus[0].instret,
-        marks: m.marks().to_vec(),
-        console: m.serial_text(),
-    }
+    let exit = match m.run_native(budget) {
+        NativeStop::Shutdown(code) => Some(code),
+        _ => None,
+    };
+    let console = m.serial_text();
+    RunResult::new("Native", &m, exit, None, console)
 }
 
 #[cfg(test)]
@@ -81,14 +45,11 @@ mod tests {
         let prog = compile::build(CompileParams::smoke());
         let out = run_native_image(
             MachineConfig::core_i7(64 << 20),
-            &prog.bytes,
-            prog.load_gpa,
-            prog.entry,
-            prog.stack,
+            &prog,
             Some(2_000_000_000),
             |_| {},
         );
-        assert_eq!(out.stop, NativeStop::Shutdown(0));
+        assert!(out.ok);
         assert!(out.instret > 10_000);
     }
 
@@ -100,15 +61,12 @@ mod tests {
         });
         let out = run_native_image(
             MachineConfig::core_i7(64 << 20),
-            &prog.bytes,
-            prog.load_gpa,
-            prog.entry,
-            prog.stack,
+            &prog,
             Some(10_000_000_000),
             |_| {},
         );
-        assert_eq!(out.stop, NativeStop::Shutdown(0));
-        assert!(out.idle_cycles > 0, "waits for the disk");
+        assert!(out.ok);
+        assert!(out.idle > 0, "waits for the disk");
         assert!(out.utilization() < 0.9);
         assert_eq!(out.marks.len(), 2);
     }

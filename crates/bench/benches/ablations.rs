@@ -84,7 +84,7 @@ fn main() {
         nova_guest::rt::emit_exit(a, 0);
     });
     let r = run_nova(blm, NovaKnobs::best(), "BIOS in VMM", &hello, BUDGET);
-    let boot_exits = r.exits;
+    let boot_exits = r.exits();
     let image_bytes = hello.bytes.len() as u64;
     // A real-mode BIOS loading the image over port I/O: one exit per
     // 2-byte INSW plus per-sector command overhead, all emulated.

@@ -53,7 +53,7 @@ fn exits_per_request(pv: bool) -> f64 {
                 block_bytes: 4096,
                 batch: BATCH,
             });
-            run_nova_pv_disk(nova_hw::cost::BLM, &prog, BUDGET).exits
+            run_nova_pv_disk(nova_hw::cost::BLM, &prog, BUDGET).exits()
         } else {
             let prog = diskload::build(DiskLoadParams {
                 requests,
@@ -66,7 +66,7 @@ fn exits_per_request(pv: bool) -> f64 {
                 &prog,
                 BUDGET,
             )
-            .exits
+            .exits()
         }
     };
     (run(80) - run(16)) as f64 / 64.0
@@ -132,8 +132,8 @@ fn main() {
                 .field("direct_util", Json::F64(direct.utilization()))
                 .field("virt_util", Json::F64(virt.utilization()))
                 .field("batched_util", Json::F64(batched.utilization()))
-                .field("virt_exits", Json::U64(virt.exits))
-                .field("batched_exits", Json::U64(batched.exits))
+                .field("virt_exits", Json::U64(virt.exits()))
+                .field("batched_exits", Json::U64(batched.exits()))
                 .field("direct_cyc_per_req", Json::F64(dir_per_req))
                 .field("virt_cyc_per_req", Json::F64(virt_per_req))
                 .field("batched_cyc_per_req", Json::F64(pv_per_req)),

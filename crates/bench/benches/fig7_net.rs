@@ -67,10 +67,7 @@ fn main() {
 
             let native = nova_baseline::run_native_image(
                 nova_hw::machine::MachineConfig::core_i7(96 << 20),
-                &prog.bytes,
-                prog.load_gpa,
-                prog.entry,
-                prog.stack,
+                &prog,
                 Some(BUDGET),
                 |m| start(m, mbit, bytes, packets),
             );
@@ -82,8 +79,8 @@ fn main() {
             });
             let virt = run_nova_pv_nic(blm, &pv_prog, BUDGET, |m| start(m, mbit, bytes, packets));
 
-            let ok = matches!(native.stop, nova_hw::cpu::NativeStop::Shutdown(_)) && direct.ok;
-            let nat_busy = native.busy_cycles() as f64;
+            let ok = native.ok && direct.ok;
+            let nat_busy = (native.cycles - native.idle) as f64;
             let dir_busy = (direct.cycles - direct.idle) as f64;
             // Interrupt count from the virtual side: injected vIRQs.
             let irqs = direct

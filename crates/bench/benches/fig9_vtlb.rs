@@ -22,7 +22,7 @@ const PAGES: u32 = 1024;
 const REPO_ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
 
 fn guest() -> GuestImage {
-    let prog = build_os(
+    build_os(
         OsParams {
             paging: true,
             pf_handler: false,
@@ -49,13 +49,7 @@ fn guest() -> GuestImage {
                 rt::emit_mark(a, mark);
             }
         },
-    );
-    GuestImage {
-        bytes: prog.bytes,
-        load_gpa: prog.load_gpa,
-        entry: prog.entry,
-        stack: prog.stack,
-    }
+    )
 }
 
 /// Runs the two-pass guest under shadow paging; returns measured

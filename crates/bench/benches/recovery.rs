@@ -21,7 +21,7 @@ use nova_guest::pvdiskload::{self, PvDiskLoadParams};
 use nova_trace::json::Json;
 use nova_trace::{cat, names, Tracer};
 use nova_user::root::RootPm;
-use nova_vmm::{GuestImage, LaunchOptions, System, Vmm, VmmConfig};
+use nova_vmm::{LaunchOptions, System, Vmm, VmmConfig};
 
 const REPO_ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
 const BUDGET: u64 = 200_000_000_000;
@@ -33,22 +33,13 @@ const GUEST_PAGES: u64 = 4096;
 /// lands in each and its page count can be read off the counter.
 const SLICE: u64 = 100_000;
 
-fn image(prog: nova_guest::os::Program) -> GuestImage {
-    GuestImage {
-        bytes: prog.bytes,
-        load_gpa: prog.load_gpa,
-        entry: prog.entry,
-        stack: prog.stack,
-    }
-}
-
 fn system() -> System {
     let prog = pvdiskload::build(PvDiskLoadParams {
         requests: REQUESTS,
         block_bytes: 4096,
         batch: BATCH,
     });
-    let mut cfg = VmmConfig::full_virt(image(prog), GUEST_PAGES);
+    let mut cfg = VmmConfig::full_virt(prog, GUEST_PAGES);
     cfg.pv_disk = true;
     let mut opts = LaunchOptions::microrebootable(cfg);
     opts.microreboot = Some(CKPT_PERIOD);

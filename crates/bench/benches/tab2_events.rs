@@ -55,13 +55,7 @@ fn main() {
         requests: 512,
         block_bytes: 4096,
     });
-    let disk = run_nova(
-        blm,
-        NovaKnobs::best(),
-        "Disk 4k",
-        &prog_ref(&disk_prog),
-        BUDGET,
-    );
+    let disk = run_nova(blm, NovaKnobs::best(), "Disk 4k", &disk_prog, BUDGET);
     assert!(disk.ok, "disk run finished");
 
     let ec = ept.counters.as_ref().unwrap();
@@ -219,22 +213,14 @@ fn main() {
 /// degradation counters they must balance.
 fn fault_injection_section() {
     use nova_hw::fault::{FaultKind, FaultPlan};
-    use nova_vmm::{GuestImage, LaunchOptions, System, VmmConfig};
+    use nova_vmm::{LaunchOptions, System, VmmConfig};
 
     banner("Robustness: seeded fault injection on the 4 KB disk run");
     let prog = diskload::build(DiskLoadParams {
         requests: 64,
         block_bytes: 4096,
     });
-    let mut sys = System::build(LaunchOptions::supervised(VmmConfig::full_virt(
-        GuestImage {
-            bytes: prog.bytes,
-            load_gpa: prog.load_gpa,
-            entry: prog.entry,
-            stack: prog.stack,
-        },
-        2048,
-    )));
+    let mut sys = System::build(LaunchOptions::supervised(VmmConfig::full_virt(prog, 2048)));
     sys.k.machine.set_fault_plan(
         FaultPlan::seeded(0x7ab2)
             .with(FaultKind::AhciTaskFileError, 4000, 8)
@@ -284,9 +270,4 @@ fn fault_injection_section() {
         "\nSame seed, same schedule: the fault trace is deterministic, so every \
          recovery counter above balances its injected cause exactly."
     );
-}
-
-/// Helper so the disk program can reuse the generic runner.
-fn prog_ref(p: &nova_guest::os::Program) -> nova_guest::os::Program {
-    p.clone()
 }

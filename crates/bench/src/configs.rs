@@ -1,12 +1,11 @@
 //! Configuration runners: execute a guest workload under every
 //! virtualization architecture of Figure 5 and summarize the result.
 
-use nova_baseline::{MonoConfig, MonoOutcome, Monolithic};
+use nova_baseline::{MonoConfig, Monolithic};
 use nova_core::hostpt::NestedTable;
 use nova_core::kernel::HV_MEM;
 use nova_core::obj::VmPaging;
 use nova_core::RunOutcome;
-use nova_guest::os::Program;
 use nova_hw::cost::CostModel;
 use nova_hw::cpu::run_guest;
 use nova_hw::machine::{Machine, MachineConfig};
@@ -16,46 +15,10 @@ use nova_vmm::{GuestImage, LaunchOptions, System, VmmConfig};
 use nova_x86::paging::NestedFormat;
 use nova_x86::reg::Regs;
 
+pub use nova_baseline::RunResult;
+
 /// Guest memory for workload runs (32 MB).
 pub const GUEST_PAGES: u64 = 8192;
-
-/// Result of one configuration run.
-#[derive(Debug, Clone)]
-pub struct RunResult {
-    /// Configuration label.
-    pub label: String,
-    /// Wall-clock cycles of the whole run.
-    pub cycles: Cycles,
-    /// Idle cycles.
-    pub idle: Cycles,
-    /// Total VM exits (0 for native).
-    pub exits: u64,
-    /// Event counters, if the run had a hypervisor.
-    pub counters: Option<nova_core::Counters>,
-    /// Guest exit code (None = did not finish).
-    pub ok: bool,
-    /// Benchmark marks (cycle, value).
-    pub marks: Vec<(Cycles, u32)>,
-}
-
-impl RunResult {
-    /// CPU utilization.
-    pub fn utilization(&self) -> f64 {
-        if self.cycles == 0 {
-            return 0.0;
-        }
-        (self.cycles - self.idle) as f64 / self.cycles as f64
-    }
-}
-
-fn image(p: &Program) -> GuestImage {
-    GuestImage {
-        bytes: p.bytes.clone(),
-        load_gpa: p.load_gpa,
-        entry: p.entry,
-        stack: p.stack,
-    }
-}
 
 fn machine_cfg(cost: CostModel) -> MachineConfig {
     MachineConfig {
@@ -67,25 +30,8 @@ fn machine_cfg(cost: CostModel) -> MachineConfig {
 }
 
 /// Native bare-metal run.
-pub fn run_native(cost: CostModel, prog: &Program, budget: Cycles) -> RunResult {
-    let out = nova_baseline::run_native_image(
-        machine_cfg(cost),
-        &prog.bytes,
-        prog.load_gpa,
-        prog.entry,
-        prog.stack,
-        Some(budget),
-        |_| {},
-    );
-    RunResult {
-        label: "Native".into(),
-        cycles: out.cycles,
-        idle: out.idle_cycles,
-        exits: 0,
-        counters: None,
-        ok: matches!(out.stop, nova_hw::cpu::NativeStop::Shutdown(_)),
-        marks: out.marks,
-    }
+pub fn run_native(cost: CostModel, prog: &GuestImage, budget: Cycles) -> RunResult {
+    nova_baseline::run_native_image(machine_cfg(cost), prog, Some(budget), |_| {})
 }
 
 /// The "Direct" limit configuration: guest mode with nested paging,
@@ -98,7 +44,7 @@ pub fn run_direct_limit(
     fmt: NestedFormat,
     large_pages: bool,
     tagged: bool,
-    prog: &Program,
+    prog: &GuestImage,
     budget: Cycles,
 ) -> RunResult {
     let mut m = Machine::new(machine_cfg(cost));
@@ -157,7 +103,7 @@ pub fn run_direct_limit(
     m.bus.pic.io_write(nova_hw::pic::MASTER_DATA, 0);
     m.bus.pic.io_write(nova_hw::pic::SLAVE_DATA, 0);
 
-    let mut ok = false;
+    let mut exit = None;
     while m.clock < budget {
         let cost = m.cost;
         let _ = run_guest(
@@ -169,23 +115,16 @@ pub fn run_direct_limit(
             &mut vmcs,
             Some(10_000_000),
         );
-        if let Some(_code) = m.bus.ctl.shutdown.take() {
-            ok = true;
+        exit = m.bus.ctl.shutdown.take();
+        if exit.is_some() {
             break;
         }
         if vmcs.halted && m.bus.next_event_due().is_none() {
             break;
         }
     }
-    RunResult {
-        label: "Direct".into(),
-        cycles: m.clock,
-        idle: m.cpus[0].idle_cycles,
-        exits: 0,
-        counters: None,
-        ok,
-        marks: m.marks().to_vec(),
-    }
+    let console = m.serial_text();
+    RunResult::new("Direct", &m, exit, None, console)
 }
 
 /// NOVA configuration knobs for a Figure 5 run.
@@ -218,27 +157,29 @@ impl NovaKnobs {
 /// lets `before_run` prime the machine, and runs it for `budget`.
 fn run_system(
     cost: CostModel,
-    prog: &Program,
+    prog: &GuestImage,
     budget: Cycles,
     label: &str,
     tweak: impl FnOnce(&mut LaunchOptions),
     before_run: impl FnOnce(&mut Machine),
 ) -> RunResult {
-    let mut opts = LaunchOptions::standard(VmmConfig::full_virt(image(prog), GUEST_PAGES));
+    let mut opts = LaunchOptions::standard(VmmConfig::full_virt(prog.clone(), GUEST_PAGES));
     opts.machine = machine_cfg(cost);
     tweak(&mut opts);
     let mut sys = System::build(opts);
     before_run(&mut sys.k.machine);
-    let out = sys.run(Some(budget));
-    RunResult {
-        label: label.into(),
-        cycles: sys.k.machine.clock,
-        idle: sys.k.machine.cpus[0].idle_cycles,
-        exits: sys.k.counters.total_exits(),
-        counters: Some(sys.k.counters.clone()),
-        ok: matches!(out, RunOutcome::Shutdown(_)),
-        marks: sys.k.machine.marks().to_vec(),
-    }
+    let exit = match sys.run(Some(budget)) {
+        RunOutcome::Shutdown(code) => Some(code),
+        _ => None,
+    };
+    let console = sys.vmm().guest_console();
+    RunResult::new(
+        label,
+        &sys.k.machine,
+        exit,
+        Some(sys.k.counters.clone()),
+        console,
+    )
 }
 
 /// Full NOVA run (microhypervisor + disk server + VMM + VM).
@@ -246,7 +187,7 @@ pub fn run_nova(
     cost: CostModel,
     knobs: NovaKnobs,
     label: &str,
-    prog: &Program,
+    prog: &GuestImage,
     budget: Cycles,
 ) -> RunResult {
     let tweak = |o: &mut LaunchOptions| {
@@ -260,7 +201,7 @@ pub fn run_nova(
 
 /// NOVA run with the disk assigned directly to the VM (Figure 6's
 /// "Direct" series: interrupt virtualization only).
-pub fn run_nova_direct_disk(cost: CostModel, prog: &Program, budget: Cycles) -> RunResult {
+pub fn run_nova_direct_disk(cost: CostModel, prog: &GuestImage, budget: Cycles) -> RunResult {
     let tweak = |o: &mut LaunchOptions| {
         o.with_disk = false;
         o.direct_disk = true;
@@ -271,7 +212,7 @@ pub fn run_nova_direct_disk(cost: CostModel, prog: &Program, budget: Cycles) -> 
 /// NOVA run with the NIC assigned directly (Figure 7).
 pub fn run_nova_direct_nic(
     cost: CostModel,
-    prog: &Program,
+    prog: &GuestImage,
     budget: Cycles,
     start_traffic: impl FnOnce(&mut Machine),
 ) -> RunResult {
@@ -285,7 +226,7 @@ pub fn run_nova_direct_nic(
 /// NOVA run with the paravirtual batched disk ring enabled (Figure
 /// 6's "virtual" series: one doorbell exit per request batch instead
 /// of ~6 trapped MMIO accesses per request).
-pub fn run_nova_pv_disk(cost: CostModel, prog: &Program, budget: Cycles) -> RunResult {
+pub fn run_nova_pv_disk(cost: CostModel, prog: &GuestImage, budget: Cycles) -> RunResult {
     let tweak = |o: &mut LaunchOptions| o.vmm.pv_disk = true;
     run_system(cost, prog, budget, "NOVA virtual disk", tweak, |_| {})
 }
@@ -295,7 +236,7 @@ pub fn run_nova_pv_disk(cost: CostModel, prog: &Program, budget: Cycles) -> RunR
 /// buffers through the PV ring and takes zero exits per packet).
 pub fn run_nova_pv_nic(
     cost: CostModel,
-    prog: &Program,
+    prog: &GuestImage,
     budget: Cycles,
     start_traffic: impl FnOnce(&mut Machine),
 ) -> RunResult {
@@ -311,28 +252,10 @@ pub fn run_mono(
     cost: CostModel,
     cfg: MonoConfig,
     label: &str,
-    prog: &Program,
+    prog: &GuestImage,
     budget: Cycles,
 ) -> RunResult {
-    let mut m = Monolithic::new(
-        machine_cfg(cost),
-        cfg,
-        GUEST_PAGES,
-        &prog.bytes,
-        prog.load_gpa,
-        prog.entry,
-        prog.stack,
-    );
-    let out: MonoOutcome = m.run(Some(budget));
-    RunResult {
-        label: label.into(),
-        cycles: out.cycles,
-        idle: out.idle_cycles,
-        exits: out.counters.total_exits(),
-        counters: Some(out.counters),
-        ok: out.guest_exit.is_some(),
-        marks: out.marks,
-    }
+    Monolithic::new(machine_cfg(cost), cfg, GUEST_PAGES, prog).run(label, Some(budget))
 }
 
 #[cfg(test)]
@@ -355,7 +278,7 @@ mod tests {
             20_000_000_000,
         );
         assert!(r.ok, "direct run finished");
-        assert_eq!(r.exits, 0);
+        assert_eq!(r.exits(), 0);
     }
 
     #[test]
@@ -387,5 +310,79 @@ mod tests {
             direct.cycles >= native.cycles,
             "nested page walks cannot be free"
         );
+    }
+
+    /// Every stack of Figure 5 runs the same image to the same marks
+    /// and the same console: the stacks differ by architecture alone.
+    /// Direct has no disk server, so it runs only the diskless guest.
+    #[test]
+    fn every_stack_runs_the_same_guest_to_the_same_marks() {
+        const BUDGET: Cycles = 20_000_000_000;
+        let blm = nova_hw::cost::BLM;
+        let nova = |paging, large_pages| NovaKnobs {
+            paging,
+            large_pages,
+            ..NovaKnobs::best()
+        };
+        let ept = VmPaging::Nested(NestedFormat::Ept4Level);
+        let npt = VmPaging::Nested(NestedFormat::Npt2Level);
+        type Runner = Box<dyn Fn(&GuestImage) -> RunResult>;
+        let with_disk: Vec<Runner> = vec![
+            Box::new(move |p| run_native(blm, p, BUDGET)),
+            Box::new(move |p| run_nova(blm, nova(ept, true), "NOVA EPT 2M", p, BUDGET)),
+            Box::new(move |p| run_nova(blm, nova(ept, false), "NOVA EPT 4K", p, BUDGET)),
+            Box::new(move |p| {
+                let amd = nova_hw::cost::PHENOM_X3;
+                run_nova(amd, nova(npt, true), "NOVA NPT", p, BUDGET)
+            }),
+            Box::new(move |p| run_nova(blm, nova(VmPaging::Shadow, true), "NOVA vTLB", p, BUDGET)),
+            Box::new(move |p| run_mono(blm, MonoConfig::kvm_ept(), "KVM EPT", p, BUDGET)),
+            Box::new(move |p| run_mono(blm, MonoConfig::kvm_shadow(), "KVM shadow", p, BUDGET)),
+            Box::new(move |p| run_mono(blm, MonoConfig::xen_pv(), "Xen PV", p, BUDGET)),
+        ];
+        let direct: Runner = Box::new(move |p| {
+            run_direct_limit(blm, NestedFormat::Ept4Level, true, true, p, BUDGET)
+        });
+
+        let diskless = compile::build(CompileParams {
+            disk_every: 0,
+            ..CompileParams::smoke()
+        });
+        let diskload = nova_guest::diskload::build(nova_guest::diskload::DiskLoadParams {
+            requests: 4,
+            block_bytes: 8192,
+        });
+        let guests = [
+            ("compile without disk", &diskless, true),
+            ("compile", &compile::build(CompileParams::smoke()), false),
+            ("diskload", &diskload, false),
+        ];
+        for (guest, image, diskless) in guests {
+            let runs: Vec<RunResult> = with_disk
+                .iter()
+                .chain(diskless.then_some(&direct))
+                .map(|run| run(image))
+                .collect();
+            let values = |r: &RunResult| r.marks.iter().map(|&(_, v)| v).collect::<Vec<_>>();
+            let native = &runs[0];
+            assert!(
+                !native.marks.is_empty(),
+                "{guest}: the guest marks its phases"
+            );
+            for r in &runs {
+                assert!(r.ok, "{guest} under {}: did not shut down with 0", r.label);
+                assert_eq!(
+                    values(r),
+                    values(native),
+                    "{guest} under {}: marks",
+                    r.label
+                );
+                assert_eq!(
+                    r.console, native.console,
+                    "{guest} under {}: console",
+                    r.label
+                );
+            }
+        }
     }
 }

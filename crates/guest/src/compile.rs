@@ -17,11 +17,12 @@
 //!   context-switch rounds multiply fills over guest faults, giving
 //!   the fills ≫ guest-faults structure of the paper's vTLB column.
 
+use nova_hw::machine::GuestImage;
 use nova_x86::insn::{AluOp, Cond, MemRef};
 use nova_x86::reg::Reg;
 use nova_x86::Asm;
 
-use crate::os::{build_os, OsParams, Program};
+use crate::os::{build_os, OsParams};
 use crate::rt::{self, layout, vars, KERNEL_PDES};
 
 /// Workload parameters.
@@ -114,7 +115,7 @@ fn emit_switch_address_space(a: &mut Asm) {
 }
 
 /// Builds the workload.
-pub fn build(p: CompileParams) -> Program {
+pub fn build(p: CompileParams) -> GuestImage {
     let params = OsParams {
         paging: true,
         pf_handler: true,
@@ -209,22 +210,12 @@ mod tests {
     use super::*;
     use nova_core::obj::VmPaging;
     use nova_core::RunOutcome;
-    use nova_vmm::{GuestImage, LaunchOptions, System, VmmConfig};
-
-    fn image(p: CompileParams) -> GuestImage {
-        let prog = build(p);
-        GuestImage {
-            bytes: prog.bytes,
-            load_gpa: prog.load_gpa,
-            entry: prog.entry,
-            stack: prog.stack,
-        }
-    }
+    use nova_vmm::{LaunchOptions, System, VmmConfig};
 
     #[test]
     fn compile_workload_runs_under_ept() {
         let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(
-            image(CompileParams::smoke()),
+            build(CompileParams::smoke()),
             8192,
         )));
         let out = sys.run(Some(4_000_000_000));
@@ -239,7 +230,7 @@ mod tests {
 
     #[test]
     fn compile_workload_runs_under_vtlb() {
-        let mut cfg = VmmConfig::full_virt(image(CompileParams::smoke()), 8192);
+        let mut cfg = VmmConfig::full_virt(build(CompileParams::smoke()), 8192);
         cfg.paging = VmPaging::Shadow;
         let mut sys = System::build(LaunchOptions::standard(cfg));
         let out = sys.run(Some(40_000_000_000));
@@ -261,13 +252,13 @@ mod tests {
     #[test]
     fn vtlb_has_several_fold_more_exits_than_ept() {
         let mut ept = System::build(LaunchOptions::standard(VmmConfig::full_virt(
-            image(CompileParams::smoke()),
+            build(CompileParams::smoke()),
             8192,
         )));
         ept.run(Some(40_000_000_000));
         let ept_exits = ept.k.counters.total_exits();
 
-        let mut cfg = VmmConfig::full_virt(image(CompileParams::smoke()), 8192);
+        let mut cfg = VmmConfig::full_virt(build(CompileParams::smoke()), 8192);
         cfg.paging = VmPaging::Shadow;
         let mut vtlb = System::build(LaunchOptions::standard(cfg));
         vtlb.run(Some(40_000_000_000));

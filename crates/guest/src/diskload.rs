@@ -3,10 +3,11 @@
 //! halts between completions, exactly like the paper's benchmark with
 //! the buffer cache bypassed.
 
+use nova_hw::machine::GuestImage;
 use nova_x86::insn::Cond;
 use nova_x86::reg::Reg;
 
-use crate::os::{build_os, OsParams, Program};
+use crate::os::{build_os, OsParams};
 use crate::rt::{self, layout};
 
 /// Workload parameters.
@@ -29,7 +30,7 @@ impl DiskLoadParams {
 }
 
 /// Builds the workload.
-pub fn build(p: DiskLoadParams) -> Program {
+pub fn build(p: DiskLoadParams) -> GuestImage {
     assert_eq!(p.block_bytes % 512, 0);
     let sectors = p.block_bytes / 512;
     let params = OsParams {
@@ -86,17 +87,7 @@ pub fn build(p: DiskLoadParams) -> Program {
 mod tests {
     use super::*;
     use nova_core::RunOutcome;
-    use nova_vmm::{GuestImage, LaunchOptions, System, VmmConfig};
-
-    fn image(p: DiskLoadParams) -> GuestImage {
-        let prog = build(p);
-        GuestImage {
-            bytes: prog.bytes,
-            load_gpa: prog.load_gpa,
-            entry: prog.entry,
-            stack: prog.stack,
-        }
-    }
+    use nova_vmm::{LaunchOptions, System, VmmConfig};
 
     #[test]
     fn virtualized_disk_reads_complete_with_correct_data() {
@@ -105,7 +96,7 @@ mod tests {
             block_bytes: 8192,
         };
         let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(
-            image(p),
+            build(p),
             4096,
         )));
         let out = sys.run(Some(8_000_000_000));
@@ -142,7 +133,7 @@ mod tests {
                 block_bytes: 4096,
             };
             let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(
-                image(p),
+                build(p),
                 4096,
             )));
             sys.run(Some(30_000_000_000));

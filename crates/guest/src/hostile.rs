@@ -19,14 +19,14 @@
 //! assertion.
 
 use nova_hw::guestfault::{GuestFault, GuestSurface, VmKill};
-use nova_hw::machine::AHCI_BASE;
+use nova_hw::machine::{GuestImage, AHCI_BASE};
 use nova_hw::pv;
 use nova_x86::asm::Asm;
 use nova_x86::insn::{AluOp, Cond};
 use nova_x86::reg::Reg;
 use nova_x86::MemRef;
 
-use crate::os::{build_os, OsParams, Program};
+use crate::os::{build_os, OsParams};
 use crate::rt::{self, layout};
 
 /// Guest RAM size (pages) every hostile plan assumes: 16 MB.
@@ -148,7 +148,7 @@ pub struct HostilePlan {
     /// Lower bound on `guest_faults_rejected` after the run.
     pub min_rejections: u64,
     /// The guest program.
-    pub program: Program,
+    pub program: GuestImage,
 }
 
 /// An infinite spin — used after a write that must be fatal, so a
@@ -504,7 +504,7 @@ fn plan_vtlb(seed: u64, rng: &mut HostileRng) -> HostilePlan {
         a.alu_ri(AluOp::Or, Reg::Eax, nova_x86::reg::cr0::PG);
         a.mov_cr_r(0, Reg::Eax);
         spin(&mut a);
-        let program = Program {
+        let program = GuestImage {
             bytes: a.finish(),
             load_gpa: layout::CODE as u64,
             entry: layout::CODE,

@@ -24,4 +24,4 @@ pub mod pvdiskload;
 pub mod pvnetload;
 pub mod rt;
 
-pub use os::{build_os, OsParams, Program};
+pub use os::{build_os, OsParams};

@@ -4,10 +4,11 @@
 //! to inject the vector, and each handler runs INVLPG locally —
 //! exactly the flow the paper describes.
 
+use nova_hw::machine::GuestImage;
 use nova_x86::insn::{Cond, MemRef};
 use nova_x86::reg::Reg;
 
-use crate::os::{build_os, OsParams, Program};
+use crate::os::{build_os, OsParams};
 use crate::rt::{self, layout, vars};
 
 /// Workload parameters.
@@ -21,7 +22,7 @@ pub struct MpParams {
 pub const VEC_SHOOTDOWN: u8 = 0xfd;
 
 /// Builds the workload (requires a 2-vCPU VM).
-pub fn build(p: MpParams) -> Program {
+pub fn build(p: MpParams) -> GuestImage {
     build_os(OsParams::minimal(), |a, _| {
         let after = a.label();
         a.jmp(after);
@@ -83,20 +84,12 @@ pub fn build(p: MpParams) -> Program {
 mod tests {
     use super::*;
     use nova_core::RunOutcome;
-    use nova_vmm::{GuestImage, LaunchOptions, System, VmmConfig};
+    use nova_vmm::{LaunchOptions, System, VmmConfig};
 
     #[test]
     fn tlb_shootdown_recalls_and_injects() {
         let prog = build(MpParams { shootdowns: 3 });
-        let mut cfg = VmmConfig::full_virt(
-            GuestImage {
-                bytes: prog.bytes,
-                load_gpa: prog.load_gpa,
-                entry: prog.entry,
-                stack: prog.stack,
-            },
-            4096,
-        );
+        let mut cfg = VmmConfig::full_virt(prog, 4096);
         cfg.vcpus = 2;
         let mut opts = LaunchOptions::standard(cfg);
         opts.with_disk = false;

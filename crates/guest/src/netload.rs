@@ -3,10 +3,11 @@
 //! every received payload once (the data-transfer cost the paper
 //! identifies), and halts between coalesced interrupts.
 
+use nova_hw::machine::GuestImage;
 use nova_x86::insn::{AluOp, Cond, MemRef};
 use nova_x86::reg::Reg;
 
-use crate::os::{build_os, OsParams, Program, VEC_NIC};
+use crate::os::{build_os, OsParams, VEC_NIC};
 use crate::rt::{self, layout, vars};
 
 /// Workload parameters.
@@ -40,7 +41,7 @@ impl NetLoadParams {
 const APP_BUF: u32 = 0x16_0000;
 
 /// Builds the workload.
-pub fn build(p: NetLoadParams) -> Program {
+pub fn build(p: NetLoadParams) -> GuestImage {
     use nova_hw::nic::regs;
     let base = nova_hw::machine::NIC_BASE as u32;
 
@@ -160,17 +161,7 @@ mod tests {
     use super::*;
     use nova_core::RunOutcome;
     use nova_hw::nic::{Nic, Stream};
-    use nova_vmm::{GuestImage, LaunchOptions, System, VmmConfig};
-
-    fn image(p: NetLoadParams) -> GuestImage {
-        let prog = build(p);
-        GuestImage {
-            bytes: prog.bytes,
-            load_gpa: prog.load_gpa,
-            entry: prog.entry,
-            stack: prog.stack,
-        }
-    }
+    use nova_vmm::{LaunchOptions, System, VmmConfig};
 
     #[test]
     fn direct_assigned_nic_stream_reaches_guest() {
@@ -178,7 +169,7 @@ mod tests {
             target_packets: 12,
             ring_entries: 64,
         };
-        let mut cfg = VmmConfig::full_virt(image(p), 4096);
+        let mut cfg = VmmConfig::full_virt(build(p), 4096);
         cfg.name = "net-vm".into();
         let mut opts = LaunchOptions::standard(cfg);
         opts.with_disk = false;

@@ -2,22 +2,14 @@
 //! optional paging with demand-fault handling, optional timer and disk
 //! driver bring-up — then a workload body, then shutdown.
 
+use nova_hw::machine::GuestImage;
 use nova_x86::Asm;
 
 use crate::rt::{self, layout, vars};
 
-/// A built guest program, ready for the virtual BIOS.
-#[derive(Clone, Debug)]
-pub struct Program {
-    /// Raw machine code.
-    pub bytes: Vec<u8>,
-    /// Guest-physical load address.
-    pub load_gpa: u64,
-    /// Entry point.
-    pub entry: u32,
-    /// Initial stack top.
-    pub stack: u32,
-}
+/// A second name for [`GuestImage`]: the host-clock benchmark
+/// (`benchmark/`, built apart from this workspace) names its guests so.
+pub type Program = GuestImage;
 
 /// Guest OS feature selection.
 #[derive(Clone, Copy, Debug)]
@@ -73,7 +65,7 @@ pub struct OsLabels {
 /// Builds the guest OS around a workload `body`. The body runs with
 /// the machine initialized per `params`; falling out of the body shuts
 /// the guest down with exit code 0.
-pub fn build_os(params: OsParams, body: impl FnOnce(&mut Asm, &OsLabels)) -> Program {
+pub fn build_os(params: OsParams, body: impl FnOnce(&mut Asm, &OsLabels)) -> GuestImage {
     let mut a = Asm::new(layout::CODE);
 
     // Handlers live behind the entry jump.
@@ -155,7 +147,7 @@ pub fn build_os(params: OsParams, body: impl FnOnce(&mut Asm, &OsLabels)) -> Pro
 
     rt::emit_exit(&mut a, 0);
 
-    Program {
+    GuestImage {
         bytes: a.finish(),
         load_gpa: layout::CODE as u64,
         entry: layout::CODE,
@@ -167,16 +159,7 @@ pub fn build_os(params: OsParams, body: impl FnOnce(&mut Asm, &OsLabels)) -> Pro
 mod tests {
     use super::*;
     use nova_core::RunOutcome;
-    use nova_vmm::{GuestImage, LaunchOptions, System, VmmConfig};
-
-    fn to_image(p: Program) -> GuestImage {
-        GuestImage {
-            bytes: p.bytes,
-            load_gpa: p.load_gpa,
-            entry: p.entry,
-            stack: p.stack,
-        }
-    }
+    use nova_vmm::{LaunchOptions, System, VmmConfig};
 
     /// Boots a trivial guest under full virtualization: prints to the
     /// virtual console, writes VGA text, CPUIDs, and exits.
@@ -193,8 +176,7 @@ mod tests {
             rt::emit_exit(a, 42);
         });
         let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(
-            to_image(prog),
-            4096, // 16 MB guest
+            prog, 4096, // 16 MB guest
         )));
         let out = sys.run(Some(2_000_000_000));
         assert_eq!(out, RunOutcome::Shutdown(42));
@@ -236,8 +218,7 @@ mod tests {
             rt::emit_exit(a, 7);
         });
         let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(
-            to_image(prog),
-            8192, // 32 MB
+            prog, 8192, // 32 MB
         )));
         let out = sys.run(Some(2_000_000_000));
         assert_eq!(out, RunOutcome::Shutdown(7));

@@ -7,10 +7,11 @@
 //! replacing the ~6 MMIO exits per request of the trap-and-emulate
 //! AHCI path with roughly one exit per *batch*.
 
+use nova_hw::machine::GuestImage;
 use nova_x86::insn::{AluOp, Cond, MemRef};
 use nova_x86::reg::Reg;
 
-use crate::os::{build_os, OsParams, Program};
+use crate::os::{build_os, OsParams};
 use crate::rt::{self, layout};
 
 /// Workload parameters.
@@ -36,7 +37,7 @@ impl PvDiskLoadParams {
 }
 
 /// Builds the workload.
-pub fn build(p: PvDiskLoadParams) -> Program {
+pub fn build(p: PvDiskLoadParams) -> GuestImage {
     assert_eq!(p.block_bytes % 512, 0);
     assert!(p.batch >= 1 && p.batch <= nova_hw::pv::disk::CAPACITY);
     let sectors = p.block_bytes / 512;
@@ -90,17 +91,7 @@ pub fn build(p: PvDiskLoadParams) -> Program {
 mod tests {
     use super::*;
     use nova_core::RunOutcome;
-    use nova_vmm::{GuestImage, LaunchOptions, System, VmmConfig};
-
-    fn image(p: PvDiskLoadParams) -> GuestImage {
-        let prog = build(p);
-        GuestImage {
-            bytes: prog.bytes,
-            load_gpa: prog.load_gpa,
-            entry: prog.entry,
-            stack: prog.stack,
-        }
-    }
+    use nova_vmm::{LaunchOptions, System, VmmConfig};
 
     #[test]
     fn batched_reads_complete_with_correct_data() {
@@ -109,7 +100,7 @@ mod tests {
             block_bytes: 4096,
             batch: 8,
         };
-        let mut cfg = VmmConfig::full_virt(image(p), 4096);
+        let mut cfg = VmmConfig::full_virt(build(p), 4096);
         cfg.pv_disk = true;
         let mut sys = System::build(LaunchOptions::standard(cfg));
         let out = sys.run(Some(20_000_000_000));

@@ -8,10 +8,11 @@
 //! per-packet guest cost is one memory copy — exits happen only per
 //! coalesced interrupt and per refill batch.
 
+use nova_hw::machine::GuestImage;
 use nova_x86::insn::{AluOp, Cond, MemRef};
 use nova_x86::reg::Reg;
 
-use crate::os::{build_os, OsParams, Program, VEC_NIC};
+use crate::os::{build_os, OsParams, VEC_NIC};
 use crate::rt::{self, layout, vars};
 
 /// Workload parameters.
@@ -38,7 +39,7 @@ impl PvNetLoadParams {
 const APP_BUF: u32 = 0x16_0000;
 
 /// Builds the workload.
-pub fn build(p: PvNetLoadParams) -> Program {
+pub fn build(p: PvNetLoadParams) -> GuestImage {
     use nova_hw::pv::{net, regs, PV_BASE};
     let base = PV_BASE as u32;
     let ring = layout::PV_NET_RING;
@@ -194,17 +195,7 @@ mod tests {
     use super::*;
     use nova_core::RunOutcome;
     use nova_hw::nic::{Nic, Stream};
-    use nova_vmm::{GuestImage, LaunchOptions, System, VmmConfig};
-
-    fn image(p: PvNetLoadParams) -> GuestImage {
-        let prog = build(p);
-        GuestImage {
-            bytes: prog.bytes,
-            load_gpa: prog.load_gpa,
-            entry: prog.entry,
-            stack: prog.stack,
-        }
-    }
+    use nova_vmm::{LaunchOptions, System, VmmConfig};
 
     #[test]
     fn pv_nic_stream_reaches_guest_without_register_exits() {
@@ -212,7 +203,7 @@ mod tests {
             target_packets: 12,
             buffers: 64,
         };
-        let mut cfg = VmmConfig::full_virt(image(p), 4096);
+        let mut cfg = VmmConfig::full_virt(build(p), 4096);
         cfg.name = "pvnet-vm".into();
         cfg.pv_nic = true;
         let mut opts = LaunchOptions::standard(cfg);

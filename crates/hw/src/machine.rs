@@ -74,6 +74,22 @@ impl Device for DebugPort {
     }
 }
 
+/// A guest program image: the bytes a loader puts in guest-physical
+/// memory and the register state the guest starts in. Every stack
+/// loads the same image — the bare machine, the Direct limit, the
+/// monolithic baseline and the VMM's virtual BIOS.
+#[derive(Clone, Debug, Default)]
+pub struct GuestImage {
+    /// Raw machine code.
+    pub bytes: Vec<u8>,
+    /// Guest-physical load address.
+    pub load_gpa: u64,
+    /// Initial instruction pointer.
+    pub entry: u32,
+    /// Initial stack pointer.
+    pub stack: u32,
+}
+
 /// Machine construction parameters.
 #[derive(Clone, Copy)]
 pub struct MachineConfig {

@@ -65,7 +65,7 @@ pub fn install(k: &mut Kernel, ctx: CompCtx, cfg: &VmmConfig) -> Regs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vmm::GuestImage;
+    use crate::GuestImage;
     use nova_core::{Kernel, KernelConfig};
     use nova_hw::machine::{Machine, MachineConfig};
     use nova_user::RootPm;

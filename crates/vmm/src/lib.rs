@@ -28,4 +28,5 @@ pub mod vmm;
 pub use checkpoint::Checkpoint;
 pub use launch::{LaunchOptions, System};
 pub use microreboot::MicrorebootRecipe;
-pub use vmm::{GuestImage, Vmm, VmmConfig};
+pub use nova_hw::machine::GuestImage;
+pub use vmm::{Vmm, VmmConfig};

@@ -405,7 +405,7 @@ impl VmRecipe for MicrorebootRecipe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vmm::GuestImage;
+    use crate::GuestImage;
 
     /// A guest that reaches the ring page of a disk-server window boots
     /// without storage and is refused as a disk client; one that stops

@@ -20,6 +20,7 @@ use nova_core::cap::Perms;
 use nova_core::kernel::{EXIT_PORTAL_BASE, EXIT_PORTAL_STRIDE, SEL_SELF_PD};
 use nova_core::obj::{MemRights, VmPaging};
 use nova_core::{CompCtx, Component, Hypercall, Kernel, SmId, Utcb};
+use nova_hw::machine::GuestImage;
 use nova_hw::mmu::MmuRegs;
 use nova_hw::vmx::{mtd, ExitReason, Injection};
 use nova_hw::{Cycles, GuestFault, GuestSurface, VmKill};
@@ -37,19 +38,6 @@ use crate::emu::{emulate_one, virtual_cpuid, EmuEnv, EmuErr};
 use crate::pvdisk::PvDisk;
 use crate::pvnet::PvNet;
 use crate::vahci::VAhci;
-
-/// A guest program image the virtual BIOS loads.
-#[derive(Clone, Debug)]
-pub struct GuestImage {
-    /// Raw bytes.
-    pub bytes: Vec<u8>,
-    /// Guest-physical load address.
-    pub load_gpa: u64,
-    /// Initial instruction pointer.
-    pub entry: u32,
-    /// Initial stack pointer.
-    pub stack: u32,
-}
 
 /// VMM configuration, provided by the launcher (acting as the root
 /// partition manager's policy).

@@ -10,7 +10,7 @@
 
 use nova::guest::diskload::{self, DiskLoadParams};
 use nova::hypervisor::{Hypercall, RunOutcome};
-use nova::vmm::{GuestImage, LaunchOptions, System, VmmConfig};
+use nova::vmm::{LaunchOptions, System, VmmConfig};
 
 fn main() {
     // Boot a system that actually uses the disk, so the delegations
@@ -19,13 +19,7 @@ fn main() {
         requests: 4,
         block_bytes: 8192,
     });
-    let image = GuestImage {
-        bytes: program.bytes,
-        load_gpa: program.load_gpa,
-        entry: program.entry,
-        stack: program.stack,
-    };
-    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(image, 4096)));
+    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(program, 4096)));
     let outcome = sys.run(Some(50_000_000_000));
     assert_eq!(outcome, RunOutcome::Shutdown(0));
     println!("guest completed 4 disk reads through the user-level disk server");

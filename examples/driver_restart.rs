@@ -12,7 +12,7 @@
 use nova::guest::diskload::{self, DiskLoadParams};
 use nova::guest::rt;
 use nova::hypervisor::{PdId, RunOutcome};
-use nova::vmm::{GuestImage, LaunchOptions, System, VmmConfig};
+use nova::vmm::{LaunchOptions, System, VmmConfig};
 
 fn main() {
     let requests = 16u32;
@@ -20,16 +20,12 @@ fn main() {
         requests,
         block_bytes: 4096,
     });
-    let image = GuestImage {
-        bytes: program.bytes,
-        load_gpa: program.load_gpa,
-        entry: program.entry,
-        stack: program.stack,
-    };
     // `supervised` launches the disk server with a heartbeat tick and
     // a kernel watchdog, and wires every VMM with a restart
     // notification semaphore.
-    let mut sys = System::build(LaunchOptions::supervised(VmmConfig::full_virt(image, 2048)));
+    let mut sys = System::build(LaunchOptions::supervised(VmmConfig::full_virt(
+        program, 2048,
+    )));
     println!("supervised system booted: root + disk server + VMM + guest");
 
     // Let the workload get going, then pull the rug: a fault that

@@ -16,7 +16,7 @@ use nova::hypervisor::kernel::VMM_CRASH_CODE;
 use nova::hypervisor::RunOutcome;
 use nova::trace::{cat, flight, Tracer};
 use nova::user::root::RootPm;
-use nova::vmm::{GuestImage, LaunchOptions, System, Vmm, VmmConfig};
+use nova::vmm::{LaunchOptions, System, Vmm, VmmConfig};
 
 fn main() {
     let out_path = std::env::args()
@@ -28,13 +28,7 @@ fn main() {
         block_bytes: 4096,
         batch: 8,
     });
-    let image = GuestImage {
-        bytes: prog.bytes,
-        load_gpa: prog.load_gpa,
-        entry: prog.entry,
-        stack: prog.stack,
-    };
-    let mut cfg = VmmConfig::full_virt(image, 4096);
+    let mut cfg = VmmConfig::full_virt(prog, 4096);
     cfg.pv_disk = true;
     let mut opts = LaunchOptions::microrebootable(cfg);
     opts.microreboot = Some(500_000); // tight checkpoint cadence

@@ -18,7 +18,7 @@ use nova::x86::reg::{Reg, Reg8};
 const INPUT: &[u8] = b"echo hello, nova";
 
 fn guest() -> GuestImage {
-    let program = build_os(OsParams::minimal(), |a, _| {
+    build_os(OsParams::minimal(), |a, _| {
         // Keyboard handler (vector 0x21): read the scancode, echo it
         // to the UART, count it, mask/ack/unmask at the PIC.
         let after = a.label();
@@ -54,13 +54,7 @@ fn guest() -> GuestImage {
         a.mov_ri(Reg::Edx, 0x3f8);
         a.out_dx_al();
         rt::emit_exit(a, 0);
-    });
-    GuestImage {
-        bytes: program.bytes,
-        load_gpa: program.load_gpa,
-        entry: program.entry,
-        stack: program.stack,
-    }
+    })
 }
 
 fn main() {

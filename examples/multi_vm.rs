@@ -15,7 +15,7 @@ use nova::x86::reg::Reg;
 
 /// A guest that computes for a while and reports.
 fn worker(name: &'static str, rounds: u32, exit: u8) -> GuestImage {
-    let program = build_os(OsParams::minimal(), |a, _| {
+    build_os(OsParams::minimal(), |a, _| {
         rt::emit_puts(a, name);
         rt::emit_puts(a, ": online\n");
         a.mov_ri(Reg::Esi, rounds);
@@ -32,13 +32,7 @@ fn worker(name: &'static str, rounds: u32, exit: u8) -> GuestImage {
         rt::emit_puts(a, name);
         rt::emit_puts(a, ": done\n");
         rt::emit_exit(a, exit);
-    });
-    GuestImage {
-        bytes: program.bytes,
-        load_gpa: program.load_gpa,
-        entry: program.entry,
-        stack: program.stack,
-    }
+    })
 }
 
 fn main() {

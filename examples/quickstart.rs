@@ -9,7 +9,7 @@
 use nova::guest::os::{build_os, OsParams};
 use nova::guest::rt;
 use nova::hypervisor::RunOutcome;
-use nova::vmm::{GuestImage, LaunchOptions, System, VmmConfig};
+use nova::vmm::{LaunchOptions, System, VmmConfig};
 use nova::x86::reg::Reg;
 
 fn main() {
@@ -33,13 +33,7 @@ fn main() {
     });
 
     // 2. Boot the system: hypervisor, root PM, disk server, VMM, VM.
-    let image = GuestImage {
-        bytes: program.bytes,
-        load_gpa: program.load_gpa,
-        entry: program.entry,
-        stack: program.stack,
-    };
-    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(image, 4096)));
+    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(program, 4096)));
 
     // 3. Run until the guest powers off.
     let outcome = sys.run(Some(10_000_000_000));

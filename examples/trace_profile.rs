@@ -17,20 +17,14 @@ use nova::guest::pvdiskload::{self, PvDiskLoadParams};
 use nova::hw::fault::{FaultKind, FaultPlan};
 use nova::hypervisor::RunOutcome;
 use nova::trace::{cat, causal, chrome, names, query, Kind};
-use nova::vmm::{GuestImage, LaunchOptions, System, VmmConfig};
+use nova::vmm::{LaunchOptions, System, VmmConfig};
 
 fn main() {
     let program = diskload::build(DiskLoadParams {
         requests: 12,
         block_bytes: 4096,
     });
-    let image = GuestImage {
-        bytes: program.bytes,
-        load_gpa: program.load_gpa,
-        entry: program.entry,
-        stack: program.stack,
-    };
-    let mut opts = LaunchOptions::supervised(VmmConfig::full_virt(image, 2048));
+    let mut opts = LaunchOptions::supervised(VmmConfig::full_virt(program, 2048));
     opts.machine.ram = 128 << 20;
     let mut sys = System::build(opts);
 
@@ -150,13 +144,7 @@ fn main() {
         block_bytes: 4096,
         batch: 8,
     });
-    let pv_image = GuestImage {
-        bytes: pv_prog.bytes,
-        load_gpa: pv_prog.load_gpa,
-        entry: pv_prog.entry,
-        stack: pv_prog.stack,
-    };
-    let mut cfg = VmmConfig::full_virt(pv_image, 4096);
+    let mut cfg = VmmConfig::full_virt(pv_prog, 4096);
     cfg.pv_disk = true;
     let mut pv = System::build(LaunchOptions::microrebootable(cfg));
     pv.k.machine.enable_tracing(cat::ALL);

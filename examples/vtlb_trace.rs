@@ -17,7 +17,7 @@ use nova::guest::compile::{self, CompileParams};
 use nova::hypervisor::obj::VmPaging;
 use nova::hypervisor::RunOutcome;
 use nova::trace::{cat, Kind};
-use nova::vmm::{GuestImage, LaunchOptions, System, VmmConfig};
+use nova::vmm::{LaunchOptions, System, VmmConfig};
 
 fn main() {
     let out_path = std::env::args()
@@ -25,13 +25,7 @@ fn main() {
         .unwrap_or_else(|| "vtlb_trace.jsonl".into());
 
     let prog = compile::build(CompileParams::smoke());
-    let image = GuestImage {
-        bytes: prog.bytes,
-        load_gpa: prog.load_gpa,
-        entry: prog.entry,
-        stack: prog.stack,
-    };
-    let mut cfg = VmmConfig::full_virt(image, 8192);
+    let mut cfg = VmmConfig::full_virt(prog, 8192);
     cfg.paging = VmPaging::Shadow;
     let mut sys = System::build(LaunchOptions::standard(cfg));
     sys.k.machine.enable_tracing(cat::TLB);

@@ -17,7 +17,7 @@ use nova_hw::mem::PhysMem;
 use nova_hw::Cycles;
 use nova_user::root::RootPm;
 use nova_vmm::checkpoint::View;
-use nova_vmm::{GuestImage, LaunchOptions, System, VmmConfig};
+use nova_vmm::{LaunchOptions, System, VmmConfig};
 use nova_x86::insn::OpSize;
 
 thread_local! {
@@ -191,13 +191,7 @@ fn recover_shaped() -> System {
         block_bytes: 4096,
         batch: 8,
     });
-    let image = GuestImage {
-        bytes: prog.bytes,
-        load_gpa: prog.load_gpa,
-        entry: prog.entry,
-        stack: prog.stack,
-    };
-    let mut cfg = VmmConfig::full_virt(image, 1024);
+    let mut cfg = VmmConfig::full_virt(prog, 1024);
     cfg.pv_disk = true;
     let mut opts = LaunchOptions::microrebootable(cfg);
     opts.microreboot = Some(500_000);

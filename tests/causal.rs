@@ -12,7 +12,7 @@ use nova_core::RunOutcome;
 use nova_guest::pvdiskload::{self, PvDiskLoadParams};
 use nova_trace::{cat, causal, chrome, flight, Kind, Tracer};
 use nova_user::root::RootPm;
-use nova_vmm::{GuestImage, LaunchOptions, System, Vmm, VmmConfig};
+use nova_vmm::{LaunchOptions, System, Vmm, VmmConfig};
 
 const BLOCK: u32 = 4096;
 const BATCH: u32 = 8;
@@ -22,22 +22,13 @@ const BUDGET: u64 = 200_000_000_000;
 /// workload finishes.
 const CKPT_PERIOD: u64 = 500_000;
 
-fn image(prog: nova_guest::os::Program) -> GuestImage {
-    GuestImage {
-        bytes: prog.bytes,
-        load_gpa: prog.load_gpa,
-        entry: prog.entry,
-        stack: prog.stack,
-    }
-}
-
 fn pv_config() -> VmmConfig {
     let prog = pvdiskload::build(PvDiskLoadParams {
         requests: REQUESTS,
         block_bytes: BLOCK,
         batch: BATCH,
     });
-    let mut cfg = VmmConfig::full_virt(image(prog), 4096);
+    let mut cfg = VmmConfig::full_virt(prog, 4096);
     cfg.pv_disk = true;
     cfg
 }

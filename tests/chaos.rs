@@ -25,12 +25,12 @@ use nova_user::proto::disk as dproto;
 use nova_user::root::{
     DiskRecipe, Grant, RespawnError, RootOps, RootPm, RETRY_BACKOFF, REVIVE_ATTEMPTS,
 };
-use nova_vmm::{LaunchOptions, System, VmmConfig};
+use nova_vmm::{GuestImage, LaunchOptions, System, VmmConfig};
 use nova_x86::insn::{AluOp, Cond};
 use nova_x86::reg::Reg;
 use nova_x86::MemRef;
 
-use common::{image, reader_guest, READER_BUF};
+use common::{reader_guest, READER_BUF};
 
 /// Number of disk requests the chaos guest issues.
 const CHAOS_REQUESTS: u32 = 12;
@@ -53,7 +53,7 @@ fn witness_checksum(iter: u32) -> u32 {
 /// a pattern, checksums it, and reports the checksum through the mark
 /// port — an integrity witness: faults injected into the disk path of
 /// the *other* VM must never perturb these values.
-fn witness_guest() -> nova_guest::os::Program {
+fn witness_guest() -> GuestImage {
     build_os(OsParams::minimal(), |a, _| {
         a.mov_ri(Reg::Esi, 0);
         let iter = a.here_label();
@@ -97,10 +97,10 @@ fn chaos_system(plan: Option<FaultPlan>) -> System {
         requests: CHAOS_REQUESTS,
         block_bytes: 4096,
     };
-    let mut opts = LaunchOptions::supervised(VmmConfig::full_virt(image(diskload::build(p)), 2048));
+    let mut opts = LaunchOptions::supervised(VmmConfig::full_virt(diskload::build(p), 2048));
     opts.machine.ram = 128 << 20;
     let mut sys = System::build(opts);
-    sys.add_vm(VmmConfig::full_virt(image(witness_guest()), 1024));
+    sys.add_vm(VmmConfig::full_virt(witness_guest(), 1024));
     if let Some(plan) = plan {
         sys.k.machine.set_fault_plan(plan);
     }
@@ -263,7 +263,7 @@ fn driver_crash_mid_workload_recovers_end_to_end() {
         block_bytes: 4096,
     };
     let mut sys = System::build(LaunchOptions::supervised(VmmConfig::full_virt(
-        image(diskload::build(p)),
+        diskload::build(p),
         2048,
     )));
 
@@ -624,7 +624,7 @@ fn respawn_budget_exhaustion_retires_the_disk_and_nothing_else() {
         block_bytes: 4096,
     };
     let mut sys = System::build(LaunchOptions::supervised(VmmConfig::full_virt(
-        image(diskload::build(p)),
+        diskload::build(p),
         2048,
     )));
     let served = loop {

@@ -3,22 +3,12 @@
 #![allow(dead_code)]
 
 use nova_core::{CompCtx, CompId};
-use nova_guest::os::{build_os, OsParams, Program};
+use nova_guest::os::{build_os, OsParams};
 use nova_guest::rt;
 use nova_vmm::vmm::GUEST_BASE_PAGE;
-use nova_vmm::{GuestImage, System, VmmConfig};
+use nova_vmm::{System, VmmConfig};
 use nova_x86::insn::Cond;
 use nova_x86::reg::Reg;
-
-/// The image the virtual BIOS loads for `prog`.
-pub fn image(prog: Program) -> GuestImage {
-    GuestImage {
-        bytes: prog.bytes,
-        load_gpa: prog.load_gpa,
-        entry: prog.entry,
-        stack: prog.stack,
-    }
-}
 
 /// The guest-physical buffer [`reader_guest`] reads into.
 pub const READER_BUF: u32 = 0x20_0000;
@@ -44,7 +34,7 @@ pub fn reader_guest(requests: u32) -> VmmConfig {
         a.jcc(Cond::B, req);
         rt::emit_mark(a, 0x1001);
     });
-    VmmConfig::full_virt(image(prog), 2048)
+    VmmConfig::full_virt(prog, 2048)
 }
 
 /// The identity of VMM `vmm` — its domain and main EC — for a test that

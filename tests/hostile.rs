@@ -25,10 +25,10 @@ use nova_core::utcb::{Utcb, XferItem};
 use nova_core::{CompCtx, CompId, Component, HcErr, Hypercall, Kernel, KernelConfig, RunOutcome};
 use nova_guest::diskload::{self, DiskLoadParams};
 use nova_guest::hostile::{self, Expect, HostilePlan, HostileRng, Surface};
-use nova_guest::os::{build_os, OsParams, Program};
+use nova_guest::os::{build_os, OsParams};
 use nova_hw::fault::{FaultKind, FaultPlan};
 use nova_hw::guestfault::VmKill;
-use nova_hw::machine::{Machine, MachineConfig};
+use nova_hw::machine::{GuestImage, Machine, MachineConfig};
 use nova_trace::{cat, names, Tracer};
 use nova_user::disk::CMD_VA;
 use nova_user::proto::disk as dproto;
@@ -39,7 +39,7 @@ use nova_x86::insn::{AluOp, Cond};
 use nova_x86::reg::{Reg, Regs};
 use nova_x86::MemRef;
 
-use common::{guest_bytes, image, reader_guest, vmm_ctx, READER_BUF};
+use common::{guest_bytes, reader_guest, vmm_ctx, READER_BUF};
 
 /// The fixed seed sweep: 13 per surface by default (65 scenarios
 /// total), 64 per surface under `NOVA_SLOW_TESTS`.
@@ -52,9 +52,9 @@ fn seeds() -> std::ops::Range<u64> {
 }
 
 /// Builds the single-VM system a plan asks for.
-fn launch(plan: &mut Option<Program>, needs: hostile::Needs) -> System {
+fn launch(plan: &mut Option<GuestImage>, needs: hostile::Needs) -> System {
     let prog = plan.take().expect("program consumed once");
-    let mut cfg = VmmConfig::full_virt(image(prog), hostile::GUEST_PAGES);
+    let mut cfg = VmmConfig::full_virt(prog, hostile::GUEST_PAGES);
     cfg.pv_disk = needs.pv_disk;
     cfg.pv_nic = needs.pv_nic;
     if needs.shadow_paging {
@@ -180,7 +180,7 @@ fn witness_checksum(iter: u32) -> u32 {
 /// A sibling VM that loops forever: fill a page with an
 /// iteration-dependent pattern, checksum it, report the sum through
 /// the mark port. Progress and integrity are both observable.
-fn forever_witness() -> Program {
+fn forever_witness() -> GuestImage {
     build_os(OsParams::minimal(), |a, _| {
         a.mov_ri(Reg::Esi, 0);
         let iter = a.here_label();
@@ -216,7 +216,7 @@ fn forever_witness() -> Program {
 /// record.
 #[test]
 fn hostile_vm_kill_leaves_sibling_running() {
-    let witness = VmmConfig::full_virt(image(forever_witness()), 1024);
+    let witness = VmmConfig::full_virt(forever_witness(), 1024);
     let mut opts = LaunchOptions::standard(witness);
     opts.machine.ram = 128 << 20;
     let mut sys = System::build(opts);
@@ -225,10 +225,7 @@ fn hostile_vm_kill_leaves_sibling_running() {
     let Expect::Kill(kill) = plan.expect else {
         panic!("seed 0 must be a kill plan");
     };
-    let hostile_id = sys.add_vm(VmmConfig::full_virt(
-        image(plan.program),
-        hostile::GUEST_PAGES,
-    ));
+    let hostile_id = sys.add_vm(VmmConfig::full_virt(plan.program, hostile::GUEST_PAGES));
 
     // Phase 1: the hostile VM attacks and is killed; its structured
     // exit code surfaces as the shutdown request.
@@ -542,7 +539,7 @@ fn hostile_guest_under_chaos_plan() {
         requests: 12,
         block_bytes: 4096,
     };
-    let mut opts = LaunchOptions::supervised(VmmConfig::full_virt(image(diskload::build(p)), 2048));
+    let mut opts = LaunchOptions::supervised(VmmConfig::full_virt(diskload::build(p), 2048));
     opts.machine.ram = 128 << 20;
     let mut sys = System::build(opts);
 
@@ -550,10 +547,7 @@ fn hostile_guest_under_chaos_plan() {
     let Expect::Kill(kill) = plan.expect else {
         panic!("seed 0 must be a kill plan");
     };
-    let hostile_id = sys.add_vm(VmmConfig::full_virt(
-        image(plan.program),
-        hostile::GUEST_PAGES,
-    ));
+    let hostile_id = sys.add_vm(VmmConfig::full_virt(plan.program, hostile::GUEST_PAGES));
 
     sys.k.machine.set_fault_plan(
         FaultPlan::seeded(CHAOS_SEED)
@@ -619,7 +613,7 @@ fn sibling_and_hostile_vmm() -> (System, CompId) {
         a.hlt();
         a.jmp(top);
     });
-    let mut cfg = VmmConfig::full_virt(image(idle), 1024);
+    let mut cfg = VmmConfig::full_virt(idle, 1024);
     cfg.pv_disk = true;
     let b = sys.add_vm(cfg);
     (sys, b)

@@ -18,7 +18,7 @@ use nova_core::{CompCtx, Hypercall, Kernel, KernelConfig};
 use nova_guest::os::{build_os, OsParams};
 use nova_hw::machine::{Machine, MachineConfig};
 use nova_user::RootPm;
-use nova_vmm::{GuestImage, LaunchOptions, System, VmmConfig};
+use nova_vmm::{LaunchOptions, System, VmmConfig};
 use nova_x86::paging::NestedFormat;
 
 /// Deterministic xorshift64* generator (same idiom as `tests/props.rs`).
@@ -571,13 +571,7 @@ fn boot_footprint_is_what_was_delegated() {
 
     let boot = |guest_pages: u64| {
         let prog = build_os(OsParams::minimal(), |a, _| nova_guest::rt::emit_exit(a, 0));
-        let image = GuestImage {
-            bytes: prog.bytes,
-            load_gpa: prog.load_gpa,
-            entry: prog.entry,
-            stack: prog.stack,
-        };
-        let vmm = VmmConfig::full_virt(image, guest_pages);
+        let vmm = VmmConfig::full_virt(prog, guest_pages);
         let sys = System::build(LaunchOptions::standard(vmm));
         assert_eq!(sys.k.check_invariants(), Ok(()));
         let vm = sys.k.obj.pds.iter().find(|d| d.is_vm()).expect("a VM");

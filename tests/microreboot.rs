@@ -36,15 +36,6 @@ const BUDGET: u64 = 200_000_000_000;
 /// well before the workload finishes.
 const CKPT_PERIOD: u64 = 500_000;
 
-fn image(prog: nova_guest::os::Program) -> GuestImage {
-    GuestImage {
-        bytes: prog.bytes,
-        load_gpa: prog.load_gpa,
-        entry: prog.entry,
-        stack: prog.stack,
-    }
-}
-
 /// The microrebootable PV-disk system under test.
 fn microreboot_system() -> System {
     pv_system(4096, CKPT_PERIOD)
@@ -58,7 +49,7 @@ fn pv_system(guest_pages: u64, period: u64) -> System {
         block_bytes: BLOCK,
         batch: BATCH,
     });
-    let mut cfg = VmmConfig::full_virt(image(prog), guest_pages);
+    let mut cfg = VmmConfig::full_virt(prog, guest_pages);
     cfg.pv_disk = true;
     let mut opts = LaunchOptions::microrebootable(cfg);
     opts.microreboot = Some(period);
@@ -82,7 +73,7 @@ fn witness_checksum(iter: u32) -> u32 {
 /// A sibling VM that fills a page with a rolling pattern, checksums
 /// it, and reports each checksum through the mark port. Faults and
 /// microreboots of the *other* VM must never perturb these values.
-fn witness_guest() -> nova_guest::os::Program {
+fn witness_guest() -> GuestImage {
     build_os(OsParams::minimal(), |a, _| {
         a.mov_ri(Reg::Esi, 0);
         let iter = a.here_label();
@@ -185,7 +176,7 @@ fn crash_mid_workload_restores_and_completes_byte_identical() {
     let reference = crash_free_reference();
 
     let mut sys = microreboot_system();
-    sys.add_vm(VmmConfig::full_virt(image(witness_guest()), 1024));
+    sys.add_vm(VmmConfig::full_virt(witness_guest(), 1024));
     let cpus = sys.k.machine.cpus.len().max(1);
     sys.k.machine.bus.trace = Tracer::new(cpus, 1 << 21, cat::ALL);
 
@@ -339,7 +330,7 @@ fn second_crash_inside_stability_window_escalates_to_cold_reboot() {
 fn cold_reboot_over_a_different_image_runs_the_new_code() {
     // Reports `value` through the mark port, forever.
     let reporter = |value: u32| {
-        image(build_os(OsParams::minimal(), |a, _| {
+        build_os(OsParams::minimal(), |a, _| {
             let top = a.here_label();
             a.mov_ri(Reg::Eax, value);
             a.mov_ri(Reg::Edx, 0xf5);
@@ -349,7 +340,7 @@ fn cold_reboot_over_a_different_image_runs_the_new_code() {
             a.dec_r(Reg::Ecx);
             a.jcc(Cond::Ne, spin);
             a.jmp(top);
-        }))
+        })
     };
     let mut opts = LaunchOptions::microrebootable(VmmConfig::full_virt(reporter(0xa), 1024));
     opts.microreboot = Some(CKPT_PERIOD);
@@ -400,7 +391,7 @@ fn cold_reboot_over_a_different_image_runs_the_new_code() {
 #[test]
 fn ladder_exhaustion_marks_vm_failed_while_sibling_runs() {
     let mut sys = microreboot_system();
-    sys.add_vm(VmmConfig::full_virt(image(witness_guest()), 1024));
+    sys.add_vm(VmmConfig::full_virt(witness_guest(), 1024));
     run_until(&mut sys, |s| {
         pv_completions(s) >= 8 && with_sup(s, |sup| sup.last_checkpoint.is_some())
     });
@@ -624,7 +615,7 @@ const SLICE: u64 = 100_000;
 /// The PV workload with the integrity witness beside it.
 fn witnessed_system() -> System {
     let mut sys = microreboot_system();
-    sys.add_vm(VmmConfig::full_virt(image(witness_guest()), 1024));
+    sys.add_vm(VmmConfig::full_virt(witness_guest(), 1024));
     sys
 }
 

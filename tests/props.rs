@@ -1082,7 +1082,7 @@ fn int_iret_roundtrip() {
 /// `FRAME_A` and `FRAME_C`, and the frame after `FRAME_A` holds poison.
 mod crossing {
     use nova_hw::ahci::regs::P0CLB;
-    use nova_hw::machine::{AHCI_BASE, DEBUG_EXIT_PORT};
+    use nova_hw::machine::{GuestImage, AHCI_BASE, DEBUG_EXIT_PORT};
     use nova_x86::insn::MemRef;
     use nova_x86::paging::pte;
     use nova_x86::reg::{cr0, Reg, Reg8};
@@ -1098,10 +1098,9 @@ mod crossing {
     pub const IMAGE_LEN: usize = FRAME_C as usize + 0x1000;
 
     pub struct Image {
-        /// Guest-physical memory from 0.
-        pub bytes: Vec<u8>,
-        /// Entry point with paging off (the program turns it on).
-        pub entry: u32,
+        /// Guest-physical memory from 0, entered with paging off (the
+        /// program turns it on and sets its own stack).
+        pub guest: GuestImage,
         /// First instruction after paging is on.
         pub paged: u32,
         /// First instruction after the results are stored.
@@ -1165,8 +1164,12 @@ mod crossing {
         bytes[POISON as usize..][..0x1000].fill(0xee);
         bytes[FRAME_C as usize..][..2].copy_from_slice(&[0x33, 0x44]);
         Image {
-            bytes,
-            entry: 0x1000,
+            guest: GuestImage {
+                bytes,
+                load_gpa: 0,
+                entry: 0x1000,
+                stack: 0x8000,
+            },
             paged,
             end,
         }
@@ -1178,8 +1181,8 @@ mod crossing {
         use nova_hw::machine::{Machine, MachineConfig};
         let img = image(true);
         let mut m = Machine::new(MachineConfig::core_i7(32 << 20));
-        m.load_image(0, &img.bytes);
-        m.cpus[0].regs = nova_x86::reg::Regs::at(img.entry);
+        m.load_image(0, &img.guest.bytes);
+        m.cpus[0].regs = nova_x86::reg::Regs::at(img.guest.entry);
         assert_eq!(m.run_native(Some(1_000_000)), NativeStop::Shutdown(0));
         let ram = m.mem.read_bytes(0, IMAGE_LEN);
         assert_eq!(ram[OUT as usize..][..4], [0x11, 0x22, 0x33, 0x44], "EAX");
@@ -1240,7 +1243,7 @@ fn page_crossing_operand_emulated_by_the_vmm_matches_native() {
         let img = crossing::image(second_page_present);
         let (mut k, ctx, guest_pages, mut dev) = emu_fixture();
         let base = nova_vmm::vmm::GUEST_BASE_PAGE * 4096;
-        assert!(k.mem_write(ctx, base, &img.bytes));
+        assert!(k.mem_write(ctx, base, &img.guest.bytes));
         let mut regs = Regs::at(img.paged);
         regs.cr0 = cr0::PE | cr0::PG;
         regs.cr3 = crossing::PD;
@@ -1272,7 +1275,7 @@ fn page_crossing_operand_emulated_by_the_vmm_matches_native() {
                 })),
                 "the load's second page, at its first byte"
             );
-            assert!(ram == img.bytes, "a faulting access moved bytes");
+            assert!(ram == img.guest.bytes, "a faulting access moved bytes");
         }
     }
 }
@@ -1291,23 +1294,20 @@ fn page_crossing_operand_emulated_by_the_monolithic_baseline_matches_native() {
             MachineConfig::core_i7(32 << 20),
             MonoConfig::kvm_ept(),
             1024,
-            &img.bytes,
-            0,
-            img.entry,
-            0x8000,
+            &img.guest,
         );
-        let out = mono.run(Some(10_000_000));
+        mono.run("KVM", Some(10_000_000));
         let ram = mono
             .machine
             .mem
             .read_bytes(mono.gpa_hpa(0).unwrap(), crossing::IMAGE_LEN);
         if second_page_present {
-            assert_eq!(out.guest_exit, Some(0));
+            assert_eq!(mono.guest_exit, Some(0));
             assert!(ram == native, "guest RAM differs from native");
         } else {
             // No IDT: the injected #PF ends the guest.
-            assert_eq!(out.guest_exit, Some(0xfd), "the load faulted");
-            assert!(ram == img.bytes, "a faulting access moved bytes");
+            assert_eq!(mono.guest_exit, Some(0xfd), "the load faulted");
+            assert!(ram == img.guest.bytes, "a faulting access moved bytes");
         }
     }
 }
@@ -1366,10 +1366,7 @@ fn every_walker_of_the_guest_page_table_agrees() {
         MachineConfig::core_i7(32 << 20),
         MonoConfig::kvm_ept(),
         RAM_PAGES,
-        &[],
-        0,
-        0,
-        0,
+        &nova_hw::machine::GuestImage::default(),
     );
 
     // Accesses by what the tables say: lands in RAM, lands
@@ -1778,7 +1775,7 @@ mod devices {
     use super::{emu_fixture, Rng};
     use nova_baseline::monolithic::{MonoConfig, Monolithic};
     use nova_hw::ahci::{cmd, regs, P0IS_TFES};
-    use nova_hw::machine::{Machine, MachineConfig, AHCI_BASE};
+    use nova_hw::machine::{GuestImage, Machine, MachineConfig, AHCI_BASE};
     use nova_hw::platform::{Kbd, Pit};
     use nova_x86::insn::OpSize::{self, Byte, Dword};
     use std::collections::{BTreeMap, VecDeque};
@@ -1914,7 +1911,11 @@ mod devices {
         pub fn new() -> Baseline {
             let machine = MachineConfig::core_i7(32 << 20);
             let cfg = MonoConfig::kvm_ept();
-            Baseline(Monolithic::new(machine, cfg, RAM_PAGES, &[], 0, 0, 0x8000))
+            let empty = GuestImage {
+                stack: 0x8000,
+                ..GuestImage::default()
+            };
+            Baseline(Monolithic::new(machine, cfg, RAM_PAGES, &empty))
         }
     }
 

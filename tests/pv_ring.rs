@@ -10,20 +10,11 @@ use nova_guest::diskload::{self, DiskLoadParams};
 use nova_guest::pvdiskload::{self, PvDiskLoadParams};
 use nova_guest::rt::layout;
 use nova_hw::fault::{FaultKind, FaultPlan};
-use nova_vmm::{GuestImage, LaunchOptions, System, VmmConfig};
+use nova_vmm::{LaunchOptions, System, VmmConfig};
 
 const BLOCK: u32 = 4096;
 const BATCH: u32 = 8;
 const BUDGET: u64 = 200_000_000_000;
-
-fn image(prog: nova_guest::os::Program) -> GuestImage {
-    GuestImage {
-        bytes: prog.bytes,
-        load_gpa: prog.load_gpa,
-        entry: prog.entry,
-        stack: prog.stack,
-    }
-}
 
 /// Runs the trap-and-emulate diskload guest to completion.
 fn run_trap(requests: u32) -> System {
@@ -31,10 +22,7 @@ fn run_trap(requests: u32) -> System {
         requests,
         block_bytes: BLOCK,
     });
-    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(
-        image(prog),
-        2048,
-    )));
+    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(prog, 2048)));
     assert_eq!(sys.run(Some(BUDGET)), RunOutcome::Shutdown(0));
     sys
 }
@@ -46,7 +34,7 @@ fn run_pv(requests: u32) -> System {
         block_bytes: BLOCK,
         batch: BATCH,
     });
-    let mut cfg = VmmConfig::full_virt(image(prog), 4096);
+    let mut cfg = VmmConfig::full_virt(prog, 4096);
     cfg.pv_disk = true;
     let mut sys = System::build(LaunchOptions::standard(cfg));
     assert_eq!(sys.run(Some(BUDGET)), RunOutcome::Shutdown(0));
@@ -107,7 +95,7 @@ fn chaos_plan_over_the_pv_ring_path() {
         block_bytes: BLOCK,
         batch: BATCH,
     });
-    let mut cfg = VmmConfig::full_virt(image(prog), 4096);
+    let mut cfg = VmmConfig::full_virt(prog, 4096);
     cfg.pv_disk = true;
     let mut sys = System::build(LaunchOptions::supervised(cfg));
     sys.k.machine.set_fault_plan(
@@ -151,7 +139,7 @@ fn driver_crash_mid_pv_workload_recovers() {
         block_bytes: BLOCK,
         batch: BATCH,
     });
-    let mut cfg = VmmConfig::full_virt(image(prog), 4096);
+    let mut cfg = VmmConfig::full_virt(prog, 4096);
     cfg.pv_disk = true;
     let mut sys = System::build(LaunchOptions::supervised(cfg));
 

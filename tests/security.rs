@@ -29,7 +29,7 @@ use nova_vmm::{LaunchOptions, System, Vmm, VmmConfig};
 use nova_x86::insn::MemRef;
 use nova_x86::reg::Reg;
 
-use common::{guest_bytes, image, reader_guest, vmm_ctx, READER_BUF};
+use common::{guest_bytes, reader_guest, vmm_ctx, READER_BUF};
 
 /// A guest that tries to read and write far beyond its RAM (at a
 /// guest-physical address that would be another VM's memory if the
@@ -46,8 +46,7 @@ fn guest_cannot_escape_its_address_space() {
         rt::emit_exit(a, 9);
     });
     let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(
-        image(prog),
-        2048, // 8 MB guest
+        prog, 2048, // 8 MB guest
     )));
     let before = sys.k.machine.mem.read_u32(0x7000_0000);
     let out = sys.run(Some(3_000_000_000));
@@ -72,10 +71,10 @@ fn two_vms_with_dedicated_vmms_are_isolated() {
         rt::emit_exit(a, 2);
     });
 
-    let mut opts = LaunchOptions::standard(VmmConfig::full_virt(image(prog_a), 2048));
+    let mut opts = LaunchOptions::standard(VmmConfig::full_virt(prog_a, 2048));
     opts.machine.ram = 128 << 20;
     let mut sys = System::build(opts);
-    let vmm_b = sys.add_vm(VmmConfig::full_virt(image(prog_b), 2048));
+    let vmm_b = sys.add_vm(VmmConfig::full_virt(prog_b, 2048));
 
     // Run until both guests have shut down (each shutdown stops the
     // world; restart the scheduler until both are done).
@@ -116,10 +115,7 @@ fn compromised_vmm_cannot_reach_other_domains() {
     let prog = build_os(OsParams::minimal(), |a, _| {
         rt::emit_exit(a, 0);
     });
-    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(
-        image(prog),
-        2048,
-    )));
+    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(prog, 2048)));
     sys.run(Some(3_000_000_000));
 
     // Forge the VMM's identity (it is PdId of the "vmm" domain).
@@ -191,10 +187,7 @@ fn vm_capability_space_has_only_exit_portals() {
     let prog = build_os(OsParams::minimal(), |a, _| {
         rt::emit_exit(a, 0);
     });
-    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(
-        image(prog),
-        2048,
-    )));
+    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(prog, 2048)));
     sys.run(Some(3_000_000_000));
     let vm_pd = sys
         .k
@@ -223,10 +216,7 @@ fn driver_dma_confined_after_real_io() {
         requests: 2,
         block_bytes: 4096,
     });
-    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(
-        image(prog),
-        2048,
-    )));
+    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(prog, 2048)));
     let out = sys.run(Some(10_000_000_000));
     assert_eq!(out, RunOutcome::Shutdown(0));
     assert!(
@@ -258,10 +248,7 @@ fn iommu_interrupt_remapping_pins_vectors() {
     let prog = build_os(OsParams::minimal(), |a, _| {
         rt::emit_exit(a, 0);
     });
-    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(
-        image(prog),
-        2048,
-    )));
+    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(prog, 2048)));
     sys.run(Some(3_000_000_000));
 
     let ahci = sys.k.machine.dev.ahci;
@@ -291,14 +278,14 @@ fn kernel_write_protection_stops_code_injection() {
 
     // Without protection the write lands and the guest "wins".
     let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(
-        image(attack()),
+        attack(),
         2048,
     )));
     assert_eq!(sys.run(Some(3_000_000_000)), RunOutcome::Shutdown(1));
     assert!(sys.vmm().guest_console().contains("unprotected!"));
 
     // With the code region read-only, the write is a kill.
-    let mut cfg = VmmConfig::full_virt(image(attack()), 2048);
+    let mut cfg = VmmConfig::full_virt(attack(), 2048);
     let code_page = rt::layout::CODE as u64 / 4096;
     cfg.protect_kernel = Some((code_page, 16));
     let mut sys = System::build(LaunchOptions::standard(cfg));
@@ -332,7 +319,7 @@ fn sibling_pair() -> (System, CompCtx) {
         a.hlt();
         a.jmp(top);
     });
-    let mut cfg = VmmConfig::full_virt(image(idle), 1024);
+    let mut cfg = VmmConfig::full_virt(idle, 1024);
     cfg.pv_disk = true;
     let b = sys.add_vm(cfg);
     let ctx = vmm_ctx(&sys, b);

@@ -7,17 +7,8 @@ use nova_guest::compile::{self, CompileParams};
 use nova_guest::diskload::{self, DiskLoadParams};
 use nova_guest::os::{build_os, OsParams};
 use nova_guest::rt;
-use nova_vmm::{GuestImage, LaunchOptions, System, VmmConfig};
+use nova_vmm::{LaunchOptions, System, VmmConfig};
 use nova_x86::reg::Reg;
-
-fn image(prog: nova_guest::os::Program) -> GuestImage {
-    GuestImage {
-        bytes: prog.bytes,
-        load_gpa: prog.load_gpa,
-        entry: prog.entry,
-        stack: prog.stack,
-    }
-}
 
 /// The slowest tests in this file run only when `NOVA_SLOW_TESTS` is
 /// set, keeping the default `cargo test` job inside its wall-clock
@@ -43,10 +34,7 @@ fn full_stack_guest_console_and_exit_code() {
         rt::emit_puts(a, "nova-rs integration\n");
         rt::emit_exit(a, 55);
     });
-    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(
-        image(prog),
-        2048,
-    )));
+    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(prog, 2048)));
     assert_eq!(sys.run(Some(3_000_000_000)), RunOutcome::Shutdown(55));
     assert_eq!(sys.vmm().guest_console(), "nova-rs integration\n");
     assert_eq!(sys.vmm().guest_exit, Some(55));
@@ -63,10 +51,7 @@ fn guest_cpuid_sees_virtualized_identity() {
         a.out_dx_eax();
         rt::emit_exit(a, 0);
     });
-    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(
-        image(prog),
-        2048,
-    )));
+    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(prog, 2048)));
     sys.run(Some(3_000_000_000));
     let marks = sys.k.machine.marks().to_vec();
     assert_eq!(marks.len(), 1);
@@ -86,10 +71,7 @@ fn disk_data_round_trips_through_all_layers() {
         block_bytes: 4096,
     };
     let prog = diskload::build(p);
-    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(
-        image(prog),
-        2048,
-    )));
+    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(prog, 2048)));
     assert_eq!(sys.run(Some(10_000_000_000)), RunOutcome::Shutdown(0));
 
     let host = 0x1000 * 4096 + rt::layout::DISK_BUF as u64;
@@ -109,10 +91,7 @@ fn disk_data_round_trips_through_all_layers() {
 fn compile_workload_event_shape_under_ept() {
     skip_unless_slow!();
     let prog = compile::build(CompileParams::smoke());
-    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(
-        image(prog),
-        8192,
-    )));
+    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(prog, 8192)));
     assert_eq!(sys.run(Some(30_000_000_000)), RunOutcome::Shutdown(0));
     let c = &sys.k.counters;
     // Table 2 EPT column shape: no paging exits at all.
@@ -144,17 +123,14 @@ fn relative_performance_sanity() {
 
     let native = nova_baseline::run_native_image(
         nova_hw::machine::MachineConfig::core_i7(96 << 20),
-        &prog.bytes,
-        prog.load_gpa,
-        prog.entry,
-        prog.stack,
+        &prog,
         Some(30_000_000_000),
         |_| {},
     );
-    assert!(matches!(native.stop, nova_hw::cpu::NativeStop::Shutdown(_)));
+    assert!(native.ok);
 
     let run = |paging| {
-        let mut cfg = VmmConfig::full_virt(image(prog.clone()), 8192);
+        let mut cfg = VmmConfig::full_virt(prog.clone(), 8192);
         cfg.paging = paging;
         let mut opts = LaunchOptions::standard(cfg);
         opts.with_disk = false;
@@ -179,7 +155,7 @@ fn mtd_full_costs_more_ipc() {
     skip_unless_slow!();
     let prog = compile::build(CompileParams::smoke());
     let run = |mtd_full| {
-        let mut cfg = VmmConfig::full_virt(image(prog.clone()), 8192);
+        let mut cfg = VmmConfig::full_virt(prog.clone(), 8192);
         cfg.mtd_full = mtd_full;
         let mut sys = System::build(LaunchOptions::standard(cfg));
         assert_eq!(sys.run(Some(30_000_000_000)), RunOutcome::Shutdown(0));
@@ -206,13 +182,13 @@ fn scheduler_shares_cpu_by_quantum() {
             a.jmp(top);
         })
     };
-    let mut cfg_a = VmmConfig::full_virt(image(spinner()), 1024);
+    let mut cfg_a = VmmConfig::full_virt(spinner(), 1024);
     cfg_a.quantum = 3_000_000; // 3x the share of B
     let mut opts = LaunchOptions::standard(cfg_a);
     opts.with_disk = false;
     opts.machine.ram = 128 << 20;
     let mut sys = System::build(opts);
-    let mut cfg_b = VmmConfig::full_virt(image(spinner()), 1024);
+    let mut cfg_b = VmmConfig::full_virt(spinner(), 1024);
     cfg_b.quantum = 1_000_000;
     sys.add_vm(cfg_b);
 
@@ -248,13 +224,13 @@ fn scheduler_priority_dominates() {
             a.jmp(top);
         })
     };
-    let mut cfg_hi = VmmConfig::full_virt(image(spinner()), 1024);
+    let mut cfg_hi = VmmConfig::full_virt(spinner(), 1024);
     cfg_hi.vcpu_prio = 32;
     let mut opts = LaunchOptions::standard(cfg_hi);
     opts.with_disk = false;
     opts.machine.ram = 128 << 20;
     let mut sys = System::build(opts);
-    let mut cfg_lo = VmmConfig::full_virt(image(spinner()), 1024);
+    let mut cfg_lo = VmmConfig::full_virt(spinner(), 1024);
     cfg_lo.vcpu_prio = 8;
     sys.add_vm(cfg_lo);
 
@@ -279,7 +255,7 @@ fn scheduler_priority_dominates() {
 fn each_vcpu_exits_through_its_own_portal_stride() {
     use nova_trace::{cat, causal, Kind, Phase, Tracer};
     let prog = nova_guest::mp::build(nova_guest::mp::MpParams { shootdowns: 2 });
-    let mut cfg = VmmConfig::full_virt(image(prog), 4096);
+    let mut cfg = VmmConfig::full_virt(prog, 4096);
     cfg.vcpus = 2;
     cfg.vcpu_cpus = vec![0, 1];
     let mut opts = LaunchOptions::standard(cfg);
@@ -325,7 +301,7 @@ fn each_vcpu_exits_through_its_own_portal_stride() {
 fn mp_guest_on_two_physical_cpus() {
     skip_unless_slow!();
     let prog = nova_guest::mp::build(nova_guest::mp::MpParams { shootdowns: 2 });
-    let mut cfg = VmmConfig::full_virt(image(prog), 4096);
+    let mut cfg = VmmConfig::full_virt(prog, 4096);
     cfg.vcpus = 2;
     cfg.vcpu_cpus = vec![0, 1];
     let mut opts = LaunchOptions::standard(cfg);

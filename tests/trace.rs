@@ -9,18 +9,9 @@ use nova_core::RunOutcome;
 use nova_guest::diskload::{self, DiskLoadParams};
 use nova_hw::fault::{FaultKind, FaultPlan};
 use nova_trace::{cat, chrome, query, Kind, Tracer};
-use nova_vmm::{GuestImage, LaunchOptions, System, VmmConfig};
+use nova_vmm::{LaunchOptions, System, VmmConfig};
 
 const TRACE_SEED: u64 = 0x5eed_c0ff_ee01;
-
-fn image(prog: nova_guest::os::Program) -> GuestImage {
-    GuestImage {
-        bytes: prog.bytes,
-        load_gpa: prog.load_gpa,
-        entry: prog.entry,
-        stack: prog.stack,
-    }
-}
 
 /// The chaos workload of `tests/chaos.rs`, with tracing on: a
 /// supervised disk-server stack under a seeded five-kind fault plan.
@@ -33,7 +24,7 @@ fn traced_chaos_run() -> (System, nova_core::Counters) {
         requests: 12,
         block_bytes: 4096,
     };
-    let mut opts = LaunchOptions::supervised(VmmConfig::full_virt(image(diskload::build(p)), 2048));
+    let mut opts = LaunchOptions::supervised(VmmConfig::full_virt(diskload::build(p), 2048));
     opts.machine.ram = 128 << 20;
     let mut sys = System::build(opts);
     sys.k.machine.set_fault_plan(
@@ -156,8 +147,7 @@ fn tracing_does_not_perturb_the_simulation() {
             requests: 12,
             block_bytes: 4096,
         };
-        let mut opts =
-            LaunchOptions::supervised(VmmConfig::full_virt(image(diskload::build(p)), 2048));
+        let mut opts = LaunchOptions::supervised(VmmConfig::full_virt(diskload::build(p), 2048));
         opts.machine.ram = 128 << 20;
         let mut sys = System::build(opts);
         sys.k.machine.set_fault_plan(

@@ -9,15 +9,6 @@ use nova_vmm::{GuestImage, LaunchOptions, System, VmmConfig};
 use nova_x86::insn::MemRef;
 use nova_x86::reg::Reg;
 
-fn image(prog: nova_guest::os::Program) -> GuestImage {
-    GuestImage {
-        bytes: prog.bytes,
-        load_gpa: prog.load_gpa,
-        entry: prog.entry,
-        stack: prog.stack,
-    }
-}
-
 /// The guest rings the doorbell with a garbage FIS: the virtual
 /// controller reports TFES in P0IS and frees the slot; the machine
 /// keeps running.
@@ -46,10 +37,7 @@ fn malformed_guest_command_reports_task_file_error() {
             rt::emit_exit(a, 0);
         },
     );
-    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(
-        image(prog),
-        2048,
-    )));
+    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(prog, 2048)));
     assert_eq!(sys.run(Some(5_000_000_000)), RunOutcome::Shutdown(0));
     let marks = sys.vmm().guest_marks();
     assert_eq!(marks.len(), 2);
@@ -96,10 +84,7 @@ fn physical_task_file_error_propagates_to_guest() {
         a.out_dx_eax();
         rt::emit_exit(a, 0);
     });
-    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(
-        image(prog),
-        2048,
-    )));
+    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(prog, 2048)));
     // Every issue of the command hits a task-file error until the cap
     // of three — exactly the server's attempt budget — is spent.
     sys.k
@@ -129,18 +114,13 @@ fn physical_task_file_error_propagates_to_guest() {
 /// Builds a polling guest that issues one READ DMA EXT through the
 /// virtual AHCI with an arbitrary PRDT, waits for the slot to retire,
 /// and reports P0IS as a mark.
-fn one_read(lba: u64, sectors: u32, prdt: &[(u32, u32)]) -> nova_guest::os::Program {
+fn one_read(lba: u64, sectors: u32, prdt: &[(u32, u32)]) -> GuestImage {
     one_read_ctbau(0, lba, sectors, prdt)
 }
 
 /// [`one_read`] with the upper half of the command-table base
 /// (header dword 3, `CTBAU`) set to `ctbau`.
-fn one_read_ctbau(
-    ctbau: u32,
-    lba: u64,
-    sectors: u32,
-    prdt: &[(u32, u32)],
-) -> nova_guest::os::Program {
+fn one_read_ctbau(ctbau: u32, lba: u64, sectors: u32, prdt: &[(u32, u32)]) -> GuestImage {
     use nova_hw::ahci::regs;
     let base = nova_hw::machine::AHCI_BASE as u32;
     let prdt = prdt.to_vec();
@@ -180,11 +160,8 @@ fn one_read_ctbau(
 
 /// Runs `prog` to completion and returns the finished system plus the
 /// single P0IS mark.
-fn run_read(prog: nova_guest::os::Program) -> (System, u32) {
-    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(
-        image(prog),
-        2048,
-    )));
+fn run_read(prog: GuestImage) -> (System, u32) {
+    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(prog, 2048)));
     assert_eq!(sys.run(Some(5_000_000_000)), RunOutcome::Shutdown(0));
     let marks = sys.vmm().guest_marks();
     assert_eq!(marks.len(), 1);
@@ -288,10 +265,7 @@ fn doorbell_without_setup_fails_cleanly() {
         a.out_dx_eax();
         rt::emit_exit(a, 0);
     });
-    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(
-        image(prog),
-        2048,
-    )));
+    let mut sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(prog, 2048)));
     assert_eq!(sys.run(Some(5_000_000_000)), RunOutcome::Shutdown(0));
     let marks = sys.vmm().guest_marks();
     assert_ne!(marks[0] & (1 << 30), 0, "error status reported");
