@@ -18,18 +18,19 @@ use nova_core::vtlb::{self, CrOutcome, ShadowCache, VtlbOutcome};
 use nova_hw::ahci::{cmd, regs, slots, PortEvent, PortRegs};
 use nova_hw::cpu::run_guest;
 use nova_hw::machine::{GuestImage, Machine, MachineConfig, AHCI_BASE, AHCI_IRQ};
+use nova_hw::mmu::MmuRegs;
 use nova_hw::pic::DualPic;
 use nova_hw::pit::{self, Pit8254};
 use nova_hw::serial::{Uart16550, COM1, COM1_LAST};
 use nova_hw::tlb::Tlb;
 use nova_hw::vmx::{ExitReason, Injection, PagingVirt, Vmcs};
 use nova_hw::Cycles;
-use nova_vmm::emu::virtual_cpuid;
-use nova_x86::decode::{decode, DecodeError, MAX_INSN_LEN};
-use nova_x86::exec::{emulator_gva_to_gpa, execute, Env, Fault};
+use nova_vmm::emu::{cpuid_exit, emulate_one, port_io_exit, EmuEnv, EmuErr, EmuHost};
+use nova_x86::cpuid::CpuIdent;
+use nova_x86::exec::Fault;
 use nova_x86::insn::OpSize;
-use nova_x86::paging::{self, NestedFormat};
-use nova_x86::reg::{cr4, Reg, Reg8, Regs};
+use nova_x86::paging::NestedFormat;
+use nova_x86::reg::{Reg, Reg8, Regs};
 
 use crate::RunResult;
 
@@ -221,68 +222,24 @@ impl Monolithic {
             },
         );
 
-        let (nested, shadow, paging, vpid) = match cfg.paging {
+        let vpid = u16::from(cfg.use_tags && machine.cost.has_tagged_tlb);
+        let (nested, shadow, mut vmcs) = match cfg.paging {
             MonoPaging::Nested(fmt) => {
                 let mut t = NestedTable::new(fmt, &mut alloc, &mut machine.mem);
-                // Mirror the memory space, using large pages where
-                // aligned runs allow.
-                let cp = fmt.large_page_size() / 4096;
-                let mut p = 0;
-                while p < guest_pages {
-                    if (0xa0..0x100).contains(&p) {
-                        p += 1;
-                        continue;
-                    }
-                    let hpa = (GUEST_BASE_PAGE + p) * 4096;
-                    if cfg.large_pages
-                        && p % cp == 0
-                        && hpa.is_multiple_of(cp * 4096)
-                        && p + cp <= guest_pages
-                        && !(p..p + cp).any(|q| (0xa0..0x100).contains(&q))
-                    {
-                        t.map_large(&mut machine.mem, &mut alloc, p * 4096, hpa, true);
-                        p += cp;
-                    } else {
-                        t.map_page(&mut machine.mem, &mut alloc, p * 4096, hpa, true)
-                            .expect("past every large leaf so far");
-                        p += 1;
-                    }
-                }
-                t.map_page(
-                    &mut machine.mem,
-                    &mut alloc,
-                    nova_hw::vga::VGA_BASE,
-                    nova_hw::vga::VGA_BASE,
-                    true,
-                )
-                .expect("no large leaf spans the VGA hole");
-                let root = t.root;
-                let vpid = if cfg.use_tags && machine.cost.has_tagged_tlb {
-                    1
-                } else {
-                    0
-                };
-                (Some(t), None, PagingVirt::Nested { root, fmt }, vpid)
+                // Guest RAM and the VGA window.
+                let span = (0, guest_pages.max(nova_hw::vga::VGA_BASE / 4096 + 1));
+                t.mirror(&mut machine.mem, &mut alloc, &ms, span, cfg.large_pages);
+                let vmcs = Vmcs::new(PagingVirt::Nested { root: t.root, fmt }, vpid);
+                (Some(t), None, vmcs)
             }
             MonoPaging::Shadow => {
-                let vpid = if cfg.use_tags && machine.cost.has_tagged_tlb {
-                    1
-                } else {
-                    0
-                };
                 // Monolithic shadow implementations rebuild the shadow
                 // table on every address-space switch; the legacy
                 // single-slot cache reproduces exactly that.
                 let s = ShadowCache::legacy(&mut machine.mem, &mut alloc, vpid);
-                (None, Some(s), PagingVirt::Shadow { root: 0 }, vpid)
+                let vmcs = Vmcs::new_shadow(s.active_root(), vpid);
+                (None, Some(s), vmcs)
             }
-        };
-
-        let mut vmcs = match paging {
-            PagingVirt::Shadow { .. } => {
-                Vmcs::new_shadow(shadow.as_ref().unwrap().active_root(), vpid)
-            }
-            p => Vmcs::new(p, vpid),
         };
 
         // Boot state.
@@ -325,25 +282,6 @@ impl Monolithic {
     /// guest RAM and the VGA window).
     pub fn gpa_hpa(&self, gpa: u64) -> Option<u64> {
         self.ms.translate(gpa)
-    }
-
-    fn read_gpa_u32(&self, gpa: u64) -> u32 {
-        self.gpa_hpa(gpa)
-            .map(|h| self.machine.mem.read_u32(h))
-            .unwrap_or(0)
-    }
-
-    /// Guest-virtual to guest-physical walk (for the emulator), as a
-    /// supervisor access with `CR0.WP` set. An entry outside guest RAM
-    /// reads as not present.
-    pub fn gva_to_gpa(&self, regs: &Regs, addr: u32, write: bool) -> Result<u64, Fault> {
-        if !regs.paging() {
-            return Ok(addr as u64);
-        }
-        let pse = regs.cr4 & cr4::PSE != 0;
-        emulator_gva_to_gpa(regs.cr3, pse, addr, write, false, |at| {
-            self.read_gpa_u32(at)
-        })
     }
 
     /// Cycles between virtual timer ticks at the guest's divisor.
@@ -629,13 +567,7 @@ impl Monolithic {
             // must be serviced here or its in-service bit wedges.
             ExitReason::ExtInt { vector } => self.service_physical(vector),
             ExitReason::Cpuid { len } => {
-                let leaf = self.vmcs.guest.get(Reg::Eax);
-                let r = virtual_cpuid(&self.machine.cost.ident, leaf);
-                self.vmcs.guest.set(Reg::Eax, r[0]);
-                self.vmcs.guest.set(Reg::Ebx, r[1]);
-                self.vmcs.guest.set(Reg::Ecx, r[2]);
-                self.vmcs.guest.set(Reg::Edx, r[3]);
-                self.vmcs.guest.eip = self.vmcs.guest.eip.wrapping_add(len as u32);
+                cpuid_exit(&self.machine.cost.ident, &mut self.vmcs.guest, len)
             }
             ExitReason::Rdtsc { len } => {
                 let t = self.machine.clock;
@@ -653,20 +585,9 @@ impl Monolithic {
                 write,
                 len,
             } => {
-                if write {
-                    let val = match size {
-                        OpSize::Byte => self.vmcs.guest.get8(Reg8::Al) as u32,
-                        OpSize::Dword => self.vmcs.guest.get(Reg::Eax),
-                    };
-                    self.io_write(port, size, val);
-                } else {
-                    let val = self.io_read(port, size);
-                    match size {
-                        OpSize::Byte => self.vmcs.guest.set8(Reg8::Al, val as u8),
-                        OpSize::Dword => self.vmcs.guest.set(Reg::Eax, val),
-                    }
-                }
-                self.vmcs.guest.eip = self.vmcs.guest.eip.wrapping_add(len as u32);
+                let mut regs = self.vmcs.guest.clone();
+                port_io_exit(self, &mut regs, port, size, write, len);
+                self.vmcs.guest = regs;
             }
             ExitReason::EptViolation { .. } => self.emulate_mmio(),
             ExitReason::PageFault { addr, err } => self.vtlb_fault(addr, err),
@@ -769,103 +690,15 @@ impl Monolithic {
         }
     }
 
-    /// In-kernel instruction emulation for MMIO (decode + execute +
-    /// device dispatch, all in the privileged component).
+    /// In-kernel instruction emulation for MMIO: the VMM's emulator,
+    /// run in the privileged component over [`Monolithic`]'s
+    /// [`EmuHost`].
     fn emulate_mmio(&mut self) {
         let mut regs = self.vmcs.guest.clone();
-        // Fetch.
-        let mut bytes = Vec::with_capacity(MAX_INSN_LEN);
-        for i in 0..MAX_INSN_LEN as u32 {
-            let gva = regs.eip.wrapping_add(i);
-            let Ok(gpa) = self.gva_to_gpa(&regs, gva, false) else {
-                break;
-            };
-            let Some(hpa) = self.gpa_hpa(gpa) else { break };
-            bytes.push(self.machine.mem.read_u8(hpa));
-            if i >= 1 {
-                match decode(&bytes) {
-                    Ok(_) => break,
-                    Err(DecodeError::Truncated) => continue,
-                    Err(DecodeError::InvalidOpcode) => break,
-                }
-            }
-        }
-        let Ok(insn) = decode(&bytes) else {
-            self.guest_exit = Some(0xfe);
-            return;
-        };
-
-        struct MonoEnv<'a> {
-            mono: &'a mut Monolithic,
-        }
-        impl MonoEnv<'_> {
-            fn translate(&self, addr: u32, write: bool) -> Result<u64, Fault> {
-                self.mono.gva_to_gpa(&self.mono.vmcs.guest, addr, write)
-            }
-            /// Guest-physical accesses within one page: guest RAM, the
-            /// in-kernel disk model, or the floating bus.
-            fn read_gpa(&mut self, gpa: u64, size: OpSize) -> u32 {
-                if let Some(hpa) = self.mono.gpa_hpa(gpa) {
-                    self.mono.machine.mem.read_sized(hpa, size)
-                } else if (AHCI_BASE..AHCI_BASE + 0x1000).contains(&gpa) {
-                    self.mono.disk_mmio_read((gpa - AHCI_BASE) as u32)
-                } else {
-                    size.mask()
-                }
-            }
-            fn write_gpa(&mut self, gpa: u64, size: OpSize, val: u32) {
-                if let Some(hpa) = self.mono.gpa_hpa(gpa) {
-                    self.mono.machine.mem.write_sized(hpa, size, val);
-                } else if (AHCI_BASE..AHCI_BASE + 0x1000).contains(&gpa) {
-                    self.mono.disk_mmio_write((gpa - AHCI_BASE) as u32, val);
-                }
-            }
-        }
-        impl Env for MonoEnv<'_> {
-            type Err = Fault;
-            fn read_mem(&mut self, addr: u32, size: OpSize) -> Result<u32, Fault> {
-                if paging::crosses_page(addr, size.bytes()) {
-                    let at = paging::crossing_bytes(addr, |a| self.translate(a, false))?;
-                    let mut val = 0;
-                    for (i, &gpa) in at.iter().take(size.bytes() as usize).enumerate() {
-                        val |= self.read_gpa(gpa, OpSize::Byte) << (8 * i);
-                    }
-                    return Ok(val);
-                }
-                let gpa = self.translate(addr, false)?;
-                Ok(self.read_gpa(gpa, size))
-            }
-            fn write_mem(&mut self, addr: u32, size: OpSize, val: u32) -> Result<(), Fault> {
-                if paging::crosses_page(addr, size.bytes()) {
-                    let at = paging::crossing_bytes(addr, |a| self.translate(a, true))?;
-                    for (i, &gpa) in at.iter().take(size.bytes() as usize).enumerate() {
-                        self.write_gpa(gpa, OpSize::Byte, val >> (8 * i) & 0xff);
-                    }
-                    return Ok(());
-                }
-                let gpa = self.translate(addr, true)?;
-                self.write_gpa(gpa, size, val);
-                Ok(())
-            }
-            fn io_in(&mut self, port: u16, size: OpSize) -> Result<u32, Fault> {
-                Ok(self.mono.io_read(port, size))
-            }
-            fn io_out(&mut self, port: u16, size: OpSize, val: u32) -> Result<(), Fault> {
-                self.mono.io_write(port, size, val);
-                Ok(())
-            }
-            fn cpuid(&mut self, leaf: u32) -> [u32; 4] {
-                virtual_cpuid(&self.mono.machine.cost.ident, leaf)
-            }
-            fn rdtsc(&mut self) -> u64 {
-                self.mono.machine.clock
-            }
-        }
-
-        let mut env = MonoEnv { mono: self };
-        match execute(&insn, &mut regs, &mut env) {
+        let (pages, mmu) = (self.guest_pages, MmuRegs::from_regs(&regs));
+        match emulate_one(&mut EmuEnv::new(self, pages, mmu), &mut regs) {
             Ok(_) => self.vmcs.guest = regs,
-            Err(f) => {
+            Err(EmuErr::Fault(f)) => {
                 if let Fault::Page { addr, .. } = f {
                     self.vmcs.guest.cr2 = addr;
                 }
@@ -874,8 +707,58 @@ impl Monolithic {
                     error_code: f.error_code(),
                 });
             }
+            Err(EmuErr::Unsupported) => self.guest_exit = Some(0xfe),
         }
     }
+}
+
+/// Guest RAM is the host frames from `GUEST_BASE_PAGE` on, the legacy
+/// hole included; the in-kernel AHCI model is the one device window.
+impl EmuHost for Monolithic {
+    fn ram(&self, gpa: u64, len: usize) -> Option<&[u8]> {
+        self.machine.mem.slice(GUEST_BASE_PAGE * 4096 + gpa, len)
+    }
+
+    fn ram_mut(&mut self, gpa: u64, len: usize) -> Option<&mut [u8]> {
+        self.machine
+            .mem
+            .slice_mut(GUEST_BASE_PAGE * 4096 + gpa, len)
+    }
+
+    fn mmio_read(&mut self, gpa: u64, _size: OpSize) -> Option<u32> {
+        Some(self.disk_mmio_read(ahci_reg(gpa)?))
+    }
+
+    fn mmio_write(&mut self, gpa: u64, _size: OpSize, val: u32) -> bool {
+        let Some(off) = ahci_reg(gpa) else {
+            return false;
+        };
+        self.disk_mmio_write(off, val);
+        true
+    }
+
+    fn io_in(&mut self, port: u16, size: OpSize) -> u32 {
+        self.io_read(port, size)
+    }
+
+    fn io_out(&mut self, port: u16, size: OpSize, val: u32) {
+        self.io_write(port, size, val);
+    }
+
+    fn ident(&self) -> &CpuIdent {
+        &self.machine.cost.ident
+    }
+
+    fn now(&self) -> u64 {
+        self.machine.clock
+    }
+}
+
+/// The in-kernel AHCI model's register at guest-physical `gpa`, if
+/// its page holds `gpa`.
+fn ahci_reg(gpa: u64) -> Option<u32> {
+    let page = AHCI_BASE..AHCI_BASE + 0x1000;
+    page.contains(&gpa).then(|| (gpa - AHCI_BASE) as u32)
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 use nova_baseline::{MonoConfig, Monolithic};
 use nova_core::hostpt::NestedTable;
 use nova_core::kernel::HV_MEM;
-use nova_core::obj::VmPaging;
+use nova_core::obj::{MemMapping, MemRights, MemSpace, VmPaging};
 use nova_core::RunOutcome;
 use nova_hw::cost::CostModel;
 use nova_hw::cpu::run_guest;
@@ -53,43 +53,25 @@ pub fn run_direct_limit(
     let mut alloc = nova_core::hostpt::FrameAllocator::new(ram - HV_MEM, HV_MEM);
 
     // Identity nested table over the whole low RAM + device windows.
-    let mut t = NestedTable::new(fmt, &mut alloc, &mut m.mem);
-    let cp = fmt.large_page_size() / 4096;
-    let pages = (ram - HV_MEM) / 4096;
-    // Large leaves cover every whole chunk below `large_end`.
-    let large_end = if large_pages { pages - pages % cp } else { 0 };
-    let mut p = 0u64;
-    while p < pages {
-        if p < large_end {
-            t.map_large(&mut m.mem, &mut alloc, p * 4096, p * 4096, true);
-            p += cp;
-        } else {
-            t.map_page(&mut m.mem, &mut alloc, p * 4096, p * 4096, true)
-                .expect("above the large leaves");
-            p += 1;
-        }
-    }
-    for dev_page in [
-        nova_hw::vga::VGA_BASE / 4096,
+    let identity = |p: u64| MemMapping {
+        hpa: p * 4096,
+        rights: MemRights::RW,
+    };
+    let mut ms = MemSpace::default();
+    ms.map_run(0, (ram - HV_MEM) / 4096, identity); // VGA included
+    let nic = nova_hw::machine::NIC_BASE / 4096;
+    let devices = [
         nova_hw::machine::AHCI_BASE / 4096,
-        nova_hw::machine::NIC_BASE / 4096,
-        nova_hw::machine::NIC_BASE / 4096 + 1,
-        nova_hw::machine::NIC_BASE / 4096 + 2,
-        nova_hw::machine::NIC_BASE / 4096 + 3,
-    ] {
-        // A large identity leaf already maps a window inside RAM (VGA).
-        if dev_page < large_end {
-            continue;
-        }
-        t.map_page(
-            &mut m.mem,
-            &mut alloc,
-            dev_page * 4096,
-            dev_page * 4096,
-            true,
-        )
-        .expect("outside the large leaves");
+        nic,
+        nic + 1,
+        nic + 2,
+        nic + 3,
+    ];
+    for p in devices {
+        ms.map(p, identity(p));
     }
+    let mut t = NestedTable::new(fmt, &mut alloc, &mut m.mem);
+    t.mirror(&mut m.mem, &mut alloc, &ms, (0, nic + 4), large_pages);
 
     let vpid = if tagged && cost.has_tagged_tlb { 1 } else { 0 };
     let mut vmcs = Vmcs::new(PagingVirt::Nested { root: t.root, fmt }, vpid);
@@ -314,9 +296,10 @@ mod tests {
 
     /// Every stack of Figure 5 runs the same image to the same marks
     /// and the same console: the stacks differ by architecture alone.
-    /// Direct has no disk server, so it runs only the diskless guest.
+    /// Direct has no disk server, so it runs only the diskless guests.
     #[test]
     fn every_stack_runs_the_same_guest_to_the_same_marks() {
+        use nova_x86::{MemRef, Reg};
         const BUDGET: Cycles = 20_000_000_000;
         let blm = nova_hw::cost::BLM;
         let nova = |paging, large_pages| NovaKnobs {
@@ -352,7 +335,18 @@ mod tests {
             requests: 4,
             block_bytes: 8192,
         });
+        // Stores to the legacy PC hole, reloads the word and reads one
+        // it never wrote: RAM to the guest, whichever stack backs it.
+        let hole = nova_guest::os::build_os(nova_guest::os::OsParams::minimal(), |a, _| {
+            a.mov_mi(MemRef::abs(0xa_0000), 0x1234_5678);
+            for at in [0xa_0000, 0xa_1000] {
+                a.mov_rm(Reg::Eax, MemRef::abs(at));
+                a.mov_ri(Reg::Edx, 0xf5);
+                a.out_dx_eax();
+            }
+        });
         let guests = [
+            ("legacy hole", &hole, true),
             ("compile without disk", &diskless, true),
             ("compile", &compile::build(CompileParams::smoke()), false),
             ("diskload", &diskload, false),

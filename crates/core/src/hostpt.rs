@@ -12,6 +12,8 @@ use nova_hw::mmu::nested_entry;
 use nova_hw::PAddr;
 use nova_x86::paging::{pte, NestedEntry, NestedFormat, PAGE_SIZE};
 
+use crate::obj::{MemMapping, MemSpace};
+
 /// Bump allocator over the hypervisor's private memory region, with a
 /// free list for recycled frames.
 pub struct FrameAllocator {
@@ -178,6 +180,58 @@ impl NestedTable {
         }
     }
 
+    /// Mirrors the `count` pages from `hot` of `ms` into the table, at
+    /// the same guest-physical addresses: a whole chunk as one large
+    /// leaf where `large` allows and one leaf can stand for it (every
+    /// page mapped, the frames consecutive from a chunk-aligned one,
+    /// one write right), every other mapped page as a 4 KB leaf, in
+    /// ascending order. The pages must lie under no large leaf yet.
+    pub fn mirror(
+        &mut self,
+        mem: &mut PhysMem,
+        alloc: &mut FrameAllocator,
+        ms: &MemSpace,
+        (hot, count): (u64, u64),
+        large: bool,
+    ) {
+        let cp = self.fmt.large_page_size() / PAGE_SIZE as u64;
+        let mut i = 0;
+        while i < count {
+            let gpage = hot + i;
+            if large && gpage.is_multiple_of(cp) && count - i >= cp {
+                if let Some(first) = uniform_chunk(ms, gpage, cp) {
+                    let gpa = gpage * PAGE_SIZE as u64;
+                    self.map_large(mem, alloc, gpa, first.hpa, first.rights.write);
+                    i += cp;
+                    continue;
+                }
+            }
+            // Up to the next chunk boundary at 4 KB.
+            let n = (cp - gpage % cp).min(count - i);
+            for (p, m) in (gpage..).zip(ms.slices(gpage, n).flatten()) {
+                let Some(m) = m else { continue };
+                let (gpa, w) = (p * PAGE_SIZE as u64, m.rights.write);
+                let mapped = self.map_page(mem, alloc, gpa, m.hpa, w);
+                mapped.expect("a mirrored page lies under no large leaf");
+            }
+            i += n;
+        }
+    }
+
+    /// Whether a large leaf maps `gpa`.
+    pub fn is_large(&self, mem: &PhysMem, gpa: u64) -> bool {
+        let mut table = self.root;
+        for level in (1..self.fmt.levels()).rev() {
+            let idx = self.fmt.index_of(level, gpa);
+            let e = self.fmt.decode(nested_entry(mem, self.fmt, table, idx));
+            if !e.present || e.large {
+                return e.present;
+            }
+            table = e.next;
+        }
+        false
+    }
+
     /// Unmaps the small page covering `gpa` (clears the leaf entry;
     /// intermediate tables are kept). Clearing a large page drops the
     /// whole range.
@@ -223,6 +277,21 @@ impl NestedTable {
             }
         }
     }
+}
+
+/// The first mapping of the `cp`-page chunk at `page` of `ms` if one
+/// large leaf can stand for the chunk: every page mapped, the frames
+/// consecutive from a chunk-aligned one, one write right throughout.
+pub(crate) fn uniform_chunk(ms: &MemSpace, page: u64, cp: u64) -> Option<MemMapping> {
+    let first = ms.slices(page, 1).next()?[0]?;
+    let size = cp * PAGE_SIZE as u64;
+    let fits = |(j, m): (u64, &Option<MemMapping>)| {
+        m.is_some_and(|m| {
+            m.hpa == first.hpa + j * PAGE_SIZE as u64 && m.rights.write == first.rights.write
+        })
+    };
+    let whole = (0..).zip(ms.slices(page, cp).flatten()).all(fits);
+    (first.hpa.is_multiple_of(size) && whole).then_some(first)
 }
 
 /// A shadow page table (32-bit two-level) maintained by the vTLB

@@ -3,15 +3,16 @@
 //! domain teardown; and [`Kernel::check_invariants`], the rule the
 //! mapping databases are kept by (Sections 4.1, 6).
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 use nova_hw::iommu::Iommu;
 use nova_x86::paging::PAGE_SIZE;
 
 use super::{port_range, Kernel, MAX_RANGE_PAGES};
 use crate::cap::{CapSel, Capability, Perms};
+use crate::hostpt::uniform_chunk;
 use crate::hypercall::HcErr;
-use crate::obj::{EcId, MemMapping, MemRights, MemSpace, Pd, PdId, LEAF_ENTRIES};
+use crate::obj::{EcId, MemMapping, MemRights, Pd, PdId, LEAF_ENTRIES};
 
 impl Kernel {
     pub(super) fn delegate_mem(
@@ -86,53 +87,15 @@ impl Kernel {
             map_dma(&mut self.machine.bus.iommu, &to_pd.devices, held);
         }
         // Mirror into the VM's nested table, using large host pages
-        // for aligned physically-contiguous runs when enabled.
-        if self.obj.pd(to).is_vm() {
-            self.mirror_nested(to, hot, count);
+        // for aligned physically-contiguous runs when enabled. A
+        // delegation's destination pages were free, so no large leaf
+        // stands over them.
+        if let Some(table) = self.nested.get_mut(&to) {
+            let d = &self.obj.pds[to.0];
+            let (mem, alloc) = (&mut self.machine.mem, &mut self.alloc);
+            table.mirror(mem, alloc, &d.mem, (hot, count), d.large_pages);
         }
         Ok(())
-    }
-
-    /// Mirrors the `count` pages from `hot` of `pd`'s space into its
-    /// nested table: a whole chunk as one large leaf where its pages
-    /// are contiguous from an aligned frame with one write right, every
-    /// other page as a 4 KB leaf, in ascending order.
-    fn mirror_nested(&mut self, pd: PdId, hot: u64, count: u64) {
-        let Some(table) = self.nested.get_mut(&pd) else {
-            return;
-        };
-        let ms = &self.obj.pds[pd.0].mem;
-        let cp = table.fmt.large_page_size() / PAGE_SIZE as u64;
-        let use_large = self.obj.pds[pd.0].large_pages;
-        let mut i = 0;
-        while i < count {
-            let gpage = hot + i;
-            if use_large && gpage.is_multiple_of(cp) && count - i >= cp {
-                if let Some(first) = uniform_chunk(ms, gpage, cp) {
-                    table.map_large(
-                        &mut self.machine.mem,
-                        &mut self.alloc,
-                        gpage * PAGE_SIZE as u64,
-                        first.hpa,
-                        first.rights.write,
-                    );
-                    self.large_chunks.entry(pd).or_default().insert(gpage);
-                    i += cp;
-                    continue;
-                }
-            }
-            // Up to the next chunk boundary at 4 KB. A large leaf stands
-            // only over a chunk whose every page is mapped, and a
-            // delegation's destination pages were not.
-            let n = (cp - gpage % cp).min(count - i);
-            for (p, m) in (gpage..).zip(ms.slices(gpage, n).flatten()) {
-                let Some(m) = m else { continue };
-                let (gpa, w) = (p * PAGE_SIZE as u64, m.rights.write);
-                let mapped = table.map_page(&mut self.machine.mem, &mut self.alloc, gpa, m.hpa, w);
-                mapped.expect("a delegated page lies under no large leaf");
-            }
-            i += n;
-        }
     }
 
     pub(super) fn delegate_io(
@@ -235,11 +198,7 @@ impl Kernel {
         if let Some(t) = table.as_deref_mut() {
             let cp = t.fmt.large_page_size() / PAGE_SIZE as u64;
             let chunk = at - at % cp;
-            let large = self
-                .large_chunks
-                .get_mut(&pd)
-                .is_some_and(|s| s.remove(&chunk));
-            if large {
+            if t.is_large(&machine.mem, chunk * PAGE_SIZE as u64) {
                 t.unmap_page(&mut machine.mem, chunk * PAGE_SIZE as u64);
                 let held = (chunk..).zip(mem.slices(chunk, cp).flatten());
                 for (p, m) in held.filter(|(p, _)| !(at..at + n).contains(p)) {
@@ -340,8 +299,8 @@ impl Kernel {
     ///    of its parent maps, with no right the parent lacks.
     /// 5. The hardware tables hold nothing the space does not: each 4 KB
     ///    nested leaf maps the space's frame with write rights no wider;
-    ///    a large leaf stands exactly over each chunk listed as large,
-    ///    whose pages one leaf can stand for; the nested table's frames
+    ///    a large leaf stands only over a chunk whose pages one leaf can
+    ///    stand for; the nested table's frames
     ///    are the frames its root reaches (none leaked); each assigned
     ///    device's IOMMU context maps only pages held with `dma`.
     /// 6. Every queued SC sits in the run-queue class of its own
@@ -470,30 +429,23 @@ impl Kernel {
         let held = |page: u64| ms.slices(page, 1).next().and_then(|s| s[0]);
         if let Some(t) = self.nested.get(&pd) {
             let cp = t.fmt.large_page_size() / PAGE_SIZE as u64;
-            let chunks = self.large_chunks.get(&pd);
-            let (mut large, mut bad) = (0, None);
+            let mut bad = None;
             let mut tables = t.leaves(&self.machine.mem, |gpa, level, e| {
                 let fits = |m: MemMapping| m.hpa == e.next && m.rights.write >= e.write;
                 let page = gpa / PAGE_SIZE as u64;
-                large += (level > 0) as usize;
                 let ok = match level {
                     0 => held(page).is_some_and(fits),
-                    _ => {
-                        chunks.is_some_and(|c| c.contains(&page))
-                            && uniform_chunk(ms, page, cp).is_some_and(fits)
-                    }
+                    _ => uniform_chunk(ms, page, cp).is_some_and(fits),
                 };
                 let what = || format!("nested leaf at level {level} over {gpa:#x} is {e:?}");
                 bad = bad.take().or_else(|| (!ok).then(what));
             });
             bad.map_or(Ok(()), Err)?;
-            let listed = chunks.map_or(0, HashSet::len);
             let mut frames = t.frames().to_vec();
             frames.sort_unstable();
             tables.sort_unstable();
-            if (large, &frames) != (listed, &tables) {
-                let e = format!("{large} large leaves over {listed} chunks; nested frames");
-                return Err(format!("{e} {frames:x?}, reached {tables:x?}"));
+            if frames != tables {
+                return Err(format!("nested frames {frames:x?}, reached {tables:x?}"));
             }
         }
         for &dev in &self.obj.pd(pd).devices {
@@ -560,7 +512,6 @@ impl Kernel {
                 self.alloc.release(*f);
             }
         }
-        self.large_chunks.remove(&pd);
         for ec in &ecs {
             if let Some(mut cache) = self.shadows.remove(ec) {
                 // Sub-table frames go back to the pool with the domain.
@@ -599,19 +550,4 @@ pub(super) fn map_dma(
             iommu.map_page(dev, page * PAGE_SIZE as u64, m.hpa, m.rights.write);
         }
     }
-}
-
-/// The first mapping of the `cp`-page chunk at `page` of `ms` if one
-/// large leaf can stand for the chunk: every page mapped, the frames
-/// consecutive from a chunk-aligned one, one write right throughout.
-fn uniform_chunk(ms: &MemSpace, page: u64, cp: u64) -> Option<MemMapping> {
-    let first = ms.slices(page, 1).next()?[0]?;
-    let size = cp * PAGE_SIZE as u64;
-    let fits = |(j, m): (u64, &Option<MemMapping>)| {
-        m.is_some_and(|m| {
-            m.hpa == first.hpa + j * PAGE_SIZE as u64 && m.rights.write == first.rights.write
-        })
-    };
-    let whole = (0..).zip(ms.slices(page, cp).flatten()).all(fits);
-    (first.hpa.is_multiple_of(size) && whole).then_some(first)
 }

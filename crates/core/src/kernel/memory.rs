@@ -173,12 +173,6 @@ impl Kernel {
         self.for_writable_chunks(ctx, addr, len, |mem, hpa, _, n| mem.fill(hpa, n, val))
     }
 
-    /// Reads one byte from the component's address space.
-    pub fn mem_read_u8(&self, ctx: CompCtx, addr: u64) -> Option<u8> {
-        let hpa = self.obj.pd(ctx.pd).mem.translate(addr)?;
-        Some(self.machine.mem.read_u8(hpa))
-    }
-
     /// Reads a little-endian u32 from the component's address space.
     pub fn mem_read_u32(&self, ctx: CompCtx, addr: u64) -> Option<u32> {
         let mut b = [0; 4];

@@ -17,7 +17,7 @@
 //! access to memory and devices), `time` (interrupts, timers,
 //! watchdogs and faults) and `vcpu` (vCPU export and import).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use nova_hw::machine::Machine;
 use nova_hw::Cycles;
@@ -206,7 +206,6 @@ pub struct Kernel {
     components: Vec<Option<Box<dyn Component>>>,
     nested: HashMap<PdId, NestedTable>,
     shadows: HashMap<EcId, ShadowCache>,
-    large_chunks: HashMap<PdId, HashSet<u64>>,
     gsi_owner: HashMap<u8, PdId>,
     gsi_sm: HashMap<u8, SmId>,
     timers: Vec<KernelTimer>,
@@ -334,7 +333,6 @@ impl Kernel {
             components: Vec::new(),
             nested: HashMap::new(),
             shadows: HashMap::new(),
-            large_chunks: HashMap::new(),
             gsi_owner,
             gsi_sm: HashMap::new(),
             timers: Vec::new(),

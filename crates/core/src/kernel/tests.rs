@@ -1693,8 +1693,8 @@ fn revoking_a_range_flushes_each_affected_vm_once() {
 
 /// `check_invariants`' hardware-table clause sees each way a nested
 /// table or an IOMMU context can hold what the space does not: a
-/// stray 4 KB leaf, a large leaf over a chunk not listed as large, a
-/// page table nothing links to, a device mapping of a page the
+/// stray 4 KB leaf, a large leaf over a chunk one leaf cannot stand
+/// for, a page table nothing links to, a device mapping of a page the
 /// domain does not hold.
 #[test]
 fn check_invariants_sees_what_the_hardware_tables_hold() {
@@ -1744,8 +1744,22 @@ fn check_invariants_sees_what_the_hardware_tables_hold() {
     stray.unwrap();
     refused(&k, "nested leaf at level 0 over 0x40000000");
 
-    let (mut k, _, pd, _) = vm(0);
-    k.large_chunks.get_mut(&pd).unwrap().clear();
+    // The nested table's path to chunk 0's level-1 slot.
+    let pd_table = |k: &Kernel, pd: PdId| {
+        let mut table = k.obj.pd(pd).nested_root.unwrap();
+        for level in [3, 2] {
+            table = fmt.decode(nested_entry(&k.machine.mem, fmt, table, 0)).next;
+            assert_ne!(table, 0, "level {level} links on");
+        }
+        table
+    };
+
+    // Splintered by the revoke of its first page: a large leaf written
+    // back over the chunk stands for a page the space does not hold.
+    let (mut k, _, pd, _) = vm(1);
+    let slot = pd_table(&k, pd);
+    let leaf = fmt.leaf_entry(0x800 << 12, true, true);
+    k.machine.mem.write_u64(slot, leaf);
     refused(&k, "nested leaf at level 1 over 0x0");
 
     // Splintered, then emptied: the chunk's page table is still
@@ -1761,12 +1775,8 @@ fn check_invariants_sees_what_the_hardware_tables_hold() {
     )
     .unwrap();
     assert_eq!(k.check_invariants(), Ok(()));
-    let mut table = k.obj.pd(pd).nested_root.unwrap();
-    for level in [3, 2] {
-        table = fmt.decode(nested_entry(&k.machine.mem, fmt, table, 0)).next;
-        assert_ne!(table, 0, "level {level} links on");
-    }
-    k.machine.mem.write_u64(table, 0);
+    let slot = pd_table(&k, pd);
+    k.machine.mem.write_u64(slot, 0);
     refused(&k, "nested frames");
 
     let (mut k, _, _, device) = vm(0);

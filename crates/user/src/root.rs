@@ -27,7 +27,8 @@
 //! Each fact a replay needs has one holder. Root holds the live disk
 //! server (read through [`RootPm::disk_server`]) and
 //! each VM slot's disk wiring ([`RootPm::clients`], written only by
-//! [`RootPm::wire_client`]); a VMM's incarnation lives in its recipe
+//! [`RootPm::wire_client`] and, for a VM given up on,
+//! [`RootPm::forget_client`]); a VMM's incarnation lives in its recipe
 //! ([`VmRecipe::vmm`]), and each ladder's state in its supervision
 //! record. Only this module reaches into the disk server.
 
@@ -661,6 +662,15 @@ impl RootPm {
         let Some(srv) = self.disk else { return };
         for c in dproto::slot_clients(slot) {
             k.invoke_component::<DiskServer, _>(srv.ctx.comp, |s, _| s.detach_client(c));
+        }
+    }
+
+    /// Forgets VMM slot `slot`'s disk wiring: its VM was given up on,
+    /// so no respawn of the server rewires or signals the destroyed
+    /// VMM. A revive keeps the wiring for the next incarnation.
+    pub fn forget_client(&mut self, slot: usize) {
+        if let Some(entry) = self.clients.get_mut(slot) {
+            *entry = None;
         }
     }
 

@@ -7,9 +7,15 @@
 //! as well." — exactly what happens here, sharing the decoder and
 //! executor with the simulated CPU. Memory operands resolve through
 //! the *guest's own page tables* (parsed by the emulator), land in
-//! guest RAM via the VMM's memory window, or dispatch to the virtual
-//! device models for MMIO. Exceptions raised mid-emulation (the
-//! "fixup code" of the paper) surface as faults for the VMM to inject.
+//! guest RAM, or dispatch to the virtual device models for MMIO.
+//! Exceptions raised mid-emulation (the "fixup code" of the paper)
+//! surface as faults for the VMM to inject.
+//!
+//! The emulator is the one copy every stack runs: what differs per
+//! host — how guest RAM is backed, which MMIO windows exist, the port
+//! devices — is an [`EmuHost`]. The VMM's is [`VmmHost`] (its memory
+//! window and [`VDevices`]); the monolithic baseline implements it over
+//! its host frames and in-kernel device models.
 //!
 //! Everything decoded here — opcode bytes, operands, page-table
 //! entries — is attacker-controlled guest state: malformed input
@@ -21,11 +27,12 @@
 
 use nova_core::{CompCtx, Kernel};
 use nova_hw::mmu::MmuRegs;
+use nova_x86::cpuid::CpuIdent;
 use nova_x86::decode::{decode, DecodeError, MAX_INSN_LEN};
 use nova_x86::exec::{emulator_gva_to_gpa, execute, Env, Exec, Fault};
 use nova_x86::insn::{Insn, OpSize};
 use nova_x86::paging;
-use nova_x86::reg::Regs;
+use nova_x86::reg::{Reg, Reg8, Regs};
 
 use crate::devices::VDevices;
 use crate::vmm::guest_va;
@@ -45,24 +52,105 @@ impl From<Fault> for EmuErr {
     }
 }
 
-/// The emulator's execution environment.
-pub struct EmuEnv<'a> {
+/// What the emulator reaches on its host. An access the emulator
+/// hands it lies within one page; whether a guest-physical page is RAM
+/// is the emulator's to decide.
+pub trait EmuHost {
+    /// `len` bytes of guest RAM at `gpa`, borrowed in place; `None` if
+    /// the host cannot read them.
+    fn ram(&self, gpa: u64, len: usize) -> Option<&[u8]>;
+    /// The same bytes to store to; `None` if the host cannot write them.
+    fn ram_mut(&mut self, gpa: u64, len: usize) -> Option<&mut [u8]>;
+    /// A device-window load; `None` if no window lies at `gpa`.
+    fn mmio_read(&mut self, gpa: u64, size: OpSize) -> Option<u32>;
+    /// A device-window store; `false` if no window lies at `gpa`.
+    fn mmio_write(&mut self, gpa: u64, size: OpSize, val: u32) -> bool;
+    /// Port input.
+    fn io_in(&mut self, port: u16, size: OpSize) -> u32;
+    /// Port output.
+    fn io_out(&mut self, port: u16, size: OpSize, val: u32);
+    /// The CPU the guest's CPUID describes.
+    fn ident(&self) -> &CpuIdent;
+    /// The time-stamp counter.
+    fn now(&self) -> u64;
+}
+
+/// The VMM's host: guest RAM through its memory window at
+/// [`crate::vmm::GUEST_BASE_PAGE`], its virtual devices.
+pub struct VmmHost<'a> {
     /// Kernel access (guest memory through the VMM's mappings).
     pub k: &'a mut Kernel,
     /// The VMM's identity.
     pub ctx: CompCtx,
-    /// Guest RAM size in pages (guest RAM is mapped at
-    /// [`crate::vmm::GUEST_BASE_PAGE`]).
-    pub guest_pages: u64,
     /// Virtual devices for MMIO and port I/O.
     pub dev: &'a mut VDevices,
-    /// Guest paging state (from the exit message).
+}
+
+impl EmuHost for VmmHost<'_> {
+    fn ram(&self, gpa: u64, len: usize) -> Option<&[u8]> {
+        self.k.mem_slice(self.ctx, guest_va(gpa), len)
+    }
+
+    fn ram_mut(&mut self, gpa: u64, len: usize) -> Option<&mut [u8]> {
+        self.k.mem_slice_mut(self.ctx, guest_va(gpa), len)
+    }
+
+    fn mmio_read(&mut self, gpa: u64, size: OpSize) -> Option<u32> {
+        self.dev
+            .owns_gpa(gpa)
+            .then(|| self.dev.mmio_read(gpa, size))
+    }
+
+    fn mmio_write(&mut self, gpa: u64, size: OpSize, val: u32) -> bool {
+        if !self.dev.owns_gpa(gpa) {
+            return false;
+        }
+        self.dev.mmio_write(self.k, self.ctx, gpa, size, val);
+        true
+    }
+
+    fn io_in(&mut self, port: u16, size: OpSize) -> u32 {
+        self.dev.io_read(self.k, self.ctx, port, size)
+    }
+
+    fn io_out(&mut self, port: u16, size: OpSize, val: u32) {
+        self.dev.io_write(self.k, self.ctx, port, size, val);
+    }
+
+    fn ident(&self) -> &CpuIdent {
+        &self.k.machine.cost.ident
+    }
+
+    fn now(&self) -> u64 {
+        self.k.now()
+    }
+}
+
+/// The emulator's execution environment over a host `H`.
+pub struct EmuEnv<'a, H> {
+    /// Guest RAM, device windows and ports.
+    pub host: &'a mut H,
+    /// Guest RAM size in pages: a guest-physical page below it is RAM,
+    /// the legacy hole included.
+    pub guest_pages: u64,
+    /// Guest paging state.
     pub mmu: MmuRegs,
     /// Count of device-model operations performed (for cost charging).
     pub device_ops: u32,
 }
 
-impl EmuEnv<'_> {
+impl<'a, H: EmuHost> EmuEnv<'a, H> {
+    /// An environment for one emulation in a guest of `guest_pages`
+    /// pages paging by `mmu`.
+    pub fn new(host: &'a mut H, guest_pages: u64, mmu: MmuRegs) -> Self {
+        EmuEnv {
+            host,
+            guest_pages,
+            mmu,
+            device_ops: 0,
+        }
+    }
+
     /// Translates a guest-virtual address by walking the guest's page
     /// table (in guest memory) the way the hardware walkers do: as a
     /// supervisor access with `CR0.WP` set. An entry outside guest RAM
@@ -72,64 +160,53 @@ impl EmuEnv<'_> {
             return Ok(addr as u64);
         }
         emulator_gva_to_gpa(self.mmu.cr3, self.mmu.pse(), addr, write, fetch, |at| {
-            self.read_gpa_u32(at).unwrap_or(0)
+            self.read_ram(at, OpSize::Dword).unwrap_or(0)
         })
-    }
-
-    fn read_gpa_u32(&self, gpa: u64) -> Option<u32> {
-        if gpa >> 12 >= self.guest_pages {
-            return None;
-        }
-        self.k.mem_read_u32(self.ctx, guest_va(gpa))
     }
 
     fn in_ram(&self, gpa: u64) -> bool {
         gpa >> 12 < self.guest_pages
     }
 
+    /// Loads `size` bytes of guest RAM at `gpa`, little-endian.
+    fn read_ram(&self, gpa: u64, size: OpSize) -> Option<u32> {
+        if !self.in_ram(gpa) {
+            return None;
+        }
+        let bytes = self.host.ram(gpa, size.bytes() as usize)?;
+        Some(bytes.iter().rev().fold(0, |v, &b| v << 8 | b as u32))
+    }
+
     /// Loads from guest-physical `gpa` (within one page): guest RAM, a
-    /// virtual device, or the floating bus.
+    /// device window, or the floating bus.
     fn read_gpa(&mut self, gpa: u64, size: OpSize) -> Result<u32, EmuErr> {
         if self.in_ram(gpa) {
-            let a = guest_va(gpa);
-            match size {
-                OpSize::Byte => self.k.mem_read_u8(self.ctx, a).map(|b| b as u32),
-                OpSize::Dword => self.k.mem_read_u32(self.ctx, a),
-            }
-            .ok_or(EmuErr::Fault(Fault::Gp))
-        } else if self.dev.owns_gpa(gpa) {
+            self.read_ram(gpa, size).ok_or(EmuErr::Fault(Fault::Gp))
+        } else if let Some(val) = self.host.mmio_read(gpa, size) {
             self.device_ops += 1;
-            Ok(self.dev.mmio_read(gpa, size))
+            Ok(val)
         } else {
             // Unbacked guest-physical space reads as floating bus.
             Ok(size.mask())
         }
     }
 
-    /// Stores to guest-physical `gpa` (within one page).
+    /// Stores to guest-physical `gpa` (within one page); a store to
+    /// unbacked space is dropped.
     fn write_gpa(&mut self, gpa: u64, size: OpSize, val: u32) -> Result<(), EmuErr> {
         if self.in_ram(gpa) {
+            let n = size.bytes() as usize;
+            let ram = self.host.ram_mut(gpa, n).ok_or(EmuErr::Fault(Fault::Gp))?;
             let bytes = val.to_le_bytes();
-            let n = (size.bytes() as usize).min(bytes.len());
-            let ok = self
-                .k
-                .mem_write(self.ctx, guest_va(gpa), bytes.get(..n).unwrap_or(&bytes));
-            if ok {
-                Ok(())
-            } else {
-                Err(EmuErr::Fault(Fault::Gp))
-            }
-        } else if self.dev.owns_gpa(gpa) {
+            ram.copy_from_slice(bytes.get(..n).unwrap_or(&bytes));
+        } else if self.host.mmio_write(gpa, size, val) {
             self.device_ops += 1;
-            self.dev.mmio_write(self.k, self.ctx, gpa, size, val);
-            Ok(())
-        } else {
-            Ok(()) // writes to unbacked space are dropped
         }
+        Ok(())
     }
 }
 
-impl Env for EmuEnv<'_> {
+impl<H: EmuHost> Env for EmuEnv<'_, H> {
     type Err = EmuErr;
 
     fn read_mem(&mut self, addr: u32, size: OpSize) -> Result<u32, EmuErr> {
@@ -159,21 +236,21 @@ impl Env for EmuEnv<'_> {
 
     fn io_in(&mut self, port: u16, size: OpSize) -> Result<u32, EmuErr> {
         self.device_ops += 1;
-        Ok(self.dev.io_read(self.k, self.ctx, port, size))
+        Ok(self.host.io_in(port, size))
     }
 
     fn io_out(&mut self, port: u16, size: OpSize, val: u32) -> Result<(), EmuErr> {
         self.device_ops += 1;
-        self.dev.io_write(self.k, self.ctx, port, size, val);
+        self.host.io_out(port, size, val);
         Ok(())
     }
 
     fn cpuid(&mut self, leaf: u32) -> [u32; 4] {
-        virtual_cpuid(&self.k.machine.cost.ident, leaf)
+        virtual_cpuid(self.host.ident(), leaf)
     }
 
     fn rdtsc(&mut self) -> u64 {
-        self.k.now()
+        self.host.now()
     }
 
     fn invlpg(&mut self, _addr: u32) -> Result<(), EmuErr> {
@@ -187,12 +264,48 @@ impl Env for EmuEnv<'_> {
 
 /// CPUID as the guest sees it: the host's identity with the
 /// virtualization feature hidden.
-pub fn virtual_cpuid(ident: &nova_x86::cpuid::CpuIdent, leaf: u32) -> [u32; 4] {
+pub fn virtual_cpuid(ident: &CpuIdent, leaf: u32) -> [u32; 4] {
     let mut r = ident.cpuid(leaf);
     if leaf == 1 {
         r[2] &= !nova_x86::cpuid::feature::VMX;
     }
     r
+}
+
+/// A CPUID exit: the virtual CPUID of leaf EAX into EAX..EDX, EIP past
+/// the `len`-byte instruction.
+pub fn cpuid_exit(ident: &CpuIdent, regs: &mut Regs, len: u8) {
+    let r = virtual_cpuid(ident, regs.get(Reg::Eax));
+    for (reg, val) in [Reg::Eax, Reg::Ebx, Reg::Ecx, Reg::Edx].into_iter().zip(r) {
+        regs.set(reg, val);
+    }
+    regs.eip = regs.eip.wrapping_add(len as u32);
+}
+
+/// A port-I/O exit: AL or EAX to `host`'s port on an OUT, from it on
+/// an IN, then EIP past the `len`-byte instruction.
+pub fn port_io_exit(
+    host: &mut impl EmuHost,
+    regs: &mut Regs,
+    port: u16,
+    size: OpSize,
+    write: bool,
+    len: u8,
+) {
+    if write {
+        let val = match size {
+            OpSize::Byte => regs.get8(Reg8::Al) as u32,
+            OpSize::Dword => regs.get(Reg::Eax),
+        };
+        host.io_out(port, size, val);
+    } else {
+        let val = host.io_in(port, size);
+        match size {
+            OpSize::Byte => regs.set8(Reg8::Al, val as u8),
+            OpSize::Dword => regs.set(Reg::Eax, val),
+        }
+    }
+    regs.eip = regs.eip.wrapping_add(len as u32);
 }
 
 /// Fetches and decodes the instruction at `regs.eip` from guest
@@ -202,7 +315,7 @@ pub fn virtual_cpuid(ident: &nova_x86::cpuid::CpuIdent, leaf: u32) -> [u32; 4] {
 ///
 /// Faults from the fetch translation, or [`EmuErr::Unsupported`] for
 /// encodings outside the subset.
-pub fn fetch_insn(env: &mut EmuEnv, regs: &Regs) -> Result<Insn, EmuErr> {
+pub fn fetch_insn<H: EmuHost>(env: &mut EmuEnv<H>, regs: &Regs) -> Result<Insn, EmuErr> {
     // Opcode bytes accumulate on the stack; each guest page on the
     // fetch path is translated once and its bytes borrowed in place.
     let mut buf = [0u8; MAX_INSN_LEN];
@@ -219,8 +332,7 @@ pub fn fetch_insn(env: &mut EmuEnv, regs: &Regs) -> Result<Insn, EmuErr> {
         }
         let page_left = 4096 - (gpa & 0xfff) as usize;
         let want = (MAX_INSN_LEN - len).min(page_left);
-        let addr = guest_va(gpa);
-        let Some(src) = env.k.mem_slice(env.ctx, addr, want) else {
+        let Some(src) = env.host.ram(gpa, want) else {
             break;
         };
         let Some(dst) = buf.get_mut(len..len + src.len()) else {
@@ -251,7 +363,10 @@ pub fn fetch_insn(env: &mut EmuEnv, regs: &Regs) -> Result<Insn, EmuErr> {
 /// # Errors
 ///
 /// Faults to inject into the guest, or [`EmuErr::Unsupported`].
-pub fn emulate_one(env: &mut EmuEnv, regs: &mut Regs) -> Result<(Insn, Exec), EmuErr> {
+pub fn emulate_one<H: EmuHost>(
+    env: &mut EmuEnv<H>,
+    regs: &mut Regs,
+) -> Result<(Insn, Exec), EmuErr> {
     let insn = fetch_insn(env, regs)?;
     let flow = execute(&insn, regs, env)?;
     Ok((insn, flow))
@@ -293,14 +408,12 @@ mod tests {
         let code = [0xc7, 0x05, 0x00, 0x20, 0x00, 0x00, 0x34, 0x12, 0xcd, 0xab];
         k.mem_write(ctx, guest_va(0x1000), &code);
 
-        let mut env = EmuEnv {
+        let mut host = VmmHost {
             k: &mut k,
             ctx,
-            guest_pages,
             dev: &mut dev,
-            mmu: MmuRegs::default(),
-            device_ops: 0,
         };
+        let mut env = EmuEnv::new(&mut host, guest_pages, MmuRegs::default());
         let mut regs = Regs::at(0x1000);
         let (insn, flow) = emulate_one(&mut env, &mut regs).unwrap();
         assert_eq!(insn.len, 10);
@@ -322,23 +435,25 @@ mod tests {
         k.mem_write(ctx, base + 0x1000, &[0x8b, 0x05, 0x00, 0x00, 0x40, 0x00]);
         k.mem_write_u32(ctx, base + 0x2000, 0x5555_aaaa);
 
-        let mut env = EmuEnv {
+        let mut host = VmmHost {
             k: &mut k,
             ctx,
-            guest_pages,
             dev: &mut dev,
-            mmu: MmuRegs {
+        };
+        let mut env = EmuEnv::new(
+            &mut host,
+            guest_pages,
+            MmuRegs {
                 cr0: nova_x86::reg::cr0::PE | nova_x86::reg::cr0::PG,
                 cr3: groot as u32,
                 cr4: 0,
             },
-            device_ops: 0,
-        };
+        );
         // EIP is a GVA too: identity-map it through a PSE-less entry.
         // Simpler: map GVA 0x1000 -> GPA 0x1000 through the same table.
         let gpt0 = 0x12000u64;
-        env.k.mem_write_u32(ctx, base + groot, gpt0 as u32 | 3);
-        env.k.mem_write_u32(ctx, base + gpt0 + 4, 0x1000 | 3); // ti=1 -> GPA 0x1000
+        env.host.k.mem_write_u32(ctx, base + groot, gpt0 as u32 | 3);
+        env.host.k.mem_write_u32(ctx, base + gpt0 + 4, 0x1000 | 3); // ti=1 -> GPA 0x1000
         let mut regs = Regs::at(0x1000);
         let (_, flow) = emulate_one(&mut env, &mut regs).unwrap();
         assert_eq!(flow, Exec::Normal);
@@ -352,18 +467,20 @@ mod tests {
         // Unpaged fetch works; the operand hits an unmapped GVA under
         // paging? Use paging on with empty tables: fetch itself faults.
         k.mem_write(ctx, base + 0x1000, &[0x90]);
-        let mut env = EmuEnv {
+        let mut host = VmmHost {
             k: &mut k,
             ctx,
-            guest_pages,
             dev: &mut dev,
-            mmu: MmuRegs {
+        };
+        let mut env = EmuEnv::new(
+            &mut host,
+            guest_pages,
+            MmuRegs {
                 cr0: nova_x86::reg::cr0::PE | nova_x86::reg::cr0::PG,
                 cr3: 0x10000,
                 cr4: 0,
             },
-            device_ops: 0,
-        };
+        );
         let mut regs = Regs::at(0x1000);
         match emulate_one(&mut env, &mut regs) {
             Err(EmuErr::Fault(Fault::Page { addr, fetch, .. })) => {
@@ -388,14 +505,12 @@ mod tests {
             (mmio >> 24) as u8,
         ];
         k.mem_write(ctx, base + 0x1000, &code);
-        let mut env = EmuEnv {
+        let mut host = VmmHost {
             k: &mut k,
             ctx,
-            guest_pages,
             dev: &mut dev,
-            mmu: MmuRegs::default(),
-            device_ops: 0,
         };
+        let mut env = EmuEnv::new(&mut host, guest_pages, MmuRegs::default());
         let mut regs = Regs::at(0x1000);
         emulate_one(&mut env, &mut regs).unwrap();
         assert_eq!(regs.get(nova_x86::Reg::Eax), 0x4000_0000, "vAHCI CAP");
@@ -404,7 +519,7 @@ mod tests {
 
     /// The fetch loop `fetch_insn` replaced — a decode at every
     /// accumulated length — kept as the reference.
-    fn fetch_insn_ref(env: &mut EmuEnv, regs: &Regs) -> Result<Insn, EmuErr> {
+    fn fetch_insn_ref(env: &mut EmuEnv<VmmHost>, regs: &Regs) -> Result<Insn, EmuErr> {
         let mut buf = [0u8; MAX_INSN_LEN];
         let mut len = 0usize;
         'fetch: while len < MAX_INSN_LEN {
@@ -419,8 +534,7 @@ mod tests {
             }
             let page_left = 4096 - (gpa & 0xfff) as usize;
             let want = (MAX_INSN_LEN - len).min(page_left);
-            let addr = guest_va(gpa);
-            let Some(src) = env.k.mem_slice(env.ctx, addr, want) else {
+            let Some(src) = env.host.ram(gpa, want) else {
                 break 'fetch;
             };
             let got = src.len();
@@ -440,7 +554,7 @@ mod tests {
     }
 
     /// Fetches at `eip` both ways and returns the common answer.
-    fn fetch_both(env: &mut EmuEnv, eip: u32) -> Result<Insn, EmuErr> {
+    fn fetch_both(env: &mut EmuEnv<VmmHost>, eip: u32) -> Result<Insn, EmuErr> {
         let regs = Regs::at(eip);
         let got = fetch_insn(env, &regs);
         assert_eq!(got, fetch_insn_ref(env, &regs), "eip {eip:#x}");
@@ -461,21 +575,21 @@ mod tests {
         k.mem_write(ctx, base + 0x5000 - 2, &MOV_EAX_IMM);
         k.mem_write(ctx, base + 0x7000 - 4, &[0xf3; 19]);
         k.mem_write(ctx, base + 0x8000, &[0x90, 0x0f, 0xff, 0x8d, 0xc0]);
-        let mut env = EmuEnv {
+        let mut host = VmmHost {
             k: &mut k,
             ctx,
-            guest_pages,
             dev: &mut dev,
-            mmu: MmuRegs::default(),
-            device_ops: 0,
         };
+        let mut env = EmuEnv::new(&mut host, guest_pages, MmuRegs::default());
         let last = ram_end as u32 - 1;
         assert_eq!(fetch_both(&mut env, last - 4).map(|i| i.len), Ok(5));
-        env.k.mem_write(ctx, base + ram_end - 3, &MOV_EAX_IMM[..3]);
+        env.host
+            .k
+            .mem_write(ctx, base + ram_end - 3, &MOV_EAX_IMM[..3]);
         assert_eq!(fetch_both(&mut env, last - 2), Err(EmuErr::Unsupported));
-        env.k.mem_write(ctx, base + ram_end - 1, &[0x90]);
+        env.host.k.mem_write(ctx, base + ram_end - 1, &[0x90]);
         assert_eq!(fetch_both(&mut env, last).map(|i| i.len), Ok(1));
-        env.k.mem_write(ctx, base + ram_end - 1, &[0x06]);
+        env.host.k.mem_write(ctx, base + ram_end - 1, &[0x06]);
         assert_eq!(fetch_both(&mut env, last), Err(EmuErr::Unsupported));
         assert_eq!(
             fetch_both(&mut env, ram_end as u32),
@@ -502,7 +616,7 @@ mod tests {
                 x as u8
             })
             .collect();
-        env.k.mem_write(ctx, base + 0x2_0000, &noise);
+        env.host.k.mem_write(ctx, base + 0x2_0000, &noise);
         for eip in 0x2_0000..0x2_1000 {
             let _ = fetch_both(&mut env, eip);
         }
@@ -517,23 +631,26 @@ mod tests {
         k.mem_write_u32(ctx, base + groot, gpt as u32 | 3);
         k.mem_write_u32(ctx, base + gpt + 4, 0x3000 | 3);
         k.mem_write(ctx, base + 0x3000 + 0xffb, &MOV_EAX_IMM);
-        let mut env = EmuEnv {
+        let mut host = VmmHost {
             k: &mut k,
             ctx,
-            guest_pages,
             dev: &mut dev,
-            mmu: MmuRegs {
+        };
+        let mut env = EmuEnv::new(
+            &mut host,
+            guest_pages,
+            MmuRegs {
                 cr0: nova_x86::reg::cr0::PE | nova_x86::reg::cr0::PG,
                 cr3: groot as u32,
                 cr4: 0,
             },
-            device_ops: 0,
-        };
+        );
         // Ends on the mapped page's last byte: the next page is never
         // asked for.
         assert_eq!(fetch_both(&mut env, 0x1ffb).map(|i| i.len), Ok(5));
         // Cut off by the unmapped page: outside the subset, no fault.
-        env.k
+        env.host
+            .k
             .mem_write(ctx, base + 0x3000 + 0xffd, &MOV_EAX_IMM[..3]);
         assert_eq!(fetch_both(&mut env, 0x1ffd), Err(EmuErr::Unsupported));
         // Starts on it: the fetch itself faults.
@@ -568,14 +685,12 @@ mod tests {
             0xee, // out dx, al
         ];
         k.mem_write(ctx, base + 0x1000, &code);
-        let mut env = EmuEnv {
+        let mut host = VmmHost {
             k: &mut k,
             ctx,
-            guest_pages,
             dev: &mut dev,
-            mmu: MmuRegs::default(),
-            device_ops: 0,
         };
+        let mut env = EmuEnv::new(&mut host, guest_pages, MmuRegs::default());
         let mut regs = Regs::at(0x1000);
         for _ in 0..3 {
             emulate_one(&mut env, &mut regs).unwrap();
@@ -627,14 +742,12 @@ mod string_mmio_tests {
         regs.set(nova_x86::Reg::Ecx, 3);
         regs.set(nova_x86::Reg::Eax, 1);
 
-        let mut env = EmuEnv {
+        let mut host = VmmHost {
             k: &mut k,
             ctx,
-            guest_pages,
             dev: &mut dev,
-            mmu: MmuRegs::default(),
-            device_ops: 0,
         };
+        let mut env = EmuEnv::new(&mut host, guest_pages, MmuRegs::default());
         // The executor reports RepContinue per unit; drive it the way
         // the VMM's exit loop would re-fault.
         loop {

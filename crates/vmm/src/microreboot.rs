@@ -395,6 +395,9 @@ impl VmRecipe for MicrorebootRecipe {
 
     fn abandon(&mut self, k: &mut Kernel, ctx: CompCtx, root: &mut RootPm) {
         self.teardown_dead(k, ctx, root);
+        if let Some(slot) = self.disk_slot {
+            root.forget_client(slot);
+        }
     }
 
     fn as_any(&mut self) -> &mut dyn std::any::Any {

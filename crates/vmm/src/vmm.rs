@@ -34,7 +34,7 @@ use crate::bios;
 use crate::checkpoint::{Dec, Enc};
 use crate::devices::{SpecialPorts, VDevices};
 use crate::diskclient::{DiskChannel, DiskClient};
-use crate::emu::{emulate_one, virtual_cpuid, EmuEnv, EmuErr};
+use crate::emu::{cpuid_exit, emulate_one, port_io_exit, EmuEnv, EmuErr, VmmHost};
 use crate::pvdisk::PvDisk;
 use crate::pvnet::PvNet;
 use crate::vahci::VAhci;
@@ -446,13 +446,7 @@ impl Vmm {
         match msg.reason {
             ExitReason::Cpuid { len } => {
                 k.charge(cost.emul_simple);
-                let leaf = msg.regs.get(Reg::Eax);
-                let r = virtual_cpuid(&cost.ident, leaf);
-                msg.regs.set(Reg::Eax, r[0]);
-                msg.regs.set(Reg::Ebx, r[1]);
-                msg.regs.set(Reg::Ecx, r[2]);
-                msg.regs.set(Reg::Edx, r[3]);
-                msg.regs.eip = msg.regs.eip.wrapping_add(len as u32);
+                cpuid_exit(&cost.ident, &mut msg.regs, len);
                 msg.reply_mtd = mtd::GPR_ACDB | mtd::EIP;
             }
             ExitReason::Rdtsc { len } => {
@@ -488,20 +482,8 @@ impl Vmm {
             } => {
                 k.charge(cost.emul_device);
                 let dev = self.dev.as_mut().expect("devices");
-                if write {
-                    let val = match size {
-                        OpSize::Byte => msg.regs.get8(Reg8::Al) as u32,
-                        OpSize::Dword => msg.regs.get(Reg::Eax),
-                    };
-                    dev.io_write(k, ctx, port, size, val);
-                } else {
-                    let val = dev.io_read(k, ctx, port, size);
-                    match size {
-                        OpSize::Byte => msg.regs.set8(Reg8::Al, val as u8),
-                        OpSize::Dword => msg.regs.set(Reg::Eax, val),
-                    }
-                }
-                msg.regs.eip = msg.regs.eip.wrapping_add(len as u32);
+                let host = &mut VmmHost { k, ctx, dev };
+                port_io_exit(host, &mut msg.regs, port, size, write, len);
                 msg.reply_mtd = mtd::GPR_ACDB | mtd::EIP;
                 self.apply_special(k, ctx, vcpu);
                 if let Some(kill) = self.dev.as_mut().and_then(VDevices::take_fatal) {
@@ -541,14 +523,9 @@ impl Vmm {
                 }
                 k.charge(cost.emul_decode);
                 let mut regs = msg.regs.clone();
-                let mut env = EmuEnv {
-                    k,
-                    ctx,
-                    guest_pages: self.cfg.guest_pages,
-                    dev: self.dev.as_mut().expect("devices"),
-                    mmu: MmuRegs::from_regs(&regs),
-                    device_ops: 0,
-                };
+                let dev = self.dev.as_mut().expect("devices");
+                let host = &mut VmmHost { k, ctx, dev };
+                let mut env = EmuEnv::new(host, self.cfg.guest_pages, MmuRegs::from_regs(&regs));
                 let res = emulate_one(&mut env, &mut regs);
                 let device_ops = env.device_ops;
                 k.charge(device_ops as Cycles * cost.emul_device);

@@ -9,6 +9,7 @@
 //! sets, and everything observable must agree: the `Result`, every
 //! register, the bytes stored and the ordered list of environment
 //! calls with their arguments and results.
+#![cfg(test)]
 
 use std::collections::BTreeMap;
 

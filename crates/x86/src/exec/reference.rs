@@ -8,7 +8,7 @@
 //! both over seeded random instructions, register files and memories
 //! and compares results, registers, memory and the ordered list of
 //! environment calls.
-
+#![cfg(test)]
 #![allow(missing_docs)]
 
 use super::{Env, Exec, Fault};

@@ -751,6 +751,57 @@ fn three_clients_keep_their_slots_across_a_respawn() {
     assert_read_last_block(&mut sys, REQUESTS);
 }
 
+/// A VM the supervisor gave up on takes its disk wiring with it: the
+/// next respawn of the disk server rewires only the VMs still running.
+/// (The abandoned slot kept the destroyed VMM's selector, so the
+/// respawn failed at its client portal with `BadCap` and, after
+/// `REVIVE_ATTEMPTS` tries, the disk service was marked failed for
+/// every VM.)
+#[test]
+fn a_failed_vm_leaves_the_disk_server_to_its_siblings() {
+    const REQUESTS: u32 = 64;
+    let mut opts = LaunchOptions::microrebootable(reader_guest(REQUESTS));
+    opts.machine.ram = 128 << 20;
+    let mut sys = System::build(opts);
+    let sibling = sys.add_vm(reader_guest(REQUESTS));
+    let slot = sys.microreboot.expect("VM 0 is supervised");
+    let ladder = |sys: &mut System| {
+        let sup = root_pm_of(sys).vmm_supervision[slot].as_ref().unwrap();
+        (sup.restarts, sup.failed)
+    };
+
+    while sys.k.counters.disk_ops < 6 {
+        assert_eq!(sys.run(Some(100_000)), RunOutcome::Budget);
+    }
+    // Each crash inside the stability window of the revive before it:
+    // resume, cold reboot, given up on.
+    for crash in 0..3 {
+        let (_, pd) = sys.microreboot_vmm().unwrap();
+        sys.k.pd_fault(pd, nova_core::kernel::VMM_CRASH_CODE);
+        while ladder(&mut sys) == (crash, false) {
+            assert_eq!(sys.run(Some(10_000)), RunOutcome::Budget);
+        }
+    }
+    assert_eq!(ladder(&mut sys), (2, true));
+    assert!(root_pm_of(&mut sys).clients[0].is_none(), "the wiring went");
+    let marks = sys.vmm_by_id(sibling).guest_marks();
+    assert_eq!(marks, vec![0x1000], "the sibling is mid-workload");
+
+    kill_disk_server(&mut sys.k);
+    assert_eq!(sys.run(Some(60_000_000_000)), RunOutcome::Shutdown(0));
+    assert_eq!(sys.k.counters.driver_restarts, 1);
+    let ds = root_pm_of(&mut sys).supervision.as_ref().unwrap();
+    assert!(!ds.failed, "{:?}", ds.last_error);
+    assert_eq!(sys.k.counters.degraded_errors(), 0);
+    let marks = sys.vmm_by_id(sibling).guest_marks();
+    assert_eq!(marks, vec![0x1000, 0x1001]);
+    assert_sound(&sys.k);
+}
+
+fn root_pm_of(sys: &mut System) -> &mut RootPm {
+    sys.k.component_mut::<RootPm>(sys.root).unwrap()
+}
+
 /// Every VM of `sys` finished its [`reader_guest`] run: its last block
 /// arrived in [`READER_BUF`], read through its own VMM's mapping of
 /// guest RAM.

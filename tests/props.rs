@@ -1234,7 +1234,7 @@ fn emu_fixture() -> (
 #[test]
 fn page_crossing_operand_emulated_by_the_vmm_matches_native() {
     use nova_hw::mmu::MmuRegs;
-    use nova_vmm::emu::{emulate_one, EmuEnv, EmuErr};
+    use nova_vmm::emu::{emulate_one, EmuEnv, EmuErr, VmmHost};
     use nova_x86::exec::Fault;
     use nova_x86::reg::cr0;
 
@@ -1247,14 +1247,12 @@ fn page_crossing_operand_emulated_by_the_vmm_matches_native() {
         let mut regs = Regs::at(img.paged);
         regs.cr0 = cr0::PE | cr0::PG;
         regs.cr3 = crossing::PD;
-        let mut env = EmuEnv {
+        let mut host = VmmHost {
             k: &mut k,
             ctx,
-            guest_pages,
             dev: &mut dev,
-            mmu: MmuRegs::from_regs(&regs),
-            device_ops: 0,
         };
+        let mut env = EmuEnv::new(&mut host, guest_pages, MmuRegs::from_regs(&regs));
         let mut fault = None;
         while regs.eip != img.end && fault.is_none() {
             fault = emulate_one(&mut env, &mut regs).err();
@@ -1327,16 +1325,16 @@ enum Xlate {
 /// Every reader of the guest's two-level page table — the native walk,
 /// the 2-D walk over an identity EPT and an identity NPT (4 KB and
 /// large host pages), the vTLB fill (supervisor, `CR0.WP` set), the
-/// VMM's emulator and the monolithic baseline's — gives the same
-/// guest-physical address or the same fault, over seeded tables with
-/// P / W / PS / US drawn per level, `CR4.PSE` on and off, table pointers
-/// outside guest RAM and a page directory that maps itself.
+/// emulator over the VMM's window and over the monolithic baseline's
+/// host frames — gives the same guest-physical address or the same
+/// fault, over seeded tables with P / W / PS / US drawn per level,
+/// `CR4.PSE` on and off, table pointers outside guest RAM and a page
+/// directory that maps itself.
 ///
-/// Two things are the walkers' own and are folded here, not compared:
+/// One thing is the walkers' own and is folded here, not compared:
 /// under nested paging a table pointer (or a final address) outside
 /// guest RAM is an EPT violation, which the VMM resolves to what the
-/// others report directly; and the baseline's emulator has no fetch
-/// walk, so only `present` and `write` of its fault are looked at.
+/// others report directly.
 #[test]
 fn every_walker_of_the_guest_page_table_agrees() {
     use nova_baseline::monolithic::{MonoConfig, Monolithic};
@@ -1346,7 +1344,7 @@ fn every_walker_of_the_guest_page_table_agrees() {
     use nova_hw::machine::MachineConfig;
     use nova_hw::mmu::{self, GuestXlate, MmuRegs};
     use nova_hw::vmx::Vmcs;
-    use nova_vmm::emu::EmuEnv;
+    use nova_vmm::emu::{EmuEnv, VmmHost};
     use nova_x86::exec::Fault;
     use nova_x86::paging::{pte, Access, NestedFormat};
     use nova_x86::reg::{cr0, cr4, pf_err};
@@ -1587,14 +1585,12 @@ fn every_walker_of_the_guest_page_table_agrees() {
                 };
                 disagree(&mut wrong, "vTLB", got, expected, &case);
 
-                let env = EmuEnv {
+                let mut host = VmmHost {
                     k: &mut k,
                     ctx,
-                    guest_pages,
                     dev: &mut dev,
-                    mmu: mmu_regs,
-                    device_ops: 0,
                 };
+                let env = EmuEnv::new(&mut host, guest_pages, mmu_regs);
                 let got = match env.gva_to_gpa(addr, access.write, access.fetch) {
                     Ok(gpa) => Xlate::Gpa(gpa),
                     Err(Fault::Page {
@@ -1614,13 +1610,22 @@ fn every_walker_of_the_guest_page_table_agrees() {
                 };
                 disagree(&mut wrong, "VMM emulator", got, expected, &case);
 
-                let got = match mono.gva_to_gpa(&vmcs.guest, addr, access.write) {
+                let env = EmuEnv::new(&mut mono, RAM_PAGES, mmu_regs);
+                let got = match env.gva_to_gpa(addr, access.write, access.fetch) {
                     Ok(gpa) => Xlate::Gpa(gpa),
-                    Err(Fault::Page { present, write, .. }) => Xlate::Fault {
-                        present,
+                    Err(Fault::Page {
+                        addr: a,
                         write,
-                        fetch: access.fetch,
-                    },
+                        fetch,
+                        present,
+                    }) => {
+                        assert_eq!(a, addr);
+                        Xlate::Fault {
+                            present,
+                            write,
+                            fetch,
+                        }
+                    }
                     Err(other) => panic!("{case}: baseline raised {other:?}"),
                 };
                 disagree(&mut wrong, "monolithic baseline", got, expected, &case);
@@ -1650,7 +1655,7 @@ fn recorded_divergence_hardware_walks_are_supervisor_wp_set_and_write_no_accesse
     use nova_core::vtlb::{self, ShadowCache, VtlbOutcome};
     use nova_hw::mmu::{self, GuestXlate, MmuRegs};
     use nova_hw::vmx::Vmcs;
-    use nova_vmm::emu::EmuEnv;
+    use nova_vmm::emu::{EmuEnv, VmmHost};
     use nova_x86::paging::{pte, Access, NestedFormat};
     use nova_x86::reg::{cr0, pf_err};
 
@@ -1707,14 +1712,12 @@ fn recorded_divergence_hardware_walks_are_supervisor_wp_set_and_write_no_accesse
         matches!(nested, Err(GuestXlate::GuestFault(pf)) if pf.present),
         "nested: WP is taken as set"
     );
-    let env = EmuEnv {
+    let mut host = VmmHost {
         k: &mut k,
         ctx,
-        guest_pages,
         dev: &mut dev,
-        mmu: regs,
-        device_ops: 0,
     };
+    let env = EmuEnv::new(&mut host, guest_pages, regs);
     assert!(
         env.gva_to_gpa(VA, true, false).is_err(),
         "emulator: likewise"
