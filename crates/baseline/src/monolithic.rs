@@ -14,18 +14,17 @@
 use nova_core::counters::Counters;
 use nova_core::hostpt::{FrameAllocator, NestedTable};
 use nova_core::obj::{MemMapping, MemRights, MemSpace};
-use nova_core::vtlb::{self, CrOutcome, ShadowCache, VtlbOutcome};
+use nova_core::vtlb::{self, ShadowCache, ShadowExit, ShadowParts};
 use nova_hw::ahci::{cmd, regs, slots, PortEvent, PortRegs};
 use nova_hw::cpu::run_guest;
 use nova_hw::machine::{GuestImage, Machine, MachineConfig, AHCI_BASE, AHCI_IRQ};
 use nova_hw::mmu::MmuRegs;
-use nova_hw::pic::DualPic;
-use nova_hw::pit::{self, Pit8254};
-use nova_hw::serial::{Uart16550, COM1, COM1_LAST};
 use nova_hw::tlb::Tlb;
 use nova_hw::vmx::{ExitReason, Injection, PagingVirt, Vmcs};
 use nova_hw::Cycles;
+use nova_vmm::devices::LegacyDevices;
 use nova_vmm::emu::{cpuid_exit, emulate_one, port_io_exit, EmuEnv, EmuErr, EmuHost};
+use nova_vmm::vahci::parse_command;
 use nova_x86::cpuid::CpuIdent;
 use nova_x86::exec::Fault;
 use nova_x86::insn::OpSize;
@@ -160,6 +159,12 @@ impl MonoConfig {
 
 /// Guest physical frames start at this host page (16 MB).
 const GUEST_BASE_PAGE: u64 = 0x1000;
+/// The host driver's command list, in a host-private frame below
+/// guest RAM.
+const HOST_LIST: u64 = (GUEST_BASE_PAGE - 4) * 4096;
+/// The host driver's command tables, one per slot (a CFIS and a full
+/// PRDT each), in the frames between the list and guest RAM.
+const HOST_TABLES: u64 = (GUEST_BASE_PAGE - 3) * 4096;
 
 /// The monolithic hypervisor instance: everything in one struct,
 /// everything privileged.
@@ -173,13 +178,14 @@ pub struct Monolithic {
     _nested: Option<NestedTable>,
     shadow: Option<ShadowCache>,
     guest_pages: u64,
-    // In-kernel device models.
-    vpic: DualPic,
-    vserial: Uart16550,
-    vpit: Pit8254,
+    /// In-kernel device models: the VMM's legacy set, with the timer
+    /// deadline behind its PIT, and the AHCI port's registers.
+    pub legacy: LegacyDevices,
     vpit_deadline: Option<Cycles>,
     disk: PortRegs,
-    disk_inflight: Option<u8>,
+    /// Guest slots at the physical controller (guest slot *s* is
+    /// physical slot *s*).
+    disk_inflight: u32,
     /// Event counters (same classes as the microhypervisor's).
     pub counters: Counters,
     /// The guest's exit code, once it has shut down.
@@ -262,12 +268,10 @@ impl Monolithic {
             _nested: nested,
             shadow,
             guest_pages,
-            vpic: DualPic::new(),
-            vserial: Uart16550::default(),
-            vpit: Pit8254::new(),
+            legacy: LegacyDevices::default(),
             vpit_deadline: None,
             disk: PortRegs::default(),
-            disk_inflight: None,
+            disk_inflight: 0,
             counters: Counters::new(),
             guest_exit: None,
         }
@@ -275,7 +279,7 @@ impl Monolithic {
 
     /// The guest console output so far.
     pub fn console(&self) -> String {
-        self.vserial.text()
+        self.legacy.serial.text()
     }
 
     /// Where guest-physical `gpa` lives in host memory (`None` outside
@@ -286,36 +290,7 @@ impl Monolithic {
 
     /// Cycles between virtual timer ticks at the guest's divisor.
     pub fn vpit_period(&self) -> Cycles {
-        self.vpit.period_cycles(self.machine.cost.ident.hz())
-    }
-
-    // ---- In-kernel virtual device dispatch ----
-
-    /// Guest port input, as the exit handler and the emulator see it.
-    pub fn io_read(&mut self, port: u16, size: OpSize) -> u32 {
-        match port {
-            0x20 | 0x21 | 0xa0 | 0xa1 => self.vpic.io_read(port) as u32,
-            pit::CH0..=pit::MODE => self.vpit.read(port) as u32,
-            COM1..=COM1_LAST => self.vserial.read(port - COM1) as u32,
-            _ => size.mask(),
-        }
-    }
-
-    /// Guest port output.
-    pub fn io_write(&mut self, port: u16, _size: OpSize, val: u32) {
-        match port {
-            0x20 | 0x21 | 0xa0 | 0xa1 => self.vpic.io_write(port, val as u8),
-            COM1..=COM1_LAST => self.vserial.write(port - COM1, val as u8),
-            pit::CH0..=pit::MODE => {
-                let reloaded = self.vpit.write(port, val as u8);
-                if reloaded {
-                    self.vpit_deadline = Some(self.machine.clock + self.vpit_period());
-                }
-            }
-            0xf4 => self.guest_exit = Some(val as u8),
-            0xf5 => self.machine.bus.ctl.marks.push((self.machine.clock, val)),
-            _ => {}
-        }
+        self.legacy.pit.period_cycles(self.machine.cost.ident.hz())
     }
 
     /// Virtual AHCI MMIO read (in-kernel model, driving the physical
@@ -334,72 +309,52 @@ impl Monolithic {
     }
 
     /// Forwards a guest disk command to the physical controller: the
-    /// in-kernel host driver path. Guest buffers are used directly
-    /// (identity-offset bus addresses; the IOMMU is not consulted —
-    /// in-kernel drivers are trusted, Section 4.2). Only the first
-    /// descriptor is forwarded; the FIS goes through as the guest wrote
-    /// it, for the physical controller to judge.
+    /// in-kernel host driver path. The vAHCI's parser reads the guest's
+    /// command structures; a command it rejects fails the slot at the
+    /// doorbell. An accepted one is copied into the slot's host-owned
+    /// table with its buffers' bus addresses rewritten to host-physical
+    /// (identity offset; the IOMMU is not consulted — in-kernel drivers
+    /// are trusted, Section 4.2) and issued in the same physical slot.
     fn disk_issue(&mut self, slot: u8) {
-        // Parse the guest's command structures. A header, a command
-        // table (any of the base's 64 bits) or a data buffer outside
-        // guest RAM fails the slot the way the physical controller's
-        // DMA would; the buffer is checked as the vAHCI checks it.
-        let at = self.disk.clb + slot as u64 * cmd::HEADER_LEN as u64;
-        let table = self.gpa_hpa(at).and_then(|hpa| {
-            let mut hdr = [0; cmd::HEADER_LEN];
-            self.machine.mem.read_into(hpa, &mut hdr);
-            self.gpa_hpa(cmd::Header::decode(&hdr).ctba)
-        });
-        let target = table.and_then(|tbl_hpa| {
-            let mut prd = [0; cmd::PRD_LEN];
-            self.machine
-                .mem
-                .read_into(tbl_hpa + cmd::PRDT_OFFSET, &mut prd);
-            let (dba, bytes) = cmd::prd::decode(&prd);
-            if !nova_hw::pv::buffer_in_ram(dba, bytes as u64, self.guest_pages) {
-                return None;
-            }
-            Some((tbl_hpa, self.gpa_hpa(dba)?, bytes))
-        });
-        let Some((tbl_hpa, buf_hpa, bytes)) = target else {
+        let read = |gpa, out: &mut [u8]| self.ram(gpa, out.len()).map(|s| out.copy_from_slice(s));
+        let Ok(c) = parse_command(read, self.guest_pages, self.disk.clb, slot) else {
             if self.disk.complete(slot, false) {
-                self.vpic.pulse(AHCI_IRQ);
+                self.legacy.pic.pulse(AHCI_IRQ);
             }
             return;
         };
-        // Copy the guest command table into a host-owned command page
-        // (top of guest frames region), rewriting the buffer address
-        // from guest-physical to host-physical.
-        let host_cmd = (GUEST_BASE_PAGE - 4) * 4096; // host-private frames
-        let host_tbl = (GUEST_BASE_PAGE - 3) * 4096;
-        let prd = cmd::prd::encode(buf_hpa, bytes);
-        let hdr = cmd::Header {
-            prdtl: 1,
-            ctba: host_tbl,
-        };
+        let table_len = cmd::PRDT_OFFSET + (c.segs.len() * cmd::PRD_LEN) as u64;
+        let table = HOST_TABLES + slot as u64 * table_len;
         let mem = &mut self.machine.mem;
-        let mut cfis = [0; cmd::CFIS_LEN];
-        mem.read_into(tbl_hpa, &mut cfis);
-        mem.write_bytes(host_tbl, &cfis);
-        mem.write_bytes(host_tbl + cmd::PRDT_OFFSET, &prd);
-        mem.write_bytes(host_cmd, &hdr.encode());
+        mem.write_bytes(table, &c.fis.encode());
+        for (i, &(dba, bytes)) in c.segs.iter().take(c.nsegs).enumerate() {
+            let prd = cmd::prd::encode(GUEST_BASE_PAGE * 4096 + dba, bytes);
+            mem.write_bytes(table + cmd::PRDT_OFFSET + (i * cmd::PRD_LEN) as u64, &prd);
+        }
+        let hdr = cmd::Header {
+            prdtl: c.nsegs as u16,
+            ctba: table,
+        };
+        let at = HOST_LIST + slot as u64 * cmd::HEADER_LEN as u64;
+        mem.write_bytes(at, &hdr.encode());
 
         let now = self.machine.clock;
         let m = &mut self.machine;
         m.bus.iommu.set_passthrough(m.dev.ahci);
         for (reg, val) in [
-            (regs::P0CLB, host_cmd as u32),
+            (regs::P0CLB, HOST_LIST as u32),
             (regs::P0IE, 1),
-            (regs::P0CI, 1),
+            (regs::P0CI, 1 << slot),
         ] {
             m.bus
                 .mmio_write(&mut m.mem, now, AHCI_BASE + reg as u64, OpSize::Dword, val);
         }
-        self.disk_inflight = Some(slot);
+        self.disk_inflight |= 1 << slot;
     }
 
     /// Physical AHCI interrupt: acknowledge the controller, complete
-    /// the virtual command, raise the virtual line.
+    /// every virtual command whose physical slot is free, raise the
+    /// virtual line.
     fn disk_irq(&mut self) {
         let now = self.machine.clock;
         let m = &mut self.machine;
@@ -409,12 +364,15 @@ impl Monolithic {
             m.bus
                 .mmio_write(&mut m.mem, now, at, OpSize::Dword, pending);
         }
-        if let Some(slot) = self.disk_inflight.take() {
+        let ci = AHCI_BASE + regs::P0CI as u64;
+        let busy = m.bus.mmio_read(&mut m.mem, now, ci, OpSize::Dword);
+        for slot in slots(self.disk_inflight & !busy) {
             if self.disk.complete(slot, true) {
-                self.vpic.pulse(AHCI_IRQ);
+                self.legacy.pic.pulse(AHCI_IRQ);
             }
             self.counters.disk_ops += 1;
         }
+        self.disk_inflight &= busy;
     }
 
     /// Services an acknowledged physical interrupt vector: EOI the
@@ -436,9 +394,9 @@ impl Monolithic {
         if self.vmcs.injection.is_some() {
             return;
         }
-        if self.vpic.intr() {
+        if self.legacy.pic.intr() {
             if self.vmcs.guest.if_set() && !self.vmcs.sti_shadow {
-                if let Some(vector) = self.vpic.ack() {
+                if let Some(vector) = self.legacy.pic.ack() {
                     self.vmcs.injection = Some(Injection {
                         vector,
                         error_code: None,
@@ -502,7 +460,7 @@ impl Monolithic {
             }
             if let Some(dl) = self.vpit_deadline {
                 if self.machine.clock >= dl {
-                    self.vpic.pulse(0);
+                    self.legacy.pic.pulse(0);
                     self.vpit_deadline = Some(dl + self.vpit_period());
                 }
             }
@@ -548,6 +506,15 @@ impl Monolithic {
             );
             self.charge_exit(shadow_class);
             self.handle_exit(reason);
+            // Shutdown and benchmark marks, at the exit's clock; the MP
+            // ports are the VMM's (the baseline runs one vCPU).
+            let special = &mut self.legacy.special;
+            self.guest_exit = special.exit_code.take().or(self.guest_exit);
+            let now = self.machine.clock;
+            let marks = special.marks.drain(..).map(|v| (now, v));
+            self.machine.bus.ctl.marks.extend(marks);
+            special.ap_starts.clear();
+            special.ipis.clear();
         }
         RunResult::new(
             label,
@@ -590,41 +557,40 @@ impl Monolithic {
                 self.vmcs.guest = regs;
             }
             ExitReason::EptViolation { .. } => self.emulate_mmio(),
-            ExitReason::PageFault { addr, err } => self.vtlb_fault(addr, err),
-            ExitReason::MovCr {
-                cr,
-                write,
-                gpr,
-                len,
-            } => {
-                if let Some(cache) = self.shadow.as_mut() {
-                    let outcome = vtlb::handle_cr_access(
-                        &mut self.machine.mem,
-                        &mut self.alloc,
-                        &self.ms,
-                        cache,
-                        &mut self.vmcs,
-                        cr,
-                        write,
-                        gpr,
-                        len,
-                    );
-                    if outcome != CrOutcome::None {
-                        self.counters.vtlb_flushes += 1;
-                    }
-                    vtlb::apply_tlb_ops(&mut self.machine.cpus[0].tlb, cache.take_tlb_ops());
+            ExitReason::PageFault { .. } | ExitReason::MovCr { .. } | ExitReason::Invlpg { .. } => {
+                let cost = self.machine.cost;
+                if let ExitReason::PageFault { .. } = reason {
+                    // Figure 9: six VMREADs to determine the cause.
+                    self.machine.clock += 6 * cost.vmread + cost.vtlb_fill_sw;
                 }
-            }
-            ExitReason::Invlpg { addr, len } => {
-                if let Some(cache) = self.shadow.as_mut() {
-                    vtlb::handle_invlpg(&mut self.machine.mem, cache, &mut self.vmcs, addr, len);
-                    let vpid = self.vmcs.vpid;
-                    self.machine.cpus[0].tlb.invalidate(vpid, addr as u64);
+                let Some(cache) = self.shadow.as_mut() else {
+                    return;
+                };
+                let m = &mut self.machine;
+                let parts = ShadowParts {
+                    mem: &mut m.mem,
+                    alloc: &mut self.alloc,
+                    ms: &self.ms,
+                    cache,
+                    vmcs: &mut self.vmcs,
+                    tlb: &mut m.cpus[0].tlb,
+                    counters: &mut self.counters,
+                };
+                let prefetch = self.cfg.model.costs().shadow_prefetch;
+                match vtlb::handle_exit(parts, reason, prefetch) {
+                    // The per-entry cost of the batch.
+                    Some(ShadowExit::Filled(n)) => self.machine.clock += 60 * (n as Cycles - 1),
+                    Some(ShadowExit::Mmio { .. }) => self.emulate_mmio(),
+                    _ => {}
                 }
             }
             ExitReason::Vmcall { len } => {
                 match self.vmcs.guest.get(Reg::Eax) {
-                    0 => self.vserial.output.push(self.vmcs.guest.get8(Reg8::Bl)),
+                    0 => self
+                        .legacy
+                        .serial
+                        .output
+                        .push(self.vmcs.guest.get8(Reg8::Bl)),
                     1 => self.guest_exit = Some(self.vmcs.guest.get(Reg::Ebx) as u8),
                     _ => {}
                 }
@@ -635,58 +601,6 @@ impl Monolithic {
                     self.guest_exit = Some(0xfd);
                 }
             }
-        }
-    }
-
-    fn vtlb_fault(&mut self, addr: u32, err: u32) {
-        let cost = self.machine.cost;
-        self.machine.clock += 6 * cost.vmread + cost.vtlb_fill_sw;
-        let prefetch = self.cfg.model.costs().shadow_prefetch.max(1);
-        let Some(cache) = self.shadow.as_mut() else {
-            return;
-        };
-        match vtlb::handle_page_fault(
-            &mut self.machine.mem,
-            &mut self.alloc,
-            &self.ms,
-            cache,
-            &self.vmcs,
-            addr,
-            err,
-        ) {
-            VtlbOutcome::Filled => {
-                let mut filled = 1;
-                // Prefetch neighbouring translations in the same trap
-                // (KVM shadow-page batching / Xen batched updates).
-                for i in 1..prefetch {
-                    let next = addr.wrapping_add(i * 4096);
-                    if vtlb::handle_page_fault(
-                        &mut self.machine.mem,
-                        &mut self.alloc,
-                        &self.ms,
-                        cache,
-                        &self.vmcs,
-                        next,
-                        err & !nova_x86::reg::pf_err::WRITE,
-                    ) == VtlbOutcome::Filled
-                    {
-                        filled += 1;
-                        self.machine.clock += 60; // per-entry batch cost
-                    } else {
-                        break;
-                    }
-                }
-                self.counters.vtlb_fills += filled;
-            }
-            VtlbOutcome::InjectPf { err } => {
-                self.counters.guest_page_faults += 1;
-                self.vmcs.guest.cr2 = addr;
-                self.vmcs.injection = Some(Injection {
-                    vector: nova_x86::reg::vector::PAGE_FAULT,
-                    error_code: Some(err),
-                });
-            }
-            VtlbOutcome::Mmio { .. } => self.emulate_mmio(),
         }
     }
 
@@ -738,11 +652,13 @@ impl EmuHost for Monolithic {
     }
 
     fn io_in(&mut self, port: u16, size: OpSize) -> u32 {
-        self.io_read(port, size)
+        self.legacy.io_read(port, size)
     }
 
-    fn io_out(&mut self, port: u16, size: OpSize, val: u32) {
-        self.io_write(port, size, val);
+    fn io_out(&mut self, port: u16, _size: OpSize, val: u32) {
+        if self.legacy.io_write(port, val) {
+            self.vpit_deadline = Some(self.machine.clock + self.vpit_period());
+        }
     }
 
     fn ident(&self) -> &CpuIdent {

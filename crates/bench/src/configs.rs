@@ -345,8 +345,80 @@ mod tests {
                 a.out_dx_eax();
             }
         });
+        // The AHCI port driven without interrupts: `bytes` stored at
+        // guest-physical `at`, one dword move each.
+        use nova_guest::rt::layout::{DISK_BUF, DISK_CMD, DISK_CTBA};
+        use nova_hw::ahci::{cmd, regs};
+        use nova_hw::machine::AHCI_BASE;
+        let store = |a: &mut nova_x86::asm::Asm, at: u32, bytes: &[u8]| {
+            for (i, dword) in bytes.chunks_exact(4).enumerate() {
+                let val = u32::from_le_bytes(dword.try_into().unwrap());
+                a.mov_mi(MemRef::abs(at + 4 * i as u32), val);
+            }
+        };
+        let port = |reg: u32| MemRef::abs(AHCI_BASE as u32 + reg);
+        let mark_eax = |a: &mut nova_x86::asm::Asm| {
+            a.mov_ri(Reg::Edx, 0xf5);
+            a.out_dx_eax();
+        };
+        // Two reads in slots 0 and 1, rung in one doorbell write and
+        // polled to completion; then each buffer's first dword.
+        let two_slots = nova_guest::os::build_os(nova_guest::os::OsParams::minimal(), |a, _| {
+            a.mov_mi(port(regs::P0CLB), DISK_CMD);
+            for slot in 0..2u32 {
+                let (ctba, buf) = (DISK_CTBA + 0x100 * slot, DISK_BUF + 0x1000 * slot);
+                let header = cmd::Header {
+                    prdtl: 1,
+                    ctba: ctba as u64,
+                };
+                store(a, DISK_CMD + 32 * slot, &header.encode());
+                let fis = cmd::Cfis {
+                    write: false,
+                    lba: 16 + 24 * slot as u64,
+                    sectors: 8,
+                };
+                store(a, ctba, &fis.encode()[..16]);
+                let prd = cmd::prd::encode(buf as u64, 4096);
+                store(a, ctba + cmd::PRDT_OFFSET as u32, &prd);
+            }
+            a.mov_mi(port(regs::P0CI), 0b11);
+            let poll = a.here_label();
+            a.mov_rm(Reg::Eax, port(regs::P0CI));
+            a.test_rr(Reg::Eax, Reg::Eax);
+            a.jcc(nova_x86::insn::Cond::Ne, poll);
+            for at in [DISK_BUF, DISK_BUF + 0x1000] {
+                a.mov_rm(Reg::Eax, MemRef::abs(at));
+                mark_eax(a);
+            }
+        });
+        // The PCI ID of 00:02.0, the i8042's status byte, and P0CI and
+        // P0IS after ringing slot 0 over a zeroed command table.
+        let legacy = nova_guest::os::build_os(nova_guest::os::OsParams::minimal(), |a, _| {
+            a.mov_ri(Reg::Edx, 0xcf8);
+            a.mov_ri(Reg::Eax, 1 << 31 | 2 << 11);
+            a.out_dx_eax();
+            a.mov_ri(Reg::Edx, 0xcfc);
+            a.in_eax_dx();
+            mark_eax(a);
+            a.xor_rr(Reg::Eax, Reg::Eax);
+            a.in_al_imm(0x64);
+            mark_eax(a);
+            a.mov_mi(port(regs::P0CLB), DISK_CMD);
+            let header = cmd::Header {
+                prdtl: 1,
+                ctba: DISK_CTBA as u64,
+            };
+            store(a, DISK_CMD, &header.encode());
+            a.mov_mi(port(regs::P0CI), 1);
+            for reg in [regs::P0CI, regs::P0IS] {
+                a.mov_rm(Reg::Eax, port(reg));
+                mark_eax(a);
+            }
+        });
         let guests = [
             ("legacy hole", &hole, true),
+            ("two AHCI slots in one doorbell", &two_slots, false),
+            ("legacy devices", &legacy, false),
             ("compile without disk", &diskless, true),
             ("compile", &compile::build(CompileParams::smoke()), false),
             ("diskload", &diskload, false),

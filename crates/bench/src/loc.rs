@@ -594,7 +594,7 @@ fn also_shipped() {}
     /// the kernel fails here until it moves the pin — and says why.
     #[test]
     fn the_privileged_layer_is_pinned() {
-        const PIN: usize = 4013;
+        const PIN: usize = 4007;
         let product = crate_loc("core").product;
         assert!(
             product <= PIN,

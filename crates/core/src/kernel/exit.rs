@@ -4,27 +4,16 @@
 
 use nova_hw::cpu::run_guest;
 use nova_hw::fault::FaultKind;
-use nova_hw::mem::PhysMem;
-use nova_hw::vmx::{mtd, ExitReason, Injection, PagingVirt, Vmcs};
+use nova_hw::vmx::{mtd, ExitReason, Injection};
 use nova_hw::Cycles;
 use nova_x86::paging::Access;
 use nova_x86::reg::Regs;
 
 use super::{Kernel, TraceKind, EXIT_PORTAL_BASE, EXIT_PORTAL_STRIDE, VMM_CRASH_CODE};
 use crate::cap::{Capability, Perms};
-use crate::hostpt::FrameAllocator;
-use crate::obj::{EcId, EcKind, MemSpace, ObjRef, ScId};
+use crate::obj::{EcId, EcKind, ObjRef, ScId};
 use crate::utcb::{Utcb, VmExitMsg};
-use crate::vtlb::{self, CrOutcome, ShadowCache, VtlbOutcome};
-
-/// See [`Kernel::vtlb_parts`].
-type VtlbParts<'a> = (
-    &'a mut PhysMem,
-    &'a mut FrameAllocator,
-    &'a MemSpace,
-    &'a mut ShadowCache,
-    &'a mut Vmcs,
-);
+use crate::vtlb::{self, CrOutcome, ShadowExit, ShadowParts};
 
 impl Kernel {
     pub(super) fn dispatch_vcpu(&mut self, sc_id: ScId) {
@@ -111,126 +100,58 @@ impl Kernel {
         match reason {
             ExitReason::Preempt => {}
             ExitReason::ExtInt { vector } => self.deliver_vector(vector),
-            ExitReason::PageFault { addr, err } => self.handle_vtlb_fault(ec_id, addr, err),
-            ExitReason::MovCr {
-                cr,
-                write,
-                gpr,
-                len,
-            } if self.is_shadow(ec_id) => {
-                // vTLB-related exits are handled inside the
-                // microhypervisor (Section 5.3), not the VMM.
-                let cost = self.machine.cost;
-                self.charge_as(
-                    TraceKind::CostKernel,
-                    2 * cost.vmread + cost.emul_simple / 2,
-                );
+            // vTLB exits are handled inside the microhypervisor
+            // (Section 5.3), not the VMM.
+            ExitReason::PageFault { .. } | ExitReason::MovCr { .. } | ExitReason::Invlpg { .. }
+                if self.shadows.contains_key(&ec_id) =>
+            {
+                // Figure 9: a #PF takes six VMREADs to determine its
+                // cause, then the fill.
+                let c = self.machine.cost;
+                let (charge, detail) = match reason {
+                    ExitReason::PageFault { addr, .. } => (6 * c.vmread + c.vtlb_fill_sw, addr),
+                    ExitReason::MovCr { cr, .. } => (2 * c.vmread + c.emul_simple / 2, cr as u32),
+                    _ => (2 * c.vmread + c.emul_simple / 2, 0),
+                };
+                self.charge_as(TraceKind::CostKernel, charge);
                 let pd16 = self.obj.ec(ec_id).pd.0 as u16;
-                let Some((mem, alloc, ms, cache, vmcs)) = self.vtlb_parts(ec_id) else {
-                    return;
-                };
-                let outcome =
-                    vtlb::handle_cr_access(mem, alloc, ms, cache, vmcs, cr, write, gpr, len);
-                // A cold switch rebuilds the shadow from scratch — the
-                // cost class the flush counter has always measured.
-                let cold = matches!(outcome, CrOutcome::Switch { hit: false, .. });
-                self.counters.vtlb_flushes += (cold || outcome == CrOutcome::Flush) as u64;
-                match outcome {
-                    CrOutcome::None => {}
-                    CrOutcome::Flush => {
-                        self.trace_emit(pd16, TraceKind::VtlbFlush, cr as u64);
+                let (kind, detail) = match vtlb::handle_exit(self.shadow_parts(ec_id), reason, 1) {
+                    Some(ShadowExit::Filled(_)) => (TraceKind::VtlbFill, detail as u64),
+                    Some(ShadowExit::GuestFault) => (TraceKind::GuestPageFault, detail as u64),
+                    Some(ShadowExit::Cr(CrOutcome::Flush)) => (TraceKind::VtlbFlush, detail as u64),
+                    Some(ShadowExit::Cr(CrOutcome::Switch { hit, .. })) => {
+                        (TraceKind::VtlbSwitch, hit as u64)
                     }
-                    CrOutcome::Switch { hit, evicted } => {
-                        if hit {
-                            self.counters.vtlb_switch_hits += 1;
-                        } else {
-                            self.counters.vtlb_switch_misses += 1;
-                        }
-                        if evicted {
-                            self.counters.vtlb_shadow_evictions += 1;
-                        }
-                        self.trace_emit(pd16, TraceKind::VtlbSwitch, hit as u64);
+                    Some(ShadowExit::Mmio { gpa, write }) => {
+                        // Route to the VMM as an MMIO event.
+                        let access = if write { Access::WRITE } else { Access::READ };
+                        let ept = ExitReason::EptViolation { gpa, access };
+                        return self.deliver_exit(ec_id, ept);
                     }
-                }
-                self.drain_tlb_ops(ec_id);
-            }
-            ExitReason::Invlpg { addr, len } if self.is_shadow(ec_id) => {
-                let cost = self.machine.cost;
-                self.charge_as(
-                    TraceKind::CostKernel,
-                    2 * cost.vmread + cost.emul_simple / 2,
-                );
-                let Some((mem, _, _, cache, vmcs)) = self.vtlb_parts(ec_id) else {
-                    return;
+                    _ => return,
                 };
-                vtlb::handle_invlpg(mem, cache, vmcs, addr, len);
-                let vpid = vmcs.vpid;
-                let cpu = self.obj.ec(ec_id).cpu;
-                self.machine.cpus[cpu].tlb.invalidate(vpid, addr as u64);
+                self.trace_emit(pd16, kind, detail);
             }
-            ExitReason::TripleFault
-            | ExitReason::IntWindow
-            | ExitReason::Cpuid { .. }
-            | ExitReason::Hlt { .. }
-            | ExitReason::Invlpg { .. }
-            | ExitReason::MovCr { .. }
-            | ExitReason::IoPort { .. }
-            | ExitReason::EptViolation { .. }
-            | ExitReason::Vmcall { .. }
-            | ExitReason::Rdtsc { .. }
-            | ExitReason::Recall => self.deliver_exit(ec_id, reason),
+            // Every other exit is the VMM's (Section 5.2).
+            _ => self.deliver_exit(ec_id, reason),
         }
     }
 
-    fn is_shadow(&self, ec_id: EcId) -> bool {
-        matches!(
-            self.obj.ec(ec_id).vmcs().map(|v| v.paging),
-            Some(PagingVirt::Shadow { .. })
-        )
-    }
-
-    /// What a vTLB exit of `ec_id` works on, borrowed at once: guest
-    /// memory, the frame pool, the domain's space, the vCPU's shadow
-    /// cache and its VMCS. `None` unless `ec_id` is a shadow-paging
-    /// vCPU.
-    fn vtlb_parts(&mut self, ec_id: EcId) -> Option<VtlbParts<'_>> {
-        let cache = self.shadows.get_mut(&ec_id)?;
+    /// What a vTLB exit of the shadow-paging vCPU `ec_id` works on
+    /// ([`vtlb::ShadowParts`]).
+    fn shadow_parts(&mut self, ec_id: EcId) -> ShadowParts<'_> {
+        let cache = self.shadows.get_mut(&ec_id).expect("a shadow-paging vCPU");
         let ec = &mut self.obj.ecs[ec_id.0];
         let ms = &self.obj.pds[ec.pd.0].mem;
-        let vmcs = ec.vmcs_mut()?;
-        Some((&mut self.machine.mem, &mut self.alloc, ms, cache, vmcs))
-    }
-
-    fn handle_vtlb_fault(&mut self, ec_id: EcId, addr: u32, err: u32) {
-        // Figure 9: six VMREADs to determine the cause, then the fill.
-        let cost = self.machine.cost;
-        self.charge_as(TraceKind::CostKernel, 6 * cost.vmread + cost.vtlb_fill_sw);
-
-        let pd = self.obj.ec(ec_id).pd;
-        let Some((mem, alloc, ms, cache, vmcs)) = self.vtlb_parts(ec_id) else {
-            return;
-        };
-        let outcome = vtlb::handle_page_fault(mem, alloc, ms, cache, vmcs, addr, err);
-        match outcome {
-            VtlbOutcome::Filled => {
-                self.counters.vtlb_fills += 1;
-                self.trace_emit(pd.0 as u16, TraceKind::VtlbFill, addr as u64);
-            }
-            VtlbOutcome::InjectPf { err } => {
-                self.counters.guest_page_faults += 1;
-                self.trace_emit(pd.0 as u16, TraceKind::GuestPageFault, addr as u64);
-                let vmcs = self.obj.ecs[ec_id.0].vmcs_mut().unwrap();
-                vmcs.guest.cr2 = addr;
-                vmcs.injection = Some(nova_hw::vmx::Injection {
-                    vector: nova_x86::reg::vector::PAGE_FAULT,
-                    error_code: Some(err),
-                });
-            }
-            VtlbOutcome::Mmio { gpa, write } => {
-                // Route to the VMM as an MMIO event.
-                let access = if write { Access::WRITE } else { Access::READ };
-                self.deliver_exit(ec_id, ExitReason::EptViolation { gpa, access });
-            }
+        let m = &mut self.machine;
+        ShadowParts {
+            mem: &mut m.mem,
+            alloc: &mut self.alloc,
+            ms,
+            cache,
+            tlb: &mut m.cpus[ec.cpu].tlb,
+            vmcs: ec.vmcs_mut().expect("vCPU"),
+            counters: &mut self.counters,
         }
     }
 
@@ -331,15 +252,6 @@ impl Kernel {
         vmcs.halted = false;
         self.counters.injected_virq += 1;
         self.trace_emit(pd16, TraceKind::VirqInject, inj.vector as u64);
-    }
-
-    /// Applies the hardware-TLB maintenance the vCPU's shadow cache
-    /// queued while handling an exit.
-    fn drain_tlb_ops(&mut self, ec_id: EcId) {
-        let cpu = self.obj.ec(ec_id).cpu;
-        if let Some(cache) = self.shadows.get_mut(&ec_id) {
-            vtlb::apply_tlb_ops(&mut self.machine.cpus[cpu].tlb, cache.take_tlb_ops());
-        }
     }
 }
 

@@ -64,11 +64,12 @@ use std::collections::BTreeMap;
 
 use nova_hw::mem::PhysMem;
 use nova_hw::tlb::Tlb;
-use nova_hw::vmx::Vmcs;
+use nova_hw::vmx::{ExitReason, Injection, Vmcs};
 use nova_hw::PAddr;
 use nova_x86::paging::{self, pte, split_2level, PAGE_SIZE};
-use nova_x86::reg::{cr0, cr4, pf_err};
+use nova_x86::reg::{cr0, cr4, pf_err, vector};
 
+use crate::counters::Counters;
 use crate::hostpt::{FrameAllocator, ShadowPt};
 use crate::obj::MemSpace;
 
@@ -115,8 +116,8 @@ pub enum CrOutcome {
 }
 
 /// A hardware-TLB maintenance operation the shadow cache owes the CPU.
-/// The cache queues these while handling an exit; whoever handled it
-/// drains them into the exiting CPU's TLB with [`apply_tlb_ops`].
+/// The cache queues these while handling an exit; [`handle_exit`]
+/// drains them into the exiting CPU's TLB.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TlbOp {
     /// Flush every entry (untagged TLB).
@@ -133,9 +134,10 @@ pub enum TlbOp {
 }
 
 /// Applies queued maintenance to the hardware TLB of the CPU the vCPU
-/// runs on. Tag 0 is the untagged TLB: flushing it is a full flush.
-pub fn apply_tlb_ops(tlb: &mut Tlb, ops: Vec<TlbOp>) {
-    for op in ops {
+/// runs on, leaving the queue empty (and its storage in place). Tag 0
+/// is the untagged TLB: flushing it is a full flush.
+fn apply_tlb_ops(tlb: &mut Tlb, ops: &mut Vec<TlbOp>) {
+    for op in ops.drain(..) {
         match op {
             TlbOp::FlushAll | TlbOp::FlushVpid(0) => tlb.flush_all(),
             TlbOp::FlushVpid(v) => tlb.flush_vpid(v),
@@ -240,6 +242,7 @@ impl ShadowCache {
     }
 
     /// Drains the queued hardware-TLB operations.
+    #[cfg(test)]
     pub fn take_tlb_ops(&mut self) -> Vec<TlbOp> {
         std::mem::take(&mut self.pending)
     }
@@ -672,9 +675,8 @@ pub fn handle_page_fault(
 /// Emulates an intercepted guest CR access (MOV to/from CRn) and
 /// maintains the shadow cache: CR3 writes switch the active shadow
 /// root (resynchronizing on a hit); CR0/CR4 writes drop the cache only
-/// when paging-relevant bits change. The caller must drain
-/// [`ShadowCache::take_tlb_ops`] into the hardware TLB and count the
-/// returned [`CrOutcome`].
+/// when paging-relevant bits change. [`handle_exit`] drains the queued
+/// TLB maintenance and counts the returned [`CrOutcome`].
 #[allow(clippy::too_many_arguments)]
 pub fn handle_cr_access(
     mem: &mut PhysMem,
@@ -740,6 +742,112 @@ pub fn handle_invlpg(
         slot.pt.invalidate(mem, addr);
     }
     vmcs.guest.eip = vmcs.guest.eip.wrapping_add(len as u32);
+}
+
+/// What a vTLB exit works on, borrowed at once: guest memory, the
+/// frame pool, the VM's memory space, the vCPU's shadow cache and VMCS,
+/// the exiting CPU's hardware TLB and the event counters.
+pub struct ShadowParts<'a> {
+    /// Guest (and shadow-table) memory.
+    pub mem: &'a mut PhysMem,
+    /// Frames for new shadow sub-tables.
+    pub alloc: &'a mut FrameAllocator,
+    /// The VM's host memory space.
+    pub ms: &'a MemSpace,
+    /// The vCPU's shadow cache.
+    pub cache: &'a mut ShadowCache,
+    /// The vCPU's VMCS.
+    pub vmcs: &'a mut Vmcs,
+    /// The hardware TLB of the CPU the vCPU exited on.
+    pub tlb: &'a mut Tlb,
+    /// Where fills, guest faults, flushes and switches are counted.
+    pub counters: &'a mut Counters,
+}
+
+/// What a vTLB exit did. The caller charges for it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ShadowExit {
+    /// A #PF filled this many shadow entries: the faulting page and the
+    /// prefetched pages after it.
+    Filled(u32),
+    /// A #PF the guest's own table denies: CR2 and the #PF injection
+    /// are set.
+    GuestFault,
+    /// A #PF on guest-physical memory with no backing: a device access
+    /// for the caller to emulate.
+    Mmio {
+        /// Guest-physical address.
+        gpa: u64,
+        /// `true` for a write.
+        write: bool,
+    },
+    /// A CR access, emulated.
+    Cr(CrOutcome),
+    /// An INVLPG, emulated.
+    Invlpg,
+}
+
+/// The one entry for the three shadow-paging exits — #PF, MOV CR and
+/// INVLPG — whoever handles them: the microhypervisor and the
+/// monolithic baseline. A fill prefetches the translations of up to
+/// `prefetch - 1` following pages in the same trap (KVM's shadow-page
+/// batching, Xen's batched updates); the queued TLB maintenance is
+/// applied to the exiting CPU's TLB. `None` for any other exit.
+pub fn handle_exit(p: ShadowParts<'_>, reason: ExitReason, prefetch: u32) -> Option<ShadowExit> {
+    let done = match reason {
+        ExitReason::PageFault { addr, err } => {
+            let mut fill =
+                |gva, err| handle_page_fault(p.mem, p.alloc, p.ms, p.cache, p.vmcs, gva, err);
+            match fill(addr, err) {
+                VtlbOutcome::Filled => {
+                    let next = |i: u32| addr.wrapping_add(i * PAGE_SIZE);
+                    let read = err & !pf_err::WRITE;
+                    let more =
+                        (1..prefetch).take_while(|&i| fill(next(i), read) == VtlbOutcome::Filled);
+                    let n = 1 + more.count() as u32;
+                    p.counters.vtlb_fills += n as u64;
+                    ShadowExit::Filled(n)
+                }
+                VtlbOutcome::InjectPf { err } => {
+                    p.counters.guest_page_faults += 1;
+                    p.vmcs.guest.cr2 = addr;
+                    p.vmcs.injection = Some(Injection {
+                        vector: vector::PAGE_FAULT,
+                        error_code: Some(err),
+                    });
+                    ShadowExit::GuestFault
+                }
+                VtlbOutcome::Mmio { gpa, write } => ShadowExit::Mmio { gpa, write },
+            }
+        }
+        ExitReason::MovCr {
+            cr,
+            write,
+            gpr,
+            len,
+        } => {
+            let outcome =
+                handle_cr_access(p.mem, p.alloc, p.ms, p.cache, p.vmcs, cr, write, gpr, len);
+            // A cold switch rebuilds the shadow from scratch — the cost
+            // class the flush counter has always measured.
+            let cold = matches!(outcome, CrOutcome::Switch { hit: false, .. });
+            p.counters.vtlb_flushes += (cold || outcome == CrOutcome::Flush) as u64;
+            if let CrOutcome::Switch { hit, evicted } = outcome {
+                p.counters.vtlb_switch_hits += hit as u64;
+                p.counters.vtlb_switch_misses += !hit as u64;
+                p.counters.vtlb_shadow_evictions += evicted as u64;
+            }
+            ShadowExit::Cr(outcome)
+        }
+        ExitReason::Invlpg { addr, len } => {
+            handle_invlpg(p.mem, p.cache, p.vmcs, addr, len);
+            p.tlb.invalidate(p.vmcs.vpid, addr as u64);
+            ShadowExit::Invlpg
+        }
+        _ => return None,
+    };
+    apply_tlb_ops(p.tlb, &mut p.cache.pending);
+    Some(done)
 }
 
 #[cfg(test)]

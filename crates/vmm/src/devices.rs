@@ -4,8 +4,9 @@
 //! kbd, pci}`): the interrupt controller, the UART capturing the
 //! guest's console, the keyboard controller and the PCI configuration
 //! space exposing the virtual AHCI controller are instantiated here
-//! as they are; the virtual timer adds the hypervisor's timer service
-//! in place of the bus clock.
+//! as they are, in one [`LegacyDevices`] set that the monolithic
+//! baseline holds too; the virtual timer adds the hypervisor's timer
+//! service in place of the bus clock.
 
 use nova_core::cap::CapSel;
 use nova_core::{CompCtx, Hypercall, Kernel};
@@ -16,7 +17,7 @@ use nova_hw::pic::DualPic;
 use nova_hw::pit::{self, Pit8254};
 use nova_hw::pv::{self, PV_BASE, PV_SIZE};
 use nova_hw::serial::{Uart16550, COM1, COM1_LAST};
-use nova_hw::{Cycles, GuestSurface};
+use nova_hw::GuestSurface;
 use nova_x86::insn::OpSize;
 
 use crate::checkpoint::{Dec, Enc};
@@ -24,73 +25,6 @@ use crate::diskclient::{DiskClient, Due, Req};
 use crate::pvdisk::{PvDisk, PV_DISK_IRQ};
 use crate::pvnet::PvNet;
 use crate::vahci::VAhci;
-
-/// The virtual PIT (channel 0 rate generator): guest divisor writes
-/// arm a hypervisor timer that signals the VMM, which then raises
-/// virtual IRQ 0.
-pub struct VPit {
-    chip: Pit8254,
-    cpu_hz: u64,
-    timer_sm_sel: CapSel,
-    /// The guest completed a divisor write, so a kernel timer feeds
-    /// the VMM's timer semaphore (checkpoint/restore must re-arm it —
-    /// the divisor alone cannot distinguish armed from default).
-    armed: bool,
-}
-
-impl VPit {
-    /// Creates the model; `timer_sm_sel` names the VMM's timer
-    /// semaphore in its capability space.
-    pub fn new(cpu_hz: u64, timer_sm_sel: CapSel) -> VPit {
-        VPit {
-            chip: Pit8254::new(),
-            cpu_hz,
-            timer_sm_sel,
-            armed: false,
-        }
-    }
-
-    /// Cycles per tick at the current divisor.
-    pub fn period_cycles(&self) -> Cycles {
-        self.chip.period_cycles(self.cpu_hz)
-    }
-
-    /// Points the hypervisor timer at the timer semaphore with the
-    /// chip's current period.
-    fn set_timer(&self, k: &mut Kernel, ctx: CompCtx) -> bool {
-        let (sm, period) = (self.timer_sm_sel, self.period_cycles());
-        k.hypercall(ctx, Hypercall::SetTimer { sm, period }).is_ok()
-    }
-
-    /// Guest port write.
-    pub fn io_write(&mut self, k: &mut Kernel, ctx: CompCtx, port: u16, val: u8) {
-        if self.chip.write(port, val) && self.set_timer(k, ctx) {
-            self.armed = true;
-        }
-    }
-
-    /// Serializes the timer state for a checkpoint.
-    pub fn export_state(&self, e: &mut Enc) {
-        e.raw(&self.chip.export_state());
-        e.flag(self.armed);
-    }
-
-    /// Restores checkpointed state, re-arming the kernel timer if the
-    /// previous incarnation had one running (the old timer died with
-    /// the old VMM's protection domain). A chip record that would not
-    /// write back (a half-written divisor's byte with no half written)
-    /// is refused.
-    pub fn import_state(&mut self, k: &mut Kernel, ctx: CompCtx, d: &mut Dec) -> Option<()> {
-        let chip = d.array()?;
-        self.chip.import_state(&chip);
-        (self.chip.export_state() == chip).then_some(())?;
-        self.armed = d.flag()?;
-        if self.armed {
-            self.set_timer(k, ctx);
-        }
-        Some(())
-    }
-}
 
 /// Counts one malformed guest input that a back end rejected at
 /// `surface` — the registry's `guest_faults_rejected`, per surface in
@@ -146,31 +80,103 @@ fn window(gpa: u64) -> Option<(Window, u64)> {
     }
 }
 
+/// The kernel-free chips of a PC — interrupt controller, PIT, UART,
+/// keyboard controller and PCI configuration space — and the pseudo
+/// ports, with their one port router: every hypervisor that models
+/// a legacy device (the VMM, the monolithic baseline) holds this set.
+pub struct LegacyDevices {
+    /// Dual PIC (same state machine as the platform PIC).
+    pub pic: DualPic,
+    /// PIT chip; who owns the timer behind it arms it.
+    pub pit: Pit8254,
+    /// UART at COM1: captures the guest's console output.
+    pub serial: Uart16550,
+    /// Keyboard controller: scancodes injected by the owner surface at
+    /// ports 0x60/0x64 with IRQ 1.
+    pub kbd: I8042,
+    /// PCI configuration space: the AHCI controller is the one
+    /// function, the platform's own.
+    pub pci: PciConfig,
+    /// Pending out-of-band effects.
+    pub special: SpecialPorts,
+}
+
+impl Default for LegacyDevices {
+    fn default() -> LegacyDevices {
+        LegacyDevices {
+            pic: DualPic::new(),
+            pit: Pit8254::new(),
+            serial: Uart16550::default(),
+            kbd: I8042::default(),
+            pci: PciConfig::new(&[nova_hw::machine::AHCI_FUNCTION]),
+            special: SpecialPorts::default(),
+        }
+    }
+}
+
+impl LegacyDevices {
+    /// Guest port input.
+    pub fn io_read(&mut self, port: u16, size: OpSize) -> u32 {
+        match port {
+            0x20 | 0x21 | 0xa0 | 0xa1 => self.pic.io_read(port) as u32,
+            pit::CH0..=pit::MODE => self.pit.read(port) as u32,
+            kbd::DATA | kbd::STATUS => {
+                let v = self.kbd.read(port) as u32;
+                // More scancodes waiting: keep the interrupt coming.
+                if port == kbd::DATA && self.kbd.pending() {
+                    self.pic.pulse(kbd::IRQ);
+                }
+                v
+            }
+            COM1..=COM1_LAST => self.serial.read(port - COM1) as u32,
+            pci::CONFIG_ADDRESS..=pci::CONFIG_DATA_LAST => self.pci.read(port, size),
+            _ => size.mask(),
+        }
+    }
+
+    /// Guest port output; `true` if it reloaded the PIT's divisor.
+    pub fn io_write(&mut self, port: u16, val: u32) -> bool {
+        match port {
+            0x20 | 0x21 | 0xa0 | 0xa1 => self.pic.io_write(port, val as u8),
+            pit::CH0..=pit::MODE => return self.pit.write(port, val as u8),
+            COM1..=COM1_LAST => self.serial.write(port - COM1, val as u8),
+            pci::CONFIG_ADDRESS..=pci::CONFIG_DATA_LAST => self.pci.write(port, val),
+            PORT_EXIT => self.special.exit_code = Some(val as u8),
+            PORT_MARK => self.special.marks.push(val),
+            PORT_AP_START => self
+                .special
+                .ap_starts
+                .push(((val >> 16) as usize, val & 0xffff)),
+            PORT_IPI => self.special.ipis.push(val as u8),
+            _ => {}
+        }
+        false
+    }
+}
+
 /// All virtual devices of one VM, with the port/MMIO routing table.
 /// This is the one place that enumerates them: routing, interrupt
 /// lines, the disk front ends' event fan-out, and the order device
 /// state is serialized in.
 pub struct VDevices {
-    /// Virtual dual PIC (same state machine as the platform PIC).
-    pub vpic: DualPic,
-    /// Virtual timer.
-    pub vpit: VPit,
-    /// Virtual UART at COM1: captures the guest's console output.
-    pub vserial: Uart16550,
-    /// Virtual keyboard controller: scancodes injected by the VMM's
-    /// owner surface at ports 0x60/0x64 with virtual IRQ 1.
-    pub vkbd: I8042,
+    /// The kernel-free chips and the pseudo ports.
+    pub legacy: LegacyDevices,
+    /// The clock the PIT's period is counted in.
+    cpu_hz: u64,
+    /// The VMM's timer semaphore: a guest divisor write to the PIT
+    /// arms a hypervisor timer that signals it, and the VMM raises
+    /// virtual IRQ 0.
+    timer_sm_sel: CapSel,
+    /// The guest completed a divisor write, so a kernel timer feeds
+    /// the timer semaphore (checkpoint/restore must re-arm it — the
+    /// divisor alone cannot distinguish armed from default).
+    timer_armed: bool,
     /// Virtual disk controller.
     pub vahci: VAhci,
     /// Paravirtual batched disk queue (second disk-server client).
     pub pvdisk: PvDisk,
     /// Paravirtual NIC backend (present when the VMM owns the NIC).
     pub pvnet: Option<PvNet>,
-    /// Virtual PCI configuration space: the virtual AHCI controller
-    /// is the one function, the platform's own.
-    pub vpci: PciConfig,
-    /// Pending out-of-band effects.
-    pub special: SpecialPorts,
 }
 
 impl VDevices {
@@ -183,65 +189,40 @@ impl VDevices {
         pvnet: Option<PvNet>,
     ) -> VDevices {
         VDevices {
-            vpic: DualPic::new(),
-            vpit: VPit::new(cpu_hz, timer_sm_sel),
-            vserial: Uart16550::default(),
-            vkbd: I8042::default(),
+            legacy: LegacyDevices::default(),
+            cpu_hz,
+            timer_sm_sel,
+            timer_armed: false,
             vahci,
             pvdisk,
             pvnet,
-            vpci: PciConfig::new(&[nova_hw::machine::AHCI_FUNCTION]),
-            special: SpecialPorts::default(),
         }
     }
 
-    /// Guest port input.
-    pub fn io_read(&mut self, k: &mut Kernel, ctx: CompCtx, port: u16, size: OpSize) -> u32 {
-        let _ = (k, ctx);
-        match port {
-            0x20 | 0x21 | 0xa0 | 0xa1 => self.vpic.io_read(port) as u32,
-            pit::CH0..=pit::MODE => self.vpit.chip.read(port) as u32,
-            kbd::DATA | kbd::STATUS => {
-                let v = self.vkbd.read(port) as u32;
-                // More scancodes waiting: keep the interrupt coming.
-                if port == kbd::DATA && self.vkbd.pending() {
-                    self.vpic.pulse(kbd::IRQ);
-                }
-                v
-            }
-            COM1..=COM1_LAST => self.vserial.read(port - COM1) as u32,
-            pci::CONFIG_ADDRESS..=pci::CONFIG_DATA_LAST => self.vpci.read(port, size),
-            _ => size.mask(),
+    /// Guest port output: the legacy set's, and a reloaded PIT divisor
+    /// arms the kernel timer.
+    pub fn io_write(&mut self, k: &mut Kernel, ctx: CompCtx, port: u16, val: u32) {
+        if self.legacy.io_write(port, val) && self.set_timer(k, ctx) {
+            self.timer_armed = true;
         }
     }
 
-    /// Guest port output.
-    pub fn io_write(&mut self, k: &mut Kernel, ctx: CompCtx, port: u16, size: OpSize, val: u32) {
-        match port {
-            0x20 | 0x21 | 0xa0 | 0xa1 => self.vpic.io_write(port, val as u8),
-            pit::CH0..=pit::MODE => self.vpit.io_write(k, ctx, port, val as u8),
-            COM1..=COM1_LAST => self.vserial.write(port - COM1, val as u8),
-            pci::CONFIG_ADDRESS..=pci::CONFIG_DATA_LAST => self.vpci.write(port, val),
-            PORT_EXIT => self.special.exit_code = Some(val as u8),
-            PORT_MARK => self.special.marks.push(val),
-            PORT_AP_START => self
-                .special
-                .ap_starts
-                .push(((val >> 16) as usize, val & 0xffff)),
-            PORT_IPI => self.special.ipis.push(val as u8),
-            _ => {}
-        }
-        let _ = size;
+    /// Points the hypervisor timer at the timer semaphore with the
+    /// PIT's current period.
+    fn set_timer(&self, k: &mut Kernel, ctx: CompCtx) -> bool {
+        let period = self.legacy.pit.period_cycles(self.cpu_hz);
+        let sm = self.timer_sm_sel;
+        k.hypercall(ctx, Hypercall::SetTimer { sm, period }).is_ok()
     }
 
     /// Pulses the interrupt line of each disk front end that asked for
     /// it; `true` if vCPU 0 has a new interrupt to be kicked for.
     fn raise_disks(&mut self, ahci: bool, pv: bool) -> bool {
         if ahci {
-            self.vpic.pulse(nova_hw::machine::AHCI_IRQ);
+            self.legacy.pic.pulse(nova_hw::machine::AHCI_IRQ);
         }
         if pv {
-            self.vpic.pulse(PV_DISK_IRQ);
+            self.legacy.pic.pulse(PV_DISK_IRQ);
         }
         ahci || pv
     }
@@ -293,11 +274,13 @@ impl VDevices {
     /// Serializes every device model for a checkpoint: each core
     /// writes its own record.
     pub fn export_state(&self, e: &mut Enc) {
-        e.raw(&self.vpic.export_state());
-        self.vpit.export_state(e);
-        e.bytes(self.vserial.export_state());
-        e.bytes(&self.vkbd.export_state());
-        e.raw(&self.vpci.export_state());
+        let l = &self.legacy;
+        e.raw(&l.pic.export_state());
+        e.raw(&l.pit.export_state());
+        e.flag(self.timer_armed);
+        e.bytes(l.serial.export_state());
+        e.bytes(&l.kbd.export_state());
+        e.raw(&l.pci.export_state());
         self.vahci.export_state(e);
         self.pvdisk.export_state(e);
         e.flag(self.pvnet.is_some());
@@ -307,13 +290,24 @@ impl VDevices {
     }
 
     /// Restores [`VDevices::export_state`] bytes; `None` on malformed
-    /// input or a device complement that does not match.
+    /// input or a device complement that does not match. A PIT record
+    /// that would not write back (a half-written divisor's byte with no
+    /// half written) is refused; a timer the previous incarnation had
+    /// running is re-armed (the old one died with the old VMM's
+    /// protection domain).
     pub fn import_state(&mut self, k: &mut Kernel, ctx: CompCtx, d: &mut Dec) -> Option<()> {
-        self.vpic.import_state(&d.array()?);
-        self.vpit.import_state(k, ctx, d)?;
-        self.vserial.import_state(d.bytes()?);
-        self.vkbd.import_state(d.bytes()?);
-        self.vpci.import_state(&d.array()?);
+        self.legacy.pic.import_state(&d.array()?);
+        let chip = d.array()?;
+        self.legacy.pit.import_state(&chip);
+        (self.legacy.pit.export_state() == chip).then_some(())?;
+        self.timer_armed = d.flag()?;
+        if self.timer_armed {
+            self.set_timer(k, ctx);
+        }
+        let l = &mut self.legacy;
+        l.serial.import_state(d.bytes()?);
+        l.kbd.import_state(d.bytes()?);
+        l.pci.import_state(&d.array()?);
         self.vahci.import_state(d)?;
         self.pvdisk.import_state(d)?;
         match (d.flag()?, self.pvnet.as_mut()) {
@@ -370,13 +364,13 @@ impl VDevices {
                 pv::regs::NET_RING | pv::regs::NET_DOORBELL | pv::regs::NET_ISR => {
                     if let Some(n) = self.pvnet.as_mut() {
                         if n.mmio_write(k, ctx, off, val) {
-                            self.vpic.pulse(nova_hw::machine::NIC_IRQ);
+                            self.legacy.pic.pulse(nova_hw::machine::NIC_IRQ);
                         }
                     }
                 }
                 _ => {
                     if self.pvdisk.mmio_write(k, ctx, off, val) {
-                        self.vpic.pulse(PV_DISK_IRQ);
+                        self.legacy.pic.pulse(PV_DISK_IRQ);
                     }
                 }
             },

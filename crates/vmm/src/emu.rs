@@ -110,11 +110,11 @@ impl EmuHost for VmmHost<'_> {
     }
 
     fn io_in(&mut self, port: u16, size: OpSize) -> u32 {
-        self.dev.io_read(self.k, self.ctx, port, size)
+        self.dev.legacy.io_read(port, size)
     }
 
-    fn io_out(&mut self, port: u16, size: OpSize, val: u32) {
-        self.dev.io_write(self.k, self.ctx, port, size, val);
+    fn io_out(&mut self, port: u16, _size: OpSize, val: u32) {
+        self.dev.io_write(self.k, self.ctx, port, val);
     }
 
     fn ident(&self) -> &CpuIdent {
@@ -695,7 +695,7 @@ mod tests {
         for _ in 0..3 {
             emulate_one(&mut env, &mut regs).unwrap();
         }
-        assert_eq!(dev.vserial.text(), "Z");
+        assert_eq!(dev.legacy.serial.text(), "Z");
     }
 }
 

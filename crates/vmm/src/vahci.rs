@@ -15,8 +15,9 @@
 //! [`crate::diskclient`]; the register file and the byte layout of a
 //! command are the platform controller's (`nova_hw::ahci::{PortRegs,
 //! cmd}`). This module is what lies between: the validation of the
-//! guest's command structures, and command slots as request tags (one
-//! IPC per slot).
+//! guest's command structures ([`parse_command`], which the monolithic
+//! baseline's doorbell calls too), and command slots as request tags
+//! (one IPC per slot).
 //!
 //! Every structure the controller parses — command list, command
 //! table, CFIS, PRDT — lives in guest memory and is Byzantine input:
@@ -67,10 +68,6 @@ impl VAhci {
         }
     }
 
-    fn read_guest_into(&self, k: &Kernel, ctx: CompCtx, gpa: u64, out: &mut [u8]) -> Option<()> {
-        k.mem_read_into(ctx, guest_va(gpa), out)
-    }
-
     /// Reports a task-file error for `slot` to the guest and forgets
     /// its request: the degradation path — the guest sees an error
     /// status, never a hung vCPU.
@@ -87,82 +84,14 @@ impl VAhci {
     }
 
     /// Handles a doorbell write: parse the guest's command structures
-    /// and forward the request to the disk server. Every field is
-    /// untrusted guest input.
+    /// ([`parse_command`]) and forward the request to the disk server.
     fn issue(&mut self, k: &mut Kernel, ctx: CompCtx, slot: u8) {
-        // The command list must fit in guest RAM before the header is
-        // dereferenced; `clb` is two raw guest-written registers.
-        let clb = self.regs.clb;
-        if !nova_hw::pv::buffer_in_ram(clb, 32 * cmd::HEADER_LEN as u64, self.guest_pages) {
-            return self.fail_guest(k, slot, GuestFault::BadBase);
-        }
-        let mut hdr = [0u8; cmd::HEADER_LEN];
-        let at = clb + slot as u64 * cmd::HEADER_LEN as u64;
-        if self.read_guest_into(k, ctx, at, &mut hdr).is_none() {
-            return self.fail_guest(k, slot, GuestFault::BadBase);
-        }
-        let cmd::Header { prdtl, ctba } = cmd::Header::decode(&hdr);
-        let prdtl = prdtl as usize;
-        // Command table: 64-byte CFIS plus the PRDT at +0x80. All 64
-        // bits of the base are bounded — a table "above 4 GB" is
-        // outside guest RAM, not an alias of its low half.
-        if !nova_hw::pv::buffer_in_ram(
-            ctba,
-            cmd::PRDT_OFFSET + (proto::MAX_SEGMENTS * cmd::PRD_LEN) as u64,
-            self.guest_pages,
-        ) {
-            return self.fail_guest(k, slot, GuestFault::BadBase);
-        }
-        let mut cfis = [0u8; cmd::CFIS_LEN];
-        if self.read_guest_into(k, ctx, ctba, &mut cfis).is_none() {
-            return self.fail_guest(k, slot, GuestFault::BadBase);
-        }
-        let Ok(cmd::Cfis {
-            write,
-            lba,
-            sectors,
-        }) = cmd::Cfis::decode(&cfis)
-        else {
-            return self.fail_guest(k, slot, GuestFault::BadOpcode);
+        let read = |gpa, out: &mut [u8]| k.mem_read_into(ctx, guest_va(gpa), out);
+        let command = parse_command(read, self.guest_pages, self.regs.clb, slot);
+        let Command { fis, segs, nsegs } = match command {
+            Ok(c) => c,
+            Err(fault) => return self.fail_guest(k, slot, fault),
         };
-        let sectors = sectors as u32;
-        if sectors == 0 {
-            return self.fail_guest(k, slot, GuestFault::BadLength);
-        }
-        if prdtl == 0 || prdtl > proto::MAX_SEGMENTS {
-            return self.fail_guest(k, slot, GuestFault::IndexOutOfRange);
-        }
-
-        // The PRDT, every entry of it. Buffers need not be page
-        // aligned (the window address the server programs carries the
-        // in-page offset), but the entries must cover the transfer
-        // exactly — a mismatch is a guest driver bug and fails the
-        // slot instead of transferring to the wrong window address.
-        let mut prdt_buf = [0u8; proto::MAX_SEGMENTS * cmd::PRD_LEN];
-        let prdt = match prdt_buf.get_mut(..prdtl * cmd::PRD_LEN) {
-            Some(p) => p,
-            None => return self.fail_guest(k, slot, GuestFault::IndexOutOfRange),
-        };
-        if self
-            .read_guest_into(k, ctx, ctba + cmd::PRDT_OFFSET, prdt)
-            .is_none()
-        {
-            return self.fail_guest(k, slot, GuestFault::BadBase);
-        }
-        let mut segs = [(0u64, 0u32); proto::MAX_SEGMENTS];
-        let mut total = 0u64;
-        for (seg, e) in segs.iter_mut().zip(prdt.as_chunks::<{ cmd::PRD_LEN }>().0) {
-            let (dba, bytes) = cmd::prd::decode(e);
-            // Each segment is a future DMA target in guest RAM.
-            if !nova_hw::pv::buffer_in_ram(dba, bytes as u64, self.guest_pages) {
-                return self.fail_guest(k, slot, GuestFault::BufferOutOfRange);
-            }
-            *seg = (dba, bytes);
-            total += bytes as u64;
-        }
-        if total != sectors as u64 * SECTOR as u64 {
-            return self.fail_guest(k, slot, GuestFault::BadLength);
-        }
         if self.disk.find(slot as u64).is_some() {
             // The slot is still outstanding; a well-behaved guest
             // never re-rings it.
@@ -173,15 +102,15 @@ impl VAhci {
         let rctx = k.machine.bus.trace.alloc_ctx();
         self.disk.track(Req {
             tag: slot as u64,
-            op: if write {
+            op: if fis.write {
                 proto::OP_WRITE
             } else {
                 proto::OP_READ
             },
-            lba,
-            sectors,
+            lba: fis.lba,
+            sectors: fis.sectors as u32,
             segs,
-            nsegs: prdtl,
+            nsegs,
             ctx: rctx,
             ..Req::default()
         });
@@ -299,6 +228,86 @@ impl VAhci {
         let slots = self.disk.reqs().iter().all(|r| r.tag < SLOTS as u64);
         slots.then_some(())
     }
+}
+
+/// A guest's disk command, parsed and bounded against guest RAM.
+#[derive(Clone, Copy, Debug)]
+pub struct Command {
+    /// The transfer: direction, first sector and sector count.
+    pub fis: cmd::Cfis,
+    /// The data buffers (guest-physical address, bytes), `nsegs` used.
+    pub segs: [(u64, u32); proto::MAX_SEGMENTS],
+    /// Buffers in use.
+    pub nsegs: usize,
+}
+
+/// Parses the command in `slot` of the command list at `clb`, reading
+/// guest RAM with `read` (`None` where it cannot). Every field is
+/// untrusted guest input and is bounded against `guest_pages` of RAM:
+/// what does not describe one DMA transfer into guest RAM is the fault
+/// the slot fails with.
+pub fn parse_command(
+    mut read: impl FnMut(u64, &mut [u8]) -> Option<()>,
+    guest_pages: u64,
+    clb: u64,
+    slot: u8,
+) -> Result<Command, GuestFault> {
+    let in_ram = |at, len| nova_hw::pv::buffer_in_ram(at, len, guest_pages);
+    // The command list must fit in guest RAM before the header is
+    // dereferenced; `clb` is two raw guest-written registers.
+    if !in_ram(clb, 32 * cmd::HEADER_LEN as u64) {
+        return Err(GuestFault::BadBase);
+    }
+    let mut hdr = [0u8; cmd::HEADER_LEN];
+    read(clb + slot as u64 * cmd::HEADER_LEN as u64, &mut hdr).ok_or(GuestFault::BadBase)?;
+    let cmd::Header { prdtl, ctba } = cmd::Header::decode(&hdr);
+    let prdtl = prdtl as usize;
+    // Command table: 64-byte CFIS plus the PRDT at +0x80. All 64 bits
+    // of the base are bounded — a table "above 4 GB" is outside guest
+    // RAM, not an alias of its low half.
+    let table = cmd::PRDT_OFFSET + (proto::MAX_SEGMENTS * cmd::PRD_LEN) as u64;
+    if !in_ram(ctba, table) {
+        return Err(GuestFault::BadBase);
+    }
+    let mut cfis = [0u8; cmd::CFIS_LEN];
+    read(ctba, &mut cfis).ok_or(GuestFault::BadBase)?;
+    let fis = cmd::Cfis::decode(&cfis).map_err(|_| GuestFault::BadOpcode)?;
+    if fis.sectors == 0 {
+        return Err(GuestFault::BadLength);
+    }
+    if prdtl == 0 || prdtl > proto::MAX_SEGMENTS {
+        return Err(GuestFault::IndexOutOfRange);
+    }
+
+    // The PRDT, every entry of it. Buffers need not be page aligned
+    // (the window address the server programs carries the in-page
+    // offset), but the entries must cover the transfer exactly — a
+    // mismatch is a guest driver bug and fails the slot instead of
+    // transferring to the wrong window address.
+    let mut prdt_buf = [0u8; proto::MAX_SEGMENTS * cmd::PRD_LEN];
+    let prdt = prdt_buf
+        .get_mut(..prdtl * cmd::PRD_LEN)
+        .ok_or(GuestFault::IndexOutOfRange)?;
+    read(ctba + cmd::PRDT_OFFSET, prdt).ok_or(GuestFault::BadBase)?;
+    let mut segs = [(0u64, 0u32); proto::MAX_SEGMENTS];
+    let mut total = 0u64;
+    for (seg, e) in segs.iter_mut().zip(prdt.as_chunks::<{ cmd::PRD_LEN }>().0) {
+        let (dba, bytes) = cmd::prd::decode(e);
+        // Each segment is a future DMA target in guest RAM.
+        if !in_ram(dba, bytes as u64) {
+            return Err(GuestFault::BufferOutOfRange);
+        }
+        *seg = (dba, bytes);
+        total += bytes as u64;
+    }
+    if total != fis.sectors as u64 * SECTOR as u64 {
+        return Err(GuestFault::BadLength);
+    }
+    Ok(Command {
+        fis,
+        segs,
+        nsegs: prdtl,
+    })
 }
 
 #[cfg(test)]

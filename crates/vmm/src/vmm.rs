@@ -237,7 +237,7 @@ impl Vmm {
     pub fn guest_console(&self) -> String {
         self.dev
             .as_ref()
-            .map(|d| d.vserial.text())
+            .map(|d| d.legacy.serial.text())
             .unwrap_or_default()
     }
 
@@ -257,9 +257,9 @@ impl Vmm {
     pub fn type_scancodes(&mut self, codes: &[u8]) {
         if let Some(dev) = self.dev.as_mut() {
             for c in codes {
-                dev.vkbd.inject(*c);
+                dev.legacy.kbd.inject(*c);
             }
-            dev.vpic.pulse(1);
+            dev.legacy.pic.pulse(1);
         }
     }
 
@@ -296,8 +296,8 @@ impl Vmm {
         // Only vCPU 0 is wired to the virtual PIC (as on real boards).
         if vcpu == 0 {
             let dev = self.dev.as_mut()?;
-            if dev.vpic.intr() {
-                return dev.vpic.ack();
+            if dev.legacy.pic.intr() {
+                return dev.legacy.pic.ack();
             }
         }
         None
@@ -305,7 +305,7 @@ impl Vmm {
 
     fn has_pending(&self, vcpu: usize) -> bool {
         self.vcpu_state[vcpu].pending_ipi.is_some()
-            || (vcpu == 0 && self.dev.as_ref().is_some_and(|d| d.vpic.intr()))
+            || (vcpu == 0 && self.dev.as_ref().is_some_and(|d| d.legacy.pic.intr()))
     }
 
     /// Wakes or recalls a vCPU after a virtual interrupt became
@@ -391,7 +391,7 @@ impl Vmm {
     fn apply_special(&mut self, k: &mut Kernel, ctx: CompCtx, current_vcpu: usize) {
         let special: SpecialPorts = {
             let dev = self.dev.as_mut().expect("devices");
-            std::mem::take(&mut dev.special)
+            std::mem::take(&mut dev.legacy.special)
         };
         // Record marks for harnesses (forwarded below exactly once).
         self.marks.extend_from_slice(&special.marks);
@@ -577,7 +577,7 @@ impl Vmm {
                     0 => {
                         let b = msg.regs.get8(Reg8::Bl);
                         if let Some(dev) = self.dev.as_mut() {
-                            dev.vserial.output.push(b);
+                            dev.legacy.serial.output.push(b);
                         }
                     }
                     1 => {
@@ -1022,7 +1022,7 @@ impl Component for Vmm {
     fn on_signal(&mut self, k: &mut Kernel, ctx: CompCtx, sm: SmId) {
         if Some(sm) == self.timer_sm {
             if let Some(dev) = self.dev.as_mut() {
-                dev.vpic.pulse(0);
+                dev.legacy.pic.pulse(0);
             }
             self.kick_vcpu(k, ctx, 0);
         } else if Some(sm) == self.disk_sm {
@@ -1036,14 +1036,14 @@ impl Component for Vmm {
         } else if Some(sm) == self.pvnet_sm {
             let dev = self.dev.as_mut().expect("devices");
             if dev.pvnet.as_mut().is_some_and(|n| n.on_irq(k, ctx)) {
-                dev.vpic.pulse(nova_hw::machine::NIC_IRQ);
+                dev.legacy.pic.pulse(nova_hw::machine::NIC_IRQ);
                 self.kick_vcpu(k, ctx, 0);
             }
         } else if Some(sm) == self.restart_sm {
             self.reconnect_disk(k, ctx);
         } else if let Some(&(_, gsi)) = self.gsi_sms.iter().find(|(s, _)| *s == sm) {
             if let Some(dev) = self.dev.as_mut() {
-                dev.vpic.pulse(gsi);
+                dev.legacy.pic.pulse(gsi);
             }
             self.kick_vcpu(k, ctx, 0);
         }

@@ -1808,8 +1808,6 @@ mod devices {
     /// One stack's way in.
     pub trait Stack {
         const NAME: &'static str;
-        /// No i8042 and no PCI configuration mechanism (the baseline).
-        const LEGACY_FREE: bool = false;
         fn write_ram(&mut self, gpa: u64, bytes: &[u8]);
         fn run(&mut self, op: Op) -> Option<u32>;
         /// Cycles between timer ticks, and the CPU clock they count.
@@ -1892,19 +1890,20 @@ mod devices {
         fn run(&mut self, op: Op) -> Option<u32> {
             let (k, ctx, dev) = (&mut self.k, self.ctx, &mut self.dev);
             match op {
-                Op::In(port, size) => return Some(dev.io_read(k, ctx, port, size)),
-                Op::Out(port, size, val) => dev.io_write(k, ctx, port, size, val),
+                Op::In(port, size) => return Some(dev.legacy.io_read(port, size)),
+                Op::Out(port, _, val) => dev.io_write(k, ctx, port, val),
                 Op::Load(off) => return Some(dev.mmio_read(AHCI_BASE + off as u64, Dword)),
                 Op::Store(off, val) => dev.mmio_write(k, ctx, AHCI_BASE + off as u64, Dword, val),
-                Op::Key(code) => dev.vkbd.inject(code),
+                Op::Key(code) => dev.legacy.kbd.inject(code),
             }
             None
         }
         fn pit_period(&mut self) -> (u64, u64) {
-            (self.dev.vpit.period_cycles(), 2_670_000_000)
+            let hz = 2_670_000_000;
+            (self.dev.legacy.pit.period_cycles(hz), hz)
         }
         fn console(&mut self) -> String {
-            self.dev.vserial.text()
+            self.dev.legacy.serial.text()
         }
     }
 
@@ -1924,18 +1923,19 @@ mod devices {
 
     impl Stack for Baseline {
         const NAME: &'static str = "monolithic baseline";
-        const LEGACY_FREE: bool = true;
         fn write_ram(&mut self, gpa: u64, bytes: &[u8]) {
             let hpa = self.0.gpa_hpa(gpa).unwrap();
             self.0.machine.mem.write_bytes(hpa, bytes);
         }
         fn run(&mut self, op: Op) -> Option<u32> {
             match op {
-                Op::In(port, size) => return Some(self.0.io_read(port, size)),
-                Op::Out(port, size, val) => self.0.io_write(port, size, val),
+                Op::In(port, size) => return Some(self.0.legacy.io_read(port, size)),
+                Op::Out(port, _, val) => {
+                    self.0.legacy.io_write(port, val);
+                }
                 Op::Load(off) => return Some(self.0.disk_mmio_read(off)),
                 Op::Store(off, val) => self.0.disk_mmio_write(off, val),
-                Op::Key(_) => {}
+                Op::Key(code) => self.0.legacy.kbd.inject(code),
             }
             None
         }
@@ -1961,17 +1961,6 @@ mod devices {
                 let hdr = cmd::Header { prdtl: 1, ctba };
                 s.write_ram(list + slot * cmd::HEADER_LEN as u64, &hdr.encode());
             }
-        }
-    }
-
-    /// `true` if the op is at the i8042's or the PCI mechanism's ports.
-    pub fn is_legacy(op: Op) -> bool {
-        match op {
-            Op::In(port, _) | Op::Out(port, _, _) => {
-                (0x60..=0x64).contains(&port) || (0xcf8..=0xcff).contains(&port)
-            }
-            Op::Key(_) => true,
-            Op::Load(_) | Op::Store(..) => false,
         }
     }
 
@@ -2234,9 +2223,6 @@ fn every_model_of_a_legacy_device_agrees() {
         };
         for (i, op) in devices::script(seed).into_iter().enumerate() {
             let expected = spec.run(op);
-            if S::LEGACY_FREE && devices::is_legacy(op) {
-                continue;
-            }
             let got = stack.run(op);
             if got != expected {
                 disagree(format!(
@@ -2303,15 +2289,15 @@ fn recorded_divergence_between_the_models_of_a_legacy_device() {
     assert_eq!(reads(&mut v, &hr), [GOOD_LIST as u32, 1, 1]);
     assert_eq!(reads(&mut b, &hr), [GOOD_LIST as u32, 1, 1]);
 
-    // P0FB: the VMM's controller has no received-FIS area.
+    // P0FB: the VMM's controller has no received-FIS area; the
+    // baseline's register file keeps the base, as the platform's does.
     let fb = [Op::Store(regs::P0FB, 0x12_3000), Op::Load(regs::P0FB)];
     assert_eq!(reads(&mut p, &fb), [0x12_3000]);
     assert_eq!(reads(&mut v, &fb), [0]);
+    assert_eq!(reads(&mut b, &fb), [0x12_3000]);
 
-    // A command that is no command: the platform and the VMM fail the
-    // slot at the doorbell; the baseline hands the bytes to the
-    // physical controller and retires the slot — always as a success —
-    // when that one interrupts.
+    // A command that is no command: every controller fails the slot at
+    // the doorbell, the baseline's through the vAHCI's parser.
     let (mut p, mut v, mut b) = stacks();
     let junk = [
         Op::Store(regs::P0CLB, ZERO_LIST as u32),
@@ -2319,30 +2305,34 @@ fn recorded_divergence_between_the_models_of_a_legacy_device() {
         Op::Load(regs::P0CI),
         Op::Load(regs::P0IS),
     ];
-    assert_eq!(reads(&mut p, &junk), [0, P0IS_TFES]);
-    assert_eq!(reads(&mut v, &junk), [0, P0IS_TFES]);
-    assert_eq!(reads(&mut b, &junk), [1, 0]);
+    let vmm = reads(&mut v, &junk);
+    assert_eq!(vmm, [0, P0IS_TFES]);
+    assert_eq!(reads(&mut p, &junk), vmm);
+    assert_eq!(reads(&mut b, &junk), vmm);
 
     // The NIC's function (device 3) is on the platform's bus alone: a
-    // VM gets the paravirtual NIC, which is not a PCI device.
+    // VM gets the paravirtual NIC, which is not a PCI device. The
+    // baseline's bus is the VMM's.
     let nic = [
         Op::Out(0xcf8, Dword, 1 << 31 | 3 << 11),
         Op::In(0xcfc, Dword),
     ];
     assert_eq!(reads(&mut p, &nic), [0x10de_8086]);
-    assert_eq!(reads(&mut v, &nic), [0xffff_ffff]);
+    let vmm = reads(&mut v, &nic);
+    assert_eq!(vmm, [0xffff_ffff]);
+    assert_eq!(reads(&mut b, &nic), vmm);
 
-    // The baseline models neither the keyboard controller nor the
-    // configuration mechanism: the ports float.
+    // The configuration mechanism and the keyboard controller: one
+    // legacy set, the VMM's and the baseline's.
     let ahci = [
         Op::Out(0xcf8, Dword, 1 << 31 | 2 << 11),
         Op::In(0xcfc, Dword),
     ];
-    assert_eq!(reads(&mut p, &ahci), [0x2922_8086]);
-    assert_eq!(reads(&mut v, &ahci), [0x2922_8086]);
-    assert_eq!(reads(&mut b, &ahci), [0xffff_ffff]);
     let key = [Op::Key(0x1e), Op::In(0x64, Byte), Op::In(0x60, Byte)];
-    assert_eq!(reads(&mut p, &key), [1, 0x1e]);
-    assert_eq!(reads(&mut v, &key), [1, 0x1e]);
-    assert_eq!(reads(&mut b, &key), [0xff, 0xff]);
+    for (ops, platform) in [(&ahci[..], &[0x2922_8086][..]), (&key, &[1, 0x1e])] {
+        assert_eq!(reads(&mut p, ops), platform);
+        let vmm = reads(&mut v, ops);
+        assert_eq!(vmm, platform);
+        assert_eq!(reads(&mut b, ops), vmm);
+    }
 }
