@@ -16,20 +16,20 @@ use nova_core::hostpt::{FrameAllocator, NestedTable};
 use nova_core::obj::{MemMapping, MemRights, MemSpace};
 use nova_core::vtlb::{self, ShadowCache, ShadowExit, ShadowParts};
 use nova_hw::ahci::{cmd, regs, slots, PortEvent, PortRegs};
+use nova_hw::cost::CostModel;
 use nova_hw::cpu::run_guest;
 use nova_hw::machine::{GuestImage, Machine, MachineConfig, AHCI_BASE, AHCI_IRQ};
-use nova_hw::mmu::MmuRegs;
 use nova_hw::tlb::Tlb;
-use nova_hw::vmx::{ExitReason, Injection, PagingVirt, Vmcs};
+use nova_hw::vmx::{ExitReason, PagingVirt, Vmcs};
 use nova_hw::Cycles;
 use nova_vmm::devices::LegacyDevices;
-use nova_vmm::emu::{cpuid_exit, emulate_one, port_io_exit, EmuEnv, EmuErr, EmuHost};
+use nova_vmm::emu::EmuHost;
+use nova_vmm::exit::{self, next_irq, Exit, ExitHost, Irq};
 use nova_vmm::vahci::parse_command;
 use nova_x86::cpuid::CpuIdent;
-use nova_x86::exec::Fault;
 use nova_x86::insn::OpSize;
-use nova_x86::paging::NestedFormat;
-use nova_x86::reg::{Reg, Reg8, Regs};
+use nova_x86::paging::{Access, NestedFormat};
+use nova_x86::reg::{Reg, Regs};
 
 use crate::RunResult;
 
@@ -390,26 +390,6 @@ impl Monolithic {
         }
     }
 
-    fn inject_if_possible(&mut self) {
-        if self.vmcs.injection.is_some() {
-            return;
-        }
-        if self.legacy.pic.intr() {
-            if self.vmcs.guest.if_set() && !self.vmcs.sti_shadow {
-                if let Some(vector) = self.legacy.pic.ack() {
-                    self.vmcs.injection = Some(Injection {
-                        vector,
-                        error_code: None,
-                    });
-                    self.vmcs.halted = false;
-                    self.counters.injected_virq += 1;
-                }
-            } else {
-                self.vmcs.intwin_exit = true;
-            }
-        }
-    }
-
     fn charge_exit(&mut self, shadow_class: bool) {
         let tagged = self.vmcs.vpid != 0;
         let cost = self.machine.cost;
@@ -464,7 +444,19 @@ impl Monolithic {
                     self.vpit_deadline = Some(dl + self.vpit_period());
                 }
             }
-            self.inject_if_possible();
+            // The VMM's injection rule, on the guest's own window.
+            if self.vmcs.injection.is_none() {
+                let window = self.vmcs.guest.if_set() && !self.vmcs.sti_shadow;
+                match next_irq(&mut None, Some(&mut self.legacy.pic), window) {
+                    Irq::Inject(inj) => {
+                        self.vmcs.injection = Some(inj);
+                        self.vmcs.halted = false;
+                        self.counters.injected_virq += 1;
+                    }
+                    Irq::Window => self.vmcs.intwin_exit = true,
+                    Irq::Idle => {}
+                }
+            }
 
             // Idle guest: fast-forward.
             if self.vmcs.halted && self.vmcs.injection.is_none() {
@@ -525,38 +517,17 @@ impl Monolithic {
         )
     }
 
+    /// Handles an exit in the kernel: the physical and shadow-paging
+    /// ones here, the rest (a device page's shadow fault too) in the VMM's.
     fn handle_exit(&mut self, reason: ExitReason) {
-        match reason {
+        let reason = match reason {
             ExitReason::Preempt | ExitReason::IntWindow => {
                 self.vmcs.intwin_exit = false;
+                return;
             }
             // The exit already acknowledged the vector at the PIC: it
             // must be serviced here or its in-service bit wedges.
-            ExitReason::ExtInt { vector } => self.service_physical(vector),
-            ExitReason::Cpuid { len } => {
-                cpuid_exit(&self.machine.cost.ident, &mut self.vmcs.guest, len)
-            }
-            ExitReason::Rdtsc { len } => {
-                let t = self.machine.clock;
-                self.vmcs.guest.set(Reg::Eax, t as u32);
-                self.vmcs.guest.set(Reg::Edx, (t >> 32) as u32);
-                self.vmcs.guest.eip = self.vmcs.guest.eip.wrapping_add(len as u32);
-            }
-            ExitReason::Hlt { len } => {
-                self.vmcs.guest.eip = self.vmcs.guest.eip.wrapping_add(len as u32);
-                self.vmcs.halted = true;
-            }
-            ExitReason::IoPort {
-                port,
-                size,
-                write,
-                len,
-            } => {
-                let mut regs = self.vmcs.guest.clone();
-                port_io_exit(self, &mut regs, port, size, write, len);
-                self.vmcs.guest = regs;
-            }
-            ExitReason::EptViolation { .. } => self.emulate_mmio(),
+            ExitReason::ExtInt { vector } => return self.service_physical(vector),
             ExitReason::PageFault { .. } | ExitReason::MovCr { .. } | ExitReason::Invlpg { .. } => {
                 let cost = self.machine.cost;
                 if let ExitReason::PageFault { .. } = reason {
@@ -579,50 +550,38 @@ impl Monolithic {
                 let prefetch = self.cfg.model.costs().shadow_prefetch;
                 match vtlb::handle_exit(parts, reason, prefetch) {
                     // The per-entry cost of the batch.
-                    Some(ShadowExit::Filled(n)) => self.machine.clock += 60 * (n as Cycles - 1),
-                    Some(ShadowExit::Mmio { .. }) => self.emulate_mmio(),
-                    _ => {}
+                    Some(ShadowExit::Filled(n)) => {
+                        self.machine.clock += 60 * (n as Cycles - 1);
+                        return;
+                    }
+                    Some(ShadowExit::Mmio { gpa, write }) => {
+                        let access = if write { Access::WRITE } else { Access::READ };
+                        ExitReason::EptViolation { gpa, access }
+                    }
+                    _ => return,
                 }
             }
-            ExitReason::Vmcall { len } => {
-                match self.vmcs.guest.get(Reg::Eax) {
-                    0 => self
-                        .legacy
-                        .serial
-                        .output
-                        .push(self.vmcs.guest.get8(Reg8::Bl)),
-                    1 => self.guest_exit = Some(self.vmcs.guest.get(Reg::Ebx) as u8),
-                    _ => {}
-                }
-                self.vmcs.guest.eip = self.vmcs.guest.eip.wrapping_add(len as u32);
-            }
-            ExitReason::Recall | ExitReason::TripleFault => {
-                if reason == ExitReason::TripleFault {
-                    self.guest_exit = Some(0xfd);
-                }
-            }
+            reason => reason,
+        };
+        let mut regs = self.vmcs.guest.clone();
+        let exit = exit::handle(self, self.guest_pages, reason, &mut regs);
+        self.vmcs.guest = regs;
+        match exit {
+            Exit::Resume => {}
+            Exit::Halt => self.vmcs.halted = true,
+            Exit::Inject(inj) => self.vmcs.injection = Some(inj),
+            Exit::Kill(kill) => self.guest_exit = Some(kill.exit_code()),
         }
     }
+}
 
-    /// In-kernel instruction emulation for MMIO: the VMM's emulator,
-    /// run in the privileged component over [`Monolithic`]'s
-    /// [`EmuHost`].
-    fn emulate_mmio(&mut self) {
-        let mut regs = self.vmcs.guest.clone();
-        let (pages, mmu) = (self.guest_pages, MmuRegs::from_regs(&regs));
-        match emulate_one(&mut EmuEnv::new(self, pages, mmu), &mut regs) {
-            Ok(_) => self.vmcs.guest = regs,
-            Err(EmuErr::Fault(f)) => {
-                if let Fault::Page { addr, .. } = f {
-                    self.vmcs.guest.cr2 = addr;
-                }
-                self.vmcs.injection = Some(Injection {
-                    vector: f.vector(),
-                    error_code: f.error_code(),
-                });
-            }
-            Err(EmuErr::Unsupported) => self.guest_exit = Some(0xfe),
-        }
+/// The monolithic kernel's [`ExitHost`]: its flat `exit_sw` already
+/// paid for the handling, so a charge adds nothing.
+impl ExitHost for Monolithic {
+    fn charge(&mut self, _: impl FnOnce(&CostModel) -> Cycles) {}
+
+    fn legacy(&mut self) -> &mut LegacyDevices {
+        &mut self.legacy
     }
 }
 

@@ -294,9 +294,10 @@ mod tests {
         );
     }
 
-    /// Every stack of Figure 5 runs the same image to the same marks
-    /// and the same console: the stacks differ by architecture alone.
-    /// Direct has no disk server, so it runs only the diskless guests.
+    /// Every stack of Figure 5 runs the same image to the same marks,
+    /// the same console and the same end — shut down with 0, or halted
+    /// for good: the stacks differ by architecture alone. Direct has no
+    /// disk server, so it runs only the diskless guests.
     #[test]
     fn every_stack_runs_the_same_guest_to_the_same_marks() {
         use nova_x86::{MemRef, Reg};
@@ -415,15 +416,68 @@ mod tests {
                 mark_eax(a);
             }
         });
+        // With interrupts off, one AHCI read rung and the vCPU halted —
+        // at once, or once P0CI reads 0, so that the completion
+        // interrupt is pending at the HLT — then `DISK_DONE` marked. No
+        // interrupt wakes a CPU halted with IF clear.
+        let masked_halt = |poll: bool| {
+            use nova_guest::os::{build_os, OsParams};
+            let disk = OsParams {
+                disk: true,
+                ..OsParams::minimal()
+            };
+            build_os(disk, |a, _| {
+                a.cli();
+                a.mov_ri(Reg::Eax, 0x11);
+                mark_eax(a);
+                let header = cmd::Header {
+                    prdtl: 1,
+                    ctba: DISK_CTBA as u64,
+                };
+                store(a, DISK_CMD, &header.encode());
+                let fis = cmd::Cfis {
+                    write: false,
+                    lba: 16,
+                    sectors: 8,
+                };
+                store(a, DISK_CTBA, &fis.encode()[..16]);
+                let prd = cmd::prd::encode(DISK_BUF as u64, 4096);
+                store(a, DISK_CTBA + cmd::PRDT_OFFSET as u32, &prd);
+                a.mov_mi(port(regs::P0CI), 1);
+                if poll {
+                    let busy = a.here_label();
+                    a.mov_rm(Reg::Eax, port(regs::P0CI));
+                    a.test_rr(Reg::Eax, Reg::Eax);
+                    a.jcc(nova_x86::insn::Cond::Ne, busy);
+                }
+                a.hlt();
+                use nova_guest::rt::{var, vars};
+                a.mov_rm(Reg::Eax, var(vars::DISK_DONE));
+                mark_eax(a);
+            })
+        };
+        // (name, image, Direct runs it, it shuts down with 0)
         let guests = [
-            ("legacy hole", &hole, true),
-            ("two AHCI slots in one doorbell", &two_slots, false),
-            ("legacy devices", &legacy, false),
-            ("compile without disk", &diskless, true),
-            ("compile", &compile::build(CompileParams::smoke()), false),
-            ("diskload", &diskload, false),
+            ("legacy hole", &hole, true, true),
+            ("two AHCI slots in one doorbell", &two_slots, false, true),
+            ("legacy devices", &legacy, false, true),
+            ("compile without disk", &diskless, true, true),
+            (
+                "compile",
+                &compile::build(CompileParams::smoke()),
+                false,
+                true,
+            ),
+            ("diskload", &diskload, false, true),
+            ("halt with IF clear", &masked_halt(false), false, false),
+            (
+                "halt with IF clear, IRQ pending",
+                &masked_halt(true),
+                false,
+                false,
+            ),
         ];
-        for (guest, image, diskless) in guests {
+        for (guest, image, diskless, shuts_down) in guests {
             let runs: Vec<RunResult> = with_disk
                 .iter()
                 .chain(diskless.then_some(&direct))
@@ -436,7 +490,8 @@ mod tests {
                 "{guest}: the guest marks its phases"
             );
             for r in &runs {
-                assert!(r.ok, "{guest} under {}: did not shut down with 0", r.label);
+                let end = ["halted for good", "shut down with 0"][shuts_down as usize];
+                assert_eq!(r.ok, shuts_down, "{guest} under {}: not {end}", r.label);
                 assert_eq!(
                     values(r),
                     values(native),

@@ -589,6 +589,17 @@ fn also_shipped() {}
         assert_eq!(got.iter().map(|(_, f)| f.len()).sum::<usize>(), 36);
     }
 
+    /// The two long documents, capped in bytes: one that would grow past
+    /// its cap makes room first. The caps are only ever lowered.
+    #[test]
+    fn the_long_documents_are_capped() {
+        for (doc, cap) in [("DESIGN.md", 120_000), ("EXPERIMENTS.md", 202_000)] {
+            let path = workspace_root().join(doc);
+            let bytes = std::fs::metadata(&path).expect(doc).len();
+            assert!(bytes <= cap, "{doc} is {bytes} bytes, capped at {cap}");
+        }
+    }
+
     /// The privileged layer's size, pinned at what `BENCH_fig1.json`
     /// commits as the Microhypervisor's `product`: a change that grows
     /// the kernel fails here until it moves the pin — and says why.

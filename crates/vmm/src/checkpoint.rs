@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! magic     8 bytes  "NOVACKPT"
-//! version   u32      format version (6)
+//! version   u32      format version (7)
 //! seq       u64      checkpoint sequence number
 //! mem_len   u64      guest-memory length, a whole number of 4 KB pages
 //! pages     u32 n, then n page numbers (u32, strictly ascending, each
@@ -33,7 +33,9 @@
 //! Version 6 gave both disk front ends that one request record;
 //! version 5's had one layout each (the vAHCI's 32 slot-presence
 //! bytes, the PV queue's single segment without `nsegs`) and is
-//! refused by number.
+//! refused by number. Version 7 carries, in bit 1 of each vCPU's recall
+//! byte of the VMM record, that it halted with its interrupt window
+//! closed; version 6 is refused by number too.
 //!
 //! **A checkpoint holds what the guest wrote**: a page is stored if and
 //! only if it is not all zeros, and a page the index leaves out reads
@@ -72,7 +74,7 @@ pub const MAGIC: [u8; 8] = *b"NOVACKPT";
 /// Current checkpoint format version. Bump on any layout change; the
 /// parser refuses other versions, which makes a stale checkpoint an
 /// explicit cold-reboot escalation rather than a silent corruption.
-pub const VERSION: u32 = 6;
+pub const VERSION: u32 = 7;
 
 /// Size of one page of the guest image.
 pub const PAGE: usize = 4096;

@@ -11,11 +11,12 @@
 //! Exceptions raised mid-emulation (the "fixup code" of the paper)
 //! surface as faults for the VMM to inject.
 //!
-//! The emulator is the one copy every stack runs: what differs per
-//! host — how guest RAM is backed, which MMIO windows exist, the port
-//! devices — is an [`EmuHost`]. The VMM's is [`VmmHost`] (its memory
-//! window and [`VDevices`]); the monolithic baseline implements it over
-//! its host frames and in-kernel device models.
+//! The emulator is the one copy every stack runs, from the MMIO arm of
+//! [`crate::exit::handle`]: what differs per host — how guest RAM is
+//! backed, which MMIO windows exist, the port devices — is an
+//! [`EmuHost`]. The VMM's is [`VmmHost`] (its memory window and
+//! [`VDevices`]); the monolithic baseline implements it over its host
+//! frames and in-kernel device models.
 //!
 //! Everything decoded here — opcode bytes, operands, page-table
 //! entries — is attacker-controlled guest state: malformed input
@@ -32,7 +33,7 @@ use nova_x86::decode::{decode, DecodeError, MAX_INSN_LEN};
 use nova_x86::exec::{emulator_gva_to_gpa, execute, Env, Exec, Fault};
 use nova_x86::insn::{Insn, OpSize};
 use nova_x86::paging;
-use nova_x86::reg::{Reg, Reg8, Regs};
+use nova_x86::reg::Regs;
 
 use crate::devices::VDevices;
 use crate::vmm::guest_va;
@@ -270,42 +271,6 @@ pub fn virtual_cpuid(ident: &CpuIdent, leaf: u32) -> [u32; 4] {
         r[2] &= !nova_x86::cpuid::feature::VMX;
     }
     r
-}
-
-/// A CPUID exit: the virtual CPUID of leaf EAX into EAX..EDX, EIP past
-/// the `len`-byte instruction.
-pub fn cpuid_exit(ident: &CpuIdent, regs: &mut Regs, len: u8) {
-    let r = virtual_cpuid(ident, regs.get(Reg::Eax));
-    for (reg, val) in [Reg::Eax, Reg::Ebx, Reg::Ecx, Reg::Edx].into_iter().zip(r) {
-        regs.set(reg, val);
-    }
-    regs.eip = regs.eip.wrapping_add(len as u32);
-}
-
-/// A port-I/O exit: AL or EAX to `host`'s port on an OUT, from it on
-/// an IN, then EIP past the `len`-byte instruction.
-pub fn port_io_exit(
-    host: &mut impl EmuHost,
-    regs: &mut Regs,
-    port: u16,
-    size: OpSize,
-    write: bool,
-    len: u8,
-) {
-    if write {
-        let val = match size {
-            OpSize::Byte => regs.get8(Reg8::Al) as u32,
-            OpSize::Dword => regs.get(Reg::Eax),
-        };
-        host.io_out(port, size, val);
-    } else {
-        let val = host.io_in(port, size);
-        match size {
-            OpSize::Byte => regs.set8(Reg8::Al, val as u8),
-            OpSize::Dword => regs.set(Reg::Eax, val),
-        }
-    }
-    regs.eip = regs.eip.wrapping_add(len as u32);
 }
 
 /// Fetches and decodes the instruction at `regs.eip` from guest

@@ -18,6 +18,7 @@ pub mod checkpoint;
 pub mod devices;
 pub mod diskclient;
 pub mod emu;
+pub mod exit;
 pub mod launch;
 pub mod microreboot;
 pub mod pvdisk;

@@ -21,20 +21,19 @@ use nova_core::kernel::{EXIT_PORTAL_BASE, EXIT_PORTAL_STRIDE, SEL_SELF_PD};
 use nova_core::obj::{MemRights, VmPaging};
 use nova_core::{CompCtx, Component, Hypercall, Kernel, SmId, Utcb};
 use nova_hw::machine::GuestImage;
-use nova_hw::mmu::MmuRegs;
-use nova_hw::vmx::{mtd, ExitReason, Injection};
+use nova_hw::vmx::{mtd, ExitReason};
 use nova_hw::{Cycles, GuestFault, GuestSurface, VmKill};
 use nova_trace::Kind as TraceKind;
 use nova_user::proto::disk as disk_proto;
-use nova_x86::exec::Fault;
 use nova_x86::insn::OpSize;
-use nova_x86::reg::{flags, Reg, Reg8, Regs};
+use nova_x86::reg::{flags, vector, Reg, Regs};
 
 use crate::bios;
 use crate::checkpoint::{Dec, Enc};
 use crate::devices::{SpecialPorts, VDevices};
 use crate::diskclient::{DiskChannel, DiskClient};
-use crate::emu::{cpuid_exit, emulate_one, port_io_exit, EmuEnv, EmuErr, VmmHost};
+use crate::emu::VmmHost;
+use crate::exit::{self, next_irq, Exit, Irq};
 use crate::pvdisk::PvDisk;
 use crate::pvnet::PvNet;
 use crate::vahci::VAhci;
@@ -181,8 +180,10 @@ pub mod sel {
 /// Per-vCPU runtime state tracked by the VMM.
 #[derive(Clone, Copy, Default)]
 struct VcpuState {
-    /// The vCPU is blocked in the kernel after a HLT.
-    halted: bool,
+    /// The vCPU is blocked in the kernel after a HLT: `Some(open)`,
+    /// whether its interrupt window was open. With it closed no vector
+    /// wakes it, as none wakes a CPU halted with IF clear.
+    halted: Option<bool>,
     /// Pending direct-injection vector (IPI), bypassing the vPIC.
     pending_ipi: Option<u8>,
     /// The vCPU has been recalled and will inject on its Recall exit.
@@ -288,55 +289,37 @@ impl Vmm {
         }
     }
 
-    /// Picks an injectable vector: a pending IPI first, then the vPIC.
-    fn next_vector(&mut self, vcpu: usize) -> Option<u8> {
-        if let Some(v) = self.vcpu_state[vcpu].pending_ipi.take() {
-            return Some(v);
-        }
-        // Only vCPU 0 is wired to the virtual PIC (as on real boards).
-        if vcpu == 0 {
-            let dev = self.dev.as_mut()?;
-            if dev.legacy.pic.intr() {
-                return dev.legacy.pic.ack();
-            }
-        }
-        None
-    }
-
-    fn has_pending(&self, vcpu: usize) -> bool {
-        self.vcpu_state[vcpu].pending_ipi.is_some()
-            || (vcpu == 0 && self.dev.as_ref().is_some_and(|d| d.legacy.pic.intr()))
+    /// [`next_irq`] over vCPU `vcpu`'s pending vectors: its IPI, and
+    /// the vPIC's if it is vCPU 0 (the one wired to it, as on real
+    /// boards).
+    fn next_irq(&mut self, vcpu: usize, window: bool) -> Irq {
+        let ipi = &mut self.vcpu_state[vcpu].pending_ipi;
+        let dev = self.dev.as_mut().filter(|_| vcpu == 0);
+        next_irq(ipi, dev.map(|d| &mut d.legacy.pic), window)
     }
 
     /// Wakes or recalls a vCPU after a virtual interrupt became
-    /// pending (Section 7.5).
+    /// pending (Section 7.5). A halted vCPU's window is the one it
+    /// halted with; a running one's opens at its recall exit.
     fn kick_vcpu(&mut self, k: &mut Kernel, ctx: CompCtx, vcpu: usize) {
-        if !self.has_pending(vcpu) {
-            return;
-        }
-        if self.vcpu_state[vcpu].halted {
-            if let Some(vector) = self.next_vector(vcpu) {
-                self.vcpu_state[vcpu].halted = false;
+        let (s, ec) = (self.vcpu_state[vcpu], sel::vcpu(vcpu));
+        match self.next_irq(vcpu, s.halted == Some(true)) {
+            Irq::Inject(inj) => {
+                self.vcpu_state[vcpu].halted = None;
                 let _ = k.hypercall(
                     ctx,
                     Hypercall::EcResume {
-                        ec: sel::vcpu(vcpu),
-                        inject: Some(Injection {
-                            vector,
-                            error_code: None,
-                        }),
+                        ec,
+                        inject: Some(inj),
                         intwin: false,
                     },
                 );
             }
-        } else if !self.vcpu_state[vcpu].recall_armed {
-            self.vcpu_state[vcpu].recall_armed = true;
-            let _ = k.hypercall(
-                ctx,
-                Hypercall::EcRecall {
-                    ec: sel::vcpu(vcpu),
-                },
-            );
+            Irq::Window if s.halted.is_none() && !s.recall_armed => {
+                self.vcpu_state[vcpu].recall_armed = true;
+                let _ = k.hypercall(ctx, Hypercall::EcRecall { ec });
+            }
+            _ => {}
         }
     }
 
@@ -363,27 +346,6 @@ impl Vmm {
             code as u64,
         );
         let _ = k.dev_io_write(ctx, crate::devices::PORT_EXIT, OpSize::Byte, code as u32);
-    }
-
-    /// Completes exit handling: inject a pending vector if the window
-    /// is open, otherwise request an interrupt-window exit.
-    fn finish_reply(&mut self, vcpu: usize, msg: &mut nova_core::VmExitMsg) {
-        if msg.reply_block || msg.reply_inject.is_some() {
-            return;
-        }
-        if !self.has_pending(vcpu) {
-            return;
-        }
-        if msg.window_open {
-            if let Some(vector) = self.next_vector(vcpu) {
-                msg.reply_inject = Some(Injection {
-                    vector,
-                    error_code: None,
-                });
-            }
-        } else {
-            msg.reply_intwin = true;
-        }
     }
 
     /// Applies out-of-band port effects (shutdown, marks, AP starts,
@@ -419,7 +381,7 @@ impl Vmm {
                     resume: true,
                 },
             );
-            self.vcpu_state[vcpu].halted = false;
+            self.vcpu_state[vcpu].halted = None;
         }
         for vector in special.ipis {
             for v in 0..self.cfg.vcpus {
@@ -431,6 +393,10 @@ impl Vmm {
         }
     }
 
+    /// Runs one exit through [`exit::handle`] under the VMM's policy:
+    /// the kernel-protection check before it, the reply descriptor, the
+    /// out-of-band port effects and the kill path after it, and the
+    /// injection rule last.
     fn handle_exit(&mut self, k: &mut Kernel, ctx: CompCtx, vcpu: usize, utcb: &mut Utcb) {
         let Some(mut msg) = utcb.vm.take() else {
             return;
@@ -438,189 +404,78 @@ impl Vmm {
         let reason_idx = msg.reason.index() as u64;
         let pd16 = ctx.pd.0 as u16;
         let at = k.now();
-        k.machine
-            .bus
-            .trace
-            .begin(0, pd16, TraceKind::VmmEmulate, reason_idx, at);
-        let cost = k.machine.cost;
-        match msg.reason {
-            ExitReason::Cpuid { len } => {
-                k.charge(cost.emul_simple);
-                cpuid_exit(&cost.ident, &mut msg.regs, len);
-                msg.reply_mtd = mtd::GPR_ACDB | mtd::EIP;
+        let trace = &mut k.machine.bus.trace;
+        trace.begin(0, pd16, TraceKind::VmmEmulate, reason_idx, at);
+        let protected = |gpa: u64| {
+            let range = self.cfg.protect_kernel.map(|(pf, pc)| pf..pf + pc);
+            range.is_some_and(|r| r.contains(&(gpa >> 12)))
+        };
+        let exit = match msg.reason {
+            // The injection rule below injects if something is pending.
+            ExitReason::IntWindow | ExitReason::Recall => {
+                self.vcpu_state[vcpu].recall_armed = false;
+                None
             }
-            ExitReason::Rdtsc { len } => {
-                k.charge(cost.emul_simple);
-                let t = k.now();
-                msg.regs.set(Reg::Eax, t as u32);
-                msg.regs.set(Reg::Edx, (t >> 32) as u32);
-                msg.regs.eip = msg.regs.eip.wrapping_add(len as u32);
-                msg.reply_mtd = mtd::GPR_ACDB | mtd::EIP;
+            // Writes into a protected kernel region are a
+            // code-injection attempt: kill the VM (Section 4.2).
+            ExitReason::EptViolation { gpa, access } if access.write && protected(gpa) => {
+                let fault = GuestFault::ProtectedRangeWrite;
+                Some(Exit::Kill(VmKill::new(GuestSurface::GuestMemory, fault)))
             }
-            ExitReason::Hlt { len } => {
-                k.charge(cost.emul_simple);
-                msg.regs.eip = msg.regs.eip.wrapping_add(len as u32);
-                msg.reply_mtd = mtd::EIP;
-                // HLT with interrupts pending: deliver instead of block.
-                if self.has_pending(vcpu) {
-                    if let Some(vector) = self.next_vector(vcpu) {
-                        msg.reply_inject = Some(Injection {
-                            vector,
-                            error_code: None,
-                        });
-                    }
-                } else {
-                    msg.reply_block = true;
-                    self.vcpu_state[vcpu].halted = true;
-                }
-            }
-            ExitReason::IoPort {
-                port,
-                size,
-                write,
-                len,
-            } => {
-                k.charge(cost.emul_device);
+            reason => {
                 let dev = self.dev.as_mut().expect("devices");
-                let host = &mut VmmHost { k, ctx, dev };
-                port_io_exit(host, &mut msg.regs, port, size, write, len);
-                msg.reply_mtd = mtd::GPR_ACDB | mtd::EIP;
+                let (host, pages) = (&mut VmmHost { k, ctx, dev }, self.cfg.guest_pages);
+                Some(exit::handle(host, pages, reason, &mut msg.regs))
+            }
+        };
+        match exit {
+            None => {}
+            Some(Exit::Resume) => {
+                msg.reply_mtd = match msg.reason {
+                    // The emulator may have written any register.
+                    ExitReason::EptViolation { .. } => {
+                        mtd::GPR_ACDB | mtd::GPR_BSD | mtd::ESP | mtd::EIP | mtd::EFL
+                    }
+                    _ => mtd::GPR_ACDB | mtd::EIP,
+                };
                 self.apply_special(k, ctx, vcpu);
+                // A device backend may have flagged the input it just
+                // consumed as structurally hostile.
                 if let Some(kill) = self.dev.as_mut().and_then(VDevices::take_fatal) {
                     self.kill_vm(k, ctx, kill);
                 }
-                if self.guest_exit.is_some() {
-                    // The guest powered off: park the vCPU for good.
-                    msg.reply_block = true;
-                }
+                // The guest powered off: park the vCPU for good.
+                msg.reply_block = self.guest_exit.is_some();
             }
-            ExitReason::EptViolation { gpa, access } => {
-                // Writes into a protected kernel region are a
-                // code-injection attempt: kill the VM (Section 4.2).
-                if access.write {
-                    if let Some((pf, pc)) = self.cfg.protect_kernel {
-                        let page = gpa >> 12;
-                        if page >= pf && page < pf + pc {
-                            self.kill_vm(
-                                k,
-                                ctx,
-                                VmKill::new(
-                                    GuestSurface::GuestMemory,
-                                    GuestFault::ProtectedRangeWrite,
-                                ),
-                            );
-                            msg.reply_block = true;
-                            self.finish_reply(vcpu, &mut msg);
-                            let at = k.now();
-                            k.machine
-                                .bus
-                                .trace
-                                .end(0, pd16, TraceKind::VmmEmulate, reason_idx, at);
-                            utcb.vm = Some(msg);
-                            return;
-                        }
-                    }
+            Some(Exit::Halt) => msg.reply_mtd = mtd::EIP,
+            Some(Exit::Inject(inj)) => {
+                if inj.vector == vector::PAGE_FAULT {
+                    msg.reply_mtd = mtd::CR;
                 }
-                k.charge(cost.emul_decode);
-                let mut regs = msg.regs.clone();
-                let dev = self.dev.as_mut().expect("devices");
-                let host = &mut VmmHost { k, ctx, dev };
-                let mut env = EmuEnv::new(host, self.cfg.guest_pages, MmuRegs::from_regs(&regs));
-                let res = emulate_one(&mut env, &mut regs);
-                let device_ops = env.device_ops;
-                k.charge(device_ops as Cycles * cost.emul_device);
-                match res {
-                    Ok(_) => {
-                        msg.regs = regs;
-                        msg.reply_mtd =
-                            mtd::GPR_ACDB | mtd::GPR_BSD | mtd::ESP | mtd::EIP | mtd::EFL;
-                        self.apply_special(k, ctx, vcpu);
-                        // A device backend may have flagged the input
-                        // it just consumed as structurally hostile.
-                        if let Some(kill) = self.dev.as_mut().and_then(VDevices::take_fatal) {
-                            self.kill_vm(k, ctx, kill);
-                        }
-                        if self.guest_exit.is_some() {
-                            msg.reply_block = true;
-                        }
-                    }
-                    Err(EmuErr::Fault(f)) => {
-                        if let Fault::Page { addr, .. } = f {
-                            msg.regs.cr2 = addr;
-                            msg.reply_mtd = mtd::CR;
-                        }
-                        msg.reply_inject = Some(Injection {
-                            vector: f.vector(),
-                            error_code: f.error_code(),
-                        });
-                    }
-                    Err(EmuErr::Unsupported) => {
-                        // The paper's VMM would have a wider emulator;
-                        // ours treats this as a fatal guest error.
-                        self.kill_vm(
-                            k,
-                            ctx,
-                            VmKill::new(GuestSurface::Emulator, GuestFault::UndecodableInstruction),
-                        );
-                        msg.reply_block = true;
-                    }
-                }
+                msg.reply_inject = Some(inj);
             }
-            ExitReason::IntWindow | ExitReason::Recall => {
-                self.vcpu_state[vcpu].recall_armed = false;
-                // finish_reply below injects if something is pending.
-            }
-            ExitReason::Vmcall { len } => {
-                // Paravirtual services for enlightened guests.
-                k.charge(cost.emul_simple);
-                match msg.regs.get(Reg::Eax) {
-                    0 => {
-                        let b = msg.regs.get8(Reg8::Bl);
-                        if let Some(dev) = self.dev.as_mut() {
-                            dev.legacy.serial.output.push(b);
-                        }
-                    }
-                    1 => {
-                        let code = msg.regs.get(Reg::Ebx) as u8;
-                        self.guest_exit = Some(code);
-                        let _ = k.dev_io_write(
-                            ctx,
-                            crate::devices::PORT_EXIT,
-                            OpSize::Byte,
-                            code as u32,
-                        );
-                        msg.reply_block = true;
-                    }
-                    _ => {}
-                }
-                msg.regs.eip = msg.regs.eip.wrapping_add(len as u32);
-                msg.reply_mtd = mtd::GPR_ACDB | mtd::EIP;
-            }
-            ExitReason::TripleFault => {
-                self.kill_vm(
-                    k,
-                    ctx,
-                    VmKill::new(GuestSurface::CpuState, GuestFault::UnrecoverableCpuState),
-                );
+            Some(Exit::Kill(kill)) => {
+                self.kill_vm(k, ctx, kill);
                 msg.reply_block = true;
             }
-            // Never routed to the VMM (kernel-handled or synchronous).
-            ExitReason::ExtInt { .. }
-            | ExitReason::Preempt
-            | ExitReason::PageFault { .. }
-            | ExitReason::Invlpg { .. }
-            | ExitReason::MovCr { .. } => {}
         }
-
-        self.finish_reply(vcpu, &mut msg);
+        // A pending vector enters through an open window; a halted vCPU
+        // that takes none blocks.
+        if !msg.reply_block && msg.reply_inject.is_none() {
+            match (self.next_irq(vcpu, msg.window_open), exit) {
+                (Irq::Inject(inj), _) => msg.reply_inject = Some(inj),
+                (_, Some(Exit::Halt)) => msg.reply_block = true,
+                (Irq::Window, _) => msg.reply_intwin = true,
+                (Irq::Idle, _) => {}
+            }
+        }
         if msg.reply_block {
-            self.vcpu_state[vcpu].halted = true;
+            let open = exit != Some(Exit::Halt) || msg.window_open;
+            self.vcpu_state[vcpu].halted = Some(open);
         }
         let at = k.now();
-        k.machine
-            .bus
-            .trace
-            .end(0, pd16, TraceKind::VmmEmulate, reason_idx, at);
+        let trace = &mut k.machine.bus.trace;
+        trace.end(0, pd16, TraceKind::VmmEmulate, reason_idx, at);
         utcb.vm = Some(msg);
     }
 
@@ -676,10 +531,10 @@ impl Vmm {
         let mut e = Enc::over(std::mem::take(out));
         e.u32(self.vcpu_state.len() as u32);
         for s in &self.vcpu_state {
-            e.flag(s.halted);
+            e.flag(s.halted.is_some());
             e.flag(s.pending_ipi.is_some());
             e.u8(s.pending_ipi.unwrap_or(0));
-            e.flag(s.recall_armed);
+            e.u8(s.recall_armed as u8 | ((s.halted == Some(false)) as u8) << 1);
         }
         e.u32(self.marks.len() as u32);
         for &m in &self.marks {
@@ -721,11 +576,9 @@ impl Vmm {
         // Then the same resubmit protocol used after a disk-server
         // restart, uncharged.
         let now = k.now();
-        let kick = dev.restart_disks(k, ctx, |_, r| DiskClient::replay(r, now));
+        dev.restart_disks(k, ctx, |_, r| DiskClient::replay(r, now));
         self.update_maint_timer(k, ctx);
-        if kick || self.has_pending(0) {
-            self.kick_vcpu(k, ctx, 0);
-        }
+        self.kick_vcpu(k, ctx, 0);
         true
     }
 
@@ -737,11 +590,12 @@ impl Vmm {
             return None;
         }
         for s in &mut self.vcpu_state {
-            let (halted, has_ipi, ipi, _recall) = (d.flag()?, d.flag()?, d.u8()?, d.flag()?);
-            s.halted = halted;
+            let bits = (d.flag()?, d.flag()?, d.u8()?, d.u8().filter(|b| *b < 4)?);
+            let (halted, has_ipi, ipi, bits) = bits;
+            s.halted = halted.then_some(bits & 2 == 0);
             s.pending_ipi = has_ipi.then_some(ipi);
-            // Recalls of the dead incarnation died with it; a restored
-            // pending interrupt re-kicks.
+            // Recalls of the dead incarnation died with it (bit 0); a
+            // restored pending interrupt re-kicks.
             s.recall_armed = false;
         }
         let nmarks = d.u32()?;
@@ -995,7 +849,7 @@ impl Component for Vmm {
             )
             .expect("vcpu state");
             if i > 0 {
-                self.vcpu_state[i].halted = true;
+                self.vcpu_state[i].halted = Some(true);
             }
 
             k.hypercall(
@@ -1151,17 +1005,19 @@ mod tests {
     }
 
     /// The checkpoint end to end: a VMM with a vAHCI command and two PV
-    /// descriptors in flight saves its state; a fresh incarnation over
-    /// the same guest memory restores it, replays all three into its
-    /// own disk server with their attempts intact — its state then
-    /// serializes to the very bytes it was given — and the data
-    /// arrives.
+    /// descriptors in flight, its vCPU halted with its window closed,
+    /// saves its state; a fresh incarnation over the same guest memory
+    /// restores it — the vCPU still halted with its window closed —
+    /// replays all three requests into its own disk server with their
+    /// attempts intact — its state then serializes to the very bytes it
+    /// was given — and the data arrives.
     #[test]
     fn state_round_trips_with_requests_in_flight_on_both_front_ends() {
         let mut dead = staged_vm(READS);
         let vmm = dead.vmm;
         let blob = dead.k.invoke_component::<Vmm, _>(vmm, |v, k| {
             ring_doorbells(v, k);
+            v.vcpu_state[0].halted = Some(false);
             let mut blob = Vec::new();
             v.save_state(&mut blob);
             blob
@@ -1172,6 +1028,8 @@ mod tests {
         let vmm = sys.vmm;
         let again = sys.k.invoke_component::<Vmm, _>(vmm, |v, k| {
             assert!(v.restore_state(k, &blob), "the record restores");
+            let halted = v.vcpu_state[0].halted;
+            assert_eq!(halted, Some(false), "halted with its window closed");
             let pv = &v.dev().pvdisk;
             assert_eq!((pv.doorbells, pv.requests, pv.completions), (1, 2, 0));
             // Over a buffer that held something else.

@@ -546,10 +546,11 @@ fn checkpoints_byte_identical_across_same_seed_runs() {
     assert_eq!(a, b, "same seed, same checkpoint, byte for byte");
 }
 
-/// Pins the `NOVACKPT` v6 byte layout: the whole blob of one cadence
+/// Pins the `NOVACKPT` v7 byte layout: the whole blob of one cadence
 /// tick taken while PV descriptors are in flight (so the request
-/// records are in it) hashes to the constant recorded when version 6
-/// gave both disk front ends one request record. A change to what is
+/// records are in it) hashes to the constant recorded when version 7
+/// carried a closed-window halt in each vCPU's recall byte (version 6
+/// gave both disk front ends one request record). A change to what is
 /// serialized, or in which order, moves it. The length is the 32-byte
 /// header and page count, five stored pages of the 1,024 with their
 /// index entries, and the records behind them: 655 bytes, version 5's
@@ -580,8 +581,8 @@ fn checkpoint_layout_is_pinned() {
     });
     assert_eq!(len, 32 + 5 * (4 + 4096) + 655);
     assert_eq!(
-        fnv, 0x794b_82e5_22d3_324d,
-        "NOVACKPT v6 bytes moved: {fnv:#018x}"
+        fnv, 0x5a58_0084_9179_7132,
+        "NOVACKPT v7 bytes moved: {fnv:#018x}"
     );
 }
 
@@ -1163,15 +1164,16 @@ fn foreign_or_missing_blob_is_recaptured_in_full() {
 
 /// A checkpoint in a previous format swapped into root before the VMM
 /// dies: version 4's dense image with the records of root's own blob
-/// behind it, and root's own blob with its version word set to 5 (the
-/// framing is the same; version 5's device record had one request
-/// layout per disk front end). Every revive at the resume rung refuses
+/// behind it, and root's own blob with its version word set to 5 or 6
+/// (the framing is the same; version 5's device record had one request
+/// layout per disk front end, version 6's recall byte no halt bit).
+/// Every revive at the resume rung refuses
 /// it as corrupt (a typed error, not a misparse), and once the rung's
 /// attempts are spent the ladder climbs to a cold reboot, which runs
 /// the workload to completion from the start.
 #[test]
 fn a_version_4_blob_is_refused_and_climbs_to_a_cold_reboot() {
-    for version in [4u32, 5] {
+    for version in [4u32, 5, 6] {
         let mut sys = microreboot_system();
         run_until(&mut sys, |s| {
             pv_completions(s) >= 8 && with_sup(s, |sup| sup.last_checkpoint.is_some())
@@ -1188,9 +1190,9 @@ fn a_version_4_blob_is_refused_and_climbs_to_a_cold_reboot() {
             v4.extend(&now[32 + stored * (4 + 4096)..]);
             v4
         } else {
-            let mut v5 = now;
-            v5[8..12].copy_from_slice(&5u32.to_le_bytes());
-            v5
+            let mut old = now;
+            old[8..12].copy_from_slice(&version.to_le_bytes());
+            old
         };
         swap_in(&mut sys, Some(old));
 
