@@ -17,6 +17,6 @@ pub mod monolithic;
 pub mod native;
 pub mod record;
 
-pub use monolithic::{MonoConfig, MonoModel, MonoPaging, Monolithic};
+pub use monolithic::{MonoConfig, MonoModel, Monolithic};
 pub use native::run_native_image;
 pub use record::RunResult;

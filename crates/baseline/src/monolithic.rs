@@ -13,7 +13,7 @@
 
 use nova_core::counters::Counters;
 use nova_core::hostpt::{FrameAllocator, NestedTable};
-use nova_core::obj::{MemMapping, MemRights, MemSpace};
+use nova_core::obj::{MemMapping, MemRights, MemSpace, VmPaging};
 use nova_core::vtlb::{self, ShadowCache, ShadowExit, ShadowParts};
 use nova_hw::ahci::{cmd, regs, slots, PortEvent, PortRegs};
 use nova_hw::cost::CostModel;
@@ -29,18 +29,8 @@ use nova_vmm::vahci::parse_command;
 use nova_x86::cpuid::CpuIdent;
 use nova_x86::insn::OpSize;
 use nova_x86::paging::{Access, NestedFormat};
-use nova_x86::reg::{Reg, Regs};
 
 use crate::RunResult;
-
-/// Memory-virtualization mode.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MonoPaging {
-    /// Hardware nested paging.
-    Nested(NestedFormat),
-    /// Software shadow paging (the in-kernel vTLB).
-    Shadow,
-}
 
 /// Which monolithic hypervisor's exit costs the engine charges.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -109,7 +99,7 @@ impl MonoModel {
 #[derive(Clone, Copy, Debug)]
 pub struct MonoConfig {
     /// Paging mode.
-    pub paging: MonoPaging,
+    pub paging: VmPaging,
     /// Use tagged TLB entries.
     pub use_tags: bool,
     /// Use large host pages in the nested table.
@@ -122,7 +112,7 @@ impl MonoConfig {
     /// KVM-like: EPT, tags, large pages.
     pub fn kvm_ept() -> MonoConfig {
         MonoConfig {
-            paging: MonoPaging::Nested(NestedFormat::Ept4Level),
+            paging: VmPaging::Nested(NestedFormat::Ept4Level),
             use_tags: true,
             large_pages: true,
             model: MonoModel::Kvm,
@@ -132,7 +122,7 @@ impl MonoConfig {
     /// KVM-like with shadow paging.
     pub fn kvm_shadow() -> MonoConfig {
         MonoConfig {
-            paging: MonoPaging::Shadow,
+            paging: VmPaging::Shadow,
             ..MonoConfig::kvm_ept()
         }
     }
@@ -141,7 +131,7 @@ impl MonoConfig {
     /// with a large per-trap batch.
     pub fn xen_pv() -> MonoConfig {
         MonoConfig {
-            paging: MonoPaging::Shadow,
+            paging: VmPaging::Shadow,
             use_tags: true,
             large_pages: true,
             model: MonoModel::XenPv,
@@ -230,7 +220,7 @@ impl Monolithic {
 
         let vpid = u16::from(cfg.use_tags && machine.cost.has_tagged_tlb);
         let (nested, shadow, mut vmcs) = match cfg.paging {
-            MonoPaging::Nested(fmt) => {
+            VmPaging::Nested(fmt) => {
                 let mut t = NestedTable::new(fmt, &mut alloc, &mut machine.mem);
                 // Guest RAM and the VGA window.
                 let span = (0, guest_pages.max(nova_hw::vga::VGA_BASE / 4096 + 1));
@@ -238,7 +228,7 @@ impl Monolithic {
                 let vmcs = Vmcs::new(PagingVirt::Nested { root: t.root, fmt }, vpid);
                 (Some(t), None, vmcs)
             }
-            MonoPaging::Shadow => {
+            VmPaging::Shadow => {
                 // Monolithic shadow implementations rebuild the shadow
                 // table on every address-space switch; the legacy
                 // single-slot cache reproduces exactly that.
@@ -249,11 +239,10 @@ impl Monolithic {
         };
 
         // Boot state.
-        machine
-            .mem
-            .write_bytes((GUEST_BASE_PAGE * 4096) + image.load_gpa, &image.bytes);
-        vmcs.guest = Regs::at(image.entry);
-        vmcs.guest.set(Reg::Esp, image.stack);
+        let mem = &mut machine.mem;
+        vmcs.guest = image.boot(guest_pages, 1, |gpa, bytes| {
+            mem.write_bytes(GUEST_BASE_PAGE * 4096 + gpa, bytes)
+        });
 
         // Unmask the physical interrupt lines the host driver uses.
         machine.bus.pic.io_write(nova_hw::pic::MASTER_DATA, 0);

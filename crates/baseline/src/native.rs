@@ -22,9 +22,8 @@ pub fn run_native_image(
     // Bare metal: no hypervisor programs the IOMMU, so DMA is
     // unrestricted (the exact trust problem Section 4.2 describes).
     m.bus.iommu = nova_hw::iommu::Iommu::disabled();
-    m.load_image(image.load_gpa, &image.bytes);
-    m.cpus[0].regs.eip = image.entry;
-    m.cpus[0].regs.set(nova_x86::Reg::Esp, image.stack);
+    let ram_pages = config.ram as u64 / 4096;
+    m.cpus[0].regs = image.boot(ram_pages, 1, |gpa, bytes| m.mem.write_bytes(gpa, bytes));
     prepare(&mut m);
     let exit = match m.run_native(budget) {
         NativeStop::Shutdown(code) => Some(code),

@@ -113,7 +113,7 @@ fn main() {
     let r = run_nova(amd, npt, "NOVA NPT+ASID 4M", &prog, BUDGET);
     rows.push((r.label.clone(), r.cycles, r.ok, Some(99.4)));
     let mc = MonoConfig {
-        paging: nova_baseline::MonoPaging::Nested(NestedFormat::Npt2Level),
+        paging: nova_core::obj::VmPaging::Nested(NestedFormat::Npt2Level),
         ..MonoConfig::kvm_ept()
     };
     let r = run_mono(amd, mc, "KVM NPT+ASID", &prog, BUDGET);

@@ -13,7 +13,6 @@ use nova_hw::vmx::{PagingVirt, Vmcs};
 use nova_hw::Cycles;
 use nova_vmm::{GuestImage, LaunchOptions, System, VmmConfig};
 use nova_x86::paging::NestedFormat;
-use nova_x86::reg::Regs;
 
 pub use nova_baseline::RunResult;
 
@@ -79,9 +78,8 @@ pub fn run_direct_limit(
     vmcs.intercept_extint = false;
     vmcs.passthrough_ports(0, u16::MAX);
     vmcs.passthrough_ports(u16::MAX, 1);
-    m.mem.write_bytes(prog.load_gpa, &prog.bytes);
-    vmcs.guest = Regs::at(prog.entry);
-    vmcs.guest.set(nova_x86::Reg::Esp, prog.stack);
+    let ram_pages = (ram - HV_MEM) / 4096;
+    vmcs.guest = prog.boot(ram_pages, 1, |gpa, bytes| m.mem.write_bytes(gpa, bytes));
     m.bus.pic.io_write(nova_hw::pic::MASTER_DATA, 0);
     m.bus.pic.io_write(nova_hw::pic::SLAVE_DATA, 0);
 
@@ -362,6 +360,28 @@ mod tests {
             a.mov_ri(Reg::Edx, 0xf5);
             a.out_dx_eax();
         };
+        // EAX, EBX and boot-information words 1–3, marked before the
+        // guest writes anything: the handoff every stack enters a guest
+        // with (word 0, the RAM size, is each stack's own).
+        let handoff = {
+            use nova_guest::rt::{emit_exit, layout};
+            let mut a = nova_x86::asm::Asm::new(layout::CODE);
+            mark_eax(&mut a);
+            a.mov_rr(Reg::Eax, Reg::Ebx);
+            mark_eax(&mut a);
+            for word in 1..4 {
+                let info = nova_hw::machine::BOOT_INFO_GPA as u32 + 4 * word;
+                a.mov_rm(Reg::Eax, MemRef::abs(info));
+                mark_eax(&mut a);
+            }
+            emit_exit(&mut a, 0);
+            GuestImage {
+                bytes: a.finish(),
+                load_gpa: layout::CODE as u64,
+                entry: layout::CODE,
+                stack: layout::STACK,
+            }
+        };
         // Two reads in slots 0 and 1, rung in one doorbell write and
         // polled to completion; then each buffer's first dword.
         let two_slots = nova_guest::os::build_os(nova_guest::os::OsParams::minimal(), |a, _| {
@@ -458,6 +478,7 @@ mod tests {
         };
         // (name, image, Direct runs it, it shuts down with 0)
         let guests = [
+            ("boot handoff", &handoff, true, true),
             ("legacy hole", &hole, true, true),
             ("two AHCI slots in one doorbell", &two_slots, false, true),
             ("legacy devices", &legacy, false, true),

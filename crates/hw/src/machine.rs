@@ -3,6 +3,7 @@
 
 use nova_trace::{ring::DEFAULT_CAPACITY, Tracer};
 use nova_x86::insn::OpSize;
+use nova_x86::reg::{Reg, Regs};
 
 use crate::ahci::{Ahci, DiskParams};
 use crate::cost::CostModel;
@@ -88,6 +89,34 @@ pub struct GuestImage {
     pub entry: u32,
     /// Initial stack pointer.
     pub stack: u32,
+}
+
+/// Multiboot bootloader magic a guest finds in EAX at entry.
+pub const MULTIBOOT_MAGIC: u32 = 0x2bad_b002;
+
+/// Guest-physical address of the boot-information block (EBX at entry).
+pub const BOOT_INFO_GPA: u64 = 0x500;
+
+impl GuestImage {
+    /// The boot handoff, the same on every stack: `write` places the
+    /// boot-information block (u32 fields: RAM size in pages, number of
+    /// vCPUs, the AHCI MMIO base, this vCPU's index) and then the image
+    /// in guest-physical memory — an image that covers the block keeps
+    /// its own bytes — and the boot processor enters in flat protected
+    /// mode with the multiboot magic in EAX and the block's address in
+    /// EBX.
+    pub fn boot(&self, ram_pages: u64, vcpus: usize, mut write: impl FnMut(u64, &[u8])) -> Regs {
+        let info = [ram_pages as u32, vcpus as u32, AHCI_BASE as u32, 0];
+        for (at, word) in (BOOT_INFO_GPA..).step_by(4).zip(info) {
+            write(at, &word.to_le_bytes());
+        }
+        write(self.load_gpa, &self.bytes);
+        let mut regs = Regs::at(self.entry);
+        regs.set(Reg::Esp, self.stack);
+        regs.set(Reg::Eax, MULTIBOOT_MAGIC);
+        regs.set(Reg::Ebx, BOOT_INFO_GPA as u32);
+        regs
+    }
 }
 
 /// Machine construction parameters.

@@ -13,53 +13,23 @@
 //! ever executes inside the VM.
 
 use nova_core::{CompCtx, Kernel};
-use nova_x86::reg::{flags, Reg, Regs};
+use nova_x86::reg::Regs;
 
 use crate::vmm::{guest_va, VmmConfig};
 
-/// Multiboot bootloader magic presented to the guest in EAX.
-pub const MULTIBOOT_MAGIC: u32 = 0x2bad_b002;
-
-/// Guest-physical address of the boot-information block.
-pub const BOOT_INFO_GPA: u64 = 0x500;
-
-/// Boot-information layout (u32 little-endian fields):
-/// `[0]` guest RAM size in pages, `[4]` number of vCPUs,
-/// `[8]` virtual AHCI MMIO base, `[12]` this vCPU's index hint.
-pub fn boot_info(cfg: &VmmConfig) -> [u32; 4] {
-    [
-        cfg.guest_pages as u32,
-        cfg.vcpus as u32,
-        nova_hw::machine::AHCI_BASE as u32,
-        0,
-    ]
-}
-
-/// Loads the guest image and boot info into guest memory and returns
-/// the initial architectural state for the boot processor.
+/// Loads the guest image and the boot-information block into guest
+/// memory ([`crate::GuestImage::boot`]) and returns the initial
+/// architectural state for the boot processor.
 pub fn install(k: &mut Kernel, ctx: CompCtx, cfg: &VmmConfig) -> Regs {
-    let base = guest_va(0);
-
     // The image, placed by the BIOS without any guest-visible I/O.
     assert!(
         cfg.image.load_gpa + cfg.image.bytes.len() as u64 <= cfg.guest_pages * 4096,
         "guest image exceeds guest RAM"
     );
-    let ok = k.mem_write(ctx, base + cfg.image.load_gpa, &cfg.image.bytes);
-    assert!(ok, "BIOS failed to place the guest image");
-
-    // Boot information block.
-    let info = boot_info(cfg);
-    for (i, v) in info.iter().enumerate() {
-        k.mem_write_u32(ctx, base + BOOT_INFO_GPA + i as u64 * 4, *v);
-    }
-
-    let mut regs = Regs::at(cfg.image.entry);
-    regs.set(Reg::Esp, cfg.image.stack);
-    regs.set(Reg::Eax, MULTIBOOT_MAGIC);
-    regs.set(Reg::Ebx, BOOT_INFO_GPA as u32);
-    regs.eflags = flags::R1;
-    regs
+    cfg.image.boot(cfg.guest_pages, cfg.vcpus, |gpa, bytes| {
+        let ok = k.mem_write(ctx, guest_va(gpa), bytes);
+        assert!(ok, "BIOS failed to place the guest image");
+    })
 }
 
 #[cfg(test)]
@@ -67,8 +37,9 @@ mod tests {
     use super::*;
     use crate::GuestImage;
     use nova_core::{Kernel, KernelConfig};
-    use nova_hw::machine::{Machine, MachineConfig};
+    use nova_hw::machine::{Machine, MachineConfig, BOOT_INFO_GPA, MULTIBOOT_MAGIC};
     use nova_user::RootPm;
+    use nova_x86::reg::Reg;
 
     #[test]
     fn bios_places_image_and_boot_info() {

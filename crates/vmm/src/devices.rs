@@ -11,7 +11,7 @@
 use nova_core::cap::CapSel;
 use nova_core::{CompCtx, Hypercall, Kernel};
 use nova_hw::kbd::{self, I8042};
-use nova_hw::machine::AHCI_BASE;
+use nova_hw::machine::{AHCI_BASE, AHCI_IRQ};
 use nova_hw::pci::{self, PciConfig};
 use nova_hw::pic::DualPic;
 use nova_hw::pit::{self, Pit8254};
@@ -22,8 +22,9 @@ use nova_x86::insn::OpSize;
 
 use crate::checkpoint::{Dec, Enc};
 use crate::diskclient::{DiskClient, Due, Req};
-use crate::pvdisk::{PvDisk, PV_DISK_IRQ};
+use crate::pvdisk::PvDisk;
 use crate::pvnet::PvNet;
+use crate::pvqueue::{self, Queue, Reg};
 use crate::vahci::VAhci;
 
 /// Counts one malformed guest input that a back end rejected at
@@ -61,23 +62,26 @@ pub const PORT_AP_START: u16 = 0x99;
 /// Broadcast-IPI port: `out al` with the vector.
 pub const PORT_IPI: u16 = 0x9a;
 
-/// A virtual MMIO window.
+/// A register of a virtual MMIO window: the AHCI page's, the PV page's
+/// FEAT, a PV queue's, or a PV offset that names nothing.
 enum Window {
-    /// The virtual AHCI controller's register page.
-    Ahci,
-    /// The paravirtual register block (disk queue and NIC).
-    Pv,
+    Ahci(u32),
+    Feat,
+    Pv(Queue, Reg),
+    Unassigned,
 }
 
-/// The window `gpa` falls in, and its offset there.
-fn window(gpa: u64) -> Option<(Window, u64)> {
+/// The register `gpa` names, if it falls in a window.
+fn window(gpa: u64) -> Option<Window> {
     if (AHCI_BASE..AHCI_BASE + 0x1000).contains(&gpa) {
-        Some((Window::Ahci, gpa - AHCI_BASE))
-    } else if (PV_BASE..PV_BASE + PV_SIZE).contains(&gpa) {
-        Some((Window::Pv, gpa - PV_BASE))
-    } else {
-        None
+        return Some(Window::Ahci((gpa - AHCI_BASE) as u32));
     }
+    let off = gpa.checked_sub(PV_BASE).filter(|&off| off < PV_SIZE)?;
+    Some(match pvqueue::decode(off) {
+        Some((q, reg)) => Window::Pv(q, reg),
+        None if off == pv::regs::FEAT => Window::Feat,
+        None => Window::Unassigned,
+    })
 }
 
 /// The kernel-free chips of a PC — interrupt controller, PIT, UART,
@@ -215,16 +219,20 @@ impl VDevices {
         k.hypercall(ctx, Hypercall::SetTimer { sm, period }).is_ok()
     }
 
-    /// Pulses the interrupt line of each disk front end that asked for
-    /// it; `true` if vCPU 0 has a new interrupt to be kicked for.
-    fn raise_disks(&mut self, ahci: bool, pv: bool) -> bool {
-        if ahci {
-            self.legacy.pic.pulse(nova_hw::machine::AHCI_IRQ);
+    /// Pulses `line` if `raise` (a front end asked for it), and returns
+    /// `raise`: whether vCPU 0 has a new interrupt to be kicked for.
+    fn pulse(&mut self, line: u8, raise: bool) -> bool {
+        if raise {
+            self.legacy.pic.pulse(line);
         }
-        if pv {
-            self.legacy.pic.pulse(PV_DISK_IRQ);
-        }
-        ahci || pv
+        raise
+    }
+
+    /// The NIC's interrupt: the receive queue publishes what the
+    /// hardware delivered; `true` if vCPU 0 is to be kicked.
+    pub fn drain_net(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
+        let raise = self.pvnet.as_mut().is_some_and(|n| n.on_irq(k, ctx));
+        self.pulse(Queue::Net.kind().irq, raise)
     }
 
     /// `true` while either disk front end has a request outstanding.
@@ -237,7 +245,7 @@ impl VDevices {
     pub fn drain_disks(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
         let ahci = self.vahci.drain_completions(k, ctx);
         let pv = self.pvdisk.drain_completions(k, ctx);
-        self.raise_disks(ahci, pv)
+        self.pulse(AHCI_IRQ, ahci) | self.pulse(Queue::Disk.kind().irq, pv)
     }
 
     /// Maintenance tick: the request-timeout sweep of both clients,
@@ -249,7 +257,7 @@ impl VDevices {
         let ahci = self.vahci.sweep(k, ctx, |k, r| DiskClient::due(k, r, now));
         let now = k.now();
         let pv = self.pvdisk.sweep(k, ctx, |k, r| DiskClient::due(k, r, now));
-        self.raise_disks(ahci, pv)
+        self.pulse(AHCI_IRQ, ahci) | self.pulse(Queue::Disk.kind().irq, pv)
     }
 
     /// Starts both front ends' channels over with a server that holds
@@ -268,7 +276,7 @@ impl VDevices {
         self.pvdisk.disk.restart(k, ctx);
         let ahci = self.vahci.sweep(k, ctx, &mut verdict);
         let pv = self.pvdisk.disk.attached() && self.pvdisk.sweep(k, ctx, &mut verdict);
-        self.raise_disks(ahci, pv)
+        self.pulse(AHCI_IRQ, ahci) | self.pulse(Queue::Disk.kind().irq, pv)
     }
 
     /// Serializes every device model for a checkpoint: each core
@@ -317,13 +325,12 @@ impl VDevices {
         }
     }
 
-    /// Takes the first structurally fatal guest input any backend
-    /// recorded during this exit's device work (containment: the VMM
+    /// Takes the first structurally fatal guest input any queue
+    /// latched during this exit's device work (containment: the VMM
     /// converts it into a [`nova_hw::VmKill`]).
     pub fn take_fatal(&mut self) -> Option<nova_hw::VmKill> {
-        self.pvdisk
-            .take_fatal()
-            .or_else(|| self.pvnet.as_mut().and_then(|n| n.take_fatal()))
+        let net = self.pvnet.as_mut().map(|n| &mut n.q.fatal);
+        self.pvdisk.q.fatal.take().or_else(|| net?.take())
     }
 
     /// `true` if `gpa` belongs to a virtual MMIO window.
@@ -331,50 +338,38 @@ impl VDevices {
         window(gpa).is_some()
     }
 
-    /// Guest MMIO read.
+    /// Guest MMIO read. FEAT offers the queues that are attached: the
+    /// disk queue's channel, the NIC.
     pub fn mmio_read(&self, gpa: u64, size: OpSize) -> u32 {
+        let net = self.pvnet.as_ref().map(|n| &n.q);
         match window(gpa) {
-            Some((Window::Ahci, off)) => self.vahci.regs.read(off as u32),
-            Some((Window::Pv, off)) => match off {
-                pv::regs::FEAT => {
-                    let mut f = 0;
-                    // An attached channel is what the FEAT bit offers.
-                    if self.pvdisk.disk.attached() {
-                        f |= pv::FEAT_DISK;
-                    }
-                    if self.pvnet.is_some() {
-                        f |= pv::FEAT_NET;
-                    }
-                    f
-                }
-                pv::regs::NET_RING | pv::regs::NET_DOORBELL | pv::regs::NET_ISR => {
-                    self.pvnet.as_ref().map(|n| n.mmio_read(off)).unwrap_or(0)
-                }
-                _ => self.pvdisk.mmio_read(off),
-            },
+            Some(Window::Ahci(off)) => self.vahci.regs.read(off),
+            Some(Window::Feat) => {
+                let disk = self.pvdisk.disk.attached().then_some(pv::FEAT_DISK);
+                disk.unwrap_or(0) | net.map_or(0, |_| pv::FEAT_NET)
+            }
+            Some(Window::Pv(Queue::Disk, Reg::Isr)) => self.pvdisk.q.isr,
+            Some(Window::Pv(Queue::Net, Reg::Isr)) => net.map_or(0, |q| q.isr),
+            Some(Window::Pv(..) | Window::Unassigned) => 0,
             None => size.mask(),
         }
     }
 
-    /// Guest MMIO write.
+    /// Guest MMIO write; a queue that asks for it has its line pulsed.
     pub fn mmio_write(&mut self, k: &mut Kernel, ctx: CompCtx, gpa: u64, size: OpSize, val: u32) {
         match window(gpa) {
-            Some((Window::Ahci, off)) => self.vahci.mmio_write(k, ctx, off as u32, size, val),
-            Some((Window::Pv, off)) => match off {
-                pv::regs::NET_RING | pv::regs::NET_DOORBELL | pv::regs::NET_ISR => {
-                    if let Some(n) = self.pvnet.as_mut() {
-                        if n.mmio_write(k, ctx, off, val) {
-                            self.legacy.pic.pulse(nova_hw::machine::NIC_IRQ);
-                        }
-                    }
-                }
-                _ => {
-                    if self.pvdisk.mmio_write(k, ctx, off, val) {
-                        self.legacy.pic.pulse(PV_DISK_IRQ);
-                    }
-                }
-            },
-            None => {}
+            Some(Window::Ahci(off)) => self.vahci.mmio_write(k, ctx, off, size, val),
+            Some(Window::Pv(q, reg)) => {
+                let raise = match q {
+                    Queue::Disk => self.pvdisk.write(k, ctx, reg, val),
+                    Queue::Net => self
+                        .pvnet
+                        .as_mut()
+                        .is_some_and(|n| n.write(k, ctx, reg, val)),
+                };
+                self.pulse(q.kind().irq, raise);
+            }
+            Some(Window::Feat | Window::Unassigned) | None => {}
         }
     }
 }

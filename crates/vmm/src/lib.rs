@@ -23,6 +23,7 @@ pub mod launch;
 pub mod microreboot;
 pub mod pvdisk;
 pub mod pvnet;
+pub mod pvqueue;
 pub mod vahci;
 pub mod vmm;
 

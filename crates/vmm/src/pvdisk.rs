@@ -1,37 +1,20 @@
 //! The paravirtual batched disk backend (the VMM side of
 //! [`nova_hw::pv`]).
 //!
-//! Where the virtual AHCI controller emulates the full register
-//! protocol — costing the guest ~6 MMIO exits per request — this
-//! backend consumes request descriptors from a shared ring page the
-//! guest fills directly, triggered by a single doorbell write per
-//! *batch*. Requests are forwarded to the disk server over a
-//! [`crate::diskclient`] channel attached to the server's batch portal
-//! ([`proto::PORTAL_BATCH`]): one IPC carries up to
-//! [`proto::MAX_BATCH`] requests. Completions are written back into
-//! the guest's ring (status word per descriptor plus a cumulative
-//! `used` counter) without any guest exit; one coalesced virtual
-//! interrupt — raised once the queue fully drains — wakes the guest.
+//! Where the virtual AHCI controller costs the guest ~6 MMIO exits per
+//! request, this queue takes descriptors from a shared ring page on one
+//! doorbell write per *batch* and forwards them to the disk server's
+//! batch portal ([`proto::PORTAL_BATCH`]), up to [`proto::MAX_BATCH`]
+//! per IPC. Completions land in the ring (a status word per descriptor
+//! and the `used` word) without a guest exit.
 //!
-//! The backend is the disk server's *second* client of its VMM — its
-//! own portal, completion ring and outstanding window — so the vAHCI
-//! path and the PV path coexist in one VM and are throttled
-//! independently. The descriptors in flight, their checkpoint record
-//! and their recovery are [`crate::diskclient`]'s: retry on EBUSY,
-//! timeout of accepted requests the server lost, resubmission after a
-//! supervised server restart or a VMM restore; a descriptor whose
-//! attempt budget runs out completes with a guest-visible error
-//! status. What is this queue's own: the descriptors, batching within
-//! the server's window, and in-order publication.
-//!
-//! Everything read from the shared ring is Byzantine-guest input (see
-//! the trust model in [`nova_hw::pv`]): descriptor fields are
-//! validated against guest RAM before any use, malformed descriptors
-//! complete with [`ring::ST_ERROR`], and an unusable ring base
-//! escalates to a structured [`VmKill`] the VMM files after the
-//! triggering MMIO exit. This module is lint-gated panic-free — no
-//! guest input may reach an `unwrap`/index that could take down the
-//! VMM.
+//! The queue is the disk server's *second* client of its VMM. Requests
+//! in flight and their recovery are [`crate::diskclient`]'s; the ring
+//! base, doorbell, interrupt and fatal latch are [`crate::pvqueue`]'s.
+//! This queue's own: the descriptors (Byzantine input, validated before
+//! use; a malformed one completes with [`ring::ST_ERROR`]), batching
+//! within the server's window, and in-order publication. The module is
+//! lint-gated panic-free.
 
 #![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::panic)]
 
@@ -39,18 +22,14 @@ use std::collections::BTreeMap;
 
 use nova_core::{CompCtx, Kernel};
 use nova_hw::ahci::SECTOR;
-use nova_hw::pv::{disk as ring, regs};
-use nova_hw::{GuestFault, GuestSurface, VmKill};
+use nova_hw::pv::disk as ring;
+use nova_hw::GuestFault;
 use nova_user::proto::disk as proto;
 
 use crate::checkpoint::{Dec, Enc};
-use crate::devices::count_rejected;
 use crate::diskclient::{DiskClient, Due, Req};
+use crate::pvqueue::{Queue, QueueCore, Reg};
 use crate::vmm::guest_va;
-
-/// Virtual interrupt line for PV disk completions (a free slave-PIC
-/// line; the vAHCI keeps [`nova_hw::machine::AHCI_IRQ`]).
-pub const PV_DISK_IRQ: u8 = 9;
 
 /// A PV descriptor's scatter-gather list: its one contiguous buffer.
 fn one_segment(buf: u64, bytes: u32) -> [(u64, u32); proto::MAX_SEGMENTS] {
@@ -59,12 +38,11 @@ fn one_segment(buf: u64, bytes: u32) -> [(u64, u32); proto::MAX_SEGMENTS] {
 
 /// The paravirtual disk queue backend.
 pub struct PvDisk {
-    guest_pages: u64,
+    /// The queue core: ring base, ISR, coalescing and the fatal latch.
+    pub q: QueueCore,
     /// The channel to the disk server and the descriptors in flight,
     /// tagged by cumulative descriptor index.
     pub disk: DiskClient,
-    /// Guest-physical address of the shared ring page (0 = unset).
-    ring_gpa: u64,
     /// Cumulative count of descriptors the guest has published: the
     /// index of the next one to ingest.
     pub requests: u64,
@@ -76,102 +54,35 @@ pub struct PvDisk {
     /// Out-of-order completions awaiting in-order publication:
     /// descriptor index → (ring status word, trace context).
     done: BTreeMap<u64, (u32, u64)>,
-    /// Latched completion-interrupt bit ([`regs::DISK_ISR`]).
-    isr: u32,
-    /// `completions` at the last interrupt raise (coalescing state).
-    raised_used: u64,
     /// Doorbell writes (one per guest batch). The one statistic kept
     /// here and in the checkpoint: `benchmark/` reads it by this name.
     pub doorbells: u64,
-    /// Structurally fatal guest input awaiting escalation: the VMM
-    /// collects this after the triggering exit and kills the VM.
-    fatal: Option<VmKill>,
 }
 
 impl PvDisk {
     /// Creates the backend for a guest of `guest_pages` pages.
     pub fn new(guest_pages: u64) -> PvDisk {
         PvDisk {
-            guest_pages,
+            q: QueueCore::new(Queue::Disk, guest_pages),
             disk: DiskClient::default(),
-            ring_gpa: 0,
             requests: 0,
             completions: 0,
             used_errors: 0,
             done: BTreeMap::new(),
-            isr: 0,
-            raised_used: 0,
             doorbells: 0,
-            fatal: None,
         }
     }
 
-    /// Takes the pending fatal kill, if Byzantine input made the ring
-    /// unusable.
-    pub fn take_fatal(&mut self) -> Option<VmKill> {
-        self.fatal.take()
-    }
-
-    /// Guest MMIO read of a PV register this backend owns.
-    pub fn mmio_read(&self, off: u64) -> u32 {
-        match off {
-            regs::DISK_ISR => self.isr,
-            _ => 0,
-        }
-    }
-
-    /// Guest MMIO write. Returns `true` if the virtual interrupt line
-    /// should be raised.
-    pub fn mmio_write(&mut self, k: &mut Kernel, ctx: CompCtx, off: u64, val: u32) -> bool {
-        match off {
-            regs::DISK_RING => {
-                // The ring page must be a whole page inside guest RAM;
-                // a guest that opts into the PV protocol and then
-                // hands over an unusable ring cannot be serviced at
-                // all — structural kill, not a per-request error.
-                let gpa = val as u64;
-                let reason = if gpa & 0xfff != 0 {
-                    Some(GuestFault::Misaligned)
-                } else if !nova_hw::pv::buffer_in_ram(gpa, 4096, self.guest_pages) {
-                    Some(GuestFault::BadBase)
-                } else {
-                    None
-                };
-                if let Some(reason) = reason {
-                    count_rejected(k, GuestSurface::PvDiskRing);
-                    self.fatal = Some(VmKill::new(GuestSurface::PvDiskRing, reason));
-                    return false;
-                }
-                self.ring_gpa = gpa;
+    /// Guest write of one of this queue's registers. Returns `true` if
+    /// the virtual interrupt line should be raised.
+    pub fn write(&mut self, k: &mut Kernel, ctx: CompCtx, reg: Reg, val: u32) -> bool {
+        match reg {
+            Reg::Ring => {
+                self.q.set_ring(k, val);
                 false
             }
-            regs::DISK_DOORBELL => self.doorbell(k, ctx, val),
-            regs::DISK_ISR => self.isr_ack(val),
-            _ => false,
-        }
-    }
-
-    /// Write-1-to-clear acknowledge. Re-raises immediately when the
-    /// queue drained completely while the bit was latched, so the
-    /// guest can never miss a wakeup.
-    fn isr_ack(&mut self, val: u32) -> bool {
-        self.isr &= !val;
-        if self.isr == 0 && !self.disk.has_pending() && self.completions != self.raised_used {
-            self.raise()
-        } else {
-            false
-        }
-    }
-
-    /// Latches the ISR and reports whether a (new) interrupt should
-    /// fire — at most one until the guest acknowledges (coalescing).
-    fn raise(&mut self) -> bool {
-        self.raised_used = self.completions;
-        if self.isr == 0 {
-            self.isr = 1;
-            true
-        } else {
-            false
+            Reg::Doorbell => self.doorbell(k, ctx, val),
+            Reg::Isr => self.q.ack(val, !self.disk.has_pending(), self.completions),
         }
     }
 
@@ -179,24 +90,11 @@ impl PvDisk {
     /// submit everything submittable in as few batch IPCs as
     /// possible, and publish any synchronous failures.
     fn doorbell(&mut self, k: &mut Kernel, ctx: CompCtx, count: u32) -> bool {
-        // A count beyond the ring capacity is a guest bug; clamping
-        // bounds the work one exit can demand from the VMM.
-        if count > ring::CAPACITY {
-            count_rejected(k, GuestSurface::PvDiskRing);
-        }
-        let count = count.min(ring::CAPACITY);
+        let count = self.q.doorbell(k, count);
         self.doorbells += 1;
         if k.machine.bus.trace.active() {
-            k.machine
-                .bus
-                .trace
-                .metrics
-                .add(nova_trace::names::PV_DOORBELLS, 0, 1);
-            k.machine
-                .bus
-                .trace
-                .metrics
-                .observe(nova_trace::names::PV_BATCH_SIZE, 0, count as u64);
+            let batch = nova_trace::names::PV_BATCH_SIZE;
+            k.machine.bus.trace.metrics.observe(batch, 0, count as u64);
         }
         let pd16 = ctx.pd.0 as u16;
         for _ in 0..count {
@@ -205,12 +103,9 @@ impl PvDisk {
             // Each descriptor is a request origin: allocate its causal
             // context before touching it so the validation, the batch
             // IPC and the server's spans all stitch to this id.
-            let rctx = k.machine.bus.trace.alloc_ctx();
-            let at = k.now();
-            k.machine
-                .bus
-                .trace
-                .begin(0, pd16, nova_trace::Kind::PvRequest, idx, at);
+            let (at, trace) = (k.now(), &mut k.machine.bus.trace);
+            let rctx = trace.alloc_ctx();
+            trace.begin(0, pd16, nova_trace::Kind::PvRequest, idx, at);
             match self.read_desc(k, ctx, idx) {
                 Ok(mut req) => {
                     req.ctx = rctx;
@@ -219,7 +114,7 @@ impl PvDisk {
                 Err(_) => {
                     // Malformed descriptor: complete it with an error
                     // status without involving the server.
-                    count_rejected(k, GuestSurface::PvDiskRing);
+                    self.q.reject(k, None);
                     self.done.insert(idx, (ring::ST_ERROR, rctx));
                 }
             }
@@ -233,11 +128,10 @@ impl PvDisk {
     /// `idx`. Every field is untrusted; the error names the first
     /// validation that failed.
     fn read_desc(&self, k: &Kernel, ctx: CompCtx, idx: u64) -> Result<Req, GuestFault> {
-        if self.ring_gpa == 0 {
+        if self.q.ring_gpa == 0 {
             return Err(GuestFault::BadBase);
         }
-        let slot = idx % ring::CAPACITY as u64;
-        let base = guest_va(self.ring_gpa + ring::DESC0 + slot * ring::DESC_SIZE);
+        let base = self.q.slot(idx);
         let rd = |off: u64| k.mem_read_u32(ctx, base + off).ok_or(GuestFault::BadBase);
         let rd64 = |off: u64| k.mem_read_u64(ctx, base + off).ok_or(GuestFault::BadBase);
         let op = rd(ring::D_OP)?;
@@ -255,7 +149,7 @@ impl PvDisk {
         let bytes = sectors * SECTOR;
         // The buffer must lie inside guest RAM — out-of-range pages
         // could not be delegated to the server anyway.
-        if !nova_hw::pv::buffer_in_ram(buf, bytes as u64, self.guest_pages) {
+        if !self.q.in_ram(buf, bytes as u64) {
             return Err(GuestFault::BufferOutOfRange);
         }
         Ok(Req {
@@ -326,26 +220,22 @@ impl PvDisk {
     /// words, then the cumulative `used`/`errors` counters. Returns
     /// `true` if the interrupt line should be raised.
     fn publish(&mut self, k: &mut Kernel, ctx: CompCtx) -> bool {
-        if self.ring_gpa == 0 {
+        if self.q.ring_gpa == 0 {
             return false;
         }
         let pd16 = ctx.pd.0 as u16;
         let prev_ctx = k.machine.bus.trace.current_ctx();
         let mut advanced = false;
         while let Some((status, rctx)) = self.done.remove(&self.completions) {
-            let slot = self.completions % ring::CAPACITY as u64;
-            let base = guest_va(self.ring_gpa + ring::DESC0 + slot * ring::DESC_SIZE);
+            let base = self.q.slot(self.completions);
             k.mem_write_u32(ctx, base + ring::D_STATUS, status);
             // Publish the request's context into the descriptor's free
             // word (observational; the guest driver ignores it) and
             // close the request span under its own context.
             k.mem_write_u32(ctx, base + ring::D_CTX, rctx as u32);
-            k.machine.bus.trace.set_ctx(rctx);
-            let at = k.now();
-            k.machine
-                .bus
-                .trace
-                .end(0, pd16, nova_trace::Kind::PvRequest, self.completions, at);
+            let (at, trace) = (k.now(), &mut k.machine.bus.trace);
+            trace.set_ctx(rctx);
+            trace.end(0, pd16, nova_trace::Kind::PvRequest, self.completions, at);
             if status != ring::ST_OK {
                 self.used_errors += 1;
             }
@@ -356,27 +246,12 @@ impl PvDisk {
         if !advanced {
             return false;
         }
-        k.mem_write_u32(
-            ctx,
-            guest_va(self.ring_gpa + ring::ERRORS),
-            self.used_errors as u32,
-        );
-        k.mem_write_u32(
-            ctx,
-            guest_va(self.ring_gpa + ring::USED),
-            self.completions as u32,
-        );
-        // Interrupt moderation: completions land in the ring silently
-        // while work is still in flight; the one interrupt fires when
-        // the queue fully drains. A batch-synchronous guest sleeps
-        // through every intermediate completion and wakes exactly
-        // once per batch. (When nothing is in flight the publish loop
-        // above cannot leave a gap, so nothing is ever stranded.)
-        if !self.disk.has_pending() {
-            self.raise()
-        } else {
-            false
-        }
+        let errors = guest_va(self.q.ring_gpa + ring::ERRORS);
+        k.mem_write_u32(ctx, errors, self.used_errors as u32);
+        // A batch-synchronous guest wakes once per batch. (With nothing
+        // in flight the loop above leaves no gap: nothing is stranded.)
+        let idle = !self.disk.has_pending();
+        self.q.publish(k, ctx, self.completions, idle)
     }
 
     /// Consumes completion records from the server's ring and
@@ -392,14 +267,7 @@ impl PvDisk {
         // Freed window: push queued descriptors to the server.
         let mut raise = drained && self.submit_ready(k, ctx);
         raise |= self.publish(k, ctx);
-        if raise && k.machine.bus.trace.active() {
-            k.machine
-                .bus
-                .trace
-                .metrics
-                .add(nova_trace::names::PV_COMPLETION_IRQS, 0, 1);
-        }
-        raise
+        self.q.count_irq(k, raise)
     }
 
     /// Walks the in-flight descriptors in order: `verdict` decides per
@@ -435,17 +303,12 @@ impl PvDisk {
         raise
     }
 
-    /// Serializes the queue state for a checkpoint: ring location,
-    /// the ring's cumulative indices, every in-flight descriptor
-    /// ([`DiskClient::export_state`]), the out-of-order completions not
-    /// yet published, and the doorbell count.
+    /// Serializes the queue for a checkpoint: the core's record, the
+    /// descriptors in flight ([`DiskClient::export_state`]), the
+    /// completions not yet published, and the doorbell count.
     pub fn export_state(&self, e: &mut Enc) {
-        e.u64(self.ring_gpa);
-        e.u64(self.requests);
-        e.u64(self.completions);
-        e.u64(self.used_errors);
-        e.u32(self.isr);
-        e.u64(self.raised_used);
+        let counters = [self.requests, self.completions, self.used_errors];
+        self.q.export_state(e, &counters);
         self.disk.export_state(e);
         e.u32(self.done.len() as u32);
         for (&idx, &(status, ctx)) in &self.done {
@@ -456,18 +319,11 @@ impl PvDisk {
         e.u64(self.doorbells);
     }
 
-    /// Restores checkpointed state; every in-flight descriptor is
-    /// marked unaccepted for the replay
-    /// ([`crate::devices::VDevices::restart_disks`]). Completions out
-    /// of index order are not a record this queue wrote.
+    /// Restores checkpointed state, every descriptor in flight marked
+    /// unaccepted for the replay ([`crate::devices::VDevices::restart_disks`]);
+    /// completions out of index order are not a record this queue wrote.
     pub fn import_state(&mut self, d: &mut Dec) -> Option<()> {
-        self.ring_gpa = d.u64()?;
-        self.requests = d.u64()?;
-        self.completions = d.u64()?;
-        self.used_errors = d.u64()?;
-        self.isr = d.u32()?;
-        self.raised_used = d.u64()?;
-        self.fatal = None;
+        [self.requests, self.completions, self.used_errors] = self.q.import_state(d)?;
         self.disk.import_state(d)?;
         let ndone = d.u32()? as usize;
         if ndone > d.remaining() / 8 {
@@ -508,8 +364,8 @@ mod tests {
         k.mem_write_u32(ctx, desc + ring::D_OP, ring::OP_READ);
         k.mem_write_u32(ctx, desc + ring::D_SECTORS, 1);
         k.mem_write_u32(ctx, desc + ring::D_BUF, 0x8000);
-        pv.mmio_write(&mut k, ctx, regs::DISK_RING, 0x2000);
-        pv.mmio_write(&mut k, ctx, regs::DISK_DOORBELL, 1);
+        pv.write(&mut k, ctx, Reg::Ring, 0x2000);
+        pv.write(&mut k, ctx, Reg::Doorbell, 1);
         assert!(pv.disk.reqs()[0].accepted, "the stub server took it");
         let before = pv.disk.reqs()[0].attempts;
 

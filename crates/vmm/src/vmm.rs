@@ -888,9 +888,7 @@ impl Component for Vmm {
                 self.kick_vcpu(k, ctx, 0);
             }
         } else if Some(sm) == self.pvnet_sm {
-            let dev = self.dev.as_mut().expect("devices");
-            if dev.pvnet.as_mut().is_some_and(|n| n.on_irq(k, ctx)) {
-                dev.legacy.pic.pulse(nova_hw::machine::NIC_IRQ);
+            if self.dev.as_mut().expect("devices").drain_net(k, ctx) {
                 self.kick_vcpu(k, ctx, 0);
             }
         } else if Some(sm) == self.restart_sm {
