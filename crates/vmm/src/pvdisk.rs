@@ -90,7 +90,8 @@ impl PvDisk {
     /// submit everything submittable in as few batch IPCs as
     /// possible, and publish any synchronous failures.
     fn doorbell(&mut self, k: &mut Kernel, ctx: CompCtx, count: u32) -> bool {
-        let count = self.q.doorbell(k, count);
+        // A descriptor holds its slot until its completion is published.
+        let count = self.q.doorbell(k, count, self.requests - self.completions);
         self.doorbells += 1;
         if k.machine.bus.trace.active() {
             let batch = nova_trace::names::PV_BATCH_SIZE;
@@ -383,5 +384,29 @@ mod tests {
         let replayed = revived.disk.reqs()[0];
         assert!(replayed.accepted, "replayed into the server");
         assert_eq!((before, replayed.attempts), (1, 1));
+    }
+
+    /// A guest that publishes past the descriptors still in flight
+    /// overruns its ring: with no channel to send them on, ten
+    /// doorbells of a full ring track one ring's worth, and each
+    /// doorbell past it is a counted rejection.
+    #[test]
+    fn tracked_descriptors_are_bounded_by_the_ring() {
+        let (mut k, ctx, _) = setup();
+        let mut pv = PvDisk::new(1024);
+        for i in 0..ring::CAPACITY as u64 {
+            let desc = guest_va(0x2000 + ring::DESC0 + i * ring::DESC_SIZE);
+            k.mem_write_u32(ctx, desc + ring::D_OP, ring::OP_READ);
+            k.mem_write_u32(ctx, desc + ring::D_SECTORS, 1);
+            k.mem_write_u32(ctx, desc + ring::D_BUF, 0x8000);
+        }
+        pv.write(&mut k, ctx, Reg::Ring, 0x2000);
+        for _ in 0..10 {
+            pv.write(&mut k, ctx, Reg::Doorbell, ring::CAPACITY);
+        }
+        let tracked = pv.disk.reqs().len();
+        assert_eq!(tracked, ring::CAPACITY as usize, "one ring's worth");
+        assert_eq!((pv.requests, pv.doorbells), (ring::CAPACITY as u64, 10));
+        assert_eq!(k.counters.guest_faults_rejected, 9);
     }
 }

@@ -98,7 +98,9 @@ impl PvNet {
         // batch-granular; packets have no per-descriptor identity on
         // the wire).
         k.machine.bus.trace.alloc_ctx();
-        for _ in 0..self.q.doorbell(k, count) {
+        // The backend keeps nothing per posted buffer: a guest posting
+        // past its ring bound laps the hardware ring and grows nothing.
+        for _ in 0..self.q.doorbell(k, count, 0) {
             let entry = self.q.slot(self.posted);
             let buf = k.mem_read_u64(ctx, entry + ring::E_BUF).unwrap_or(0);
             let cap = k.mem_read_u32(ctx, entry + ring::E_LEN).unwrap_or(0) as u64;

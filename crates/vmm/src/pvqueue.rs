@@ -149,18 +149,21 @@ impl QueueCore {
         false
     }
 
-    /// [`Reg::Doorbell`]: counts it and clamps its count to capacity (a
-    /// larger one is rejected input), bounding one exit's work.
-    pub fn doorbell(&mut self, k: &mut Kernel, count: u32) -> u32 {
+    /// [`Reg::Doorbell`]: counts it and clamps its count to the ring's
+    /// free slots, the capacity less the `in_flight` entries still
+    /// holding theirs (a larger one is rejected input), bounding one
+    /// exit's work and what the queue holds.
+    pub fn doorbell(&mut self, k: &mut Kernel, count: u32, in_flight: u64) -> u32 {
         let kind = self.queue.kind();
-        if count > kind.capacity {
+        let free = (kind.capacity as u64).saturating_sub(in_flight) as u32;
+        if count > free {
             self.reject(k, None);
         }
         let trace = &mut k.machine.bus.trace;
         if trace.active() {
             trace.metrics.add(names::PV_DOORBELLS, kind.domain, 1);
         }
-        count.min(kind.capacity)
+        count.min(free)
     }
 
     /// VMM address of the ring slot of cumulative index `idx`.

@@ -1,7 +1,7 @@
 //! The allocation budget of the steady-state I/O path (DESIGN §4): a
-//! device command and a checkpoint tick allocate nothing once the
-//! buffers they reuse have been sized. A counting global allocator
-//! counts the calling thread's allocations only — a `const`
+//! VM exit, a device command and a checkpoint tick allocate nothing
+//! once the buffers they reuse have been sized. A counting global
+//! allocator counts the calling thread's allocations only — a `const`
 //! thread-local — so tests running in parallel do not leak into each
 //! other's counts.
 
@@ -9,6 +9,8 @@ use std::alloc::{GlobalAlloc, Layout, System as Heap};
 use std::cell::Cell;
 
 use nova_core::RunOutcome;
+use nova_guest::diskload::{self, DiskLoadParams};
+use nova_guest::os::{build_os, OsParams};
 use nova_guest::pvdiskload::{self, PvDiskLoadParams};
 use nova_hw::ahci::{cmd, regs, Ahci, DiskParams, P0IS_DHRS, SECTOR};
 use nova_hw::device::DeviceBus;
@@ -19,6 +21,8 @@ use nova_user::root::RootPm;
 use nova_vmm::checkpoint::View;
 use nova_vmm::{LaunchOptions, System, VmmConfig};
 use nova_x86::insn::OpSize;
+use nova_x86::reg::Reg;
+use nova_x86::MemRef;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -181,6 +185,63 @@ fn an_ahci_read_allocates_nothing_after_the_first() {
             .collect();
         assert!(got == want, "read {i}: the data is the disk's");
     }
+}
+
+/// Simulated cycles of one `System::run` slice: the warm-up one and
+/// the checked one.
+const SLICE: u64 = 10_000_000;
+
+/// Runs one warm-up slice of `sys`, then requires the next slice to
+/// make progress — `progress` counts it, `what`, from the kernel's
+/// counters — without allocating.
+fn steady_slice_allocates_nothing(
+    mut sys: System,
+    what: &str,
+    progress: fn(&nova_core::Counters) -> u64,
+) {
+    assert_eq!(sys.run(Some(SLICE)), RunOutcome::Budget, "warm-up");
+    let before = progress(&sys.k.counters);
+    let (out, n) = allocations(|| sys.run(Some(SLICE)));
+    assert_eq!(out, RunOutcome::Budget);
+    let done = progress(&sys.k.counters) - before;
+    assert!(done > 0, "the checked slice made no {what}");
+    assert_eq!(n, 0, "{n} allocations over {done} {what}");
+}
+
+/// A VM exit — the kernel's dispatch, the portal IPC to the VMM, the
+/// emulation, the reply and the run queue's requeue and pick — allocates
+/// nothing: a guest looping over CPUID, a UART port read and an AHCI
+/// register read runs a slice of exits after its warm-up slice without
+/// one. (A run queue that rebuilt a class FIFO on each enqueue made one
+/// allocation per exit.)
+#[test]
+fn a_vm_exit_allocates_nothing_in_steady_state() {
+    let prog = build_os(OsParams::minimal(), |a, _| {
+        let top = a.here_label();
+        a.mov_ri(Reg::Eax, 0);
+        a.cpuid();
+        a.mov_ri(Reg::Edx, 0x3fd);
+        a.in_al_dx();
+        let p0ci = nova_hw::machine::AHCI_BASE as u32 + regs::P0CI;
+        a.mov_rm(Reg::Eax, MemRef::abs(p0ci));
+        a.jmp(top);
+    });
+    let sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(prog, 1024)));
+    steady_slice_allocates_nothing(sys, "exits", |c| c.total_exits());
+}
+
+/// The trapped-MMIO disk path end to end — the guest's vAHCI exits,
+/// the VMM's requests to the disk server, the server's commands and
+/// completions — allocates nothing once the first requests have sized
+/// its buffers.
+#[test]
+fn an_ahci_diskload_allocates_nothing_after_its_first_requests() {
+    let prog = diskload::build(DiskLoadParams {
+        requests: 1000,
+        block_bytes: 4096,
+    });
+    let sys = System::build(LaunchOptions::standard(VmmConfig::full_virt(prog, 1024)));
+    steady_slice_allocates_nothing(sys, "disk commands", |c| c.disk_ops);
 }
 
 /// The recovery workload's shape: PV disk reads in a 4 MB guest under

@@ -26,9 +26,11 @@ use nova_core::{CompCtx, CompId, Component, HcErr, Hypercall, Kernel, KernelConf
 use nova_guest::diskload::{self, DiskLoadParams};
 use nova_guest::hostile::{self, Expect, HostilePlan, HostileRng, Surface};
 use nova_guest::os::{build_os, OsParams};
+use nova_guest::rt::{self, layout};
 use nova_hw::fault::{FaultKind, FaultPlan};
 use nova_hw::guestfault::VmKill;
 use nova_hw::machine::{GuestImage, Machine, MachineConfig};
+use nova_hw::pv;
 use nova_trace::{cat, names, Tracer};
 use nova_user::disk::CMD_VA;
 use nova_user::proto::disk as dproto;
@@ -115,6 +117,40 @@ fn sweep(surface: Surface) {
 #[test]
 fn hostile_pv_disk_ring_sweep() {
     sweep(Surface::PvDiskRing);
+}
+
+/// The PV disk queue of a VM given none: FEAT does not offer it and no
+/// channel is attached, so nothing is sent. A guest that fills the
+/// ring with valid reads and rings it ten times over leaves one ring's
+/// worth of descriptors in the VMM, the nine doorbells past it counted
+/// rejections: guest input does not grow the VMM's heap.
+#[test]
+fn an_unoffered_pv_disk_queue_holds_one_ring() {
+    const DOORBELLS: u64 = 10;
+    let (base, ring) = (pv::PV_BASE as u32, layout::PV_DISK_RING);
+    let program = build_os(OsParams::minimal(), |a, _| {
+        for i in 0..pv::disk::CAPACITY {
+            let d = ring + pv::disk::DESC0 as u32 + i * pv::disk::DESC_SIZE as u32;
+            a.mov_mi(MemRef::abs(d + pv::disk::D_OP as u32), pv::disk::OP_READ);
+            a.mov_mi(MemRef::abs(d + pv::disk::D_SECTORS as u32), 1);
+            a.mov_mi(MemRef::abs(d + pv::disk::D_BUF as u32), layout::DISK_BUF);
+        }
+        a.mov_mi(MemRef::abs(base + pv::regs::DISK_RING as u32), ring);
+        for _ in 0..DOORBELLS {
+            let doorbell = MemRef::abs(base + pv::regs::DISK_DOORBELL as u32);
+            a.mov_mi(doorbell, pv::disk::CAPACITY);
+        }
+        rt::emit_exit(a, 0x33);
+    });
+    let mut sys = launch(&mut Some(program), hostile::Needs::default());
+    assert_eq!(sys.run(Some(2_000_000_000)), RunOutcome::Shutdown(0x33));
+    let pvdisk = &sys.vmm().dev().pvdisk;
+    assert!(!pvdisk.disk.attached(), "no queue was offered");
+    let capacity = pv::disk::CAPACITY as usize;
+    assert_eq!(pvdisk.disk.reqs().len(), capacity, "one ring's worth");
+    assert_eq!(pvdisk.doorbells, DOORBELLS);
+    assert_eq!(sys.k.counters.guest_faults_rejected, DOORBELLS - 1);
+    assert_eq!(sys.k.check_invariants(), Ok(()));
 }
 
 #[test]
