@@ -381,7 +381,7 @@ impl Monolithic {
 
     fn charge_exit(&mut self, shadow_class: bool) {
         let tagged = self.vmcs.vpid != 0;
-        let cost = self.machine.cost;
+        let cost = &self.machine.cost;
         let model = self.cfg.model.costs();
         let sw_base = if shadow_class {
             model.shadow_sw
@@ -470,23 +470,22 @@ impl Monolithic {
                 .map(|d| d.saturating_sub(self.machine.clock).max(1000))
                 .unwrap_or(1_000_000);
             let m = &mut self.machine;
-            let cost = m.cost;
-            let reason = run_guest(
+            run_guest(
                 &mut m.cpus[0],
                 &mut m.mem,
                 &mut m.bus,
-                &cost,
+                &m.cost,
                 &mut m.clock,
                 &mut self.vmcs,
                 Some(quantum),
             );
-            self.counters.count_exit(&reason);
+            self.counters.count_exit(&self.vmcs.exit);
             let shadow_class = matches!(
-                reason,
+                self.vmcs.exit,
                 ExitReason::PageFault { .. } | ExitReason::MovCr { .. } | ExitReason::Invlpg { .. }
             );
             self.charge_exit(shadow_class);
-            self.handle_exit(reason);
+            self.handle_exit();
             // Shutdown and benchmark marks, at the exit's clock; the MP
             // ports are the VMM's (the baseline runs one vCPU).
             let special = &mut self.legacy.special;
@@ -506,10 +505,11 @@ impl Monolithic {
         )
     }
 
-    /// Handles an exit in the kernel: the physical and shadow-paging
-    /// ones here, the rest (a device page's shadow fault too) in the VMM's.
-    fn handle_exit(&mut self, reason: ExitReason) {
-        let reason = match reason {
+    /// Handles the exit in `vmcs.exit` in the kernel: the physical and
+    /// shadow-paging ones here, the rest (a device page's shadow fault
+    /// too) in the VMM's.
+    fn handle_exit(&mut self) {
+        let reason = match self.vmcs.exit {
             ExitReason::Preempt | ExitReason::IntWindow => {
                 self.vmcs.intwin_exit = false;
                 return;
@@ -518,9 +518,9 @@ impl Monolithic {
             // must be serviced here or its in-service bit wedges.
             ExitReason::ExtInt { vector } => return self.service_physical(vector),
             ExitReason::PageFault { .. } | ExitReason::MovCr { .. } | ExitReason::Invlpg { .. } => {
-                let cost = self.machine.cost;
-                if let ExitReason::PageFault { .. } = reason {
+                if let ExitReason::PageFault { .. } = self.vmcs.exit {
                     // Figure 9: six VMREADs to determine the cause.
+                    let cost = &self.machine.cost;
                     self.machine.clock += 6 * cost.vmread + cost.vtlb_fill_sw;
                 }
                 let Some(cache) = self.shadow.as_mut() else {
@@ -537,7 +537,7 @@ impl Monolithic {
                     counters: &mut self.counters,
                 };
                 let prefetch = self.cfg.model.costs().shadow_prefetch;
-                match vtlb::handle_exit(parts, reason, prefetch) {
+                match vtlb::handle_exit(parts, prefetch) {
                     // The per-entry cost of the batch.
                     Some(ShadowExit::Filled(n)) => {
                         self.machine.clock += 60 * (n as Cycles - 1);
@@ -553,7 +553,7 @@ impl Monolithic {
             reason => reason,
         };
         let mut regs = self.vmcs.guest.clone();
-        let exit = exit::handle(self, self.guest_pages, reason, &mut regs);
+        let exit = exit::handle(self, self.guest_pages, &reason, &mut regs);
         self.vmcs.guest = regs;
         match exit {
             Exit::Resume => {}

@@ -86,7 +86,7 @@ pub fn run_direct_limit(
     let mut exit = None;
     while m.clock < budget {
         let cost = m.cost;
-        let _ = run_guest(
+        run_guest(
             &mut m.cpus[0],
             &mut m.mem,
             &mut m.bus,

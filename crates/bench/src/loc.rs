@@ -593,7 +593,7 @@ fn also_shipped() {}
     /// its cap makes room first. The caps are only ever lowered.
     #[test]
     fn the_long_documents_are_capped() {
-        for (doc, cap) in [("DESIGN.md", 119_000), ("EXPERIMENTS.md", 202_000)] {
+        for (doc, cap) in [("DESIGN.md", 119_000), ("EXPERIMENTS.md", 201_000)] {
             let path = workspace_root().join(doc);
             let bytes = std::fs::metadata(&path).expect(doc).len();
             assert!(bytes <= cap, "{doc} is {bytes} bytes, capped at {cap}");
@@ -605,7 +605,7 @@ fn also_shipped() {}
     /// the kernel fails here until it moves the pin — and says why.
     #[test]
     fn the_privileged_layer_is_pinned() {
-        const PIN: usize = 4007;
+        const PIN: usize = 4015;
         let product = crate_loc("core").product;
         assert!(
             product <= PIN,

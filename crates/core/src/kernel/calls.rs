@@ -14,7 +14,7 @@ use super::{
 use crate::cap::{CapSel, Perms};
 use crate::hostpt::NestedTable;
 use crate::hypercall::{HcErr, HcReply, Hypercall};
-use crate::obj::{Ec, EcId, EcKind, ObjRef, Pd, Portal, Sc, Semaphore, SmId, VmPaging};
+use crate::obj::{Ec, EcId, EcKind, ObjRef, Pd, Portal, Sc, Semaphore, SmId, VmPaging, MAX_ECS};
 use crate::utcb::Utcb;
 use crate::vtlb::ShadowCache;
 
@@ -101,6 +101,11 @@ impl Kernel {
                     }
                     Some(VmPaging::Shadow) => None,
                 };
+                // EC ids are 16 bits: a full table refuses as a full
+                // quota does.
+                if self.obj.ecs.len() >= MAX_ECS {
+                    return Err(HcErr::QuotaExceeded);
+                }
                 self.charge_quota(caller)?;
                 let kind = if vcpu {
                     // Each cached shadow space owns its own TLB tag, so a
@@ -121,7 +126,7 @@ impl Kernel {
                             let (root, vpid) = (cache.active_root(), cache.active_vpid());
                             // Stashed under the id of the EC about to be
                             // created.
-                            self.shadows.insert(EcId(self.obj.ecs.len()), cache);
+                            self.shadows.insert(EcId(self.obj.ecs.len() as u16), cache);
                             Box::new(Vmcs::new_shadow(root, vpid))
                         }
                     };

@@ -91,7 +91,7 @@ impl Kernel {
         // delegation's destination pages were free, so no large leaf
         // stands over them.
         if let Some(table) = self.nested.get_mut(&to) {
-            let d = &self.obj.pds[to.0];
+            let d = &self.obj.pds[to.0 as usize];
             let (mem, alloc) = (&mut self.machine.mem, &mut self.alloc);
             table.mirror(mem, alloc, &d.mem, (hot, count), d.large_pages);
         }
@@ -156,7 +156,7 @@ impl Kernel {
         ranges: &[(u64, u64)],
         include_self: bool,
     ) {
-        let mut removed: Vec<((usize, u64), u64)> = Vec::new();
+        let mut removed: Vec<((u32, u64), u64)> = Vec::new();
         for &(base, count) in ranges {
             self.mem_db
                 .revoke_range((owner.0, base), count, include_self, &mut removed);
@@ -252,7 +252,7 @@ impl Kernel {
         ranges: &[(u64, u64)],
         include_self: bool,
     ) {
-        let mut removed: Vec<((usize, u16), u64)> = Vec::new();
+        let mut removed: Vec<((u32, u16), u64)> = Vec::new();
         for &(base, count) in ranges {
             self.io_db
                 .revoke_range((owner.0, base as u16), count, include_self, &mut removed);
@@ -265,7 +265,7 @@ impl Kernel {
     }
 
     pub(super) fn revoke_cap(&mut self, owner: PdId, sel: CapSel, include_self: bool) {
-        let mut removed: Vec<((usize, u64), u64)> = Vec::new();
+        let mut removed: Vec<((u32, u64), u64)> = Vec::new();
         self.cap_db
             .revoke_range((owner.0, sel as u64), 1, include_self, &mut removed);
         // One selector's revocation removes one-selector ranges.
@@ -322,7 +322,12 @@ impl Kernel {
             .check_links()
             .map_err(|e| format!("cap_db: {e}"))?;
 
-        let pd_of = |pd: usize| self.obj.pds.get(pd).ok_or(format!("a node names pd {pd}"));
+        let pd_of = |pd: u32| {
+            self.obj
+                .pds
+                .get(pd as usize)
+                .ok_or(format!("a node names pd {pd}"))
+        };
         // Straight from the radix leaves: a checker neither trusts nor
         // disturbs the translation cache.
         for ((pd, base), len, parent) in self.mem_db.iter() {
@@ -360,7 +365,7 @@ impl Kernel {
             }
         }
 
-        for (pd, d) in self.obj.pds.iter().enumerate() {
+        for (pd, d) in (0..).zip(&self.obj.pds) {
             if d.dying && (d.mem.count(), d.io.count(), d.caps.count()) != (0, 0, 0) {
                 // With the clauses above: no node names it either.
                 return Err(format!(
@@ -397,7 +402,7 @@ impl Kernel {
             }
         }
         // 7. Each EC against its domain's lists.
-        for (id, ec) in self.obj.ecs.iter().enumerate() {
+        for (id, ec) in (0..=u16::MAX).zip(&self.obj.ecs) {
             let (d, vcpu, i) = (self.obj.pd(ec.pd), ec.vmcs().is_some(), ec.vcpu_index);
             let listed = i.map(|i| d.vcpus.get(i) == Some(&EcId(id)));
             let runs = ec.comp.is_some() || !ec.activations.is_empty();
@@ -408,9 +413,9 @@ impl Kernel {
                 ));
             }
         }
-        for (pd, d) in self.obj.pds.iter().enumerate() {
+        for (pd, d) in (0..).zip(&self.obj.pds) {
             for (i, v) in d.vcpus.iter().enumerate() {
-                let ec = self.obj.ecs.get(v.0);
+                let ec = self.obj.ecs.get(v.0 as usize);
                 if !ec.is_some_and(|e| e.pd == PdId(pd) && e.vcpu_index == Some(i)) {
                     return Err(format!("vCPU {i} of {} is {v:?}", d.name));
                 }

@@ -28,9 +28,11 @@ impl Kernel {
         let cpu = self.obj.ec(ec_id).cpu;
         let entered = self.machine.clock;
 
-        let cost = self.machine.cost;
-        let reason = {
-            let ec = &mut self.obj.ecs[ec_id.0];
+        // The reason stays in the VMCS's exit-information field, where
+        // the CPU wrote it: read in place here, by `handle_exit` and
+        // by `deliver_exit`, never copied whole.
+        let (detail, preempt, tagged) = {
+            let ec = &mut self.obj.ecs[ec_id.0 as usize];
             let EcKind::Vcpu { vmcs } = &mut ec.kind else {
                 return;
             };
@@ -39,19 +41,20 @@ impl Kernel {
                 &mut m.cpus[cpu],
                 &mut m.mem,
                 &mut m.bus,
-                &cost,
+                &m.cost,
                 &mut m.clock,
                 vmcs,
                 Some(quantum),
-            )
+            );
+            self.counters.count_exit(&vmcs.exit);
+            let preempt = vmcs.exit == ExitReason::Preempt;
+            (vmcs.exit.index() as u64, preempt, vmcs.vpid != 0)
         };
 
-        self.counters.count_exit(&reason);
         let pd16 = self.obj.ec(ec_id).pd.0 as u16;
         let cpu16 = cpu as u16;
-        let tagged = self.obj.ec(ec_id).vmcs().is_some_and(|v| v.vpid != 0);
         let tc = self.machine.cost.vm_transition_cost(tagged);
-        let (at, detail) = (self.machine.clock, reason.index() as u64);
+        let at = self.machine.clock;
         // Each VM exit is a request origin: allocate a fresh causal
         // trace context so everything the exit sets in motion (the
         // exit portal IPC, VMM emulation, PV backend work, disk-server
@@ -64,7 +67,7 @@ impl Kernel {
         self.machine.clock += tc;
         self.counters.cycles_transition += tc;
         let guest_elapsed = self.machine.clock - entered;
-        self.handle_exit(ec_id, reason);
+        self.handle_exit(ec_id);
         let handled = self.machine.clock;
         let trace = &mut self.machine.bus.trace;
         trace.end(cpu16, pd16, TraceKind::ExitHandle, detail, handled);
@@ -80,7 +83,7 @@ impl Kernel {
         // Quantum accounting and requeue (unless blocked).
         let sc = self.obj.sc_mut(sc_id);
         sc.left = sc.left.saturating_sub(guest_elapsed);
-        let exhausted = sc.left == 0 || reason == ExitReason::Preempt;
+        let exhausted = sc.left == 0 || preempt;
         if exhausted {
             sc.left = sc.quantum;
         }
@@ -96,53 +99,53 @@ impl Kernel {
         }
     }
 
-    fn handle_exit(&mut self, ec_id: EcId, reason: ExitReason) {
-        match reason {
-            ExitReason::Preempt => {}
-            ExitReason::ExtInt { vector } => self.deliver_vector(vector),
-            // vTLB exits are handled inside the microhypervisor
-            // (Section 5.3), not the VMM.
-            ExitReason::PageFault { .. } | ExitReason::MovCr { .. } | ExitReason::Invlpg { .. }
-                if self.shadows.contains_key(&ec_id) =>
-            {
-                // Figure 9: a #PF takes six VMREADs to determine its
-                // cause, then the fill.
-                let c = self.machine.cost;
-                let (charge, detail) = match reason {
-                    ExitReason::PageFault { addr, .. } => (6 * c.vmread + c.vtlb_fill_sw, addr),
-                    ExitReason::MovCr { cr, .. } => (2 * c.vmread + c.emul_simple / 2, cr as u32),
-                    _ => (2 * c.vmread + c.emul_simple / 2, 0),
-                };
-                self.charge_as(TraceKind::CostKernel, charge);
-                let pd16 = self.obj.ec(ec_id).pd.0 as u16;
-                let (kind, detail) = match vtlb::handle_exit(self.shadow_parts(ec_id), reason, 1) {
-                    Some(ShadowExit::Filled(_)) => (TraceKind::VtlbFill, detail as u64),
-                    Some(ShadowExit::GuestFault) => (TraceKind::GuestPageFault, detail as u64),
-                    Some(ShadowExit::Cr(CrOutcome::Flush)) => (TraceKind::VtlbFlush, detail as u64),
-                    Some(ShadowExit::Cr(CrOutcome::Switch { hit, .. })) => {
-                        (TraceKind::VtlbSwitch, hit as u64)
-                    }
-                    Some(ShadowExit::Mmio { gpa, write }) => {
-                        // Route to the VMM as an MMIO event.
-                        let access = if write { Access::WRITE } else { Access::READ };
-                        let ept = ExitReason::EptViolation { gpa, access };
-                        return self.deliver_exit(ec_id, ept);
-                    }
-                    _ => return,
-                };
-                self.trace_emit(pd16, kind, detail);
-            }
+    /// Handles the exit in `ec_id`'s `vmcs.exit`.
+    fn handle_exit(&mut self, ec_id: EcId) {
+        let vmcs = self.obj.ec(ec_id).vmcs().expect("vCPU");
+        // vTLB exits are handled inside the microhypervisor (Section
+        // 5.3), not the VMM. Figure 9: a #PF takes six VMREADs to
+        // determine its cause, then the fill.
+        let c = &self.machine.cost;
+        let (charge, detail) = match vmcs.exit {
+            ExitReason::Preempt => return,
+            ExitReason::ExtInt { vector } => return self.deliver_vector(vector),
+            ExitReason::PageFault { addr, .. } => (6 * c.vmread + c.vtlb_fill_sw, addr),
+            ExitReason::MovCr { cr, .. } => (2 * c.vmread + c.emul_simple / 2, cr as u32),
+            ExitReason::Invlpg { .. } => (2 * c.vmread + c.emul_simple / 2, 0),
             // Every other exit is the VMM's (Section 5.2).
-            _ => self.deliver_exit(ec_id, reason),
+            _ => return self.deliver_exit(ec_id),
+        };
+        if !self.shadows.contains_key(&ec_id) {
+            return self.deliver_exit(ec_id);
         }
+        self.charge_as(TraceKind::CostKernel, charge);
+        let pd16 = self.obj.ec(ec_id).pd.0 as u16;
+        let (kind, detail) = match vtlb::handle_exit(self.shadow_parts(ec_id), 1) {
+            Some(ShadowExit::Filled(_)) => (TraceKind::VtlbFill, detail as u64),
+            Some(ShadowExit::GuestFault) => (TraceKind::GuestPageFault, detail as u64),
+            Some(ShadowExit::Cr(CrOutcome::Flush)) => (TraceKind::VtlbFlush, detail as u64),
+            Some(ShadowExit::Cr(CrOutcome::Switch { hit, .. })) => {
+                (TraceKind::VtlbSwitch, hit as u64)
+            }
+            Some(ShadowExit::Mmio { gpa, write }) => {
+                // Route to the VMM as the MMIO exit nested paging would
+                // have raised.
+                let access = if write { Access::WRITE } else { Access::READ };
+                let vmcs = self.obj.ecs[ec_id.0 as usize].vmcs_mut().expect("vCPU");
+                vmcs.exit = ExitReason::EptViolation { gpa, access };
+                return self.deliver_exit(ec_id);
+            }
+            _ => return,
+        };
+        self.trace_emit(pd16, kind, detail);
     }
 
     /// What a vTLB exit of the shadow-paging vCPU `ec_id` works on
     /// ([`vtlb::ShadowParts`]).
     fn shadow_parts(&mut self, ec_id: EcId) -> ShadowParts<'_> {
         let cache = self.shadows.get_mut(&ec_id).expect("a shadow-paging vCPU");
-        let ec = &mut self.obj.ecs[ec_id.0];
-        let ms = &self.obj.pds[ec.pd.0].mem;
+        let ec = &mut self.obj.ecs[ec_id.0 as usize];
+        let ms = &self.obj.pds[ec.pd.0 as usize].mem;
         let m = &mut self.machine;
         ShadowParts {
             mem: &mut m.mem,
@@ -155,16 +158,19 @@ impl Kernel {
         }
     }
 
-    /// Sends the VM-exit message through the event-specific portal in
-    /// the VM's capability space and applies the VMM's reply
-    /// (Section 5.2, Figure 3).
-    pub(super) fn deliver_exit(&mut self, ec_id: EcId, reason: ExitReason) {
-        let pd = self.obj.ec(ec_id).pd;
+    /// Sends the exit in `ec_id`'s `vmcs.exit` through the
+    /// event-specific portal in the VM's capability space and applies
+    /// the VMM's reply (Section 5.2, Figure 3). The message is written
+    /// once, into the UTCB the handler reads, and the reply is read
+    /// where the handler left it.
+    pub(super) fn deliver_exit(&mut self, ec_id: EcId) {
+        let ec = self.obj.ec(ec_id);
+        let (pd, reason) = (ec.pd, ec.vmcs().expect("vCPU").exit.index());
         // An EC that is no vCPU of its domain has no portal table, and
         // a vCPU may have no handler installed: either way the VM
         // cannot make progress.
-        let pt = self.obj.ec(ec_id).vcpu_index.and_then(|i| {
-            let sel = EXIT_PORTAL_BASE + i * EXIT_PORTAL_STRIDE + reason.index();
+        let pt = ec.vcpu_index.and_then(|i| {
+            let sel = EXIT_PORTAL_BASE + i * EXIT_PORTAL_STRIDE + reason;
             match self.obj.pd(pd).caps.get(sel)? {
                 Capability {
                     obj: ObjRef::Pt(id),
@@ -207,17 +213,23 @@ impl Kernel {
         // VMCS (the Section 5.2 optimization: fewer groups = fewer
         // VMREADs).
         let mtd_bits = self.obj.pt(pt).mtd;
-        let cost = self.machine.cost;
-        let vmread_cost = mtd::group_count(mtd_bits) as Cycles * cost.vmread;
+        let vmread = self.machine.cost.vmread;
+        let vmread_cost = mtd::group_count(mtd_bits) as Cycles * vmread;
         self.charge_as(TraceKind::CostIpc, vmread_cost);
 
         let vmcs = self.obj.ec(ec_id).vmcs().expect("vCPU");
-        let mut msg = VmExitMsg::new(reason, mtd_bits, vmcs.guest.clone());
-        msg.window_open = vmcs.guest.if_set() && !vmcs.sti_shadow;
-        msg.halted = vmcs.halted;
-
         let mut utcb = Utcb::new();
-        utcb.vm = Some(msg);
+        utcb.vm = Some(VmExitMsg {
+            mtd: mtd_bits,
+            reason: vmcs.exit,
+            regs: vmcs.guest.clone(),
+            window_open: vmcs.guest.if_set() && !vmcs.sti_shadow,
+            halted: vmcs.halted,
+            reply_mtd: 0,
+            reply_inject: None,
+            reply_intwin: false,
+            reply_block: false,
+        });
 
         if self.ipc_to_portal(pd, pt, &mut utcb).is_err() {
             self.obj.ec_mut(ec_id).blocked = true;
@@ -225,11 +237,11 @@ impl Kernel {
         }
 
         // Apply the reply.
-        let Some(reply) = utcb.vm else { return };
-        let wb_cost = mtd::group_count(reply.reply_mtd) as Cycles * cost.vmread;
+        let Some(reply) = &utcb.vm else { return };
+        let wb_cost = mtd::group_count(reply.reply_mtd) as Cycles * vmread;
         self.charge_as(TraceKind::CostIpc, wb_cost);
 
-        let vmcs = self.obj.ecs[ec_id.0].vmcs_mut().expect("vCPU");
+        let vmcs = self.obj.ecs[ec_id.0 as usize].vmcs_mut().expect("vCPU");
         apply_mtd(&mut vmcs.guest, &reply.regs, reply.reply_mtd);
         vmcs.intwin_exit |= reply.reply_intwin;
         if reply.reply_block {
@@ -245,7 +257,7 @@ impl Kernel {
     /// or with an exit reply — and wakes it from HLT.
     #[inline]
     pub(super) fn inject_virq(&mut self, ec: EcId, inj: Injection) {
-        let target = &mut self.obj.ecs[ec.0];
+        let target = &mut self.obj.ecs[ec.0 as usize];
         let pd16 = target.pd.0 as u16;
         let vmcs = target.vmcs_mut().expect("vCPU");
         vmcs.injection = Some(inj);

@@ -39,16 +39,17 @@ impl Kernel {
 
         // Each direction costs entry/exit, the IPC path, TLB effects on
         // a cross-AS traversal and the per-word payload (Figure 8).
-        let cost = self.machine.cost;
+        let cost = &self.machine.cost;
         let tlb = if caller_pd != handler_pd {
             cost.ipc_tlb_effects
         } else {
             0
         };
-        let one_way = |utcb: &Utcb| {
-            let words = utcb.len_words() as u64;
-            cost.syscall_entry_exit + cost.ipc_path + tlb + words * cost.ipc_per_word
-        };
+        let (fixed, per_word) = (
+            cost.syscall_entry_exit + cost.ipc_path + tlb,
+            cost.ipc_per_word,
+        );
+        let one_way = |utcb: &Utcb| fixed + utcb.len_words() as u64 * per_word;
         self.charge_as(TraceKind::CostIpc, one_way(utcb));
         self.counters.ipc_calls += 1;
 

@@ -51,9 +51,11 @@ pub use vcpu::VcpuSnapshot;
 
 /// Component handle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct CompId(pub usize);
+pub struct CompId(pub u16);
 
 /// The identity of the execution context a component callback runs as.
+/// Eight bytes (see the id types in `obj`), so it is passed in a
+/// register rather than through a copy in memory.
 #[derive(Clone, Copy, Debug)]
 pub struct CompCtx {
     /// The component's protection domain.
@@ -355,7 +357,8 @@ impl Kernel {
         comp: Box<dyn Component>,
     ) -> (CompId, EcId) {
         self.components.push(Some(comp));
-        let comp_id = CompId(self.components.len() - 1);
+        let comp_id =
+            CompId(u16::try_from(self.components.len() - 1).expect("one component per EC"));
         let ec = self.obj.add_ec(Ec {
             pd,
             kind: EcKind::Thread,
@@ -396,16 +399,16 @@ impl Kernel {
         comp: CompId,
         f: impl FnOnce(&mut T, &mut Kernel) -> R,
     ) -> Option<R> {
-        let mut c = self.components.get_mut(comp.0)?.take()?;
+        let mut c = self.components.get_mut(comp.0 as usize)?.take()?;
         let r = c.as_any().downcast_mut::<T>().map(|t| f(t, self));
-        self.components[comp.0] = Some(c);
+        self.components[comp.0 as usize] = Some(c);
         r
     }
 
     /// Typed access to a component (harness/test use).
     pub fn component_mut<T: 'static>(&mut self, comp: CompId) -> Option<&mut T> {
         self.components
-            .get_mut(comp.0)?
+            .get_mut(comp.0 as usize)?
             .as_mut()?
             .as_any()
             .downcast_mut::<T>()
@@ -416,9 +419,9 @@ impl Kernel {
         comp: CompId,
         f: impl FnOnce(&mut dyn Component, &mut Kernel) -> R,
     ) -> Option<R> {
-        let mut c = self.components.get_mut(comp.0)?.take()?;
+        let mut c = self.components.get_mut(comp.0 as usize)?.take()?;
         let r = f(c.as_mut(), self);
-        self.components[comp.0] = Some(c);
+        self.components[comp.0 as usize] = Some(c);
         Some(r)
     }
 
@@ -608,8 +611,8 @@ impl Kernel {
         // The activation enters the component through the kernel: one
         // boundary round trip.
         self.trace_emit(ctx.pd.0 as u16, TraceKind::SchedDispatch, ec_id.0 as u64);
-        let cost = self.machine.cost;
-        self.charge_as(TraceKind::CostIpc, cost.ipc_cross_as());
+        let cross = self.machine.cost.ipc_cross_as();
+        self.charge_as(TraceKind::CostIpc, cross);
         match act {
             Activation::Signal(sm) => {
                 self.with_component(comp, |c, k| c.on_signal(k, ctx, sm));
@@ -628,7 +631,9 @@ impl Kernel {
     /// interrupts, kernel timers and watchdog deadlines.
     fn host_events(&mut self) {
         let now = self.machine.clock;
-        self.machine.bus.process_events(&mut self.machine.mem, now);
+        if self.machine.bus.next_event_due().is_some_and(|d| d <= now) {
+            self.machine.bus.process_events(&mut self.machine.mem, now);
+        }
         self.poll_interrupts();
         self.fire_timers();
         self.check_watchdogs();

@@ -542,7 +542,7 @@ fn only_the_handlers_domain_sets_a_receive_window() {
     };
     k.hypercall(ctx, call_only).unwrap();
     let client = CompCtx {
-        pd: PdId(k.obj.pds.len() - 1),
+        pd: PdId((k.obj.pds.len() - 1) as u32),
         ..ctx
     };
     let window = |pt, base, count| Hypercall::PtWindow { pt, base, count };
@@ -613,7 +613,7 @@ fn exits_route_by_the_vcpu_index_stored_at_create_ec() {
         },
     )
     .unwrap();
-    let vm = PdId(k.obj.pds.len() - 1);
+    let vm = PdId((k.obj.pds.len() - 1) as u32);
     let reason = ExitReason::Cpuid { len: 2 };
     for i in 0..2 {
         let id = (i as u64) << 8 | reason.index() as u64;
@@ -645,8 +645,11 @@ fn exits_route_by_the_vcpu_index_stored_at_create_ec() {
     assert_eq!(k.obj.ec(v1).vcpu_index, Some(1));
     assert_eq!(k.obj.ec(ctx.ec).vcpu_index, None, "threads have none");
 
-    k.deliver_exit(v1, reason);
-    k.deliver_exit(v0, reason);
+    for v in [v0, v1] {
+        k.obj.ec_mut(v).vmcs_mut().unwrap().exit = reason;
+    }
+    k.deliver_exit(v1);
+    k.deliver_exit(v0);
     let served = |k: &mut Kernel| {
         k.component_mut::<Doubler>(ctx.comp)
             .unwrap()
@@ -659,7 +662,7 @@ fn exits_route_by_the_vcpu_index_stored_at_create_ec() {
     // An EC that is not a vCPU of its domain is parked like one
     // without a portal, not served through vCPU 0's.
     k.obj.ec_mut(v1).vcpu_index = None;
-    k.deliver_exit(v1, reason);
+    k.deliver_exit(v1);
     assert!(k.obj.ec(v1).blocked);
     assert_eq!(served(&mut k).len(), 2);
 }
@@ -692,7 +695,7 @@ fn vm_of_two_queued_vcpus() -> (Kernel, CompCtx, [EcId; 2]) {
         };
         k.hypercall(ctx, sc).unwrap();
     }
-    let vm = PdId(k.obj.pds.len() - 1);
+    let vm = PdId((k.obj.pds.len() - 1) as u32);
     let vcpus = [0, 1].map(|i| k.obj.pd(vm).vcpus[i]);
     (k, ctx, vcpus)
 }
@@ -759,7 +762,7 @@ fn dead_domains_ecs_lose_their_activations_and_component() {
         },
     )
     .unwrap();
-    let srv = PdId(k.obj.pds.len() - 1);
+    let srv = PdId((k.obj.pds.len() - 1) as u32);
     let (comp, ec) = k.load_component(srv, 0, Box::<Doubler>::default());
     let srv_ctx = CompCtx { pd: srv, ec, comp };
     k.install_cap(k.root_pd, 110, ObjRef::Ec(ec));
@@ -834,7 +837,7 @@ fn watchdog_fires_on_silence_latches_and_reports_death() {
         },
     )
     .unwrap();
-    let child = PdId(k.obj.pds.len() - 1);
+    let child = PdId((k.obj.pds.len() - 1) as u32);
     k.hypercall(
         ctx,
         Hypercall::WatchdogArm {
@@ -1730,7 +1733,7 @@ fn check_invariants_sees_what_the_hardware_tables_hold() {
             k.hypercall(ctx, hc).unwrap();
         }
         assert_eq!(k.check_invariants(), Ok(()));
-        let pd = PdId(k.obj.pds.len() - 1);
+        let pd = PdId((k.obj.pds.len() - 1) as u32);
         (k, ctx, pd, device)
     };
     let refused = |k: &Kernel, what: &str| {
@@ -1905,4 +1908,37 @@ fn apply_mtd_copies_selected_groups() {
     assert_eq!(dst.eip, 0x100);
     assert_eq!(dst.get(nova_x86::Reg::Esi), 0, "group not selected");
     assert_eq!(dst.cr3, 0, "group not selected");
+}
+
+/// EC ids are 16 bits (a `CompCtx` fits one register): with 65,536 ECs
+/// in the table a `CreateEc` is refused as a full quota is, and leaves
+/// nothing behind.
+#[test]
+fn a_full_ec_table_refuses_create_ec() {
+    let (mut k, ctx) = root_with_portal();
+    while k.obj.ecs.len() < crate::obj::MAX_ECS {
+        k.obj.add_ec(Ec {
+            pd: k.root_pd,
+            kind: EcKind::Thread,
+            cpu: 0,
+            utcb: Utcb::new(),
+            sc: None,
+            blocked: true,
+            busy: false,
+            comp: None,
+            vcpu_index: None,
+            activations: VecDeque::new(),
+        });
+    }
+    let create = Hypercall::CreateEc {
+        pd: SEL_SELF_PD,
+        vcpu: false,
+        cpu: 0,
+        dst: 0x70,
+    };
+    let kobjs = k.obj.pd(k.root_pd).kobjs;
+    assert_eq!(k.hypercall(ctx, create), Err(HcErr::QuotaExceeded));
+    assert_eq!(k.obj.ecs.len(), crate::obj::MAX_ECS);
+    assert_eq!(k.obj.pd(k.root_pd).kobjs, kobjs, "no quota charged");
+    assert!(k.obj.pd(k.root_pd).caps.get(0x70).is_none());
 }

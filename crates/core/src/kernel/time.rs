@@ -117,9 +117,10 @@ impl Kernel {
     /// periodic virtual timers cannot keep the machine from going idle
     /// while the supervisor recovers.
     pub(super) fn stop_ecs(&mut self, pd: PdId) -> Vec<EcId> {
-        let ecs: Vec<EcId> = (0..self.obj.ecs.len())
-            .map(EcId)
-            .filter(|e| self.obj.ec(*e).pd == pd)
+        let ecs: Vec<EcId> = (0..=u16::MAX)
+            .zip(&self.obj.ecs)
+            .filter(|(_, e)| e.pd == pd)
+            .map(|(i, _)| EcId(i))
             .collect();
         for &ec in &ecs {
             let e = self.obj.ec_mut(ec);

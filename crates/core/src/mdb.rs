@@ -29,15 +29,15 @@ use std::collections::BTreeMap;
 use std::marker::PhantomData;
 
 /// A node key: (domain index, resource key).
-pub type NodeKey<K> = (usize, K);
+pub type NodeKey<K> = (u32, K);
 
 /// A node's identity: its owner and the first key it covers.
-type Id = (usize, u64);
+type Id = (u32, u64);
 
 /// Where a node was derived from: the parent's owner, the parent's key
 /// the node's base maps to, and a sequence number that orders siblings
 /// derived from one key by delegation.
-type Link = (usize, u64, u64);
+type Link = (u32, u64, u64);
 
 struct Node {
     /// Keys covered: `base .. base + len`, never empty.
@@ -74,7 +74,7 @@ impl<K: Copy + Default + Into<u64> + TryFrom<u64>> MapDb<K> {
 
     /// Records a parentless origin ahead of its first delegation.
     /// [`MapDb::delegate`] does this on demand; nothing has to.
-    pub fn insert_root(&mut self, owner: usize, key: K) {
+    pub fn insert_root(&mut self, owner: u32, key: K) {
         if !self.contains(owner, key) {
             let (len, parent) = (1, None);
             self.nodes.insert((owner, key.into()), Node { len, parent });
@@ -82,7 +82,7 @@ impl<K: Copy + Default + Into<u64> + TryFrom<u64>> MapDb<K> {
     }
 
     /// `true` if `(owner, key)` is tracked.
-    pub fn contains(&self, owner: usize, key: K) -> bool {
+    pub fn contains(&self, owner: u32, key: K) -> bool {
         self.covering(owner, key.into()).is_some()
     }
 
@@ -278,20 +278,20 @@ impl<K: Copy + Default + Into<u64> + TryFrom<u64>> MapDb<K> {
     }
 
     /// The node of `owner` covering `key`.
-    fn covering(&self, owner: usize, key: u64) -> Option<Id> {
+    fn covering(&self, owner: u32, key: u64) -> Option<Id> {
         let (&id, n) = self.nodes.range(..=(owner, key)).next_back()?;
         (id.0 == owner && key - id.1 < n.len).then_some(id)
     }
 
     /// The base of `owner`'s first node in `from..end`, or `end`.
-    fn next_base(&self, owner: usize, from: u64, end: u64) -> u64 {
+    fn next_base(&self, owner: u32, from: u64, end: u64) -> u64 {
         let mut run = self.nodes.range((owner, from)..(owner, end));
         run.next().map_or(end, |(id, _)| id.1)
     }
 
     /// The nodes derived from `owner`'s keys `lo..hi`, by the key their
     /// base maps to, then in delegation order.
-    fn children(&self, owner: usize, lo: u64, hi: u64) -> Vec<Id> {
+    fn children(&self, owner: u32, lo: u64, hi: u64) -> Vec<Id> {
         let run = self.derived.range((owner, lo, 0)..(owner, hi, 0));
         run.map(|(_, &c)| c).collect()
     }
@@ -306,7 +306,7 @@ impl<K: Copy + Default + Into<u64> + TryFrom<u64>> MapDb<K> {
     /// is cut in two, after every child straddling the cut is cut at
     /// its own matching key. The halves keep the node's sequence
     /// number, so each key keeps its place among its siblings.
-    fn split(&mut self, owner: usize, at: u64) {
+    fn split(&mut self, owner: u32, at: u64) {
         let Some(id) = self.covering(owner, at).filter(|id| id.1 != at) else {
             return;
         };
@@ -519,7 +519,7 @@ mod tests {
         // The whole of owner 1, and past it: every node in key order,
         // each after its subtree, then the untracked rest as owner 1's.
         db.revoke_range((1, 0), 2000, true, &mut out);
-        let owners: Vec<usize> = out.iter().map(|((o, _), _)| *o).collect();
+        let owners: Vec<u32> = out.iter().map(|((o, _), _)| *o).collect();
         assert_eq!(owners, vec![2, 3, 1, 3, 1, 2, 3, 1, 3, 1, 1], "{out:?}");
         assert_eq!(out.last(), Some(&((1, 1050), 950)), "untracked tail");
         assert_eq!(db.len(), 1, "the origin stays");

@@ -13,32 +13,40 @@ use crate::kernel::CompId;
 use crate::utcb::Utcb;
 
 macro_rules! id_type {
-    ($(#[$doc:meta])* $name:ident) => {
+    ($(#[$doc:meta])* $name:ident($repr:ty)) => {
         $(#[$doc])*
         #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-        pub struct $name(pub usize);
+        pub struct $name(pub $repr);
     };
 }
 
+// A `CompCtx` — domain, EC, component — is 8 bytes, so it travels in
+// one register through every component callback and hypercall rather
+// than as a stack copy: a domain id is 32 bits wide, an EC id (and so
+// a component id, one per EC at most) 16 bits.
 id_type!(
     /// Protection-domain id.
-    PdId
+    PdId(u32)
 );
 id_type!(
-    /// Execution-context id.
-    EcId
+    /// Execution-context id: at most [`MAX_ECS`] exist.
+    EcId(u16)
 );
+
+/// The most ECs the kernel holds: their ids are 16 bits wide. Creating
+/// one more fails as a full quota does.
+pub const MAX_ECS: usize = 1 << 16;
 id_type!(
     /// Scheduling-context id.
-    ScId
+    ScId(usize)
 );
 id_type!(
     /// Portal id.
-    PtId
+    PtId(usize)
 );
 id_type!(
     /// Semaphore id.
-    SmId
+    SmId(usize)
 );
 
 /// A reference to any kernel object (what a capability designates).
@@ -614,13 +622,19 @@ impl Objects {
     /// Adds a PD, returning its id.
     pub fn add_pd(&mut self, pd: Pd) -> PdId {
         self.pds.push(pd);
-        PdId(self.pds.len() - 1)
+        PdId((self.pds.len() - 1) as u32)
     }
 
     /// Adds an EC.
+    ///
+    /// # Panics
+    ///
+    /// If [`MAX_ECS`] exist already; the `CreateEc` hypercall refuses
+    /// before it gets here.
     pub fn add_ec(&mut self, ec: Ec) -> EcId {
+        let id = EcId(u16::try_from(self.ecs.len()).expect("at most MAX_ECS ECs"));
         self.ecs.push(ec);
-        EcId(self.ecs.len() - 1)
+        id
     }
 
     /// Adds an SC.
@@ -643,22 +657,22 @@ impl Objects {
 
     /// PD accessor.
     pub fn pd(&self, id: PdId) -> &Pd {
-        &self.pds[id.0]
+        &self.pds[id.0 as usize]
     }
 
     /// Mutable PD accessor.
     pub fn pd_mut(&mut self, id: PdId) -> &mut Pd {
-        &mut self.pds[id.0]
+        &mut self.pds[id.0 as usize]
     }
 
     /// EC accessor.
     pub fn ec(&self, id: EcId) -> &Ec {
-        &self.ecs[id.0]
+        &self.ecs[id.0 as usize]
     }
 
     /// Mutable EC accessor.
     pub fn ec_mut(&mut self, id: EcId) -> &mut Ec {
-        &mut self.ecs[id.0]
+        &mut self.ecs[id.0 as usize]
     }
 
     /// SC accessor.

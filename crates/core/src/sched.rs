@@ -68,6 +68,7 @@ impl RunQueue {
 
     /// Enqueues an SC at the head of its priority class (used when a
     /// preempted SC still has quantum left).
+    #[inline]
     pub fn enqueue_front(&mut self, sc: ScId, prio: u8) {
         self.note_queued(sc, prio).push_front(sc);
     }

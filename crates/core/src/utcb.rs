@@ -63,23 +63,6 @@ pub struct VmExitMsg {
     pub reply_block: bool,
 }
 
-impl VmExitMsg {
-    /// An empty message for `reason` carrying the groups in `mtd`.
-    pub fn new(reason: ExitReason, mtd: u32, regs: Regs) -> VmExitMsg {
-        VmExitMsg {
-            mtd,
-            reason,
-            regs,
-            window_open: false,
-            halted: false,
-            reply_mtd: 0,
-            reply_inject: None,
-            reply_intwin: false,
-            reply_block: false,
-        }
-    }
-}
-
 /// The message area of an execution context.
 #[derive(Clone, Debug, Default)]
 pub struct Utcb {
@@ -157,11 +140,17 @@ mod tests {
             rights: MemRights::RW,
             hot: 0,
         });
-        u.vm = Some(VmExitMsg::new(
-            ExitReason::Hlt { len: 1 },
-            0,
-            Regs::default(),
-        ));
+        u.vm = Some(VmExitMsg {
+            mtd: 0,
+            reason: ExitReason::Hlt { len: 1 },
+            regs: Regs::default(),
+            window_open: false,
+            halted: false,
+            reply_mtd: 0,
+            reply_inject: None,
+            reply_intwin: false,
+            reply_block: false,
+        });
         u.clear();
         assert_eq!(u.len_words(), 0);
         assert!(u.xfer.is_empty());

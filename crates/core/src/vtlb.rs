@@ -788,13 +788,13 @@ pub enum ShadowExit {
 }
 
 /// The one entry for the three shadow-paging exits — #PF, MOV CR and
-/// INVLPG — whoever handles them: the microhypervisor and the
-/// monolithic baseline. A fill prefetches the translations of up to
+/// INVLPG, read from `vmcs.exit` — whoever handles them: the
+/// microhypervisor and the monolithic baseline. A fill prefetches the translations of up to
 /// `prefetch - 1` following pages in the same trap (KVM's shadow-page
 /// batching, Xen's batched updates); the queued TLB maintenance is
 /// applied to the exiting CPU's TLB. `None` for any other exit.
-pub fn handle_exit(p: ShadowParts<'_>, reason: ExitReason, prefetch: u32) -> Option<ShadowExit> {
-    let done = match reason {
+pub fn handle_exit(p: ShadowParts<'_>, prefetch: u32) -> Option<ShadowExit> {
+    let done = match p.vmcs.exit {
         ExitReason::PageFault { addr, err } => {
             let mut fill =
                 |gva, err| handle_page_fault(p.mem, p.alloc, p.ms, p.cache, p.vmcs, gva, err);

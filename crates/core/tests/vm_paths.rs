@@ -46,7 +46,7 @@ fn create_vm(k: &mut Kernel, ctx: CompCtx, fmt: NestedFormat) -> (usize, PdId) {
         },
     )
     .unwrap();
-    (10, PdId(k.obj.pds.len() - 1))
+    (10, PdId((k.obj.pds.len() - 1) as u32))
 }
 
 #[test]
@@ -332,7 +332,7 @@ fn vcpu_creation_and_intercept_config() {
         },
     )
     .unwrap();
-    let ec = nova_core::EcId(k.obj.ecs.len() - 1);
+    let ec = nova_core::EcId((k.obj.ecs.len() - 1) as u16);
     let vmcs = k.obj.ec(ec).vmcs().unwrap();
     assert!(!vmcs.intercept_hlt);
     assert!(!vmcs.intercept_extint);
@@ -415,7 +415,7 @@ fn delegated_cap_cannot_be_amplified() {
         },
     )
     .unwrap();
-    let pd_a = PdId(k.obj.pds.len() - 1);
+    let pd_a = PdId((k.obj.pds.len() - 1) as u32);
     k.hypercall(ctx, Hypercall::CreateSm { count: 0, dst: 40 })
         .unwrap();
     // Delegate UP-only.
@@ -445,7 +445,7 @@ fn delegated_cap_cannot_be_amplified() {
         },
     )
     .unwrap();
-    let pd_b = PdId(k.obj.pds.len() - 1);
+    let pd_b = PdId((k.obj.pds.len() - 1) as u32);
     k.hypercall(
         actx,
         Hypercall::DelegateCap {
@@ -534,7 +534,7 @@ fn destroy_pd_cascades_to_grandchildren() {
         },
     )
     .unwrap();
-    let pd_a = PdId(k.obj.pds.len() - 1);
+    let pd_a = PdId((k.obj.pds.len() - 1) as u32);
     k.hypercall(
         ctx,
         Hypercall::DelegateMem {
@@ -561,7 +561,7 @@ fn destroy_pd_cascades_to_grandchildren() {
         },
     )
     .unwrap();
-    let pd_b = PdId(k.obj.pds.len() - 1);
+    let pd_b = PdId((k.obj.pds.len() - 1) as u32);
     k.hypercall(
         actx,
         Hypercall::DelegateMem {

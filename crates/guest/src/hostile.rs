@@ -201,7 +201,10 @@ fn plan_pv_disk(seed: u64, rng: &mut HostileRng) -> HostilePlan {
                     GuestSurface::PvDiskRing,
                     GuestFault::Misaligned,
                 )),
-                needs: Needs::default(),
+                needs: Needs {
+                    pv_disk: true,
+                    ..Needs::default()
+                },
                 min_rejections: 1,
                 program,
             }
@@ -217,7 +220,10 @@ fn plan_pv_disk(seed: u64, rng: &mut HostileRng) -> HostilePlan {
                 seed,
                 mutation: "ring-out-of-ram",
                 expect: Expect::Kill(VmKill::new(GuestSurface::PvDiskRing, GuestFault::BadBase)),
-                needs: Needs::default(),
+                needs: Needs {
+                    pv_disk: true,
+                    ..Needs::default()
+                },
                 min_rejections: 1,
                 program,
             }

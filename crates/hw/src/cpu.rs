@@ -99,8 +99,9 @@ impl Cpu {
 enum CpuErr {
     /// Architectural fault to deliver to the running system.
     Fault(Fault),
-    /// VM exit (guest mode only).
-    Exit(ExitReason),
+    /// VM exit (guest mode only). Its reason is already parked where
+    /// the hypervisor reads it ([`CpuEnv::exit`]).
+    Exit,
 }
 
 impl From<Fault> for CpuErr {
@@ -143,6 +144,11 @@ struct CpuEnv<'a> {
     clock: &'a mut Cycles,
     mmu: MmuRegs,
     guest: Option<GuestCtx<'a>>,
+    /// The VMCS exit-information field ([`Vmcs::exit`]): the one place
+    /// an exit's reason is written, by whatever raises
+    /// [`CpuErr::Exit`] or returns from [`guest_loop`], right before
+    /// it does. Never written in native mode.
+    exit: &'a mut ExitReason,
     /// Set by every device-register access (MMIO or port). A device may
     /// then have scheduled an event, moved an interrupt line or
     /// requested shutdown, so the block executor clears it before an
@@ -151,6 +157,14 @@ struct CpuEnv<'a> {
 }
 
 impl CpuEnv<'_> {
+    /// Parks `reason` in the exit-information field: the exit that
+    /// the returned error reports.
+    #[inline(always)]
+    fn exit(&mut self, reason: ExitReason) -> CpuErr {
+        *self.exit = reason;
+        CpuErr::Exit
+    }
+
     fn vpid(&self) -> u16 {
         self.guest.as_ref().map_or(0, |g| g.vpid)
     }
@@ -282,7 +296,7 @@ impl CpuEnv<'_> {
                 )
                 .map_err(|e| match e {
                     GuestXlate::GuestFault(pf) => CpuErr::Fault(pf.into()),
-                    GuestXlate::Nested(v) => CpuErr::Exit(ExitReason::EptViolation {
+                    GuestXlate::Nested(v) => self.exit(ExitReason::EptViolation {
                         gpa: v.gpa,
                         access: v.access,
                     }),
@@ -299,7 +313,7 @@ impl CpuEnv<'_> {
                 .map_err(|pf| {
                     let fault = Fault::from(pf);
                     if g.intercept_pf {
-                        CpuErr::Exit(ExitReason::PageFault {
+                        self.exit(ExitReason::PageFault {
                             addr: pf.addr,
                             err: fault.error_code().unwrap_or(0),
                         })
@@ -405,8 +419,9 @@ enum Delivery {
     Done,
     /// The delivery itself faulted on a missing translation that the
     /// hypervisor must service (shadow-paging fills): registers are
-    /// restored and the event must be retried after the exit.
-    Exit(ExitReason),
+    /// restored and the event must be retried after the exit, whose
+    /// reason the faulting access parked.
+    Exit,
     /// Unrecoverable double fault during delivery.
     Fatal,
 }
@@ -418,9 +433,9 @@ fn deliver(regs: &mut Regs, env: &mut CpuEnv, vector: u8, err: Option<u32>) -> D
     let saved = regs.clone();
     match deliver_event(regs, env, vector, err) {
         Ok(()) => Delivery::Done,
-        Err(CpuErr::Exit(reason)) => {
+        Err(CpuErr::Exit) => {
             *regs = saved;
-            Delivery::Exit(reason)
+            Delivery::Exit
         }
         Err(CpuErr::Fault(_)) => {
             *regs = saved;
@@ -495,7 +510,7 @@ fn execute_sensitive<'a>(
     env: &mut CpuEnv<'a>,
 ) -> Result<Exec, CpuErr> {
     if let Some(reason) = env.guest.as_ref().and_then(|g| intercept(insn, regs, g)) {
-        return Err(CpuErr::Exit(reason));
+        return Err(env.exit(reason));
     }
     run(insn, regs, env)
 }
@@ -511,8 +526,9 @@ enum Stop {
     Halt,
     /// STI opened a one-instruction interrupt shadow.
     StiShadow,
-    /// VM exit (guest mode only).
-    Exit(ExitReason),
+    /// VM exit (guest mode only); the reason is parked in
+    /// [`CpuEnv::exit`].
+    Exit,
     /// An exception could not be delivered.
     TripleFault,
 }
@@ -546,7 +562,7 @@ fn stop_for(step: Result<Exec, CpuErr>, regs: &mut Regs, env: &mut CpuEnv) -> St
         Ok(Exec::Halt) => Stop::Halt,
         Ok(Exec::StiShadow) => Stop::StiShadow,
         Ok(Exec::Normal | Exec::RepContinue) => Stop::Outer,
-        Err(CpuErr::Exit(reason)) => Stop::Exit(reason),
+        Err(CpuErr::Exit) => Stop::Exit,
         Err(CpuErr::Fault(f)) => {
             if let Fault::Page { addr, .. } = f {
                 regs.cr2 = addr;
@@ -555,7 +571,7 @@ fn stop_for(step: Result<Exec, CpuErr>, regs: &mut Regs, env: &mut CpuEnv) -> St
                 Delivery::Done => Stop::Outer,
                 // The faulting instruction will re-execute and re-raise
                 // the exception after the hypervisor's fill.
-                Delivery::Exit(reason) => Stop::Exit(reason),
+                Delivery::Exit => Stop::Exit,
                 Delivery::Fatal => Stop::TripleFault,
             }
         }
@@ -817,16 +833,14 @@ fn run_blocks(
 
 /// Mirrors what the block cache counted during one `run_*` call into
 /// the tracer's metrics registry, keyed by the TLB tag like
-/// [`nova_trace::names::TLB_FILLS`].
+/// [`nova_trace::names::TLB_FILLS`]. Called only while tracing is on.
+#[cold]
 fn publish_decode_stats(
     bus: &mut DeviceBus,
     vpid: u16,
     before: DecodeCacheStats,
     blocks: &BlockCache,
 ) {
-    if !bus.trace.active() {
-        return;
-    }
     use nova_trace::names;
     let now = blocks.stats;
     for (name, delta) in [
@@ -857,9 +871,11 @@ pub fn run_native(
     clock: &mut Cycles,
     budget: Option<Cycles>,
 ) -> NativeStop {
-    let before = cpu.blocks.stats;
+    let before = bus.trace.active().then_some(cpu.blocks.stats);
     let stop = native_loop(cpu, mem, bus, cost, clock, budget);
-    publish_decode_stats(bus, 0, before, &cpu.blocks);
+    if let Some(before) = before {
+        publish_decode_stats(bus, 0, before, &cpu.blocks);
+    }
     stop
 }
 
@@ -874,6 +890,7 @@ fn native_loop(
     let deadline = budget.map(|b| *clock + b);
     // One environment for the whole call: `mmu` follows the register
     // file because every CR write goes through `Env::write_cr`.
+    let mut no_exit = ExitReason::Preempt;
     let mut env = CpuEnv {
         tlb: &mut cpu.tlb,
         mem,
@@ -882,6 +899,7 @@ fn native_loop(
         clock,
         mmu: MmuRegs::from_regs(&cpu.regs),
         guest: None,
+        exit: &mut no_exit,
         bus_touched: false,
     };
     loop {
@@ -936,12 +954,13 @@ fn native_loop(
             Stop::Halt => cpu.halted = true,
             Stop::StiShadow => cpu.sti_shadow = true,
             Stop::TripleFault => return NativeStop::TripleFault,
-            Stop::Exit(_) => unreachable!("no VM exits in native mode"),
+            Stop::Exit => unreachable!("no VM exits in native mode"),
         }
     }
 }
 
-/// Enters the guest described by `vmcs` and runs until a VM exit.
+/// Enters the guest described by `vmcs` and runs until a VM exit,
+/// whose reason it leaves in `vmcs.exit`.
 ///
 /// Guest register state lives in `vmcs.guest`. The hardware-side
 /// effects of entry/exit are modeled here (injection, STI shadow,
@@ -956,19 +975,20 @@ pub fn run_guest(
     clock: &mut Cycles,
     vmcs: &mut Vmcs,
     quantum: Option<Cycles>,
-) -> ExitReason {
+) {
     let vpid = vmcs.vpid;
-    let before = cpu.blocks.stats;
+    let before = bus.trace.active().then_some(cpu.blocks.stats);
     // Untagged TLB: entry and exit flush everything.
     if vpid == 0 {
         cpu.tlb.flush_all();
     }
-    let reason = guest_loop(cpu, mem, bus, cost, clock, vmcs, quantum);
+    guest_loop(cpu, mem, bus, cost, clock, vmcs, quantum);
     if vpid == 0 {
         cpu.tlb.flush_all();
     }
-    publish_decode_stats(bus, vpid, before, &cpu.blocks);
-    reason
+    if let Some(before) = before {
+        publish_decode_stats(bus, vpid, before, &cpu.blocks);
+    }
 }
 
 fn guest_loop(
@@ -979,7 +999,7 @@ fn guest_loop(
     clock: &mut Cycles,
     vmcs: &mut Vmcs,
     quantum: Option<Cycles>,
-) -> ExitReason {
+) {
     let mut env = CpuEnv {
         tlb: &mut cpu.tlb,
         mem,
@@ -997,6 +1017,7 @@ fn guest_loop(
             io_passthrough: &vmcs.io_passthrough,
             tsc_offset: vmcs.tsc_offset,
         }),
+        exit: &mut vmcs.exit,
         bus_touched: false,
     };
 
@@ -1005,13 +1026,13 @@ fn guest_loop(
         vmcs.halted = false;
         match deliver(&mut vmcs.guest, &mut env, inj.vector, inj.error_code) {
             Delivery::Done => {}
-            Delivery::Exit(reason) => {
+            Delivery::Exit => {
                 // Retry the injection after the hypervisor services
                 // the fault (a shadow-table fill, typically).
                 vmcs.injection = Some(inj);
-                return reason;
+                return;
             }
-            Delivery::Fatal => return ExitReason::TripleFault,
+            Delivery::Fatal => return *env.exit = ExitReason::TripleFault,
         }
     }
 
@@ -1024,15 +1045,15 @@ fn guest_loop(
         // The debug-exit device stops the machine; hand control back
         // (the caller observes `bus.ctl.shutdown`).
         if env.bus.ctl.shutdown.is_some() {
-            return ExitReason::Preempt;
+            return *env.exit = ExitReason::Preempt;
         }
 
         if vmcs.recall_pending {
             vmcs.recall_pending = false;
-            return ExitReason::Recall;
+            return *env.exit = ExitReason::Recall;
         }
         if deadline.is_some_and(|d| *env.clock >= d) {
-            return ExitReason::Preempt;
+            return *env.exit = ExitReason::Preempt;
         }
 
         // Physical interrupts: exit (full virtualization) or deliver
@@ -1042,7 +1063,7 @@ fn guest_loop(
         if env.bus.pic.intr() {
             if vmcs.intercept_extint {
                 if let Some(vec) = env.bus.pic.ack() {
-                    return ExitReason::ExtInt { vector: vec };
+                    return *env.exit = ExitReason::ExtInt { vector: vec };
                 }
             } else if !shadow_was && vmcs.guest.if_set() {
                 if let Some(vec) = env.bus.pic.ack() {
@@ -1050,14 +1071,14 @@ fn guest_loop(
                     *env.clock += IRQ_DELIVERY_CYCLES;
                     match deliver(&mut vmcs.guest, &mut env, vec, None) {
                         Delivery::Done => {}
-                        Delivery::Exit(reason) => {
+                        Delivery::Exit => {
                             vmcs.injection = Some(Injection {
                                 vector: vec,
                                 error_code: None,
                             });
-                            return reason;
+                            return;
                         }
-                        Delivery::Fatal => return ExitReason::TripleFault,
+                        Delivery::Fatal => return *env.exit = ExitReason::TripleFault,
                     }
                 }
             }
@@ -1066,7 +1087,7 @@ fn guest_loop(
         // Interrupt-window exiting.
         if vmcs.intwin_exit && !shadow_was && vmcs.guest.if_set() {
             vmcs.intwin_exit = false;
-            return ExitReason::IntWindow;
+            return *env.exit = ExitReason::IntWindow;
         }
 
         // Halted guest (HLT not intercepted): idle until an event.
@@ -1078,7 +1099,7 @@ fn guest_loop(
                     *env.clock = due;
                     continue;
                 }
-                None => return ExitReason::TripleFault,
+                None => return *env.exit = ExitReason::TripleFault,
             }
         }
 
@@ -1094,8 +1115,8 @@ fn guest_loop(
             Stop::Outer => {}
             Stop::Halt => vmcs.halted = true,
             Stop::StiShadow => vmcs.sti_shadow = true,
-            Stop::Exit(reason) => return reason,
-            Stop::TripleFault => return ExitReason::TripleFault,
+            Stop::Exit => return,
+            Stop::TripleFault => return *env.exit = ExitReason::TripleFault,
         }
     }
 }
@@ -1167,7 +1188,8 @@ mod tests {
             &mut m.clock,
             v,
             quantum,
-        )
+        );
+        v.exit
     }
 
     #[test]
@@ -1181,6 +1203,72 @@ mod tests {
         let exit = run(&mut m, &mut v, None);
         assert_eq!(exit, ExitReason::Cpuid { len: 2 });
         assert_eq!(v.guest.eip, 0x1001, "EIP points AT the instruction");
+    }
+
+    /// One vCPU under shadow paging through three exits in a row, each
+    /// reporting its own reason in `vmcs.exit`: a `div` by zero whose
+    /// #DE delivery misses the shadow table on the IDT page, then (the
+    /// page filled) on the stack page — exits raised inside delivery,
+    /// `stop_for`'s `Delivery::Exit` arm — and, both filled, the
+    /// handler's CPUID intercepted on the next entry. After every exit
+    /// the registers, the clock and the reason are what the
+    /// per-instruction reference leaves.
+    #[test]
+    fn each_exit_parks_its_own_reason() {
+        const PD: u64 = 0x20_0000;
+        const PT: u64 = 0x20_1000;
+        let build = || {
+            let mut m = machine();
+            let mut a = Asm::new(0x1000);
+            a.xor_rr(Reg::Ebx, Reg::Ebx);
+            a.mov_ri(Reg::Eax, 1);
+            a.div_r(Reg::Ebx);
+            let mut h = Asm::new(0x1800);
+            h.cpuid();
+            h.hlt();
+            m.mem.write_bytes(0x1000, &a.finish());
+            m.mem.write_bytes(0x1800, &h.finish());
+            // Gate 0 (#DE) -> 0x1800.
+            m.mem.write_u32(0x5000, 0x0008_1800);
+            m.mem.write_u32(0x5004, 0x8e00);
+            // The shadow table maps the code page only.
+            m.mem.write_u32(PD, PT as u32 | 7);
+            m.mem.write_u32(PT + 4, 0x1000 | 7);
+            let mut v = Vmcs::new_shadow(PD, 1);
+            v.guest = Regs::at(0x1000);
+            v.guest.set(Reg::Esp, 0x8000);
+            v.guest.idt_base = 0x5000;
+            v.guest.idt_limit = 0x7ff;
+            (m, v)
+        };
+        let (mut m, mut v) = build();
+        let (mut r, mut rv) = build();
+        let mut exits = Vec::new();
+        for fill in [Some(0x5000u64), Some(0x7000), None] {
+            let exit = run(&mut m, &mut v, None);
+            let cost = r.cost;
+            let (cpu, mem, bus) = (&mut r.cpus[0], &mut r.mem, &mut r.bus);
+            let want =
+                oracle::reference::run_guest(cpu, mem, bus, &cost, &mut r.clock, &mut rv, None);
+            assert_eq!(exit, want, "exit {}", exits.len());
+            assert_eq!((&v.guest, m.clock), (&rv.guest, r.clock));
+            exits.push(exit);
+            if let Some(page) = fill {
+                for m in [&mut m, &mut r] {
+                    m.mem.write_u32(PT + (page >> 12) * 4, page as u32 | 7);
+                }
+            }
+        }
+        let pf_at = |e: &ExitReason| match *e {
+            ExitReason::PageFault { addr, .. } => Some(addr),
+            _ => None,
+        };
+        assert_eq!(
+            exits.iter().map(pf_at).collect::<Vec<_>>()[..2],
+            [Some(0x5000), Some(0x7ffc)]
+        );
+        assert_eq!(exits[2], ExitReason::Cpuid { len: 2 });
+        assert_eq!(v.guest.eip, 0x1800, "in the handler, at its CPUID");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use nova_x86::reg::{cr0, flags, vector, Reg8};
 use nova_x86::Asm;
 
 /// The per-instruction reference interpreter.
-mod reference {
+pub(super) mod reference {
     use super::super::*;
 
     /// Fetches and decodes the instruction at `eip` from memory.
@@ -54,6 +54,7 @@ mod reference {
         budget: Option<Cycles>,
     ) -> NativeStop {
         let deadline = budget.map(|b| *clock + b);
+        let mut no_exit = ExitReason::Preempt;
         macro_rules! env {
             () => {
                 CpuEnv {
@@ -64,6 +65,7 @@ mod reference {
                     clock,
                     mmu: MmuRegs::from_regs(&cpu.regs),
                     guest: None,
+                    exit: &mut no_exit,
                     bus_touched: false,
                 }
             };
@@ -125,7 +127,7 @@ mod reference {
                         _ => return NativeStop::TripleFault,
                     }
                 }
-                Err(CpuErr::Exit(_)) => unreachable!("no VM exits in native mode"),
+                Err(CpuErr::Exit) => unreachable!("no VM exits in native mode"),
             }
         }
     }
@@ -169,6 +171,10 @@ mod reference {
             io_passthrough: &vmcs.io_passthrough,
             tsc_offset: vmcs.tsc_offset,
         };
+        // The reason an access parked (a fill's nested violation or
+        // shadow #PF); returned by value, so the reference does not
+        // share the executor's `vmcs.exit` bookkeeping.
+        let mut parked = ExitReason::Preempt;
         macro_rules! env {
             () => {
                 CpuEnv {
@@ -179,6 +185,7 @@ mod reference {
                     clock,
                     mmu: MmuRegs::from_regs(&vmcs.guest),
                     guest: Some(ctl),
+                    exit: &mut parked,
                     bus_touched: false,
                 }
             };
@@ -189,9 +196,9 @@ mod reference {
             let mut env = env!();
             match deliver(&mut vmcs.guest, &mut env, inj.vector, inj.error_code) {
                 Delivery::Done => {}
-                Delivery::Exit(reason) => {
+                Delivery::Exit => {
                     vmcs.injection = Some(inj);
-                    return reason;
+                    return parked;
                 }
                 Delivery::Fatal => return ExitReason::TripleFault,
             }
@@ -228,12 +235,12 @@ mod reference {
                         let mut env = env!();
                         match deliver(&mut vmcs.guest, &mut env, vec, None) {
                             Delivery::Done => {}
-                            Delivery::Exit(reason) => {
+                            Delivery::Exit => {
                                 vmcs.injection = Some(Injection {
                                     vector: vec,
                                     error_code: None,
                                 });
-                                return reason;
+                                return parked;
                             }
                             Delivery::Fatal => return ExitReason::TripleFault,
                         }
@@ -261,7 +268,7 @@ mod reference {
             let mut env = env!();
             let step = fetch(&mut env, vmcs.guest.eip).and_then(|insn| {
                 if let Some(reason) = intercept(&insn, &vmcs.guest, &ctl) {
-                    return Err(CpuErr::Exit(reason));
+                    return Err(env.exit(reason));
                 }
                 execute(&insn, &mut vmcs.guest, &mut env)
             });
@@ -272,7 +279,7 @@ mod reference {
                 Ok(Exec::Normal) | Ok(Exec::RepContinue) => {}
                 Ok(Exec::Halt) => vmcs.halted = true,
                 Ok(Exec::StiShadow) => vmcs.sti_shadow = true,
-                Err(CpuErr::Exit(reason)) => return reason,
+                Err(CpuErr::Exit) => return parked,
                 Err(CpuErr::Fault(f)) => {
                     if let Fault::Page { addr, .. } = f {
                         vmcs.guest.cr2 = addr;
@@ -280,7 +287,7 @@ mod reference {
                     let mut env = env!();
                     match deliver(&mut vmcs.guest, &mut env, f.vector(), f.error_code()) {
                         Delivery::Done => {}
-                        Delivery::Exit(reason) => return reason,
+                        Delivery::Exit => return parked,
                         Delivery::Fatal => return ExitReason::TripleFault,
                     }
                 }
@@ -904,7 +911,8 @@ impl World {
                     let exit = if reference {
                         reference::run_guest(cpu, mem, bus, &cost, clock, vmcs, slice)
                     } else {
-                        run_guest(cpu, mem, bus, &cost, clock, vmcs, slice)
+                        run_guest(cpu, mem, bus, &cost, clock, vmcs, slice);
+                        vmcs.exit
                     };
                     trace.push(self.snapshot(format!("{exit:?}")));
                     if self.m.bus.ctl.shutdown.is_some() || exit == ExitReason::TripleFault {

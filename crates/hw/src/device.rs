@@ -385,6 +385,7 @@ impl DeviceBus {
     }
 
     /// The due time of the next pending device event.
+    #[inline]
     pub fn next_event_due(&self) -> Option<Cycles> {
         self.events.next_due()
     }

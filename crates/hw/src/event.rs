@@ -61,6 +61,7 @@ impl EventQueue {
     }
 
     /// The due time of the earliest pending event.
+    #[inline]
     pub fn next_due(&self) -> Option<Cycles> {
         self.heap.peek().map(|e| e.0.due)
     }

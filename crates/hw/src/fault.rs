@@ -159,6 +159,7 @@ impl FaultInjector {
 
     /// Consults the plan at a fault site: returns `true` if the fault
     /// should be injected now, recording it in the counters and trace.
+    #[inline]
     pub fn roll(&mut self, now: Cycles, kind: FaultKind, detail: u64) -> bool {
         let k = kind as usize;
         let rate = self.plan.rate[k];

@@ -178,7 +178,13 @@ impl DualPic {
     }
 
     /// `true` if any unmasked interrupt is pending (the INTR pin).
+    /// With both request registers empty nothing is, whatever the
+    /// masks and in-service bits say.
+    #[inline]
     pub fn intr(&self) -> bool {
+        if self.master.irr | self.slave.irr == 0 {
+            return false;
+        }
         self.master_best()
             .is_some_and(|l| l != 2 || self.slave.best().is_some())
     }

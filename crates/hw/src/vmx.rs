@@ -246,6 +246,10 @@ pub struct Vmcs {
     pub recall_pending: bool,
     /// TSC offset added to RDTSC results.
     pub tsc_offset: u64,
+    /// Exit-information field: why the last VM exit happened. The CPU
+    /// writes it once per exit, where the exit is raised; the
+    /// hypervisor reads it in place (VT-x's exit-reason field).
+    pub exit: ExitReason,
 }
 
 impl Vmcs {
@@ -269,6 +273,7 @@ impl Vmcs {
             quantum: None,
             recall_pending: false,
             tsc_offset: 0,
+            exit: ExitReason::Preempt,
         }
     }
 

@@ -1208,7 +1208,7 @@ impl<'a> RootOps<'a> {
         self.k
             .hypercall(self.ctx, pd)
             .map_err(RespawnError::step("pd create"))?;
-        let pd = PdId(self.k.obj.pds.len() - 1);
+        let pd = PdId((self.k.obj.pds.len() - 1) as u32);
         for &g in grants {
             let (hc, step) = match g {
                 Grant::Mem {

@@ -53,6 +53,19 @@ pub struct SpecialPorts {
     pub ipis: Vec<u8>,
 }
 
+impl SpecialPorts {
+    /// `true` if no effect waits.
+    pub fn is_empty(&self) -> bool {
+        let SpecialPorts {
+            exit_code,
+            marks,
+            ap_starts,
+            ipis,
+        } = self;
+        exit_code.is_none() && marks.is_empty() && ap_starts.is_empty() && ipis.is_empty()
+    }
+}
+
 /// Guest debug-exit port.
 pub const PORT_EXIT: u16 = 0xf4;
 /// Guest benchmark-mark port.
@@ -63,25 +76,13 @@ pub const PORT_AP_START: u16 = 0x99;
 pub const PORT_IPI: u16 = 0x9a;
 
 /// A register of a virtual MMIO window: the AHCI page's, the PV page's
-/// FEAT, a PV queue's, or a PV offset that names nothing.
+/// FEAT, an offered PV queue's, or a PV offset that names nothing the
+/// VM was offered.
 enum Window {
     Ahci(u32),
     Feat,
     Pv(Queue, Reg),
     Unassigned,
-}
-
-/// The register `gpa` names, if it falls in a window.
-fn window(gpa: u64) -> Option<Window> {
-    if (AHCI_BASE..AHCI_BASE + 0x1000).contains(&gpa) {
-        return Some(Window::Ahci((gpa - AHCI_BASE) as u32));
-    }
-    let off = gpa.checked_sub(PV_BASE).filter(|&off| off < PV_SIZE)?;
-    Some(match pvqueue::decode(off) {
-        Some((q, reg)) => Window::Pv(q, reg),
-        None if off == pv::regs::FEAT => Window::Feat,
-        None => Window::Unassigned,
-    })
 }
 
 /// The kernel-free chips of a PC — interrupt controller, PIT, UART,
@@ -333,21 +334,42 @@ impl VDevices {
         self.pvdisk.q.fatal.take().or_else(|| net?.take())
     }
 
-    /// `true` if `gpa` belongs to a virtual MMIO window.
-    pub fn owns_gpa(&self, gpa: u64) -> bool {
-        window(gpa).is_some()
+    /// `true` if FEAT offers queue `q`: the disk queue once its channel
+    /// is attached, the NIC's if the VM has one.
+    fn offers(&self, q: Queue) -> bool {
+        match q {
+            Queue::Disk => self.pvdisk.disk.attached(),
+            Queue::Net => self.pvnet.is_some(),
+        }
     }
 
-    /// Guest MMIO read. FEAT offers the queues that are attached: the
-    /// disk queue's channel, the NIC.
+    /// The register `gpa` names, if it falls in a window. The registers
+    /// of a queue FEAT does not offer name nothing: they read 0 and
+    /// drop writes, as an unassigned offset does.
+    fn window(&self, gpa: u64) -> Option<Window> {
+        if (AHCI_BASE..AHCI_BASE + 0x1000).contains(&gpa) {
+            return Some(Window::Ahci((gpa - AHCI_BASE) as u32));
+        }
+        let off = gpa.checked_sub(PV_BASE).filter(|&off| off < PV_SIZE)?;
+        Some(match pvqueue::decode(off) {
+            Some((q, reg)) if self.offers(q) => Window::Pv(q, reg),
+            None if off == pv::regs::FEAT => Window::Feat,
+            _ => Window::Unassigned,
+        })
+    }
+
+    /// `true` if `gpa` belongs to a virtual MMIO window.
+    pub fn owns_gpa(&self, gpa: u64) -> bool {
+        self.window(gpa).is_some()
+    }
+
+    /// Guest MMIO read. FEAT offers the queues that are attached.
     pub fn mmio_read(&self, gpa: u64, size: OpSize) -> u32 {
         let net = self.pvnet.as_ref().map(|n| &n.q);
-        match window(gpa) {
+        let feat = |q, bit| if self.offers(q) { bit } else { 0 };
+        match self.window(gpa) {
             Some(Window::Ahci(off)) => self.vahci.regs.read(off),
-            Some(Window::Feat) => {
-                let disk = self.pvdisk.disk.attached().then_some(pv::FEAT_DISK);
-                disk.unwrap_or(0) | net.map_or(0, |_| pv::FEAT_NET)
-            }
+            Some(Window::Feat) => feat(Queue::Disk, pv::FEAT_DISK) | feat(Queue::Net, pv::FEAT_NET),
             Some(Window::Pv(Queue::Disk, Reg::Isr)) => self.pvdisk.q.isr,
             Some(Window::Pv(Queue::Net, Reg::Isr)) => net.map_or(0, |q| q.isr),
             Some(Window::Pv(..) | Window::Unassigned) => 0,
@@ -357,7 +379,7 @@ impl VDevices {
 
     /// Guest MMIO write; a queue that asks for it has its line pulsed.
     pub fn mmio_write(&mut self, k: &mut Kernel, ctx: CompCtx, gpa: u64, size: OpSize, val: u32) {
-        match window(gpa) {
+        match self.window(gpa) {
             Some(Window::Ahci(off)) => self.vahci.mmio_write(k, ctx, off, size, val),
             Some(Window::Pv(q, reg)) => {
                 let raise = match q {
@@ -377,6 +399,10 @@ impl VDevices {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nova_core::KernelConfig;
+    use nova_hw::machine::{Machine, MachineConfig};
+    use nova_hw::pv::regs;
+    use nova_user::RootPm;
 
     fn vpci() -> PciConfig {
         PciConfig::new(&[nova_hw::machine::AHCI_FUNCTION])
@@ -414,5 +440,40 @@ mod tests {
         }
         p.write(0xcf8, 0x8000_0000 | 2 << 11);
         assert_eq!(p.read(0xcfd, OpSize::Byte), 0x80, "bus 0 function 0 does");
+    }
+
+    /// A VM given no PV queue: the queues' registers name nothing. The
+    /// disk ring pointed somewhere and its doorbell rung leave the
+    /// backend as it was, and every queue register reads 0, as an
+    /// unassigned offset does.
+    #[test]
+    fn an_unoffered_queue_decodes_nothing() {
+        let m = Machine::new(MachineConfig::core_i7(64 << 20));
+        let mut k = Kernel::new(m, KernelConfig::default());
+        let (rc, re) = k.load_component(k.root_pd, 0, Box::new(RootPm::new()));
+        k.start_component(rc, re);
+        let ctx = k.component_mut::<RootPm>(rc).unwrap().ctx.unwrap();
+        let (pvdisk, size) = (PvDisk::new(1024), OpSize::Dword);
+        let mut dev = VDevices::new(2_670_000_000, 0, VAhci::new(1024), pvdisk, None);
+        let at = |r| PV_BASE + r;
+        assert_eq!(dev.mmio_read(at(regs::FEAT), size), 0, "nothing offered");
+
+        dev.mmio_write(&mut k, ctx, at(regs::DISK_RING), size, 0x1_0000);
+        dev.mmio_write(&mut k, ctx, at(regs::DISK_DOORBELL), size, 4);
+        dev.mmio_write(&mut k, ctx, at(regs::NET_DOORBELL), size, 4);
+        let d = &dev.pvdisk;
+        assert_eq!((d.doorbells, d.requests, d.completions), (0, 0, 0));
+        assert!(d.disk.reqs().is_empty() && dev.take_fatal().is_none());
+        for r in [
+            regs::DISK_RING,
+            regs::DISK_DOORBELL,
+            regs::DISK_ISR,
+            regs::NET_RING,
+            regs::NET_DOORBELL,
+            regs::NET_ISR,
+        ] {
+            assert!(dev.owns_gpa(at(r)), "the PV page is the VMM's");
+            assert_eq!(dev.mmio_read(at(r), size), 0, "offset {r:#x}");
+        }
     }
 }

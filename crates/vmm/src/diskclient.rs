@@ -444,7 +444,7 @@ pub(crate) mod tests {
             dst: 10,
         };
         k.hypercall(ctx, pd).unwrap();
-        let pd = PdId(k.obj.pds.len() - 1);
+        let pd = PdId((k.obj.pds.len() - 1) as u32);
         let (comp, ec) = k.load_component(pd, 0, Box::new(Stub(Vec::new())));
         k.start_component(comp, ec);
         let pt = Hypercall::CreatePt {

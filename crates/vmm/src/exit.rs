@@ -62,10 +62,10 @@ pub enum Exit {
 pub fn handle<H: ExitHost>(
     host: &mut H,
     guest_pages: u64,
-    reason: ExitReason,
+    reason: &ExitReason,
     regs: &mut Regs,
 ) -> Exit {
-    let (len, exit) = match reason {
+    let (len, exit) = match *reason {
         ExitReason::Cpuid { len } => {
             host.charge(|c| c.emul_simple);
             let r = virtual_cpuid(host.ident(), regs.get(Reg::Eax));

@@ -222,7 +222,7 @@ impl System {
                     .pds
                     .iter()
                     .position(|p| p.is_vm())
-                    .expect("the VMM created a VM domain"),
+                    .expect("the VMM created a VM domain") as u32,
             );
             let dev_list = [
                 opts.direct_disk.then_some(ahci_dev),

@@ -178,9 +178,9 @@ impl MicrorebootRecipe {
         cfg.direct_mmio.push((vga, vga, 1));
         cfg.disk = disk_slot.is_some();
         MicrorebootRecipe {
-            vmm: CompId(usize::MAX),
+            vmm: CompId(u16::MAX),
             vmm_sel: 0,
-            vmm_pd: PdId(usize::MAX),
+            vmm_pd: PdId(u32::MAX),
             frames,
             cfg,
             grants,

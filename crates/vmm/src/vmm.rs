@@ -353,6 +353,9 @@ impl Vmm {
     fn apply_special(&mut self, k: &mut Kernel, ctx: CompCtx, current_vcpu: usize) {
         let special: SpecialPorts = {
             let dev = self.dev.as_mut().expect("devices");
+            if dev.legacy.special.is_empty() {
+                return;
+            }
             std::mem::take(&mut dev.legacy.special)
         };
         // Record marks for harnesses (forwarded below exactly once).
@@ -397,8 +400,10 @@ impl Vmm {
     /// the kernel-protection check before it, the reply descriptor, the
     /// out-of-band port effects and the kill path after it, and the
     /// injection rule last.
+    /// The message is read and the reply written in place, in the
+    /// UTCB the kernel filled.
     fn handle_exit(&mut self, k: &mut Kernel, ctx: CompCtx, vcpu: usize, utcb: &mut Utcb) {
-        let Some(mut msg) = utcb.vm.take() else {
+        let Some(msg) = utcb.vm.as_mut() else {
             return;
         };
         let reason_idx = msg.reason.index() as u64;
@@ -422,7 +427,7 @@ impl Vmm {
                 let fault = GuestFault::ProtectedRangeWrite;
                 Some(Exit::Kill(VmKill::new(GuestSurface::GuestMemory, fault)))
             }
-            reason => {
+            ref reason => {
                 let dev = self.dev.as_mut().expect("devices");
                 let (host, pages) = (&mut VmmHost { k, ctx, dev }, self.cfg.guest_pages);
                 Some(exit::handle(host, pages, reason, &mut msg.regs))
@@ -476,7 +481,6 @@ impl Vmm {
         let at = k.now();
         let trace = &mut k.machine.bus.trace;
         trace.end(0, pd16, TraceKind::VmmEmulate, reason_idx, at);
-        utcb.vm = Some(msg);
     }
 
     /// Handles a disk-server restart notification: each disk channel

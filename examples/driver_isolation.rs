@@ -66,7 +66,7 @@ fn main() {
     // (e.g. when tearing the VM down). Afterwards the device cannot
     // touch them either: revocation propagated to the IOMMU.
     let vmm_pd =
-        nova::hypervisor::PdId(sys.k.obj.pds.iter().position(|p| p.name == "vmm").unwrap());
+        nova::hypervisor::PdId(sys.k.obj.pds.iter().position(|p| p.name == "vmm").unwrap() as u32);
     let vmm_ctx = nova::hypervisor::CompCtx {
         pd: vmm_pd,
         ec: nova::hypervisor::EcId(0),

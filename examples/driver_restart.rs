@@ -49,7 +49,7 @@ fn main() {
             .pds
             .iter()
             .position(|pd| pd.name == "disk-server")
-            .expect("disk-server PD"),
+            .expect("disk-server PD") as u32,
     );
     sys.k.pd_fault(srv_pd, 0xdead);
     println!("\n*** disk server killed (PD fault) mid-workload ***\n");

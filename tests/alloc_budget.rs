@@ -230,6 +230,34 @@ fn a_vm_exit_allocates_nothing_in_steady_state() {
     steady_slice_allocates_nothing(sys, "exits", |c| c.total_exits());
 }
 
+/// The same exits with a kernel timer firing among them: the guest
+/// programs its virtual PIT at 10 kHz, so the VMM arms a kernel timer
+/// that `Kernel::fire_timers` signals about every 267 k cycles, and the
+/// VMM injects the tick. `LaunchOptions::standard` also arms the
+/// hypervisor's own 1 kHz scheduling timer, as every benchmark workload
+/// does. The checked slice then covers a timer's firing, its semaphore
+/// signal, the VMM's activation and the injection without one
+/// allocation. (A `Vec` allocated per firing in `fire_timers` passed
+/// the slice above, which arms no kernel timer, and fails this one.)
+#[test]
+fn a_vm_exit_allocates_nothing_with_a_kernel_timer_firing() {
+    let params = OsParams {
+        timer_divisor: Some(119),
+        ..OsParams::minimal()
+    };
+    let prog = build_os(params, |a, _| {
+        let top = a.here_label();
+        a.mov_ri(Reg::Eax, 0);
+        a.cpuid();
+        a.mov_ri(Reg::Edx, 0x3fd);
+        a.in_al_dx();
+        a.jmp(top);
+    });
+    let opts = LaunchOptions::standard(VmmConfig::full_virt(prog, 1024));
+    assert_eq!(opts.kernel.scheduler_timer_hz, Some(1000));
+    steady_slice_allocates_nothing(System::build(opts), "timer injections", |c| c.injected_virq);
+}
+
 /// The trapped-MMIO disk path end to end — the guest's vAHCI exits,
 /// the VMM's requests to the disk server, the server's commands and
 /// completions — allocates nothing once the first requests have sized

@@ -288,7 +288,7 @@ fn driver_crash_mid_workload_recovers_end_to_end() {
             .pds
             .iter()
             .position(|pd| pd.name == "disk-server")
-            .unwrap(),
+            .unwrap() as u32,
     );
     sys.k.pd_fault(srv_pd, 0xdead);
     assert_eq!(sys.k.counters.pd_deaths, 1);
@@ -498,7 +498,7 @@ fn restart_revokes_iommu_mappings_and_client_reregisters() {
             .pds
             .iter()
             .position(|pd| pd.name == "disk-server")
-            .unwrap(),
+            .unwrap() as u32,
     );
     r.k.pd_fault(srv_pd, 0xdead);
     let before = client_signals(&mut r);

@@ -41,7 +41,7 @@ pub fn reader_guest(requests: u32) -> VmmConfig {
 /// acts as that VMM would if it were compromised.
 pub fn vmm_ctx(sys: &System, vmm: CompId) -> CompCtx {
     let ec = sys.k.obj.ecs.iter().position(|e| e.comp == Some(vmm));
-    let ec = nova_core::EcId(ec.expect("the VMM's main EC"));
+    let ec = nova_core::EcId(ec.expect("the VMM's main EC") as u16);
     CompCtx {
         pd: sys.k.obj.ec(ec).pd,
         ec,

@@ -94,7 +94,8 @@ fn enter_for(m: &mut Machine, v: &mut Vmcs, quantum: u64) -> ExitReason {
         &mut m.clock,
         v,
         Some(quantum),
-    )
+    );
+    v.exit
 }
 
 /// (a) Self-modifying guest: a store into a *later* instruction of the
@@ -887,14 +888,14 @@ fn frames_reused_by_a_new_pd_after_destroy_run_the_new_code() {
             },
         )
         .unwrap();
-        let vcpu = nova_core::EcId(k.obj.ecs.len() - 1);
+        let vcpu = nova_core::EcId((k.obj.ecs.len() - 1) as u16);
 
         let mut a = Asm::new(CODE);
         a.mov_mi(MemRef::abs(MARK), value);
         a.hlt();
         k.machine.mem.write_bytes(HOST + CODE as u64, &a.finish());
         k.machine.mem.write_u32(HOST + MARK as u64, 0);
-        let vmcs = k.obj.ecs[vcpu.0].vmcs_mut().unwrap();
+        let vmcs = k.obj.ecs[vcpu.0 as usize].vmcs_mut().unwrap();
         vmcs.guest = Regs::at(CODE);
         vmcs.guest.set(Reg::Esp, STACK);
 

@@ -119,13 +119,13 @@ fn hostile_pv_disk_ring_sweep() {
     sweep(Surface::PvDiskRing);
 }
 
-/// The PV disk queue of a VM given none: FEAT does not offer it and no
-/// channel is attached, so nothing is sent. A guest that fills the
-/// ring with valid reads and rings it ten times over leaves one ring's
-/// worth of descriptors in the VMM, the nine doorbells past it counted
-/// rejections: guest input does not grow the VMM's heap.
+/// The PV disk queue of a VM given none: FEAT does not offer it, so its
+/// registers name nothing — they read 0 and drop writes, as an
+/// unassigned offset does. A guest that fills the ring with valid reads
+/// and rings it ten times over leaves the VMM as it was: no descriptor
+/// tracked, no doorbell counted, nothing to reject.
 #[test]
-fn an_unoffered_pv_disk_queue_holds_one_ring() {
+fn an_unoffered_pv_disk_queue_is_refused() {
     const DOORBELLS: u64 = 10;
     let (base, ring) = (pv::PV_BASE as u32, layout::PV_DISK_RING);
     let program = build_os(OsParams::minimal(), |a, _| {
@@ -146,10 +146,9 @@ fn an_unoffered_pv_disk_queue_holds_one_ring() {
     assert_eq!(sys.run(Some(2_000_000_000)), RunOutcome::Shutdown(0x33));
     let pvdisk = &sys.vmm().dev().pvdisk;
     assert!(!pvdisk.disk.attached(), "no queue was offered");
-    let capacity = pv::disk::CAPACITY as usize;
-    assert_eq!(pvdisk.disk.reqs().len(), capacity, "one ring's worth");
-    assert_eq!(pvdisk.doorbells, DOORBELLS);
-    assert_eq!(sys.k.counters.guest_faults_rejected, DOORBELLS - 1);
+    assert!(pvdisk.disk.reqs().is_empty(), "no descriptor read");
+    assert_eq!((pvdisk.doorbells, pvdisk.requests), (0, 0));
+    assert_eq!(sys.k.counters.guest_faults_rejected, 0);
     assert_eq!(sys.k.check_invariants(), Ok(()));
 }
 
@@ -261,7 +260,9 @@ fn hostile_vm_kill_leaves_sibling_running() {
     let Expect::Kill(kill) = plan.expect else {
         panic!("seed 0 must be a kill plan");
     };
-    let hostile_id = sys.add_vm(VmmConfig::full_virt(plan.program, hostile::GUEST_PAGES));
+    let mut cfg = VmmConfig::full_virt(plan.program, hostile::GUEST_PAGES);
+    cfg.pv_disk = plan.needs.pv_disk;
+    let hostile_id = sys.add_vm(cfg);
 
     // Phase 1: the hostile VM attacks and is killed; its structured
     // exit code surfaces as the shutdown request.
@@ -583,7 +584,9 @@ fn hostile_guest_under_chaos_plan() {
     let Expect::Kill(kill) = plan.expect else {
         panic!("seed 0 must be a kill plan");
     };
-    let hostile_id = sys.add_vm(VmmConfig::full_virt(plan.program, hostile::GUEST_PAGES));
+    let mut cfg = VmmConfig::full_virt(plan.program, hostile::GUEST_PAGES);
+    cfg.pv_disk = plan.needs.pv_disk;
+    let hostile_id = sys.add_vm(cfg);
 
     sys.k.machine.set_fault_plan(
         FaultPlan::seeded(CHAOS_SEED)

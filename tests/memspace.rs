@@ -372,7 +372,7 @@ fn delegation_script(seed: u64, vm_seed: u64) -> u64 {
         let name = name.into();
         k.hypercall(ctx, Hypercall::CreatePd { name, vm, dst })
             .unwrap();
-        PdId(k.obj.pds.len() - 1)
+        PdId((k.obj.pds.len() - 1) as u32)
     };
     let create = |k: &mut Kernel, ctx: CompCtx, name: &str, dst| create_as(k, ctx, name, dst, None);
     // (selector, chunk pages, first host page of the frames it gets);

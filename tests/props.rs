@@ -298,7 +298,7 @@ fn mdb_revoke_subtree_exact() {
         for (i, p) in parents.iter().enumerate() {
             let child = i + 1;
             let parent = *p % child;
-            db.delegate((parent, 0), (child, 0));
+            db.delegate((parent as u32, 0), (child as u32, 0));
         }
         let total = db.len();
         assert_eq!(total, 16);
@@ -324,7 +324,7 @@ fn mdb_revoke_subtree_exact() {
         let expected: usize = in_subtree.iter().filter(|x| **x).count();
 
         let mut removed = Vec::new();
-        db.revoke((cut, 0), true, &mut |k| removed.push(k));
+        db.revoke((cut as u32, 0), true, &mut |k| removed.push(k));
         assert_eq!(removed.len(), expected);
         for (owner, _) in removed {
             assert!(!db.contains(owner, 0));
@@ -335,7 +335,7 @@ fn mdb_revoke_subtree_exact() {
 }
 
 /// A `(owner, key)` of the per-key reference below.
-type PageKey = (usize, u64);
+type PageKey = (u32, u64);
 
 /// The mapping database as it was before its nodes became ranges: one
 /// node per `(owner, key)` — the reference `MapDb`'s range nodes must
@@ -430,7 +430,7 @@ fn ranges_agree_with_pages(db: &MapDb<u64>, model: &PageModel, what: &str) {
 /// A revocation removed the same keys from both, and the database's
 /// order puts every key before the key it was derived from.
 fn same_removal(
-    got: &[((usize, u64), u64)],
+    got: &[((u32, u64), u64)],
     want: &[PageKey],
     parents: &BTreeMap<PageKey, Option<PageKey>>,
     what: &str,
@@ -478,12 +478,12 @@ fn mdb_ranges_agree_with_a_per_page_model() {
     let (mut spanning, mut cutting) = (0, 0);
     for seed in 0..scripts {
         let mut rng = Rng::new(0x1010 + seed as u64);
-        let owners = 4 + rng.below(3) as usize;
+        let owners = 4 + rng.below(3) as u32;
         let mut db: MapDb<u64> = MapDb::new();
         let mut model = PageModel::default();
         for step in 0..120 {
             let what = format!("seed {seed} step {step}");
-            let owner = rng.below(owners as u64) as usize;
+            let owner = rng.below(owners as u64) as u32;
             // `owner`'s nodes; a key inside one of them, or anywhere.
             let held: Vec<(u64, u64)> = db
                 .iter()
@@ -505,7 +505,7 @@ fn mdb_ranges_agree_with_a_per_page_model() {
             match rng.below(10) {
                 0..=4 => {
                     let from = (owner, key(&mut rng));
-                    let to = (rng.below(owners as u64) as usize, rng.below(KEYS));
+                    let to = (rng.below(owners as u64) as u32, rng.below(KEYS));
                     let len = 1 + rng.below(16);
                     if len == 1 {
                         let want = model.delegate(from, to);

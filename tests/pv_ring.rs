@@ -162,7 +162,7 @@ fn driver_crash_mid_pv_workload_recovers() {
             .pds
             .iter()
             .position(|pd| pd.name == "disk-server")
-            .unwrap(),
+            .unwrap() as u32,
     );
     sys.k.pd_fault(srv_pd, 0xdead);
     assert_eq!(sys.k.counters.pd_deaths, 1);

@@ -119,7 +119,8 @@ fn compromised_vmm_cannot_reach_other_domains() {
     sys.run(Some(3_000_000_000));
 
     // Forge the VMM's identity (it is PdId of the "vmm" domain).
-    let vmm_pd = nova_core::PdId(sys.k.obj.pds.iter().position(|p| p.name == "vmm").unwrap());
+    let vmm_pd =
+        nova_core::PdId(sys.k.obj.pds.iter().position(|p| p.name == "vmm").unwrap() as u32);
     let vmm_ec = nova_core::EcId(0); // irrelevant for permission checks
     let evil = nova_core::CompCtx {
         pd: vmm_pd,
@@ -195,7 +196,7 @@ fn vm_capability_space_has_only_exit_portals() {
         .pds
         .iter()
         .position(|p| p.is_vm())
-        .map(nova_core::PdId)
+        .map(|i| nova_core::PdId(i as u32))
         .unwrap();
     for (_sel, cap) in sys.k.obj.pd(vm_pd).caps.iter() {
         match cap.obj {
