@@ -25,15 +25,15 @@ impl AddAssign for Loc {
     }
 }
 
-/// Calls `line(text, product)` for every line of code in `src`
-/// (non-blank, non-`//` lines, trimmed; `/* */` blocks tracked across
-/// lines). A `#[cfg(test)]` attribute takes the item it is on out of
-/// the product — further attributes, then either a `;`-terminated line
-/// or everything up to the matching close brace — and a file whose first
-/// line of code is `#![cfg(test)]` is a test module all through. Braces
-/// are counted as characters, which `rustfmt`-ed code with balanced
-/// format strings satisfies.
-fn scan<'a>(src: &'a str, mut line: impl FnMut(&'a str, bool)) {
+/// Calls `line(number, text, product)` for every line of code in `src`
+/// (non-blank, non-`//` lines, trimmed, numbered from 1; `/* */` blocks
+/// tracked across lines). A `#[cfg(test)]` attribute takes the item it
+/// is on out of the product — further attributes, then either a
+/// `;`-terminated line or everything up to the matching close brace —
+/// and a file whose first line of code is `#![cfg(test)]` is a test
+/// module all through. Braces are counted as characters, which
+/// `rustfmt`-ed code with balanced format strings satisfies.
+fn scan<'a>(src: &'a str, mut line: impl FnMut(usize, &'a str, bool)) {
     /// Where the scan is relative to a `#[cfg(test)]` item.
     enum Test {
         Outside,
@@ -45,7 +45,7 @@ fn scan<'a>(src: &'a str, mut line: impl FnMut(&'a str, bool)) {
     let mut in_block = false;
     let mut test = Test::Outside;
     let mut test_file = None;
-    for l in src.lines() {
+    for (n, l) in src.lines().enumerate() {
         let t = l.trim();
         if in_block {
             if t.contains("*/") {
@@ -79,7 +79,7 @@ fn scan<'a>(src: &'a str, mut line: impl FnMut(&'a str, bool)) {
             Test::Body(depth) if depth + opens > closes => Test::Body(depth + opens - closes),
             Test::Body(_) => Test::Outside,
         };
-        line(t, product && !test_file);
+        line(n + 1, t, product && !test_file);
     }
 }
 
@@ -87,7 +87,7 @@ fn scan<'a>(src: &'a str, mut line: impl FnMut(&'a str, bool)) {
 /// items.
 pub fn count_file(src: &str) -> Loc {
     let mut n = Loc::default();
-    scan(src, |_, product| {
+    scan(src, |_, _, product| {
         n.with_tests += 1;
         n.product += product as usize;
     });
@@ -183,7 +183,7 @@ pub fn files_loc<'a>(paths: impl IntoIterator<Item = &'a str>) -> Loc {
 /// The TCB components of this reproduction, mirroring Figure 1's NOVA
 /// bar. `nova_x86` (decoder, executor, paging formats), which the
 /// microhypervisor and the VMM both link, is still counted for neither
-/// row — ROADMAP item 3.
+/// row (ROADMAP: "Count `nova_x86` in a row of the TCB census").
 pub fn nova_tcb() -> Vec<Component> {
     let row = |label, name, linked, privileged| Component {
         label,
@@ -208,7 +208,7 @@ pub fn nova_tcb() -> Vec<Component> {
 /// same however `rustfmt` broke it over lines.
 fn product_text(src: &str) -> String {
     let mut text = String::new();
-    scan(src, |l, product| {
+    scan(src, |_, l, product| {
         if product {
             text.extend(l.split_whitespace());
         }
@@ -216,18 +216,356 @@ fn product_text(src: &str) -> String {
     text
 }
 
-/// `(path, product_text)` of every `.rs` file under `crates/*/src`, in
-/// path order.
-fn product_sources() -> Vec<(String, String)> {
+/// `(path under crates/, source)` of every `.rs` file under
+/// `crates/*/src`, in path order.
+fn crate_sources() -> Vec<(String, String)> {
+    let crates = workspace_root().join("crates");
     let mut out = Vec::new();
-    let crates = std::fs::read_dir(workspace_root().join("crates"));
-    for c in crates.into_iter().flatten().flatten() {
+    for c in std::fs::read_dir(&crates).into_iter().flatten().flatten() {
         each_rs_file(&c.path().join("src"), &mut |p, src| {
-            out.push((p.display().to_string(), product_text(src)));
+            let p = p.strip_prefix(&crates).unwrap_or(p);
+            out.push((p.display().to_string(), src.to_string()));
         });
     }
     out.sort();
     out
+}
+
+/// `(path under crates/, product_text)` of every `.rs` file under
+/// `crates/*/src`, in path order.
+pub fn product_sources() -> Vec<(String, String)> {
+    let mut files = crate_sources();
+    for (_, src) in &mut files {
+        *src = product_text(src);
+    }
+    files
+}
+
+/// How often whitespace-free product text bumps the counter `name`:
+/// directly (`counters.name +=`) or through `Kernel::count`'s field
+/// closure (`&mut c.name`).
+pub fn bumps(text: &str, name: &str) -> usize {
+    let closure = format!("&mutc.{name}");
+    let through_count = text
+        .match_indices(&closure)
+        .filter(|(at, m)| !text[at + m.len()..].starts_with(is_ident))
+        .count();
+    text.matches(&format!("counters.{name}+=")).count() + through_count
+}
+
+/// A "one home" rule: the product lines of `scope` that `matches` are
+/// allowed only under `homes`, and each home still holds one. A rule
+/// with no home is a ban.
+pub struct Home {
+    /// Whether a trimmed line of code names the pattern.
+    pub matches: fn(&str) -> bool,
+    /// Path prefixes under `crates/` the rule reads; empty: all of
+    /// `crates/*/src`.
+    pub scope: &'static [&'static str],
+    /// Path prefixes under `crates/` where the pattern belongs.
+    pub homes: &'static [&'static str],
+    /// The DESIGN.md passage that says why.
+    pub why: &'static str,
+}
+
+/// Whether `l` holds one of `parts`.
+fn has(l: &str, parts: &[&str]) -> bool {
+    parts.iter().any(|p| l.contains(p))
+}
+
+/// Whether `l` names one of `words` with an identifier boundary on
+/// each side.
+fn word(l: &str, words: &[&str]) -> bool {
+    words.iter().any(|w| {
+        l.match_indices(w)
+            .any(|(at, _)| !l[..at].ends_with(is_ident) && !l[at + w.len()..].starts_with(is_ident))
+    })
+}
+
+/// Whether `l` calls one of `fns`: names it after an identifier
+/// boundary and before `(`, other than where it declares it (`fn f(`).
+fn calls(l: &str, fns: &[&str]) -> bool {
+    fns.iter().any(|f| {
+        l.match_indices(f).any(|(at, _)| {
+            let before = &l[..at];
+            l[at + f.len()..].starts_with('(')
+                && !before.ends_with(is_ident)
+                && !before.ends_with("fn ")
+        })
+    })
+}
+
+/// Whether `l` is a `match` arm on one of `consts`: the constant is
+/// followed by `=>` before any `;`, or follows a `|`.
+fn arm(l: &str, consts: &[&str]) -> bool {
+    consts.iter().any(|c| {
+        l.match_indices(c).any(|(at, _)| {
+            let rest = l[at + c.len()..].split(';').next().unwrap_or("");
+            rest.contains("=>") || l[..at].trim_end().ends_with('|')
+        })
+    })
+}
+
+const DEVICES: &str = "DESIGN §4, \"Device models live once in `nova_hw`\"";
+const COMPARATOR: &str = "DESIGN §7, \"The comparator runs the kernel's and the VMM's code\"";
+const PV_DEVICE: &str = "DESIGN §6c, \"One device, two queues\"";
+
+/// Every "one home" rule of the product source, checked by
+/// [`home_faults`].
+pub const HOMES: [Home; 19] = [
+    // One description of each paging format: the large-frame mask of
+    // the two-level format and a nested entry's address and size bits.
+    Home {
+        matches: |l| has(l, &["pte::ADDR_LARGE", "npte::ADDR", "npte::PS"]),
+        scope: &[],
+        homes: &["x86/src/paging.rs"],
+        why: "DESIGN §4, \"Paging formats live in `nova_x86::paging`\"",
+    },
+    // A semaphore's id comes through the caller's capability, never
+    // from the length of the kernel's object table.
+    Home {
+        matches: |l| has(l, &["obj.sms.len()"]),
+        scope: &[],
+        homes: &[],
+        why: "DESIGN §7, \"A component names a semaphore by its own capability\"",
+    },
+    // The AHCI port-0 registers are decoded where `ahci::PortRegs` is.
+    Home {
+        matches: |l| arm(l, &["regs::P0CI", "regs::P0IS"]),
+        scope: &[],
+        homes: &["hw/src/"],
+        why: DEVICES,
+    },
+    // The FIS type byte and the ATA opcodes: the command codec's.
+    Home {
+        matches: |l| word(l, &["0x27", "ATA_READ_DMA_EXT", "ATA_WRITE_DMA_EXT"]),
+        scope: &[],
+        homes: &["hw/src/ahci/cmd.rs"],
+        why: DEVICES,
+    },
+    // The 8254's input clock.
+    Home {
+        matches: |l| has(l, &["PIT_HZ"]),
+        scope: &[],
+        homes: &["hw/src/pit.rs"],
+        why: DEVICES,
+    },
+    // A VMM names no place in the disk server: its window, ring page
+    // and selectors are root's wiring.
+    Home {
+        matches: |l| word(l, &["window_base", "ring_page", "client_sm_sel"]),
+        scope: &["vmm/src/"],
+        homes: &[],
+        why: "DESIGN §7, \"Disk-server DMA windows\"",
+    },
+    // Only root reaches into the disk server or writes a slot's wiring.
+    Home {
+        matches: |l| has(l, &["invoke_component::<DiskServer", "SupervisedClient {"]),
+        scope: &[],
+        homes: &["user/src/root.rs"],
+        why: "DESIGN §6e, \"Each fact a replay needs has one holder\"",
+    },
+    // A guest image is described once ...
+    Home {
+        matches: |l| word(l, &["struct GuestImage"]),
+        scope: &[],
+        homes: &["hw/src/machine.rs"],
+        why: "DESIGN §7, \"One image, one record\"",
+    },
+    // ... and by no second struct.
+    Home {
+        matches: |l| word(l, &["struct Program"]),
+        scope: &[],
+        homes: &[],
+        why: "DESIGN §7, \"One image, one record\"",
+    },
+    // One instruction emulator, which the baseline runs over its own
+    // host ...
+    Home {
+        matches: |l| calls(l, &["emulator_gva_to_gpa"]),
+        scope: &[],
+        homes: &["vmm/src/emu.rs"],
+        why: COMPARATOR,
+    },
+    // ... beside the interpreter, the one other `x86::exec::Env` ...
+    Home {
+        matches: |l| word(l, &["impl"]) && word(l, &["Env for"]),
+        scope: &[],
+        homes: &["hw/src/cpu.rs", "vmm/src/emu.rs"],
+        why: COMPARATOR,
+    },
+    // ... and one builder of large nested leaves.
+    Home {
+        matches: |l| calls(l, &["map_large"]),
+        scope: &[],
+        homes: &["core/src/hostpt.rs"],
+        why: COMPARATOR,
+    },
+    // One vTLB exit entry ...
+    Home {
+        matches: |l| {
+            calls(
+                l,
+                &[
+                    "handle_page_fault",
+                    "handle_cr_access",
+                    "handle_invlpg",
+                    "apply_tlb_ops",
+                ],
+            )
+        },
+        scope: &[],
+        homes: &["core/src/vtlb.rs"],
+        why: COMPARATOR,
+    },
+    // ... one legacy device set ...
+    Home {
+        matches: |l| calls(l, &["DualPic::new", "Uart16550::default", "Pit8254::new"]),
+        scope: &[],
+        homes: &["hw/", "vmm/src/devices.rs"],
+        why: COMPARATOR,
+    },
+    // ... one AHCI command parser ...
+    Home {
+        matches: |l| calls(l, &["Header::decode"]),
+        scope: &[],
+        homes: &["hw/src/ahci.rs", "vmm/src/vahci.rs"],
+        why: COMPARATOR,
+    },
+    // ... and one exit handler, whichever hypervisor runs them.
+    Home {
+        matches: |l| calls(l, &["cpuid_exit", "port_io_exit", "emulate_one"]),
+        scope: &[],
+        homes: &["vmm/src/exit.rs"],
+        why: COMPARATOR,
+    },
+    // One paravirtual device: the disk and NIC queues share one core
+    // (coalescing state, doorbell and interrupt counts, the
+    // guest-buffer bounds check) ...
+    Home {
+        matches: |l| word(l, &["raised_used", "PV_DOORBELLS", "PV_COMPLETION_IRQS"]),
+        scope: &["vmm/src/"],
+        homes: &["vmm/src/pvqueue.rs"],
+        why: PV_DEVICE,
+    },
+    Home {
+        matches: |l| calls(l, &["buffer_in_ram"]),
+        scope: &["vmm/src/"],
+        homes: &["vmm/src/pvqueue.rs", "vmm/src/vahci.rs"],
+        why: PV_DEVICE,
+    },
+    // ... which decodes the PV page's registers, not `VDevices`.
+    Home {
+        matches: |l| word(l, &["NET_RING", "NET_DOORBELL", "NET_ISR"]),
+        scope: &["vmm/src/devices.rs"],
+        homes: &[],
+        why: PV_DEVICE,
+    },
+];
+
+/// What breaks [`HOMES`] in the product source of `crates/*/src`.
+pub fn home_faults() -> Vec<String> {
+    home_faults_in(&crate_sources())
+}
+
+/// Every product line of `files` (`(path under crates/, source)`)
+/// that a [`HOMES`] rule reads and matches outside the rule's homes,
+/// and every home that holds no such line: one report each. This file,
+/// which spells every pattern, is not read.
+fn home_faults_in(files: &[(String, String)]) -> Vec<String> {
+    let mut held: Vec<Vec<bool>> = HOMES.iter().map(|r| vec![false; r.homes.len()]).collect();
+    let mut faults = Vec::new();
+    for (path, src) in files.iter().filter(|(p, _)| p != "bench/src/loc.rs") {
+        let under = |prefixes: &[&str]| prefixes.iter().position(|p| path.starts_with(p));
+        scan(src, |n, l, product| {
+            for (i, rule) in HOMES.iter().enumerate() {
+                let read = rule.scope.is_empty() || under(rule.scope).is_some();
+                if !product || !read || !(rule.matches)(l) {
+                    continue;
+                }
+                match under(rule.homes) {
+                    Some(h) => held[i][h] = true,
+                    None => faults.push(format!(
+                        "crates/{path}:{n}: `{l}` is outside the homes of HOMES[{i}] ({})",
+                        rule.why
+                    )),
+                }
+            }
+        });
+    }
+    for (i, rule) in HOMES.iter().enumerate() {
+        for (home, _) in rule.homes.iter().zip(&held[i]).filter(|(_, &h)| !h) {
+            faults.push(format!(
+                "HOMES[{i}] ({}) is stale: crates/{home} holds no line it matches",
+                rule.why
+            ));
+        }
+    }
+    faults
+}
+
+/// The workspace crates (`nova-*`) that `toml` lists under
+/// `[dependencies]` and no product line of `sources` names.
+fn unnamed_deps<'a>(toml: &'a str, sources: &[String]) -> Vec<&'a str> {
+    let mut code = Vec::new();
+    for src in sources {
+        scan(src, |_, l, product| {
+            if product {
+                code.push(l);
+            }
+        });
+    }
+    let mut section = "";
+    let mut unnamed = Vec::new();
+    for l in toml.lines().map(str::trim) {
+        if l.starts_with('[') {
+            section = l;
+            continue;
+        }
+        let dep = l.split(['.', '=', ' ', '\t']).next().unwrap_or("");
+        let ident = dep.replace('-', "_");
+        if section == "[dependencies]"
+            && dep.starts_with("nova-")
+            && !code.iter().any(|l| word(l, &[ident.as_str()]))
+        {
+            unnamed.push(dep);
+        }
+    }
+    unnamed
+}
+
+/// The dependency rule: a workspace crate that a crate lists under
+/// `[dependencies]` is named in the product code of its `src/` or of
+/// its `benches/`. One only its tests name is a `[dev-dependencies]`
+/// entry, and one nothing names is not listed. One report per
+/// dependency that breaks it.
+pub fn unnamed_dependencies() -> Vec<String> {
+    let crates = workspace_root().join("crates");
+    let mut dirs: Vec<PathBuf> = std::fs::read_dir(&crates)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .map(|e| e.path())
+        .collect();
+    dirs.sort();
+    let mut faults = Vec::new();
+    for dir in dirs {
+        let Ok(toml) = std::fs::read_to_string(dir.join("Cargo.toml")) else {
+            continue;
+        };
+        let mut sources = Vec::new();
+        for sub in ["src", "benches"] {
+            each_rs_file(&dir.join(sub), &mut |_, src| sources.push(src.to_string()));
+        }
+        let name = dir.strip_prefix(&crates).unwrap_or(&dir).display();
+        for dep in unnamed_deps(&toml, &sources) {
+            faults.push(format!(
+                "crates/{name}/Cargo.toml: [dependencies] lists {dep}, which the product code \
+                 of its src/ and benches/ never names"
+            ));
+        }
+    }
+    faults
 }
 
 /// The structs whose `pub` fields are everything a caller of the stack
@@ -331,7 +669,7 @@ fn unreached_in<'a>(files: impl Iterator<Item = (&'a str, &'a str)>) -> Vec<Stri
     for (path, src) in files {
         let product_file = path.starts_with("src/")
             || path.starts_with("crates/") && path.split('/').nth(2) == Some("src");
-        scan(src, |line, product| {
+        scan(src, |_, line, product| {
             for word in line.split(|c: char| !is_ident(c)).filter(|w| !w.is_empty()) {
                 *named.entry(word).or_default() += 1;
                 if !product {
@@ -437,194 +775,6 @@ fn also_shipped() {}
         assert_eq!(all, vmm, "the disk server's two files are among the VMM's");
     }
 
-    /// How often `text` bumps the counter `name`: directly
-    /// (`counters.name +=`) or through `Kernel::count`'s field closure
-    /// (`&mut c.name`).
-    fn bumps(text: &str, name: &str) -> usize {
-        let closure = format!("&mutc.{name}");
-        let through_count = text
-            .match_indices(&closure)
-            .filter(|(at, m)| {
-                let next = text[at + m.len()..].chars().next();
-                !next.is_some_and(|c| c.is_alphanumeric() || c == '_')
-            })
-            .count();
-        text.matches(&format!("counters.{name}+=")).count() + through_count
-    }
-
-    /// The registry rule (DESIGN.md §6b), by grep: every name in the
-    /// `Counters` table is bumped at exactly one site of the NOVA
-    /// stack, which shares the kernel's registry, and at no more than
-    /// one of the monolithic baseline, which is another system with a
-    /// registry of its own.
-    #[test]
-    fn every_counter_name_has_one_bump_site() {
-        let files = product_sources();
-        let (baseline, stack): (Vec<_>, Vec<_>) = files
-            .iter()
-            .partition(|(p, _)| p.contains("crates/baseline/"));
-        assert!(!baseline.is_empty() && stack.len() > 50);
-        for (name, _) in nova_core::Counters::new().iter() {
-            let sites = |files: &[&(String, String)]| -> Vec<String> {
-                files
-                    .iter()
-                    .flat_map(|(p, text)| vec![p.clone(); bumps(text, name)])
-                    .collect()
-            };
-            let (in_stack, in_baseline) = (sites(&stack), sites(&baseline));
-            assert_eq!(in_stack.len(), 1, "`{name}` is bumped at {in_stack:?}");
-            assert!(in_baseline.len() <= 1, "`{name}`: {in_baseline:?}");
-        }
-    }
-
-    /// A metric cell that `Kernel::count` or root's `observe` pairs
-    /// with a counter is written nowhere else, so pair and cell cannot
-    /// drift apart.
-    #[test]
-    fn a_paired_metric_is_added_only_by_the_helper() {
-        let files = product_sources();
-        /// The last path segment of a call's argument that starts
-        /// `text`: `a::b::NAME,…` → `NAME`.
-        fn arg(text: &str) -> &str {
-            let arg = text.split([',', ')']).next().unwrap_or("");
-            arg.rsplit("::").next().unwrap_or(arg)
-        }
-        // The metric is the helper's second argument behind the field
-        // closure for `count(field, metric, …)`, the third for
-        // `observe(k, field, n, metric, …)`.
-        let helpers = [(".count(|c|&mutc.", 1), ("observe(k,|c|&mutc.", 2)];
-        let paired: std::collections::BTreeSet<&str> = files
-            .iter()
-            .flat_map(|(_, text)| {
-                helpers.iter().flat_map(move |&(helper, skip)| {
-                    let calls = text.split(helper).skip(1);
-                    calls.filter_map(move |call| call.splitn(skip + 2, ',').nth(skip).map(arg))
-                })
-            })
-            .collect();
-        let expect = [
-            "CHECKPOINT_BYTES",
-            "CHECKPOINT_DIRTY_PAGES",
-            "ESCALATIONS_BY_LEVEL",
-            "GUEST_FAULT_REJECTED",
-            "VMM_RESTARTS",
-            "VM_KILLS_BY_REASON",
-        ];
-        assert_eq!(paired.iter().copied().collect::<Vec<_>>(), expect);
-        for (path, text) in &files {
-            for by_hand in ["metrics.add(", "metrics.observe("] {
-                for call in text.split(by_hand).skip(1) {
-                    assert!(
-                        !paired.contains(arg(call)),
-                        "{path} writes the paired metric {} by hand",
-                        arg(call)
-                    );
-                }
-            }
-        }
-    }
-
-    /// The configuration surface, pinned: a new knob — or one that goes
-    /// — shows up here as a visible diff. Each field is a value some
-    /// caller sets to something else than its neighbours do (DESIGN.md,
-    /// "What a caller can configure").
-    #[test]
-    fn the_configuration_surface_is_pinned() {
-        let expect: [(&str, &[&str]); 7] = [
-            (
-                "KernelConfig",
-                &[
-                    "use_tags",
-                    "host_large_pages",
-                    "scheduler_timer_hz",
-                    "obj_quota",
-                    "vtlb_cache_slots",
-                ],
-            ),
-            ("MachineConfig", &["cost", "ram", "iommu", "cpus"]),
-            (
-                "LaunchOptions",
-                &[
-                    "machine",
-                    "kernel",
-                    "with_disk",
-                    "direct_disk",
-                    "direct_nic",
-                    "supervise",
-                    "microreboot",
-                    "vmm",
-                ],
-            ),
-            (
-                "VmmConfig",
-                &[
-                    "name",
-                    "paging",
-                    "guest_pages",
-                    "vcpus",
-                    "vcpu_cpus",
-                    "vcpu_prio",
-                    "quantum",
-                    "image",
-                    "pv_disk",
-                    "pv_nic",
-                    "direct_mmio",
-                    "direct_gsis",
-                    "mtd_full",
-                    "protect_kernel",
-                ],
-            ),
-            ("DiskServerConfig", &["heartbeat"]),
-            ("DiskServer", &[]),
-            (
-                "MonoConfig",
-                &["paging", "use_tags", "large_pages", "model"],
-            ),
-        ];
-        let got = config_surface();
-        for ((name, fields), (want, want_fields)) in got.iter().zip(expect) {
-            assert_eq!(*name, want);
-            assert_eq!(fields, want_fields, "`{name}`'s pub fields");
-        }
-        assert_eq!(got.iter().map(|(_, f)| f.len()).sum::<usize>(), 36);
-    }
-
-    /// The two long documents, capped in bytes: one that would grow past
-    /// its cap makes room first. The caps are only ever lowered.
-    #[test]
-    fn the_long_documents_are_capped() {
-        for (doc, cap) in [("DESIGN.md", 119_000), ("EXPERIMENTS.md", 201_000)] {
-            let path = workspace_root().join(doc);
-            let bytes = std::fs::metadata(&path).expect(doc).len();
-            assert!(bytes <= cap, "{doc} is {bytes} bytes, capped at {cap}");
-        }
-    }
-
-    /// The privileged layer's size, pinned at what `BENCH_fig1.json`
-    /// commits as the Microhypervisor's `product`: a change that grows
-    /// the kernel fails here until it moves the pin — and says why.
-    #[test]
-    fn the_privileged_layer_is_pinned() {
-        const PIN: usize = 4015;
-        let product = crate_loc("core").product;
-        assert!(
-            product <= PIN,
-            "the microhypervisor is {product} lines, pinned at {PIN}"
-        );
-    }
-
-    /// Every `pub` fn and const of the product is named somewhere
-    /// besides its declaration: what nothing builds against is deleted,
-    /// not carried.
-    #[test]
-    fn no_pub_item_is_named_only_where_it_is_declared() {
-        let unreached = unreached_items();
-        assert!(
-            unreached.is_empty(),
-            "named only where declared: {unreached:#?}"
-        );
-    }
-
     #[test]
     fn the_census_reads_pub_fields_only() {
         let text = product_text(
@@ -666,6 +816,173 @@ fn also_shipped() {}
         assert_eq!(
             unreached_in(files.into_iter()),
             ["crates/x/src/lib.rs: tested"]
+        );
+    }
+
+    /// The tree with `planted` added: `(path under crates/, line)`, each
+    /// line the second of a file of its own.
+    fn with_planted(planted: &[(&str, &str)]) -> Vec<(String, String)> {
+        let mut files = crate_sources();
+        for (path, line) in planted {
+            files.push((
+                path.to_string(),
+                format!("fn planted() {{\n    {line}\n}}\n"),
+            ));
+        }
+        files
+    }
+
+    /// One line per [`HOMES`] row, planted outside the row's homes: the
+    /// check names the file, the line and the row of each, and nothing
+    /// else. The first and fifth are the private copies of
+    /// EXPERIMENTS.md's page-walk and 8254 mutations.
+    #[test]
+    fn every_home_rule_flags_its_planted_line() {
+        let planted: [(&str, &str); 19] = [
+            (
+                "vmm/src/emu.rs",
+                "return Ok((pde & pte::ADDR_LARGE) as u64 + off);",
+            ),
+            ("user/src/root.rs", "let sm = SmId(k.obj.sms.len() as u32);"),
+            ("vmm/src/vahci.rs", "regs::P0CI => self.start(k, val),"),
+            ("vmm/src/vahci.rs", "if fis[0] != 0x27 {"),
+            (
+                "vmm/src/devices.rs",
+                "(self.divisor as u64 * self.cpu_hz / PIT_HZ).max(1)",
+            ),
+            (
+                "vmm/src/diskclient.rs",
+                "let at = window_base(client) + page;",
+            ),
+            (
+                "vmm/src/lib.rs",
+                "k.invoke_component::<DiskServer, _>(srv, |d, _| d.detach_client(0));",
+            ),
+            ("guest/src/os.rs", "pub struct GuestImage {"),
+            ("hw/src/machine.rs", "pub struct Program {"),
+            (
+                "baseline/src/monolithic.rs",
+                "let gpa = emulator_gva_to_gpa(cr3, pse, addr, w, f, read)?;",
+            ),
+            (
+                "baseline/src/monolithic.rs",
+                "impl<'a> x86::exec::Env for MonoEnv<'a> {",
+            ),
+            (
+                "core/src/kernel/memory.rs",
+                "table.map_large(gpa, hpa, rights);",
+            ),
+            (
+                "baseline/src/monolithic.rs",
+                "vtlb::handle_page_fault(parts, addr, err);",
+            ),
+            ("baseline/src/monolithic.rs", "pic: DualPic::new(),"),
+            ("user/src/disk.rs", "let h = cmd::Header::decode(&raw);"),
+            (
+                "baseline/src/monolithic.rs",
+                "let exit = cpuid_exit(&mut host, regs);",
+            ),
+            ("vmm/src/pvnet.rs", "self.raised_used = used;"),
+            (
+                "vmm/src/pvnet.rs",
+                "if !pv::buffer_in_ram(buf, len, pages) {",
+            ),
+            (
+                "vmm/src/devices.rs",
+                "NET_DOORBELL => self.pvnet.doorbell(k, val),",
+            ),
+        ];
+        let faults = home_faults_in(&with_planted(&planted));
+        assert_eq!(faults.len(), planted.len(), "{faults:#?}");
+        for (row, ((path, line), fault)) in planted.iter().zip(&faults).enumerate() {
+            let at = format!("crates/{path}:2: `{line}` is outside the homes of HOMES[{row}] (");
+            assert!(fault.starts_with(&at), "{fault}");
+        }
+    }
+
+    /// What the rules allow: a pattern in its home, in a `#[cfg(test)]`
+    /// item or a test-only file, on a `//` line, and a declaration of
+    /// a function whose calls have a home.
+    #[test]
+    fn the_home_rules_pass_legal_lines() {
+        let mut files = with_planted(&[
+            ("x86/src/paging.rs", "let large = pde & pte::ADDR_LARGE;"),
+            ("hw/src/pic.rs", "let pic = DualPic::new();"),
+            (
+                "vmm/src/devices.rs",
+                "// the VMM's PV page is not NET_RING's",
+            ),
+            (
+                "core/src/vtlb.rs",
+                "pub fn handle_page_fault(parts: ShadowParts) {",
+            ),
+            (
+                "x86/src/exec.rs",
+                "pub fn emulate_one<E: Env>(env: &mut E) {",
+            ),
+            ("vmm/src/pvnet.rs", "fn buffer_in_ram(&self) -> bool {"),
+        ]);
+        files.push((
+            "vmm/src/devices.rs".into(),
+            "#[cfg(test)]\nmod t {\n    const HZ: u64 = nova_hw::pit::PIT_HZ;\n}\n".into(),
+        ));
+        files.push((
+            "vmm/src/emu/tests.rs".into(),
+            "#![cfg(test)]\n\nimpl Env for Flat {\n}\n".into(),
+        ));
+        assert_eq!(home_faults_in(&files), Vec::<String>::new());
+    }
+
+    /// A home that loses its pattern — the pattern renamed there, or
+    /// the file moved — is reported as a stale rule.
+    #[test]
+    fn a_home_that_no_longer_holds_its_pattern_is_stale() {
+        let mut files = crate_sources();
+        for (path, src) in &mut files {
+            if path == "hw/src/pit.rs" {
+                *src = src.replace("PIT_HZ", "INPUT_HZ");
+            }
+        }
+        assert_eq!(
+            home_faults_in(&files),
+            [format!(
+                "HOMES[4] ({}) is stale: crates/hw/src/pit.rs holds no line it matches",
+                HOMES[4].why
+            )]
+        );
+        let mut files = crate_sources();
+        for (path, _) in &mut files {
+            if path == "core/src/hostpt.rs" {
+                *path = "core/src/nested.rs".into();
+            }
+        }
+        let faults = home_faults_in(&files);
+        assert!(faults.len() > 1, "{faults:#?}");
+        assert!(faults[..faults.len() - 1]
+            .iter()
+            .all(|f| f.starts_with("crates/core/src/nested.rs:") && f.contains("HOMES[11]")));
+        assert!(faults[faults.len() - 1]
+            .starts_with("HOMES[11] (DESIGN §7, \"The comparator runs the kernel's and the VMM's code\") is stale: crates/core/src/hostpt.rs"));
+    }
+
+    /// A workspace dependency is named by product code: one named only
+    /// in a comment or inside a `#[cfg(test)]` module is reported, as is
+    /// one nothing names; `[dev-dependencies]` entries are not read.
+    #[test]
+    fn the_dependency_rule_reads_product_code_only() {
+        let toml = "[package]\nname = \"nova-x\"\n\n[dependencies]\nnova-hw.workspace = true\n\
+                    nova-core = { path = \"../core\" }\nnova-trace.workspace = true\n\
+                    nova-x86.workspace = true\n\n[dev-dependencies]\nnova-user.workspace = true\n";
+        let src = "use nova_hw::pit;\n// nova_trace, in a comment\nfn f() -> nova_x86_extra::T {}\n\
+                   #[cfg(test)]\nmod tests {\n    use nova_core::Kernel;\n    use nova_user::root;\n}\n";
+        assert_eq!(
+            unnamed_deps(toml, &[src.to_string()]),
+            ["nova-core", "nova-trace", "nova-x86"]
+        );
+        let bench = "fn main() {\n    nova_core::run();\n}\n".to_string();
+        assert_eq!(
+            unnamed_deps(toml, &[src.to_string(), bench]),
+            ["nova-trace", "nova-x86"]
         );
     }
 }

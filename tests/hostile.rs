@@ -986,8 +986,9 @@ impl HostileVmm {
     }
 }
 
-/// ROADMAP item 2's acceptance: a second VMM, compromised, fires seeded
-/// wild IPC through every portal it holds — segments into the sibling's
+/// The acceptance test of "a server knows its caller from the portal it
+/// was called through": a second VMM, compromised, fires seeded wild
+/// IPC through every portal it holds — segments into the sibling's
 /// window and onto the server's command page, replayed tags, batch
 /// counts past `MAX_BATCH`, typed items at every window edge — and
 /// hypercalls on every capability it holds, the window hypercall on its
