@@ -41,16 +41,18 @@
 //!
 //! **Counted loops.** A block whose last two instructions are
 //! `dec r32` · `jne rel` is marked when it is filled (`CountedTail`):
-//! which register counts, and whether the `jne` comes back to the
-//! block's own first byte. The executor retires such a pair as one
+//! which register counts, whether the `jne` comes back to the block's
+//! own first byte, its displacement, and — if the instruction before
+//! the `dec` is a register–immediate ALU instruction (`AluStep`) — that
+//! *step*. The executor retires the step (if any) and the pair as one
 //! step, and a block that is nothing but a self-closing pair — a delay
-//! loop — in closed form. A rewrite of either instruction moves the
-//! frame's generation like any other store, and the next lookup
+//! loop — in closed form. A rewrite of any of these instructions moves
+//! the frame's generation like any other store, and the next lookup
 //! classifies what it decodes afresh.
 
 use nova_x86::decode::{decode, DecodeError, MAX_INSN_LEN};
 use nova_x86::exec::{handler_id, HandlerId};
-use nova_x86::insn::{Cond, Insn, Op, OpSize, Operand};
+use nova_x86::insn::{AluOp, Cond, Insn, Op, OpSize, Operand};
 use nova_x86::reg::Reg;
 
 use crate::mem::PhysMem;
@@ -147,9 +149,10 @@ fn flow(insn: &Insn) -> Flow {
 }
 
 /// The tail of a counted loop: a block whose last two instructions are
-/// `dec r32` · `jne rel`. Recognised once, when the block is filled, so
-/// that entering the block costs the executor one more field to read
-/// and nothing to compute.
+/// `dec r32` · `jne rel`, with the ALU step before them if there is
+/// one. Recognised once, when the block is filled, so that entering
+/// the block costs the executor one more field to read and nothing to
+/// compute, and a trip reads no [`Insn`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct CountedTail {
     /// The register the `dec` counts down.
@@ -159,12 +162,40 @@ pub(crate) struct CountedTail {
     /// only, so it holds wherever the frame is mapped and the block's
     /// key can stay its host-physical address.
     pub closes: bool,
+    /// Bytes from the tail's first instruction (the step, or else the
+    /// `dec`) to the end of the `jne`.
+    pub len: u8,
+    /// The `jne`'s displacement.
+    pub rel: u32,
+    /// The instruction before the `dec`, if it is an [`AluStep`].
+    pub step: Option<AluStep>,
+}
+
+/// `op r32, imm`: a register–immediate instruction of the ALU group,
+/// the stride or mask of a counted loop, retired with its tail.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct AluStep {
+    pub op: AluOp,
+    pub reg: Reg,
+    /// The immediate, sign-extended to 32 bits if it was an imm8.
+    pub imm: u32,
+}
+
+impl AluStep {
+    fn of(insn: &Insn) -> Option<AluStep> {
+        match (insn.op, insn.dst, insn.src, insn.size) {
+            (Op::Alu(op), Operand::Reg(reg), Operand::Imm(imm), OpSize::Dword) => {
+                Some(AluStep { op, reg, imm })
+            }
+            _ => None,
+        }
+    }
 }
 
 impl CountedTail {
     /// Classifies a freshly decoded block.
     fn of(steps: &[Step]) -> Option<CountedTail> {
-        let [.., dec, jne] = steps else {
+        let [body @ .., dec, jne] = steps else {
             return None;
         };
         let (Op::Dec, Operand::Reg(counter), OpSize::Dword) =
@@ -175,11 +206,22 @@ impl CountedTail {
         let (Op::Jcc(Cond::Ne), Operand::Imm(rel)) = (jne.insn.op, jne.insn.src) else {
             return None;
         };
+        let step = body
+            .last()
+            .and_then(|s| Some((AluStep::of(&s.insn)?, s.insn.len)));
         let bytes: u32 = steps.iter().map(|s| s.insn.len as u32).sum();
         Some(CountedTail {
             counter,
             closes: rel == bytes.wrapping_neg(),
+            len: step.map_or(0, |(_, len)| len) + dec.insn.len + jne.insn.len,
+            rel,
+            step: step.map(|(step, _)| step),
         })
+    }
+
+    /// Instructions one trip of the tail retires.
+    pub fn insns(&self) -> usize {
+        2 + self.step.is_some() as usize
     }
 }
 
@@ -224,8 +266,11 @@ pub(crate) struct Block<'a> {
     pub end: BlockEnd,
     /// The frame generation the block is good for.
     pub gen: u64,
-    /// Set if the block ends in a counted loop's `dec` · `jne`.
-    pub counted: Option<CountedTail>,
+    /// Set if the block ends in a counted loop's `dec` · `jne`, with or
+    /// without a step before them. Read where the slot keeps it: a copy
+    /// travels in registers only as far as the compiler can keep it
+    /// there, and a spilled one was read back wider than it was stored.
+    pub counted: Option<&'a CountedTail>,
 }
 
 /// The cache itself. One per CPU core.
@@ -310,7 +355,7 @@ impl BlockCache {
             steps: &self.steps[base..base + s.len as usize],
             end: s.end,
             gen: s.gen,
-            counted: s.counted,
+            counted: s.counted.as_ref(),
         }
     }
 
@@ -524,7 +569,7 @@ mod tests {
     /// 0x1000).
     fn counted_at(code: &[u8], at: PAddr) -> Option<CountedTail> {
         let mem = mem_with(0x1000, code);
-        BlockCache::new().lookup(&mem, at).unwrap().counted
+        BlockCache::new().lookup(&mem, at).unwrap().counted.copied()
     }
 
     /// `top: <body NOPs>; <dec>; j<cond> <top or the next instruction>`.
@@ -543,26 +588,102 @@ mod tests {
 
     const DEC_ECX: &[u8] = &[0x49];
 
+    /// `jne rel32` is six bytes.
+    const JNE_LEN: u8 = 6;
+
     #[test]
     fn dec_r32_jne_to_the_block_start_is_counted_and_self_closing() {
-        let tail = |counter| CountedTail {
+        let tail = |counter, bytes: u32, dec_len: u8| CountedTail {
             counter,
             closes: true,
+            len: dec_len + JNE_LEN,
+            rel: bytes.wrapping_neg(),
+            step: None,
         };
         let code = counted_loop(0, DEC_ECX, Cond::Ne, true);
-        assert_eq!(counted_at(&code, 0x1000), Some(tail(Reg::Ecx)));
+        assert_eq!(counted_at(&code, 0x1000), Some(tail(Reg::Ecx, 7, 1)));
         // With a body, and through the `ff /1` encoding of `dec edi`.
         let code = counted_loop(3, &[0xff, 0xcf], Cond::Ne, true);
-        assert_eq!(counted_at(&code, 0x1000), Some(tail(Reg::Edi)));
+        assert_eq!(counted_at(&code, 0x1000), Some(tail(Reg::Edi, 11, 2)));
         // Entered past its first instruction the same bytes are another
         // block, which the `jne` does not close.
         assert_eq!(
             counted_at(&code, 0x1001),
             Some(CountedTail {
-                counter: Reg::Edi,
                 closes: false,
+                ..tail(Reg::Edi, 11, 2)
             })
         );
+    }
+
+    /// `top: nop; <step>; dec ecx; jne top`: what `fill` made of the
+    /// instruction before the `dec`.
+    fn step_of(step: &[u8]) -> Option<AluStep> {
+        let mut code = vec![0x90];
+        code.extend_from_slice(step);
+        let tail = counted_at(&counted_loop_after(&code), 0x1000).expect("dec r32; jne");
+        assert!(tail.closes);
+        let step_len = tail.step.map_or(0, |_| step.len() as u8);
+        assert_eq!(tail.len, step_len + 1 + JNE_LEN, "{step:02x?}");
+        tail.step
+    }
+
+    /// `top: <head>; dec ecx; jne top`.
+    fn counted_loop_after(head: &[u8]) -> Vec<u8> {
+        let mut a = Asm::new(0x1000);
+        let top = a.here_label();
+        a.bytes(head);
+        a.dec_r(Reg::Ecx);
+        a.jcc(Cond::Ne, top);
+        a.finish()
+    }
+
+    #[test]
+    fn a_register_immediate_alu_step_before_the_dec_is_part_of_the_tail() {
+        for n in 0..8 {
+            let op = AluOp::from_num(n);
+            // imm8 (sign-extended) and imm32, on EDI and on the counter.
+            for (imm, imm_len) in [(0xffff_fffd, 3), (0x1234_5678, 6)] {
+                for reg in [Reg::Edi, Reg::Ecx] {
+                    let mut a = Asm::new(0);
+                    a.alu_ri(op, reg, imm);
+                    let code = a.finish();
+                    assert_eq!(code.len(), imm_len);
+                    assert_eq!(step_of(&code), Some(AluStep { op, reg, imm }), "{op:?}");
+                }
+            }
+        }
+        // The short accumulator form: `add eax, imm32`.
+        assert_eq!(
+            step_of(&[0x05, 0x40, 0, 0, 0]),
+            Some(AluStep {
+                op: AluOp::Add,
+                reg: Reg::Eax,
+                imm: 0x40,
+            })
+        );
+        // A block of the step and the pair alone closes on the step.
+        let mut a = Asm::new(0);
+        a.add_ri(Reg::Edi, 64);
+        let tail = counted_at(&counted_loop_after(&a.finish()), 0x1000).unwrap();
+        assert_eq!(
+            (tail.closes, tail.len, tail.rel),
+            (true, 10, 10u32.wrapping_neg())
+        );
+        assert!(tail.step.is_some());
+    }
+
+    #[test]
+    fn other_instructions_before_the_dec_are_not_steps() {
+        for before in [
+            &[0x80, 0xc3, 0x05][..],               // add bl, 5
+            &[0x01, 0xc7],                         // add edi, eax
+            &[0x83, 0x05, 0x00, 0x20, 0, 0, 0x05], // add dword [0x2000], 5
+            &[0x47],                               // inc edi
+            &[0x90],                               // nop
+        ] {
+            assert_eq!(step_of(before), None, "{before:02x?}");
+        }
     }
 
     #[test]

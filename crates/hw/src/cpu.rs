@@ -16,9 +16,9 @@ use nova_x86::decode::{decode, DecodeError, MAX_INSN_LEN};
 #[cfg(test)]
 use nova_x86::exec::execute;
 use nova_x86::exec::{
-    cond_holds, deliver_event, handler, inc_dec_value, Env, Exec, Fault, Handler,
+    alu, cond_holds, deliver_event, handler, inc_dec_value, Env, Exec, Fault, Handler,
 };
-use nova_x86::insn::{Cond, Insn, Op, OpSize, Operand};
+use nova_x86::insn::{AluOp, Cond, Insn, Op, OpSize, Operand};
 use nova_x86::paging::{self, Access};
 use nova_x86::reg::{Reg, Regs};
 
@@ -590,60 +590,85 @@ fn retire_alone(
     retire(step, regs, env).err().unwrap_or(Stop::Outer)
 }
 
-/// Retires whole iterations of a counted loop's tail — `dec` the
-/// counter, `jne` — from the `dec` at `regs.eip`, and returns how many:
-/// one if both instructions fit before the horizon, as many as the
-/// counter and the horizon allow if the tail is the whole loop (`alone`:
+/// Retires whole iterations of a counted loop's tail — the step if it
+/// has one, `dec` the counter, `jne` — from the tail's first
+/// instruction at `regs.eip`, and returns how many: one if all of a
+/// trip's instructions fit before the horizon, as many as the counter
+/// and the horizon allow if the tail is the whole loop (`alone`:
 /// nothing else in the block, and the `jne` closes on the `dec`), and 0
 /// if not even one fits, which leaves everything to the
-/// per-instruction path. An iteration is retired here only if
-/// `clock + 2 < horizon` when it starts, so neither of its instructions
-/// is the one after which the per-instruction path would have stopped.
+/// per-instruction path. A trip of `n` instructions is retired here
+/// only if `clock + n < horizon` when it starts, so none of its
+/// instructions is the one after which the per-instruction path would
+/// have stopped.
 ///
-/// Registers and clock end up as that many passes of the two handlers
-/// leave them: the flags are those of the last `dec` (CF is carried
-/// over by every one of them, and nothing else reads or writes flags in
-/// between), EIP the last `jne`'s choice.
+/// Registers and clock end up as that many passes of the handlers
+/// leave them: the step goes through the ALU handlers' [`alu`] (a
+/// `cmp` writes flags only) and its result is in its register before
+/// the `dec` reads the counter; the flags are those of the last `dec`,
+/// which carries over the step's CF (or, without a step, the CF every
+/// `dec` before it carried over: nothing else reads or writes flags in
+/// between); EIP is the last `jne`'s choice.
 #[inline(always)]
 fn retire_counted(
-    tail: CountedTail,
+    tail: &CountedTail,
     alone: bool,
-    (dec, jne): (&Insn, &Insn),
     regs: &mut Regs,
     clock: &mut Cycles,
     horizon: Cycles,
 ) -> u64 {
-    let Operand::Imm(rel) = jne.src else {
-        unreachable!("a counted tail's jne is relative")
-    };
-    let fit = horizon.saturating_sub(*clock).saturating_sub(1) / 2;
-    let count = regs.get(tail.counter);
-    let k = if alone && tail.closes {
-        // A counter of 0 wraps: 2^32 trips until it is 0 again.
-        let trips = if count == 0 { 1 << 32 } else { count as u64 };
-        trips.min(fit)
-    } else {
-        fit.min(1)
+    let room = horizon.saturating_sub(*clock);
+    let k = match tail.step {
+        // Never the whole loop, so at most one trip: the step, then the
+        // pair below.
+        Some(step) if room > 3 => {
+            let (res, eflags) = alu(
+                step.op,
+                regs.get(step.reg),
+                step.imm,
+                OpSize::Dword,
+                regs.eflags,
+            );
+            if step.op != AluOp::Cmp {
+                regs.set(step.reg, res);
+            }
+            regs.eflags = eflags;
+            *clock += 1;
+            1
+        }
+        Some(_) => 0,
+        // The pair alone. A counter of 0 wraps: 2^32 trips until it is
+        // 0 again.
+        None if alone && tail.closes => {
+            let count = regs.get(tail.counter);
+            let trips = if count == 0 { 1 << 32 } else { count as u64 };
+            trips.min(room.saturating_sub(1) / 2)
+        }
+        None => (room > 2) as u64,
     };
     if k == 0 {
         return 0;
     }
-    let before_last = count.wrapping_sub((k - 1) as u32);
+    let before_last = regs.get(tail.counter).wrapping_sub((k - 1) as u32);
     let (count, eflags) = inc_dec_value(true, before_last, OpSize::Dword, regs.eflags);
     regs.set(tail.counter, count);
     regs.eflags = eflags;
-    let next = regs.eip.wrapping_add(dec.len as u32 + jne.len as u32);
+    let next = regs.eip.wrapping_add(tail.len as u32);
     regs.eip = if cond_holds(Cond::Ne, eflags) {
-        next.wrapping_add(rel)
+        next.wrapping_add(tail.rel)
     } else {
         next
     };
     *clock += 2 * k;
     #[cfg(test)]
     COUNTED_RUNS.with(|runs| {
-        let mut n = runs.get();
-        n[(alone && tail.closes) as usize] += 1;
-        runs.set(n);
+        let mut r = runs.get();
+        r[if tail.step.is_some() {
+            2
+        } else {
+            (alone && tail.closes) as usize
+        }] += 1;
+        runs.set(r);
     });
     k
 }
@@ -651,9 +676,9 @@ fn retire_counted(
 #[cfg(test)]
 thread_local! {
     /// How often [`retire_counted`] retired something on this thread:
-    /// `[fused tails, closed-form stretches]`. Coverage for the tests
-    /// only; the simulated machine has no such counter.
-    static COUNTED_RUNS: std::cell::Cell<[u64; 2]> = const { std::cell::Cell::new([0; 2]) };
+    /// `[fused pairs, closed-form stretches, fused steps]`. Coverage for
+    /// the tests only; the simulated machine has no such counter.
+    static COUNTED_RUNS: std::cell::Cell<[u64; 3]> = const { std::cell::Cell::new([0; 3]) };
 }
 
 /// The block executor shared by [`run_native`] and [`run_guest`]:
@@ -682,12 +707,13 @@ thread_local! {
 /// re-entry*).
 ///
 /// A block that ends in a counted loop's `dec r32` · `jne`
-/// ([`CountedTail`]) retires the pair as one step when both fit before
-/// the horizon, and all the iterations that do when the pair is the
-/// whole loop ([`retire_counted`]); whenever it does not apply — inside
-/// an STI shadow, with the horizon inside the pair — the instructions go
-/// through their handlers below, one at a time, as everything else
-/// does.
+/// ([`CountedTail`]) retires the pair — with the register–immediate ALU
+/// step before it, if there is one — as one step when all of it fits
+/// before the horizon, and all the iterations that do when the pair is
+/// the whole loop ([`retire_counted`]); whenever it does not apply —
+/// inside an STI shadow, with the horizon inside the trip — the
+/// instructions go through their handlers below, one at a time, as
+/// everything else does.
 ///
 /// On the simulated machine this is invisible: every instruction costs
 /// the same cycles and counts the same `instret`, and the lookups
@@ -740,30 +766,32 @@ fn run_blocks(
         // shadow the caller's checks change after one instruction, so
         // nothing is fused.
         let counted = block.counted.filter(|_| !single);
-        let tail_at = counted.map_or(usize::MAX, |_| last - 1);
+        // Instructions per trip of the tail, and where it starts.
+        let n = counted.map_or(0, |t| t.insns());
+        let tail_at = last + 1 - n;
         // Every way of setting it leaves the loop below.
         env.bus_touched = false;
         let stop = loop {
             let k = match counted {
                 Some(tail) if i == tail_at => {
-                    let pair = (&block.steps[i].insn, &block.steps[last].insn);
-                    retire_counted(tail, last == 1, pair, regs, env.clock, horizon)
+                    retire_counted(tail, last == 1, regs, env.clock, horizon)
                 }
                 _ => 0,
             };
             if k != 0 {
-                // Per iteration two instructions, the second of which
-                // was begun inside the block (an I-TLB hit); all but
-                // possibly the last come back round to the block's
-                // first instruction (another, and a block hit). Neither
-                // instruction stores or reaches a device, so the checks
-                // below have nothing to see.
+                let n = n as u64;
+                // Per iteration `n` instructions, all but the first of
+                // which were begun inside the block (I-TLB hits); all
+                // but possibly the last iteration come back round to
+                // the block's first instruction (another, and a block
+                // hit). None of them stores or reaches a device, so the
+                // checks below have nothing to see.
                 if regs.eip != eip {
-                    continued += 2 * k - 1;
+                    continued += n * k - 1;
                     reentries += k - 1;
                     break None;
                 }
-                continued += 2 * k;
+                continued += n * k;
                 reentries += k;
                 i = 0;
                 continue;
@@ -1659,9 +1687,9 @@ mod tests {
         // left with it 500 below 2^32, in one stretch.
         assert_eq!(m.run_native(Some(1_000)), NativeStop::Budget);
         assert_eq!(m.cpus[0].regs.get(Reg::Ecx), 0u32.wrapping_sub(500));
-        assert_eq!(COUNTED_RUNS.get(), [0, 1], "one closed-form stretch");
+        assert_eq!(COUNTED_RUNS.get(), [0, 1, 0], "one closed-form stretch");
         assert_eq!(m.run_native(Some(BUDGET - 1_000)), NativeStop::Budget);
-        assert_eq!(COUNTED_RUNS.get(), [0, 2], "and one more");
+        assert_eq!(COUNTED_RUNS.get(), [0, 2, 0], "and one more");
         // One cycle an instruction, nothing else on the clock.
         assert_eq!(m.clock, BUDGET);
         assert_eq!(m.cpus[0].instret, BUDGET);

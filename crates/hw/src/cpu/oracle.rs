@@ -457,11 +457,42 @@ impl Plan<'_> {
             }
             2 => {
                 // A counted loop: long enough to cross timer ticks and
-                // budgets mid-block.
-                a.mov_ri(Reg::Ecx, 1 + rng.below(400));
+                // budgets mid-block. Every other one has the strided
+                // shape of the compile guests: a load through EDX
+                // (which `emit_alu` leaves alone), then a step — EDX's
+                // stride, or any ALU operation on a scratch register —
+                // just before the `dec`.
+                let trips = 1 + rng.below(400);
+                a.mov_ri(Reg::Ecx, trips);
+                let strided = rng.below(2) == 0;
+                let stride = 4 << rng.below(4);
+                let down = rng.below(2) == 0;
+                if strided {
+                    // Inside the data pages whichever way it walks.
+                    let first = if down { DATA + 0x3ffc } else { DATA };
+                    a.mov_ri(Reg::Edx, first);
+                }
                 let top = a.here_label();
-                let n = 1 + rng.below(6);
+                let n = if strided {
+                    rng.below(4)
+                } else {
+                    1 + rng.below(6)
+                };
                 emit_alu(a, rng, n);
+                if strided {
+                    let r = rng.pick(&SCRATCH);
+                    a.alu_rm(AluOp::Add, r, MemRef::base_disp(Reg::Edx, 0));
+                    if rng.below(2) == 0 {
+                        let op = if down { AluOp::Sub } else { AluOp::Add };
+                        a.alu_ri(op, Reg::Edx, stride);
+                    } else {
+                        let op = AluOp::from_num(rng.below(8) as u8);
+                        // An imm8 or an imm32 encoding.
+                        let (short, long) = (rng.below(256) as i8 as u32, rng.next() as u32);
+                        let imm = rng.pick(&[short, long]);
+                        a.alu_ri(op, rng.pick(&SCRATCH), imm);
+                    }
+                }
                 a.dec_r(Reg::Ecx);
                 a.jcc(Cond::Ne, top);
             }
@@ -1148,10 +1179,11 @@ fn sweep(mode: Mode) -> Coverage {
         total.interrupts
     );
     // Only the block executor's side of this thread's runs counts.
-    let [fused, closed] = COUNTED_RUNS.get();
+    let [fused, closed, stepped] = COUNTED_RUNS.get();
     assert!(
-        fused > 1_000 && closed > 100,
-        "counted loops ran as loops: {fused} fused tails, {closed} closed-form stretches"
+        fused > 1_000 && closed > 100 && stepped > 1_000,
+        "counted loops ran as loops: {fused} fused pairs, {closed} closed-form stretches, \
+         {stepped} fused steps"
     );
     total
 }

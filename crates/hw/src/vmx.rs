@@ -43,10 +43,28 @@ pub mod mtd {
     /// Every group.
     pub const ALL: u32 = (1 << 11) - 1;
 
-    /// Number of set groups (each costs one VMREAD).
+    /// Number of set groups (each costs one VMREAD). Asked twice per
+    /// exit, so the eleven group bits index a table rather than run the
+    /// baseline target's software popcount; bits outside [`ALL`] — a
+    /// hostile VMM's MTD — are counted the slow way, still exactly.
+    #[inline]
     pub fn group_count(mtd: u32) -> u32 {
-        mtd.count_ones()
+        match GROUPS_SET.get(mtd as usize) {
+            Some(n) => *n as u32,
+            None => mtd.count_ones(),
+        }
     }
+
+    /// [`group_count`] of every value of the eleven group bits.
+    const GROUPS_SET: [u8; ALL as usize + 1] = {
+        let mut t = [0u8; ALL as usize + 1];
+        let mut i = 1;
+        while i < t.len() {
+            t[i] = t[i >> 1] + (i & 1) as u8;
+            i += 1;
+        }
+        t
+    };
 }
 
 /// Why a virtual CPU left guest mode. Mirrors the paper's Table 2 event
@@ -371,6 +389,13 @@ mod tests {
         assert_eq!(mtd::group_count(mtd::ALL), 11);
         assert_eq!(mtd::group_count(mtd::GPR_ACDB | mtd::EIP), 2);
         assert_eq!(mtd::group_count(0), 0);
+        for v in 0..=mtd::ALL {
+            assert_eq!(mtd::group_count(v), v.count_ones(), "{v:#x}");
+        }
+        // Bits beyond the groups still count.
+        for v in [mtd::ALL + 1, u32::MAX, 1 << 31 | mtd::EIP, 0x0001_0801] {
+            assert_eq!(mtd::group_count(v), v.count_ones(), "{v:#x}");
+        }
     }
 
     #[test]

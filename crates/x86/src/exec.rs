@@ -484,9 +484,12 @@ fn zsf(res: u32, size: OpSize) -> u32 {
 }
 
 /// The ALU: the result and the EFLAGS it leaves (CF, OF, ZF and SF
-/// computed without branches, everything else carried over).
+/// computed without branches, everything else carried over). The one
+/// statement of the ALU group's semantics: its handlers and the block
+/// executor's fused step of a counted loop both go through it. `Cmp`
+/// computes what `Sub` does; not storing the result is the caller's.
 #[inline(always)]
-fn alu(op: AluOp, a: u32, b: u32, size: OpSize, eflags: u32) -> (u32, u32) {
+pub fn alu(op: AluOp, a: u32, b: u32, size: OpSize, eflags: u32) -> (u32, u32) {
     let mask = size.mask();
     let sign = size.sign_bit();
     let a = a & mask;

@@ -17,9 +17,11 @@
 //! ([`enter_stepping`]), where nothing is skipped.
 //!
 //! The group after it is about *counted loops*: a block ending in
-//! `dec r32` · `jne` retires the pair as one step, and a loop that is
-//! nothing else in closed form. Same referee; each test names the
-//! mutation of `hw::cpu::retire_counted` it was shown to fail against.
+//! `dec r32` · `jne` retires the pair as one step — with the
+//! register–immediate ALU step before it, if there is one — and a loop
+//! that is nothing else in closed form. Same referee; each test names
+//! the mutation of `hw::cpu::retire_counted` it was shown to fail
+//! against.
 
 use nova_core::hypercall::Hypercall;
 use nova_core::obj::{MemRights, VmPaging};
@@ -598,8 +600,8 @@ fn ten_thousand_iterations_count_every_skipped_lookup() {
 // Counted loops
 // ----------------------------------------------------------------------
 
-/// Register work for a loop body; the `add` rewrites CF and OF, the
-/// `inc` leaves CF alone.
+/// Register work for a loop body; the `add` rewrites CF and OF (alone
+/// in the body it is the tail's step), the `inc` leaves CF alone.
 fn emit_body(a: &mut Asm, insns: usize) {
     let body: [fn(&mut Asm); 3] = [
         |a| a.add_ri(Reg::Eax, 0x7fff_fff1),
@@ -824,6 +826,165 @@ fn counted_tail_in_an_sti_shadow_retires_the_dec_alone() {
     // The rest of the loop has no shadow to respect (IF stays set).
     assert!(matches!(t.enter(WHOLE_RUN), ExitReason::Cpuid { .. }));
     assert_eq!(t.v.guest.get(Reg::Ecx), 0);
+}
+
+// ----------------------------------------------------------------------
+// Counted loops with a step
+// ----------------------------------------------------------------------
+
+/// `op reg, imm` just before a counted loop's `dec`.
+type AluStep = (AluOp, Reg, u32);
+
+/// The compile loop with any step in place of its `add edi, 64`:
+/// `mov edi, 0x10_0000` · `mov ecx, trips` · `mov ebx, 0x7fff_fff0` ·
+/// `top:` `add eax, [edi]` · `<step>` · `dec ecx` · `jne top` ·
+/// `cpuid`. The `add` clears CF every trip (the data is zeros), so CF
+/// after a trip is the step's.
+fn strided_loop(trips: u32, (op, reg, imm): AluStep) -> Vec<u8> {
+    let mut a = Asm::new(CODE);
+    a.mov_ri(Reg::Edi, 0x10_0000);
+    a.mov_ri(Reg::Ecx, trips);
+    a.mov_ri(Reg::Ebx, 0x7fff_fff0);
+    let top = a.here_label();
+    a.alu_rm(AluOp::Add, Reg::Eax, MemRef::base_disp(Reg::Edi, 0));
+    a.alu_ri(op, reg, imm);
+    a.dec_r(Reg::Ecx);
+    a.jcc(Cond::Ne, top);
+    a.cpuid();
+    a.finish()
+}
+
+/// The compile loop itself, every ALU operation on EBX — an imm32 with
+/// the sign bit set and an imm8 of −7 taking turns, so that the adds
+/// carry, the subtracts borrow and SF moves — and a step on the counter
+/// (ECX falls by three a trip).
+fn strided_steps() -> Vec<(u32, AluStep)> {
+    let mut loops = vec![(24, (AluOp::Add, Reg::Edi, 64))];
+    for n in 0..8 {
+        let imm = if n % 2 == 0 {
+            0x9e37_79b9
+        } else {
+            (-7i32) as u32
+        };
+        loops.push((24, (AluOp::from_num(n), Reg::Ebx, imm)));
+    }
+    loops.push((3 * 24, (AluOp::Sub, Reg::Ecx, 2)));
+    loops
+}
+
+/// A stop at every cycle of a window four trips long in the middle of
+/// each [`strided_steps`] loop — so that an interrupt is due at every
+/// phase of a trip — by interrupt and by quantum, then the rest of the
+/// loop: registers (EFLAGS bit for bit, CF from a step that carries
+/// included), clock, `instret` and `Tlb::stats` as the stepped run has
+/// them at the stop and at the end.
+///
+/// Fails with the step's CF dropped (the `dec` carrying over the CF from
+/// before the step), with the step applied after the `dec`, with
+/// `clock + 2 < horizon` as the step tail's condition (the stop comes
+/// one instruction late), with `2k` instead of `3k` instructions counted
+/// for a trip, and with a `cmp` step that writes its register.
+#[test]
+fn strided_loop_with_a_step_stopped_anywhere_matches_stepped() {
+    let walk = first_walk();
+    for (trips, step) in strided_steps() {
+        let code = strided_loop(trips, step);
+        // The load costs its memory access; the rest one cycle each.
+        let trip = 4 + machine().cost.mem_access;
+        let start = walk + 3 + 10 * trip;
+        let mut saw_carry = false;
+        for stop_at in start..start + 4 * trip {
+            for by_interrupt in [false, true] {
+                let mut t = Twins::build(|m| {
+                    if by_interrupt {
+                        interrupt_in(m, stop_at);
+                    }
+                    guest(m, &code)
+                });
+                let what = format!("{step:?} stop {stop_at} irq {by_interrupt}");
+                let quantum = if by_interrupt { WHOLE_RUN } else { stop_at };
+                match t.enter(quantum) {
+                    ExitReason::ExtInt { .. } if by_interrupt => {}
+                    ExitReason::Preempt if !by_interrupt => {}
+                    other => panic!("{what}: {other:?}"),
+                }
+                assert!(t.v.guest.get(Reg::Ecx) > 1, "{what}: inside the loop");
+                saw_carry |= t.v.guest.eflags & flags::CF != 0;
+                assert!(
+                    matches!(t.enter(WHOLE_RUN), ExitReason::Cpuid { .. }),
+                    "{what}"
+                );
+                assert_eq!(t.v.guest.get(Reg::Ecx), 0, "{what}");
+            }
+        }
+        let (op, _, _) = step;
+        let carries = matches!(
+            op,
+            AluOp::Add | AluOp::Adc | AluOp::Sub | AluOp::Sbb | AluOp::Cmp
+        );
+        assert_eq!(saw_carry, carries && step.1 == Reg::Ebx, "{step:?}");
+    }
+}
+
+/// The lookups a fused step skips are counted as the hits they would
+/// have been: `Tlb::stats` and `instret` as the stepped run has them
+/// (checked by [`Twins`]), and one block-cache lookup per trip — the
+/// entry block runs the first trip, every later one is a hit on the
+/// loop's block.
+///
+/// Fails with the block hits of a stepped trip left uncounted, and with
+/// `2k` instructions counted for it.
+#[test]
+fn strided_loops_count_every_skipped_lookup() {
+    for (trips, step) in strided_steps() {
+        let code = strided_loop(trips, step);
+        let (m, v) = same_as_stepped(|m| guest(m, &code));
+        assert_eq!(v.guest.get(Reg::Ecx), 0);
+        let loop_trips = if step.1 == Reg::Ecx { trips / 3 } else { trips };
+        assert_eq!(
+            m.cpus[0].decode_cache_stats(),
+            DecodeCacheStats {
+                hits: loop_trips as u64 - 2,
+                misses: 3,
+                invalidations: 0,
+                evictions: 0,
+            },
+            "{step:?}"
+        );
+        assert_eq!(
+            m.cpus[0].instret,
+            3 + 4 * loop_trips as u64 + 1,
+            "{step:?}: the set-up, four a trip, the CPUID"
+        );
+    }
+}
+
+/// The same shadow with a step before the `dec`: the step is the one
+/// instruction, and the window exit finds EIP at the `dec`.
+///
+/// Fails with the fused step taken under `single`.
+#[test]
+fn stepped_tail_in_an_sti_shadow_retires_the_step_alone() {
+    let mut a = Asm::new(CODE);
+    a.mov_ri(Reg::Ecx, 3);
+    let top = a.here_label();
+    a.sti();
+    a.add_ri(Reg::Ebx, 5);
+    let dec_at = a.here();
+    a.dec_r(Reg::Ecx);
+    a.jcc(Cond::Ne, top);
+    a.cpuid();
+    let code = a.finish();
+    let mut t = Twins::build(|m| {
+        let mut v = guest(m, &code);
+        v.intwin_exit = true;
+        v
+    });
+    assert_eq!(t.enter(WHOLE_RUN), ExitReason::IntWindow);
+    assert_eq!(t.v.guest.eip, dec_at, "between the step and the dec");
+    assert_eq!((t.v.guest.get(Reg::Ebx), t.v.guest.get(Reg::Ecx)), (5, 3));
+    assert!(matches!(t.enter(WHOLE_RUN), ExitReason::Cpuid { .. }));
+    assert_eq!(t.v.guest.get(Reg::Ebx), 15);
 }
 
 struct Nop;
