@@ -46,7 +46,9 @@
 //! the `dec` is a register–immediate ALU instruction (`AluStep`) — that
 //! *step*. The executor retires the step (if any) and the pair as one
 //! step, and a block that is nothing but a self-closing pair — a delay
-//! loop — in closed form. A rewrite of any of these instructions moves
+//! loop — in closed form. A block that is nothing but a strided load
+//! (`LoadStep`), its stride and the pair is retired a page of trips at
+//! a time. A rewrite of any of these instructions moves
 //! the frame's generation like any other store, and the next lookup
 //! classifies what it decodes afresh.
 
@@ -169,6 +171,9 @@ pub(crate) struct CountedTail {
     pub rel: u32,
     /// The instruction before the `dec`, if it is an [`AluStep`].
     pub step: Option<AluStep>,
+    /// The instruction before the step, if the block is nothing but a
+    /// strided load, its stride and the pair ([`LoadStep`]).
+    pub load: Option<LoadStep>,
 }
 
 /// `op r32, imm`: a register–immediate instruction of the ALU group,
@@ -192,6 +197,48 @@ impl AluStep {
     }
 }
 
+/// `op r32, [base + disp]`, the first of the four instructions of a
+/// block that is exactly `op dst, [base + disp]` · `add|sub base, imm`
+/// · `dec counter` · `jne` back to its own first byte: a reduction
+/// over a strided walk, which the executor can retire a page of trips
+/// at a time. `base` is the step's register.
+///
+/// `op` has no carry-in (not `adc` or `sbb`), so the `k` loads fold
+/// without their flags: the step overwrites every flag the load sets.
+/// `dst` is neither the base nor the counter, and the base is not the
+/// counter, so the fold, the walk and the count are independent.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct LoadStep {
+    pub op: AluOp,
+    pub dst: Reg,
+    pub disp: u32,
+}
+
+impl LoadStep {
+    fn of(insn: &Insn, step: &AluStep, counter: Reg) -> Option<LoadStep> {
+        let (Op::Alu(op), Operand::Reg(dst), Operand::Mem(m), OpSize::Dword) =
+            (insn.op, insn.dst, insn.src, insn.size)
+        else {
+            return None;
+        };
+        let folds = !matches!(op, AluOp::Adc | AluOp::Sbb);
+        let strides = matches!(step.op, AluOp::Add | AluOp::Sub);
+        let base = step.reg;
+        (folds
+            && strides
+            && m.base == Some(base)
+            && m.index.is_none()
+            && dst != base
+            && dst != counter
+            && base != counter)
+            .then_some(LoadStep {
+                op,
+                dst,
+                disp: m.disp as u32,
+            })
+    }
+}
+
 impl CountedTail {
     /// Classifies a freshly decoded block.
     fn of(steps: &[Step]) -> Option<CountedTail> {
@@ -210,12 +257,18 @@ impl CountedTail {
             .last()
             .and_then(|s| Some((AluStep::of(&s.insn)?, s.insn.len)));
         let bytes: u32 = steps.iter().map(|s| s.insn.len as u32).sum();
+        let closes = rel == bytes.wrapping_neg();
+        let load = match (body, step) {
+            ([load, _], Some((step, _))) if closes => LoadStep::of(&load.insn, &step, counter),
+            _ => None,
+        };
         Some(CountedTail {
             counter,
-            closes: rel == bytes.wrapping_neg(),
+            closes,
             len: step.map_or(0, |(_, len)| len) + dec.insn.len + jne.insn.len,
             rel,
             step: step.map(|(step, _)| step),
+            load,
         })
     }
 
@@ -412,6 +465,7 @@ impl BlockCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nova_x86::insn::MemRef;
     use nova_x86::Asm;
 
     fn mem_with(addr: PAddr, code: &[u8]) -> PhysMem {
@@ -599,6 +653,7 @@ mod tests {
             len: dec_len + JNE_LEN,
             rel: bytes.wrapping_neg(),
             step: None,
+            load: None,
         };
         let code = counted_loop(0, DEC_ECX, Cond::Ne, true);
         assert_eq!(counted_at(&code, 0x1000), Some(tail(Reg::Ecx, 7, 1)));
@@ -684,6 +739,146 @@ mod tests {
         ] {
             assert_eq!(step_of(before), None, "{before:02x?}");
         }
+    }
+
+    /// `top: <op> <dst>, [<base> + disp] · <stride> · dec ecx · jne
+    /// top`, with the load's memory operand as given: what `fill` made
+    /// of the load, after checking the rest of the tail.
+    fn load_of(op: AluOp, dst: Reg, m: MemRef, stride: (AluOp, Reg, u32)) -> Option<LoadStep> {
+        let mut a = Asm::new(0);
+        a.alu_rm(op, dst, m);
+        a.alu_ri(stride.0, stride.1, stride.2);
+        let tail = counted_at(&counted_loop_after(&a.finish()), 0x1000).expect("dec r32; jne");
+        assert!(tail.closes);
+        let (op_, reg, imm) = stride;
+        assert_eq!(tail.step, Some(AluStep { op: op_, reg, imm }));
+        tail.load
+    }
+
+    #[test]
+    fn a_strided_load_before_the_step_is_part_of_the_tail() {
+        let ops = [
+            AluOp::Add,
+            AluOp::Or,
+            AluOp::And,
+            AluOp::Sub,
+            AluOp::Xor,
+            AluOp::Cmp,
+        ];
+        for op in ops {
+            // Up and down, by an imm8 and an imm32, with no, a disp8
+            // and a disp32 displacement.
+            for stride in [
+                (AluOp::Add, Reg::Edi, 4),
+                (AluOp::Sub, Reg::Edi, 64),
+                (AluOp::Add, Reg::Edi, 0x1_0000),
+                (AluOp::Sub, Reg::Edi, 0xffff_fffc),
+            ] {
+                for disp in [0, -8, 0x1234] {
+                    let m = MemRef::base_disp(Reg::Edi, disp);
+                    assert_eq!(
+                        load_of(op, Reg::Eax, m, stride),
+                        Some(LoadStep {
+                            op,
+                            dst: Reg::Eax,
+                            disp: disp as u32,
+                        }),
+                        "{op:?} {stride:?} {disp}"
+                    );
+                }
+            }
+        }
+        // The Fig 5 compile loop's own block.
+        let mut a = Asm::new(0x1000);
+        let top = a.here_label();
+        a.alu_rm(AluOp::Add, Reg::Eax, MemRef::base_disp(Reg::Edi, 0));
+        a.add_ri(Reg::Edi, 64);
+        a.dec_r(Reg::Ecx);
+        a.jcc(Cond::Ne, top);
+        let tail = counted_at(&a.finish(), 0x1000).unwrap();
+        assert_eq!(tail.insns(), 3, "the load is not a trip of the fused tail");
+        assert!(tail.load.is_some());
+    }
+
+    #[test]
+    fn other_loads_and_strides_are_not_batched() {
+        let up = (AluOp::Add, Reg::Edi, 4);
+        let at_edi = MemRef::base_disp(Reg::Edi, 0);
+        for (what, op, dst, m, stride) in [
+            ("adc", AluOp::Adc, Reg::Eax, at_edi, up),
+            ("sbb", AluOp::Sbb, Reg::Eax, at_edi, up),
+            ("dst is the base", AluOp::Add, Reg::Edi, at_edi, up),
+            ("dst is the counter", AluOp::Add, Reg::Ecx, at_edi, up),
+            (
+                "an index register",
+                AluOp::Add,
+                Reg::Eax,
+                MemRef {
+                    base: Some(Reg::Edi),
+                    index: Some((Reg::Ebx, 4)),
+                    disp: 0,
+                },
+                up,
+            ),
+            ("no base", AluOp::Add, Reg::Eax, MemRef::abs(0x2000), up),
+            (
+                "a step on another register",
+                AluOp::Add,
+                Reg::Eax,
+                at_edi,
+                (AluOp::Add, Reg::Esi, 4),
+            ),
+            (
+                "a step that is not a stride",
+                AluOp::Add,
+                Reg::Eax,
+                at_edi,
+                (AluOp::Xor, Reg::Edi, 4),
+            ),
+            (
+                "the base is the counter",
+                AluOp::Add,
+                Reg::Eax,
+                MemRef::base_disp(Reg::Ecx, 0),
+                (AluOp::Add, Reg::Ecx, 4),
+            ),
+        ] {
+            assert_eq!(load_of(op, dst, m, stride), None, "{what}");
+        }
+        // A store, a byte load and a `mov` are not reductions.
+        let mut a = Asm::new(0);
+        a.alu_mr(AluOp::Add, at_edi, Reg::Eax);
+        a.add_ri(Reg::Edi, 4);
+        let tail = counted_at(&counted_loop_after(&a.finish()), 0x1000).unwrap();
+        assert_eq!((tail.step.is_some(), tail.load), (true, None), "store");
+        for load in [&[0x02, 0x07][..], &[0x8b, 0x07]] {
+            // add al, [edi]; mov eax, [edi]
+            let mut code = load.to_vec();
+            code.extend_from_slice(&[0x83, 0xc7, 0x04]); // add edi, 4
+            let tail = counted_at(&counted_loop_after(&code), 0x1000).unwrap();
+            assert_eq!(
+                (tail.step.is_some(), tail.load),
+                (true, None),
+                "{load:02x?}"
+            );
+        }
+        // Anything in front of the load: the block is not the loop.
+        let mut a = Asm::new(0);
+        a.nop();
+        a.alu_rm(AluOp::Add, Reg::Eax, at_edi);
+        a.add_ri(Reg::Edi, 4);
+        let tail = counted_at(&counted_loop_after(&a.finish()), 0x1000).unwrap();
+        assert_eq!(tail.load, None, "a body before the load");
+        // A `jne` that does not come back to the load.
+        let mut a = Asm::new(0x1000);
+        a.alu_rm(AluOp::Add, Reg::Eax, at_edi);
+        a.add_ri(Reg::Edi, 4);
+        a.dec_r(Reg::Ecx);
+        let next = a.label();
+        a.jcc(Cond::Ne, next);
+        a.bind(next);
+        let tail = counted_at(&a.finish(), 0x1000).unwrap();
+        assert_eq!((tail.closes, tail.load), (false, None), "not closed");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use nova_x86::insn::{AluOp, Cond, Insn, Op, OpSize, Operand};
 use nova_x86::paging::{self, Access};
 use nova_x86::reg::{Reg, Regs};
 
-use crate::blockcache::{BlockCache, BlockEnd, CountedTail, DecodeCacheStats};
+use crate::blockcache::{BlockCache, BlockEnd, CountedTail, DecodeCacheStats, LoadStep};
 use crate::cost::CostModel;
 use crate::device::DeviceBus;
 use crate::mem::PhysMem;
@@ -649,36 +649,175 @@ fn retire_counted(
     if k == 0 {
         return 0;
     }
+    count_down(tail, k, regs.eip.wrapping_add(tail.len as u32), regs);
+    *clock += 2 * k;
+    #[cfg(test)]
+    count_run(if tail.step.is_some() {
+        2
+    } else {
+        (alone && tail.closes) as usize
+    });
+    k
+}
+
+/// The last of `k` passes of a counted loop's `dec` · `jne`, which
+/// leaves the counter, the flags and EIP as all `k` do: the counter
+/// `k` lower, the flags those of the last `dec` (CF kept from before
+/// it), EIP the `jne`'s choice. `next` is the address after the `jne`.
+#[inline(always)]
+fn count_down(tail: &CountedTail, k: u64, next: u32, regs: &mut Regs) {
     let before_last = regs.get(tail.counter).wrapping_sub((k - 1) as u32);
     let (count, eflags) = inc_dec_value(true, before_last, OpSize::Dword, regs.eflags);
     regs.set(tail.counter, count);
     regs.eflags = eflags;
-    let next = regs.eip.wrapping_add(tail.len as u32);
     regs.eip = if cond_holds(Cond::Ne, eflags) {
         next.wrapping_add(tail.rel)
     } else {
         next
     };
-    *clock += 2 * k;
+}
+
+/// Retires as many whole trips of a strided reduction loop — a block
+/// that is nothing but `op dst, [base + disp]` · `add|sub base, imm` ·
+/// `dec counter` · `jne` to itself ([`LoadStep`]), entered at its first
+/// instruction — as the counter, the first load's 4 KB page and the
+/// horizon allow, and returns how many; 0 (fewer than two fit, or the
+/// load is not plain RAM reached through a TLB hit) leaves the block
+/// to the per-instruction path, which is its specification.
+///
+/// A trip costs `4 + mem_access` cycles, and `k` of them are retired
+/// only if `clock + k × (4 + mem_access) < horizon`, so no instruction
+/// of them is the one after which the per-instruction path would have
+/// stopped. Every load of the run lies in the first one's page, which
+/// the data TLB maps already (a [`Tlb::peek`], counted as the `k` hits
+/// the loads would have been) to RAM that no device claims: no load
+/// walks, fills, faults, exits or reaches a device, and none stores,
+/// so the frame generation and `bus_touched` have nothing to see.
+///
+/// Registers end up as `k` passes of the handlers leave them: `dst`
+/// holds the `k` words folded by the load's operation (a `cmp` writes
+/// nothing), the base has moved `k` strides, the flags are the step's
+/// on its last operand (they overwrite every flag the load set) with
+/// the last `dec` on top, and EIP is the last `jne`'s choice.
+///
+/// Out of line: one call retires a page of trips, and inlined, its
+/// folds would crowd the block loop every other block runs in.
+#[inline(never)]
+fn retire_strided(
+    tail: &CountedTail,
+    load: &LoadStep,
+    regs: &mut Regs,
+    env: &mut CpuEnv,
+    horizon: Cycles,
+) -> u64 {
+    let Some(step) = tail.step.as_ref() else {
+        return 0;
+    };
+    let base = regs.get(step.reg);
+    let addr = base.wrapping_add(load.disp);
+    let off = addr & 0xfff;
+    let stride = match step.op {
+        AluOp::Sub => step.imm.wrapping_neg(),
+        _ => step.imm,
+    } as i32;
+    // Trips whose four bytes stay inside the first load's page: the
+    // first one's included, none if it crosses into the next.
+    let in_page = match stride {
+        _ if off > 0xffc => 0,
+        0 => u32::MAX as u64,
+        s if s > 0 => ((0xffc - off) / s as u32) as u64 + 1,
+        s => (off / s.unsigned_abs()) as u64 + 1,
+    };
+    let count = regs.get(tail.counter);
+    let trips = if count == 0 { 1 << 32 } else { count as u64 };
+    let per_trip = 4 + env.cost.mem_access;
+    let fit = horizon.saturating_sub(*env.clock).saturating_sub(1) / per_trip;
+    let k = trips.min(in_page).min(fit);
+    if k < 2 {
+        return 0;
+    }
+    let through_tlb = env.translates();
+    let hpa = if through_tlb {
+        match env.tlb.peek(env.vpid(), addr as u64, false) {
+            Some((hpa, _)) => hpa,
+            None => return 0,
+        }
+    } else {
+        addr as u64
+    };
+    if env.bus.maybe_mmio(hpa) {
+        return 0;
+    }
+    let Some(page) = env.mem.slice(hpa & !0xfff, 4096) else {
+        return 0;
+    };
+    let acc = regs.get(load.dst);
+    let (off, k32) = (off as usize, k as u32);
+    let folded = match load.op {
+        AluOp::Add => fold(page, off, stride, k32, acc, u32::wrapping_add),
+        AluOp::Sub => fold(page, off, stride, k32, acc, u32::wrapping_sub),
+        AluOp::And => fold(page, off, stride, k32, acc, |a, w| a & w),
+        AluOp::Or => fold(page, off, stride, k32, acc, |a, w| a | w),
+        AluOp::Xor => fold(page, off, stride, k32, acc, |a, w| a ^ w),
+        // `cmp`, and the carrying two `LoadStep::of` refuses.
+        _ => acc,
+    };
+    regs.set(load.dst, folded);
+    let before_last = base.wrapping_add((stride as u32).wrapping_mul(k32 - 1));
+    let (moved, eflags) = alu(step.op, before_last, step.imm, OpSize::Dword, regs.eflags);
+    regs.set(step.reg, moved);
+    regs.eflags = eflags;
+    // The block closes: its length is the `jne`'s backward reach.
+    count_down(tail, k, regs.eip.wrapping_sub(tail.rel), regs);
+    *env.clock += k * per_trip;
+    if through_tlb {
+        env.tlb.stats.hits += k;
+    }
     #[cfg(test)]
-    COUNTED_RUNS.with(|runs| {
-        let mut r = runs.get();
-        r[if tail.step.is_some() {
-            2
-        } else {
-            (alone && tail.closes) as usize
-        }] += 1;
-        runs.set(r);
-    });
+    count_run(3);
     k
+}
+
+/// Folds the `k` little-endian words of `page` at `off`, `off +
+/// stride`, … into `acc`; the caller has checked that they all lie in
+/// the page.
+#[inline(always)]
+fn fold(
+    page: &[u8],
+    off: usize,
+    stride: i32,
+    k: u32,
+    acc: u32,
+    f: impl Fn(u32, u32) -> u32,
+) -> u32 {
+    let mut at = off;
+    let mut acc = acc;
+    for _ in 0..k {
+        let word = page
+            .get(at..at + 4)
+            .map_or(0, |w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]));
+        acc = f(acc, word);
+        at = at.wrapping_add(stride as isize as usize);
+    }
+    acc
 }
 
 #[cfg(test)]
 thread_local! {
-    /// How often [`retire_counted`] retired something on this thread:
-    /// `[fused pairs, closed-form stretches, fused steps]`. Coverage for
-    /// the tests only; the simulated machine has no such counter.
-    static COUNTED_RUNS: std::cell::Cell<[u64; 3]> = const { std::cell::Cell::new([0; 3]) };
+    /// How often a counted tail retired something on this thread:
+    /// `[fused pairs, closed-form stretches, fused steps, strided
+    /// batches]`. Coverage for the tests only; the simulated machine
+    /// has no such counter.
+    static COUNTED_RUNS: std::cell::Cell<[u64; 4]> = const { std::cell::Cell::new([0; 4]) };
+}
+
+#[cfg(test)]
+fn count_run(form: usize) {
+    COUNTED_RUNS.with(|runs| {
+        let mut r = runs.get();
+        r[form] += 1;
+        runs.set(r);
+    });
 }
 
 /// The block executor shared by [`run_native`] and [`run_guest`]:
@@ -710,10 +849,13 @@ thread_local! {
 /// ([`CountedTail`]) retires the pair — with the register–immediate ALU
 /// step before it, if there is one — as one step when all of it fits
 /// before the horizon, and all the iterations that do when the pair is
-/// the whole loop ([`retire_counted`]); whenever it does not apply —
-/// inside an STI shadow, with the horizon inside the trip — the
-/// instructions go through their handlers below, one at a time, as
-/// everything else does.
+/// the whole loop ([`retire_counted`]). A block that is nothing but a
+/// strided load, its stride and the pair retires, from its first
+/// instruction, the trips whose loads stay in the first one's page
+/// ([`retire_strided`]). Whenever neither applies — inside an STI
+/// shadow, with the horizon inside the trip, a load that would miss
+/// the TLB or reach a device — the instructions go through their
+/// handlers below, one at a time, as everything else does.
 ///
 /// On the simulated machine this is invisible: every instruction costs
 /// the same cycles and counts the same `instret`, and the lookups
@@ -766,9 +908,8 @@ fn run_blocks(
         // shadow the caller's checks change after one instruction, so
         // nothing is fused.
         let counted = block.counted.filter(|_| !single);
-        // Instructions per trip of the tail, and where it starts.
-        let n = counted.map_or(0, |t| t.insns());
-        let tail_at = last + 1 - n;
+        // Where the tail starts.
+        let tail_at = last + 1 - counted.map_or(0, |t| t.insns());
         // Every way of setting it leaves the loop below.
         env.bus_touched = false;
         let stop = loop {
@@ -776,10 +917,17 @@ fn run_blocks(
                 Some(tail) if i == tail_at => {
                     retire_counted(tail, last == 1, regs, env.clock, horizon)
                 }
+                // A strided reduction loop: the whole block, from its
+                // first instruction.
+                Some(tail) if i == 0 => match &tail.load {
+                    Some(load) => retire_strided(tail, load, regs, env, horizon),
+                    None => 0,
+                },
                 _ => 0,
             };
             if k != 0 {
-                let n = n as u64;
+                // A trip runs from here to the end of the block.
+                let n = (last + 1 - i) as u64;
                 // Per iteration `n` instructions, all but the first of
                 // which were begun inside the block (I-TLB hits); all
                 // but possibly the last iteration come back round to
@@ -1687,9 +1835,9 @@ mod tests {
         // left with it 500 below 2^32, in one stretch.
         assert_eq!(m.run_native(Some(1_000)), NativeStop::Budget);
         assert_eq!(m.cpus[0].regs.get(Reg::Ecx), 0u32.wrapping_sub(500));
-        assert_eq!(COUNTED_RUNS.get(), [0, 1, 0], "one closed-form stretch");
+        assert_eq!(COUNTED_RUNS.get(), [0, 1, 0, 0], "one closed-form stretch");
         assert_eq!(m.run_native(Some(BUDGET - 1_000)), NativeStop::Budget);
-        assert_eq!(COUNTED_RUNS.get(), [0, 2, 0], "and one more");
+        assert_eq!(COUNTED_RUNS.get(), [0, 2, 0, 0], "and one more");
         // One cycle an instruction, nothing else on the clock.
         assert_eq!(m.clock, BUDGET);
         assert_eq!(m.cpus[0].instret, BUDGET);

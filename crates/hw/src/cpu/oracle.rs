@@ -450,39 +450,70 @@ impl Plan<'_> {
     fn fragment(&mut self) {
         let a = &mut *self.a;
         let rng = &mut self.rng;
-        match rng.below(19) {
+        match rng.below(22) {
             0 | 1 => {
                 let n = 1 + rng.below(24);
                 emit_alu(a, rng, n);
             }
-            2 => {
+            2 | 19..=21 => {
                 // A counted loop: long enough to cross timer ticks and
-                // budgets mid-block. Every other one has the strided
+                // budgets mid-block. Three in four have the strided
                 // shape of the compile guests: a load through EDX
-                // (which `emit_alu` leaves alone), then a step — EDX's
-                // stride, or any ALU operation on a scratch register —
-                // just before the `dec`.
-                let trips = 1 + rng.below(400);
-                a.mov_ri(Reg::Ecx, trips);
-                let strided = rng.below(2) == 0;
+                // (which `emit_alu` leaves alone) by any ALU operation,
+                // then a step — EDX's stride, or any ALU operation on a
+                // scratch register — just before the `dec`; most of
+                // those are nothing else, the executor's batched form.
+                let strided = rng.below(4) != 0;
                 let stride = 4 << rng.below(4);
                 let down = rng.below(2) == 0;
+                // Where the walk goes: the data pages (which it never
+                // leaves), or from just before a page the guest's or
+                // the nested table leaves unmapped, or a device frame,
+                // across into it. The load then has a disp32, so that
+                // it is the six bytes the #PF handler steps over.
+                let (target, pages, disp) = match rng.below(10) {
+                    0 => (PF_HOLE, 16, 0x100),
+                    1 => (EPT_HOLE, 16, -0x100),
+                    2 => (DOORBELL, 1, 0x100),
+                    3 => (VGA, 1, -0x100),
+                    _ => (DATA, 4, 0),
+                };
+                let off_page = target != DATA;
+                let trips = if !strided {
+                    1 + rng.below(400)
+                } else if off_page {
+                    1 + rng.below(100)
+                } else {
+                    1 + rng.below(1000.min(0x3ffc / stride) as u64)
+                };
+                a.mov_ri(Reg::Ecx, trips);
                 if strided {
-                    // Inside the data pages whichever way it walks.
-                    let first = if down { DATA + 0x3ffc } else { DATA };
-                    a.mov_ri(Reg::Edx, first);
+                    // A few trips before the boundary whichever way it
+                    // walks, or inside the data pages.
+                    let before = rng.below(8) * stride;
+                    let end = target + pages * 0x1000;
+                    let first = match (off_page, down) {
+                        (false, false) => DATA,
+                        (false, true) => end - 4,
+                        (true, false) => target - 4 - before,
+                        (true, true) => end + before,
+                    };
+                    a.mov_ri(Reg::Edx, first.wrapping_sub(disp as u32));
                 }
                 let top = a.here_label();
-                let n = if strided {
-                    rng.below(4)
-                } else {
+                let n = if !strided {
                     1 + rng.below(6)
+                } else if rng.below(8) == 0 {
+                    1 + rng.below(3)
+                } else {
+                    0
                 };
                 emit_alu(a, rng, n);
                 if strided {
                     let r = rng.pick(&SCRATCH);
-                    a.alu_rm(AluOp::Add, r, MemRef::base_disp(Reg::Edx, 0));
-                    if rng.below(2) == 0 {
+                    let op = AluOp::from_num(rng.below(8) as u8);
+                    a.alu_rm(op, r, MemRef::base_disp(Reg::Edx, disp));
+                    if rng.below(8) != 0 {
                         let op = if down { AluOp::Sub } else { AluOp::Add };
                         a.alu_ri(op, Reg::Edx, stride);
                     } else {
@@ -1179,11 +1210,11 @@ fn sweep(mode: Mode) -> Coverage {
         total.interrupts
     );
     // Only the block executor's side of this thread's runs counts.
-    let [fused, closed, stepped] = COUNTED_RUNS.get();
+    let [fused, closed, stepped, batched] = COUNTED_RUNS.get();
     assert!(
-        fused > 1_000 && closed > 100 && stepped > 1_000,
+        fused > 1_000 && closed > 100 && stepped > 1_000 && batched > 1_000,
         "counted loops ran as loops: {fused} fused pairs, {closed} closed-form stretches, \
-         {stepped} fused steps"
+         {stepped} fused steps, {batched} batched strided runs"
     );
     total
 }

@@ -92,26 +92,39 @@ impl Tlb {
         ((addr >> 22) as usize) % LARGE_SETS
     }
 
-    /// Finds the entry covering linear address `addr` under `vpid` in
-    /// the instruction (`fetch`) or data array, counting a hit or a
-    /// miss.
+    /// The entry covering linear address `addr` under `vpid` in the
+    /// instruction (`fetch`) or data array. Over the arrays alone, so
+    /// that a caller holding the entry can still count in `stats`.
     #[inline(always)]
-    fn probe(&mut self, vpid: u16, addr: u64, fetch: bool) -> Option<&TlbEntry> {
+    fn find<'a>(
+        small: &'a [Vec<Option<TlbEntry>>; 2],
+        large: &'a [Vec<Option<TlbEntry>>; 2],
+        vpid: u16,
+        addr: u64,
+        fetch: bool,
+    ) -> Option<&'a TlbEntry> {
         let side = fetch as usize;
         // Large pages first: a hit there covers the small lookup.
-        let lset = Self::large_set(addr);
         let vpn = addr >> 12;
-        let set = (vpn as usize) % SMALL_SETS;
-        let hit = match (&self.large[side][lset], &self.small[side][set]) {
-            (Some(e), _) if e.vpid == vpid && e.covers(addr) => e,
-            (_, Some(e)) if e.vpid == vpid && e.vpn == vpn => e,
-            _ => {
-                self.stats.misses += 1;
-                return None;
-            }
-        };
-        self.stats.hits += 1;
-        Some(hit)
+        match (
+            &large[side][Self::large_set(addr)],
+            &small[side][(vpn as usize) % SMALL_SETS],
+        ) {
+            (Some(e), _) if e.vpid == vpid && e.covers(addr) => Some(e),
+            (_, Some(e)) if e.vpid == vpid && e.vpn == vpn => Some(e),
+            _ => None,
+        }
+    }
+
+    /// [`Tlb::find`], counting a hit or a miss.
+    #[inline(always)]
+    fn probe(&mut self, vpid: u16, addr: u64, fetch: bool) -> Option<&TlbEntry> {
+        let hit = Self::find(&self.small, &self.large, vpid, addr, fetch);
+        match hit {
+            Some(_) => self.stats.hits += 1,
+            None => self.stats.misses += 1,
+        }
+        hit
     }
 
     /// The hit path of a translation: the host-physical address
@@ -121,6 +134,15 @@ impl Tlb {
     #[inline(always)]
     pub fn hit(&mut self, vpid: u16, addr: u64, fetch: bool) -> Option<(u64, bool)> {
         self.probe(vpid, addr, fetch)
+            .map(|e| (e.hpa + (addr & (e.page_size - 1)), e.write))
+    }
+
+    /// What [`Tlb::hit`] would return, counting nothing: the block
+    /// executor looks before it retires a run of loads from one page
+    /// and counts their hits itself.
+    #[inline(always)]
+    pub fn peek(&self, vpid: u16, addr: u64, fetch: bool) -> Option<(u64, bool)> {
+        Self::find(&self.small, &self.large, vpid, addr, fetch)
             .map(|e| (e.hpa + (addr & (e.page_size - 1)), e.write))
     }
 
@@ -314,6 +336,57 @@ mod tests {
         t.flush_all();
         assert_eq!(t.occupancy(), 0);
         assert_eq!(t.stats.flushed_entries, 10);
+    }
+
+    /// `peek` answers what `hit` answers on the same state, and counts
+    /// nothing: seeded inserts (small and large, both sides, three
+    /// tags), invalidations and flushes, each followed by probes.
+    #[test]
+    fn peek_agrees_with_hit_and_counts_nothing() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let mut t = Tlb::new();
+        let (mut hits, mut misses) = (0, 0);
+        for _ in 0..20_000 {
+            let vpid = next(3) as u16;
+            // Addresses in a 64 MB window, so sets collide often.
+            let addr = next(64 << 20);
+            let fetch = next(2) == 0;
+            match next(16) {
+                0..=5 => {
+                    let page_size = [4096, 2 << 20, 4 << 20][next(3) as usize];
+                    t.insert_for(
+                        TlbEntry {
+                            vpid,
+                            vpn: addr / page_size,
+                            hpa: next(1 << 20) * page_size,
+                            page_size,
+                            write: next(2) == 0,
+                        },
+                        fetch,
+                    );
+                }
+                6 => t.invalidate(vpid, addr),
+                7 if next(64) == 0 => t.flush_vpid(vpid),
+                _ => {}
+            }
+            let before = t.stats;
+            let peeked = t.peek(vpid, addr, fetch);
+            assert_eq!(t.stats, before, "a peek counts nothing");
+            let got = t.hit(vpid, addr, fetch);
+            assert_eq!(peeked, got, "vpid {vpid} addr {addr:#x} fetch {fetch}");
+            hits += got.is_some() as u32;
+            misses += got.is_none() as u32;
+        }
+        assert!(
+            hits > 1_000 && misses > 1_000,
+            "{hits} hits, {misses} misses"
+        );
     }
 
     #[test]

@@ -281,8 +281,10 @@ pub fn virtual_cpuid(ident: &CpuIdent, leaf: u32) -> [u32; 4] {
 /// Faults from the fetch translation, or [`EmuErr::Unsupported`] for
 /// encodings outside the subset.
 pub fn fetch_insn<H: EmuHost>(env: &mut EmuEnv<H>, regs: &Regs) -> Result<Insn, EmuErr> {
-    // Opcode bytes accumulate on the stack; each guest page on the
-    // fetch path is translated once and its bytes borrowed in place.
+    // Each guest page on the fetch path is translated once and its
+    // bytes borrowed in place. The first chunk is decoded where it
+    // lies; only an instruction that runs past it has its bytes
+    // gathered on the stack.
     let mut buf = [0u8; MAX_INSN_LEN];
     let mut len = 0usize;
     while len < MAX_INSN_LEN {
@@ -300,22 +302,31 @@ pub fn fetch_insn<H: EmuHost>(env: &mut EmuEnv<H>, regs: &Regs) -> Result<Insn, 
         let Some(src) = env.host.ram(gpa, want) else {
             break;
         };
-        let Some(dst) = buf.get_mut(len..len + src.len()) else {
-            break;
-        };
-        dst.copy_from_slice(src);
-        len += src.len();
         // One decode per fetched chunk. The decoder is prefix-stable
         // (`decode_is_prefix_stable` in nova-x86): what it says of these
         // bytes is what it would have said of the shortest prefix that
         // holds the instruction, so bytes past the instruction are
         // never acted on. Only a truncated encoding reaches for the
         // next page.
-        match decode(buf.get(..len).unwrap_or(&buf)) {
-            Ok(insn) => return Ok(insn),
-            Err(DecodeError::InvalidOpcode) => return Err(EmuErr::Unsupported),
+        let bytes = if len == 0 {
+            src
+        } else {
+            let Some(dst) = buf.get_mut(len..len + src.len()) else {
+                break;
+            };
+            dst.copy_from_slice(src);
+            buf.get(..len + src.len()).unwrap_or(&buf)
+        };
+        match decode(bytes) {
             Err(DecodeError::Truncated) => {}
+            done => return done.map_err(|_| EmuErr::Unsupported),
         }
+        if len == 0 {
+            if let Some(dst) = buf.get_mut(..src.len()) {
+                dst.copy_from_slice(src);
+            }
+        }
+        len += src.len();
     }
     // Still truncated with nothing more to fetch.
     Err(EmuErr::Unsupported)
@@ -540,6 +551,10 @@ mod tests {
         k.mem_write(ctx, base + 0x5000 - 2, &MOV_EAX_IMM);
         k.mem_write(ctx, base + 0x7000 - 4, &[0xf3; 19]);
         k.mem_write(ctx, base + 0x8000, &[0x90, 0x0f, 0xff, 0x8d, 0xc0]);
+        // Instructions ending on the last byte of a page inside RAM:
+        // the whole first chunk, decoded where it lies.
+        k.mem_write(ctx, base + 0x6000 - 5, &MOV_EAX_IMM);
+        k.mem_write(ctx, base + 0x9000 - 1, &[0x90, 0x0f]);
         let mut host = VmmHost {
             k: &mut k,
             ctx,
@@ -566,6 +581,12 @@ mod tests {
             (insn.len, insn.src),
             (5, nova_x86::insn::Operand::Imm(0x1234_5678))
         );
+        let insn = fetch_both(&mut env, 0x6000 - 5).unwrap();
+        assert_eq!(
+            (insn.len, insn.src),
+            (5, nova_x86::insn::Operand::Imm(0x1234_5678))
+        );
+        assert_eq!(fetch_both(&mut env, 0x9000 - 1).map(|i| i.len), Ok(1));
         assert_eq!(fetch_both(&mut env, 0x7000 - 4), Err(EmuErr::Unsupported));
         assert_eq!(fetch_both(&mut env, 0x8000).map(|i| i.len), Ok(1));
         assert_eq!(fetch_both(&mut env, 0x8001), Err(EmuErr::Unsupported));

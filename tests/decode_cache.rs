@@ -987,6 +987,275 @@ fn stepped_tail_in_an_sti_shadow_retires_the_step_alone() {
     assert_eq!(t.v.guest.get(Reg::Ebx), 15);
 }
 
+// ----------------------------------------------------------------------
+// Strided reduction loops, a page of trips at a time
+// ----------------------------------------------------------------------
+
+/// Trips of every [`reduction_loop`]; the walk leaves its first page
+/// on trip [`CROSSING`] (from 0).
+const REDUCTION_TRIPS: u32 = 12;
+const CROSSING: u32 = 4;
+
+/// Where the data of the reduction loops lies: three pages of seeded
+/// words, so every load of a walk reads something different.
+const WALKED: u32 = 0x10_0000;
+
+/// `mov edi, first` · `mov ecx, 12` · `top:` `op eax, [edi]` ·
+/// `add|sub edi, stride` · `dec ecx` · `jne top` · `cpuid`: the Fig 5
+/// compile loop by `op`, walking up or `down` by `stride` from four
+/// trips short of a page boundary. Returns the code and `top`.
+fn reduction_loop(op: AluOp, stride: u32, down: bool) -> (Vec<u8>, u32) {
+    let first = if down {
+        WALKED + 0x1000 + (CROSSING - 1) * stride
+    } else {
+        WALKED + 0x1000 - CROSSING * stride
+    };
+    let mut a = Asm::new(CODE);
+    a.mov_ri(Reg::Edi, first);
+    a.mov_ri(Reg::Ecx, REDUCTION_TRIPS);
+    let top = a.here();
+    let back = a.here_label();
+    a.alu_rm(op, Reg::Eax, MemRef::base_disp(Reg::Edi, 0));
+    a.alu_ri(if down { AluOp::Sub } else { AluOp::Add }, Reg::Edi, stride);
+    a.dec_r(Reg::Ecx);
+    a.jcc(Cond::Ne, back);
+    a.cpuid();
+    (a.finish(), top)
+}
+
+/// The seeded words of [`WALKED`]'s three pages.
+fn walked_words(m: &mut Machine) {
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    for at in (WALKED..WALKED + 0x3000).step_by(4) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        m.mem.write_u32(at as u64, x as u32);
+    }
+}
+
+/// A guest running `code` over the seeded pages, with CF set on entry.
+fn reduction_guest(m: &mut Machine, code: &[u8]) -> Vmcs {
+    walked_words(m);
+    let mut v = guest(m, code);
+    v.guest.eflags |= flags::CF;
+    v
+}
+
+/// The clock at the start of every trip of the loop at `top`, from a
+/// run one instruction at a time.
+fn trip_starts(code: &[u8], top: u32) -> Vec<u64> {
+    let mut m = machine();
+    let mut v = reduction_guest(&mut m, code);
+    let mut starts = Vec::new();
+    loop {
+        if v.guest.eip == top {
+            starts.push(m.clock);
+        }
+        if enter_for(&mut m, &mut v, 1) != ExitReason::Preempt {
+            return starts;
+        }
+    }
+}
+
+/// The six operations a reduction loop is batched by, and the two it
+/// is not (they read CF).
+const REDUCTIONS: [AluOp; 8] = [
+    AluOp::Add,
+    AluOp::Or,
+    AluOp::And,
+    AluOp::Sub,
+    AluOp::Xor,
+    AluOp::Cmp,
+    AluOp::Adc,
+    AluOp::Sbb,
+];
+
+/// A stop at every cycle of a window from two trips before to two
+/// trips after the walk leaves its page — by interrupt and by quantum,
+/// walking up and down by 4 and by 64 — then the rest of the loop:
+/// registers (EFLAGS bit for bit), clock, `instret` and `Tlb::stats`
+/// as the stepped run has them at the stop and at the end.
+///
+/// Fails with the page bound one trip long (the batch reads past the
+/// page), with `≤` for `<` in the horizon bound (the stop comes a trip
+/// late), with the batch's data-TLB hits left uncounted and with the
+/// peek counting a miss.
+#[test]
+fn strided_reduction_stopped_anywhere_across_a_page_matches_stepped() {
+    for (stride, down) in [(4, false), (4, true), (64, false), (64, true)] {
+        for op in [AluOp::Add, AluOp::Sub] {
+            let (code, top) = reduction_loop(op, stride, down);
+            let starts = trip_starts(&code, top);
+            assert_eq!(starts.len(), REDUCTION_TRIPS as usize);
+            let window = starts[CROSSING as usize - 2]..starts[CROSSING as usize + 2];
+            for stop_at in window {
+                for by_interrupt in [false, true] {
+                    let mut t = Twins::build(|m| {
+                        if by_interrupt {
+                            interrupt_in(m, stop_at);
+                        }
+                        reduction_guest(m, &code)
+                    });
+                    let what =
+                        format!("{op:?} by {stride} down {down} stop {stop_at} irq {by_interrupt}");
+                    let quantum = if by_interrupt { WHOLE_RUN } else { stop_at };
+                    match t.enter(quantum) {
+                        ExitReason::ExtInt { .. } if by_interrupt => {}
+                        ExitReason::Preempt if !by_interrupt => {}
+                        other => panic!("{what}: {other:?}"),
+                    }
+                    assert!(
+                        matches!(t.enter(WHOLE_RUN), ExitReason::Cpuid { .. }),
+                        "{what}"
+                    );
+                    assert_eq!(t.v.guest.get(Reg::Ecx), 0, "{what}");
+                    // The code page, then each data page once.
+                    assert_eq!(t.m.cpus[0].tlb.stats.misses, 3, "{what}");
+                }
+            }
+        }
+    }
+}
+
+/// A whole run of each operation's loop in each direction and stride
+/// is the stepped run's, reduces the words the walk passes over, and
+/// counts what `k` passes of the per-instruction path count: one
+/// data-TLB miss per page (the batch peeks, it does not look up), one
+/// block lookup per trip, four instructions a trip. `adc` and `sbb`
+/// are not batched, and agree too.
+///
+/// Fails with a `cmp` that writes its register, with `adc` accepted
+/// (its carry-in is dropped), with the flags taken from the last load
+/// instead of the step, with the page bound one trip long and with the
+/// peek counting a miss.
+#[test]
+fn strided_reductions_reduce_and_count_as_stepped() {
+    for (stride, down) in [(4, false), (4, true), (64, false), (64, true)] {
+        for op in REDUCTIONS {
+            let (code, _) = reduction_loop(op, stride, down);
+            let what = format!("{op:?} by {stride} down {down}");
+            let (m, v) = same_as_stepped(|m| reduction_guest(m, &code));
+            let cpu = &m.cpus[0];
+            assert_eq!(
+                cpu.decode_cache_stats(),
+                DecodeCacheStats {
+                    hits: REDUCTION_TRIPS as u64 - 2,
+                    misses: 3,
+                    invalidations: 0,
+                    evictions: 0,
+                },
+                "{what}"
+            );
+            assert_eq!(cpu.instret, 2 + 4 * REDUCTION_TRIPS as u64 + 1, "{what}");
+            assert_eq!(cpu.tlb.stats.misses, 3, "{what}");
+            let first = v.guest.get(Reg::Edi).wrapping_add(if down {
+                REDUCTION_TRIPS * stride
+            } else {
+                (REDUCTION_TRIPS * stride).wrapping_neg()
+            });
+            let mut want = 0u32;
+            for trip in 0..REDUCTION_TRIPS {
+                let at = if down {
+                    first - trip * stride
+                } else {
+                    first + trip * stride
+                };
+                let word = m.mem.read_u32(at as u64);
+                want = match op {
+                    AluOp::Add => want.wrapping_add(word),
+                    AluOp::Or => want | word,
+                    AluOp::And => want & word,
+                    AluOp::Sub => want.wrapping_sub(word),
+                    AluOp::Xor => want ^ word,
+                    _ => want,
+                };
+            }
+            if !matches!(op, AluOp::Adc | AluOp::Sbb) {
+                assert_eq!(v.guest.get(Reg::Eax), want, "{what}");
+            }
+        }
+    }
+}
+
+/// The AHCI register frame, mapped inside guest RAM as a BAR could be:
+/// a reduction loop over it reads the registers on every trip (each
+/// access costs the device round trip the stepped run charges), never
+/// the RAM beneath them.
+///
+/// Fails with the device-frame filter skipped: the batch folds the
+/// zeros of the RAM under the frame.
+#[test]
+fn a_reduction_over_a_device_frame_reaches_the_device_every_trip() {
+    const BAR: u32 = 0x40_0000;
+    let mut a = Asm::new(CODE);
+    a.mov_ri(Reg::Edi, BAR);
+    a.mov_ri(Reg::Ecx, 64);
+    let top = a.here_label();
+    a.alu_rm(AluOp::Or, Reg::Eax, MemRef::base_disp(Reg::Edi, 0));
+    a.add_ri(Reg::Edi, 4);
+    a.dec_r(Reg::Ecx);
+    a.jcc(Cond::Ne, top);
+    a.cpuid();
+    let code = a.finish();
+    let (m, v) = same_as_stepped(|m| {
+        let ahci = m.dev.ahci;
+        m.bus.map_mmio(BAR as u64, 0x1000, ahci);
+        guest(m, &code)
+    });
+    assert_ne!(
+        v.guest.get(Reg::Eax),
+        0,
+        "the registers, not the RAM beneath"
+    );
+    assert!(
+        m.clock > 64 * nova_hw::cpu::DEVICE_ACCESS_CYCLES,
+        "a device round trip a trip"
+    );
+}
+
+/// Inside an STI shadow exactly one instruction retires: the load of a
+/// reduction loop entered there runs alone, and the window exit finds
+/// EIP at the step.
+///
+/// Fails with the batch taken under `single`.
+#[test]
+fn reduction_in_an_sti_shadow_retires_the_load_alone() {
+    let mut a = Asm::new(CODE);
+    a.mov_ri(Reg::Edi, WALKED);
+    a.mov_ri(Reg::Ecx, 100);
+    // The page is in the data TLB: only the shadow stands between the
+    // load and a batch.
+    a.mov_rm(Reg::Ebx, MemRef::abs(WALKED + 0x800));
+    a.sti();
+    let top = a.here_label();
+    a.alu_rm(AluOp::Add, Reg::Eax, MemRef::base_disp(Reg::Edi, 0));
+    let step_at = a.here();
+    a.add_ri(Reg::Edi, 4);
+    a.dec_r(Reg::Ecx);
+    a.jcc(Cond::Ne, top);
+    a.cpuid();
+    let code = a.finish();
+    let mut t = Twins::build(|m| {
+        let mut v = reduction_guest(m, &code);
+        v.intwin_exit = true;
+        v
+    });
+    assert_eq!(t.enter(WHOLE_RUN), ExitReason::IntWindow);
+    assert_eq!(t.v.guest.eip, step_at, "between the load and the step");
+    let first = t.m.mem.read_u32(WALKED as u64);
+    assert_eq!(
+        (
+            t.v.guest.get(Reg::Eax),
+            t.v.guest.get(Reg::Edi),
+            t.v.guest.get(Reg::Ecx)
+        ),
+        (first, WALKED, 100)
+    );
+    assert!(matches!(t.enter(WHOLE_RUN), ExitReason::Cpuid { .. }));
+    assert_eq!(t.v.guest.get(Reg::Edi), WALKED + 400);
+}
+
 struct Nop;
 impl Component for Nop {
     fn name(&self) -> &str {

@@ -164,7 +164,7 @@ fn the_configuration_surface_is_pinned() {
 /// its cap makes room first. The caps are only ever lowered.
 #[test]
 fn the_long_documents_are_capped() {
-    for (doc, cap) in [("DESIGN.md", 118_982), ("EXPERIMENTS.md", 200_899)] {
+    for (doc, cap) in [("DESIGN.md", 118_901), ("EXPERIMENTS.md", 200_791)] {
         let path = loc::workspace_root().join(doc);
         let bytes = std::fs::metadata(&path).expect(doc).len();
         assert!(bytes <= cap, "{doc} is {bytes} bytes, capped at {cap}");
