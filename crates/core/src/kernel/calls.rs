@@ -344,7 +344,7 @@ impl Kernel {
                 }
                 let sm_id = self.lookup_sm(caller, sm, Perms::UP)?;
                 self.obj.sm_mut(sm_id).gsi = Some(gsi);
-                self.gsi_sm.insert(gsi, sm_id);
+                self.gsi_sm[gsi as usize] = Some(sm_id);
                 Ok(HcReply::Ok)
             }
             Hypercall::DelegateGsi { dst_pd, gsi } => {

@@ -209,7 +209,7 @@ pub struct Kernel {
     nested: HashMap<PdId, NestedTable>,
     shadows: HashMap<EcId, ShadowCache>,
     gsi_owner: HashMap<u8, PdId>,
-    gsi_sm: HashMap<u8, SmId>,
+    gsi_sm: [Option<SmId>; 256],
     timers: Vec<KernelTimer>,
     watchdogs: Vec<Watchdog>,
     next_vpid: u16,
@@ -336,7 +336,7 @@ impl Kernel {
             nested: HashMap::new(),
             shadows: HashMap::new(),
             gsi_owner,
-            gsi_sm: HashMap::new(),
+            gsi_sm: [None; 256],
             timers: Vec::new(),
             watchdogs: Vec::new(),
             next_vpid: 1,

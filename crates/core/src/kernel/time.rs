@@ -21,7 +21,7 @@ impl Kernel {
             .bus
             .pic
             .io_write(nova_hw::pic::MASTER_CMD, 0x20);
-        if let Some(&sm) = self.gsi_sm.get(&gsi) {
+        if let Some(sm) = self.gsi_sm[gsi as usize] {
             self.sm_up(sm);
         }
     }

@@ -135,6 +135,77 @@ fn read_sector(store: &HashMap<u64, [u8; SECTOR_BYTES]>, lba: u64, out: &mut [u8
     }
 }
 
+/// Sectors whose patterns [`read_sectors`] runs side by side.
+const LANES: usize = 8;
+/// 64-bit words per sector.
+const WORDS: usize = SECTOR_BYTES / 8;
+
+/// The xorshift64 states of the streams of sectors `first`,
+/// `first + 1`, … (wrapping), before their first word, as [`pattern`]
+/// seeds each.
+fn seeds(first: u64) -> [u64; LANES] {
+    std::array::from_fn(|j| {
+        first
+            .wrapping_add(j as u64)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            | 1
+    })
+}
+
+/// [`pattern`]'s step.
+#[inline(always)]
+fn step(x: &mut u64) -> [u8; 8] {
+    *x ^= *x << 13;
+    *x ^= *x >> 7;
+    *x ^= *x << 17;
+    x.to_le_bytes()
+}
+
+/// Writes the content of sectors `lba`, `lba + 1`, … (wrapping) into
+/// `out`, the last one cut where `out` ends: byte for byte what
+/// [`read_sector`] gives for each. The patterns run [`LANES`] sectors
+/// at a time, one stream per lane, interleaved so that the lanes'
+/// dependency chains overlap, each word stored where its sector lies;
+/// a partial last group runs only the lanes it fills. Overlay sectors
+/// are copied over theirs, looked up only when there are any.
+fn read_sectors(store: &HashMap<u64, [u8; SECTOR_BYTES]>, lba: u64, out: &mut [u8]) {
+    let (words, _) = out.as_chunks_mut::<8>();
+    let (sectors, _) = words.as_chunks_mut::<WORDS>();
+    let (groups, _) = sectors.as_chunks_mut::<LANES>();
+    let mut first = lba;
+    for group in groups.iter_mut() {
+        let mut x = seeds(first);
+        for w in 0..WORDS {
+            for (x, sector) in x.iter_mut().zip(group.iter_mut()) {
+                if let Some(word) = sector.get_mut(w) {
+                    *word = step(x);
+                }
+            }
+        }
+        first = first.wrapping_add(LANES as u64);
+    }
+    let done = groups.len() * LANES * SECTOR_BYTES;
+    let tail = out.get_mut(done..).unwrap_or_default();
+    let lanes = tail.len().div_ceil(SECTOR_BYTES);
+    let mut x = seeds(first);
+    for w in 0..WORDS {
+        for (j, x) in x.iter_mut().enumerate().take(lanes) {
+            let bytes = step(x);
+            let at = j * SECTOR_BYTES + w * 8;
+            if let Some(word) = tail.get_mut(at..tail.len().min(at + 8)) {
+                word.copy_from_slice(bytes.get(..word.len()).unwrap_or_default());
+            }
+        }
+    }
+    if !store.is_empty() {
+        for (i, s) in out.chunks_mut(SECTOR_BYTES).enumerate() {
+            if let Some(o) = store.get(&lba.wrapping_add(i as u64)) {
+                s.copy_from_slice(o.get(..s.len()).unwrap_or_default());
+            }
+        }
+    }
+}
+
 impl Ahci {
     /// Creates the adapter on interrupt line `irq_line`.
     pub fn new(params: DiskParams, irq_line: u8) -> Ahci {
@@ -241,13 +312,10 @@ impl Ahci {
                     return None;
                 }
             } else {
-                let sectors = chunk.div_ceil(SECTOR_BYTES);
-                let data = staged(buf, sectors * SECTOR_BYTES);
-                for (i, s) in data.chunks_exact_mut(SECTOR_BYTES).enumerate() {
-                    read_sector(store, lba + i as u64, s);
-                }
-                lba += sectors as u64;
-                if !ctx.dma_write(dba, data.get(..chunk).unwrap_or_default()) {
+                let data = staged(buf, chunk);
+                read_sectors(store, lba, data);
+                lba += chunk.div_ceil(SECTOR_BYTES) as u64;
+                if !ctx.dma_write(dba, data) {
                     return None;
                 }
             }
@@ -366,14 +434,28 @@ mod tests {
     /// Writes a one-descriptor command for slot 0 into memory, programs
     /// the command-list base, enables interrupts and rings the doorbell.
     fn issue(bus: &mut DeviceBus, mem: &mut PhysMem, now: Cycles, cfis: [u8; 64], buf: u64) {
+        let bytes = cmd::Cfis::decode(&cfis).map_or(0, |c| c.sectors as u32 * SECTOR);
+        issue_prdt(bus, mem, now, cfis, &[(buf, bytes)]);
+    }
+
+    /// [`issue`] with the descriptors `prdt`, `(bus address, bytes)`.
+    fn issue_prdt(
+        bus: &mut DeviceBus,
+        mem: &mut PhysMem,
+        now: Cycles,
+        cfis: [u8; 64],
+        prdt: &[(u64, u32)],
+    ) {
         let hdr = cmd::Header {
-            prdtl: 1,
+            prdtl: prdt.len() as u16,
             ctba: CTBA,
         };
-        let bytes = cmd::Cfis::decode(&cfis).map_or(0, |c| c.sectors as u32 * SECTOR);
         mem.write_bytes(CLB, &hdr.encode());
         mem.write_bytes(CTBA, &cfis);
-        mem.write_bytes(CTBA + cmd::PRDT_OFFSET, &cmd::prd::encode(buf, bytes));
+        for (i, &(dba, bytes)) in prdt.iter().enumerate() {
+            let at = CTBA + cmd::PRDT_OFFSET + (i * cmd::PRD_LEN) as u64;
+            mem.write_bytes(at, &cmd::prd::encode(dba, bytes));
+        }
         for (reg, val) in [(regs::P0CLB, CLB as u32), (regs::P0IE, 1), (regs::P0CI, 1)] {
             bus.mmio_write(mem, now, BASE + reg as u64, OpSize::Dword, val);
         }
@@ -566,5 +648,153 @@ mod tests {
         // The request errored out instead of completing.
         let p0is = bus.mmio_read(&mut mem, 0, BASE + regs::P0IS as u64, OpSize::Dword);
         assert_ne!(p0is & (1 << 30), 0);
+    }
+
+    /// A seeded stream of test choices (xorshift64*).
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+        }
+    }
+
+    /// The bytes the one-sector specification gives for `len` bytes
+    /// from `lba`: `sector(lba)`, `sector(lba + 1)`, … (wrapping), cut.
+    fn expected(ahci: &Ahci, lba: u64, len: usize) -> Vec<u8> {
+        let sectors = len.div_ceil(SECTOR_BYTES) as u64;
+        let mut v: Vec<u8> = (0..sectors)
+            .flat_map(|i| ahci.sector(lba.wrapping_add(i)))
+            .collect();
+        v.truncate(len);
+        v
+    }
+
+    const GUARD: u8 = 0xa5;
+    /// Guard bytes checked after each buffer.
+    const GUARDS: usize = 64;
+    /// Where read buffers start, one per descriptor, this far apart.
+    const BUFS: u64 = 0x20_0000;
+    const BUF_STRIDE: u64 = 0x8000;
+
+    /// The read path's batch against the one-sector specification, over
+    /// 1,000 seeded cases. Each case reads 1–40 sectors through the
+    /// device, its PRDT split at byte offsets that need not be sector
+    /// multiples, after (every other case) writing overlay sectors into
+    /// the range; each descriptor must receive `sector(lba + i)` for the
+    /// sectors it touched, cut at its length, and the guard bytes after
+    /// each buffer and after the staged bytes must stay. Each case also
+    /// runs the batch directly over LBAs that include the last eight
+    /// below `u64::MAX` (whose lane seeds wrap), with overlay sectors
+    /// there, into a guarded buffer of any length.
+    #[test]
+    fn the_batch_is_the_sector_specification() {
+        let (mut bus, mut mem, dev) = setup();
+        let mut rng = Rng(0x5eed_a4c1);
+        let mut now = 0;
+        let mut run = |bus: &mut DeviceBus, mem: &mut PhysMem, cfis: cmd::Cfis, prdt: &[_]| {
+            issue_prdt(bus, mem, now, cfis.encode(), prdt);
+            now = bus.next_event_due().unwrap();
+            bus.process_events(mem, now);
+            complete(bus, mem, now);
+        };
+        for case in 0..1000 {
+            let lba = match rng.below(3) {
+                0 => rng.below(100),
+                1 => (1 << 48) - 1 - rng.below(48),
+                _ => rng.below(1 << 48),
+            };
+            let sectors = 1 + rng.below(40) as u16;
+            if case % 2 == 1 {
+                let n = 1 + rng.below(4) as u16;
+                let at = (lba + rng.below(sectors as u64 + 2)).saturating_sub(1);
+                let data: Vec<u8> = (0..n as u64 * 512).map(|_| rng.below(256) as u8).collect();
+                mem.write_bytes(0x30_0000, &data);
+                let write = cmd::Cfis {
+                    write: true,
+                    lba: at,
+                    sectors: n,
+                };
+                run(&mut bus, &mut mem, write, &[(0x30_0000, n as u32 * SECTOR)]);
+            }
+            // Descriptors: the transfer cut at up to three random offsets.
+            let total = sectors as u32 * SECTOR;
+            let mut cuts: Vec<u32> = (0..rng.below(4))
+                .map(|_| 1 + rng.below(total as u64 - 1) as u32)
+                .collect();
+            cuts.extend([0, total]);
+            cuts.sort_unstable();
+            cuts.dedup();
+            let prdt: Vec<(u64, u32)> = cuts
+                .windows(2)
+                .enumerate()
+                .map(|(e, w)| (BUFS + e as u64 * BUF_STRIDE, w[1] - w[0]))
+                .collect();
+            for &(dba, n) in &prdt {
+                mem.write_bytes(dba, &vec![GUARD; n as usize + GUARDS]);
+            }
+            // Guards over the whole staging buffer: a case stages at most
+            // its PRDT and its largest descriptor.
+            let ahci = bus.typed_mut::<Ahci>(dev).unwrap();
+            ahci.buf = vec![GUARD; 1 << 16];
+            let read = cmd::Cfis {
+                write: false,
+                lba,
+                sectors,
+            };
+            run(&mut bus, &mut mem, read, &prdt);
+
+            let ahci = bus.typed_mut::<Ahci>(dev).unwrap();
+            let mut at = lba;
+            for (e, &(dba, n)) in prdt.iter().enumerate() {
+                let got = mem.read_bytes(dba, n as usize + GUARDS);
+                let want = expected(ahci, at, n as usize);
+                assert!(
+                    got[..n as usize] == want[..],
+                    "case {case}: descriptor {e} of {prdt:?} from LBA {lba}"
+                );
+                assert!(
+                    got[n as usize..].iter().all(|&b| b == GUARD),
+                    "case {case}: past descriptor {e}"
+                );
+                at += (n as u64).div_ceil(512);
+            }
+            let staged = prdt
+                .iter()
+                .map(|&(_, n)| n as usize)
+                .max()
+                .unwrap_or(0)
+                .max(prdt.len() * cmd::PRD_LEN);
+            assert!(
+                ahci.buf[staged..].iter().all(|&b| b == GUARD),
+                "case {case}: staged past the transfer"
+            );
+
+            // The batch alone, where the seeds wrap.
+            let lba = match rng.below(2) {
+                0 => u64::MAX - rng.below(8),
+                _ => rng.below(u64::MAX),
+            };
+            let len = 1 + rng.below(40 * 512) as usize;
+            if rng.below(2) == 0 {
+                let over = lba.wrapping_add(rng.below(len.div_ceil(512) as u64));
+                ahci.store.insert(over, [case as u8; SECTOR_BYTES]);
+            }
+            let mut out = vec![GUARD; len + GUARDS];
+            read_sectors(&ahci.store, lba, &mut out[..len]);
+            assert!(
+                out[..len] == expected(ahci, lba, len)[..],
+                "case {case}: {len} bytes from LBA {lba}"
+            );
+            assert!(
+                out[len..].iter().all(|&b| b == GUARD),
+                "case {case}: past {len} bytes"
+            );
+        }
+        let ahci = bus.typed_mut::<Ahci>(dev).unwrap();
+        assert_eq!((ahci.completed, ahci.errors), (1500, 0));
     }
 }

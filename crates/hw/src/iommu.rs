@@ -12,7 +12,7 @@
 //! unrestricted — the configuration in which any DMA-capable driver
 //! must be trusted.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use crate::PAddr;
 
@@ -48,15 +48,26 @@ pub struct IrqFault {
     pub line: u8,
 }
 
+/// `table[device]`, grown to hold it: only a grant grows a table, a
+/// lookup reads past the end as `None`.
+fn entry<T>(table: &mut Vec<Option<T>>, device: usize) -> &mut Option<T> {
+    if table.len() <= device {
+        table.resize_with(device + 1, || None);
+    }
+    &mut table[device]
+}
+
 /// The IOMMU.
 pub struct Iommu {
     enabled: bool,
-    domains: HashMap<usize, Domain>,
+    /// Each device's domain, indexed by its dense bus device number;
+    /// `None`, or past the end, is no domain.
+    domains: Vec<Option<Domain>>,
     /// Interrupt remapping: the single line each restricted device may
     /// assert ("the hypervisor ... restricts the interrupt vectors
-    /// available to drivers", Section 4.2). Unrestricted devices pass
-    /// through (legacy behaviour).
-    irq_allowed: HashMap<usize, u8>,
+    /// available to drivers", Section 4.2), indexed as `domains`.
+    /// Unrestricted devices pass through (legacy behaviour).
+    irq_allowed: Vec<Option<u8>>,
     /// Blocked transactions.
     pub faults: Vec<DmaFault>,
     /// Blocked interrupt assertions.
@@ -69,8 +80,8 @@ impl Iommu {
     pub fn enabled() -> Iommu {
         Iommu {
             enabled: true,
-            domains: HashMap::new(),
-            irq_allowed: HashMap::new(),
+            domains: Vec::new(),
+            irq_allowed: Vec::new(),
             faults: Vec::new(),
             irq_faults: Vec::new(),
         }
@@ -80,8 +91,8 @@ impl Iommu {
     pub fn disabled() -> Iommu {
         Iommu {
             enabled: false,
-            domains: HashMap::new(),
-            irq_allowed: HashMap::new(),
+            domains: Vec::new(),
+            irq_allowed: Vec::new(),
             faults: Vec::new(),
             irq_faults: Vec::new(),
         }
@@ -89,15 +100,13 @@ impl Iommu {
 
     /// Grants `device` full identity access (trusted driver).
     pub fn set_passthrough(&mut self, device: usize) {
-        self.domains.insert(device, Domain::Passthrough);
+        *entry(&mut self.domains, device) = Some(Domain::Passthrough);
     }
 
     /// Maps one bus page for `device` to a host page.
     pub fn map_page(&mut self, device: usize, bus_page: u64, host_page: PAddr, write: bool) {
-        let dom = self
-            .domains
-            .entry(device)
-            .or_insert_with(|| Domain::Mapped(BTreeMap::new()));
+        let dom =
+            entry(&mut self.domains, device).get_or_insert_with(|| Domain::Mapped(BTreeMap::new()));
         match dom {
             Domain::Mapped(m) => {
                 m.insert(bus_page & !(PAGE - 1), (host_page & !(PAGE - 1), write));
@@ -112,7 +121,7 @@ impl Iommu {
 
     /// Revokes one bus page from `device`.
     pub fn unmap_page(&mut self, device: usize, bus_page: u64) {
-        if let Some(Domain::Mapped(m)) = self.domains.get_mut(&device) {
+        if let Some(Some(Domain::Mapped(m))) = self.domains.get_mut(device) {
             m.remove(&(bus_page & !(PAGE - 1)));
         }
     }
@@ -121,10 +130,10 @@ impl Iommu {
     /// order — none without a domain — or `None` for an identity
     /// (passthrough) domain, which reaches everything.
     pub fn mappings(&self, device: usize) -> Option<impl Iterator<Item = (u64, PAddr, bool)> + '_> {
-        let map = match self.domains.get(&device) {
-            Some(Domain::Passthrough) => return None,
-            Some(Domain::Mapped(m)) => Some(m),
-            None => None,
+        let map = match self.domains.get(device) {
+            Some(Some(Domain::Passthrough)) => return None,
+            Some(Some(Domain::Mapped(m))) => Some(m),
+            _ => None,
         };
         Some(
             map.into_iter()
@@ -135,13 +144,15 @@ impl Iommu {
 
     /// Removes the device's entire domain (all further DMA faults).
     pub fn clear_device(&mut self, device: usize) {
-        self.domains.remove(&device);
+        if let Some(dom) = self.domains.get_mut(device) {
+            *dom = None;
+        }
     }
 
     /// Restricts `device` to asserting exactly `line` (interrupt
     /// remapping).
     pub fn restrict_irq(&mut self, device: usize, line: u8) {
-        self.irq_allowed.insert(device, line);
+        *entry(&mut self.irq_allowed, device) = Some(line);
     }
 
     /// Checks (and on failure records) an interrupt assertion.
@@ -149,8 +160,8 @@ impl Iommu {
         if !self.enabled {
             return true;
         }
-        match self.irq_allowed.get(&device) {
-            Some(&allowed) if allowed == line => true,
+        match self.irq_allowed.get(device).copied().flatten() {
+            Some(allowed) if allowed == line => true,
             None => true, // unrestricted legacy device
             Some(_) => {
                 self.irq_faults.push(IrqFault { device, line });
@@ -165,13 +176,13 @@ impl Iommu {
         if !self.enabled {
             return Some(addr);
         }
-        let res = match self.domains.get(&device) {
-            Some(Domain::Passthrough) => Some(addr),
-            Some(Domain::Mapped(m)) => match m.get(&(addr & !(PAGE - 1))) {
+        let res = match self.domains.get(device) {
+            Some(Some(Domain::Passthrough)) => Some(addr),
+            Some(Some(Domain::Mapped(m))) => match m.get(&(addr & !(PAGE - 1))) {
                 Some((host, w)) if *w || !write => Some(host + (addr & (PAGE - 1))),
                 _ => None,
             },
-            None => None,
+            _ => None,
         };
         if res.is_none() {
             self.faults.push(DmaFault {
@@ -263,5 +274,87 @@ mod tests {
             None,
             "device 2 has no domain"
         );
+    }
+
+    #[test]
+    fn a_device_past_every_table_is_blocked_and_recorded() {
+        let mut io = Iommu::enabled();
+        io.map_page(1, 0x4000, 0x9000, true);
+        io.restrict_irq(1, 11);
+        assert_eq!(io.translate(50, 0x4000, true), None);
+        assert_eq!(
+            io.faults,
+            [DmaFault {
+                device: 50,
+                addr: 0x4000,
+                write: true
+            }]
+        );
+    }
+
+    #[test]
+    fn clearing_a_mapped_device_blocks_its_dma() {
+        let mut io = Iommu::enabled();
+        io.map_page(4, 0x4000, 0x9000, true);
+        io.clear_device(4);
+        assert_eq!(io.translate(4, 0x4000, false), None);
+        assert_eq!(io.mappings(4).map(|m| m.count()), Some(0));
+        io.clear_device(40); // no domain, past the table: nothing to do
+        assert_eq!(io.faults.len(), 1);
+    }
+
+    #[test]
+    fn a_page_mapped_over_passthrough_leaves_only_that_page() {
+        let mut io = Iommu::enabled();
+        io.set_passthrough(3);
+        assert!(io.mappings(3).is_none(), "passthrough reaches everything");
+        io.map_page(3, 0x4000, 0x9000, true);
+        assert_eq!(io.translate(3, 0x4010, true), Some(0x9010));
+        assert_eq!(io.translate(3, 0x8000, false), None);
+        assert_eq!(
+            io.mappings(3).map(|m| m.collect::<Vec<_>>()),
+            Some(vec![(0x4000, 0x9000, true)])
+        );
+    }
+
+    #[test]
+    fn restricting_one_device_leaves_its_neighbours_unrestricted() {
+        let mut io = Iommu::enabled();
+        io.restrict_irq(5, 11);
+        assert!(io.irq_permitted(2, 3));
+        assert!(io.irq_permitted(9, 3));
+        assert!(!io.irq_permitted(5, 3));
+        assert_eq!(io.irq_faults, [IrqFault { device: 5, line: 3 }]);
+    }
+
+    #[test]
+    fn mappings_of_an_unknown_device_are_empty() {
+        let mut io = Iommu::enabled();
+        io.map_page(1, 0x5000, 0xa000, false);
+        io.map_page(1, 0x4000, 0x9000, true);
+        assert_eq!(io.mappings(0).map(|m| m.count()), Some(0));
+        assert_eq!(io.mappings(7).map(|m| m.count()), Some(0));
+        assert_eq!(
+            io.mappings(1).map(|m| m.collect::<Vec<_>>()),
+            Some(vec![(0x4000, 0x9000, true), (0x5000, 0xa000, false)]),
+            "bus order"
+        );
+        io.set_passthrough(2);
+        assert!(io.mappings(2).is_none());
+    }
+
+    #[test]
+    fn a_lookup_grows_no_table() {
+        let mut io = Iommu::enabled();
+        io.map_page(2, 0x4000, 0x9000, true);
+        io.restrict_irq(3, 11);
+        let sizes = |io: &Iommu| (io.domains.len(), io.irq_allowed.len());
+        assert_eq!(sizes(&io), (3, 4));
+        assert_eq!(io.translate(10_000, 0x4000, false), None);
+        assert!(io.irq_permitted(10_000, 5));
+        assert!(io.mappings(10_000).is_some());
+        io.unmap_page(10_000, 0x4000);
+        io.clear_device(10_000);
+        assert_eq!(sizes(&io), (3, 4));
     }
 }

@@ -160,11 +160,15 @@ fn the_configuration_surface_is_pinned() {
     assert_eq!(got.iter().map(|(_, f)| f.len()).sum::<usize>(), 36);
 }
 
-/// The two long documents, capped in bytes: one that would grow past
-/// its cap makes room first. The caps are only ever lowered.
+/// The long documents, capped in bytes: one that would grow past its
+/// cap makes room first. The caps are only ever lowered.
 #[test]
 fn the_long_documents_are_capped() {
-    for (doc, cap) in [("DESIGN.md", 118_901), ("EXPERIMENTS.md", 200_791)] {
+    for (doc, cap) in [
+        ("DESIGN.md", 118_878),
+        ("EXPERIMENTS.md", 200_552),
+        ("CHANGES.md", 188_617),
+    ] {
         let path = loc::workspace_root().join(doc);
         let bytes = std::fs::metadata(&path).expect(doc).len();
         assert!(bytes <= cap, "{doc} is {bytes} bytes, capped at {cap}");

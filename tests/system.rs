@@ -7,6 +7,7 @@ use nova_guest::compile::{self, CompileParams};
 use nova_guest::diskload::{self, DiskLoadParams};
 use nova_guest::os::{build_os, OsParams};
 use nova_guest::rt;
+use nova_hw::ahci::{Ahci, DiskParams};
 use nova_vmm::{LaunchOptions, System, VmmConfig};
 use nova_x86::reg::Reg;
 
@@ -75,8 +76,10 @@ fn disk_data_round_trips_through_all_layers() {
     assert_eq!(sys.run(Some(10_000_000_000)), RunOutcome::Shutdown(0));
 
     let host = 0x1000 * 4096 + rt::layout::DISK_BUF as u64;
-    let got = sys.k.machine.mem.read_bytes(host, 512);
-    let expect = sys.k.machine.ahci().sector(0);
+    let got = sys.k.machine.mem.read_bytes(host, 4096);
+    let expect: Vec<u8> = (0..8)
+        .flat_map(|lba| sys.k.machine.ahci().sector(lba))
+        .collect();
     assert_eq!(got, expect, "payload identical through the whole stack");
 
     // The paper's Figure 4 flow left its fingerprints: IPC calls,
@@ -85,6 +88,25 @@ fn disk_data_round_trips_through_all_layers() {
     assert!(sys.k.counters.injected_virq >= 1);
     assert_eq!(sys.k.counters.disk_ops, 1);
     assert_eq!(sys.k.counters.disk_bytes, 4096);
+}
+
+/// The disk's contents, pinned: one FNV-1a over `Ahci::sector` of
+/// LBAs 0–63, 1,000,000 and `u64::MAX − 3`. The guests' checksums steer
+/// no branch that a committed report records, so nothing else fails if
+/// the bytes a read returns drift.
+#[test]
+fn the_disk_contents_are_pinned() {
+    let disk = Ahci::new(DiskParams::sata_250g(), 11);
+    let lbas = (0..64).chain([1_000_000, u64::MAX - 3]);
+    let fnv = lbas
+        .flat_map(|lba| disk.sector(lba))
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    assert_eq!(
+        fnv, 0x0458_e54f_bc31_68f8,
+        "disk contents moved: {fnv:#018x}"
+    );
 }
 
 #[test]
