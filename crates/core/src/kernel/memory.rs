@@ -7,7 +7,7 @@ use nova_x86::insn::OpSize;
 use nova_x86::paging::PAGE_SIZE;
 
 use super::{CompCtx, Kernel};
-use crate::obj::{MemMapping, MemSpace};
+use crate::obj::{MemSpace, PdId};
 
 impl Kernel {
     /// Reads bytes from the component's address space into a
@@ -32,38 +32,26 @@ impl Kernel {
     /// copied" — generations start at 0 and only rise — and 0 may stand
     /// for a copy of zeros: a frame at generation 0 is a zero page,
     /// because [`PhysMem::new`] (the only constructor) zeroes RAM and
-    /// every mutator bumps the generation of the frames it touches. A
-    /// run of frames whose generations all equal `seen` is passed over
-    /// as one comparison. Returns the number of pages handed out, or
-    /// `None` — having called `copy` never and left `seen` untouched —
-    /// if `addr` is not page-aligned or any page is unmapped.
+    /// every mutator bumps the generation of the frames it touches.
+    /// `runs` is the caller's cut of the window into frames, kept
+    /// across calls ([`WindowRuns`]). Returns the number of pages
+    /// handed out, or `None` — having called `copy` never and left
+    /// `seen` untouched — if `addr` is not page-aligned or any page is
+    /// unmapped.
     pub fn mem_refresh(
         &self,
         ctx: CompCtx,
         addr: u64,
+        runs: &mut WindowRuns,
         seen: &mut [u64],
         mut copy: impl FnMut(usize, &[u8]),
     ) -> Option<usize> {
-        let runs = window_runs(&self.obj.pd(ctx.pd).mem, addr, seen.len(), false)?;
-        let (mem, page) = (&self.machine.mem, PAGE_SIZE as usize);
-        let mut copied = 0;
-        for (at, first, n) in runs {
-            let (gens, seen) = (mem.frame_gens(first, n), &mut seen[at..at + n]);
-            if gens == seen {
-                continue;
-            }
+        let (ms, mem) = (&self.obj.pd(ctx.pd).mem, &self.machine.mem);
+        runs.sweep(ctx.pd, ms, (addr, false), mem, seen, |mem, i, hpa, seen| {
             // Frames past the end of RAM are at generation 0 and zeros.
-            let gens = gens.iter().chain(std::iter::repeat(&0));
-            for (j, (&gen, seen)) in gens.zip(seen).enumerate() {
-                if gen != *seen {
-                    let frame = mem.slice(first + (j * page) as u64, page);
-                    copy(at + j, frame.unwrap_or(&[0; PAGE_SIZE as usize]));
-                    *seen = gen;
-                    copied += 1;
-                }
-            }
-        }
-        Some(copied)
+            copy(i, mem.slice(hpa, PAGE).unwrap_or(&[0; PAGE]));
+            *seen = mem.frame_gen(hpa);
+        })
     }
 
     /// The inverse of [`Kernel::mem_refresh`]: brings the `seen.len()`-
@@ -81,26 +69,15 @@ impl Kernel {
         &mut self,
         ctx: CompCtx,
         addr: u64,
+        runs: &mut WindowRuns,
         seen: &mut [u64],
         page: impl Fn(usize) -> Option<&'a [u8]>,
     ) -> Option<usize> {
-        let runs = window_runs(&self.obj.pd(ctx.pd).mem, addr, seen.len(), true)?;
-        let (mem, size) = (&mut self.machine.mem, PAGE_SIZE as usize);
-        let mut written = 0;
-        for (at, first, n) in runs {
-            let frames = (first..).step_by(size);
-            for (i, (seen, hpa)) in (at..).zip(seen[at..at + n].iter_mut().zip(frames)) {
-                if mem.frame_gen(hpa) != *seen {
-                    match page(i) {
-                        Some(src) => mem.write_bytes(hpa, src),
-                        None => mem.fill(hpa, size, 0),
-                    }
-                    *seen = mem.frame_gen(hpa);
-                    written += 1;
-                }
-            }
-        }
-        Some(written)
+        let (ms, mem) = (&self.obj.pd(ctx.pd).mem, &mut self.machine.mem);
+        runs.sweep(ctx.pd, ms, (addr, true), mem, seen, |mem, i, hpa, seen| {
+            mem.write_bytes(hpa, page(i).unwrap_or(&[0; PAGE]));
+            *seen = mem.frame_gen(hpa);
+        })
     }
 
     /// Borrows `len` bytes of the component's address space in place
@@ -257,36 +234,83 @@ impl Kernel {
     }
 }
 
-/// The frames behind the `pages`-page window at `addr` of `ms`, as runs
-/// `(first window page, first frame, pages)` of consecutive frames:
-/// `None` unless `addr` is page-aligned and every page is mapped —
-/// writable, if `write`. Nothing has been touched by then.
-fn window_runs(
-    ms: &MemSpace,
-    addr: u64,
-    pages: usize,
-    write: bool,
-) -> Option<impl Iterator<Item = (usize, u64, usize)> + '_> {
-    if addr & 0xfff != 0 {
-        return None;
+/// One page, as a length.
+const PAGE: usize = PAGE_SIZE as usize;
+
+/// The longest run a window is cut into: the pages whose write
+/// generations a sweep compares as one slice.
+const BLOCK: usize = 64;
+
+/// A window of a component's address space cut into runs of
+/// consecutive frames, `(first window page, first frame, pages)`: what
+/// [`Kernel::mem_refresh`] and [`Kernel::mem_restore`] sweep. The
+/// kernel alone fills it — its fields are private — and serves it again
+/// only while its key holds: the same PD (a `PdId` is never reused), the
+/// same generation of that PD's [`MemSpace`] (every map, unmap and
+/// [`MemSpace::invalidate_cache`] moves it; nothing puts a new space in
+/// a PD's place, which would start the count again), the same window
+/// and the same rights. A caller keeps one per window of one kernel,
+/// beside its `seen` table.
+#[derive(Default)]
+pub struct WindowRuns {
+    key: Option<(PdId, u64, u64, usize, bool)>,
+    runs: Vec<(usize, u64, usize)>,
+}
+
+impl WindowRuns {
+    /// An empty cut with room for the runs of a `pages`-page window —
+    /// one a page at worst — so that no sweep allocates.
+    pub fn for_pages(pages: usize) -> WindowRuns {
+        let runs = Vec::with_capacity(pages);
+        WindowRuns { key: None, runs }
     }
-    let unusable = |m: &Option<MemMapping>| m.is_none_or(|m| write && !m.rights.write);
-    if ms.slices(addr >> 12, pages as u64).flatten().any(unusable) {
-        return None;
+
+    /// Hands `moved` the window page, the frame and the `seen` entry of
+    /// each page of the `seen.len()`-page window at `addr` of `pd`'s
+    /// space `ms` whose frame's write generation is not that entry, in
+    /// ascending order, and counts them. Unless the key holds, the
+    /// window is first cut anew into runs of at most [`BLOCK`]
+    /// consecutive frames: `None` — nothing kept, nothing handed out —
+    /// unless `addr` is page-aligned and every page is mapped (writable,
+    /// if `write`). A run's generations are compared with `seen` as one
+    /// slice; only a run that differs is walked page by page.
+    fn sweep<M: std::ops::Deref<Target = PhysMem>>(
+        &mut self,
+        pd: PdId,
+        ms: &MemSpace,
+        (addr, write): (u64, bool),
+        mut mem: M,
+        seen: &mut [u64],
+        mut moved: impl FnMut(&mut M, usize, u64, &mut u64),
+    ) -> Option<usize> {
+        let key = Some((pd, ms.gen, addr, seen.len(), write));
+        if self.key != key {
+            self.key = None;
+            self.runs.clear();
+            (addr & 0xfff == 0).then_some(())?;
+            let window = ms.slices(addr >> 12, seen.len() as u64);
+            for (i, m) in window.flatten().enumerate() {
+                let m = m.filter(|m| m.rights.write || !write)?;
+                match self.runs.last_mut() {
+                    Some((_, f, n)) if *n < BLOCK && *f + (*n * PAGE) as u64 == m.hpa => *n += 1,
+                    _ => self.runs.push((i, m.hpa, 1)),
+                }
+            }
+            self.key = key;
+        }
+        let mut count = 0;
+        for &(i, hpa, n) in &self.runs {
+            if mem.frame_gens(hpa, n) != &seen[i..i + n] {
+                for (i, (hpa, seen)) in (i..).zip((hpa..).step_by(PAGE).zip(&mut seen[i..i + n])) {
+                    if mem.frame_gen(hpa) != *seen {
+                        moved(&mut mem, i, hpa, seen);
+                        count += 1;
+                    }
+                }
+            }
+        }
+        Some(count)
     }
-    let adjacent = |a: &Option<MemMapping>, b: &Option<MemMapping>| {
-        a.zip(*b)
-            .is_some_and(|(a, b)| b.hpa == a.hpa + PAGE_SIZE as u64)
-    };
-    let runs = ms
-        .slices(addr >> 12, pages as u64)
-        .flat_map(move |s| s.chunk_by(adjacent));
-    let mut at = 0;
-    Some(runs.map(move |run| {
-        at += run.len();
-        let first = run[0].expect("validated above").hpa;
-        (at - run.len(), first, run.len())
-    }))
 }
 
 /// `addr..addr + len` cut at page boundaries: the address, the offset

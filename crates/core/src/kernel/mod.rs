@@ -47,6 +47,7 @@ mod time;
 mod vcpu;
 
 pub use exit::apply_mtd;
+pub use memory::WindowRuns;
 pub use vcpu::VcpuSnapshot;
 
 /// Component handle.

@@ -1476,10 +1476,11 @@ fn refresh_into(
     k: &Kernel,
     ctx: CompCtx,
     addr: u64,
+    runs: &mut WindowRuns,
     image: &mut [u8],
     seen: &mut [u64],
 ) -> Option<usize> {
-    k.mem_refresh(ctx, addr, seen, |i, page| {
+    k.mem_refresh(ctx, addr, runs, seen, |i, page| {
         image[i * 4096..(i + 1) * 4096].copy_from_slice(page)
     })
 }
@@ -1491,21 +1492,36 @@ fn mem_refresh_copies_exactly_the_pages_written_since() {
     let ctx = root_ctx(&k, ec, comp);
     let base = 0x8000u64;
     let mut image = vec![0xffu8; 3 * 4096];
-    let mut seen = vec![u64::MAX; 3];
+    let (mut runs, mut seen) = (WindowRuns::default(), vec![u64::MAX; 3]);
     assert!(k.mem_write(ctx, base + 4096, &[7; 16]));
-    assert_eq!(refresh_into(&k, ctx, base, &mut image, &mut seen), Some(3));
+    assert_eq!(
+        refresh_into(&k, ctx, base, &mut runs, &mut image, &mut seen),
+        Some(3)
+    );
     let mut now = vec![0u8; 3 * 4096];
     k.mem_read_into(ctx, base, &mut now).unwrap();
     assert_eq!(image, now);
-    assert_eq!(refresh_into(&k, ctx, base, &mut image, &mut seen), Some(0));
+    assert_eq!(
+        refresh_into(&k, ctx, base, &mut runs, &mut image, &mut seen),
+        Some(0)
+    );
 
     // Each kind of kernel-side writer moves its page, and only it.
     assert!(k.mem_write_u32(ctx, base + 8, 1));
-    assert_eq!(refresh_into(&k, ctx, base, &mut image, &mut seen), Some(1));
+    assert_eq!(
+        refresh_into(&k, ctx, base, &mut runs, &mut image, &mut seen),
+        Some(1)
+    );
     assert!(k.mem_fill(ctx, base + 4096 + 100, 4096, 9)); // pages 1 and 2
-    assert_eq!(refresh_into(&k, ctx, base, &mut image, &mut seen), Some(2));
+    assert_eq!(
+        refresh_into(&k, ctx, base, &mut runs, &mut image, &mut seen),
+        Some(2)
+    );
     k.mem_slice_mut(ctx, base + 2 * 4096, 4).unwrap()[0] = 3;
-    assert_eq!(refresh_into(&k, ctx, base, &mut image, &mut seen), Some(1));
+    assert_eq!(
+        refresh_into(&k, ctx, base, &mut runs, &mut image, &mut seen),
+        Some(1)
+    );
     k.mem_read_into(ctx, base, &mut now).unwrap();
     assert_eq!(image, now);
 
@@ -1513,7 +1529,9 @@ fn mem_refresh_copies_exactly_the_pages_written_since() {
     // caller decides what a page of zeros is to it.
     assert!(k.mem_fill(ctx, base, 4096, 0));
     let mut handed = Vec::new();
-    k.mem_refresh(ctx, base, &mut seen, |i, p| handed.push((i, p.to_vec())));
+    k.mem_refresh(ctx, base, &mut runs, &mut seen, |i, p| {
+        handed.push((i, p.to_vec()))
+    });
     assert_eq!(handed, [(0, vec![0; 4096])]);
 
     // A refused call hands out nothing: misaligned, or a window
@@ -1521,14 +1539,14 @@ fn mem_refresh_copies_exactly_the_pages_written_since() {
     // mapped, dirty pages.
     assert!(k.mem_fill(ctx, base, 3 * 4096, 0x55));
     let seen0 = seen.clone();
-    let refused = |k: &Kernel, addr, seen: &mut [u64]| {
-        k.mem_refresh(ctx, addr, seen, |i, _| panic!("page {i} handed out"))
+    let refused = |k: &Kernel, addr, runs: &mut WindowRuns, seen: &mut [u64]| {
+        k.mem_refresh(ctx, addr, runs, seen, |i, _| panic!("page {i} handed out"))
     };
-    assert_eq!(refused(&k, base + 1, &mut seen), None);
+    assert_eq!(refused(&k, base + 1, &mut runs, &mut seen), None);
     let hv = (32 << 20) as u64 - HV_MEM;
     assert!(k.mem_fill(ctx, hv - 2 * 4096, 2 * 4096, 0x66));
     let mut seen_hv = vec![u64::MAX; 3];
-    assert_eq!(refused(&k, hv - 2 * 4096, &mut seen_hv), None);
+    assert_eq!(refused(&k, hv - 2 * 4096, &mut runs, &mut seen_hv), None);
     assert_eq!(seen, seen0);
     assert_eq!(seen_hv, [u64::MAX; 3]);
 }
@@ -1547,11 +1565,14 @@ fn mem_restore_writes_exactly_the_pages_that_moved() {
     };
     assert!(k.mem_write(ctx, base + 4096, &[7; 16]));
     let mut image = vec![0u8; 4 * 4096];
-    let mut seen = vec![u64::MAX; 4];
-    assert_eq!(refresh_into(&k, ctx, base, &mut image, &mut seen), Some(4));
+    let (mut runs, mut seen) = (WindowRuns::default(), vec![u64::MAX; 4]);
+    assert_eq!(
+        refresh_into(&k, ctx, base, &mut runs, &mut image, &mut seen),
+        Some(4)
+    );
     // The image as a checkpoint keeps it: a page of zeros is absent.
-    let restore = |k: &mut Kernel, image: &[u8], seen: &mut [u64]| {
-        k.mem_restore(ctx, base, seen, |i| {
+    let restore = |k: &mut Kernel, runs: &mut WindowRuns, image: &[u8], seen: &mut [u64]| {
+        k.mem_restore(ctx, base, runs, seen, |i| {
             let page = &image[i * 4096..(i + 1) * 4096];
             page.iter().any(|&b| b != 0).then_some(page)
         })
@@ -1559,7 +1580,7 @@ fn mem_restore_writes_exactly_the_pages_that_moved() {
 
     // Nothing moved: nothing is written, no generation bumped.
     let at_capture = gens(&k);
-    assert_eq!(restore(&mut k, &image, &mut seen), Some(0));
+    assert_eq!(restore(&mut k, &mut runs, &image, &mut seen), Some(0));
     assert_eq!(gens(&k), at_capture);
 
     // Pages 0, 1 and 2 move — one of them back to the bytes it had,
@@ -1567,7 +1588,7 @@ fn mem_restore_writes_exactly_the_pages_that_moved() {
     assert!(k.mem_write_u32(ctx, base + 8, 1));
     assert!(k.mem_write_u32(ctx, base + 4096 + 8, 2));
     assert!(k.mem_write(ctx, base + 2 * 4096, &[0; 4]));
-    assert_eq!(restore(&mut k, &image, &mut seen), Some(3));
+    assert_eq!(restore(&mut k, &mut runs, &image, &mut seen), Some(3));
     assert_eq!(read(&k), image);
     let now = gens(&k);
     assert_eq!(now[3], at_capture[3]);
@@ -1575,21 +1596,123 @@ fn mem_restore_writes_exactly_the_pages_that_moved() {
     // The table holds the generations the writes left, for both
     // directions: neither a capture nor a restore has work to do.
     assert_eq!(seen, now);
-    assert_eq!(refresh_into(&k, ctx, base, &mut image, &mut seen), Some(0));
-    assert_eq!(restore(&mut k, &image, &mut seen), Some(0));
+    assert_eq!(
+        refresh_into(&k, ctx, base, &mut runs, &mut image, &mut seen),
+        Some(0)
+    );
+    assert_eq!(restore(&mut k, &mut runs, &image, &mut seen), Some(0));
 
     // `u64::MAX` writes the page whatever its generation.
     image[3 * 4096] = 0x77;
     seen[3] = u64::MAX;
-    assert_eq!(restore(&mut k, &image, &mut seen), Some(1));
+    assert_eq!(restore(&mut k, &mut runs, &image, &mut seen), Some(1));
     assert_eq!(read(&k), image);
 
     // A refused call writes nothing: misaligned, with every page
     // stale.
     assert!(k.mem_fill(ctx, base, 4 * 4096, 0x55));
     let (mem0, seen0) = (read(&k), seen.clone());
-    assert_eq!(k.mem_restore(ctx, base + 1, &mut seen, |_| None), None);
+    assert_eq!(
+        k.mem_restore(ctx, base + 1, &mut runs, &mut seen, |_| None),
+        None
+    );
     assert_eq!((read(&k), seen), (mem0, seen0));
+}
+
+/// The window sweeps' run cache, tried with each edit that must end
+/// it, a window refreshed between each: a page remapped to another
+/// frame, a page unmapped, the same window asked for under a second PD
+/// (whose space is at the same generation), and a restore after a page
+/// was remapped read-only.
+#[test]
+fn window_runs_are_cut_again_when_their_key_moves() {
+    let mut k = kernel();
+    let (comp, ec) = k.load_component(k.root_pd, 0, Box::<Doubler>::default());
+    let root = root_ctx(&k, ec, comp);
+    let (window, pages) = (0x40u64, 4usize);
+    let hc = |k: &mut Kernel, hc| k.hypercall(root, hc).unwrap();
+    let give = |dst_pd, base, count, hot, rights| Hypercall::DelegateMem {
+        dst_pd,
+        base,
+        count,
+        rights,
+        hot,
+    };
+    let take = |base| Hypercall::RevokeMem {
+        base,
+        count: 1,
+        include_self: false,
+    };
+    let pd = |k: &mut Kernel, sel, frames| {
+        let (name, vm) = ("window".into(), None);
+        hc(k, Hypercall::CreatePd { name, vm, dst: sel });
+        hc(k, give(sel, frames, pages as u64, window, MemRights::RW));
+        match k.obj.pd(k.root_pd).caps.get(sel).map(|c| c.obj) {
+            Some(ObjRef::Pd(pd)) => CompCtx { pd, ..root },
+            _ => unreachable!(),
+        }
+    };
+    let (a, b) = (pd(&mut k, 0x30, 0x100), pd(&mut k, 0x31, 0x200));
+    let gen = |k: &Kernel, c: CompCtx| k.obj.pd(c.pd).mem.gen;
+    assert_eq!(gen(&k, a), gen(&k, b), "only the PdId tells them apart");
+    for (frame, byte) in [(0x100, 0xa0), (0x200, 0xb0), (0x300, 0xc0)] {
+        for p in 0..pages as u64 {
+            assert!(k.mem_fill(root, (frame + p) << 12, 4096, byte + p as u8));
+        }
+    }
+    let mut runs = WindowRuns::default();
+    let refresh = |k: &Kernel, c: CompCtx, runs: &mut WindowRuns, seen: &mut [u64]| {
+        let mut handed = Vec::new();
+        let n = k.mem_refresh(c, window << 12, runs, seen, |i, p| handed.push((i, p[0])));
+        n.map(|_| handed)
+    };
+    let (mut seen_a, mut seen_b) = (vec![u64::MAX; pages], vec![u64::MAX; pages]);
+    let all = |byte| (0..pages).map(|i| (i, byte + i as u8)).collect::<Vec<_>>();
+    assert_eq!(refresh(&k, a, &mut runs, &mut seen_a), Some(all(0xa0)));
+    // A second PD's window at the same address: its own frames.
+    assert_eq!(refresh(&k, b, &mut runs, &mut seen_b), Some(all(0xb0)));
+    assert_eq!(refresh(&k, a, &mut runs, &mut seen_a), Some(vec![]));
+
+    // Page 1 remapped to frame 0x301, at another write generation than
+    // the one `seen` holds: the next refresh hands out its bytes.
+    hc(&mut k, take(0x101));
+    hc(&mut k, give(0x30, 0x301, 1, window + 1, MemRights::RW));
+    assert!(k.mem_write_u32(root, 0x301 << 12, 0xc1c1_c1c1));
+    assert_ne!(k.machine.mem.frame_gen(0x301 << 12), seen_a[1]);
+    assert_eq!(
+        refresh(&k, a, &mut runs, &mut seen_a),
+        Some(vec![(1, 0xc1)])
+    );
+
+    // Page 2 unmapped: refused, `seen` untouched.
+    hc(&mut k, take(0x102));
+    let before = seen_a.clone();
+    assert_eq!(refresh(&k, a, &mut runs, &mut seen_a), None);
+    assert_eq!(seen_a, before);
+
+    // Mapped again: a restore cuts the window for writing; then page 2
+    // turns read-only. A refresh may read it, a restore after that
+    // refresh (page 0 stale again) is refused, memory and `seen`
+    // untouched.
+    hc(&mut k, give(0x30, 0x102, 1, window + 2, MemRights::RW));
+    let image = vec![0x5a; pages * 4096];
+    let restore = |k: &mut Kernel, runs: &mut WindowRuns, seen: &mut [u64]| {
+        k.mem_restore(a, window << 12, runs, seen, |i| {
+            Some(&image[i * 4096..][..4096])
+        })
+    };
+    assert_eq!(restore(&mut k, &mut runs, &mut seen_a), Some(0));
+    hc(&mut k, take(0x102));
+    hc(&mut k, give(0x30, 0x102, 1, window + 2, MemRights::RO));
+    assert!(k.mem_fill(root, 0x100 << 12, 4096, 0xee));
+    let got = refresh(&k, a, &mut runs, &mut seen_a);
+    assert_eq!(got, Some(vec![(0, 0xee)]));
+    assert!(k.mem_fill(root, 0x100 << 12, 4096, 0xef));
+    let (before, frame0) = (seen_a.clone(), k.machine.mem.frame_gen(0x100 << 12));
+    assert_eq!(restore(&mut k, &mut runs, &mut seen_a), None);
+    assert_eq!(seen_a, before);
+    assert_eq!(k.machine.mem.frame_gen(0x100 << 12), frame0);
+    assert_eq!(k.machine.mem.read_u8(0x100 << 12), 0xef);
 }
 
 /// A revocation shoots every affected VM's TLB down — once per

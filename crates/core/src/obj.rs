@@ -175,8 +175,9 @@ pub struct MemSpace {
     /// Generation stamp: bumped once by every `map_run`/`unmap_run`
     /// (which covers `delegate_mem`, revocation and PD teardown — they
     /// all mutate through those two entry points) and on explicit
-    /// invalidation.
-    gen: u64,
+    /// invalidation: what was read from the space while it held is
+    /// still true of it.
+    pub(crate) gen: u64,
     /// Direct-mapped translation cache, filled from `&self` lookups.
     tc: [Cell<Option<TcEntry>>; TC_SLOTS],
 }

@@ -504,19 +504,6 @@ fn encode(
     e.finish()
 }
 
-/// `(seq, image length)` of a blob whose header, page index and pages
-/// are well formed; the records behind them are not looked at. This is
-/// what tells a blob [`refresh`] can update in place.
-pub fn image_header(blob: &[u8]) -> Option<(u64, usize)> {
-    Image::read(&mut Dec::new(blob)).map(|i| (i.seq, i.mem_len))
-}
-
-/// `true` if `blob` holds a guest image of `mem_len` bytes, which
-/// [`refresh`] then updates in place; otherwise it starts from zeros.
-pub fn holds_image(blob: &[u8], mem_len: usize) -> bool {
-    image_header(blob).is_some_and(|(_, len)| len == mem_len)
-}
-
 /// The image of a blob that [`refresh`] is bringing up to date, handed
 /// to its `sync` step to be told, page by page, what moved.
 pub struct Pages<'b> {
@@ -525,9 +512,20 @@ pub struct Pages<'b> {
     n: usize,
     /// Pages in the image.
     limit: usize,
+    /// Sequence number of the image the blob held, if it held one of
+    /// this size.
+    held: Option<u64>,
 }
 
 impl Pages<'_> {
+    /// The sequence number of the image being brought up to date, or
+    /// `None` if the blob held no image of this size and this one
+    /// starts from zeros: then every page that is not all zeros must be
+    /// put.
+    pub fn held(&self) -> Option<u64> {
+        self.held
+    }
+
     /// Makes page `page` of the image read `bytes`, one [`PAGE`]: a
     /// stored page is overwritten where it sits, a page that became
     /// non-zero is inserted in order, and a page that became all zeros
@@ -555,10 +553,17 @@ impl Pages<'_> {
             (Err(j), false) => (j, (page as u32).to_le_bytes()),
             (Err(_), true) => return,
         };
-        let page_at = data + at * PAGE;
-        self.blob.splice(page_at..page_at, bytes.iter().copied());
-        let entry_at = INDEX_OFFSET + 4 * at;
-        self.blob.splice(entry_at..entry_at, entry);
+        // The pages from slot `at` on and the records behind them move
+        // up by an entry and a page, the index tail and the pages in
+        // front of the slot by an entry.
+        let (entry_at, page_at, len) = (INDEX_OFFSET + 4 * at, data + at * PAGE, self.blob.len());
+        self.blob.resize(len + 4 + PAGE, 0);
+        self.blob.copy_within(page_at..len, page_at + 4 + PAGE);
+        self.blob.copy_within(entry_at..page_at, entry_at + 4);
+        for (at, src) in [(entry_at, &entry[..]), (page_at + 4, bytes)] {
+            let slot = self.blob.get_mut(at..at + src.len());
+            slot.into_iter().for_each(|s| s.copy_from_slice(src));
+        }
         self.n += 1;
         self.write_count();
     }
@@ -584,9 +589,9 @@ impl Pages<'_> {
 ///
 /// A `blob` that does not already hold an image of `mem_len` bytes is
 /// replaced by one that stores no page — all zeros — built on the side,
-/// so `sync` must then put every page that is not all zeros; the caller
-/// — who keeps whatever `sync` knows about the image's contents —
-/// checks with [`holds_image`] beforehand.
+/// so `sync` must then put every page that is not all zeros; it reads
+/// which of the two it was handed from [`Pages::held`], the one parse
+/// of the blob's header and page index.
 ///
 /// `sync` is the only step that can fail, and must leave the image
 /// untouched when it does (returns `None`); `blob` is then exactly what
@@ -605,7 +610,7 @@ pub fn refresh<R>(
     }
     let records = records_len(vcpus.len(), vmm_state);
     let held = Image::read(&mut Dec::new(blob)).filter(|i| i.mem_len == mem_len);
-    let held = held.map(|i| i.index.len());
+    let held = held.map(|i| (i.seq, i.index.len()));
     let mut fresh = held.is_none().then(|| {
         let room = INDEX_OFFSET + PAGE_SLACK * (4 + PAGE) + records + RECORD_SLACK;
         let mut e = Enc::over(Vec::with_capacity(room));
@@ -614,8 +619,9 @@ pub fn refresh<R>(
     });
     let mut pages = Pages {
         blob: fresh.as_mut().unwrap_or(&mut *blob),
-        n: held.unwrap_or(0),
+        n: held.map_or(0, |(_, n)| n),
         limit: mem_len / PAGE,
+        held: held.map(|(seq, _)| seq),
     };
     let r = sync(&mut pages)?;
     let end = pages.end();
@@ -815,7 +821,7 @@ mod tests {
         e.raw(&c.guest_mem);
         let v1 = e.finish();
         assert!(Checkpoint::from_bytes(&v1).is_none());
-        assert!(image_header(&v1).is_none());
+        assert!(Image::read(&mut Dec::new(&v1)).is_none());
     }
 
     /// Versions 2 to 4 stored the whole image behind `mem_len`, with
@@ -840,7 +846,7 @@ mod tests {
             let old = dense(v);
             assert!(Checkpoint::from_bytes(&old).is_none(), "v{v}");
             assert!(View::parse(&old).is_none(), "v{v}");
-            assert!(image_header(&old).is_none(), "v{v}");
+            assert!(Image::read(&mut Dec::new(&old)).is_none(), "v{v}");
             // Not even the current parser's reading of that framing.
             let mut renumbered = old.clone();
             renumbered[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&VERSION.to_le_bytes());
@@ -867,7 +873,7 @@ mod tests {
     #[test]
     fn refuses_a_malformed_page_index() {
         let b = sample().to_bytes();
-        let shape = |b: &[u8]| image_header(b).is_some();
+        let shape = |b: &[u8]| Image::read(&mut Dec::new(b)).is_some();
         let page_of = |j: usize| records_at(2) - (2 - j) * PAGE;
         let mut cases: Vec<(&str, Vec<u8>, bool)> = Vec::new();
 
@@ -1075,6 +1081,57 @@ mod tests {
             },
         );
         assert!(blob == c.to_bytes());
+    }
+
+    /// 1,000 seeded scripts of four refreshes each, every refresh
+    /// putting a random set of pages in random order — inserted,
+    /// overwritten or turned to zeros — leave the blob equal to a
+    /// from-scratch encoding of the image after every refresh.
+    #[test]
+    fn seeded_put_scripts_equal_a_from_scratch_encoding() {
+        const PAGES: usize = 8;
+        for seed in 0..1_000u64 {
+            let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut next = move |n: usize| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % n as u64) as usize
+            };
+            let mut c = sample();
+            c.guest_mem = vec![0; PAGES * PAGE];
+            let mut blob = Vec::new();
+            for step in 0..4 {
+                let mut order: Vec<usize> = (0..PAGES).collect();
+                for i in (1..PAGES).rev() {
+                    order.swap(i, next(i + 1));
+                }
+                order.truncate(1 + next(PAGES));
+                for &i in &order {
+                    let page = &mut c.guest_mem[i * PAGE..(i + 1) * PAGE];
+                    match next(3) {
+                        0 => page.fill(0),
+                        _ => page[next(PAGE)] = 1 + next(255) as u8,
+                    }
+                }
+                c.seq += 1;
+                c.vmm_state = vec![step; next(64)];
+                refresh(
+                    &mut blob,
+                    c.seq,
+                    PAGES * PAGE,
+                    &c.vcpus,
+                    &c.vmm_state,
+                    |pages| {
+                        for &i in &order {
+                            pages.put(i, &c.guest_mem[i * PAGE..(i + 1) * PAGE]);
+                        }
+                        Some(())
+                    },
+                );
+                assert!(blob == c.to_bytes(), "seed {seed}, refresh {step}");
+            }
+        }
     }
 
     #[test]

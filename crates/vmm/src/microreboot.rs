@@ -42,7 +42,7 @@
 #![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::panic)]
 
 use nova_core::cap::{CapSel, Perms};
-use nova_core::kernel::VcpuSnapshot;
+use nova_core::kernel::{VcpuSnapshot, WindowRuns};
 use nova_core::obj::{MemRights, ObjRef, PdId};
 use nova_core::{Capability, CompCtx, CompId, EcId, Hypercall, Kernel};
 use nova_user::proto::disk as disk_proto;
@@ -71,6 +71,9 @@ pub(crate) struct CapturedImage {
     /// page of the image — copied out by a capture or written back by a
     /// restore ([`NEVER`] if it has not).
     seen: Vec<u64>,
+    /// Root's window onto guest RAM, cut into runs of frames by the
+    /// kernel's sweeps and kept for the next.
+    runs: WindowRuns,
     /// Sequence number and length of the blob `seen` describes.
     blob: Option<(u64, usize)>,
 }
@@ -79,18 +82,26 @@ pub(crate) struct CapturedImage {
 const NEVER: u64 = u64::MAX;
 
 impl CapturedImage {
-    /// The generation table to sync `blob`, a checkpoint of a guest of
-    /// `pages` pages, with guest RAM in either direction: as kept if
-    /// `blob` is the one it describes, otherwise reset to `unknown`.
-    fn table_for(&mut self, blob: &[u8], pages: usize, unknown: u64) -> &mut [u64] {
-        let ours = self.blob.is_some_and(|(seq, len)| {
-            len == blob.len() && checkpoint::image_header(blob) == Some((seq, pages * 4096))
-        });
-        if !ours {
+    /// The generation table and the window's runs to sync a blob of
+    /// `len` bytes with guest RAM of `pages` pages in either direction.
+    /// `held` is the sequence number of the blob's image if it holds
+    /// one of that size: the table is kept if the blob is the one it
+    /// describes, otherwise reset: to [`NEVER`], as a foreign image
+    /// could hold anything, or to 0 for a blob holding no image, which
+    /// `checkpoint::refresh` replaces by zeros — as every frame still
+    /// at write generation 0 is (`Kernel::mem_refresh`), so the first
+    /// capture copies the frames somebody wrote, not all of guest RAM.
+    fn table_for(
+        &mut self,
+        held: Option<u64>,
+        len: usize,
+        pages: usize,
+    ) -> (&mut WindowRuns, &mut [u64]) {
+        if held.is_none_or(|seq| self.blob != Some((seq, len))) {
             self.seen.clear();
-            self.seen.resize(pages, unknown);
+            self.seen.resize(pages, held.map_or(0, |_| NEVER));
         }
-        &mut self.seen
+        (&mut self.runs, &mut self.seen)
     }
 }
 
@@ -177,6 +188,10 @@ impl MicrorebootRecipe {
         ];
         cfg.direct_mmio.push((vga, vga, 1));
         cfg.disk = disk_slot.is_some();
+        let image = CapturedImage {
+            runs: WindowRuns::for_pages(cfg.guest_pages as usize),
+            ..CapturedImage::default()
+        };
         MicrorebootRecipe {
             vmm: CompId(u16::MAX),
             vmm_sel: 0,
@@ -185,7 +200,7 @@ impl MicrorebootRecipe {
             cfg,
             grants,
             disk_slot,
-            image: CapturedImage::default(),
+            image,
             vcpus: Vec::new(),
             vmm_state: Vec::new(),
         }
@@ -282,25 +297,12 @@ impl VmRecipe for MicrorebootRecipe {
         k.component_mut::<Vmm>(self.vmm)
             .ok_or(RespawnError::State("vmm component missing"))?
             .save_state(&mut self.vmm_state);
-        let pages = self.cfg.guest_pages as usize;
-        let mem_len = pages * 4096;
-        // A blob holding no image of this size is one `refresh` replaces
-        // by zeros, which every frame still at write generation 0
-        // already equals (`Kernel::mem_refresh`): the first capture
-        // copies the frames somebody wrote, not all of guest RAM. A
-        // foreign image could hold anything, so all of it is overwritten.
-        let unknown = if checkpoint::holds_image(blob, mem_len) {
-            NEVER
-        } else {
-            0
-        };
-        let (window, seen) = (
-            self.frames * 4096,
-            self.image.table_for(blob, pages, unknown),
-        );
+        let (pages, len) = (self.cfg.guest_pages as usize, blob.len());
+        let (window, captured) = (self.frames * 4096, &mut self.image);
         let (vcpus, vmm_state) = (&self.vcpus, &self.vmm_state);
-        let copied = checkpoint::refresh(blob, seq, mem_len, vcpus, vmm_state, |image| {
-            k.mem_refresh(ctx, window, seen, |page, bytes| image.put(page, bytes))
+        let copied = checkpoint::refresh(blob, seq, pages * 4096, vcpus, vmm_state, |image| {
+            let (runs, seen) = captured.table_for(image.held(), len, pages);
+            k.mem_refresh(ctx, window, runs, seen, |i, bytes| image.put(i, bytes))
         })
         .ok_or(RespawnError::State("guest memory window unreadable"))?;
         self.image.blob = Some((seq, blob.len()));
@@ -373,10 +375,9 @@ impl VmRecipe for MicrorebootRecipe {
             // frames written since they last equalled `blob`'s image
             // are written back; a page the image does not store is
             // zeros.
-            let seen = self
-                .image
-                .table_for(blob, self.cfg.guest_pages as usize, NEVER);
-            k.mem_restore(ctx, self.frames * 4096, seen, |i| ck.page(i))
+            let pages = self.cfg.guest_pages as usize;
+            let (runs, seen) = self.image.table_for(Some(ck.seq), blob.len(), pages);
+            k.mem_restore(ctx, self.frames * 4096, runs, seen, |i| ck.page(i))
                 .ok_or(RespawnError::State("guest memory restore failed"))?;
             self.image.blob = Some((ck.seq, blob.len()));
             for (i, snap) in ck.vcpus.iter().enumerate() {

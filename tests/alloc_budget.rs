@@ -301,18 +301,25 @@ fn held_image(sys: &mut System) -> (u64, Vec<usize>) {
 /// A checkpoint tick — vCPU export, device state, the in-place refresh
 /// of root's blob — allocates nothing when every page it copies is one
 /// the image already stores: called directly between `System::run`
-/// slices, from the second capture to the end of the workload.
+/// slices, from the second capture to the end of the workload. Every
+/// third tick follows a move of root's `MemSpace` generation, so the
+/// kernel cuts root's window into runs again, into the room the recipe
+/// reserved for them.
 #[test]
 fn a_checkpoint_tick_allocates_nothing_in_steady_state() {
     let mut sys = recover_shaped();
     let (root, root_ctx, slot) = (sys.root, sys.root_ctx, sys.microreboot.expect("slot"));
-    let (mut ticks, mut checked) = (0, 0);
+    let (mut ticks, mut checked, mut recut) = (0, 0, 0);
     loop {
         let out = sys.run(Some(100_000));
         if out == RunOutcome::Shutdown(0) {
             break;
         }
         assert_eq!(out, RunOutcome::Budget);
+        let moved = ticks % 3 == 2;
+        if moved {
+            sys.k.obj.pd_mut(root_ctx.pd).mem.invalidate_cache();
+        }
         let (seq, before) = held_image(&mut sys);
         let (_, n) = allocations(|| {
             sys.k
@@ -324,10 +331,11 @@ fn a_checkpoint_tick_allocates_nothing_in_steady_state() {
         if ticks > 1 && after.iter().all(|p| before.binary_search(p).is_ok()) {
             assert_eq!(n, 0, "tick {ticks} (checkpoint {after_seq})");
             checked += 1;
+            recut += moved as usize;
         }
     }
     assert!(
-        checked >= 16,
-        "only {checked} of {ticks} ticks were checked"
+        checked >= 16 && recut >= 4,
+        "only {checked} of {ticks} ticks were checked, {recut} after a generation move"
     );
 }

@@ -13,6 +13,7 @@
 
 use std::collections::BTreeMap;
 
+use nova_core::kernel::WindowRuns;
 use nova_core::obj::{MemMapping, MemRights, MemSpace, PdId, VmPaging};
 use nova_core::{CompCtx, Hypercall, Kernel, KernelConfig};
 use nova_guest::os::{build_os, OsParams};
@@ -781,6 +782,9 @@ fn restore_per_page(
 /// first, their per-page references on the second.
 struct Twins {
     ks: [Kernel; 2],
+    /// The first kernel's cut of whichever window was swept last, one
+    /// for every window and both directions.
+    runs: WindowRuns,
     /// Root's context and the window domain's, the same in both.
     root: CompCtx,
     child: CompCtx,
@@ -822,6 +826,7 @@ impl Twins {
         };
         let mut t = Twins {
             ks: [k, r],
+            runs: WindowRuns::default(),
             root,
             child,
         };
@@ -895,9 +900,10 @@ impl Twins {
     /// `mem_refresh`, each page it hands out copied into `image`,
     /// against its reference from the same image and table: the same
     /// return value, image bytes and `seen`.
-    fn refresh(&self, page: u64, image: &mut [u8], seen: &mut [u64]) -> Option<usize> {
+    fn refresh(&mut self, page: u64, image: &mut [u8], seen: &mut [u64]) -> Option<usize> {
         let (mut image2, mut seen2) = (image.to_vec(), seen.to_vec());
-        let got = self.ks[0].mem_refresh(self.child, page << 12, seen, |i, bytes| {
+        let (k, runs) = (&self.ks[0], &mut self.runs);
+        let got = k.mem_refresh(self.child, page << 12, runs, seen, |i, bytes| {
             image[i * 4096..(i + 1) * 4096].copy_from_slice(bytes)
         });
         let want = refresh_per_page(&self.ks[1], self.child, page << 12, &mut image2, &mut seen2);
@@ -916,7 +922,7 @@ impl Twins {
     fn restore(&mut self, page: u64, image: &[u8], seen: &mut [u64]) -> Option<usize> {
         let mut seen2 = seen.to_vec();
         let [k, r] = &mut self.ks;
-        let got = k.mem_restore(self.child, page << 12, seen, |i| {
+        let got = k.mem_restore(self.child, page << 12, &mut self.runs, seen, |i| {
             let page = &image[i * 4096..(i + 1) * 4096];
             page.iter().any(|&b| b != 0).then_some(page)
         });
